@@ -15,11 +15,12 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the concurrent subsystems (simulator schedulers
-# — actors lifecycle and tracing included — the experiment orchestrator,
-# the adversary layer they both drive, the trace recorders, the telemetry
-# registry, the sweep coordinator, and the real-transport backend with its
-# per-node driver goroutines).
+# Race-detector pass over the concurrent subsystems: simulator schedulers
+# (actors lifecycle and tracing included), the experiment orchestrator, the
+# adversary layer they both drive, the trace recorders, the telemetry
+# registry, the sweep coordinator, the real-transport backend (per-node
+# drivers, port readers, the coordinator, the concurrent TCP handshake) and
+# the epoch engine.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/harness/... ./internal/adversary/... \
 		./internal/trace/... ./internal/obs/... ./internal/sweep/... \
@@ -119,7 +120,8 @@ sweep-dist:
 # names sort chronologically), failing on any net regressing trend. With
 # fewer than two artifacts there is no trajectory and the gate no-ops.
 # CI's series-gate job downloads prior bench-gate artifacts into
-# $(SERIES_DIR) and runs this.
+# $(SERIES_DIR), takes BENCH_harness.json from the same run's bench-gate
+# job, and runs this.
 SERIES_DIR ?= series
 series-report:
 	$(GO) run ./cmd/lereport -title "Reproduction report (cross-PR series)" \

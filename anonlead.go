@@ -38,9 +38,6 @@
 // (custom edge lists). Every election is deterministic in the provided
 // seed: same network, protocol, seed and options — byte-identical outcome,
 // regardless of scheduler.
-//
-// Elect, ElectExplicit and ElectRevocable are thin wrappers over Run kept
-// for compatibility with the original three-method API.
 package anonlead
 
 import (
@@ -189,59 +186,4 @@ type NetworkStats struct {
 	Conductance   float64
 	Isoperimetric float64
 	SpectralGap   float64
-}
-
-// Elect runs Irrevocable Leader Election (known network size) and returns
-// the outcome. With default options the protocol parameters follow the
-// paper with the calibration constants recorded in EXPERIMENTS.md; the
-// election succeeds (exactly one leader) with high probability.
-//
-// Elect is a thin wrapper over Run(ctx, ProtoIRE, ...); new code should
-// prefer Run, which also exposes the scheduler, adversary and observer
-// options and per-protocol extras.
-func (nw *Network) Elect(opts ...Option) (Result, error) {
-	out, err := nw.Run(nil, ProtoIRE, opts...)
-	if err != nil {
-		return Result{}, err
-	}
-	return out.Result, nil
-}
-
-// ElectExplicit runs explicit Irrevocable Leader Election: the implicit
-// Section 4 protocol followed by a leader announcement flood that makes
-// every node learn the leader and simultaneously builds a leader-rooted
-// BFS spanning tree (the paper's Section 3 extension). The extra cost over
-// Elect is at most 2m messages and n rounds.
-//
-// ElectExplicit is a thin wrapper over Run(ctx, ProtoExplicit, ...).
-func (nw *Network) ElectExplicit(opts ...Option) (ExplicitResult, error) {
-	out, err := nw.Run(nil, ProtoExplicit, opts...)
-	if err != nil {
-		return ExplicitResult{}, err
-	}
-	return ExplicitResult{
-		Result:   out.Result,
-		LeaderID: out.LeaderID,
-		AllKnow:  out.AllKnow,
-		Parents:  out.Parents,
-		Depths:   out.Depths,
-	}, nil
-}
-
-// ElectRevocable runs Revocable Leader Election (unknown network size)
-// until the stabilization point guaranteed by the paper's Theorem 3 (all
-// nodes chose certified IDs, all agree on the leader certificate, and the
-// size estimate passed 4n) and returns the stabilized outcome.
-//
-// ElectRevocable is a thin wrapper over Run(ctx, ProtoRevocable, ...).
-func (nw *Network) ElectRevocable(opts ...Option) (RevocableResult, error) {
-	out, err := nw.Run(nil, ProtoRevocable, opts...)
-	if err != nil {
-		return RevocableResult{}, err
-	}
-	res := RevocableResult{Result: out.Result, FinalEstimate: out.FinalEstimate}
-	if out.Certificate != nil {
-		res.Certificate = *out.Certificate
-	}
-	return res, nil
 }

@@ -1,6 +1,7 @@
 package anonlead
 
 import (
+	"context"
 	"testing"
 )
 
@@ -53,7 +54,7 @@ func TestElectUnique(t *testing.T) {
 	wins := 0
 	const trials = 10
 	for s := uint64(0); s < trials; s++ {
-		res, err := nw.Elect(WithSeed(s))
+		res, err := nw.Run(context.Background(), ProtoIRE, WithSeed(s))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,11 +78,11 @@ func TestElectDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := nw.Elect(WithSeed(9))
+	r1, err := nw.Run(context.Background(), ProtoIRE, WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := nw.Elect(WithSeed(9))
+	r2, err := nw.Run(context.Background(), ProtoIRE, WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +101,11 @@ func TestElectParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := nw.Elect(WithSeed(4))
+	seq, err := nw.Run(context.Background(), ProtoIRE, WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := nw.Elect(WithSeed(4), WithParallel(true))
+	par, err := nw.Run(context.Background(), ProtoIRE, WithSeed(4), WithScheduler(WorkerPool))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +120,11 @@ func TestElectOptionOverrides(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Heavier constant => more work.
-	light, err := nw.Elect(WithSeed(3), WithConstant(1))
+	light, err := nw.Run(context.Background(), ProtoIRE, WithSeed(3), WithConstant(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	heavy, err := nw.Elect(WithSeed(3), WithConstant(6))
+	heavy, err := nw.Run(context.Background(), ProtoIRE, WithSeed(3), WithConstant(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,15 +132,15 @@ func TestElectOptionOverrides(t *testing.T) {
 		t.Fatalf("constant override had no effect: %d vs %d", heavy.Messages, light.Messages)
 	}
 	// Explicit walk count.
-	if _, err := nw.Elect(WithSeed(3), WithWalks(5)); err != nil {
+	if _, err := nw.Run(context.Background(), ProtoIRE, WithSeed(3), WithWalks(5)); err != nil {
 		t.Fatal(err)
 	}
 	// Manual tmix/phi inputs (linear upper bounds are allowed).
-	if _, err := nw.Elect(WithSeed(3), WithMixingTime(8), WithConductance(0.4)); err != nil {
+	if _, err := nw.Run(context.Background(), ProtoIRE, WithSeed(3), WithMixingTime(8), WithConductance(0.4)); err != nil {
 		t.Fatal(err)
 	}
 	// Invalid conductance must surface as an error.
-	if _, err := nw.Elect(WithSeed(3), WithConductance(2)); err == nil {
+	if _, err := nw.Run(context.Background(), ProtoIRE, WithSeed(3), WithConductance(2)); err == nil {
 		t.Fatal("invalid conductance accepted")
 	}
 }
@@ -149,7 +150,7 @@ func TestElectRevocableStabilizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := nw.ElectRevocable(
+	res, err := nw.Run(context.Background(), ProtoRevocable,
 		WithSeed(2),
 		WithIsoperimetric(nw.Stats().Isoperimetric),
 	)
@@ -172,7 +173,7 @@ func TestElectRevocableCalibrated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := nw.ElectRevocable(
+	res, err := nw.Run(context.Background(), ProtoRevocable,
 		WithSeed(5),
 		WithIsoperimetric(nw.Stats().Isoperimetric),
 		WithCalibration(0.5, 0.05),
@@ -190,7 +191,7 @@ func TestElectRevocableMaxRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.ElectRevocable(WithSeed(1), WithMaxRounds(10)); err == nil {
+	if _, err := nw.Run(context.Background(), ProtoRevocable, WithSeed(1), WithMaxRounds(10)); err == nil {
 		t.Fatal("expected stabilization failure with tiny round budget")
 	}
 }
@@ -200,7 +201,7 @@ func TestElectRevocableInvalidEpsilon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.ElectRevocable(WithSeed(1), WithEpsilon(2)); err == nil {
+	if _, err := nw.Run(context.Background(), ProtoRevocable, WithSeed(1), WithEpsilon(2)); err == nil {
 		t.Fatal("invalid epsilon accepted")
 	}
 }
@@ -240,7 +241,7 @@ func TestElectExplicit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := uint64(0); s < 5; s++ {
-		res, err := nw.ElectExplicit(WithSeed(100 + s))
+		res, err := nw.Run(context.Background(), ProtoExplicit, WithSeed(100+s))
 		if err != nil {
 			t.Fatal(err)
 		}

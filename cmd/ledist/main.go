@@ -145,6 +145,34 @@ type nodeConn struct {
 	cmd  *exec.Cmd
 }
 
+// framePlane is the coordinator's end of the control plane over the node
+// processes' control connections.
+type framePlane struct {
+	nodes []nodeConn
+	msgs  <-chan ctlMsg
+}
+
+func (p framePlane) Release(round int) error {
+	for v, nc := range p.nodes {
+		if err := writeFrame(nc.link, transport.Frame{Type: transport.FrameStart, Round: round}); err != nil {
+			return fmt.Errorf("start to node %d: %w", v, err)
+		}
+	}
+	return nil
+}
+
+func (p framePlane) Next() (int, transport.Report, error) {
+	m := <-p.msgs
+	if m.err != nil {
+		return m.node, transport.Report{}, m.err
+	}
+	if m.f.Type != transport.FrameReport {
+		return m.node, transport.Report{}, fmt.Errorf("unexpected %v frame", m.f.Type)
+	}
+	r, err := transport.DecodeReport(m.f.Body)
+	return m.node, r, err
+}
+
 func coordMain(proto, family string, n int, seed uint64, out string, timeout time.Duration, withSim bool) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -250,8 +278,9 @@ func coordMain(proto, family string, n int, seed uint64, out string, timeout tim
 	return nil
 }
 
-// runDistributed spawns the node processes, drives the barrier, and fills
-// art.Dist with whatever completed (even on interrupt or node failure).
+// runDistributed spawns the node processes, runs the shared coordinator
+// over their control connections, and fills art.Dist with whatever
+// completed (even on interrupt or node failure).
 func runDistributed(ctx context.Context, g *graph.Graph, entry core.Entry, pc core.ProtoConfig, seed uint64, congestBits, roundBudget int, art *artifact) error {
 	n := g.N()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -300,7 +329,7 @@ func runDistributed(ctx context.Context, g *graph.Graph, entry core.Entry, pc co
 		if err != nil {
 			return fmt.Errorf("waiting for node joins (%d/%d): %w", i, n, err)
 		}
-		l := transport.NewStreamLink(conn, nil)
+		l := transport.NewStreamLink(conn)
 		f, err := l.ReadFrame()
 		if err != nil || f.Type != transport.FrameJoin {
 			conn.Close()
@@ -341,67 +370,24 @@ func runDistributed(ctx context.Context, g *graph.Graph, entry core.Entry, pc co
 		}(v, nodes[v].link)
 	}
 
-	barrier := transport.NewBarrier(g, congestBits)
-	reps := make([]transport.Report, n)
-	gather := func() error {
-		var firstErr error
-		for i := 0; i < n; i++ {
-			m := <-msgs
-			if m.err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("node %d control: %w", m.node, m.err)
-				}
-				continue
-			}
-			if m.f.Type != transport.FrameReport {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("node %d: unexpected %v frame", m.node, m.f.Type)
-				}
-				continue
-			}
-			r, err := transport.DecodeReport(m.f.Body)
-			if err == nil && r.Fail != "" {
-				err = fmt.Errorf("node %d failed: %s", r.Node, r.Fail)
-			}
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			reps[r.Node] = r
-		}
-		return firstErr
-	}
-
+	coord := transport.NewCoordinator(g, congestBits, framePlane{nodes: nodes, msgs: msgs})
 	began := time.Now()
-	if err := gather(); err != nil { // Init pseudo-round
+	if err := coord.Init(); err != nil {
 		return err
 	}
-	barrier.FinishRound(false, reps)
-	connectSecs := time.Since(began).Seconds()
-
-	res := &runRes{ConnectSeconds: connectSecs}
+	res := &runRes{ConnectSeconds: time.Since(began).Seconds()}
 	art.Dist = res
 	runStart := time.Now()
-	var runErr error
-	for !barrier.ShouldStop() && barrier.Round() < roundBudget {
-		if err := ctx.Err(); err != nil {
-			runErr = err
-			break
-		}
-		round := barrier.Round()
+	_, runErr := sim.RunLoop(ctx, roundBudget, func() (bool, error) {
 		t0 := time.Now()
-		for v := 0; v < n; v++ {
-			if err := writeFrame(nodes[v].link, transport.Frame{Type: transport.FrameStart, Round: round}); err != nil {
-				return fmt.Errorf("start to node %d: %w", v, err)
-			}
+		more, err := coord.Step()
+		if more && err == nil {
+			res.RoundSeconds = append(res.RoundSeconds, time.Since(t0).Seconds())
 		}
-		if err := gather(); err != nil {
-			return err
-		}
-		barrier.FinishRound(true, reps)
-		res.RoundSeconds = append(res.RoundSeconds, time.Since(t0).Seconds())
+		return more, err
+	}, nil)
+	if runErr != nil && ctx.Err() == nil {
+		return runErr // a node failed: there is nobody left to drain
 	}
 	res.ElapsedSeconds = time.Since(runStart).Seconds()
 
@@ -446,7 +432,7 @@ func runDistributed(ctx context.Context, g *graph.Graph, entry core.Entry, pc co
 		}
 	}
 
-	m := barrier.Metrics()
+	m := coord.Metrics()
 	res.Rounds = m.Rounds
 	res.ChargedRounds = m.ChargedRounds
 	res.Messages = m.Messages
@@ -456,7 +442,7 @@ func runDistributed(ctx context.Context, g *graph.Graph, entry core.Entry, pc co
 	if m.Rounds > 0 {
 		res.SecondsPerRound = res.ElapsedSeconds / float64(m.Rounds)
 	}
-	if runErr == nil && !barrier.AllHalted() {
+	if runErr == nil && !coord.AllHalted() {
 		runErr = fmt.Errorf("election incomplete after %d rounds", m.Rounds)
 	}
 	return runErr
@@ -493,8 +479,8 @@ func printSummary(art *artifact) {
 // ---------------------------------------------------------------------------
 // Node process
 
-// remoteControl adapts the coordinator control connection to the driver's
-// ControlPlane. Used from the single driver goroutine only.
+// remoteControl is the node's end of the control plane over its
+// coordinator connection. Used from the single driver goroutine only.
 type remoteControl struct {
 	link transport.Link
 	buf  []byte
@@ -538,7 +524,7 @@ func nodeMain(v int, coord string) error {
 		<-sigc
 		conn.SetDeadline(time.Now().Add(15 * time.Second))
 	}()
-	ctl := transport.NewStreamLink(conn, nil)
+	ctl := transport.NewStreamLink(conn)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -589,14 +575,8 @@ func nodeMain(v int, coord string) error {
 	}()
 	ln.Close()
 
-	// The per-node machine stream is derived exactly as the simulator
-	// derives it; this is what makes the distributed election bit-equal.
-	deg := g.Degree(v)
-	var r rng.RNG
-	r.Reseed(rng.New(plan.Seed).DeriveSeed(uint64(v)))
-	st := sim.NewStepper(runner.Factory(v, deg, &r), v, deg, &r, nil)
-
-	transport.RunNode(v, st, entry.Wire, links, g, plan.CongestBits, &remoteControl{link: ctl})
+	st := sim.NewStepper(plan.Seed, runner.Factory, v, g.Degree(v), nil)
+	transport.RunNode(v, st, entry.Wire, links, plan.CongestBits, &remoteControl{link: ctl})
 
 	o := outcomeMsg{Node: v, Halted: st.Halted()}
 	if lr, ok := st.Machine().(sim.LeaderReporter); ok {

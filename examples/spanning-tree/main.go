@@ -2,7 +2,7 @@
 //
 // The paper notes (Section 3) that once implicit leader election succeeds,
 // explicit election, broadcast, and tree construction follow at an extra
-// O(m) messages and O(D) time. This example runs ElectExplicit on a torus:
+// O(m) messages and O(D) time. This example runs the explicit protocol on a torus:
 // the implicit Section 4 protocol elects, then the leader's announcement
 // flood teaches every node the leader's ID and leaves each node with a
 // parent pointer one hop closer to the leader — a BFS spanning tree ready

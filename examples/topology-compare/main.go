@@ -64,7 +64,7 @@ func main() {
 				var msgs, rounds, charged, wins float64
 				for t := 0; t < trials; t++ {
 					out, err := nw.Run(ctx, proto,
-						anonlead.WithSeed(11+uint64(t)), anonlead.WithParallel(true))
+						anonlead.WithSeed(11+uint64(t)), anonlead.WithScheduler(anonlead.WorkerPool))
 					if err != nil {
 						log.Fatal(err)
 					}

@@ -79,8 +79,8 @@ func TestIREParallelSchedulerEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(parallel bool) ([]IREOutput, sim.Metrics) {
-		nw := sim.New(sim.Config{Graph: g, Seed: 17, Parallel: parallel, Workers: 4}, factory)
+	run := func(s sim.Scheduler) ([]IREOutput, sim.Metrics) {
+		nw := sim.New(sim.Config{Graph: g, Seed: 17, Scheduler: s, Workers: 4}, factory)
 		_, _, _, _, total := nw.Machine(0).(*IREMachine).Params()
 		nw.Run(total + 4)
 		outs := make([]IREOutput, g.N())
@@ -89,8 +89,8 @@ func TestIREParallelSchedulerEquivalence(t *testing.T) {
 		}
 		return outs, nw.Metrics()
 	}
-	seqOut, seqMet := run(false)
-	parOut, parMet := run(true)
+	seqOut, seqMet := run(sim.Sequential)
+	parOut, parMet := run(sim.WorkerPool)
 	if seqMet != parMet {
 		t.Fatalf("metrics differ: %v vs %v", seqMet, parMet)
 	}

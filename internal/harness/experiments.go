@@ -7,6 +7,7 @@ import (
 	"anonlead/internal/core"
 	"anonlead/internal/graph"
 	"anonlead/internal/pumping"
+	"anonlead/internal/sim"
 	"anonlead/internal/spectral"
 	"anonlead/internal/stats"
 )
@@ -176,7 +177,7 @@ func SplitBrainExperiment(presumedN int, witnessCounts []int, trials int, seed u
 		sumLeaders := 0
 		for tr := 0; tr < trials; tr++ {
 			trialSeed := seed ^ uint64(wc)<<40 ^ uint64(tr)<<8 ^ 0x5bd1
-			leaders, _, err := IRELeaderNodes(wheel, cfg, trialSeed, SimOpts{Parallel: true})
+			leaders, _, err := IRELeaderNodes(wheel, cfg, trialSeed, SimOpts{Scheduler: sim.WorkerPool})
 			if err != nil {
 				return points, err
 			}

@@ -81,10 +81,7 @@ type Trial struct {
 // SimOpts carries the execution knobs every trial runner threads into the
 // public Run path: scheduler selection and the optional fault adversary.
 type SimOpts struct {
-	// Parallel selects the WorkerPool scheduler (kept for compatibility;
-	// an explicit Scheduler wins).
-	Parallel bool
-	// Scheduler explicitly selects the execution engine.
+	// Scheduler selects the execution engine (zero = Sequential).
 	Scheduler sim.Scheduler
 	// Adversary, when non-nil and non-zero, fault-injects the trial. The
 	// runtime adversary is built inside anonlead.Run with the canonical
@@ -104,9 +101,6 @@ func (o SimOpts) faulted() bool {
 // options maps the execution knobs onto public Run options.
 func (o SimOpts) options(seed uint64) []anonlead.Option {
 	opts := []anonlead.Option{anonlead.WithSeed(seed)}
-	if o.Parallel {
-		opts = append(opts, anonlead.WithParallel(true))
-	}
 	if o.Scheduler != sim.Sequential {
 		opts = append(opts, anonlead.WithScheduler(publicScheduler(o.Scheduler)))
 	}
@@ -170,11 +164,10 @@ func simMetrics(m anonlead.Metrics) sim.Metrics {
 
 // TrialOpts configures a batch of trials.
 type TrialOpts struct {
-	Trials   int
-	Seed     uint64
-	Parallel bool
-	// Scheduler explicitly selects the simulator engine for every trial
-	// (zero = Sequential unless Parallel is set). All engines are
+	Trials int
+	Seed   uint64
+	// Scheduler selects the simulator engine for every trial (zero =
+	// Sequential). All engines are
 	// bit-identical; the knob exists so determinism tests can sweep them.
 	Scheduler sim.Scheduler
 	// Adversary, when non-nil and non-zero, fault-injects every trial of
@@ -414,7 +407,7 @@ func runOne(p Protocol, anw *anonlead.Network, prof *spectral.Profile, opts Tria
 	if opts.PresumedN > 0 {
 		presumedN = opts.PresumedN
 	}
-	simo := SimOpts{Parallel: opts.Parallel, Scheduler: opts.Scheduler, Adversary: opts.Adversary}
+	simo := SimOpts{Scheduler: opts.Scheduler, Adversary: opts.Adversary}
 	var rp *obs.RoundProfile
 	if opts.RoundProfile {
 		rp = &obs.RoundProfile{}

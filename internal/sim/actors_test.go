@@ -75,26 +75,6 @@ func TestCloseNoOpForOtherSchedulers(t *testing.T) {
 	nw.Run(10)
 }
 
-func TestParallelAliasSelectsWorkerPool(t *testing.T) {
-	g := graph.Cycle(4)
-	nw := New(Config{Graph: g, Seed: 1, Parallel: true},
-		func(node, degree int, r *rng.RNG) Machine {
-			return &recorder{stopRound: 2, sendBits: 4}
-		})
-	if nw.scheduler != WorkerPool {
-		t.Fatalf("scheduler %v want WorkerPool", nw.scheduler)
-	}
-	// Explicit scheduler wins over the alias.
-	nw2 := New(Config{Graph: g, Seed: 1, Parallel: true, Scheduler: Actors},
-		func(node, degree int, r *rng.RNG) Machine {
-			return &recorder{stopRound: 2, sendBits: 4}
-		})
-	defer nw2.Close()
-	if nw2.scheduler != Actors {
-		t.Fatalf("scheduler %v want Actors", nw2.scheduler)
-	}
-}
-
 // waitGoroutinesBelow polls until the process goroutine count drops to at
 // most limit (goroutine exit is asynchronous after wg.Wait in the spawner's
 // frame has returned).

@@ -40,6 +40,27 @@ type Metrics struct {
 	Crashes int
 }
 
+// CloseRound charges one routed round given its maxima over links of the
+// slot charge and distinct channel count (LinkLoads.Max, or the max over
+// node reports of it). counted=false is the Init pseudo-round, which
+// charges its slots but neither a round nor the one-slot minimum.
+func (m *Metrics) CloseRound(counted bool, maxSlots, maxChannels int) {
+	if maxSlots > m.MaxLinkSlots {
+		m.MaxLinkSlots = maxSlots
+	}
+	if maxChannels > m.MaxChannels {
+		m.MaxChannels = maxChannels
+	}
+	charge := int64(maxSlots)
+	if counted {
+		m.Rounds++
+		if charge < 1 {
+			charge = 1
+		}
+	}
+	m.ChargedRounds += charge
+}
+
 // String renders the metrics compactly for logs and CLI output.
 func (m Metrics) String() string {
 	return fmt.Sprintf("rounds=%d charged=%d msgs=%d bits=%d maxSlots=%d budget=%db",

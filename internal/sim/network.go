@@ -23,9 +23,6 @@ type Config struct {
 	// Scheduler selects the execution engine; all engines are
 	// bit-identical. The zero value is Sequential.
 	Scheduler Scheduler
-	// Parallel is a convenience alias for Scheduler: WorkerPool (it wins
-	// over a zero Scheduler, loses to an explicit one).
-	Parallel bool
 	// Workers sets the pool size for WorkerPool (0 = GOMAXPROCS).
 	Workers int
 	// Trace, when non-nil, receives protocol events emitted through
@@ -74,16 +71,7 @@ type Network struct {
 	inflight  int
 	actors    *actorPool
 	observer  func(RoundInfo)
-	// Link accounting: per directed edge, a chain of per-channel bit loads
-	// accumulated within one round. linkHead[e] indexes the first load of
-	// edge e in loads (valid only when linkEpoch[e] == routeEpoch); loads
-	// and touched are truncated and refilled each round, so the routing hot
-	// path is allocation-free once the buffers have warmed up.
-	linkHead   []int32
-	linkEpoch  []uint64
-	routeEpoch uint64
-	loads      []chanLoad
-	touched    []int32
+	links     LinkLoads // this round's bit loads, per directed edge
 	// Fault injection (all nil/empty when adv is nil — the common case).
 	adv           Adversary
 	crashAt       []int              // per-node crash round (-1 = never)
@@ -94,17 +82,10 @@ type Network struct {
 	sent          []int              // per-node send counts of the routed round (adaptive only)
 }
 
-// chanLoad is the bit load of one (directed edge, channel) pair within one
-// round. Loads of the same edge are chained through next (-1 terminates).
-type chanLoad struct {
-	channel uint32
-	next    int32
-	bits    int
-}
-
-// defaultCongestBits returns the default per-link budget for an n-node
-// network: 8·⌈log₂ n⌉ bits (a concrete instantiation of O(log n)).
-func defaultCongestBits(n int) int {
+// DefaultCongestBits returns the default per-link budget for an n-node
+// network: 8·⌈log₂ n⌉ bits (a concrete instantiation of O(log n)). Every
+// execution backend charges link slots with it to stay metric-compatible.
+func DefaultCongestBits(n int) int {
 	bits := 0
 	for v := n; v > 1; v >>= 1 {
 		bits++
@@ -118,11 +99,6 @@ func defaultCongestBits(n int) int {
 	return 8 * bits
 }
 
-// DefaultCongestBits exposes the default budget to alternative execution
-// backends (internal/transport), which must charge link slots with the
-// same budget to stay metric-compatible with the simulator.
-func DefaultCongestBits(n int) int { return defaultCongestBits(n) }
-
 // New builds a network, constructs one machine per node via factory, and
 // runs every machine's Init (whose sends arrive at the start of round 0).
 func New(cfg Config, factory Factory) *Network {
@@ -133,15 +109,11 @@ func New(cfg Config, factory Factory) *Network {
 	n := g.N()
 	budget := cfg.CongestBits
 	if budget <= 0 {
-		budget = defaultCongestBits(n)
+		budget = DefaultCongestBits(n)
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	scheduler := cfg.Scheduler
-	if scheduler == Sequential && cfg.Parallel {
-		scheduler = WorkerPool
 	}
 	// Struct-of-arrays state: every per-node and per-edge buffer is carved
 	// out of one flat allocation, so building a network is O(m) work with
@@ -160,7 +132,7 @@ func New(cfg Config, factory Factory) *Network {
 		revPort:   g.ReversePorts(),
 		edgeOff:   g.EdgeOffsets(),
 		rngs:      make([]rng.RNG, n),
-		scheduler: scheduler,
+		scheduler: cfg.Scheduler,
 		workers:   workers,
 		observer:  cfg.Observer,
 	}
@@ -179,12 +151,10 @@ func New(cfg Config, factory Factory) *Network {
 		// them without growth.
 		nw.inbox[v] = inboxBuf[lo:lo:hi]
 		nw.next[v] = nextBuf[lo:lo:hi]
-		nw.rngs[v].Reseed(root.DeriveSeed(uint64(v)))
 		nw.ctxs[v] = Context{degree: deg, rng: &nw.rngs[v], node: v, rec: cfg.Trace, out: outBuf[lo:lo:hi]}
-		nw.machines[v] = factory(v, deg, nw.ctxs[v].rng)
+		nw.machines[v] = newMachine(root, factory, v, deg, &nw.rngs[v])
 	}
-	nw.linkHead = make([]int32, off)
-	nw.linkEpoch = make([]uint64, off)
+	nw.links = NewLinkLoads(off, budget)
 
 	if cfg.Adversary != nil {
 		nw.adv = cfg.Adversary
@@ -211,7 +181,7 @@ func New(cfg Config, factory Factory) *Network {
 		nw.machines[v].Init(ctx)
 	}
 	nw.route(-1)
-	nw.finishRoundAccounting(false)
+	nw.closeRound(false)
 	return nw
 }
 
@@ -257,8 +227,7 @@ func (nw *Network) Step() bool {
 	nw.releaseFutures(round)
 	nw.deliver(round)
 	nw.route(round)
-	nw.metrics.Rounds++
-	nw.finishRoundAccounting(true)
+	nw.closeRound(true)
 	if nw.observer != nil {
 		nw.observer(RoundInfo{Round: round, Halted: nw.haltedCount(), Metrics: nw.metrics})
 	}
@@ -276,65 +245,52 @@ func (nw *Network) haltedCount() int {
 	return count
 }
 
+// RunLoop is the round loop of every execution backend: it calls step
+// until maxRounds rounds ran, step reported the run over (more=false) or
+// failed, ctx was cancelled (checked between rounds), or done — evaluated
+// after each round with the rounds completed so far, nil for never —
+// reported true. It returns the number of rounds executed.
+func RunLoop(ctx context.Context, maxRounds int, step func() (more bool, err error), done func(completed int) bool) (int, error) {
+	executed := 0
+	for executed < maxRounds {
+		if err := ctx.Err(); err != nil {
+			return executed, err
+		}
+		if more, err := step(); err != nil || !more {
+			return executed, err
+		}
+		executed++
+		if done != nil && done(executed) {
+			break
+		}
+	}
+	return executed, nil
+}
+
 // Run executes up to rounds rounds, stopping early on global halt. It
 // returns the number of rounds executed.
-func (nw *Network) Run(rounds int) int {
-	executed := 0
-	for executed < rounds && nw.Step() {
-		executed++
-	}
-	return executed
-}
+func (nw *Network) Run(rounds int) int { return nw.RunUntil(rounds, nil) }
 
 // RunContext is Run with cooperative cancellation: the context is checked
 // between rounds, and a cancellation stops the simulation cleanly (the
 // accumulated metrics remain valid). It returns the number of rounds
 // executed and the context's error if it caused the stop.
 func (nw *Network) RunContext(ctx context.Context, rounds int) (int, error) {
-	executed := 0
-	for executed < rounds {
-		if err := ctx.Err(); err != nil {
-			return executed, err
-		}
-		if !nw.Step() {
-			break
-		}
-		executed++
-	}
-	return executed, nil
+	return nw.RunUntilContext(ctx, rounds, nil)
 }
 
 // RunUntil executes rounds until done(round) reports true or maxRounds is
 // reached, returning the number of rounds executed. done is evaluated after
 // each round with the number of rounds completed so far.
 func (nw *Network) RunUntil(maxRounds int, done func(completed int) bool) int {
-	executed := 0
-	for executed < maxRounds && nw.Step() {
-		executed++
-		if done(executed) {
-			break
-		}
-	}
+	executed, _ := nw.RunUntilContext(context.Background(), maxRounds, done)
 	return executed
 }
 
 // RunUntilContext is RunUntil with cooperative cancellation between rounds
 // (see RunContext).
 func (nw *Network) RunUntilContext(ctx context.Context, maxRounds int, done func(completed int) bool) (int, error) {
-	executed := 0
-	for executed < maxRounds {
-		if err := ctx.Err(); err != nil {
-			return executed, err
-		}
-		if !nw.Step() {
-			break
-		}
-		executed++
-		if done(executed) {
-			break
-		}
-	}
-	return executed, nil
+	return RunLoop(ctx, maxRounds, func() (bool, error) { return nw.Step(), nil }, done)
 }
 
 // stepNode runs one node's step for the round. It touches only node v's
@@ -392,9 +348,7 @@ func (nw *Network) deliver(round int) {
 // sends are being routed (-1 for Init).
 func (nw *Network) route(round int) {
 	nw.inflight = 0
-	nw.routeEpoch++
-	nw.loads = nw.loads[:0]
-	nw.touched = nw.touched[:0]
+	nw.links.Reset()
 	for v := range nw.machines {
 		ctx := &nw.ctxs[v]
 		if ctx.halted {
@@ -412,7 +366,7 @@ func (nw *Network) route(round int) {
 			nw.metrics.Bits += int64(bits)
 			// Link slots are charged before the adversary acts: a dropped
 			// or delayed packet was still transmitted by its sender.
-			nw.addLinkBits(int32(e), s.channel, bits)
+			nw.links.Add(int32(e), s.channel, bits)
 			delay := 0
 			if nw.adv != nil {
 				drop, d := nw.adv.Fate(round, v, s.port, w)
@@ -444,73 +398,11 @@ func (nw *Network) route(round int) {
 	}
 }
 
-// addLinkBits accumulates bits on (directed edge e, channel) for this
-// round's slot accounting. The first load of an edge claims a fresh chain
-// head (epoch-gated, so no per-round clearing of the per-edge arrays);
-// further channels extend the chain. Channel counts per link per round are
-// small, so the chain walk beats hashing — and unlike the old map it never
-// allocates once loads/touched have warmed up.
-func (nw *Network) addLinkBits(e int32, channel uint32, bits int) {
-	if nw.linkEpoch[e] != nw.routeEpoch {
-		nw.linkEpoch[e] = nw.routeEpoch
-		nw.linkHead[e] = int32(len(nw.loads))
-		nw.loads = append(nw.loads, chanLoad{channel: channel, bits: bits, next: -1})
-		nw.touched = append(nw.touched, e)
-		return
-	}
-	idx := nw.linkHead[e]
-	for {
-		if nw.loads[idx].channel == channel {
-			nw.loads[idx].bits += bits
-			return
-		}
-		next := nw.loads[idx].next
-		if next < 0 {
-			tail := int32(len(nw.loads))
-			nw.loads = append(nw.loads, chanLoad{channel: channel, bits: bits, next: -1})
-			nw.loads[idx].next = tail
-			return
-		}
-		idx = next
-	}
-}
-
-// finishRoundAccounting converts the per-link bit loads of the round just
-// routed into CONGEST charged rounds. counted=false is used for the Init
-// pseudo-round, which charges slots but not a base round.
-func (nw *Network) finishRoundAccounting(counted bool) {
-	budget := nw.metrics.CongestBits
-	maxSlots, maxChannels := 0, 0
-	for _, e := range nw.touched {
-		// slots = sum over the edge's channels of ceil(bits/budget);
-		// distinct channels never share a slot.
-		slots, channels := 0, 0
-		for idx := nw.linkHead[e]; idx >= 0; idx = nw.loads[idx].next {
-			s := (nw.loads[idx].bits + budget - 1) / budget
-			if s < 1 {
-				s = 1
-			}
-			slots += s
-			channels++
-		}
-		if slots > maxSlots {
-			maxSlots = slots
-		}
-		if channels > maxChannels {
-			maxChannels = channels
-		}
-	}
-	if maxSlots > nw.metrics.MaxLinkSlots {
-		nw.metrics.MaxLinkSlots = maxSlots
-	}
-	if maxChannels > nw.metrics.MaxChannels {
-		nw.metrics.MaxChannels = maxChannels
-	}
-	charge := int64(maxSlots)
-	if counted && charge < 1 {
-		charge = 1
-	}
-	nw.metrics.ChargedRounds += charge
+// closeRound charges the round just routed. counted=false is the Init
+// pseudo-round.
+func (nw *Network) closeRound(counted bool) {
+	maxSlots, maxChannels := nw.links.Max()
+	nw.metrics.CloseRound(counted, maxSlots, maxChannels)
 }
 
 // sortInbox orders packets by (port, channel) with stable order for ties

@@ -49,19 +49,29 @@ type Send struct {
 // A Stepper is not safe for concurrent use; drive it from one goroutine.
 type Stepper struct {
 	ctx Context
+	rng rng.RNG
 	m   Machine
 	out []Send
 }
 
-// NewStepper builds a stepper for machine m on a node of the given degree.
-// node is used for trace attribution only (never exposed to the machine,
-// matching the anonymity contract of Factory); r is the node's private
-// random stream; rec may be nil to disable tracing.
-func NewStepper(m Machine, node, degree int, r *rng.RNG, rec trace.Recorder) *Stepper {
-	return &Stepper{
-		ctx: Context{degree: degree, rng: r, node: node, rec: rec},
-		m:   m,
-	}
+// newMachine seeds r, node v's private stream, from the run's root stream
+// and builds the node's machine on it. Every backend constructs machines
+// here, which is what makes a run a function of the seed and not of where
+// its nodes execute.
+func newMachine(root *rng.RNG, factory Factory, v, degree int, r *rng.RNG) Machine {
+	r.Reseed(root.DeriveSeed(uint64(v)))
+	return factory(v, degree, r)
+}
+
+// NewStepper builds node node's machine for a run of the given root seed,
+// exactly as New builds it, and wraps it in a stepper. node is otherwise
+// used for trace attribution only (never exposed to the machine, matching
+// the anonymity contract of Factory); rec may be nil to disable tracing.
+func NewStepper(seed uint64, factory Factory, node, degree int, rec trace.Recorder) *Stepper {
+	s := &Stepper{}
+	s.ctx = Context{degree: degree, rng: &s.rng, node: node, rec: rec}
+	s.m = newMachine(rng.New(seed), factory, node, degree, &s.rng)
+	return s
 }
 
 // Init runs the machine's Init (round -1) and returns its sends, which the
@@ -103,6 +113,3 @@ func (s *Stepper) Halted() bool { return s.ctx.halted }
 
 // Machine returns the driven machine, for outcome collection after a run.
 func (s *Stepper) Machine() Machine { return s.m }
-
-// Degree returns the node's port count.
-func (s *Stepper) Degree() int { return s.ctx.degree }

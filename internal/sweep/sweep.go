@@ -111,6 +111,8 @@ type Coordinator struct {
 	// the first Run); the -debug-addr endpoint polls it via Progress.
 	progMu sync.Mutex
 	prog   *progressState
+
+	logMu sync.Mutex // workers log concurrently; cfg.Log need not be safe for that
 }
 
 // workerTask is one worker's share of the plan.
@@ -327,6 +329,8 @@ func (c *Coordinator) logf(format string, args ...any) {
 	if c.cfg.Log == nil {
 		return
 	}
+	c.logMu.Lock()
+	defer c.logMu.Unlock()
 	fmt.Fprintf(c.cfg.Log, "lesweep: "+format+"\n", args...)
 }
 

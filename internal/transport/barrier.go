@@ -33,12 +33,13 @@ type Report struct {
 	Fail string
 }
 
-// Barrier replicates sim.Network's round bookkeeping on the coordinator
-// side of the real-transport backend: halt latching, in-flight packet
-// counting, and CONGEST cost accounting. Its transcript over a run is
-// bit-identical to the simulator's for the same seed — including the stop
-// rule's quirks, such as counting a final drain round when the last
-// halters' sends target already-halted peers.
+// Barrier is the coordinator's fold of node reports into the run's
+// accounting: what sim.Network's router observes centrally — halt
+// latching, in-flight packet counting — recomputed from what each node
+// says it sent, then closed through the same sim.Metrics.CloseRound. Its
+// transcript over a run is bit-identical to the simulator's for the same
+// seed — including the stop rule's quirks, such as counting a final drain
+// round when the last halters' sends target already-halted peers.
 type Barrier struct {
 	g        *graph.Graph
 	halted   []bool
@@ -126,20 +127,7 @@ func (b *Barrier) FinishRound(counted bool, reports []Report) {
 		}
 	}
 	b.inflight = inflight
-	if maxSlots > b.metrics.MaxLinkSlots {
-		b.metrics.MaxLinkSlots = maxSlots
-	}
-	if maxChannels > b.metrics.MaxChannels {
-		b.metrics.MaxChannels = maxChannels
-	}
-	charge := int64(maxSlots)
-	if counted {
-		if charge < 1 {
-			charge = 1
-		}
-		b.metrics.Rounds++
-	}
-	b.metrics.ChargedRounds += charge
+	b.metrics.CloseRound(counted, maxSlots, maxChannels)
 }
 
 // AppendReport appends r's wire encoding (the body of a FrameReport) to

@@ -9,7 +9,6 @@ import (
 
 	"anonlead/internal/graph"
 	"anonlead/internal/obs"
-	"anonlead/internal/rng"
 	"anonlead/internal/sim"
 	"anonlead/internal/trace"
 )
@@ -20,9 +19,8 @@ import (
 type Config struct {
 	// Graph is the topology (required).
 	Graph *graph.Graph
-	// Seed is the run's root seed. Per-node machine streams are derived
-	// exactly as sim.New derives them, which is what makes a cluster run
-	// bit-compatible with a simulator run of the same seed.
+	// Seed is the run's root seed; machines are built from it exactly as
+	// sim.New builds them (sim.NewStepper).
 	Seed uint64
 	// CongestBits overrides the per-link slot budget (default: the
 	// simulator's 8·⌈log₂ n⌉).
@@ -38,24 +36,22 @@ type Config struct {
 
 // Cluster runs one election as real message-passing nodes inside this
 // process: one driver goroutine per node over a Transport fabric, with
-// the coordinator (the caller's goroutine) releasing rounds through the
-// Barrier. It implements Runtime and sim.View, so the registry's
-// Converged/Collect hooks and the public Run path drive it exactly like
-// the simulator.
+// the Coordinator (on the caller's goroutine) releasing rounds over
+// in-process channels. It implements Runtime and sim.View, so the
+// registry's Converged/Collect hooks and the public Run path drive it
+// exactly like the simulator.
 //
 // Between Run calls and after a run completes, all drivers are parked at
 // the barrier, so View reads (machine outputs, halt flags) are quiescent
-// and race-free.
+// and race-free. After a Run call fails the cluster is only good for
+// Close.
 type Cluster struct {
 	g        *graph.Graph
 	name     string
 	fabric   *Fabric
-	barrier  *Barrier
+	coord    *Coordinator
 	drivers  []*driver
-	rngs     []rng.RNG
-	starts   []chan startMsg
-	reports  chan Report
-	reps     []Report
+	plane    localPlane
 	observer func(sim.RoundInfo)
 	wg       sync.WaitGroup
 	closed   bool
@@ -63,22 +59,39 @@ type Cluster struct {
 	roundHist *obs.Histogram
 }
 
-// localControl adapts the in-process channels to the driver's control
-// plane. A closed start channel is the stop signal.
+// localPlane is the in-process control plane: one start channel per node
+// (closing it is the stop signal) and one shared report channel, buffered
+// for a report per node so a driver never blocks on a coordinator that
+// gave up on the round.
+type localPlane struct {
+	starts  []chan int
+	reports chan Report
+}
+
+func (p localPlane) Release(round int) error {
+	for _, start := range p.starts {
+		start <- round
+	}
+	return nil
+}
+
+func (p localPlane) Next() (int, Report, error) {
+	r := <-p.reports
+	return r.Node, r, nil
+}
+
+// localControl is node v's end of a localPlane.
 type localControl struct {
-	start   chan startMsg
+	start   <-chan int
 	reports chan<- Report
 }
 
-func (c *localControl) waitStart() (startMsg, error) {
-	msg, ok := <-c.start
-	if !ok {
-		return startMsg{stop: true}, nil
-	}
-	return msg, nil
+func (c localControl) WaitStart() (int, bool, error) {
+	round, ok := <-c.start
+	return round, !ok, nil
 }
 
-func (c *localControl) report(r Report) error {
+func (c localControl) Report(r Report) error {
 	c.reports <- r
 	return nil
 }
@@ -102,9 +115,9 @@ func newWireMetrics(backend string) *wireMetrics {
 	}
 }
 
-// NewCluster connects the fabric, builds one machine per node via factory
-// (with the simulator's exact per-node seed derivation), runs the Init
-// pseudo-round, and parks every driver at the round-0 barrier.
+// NewCluster connects the fabric, builds one machine per node via factory,
+// runs the Init pseudo-round, and parks every driver at the round-0
+// barrier.
 func NewCluster(ctx context.Context, cfg Config, factory sim.Factory, codec sim.WireCodec) (*Cluster, error) {
 	g := cfg.Graph
 	if g == nil || g.N() == 0 {
@@ -128,144 +141,74 @@ func NewCluster(ctx context.Context, cfg Config, factory sim.Factory, codec sim.
 	}
 
 	n := g.N()
-	budget := cfg.CongestBits
-	if budget <= 0 {
-		budget = sim.DefaultCongestBits(n)
-	}
 	c := &Cluster{
 		g:        g,
 		name:     tr.Name(),
 		fabric:   fabric,
-		barrier:  NewBarrier(g, budget),
 		drivers:  make([]*driver, n),
-		rngs:     make([]rng.RNG, n),
-		starts:   make([]chan startMsg, n),
-		reports:  make(chan Report, n),
-		reps:     make([]Report, n),
+		plane:    localPlane{starts: make([]chan int, n), reports: make(chan Report, n)},
 		observer: cfg.Observer,
 	}
+	c.coord = NewCoordinator(g, cfg.CongestBits, c.plane)
 	if obs.Enabled() {
 		c.roundHist = obs.Default().Histogram(
 			obs.TransportRoundSeconds, obs.TransportRoundSecondsBounds, "backend", c.name)
 	}
+	budget := c.coord.Metrics().CongestBits
 	met := newWireMetrics(c.name)
-	root := rng.New(cfg.Seed)
 	for v := 0; v < n; v++ {
-		deg := g.Degree(v)
-		c.rngs[v].Reseed(root.DeriveSeed(uint64(v)))
-		st := sim.NewStepper(factory(v, deg, &c.rngs[v]), v, deg, &c.rngs[v], cfg.Trace)
+		st := sim.NewStepper(cfg.Seed, factory, v, g.Degree(v), cfg.Trace)
 		c.drivers[v] = newDriver(v, st, codec, fabric.Links[v], budget, met)
-		c.starts[v] = make(chan startMsg, 1)
+		c.plane.starts[v] = make(chan int, 1)
 	}
-	for v := 0; v < n; v++ {
-		cp := &localControl{start: c.starts[v], reports: c.reports}
-		d := c.drivers[v]
+	for v, d := range c.drivers {
+		cp := localControl{start: c.plane.starts[v], reports: c.plane.reports}
+		d := d
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
 			d.run(cp)
 		}()
 	}
-	// Init pseudo-round: drivers flush their machines' Init sends and
-	// report unprompted; fold the reports like sim.New does (slots
-	// charged, no base round).
-	if err := c.gather(); err != nil {
+	if err := c.coord.Init(); err != nil {
 		c.Close()
 		return nil, err
 	}
-	c.barrier.FinishRound(false, c.reps)
 	return c, nil
 }
 
-// gather collects exactly one report per node. On the first failed report
-// it closes the fabric so drivers still blocked mid-round unblock (and
-// fail in turn), then keeps draining — the barrier invariant "one report
-// per node per round" holds even on the abort path.
-func (c *Cluster) gather() error {
-	var fail string
-	for i := 0; i < len(c.reps); i++ {
-		r := <-c.reports
-		if r.Fail != "" && fail == "" {
-			fail = fmt.Sprintf("transport: node %d: %s", r.Node, r.Fail)
-			c.fabric.Close()
-		}
-		c.reps[r.Node] = r
-	}
-	if fail != "" {
-		return errors.New(fail)
-	}
-	return nil
-}
-
-// step releases one round to every driver and folds the reports at the
-// barrier, mirroring sim.Network.Step's executed-round path.
-func (c *Cluster) step() error {
-	round := c.barrier.Round()
+// step is Coordinator.Step plus the per-round telemetry.
+func (c *Cluster) step() (bool, error) {
+	round := c.coord.Round()
 	var began time.Time
 	if c.roundHist != nil {
 		began = time.Now()
 	}
-	for v := range c.starts {
-		c.starts[v] <- startMsg{round: round}
+	if more, err := c.coord.Step(); err != nil || !more {
+		return more, err
 	}
-	if err := c.gather(); err != nil {
-		return err
-	}
-	c.barrier.FinishRound(true, c.reps)
 	if c.roundHist != nil {
 		c.roundHist.Observe(time.Since(began).Seconds())
 	}
 	if c.observer != nil {
-		c.observer(sim.RoundInfo{Round: round, Halted: c.barrier.HaltedCount(), Metrics: c.barrier.Metrics()})
+		c.observer(sim.RoundInfo{Round: round, Halted: c.coord.HaltedCount(), Metrics: c.coord.Metrics()})
 	}
-	return nil
+	return true, nil
 }
 
 // RunContext implements Runtime: up to rounds rounds, stopping early on
 // global halt, context cancellation, or a transport failure (which, unlike
 // the simulator, this backend can experience).
 func (c *Cluster) RunContext(ctx context.Context, rounds int) (int, error) {
-	endRun := obs.Span("transport_run", c.name)
-	defer endRun()
-	executed := 0
-	for executed < rounds {
-		if err := ctx.Err(); err != nil {
-			return executed, err
-		}
-		if c.barrier.ShouldStop() {
-			break
-		}
-		if err := c.step(); err != nil {
-			return executed, err
-		}
-		executed++
-	}
-	return executed, nil
+	return c.RunUntilContext(ctx, rounds, nil)
 }
 
 // RunUntilContext implements Runtime. done is evaluated between rounds,
 // when every driver is parked at the barrier, so convergence predicates
 // may read machine state without synchronization.
 func (c *Cluster) RunUntilContext(ctx context.Context, maxRounds int, done func(completed int) bool) (int, error) {
-	endRun := obs.Span("transport_run", c.name)
-	defer endRun()
-	executed := 0
-	for executed < maxRounds {
-		if err := ctx.Err(); err != nil {
-			return executed, err
-		}
-		if c.barrier.ShouldStop() {
-			break
-		}
-		if err := c.step(); err != nil {
-			return executed, err
-		}
-		executed++
-		if done(executed) {
-			break
-		}
-	}
-	return executed, nil
+	defer obs.Span("transport_run", c.name)()
+	return sim.RunLoop(ctx, maxRounds, c.step, done)
 }
 
 // N implements sim.View.
@@ -278,19 +221,18 @@ func (c *Cluster) Graph() *graph.Graph { return c.g }
 // (between Run calls or after one returns).
 func (c *Cluster) Machine(v int) sim.Machine { return c.drivers[v].stephr.Machine() }
 
-// Halted implements sim.View, reading the barrier's (coordinator-owned)
-// halt latch.
-func (c *Cluster) Halted(v int) bool { return c.barrier.Halted(v) }
+// Halted implements sim.View, reading the coordinator's halt latch.
+func (c *Cluster) Halted(v int) bool { return c.coord.Halted(v) }
 
 // Crashed implements sim.View; the transport backend has no crash
 // adversary.
 func (c *Cluster) Crashed(v int) bool { return false }
 
 // AllHalted implements Runtime.
-func (c *Cluster) AllHalted() bool { return c.barrier.AllHalted() }
+func (c *Cluster) AllHalted() bool { return c.coord.AllHalted() }
 
 // Metrics implements Runtime.
-func (c *Cluster) Metrics() sim.Metrics { return c.barrier.Metrics() }
+func (c *Cluster) Metrics() sim.Metrics { return c.coord.Metrics() }
 
 // Backend names the fabric implementation ("chan", "pipe", "tcp").
 func (c *Cluster) Backend() string { return c.name }
@@ -301,8 +243,8 @@ func (c *Cluster) Close() {
 		return
 	}
 	c.closed = true
-	for _, ch := range c.starts {
-		close(ch)
+	for _, start := range c.plane.starts {
+		close(start)
 	}
 	// Closing the fabric unblocks any driver still inside a failed round;
 	// drivers parked at the barrier exit on the closed start channels.

@@ -9,22 +9,17 @@ import (
 	"anonlead/internal/sim"
 )
 
-// startMsg releases a parked driver into one more round (or tells it the
-// run is over).
-type startMsg struct {
-	round int
-	stop  bool
-}
-
-// controlPlane is a driver's view of its coordinator. The in-process
-// Cluster implements it with channels; cmd/ledist node processes implement
-// it over the coordinator TCP connection.
-type controlPlane interface {
-	// waitStart blocks until the coordinator starts the next round or
-	// ends the run.
-	waitStart() (startMsg, error)
-	// report delivers the driver's account of the round just executed.
-	report(r Report) error
+// ControlPlane is a node's end of the control plane: round releases in,
+// per-round reports out (CoordPlane is the coordinator's end). The
+// in-process Cluster implements it with channels; cmd/ledist node
+// processes implement it over the coordinator TCP connection. Used from
+// the node's driver goroutine only.
+type ControlPlane interface {
+	// WaitStart blocks until the coordinator releases the next round
+	// (stop=false) or ends the run (stop=true).
+	WaitStart() (round int, stop bool, err error)
+	// Report delivers the node's account of the round just executed.
+	Report(r Report) error
 }
 
 // wireMetrics is the transport's obs instrumentation, shared by every
@@ -128,14 +123,6 @@ func (q *portQueue) pop(round int, dst []sim.Packet) []sim.Packet {
 	return dst
 }
 
-// portLoad is a driver's per-round (port, channel) bit load, the local
-// half of the simulator's link-slot accounting.
-type portLoad struct {
-	port    int
-	channel uint32
-	bits    int
-}
-
 // driver owns one node of a cluster: the machine (behind a sim.Stepper),
 // the node's link endpoints, and the per-port receive queues. It runs the
 // synchronizer discipline — step, send, mark every port, report, park —
@@ -146,7 +133,6 @@ type driver struct {
 	codec  sim.WireCodec
 	links  []Link
 	in     []*portQueue
-	budget int // CONGEST bits per link slot
 	met    *wireMetrics
 
 	// halted is read by the reader goroutines to discard data addressed
@@ -155,7 +141,7 @@ type driver struct {
 
 	inbox  []sim.Packet
 	encBuf []byte
-	loads  []portLoad
+	loads  sim.LinkLoads // this round's bit loads, per out-port
 }
 
 func newDriver(node int, st *sim.Stepper, codec sim.WireCodec, links []Link, budget int, met *wireMetrics) *driver {
@@ -165,8 +151,8 @@ func newDriver(node int, st *sim.Stepper, codec sim.WireCodec, links []Link, bud
 		codec:  codec,
 		links:  links,
 		in:     make([]*portQueue, len(links)),
-		budget: budget,
 		met:    met,
+		loads:  sim.NewLinkLoads(len(links), budget),
 	}
 	for p := range d.in {
 		d.in[p] = newPortQueue()
@@ -178,7 +164,7 @@ func newDriver(node int, st *sim.Stepper, codec sim.WireCodec, links []Link, bud
 // coordinator-released round until the stop message. Every released round
 // produces exactly one report, even on failure — the barrier never wedges
 // on a sick node; the coordinator sees the Fail and aborts.
-func (d *driver) run(cp controlPlane) {
+func (d *driver) run(cp ControlPlane) {
 	for p := range d.links {
 		go d.readPort(p)
 	}
@@ -186,12 +172,12 @@ func (d *driver) run(cp controlPlane) {
 	if err != nil {
 		rep.Fail = err.Error()
 	}
-	if cp.report(rep) != nil {
+	if cp.Report(rep) != nil {
 		return
 	}
 	for {
-		msg, err := cp.waitStart()
-		if err != nil || msg.stop {
+		round, stop, err := cp.WaitStart()
+		if err != nil || stop {
 			return
 		}
 		var rep Report
@@ -200,9 +186,9 @@ func (d *driver) run(cp controlPlane) {
 			// confirming the (latched) halt at each barrier.
 			rep = Report{Node: d.node, Halted: true}
 		} else {
-			inbox, err := d.collect(msg.round)
+			inbox, err := d.collect(round)
 			if err == nil {
-				rep, err = d.flush(msg.round, d.stephr.Step(msg.round, inbox))
+				rep, err = d.flush(round, d.stephr.Step(round, inbox))
 			} else {
 				rep = Report{Node: d.node}
 			}
@@ -210,10 +196,20 @@ func (d *driver) run(cp controlPlane) {
 				rep.Fail = err.Error()
 			}
 		}
-		if cp.report(rep) != nil {
+		if cp.Report(rep) != nil {
 			return
 		}
 	}
+}
+
+// RunNode runs one node of a multi-process election (cmd/ledist) to
+// completion on the driver every Cluster node runs: the Init flush, then
+// one round per coordinator release until the stop signal. It blocks
+// until the run ends and leaves the links open (the caller owns
+// teardown). congestBits is the run's slot budget, which the coordinator
+// resolves once for all nodes.
+func RunNode(node int, st *sim.Stepper, codec sim.WireCodec, links []Link, congestBits int, cp ControlPlane) {
+	newDriver(node, st, codec, links, congestBits, newWireMetrics("dist")).run(cp)
 }
 
 // readPort is the per-port reader goroutine: it decodes incoming frames
@@ -276,7 +272,7 @@ func (d *driver) collect(round int) ([]sim.Packet, error) {
 // in-flight accounting plus this node's half of the CONGEST cost metering.
 func (d *driver) flush(round int, sends []sim.Send) (Report, error) {
 	rep := Report{Node: d.node}
-	d.loads = d.loads[:0]
+	d.loads.Reset()
 	var perPort []uint32
 	if len(sends) > 0 {
 		perPort = make([]uint32, len(d.links))
@@ -297,10 +293,12 @@ func (d *driver) flush(round int, sends []sim.Send) (Report, error) {
 		rep.Msgs++
 		bits := s.Payload.Bits()
 		rep.Bits += int64(bits)
-		d.addLoad(s.Port, s.Channel, bits)
+		d.loads.Add(int32(s.Port), s.Channel, bits)
 	}
 	rep.PerPort = perPort
-	rep.MaxSlots, rep.MaxChannels = d.slotCharge()
+	// Each node owns its outgoing edges, so the coordinator's max over
+	// node reports equals the simulator's max over all directed edges.
+	rep.MaxSlots, rep.MaxChannels = d.loads.Max()
 	marker := FrameEOR
 	if d.stephr.Halted() {
 		marker = FramePortClosed
@@ -317,63 +315,4 @@ func (d *driver) flush(round int, sends []sim.Send) (Report, error) {
 		d.met.framesTx.Inc()
 	}
 	return rep, nil
-}
-
-// addLoad merges bits into the (port, channel) load. Linear scan: a node
-// sends a handful of packets per round.
-func (d *driver) addLoad(port int, channel uint32, bits int) {
-	for i := range d.loads {
-		if d.loads[i].port == port && d.loads[i].channel == channel {
-			d.loads[i].bits += bits
-			return
-		}
-	}
-	d.loads = append(d.loads, portLoad{port: port, channel: channel, bits: bits})
-}
-
-// slotCharge folds the round's loads into the node's maxima over outgoing
-// links: slots = Σ per distinct channel of ceil(bits/budget) (min 1), the
-// same charge sim.Network.finishRoundAccounting computes per directed
-// edge. Each node owns its outgoing edges, so the coordinator's max over
-// node reports equals the simulator's max over edges.
-func (d *driver) slotCharge() (maxSlots, maxChannels int) {
-	for i := range d.loads {
-		p := d.loads[i].port
-		seen := false
-		for j := 0; j < i; j++ {
-			if d.loads[j].port == p {
-				seen = true
-				break
-			}
-		}
-		if seen {
-			continue
-		}
-		slots, channels := 0, 0
-		for j := i; j < len(d.loads); j++ {
-			if d.loads[j].port != p {
-				continue
-			}
-			s := (d.loads[j].bits + d.budget - 1) / d.budget
-			if s < 1 {
-				s = 1
-			}
-			slots += s
-			channels++
-		}
-		if slots > maxSlots {
-			maxSlots = slots
-		}
-		if channels > maxChannels {
-			maxChannels = channels
-		}
-	}
-	return maxSlots, maxChannels
-}
-
-// closeLinks tears down the driver's link endpoints (idempotent).
-func (d *driver) closeLinks() {
-	for _, l := range d.links {
-		l.Close()
-	}
 }

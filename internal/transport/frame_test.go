@@ -163,10 +163,10 @@ func TestReportRoundTrip(t *testing.T) {
 func TestStreamLinkExchange(t *testing.T) {
 	const frames = 10000
 	c1, c2 := net.Pipe()
-	a := newStreamLink(c1, nil)
-	b := newStreamLink(c2, nil)
+	a := NewStreamLink(c1)
+	b := NewStreamLink(c2)
 
-	send := func(l *streamLink) error {
+	send := func(l Link) error {
 		body := make([]byte, 16)
 		for i := 0; i < frames; i++ {
 			for j := range body {
@@ -189,7 +189,7 @@ func TestStreamLinkExchange(t *testing.T) {
 		}
 		return l.Flush()
 	}
-	recv := func(l *streamLink) error {
+	recv := func(l Link) error {
 		want := 0
 		for {
 			f, err := l.ReadFrame()

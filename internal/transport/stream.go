@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
-	"time"
 
 	"anonlead/internal/graph"
 )
@@ -21,34 +20,14 @@ type streamLink struct {
 	br   *bufio.Reader
 	wbuf []byte // encode scratch, one frame at a time
 	rbuf []byte // decode scratch; returned Frame bodies alias it
-	hook FaultHook
-	seq  uint64
 }
 
-func newStreamLink(conn io.ReadWriteCloser, hook FaultHook) *streamLink {
-	return &streamLink{
-		conn: conn,
-		bw:   bufio.NewWriter(conn),
-		br:   bufio.NewReader(conn),
-		hook: hook,
-	}
+// NewStreamLink wraps an established byte-stream connection as a Link.
+func NewStreamLink(conn io.ReadWriteCloser) Link {
+	return &streamLink{conn: conn, bw: bufio.NewWriter(conn), br: bufio.NewReader(conn)}
 }
 
 func (l *streamLink) WriteFrame(f Frame) error {
-	if l.hook != nil && f.Type == FrameData {
-		// The fault seam applies to data frames only: round markers must
-		// always arrive or the barrier would wedge. A dropped frame was
-		// "sent" as far as the sender's accounting is concerned, exactly
-		// like the simulator's loss adversary.
-		fate := l.hook(l.seq)
-		l.seq++
-		if fate.Drop {
-			return nil
-		}
-		if fate.Delay > 0 {
-			time.Sleep(fate.Delay)
-		}
-	}
 	buf, err := AppendFrame(l.wbuf[:0], f)
 	if err != nil {
 		return err
@@ -100,6 +79,6 @@ func (PipeTransport) Name() string { return "pipe" }
 func (PipeTransport) Connect(_ context.Context, g *graph.Graph, _ uint64) (*Fabric, error) {
 	return wireEdges(g, func(v, p, w, q int) (Link, Link, error) {
 		cv, cw := net.Pipe()
-		return newStreamLink(cv, nil), newStreamLink(cw, nil), nil
+		return NewStreamLink(cv), NewStreamLink(cw), nil
 	})
 }

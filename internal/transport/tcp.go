@@ -25,10 +25,6 @@ type TCPTransport struct {
 	// Addr is the listen address; default "127.0.0.1:0" (kernel-assigned
 	// ports on loopback).
 	Addr string
-	// Faults optionally injects per-data-frame drop/delay fates (see
-	// SpecFaults). Fault-free runs are bit-compatible with the simulator;
-	// dropping breaks that equivalence by design.
-	Faults FaultPlan
 	// HandshakeTimeout bounds connection establishment (default 10s).
 	HandshakeTimeout time.Duration
 }
@@ -73,18 +69,82 @@ func edgeIndices(g *graph.Graph) []int {
 	return idx
 }
 
-// Connect implements Transport: it stands up one loopback listener per
-// node, dials every edge from its lower endpoint, and verifies the Hello
-// token before installing the link. All nodes live in this process; the
-// multi-process variant in cmd/ledist reuses the same frame contract and
-// tokens but each node process wires only its own ports.
+// Connect implements Transport: one loopback listener per node, then every
+// node wires its own ports exactly as a cmd/ledist node process does
+// (ConnectNode), all under one context that the first failure cancels.
 func (t TCPTransport) Connect(ctx context.Context, g *graph.Graph, seed uint64) (*Fabric, error) {
-	n := g.N()
 	addr := t.Addr
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	timeout := t.HandshakeTimeout
+	listeners := make([]net.Listener, g.N())
+	defer func() {
+		for _, ln := range listeners {
+			if ln != nil {
+				ln.Close()
+			}
+		}
+	}()
+	for v := range listeners {
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			return nil, fmt.Errorf("transport: listen: %w", err)
+		}
+		listeners[v] = ln
+	}
+	addrOf := func(w int) string { return listeners[w].Addr().String() }
+
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	hs := newHandshake(ctx, g, seed, t.HandshakeTimeout)
+	fabric := &Fabric{Links: make([][]Link, g.N())}
+	var wg sync.WaitGroup
+	var once sync.Once
+	var firstErr error
+	for v := range listeners {
+		wg.Add(1)
+		go func(v int) {
+			defer wg.Done()
+			links, err := hs.connect(ctx, v, listeners[v], addrOf)
+			if err != nil {
+				// Only the first failure is a cause; the rest are the
+				// cancellation it triggers.
+				once.Do(func() { firstErr = err })
+				cancel()
+			}
+			fabric.Links[v] = links
+		}(v)
+	}
+	wg.Wait()
+	if firstErr != nil {
+		fabric.Close()
+		return nil, firstErr
+	}
+	return fabric, nil
+}
+
+// ConnectNode establishes node v's data-plane links: the node accepts one
+// connection per lower-indexed neighbor on ln, verifying each Hello token,
+// and dials every higher-indexed neighbor at addrOf(w), opening with the
+// edge's token and the acceptor-side port. The returned slice has one Link
+// per port of v; on error every established connection is closed. timeout
+// <= 0 selects 10s. On success ln is left open.
+func ConnectNode(ctx context.Context, g *graph.Graph, v int, seed uint64, ln net.Listener, addrOf func(w int) string, timeout time.Duration) ([]Link, error) {
+	return newHandshake(ctx, g, seed, timeout).connect(ctx, v, ln, addrOf)
+}
+
+// handshake is what every node of a run derives alike from the shared
+// topology and seed before wiring its ports.
+type handshake struct {
+	g        *graph.Graph
+	off      []int
+	revPort  []int32
+	edgeID   []int
+	tokens   []uint64
+	deadline time.Time
+}
+
+func newHandshake(ctx context.Context, g *graph.Graph, seed uint64, timeout time.Duration) *handshake {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
@@ -92,171 +152,131 @@ func (t TCPTransport) Connect(ctx context.Context, g *graph.Graph, seed uint64) 
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
-
-	off := g.EdgeOffsets()
-	revPort := g.ReversePorts()
-	edgeID := edgeIndices(g)
-	tokens := HandshakeTokens(g, seed)
-
-	listeners := make([]net.Listener, n)
-	for v := range listeners {
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			for _, l := range listeners[:v] {
-				l.Close()
-			}
-			return nil, fmt.Errorf("transport: listen: %w", err)
-		}
-		listeners[v] = ln
+	return &handshake{
+		g:        g,
+		off:      g.EdgeOffsets(),
+		revPort:  g.ReversePorts(),
+		edgeID:   edgeIndices(g),
+		tokens:   HandshakeTokens(g, seed),
+		deadline: deadline,
 	}
-	closeListeners := func() {
-		for _, ln := range listeners {
-			ln.Close()
-		}
-	}
+}
 
-	links := make([][]Link, n)
-	for v := range links {
-		links[v] = make([]Link, g.Degree(v))
-	}
-	var mu sync.Mutex
+// token returns the secret of the edge behind node v's port p.
+func (h *handshake) token(v, p int) uint64 { return h.tokens[h.edgeID[h.off[v]+p]] }
+
+// connect wires node v's ports. The accept loop and the dial loop fill
+// disjoint ports of links and are joined before anyone reads it. Whichever
+// fails first cancels the other; if the caller's context ended, that is
+// the error reported.
+func (h *handshake) connect(parent context.Context, v int, ln net.Listener, addrOf func(w int) string) ([]Link, error) {
+	ctx, cancel := context.WithCancel(parent)
+	defer cancel()
+	// A parked Accept only wakes when its listener dies.
+	stop := context.AfterFunc(ctx, func() { ln.Close() })
+	defer stop()
+
+	links := make([]Link, h.g.Degree(v))
+	var once sync.Once
 	var firstErr error
 	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
+		once.Do(func() {
+			if perr := parent.Err(); perr != nil {
+				err = perr
+			}
 			firstErr = err
-		}
-		mu.Unlock()
-		closeListeners() // unblock every accept loop
+		})
+		cancel()
 	}
-	install := func(v, p int, l Link) {
-		mu.Lock()
-		links[v][p] = l
-		mu.Unlock()
-	}
-	hook := func(edge, dir int) FaultHook {
-		if t.Faults == nil {
-			return nil
-		}
-		return t.Faults(edge, dir)
-	}
-
-	var wg sync.WaitGroup
-	// Acceptors: node w accepts one connection per port whose peer has
-	// the lower index (that peer dials).
-	for w := 0; w < n; w++ {
-		want := 0
-		expect := make(map[int]uint64) // acceptor port -> edge token
-		for q := 0; q < g.Degree(w); q++ {
-			if g.Neighbor(w, q) < w {
-				want++
-				expect[q] = tokens[edgeID[off[w]+q]]
-			}
-		}
-		if want == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(w, want int, expect map[int]uint64) {
-			defer wg.Done()
-			for i := 0; i < want; i++ {
-				conn, err := listeners[w].Accept()
-				if err != nil {
-					fail(err)
-					return
-				}
-				conn.SetDeadline(deadline)
-				l := newStreamLink(conn, nil)
-				f, err := l.ReadFrame()
-				if err != nil {
-					conn.Close()
-					fail(fmt.Errorf("transport: handshake read: %w", err))
-					return
-				}
-				q, token, err := parseHello(f)
-				if err != nil {
-					conn.Close()
-					fail(err)
-					return
-				}
-				wantTok, ok := expect[q]
-				if !ok || wantTok != token || links[w][q] != nil {
-					conn.Close()
-					fail(fmt.Errorf("transport: bad handshake for acceptor port %d", q))
-					return
-				}
-				conn.SetDeadline(time.Time{})
-				l.hook = hook(edgeID[off[w]+q], 1)
-				install(w, q, l)
-			}
-		}(w, want, expect)
-	}
-	// Dialer: every edge is dialed from its lower endpoint, sequentially
-	// (kernel accept queues decouple dialing from the accept loops).
-	wg.Add(1)
+	accepted := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		dialer := net.Dialer{Deadline: deadline}
-		for v := 0; v < n; v++ {
-			for p := 0; p < g.Degree(v); p++ {
-				w := g.Neighbor(v, p)
-				if w < v {
-					continue
-				}
-				conn, err := dialer.DialContext(ctx, "tcp", listeners[w].Addr().String())
-				if err != nil {
-					fail(fmt.Errorf("transport: dial edge (%d,%d): %w", v, w, err))
-					return
-				}
-				conn.SetDeadline(deadline)
-				e := edgeID[off[v]+p]
-				q := int(revPort[off[v]+p])
-				l := newStreamLink(conn, hook(e, 0))
-				var body [12]byte
-				binary.BigEndian.PutUint64(body[:8], tokens[e])
-				nb := binary.PutUvarint(body[8:], uint64(q))
-				err = l.WriteFrame(Frame{Type: FrameHello, Body: body[:8+nb]})
-				if err == nil {
-					err = l.Flush()
-				}
-				if err != nil {
-					conn.Close()
-					fail(fmt.Errorf("transport: hello edge (%d,%d): %w", v, w, err))
-					return
-				}
-				conn.SetDeadline(time.Time{})
-				install(v, p, l)
-			}
+		defer close(accepted)
+		if err := h.accept(v, ln, links); err != nil {
+			fail(err)
 		}
 	}()
-
-	// Abort establishment if the context dies while accepts are parked.
-	watchdogDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			fail(ctx.Err())
-		case <-watchdogDone:
-		}
-	}()
-	wg.Wait()
-	close(watchdogDone)
-	closeListeners()
-
-	fabric := &Fabric{Links: links}
+	if err := h.dial(ctx, v, addrOf, links); err != nil {
+		fail(err)
+	}
+	<-accepted
 	if firstErr != nil {
-		fabric.Close()
+		for _, l := range links {
+			if l != nil {
+				l.Close()
+			}
+		}
 		return nil, firstErr
 	}
-	for v := range links {
-		for p, l := range links[v] {
-			if l == nil {
-				fabric.Close()
-				return nil, fmt.Errorf("transport: edge at node %d port %d never connected", v, p)
-			}
+	return links, nil
+}
+
+// accept takes one connection per port of v whose peer has the lower index
+// (that peer dials) and installs it at the port its Hello names, if the
+// token is that edge's.
+func (h *handshake) accept(v int, ln net.Listener, links []Link) error {
+	want := 0
+	for q := range links {
+		if h.g.Neighbor(v, q) < v {
+			want++
 		}
 	}
-	return fabric, nil
+	for ; want > 0; want-- {
+		conn, err := ln.Accept()
+		if err != nil {
+			return err
+		}
+		conn.SetDeadline(h.deadline)
+		l := NewStreamLink(conn)
+		f, err := l.ReadFrame()
+		if err != nil {
+			conn.Close()
+			return fmt.Errorf("transport: handshake read: %w", err)
+		}
+		q, token, err := parseHello(f)
+		if err != nil {
+			conn.Close()
+			return err
+		}
+		if q < 0 || q >= len(links) || h.g.Neighbor(v, q) > v || token != h.token(v, q) || links[q] != nil {
+			conn.Close()
+			return fmt.Errorf("transport: bad handshake for acceptor port %d", q)
+		}
+		conn.SetDeadline(time.Time{})
+		links[q] = l
+	}
+	return nil
+}
+
+// dial connects every port of v whose peer has the higher index, opening
+// each with the edge's token and the acceptor-side port.
+func (h *handshake) dial(ctx context.Context, v int, addrOf func(w int) string, links []Link) error {
+	dialer := net.Dialer{Deadline: h.deadline}
+	for p := range links {
+		w := h.g.Neighbor(v, p)
+		if w < v {
+			continue
+		}
+		conn, err := dialer.DialContext(ctx, "tcp", addrOf(w))
+		if err != nil {
+			return fmt.Errorf("transport: dial edge (%d,%d): %w", v, w, err)
+		}
+		conn.SetDeadline(h.deadline)
+		l := NewStreamLink(conn)
+		var body [8 + binary.MaxVarintLen32]byte
+		binary.BigEndian.PutUint64(body[:8], h.token(v, p))
+		nb := binary.PutUvarint(body[8:], uint64(h.revPort[h.off[v]+p]))
+		err = l.WriteFrame(Frame{Type: FrameHello, Body: body[:8+nb]})
+		if err == nil {
+			err = l.Flush()
+		}
+		if err != nil {
+			conn.Close()
+			return fmt.Errorf("transport: hello edge (%d,%d): %w", v, w, err)
+		}
+		conn.SetDeadline(time.Time{})
+		links[p] = l
+	}
+	return nil
 }
 
 // parseHello extracts (acceptor port, token) from a Hello frame body.

@@ -10,10 +10,9 @@ import (
 // live in one shared core.ProtoConfig, the configuration currency the
 // registry consumes — Run overlays the network's profiled quantities onto
 // whatever the options left at zero, which is the single default-filling
-// path every protocol (and every Elect* wrapper) goes through.
+// path every protocol goes through.
 type options struct {
 	seed      uint64
-	parallel  bool
 	scheduler Scheduler
 	transport Transport
 	adversary *AdversarySpec
@@ -44,13 +43,6 @@ func buildOptions(opts []Option) options {
 // seed; distinct seeds give independent elections. Default 0.
 func WithSeed(seed uint64) Option {
 	return func(o *options) { o.seed = seed }
-}
-
-// WithParallel runs node steps on a goroutine worker pool, a shorthand
-// for WithScheduler(WorkerPool). Results are bit-identical to the
-// sequential scheduler.
-func WithParallel(parallel bool) Option {
-	return func(o *options) { o.parallel = parallel }
 }
 
 // WithScheduler selects the execution engine (Sequential, WorkerPool or
@@ -113,9 +105,8 @@ func (t Transport) String() string {
 // backends: the same seed elects the same leader in the same number of
 // rounds with the same cost metrics. Non-simulator backends require the
 // protocol to have a registered wire codec (all built-in protocols do)
-// and cannot be combined with WithAdversary — simulated faults live in
-// the simulator's router; transport-level frame faults are a separate
-// seam (see internal/transport).
+// and cannot be combined with WithAdversary: faults are injected by the
+// simulator's router.
 func WithTransport(t Transport) Option {
 	return func(o *options) { o.transport = t }
 }

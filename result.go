@@ -52,30 +52,6 @@ func (c Certificate) Less(other Certificate) bool {
 	return c.ID > other.ID
 }
 
-// ExplicitResult reports an explicit election: the implicit outcome plus
-// what every node learned and the announcement spanning tree.
-type ExplicitResult struct {
-	Result
-	// LeaderID is the elected leader's random ID (0 if no leader).
-	LeaderID uint64
-	// AllKnow reports whether the announcement reached every node.
-	AllKnow bool
-	// Parents[v] is v's parent node in the leader-rooted BFS tree (-1 at
-	// the leader and at unreached nodes).
-	Parents []int
-	// Depths[v] is v's hop distance from the leader in the tree.
-	Depths []int
-}
-
-// RevocableResult reports a stabilized revocable election.
-type RevocableResult struct {
-	Result
-	// Certificate is the network-wide agreed leader certificate.
-	Certificate Certificate
-	// FinalEstimate is the size estimate at stabilization.
-	FinalEstimate uint64
-}
-
 // fillMetrics copies simulator accounting into a Result, including the
 // fault counters, so fault-injected public runs are observable without
 // the experiment harness.

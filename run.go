@@ -220,7 +220,6 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 		net := sim.New(sim.Config{
 			Graph:     nw.g,
 			Seed:      o.seed,
-			Parallel:  o.parallel,
 			Scheduler: o.scheduler.toSim(),
 			Adversary: adv,
 			Observer:  observer,
@@ -232,7 +231,7 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 			return Outcome{}, fmt.Errorf("anonlead: protocol %s has no wire codec; it runs only on TransportSim", entry.Name)
 		}
 		if adv != nil {
-			return Outcome{}, fmt.Errorf("anonlead: WithAdversary requires TransportSim (transport-level faults are a frame-layer seam, not a router feature)")
+			return Outcome{}, fmt.Errorf("anonlead: WithAdversary requires TransportSim")
 		}
 		cluster, err := transport.NewCluster(ctx, transport.Config{
 			Graph:     nw.g,

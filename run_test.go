@@ -40,61 +40,6 @@ func TestProtocolsRegistry(t *testing.T) {
 	}
 }
 
-// TestWrappersPinnedToRun pins the deprecated Elect* wrappers byte-for-byte
-// against the unified Run path they delegate to.
-func TestWrappersPinnedToRun(t *testing.T) {
-	nw, err := NewNetwork("torus", 16, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	res, err := nw.Elect(WithSeed(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := nw.Run(ctx, ProtoIRE, WithSeed(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, out.Result) {
-		t.Fatalf("Elect diverged from Run:\n%+v\n%+v", res, out.Result)
-	}
-
-	eres, err := nw.ElectExplicit(WithSeed(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eout, err := nw.Run(ctx, ProtoExplicit, WithSeed(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ExplicitResult{Result: eout.Result, LeaderID: eout.LeaderID,
-		AllKnow: eout.AllKnow, Parents: eout.Parents, Depths: eout.Depths}
-	if !reflect.DeepEqual(eres, want) {
-		t.Fatalf("ElectExplicit diverged from Run:\n%+v\n%+v", eres, want)
-	}
-
-	small, err := NewNetwork("complete", 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iso := small.Stats().Isoperimetric
-	rres, err := small.ElectRevocable(WithSeed(2), WithIsoperimetric(iso))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rout, err := small.Run(ctx, ProtoRevocable, WithSeed(2), WithIsoperimetric(iso))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rwant := RevocableResult{Result: rout.Result, Certificate: *rout.Certificate,
-		FinalEstimate: rout.FinalEstimate}
-	if !reflect.DeepEqual(rres, rwant) {
-		t.Fatalf("ElectRevocable diverged from Run:\n%+v\n%+v", rres, rwant)
-	}
-}
-
 // TestRunFaultInjectionMatchesInternal pins the public fault-injected Run
 // path byte-for-byte against an independently assembled internal run: same
 // graph, same internal/adversary spec built with the canonical seed
