@@ -26,8 +26,12 @@ race:
 		./internal/trace/... ./internal/obs/... ./internal/sweep/... \
 		./internal/transport/... ./internal/epoch/...
 
-# Bench smoke: every benchmark once. BenchmarkHarnessSweep writes
-# BENCH_harness.json, which CI uploads for cross-PR perf tracking.
+# Bench smoke: every benchmark once — a does-it-run check, not a
+# measurement (one iteration times nothing). Speed is measured by
+# `go run ./bench` (BENCHMARK.json), and while working on the protocol
+# layer by `go test -run '^$$' -bench Election -benchtime 20x .`.
+# BenchmarkHarnessSweep writes BENCH_harness.json, which CI uploads for
+# cross-PR perf tracking.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 

@@ -427,3 +427,96 @@ func BenchmarkAblationDiffusion(b *testing.B) {
 		b.ReportMetric(last.MaxPot, "maxPotential")
 	}
 }
+
+// electionCells are the protocol-layer speed cells: the three protocols
+// whose Step does real work, each on the topology the host benchmark
+// (bench/) runs it on.
+var electionCells = []struct {
+	proto     string
+	n         int
+	maxAllocs float64 // allocations per message the guard tolerates
+}{
+	{"ire", 256, 0.5},
+	{"explicit", 256, 0.5},
+	{"walknotify", 64, 1.0},
+}
+
+// electionSetup resolves a registered protocol on an expander of n nodes
+// into its graph and a builder of Runners. Like the public Run, every
+// election builds its own Runner: a factory's arena belongs to one network.
+func electionSetup(tb testing.TB, proto string, n int) (*graph.Graph, func() core.Runner) {
+	tb.Helper()
+	g, err := harness.Workload{Family: "expander", N: n}.BuildGraph(1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prof, err := spectral.ProfileGraph(g)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	entry, ok := core.Lookup(proto)
+	if !ok {
+		tb.Fatalf("protocol %q not registered", proto)
+	}
+	pc := core.ProtoConfig{TrueN: n, N: n, TMix: prof.MixingTime, Phi: prof.Conductance}
+	return g, func() core.Runner {
+		runner, err := entry.Build(pc)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return runner
+	}
+}
+
+// runElection runs one whole election — Build, sim.New, then Network.Run
+// to the protocol's round budget — and returns its message count.
+func runElection(g *graph.Graph, build func() core.Runner, seed uint64) int64 {
+	runner := build()
+	nw := sim.New(sim.Config{Graph: g, Seed: seed}, runner.Factory)
+	nw.Run(runner.Budget)
+	return nw.Metrics().Messages
+}
+
+// BenchmarkElection is the protocol layer's development loop: whole
+// elections per protocol with the two figures the host benchmark gates on,
+// in seconds (`go test -run '^$' -bench Election -benchtime 20x`) rather
+// than a 16 s pass of `go run ./bench`.
+func BenchmarkElection(b *testing.B) {
+	for _, c := range electionCells {
+		b.Run(c.proto, func(b *testing.B) {
+			g, build := electionSetup(b, c.proto, c.n)
+			var before, after runtime.MemStats
+			var msgs int64
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				msgs += runElection(g, build, uint64(i)+1)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/message")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(msgs), "allocs/message")
+		})
+	}
+}
+
+// TestElectionAllocsPerMessage is the protocol layer's allocation guard,
+// the counterpart of the TestRoundLoopZeroAlloc* guards on the simulator:
+// a whole election, set-up included, must stay under a fraction of an
+// allocation per message. Per-node tables are sorted slices, Step scratch
+// is machine-owned and messages come out of per-machine chunks; a map, a
+// per-round slice or a boxed value payload on the Step path costs whole
+// allocations per message and fails this.
+func TestElectionAllocsPerMessage(t *testing.T) {
+	for _, c := range electionCells {
+		g, build := electionSetup(t, c.proto, c.n)
+		msgs := runElection(g, build, 1)
+		allocs := testing.AllocsPerRun(3, func() { runElection(g, build, 1) })
+		if got := allocs / float64(msgs); got > c.maxAllocs {
+			t.Errorf("%s on expander-%d: %.2f allocs/message (%.0f allocations, %d messages), want <= %.1f",
+				c.proto, c.n, got, allocs, msgs, c.maxAllocs)
+		} else {
+			t.Logf("%s on expander-%d: %.3f allocs/message", c.proto, c.n, got)
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"anonlead/internal/graph"
@@ -249,16 +251,70 @@ func TestWalkNotifyDeterministic(t *testing.T) {
 	}
 }
 
-func TestSortedKeysHelpers(t *testing.T) {
-	m := map[uint64]int{5: 1, 2: 1, 9: 1}
-	keys := sortedKeys(m)
-	if len(keys) != 3 || keys[0] != 2 || keys[1] != 5 || keys[2] != 9 {
-		t.Fatalf("sortedKeys %v", keys)
+// TestWalkNotifyLargerMarkKillsParkedTokens drives the per-candidate table
+// directly: tokens of a larger candidate arriving at a node kill the
+// parked tokens of every smaller one (not of larger ones), queue one kill
+// notice each, and keep the breadcrumbs the notices travel along.
+func TestWalkNotifyLargerMarkKillsParkedTokens(t *testing.T) {
+	m := &WalkNotifyMachine{maxMark: 30}
+	for _, c := range []struct {
+		orig         uint64
+		back, parked int
+	}{{30, 3, 4}, {10, 1, 1}, {50, 2, 5}, {20, 2, 3}} {
+		cand, _ := m.cands.Insert(c.orig)
+		cand.back, cand.parked = c.back, c.parked
 	}
-	mc := map[uint64][]int{7: nil, 1: nil}
-	keysC := sortedKeysCounts(mc)
-	if len(keysC) != 2 || keysC[0] != 1 || keysC[1] != 7 {
-		t.Fatalf("sortedKeysCounts %v", keysC)
+	m.receiveTokens(1, wnTokenMsg{orig: 25, count: 9}) // below the mark: dies on arrival
+	m.receiveTokens(0, wnTokenMsg{orig: 40, count: 2})
+
+	want := map[uint64]wnCand{
+		10: {back: 1, killSent: true},
+		20: {back: 2, killSent: true},
+		25: {back: 2, killSent: true},
+		30: {back: 3, killSent: true},
+		40: {back: 1, parked: 2},
+		50: {back: 2, parked: 5},
+	}
+	if m.cands.Len() != len(want) {
+		t.Fatalf("%d candidates remembered, want %d", m.cands.Len(), len(want))
+	}
+	for i := 0; i < m.cands.Len(); i++ {
+		if id, c := m.cands.At(i); *c != want[id] {
+			t.Fatalf("candidate %d = %+v, want %+v", id, *c, want[id])
+		}
+	}
+	if m.maxMark != 40 {
+		t.Fatalf("mark %d, want 40", m.maxMark)
+	}
+	slices.Sort(m.killQueue)
+	if !slices.Equal(m.killQueue, []uint64{10, 20, 25, 30}) {
+		t.Fatalf("kill queue %v", m.killQueue)
+	}
+}
+
+// TestWireCodecRoundTrip: every payload the baselines send decodes to a
+// value equal to the encoded one (walknotify's messages travel as
+// pointers, so equality is of what they point at).
+func TestWireCodecRoundTrip(t *testing.T) {
+	for _, p := range []sim.Payload{
+		floodMsg{id: 1 << 40},
+		&wnTokenMsg{orig: 987654321, count: 17},
+		&wnKillMsg{orig: 987654321},
+	} {
+		body, err := wireCodec{}.AppendPayload(nil, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := wireCodec{}.DecodePayload(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, p) {
+			t.Fatalf("%T: decoded %+v, encoded %+v", p, got, p)
+		}
+	}
+	if _, err := (wireCodec{}).AppendPayload(nil, wnKillMsg{orig: 1}); err == nil {
+		t.Fatal("a walknotify message sent by value must not encode")
 	}
 }
 
@@ -302,7 +358,9 @@ func TestWalkNotifyTokenConservationDuringWalkPhase(t *testing.T) {
 		}
 		total := 0
 		for v := 0; v < g.N(); v++ {
-			total += nw.Machine(v).(*WalkNotifyMachine).parked[maxCand]
+			if c := nw.Machine(v).(*WalkNotifyMachine).cands.Find(maxCand); c != nil {
+				total += c.parked
+			}
 		}
 		if total > p.beta {
 			t.Fatalf("round %d: %d parked tokens of max candidate exceed beta %d", step, total, p.beta)

@@ -3,7 +3,7 @@ package baseline
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"anonlead/internal/congest"
 	"anonlead/internal/rng"
@@ -71,7 +71,8 @@ type wnParams struct {
 	maxID    uint64
 }
 
-// wnTokenMsg moves count walk tokens of one candidate across a link.
+// wnTokenMsg moves count walk tokens of one candidate across a link. It and
+// wnKillMsg are sent as pointers into their machine's sim.Msgs chunks.
 type wnTokenMsg struct {
 	orig  uint64
 	count int
@@ -98,6 +99,14 @@ type WalkNotifyOutput struct {
 	Leader     bool
 }
 
+// wnCand is what a node remembers about one candidate whose tokens or
+// kill notices reached it.
+type wnCand struct {
+	back     int  // 1 + first-arrival port (the breadcrumb); 0 = none
+	parked   int  // tokens resting here
+	killSent bool // a kill notice for the candidate left this node
+}
+
 // WalkNotifyMachine implements the Gilbert-class baseline: candidates spray
 // beta lazy-walk tokens carrying their ID; nodes keep the largest marking
 // ID and a reverse pointer (first-arrival port) per candidate; a token
@@ -109,12 +118,14 @@ type WalkNotifyMachine struct {
 	out WalkNotifyOutput
 
 	maxMark   uint64
-	revPort   map[uint64]int
-	parked    map[uint64]int
-	killSent  map[uint64]bool
-	killQueue []uint64 // kills to emit this round (sorted, deduped)
+	cands     sim.Table[wnCand]
+	leaving   []int    // moveTokens scratch: row i = tokens of cands.At(i) leaving per port; zero between rounds
+	killQueue []uint64 // kills to emit this round (deduped, sorted on emit)
 	sprayed   bool
 	halted    bool
+
+	tokens sim.Msgs[wnTokenMsg]
+	kills  sim.Msgs[wnKillMsg]
 }
 
 // NewWalkNotifyFactory returns a sim.Factory for the baseline.
@@ -127,9 +138,6 @@ func NewWalkNotifyFactory(cfg WalkNotifyConfig) (sim.Factory, error) {
 	return func(node, degree int, r *rng.RNG) sim.Machine {
 		m := arena.New()
 		m.p, m.r = p, r
-		m.revPort = make(map[uint64]int)
-		m.parked = make(map[uint64]int)
-		m.killSent = make(map[uint64]bool)
 		return m
 	}, nil
 }
@@ -152,6 +160,7 @@ func (m *WalkNotifyMachine) Init(ctx *sim.Context) {
 	m.out.Candidate = m.r.Bernoulli(m.p.candProb)
 	if m.out.Candidate {
 		m.maxMark = m.out.ID
+		m.cands.Insert(m.out.ID) // the spray's row; never gets a breadcrumb
 	}
 }
 
@@ -163,9 +172,9 @@ func (m *WalkNotifyMachine) Step(ctx *sim.Context, inbox []sim.Packet) {
 	round := ctx.Round()
 	for _, pkt := range inbox {
 		switch msg := pkt.Payload.(type) {
-		case wnTokenMsg:
-			m.receiveTokens(pkt.Port, msg)
-		case wnKillMsg:
+		case *wnTokenMsg:
+			m.receiveTokens(pkt.Port, *msg)
+		case *wnKillMsg:
 			m.receiveKill(msg.orig)
 		}
 	}
@@ -188,29 +197,31 @@ func (m *WalkNotifyMachine) Step(ctx *sim.Context, inbox []sim.Packet) {
 // around).
 func (m *WalkNotifyMachine) receiveTokens(port int, msg wnTokenMsg) {
 	c := msg.orig
-	if _, seen := m.revPort[c]; !seen && !(m.out.Candidate && c == m.out.ID) {
-		m.revPort[c] = port
+	// No candidate joins the table below (the kills are for ones already in
+	// it), so cand stays valid to the end.
+	cand, _ := m.cands.Insert(c)
+	if cand.back == 0 && !(m.out.Candidate && c == m.out.ID) {
+		cand.back = port + 1
 	}
 	switch {
 	case c < m.maxMark:
 		m.scheduleKill(c) // arriving tokens die on a larger mark
+		return
 	case c > m.maxMark:
 		m.maxMark = c
 		// Parked tokens of smaller candidates die under the new mark.
-		for d := range m.parked {
-			if d < c {
+		for i := 0; i < m.cands.Len(); i++ {
+			if d, smaller := m.cands.At(i); d < c && smaller.parked > 0 {
+				smaller.parked = 0
 				m.scheduleKill(d)
-				delete(m.parked, d)
 			}
 		}
 		// A smaller candidate origin is eliminated on the spot.
 		if m.out.Candidate && m.out.ID < c {
 			m.out.Eliminated = true
 		}
-		m.parked[c] += msg.count
-	default:
-		m.parked[c] += msg.count
 	}
+	cand.parked += msg.count
 }
 
 // receiveKill forwards a kill along the breadcrumb or absorbs it at the
@@ -225,14 +236,15 @@ func (m *WalkNotifyMachine) receiveKill(orig uint64) {
 
 // scheduleKill queues a kill notice for candidate orig (once per node).
 func (m *WalkNotifyMachine) scheduleKill(orig uint64) {
-	if m.killSent[orig] {
-		return
-	}
 	if m.out.Candidate && orig == m.out.ID {
 		m.out.Eliminated = true
 		return
 	}
-	m.killSent[orig] = true
+	cand, _ := m.cands.Insert(orig)
+	if cand.killSent {
+		return
+	}
+	cand.killSent = true
 	m.killQueue = append(m.killQueue, orig)
 }
 
@@ -241,10 +253,10 @@ func (m *WalkNotifyMachine) emitKills(ctx *sim.Context) {
 	if len(m.killQueue) == 0 {
 		return
 	}
-	sort.Slice(m.killQueue, func(i, j int) bool { return m.killQueue[i] < m.killQueue[j] })
+	slices.Sort(m.killQueue)
 	for _, orig := range m.killQueue {
-		if p, ok := m.revPort[orig]; ok {
-			ctx.Send(p, 0, wnKillMsg{orig: orig})
+		if back := m.cands.Find(orig).back; back > 0 {
+			ctx.Send(back-1, 0, m.kills.New(wnKillMsg{orig: orig}))
 		}
 	}
 	m.killQueue = m.killQueue[:0]
@@ -258,68 +270,39 @@ func (m *WalkNotifyMachine) moveTokens(ctx *sim.Context) {
 	if deg == 0 {
 		return
 	}
-	var outCounts map[uint64][]int
-	add := func(orig uint64, port int) {
-		if outCounts == nil {
-			outCounts = make(map[uint64][]int)
-		}
-		row := outCounts[orig]
-		if row == nil {
-			row = make([]int, deg)
-			outCounts[orig] = row
-		}
-		row[port]++
+	if need := m.cands.Len() * deg; len(m.leaving) < need {
+		m.leaving = make([]int, need)
 	}
+	spray := -1 // the row the initial spray filled, if this call sprayed
 	if !m.sprayed {
 		m.sprayed = true
 		if m.out.Candidate {
+			spray = m.cands.Index(m.out.ID) // Init inserted the own ID
 			for i := 0; i < m.p.beta; i++ {
-				add(m.out.ID, m.r.Intn(deg))
+				m.leaving[spray*deg+m.r.Intn(deg)]++
 			}
 		}
 	}
-	for _, orig := range sortedKeys(m.parked) {
-		count := m.parked[orig]
+	for i := 0; i < m.cands.Len(); i++ {
+		orig, cand := m.cands.At(i)
+		if cand.parked == 0 && i != spray {
+			continue
+		}
+		row := m.leaving[i*deg : (i+1)*deg]
 		kept := 0
-		for i := 0; i < count; i++ {
+		for t := 0; t < cand.parked; t++ {
 			if m.r.Coin() {
 				kept++
 				continue
 			}
-			add(orig, m.r.Intn(deg))
+			row[m.r.Intn(deg)]++
 		}
-		if kept == 0 {
-			delete(m.parked, orig)
-		} else {
-			m.parked[orig] = kept
-		}
-	}
-	for _, orig := range sortedKeysCounts(outCounts) {
-		row := outCounts[orig]
+		cand.parked = kept
 		for p, c := range row {
 			if c > 0 {
-				ctx.Send(p, 0, wnTokenMsg{orig: orig, count: c})
+				ctx.Send(p, 0, m.tokens.New(wnTokenMsg{orig: orig, count: c}))
+				row[p] = 0
 			}
 		}
 	}
-}
-
-// sortedKeys returns map keys in ascending order (determinism across
-// schedulers).
-func sortedKeys(m map[uint64]int) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-func sortedKeysCounts(m map[uint64][]int) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }

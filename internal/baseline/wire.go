@@ -23,11 +23,11 @@ func (wireCodec) AppendPayload(dst []byte, p sim.Payload) ([]byte, error) {
 	case floodMsg:
 		dst = append(dst, wireFlood)
 		return binary.AppendUvarint(dst, m.id), nil
-	case wnTokenMsg:
+	case *wnTokenMsg:
 		dst = append(dst, wireWNToken)
 		dst = binary.AppendUvarint(dst, m.orig)
 		return binary.AppendUvarint(dst, uint64(m.count)), nil
-	case wnKillMsg:
+	case *wnKillMsg:
 		dst = append(dst, wireWNKill)
 		return binary.AppendUvarint(dst, m.orig), nil
 	default:
@@ -56,13 +56,13 @@ func (wireCodec) DecodePayload(src []byte) (sim.Payload, error) {
 		if err != nil {
 			return nil, err
 		}
-		return wnTokenMsg{orig: orig, count: int(count)}, nil
+		return &wnTokenMsg{orig: orig, count: int(count)}, nil
 	case wireWNKill:
 		orig, _, err := wireUvarint(body)
 		if err != nil {
 			return nil, err
 		}
-		return wnKillMsg{orig: orig}, nil
+		return &wnKillMsg{orig: orig}, nil
 	default:
 		return nil, fmt.Errorf("baseline: unknown payload tag %d", tag)
 	}

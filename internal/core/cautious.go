@@ -30,15 +30,13 @@ type bcastExec struct {
 	source    uint64 // candidate ID identifying the execution
 	isRoot    bool
 	status    execStatus
-	parent    int   // port toward parent; -1 at the root
-	children  []int // ports of confirmed children, in join order
-	childSize []int // childSize[i] = last reported size of children[i]
-	childAct  []bool
-	avail     []int // ports not yet used in this execution (invite pool)
-	threshold int   // next reporting/doubling threshold
-	cap       int   // territory cap x·tmix·Φ (>= 2)
-	confirmed int   // 1 + sum of child reports
-	reported  int   // last size sent to the parent
+	parent    int     // port toward parent; -1 at the root
+	children  []child // confirmed children, in join order
+	avail     []int   // ports not yet used in this execution (invite pool)
+	threshold int     // next reporting/doubling threshold
+	cap       int     // territory cap x·tmix·Φ (>= 2)
+	confirmed int     // 1 + sum of child reports
+	reported  int     // last size sent to the parent
 	stopSent  bool
 	// credit arms one invite. Credits are granted only by discrete
 	// protocol events — joining/starting, an activate prompt, or a child
@@ -52,11 +50,22 @@ type bcastExec struct {
 	// grewThisRound marks children whose size report arrived this round,
 	// for the prose's targeted re-activation rule.
 	grewThisRound []int
+	// ccSent and ccLast record the convergecast phase's send-on-change
+	// state: whether an ID has climbed toward the parent, and which.
+	ccSent bool
+	ccLast uint64
+}
+
+// child is one confirmed child of a node in one execution.
+type child struct {
+	port   int
+	size   int  // last reported subtree size
+	active bool // activated since its last report
 }
 
 // newRootExec returns the execution state for the initiating candidate.
-func newRootExec(source uint64, degree, cap int) *bcastExec {
-	e := &bcastExec{
+func newRootExec(source uint64, degree, cap int) bcastExec {
+	e := bcastExec{
 		source:    source,
 		isRoot:    true,
 		status:    statusActive,
@@ -75,8 +84,8 @@ func newRootExec(source uint64, degree, cap int) *bcastExec {
 
 // newChildExec returns the execution state for a node that accepted an
 // invite arriving on parentPort.
-func newChildExec(source uint64, degree, parentPort, cap int) *bcastExec {
-	e := &bcastExec{
+func newChildExec(source uint64, degree, parentPort, cap int) bcastExec {
+	e := bcastExec{
 		source:    source,
 		status:    statusActive,
 		parent:    parentPort,
@@ -108,8 +117,8 @@ func (e *bcastExec) usedPort(port int) {
 
 // childIndex returns the index of port in children, or -1.
 func (e *bcastExec) childIndex(port int) int {
-	for i, p := range e.children {
-		if p == port {
+	for i := range e.children {
+		if e.children[i].port == port {
 			return i
 		}
 	}
@@ -137,16 +146,12 @@ func (e *bcastExec) handle(port int, m bcMsg) {
 	case bcSize:
 		i := e.childIndex(port)
 		if i < 0 {
-			e.children = append(e.children, port)
-			e.childSize = append(e.childSize, m.size)
-			e.childAct = append(e.childAct, false)
+			e.children = append(e.children, child{port: port})
 			i = len(e.children) - 1
-		} else {
-			e.childSize[i] = m.size
 		}
 		// A reporting child passivated itself (prose rule); remember that
 		// so the re-activation paths below actually fire.
-		e.childAct[i] = false
+		e.children[i].size, e.children[i].active = m.size, false
 		e.grewThisRound = append(e.grewThisRound, i)
 		e.recomputeConfirmed()
 		// Absorbed growth re-arms one invite (keeps the expansion pump
@@ -163,86 +168,87 @@ func (e *bcastExec) handle(port int, m bcMsg) {
 // recomputeConfirmed refreshes the confirmed subtree count.
 func (e *bcastExec) recomputeConfirmed() {
 	c := 1
-	for _, s := range e.childSize {
-		c += s
+	for i := range e.children {
+		c += e.children[i].size
 	}
 	e.confirmed = c
 }
 
 // prepare emits this round's transmissions for the execution (Algorithm 4,
-// with the prose's threshold-gated reporting; see package doc).
-func (e *bcastExec) prepare(ctx *sim.Context, r *rng.RNG) {
-	defer func() { e.grewThisRound = e.grewThisRound[:0] }()
+// with the prose's threshold-gated reporting; see package doc). Messages
+// are allocated from the machine's msgs.
+func (e *bcastExec) prepare(ctx *sim.Context, r *rng.RNG, msgs *sim.Msgs[bcMsg]) {
 	ch := chanOf(e.source)
+	send := func(port int, kind bcKind, size int) {
+		ctx.Send(port, ch, msgs.New(bcMsg{kind: kind, source: e.source, size: size}))
+	}
 
 	// Territory cap: flood <stop> once through the local tree links.
 	if e.threshold >= e.cap && e.status != statusStopped {
 		e.status = statusStopped
-		if e.isRoot {
+		if e.isRoot && ctx.Tracing() {
 			ctx.Trace("territory-cap", fmt.Sprintf("source=%d confirmed=%d cap=%d", e.source, e.confirmed, e.cap))
 		}
 	}
-	if e.status == statusStopped {
+	switch {
+	case e.status == statusStopped:
 		if !e.stopSent {
 			e.stopSent = true
-			for _, p := range e.children {
-				ctx.Send(p, ch, bcMsg{kind: bcStop, source: e.source})
+			for i := range e.children {
+				send(e.children[i].port, bcStop, 0)
 			}
 			if !e.isRoot && e.parent >= 0 {
-				ctx.Send(e.parent, ch, bcMsg{kind: bcStop, source: e.source})
+				send(e.parent, bcStop, 0)
 			}
 		}
-		return
-	}
 
-	if e.confirmed >= e.threshold {
+	case e.confirmed >= e.threshold:
 		// Threshold crossed: report upward (non-roots), double past the
 		// confirmed count, passivate children (the legitimacy wave).
 		if !e.isRoot && e.confirmed > e.reported {
-			ctx.Send(e.parent, ch, bcMsg{kind: bcSize, source: e.source, size: e.confirmed})
+			send(e.parent, bcSize, e.confirmed)
 			e.reported = e.confirmed
 		}
 		for e.threshold <= e.confirmed && e.threshold < e.cap {
 			e.threshold *= 2
 		}
-		for i, p := range e.children {
-			if e.childAct[i] {
-				ctx.Send(p, ch, bcMsg{kind: bcDeactivate, source: e.source})
-				e.childAct[i] = false
+		for i := range e.children {
+			if c := &e.children[i]; c.active {
+				send(c.port, bcDeactivate, 0)
+				c.active = false
 			}
 		}
 		if !e.isRoot {
 			e.status = statusPassive // wait for the parent's re-activation
 		}
-		return
-	}
 
-	if e.status != statusActive {
+	case e.status != statusActive:
 		// Passive below threshold: re-activate children whose fresh growth
 		// we absorbed without crossing (prose rule), but do not expand.
 		for _, i := range e.grewThisRound {
-			if !e.childAct[i] {
-				ctx.Send(e.children[i], ch, bcMsg{kind: bcActivate, source: e.source})
-				e.childAct[i] = true
+			if c := &e.children[i]; !c.active {
+				send(c.port, bcActivate, 0)
+				c.active = true
 			}
 		}
-		return
-	}
 
-	// Active and under threshold: re-activate passive children and, if an
-	// invite credit is armed, invite one fresh random neighbor.
-	for i, p := range e.children {
-		if !e.childAct[i] {
-			ctx.Send(p, ch, bcMsg{kind: bcActivate, source: e.source})
-			e.childAct[i] = true
+	default:
+		// Active and under threshold: re-activate passive children and, if
+		// an invite credit is armed, invite one fresh random neighbor.
+		for i := range e.children {
+			if c := &e.children[i]; !c.active {
+				send(c.port, bcActivate, 0)
+				c.active = true
+			}
+		}
+		if e.credit && len(e.avail) > 0 {
+			e.credit = false
+			i := r.Intn(len(e.avail))
+			p := e.avail[i]
+			e.avail[i] = e.avail[len(e.avail)-1]
+			e.avail = e.avail[:len(e.avail)-1]
+			send(p, bcInvite, 0)
 		}
 	}
-	if e.credit && len(e.avail) > 0 {
-		e.credit = false
-		i := r.Intn(len(e.avail))
-		p := e.avail[i]
-		e.avail[i] = e.avail[len(e.avail)-1]
-		e.avail = e.avail[:len(e.avail)-1]
-		ctx.Send(p, ch, bcMsg{kind: bcInvite, source: e.source})
-	}
+	e.grewThisRound = e.grewThisRound[:0]
 }

@@ -26,7 +26,7 @@ func TestBcastExecInvariantsUnderRandomTraffic(t *testing.T) {
 		r := root.Split(seed)
 		degree := 2 + r.Intn(6)
 		cap := 2 + r.Intn(30)
-		var e *bcastExec
+		var e bcastExec
 		parentPort := -1
 		if r.Coin() {
 			e = newRootExec(7, degree, cap)
@@ -59,8 +59,8 @@ func TestBcastExecInvariantsUnderRandomTraffic(t *testing.T) {
 				wasStopped = true
 			}
 			sum := 1
-			for _, s := range e.childSize {
-				sum += s
+			for _, c := range e.children {
+				sum += c.size
 			}
 			if e.confirmed != sum {
 				return false
@@ -70,10 +70,10 @@ func TestBcastExecInvariantsUnderRandomTraffic(t *testing.T) {
 			}
 			seen := map[int]bool{}
 			for _, c := range e.children {
-				if seen[c] {
+				if seen[c.port] {
 					return false
 				}
-				seen[c] = true
+				seen[c.port] = true
 			}
 			for _, a := range e.avail {
 				if seen[a] {
@@ -82,9 +82,6 @@ func TestBcastExecInvariantsUnderRandomTraffic(t *testing.T) {
 				if !e.isRoot && a == parentPort {
 					return false
 				}
-			}
-			if len(e.children) != len(e.childSize) || len(e.children) != len(e.childAct) {
-				return false
 			}
 		}
 		return true

@@ -54,13 +54,13 @@ func TestUsedPortRemoves(t *testing.T) {
 func TestHandleSizeAddsChildAndDeactivates(t *testing.T) {
 	e := newRootExec(1, 4, 100)
 	e.handle(0, bcMsg{kind: bcSize, source: 1, size: 3})
-	if len(e.children) != 1 || e.children[0] != 0 {
+	if len(e.children) != 1 || e.children[0].port != 0 {
 		t.Fatalf("children %v", e.children)
 	}
 	if e.confirmed != 4 {
 		t.Fatalf("confirmed %d want 4", e.confirmed)
 	}
-	if e.childAct[0] {
+	if e.children[0].active {
 		t.Fatal("reporting child should be marked passive")
 	}
 	// Port consumed from avail.
@@ -116,9 +116,7 @@ func TestDuplicateInviteConsumesPort(t *testing.T) {
 func TestThresholdDoublingArithmetic(t *testing.T) {
 	e := newRootExec(1, 8, 1000)
 	// Crossing with confirmed=5 must double threshold past 5.
-	e.childSize = []int{4}
-	e.children = []int{0}
-	e.childAct = []bool{true}
+	e.children = []child{{port: 0, size: 4, active: true}}
 	e.recomputeConfirmed()
 	if e.confirmed != 5 {
 		t.Fatalf("confirmed %d", e.confirmed)

@@ -53,7 +53,7 @@ type ExplicitOutput struct {
 // port as its tree parent), forwards once, and halts when the announcement
 // window closes.
 type ExplicitMachine struct {
-	inner     *IREMachine
+	inner     IREMachine
 	announceN int
 	out       ExplicitOutput
 	forwarded bool
@@ -70,18 +70,14 @@ func NewExplicitFactory(cfg ExplicitConfig) (sim.Factory, error) {
 	if announce <= 0 {
 		announce = p.n
 	}
+	var arena sim.Arena[ExplicitMachine]
 	return func(node, degree int, r *rng.RNG) sim.Machine {
-		return &ExplicitMachine{
-			inner: &IREMachine{
-				p:       p,
-				r:       r,
-				execs:   make(map[uint64]*bcastExec),
-				ccSent:  make(map[uint64]uint64),
-				chained: true,
-			},
-			announceN: announce,
-			out:       ExplicitOutput{ParentPort: -1},
-		}
+		m := arena.New()
+		m.inner.setup(&p, r, degree)
+		m.inner.chained = true
+		m.announceN = announce
+		m.out.ParentPort = -1
+		return m
 	}, nil
 }
 

@@ -157,15 +157,25 @@ type IREOutput struct {
 // IREMachine is the per-node state machine for Irrevocable Leader Election.
 // Construct with NewIREFactory.
 type IREMachine struct {
-	p       ireParams
+	p       *ireParams // shared by every machine of the factory, read-only
 	r       *rng.RNG
 	out     IREOutput
-	execs   map[uint64]*bcastExec // cautious-broadcast executions by source
-	tokens  int                   // walk tokens currently held
-	walked  bool                  // initial token spray done
-	ccSent  map[uint64]uint64     // per-execution last ID convergecast to parent
+	execs   sim.Table[bcastExec] // cautious-broadcast executions by source
+	tokens  int                  // walk tokens currently held
+	walked  bool                 // initial token spray done
+	counts  []int                // stepWalks scratch: tokens leaving per port, zero between rounds
 	halted  bool
 	chained bool // suppress ctx.Halt: a wrapper protocol continues after decide
+
+	bcs   sim.Msgs[bcMsg]
+	walks sim.Msgs[walkMsg]
+	ccs   sim.Msgs[ccMsg]
+}
+
+// setup readies a zero machine for a node of the given degree.
+func (m *IREMachine) setup(p *ireParams, r *rng.RNG, degree int) {
+	m.p, m.r = p, r
+	m.counts = make([]int, degree)
 }
 
 // NewIREFactory returns a sim.Factory producing IRE machines with the given
@@ -179,9 +189,7 @@ func NewIREFactory(cfg IREConfig) (sim.Factory, error) {
 	var arena sim.Arena[IREMachine]
 	return func(node, degree int, r *rng.RNG) sim.Machine {
 		m := arena.New()
-		m.p, m.r = p, r
-		m.execs = make(map[uint64]*bcastExec)
-		m.ccSent = make(map[uint64]uint64)
+		m.setup(&p, r, degree)
 		return m
 	}, nil
 }
@@ -208,8 +216,11 @@ func (m *IREMachine) Init(ctx *sim.Context) {
 	m.out.Candidate = m.r.Bernoulli(m.p.candProb)
 	if m.out.Candidate {
 		m.out.MaxIDSeen = m.out.ID
-		m.execs[m.out.ID] = newRootExec(m.out.ID, ctx.Degree(), m.p.capSize)
-		ctx.Trace("candidate", fmt.Sprintf("id=%d", m.out.ID))
+		e, _ := m.execs.Insert(m.out.ID)
+		*e = newRootExec(m.out.ID, ctx.Degree(), m.p.capSize)
+		if ctx.Tracing() {
+			ctx.Trace("candidate", fmt.Sprintf("id=%d", m.out.ID))
+		}
 	}
 }
 
@@ -220,14 +231,14 @@ func (m *IREMachine) Step(ctx *sim.Context, inbox []sim.Packet) {
 	round := ctx.Round()
 	for _, pkt := range inbox {
 		switch msg := pkt.Payload.(type) {
-		case bcMsg:
-			m.handleBroadcast(ctx, pkt.Port, msg)
-		case walkMsg:
+		case *bcMsg:
+			m.handleBroadcast(ctx, pkt.Port, *msg)
+		case *walkMsg:
 			m.tokens += msg.count
 			if msg.id > m.out.MaxIDSeen {
 				m.out.MaxIDSeen = msg.id
 			}
-		case ccMsg:
+		case *ccMsg:
 			if msg.id > m.out.MaxIDSeen {
 				m.out.MaxIDSeen = msg.id
 			}
@@ -236,8 +247,9 @@ func (m *IREMachine) Step(ctx *sim.Context, inbox []sim.Packet) {
 
 	switch {
 	case round < m.p.bcastLen:
-		for _, e := range m.execOrder() {
-			e.prepare(ctx, m.r)
+		for i := 0; i < m.execs.Len(); i++ {
+			_, e := m.execs.At(i)
+			e.prepare(ctx, m.r, &m.bcs)
 		}
 	case round >= m.p.total:
 		m.decide(ctx, round)
@@ -253,32 +265,17 @@ func (m *IREMachine) Step(ctx *sim.Context, inbox []sim.Packet) {
 // handleBroadcast routes a cautious-broadcast message to its execution,
 // creating child state on a fresh invite.
 func (m *IREMachine) handleBroadcast(ctx *sim.Context, port int, msg bcMsg) {
-	e, ok := m.execs[msg.source]
-	if !ok {
+	e := m.execs.Find(msg.source)
+	if e == nil {
 		if msg.kind != bcInvite {
 			return // straggler for an execution we never joined
 		}
-		e = newChildExec(msg.source, ctx.Degree(), port, m.p.capSize)
-		m.execs[msg.source] = e
+		e, _ = m.execs.Insert(msg.source)
+		*e = newChildExec(msg.source, ctx.Degree(), port, m.p.capSize)
 		m.out.JoinedTerritories++
 		return
 	}
 	e.handle(port, msg)
-}
-
-// execOrder returns executions in ascending source order so behavior is
-// identical across schedulers (map iteration is randomized).
-func (m *IREMachine) execOrder() []*bcastExec {
-	order := make([]*bcastExec, 0, len(m.execs))
-	for _, e := range m.execs {
-		order = append(order, e)
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && order[j].source < order[j-1].source; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	return order
 }
 
 // stepWalks advances the random-walk phase (Algorithm 5 random-walk): the
@@ -286,11 +283,10 @@ func (m *IREMachine) execOrder() []*bcastExec {
 // token stays with probability 1/2 or moves to a uniform port, and moving
 // tokens are batched per port into one (IDmax, count) message.
 func (m *IREMachine) stepWalks(ctx *sim.Context) {
-	deg := ctx.Degree()
+	deg, counts := ctx.Degree(), m.counts
 	if deg == 0 {
 		return
 	}
-	counts := make([]int, deg)
 	if !m.walked {
 		m.walked = true
 		if m.out.Candidate {
@@ -312,7 +308,8 @@ func (m *IREMachine) stepWalks(ctx *sim.Context) {
 	}
 	for p, c := range counts {
 		if c > 0 {
-			ctx.Send(p, walkChannel, walkMsg{id: m.out.MaxIDSeen, count: c})
+			ctx.Send(p, walkChannel, m.walks.New(walkMsg{id: m.out.MaxIDSeen, count: c}))
+			counts[p] = 0
 		}
 	}
 }
@@ -320,15 +317,13 @@ func (m *IREMachine) stepWalks(ctx *sim.Context) {
 // stepConvergecast climbs each joined tree with the current maximum walk
 // ID, sending only on change (see package doc fidelity note).
 func (m *IREMachine) stepConvergecast(ctx *sim.Context) {
-	for _, e := range m.execOrder() {
-		if e.isRoot || e.parent < 0 {
+	for i := 0; i < m.execs.Len(); i++ {
+		_, e := m.execs.At(i)
+		if e.isRoot || e.parent < 0 || (e.ccSent && e.ccLast >= m.out.MaxIDSeen) {
 			continue
 		}
-		if last, ok := m.ccSent[e.source]; ok && last >= m.out.MaxIDSeen {
-			continue
-		}
-		m.ccSent[e.source] = m.out.MaxIDSeen
-		ctx.Send(e.parent, chanOf(e.source), ccMsg{source: e.source, id: m.out.MaxIDSeen})
+		e.ccSent, e.ccLast = true, m.out.MaxIDSeen
+		ctx.Send(e.parent, chanOf(e.source), m.ccs.New(ccMsg{source: e.source, id: m.out.MaxIDSeen}))
 	}
 }
 
@@ -340,11 +335,11 @@ func (m *IREMachine) decide(ctx *sim.Context, round int) {
 	m.halted = true
 	m.out.Leader = !m.p.broadcastOnly && m.out.Candidate && m.out.MaxIDSeen == m.out.ID
 	if m.out.Candidate {
-		if e, ok := m.execs[m.out.ID]; ok {
+		if e := m.execs.Find(m.out.ID); e != nil {
 			m.out.Territory = e.confirmed
 		}
 	}
-	if m.out.Leader {
+	if m.out.Leader && ctx.Tracing() {
 		ctx.Trace("leader", fmt.Sprintf("id=%d territory=%d", m.out.ID, m.out.Territory))
 	}
 	m.out.HaltRound = round

@@ -22,7 +22,9 @@ const (
 // bcKindBits encodes the 5 kinds.
 const bcKindBits = 3
 
-// bcMsg is a cautious-broadcast message. Source identifies the execution
+// bcMsg is a cautious-broadcast message. Like walkMsg and ccMsg it is sent
+// as a pointer into its machine's sim.Msgs chunk (boxing a pointer into
+// sim.Payload allocates nothing) and never written after the send. Source identifies the execution
 // (the initiating candidate's random ID); in the paper the execution is
 // identified positionally by the super-round slot, so only invites pay for
 // the full ID while the rest pay the slot tag. Bits reflects that.

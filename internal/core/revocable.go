@@ -479,7 +479,9 @@ func (m *RevocableMachine) decide(ctx *sim.Context) {
 		// Line 16: adopt self as provisional leader; dissemination in the
 		// next iterations revokes it if a better certificate exists.
 		m.idldr, m.kldr = m.id, m.bigK
-		ctx.Trace("choose", fmt.Sprintf("id=%d k=%d", m.id, m.bigK))
+		if ctx.Tracing() {
+			ctx.Trace("choose", fmt.Sprintf("id=%d k=%d", m.id, m.bigK))
+		}
 	}
 	m.refreshLeader()
 }

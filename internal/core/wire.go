@@ -31,17 +31,17 @@ const (
 
 func (wireCodec) AppendPayload(dst []byte, p sim.Payload) ([]byte, error) {
 	switch m := p.(type) {
-	case bcMsg:
+	case *bcMsg:
 		dst = append(dst, wireBC, uint8(m.kind))
 		dst = binary.AppendUvarint(dst, m.source)
 		dst = binary.AppendUvarint(dst, uint64(m.size))
 		return dst, nil
-	case walkMsg:
+	case *walkMsg:
 		dst = append(dst, wireWalk)
 		dst = binary.AppendUvarint(dst, m.id)
 		dst = binary.AppendUvarint(dst, uint64(m.count))
 		return dst, nil
-	case ccMsg:
+	case *ccMsg:
 		dst = append(dst, wireCC)
 		dst = binary.AppendUvarint(dst, m.source)
 		dst = binary.AppendUvarint(dst, m.id)
@@ -87,7 +87,7 @@ func (wireCodec) DecodePayload(src []byte) (sim.Payload, error) {
 		if err != nil {
 			return nil, err
 		}
-		return bcMsg{kind: bcKind(kind), source: source, size: int(size)}, nil
+		return &bcMsg{kind: bcKind(kind), source: source, size: int(size)}, nil
 	case wireWalk:
 		id, body, err := wireUvarint(body)
 		if err != nil {
@@ -97,7 +97,7 @@ func (wireCodec) DecodePayload(src []byte) (sim.Payload, error) {
 		if err != nil {
 			return nil, err
 		}
-		return walkMsg{id: id, count: int(count)}, nil
+		return &walkMsg{id: id, count: int(count)}, nil
 	case wireCC:
 		source, body, err := wireUvarint(body)
 		if err != nil {
@@ -107,7 +107,7 @@ func (wireCodec) DecodePayload(src []byte) (sim.Payload, error) {
 		if err != nil {
 			return nil, err
 		}
-		return ccMsg{source: source, id: id}, nil
+		return &ccMsg{source: source, id: id}, nil
 	case wireAnnounce:
 		id, body, err := wireUvarint(body)
 		if err != nil {

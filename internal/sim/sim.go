@@ -136,6 +136,10 @@ func (c *Context) Trace(kind, detail string) {
 	c.rec.Record(trace.Event{Round: c.round, Node: c.node, Kind: kind, Detail: detail})
 }
 
+// Tracing reports whether Trace records anything, so callers can skip
+// formatting an event detail nobody will read.
+func (c *Context) Tracing() bool { return c.rec != nil }
+
 // reset prepares the context for the next call.
 func (c *Context) reset(round int) {
 	c.round = round
