@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench faults-smoke epochs-smoke scaling-smoke obs-smoke dist-demo bench-artifact benchdiff report baseline sweep-dist series-report lint fmt ci clean
+.PHONY: all build test race bench loc epochs-smoke scaling-smoke obs-smoke dist-demo bench-artifact benchdiff report baseline sweep-dist series-report lint fmt ci clean
 
 all: build
 
@@ -35,17 +35,11 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Fault-injection smoke: the quick resilience curves (message loss,
-# crash-stop, churn, jitter degradation) end to end through the adversary
-# subsystem. CI's bench-smoke job runs this next to the benchmarks.
-faults-smoke:
-	$(GO) run ./cmd/lebench -exp faults -quick -parallel
-
 # Epoch smoke: the quick repeated-election scenarios (seed-chained crash-
 # recover and revoke histories under the static and traffic-adaptive
 # adversary rungs) end to end through anonlead.RunEpochs, archived as the
-# separate BENCH_epochs.json artifact. CI's bench-smoke job runs this next
-# to the fault curves.
+# separate BENCH_epochs.json artifact. CI's bench-smoke job runs this (the
+# fault ladders F1-F5 run there as part of obs-smoke's gate sweep).
 epochs-smoke:
 	$(GO) run ./cmd/lebench -exp epochs -quick -parallel -json BENCH_epochs.json
 
@@ -57,10 +51,11 @@ epochs-smoke:
 scaling-smoke:
 	$(GO) run ./cmd/lebench -exp scaling -quick -json BENCH_scaling.json
 
-# Observability smoke: the quick gate sweep with telemetry fully on —
-# per-round histograms in the artifact, phase spans as a Chrome trace, a
-# CPU profile, and the metrics snapshot rendered into the phase-breakdown
-# table. CI's bench-smoke job runs this and archives the outputs; the
+# Observability smoke: the quick gate sweep (Table 1 + knowledge + the
+# F1-F5 fault ladders, so also CI's fault-injection smoke) with telemetry
+# fully on — per-round histograms in the artifact, phase spans as a Chrome
+# trace, a CPU profile, and the metrics snapshot rendered into the
+# phase-breakdown table. CI's bench-smoke job runs this and archives the outputs; the
 # files are also the easiest local entry into "where does a sweep spend
 # its time" (open TRACE_lebench.json in Perfetto, `go tool pprof
 # CPU_lebench.pprof`).
@@ -81,8 +76,8 @@ dist-demo:
 
 # The regression-gate sweep: every artifact cell (Table 1 + the X4
 # knowledge ablation + the fault-injection resilience curves) at the
-# promoted -quick defaults, written as a schema-v3 artifact. Deterministic
-# for a fixed -seed regardless of worker/shard count, so the same command
+# promoted -quick defaults, written as a BENCH_harness.json artifact
+# (harness.ArtifactSchema). Deterministic for a fixed -seed regardless of worker/shard count, so the same command
 # regenerates the same cells on any machine.
 bench-artifact:
 	$(GO) run ./cmd/lebench -exp sweeps -quick -parallel -json BENCH_harness.json
@@ -131,6 +126,12 @@ series-report:
 	$(GO) run ./cmd/lereport -title "Reproduction report (cross-PR series)" \
 		-fail-on regressing \
 		$(sort $(wildcard $(SERIES_DIR)/*.json)) BENCH_harness.json
+
+# Code size: non-blank lines of non-test Go per package directory — the
+# number ROADMAP item 4 (code diet) and CHANGES.md quote.
+loc:
+	@for d in $$($(GO) list -f '{{.Dir}}' ./...); do printf '%6d %s\n' \
+		$$(cat $$(ls $$d/*.go | grep -v _test.go) | grep -c '[^[:space:]]') .$${d#$(CURDIR)}; done
 
 lint:
 	$(GO) vet ./...

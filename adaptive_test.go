@@ -67,8 +67,8 @@ func TestAdaptiveAdversaryDivergesFromStaticFates(t *testing.T) {
 	}
 }
 
-// TestAdaptiveDescriptorPublicMirror: the new fields round-trip through
-// the public mirror's Descriptor/Validate like every other primitive.
+// TestAdaptiveDescriptorPublicMirror: the adaptive fields are reachable
+// through the public name's Descriptor/Validate like every other primitive.
 func TestAdaptiveDescriptorPublicMirror(t *testing.T) {
 	spec := AdversarySpec{AdaptiveCrash: 2, AdaptiveWindow: 4, AdaptiveStrikes: 2}
 	if got, want := spec.Descriptor(), "adaptive=2@4x2"; got != want {

@@ -91,13 +91,12 @@ func NewNetworkFromEdges(n int, edges [][2]int) (*Network, error) {
 	return newNetwork(b.Graph(), 0)
 }
 
-// NewNetworkFromGraph wraps an already-built internal topology without
-// re-deriving it from a family name. The parameter type lives in an
-// internal package, so only this module's own packages (the experiment
-// harness, the CLIs) can call it; external users construct networks with
-// NewNetwork or NewNetworkFromEdges. The spectral profile is computed
-// lazily, so wrapping is cheap when every protocol input is supplied
-// explicitly.
+// NewNetworkFromGraph wraps an already-built internal topology that no
+// family name derives (the pumping wheel, a benchmark's hand-built graph).
+// The parameter type lives in an internal package, so only this module's
+// own packages can call it; external users construct networks with
+// NewNetwork or NewNetworkFromEdges. The estimate-regime profile of a
+// wrapped graph samples from seed 0.
 func NewNetworkFromGraph(g *graph.Graph) (*Network, error) {
 	return newNetwork(g, 0)
 }
@@ -171,7 +170,7 @@ func (nw *Network) Stats() NetworkStats {
 		Diameter:      prof.Diameter,
 		MixingTime:    prof.MixingTime,
 		Conductance:   prof.Conductance,
-		Isoperimetric: prof.Isoperim,
+		Isoperimetric: prof.Isoperimetric,
 		SpectralGap:   prof.SpectralGap,
 	}
 }

@@ -1,5 +1,5 @@
 // Benchmarks regenerating every evaluation artifact of the paper
-// (Table 1 cells, Figures 1-2, and the DESIGN.md ablations X1-X3).
+// (Table 1 cells, Figures 1-2, and the ablations X1-X3).
 // Each benchmark runs full protocol executions and reports, besides
 // wall-clock, the protocol-level costs the paper bounds: messages, bits,
 // logical rounds and CONGEST-charged rounds per election.
@@ -8,22 +8,20 @@
 //
 //	go test -bench=. -benchmem
 //
-// The mapping from benchmarks to paper artifacts is indexed in DESIGN.md
-// §4 and the measured-vs-paper discussion lives in EXPERIMENTS.md.
-//
 // This is an external test package (anonlead_test): it drives the
 // experiment harness, which itself runs on the public anonlead API, so an
 // internal test package would be an import cycle.
 package anonlead_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
+	"anonlead"
 	"anonlead/internal/adversary"
-	"anonlead/internal/baseline"
 	"anonlead/internal/core"
 	"anonlead/internal/graph"
 	"anonlead/internal/harness"
@@ -33,152 +31,95 @@ import (
 	"anonlead/internal/spectral"
 )
 
-// benchCell prepares a profiled workload graph for benchmarks.
-func benchCell(b *testing.B, family string, n int) (*graph.Graph, *spectral.Profile) {
-	b.Helper()
-	w := harness.Workload{Family: family, N: n}
-	g, err := w.BuildGraph(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prof, err := spectral.ProfileGraph(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g, prof
+// benchCell is one family × size benchmark cell.
+type benchCell struct {
+	family string
+	n      int
 }
 
-// reportTrial attaches protocol-cost metrics to the benchmark output.
-func reportTrial(b *testing.B, sumMsgs, sumBits, sumRounds, sumCharged float64) {
-	b.Helper()
-	n := float64(b.N)
-	b.ReportMetric(sumMsgs/n, "msgs/election")
-	b.ReportMetric(sumBits/n, "bits/election")
-	b.ReportMetric(sumRounds/n, "rounds/election")
-	b.ReportMetric(sumCharged/n, "charged/election")
+// benchElections runs b.N elections of proto (seeds 1..b.N) on every cell's
+// anonlead.NewNetwork(family, n, 1), profiled before the timer starts, and
+// reports the protocol-level costs per election plus the success rate.
+// opts may read the cell's profile.
+func benchElections(b *testing.B, proto string, cells []benchCell, opts func(anonlead.Profile) []anonlead.Option) {
+	for _, c := range cells {
+		b.Run(fmt.Sprintf("%s/n=%d", c.family, c.n), func(b *testing.B) {
+			nw, err := anonlead.NewNetwork(c.family, c.n, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prof, err := nw.Profile(anonlead.ProfileAuto)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var base []anonlead.Option
+			if opts != nil {
+				base = opts(prof)
+			}
+			var msgs, bits, rounds, charged, success float64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out, err := nw.Run(context.Background(), proto, append(base, anonlead.WithSeed(uint64(i)+1))...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				msgs += float64(out.Messages)
+				bits += float64(out.Bits)
+				rounds += float64(out.Rounds)
+				charged += float64(out.ChargedRounds)
+				if out.Unique && out.AllKnow {
+					success++
+				}
+			}
+			n := float64(b.N)
+			b.ReportMetric(msgs/n, "msgs/election")
+			b.ReportMetric(bits/n, "bits/election")
+			b.ReportMetric(rounds/n, "rounds/election")
+			b.ReportMetric(charged/n, "charged/election")
+			b.ReportMetric(success/n, "successRate")
+		})
+	}
 }
 
 // BenchmarkTable1IRE measures the paper's Section 4 protocol (Table 1 row
 // "n, Φ, tmix — this work": Õ(√(n·tmix/Φ)) msgs, O(tmix·log² n) time).
 func BenchmarkTable1IRE(b *testing.B) {
-	cells := []struct {
-		family string
-		n      int
-	}{
+	benchElections(b, anonlead.ProtoIRE, []benchCell{
 		{"expander", 64}, {"expander", 128}, {"expander", 256},
 		{"hypercube", 64}, {"hypercube", 256},
 		{"cycle", 32}, {"cycle", 64},
 		{"complete", 64}, {"complete", 128},
 		{"torus", 64},
-	}
-	for _, c := range cells {
-		b.Run(fmt.Sprintf("%s/n=%d", c.family, c.n), func(b *testing.B) {
-			g, prof := benchCell(b, c.family, c.n)
-			cfg := core.IREConfig{N: g.N(), TMix: prof.MixingTime, Phi: prof.Conductance}
-			var msgs, bits, rounds, charged float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				trial, err := harness.RunIRETrial(g, cfg, uint64(i)+1, harness.SimOpts{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				msgs += float64(trial.Metrics.Messages)
-				bits += float64(trial.Metrics.Bits)
-				rounds += float64(trial.Rounds)
-				charged += float64(trial.Metrics.ChargedRounds)
-			}
-			reportTrial(b, msgs, bits, rounds, charged)
-		})
-	}
+	}, nil)
 }
 
 // BenchmarkTable1Gilbert measures the Gilbert-class baseline (Table 1 row
 // "n [10]": O(tmix·√n·log^{7/2} n) msgs).
 func BenchmarkTable1Gilbert(b *testing.B) {
-	cells := []struct {
-		family string
-		n      int
-	}{
+	benchElections(b, anonlead.ProtoWalkNotify, []benchCell{
 		{"expander", 64}, {"expander", 128}, {"expander", 256},
 		{"cycle", 32}, {"cycle", 64},
 		{"complete", 64}, {"complete", 128},
-	}
-	for _, c := range cells {
-		b.Run(fmt.Sprintf("%s/n=%d", c.family, c.n), func(b *testing.B) {
-			g, prof := benchCell(b, c.family, c.n)
-			cfg := baseline.WalkNotifyConfig{N: g.N(), TMix: prof.MixingTime}
-			var msgs, bits, rounds, charged float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				trial, err := harness.RunWalkNotifyTrial(g, cfg, uint64(i)+1, harness.SimOpts{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				msgs += float64(trial.Metrics.Messages)
-				bits += float64(trial.Metrics.Bits)
-				rounds += float64(trial.Rounds)
-				charged += float64(trial.Metrics.ChargedRounds)
-			}
-			reportTrial(b, msgs, bits, rounds, charged)
-		})
-	}
+	}, nil)
 }
 
 // BenchmarkTable1Flood measures the Kutten-class flooding baseline
 // (Table 1 rows "n, D [16]": O(m) msgs, O(D) time).
 func BenchmarkTable1Flood(b *testing.B) {
-	cells := []struct {
-		family string
-		n      int
-	}{
+	benchElections(b, anonlead.ProtoFloodMax, []benchCell{
 		{"expander", 64}, {"expander", 256},
 		{"cycle", 64}, {"complete", 64}, {"complete", 256},
-	}
-	for _, c := range cells {
-		b.Run(fmt.Sprintf("%s/n=%d", c.family, c.n), func(b *testing.B) {
-			g, prof := benchCell(b, c.family, c.n)
-			cfg := baseline.FloodConfig{N: g.N(), Diam: prof.Diameter}
-			var msgs, bits, rounds, charged float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				trial, err := harness.RunFloodTrial(g, cfg, uint64(i)+1, harness.SimOpts{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				msgs += float64(trial.Metrics.Messages)
-				bits += float64(trial.Metrics.Bits)
-				rounds += float64(trial.Rounds)
-				charged += float64(trial.Metrics.ChargedRounds)
-			}
-			reportTrial(b, msgs, bits, rounds, charged)
-		})
-	}
+	}, nil)
 }
 
 // BenchmarkTable1Revocable measures the Section 5.2 protocol at the
 // faithful Theorem 3 schedule on tiny complete graphs (Table 1 revocable
-// rows (*)). The polynomial schedules bound what is simulable; see
-// EXPERIMENTS.md.
+// rows (*)). The polynomial schedules bound what is simulable.
 func BenchmarkTable1Revocable(b *testing.B) {
-	for _, n := range []int{3, 4, 6} {
-		b.Run(fmt.Sprintf("complete/n=%d", n), func(b *testing.B) {
-			g, prof := benchCell(b, "complete", n)
-			cfg := core.RevocableConfig{Epsilon: 0.5, Isoperimetric: prof.Isoperim}
-			var msgs, bits, rounds, charged float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				trial, err := harness.RunRevocableTrial(g, cfg, uint64(i)+1, 0, harness.SimOpts{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				msgs += float64(trial.Metrics.Messages)
-				bits += float64(trial.Metrics.Bits)
-				rounds += float64(trial.Rounds)
-				charged += float64(trial.Metrics.ChargedRounds)
-			}
-			reportTrial(b, msgs, bits, rounds, charged)
+	benchElections(b, anonlead.ProtoRevocable, []benchCell{{"complete", 3}, {"complete", 4}, {"complete", 6}},
+		func(prof anonlead.Profile) []anonlead.Option {
+			return []anonlead.Option{anonlead.WithEpsilon(0.5), anonlead.WithIsoperimetric(prof.Isoperimetric)}
 		})
-	}
 }
 
 // BenchmarkFigure1PumpingWheel measures one wheel execution of the
@@ -216,7 +157,7 @@ func BenchmarkFigure2SplitBrain(b *testing.B) {
 }
 
 // BenchmarkAblationCautious measures cautious broadcast in isolation
-// (DESIGN.md X1, paper Lemma 1).
+// (X1, paper Lemma 1).
 func BenchmarkAblationCautious(b *testing.B) {
 	for _, x := range []int{4, 16} {
 		b.Run(fmt.Sprintf("x=%d", x), func(b *testing.B) {
@@ -235,26 +176,14 @@ func BenchmarkAblationCautious(b *testing.B) {
 }
 
 // BenchmarkAblationWalks measures the full protocol at sub- and
-// super-critical walk counts (DESIGN.md X2, paper Lemma 2).
+// super-critical walk counts (X2, paper Lemma 2).
 func BenchmarkAblationWalks(b *testing.B) {
 	for _, factor := range []float64{0.5, 1, 2} {
 		b.Run(fmt.Sprintf("factor=%g", factor), func(b *testing.B) {
-			g, prof := benchCell(b, "expander", 128)
-			cfg := core.IREConfig{
-				N: g.N(), TMix: prof.MixingTime, Phi: prof.Conductance, XFactor: factor,
-			}
-			success := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				trial, err := harness.RunIRETrial(g, cfg, uint64(i)+1, harness.SimOpts{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if trial.Success {
-					success++
-				}
-			}
-			b.ReportMetric(float64(success)/float64(b.N), "successRate")
+			benchElections(b, anonlead.ProtoIRE, []benchCell{{"expander", 128}},
+				func(anonlead.Profile) []anonlead.Option {
+					return []anonlead.Option{anonlead.WithWalkFactor(factor)}
+				})
 		})
 	}
 }
@@ -415,7 +344,7 @@ func BenchmarkNetworkRoundObserved(b *testing.B) {
 }
 
 // BenchmarkAblationDiffusion measures the exact diffusion detector sweep
-// (DESIGN.md X3, paper Lemmas 5-8).
+// (X3, paper Lemmas 5-8).
 func BenchmarkAblationDiffusion(b *testing.B) {
 	w := harness.Workload{Family: "cycle", N: 12}
 	for i := 0; i < b.N; i++ {

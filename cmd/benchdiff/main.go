@@ -25,11 +25,9 @@
 // "regressed,removed", which is what turns the artifact from write-only
 // telemetry into an enforced perf/complexity contract.
 //
-// Schema handling: v3 artifacts key fault-injected resilience cells by
-// their adversary descriptor; v2 artifacts (no adversary identity) align
-// as fault-free and diff normally against v3. Legacy v1 artifacts are
-// still accepted — the comparison downgrades to means-only and the
-// summary says so instead of erroring.
+// Schema handling: the current artifact schema and the previous one (v5,
+// whose cells carry no epoch scenarios and align as classic elections) are
+// accepted; anything older is refused by name.
 package main
 
 import (

@@ -114,25 +114,35 @@ func TestBenchdiffWritesJSONReport(t *testing.T) {
 	}
 }
 
-func TestBenchdiffV1InputDowngradesNotErrors(t *testing.T) {
+// TestBenchdiffRefusesOldSchemas: the reader accepts the current schema and
+// the previous one; a v1 file (means only) and a current-schema file whose
+// cell lost its distribution objects are both refused by name, not compared
+// on a silent downgrade.
+func TestBenchdiffRefusesOldSchemas(t *testing.T) {
 	dir := t.TempDir()
-	v1 := harness.Artifact{
-		Schema: harness.ArtifactSchemaV1,
+	bare := harness.Artifact{
+		Schema: "anonlead/bench-harness/v1",
 		Cells: []harness.ArtifactCell{{
 			Protocol: "ire", Family: "expander", N: 64,
 			Trials: 5, Successes: 5,
 			Messages: 1000, Bits: 2000, Rounds: 100, Charged: 120,
 		}},
 	}
-	base := writeArtifact(t, dir, "base.json", v1)
-	head := writeArtifact(t, dir, "head.json", v1)
-	var out, errOut bytes.Buffer
-	code := run([]string{"-base", base, "-head", head, "-fail-on", "regressed"}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("v1 input errored (exit %d):\n%s", code, errOut.String())
-	}
-	if !strings.Contains(out.String(), "means-only comparison") {
-		t.Fatalf("summary missing v1 downgrade note:\n%s", out.String())
+	good := writeArtifact(t, dir, "good.json", sweepArtifact(t, 1))
+	v1 := writeArtifact(t, dir, "v1.json", bare)
+	bare.Schema = harness.ArtifactSchema
+	distless := writeArtifact(t, dir, "distless.json", bare)
+	for path, want := range map[string]string{
+		v1:       "unknown artifact schema",
+		distless: "cell 0 (ire on expander/64) lacks its distribution objects",
+	} {
+		var out, errOut bytes.Buffer
+		if code := run([]string{"-base", good, "-head", path}, &out, &errOut); code == 0 {
+			t.Fatalf("%s accepted:\n%s", path, out.String())
+		}
+		if !strings.Contains(errOut.String(), want) {
+			t.Fatalf("%s: stderr lacks %q:\n%s", path, want, errOut.String())
+		}
 	}
 }
 
@@ -250,13 +260,14 @@ func TestBenchdiffDriftGate(t *testing.T) {
 	}
 }
 
-// TestBenchdiffAlignsV2AgainstV3: a v2 baseline (no adversary identity)
-// diffs against a v3 head without error — its cells align with the head's
+// TestBenchdiffAlignsV2AgainstV3: a baseline in the previous schema (v5
+// now; the name is from the pair the test was written against) diffs
+// against a current head without error — its cells align with the head's
 // fault-free cells, and the head's fault-injected cells report as added.
 func TestBenchdiffAlignsV2AgainstV3(t *testing.T) {
 	dir := t.TempDir()
 	v3 := faultySweepArtifact(t)
-	v2 := harness.Artifact{Schema: harness.ArtifactSchemaV2, RootSeed: v3.RootSeed,
+	v2 := harness.Artifact{Schema: harness.ArtifactSchemaV5, RootSeed: v3.RootSeed,
 		Workers: v3.Workers, Shards: v3.Shards}
 	for _, c := range v3.Cells {
 		if c.Adversary == "" {
@@ -272,9 +283,6 @@ func TestBenchdiffAlignsV2AgainstV3(t *testing.T) {
 	code := run([]string{"-base", base, "-head", head, "-fail-on", "regressed,removed"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("v2 base vs v3 head exited %d:\n%s\n%s", code, out.String(), errOut.String())
-	}
-	if strings.Contains(out.String(), "means-only comparison") {
-		t.Fatalf("v2/v3 pair downgraded to means-only:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "added") {
 		t.Fatalf("faulted head cells not reported as added:\n%s", out.String())
@@ -307,8 +315,9 @@ func faultySweepArtifact(t *testing.T) harness.Artifact {
 }
 
 // TestBenchdiffCheckedInBaseline sanity-checks the committed baseline
-// artifact: it must parse as schema v2 with distributions so the CI gate
-// runs the variance-aware path.
+// artifact: it must parse as the current schema (which ReadArtifact only
+// grants to cells carrying their distributions, so the CI gate runs the
+// variance-aware path).
 func TestBenchdiffCheckedInBaseline(t *testing.T) {
 	path := filepath.Join("..", "..", "testdata", "BENCH_baseline.json")
 	a, err := harness.ReadArtifactFile(path)
@@ -320,10 +329,5 @@ func TestBenchdiffCheckedInBaseline(t *testing.T) {
 	}
 	if len(a.Cells) == 0 {
 		t.Fatal("baseline has no cells")
-	}
-	for i, c := range a.Cells {
-		if !c.HasDists() {
-			t.Fatalf("baseline cell %d lacks distributions", i)
-		}
 	}
 }

@@ -41,7 +41,6 @@ func run() error {
 		trials    = flag.Int("trials", 1, "number of independent elections")
 		seed      = flag.Uint64("seed", 1, "root random seed (trial t runs at seed+t)")
 		scheduler = flag.String("scheduler", "sequential", "execution engine: sequential, workerpool, actors (all bit-identical)")
-		parallel  = flag.Bool("parallel", false, "shorthand for -scheduler workerpool")
 		presumed  = flag.Int("presumed", 0, "misreported network size for the knowledge ablation (0 = truth)")
 		c         = flag.Float64("c", 0, "analysis constant c override (0 = default)")
 		walks     = flag.Int("x", 0, "IRE: walk-count override (0 = paper formula)")
@@ -59,6 +58,9 @@ func run() error {
 		observe   = flag.Int("observe", 0, "print streaming round metrics every K rounds of the first trial (0 = off)")
 	)
 	flag.Parse()
+	if *trials < 1 {
+		return fmt.Errorf("-trials must be at least 1, got %d", *trials)
+	}
 
 	nw, err := anonlead.NewNetwork(*family, *n, *seed)
 	if err != nil {
@@ -81,7 +83,7 @@ func run() error {
 	if err := adv.Validate(); err != nil {
 		return err
 	}
-	sched, err := parseScheduler(*scheduler, *parallel)
+	sched, err := parseScheduler(*scheduler)
 	if err != nil {
 		return err
 	}
@@ -165,12 +167,9 @@ func accumulate(msgs, bits, rounds, charged, dropped, delayed, crashed *float64,
 	*crashed += float64(out.Crashed)
 }
 
-func parseScheduler(name string, parallel bool) (anonlead.Scheduler, error) {
+func parseScheduler(name string) (anonlead.Scheduler, error) {
 	switch strings.ToLower(name) {
 	case "", "sequential", "seq":
-		if parallel {
-			return anonlead.WorkerPool, nil
-		}
 		return anonlead.Sequential, nil
 	case "workerpool", "pool", "parallel":
 		return anonlead.WorkerPool, nil

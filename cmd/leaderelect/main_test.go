@@ -1,0 +1,43 @@
+package main
+
+import (
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestLeaderelectFaultedBatch builds the binary and runs a small faulted
+// batch through the public API: exit 0, the adversary's canonical
+// descriptor on the faults line, per-trial means over the three trials.
+// A batch of no trials, which used to print 0/0 and NaN means, is refused,
+// and so is the -parallel knob the library dropped.
+func TestLeaderelectFaultedBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	bin := filepath.Join(t.TempDir(), "leaderelect")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	out, err := exec.Command(bin, "-graph", "cycle", "-n", "16", "-proto", "floodmax",
+		"-loss", "0.1", "-trials", "3").CombinedOutput()
+	if err != nil {
+		t.Fatalf("leaderelect: %v\n%s", err, out)
+	}
+	for _, want := range []string{
+		"graph:    cycle n=16 m=16 diameter=8\n",
+		"protocol: floodmax trials=3 scheduler=sequential\n",
+		"faults:   loss=0.1 (dropped=",
+		"/3 unique leader",
+	} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	for _, args := range [][]string{{"-trials", "0"}, {"-parallel"}} {
+		if out, err := exec.Command(bin, args...).CombinedOutput(); err == nil {
+			t.Errorf("leaderelect %v exited 0:\n%s", args, out)
+		}
+	}
+}

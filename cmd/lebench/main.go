@@ -1,7 +1,7 @@
 // Command lebench regenerates the paper's evaluation artifacts: every
 // Table 1 cell (measured on the CONGEST simulator and compared to the
 // paper's complexity formulas), the Figures 1-2 pumping-wheel
-// impossibility series, and the design ablations indexed in DESIGN.md.
+// impossibility series, and the design ablations X1-X4.
 //
 // Usage:
 //
@@ -51,7 +51,7 @@
 // (dense matrices, the committed baselines), estimate (streaming, scales
 // past dense sizes), or auto (the default: exact up to n = 256, estimate
 // above). The resolved regime is part of each cell's identity in the
-// schema-v5 artifact, so a regime switch diffs as added/removed cells.
+// artifact, so a regime switch diffs as added/removed cells.
 //
 // With -parallel, the sweep-based experiments (table1, knowledge, faults)
 // fan their cells and per-cell trials out over a bounded worker pool;
@@ -161,7 +161,7 @@ func run() error {
 		quick      = flag.Bool("quick", false, "reduced sweeps for a fast pass")
 		trials     = flag.Int("trials", 0, "trials per cell (0 = experiment default)")
 		seed       = flag.Uint64("seed", 1, "root random seed")
-		parallel   = flag.Bool("parallel", false, "fan sweep cells and trials over a worker pool (table1 and knowledge; bit-identical to sequential)")
+		parallel   = flag.Bool("parallel", false, "fan sweep cells and trials over a worker pool (every sweep-based experiment; bit-identical to sequential)")
 		shards     = flag.Int("shards", 0, "trial shards per cell for -parallel (0 = worker count)")
 		workers    = flag.Int("workers", 0, "worker pool size for -parallel (0 = GOMAXPROCS)")
 		jsonPath   = flag.String("json", "", "write the machine-readable sweep artifact (e.g. BENCH_harness.json)")

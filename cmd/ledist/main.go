@@ -197,21 +197,9 @@ func coordMain(proto, family string, n int, seed uint64, out string, timeout tim
 
 	// Resolve the protocol config once, coordinator-side, and ship it to
 	// every node: the processes must not profile independently.
-	pc := core.ProtoConfig{TrueN: n, N: n}
-	if entry.Needs != 0 {
-		prof, err := nw.Profile(anonlead.ProfileAuto)
-		if err != nil {
-			return err
-		}
-		if entry.Needs&core.NeedTMix != 0 {
-			pc.TMix = prof.MixingTime
-		}
-		if entry.Needs&core.NeedPhi != 0 {
-			pc.Phi = prof.Conductance
-		}
-		if entry.Needs&core.NeedDiam != 0 {
-			pc.Diam = prof.Diameter
-		}
+	pc, err := nw.ProtoConfig(proto)
+	if err != nil {
+		return err
 	}
 	runner, err := entry.Build(pc)
 	if err != nil {

@@ -1,7 +1,7 @@
 // Command lesweep runs the artifact sweep matrix as a distributed job: it
 // plans the same cell matrix as `lebench -exp sweeps`, cuts it into
 // contiguous shards, runs one worker per shard, and merges the partial
-// artifacts into a single schema-v5 BENCH file.
+// artifacts into a single BENCH_harness.json-format file.
 //
 // Per-trial seeds are pure functions of the root seed and the cell, so
 // the merged artifact is byte-identical to a single-process

@@ -34,8 +34,8 @@ func main() {
 
 	// The site survey gives the installers the mesh's isoperimetric
 	// bound, selecting the Theorem 3 diffusion schedule; the calibration
-	// shortens the (polynomially huge) faithful schedule as recorded in
-	// EXPERIMENTS.md while preserving the detector behaviour.
+	// shortens the (polynomially huge) faithful schedule while preserving
+	// the detector behaviour.
 	res, err := nw.Run(context.Background(), anonlead.ProtoRevocable,
 		anonlead.WithSeed(3),
 		anonlead.WithIsoperimetric(stats.Isoperimetric),

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -10,11 +11,18 @@ import (
 	"anonlead/internal/sim"
 )
 
-// Spec is the declarative, serializable description of an adversary: what
-// a sweep cell records in the bench artifact (schema v3) and what the
-// trajectory tooling aligns cells by. The zero value means "no adversary"
-// and builds to nil, so a zero-rate configuration is byte-identical to
-// running without one.
+// Spec declares a deterministic fault-injection adversary: what WithAdversary
+// takes (the root package aliases this type as anonlead.AdversarySpec), what
+// a sweep cell records in the bench artifact and what the trajectory
+// tooling aligns cells by. The zero value means "no adversary" and builds
+// to nil, so a run with a zero spec is byte-identical to one without an
+// adversary at all and degradation curves can anchor at a genuinely
+// unperturbed cell.
+//
+// Every fault decision is a pure function of (seed, round, edge/node) —
+// never of call order — so fault-injected runs stay bit-identical across
+// all schedulers. Dropped and delayed packets still count in Messages,
+// Bits and link-slot charging: the sender transmitted them.
 type Spec struct {
 	// Loss is the per-packet Bernoulli drop probability.
 	Loss float64 `json:"loss,omitempty"`
@@ -40,14 +48,21 @@ type Spec struct {
 	MaxDelay int `json:"max_delay,omitempty"`
 
 	// AdaptiveCrash enables the traffic-adaptive crash adversary: every
-	// window the AdaptiveCrash busiest nodes of that window crash-stop
-	// (targeting the emerging leader). 0 disables.
+	// AdaptiveWindow rounds the AdaptiveCrash busiest nodes of that window
+	// crash-stop — targeting the busiest node approximates targeting the
+	// emerging leader. Victims are a pure function of the observed traffic
+	// (no extra randomness), so adaptive runs stay deterministic per seed
+	// and bit-identical across schedulers. 0 disables.
 	AdaptiveCrash int `json:"adaptive_crash,omitempty"`
 	// AdaptiveWindow is the observation window in rounds (0 = default 8).
 	AdaptiveWindow int `json:"adaptive_window,omitempty"`
 	// AdaptiveStrikes bounds how many windows claim victims (0 = default 1).
 	AdaptiveStrikes int `json:"adaptive_strikes,omitempty"`
 }
+
+// ErrCrashNodeOutOfRange is returned by Build for a CrashSchedule entry
+// naming a node the network does not have.
+var ErrCrashNodeOutOfRange = errors.New("adversary: crash schedule names a node outside the network")
 
 // Adaptive-adversary defaults applied when the fields are left zero with
 // AdaptiveCrash > 0.
@@ -138,9 +153,23 @@ func DeriveRunSeed(runSeed uint64) uint64 {
 func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // Descriptor canonically names the configuration, e.g.
-// "loss=0.1,crash=0.25@16,churn=0.05+conn,delay=0.5x3". It is the
-// adversary component of a sweep cell's identity: artifact cells persist
-// it and trajectory alignment keys on it. A zero spec yields "".
+// "loss=0.1,crash=0.25@16,churn=0.05+conn,delay=0.5x3". The grammar is a
+// comma-joined list of the active primitives, each rendered with minimal
+// decimal probabilities:
+//
+//	loss=<p>              Bernoulli packet loss at rate p
+//	crash=<f>@<r>         fraction f of nodes crash by round r
+//	crashsched=<k>        k explicitly scheduled crashes
+//	churn=<p>[+conn]      per-edge downtime at rate p (+conn preserves
+//	                      connectivity via a spanning tree)
+//	delay=<p>x<d>         delivery jitter: probability p, 1..d rounds late
+//	adaptive=<k>@<w>[x<s>] traffic-adaptive crashes: k busiest nodes per
+//	                      w-round window, s strike windows (omitted at the
+//	                      default s=1); defaults are rendered resolved
+//
+// A zero spec yields "". The descriptor is the adversary component of a
+// sweep cell's identity — artifact cells persist it and trajectory
+// alignment keys on it — so it is stable across versions.
 func (s Spec) Descriptor() string {
 	var parts []string
 	if s.Loss > 0 {
@@ -198,6 +227,19 @@ func (s Spec) Build(g *graph.Graph, seed uint64) (sim.Adversary, error) {
 		parts = append(parts, NewRandomCrash(n, s.CrashFraction, s.CrashBy, sub("crash")))
 	}
 	if len(s.CrashSchedule) > 0 {
+		// NewCrashSchedule ignores nodes the network does not have, but the
+		// descriptor counts every entry: refuse a schedule the cell identity
+		// would misreport. The lowest offender is named, whatever the map
+		// iteration order.
+		bad := -1
+		for v := range s.CrashSchedule {
+			if v >= n && (bad < 0 || v < bad) {
+				bad = v
+			}
+		}
+		if bad >= 0 {
+			return nil, fmt.Errorf("%w: node %d in a %d-node network", ErrCrashNodeOutOfRange, bad, n)
+		}
 		parts = append(parts, NewCrashSchedule(n, s.CrashSchedule))
 	}
 	if s.Churn > 0 {

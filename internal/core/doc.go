@@ -31,5 +31,6 @@
 // (the pseudocode resends every round). Both gated variants send a superset
 // of the information the analysis requires. Protocol constants that the
 // analysis fixes only as "sufficiently large c" are exposed in the config
-// structs with defaults calibrated in EXPERIMENTS.md.
+// structs with defaults calibrated on the Table 1 sweeps (lebench -exp
+// table1).
 package core

@@ -11,8 +11,8 @@ import (
 // IREConfig parameterizes the Irrevocable Leader Election protocol
 // (Section 4). N, TMix and Phi are the global inputs the paper assumes
 // known (linear upper bounds suffice, cf. Theorem 1); the remaining fields
-// expose the analysis constants, defaulting to the calibration recorded in
-// EXPERIMENTS.md.
+// expose the analysis constants, defaulting to values calibrated on the
+// Table 1 sweeps.
 type IREConfig struct {
 	// N is the (known) network size. Required.
 	N int
@@ -39,8 +39,8 @@ type IREConfig struct {
 }
 
 // DefaultIREC is the default analysis constant c. The paper requires only
-// "sufficiently large" c; EXPERIMENTS.md calibrates this value to reach
-// >95% unique-election rates at simulable sizes.
+// "sufficiently large" c; this value is calibrated to reach >95%
+// unique-election rates at simulable sizes.
 const DefaultIREC = 2.0
 
 // ireParams holds the resolved, derived protocol parameters.

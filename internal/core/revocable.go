@@ -31,7 +31,7 @@ type RevocableConfig struct {
 	// FMult and RMult scale f(k) (certification repetitions) and r(k)
 	// (diffusion rounds) for calibrated runs at sizes where the faithful
 	// polynomials are not simulable. 1.0 (the zero-value default) is
-	// faithful; EXPERIMENTS.md records any deviation.
+	// faithful.
 	FMult float64
 	RMult float64
 	// MaxK caps the estimate ladder as a simulation safety net (the

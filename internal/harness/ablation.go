@@ -108,22 +108,17 @@ type WalkPoint struct {
 // AblationWalks sweeps the walk-count factor and measures election success
 // (experiment X2): the knee should sit near factor 1 (the paper's x).
 func AblationWalks(w Workload, factors []float64, trials int, seed uint64) ([]WalkPoint, *spectral.Profile, error) {
-	g, err := w.BuildGraph(seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	prof, err := spectral.ProfileGraph(g)
+	opts := TrialOpts{ProfileMode: spectral.ModeExact}
+	anw, prof, err := prepareCell(w, seed, opts.ProfileMode)
 	if err != nil {
 		return nil, nil, err
 	}
 	points := make([]WalkPoint, 0, len(factors))
 	for _, f := range factors {
-		cfg := core.IREConfig{
-			N: g.N(), TMix: prof.MixingTime, Phi: prof.Conductance, XFactor: f,
-		}
+		pc := core.ProtoConfig{XFactor: f}
 		pt := WalkPoint{Factor: f, Trials: trials}
 		for t := 0; t < trials; t++ {
-			trial, err := RunIRETrial(g, cfg, seed^uint64(math.Float64bits(f))^uint64(t)<<16, SimOpts{})
+			trial, err := runTrial(anw, "ire", pc, seed^uint64(math.Float64bits(f))^uint64(t)<<16, opts)
 			if err != nil {
 				return points, prof, err
 			}
@@ -133,9 +128,15 @@ func AblationWalks(w Workload, factors []float64, trials int, seed uint64) ([]Wa
 			pt.Messages += float64(trial.Metrics.Messages)
 		}
 		pt.Messages /= float64(trials)
-		factory, _ := core.NewIREFactory(cfg)
-		nw := sim.New(sim.Config{Graph: g, Seed: seed}, factory)
-		pt.X, _, _, _, _ = nw.Machine(0).(*core.IREMachine).Params()
+		// Read the resolved walk count off a machine built from the inputs
+		// Run resolved for the trials above.
+		factory, err := core.NewIREFactory(core.IREConfig{
+			N: w.N, TMix: prof.MixingTime, Phi: prof.Conductance, XFactor: f,
+		})
+		if err != nil {
+			return points, prof, err
+		}
+		pt.X, _, _, _, _ = factory(0, 0, nil).(*core.IREMachine).Params()
 		points = append(points, pt)
 	}
 	return points, prof, nil
@@ -292,7 +293,7 @@ func AblationDiffusion(w Workload, eps float64, maxK uint64, seed uint64) ([]Dif
 		if err != nil {
 			return nil, err
 		}
-		rounds := int(8*kp*kp/(prof.Isoperim*prof.Isoperim)*math.Log(kp*kp) + kp*math.Log(2*float64(k)))
+		rounds := int(8*kp*kp/(prof.Isoperimetric*prof.Isoperimetric)*math.Log(kp*kp) + kp*math.Log(2*float64(k)))
 		if rounds < 1 {
 			rounds = 1
 		}

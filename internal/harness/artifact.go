@@ -23,30 +23,12 @@ import (
 // serializes byte-identically to v5 apart from the schema string.
 const ArtifactSchema = "anonlead/bench-harness/v6"
 
-// ArtifactSchemaV5 is the previous format: v4 plus the optional per-cell
-// round_profile histograms. Still readable; its cells simply carry no
-// epoch scenarios.
+// ArtifactSchemaV5 is the previous format: everything but the epoch
+// scenario fields. Still readable — the series gate compares against
+// artifacts of the last few main runs, which may straddle one schema bump —
+// and its cells align as classic single-election cells. Older formats are
+// rejected.
 const ArtifactSchemaV5 = "anonlead/bench-harness/v5"
-
-// ArtifactSchemaV4 is the previous format: v3 plus the resolved profile
-// regime in each cell's identity ("estimate" for the streaming
-// estimators; omitted for exact). Still readable; its cells simply carry
-// no round profiles.
-const ArtifactSchemaV4 = "anonlead/bench-harness/v4"
-
-// ArtifactSchemaV3 is the previous format: v2 plus adversary cell identity
-// (descriptor, dropped/crashed aggregates), without profile regimes. Still
-// readable; its cells align as exact-regime.
-const ArtifactSchemaV3 = "anonlead/bench-harness/v3"
-
-// ArtifactSchemaV2 is the previous format: v1 plus per-metric
-// distributions and the Wilson success interval, without adversary cell
-// identity. Still readable; its cells align as fault-free.
-const ArtifactSchemaV2 = "anonlead/bench-harness/v2"
-
-// ArtifactSchemaV1 is the legacy means-only format. benchdiff still reads
-// it, downgrading to a means-only comparison.
-const ArtifactSchemaV1 = "anonlead/bench-harness/v1"
 
 // ArtifactName is the conventional file name CI uploads for cross-PR perf
 // trajectory tracking.
@@ -87,8 +69,7 @@ func (d *ArtifactDist) Dist(trials int, mean float64) stats.Dist {
 
 // ArtifactCell is one sweep cell in the machine-readable artifact: the
 // measured aggregate plus the graph profile and the paper's predicted
-// complexities for that cell. The *_dist objects and the success-rate
-// interval are schema v2 additions; they are nil/absent in v1 artifacts.
+// complexities for that cell.
 type ArtifactCell struct {
 	Protocol    string  `json:"protocol"`
 	Family      string  `json:"family"`
@@ -100,12 +81,12 @@ type ArtifactCell struct {
 	PresumedN   int     `json:"presumed_n,omitempty"`
 	// Adversary is the canonical fault-injection descriptor of the cell
 	// (adversary.Spec.Descriptor; "" = fault-free). Part of the cell's
-	// identity for trajectory alignment. Schema v3.
+	// identity for trajectory alignment.
 	Adversary string `json:"adversary,omitempty"`
 	// ProfileMode is the resolved profile regime behind the cell's
 	// tmix/Φ/diameter columns: "estimate" for the streaming estimators,
 	// "" (omitted) for the legacy exact regime. Part of the cell's
-	// identity for trajectory alignment. Schema v4.
+	// identity for trajectory alignment.
 	ProfileMode string `json:"profile_mode,omitempty"`
 	// Scenario is the epoch scenario descriptor of a repeated-election
 	// cell (epoch.Opts.Descriptor; "" = classic single-election cell).
@@ -121,16 +102,17 @@ type ArtifactCell struct {
 	Rounds       float64 `json:"rounds"`
 	Charged      float64 `json:"charged"`
 	// Mean adversary-dropped packets and crash-stopped nodes per trial
-	// (schema v3; absent on fault-free cells).
+	// (absent on fault-free cells).
 	Dropped      float64 `json:"dropped,omitempty"`
 	CrashedNodes float64 `json:"crashed_nodes,omitempty"`
 
-	// Success rate with its ~95% Wilson-score interval (v2).
+	// Success rate with its ~95% Wilson-score interval.
 	SuccessRate float64 `json:"success_rate"`
 	SuccessLo   float64 `json:"success_lo"`
 	SuccessHi   float64 `json:"success_hi"`
 
-	// Per-trial metric distributions (v2).
+	// Per-trial metric distributions; ReadArtifact refuses a cell without
+	// them.
 	MessagesDist *ArtifactDist `json:"messages_dist,omitempty"`
 	BitsDist     *ArtifactDist `json:"bits_dist,omitempty"`
 	RoundsDist   *ArtifactDist `json:"rounds_dist,omitempty"`
@@ -138,8 +120,8 @@ type ArtifactCell struct {
 
 	// RoundProfile is the cell's deterministic round-resolved histogram —
 	// the trials' per-round message/halt bucket counts summed in
-	// trial-index order (schema v5; present only when the sweep ran with
-	// round profiling enabled).
+	// trial-index order (present only when the sweep ran with round
+	// profiling enabled).
 	RoundProfile *obs.RoundProfile `json:"round_profile,omitempty"`
 
 	// Epochs carries the repeated-election aggregates of an epoch scenario
@@ -149,13 +131,6 @@ type ArtifactCell struct {
 
 	PredictedMsgs float64 `json:"predicted_msgs"`
 	PredictedTime float64 `json:"predicted_time"`
-}
-
-// HasDists reports whether the cell carries the v2 distribution objects
-// (a v1 artifact decoded into this struct does not).
-func (c ArtifactCell) HasDists() bool {
-	return c.MessagesDist != nil && c.BitsDist != nil &&
-		c.RoundsDist != nil && c.ChargedDist != nil
 }
 
 // Artifact is the BENCH_harness.json payload: one orchestrated sweep in a
@@ -292,23 +267,27 @@ func (a Artifact) WriteFile(path string) error {
 	return nil
 }
 
-// ReadArtifact decodes a bench artifact, accepting the current v6 schema
-// plus the legacy v5 (no epoch scenarios), v4 (no round profiles), v3 (no
-// profile regimes), v2 (no adversary cell identity) and v1 (means only).
-// Unknown schemas are rejected so trajectory tooling fails loudly on
-// foreign files rather than comparing garbage.
+// ReadArtifact decodes a bench artifact of the current schema or the
+// previous one (v5: no epoch scenarios). Unknown and older schemas are
+// rejected, and so is a cell without its four distribution objects, so
+// trajectory tooling fails loudly on foreign or truncated files rather
+// than comparing garbage.
 func ReadArtifact(buf []byte) (Artifact, error) {
 	var a Artifact
 	if err := json.Unmarshal(buf, &a); err != nil {
 		return Artifact{}, fmt.Errorf("harness: decode artifact: %w", err)
 	}
-	switch a.Schema {
-	case ArtifactSchema, ArtifactSchemaV5, ArtifactSchemaV4, ArtifactSchemaV3, ArtifactSchemaV2, ArtifactSchemaV1:
-		return a, nil
-	default:
-		return Artifact{}, fmt.Errorf("harness: unknown artifact schema %q (want %s, %s, %s, %s, %s, or %s)",
-			a.Schema, ArtifactSchema, ArtifactSchemaV5, ArtifactSchemaV4, ArtifactSchemaV3, ArtifactSchemaV2, ArtifactSchemaV1)
+	if a.Schema != ArtifactSchema && a.Schema != ArtifactSchemaV5 {
+		return Artifact{}, fmt.Errorf("harness: unknown artifact schema %q (want %s or %s)",
+			a.Schema, ArtifactSchema, ArtifactSchemaV5)
 	}
+	for i, c := range a.Cells {
+		if c.MessagesDist == nil || c.BitsDist == nil || c.RoundsDist == nil || c.ChargedDist == nil {
+			return Artifact{}, fmt.Errorf("harness: decode artifact: cell %d (%s on %s/%d) lacks its distribution objects",
+				i, c.Protocol, c.Family, c.N)
+		}
+	}
+	return a, nil
 }
 
 // ReadArtifactFile reads and decodes a bench artifact from disk.

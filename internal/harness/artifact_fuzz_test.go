@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// FuzzReadArtifact hardens the v1–v6 artifact reader against arbitrary
+// FuzzReadArtifact hardens the artifact reader (v6 and v5) against arbitrary
 // input: malformed bytes must come back as errors (never panics), and any
 // accepted artifact must carry a known schema and normalize to a JSON
 // encoding that is a fixed point of another decode/encode pass — the
@@ -28,12 +28,15 @@ func FuzzReadArtifact(f *testing.F) {
 	}
 	// A partial artifact (a distributed-sweep worker's output) with its
 	// plan coverage header.
+	dist := &ArtifactDist{StdDev: 1, Min: 1, Max: 3, P50: 2, P90: 3, P99: 3}
 	partial := Artifact{
 		Schema: ArtifactSchemaV5, RootSeed: 7, Workers: 2, Shards: 2,
 		Plan: &ArtifactPlan{Total: 4, Indices: []int{1, 3}},
 		Cells: []ArtifactCell{
-			{Protocol: "ire", Family: "expander", N: 16, Trials: 2, Successes: 2},
-			{Protocol: "flood", Family: "cycle", N: 8, Trials: 2, Successes: 1},
+			{Protocol: "ire", Family: "expander", N: 16, Trials: 2, Successes: 2,
+				MessagesDist: dist, BitsDist: dist, RoundsDist: dist, ChargedDist: dist},
+			{Protocol: "flood", Family: "cycle", N: 8, Trials: 2, Successes: 1,
+				MessagesDist: dist, BitsDist: dist, RoundsDist: dist, ChargedDist: dist},
 		},
 	}
 	if buf, err := partial.JSON(); err != nil {
@@ -41,24 +44,28 @@ func FuzzReadArtifact(f *testing.F) {
 	} else {
 		f.Add(buf)
 	}
-	// Legacy means-only v1, schema-less JSON, foreign schemas, truncations.
-	f.Add([]byte(`{"schema":"anonlead/bench-harness/v1","root_seed":1,"cells":[{"protocol":"ire","family":"cycle","n":8,"messages":12}]}`))
+	// A cell without its distributions, a dropped schema, schema-less JSON,
+	// foreign schemas, truncations.
+	f.Add([]byte(`{"schema":"anonlead/bench-harness/v6","root_seed":1,"cells":[{"protocol":"ire","family":"cycle","n":8,"messages":12}]}`))
+	f.Add([]byte(`{"schema":"anonlead/bench-harness/v4","cells":[]}`))
 	f.Add([]byte(`{"schema":"anonlead/bench-harness/v9"}`))
 	f.Add([]byte(`{"cells":[]}`))
 	f.Add([]byte(`{"schema":`))
 	f.Add([]byte(`[]`))
-	f.Add([]byte(`{"schema":"anonlead/bench-harness/v6","cells":[{"epochs":{"per_epoch_messages":[1e308,1e308]}}]}`))
+	f.Add([]byte(`{"schema":"anonlead/bench-harness/v6","cells":[{"messages_dist":{},"bits_dist":{},"rounds_dist":{},"charged_dist":{},"epochs":{"per_epoch_messages":[1e308,1e308]}}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := ReadArtifact(data)
 		if err != nil {
 			return // rejected input: an error is the contract, a panic is the bug
 		}
-		switch a.Schema {
-		case ArtifactSchema, ArtifactSchemaV5, ArtifactSchemaV4,
-			ArtifactSchemaV3, ArtifactSchemaV2, ArtifactSchemaV1:
-		default:
+		if a.Schema != ArtifactSchema && a.Schema != ArtifactSchemaV5 {
 			t.Fatalf("accepted artifact with unknown schema %q", a.Schema)
+		}
+		for i, c := range a.Cells {
+			if c.MessagesDist == nil || c.BitsDist == nil || c.RoundsDist == nil || c.ChargedDist == nil {
+				t.Fatalf("accepted cell %d without its distributions", i)
+			}
 		}
 		_ = a.IsPartial() // must tolerate any decoded plan header
 

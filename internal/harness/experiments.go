@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"anonlead"
 	"anonlead/internal/core"
 	"anonlead/internal/graph"
 	"anonlead/internal/pumping"
@@ -37,7 +38,7 @@ func predictMsgs(p Protocol, prof *spectral.Profile) float64 {
 	case ProtoFlood, ProtoAllFlood: // Ω(m) class
 		return float64(prof.M)
 	case ProtoRevocable: // Õ(n^{4(1+ε)}·m/i(G)²); leading shape only
-		return math.Pow(n, 4) * float64(prof.M) / (prof.Isoperim * prof.Isoperim)
+		return math.Pow(n, 4) * float64(prof.M) / (prof.Isoperimetric * prof.Isoperimetric)
 	default:
 		return 0
 	}
@@ -58,7 +59,7 @@ func predictTime(p Protocol, prof *spectral.Profile) float64 {
 	case ProtoFlood, ProtoAllFlood: // O(D)
 		return float64(prof.Diameter)
 	case ProtoRevocable: // Õ(n^{4(1+ε)}/i(G)²)
-		return math.Pow(n, 4) / (prof.Isoperim * prof.Isoperim)
+		return math.Pow(n, 4) / (prof.Isoperimetric * prof.Isoperimetric)
 	default:
 		return 0
 	}
@@ -153,14 +154,20 @@ type SplitBrainPoint struct {
 // growing number of planted witnesses; Theorem 2 predicts the
 // multi-leader probability approaches 1 as witnesses are added.
 func SplitBrainExperiment(presumedN int, witnessCounts []int, trials int, seed uint64) ([]SplitBrainPoint, error) {
-	small := graph.Cycle(presumedN)
-	prof, err := spectral.ProfileGraph(small)
+	cycle, err := anonlead.NewNetworkFromGraph(graph.Cycle(presumedN))
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.IREConfig{N: presumedN, TMix: prof.MixingTime, Phi: prof.Conductance}
+	// Every node, on the cycle and on the wheels, is told it lives on C_n:
+	// its size and its profile, not the wheel's — the one misreport Run
+	// cannot default.
+	presumed, err := cycle.Profile(spectral.ModeExact)
+	if err != nil {
+		return nil, err
+	}
+	pc := core.ProtoConfig{N: presumedN, TMix: presumed.MixingTime, Phi: presumed.Conductance}
 	// Recover T(n): the protocol's fixed running time for the presumed n.
-	probe, err := RunIRETrial(small, cfg, seed, SimOpts{})
+	probe, err := runTrial(cycle, "ire", pc, seed, TrialOpts{})
 	if err != nil {
 		return nil, err
 	}
@@ -173,15 +180,18 @@ func SplitBrainExperiment(presumedN int, witnessCounts []int, trials int, seed u
 			return points, err
 		}
 		pt := SplitBrainPoint{Layout: layout, Trials: trials}
-		wheel := layout.Wheel()
+		wheel, err := anonlead.NewNetworkFromGraph(layout.Wheel())
+		if err != nil {
+			return points, err
+		}
 		sumLeaders := 0
 		for tr := 0; tr < trials; tr++ {
 			trialSeed := seed ^ uint64(wc)<<40 ^ uint64(tr)<<8 ^ 0x5bd1
-			leaders, _, err := IRELeaderNodes(wheel, cfg, trialSeed, SimOpts{Scheduler: sim.WorkerPool})
+			trial, err := runTrial(wheel, "ire", pc, trialSeed, TrialOpts{Scheduler: sim.WorkerPool})
 			if err != nil {
 				return points, err
 			}
-			res := pumping.Analyze(layout, leaders)
+			res := pumping.Analyze(layout, trial.LeaderNodes)
 			sumLeaders += res.NLeaders()
 			if res.MultiLeader() {
 				pt.MultiLeader++

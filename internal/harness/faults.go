@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"anonlead/internal/adversary"
+	"anonlead/internal/core"
 )
 
 // FaultSweep is one resilience degradation curve: a protocol on a fixed
@@ -95,7 +96,7 @@ func FaultSweeps(quick bool) []FaultSweep {
 	if !quick {
 		revocableN, revocableCap = 6, 450_000
 	}
-	revocableOpts := TrialOpts{RevocableUseProfileIso: true, RevocableMaxRounds: revocableCap}
+	revocableOpts := TrialOpts{RevocableUseProfileIso: true, Proto: core.ProtoConfig{MaxRounds: revocableCap}}
 
 	return []FaultSweep{
 		{"F1-a message loss vs IRE on expanders", ProtoIRE,

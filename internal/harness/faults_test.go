@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"anonlead/internal/adversary"
+	"anonlead/internal/core"
 	"anonlead/internal/sim"
 )
 
@@ -130,7 +131,7 @@ func TestRevocableCrashSweepDeterminism(t *testing.T) {
 	}
 	specs := f5.CellSpecs(2, 9)
 	for _, s := range specs {
-		if !s.Opts.RevocableUseProfileIso || s.Opts.RevocableMaxRounds == 0 {
+		if !s.Opts.RevocableUseProfileIso || s.Opts.Proto.MaxRounds == 0 {
 			t.Fatalf("sweep template lost the revocable knobs: %+v", s.Opts)
 		}
 	}
@@ -170,7 +171,7 @@ func TestRevocableCrashSweepDeterminism(t *testing.T) {
 // trial, not a sweep-aborting error.
 func TestRevocableUnderFaultsFailsSoftly(t *testing.T) {
 	cell, err := RunCell(ProtoRevocable, Workload{Family: "complete", N: 4},
-		TrialOpts{Trials: 2, Seed: 5, RevocableUseProfileIso: true, RevocableMaxRounds: 50_000,
+		TrialOpts{Trials: 2, Seed: 5, RevocableUseProfileIso: true, Proto: core.ProtoConfig{MaxRounds: 50_000},
 			Adversary: &adversary.Spec{CrashFraction: 1, CrashBy: 0}})
 	if err != nil {
 		t.Fatalf("all-crash revocable cell errored: %v", err)

@@ -236,12 +236,12 @@ func TestTrialOptsIREOverride(t *testing.T) {
 	// Custom C propagates into the protocol (more candidates => more
 	// broadcast executions => more messages).
 	lo, err := RunCell(ProtoIRE, Workload{Family: "complete", N: 32},
-		TrialOpts{Trials: 2, Seed: 9, IRE: core.IREConfig{C: 0.8}})
+		TrialOpts{Trials: 2, Seed: 9, Proto: core.ProtoConfig{C: 0.8}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hi, err := RunCell(ProtoIRE, Workload{Family: "complete", N: 32},
-		TrialOpts{Trials: 2, Seed: 9, IRE: core.IREConfig{C: 6}})
+		TrialOpts{Trials: 2, Seed: 9, Proto: core.ProtoConfig{C: 6}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,24 +77,24 @@ func TestMergeArtifactsDuplicates(t *testing.T) {
 	}
 }
 
-// TestMergeArtifactsSchemaMismatch checks a v3 partial among v4 partials
+// TestMergeArtifactsSchemaMismatch checks a v5 partial among v6 partials
 // is rejected — cell layouts differ, so a merged file would lie about its
 // schema.
 func TestMergeArtifactsSchemaMismatch(t *testing.T) {
 	p0 := partial(2, []int{0}, mergeCell(10, 100))
 	p1 := partial(2, []int{1}, mergeCell(11, 110))
-	p1.Schema = ArtifactSchemaV3
+	p1.Schema = ArtifactSchemaV5
 	if _, err := MergeArtifacts([]Artifact{p0, p1}); err == nil ||
 		!strings.Contains(err.Error(), "schema mismatch") {
-		t.Fatalf("mixed v4+v3 partials not rejected: %v", err)
+		t.Fatalf("mixed v6+v5 partials not rejected: %v", err)
 	}
-	// Uniformly v3 partials merge fine — the schema just has to agree.
-	p0.Schema = ArtifactSchemaV3
+	// Uniformly v5 partials merge fine — the schema just has to agree.
+	p0.Schema = ArtifactSchemaV5
 	m, err := MergeArtifacts([]Artifact{p0, p1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Schema != ArtifactSchemaV3 {
+	if m.Schema != ArtifactSchemaV5 {
 		t.Fatalf("merged schema %q", m.Schema)
 	}
 }

@@ -4,122 +4,80 @@ import (
 	"sync"
 
 	"anonlead"
-	"anonlead/internal/graph"
 	"anonlead/internal/spectral"
 )
 
-// The process-wide cell-preparation cache. Sweep cells are identified by a
-// canonical (family, n, graph-seed, resolved profile mode) descriptor:
-// graph construction and profiling are pure functions of it, so repeated
-// cells — the same workload swept under several protocols, the
-// knowledge-ablation factor grid, or a scaling cell run twice — reuse one
-// build and one profile instead of recomputing them. Entries are computed
-// once under a per-entry latch, so concurrent sweeps asking for the same
-// cell block on one computation rather than duplicating it.
+// The process-wide cell cache. A sweep cell's topology is identified by
+// (family, n, root seed), and anonlead.NewNetwork is a pure function of
+// it, so repeated cells — the same workload swept under several protocols,
+// the knowledge-ablation factor grid, or a scaling cell run twice — share
+// one Network. The Network's own per-regime cache is the profile cache:
+// one profile per resolved mode, computed under the network's lock, so
+// concurrent sweeps asking for the same cell block on one computation
+// rather than duplicating it. This file only shares the networks and
+// counts the lookups.
 var cellCache = struct {
 	sync.Mutex
-	graphs   map[graphCacheKey]*graphEntry
-	profiles map[profileCacheKey]*profileEntry
-	hits     uint64
-	misses   uint64
-}{
-	graphs:   make(map[graphCacheKey]*graphEntry),
-	profiles: make(map[profileCacheKey]*profileEntry),
-}
+	nets   map[cellKey]*cellEntry
+	hits   uint64
+	misses uint64
+}{nets: make(map[cellKey]*cellEntry)}
 
-type graphCacheKey struct {
+type cellKey struct {
 	family string
 	n      int
 	seed   uint64
 }
 
-type profileCacheKey struct {
-	family string
-	n      int
-	seed   uint64
-	mode   spectral.Mode // resolved: exact or estimate, never auto
-}
-
-type graphEntry struct {
+type cellEntry struct {
 	once sync.Once
-	g    *graph.Graph
-	// anw is the graph wrapped as a public network — built alongside the
-	// graph so repeated cells also skip the O(m log n) structural
-	// re-validation inside NewNetworkFromGraph. Sharing one Network across
-	// a cell's trials is already the orchestrator's semantics: every Run
-	// builds its own simulator instance, the Network itself is read-only.
-	anw *anonlead.Network
-	err error
-}
-
-type profileEntry struct {
-	once sync.Once
-	prof *spectral.Profile
+	anw  *anonlead.Network
 	err  error
+	// asked records which resolved regimes (exact, estimate — never auto)
+	// have been looked up, for the hit/miss counters; cellCache's lock
+	// guards it.
+	asked [spectral.ModeEstimate + 1]bool
 }
 
-// cachedGraph builds (or reuses) the workload graph for (w, seed),
-// together with its public-network wrap.
-func cachedGraph(w Workload, seed uint64) (*graph.Graph, *anonlead.Network, error) {
-	k := graphCacheKey{w.Family, w.N, seed}
+// cachedNetwork builds (or reuses) the network of cell (w, seed) and counts
+// the lookup of its profile under mode. The mode is resolved before
+// counting, so auto shares the entry of whichever regime it lands on.
+func cachedNetwork(w Workload, seed uint64, mode spectral.Mode) (*anonlead.Network, error) {
+	k := cellKey{w.Family, w.N, seed}
+	resolved := mode.Resolve(w.N)
 	cellCache.Lock()
-	e, ok := cellCache.graphs[k]
+	e, ok := cellCache.nets[k]
 	if !ok {
-		e = &graphEntry{}
-		cellCache.graphs[k] = e
+		e = &cellEntry{}
+		cellCache.nets[k] = e
 	}
-	cellCache.Unlock()
-	e.once.Do(func() {
-		e.g, e.err = w.BuildGraph(seed)
-		if e.err == nil {
-			e.anw, e.err = anonlead.NewNetworkFromGraph(e.g)
-		}
-	})
-	return e.g, e.anw, e.err
-}
-
-// cachedSpectralProfile computes (or reuses) the spectral profile of the
-// workload cell under the given mode. The mode is resolved before keying,
-// so auto shares the entry of whichever regime it lands on.
-func cachedSpectralProfile(w Workload, seed uint64, mode spectral.Mode) (*spectral.Profile, error) {
-	k := profileCacheKey{w.Family, w.N, seed, mode.Resolve(w.N)}
-	cellCache.Lock()
-	e, ok := cellCache.profiles[k]
-	if ok {
+	if e.asked[resolved] {
 		cellCache.hits++
 	} else {
 		cellCache.misses++
-		e = &profileEntry{}
-		cellCache.profiles[k] = e
+		e.asked[resolved] = true
 	}
 	cellCache.Unlock()
-	e.once.Do(func() {
-		g, _, err := cachedGraph(w, seed)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.prof, e.err = spectral.ProfileGraphMode(g, k.mode, seed)
-	})
-	return e.prof, e.err
+	e.once.Do(func() { e.anw, e.err = anonlead.NewNetwork(w.Family, w.N, seed) })
+	return e.anw, e.err
 }
 
 // ProfileCacheStats returns the cumulative profile-cache hit/miss counters
-// (a hit is a lookup that found an existing entry, even one still being
-// computed). The scaling experiment reports them; tests assert on deltas.
+// (a hit is a lookup of a cell and regime that was asked for before, even
+// one still being computed). The scaling experiment reports them; tests
+// assert on deltas.
 func ProfileCacheStats() (hits, misses uint64) {
 	cellCache.Lock()
 	defer cellCache.Unlock()
 	return cellCache.hits, cellCache.misses
 }
 
-// ResetProfileCache drops every cached graph and profile and zeroes the
-// counters. Tests use it to measure cold-vs-warm behavior; sweeps never
-// need to.
+// ResetProfileCache drops every cached network (and with it its profiles)
+// and zeroes the counters. Tests use it to measure cold-vs-warm behavior;
+// sweeps never need to.
 func ResetProfileCache() {
 	cellCache.Lock()
 	defer cellCache.Unlock()
-	cellCache.graphs = make(map[graphCacheKey]*graphEntry)
-	cellCache.profiles = make(map[profileCacheKey]*profileEntry)
+	cellCache.nets = make(map[cellKey]*cellEntry)
 	cellCache.hits, cellCache.misses = 0, 0
 }

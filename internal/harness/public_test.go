@@ -1,100 +1,87 @@
 package harness
 
 import (
-	"reflect"
+	"context"
 	"testing"
 
 	"anonlead"
 	"anonlead/internal/adversary"
-	"anonlead/internal/sim"
+	"anonlead/internal/spectral"
 )
 
-// TestMirrorRoundTrips guards the hand-written field-copy bridges the
-// harness uses against the public API: a field present in both mirror
-// structs but dropped by a copy function would pass a pure struct-parity
-// test while silently zeroing that field in every sweep.
-func TestMirrorRoundTrips(t *testing.T) {
-	// Adversary spec: internal -> public -> internal must be lossless.
-	spec := adversary.Spec{
-		Loss: 0.1, CrashFraction: 0.25, CrashBy: 16,
-		CrashSchedule: map[int]int{3: 7},
-		Churn:         0.05, ChurnPreserve: true,
-		DelayProb: 0.5, MaxDelay: 3,
-		AdaptiveCrash: 2, AdaptiveWindow: 4, AdaptiveStrikes: 3,
-	}
-	sv := reflect.ValueOf(spec)
-	for i := 0; i < sv.NumField(); i++ {
-		if sv.Field(i).IsZero() {
-			t.Fatalf("test spec leaves field %s zero — set it so the round-trip covers it",
-				reflect.TypeOf(spec).Field(i).Name)
-		}
-	}
-	pub := publicAdversary(spec)
-	// Every spec field shapes the canonical descriptor, so descriptor
-	// equality across the conversion pipeline (public mirror -> internal
-	// build input) proves no field was dropped by the copy functions.
-	if got, want := pub.Descriptor(), spec.Descriptor(); got != want {
-		t.Fatalf("descriptor lost in conversion: %q vs %q", got, want)
-	}
-
-	// Metrics: the public mirror is field-for-field in simulator order;
-	// distinct sentinels per field must land back on the simulator type
-	// unchanged through the harness's inverse conversion.
-	var pm anonlead.Metrics
-	pv := reflect.ValueOf(&pm).Elem()
-	for i := 0; i < pv.NumField(); i++ {
-		pv.Field(i).SetInt(int64(i + 1))
-	}
-	var want sim.Metrics
-	wv := reflect.ValueOf(&want).Elem()
-	for i := 0; i < wv.NumField(); i++ {
-		wv.Field(i).SetInt(int64(i + 1))
-	}
-	if got := simMetrics(pm); got != want {
-		t.Fatalf("metrics conversion lost counters:\nin  %+v\nout %+v", pm, got)
-	}
-}
-
-// TestPublicNetworkMatchesWorkloadGraph pins the graph-derivation
-// unification: anonlead.NewNetwork(family, n, seed) must be exactly the
-// workload graph behind the sweep cells (same seed labeling), so library
-// users can reproduce any artifact cell from the public API alone.
-func TestPublicNetworkMatchesWorkloadGraph(t *testing.T) {
-	for _, w := range []Workload{
-		{Family: "expander", N: 64},
-		{Family: "cycle", N: 32},
-		{Family: "gnp", N: 48},
+// TestHarnessTrialEqualsPublicRun pins the one trial path from the
+// outside: a one-trial cell equals what a library user gets from
+// anonlead.NewNetwork(family, n, seed).Run(protocol, WithSeed(TrialSeed))
+// on a fresh network, with no profiled input supplied by either side — the
+// same graph, the same profile (estimate-regime sampling seed included),
+// the same defaults, the same accounting.
+func TestHarnessTrialEqualsPublicRun(t *testing.T) {
+	const root = 9
+	all := Protocols()
+	noRevocable := all[:len(all)-1] // its schedules are simulable on tiny graphs only
+	for _, tc := range []struct {
+		w      Workload
+		mode   spectral.Mode
+		protos []Protocol
+		adv    *adversary.Spec
+	}{
+		{Workload{"complete", 4}, spectral.ModeAuto, all, nil},
+		{Workload{"gnp", 48}, spectral.ModeExact, noRevocable, nil},
+		{Workload{"expander", 300}, spectral.ModeAuto, noRevocable, nil}, // auto resolves to estimate
+		{Workload{"expander", 64}, spectral.ModeEstimate, noRevocable, &adversary.Spec{Loss: 0.1}},
 	} {
-		g, err := w.BuildGraph(9)
-		if err != nil {
-			t.Fatalf("%s: %v", w.Family, err)
-		}
-		nw, err := anonlead.NewNetwork(w.Family, w.N, 9)
-		if err != nil {
-			t.Fatalf("%s: %v", w.Family, err)
-		}
-		if nw.N() != g.N() || nw.M() != g.M() {
-			t.Fatalf("%s: size mismatch public n=%d m=%d vs workload n=%d m=%d",
-				w.Family, nw.N(), nw.M(), g.N(), g.M())
-		}
-		// Same seed → same election transcript is the real pin: run the
-		// same trial through both surfaces and compare the accounting.
-		prof, err := anonlead.NewNetworkFromGraph(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := nw.Run(nil, anonlead.ProtoFloodMax, anonlead.WithSeed(3))
-		if err != nil {
-			t.Fatalf("%s: %v", w.Family, err)
-		}
-		b, err := prof.Run(nil, anonlead.ProtoFloodMax, anonlead.WithSeed(3))
-		if err != nil {
-			t.Fatalf("%s: %v", w.Family, err)
-		}
-		if a.Messages != b.Messages || a.Bits != b.Bits || a.Rounds != b.Rounds ||
-			len(a.Leaders) != len(b.Leaders) {
-			t.Fatalf("%s: public network diverged from workload graph:\n%+v\n%+v",
-				w.Family, a.Result, b.Result)
+		for _, p := range tc.protos {
+			ResetProfileCache()
+			cell, err := RunCell(p, tc.w, TrialOpts{Trials: 1, Seed: root, ProfileMode: tc.mode, Adversary: tc.adv})
+			if err != nil {
+				t.Fatalf("%s on %v: %v", p, tc.w, err)
+			}
+
+			nw, err := anonlead.NewNetwork(tc.w.Family, tc.w.N, root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := []anonlead.Option{
+				anonlead.WithSeed(TrialSeed(root, tc.w, 0)),
+				anonlead.WithProfileMode(tc.mode),
+			}
+			if tc.adv != nil {
+				opts = append(opts, anonlead.WithAdversary(*tc.adv))
+			}
+			out, err := nw.Run(context.Background(), string(p), opts...)
+			if err != nil {
+				t.Fatalf("%s on %v: public run: %v", p, tc.w, err)
+			}
+
+			success := 0
+			if out.Unique && out.AllKnow {
+				success = 1
+			}
+			multi, zero := 0, 0
+			if len(out.Leaders) > 1 {
+				multi = 1
+			}
+			if len(out.Leaders) == 0 {
+				zero = 1
+			}
+			if cell.Trials != 1 || cell.Successes != success || cell.MultiLeaders != multi || cell.ZeroLeaders != zero ||
+				cell.Messages != float64(out.Messages) || cell.Bits != float64(out.Bits) ||
+				cell.Rounds != float64(out.Rounds) || cell.Charged != float64(out.ChargedRounds) ||
+				cell.Dropped != float64(out.Dropped) || cell.CrashedNodes != float64(out.Crashed) {
+				t.Errorf("%s on %v: harness cell diverged from the public run:\ncell %+v\nrun  %+v leaders %v",
+					p, tc.w, cell, out.Metrics, out.Leaders)
+			}
+			prof, err := nw.Profile(tc.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *cell.Profile != prof || (out.Profile != nil && *out.Profile != prof) {
+				t.Errorf("%s on %v: profiles diverged:\ncell %+v\nnet  %+v\nrun  %+v", p, tc.w, cell.Profile, prof, out.Profile)
+			}
+			if tc.adv != nil && out.Dropped == 0 {
+				t.Errorf("%s on %v: loss adversary dropped nothing", p, tc.w)
+			}
 		}
 	}
+	ResetProfileCache()
 }

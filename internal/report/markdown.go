@@ -170,10 +170,6 @@ func (r Report) trendsMarkdown() string {
 	t := r.Trends
 	var b strings.Builder
 	fmt.Fprintf(&b, "## Trajectory — %d artifacts: %s\n\n", len(t.Labels), strings.Join(t.Labels, " → "))
-	if t.MeansOnly {
-		b.WriteString("> ⚠️ at least one series point is a v1 artifact (no distributions): " +
-			"affected cells classify on the relative tolerance alone.\n\n")
-	}
 	fmt.Fprintf(&b, "**%d improving · %d flat · %d regressing** metric trends across %d tracked cells.\n\n",
 		t.Improving, t.Flat, t.Regressing, len(t.Cells))
 

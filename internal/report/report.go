@@ -50,7 +50,7 @@ type Row struct {
 	// trajectory series pairs duplicates.
 	occurrence int
 	// SuccessLo and SuccessHi are the ~95% Wilson bounds of the success
-	// rate, recomputed from successes/trials so v1 cells get them too.
+	// rate, recomputed from successes/trials.
 	SuccessLo, SuccessHi float64
 	// MsgsVsPred and TimeVsPred are measured/predicted ratios (0 when the
 	// cell carries no usable prediction).

@@ -334,24 +334,3 @@ func TestCSVShape(t *testing.T) {
 		t.Fatalf("success row missing Wilson bounds:\n%s", out)
 	}
 }
-
-// TestV1ArtifactReport: a means-only v1 artifact still renders (Wilson
-// recomputed from successes/trials, no dist columns).
-func TestV1ArtifactReport(t *testing.T) {
-	a := harness.Artifact{Schema: harness.ArtifactSchemaV1, Cells: []harness.ArtifactCell{{
-		Protocol: "ire", Family: "expander", N: 64, M: 192,
-		Trials: 10, Successes: 9, Messages: 1000, Rounds: 50,
-	}}}
-	r := New(a, Options{})
-	md := r.Markdown()
-	if !strings.Contains(md, "9/10") || !strings.Contains(md, "[0.596, 0.982]") {
-		t.Fatalf("v1 Wilson interval missing:\n%s", md)
-	}
-	out, err := r.CSV()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "table1,ire,expander,64") {
-		t.Fatalf("v1 CSV row missing:\n%s", out)
-	}
-}

@@ -4,7 +4,9 @@ import "sync"
 
 // Scheduler selects how node steps are executed each round. All schedulers
 // produce bit-identical results: randomness is pre-split per node and
-// routing is always performed in node order.
+// routing is always performed in node order, so the choice is purely a
+// throughput knob. The root package aliases this type as
+// anonlead.Scheduler.
 type Scheduler int
 
 const (
@@ -19,6 +21,18 @@ const (
 	// park on their command channels otherwise).
 	Actors
 )
+
+// String names the scheduler ("sequential", "workerpool", "actors").
+func (s Scheduler) String() string {
+	switch s {
+	case WorkerPool:
+		return "workerpool"
+	case Actors:
+		return "actors"
+	default:
+		return "sequential"
+	}
+}
 
 // actorPool manages the persistent per-node goroutines of the Actors
 // scheduler.

@@ -181,6 +181,6 @@ func estimateProfile(g *graph.Graph, seed uint64) (*Profile, error) {
 	p.Lambda2 = lambda
 	p.SpectralGap = 1 - lambda
 	p.MixingTime, p.MixingCapped = MixingTimeSampled(g, seed)
-	p.Conductance, p.Isoperim = sweepCutFrom(g, walkCoords(g, vec))
+	p.Conductance, p.Isoperimetric = sweepCutFrom(g, walkCoords(g, vec))
 	return p, nil
 }

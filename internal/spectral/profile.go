@@ -7,28 +7,34 @@ import (
 	"anonlead/internal/graph"
 )
 
-// Profile aggregates the structural quantities the protocols are
-// parameterized by. The harness computes one Profile per (family, n) cell
-// and feeds it to protocol configuration.
+// Profile is the structural profile of a network: the quantities the
+// paper's protocols are parameterized by, plus the regime flags saying how
+// each one was obtained. The root package aliases this type as
+// anonlead.Profile (Outcome.Profile and Network.Profile expose it), and
+// the harness records one per sweep cell.
 type Profile struct {
-	N           int     // nodes
-	M           int     // edges
-	Diameter    int     // exact diameter (estimate regime: double-sweep lower bound)
-	MinDegree   int     // minimum degree
-	MaxDegree   int     // maximum degree
+	N         int // nodes
+	M         int // edges
+	Diameter  int // exact diameter; a double-sweep lower bound when Estimated
+	MinDegree int // minimum degree
+	MaxDegree int // maximum degree
+
 	Lambda2     float64 // second eigenvalue of the lazy walk
-	SpectralGap float64 // 1 - Lambda2
-	MixingTime  int     // exact for small n, sampled/spectral estimate otherwise
-	ExactMixing bool    // whether MixingTime is exact
+	SpectralGap float64 // 1 − Lambda2
+
+	MixingTime  int  // paper tmix(G): exact at small n, sampled/spectral estimate otherwise
+	ExactMixing bool // whether MixingTime is exact
 	// MixingCapped reports that the mixing-time search hit its step
 	// budget: the exact regime returns the cap as a lower bound, the
 	// estimate regime extrapolates the measured TV decay past its walked
 	// horizon. Either way the value is "at least this much", not a
 	// measured crossing.
 	MixingCapped bool
-	Conductance  float64 // Φ(G): exact for n <= ExactCutLimit, else sweep bound
-	Isoperim     float64 // i(G): same regime split as Conductance
-	ExactCuts    bool    // whether Conductance/Isoperim are exact
+
+	Conductance   float64 // Φ(G): exact for n <= ExactCutLimit, else sweep-cut bound
+	Isoperimetric float64 // i(G): same regime split as Conductance
+	ExactCuts     bool    // whether Conductance/Isoperimetric are exact
+
 	// Estimated reports that the streaming estimate regime produced this
 	// profile (ModeEstimate, or ModeAuto above EstimateThreshold):
 	// diameter is a lower bound, tmix comes from sampled walks, cuts from
@@ -75,20 +81,21 @@ func exactProfile(g *graph.Graph) (*Profile, error) {
 	p.MixingTime, p.MixingCapped = mixingTimeWithCap(g)
 	p.ExactCuts = g.N() <= ExactCutLimit
 	p.Conductance = Conductance(g)
-	p.Isoperim = Isoperimetric(g)
+	p.Isoperimetric = Isoperimetric(g)
 	return p, nil
 }
 
-// Mode returns the resolved regime that produced the profile.
-func (p *Profile) Mode() Mode {
+// Mode returns the resolved regime that produced the profile: ModeEstimate
+// when Estimated, ModeExact otherwise.
+func (p Profile) Mode() Mode {
 	if p.Estimated {
 		return ModeEstimate
 	}
 	return ModeExact
 }
 
-// String renders the profile as a single aligned block for CLI output.
-func (p *Profile) String() string {
+// String renders the profile as the aligned block the CLIs print.
+func (p Profile) String() string {
 	var b strings.Builder
 	diam := fmt.Sprintf("diameter=%d", p.Diameter)
 	if p.Estimated {
@@ -102,6 +109,6 @@ func (p *Profile) String() string {
 		capped = ", capped"
 	}
 	fmt.Fprintf(&b, "tmix=%d (%s%s)\n", p.MixingTime, exact[p.ExactMixing], capped)
-	fmt.Fprintf(&b, "conductance=%.6f isoperimetric=%.6f (%s)", p.Conductance, p.Isoperim, exact[p.ExactCuts])
+	fmt.Fprintf(&b, "conductance=%.6f isoperimetric=%.6f (%s)", p.Conductance, p.Isoperimetric, exact[p.ExactCuts])
 	return b.String()
 }

@@ -6,18 +6,12 @@ import (
 )
 
 // Markdown renders the report as a GitHub-flavored summary: headline
-// counts, the schema downgrade note when a v1 artifact is involved, a
-// table of every changed metric, and the added/removed cell lists. CI
+// counts, a table of every changed metric, and the added/removed cell lists. CI
 // appends it to $GITHUB_STEP_SUMMARY; it is also benchdiff's stdout.
 func (r Report) Markdown() string {
 	var b strings.Builder
 	b.WriteString("## benchdiff\n\n")
 	fmt.Fprintf(&b, "base `%s` · head `%s`\n\n", r.BaseSchema, r.HeadSchema)
-	if r.MeansOnly {
-		b.WriteString("> ⚠️ schema mismatch, means-only comparison: a v1 artifact carries no " +
-			"distributions, so variance-aware thresholds are disabled and only the relative " +
-			"tolerance applies.\n\n")
-	}
 	if r.BasePartial || r.HeadPartial {
 		b.WriteString("> ℹ️ partial-coverage comparison: " + partialSides(r) +
 			" a distributed-sweep partial artifact covering less than its planned matrix. " +
@@ -114,8 +108,7 @@ func fmtDelta(md MetricDiff) string {
 	return fmt.Sprintf("%+.1f%%", 100*md.RelDelta)
 }
 
-// fmtEffect renders the effect size in standard errors when variance was
-// available, or marks the comparison as means-only.
+// fmtEffect renders the effect size in standard errors.
 func fmtEffect(md MetricDiff) string {
 	if md.Metric == "success_rate" {
 		return "Wilson"
@@ -124,7 +117,7 @@ func fmtEffect(md MetricDiff) string {
 		return "ratio" // measured/predicted, not a raw mean
 	}
 	if md.StdErr == 0 {
-		return "—" // no variance available (v1 pair or zero-spread sample)
+		return "—" // zero-spread samples
 	}
 	return fmt.Sprintf("%.1fσ", abs(md.Head-md.Base)/md.StdErr)
 }

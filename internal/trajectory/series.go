@@ -121,7 +121,6 @@ type CellTrend struct {
 type SeriesReport struct {
 	Labels     []string    `json:"labels"`
 	Schemas    []string    `json:"schemas"`
-	MeansOnly  bool        `json:"means_only"`
 	Thresholds Thresholds  `json:"thresholds"`
 	Cells      []CellTrend `json:"cells"`
 	// Partial lists cell keys whose occurrences are missing from at least
@@ -217,18 +216,9 @@ func (s Series) Trends(th Thresholds) SeriesReport {
 		if !tracked {
 			continue
 		}
-		meansOnly := false
-		for _, c := range cells {
-			if !c.HasDists() {
-				meansOnly = true
-			}
-		}
-		if meansOnly {
-			r.MeansOnly = true
-		}
 		ct := CellTrend{Key: k}
 		for _, m := range seriesMetrics {
-			mt := metricTrend(m, cells, th, meansOnly)
+			mt := metricTrend(m, cells, th)
 			switch mt.Trend {
 			case TrendImproving:
 				r.Improving++
@@ -258,12 +248,12 @@ func (s Series) Trends(th Thresholds) SeriesReport {
 // metricTrend classifies one metric's trajectory over the aligned cells
 // (one per series point) by reusing the pairwise classifier: the net
 // verdict compares the endpoints, Steps compare each adjacent pair.
-func metricTrend(metric string, cells []harness.ArtifactCell, th Thresholds, meansOnly bool) MetricTrend {
+func metricTrend(metric string, cells []harness.ArtifactCell, th Thresholds) MetricTrend {
 	classify := func(base, head harness.ArtifactCell) MetricDiff {
 		if metric == "success_rate" {
 			return classifySuccess(base, head)
 		}
-		return classifyCost(metric, cellDist(base, metric), cellDist(head, metric), th, meansOnly)
+		return classifyCost(metric, cellDist(base, metric), cellDist(head, metric), th)
 	}
 	net := classify(cells[0], cells[len(cells)-1])
 	mt := MetricTrend{

@@ -188,31 +188,6 @@ func TestSeriesDuplicateOccurrences(t *testing.T) {
 	}
 }
 
-// TestSeriesMeansOnlyDowngrade: a v1 point anywhere in the series
-// downgrades that cell to the relative tolerance alone, flagged.
-func TestSeriesMeansOnlyDowngrade(t *testing.T) {
-	v1 := harness.ArtifactCell{
-		Protocol: "ire", Family: "expander", N: 64,
-		Trials: 10, Successes: 10,
-		Messages: 1000, Bits: 1000, Rounds: 1000, Charged: 1000,
-	}
-	v2head := cell("ire", "expander", 64, 10, 10, 2000, 1)
-	series, err := NewSeries([]harness.Artifact{
-		artifact(harness.ArtifactSchemaV1, v1),
-		artifact(harness.ArtifactSchema, v2head),
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := series.Trends(Thresholds{})
-	if !r.MeansOnly {
-		t.Fatal("v1 point not flagged means-only")
-	}
-	if r.Regressing == 0 {
-		t.Fatalf("2x means-only effect not classified: %+v", r.Cells[0].Metrics[0])
-	}
-}
-
 func TestNewSeriesValidation(t *testing.T) {
 	one := artifact(harness.ArtifactSchema)
 	if _, err := NewSeries([]harness.Artifact{one}, nil); err == nil {

@@ -4,12 +4,10 @@
 //
 // The paper's guarantees are probabilistic (w.h.p. message/time bounds),
 // so per-cell measurements carry real trial variance; a useful regression
-// gate must separate effects from noise. With schema-v2 artifacts the
-// classifier therefore demands an effect exceed BOTH a relative tolerance
-// and a multiple of the Welch standard error of the difference of means.
-// Legacy v1 artifacts carry only means, so the comparison downgrades to
-// the relative tolerance alone (Report.MeansOnly records this; benchdiff
-// prints it as an explicit downgrade note instead of erroring).
+// gate must separate effects from noise. The classifier therefore demands
+// an effect exceed BOTH a relative tolerance and a multiple of the Welch
+// standard error of the difference of means, computed from the per-trial
+// distributions every artifact cell carries.
 package trajectory
 
 import (
@@ -29,12 +27,10 @@ type Key struct {
 	Family    string `json:"family"`
 	N         int    `json:"n"`
 	PresumedN int    `json:"presumed_n,omitempty"`
-	// Adversary is the fault-injection descriptor ("" = fault-free, which
-	// is what every v1/v2 cell aligns as). Schema v3.
+	// Adversary is the fault-injection descriptor ("" = fault-free).
 	Adversary string `json:"adversary,omitempty"`
 	// ProfileMode is the resolved profile regime behind the cell's
-	// tmix/Φ/diameter columns ("" = exact, which is what every v1–v3 cell
-	// aligns as). An exact cell and an estimate cell of the same workload
+	// tmix/Φ/diameter columns ("" = exact). An exact cell and an estimate cell of the same workload
 	// measure against different predicted bounds, so a regime switch
 	// reports as added/removed rather than a false cost regression.
 	// Schema v4.
@@ -143,7 +139,6 @@ type CellDiff struct {
 type Report struct {
 	BaseSchema string     `json:"base_schema"`
 	HeadSchema string     `json:"head_schema"`
-	MeansOnly  bool       `json:"means_only"`
 	Thresholds Thresholds `json:"thresholds"`
 	Cells      []CellDiff `json:"cells"`
 	// Added and Removed list cells present in only one artifact. They are
@@ -187,7 +182,7 @@ func (r Report) JSON() ([]byte, error) {
 var costMetrics = []string{"messages", "bits", "rounds", "charged"}
 
 // cellDist extracts the named cost metric's distribution from a cell,
-// rehydrating trials and mean (a v1 cell yields a zero-spread Dist).
+// rehydrating trials and mean.
 func cellDist(c harness.ArtifactCell, metric string) stats.Dist {
 	switch metric {
 	case "messages":
@@ -204,17 +199,15 @@ func cellDist(c harness.ArtifactCell, metric string) stats.Dist {
 }
 
 // classifyCost compares one lower-is-better metric. A change is called
-// only when the effect clears the relative tolerance AND (when variance is
-// available) Sigmas standard errors of the difference.
-func classifyCost(metric string, base, head stats.Dist, th Thresholds, meansOnly bool) MetricDiff {
+// only when the effect clears the relative tolerance AND Sigmas standard
+// errors of the difference.
+func classifyCost(metric string, base, head stats.Dist, th Thresholds) MetricDiff {
 	d := MetricDiff{Metric: metric, Base: base.Mean, Head: head.Mean, Status: Unchanged}
 	delta := head.Mean - base.Mean
 	if base.Mean != 0 {
 		d.RelDelta = delta / math.Abs(base.Mean)
 	}
-	if !meansOnly {
-		d.StdErr = stats.WelchStdErr(base, head)
-	}
+	d.StdErr = stats.WelchStdErr(base, head)
 	if delta == 0 {
 		return d
 	}
@@ -222,7 +215,7 @@ func classifyCost(metric string, base, head stats.Dist, th Thresholds, meansOnly
 	if base.Mean != 0 && math.Abs(delta) <= th.RelTol*math.Abs(base.Mean) {
 		return d
 	}
-	// Variance gate (vacuous for means-only or zero-variance samples).
+	// Variance gate (vacuous for zero-variance samples).
 	if math.Abs(delta) <= th.Sigmas*d.StdErr {
 		return d
 	}
@@ -235,8 +228,7 @@ func classifyCost(metric string, base, head stats.Dist, th Thresholds, meansOnly
 }
 
 // classifySuccess compares the success rate (higher is better) by Wilson
-// interval disjointness, which both schemas support: successes and trials
-// are v1 fields, so this comparison never downgrades.
+// interval disjointness.
 func classifySuccess(base, head harness.ArtifactCell) MetricDiff {
 	baseRate, headRate := rate(base), rate(head)
 	d := MetricDiff{Metric: "success_rate", Base: baseRate, Head: headRate, Status: Unchanged}
@@ -326,16 +318,10 @@ func Diff(base, head harness.Artifact, th Thresholds) Report {
 		matchedHead[idxs[taken[k]]] = true
 		taken[k]++
 
-		// The whole pair downgrades to means-only if either side lacks
-		// distributions (v1 schema, or a hand-edited v2 cell).
-		meansOnly := !bc.HasDists() || !hc.HasDists()
-		if meansOnly {
-			r.MeansOnly = true
-		}
 		cd := CellDiff{Key: k}
 		for _, m := range costMetrics {
 			cd.Metrics = append(cd.Metrics,
-				classifyCost(m, cellDist(bc, m), cellDist(hc, m), th, meansOnly))
+				classifyCost(m, cellDist(bc, m), cellDist(hc, m), th))
 		}
 		cd.Metrics = append(cd.Metrics, classifySuccess(bc, hc))
 		for _, dm := range driftMetrics {

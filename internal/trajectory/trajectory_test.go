@@ -7,7 +7,7 @@ import (
 	"anonlead/internal/harness"
 )
 
-// cell builds a v2 artifact cell with a given mean/stddev on every cost
+// cell builds an artifact cell with a given mean/stddev on every cost
 // metric and a success count.
 func cell(proto, family string, n, trials, successes int, mean, stddev float64) harness.ArtifactCell {
 	dist := func() *harness.ArtifactDist {
@@ -38,9 +38,6 @@ func TestDiffIdenticalArtifactsUnchanged(t *testing.T) {
 	}
 	if r.Unchanged != 2*5 { // 4 cost metrics + success per cell
 		t.Fatalf("unchanged count %d", r.Unchanged)
-	}
-	if r.MeansOnly {
-		t.Fatal("v2 pair flagged means-only")
 	}
 	if len(r.Added) != 0 || len(r.Removed) != 0 {
 		t.Fatalf("phantom added/removed: %+v", r)
@@ -188,40 +185,6 @@ func TestDiffCellAlignment(t *testing.T) {
 	}
 }
 
-// TestDiffV1MeansOnlyDowngrade: a v1 artifact (no distributions) is
-// compared on means alone, flagged in the report, and still classifies
-// clear effects.
-func TestDiffV1MeansOnlyDowngrade(t *testing.T) {
-	v1cell := harness.ArtifactCell{
-		Protocol: "ire", Family: "expander", N: 64,
-		Trials: 10, Successes: 10,
-		Messages: 1000, Bits: 1000, Rounds: 1000, Charged: 1000,
-	}
-	base := artifact(harness.ArtifactSchemaV1, v1cell)
-	headCell := v1cell
-	headCell.Messages = 2000
-	head := artifact(harness.ArtifactSchemaV1, headCell)
-	r := Diff(base, head, Thresholds{})
-	if !r.MeansOnly {
-		t.Fatal("v1 pair not flagged means-only")
-	}
-	if r.Regressed != 1 {
-		t.Fatalf("means-only regression not flagged: %+v", r)
-	}
-	if md := r.Cells[0].Metrics[0]; md.StdErr != 0 {
-		t.Fatalf("means-only diff grew a stderr: %+v", md)
-	}
-	if !strings.Contains(r.Markdown(), "means-only comparison") {
-		t.Fatal("markdown missing downgrade note")
-	}
-
-	// Mixed v1 base / v2 head downgrades the same way.
-	r = Diff(base, artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 1000, 5)), Thresholds{})
-	if !r.MeansOnly {
-		t.Fatal("mixed-schema pair not flagged means-only")
-	}
-}
-
 func TestDiffDuplicateKeysPairByOccurrence(t *testing.T) {
 	a := cell("ire", "cycle", 16, 5, 5, 100, 1)
 	b := cell("ire", "cycle", 16, 5, 5, 200, 1)
@@ -330,15 +293,12 @@ func TestAdversaryKeyAlignment(t *testing.T) {
 		t.Fatalf("faulted cell not tracked separately: %+v", r)
 	}
 
-	// A v2 base (descriptor-less cells) aligns against the v3 head's
-	// fault-free cell only.
-	v2 := artifact(harness.ArtifactSchemaV2, cell("ire", "expander", 64, 5, 5, 100, 1))
+	// A base of descriptor-less cells aligns against the head's fault-free
+	// cell only.
+	v2 := artifact(harness.ArtifactSchemaV5, cell("ire", "expander", 64, 5, 5, 100, 1))
 	r = Diff(v2, base, Thresholds{})
 	if len(r.Cells) != 1 || len(r.Added) != 1 || r.Added[0].Adversary != "loss=0.1" {
-		t.Fatalf("v2-vs-v3 alignment wrong: %+v", r)
-	}
-	if r.MeansOnly {
-		t.Fatal("v2-vs-v3 pair downgraded to means-only")
+		t.Fatalf("descriptor-less alignment wrong: %+v", r)
 	}
 }
 
@@ -375,11 +335,11 @@ func TestProfileModeKeyAlignment(t *testing.T) {
 		t.Fatalf("aligned key lost its mode: %+v", r.Cells[0].Key)
 	}
 
-	// A v3 base (mode-less cells) aligns against the v4 head's exact cell.
-	v3 := artifact(harness.ArtifactSchemaV3, exact)
+	// A base of mode-less cells aligns against the head's exact cell.
+	v3 := artifact(harness.ArtifactSchemaV5, exact)
 	r = Diff(v3, artifact(harness.ArtifactSchema, exact, est), Thresholds{})
 	if len(r.Cells) != 1 || len(r.Added) != 1 || r.Added[0].ProfileMode != "estimate" {
-		t.Fatalf("v3-vs-v4 alignment wrong: %+v", r)
+		t.Fatalf("mode-less alignment wrong: %+v", r)
 	}
 }
 

@@ -250,8 +250,7 @@ func WithIsoperimetric(iso float64) Option {
 
 // WithCalibration scales the revocable protocol's certification count f(k)
 // and diffusion length r(k); 1,1 is the faithful schedule. Calibrated runs
-// (see EXPERIMENTS.md) keep success rates while making larger networks
-// simulable.
+// keep success rates while making larger networks simulable.
 func WithCalibration(fMult, rMult float64) Option {
 	return func(o *options) { o.proto.FMult, o.proto.RMult = fMult, rMult }
 }
@@ -263,12 +262,11 @@ func WithMaxRounds(rounds int) Option {
 	return func(o *options) { o.proto.MaxRounds = rounds }
 }
 
-// WithProtoConfig overlays a fully resolved protocol configuration
-// wholesale, replacing every protocol scalar set by earlier options. Its
-// parameter type lives in an internal package, so it is callable only
-// from inside this module: the experiment harness uses it to drive the
-// public Run path with exact per-trial inputs (which is what keeps the
-// published bench artifacts byte-identical to the pre-registry sweeps).
+// WithProtoConfig overlays a protocol configuration wholesale, replacing
+// every protocol scalar set by earlier options; whatever it leaves at zero
+// Run defaults as usual. Its parameter type lives in an internal package,
+// so it is callable only from inside this module: the experiment harness
+// hands its per-cell tunables over in the registry's own currency.
 // External callers compose the individual With* options instead.
 func WithProtoConfig(pc core.ProtoConfig) Option {
 	return func(o *options) { o.proto = pc }

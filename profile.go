@@ -8,156 +8,52 @@ import (
 
 // ProfileMode selects how a network's structural profile (diameter, λ₂,
 // mixing time, conductance) is computed. The zero value is ProfileAuto.
-type ProfileMode int
+// String returns the canonical name ("auto", "exact", "estimate") — the
+// same strings CLI flags accept and bench artifact descriptors record.
+type ProfileMode = spectral.Mode
 
 const (
 	// ProfileAuto picks the exact regime for small networks (n ≤ 256) and
 	// the streaming estimate regime above, where the exact algorithms'
 	// dense matrices and all-pairs traversals stop being tractable. This
 	// is the default for Run and Stats.
-	ProfileAuto ProfileMode = iota
+	ProfileAuto = spectral.ModeAuto
 	// ProfileExact forces the legacy exact regime: exact diameter, dense
 	// matrix-powered mixing time (up to n = 256, spectral bound above),
 	// enumerated cuts at tiny n. Byte-identical to every profile computed
 	// before modes existed.
-	ProfileExact
+	ProfileExact = spectral.ModeExact
 	// ProfileEstimate forces the streaming regime: double-sweep diameter
 	// lower bound, budgeted power iteration, sampled-walk mixing time and
 	// sweep cuts. Never materializes an n×n matrix — every pass is O(m) —
 	// so it scales to millions of nodes.
-	ProfileEstimate
+	ProfileEstimate = spectral.ModeEstimate
 )
-
-// String returns the canonical mode name: "auto", "exact" or "estimate".
-// The same strings appear in CLI flags and bench artifact descriptors.
-func (m ProfileMode) String() string { return m.internal().String() }
 
 // ParseProfileMode parses a canonical mode name ("" parses as auto, the
 // convention bench artifacts use for the default regime).
 func ParseProfileMode(s string) (ProfileMode, error) {
-	im, err := spectral.ParseMode(s)
+	m, err := spectral.ParseMode(s)
 	if err != nil {
 		return ProfileAuto, fmt.Errorf("anonlead: %w", err)
 	}
-	return fromInternalMode(im), nil
-}
-
-// internal maps the public mode onto the spectral package's, value for
-// value.
-func (m ProfileMode) internal() spectral.Mode {
-	switch m {
-	case ProfileExact:
-		return spectral.ModeExact
-	case ProfileEstimate:
-		return spectral.ModeEstimate
-	default:
-		return spectral.ModeAuto
-	}
-}
-
-func fromInternalMode(im spectral.Mode) ProfileMode {
-	switch im {
-	case spectral.ModeExact:
-		return ProfileExact
-	case spectral.ModeEstimate:
-		return ProfileEstimate
-	default:
-		return ProfileAuto
-	}
+	return m, nil
 }
 
 // Profile is the structural profile of a network: the quantities the
-// paper's protocols are parameterized by, plus the regime flags saying how
-// each one was obtained. It mirrors the internal spectral profile field
-// for field; Outcome.Profile and Network.Profile expose it.
-type Profile struct {
-	N         int // nodes
-	M         int // edges
-	Diameter  int // exact diameter; a double-sweep lower bound when Estimated
-	MinDegree int // minimum degree
-	MaxDegree int // maximum degree
-
-	Lambda2     float64 // second eigenvalue of the lazy walk
-	SpectralGap float64 // 1 − Lambda2
-
-	MixingTime  int  // paper tmix(G): exact at small n, estimated otherwise
-	ExactMixing bool // whether MixingTime is exact
-	// MixingCapped reports that the mixing-time search hit its step budget
-	// and the value is a lower bound / extrapolation, not a measured
-	// crossing.
-	MixingCapped bool
-
-	Conductance   float64 // Φ(G): exact at tiny n, sweep-cut bound otherwise
-	Isoperimetric float64 // i(G): same regime split as Conductance
-	ExactCuts     bool    // whether Conductance/Isoperimetric are exact
-
-	// Estimated reports that the streaming estimate regime produced this
-	// profile (ProfileEstimate, or ProfileAuto on a large network).
-	Estimated bool
-}
-
-// Mode returns the resolved regime that produced the profile:
-// ProfileEstimate when Estimated, ProfileExact otherwise.
-func (p Profile) Mode() ProfileMode {
-	if p.Estimated {
-		return ProfileEstimate
-	}
-	return ProfileExact
-}
-
-// String renders the profile as the same aligned block the CLIs print.
-func (p Profile) String() string { return p.internal().String() }
-
-// publicProfile maps the internal profile onto the public mirror, field
-// for field (guarded by a reflection parity test).
-func publicProfile(sp *spectral.Profile) Profile {
-	return Profile{
-		N:             sp.N,
-		M:             sp.M,
-		Diameter:      sp.Diameter,
-		MinDegree:     sp.MinDegree,
-		MaxDegree:     sp.MaxDegree,
-		Lambda2:       sp.Lambda2,
-		SpectralGap:   sp.SpectralGap,
-		MixingTime:    sp.MixingTime,
-		ExactMixing:   sp.ExactMixing,
-		MixingCapped:  sp.MixingCapped,
-		Conductance:   sp.Conductance,
-		Isoperimetric: sp.Isoperim,
-		ExactCuts:     sp.ExactCuts,
-		Estimated:     sp.Estimated,
-	}
-}
-
-// internal maps the public profile back onto the spectral type (the
-// inverse of publicProfile; used by String and the parity test).
-func (p Profile) internal() *spectral.Profile {
-	return &spectral.Profile{
-		N:            p.N,
-		M:            p.M,
-		Diameter:     p.Diameter,
-		MinDegree:    p.MinDegree,
-		MaxDegree:    p.MaxDegree,
-		Lambda2:      p.Lambda2,
-		SpectralGap:  p.SpectralGap,
-		MixingTime:   p.MixingTime,
-		ExactMixing:  p.ExactMixing,
-		MixingCapped: p.MixingCapped,
-		Conductance:  p.Conductance,
-		Isoperim:     p.Isoperimetric,
-		ExactCuts:    p.ExactCuts,
-		Estimated:    p.Estimated,
-	}
-}
+// paper's protocols are parameterized by (diameter, mixing time,
+// conductance, isoperimetric number), plus the regime flags saying how
+// each one was obtained. String renders the aligned block the CLIs print.
+type Profile = spectral.Profile
 
 // Profile returns the network's structural profile under the given mode,
 // computing it on first use and caching per resolved regime (auto shares
 // the cache entry of whatever regime it resolves to). Concurrent callers
 // are safe; repeated calls are free.
 func (nw *Network) Profile(mode ProfileMode) (Profile, error) {
-	sp, err := nw.profileMode(mode.internal())
+	p, err := nw.profileMode(mode)
 	if err != nil {
 		return Profile{}, err
 	}
-	return publicProfile(sp), nil
+	return *p, nil
 }

@@ -1,61 +1,9 @@
 package anonlead
 
 import (
-	"reflect"
 	"strings"
 	"testing"
-
-	"anonlead/internal/spectral"
 )
-
-// TestProfileMirrorParity guards the hand-written field-copy bridge
-// between spectral.Profile and the public Profile, in the style of the
-// adversary-spec mirror test: every internal field must appear in the
-// public mirror (same type, same order) and survive a round trip with a
-// distinct sentinel value, so a field added internally but dropped from
-// the copy functions fails loudly instead of silently zeroing.
-func TestProfileMirrorParity(t *testing.T) {
-	// The one deliberate rename: the public surface spells out
-	// "Isoperimetric" (matching NetworkStats), the internal type abbreviates.
-	rename := map[string]string{"Isoperim": "Isoperimetric"}
-
-	it := reflect.TypeOf(spectral.Profile{})
-	pt := reflect.TypeOf(Profile{})
-	if it.NumField() != pt.NumField() {
-		t.Fatalf("field count mismatch: internal %d vs public %d", it.NumField(), pt.NumField())
-	}
-	for i := 0; i < it.NumField(); i++ {
-		in, pub := it.Field(i), pt.Field(i)
-		want := in.Name
-		if r, ok := rename[want]; ok {
-			want = r
-		}
-		if pub.Name != want || pub.Type != in.Type {
-			t.Fatalf("field %d: internal %s %v vs public %s %v", i, in.Name, in.Type, pub.Name, pub.Type)
-		}
-	}
-
-	// Round trip with distinct non-zero sentinels in every field.
-	var sp spectral.Profile
-	sv := reflect.ValueOf(&sp).Elem()
-	for i := 0; i < sv.NumField(); i++ {
-		f := sv.Field(i)
-		switch f.Kind() {
-		case reflect.Int:
-			f.SetInt(int64(i + 1))
-		case reflect.Float64:
-			f.SetFloat(float64(i) + 0.5)
-		case reflect.Bool:
-			f.SetBool(true)
-		default:
-			t.Fatalf("unhandled field kind %v — extend the parity test", f.Kind())
-		}
-	}
-	got := publicProfile(&sp).internal()
-	if *got != sp {
-		t.Fatalf("profile round trip lost fields:\nin  %+v\nout %+v", sp, *got)
-	}
-}
 
 // TestNetworkProfileModes pins the public accessor: exact and estimate
 // regimes are both reachable, cached per regime, and auto resolves to
@@ -126,16 +74,12 @@ func TestOutcomeProfileAttachment(t *testing.T) {
 	}
 }
 
-// TestParseProfileModeRoundTrips pins the canonical public mode strings
-// against the internal ones.
+// TestParseProfileModeRoundTrips pins the canonical public mode strings.
 func TestParseProfileModeRoundTrips(t *testing.T) {
 	for _, m := range []ProfileMode{ProfileAuto, ProfileExact, ProfileEstimate} {
 		got, err := ParseProfileMode(m.String())
 		if err != nil || got != m {
 			t.Fatalf("mode %v: parse(%q) = %v, %v", m, m.String(), got, err)
-		}
-		if m.internal().String() != m.String() {
-			t.Fatalf("mode %v: public string %q diverges from internal %q", m, m.String(), m.internal().String())
 		}
 	}
 	if _, err := ParseProfileMode("dense"); err == nil {

@@ -11,7 +11,6 @@ import (
 	"anonlead/internal/core"
 	"anonlead/internal/sim"
 	"anonlead/internal/spectral"
-	"anonlead/internal/trace"
 	"anonlead/internal/transport"
 )
 
@@ -165,33 +164,8 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 		ctx = context.Background()
 	}
 	o := buildOptions(opts)
-	entry, ok := core.Lookup(protocol)
-	if !ok {
-		return Outcome{}, fmt.Errorf("anonlead: unknown protocol %q (registered: %s)",
-			protocol, strings.Join(Protocols(), ", "))
-	}
-
-	// The one shared config-assembly path: overlay the network's truth and
-	// profiled defaults onto the options' protocol tunables.
-	pc := o.proto
-	pc.TrueN = nw.N()
-	if pc.N == 0 {
-		pc.N = nw.N()
-	}
-	var adv sim.Adversary
-	if o.adversary != nil {
-		spec := o.adversary.internal()
-		var err error
-		adv, err = spec.Build(nw.g, adversary.DeriveRunSeed(o.seed))
-		if err != nil {
-			return Outcome{}, fmt.Errorf("anonlead: %w", err)
-		}
-	}
-	if adv != nil {
-		pc.MaxDelay = adv.MaxDelay()
-		pc.Faulted = true
-	}
-	if err := nw.fillProfiled(&pc, entry.Needs, o.profile.internal()); err != nil {
+	entry, pc, adv, err := nw.resolve(protocol, o)
+	if err != nil {
 		return Outcome{}, err
 	}
 
@@ -207,10 +181,6 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 			obs(RoundInfo{Round: ri.Round, Halted: ri.Halted, Metrics: metricsFromSim(ri.Metrics)})
 		}
 	}
-	var tracer trace.Recorder
-	if o.tracer != nil {
-		tracer = traceAdapter{o.tracer}
-	}
 
 	// Both backends present the same Runtime surface, so everything below
 	// the construction branch — the run loop, halt checks, metric and
@@ -220,10 +190,10 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 		net := sim.New(sim.Config{
 			Graph:     nw.g,
 			Seed:      o.seed,
-			Scheduler: o.scheduler.toSim(),
+			Scheduler: o.scheduler,
 			Adversary: adv,
 			Observer:  observer,
-			Trace:     tracer,
+			Trace:     o.tracer,
 		}, runner.Factory)
 		eng = net
 	} else {
@@ -237,7 +207,7 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 			Graph:     nw.g,
 			Seed:      o.seed,
 			Transport: backend,
-			Trace:     tracer,
+			Trace:     o.tracer,
 			Observer:  observer,
 		}, runner.Factory, entry.Wire)
 		if err != nil {
@@ -262,9 +232,9 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 	}
 
 	out := Outcome{Protocol: entry.Name, Result: Result{Rounds: rounds}}
-	if sp := nw.cachedProfile(o.profile.internal()); sp != nil {
-		pub := publicProfile(sp)
-		out.Profile = &pub
+	if p := nw.cachedProfile(o.profile); p != nil {
+		cp := *p // a copy: callers must not reach into the network's cache
+		out.Profile = &cp
 	}
 	m := eng.Metrics()
 	fillMetrics(&out.Result, m)
@@ -296,29 +266,69 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 	return out, nil
 }
 
+// resolve is the one config-assembly path: look the protocol up, build the
+// run's adversary, and overlay the network's truth, the adversary's bounds
+// and the profiled defaults onto the options' protocol tunables.
+func (nw *Network) resolve(protocol string, o options) (core.Entry, core.ProtoConfig, sim.Adversary, error) {
+	entry, ok := core.Lookup(protocol)
+	if !ok {
+		return entry, core.ProtoConfig{}, nil, fmt.Errorf("anonlead: unknown protocol %q (registered: %s)",
+			protocol, strings.Join(Protocols(), ", "))
+	}
+	pc := o.proto
+	pc.TrueN = nw.N()
+	if pc.N == 0 {
+		pc.N = nw.N()
+	}
+	var adv sim.Adversary
+	if o.adversary != nil {
+		var err error
+		adv, err = o.adversary.Build(nw.g, adversary.DeriveRunSeed(o.seed))
+		if err != nil {
+			return entry, pc, nil, fmt.Errorf("anonlead: %w", err)
+		}
+	}
+	if adv != nil {
+		pc.MaxDelay = adv.MaxDelay()
+		pc.Faulted = true
+	}
+	err := nw.fillProfiled(&pc, entry.Needs, o.profile)
+	return entry, pc, adv, err
+}
+
+// ProtoConfig returns the protocol configuration Run would hand the
+// registry under these options, profiled defaults filled in. Its result
+// type lives in an internal package, so only this module can call it:
+// cmd/ledist resolves once, coordinator-side, and ships the result to its
+// node processes, which must not profile independently.
+func (nw *Network) ProtoConfig(protocol string, opts ...Option) (core.ProtoConfig, error) {
+	_, pc, _, err := nw.resolve(protocol, buildOptions(opts))
+	return pc, err
+}
+
 // fillProfiled fills the profiled graph quantities the protocol declared
 // it needs and the caller did not supply, computing the spectral profile
-// lazily on first use under the run's profile mode.
+// lazily on first use under the run's profile mode. It is the only place a
+// profile becomes protocol inputs: the harness and the CLIs get their
+// defaults here too.
 func (nw *Network) fillProfiled(pc *core.ProtoConfig, needs core.Needs, mode spectral.Mode) error {
-	if needs&core.NeedTMix != 0 && pc.TMix == 0 {
-		prof, err := nw.profileMode(mode)
-		if err != nil {
-			return err
-		}
+	tmix := needs&core.NeedTMix != 0 && pc.TMix == 0
+	phi := needs&core.NeedPhi != 0 && pc.Phi == 0
+	diam := needs&core.NeedDiam != 0 && pc.Diam == 0
+	if !tmix && !phi && !diam {
+		return nil
+	}
+	prof, err := nw.profileMode(mode)
+	if err != nil {
+		return err
+	}
+	if tmix {
 		pc.TMix = prof.MixingTime
 	}
-	if needs&core.NeedPhi != 0 && pc.Phi == 0 {
-		prof, err := nw.profileMode(mode)
-		if err != nil {
-			return err
-		}
+	if phi {
 		pc.Phi = prof.Conductance
 	}
-	if needs&core.NeedDiam != 0 && pc.Diam == 0 {
-		prof, err := nw.profileMode(mode)
-		if err != nil {
-			return err
-		}
+	if diam {
 		pc.Diam = prof.Diameter
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"anonlead/internal/adversary"
@@ -233,48 +234,32 @@ func TestWithPresumedN(t *testing.T) {
 	}
 }
 
-// TestAdversarySpecParity guards the public mirror against drifting from
-// the internal spec: descriptors and zero/validation semantics must agree.
-func TestAdversarySpecParity(t *testing.T) {
-	specs := []AdversarySpec{
-		{},
-		{Loss: 0.1},
-		{CrashFraction: 0.25, CrashBy: 16},
-		{Churn: 0.05, ChurnPreserve: true},
-		{DelayProb: 0.5, MaxDelay: 3},
-		{Loss: 0.1, CrashFraction: 0.25, CrashBy: 16, Churn: 0.05, DelayProb: 0.5, MaxDelay: 3},
+// TestCrashScheduleOutOfRangeIsAnError: a scheduled crash naming a node the
+// network does not have used to be dropped while the descriptor still
+// counted it (crashsched=k claiming crashes that never happen); the build,
+// which knows n, now refuses it by name.
+func TestCrashScheduleOutOfRangeIsAnError(t *testing.T) {
+	nw := mustNetwork(t, "cycle", 8, 1)
+	spec := AdversarySpec{CrashSchedule: map[int]int{3: 2, 8: 2}}
+	if got := spec.Descriptor(); got != "crashsched=2" {
+		t.Fatalf("descriptor %q", got)
 	}
-	for _, s := range specs {
-		if got, want := s.Descriptor(), s.internal().Descriptor(); got != want {
-			t.Fatalf("descriptor mismatch: %q vs %q", got, want)
-		}
-		if s.IsZero() != s.internal().IsZero() {
-			t.Fatalf("IsZero mismatch for %+v", s)
-		}
+	_, err := nw.Run(context.Background(), ProtoFloodMax, WithSeed(1), WithAdversary(spec))
+	if !errors.Is(err, adversary.ErrCrashNodeOutOfRange) || !strings.Contains(err.Error(), "node 8") {
+		t.Fatalf("out-of-range crash schedule: got %v", err)
 	}
-	if err := (AdversarySpec{Loss: 2}).Validate(); err == nil {
-		t.Fatal("invalid loss accepted")
-	}
-	// The mirrors must stay field-for-field identical: a new internal
-	// field without a public counterpart would silently break conversion.
-	pub := reflect.TypeOf(AdversarySpec{})
-	internal := reflect.TypeOf(adversary.Spec{})
-	if pub.NumField() != internal.NumField() {
-		t.Fatalf("AdversarySpec has %d fields, internal spec %d — update the mirror",
-			pub.NumField(), internal.NumField())
-	}
-	for i := 0; i < pub.NumField(); i++ {
-		if pub.Field(i).Name != internal.Field(i).Name {
-			t.Fatalf("field %d name mismatch: %s vs %s", i, pub.Field(i).Name, internal.Field(i).Name)
-		}
+	spec.CrashSchedule = map[int]int{3: 2, 7: 2}
+	out, err := nw.Run(context.Background(), ProtoFloodMax, WithSeed(1), WithAdversary(spec))
+	if err != nil || out.Metrics.Crashed != 2 {
+		t.Fatalf("in-range schedule: crashed %d, err %v", out.Metrics.Crashed, err)
 	}
 }
 
-// TestMetricsMirrorParity guards the sim.Metrics <-> anonlead.Metrics
-// mirror pair against drift: every simulator counter, set to a distinct
-// sentinel, must survive the public round-trip used by the harness. A
-// counter added to sim.Metrics without updating metricsFromSim (and the
-// harness's inverse) would silently read as zero in every bench artifact.
+// TestMetricsMirrorParity guards the one remaining mirror pair,
+// sim.Metrics -> anonlead.Metrics, against drift: every simulator counter,
+// set to a distinct sentinel, must survive metricsFromSim. A counter added
+// to sim.Metrics without updating it would silently read as zero in every
+// bench artifact.
 func TestMetricsMirrorParity(t *testing.T) {
 	simT := reflect.TypeOf(sim.Metrics{})
 	pubT := reflect.TypeOf(Metrics{})

@@ -13,7 +13,7 @@ type collectingRecorder struct {
 	events []TraceEvent
 }
 
-func (c *collectingRecorder) RecordTrace(e TraceEvent) {
+func (c *collectingRecorder) Record(e TraceEvent) {
 	c.mu.Lock()
 	c.events = append(c.events, e)
 	c.mu.Unlock()
