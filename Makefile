@@ -30,8 +30,6 @@ race:
 # measurement (one iteration times nothing). Speed is measured by
 # `go run ./bench` (BENCHMARK.json), and while working on the protocol
 # layer by `go test -run '^$$' -bench Election -benchtime 20x .`.
-# BenchmarkHarnessSweep writes BENCH_harness.json, which CI uploads for
-# cross-PR perf tracking.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
@@ -41,13 +39,12 @@ bench:
 # separate BENCH_epochs.json artifact. CI's bench-smoke job runs this (the
 # fault ladders F1-F5 run there as part of obs-smoke's gate sweep).
 epochs-smoke:
-	$(GO) run ./cmd/lebench -exp epochs -quick -parallel -json BENCH_epochs.json
+	$(GO) run ./cmd/lebench -exp epochs -quick -json BENCH_epochs.json
 
 # Scaling smoke: one 100k-node expander cell under the streaming estimate
 # regime, run twice so the second run demonstrates the profile-cache hit
 # (cold cell budget: well under a minute; the repeat collapses to trial
-# cost). CI's bench-smoke job runs this and archives BENCH_scaling.json
-# next to BENCH_harness.json.
+# cost). CI's bench-smoke job runs this and archives BENCH_scaling.json.
 scaling-smoke:
 	$(GO) run ./cmd/lebench -exp scaling -quick -json BENCH_scaling.json
 
@@ -60,7 +57,7 @@ scaling-smoke:
 # its time" (open TRACE_lebench.json in Perfetto, `go tool pprof
 # CPU_lebench.pprof`).
 obs-smoke:
-	$(GO) run ./cmd/lebench -exp sweeps -quick -parallel -round-profile \
+	$(GO) run ./cmd/lebench -exp sweeps -quick -round-profile \
 		-trace-out TRACE_lebench.json -metrics-out OBS_metrics.json \
 		-cpuprofile CPU_lebench.pprof -json BENCH_obs.json
 	$(GO) run ./cmd/lereport -phases OBS_metrics.json -out REPORT_obs.md BENCH_obs.json
@@ -77,10 +74,11 @@ dist-demo:
 # The regression-gate sweep: every artifact cell (Table 1 + the X4
 # knowledge ablation + the fault-injection resilience curves) at the
 # promoted -quick defaults, written as a BENCH_harness.json artifact
-# (harness.ArtifactSchema). Deterministic for a fixed -seed regardless of worker/shard count, so the same command
-# regenerates the same cells on any machine.
+# (harness.ArtifactSchema). Deterministic for a fixed -seed regardless of
+# worker count, so the same command regenerates the same cells on any
+# machine.
 bench-artifact:
-	$(GO) run ./cmd/lebench -exp sweeps -quick -parallel -json BENCH_harness.json
+	$(GO) run ./cmd/lebench -exp sweeps -quick -json BENCH_harness.json
 
 # Diff the freshly-swept artifact against the committed baseline and fail
 # on any variance-adjusted regression — or on baseline cells missing from
@@ -99,18 +97,18 @@ report: bench-artifact
 # change (see README "Refreshing the baseline"); commit both files. The
 # report render is regenerated alongside so the golden tests stay in sync.
 baseline:
-	$(GO) run ./cmd/lebench -exp sweeps -quick -parallel -json testdata/BENCH_baseline.json
+	$(GO) run ./cmd/lebench -exp sweeps -quick -json testdata/BENCH_baseline.json
 	$(GO) run ./cmd/lereport -title "anonlead reproduction report — baseline" \
 		-out testdata/REPORT_baseline.md testdata/BENCH_baseline.json
 
 # Distributed sweep + byte-identity proof: shard the gate matrix across
-# two lesweep workers, rerun it single-process with timings stripped, and
-# cmp the two files. Any byte of divergence — seed derivation leaking the
-# worker topology, merge misplacing a cell — fails the target. CI's
-# dist-sweep job runs exactly this.
+# two lebench worker processes, rerun it single-process with timings
+# stripped, and cmp the two files. Any byte of divergence — seed derivation
+# leaking the worker topology, merge misplacing a cell — fails the target.
+# CI's dist-sweep job runs exactly this.
 sweep-dist:
-	$(GO) run ./cmd/lesweep -workers 2 -quick -json BENCH_dist.json
-	$(GO) run ./cmd/lebench -exp sweeps -quick -parallel -strip-timings -json BENCH_local.json
+	$(GO) run ./cmd/lebench -exp sweeps -quick -procs 2 -json BENCH_dist.json
+	$(GO) run ./cmd/lebench -exp sweeps -quick -strip-timings -json BENCH_local.json
 	cmp BENCH_dist.json BENCH_local.json
 	@echo "distributed sweep is byte-identical to the local sweep"
 

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"anonlead"
 	"anonlead/internal/adversary"
@@ -205,37 +204,23 @@ func sweepSpecs() []harness.CellSpec {
 }
 
 // BenchmarkHarnessSweep measures the experiment orchestrator end to end:
-// the same sweep matrix run sequentially and fanned out over the sharded
-// worker pool (bit-identical results; the ratio is the orchestration
-// speedup). The parallel variant emits BENCH_harness.json, which CI
-// uploads for cross-PR perf trajectory tracking.
+// the same sweep matrix on one worker and fanned out over GOMAXPROCS
+// (identical cells; the ratio is the orchestration speedup). The measured
+// record of sweep speed is `go run ./bench`'s sweep-gate workload.
 func BenchmarkHarnessSweep(b *testing.B) {
 	specs := sweepSpecs()
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := harness.RunSweepSequential(specs); err != nil {
-				b.Fatal(err)
+	for _, bc := range []struct {
+		name string
+		orch harness.Orchestrator
+	}{{"workers=1", harness.Orchestrator{Workers: 1}}, {"workers=GOMAXPROCS", harness.Orchestrator{}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.orch.RunSweep(specs); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run(fmt.Sprintf("parallel/workers=%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
-		o := harness.Orchestrator{}
-		var cells []harness.Cell
-		start := time.Now()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var err error
-			if cells, err = o.RunSweep(specs); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		elapsed := time.Since(start) / time.Duration(b.N)
-		artifact := harness.NewArtifact(o, specs, cells, elapsed)
-		if err := artifact.WriteFile(harness.ArtifactName); err != nil {
-			b.Fatal(err)
-		}
-	})
+		})
+	}
 }
 
 // obsPayload/obsChatter replicate the sim package's internal chatter

@@ -14,16 +14,16 @@
 //	lebench -exp scaling           # n=10^3..10^5 ramps under the estimate regime
 //	lebench -exp epochs            # E1-E3 repeated-election epoch scenarios
 //	lebench -exp all -quick        # everything, reduced sweep
-//	lebench -exp table1 -parallel  # fan cells/trials over all CPUs
-//	lebench -exp table1 -parallel -shards 8 -json BENCH_harness.json
+//	lebench -exp table1 -workers 1 -json BENCH_harness.json   # one goroutine
+//	lebench -exp sweeps -quick -procs 2 -json BENCH_dist.json # two worker processes
 //	lebench -exp scaling -quick -json BENCH_scaling.json   # CI smoke + cache demo
 //
 // -exp faults runs the adversary subsystem's resilience sweeps
 // (internal/adversary): fault rate × protocol × graph family for message
 // loss, crash-stop schedules, link churn, and delivery jitter, each as a
 // degradation curve anchored at the fault-free cell. Fault-injected cells
-// carry their adversary descriptor in the schema-v3 artifact, so benchdiff
-// aligns and gates them like any other cell.
+// carry their adversary descriptor in the artifact, so benchdiff aligns
+// and gates them like any other cell.
 //
 // -exp sweeps runs exactly the sweep-based experiments (Table 1, the X4
 // knowledge ablation, and the fault-injection curves) — every cell that
@@ -53,26 +53,31 @@
 // above). The resolved regime is part of each cell's identity in the
 // artifact, so a regime switch diffs as added/removed cells.
 //
-// With -parallel, the sweep-based experiments (table1, knowledge, faults)
-// fan their cells and per-cell trials out over a bounded worker pool;
-// per-trial seeds are split deterministically from -seed, so the output
-// is byte-identical to the sequential run. The figures series and the
-// X1-X3 ablations are bespoke trial loops and always run sequentially.
-// -json records every sweep cell executed during the run in a
-// machine-readable artifact for cross-PR perf trajectory tracking
-// (experiments that run no sweeps contribute no cells).
+// The sweep-based experiments (table1, knowledge, faults, epochs) always
+// fan their cells and per-cell trials out over a bounded worker pool
+// (harness.Orchestrator, the one cell runner): -workers sizes it (0 =
+// GOMAXPROCS, 1 = a single goroutine). Per-trial seeds are split
+// deterministically from -seed, so the output does not depend on the pool
+// size. The figures series and the X1-X3 ablations are bespoke trial loops
+// on the calling goroutine. -json records every sweep cell executed during
+// the run in a machine-readable artifact for cross-PR perf trajectory
+// tracking (experiments that run no sweeps contribute no cells).
 //
-// -cells turns lebench into a distributed-sweep worker: it selects a
-// subset of the -exp sweeps cell matrix by plan index (the order
-// harness.SweepsPlan fixes, e.g. "0:40" or "3,7:12"), runs exactly those
-// cells, and writes a partial artifact whose plan header records the
-// covered indices. cmd/lesweep shards the matrix this way across worker
-// processes and merges the partials with harness.MergeArtifacts; because
-// per-trial seeds are pure functions of the root seed and the cell, the
-// merged artifact is byte-identical to a single-process sweep.
-// -strip-timings zeroes the artifact's wall-clock fields so two
-// deterministic sweeps can be compared with cmp (what the CI dist-sweep
-// job does).
+// -procs N runs -exp sweeps across N worker processes: the coordinator
+// (internal/sweep) cuts the plan into N contiguous index ranges, re-execs
+// this binary once per range with -cells, reruns a crashed worker once, and
+// merges the partial artifacts with harness.MergeArtifacts into -json.
+// Because per-trial seeds are pure functions of the root seed and the
+// cell, the merged artifact is byte-identical to a single-process
+// -strip-timings sweep (what `make sweep-dist` checks with cmp). No tables
+// are rendered; progress goes to stderr.
+//
+// -cells is the worker side of that: it selects a subset of the -exp
+// sweeps cell matrix by plan index (the order harness.SweepsPlan fixes,
+// e.g. "0:40" or "3,7:12"), runs exactly those cells, and writes a partial
+// artifact whose plan header records the covered indices. -strip-timings
+// zeroes the artifact's wall-clock fields so two deterministic sweeps can
+// be compared with cmp.
 //
 // Observability (see docs/ARCHITECTURE.md "Observability"): -round-profile
 // attaches deterministic per-round message/halt histograms to every sweep
@@ -80,14 +85,16 @@
 // writes the run's phase spans as Chrome trace-event JSON for
 // chrome://tracing or Perfetto; -metrics-out FILE dumps the metrics
 // registry as JSON (lereport -phases renders it as a phase-breakdown
-// table); -debug-addr ADDR serves /metrics, /debug/pprof/* and
-// /debug/progress while the run executes; -cpuprofile FILE records a CPU
-// pprof profile. None of these perturb measurements: spans and metrics
-// are wall-clock side channels, and round profiles are integer-exact and
+// table); -debug-addr ADDR serves /metrics and /debug/pprof/* while the
+// run executes, plus with -procs the coordinator's per-worker
+// /debug/progress; -cpuprofile FILE records a CPU pprof profile. None of
+// these perturb measurements: spans and metrics are wall-clock side
+// channels, and round profiles are integer-exact and
 // scheduler-independent.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -97,6 +104,7 @@ import (
 	"anonlead/internal/harness"
 	"anonlead/internal/obs"
 	"anonlead/internal/spectral"
+	"anonlead/internal/sweep"
 )
 
 func main() {
@@ -112,7 +120,6 @@ type session struct {
 	quick     bool
 	trials    int
 	seed      uint64
-	parallel  bool
 	profile   spectral.Mode
 	orch      harness.Orchestrator
 	jsonPath  string
@@ -127,10 +134,10 @@ type session struct {
 	start time.Time
 }
 
-// sweep runs a batch of cell specs through the configured engine and
-// records the results for the artifact. The -profile regime is applied
-// here, so one flag threads the canonical mode through every experiment's
-// TrialOpts and into the artifact cell descriptors.
+// sweep runs a batch of cell specs through the orchestrator and records
+// the results for the artifact. The -profile regime is applied here, so one
+// flag threads the canonical mode through every experiment's TrialOpts and
+// into the artifact cell descriptors.
 func (s *session) sweep(specs []harness.CellSpec) ([]harness.Cell, error) {
 	for i := range specs {
 		specs[i].Opts.ProfileMode = s.profile
@@ -138,15 +145,7 @@ func (s *session) sweep(specs []harness.CellSpec) ([]harness.Cell, error) {
 			specs[i].Opts.RoundProfile = true
 		}
 	}
-	var (
-		cells []harness.Cell
-		err   error
-	)
-	if s.parallel {
-		cells, err = s.orch.RunSweep(specs)
-	} else {
-		cells, err = harness.RunSweepSequential(specs)
-	}
+	cells, err := s.orch.RunSweep(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -161,17 +160,16 @@ func run() error {
 		quick      = flag.Bool("quick", false, "reduced sweeps for a fast pass")
 		trials     = flag.Int("trials", 0, "trials per cell (0 = experiment default)")
 		seed       = flag.Uint64("seed", 1, "root random seed")
-		parallel   = flag.Bool("parallel", false, "fan sweep cells and trials over a worker pool (every sweep-based experiment; bit-identical to sequential)")
-		shards     = flag.Int("shards", 0, "trial shards per cell for -parallel (0 = worker count)")
-		workers    = flag.Int("workers", 0, "worker pool size for -parallel (0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "worker pool size for sweep cells and trials (0 = GOMAXPROCS, 1 = one goroutine; output does not depend on it)")
+		procs      = flag.Int("procs", 0, "run -exp sweeps across this many worker processes (each this binary with -cells) and merge their partial artifacts into -json")
 		jsonPath   = flag.String("json", "", "write the machine-readable sweep artifact (e.g. BENCH_harness.json)")
 		profile    = flag.String("profile", "auto", "spectral profile regime for sweep cells: exact, estimate, or auto (exact up to n=256, estimate above)")
-		cells      = flag.String("cells", "", "run only these -exp sweeps plan indices (e.g. \"0:40\" or \"3,7:12\") and write a partial artifact — the distributed-sweep worker mode")
+		cells      = flag.String("cells", "", "run only these -exp sweeps plan indices (e.g. \"0:40\" or \"3,7:12\") and write a partial artifact — what a -procs worker process is given")
 		strip      = flag.Bool("strip-timings", false, "zero the artifact's wall-clock fields so deterministic sweeps compare with cmp")
 		roundProf  = flag.Bool("round-profile", false, "attach deterministic per-round message/halt histograms to every sweep cell (schema-v5 round_profile section)")
 		traceOut   = flag.String("trace-out", "", "write the run's phase spans as Chrome trace-event JSON (open in chrome://tracing or Perfetto)")
 		metricsOut = flag.String("metrics-out", "", "write the metrics-registry snapshot as JSON (render with lereport -phases)")
-		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/pprof/* and /debug/progress on this address while the run executes (e.g. localhost:6060)")
+		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/pprof/* and (with -procs) the /debug/progress live sweep view on this address while the run executes (e.g. localhost:6060)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU pprof profile of the run")
 	)
 	flag.Parse()
@@ -183,8 +181,21 @@ func run() error {
 	if *traceOut != "" || *metricsOut != "" || *debugAddr != "" {
 		obs.Enable()
 	}
+	var coord *sweep.Coordinator
+	if *procs != 0 {
+		if err := checkProcs(*procs, *exp, *jsonPath); err != nil {
+			return err
+		}
+		coord = sweep.ForSweeps(sweep.Config{
+			Workers: *procs, Quick: *quick, Trials: *trials, Seed: *seed, Profile: mode, Log: os.Stderr,
+		})
+	}
 	if *debugAddr != "" {
-		addr, err := obs.Serve(*debugAddr, nil)
+		var progress func() any
+		if coord != nil {
+			progress = func() any { return coord.Progress() }
+		}
+		addr, err := obs.Serve(*debugAddr, progress)
 		if err != nil {
 			return fmt.Errorf("debug endpoint: %w", err)
 		}
@@ -205,9 +216,8 @@ func run() error {
 		quick:     *quick,
 		trials:    *trials,
 		seed:      *seed,
-		parallel:  *parallel,
 		profile:   mode,
-		orch:      harness.Orchestrator{Workers: *workers, Shards: *shards},
+		orch:      harness.Orchestrator{Workers: *workers},
 		jsonPath:  *jsonPath,
 		strip:     *strip,
 		roundProf: *roundProf,
@@ -215,6 +225,17 @@ func run() error {
 	}
 	defer writeTelemetry(*traceOut, *metricsOut)
 
+	if coord != nil {
+		art, err := coord.Run(context.Background())
+		if err != nil {
+			return err
+		}
+		if err := art.WriteFile(*jsonPath); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s (%d cells, merged from %d worker processes)\n", *jsonPath, len(art.Cells), *procs)
+		return nil
+	}
 	if *cells != "" {
 		// Worker mode: the cell selector is resolved against the sweeps
 		// plan, so it only makes sense for the artifact matrix.
@@ -292,13 +313,7 @@ func writeArtifact(s *session, exp string) error {
 	if len(s.cells) == 0 {
 		fmt.Fprintf(os.Stderr, "lebench: note: -exp %s ran no sweeps, so the artifact has no cells (table1 and knowledge populate it)\n", exp)
 	}
-	// Record the engine the cells actually ran on: a sequential run is
-	// one worker and one shard regardless of how the pool is sized.
-	engine := s.orch
-	if !s.parallel {
-		engine = harness.Orchestrator{Workers: 1, Shards: 1}
-	}
-	artifact := harness.NewArtifact(engine, s.specs, s.cells, time.Since(s.start))
+	artifact := harness.NewArtifact(s.orch, s.specs, s.cells, time.Since(s.start))
 	artifact.Plan = s.plan
 	if s.strip {
 		artifact = artifact.StripTimings()
@@ -310,6 +325,23 @@ func writeArtifact(s *session, exp string) error {
 	return nil
 }
 
+// checkProcs validates the -procs combination. Worker processes are given
+// the plan parameters and a -cells range, nothing else, so flags that
+// would change what they run are refused rather than silently dropped.
+func checkProcs(procs int, exp, jsonPath string) error {
+	if procs < 0 || exp != "sweeps" || jsonPath == "" {
+		return fmt.Errorf("-procs N (N >= 1) shards the -exp sweeps plan and writes the merged artifact: pass -exp sweeps -json FILE (got -procs %d -exp %q -json %q)", procs, exp, jsonPath)
+	}
+	var clash error
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "cells", "workers", "round-profile":
+			clash = fmt.Errorf("-%s does not combine with -procs (worker processes get their own -cells range and size their own pool)", f.Name)
+		}
+	})
+	return clash
+}
+
 // runSelected is the distributed-sweep worker path: resolve the -cells
 // selector against the canonical sweeps plan, run exactly the selected
 // cells (no rendering — the coordinator merges and reports), and record
@@ -317,12 +349,12 @@ func writeArtifact(s *session, exp string) error {
 func runSelected(s *session, selector string) error {
 	sel, err := harness.ParseCellSelector(selector)
 	if err != nil {
-		return err
+		return fmt.Errorf("-cells: %w", err)
 	}
 	plan := harness.SweepsPlan(s.quick, s.trials, s.seed)
 	idxs, err := sel.Indices(plan.Len())
 	if err != nil {
-		return err
+		return fmt.Errorf("-cells: %w", err)
 	}
 	all := plan.Specs()
 	specs := make([]harness.CellSpec, len(idxs))
@@ -350,7 +382,7 @@ func pickTrials(override, def int) int {
 // matrix itself lives in harness.Table1Plan — the shared planner the
 // distributed sweep shards by index — so the rendered tables and a
 // worker's -cells subset can never drift apart. All sections are expanded
-// into one spec list so -parallel overlaps every cell.
+// into one spec list so the pool overlaps every cell.
 func table1(s *session) error {
 	sections := harness.Table1Plan(s.quick, s.trials, s.seed)
 	var specs []harness.CellSpec
@@ -469,6 +501,7 @@ func scaling(s *session) error {
 		trials = pickTrials(s.trials, 1)
 	}
 	opts := harness.TrialOpts{Trials: trials, Seed: s.seed, ProfileMode: s.profile}
+	s.orch.Workers = 1 // what RunScalingSweep times each cell on; the artifact header says so
 	hits0, misses0 := harness.ProfileCacheStats()
 	var all []harness.TimedCell
 	for _, sw := range harness.ScalingSweeps(s.quick) {

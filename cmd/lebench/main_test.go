@@ -1,0 +1,144 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestLebench builds the binary once and drives it as a process: the
+// -procs sweep over real worker subprocesses, the pool-size identity, the
+// -cells partial header, and the flag combinations that must be refused.
+func TestLebench(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the lebench binary")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "lebench")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	// run executes lebench and returns its stdout and stderr.
+	run := func(t *testing.T, args ...string) (string, string, error) {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		return stdout.String(), stderr.String(), err
+	}
+	mustRun := func(t *testing.T, args ...string) (string, string) {
+		t.Helper()
+		stdout, stderr, err := run(t, args...)
+		if err != nil {
+			t.Fatalf("lebench %v: %v\n%s", args, err, stderr)
+		}
+		return stdout, stderr
+	}
+	// artifact is the part of the file these tests look at; cells stay raw
+	// so "identical" means identical bytes.
+	type artifact struct {
+		Workers int `json:"workers"`
+		Shards  int `json:"shards"`
+		Plan    *struct {
+			Total   int   `json:"total"`
+			Indices []int `json:"indices"`
+		} `json:"plan"`
+		Cells json.RawMessage `json:"cells"`
+	}
+	readArtifact := func(t *testing.T, path string) artifact {
+		t.Helper()
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var a artifact
+		if err := json.Unmarshal(buf, &a); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+
+	// The merged artifact of two worker processes is the bytes of the
+	// single-process sweep, and the workers really were processes.
+	t.Run("procs", func(t *testing.T) {
+		dist, local := filepath.Join(dir, "dist.json"), filepath.Join(dir, "local.json")
+		_, log := mustRun(t, "-exp", "sweeps", "-quick", "-trials", "1", "-procs", "2", "-json", dist)
+		mustRun(t, "-exp", "sweeps", "-quick", "-trials", "1", "-strip-timings", "-json", local)
+		a, err := os.ReadFile(dist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("-procs 2 artifact differs from the single-process one (%d vs %d bytes)", len(a), len(b))
+		}
+		pids := map[string]bool{}
+		for _, m := range regexp.MustCompile(`worker \d/2: pid (\d+)`).FindAllStringSubmatch(log, -1) {
+			pids[m[1]] = true
+		}
+		if done := strings.Count(log, "/2: done in"); len(pids) != 2 || done != 2 {
+			t.Fatalf("want two worker processes started and finished, got pids %v and %d done:\n%s", pids, done, log)
+		}
+	})
+
+	// The pool size changes neither the cells nor the rendered tables.
+	t.Run("workers", func(t *testing.T) {
+		one, three := filepath.Join(dir, "w1.json"), filepath.Join(dir, "w3.json")
+		out1, _ := mustRun(t, "-exp", "faults", "-quick", "-trials", "3", "-workers", "1", "-strip-timings", "-json", one)
+		out3, _ := mustRun(t, "-exp", "faults", "-quick", "-trials", "3", "-workers", "3", "-strip-timings", "-json", three)
+		a1, a3 := readArtifact(t, one), readArtifact(t, three)
+		if a1.Workers != 1 || a1.Shards != 1 || a3.Workers != 3 || a3.Shards != 3 {
+			t.Fatalf("headers: workers/shards %d/%d and %d/%d, want 1/1 and 3/3", a1.Workers, a1.Shards, a3.Workers, a3.Shards)
+		}
+		if len(a1.Cells) < 100 || !bytes.Equal(a1.Cells, a3.Cells) {
+			t.Fatal("-workers 1 and -workers 3 wrote different cells")
+		}
+		if strings.ReplaceAll(out1, one, "") != strings.ReplaceAll(out3, three, "") {
+			t.Fatalf("-workers 1 and -workers 3 rendered different tables:\n%s\nvs\n%s", out1, out3)
+		}
+	})
+
+	// A -cells run writes a partial whose plan header names what it covers.
+	t.Run("cells", func(t *testing.T) {
+		part := filepath.Join(dir, "part.json")
+		mustRun(t, "-exp", "sweeps", "-quick", "-trials", "1", "-cells", "0:3", "-json", part)
+		a := readArtifact(t, part)
+		if a.Plan == nil || a.Plan.Total != 81 || len(a.Plan.Indices) != 3 ||
+			a.Plan.Indices[0] != 0 || a.Plan.Indices[1] != 1 || a.Plan.Indices[2] != 2 {
+			t.Fatalf("plan header %+v, want {total: 81, indices: [0 1 2]}", a.Plan)
+		}
+	})
+
+	// Removed flags and combinations that cannot mean anything fail loudly,
+	// naming the flag.
+	t.Run("refused", func(t *testing.T) {
+		out := filepath.Join(dir, "refused.json")
+		for _, tc := range []struct {
+			args []string
+			want string
+		}{
+			{[]string{"-parallel"}, "-parallel"},
+			{[]string{"-shards", "2"}, "-shards"},
+			{[]string{"-procs", "2", "-exp", "table1", "-json", out}, "-procs"},
+			{[]string{"-procs", "2", "-exp", "sweeps", "-cells", "0:3", "-json", out}, "-cells"},
+			{[]string{"-exp", "sweeps", "-cells", "bogus", "-json", out}, "-cells"},
+		} {
+			_, stderr, err := run(t, tc.args...)
+			if err == nil || !strings.Contains(stderr, tc.want) {
+				t.Errorf("lebench %v: err %v, stderr %q; want a failure naming %s", tc.args, err, stderr, tc.want)
+			}
+		}
+		if _, err := os.Stat(out); err == nil {
+			t.Error("a refused run still wrote an artifact")
+		}
+	})
+}

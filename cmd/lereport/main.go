@@ -27,7 +27,7 @@
 //
 // -phases FILE appends a phase-breakdown table (phase | spans | total |
 // mean | share) rendered from an obs metrics snapshot — the -metrics-out
-// file that lebench/lesweep write when observability is enabled. Phase
+// file that lebench writes when observability is enabled. Phase
 // timings are wall-clock, so the section is opt-in and never part of the
 // byte-deterministic baseline report.
 //
@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		relTol  = fs.Float64("rel-tol", 0, "series trend: minimum relative effect to call a change (0 = default 0.05)")
 		sigmas  = fs.Float64("sigmas", 0, "series trend: minimum effect in Welch standard errors (0 = default 3)")
 		failOn  = fs.String("fail-on", "none", "exit-1 condition: none, or regressing (any net metric trend regresses; needs a series)")
-		phases  = fs.String("phases", "", "append a phase-breakdown table from this obs metrics snapshot (the -metrics-out file of lebench/lesweep; md format only)")
+		phases  = fs.String("phases", "", "append a phase-breakdown table from this obs metrics snapshot (the -metrics-out file of lebench; md format only)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: lereport [flags] artifact.json [older.json ... newest.json]\n\n"+

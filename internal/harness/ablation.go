@@ -212,19 +212,6 @@ func KnowledgePoints(factors []float64, specs []CellSpec, cells []Cell) ([]Knowl
 	return points, prof
 }
 
-// AblationKnowledge sweeps the presumed network size over factor·n and
-// measures election success and cost through the orchestrator (each factor
-// is one workload cell, so the sweep fans out over the worker pool).
-func AblationKnowledge(o Orchestrator, w Workload, factors []float64, trials int, seed uint64) ([]KnowledgePoint, *spectral.Profile, error) {
-	specs := KnowledgeSpecs(w, factors, trials, seed)
-	cells, err := o.RunSweep(specs)
-	if err != nil {
-		return nil, nil, err
-	}
-	points, prof := KnowledgePoints(factors, specs, cells)
-	return points, prof, nil
-}
-
 // RenderAblationKnowledge renders the X4 series.
 func RenderAblationKnowledge(w Workload, prof *spectral.Profile, points []KnowledgePoint) string {
 	t := Table{

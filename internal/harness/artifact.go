@@ -30,10 +30,6 @@ const ArtifactSchema = "anonlead/bench-harness/v6"
 // rejected.
 const ArtifactSchemaV5 = "anonlead/bench-harness/v5"
 
-// ArtifactName is the conventional file name CI uploads for cross-PR perf
-// trajectory tracking.
-const ArtifactName = "BENCH_harness.json"
-
 // ArtifactDist is the persisted distribution of one per-trial metric: the
 // spread around the mean that the flat per-cell fields already carry. All
 // values are over the cell's trials.
@@ -171,11 +167,10 @@ func (a Artifact) IsPartial() bool {
 // they produced. Everything except the wall-clock fields is a deterministic
 // function of the specs and root seed.
 func NewArtifact(o Orchestrator, specs []CellSpec, cells []Cell, elapsed time.Duration) Artifact {
-	workers, shards := o.Effective()
 	a := Artifact{
 		Schema:         ArtifactSchema,
-		Workers:        workers,
-		Shards:         shards,
+		Workers:        o.workers(),
+		Shards:         o.workers(), // one trial shard per worker
 		ElapsedSeconds: elapsed.Seconds(),
 		Cells:          make([]ArtifactCell, 0, len(cells)),
 	}
@@ -255,7 +250,7 @@ func (a Artifact) JSON() ([]byte, error) {
 	return append(buf, '\n'), nil
 }
 
-// WriteFile writes the artifact to path (conventionally ArtifactName).
+// WriteFile writes the artifact to path (conventionally BENCH_harness.json).
 func (a Artifact) WriteFile(path string) error {
 	buf, err := a.JSON()
 	if err != nil {

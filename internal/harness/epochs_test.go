@@ -28,19 +28,19 @@ func epochTestSweep() EpochSweep {
 // TestEpochSweepParallelMatchesSequential is the orchestrator half of the
 // epoch determinism acceptance: the same scenario specs through the
 // parallel worker pool must produce an artifact byte-identical to the
-// sequential reference — seed chains, adaptive picks, per-epoch stats and
+// one-worker run — seed chains, adaptive picks, per-epoch stats and
 // all.
 func TestEpochSweepParallelMatchesSequential(t *testing.T) {
 	specs := epochTestSweep().CellSpecs(3, 42)
-	seq, err := RunSweepSequential(specs)
+	seq, err := Orchestrator{Workers: 1}.RunSweep(specs)
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	par, err := Orchestrator{Workers: 4, Shards: 3}.RunSweep(specs)
+	par, err := Orchestrator{Workers: 4}.RunSweep(specs)
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
 	}
-	engine := Orchestrator{Workers: 1, Shards: 1}
+	engine := Orchestrator{Workers: 1}
 	rawSeq, err := NewArtifact(engine, specs, seq, 0).StripTimings().JSON()
 	if err != nil {
 		t.Fatal(err)
@@ -77,11 +77,11 @@ func TestEpochSweepParallelMatchesSequential(t *testing.T) {
 // artifact with their descriptor and epoch aggregates intact.
 func TestEpochArtifactCells(t *testing.T) {
 	specs := epochTestSweep().CellSpecs(2, 7)
-	cells, err := RunSweepSequential(specs)
+	cells, err := Orchestrator{Workers: 1}.RunSweep(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewArtifact(Orchestrator{Workers: 1, Shards: 1}, specs, cells, 0)
+	a := NewArtifact(Orchestrator{Workers: 1}, specs, cells, 0)
 	if a.Schema != ArtifactSchema || !strings.HasSuffix(a.Schema, "/v6") {
 		t.Fatalf("schema %q, want the v6 current schema", a.Schema)
 	}
@@ -174,7 +174,7 @@ func TestEpochsPlanShape(t *testing.T) {
 func TestRenderEpochs(t *testing.T) {
 	sweep := epochTestSweep()
 	specs := sweep.CellSpecs(2, 7)
-	cells, err := RunSweepSequential(specs)
+	cells, err := Orchestrator{Workers: 1}.RunSweep(specs)
 	if err != nil {
 		t.Fatal(err)
 	}

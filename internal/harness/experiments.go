@@ -94,18 +94,6 @@ func RowsFromCells(cells []Cell) []Table1Row {
 	return rows
 }
 
-// Table1Sweep runs one protocol over a size sweep of one family and
-// returns measured rows with predictions, sequentially. For a pooled
-// sweep, feed SweepSpecs to Orchestrator.RunSweep and pair the cells with
-// RowsFromCells — bit-identical rows, any core count.
-func Table1Sweep(p Protocol, family string, sizes []int, opts TrialOpts) ([]Table1Row, error) {
-	cells, err := RunSweepSequential(SweepSpecs(p, family, sizes, opts))
-	if err != nil {
-		return nil, err
-	}
-	return RowsFromCells(cells), nil
-}
-
 // RenderTable1 renders sweep rows, including measured/predicted ratios and
 // the empirical scaling exponent of messages in n.
 func RenderTable1(title string, rows []Table1Row) string {

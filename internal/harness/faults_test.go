@@ -22,7 +22,7 @@ func TestFaultSweepAnchorsMatchFaultFree(t *testing.T) {
 	if len(specs) != 2 || !specs[0].Opts.Adversary.IsZero() || specs[1].Opts.Adversary.Loss != 0.9 {
 		t.Fatalf("CellSpecs wrong shape: %+v", specs)
 	}
-	cells, err := RunSweepSequential(specs)
+	cells, err := Orchestrator{Workers: 1}.RunSweep(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRenderFaults(t *testing.T) {
 		Workload: Workload{Family: "complete", N: 12},
 		Specs:    lossLadder(0.5),
 	}
-	cells, err := RunSweepSequential(f.CellSpecs(2, 5))
+	cells, err := Orchestrator{Workers: 1}.RunSweep(f.CellSpecs(2, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestRenderFaults(t *testing.T) {
 // TestRevocableCrashSweepDeterminism pins the F5 cells (revocable LE
 // under crash-stop): the sweep template carries the Theorem 3 schedule
 // knobs through CellSpecs, crashes actually land, and the cells are
-// byte-identical between the sequential reference and the orchestrator
+// byte-identical between one worker and three
 // under every scheduler.
 func TestRevocableCrashSweepDeterminism(t *testing.T) {
 	sweeps := FaultSweeps(true)
@@ -135,7 +135,7 @@ func TestRevocableCrashSweepDeterminism(t *testing.T) {
 			t.Fatalf("sweep template lost the revocable knobs: %+v", s.Opts)
 		}
 	}
-	ref, err := RunSweepSequential(specs)
+	ref, err := Orchestrator{Workers: 1}.RunSweep(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,12 +156,12 @@ func TestRevocableCrashSweepDeterminism(t *testing.T) {
 		for i := range s2 {
 			s2[i].Opts.Scheduler = sched
 		}
-		got, err := (Orchestrator{Workers: 3, Shards: 2}).RunSweep(s2)
+		got, err := (Orchestrator{Workers: 3}).RunSweep(s2)
 		if err != nil {
 			t.Fatalf("scheduler %v: %v", sched, err)
 		}
 		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("scheduler %v: orchestrated F5 cells differ from sequential", sched)
+			t.Fatalf("scheduler %v: three-worker F5 cells differ from one worker", sched)
 		}
 	}
 }

@@ -178,9 +178,9 @@ func (c Cell) SuccessRate() float64 {
 
 // TrialSeed derives the seed of trial t of a workload cell from the root
 // seed by rng stream splitting. It is a pure function of (root, cell, t):
-// any execution order — the sequential loop in RunCell or the sharded
-// worker pool in Orchestrator.RunSweep — evaluates exactly the same trials,
-// which is what makes parallel sweep output bit-identical to sequential.
+// any pool size and shard order in Orchestrator.RunSweep, and any split of
+// the plan over worker processes, evaluates exactly the same trials, which
+// is what makes sweep output independent of how it was executed.
 func TrialSeed(root uint64, w Workload, t int) uint64 {
 	return rng.New(root).SplitString("trial:" + w.Family).Split(uint64(w.N)).DeriveSeed(uint64(t))
 }
@@ -218,8 +218,8 @@ func cellLabel(w Workload) string {
 }
 
 // reduceCell aggregates a batch of trials, always in slice (= trial index)
-// order, so sequential and sharded executions produce identical cells down
-// to floating-point summation order. eo, when non-nil, is the epoch
+// order, so every pool size produces identical cells down to
+// floating-point summation order. eo, when non-nil, is the epoch
 // scenario the trials ran; their histories fold into Cell.EpochStats.
 func reduceCell(p Protocol, w Workload, prof *spectral.Profile, eo *epoch.Opts, trials []Trial) Cell {
 	cell := Cell{Protocol: p, Workload: w, Profile: prof}
@@ -272,31 +272,6 @@ func reduceCell(p Protocol, w Workload, prof *spectral.Profile, eo *epoch.Opts, 
 		cell.EpochStats = &cs
 	}
 	return cell
-}
-
-// RunCell profiles the workload graph and executes a batch of trials of
-// the protocol on it, sequentially on the calling goroutine. It is the
-// reference semantics for Orchestrator.RunSweep, which produces
-// bit-identical cells from a worker pool.
-func RunCell(p Protocol, w Workload, opts TrialOpts) (Cell, error) {
-	anw, prof, err := prepareCell(w, opts.Seed, opts.ProfileMode)
-	if err != nil {
-		return Cell{}, err
-	}
-	trials := make([]Trial, cellTrials(opts))
-	endTrials := obs.Span("trials", cellLabel(w))
-	for t := range trials {
-		trial, err := runOne(p, anw, prof, opts, TrialSeed(opts.Seed, w, t))
-		if err != nil {
-			endTrials()
-			return Cell{Protocol: p, Workload: w, Profile: prof}, err
-		}
-		trials[t] = trial
-	}
-	endTrials()
-	endReduce := obs.Span("reduce", cellLabel(w))
-	defer endReduce()
-	return reduceCell(p, w, prof, opts.Epochs, trials), nil
 }
 
 // cellTrials returns the effective trial count of a batch (minimum 1).

@@ -84,10 +84,12 @@ func TestRunCellBadFamily(t *testing.T) {
 }
 
 func TestTable1SweepAndRender(t *testing.T) {
-	rows, err := Table1Sweep(ProtoIRE, "complete", []int{16, 24}, TrialOpts{Trials: 2, Seed: 7})
+	// The path lebench's table1 takes: SweepSpecs -> RunSweep -> RowsFromCells.
+	cells, err := Orchestrator{}.RunSweep(SweepSpecs(ProtoIRE, "complete", []int{16, 24}, TrialOpts{Trials: 2, Seed: 7}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := RowsFromCells(cells)
 	if len(rows) != 2 {
 		t.Fatalf("rows %d", len(rows))
 	}

@@ -20,19 +20,16 @@ type CellSpec struct {
 	Opts     TrialOpts
 }
 
-// Orchestrator fans workload cells and per-cell trials out over a bounded
-// worker pool. Results are bit-identical to running every cell through
-// RunCell on one goroutine: trial seeds are pure functions of (root seed,
-// cell, trial index), shards fill disjoint trial ranges, and each cell is
-// reduced in trial-index order once its last shard lands. The zero value
-// runs with GOMAXPROCS workers and one shard per worker.
+// Orchestrator is the one cell runner: RunSweep fans workload cells and
+// per-cell trials out over a bounded worker pool. Results do not depend on
+// the pool size: trial seeds are pure functions of (root seed, cell, trial
+// index), shards fill disjoint trial ranges, and each cell is reduced in
+// trial-index order once its last shard lands. Every cell's trial batch is
+// cut into one shard per worker. The zero value runs with GOMAXPROCS
+// workers; Workers: 1 is the single-goroutine run.
 type Orchestrator struct {
 	// Workers is the pool size (0 = GOMAXPROCS).
 	Workers int
-	// Shards is the number of trial shards each cell is cut into
-	// (0 = Workers). More shards smooth load imbalance between cheap and
-	// expensive cells; one shard pins each cell to a single worker.
-	Shards int
 	// OnCell, when non-nil, streams each aggregated Cell as soon as its
 	// last shard completes, with i the index into the spec slice. Cells
 	// complete in whatever order the pool finishes them; calls are
@@ -48,19 +45,14 @@ type cellRun struct {
 	remaining atomic.Int32
 }
 
-// Effective returns the worker and shard counts a sweep actually runs
-// with, resolving the zero-value defaults (artifacts record these, not the
-// raw configuration, so cross-machine throughput stays comparable).
-func (o Orchestrator) Effective() (workers, shards int) {
-	workers = o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// workers returns the pool size a sweep actually runs with, resolving the
+// zero-value default (artifacts record this, not the raw configuration, so
+// cross-machine throughput stays comparable).
+func (o Orchestrator) workers() int {
+	if o.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	shards = o.Shards
-	if shards <= 0 {
-		shards = workers
-	}
-	return workers, shards
+	return o.Workers
 }
 
 // RunSweep executes every spec and returns the aggregated cells in spec
@@ -68,7 +60,7 @@ func (o Orchestrator) Effective() (workers, shards int) {
 // work, drains in-flight tasks, and returns the error of the lowest-indexed
 // failed task.
 func (o Orchestrator) RunSweep(specs []CellSpec) ([]Cell, error) {
-	workers, shards := o.Effective()
+	workers := o.workers()
 	if obs.Enabled() {
 		obs.Default().Counter("anonlead_cells_total").Add(int64(len(specs)))
 	}
@@ -111,14 +103,14 @@ func (o Orchestrator) RunSweep(specs []CellSpec) ([]Cell, error) {
 		return nil, err
 	}
 
-	// Phase 2: cut every cell's trial batch into shards and fan the shards
-	// of all cells out over one pool, so a big cell's trials overlap with
-	// small cells instead of serializing behind them.
+	// Phase 2: cut every cell's trial batch into one shard per worker and
+	// fan the shards of all cells out over one pool, so a big cell's trials
+	// overlap with small cells instead of serializing behind them.
 	type shard struct{ cell, lo, hi int }
 	var work []shard
 	for i := range runs {
 		n := len(runs[i].trials)
-		per := (n + shards - 1) / shards
+		per := (n + workers - 1) / workers
 		count := 0
 		for lo := 0; lo < n; lo += per {
 			hi := lo + per
@@ -170,20 +162,13 @@ func (o Orchestrator) RunSweep(specs []CellSpec) ([]Cell, error) {
 	return cells, nil
 }
 
-// RunSweepSequential executes the specs one cell at a time on the calling
-// goroutine — the reference semantics the parallel pool must reproduce
-// bit for bit.
-func RunSweepSequential(specs []CellSpec) ([]Cell, error) {
-	cells := make([]Cell, len(specs))
-	for i, spec := range specs {
-		c, err := RunCell(spec.Protocol, spec.Workload, spec.Opts)
-		if err != nil {
-			return nil, fmt.Errorf("spec %d (%s on %s/%d): %w",
-				i, spec.Protocol, spec.Workload.Family, spec.Workload.N, err)
-		}
-		cells[i] = c
+// RunCell is RunSweep's one-spec, one-worker form.
+func RunCell(p Protocol, w Workload, opts TrialOpts) (Cell, error) {
+	cells, err := Orchestrator{Workers: 1}.RunSweep([]CellSpec{{Protocol: p, Workload: w, Opts: opts}})
+	if err != nil {
+		return Cell{}, err
 	}
-	return cells, nil
+	return cells[0], nil
 }
 
 // forEach runs fn(0..n-1) over a pool of workers goroutines. On the first

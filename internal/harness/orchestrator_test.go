@@ -37,26 +37,24 @@ func determinismSpecs(seed uint64) []CellSpec {
 
 // TestParallelHarnessDeterminism is the acceptance gate of the orchestrator:
 // a sweep fanned out over a sharded worker pool must produce output
-// byte-identical to the sequential reference for the same root seed — same
-// cells, same rendered tables, same JSON artifact.
+// byte-identical to the one-worker run for the same root seed — same
+// cells, same rendered tables, same JSON artifact. (What a cell is held to
+// independently of the orchestrator is TestHarnessTrialEqualsPublicRun.)
 func TestParallelHarnessDeterminism(t *testing.T) {
 	specs := determinismSpecs(17)
-	seq, err := RunSweepSequential(specs)
+	seq, err := Orchestrator{Workers: 1}.RunSweep(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range []Orchestrator{
-		{Workers: 8, Shards: 4},
-		{Workers: 3, Shards: 7},
-		{Workers: 1, Shards: 1},
-	} {
+	// Four trials per cell: 2, 3 and 8 workers cut them into 2, 2 and 4 shards.
+	for _, o := range []Orchestrator{{Workers: 8}, {Workers: 3}, {Workers: 2}} {
 		par, err := o.RunSweep(specs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("workers=%d shards=%d: cells differ from sequential:\nseq: %+v\npar: %+v",
-				o.Workers, o.Shards, seq, par)
+			t.Fatalf("workers=%d: cells differ from one worker:\nseq: %+v\npar: %+v",
+				o.Workers, seq, par)
 		}
 		// Rendered artifacts must match byte for byte.
 		seqTable := RenderTable1("determinism", RowsFromCells(seq))
@@ -85,12 +83,12 @@ func TestParallelHarnessDeterminism(t *testing.T) {
 		for i := range scheduled {
 			scheduled[i].Opts.Scheduler = s
 		}
-		got, err := RunSweepSequential(scheduled)
+		got, err := Orchestrator{Workers: 1}.RunSweep(scheduled)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(seq, got) {
-			t.Fatalf("scheduler %v: cells differ from sequential reference", s)
+			t.Fatalf("scheduler %v: cells differ from the sequential scheduler", s)
 		}
 	}
 }
@@ -105,7 +103,7 @@ func TestZeroRateAdversaryArtifactByteIdentical(t *testing.T) {
 	for i := range zeroed {
 		zeroed[i].Opts.Adversary = &adversary.Spec{}
 	}
-	o := Orchestrator{Workers: 4, Shards: 2}
+	o := Orchestrator{Workers: 4}
 	baseCells, err := o.RunSweep(plain)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +160,7 @@ func TestOrchestratorShutdownOnTrialError(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := Orchestrator{Workers: 4, Shards: 2}.RunSweep(specs)
+		_, err := Orchestrator{Workers: 4}.RunSweep(specs)
 		done <- err
 	}()
 	select {
@@ -190,7 +188,7 @@ func TestOrchestratorStreamsCells(t *testing.T) {
 	specs := determinismSpecs(11)
 	var mu sync.Mutex
 	streamed := map[int]Cell{}
-	o := Orchestrator{Workers: 4, Shards: 3, OnCell: func(i int, c Cell) {
+	o := Orchestrator{Workers: 4, OnCell: func(i int, c Cell) {
 		mu.Lock()
 		defer mu.Unlock()
 		if _, dup := streamed[i]; dup {
@@ -226,7 +224,7 @@ func TestArtifactGolden(t *testing.T) {
 			Opts: TrialOpts{Trials: 2, Seed: 5,
 				Adversary: &adversary.Spec{Loss: 0.2, CrashFraction: 0.25, CrashBy: 4}}},
 	}
-	o := Orchestrator{Workers: 2, Shards: 2}
+	o := Orchestrator{Workers: 2}
 	cells, err := o.RunSweep(specs)
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +252,7 @@ func TestArtifactGolden(t *testing.T) {
 func TestArtifactTimings(t *testing.T) {
 	opts := TrialOpts{Trials: 3, Seed: 5}
 	specs := []CellSpec{{Protocol: ProtoIRE, Workload: Workload{Family: "cycle", N: 8}, Opts: opts}}
-	cells, err := RunSweepSequential(specs)
+	cells, err := Orchestrator{Workers: 1}.RunSweep(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +274,7 @@ func TestArtifactTimings(t *testing.T) {
 // TestArtifactWriteFile round-trips the artifact through a file.
 func TestArtifactWriteFile(t *testing.T) {
 	a := Artifact{Schema: ArtifactSchema, RootSeed: 1}
-	path := filepath.Join(t.TempDir(), ArtifactName)
+	path := filepath.Join(t.TempDir(), "BENCH_harness.json")
 	if err := a.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -289,14 +287,19 @@ func TestArtifactWriteFile(t *testing.T) {
 	}
 }
 
-// TestAblationKnowledge checks the X4 sweep: truthful n succeeds, presumed
-// sizes scale with the factor, and the renderer names the experiment.
+// TestAblationKnowledge checks the X4 sweep the way lebench runs it —
+// KnowledgeSpecs through the pool into KnowledgePoints: truthful n
+// succeeds, presumed sizes scale with the factor, and the renderer names
+// the experiment.
 func TestAblationKnowledge(t *testing.T) {
 	w := Workload{Family: "complete", N: 24}
-	points, prof, err := AblationKnowledge(Orchestrator{Workers: 4}, w, []float64{0.5, 1, 2}, 3, 9)
+	factors := []float64{0.5, 1, 2}
+	specs := KnowledgeSpecs(w, factors, 3, 9)
+	cells, err := Orchestrator{Workers: 4}.RunSweep(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	points, prof := KnowledgePoints(factors, specs, cells)
 	if len(points) != 3 {
 		t.Fatalf("points %d", len(points))
 	}

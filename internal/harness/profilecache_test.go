@@ -45,37 +45,37 @@ func TestProfileCacheColdWarmByteIdentical(t *testing.T) {
 	defer ResetProfileCache()
 
 	// n=300 forces the estimate regime under auto; two protocols on one
-	// workload share a single profile entry.
+	// workload share a single prepare, so one sweep is one cache lookup.
 	opts := TrialOpts{Trials: 3, Seed: 7}
 	specs := []CellSpec{
 		{Protocol: ProtoFlood, Workload: Workload{Family: "expander", N: 300}, Opts: opts},
 		{Protocol: ProtoWalkNotify, Workload: Workload{Family: "expander", N: 300}, Opts: opts},
 	}
-	o := Orchestrator{Workers: 1, Shards: 1}
+	o := Orchestrator{Workers: 1}
 
-	cold, err := RunSweepSequential(specs)
+	cold, err := Orchestrator{Workers: 1}.RunSweep(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hits, misses := ProfileCacheStats()
-	if misses != 1 || hits != 1 {
-		t.Fatalf("cold sweep counters: hits=%d misses=%d, want 1/1 (shared profile entry)", hits, misses)
+	if misses != 1 || hits != 0 {
+		t.Fatalf("cold sweep counters: hits=%d misses=%d, want 0/1 (one shared prepare)", hits, misses)
 	}
 	if !cold[0].Profile.Estimated {
 		t.Fatalf("n=300 cell not in estimate regime under auto: %+v", cold[0].Profile)
 	}
 
-	warm, err := RunSweepSequential(specs)
+	warm, err := Orchestrator{Workers: 1}.RunSweep(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hits, misses = ProfileCacheStats()
-	if misses != 1 || hits != 3 {
-		t.Fatalf("warm sweep counters: hits=%d misses=%d, want 3/1", hits, misses)
+	if misses != 1 || hits != 1 {
+		t.Fatalf("warm sweep counters: hits=%d misses=%d, want 1/1", hits, misses)
 	}
 
 	ResetProfileCache()
-	fresh, err := RunSweepSequential(specs)
+	fresh, err := Orchestrator{Workers: 1}.RunSweep(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,11 @@ func TestEstimateArtifactRecordsMode(t *testing.T) {
 		{Protocol: ProtoFlood, Workload: Workload{Family: "cycle", N: 24}, Opts: opts},
 		{Protocol: ProtoFlood, Workload: Workload{Family: "expander", N: 300}, Opts: opts},
 	}
-	cells, err := RunSweepSequential(specs)
+	cells, err := Orchestrator{Workers: 1}.RunSweep(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewArtifact(Orchestrator{Workers: 1, Shards: 1}, specs, cells, 0)
+	a := NewArtifact(Orchestrator{Workers: 1}, specs, cells, 0)
 	if a.Schema != ArtifactSchema {
 		t.Fatalf("schema %q", a.Schema)
 	}

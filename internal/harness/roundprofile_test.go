@@ -100,7 +100,7 @@ func TestRoundProfileOffByDefault(t *testing.T) {
 
 // TestRoundProfileParallelMatchesSequential proves the orchestrator's
 // sharded execution merges trial profiles into the same cell profile as
-// the sequential reference (trial-index merge order, not completion order).
+// the one-worker run (trial-index merge order, not completion order).
 func TestRoundProfileParallelMatchesSequential(t *testing.T) {
 	specs := []CellSpec{
 		{Protocol: ProtoIRE, Workload: Workload{Family: "expander", N: 20},
@@ -108,11 +108,11 @@ func TestRoundProfileParallelMatchesSequential(t *testing.T) {
 		{Protocol: ProtoFlood, Workload: Workload{Family: "torus", N: 16},
 			Opts: TrialOpts{Trials: 6, Seed: 11, RoundProfile: true}},
 	}
-	seq, err := RunSweepSequential(specs)
+	seq, err := Orchestrator{Workers: 1}.RunSweep(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Orchestrator{Workers: 4, Shards: 5}.RunSweep(specs)
+	par, err := Orchestrator{Workers: 4}.RunSweep(specs)
 	if err != nil {
 		t.Fatal(err)
 	}

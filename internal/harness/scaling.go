@@ -62,10 +62,10 @@ func ScalingSweeps(quick bool) []ScalingSweep {
 	}
 }
 
-// RunScalingSweep executes one sweep cell by cell on the calling
-// goroutine, timing each cell's wall clock. Cells run sequentially on
-// purpose: the per-cell Seconds column is the measurement, and pooled
-// execution would smear prepare and trial costs across cells.
+// RunScalingSweep executes one sweep cell by cell, timing each cell's wall
+// clock. Cells run one at a time on one worker on purpose: the per-cell
+// Seconds column is the measurement, and pooled execution would smear
+// prepare and trial costs across cells.
 func RunScalingSweep(sw ScalingSweep, opts TrialOpts) ([]TimedCell, []CellSpec, error) {
 	specs := SweepSpecs(sw.Proto, sw.Family, sw.Sizes, opts)
 	timed := make([]TimedCell, len(specs))

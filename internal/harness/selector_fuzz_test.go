@@ -72,7 +72,7 @@ func FuzzParseSelector(f *testing.F) {
 // TestSelectorRoundTripProperty: for random index sets, the canonical
 // selector built from the indices renders text that parses back to
 // exactly those indices. This is the contract the distributed sweep rests
-// on — lesweep serializes shard selectors as text and workers re-expand
+// on — the sweep coordinator serializes shard selectors as text and workers re-expand
 // them.
 func TestSelectorRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))

@@ -8,7 +8,7 @@ import (
 )
 
 // PhaseMarkdown renders the phase-breakdown table from an obs metrics
-// snapshot (the -metrics-out file of lebench/lesweep): one row per span
+// snapshot (the -metrics-out file of lebench): one row per span
 // phase with count, total, mean and share of the summed phase time,
 // sorted by descending total. Phase timings are wall-clock telemetry, so
 // this section is opt-in (lereport -phases) and never part of the

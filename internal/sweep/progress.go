@@ -45,7 +45,6 @@ type progressState struct {
 	mu        sync.Mutex
 	start     time.Time
 	planCells int
-	baseline  int64 // registry cells_done at sweep start (in-process workers bump it live)
 	workers   []WorkerProgress
 	doneCells int
 	retries   int
@@ -55,7 +54,6 @@ func newProgressState(planCells int, tasks []workerTask) *progressState {
 	p := &progressState{
 		start:     time.Now(),
 		planCells: planCells,
-		baseline:  obs.Default().Counter("anonlead_cells_done").Value(),
 		workers:   make([]WorkerProgress, len(tasks)),
 	}
 	for i, w := range tasks {
@@ -65,9 +63,6 @@ func newProgressState(planCells int, tasks []workerTask) *progressState {
 }
 
 func (p *progressState) startAttempt(id, attempt int) {
-	if p == nil {
-		return // a test drove runWithRetry without a Run-installed tracker
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	w := &p.workers[id]
@@ -81,9 +76,6 @@ func (p *progressState) startAttempt(id, attempt int) {
 }
 
 func (p *progressState) finish(id, cells int, failed bool) {
-	if p == nil {
-		return
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	w := &p.workers[id]
@@ -99,29 +91,15 @@ func (p *progressState) finish(id, cells int, failed bool) {
 }
 
 // publishLocked mirrors the sweep aggregates into the registry so
-// /metrics shows them next to the orchestrator's live cell counters.
+// /metrics shows them.
 func (p *progressState) publishLocked() {
 	if !obs.Enabled() {
 		return
 	}
 	reg := obs.Default()
 	reg.Gauge("anonlead_sweep_cells_done").Set(float64(p.doneCells))
-	reg.Gauge("anonlead_sweep_eta_seconds").Set(p.etaLocked(p.cellsDoneLocked()))
+	reg.Gauge("anonlead_sweep_eta_seconds").Set(p.etaLocked(p.doneCells))
 	reg.Gauge("anonlead_sweep_retries").Set(float64(p.retries))
-}
-
-// cellsDoneLocked returns the best live cell count: completed workers'
-// totals, or — when in-process workers are bumping the registry's
-// anonlead_cells_done counter as cells reduce — that finer-grained count.
-func (p *progressState) cellsDoneLocked() int {
-	done := p.doneCells
-	if live := int(obs.Default().Counter("anonlead_cells_done").Value() - p.baseline); live > done {
-		done = live
-	}
-	if done > p.planCells {
-		done = p.planCells
-	}
-	return done
 }
 
 // etaLocked estimates remaining seconds from cell throughput so far.
@@ -137,13 +115,12 @@ func (p *progressState) etaLocked(done int) float64 {
 func (p *progressState) snapshot() Progress {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	done := p.cellsDoneLocked()
 	out := Progress{
 		PlanCells:      p.planCells,
-		CellsDone:      done,
+		CellsDone:      p.doneCells,
 		Retries:        p.retries,
 		ElapsedSeconds: time.Since(p.start).Seconds(),
-		ETASeconds:     p.etaLocked(done),
+		ETASeconds:     p.etaLocked(p.doneCells),
 		Workers:        append([]WorkerProgress(nil), p.workers...),
 	}
 	for i := range out.Workers {

@@ -26,12 +26,16 @@ func testPlan(seed uint64) harness.Plan {
 	return harness.Plan{Sections: []harness.PlanSection{{Kind: harness.SectionTable1, Specs: specs}}}
 }
 
+// engine is the one-worker orchestrator both the reference sweep and the
+// fake workers run on (so their artifact headers agree).
+var engine = harness.Orchestrator{Workers: 1}
+
 // referenceJSON is the single-process artifact of the plan: what a
 // distributed run must reproduce byte for byte.
-func referenceJSON(t *testing.T, plan harness.Plan, engine harness.Orchestrator) []byte {
+func referenceJSON(t *testing.T, plan harness.Plan) []byte {
 	t.Helper()
 	specs := plan.Specs()
-	cells, err := harness.RunSweepSequential(specs)
+	cells, err := engine.RunSweep(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,18 +46,39 @@ func referenceJSON(t *testing.T, plan harness.Plan, engine harness.Orchestrator)
 	return buf
 }
 
+// newFake builds a coordinator whose workers are an in-process stand-in for
+// the `lebench -cells` subprocess: the selected specs on one worker, with
+// the partial's plan header. (The real subprocess path is covered by
+// cmd/lebench's process-level test.)
+func newFake(cfg Config, plan harness.Plan) *Coordinator {
+	c := New(cfg, plan)
+	all := plan.Specs()
+	c.runWorker = func(_ context.Context, w workerTask) (harness.Artifact, error) {
+		specs := make([]harness.CellSpec, len(w.indices))
+		for j, idx := range w.indices {
+			specs[j] = all[idx]
+		}
+		cells, err := engine.RunSweep(specs)
+		if err != nil {
+			return harness.Artifact{}, err
+		}
+		art := harness.NewArtifact(engine, specs, cells, 0)
+		art.Plan = &harness.ArtifactPlan{Total: len(all), Indices: w.indices}
+		return art, nil
+	}
+	return c
+}
+
 // TestDistributedByteIdentity is the headline contract of the distributed
 // sweep: sharding the plan across workers and merging the partials yields
 // an artifact byte-identical to the single-process sweep of the same
-// seed, for every worker count. CI's dist-sweep job proves the same thing
-// end to end over lesweep/lebench subprocesses with cmp.
+// seed, for every worker count.
 func TestDistributedByteIdentity(t *testing.T) {
 	plan := testPlan(17)
-	engine := harness.Orchestrator{Workers: 1, Shards: 1}
-	want := referenceJSON(t, plan, engine)
+	want := referenceJSON(t, plan)
 
 	for _, workers := range []int{1, 2, 3, plan.Len(), plan.Len() + 5} {
-		c := New(Config{Workers: workers, Seed: 17, Engine: engine}, plan)
+		c := newFake(Config{Workers: workers, Seed: 17}, plan)
 		art, err := c.Run(context.Background())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -74,11 +99,10 @@ func TestDistributedByteIdentity(t *testing.T) {
 // cells merge cleanly into a byte-identical artifact.
 func TestCoordinatorRetriesCrashedWorker(t *testing.T) {
 	plan := testPlan(23)
-	engine := harness.Orchestrator{Workers: 1, Shards: 1}
-	want := referenceJSON(t, plan, engine)
+	want := referenceJSON(t, plan)
 
 	var log bytes.Buffer
-	c := New(Config{Workers: 2, Retries: 1, Seed: 23, Engine: engine, Log: &log}, plan)
+	c := newFake(Config{Workers: 2, Seed: 23, Log: &log}, plan)
 	inner := c.runWorker
 	var mu sync.Mutex
 	crashed := false
@@ -116,7 +140,7 @@ func TestCoordinatorRetriesCrashedWorker(t *testing.T) {
 // healthy workers still run to completion (no deadlock, no panic).
 func TestCoordinatorFailsAfterRetries(t *testing.T) {
 	plan := testPlan(29)
-	c := New(Config{Workers: 2, Retries: 2, Seed: 29, Engine: harness.Orchestrator{Workers: 1, Shards: 1}}, plan)
+	c := newFake(Config{Workers: 2, Seed: 29}, plan)
 	inner := c.runWorker
 	c.runWorker = func(ctx context.Context, w workerTask) (harness.Artifact, error) {
 		if w.id == 0 {
@@ -128,7 +152,7 @@ func TestCoordinatorFailsAfterRetries(t *testing.T) {
 	if err == nil {
 		t.Fatal("persistently crashing worker did not fail the sweep")
 	}
-	if !strings.Contains(err.Error(), "worker 0") || !strings.Contains(err.Error(), "3 attempt(s)") {
+	if !strings.Contains(err.Error(), "worker 0") || !strings.Contains(err.Error(), "2 attempt(s)") {
 		t.Fatalf("error does not describe the failure: %v", err)
 	}
 }
@@ -137,7 +161,7 @@ func TestCoordinatorFailsAfterRetries(t *testing.T) {
 func TestCoordinatorContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	c := New(Config{Workers: 2, Retries: 5, Seed: 3, Engine: harness.Orchestrator{Workers: 1, Shards: 1}}, testPlan(3))
+	c := newFake(Config{Workers: 2, Seed: 3}, testPlan(3))
 	if _, err := c.Run(ctx); err == nil || !strings.Contains(err.Error(), "context canceled") {
 		t.Fatalf("canceled run returned %v", err)
 	}
@@ -152,12 +176,12 @@ func TestCoordinatorEmptyPlan(t *testing.T) {
 }
 
 // TestForSweepsPlanMatchesHarness pins that the production coordinator
-// plans exactly the canonical matrix (the quick matrix here — what CI's
-// dist-sweep job shards).
+// plans exactly the canonical matrix (the quick matrix here — what `make
+// sweep-dist` shards).
 func TestForSweepsPlanMatchesHarness(t *testing.T) {
 	cfg := Config{Workers: 2, Quick: true, Seed: 1}
 	c := ForSweeps(cfg)
-	if got, want := c.Plan().Len(), harness.SweepsPlan(true, 0, 1).Len(); got != want {
+	if got, want := c.plan.Len(), harness.SweepsPlan(true, 0, 1).Len(); got != want {
 		t.Fatalf("coordinator plans %d cells, harness plans %d", got, want)
 	}
 }
