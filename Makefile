@@ -144,6 +144,7 @@ ci: build lint test race bench
 
 clean:
 	rm -f BENCH_harness.json BENCH_scaling.json BENCH_dist.json BENCH_local.json REPORT.md
+	rm -f benchdiff_report.json lereport.md
 	rm -f BENCH_epochs.json
 	rm -f BENCH_obs.json TRACE_lebench.json OBS_metrics.json CPU_lebench.pprof REPORT_obs.md
 	rm -f DIST_demo.json

@@ -11,7 +11,8 @@ import (
 // batch through the public API: exit 0, the adversary's canonical
 // descriptor on the faults line, per-trial means over the three trials.
 // A batch of no trials, which used to print 0/0 and NaN means, is refused,
-// and so is the -parallel knob the library dropped.
+// and so are the -parallel knob the library dropped and a graph size the
+// family cannot have.
 func TestLeaderelectFaultedBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary")
@@ -39,5 +40,11 @@ func TestLeaderelectFaultedBatch(t *testing.T) {
 		if out, err := exec.Command(bin, args...).CombinedOutput(); err == nil {
 			t.Errorf("leaderelect %v exited 0:\n%s", args, out)
 		}
+	}
+	// A size below the family's minimum is one line naming it, not the
+	// constructor's panic with a goroutine dump.
+	out, err = exec.Command(bin, "-graph", "cycle", "-n", "2").CombinedOutput()
+	if want := "leaderelect: graph: cycle needs n>=3, got 2\n"; err == nil || string(out) != want {
+		t.Errorf("leaderelect -graph cycle -n 2: err %v, output %q; want a failure printing %q", err, out, want)
 	}
 }

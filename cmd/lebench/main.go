@@ -1,96 +1,24 @@
-// Command lebench regenerates the paper's evaluation artifacts: every
-// Table 1 cell (measured on the CONGEST simulator and compared to the
-// paper's complexity formulas), the Figures 1-2 pumping-wheel
-// impossibility series, and the design ablations X1-X4.
+// Command lebench regenerates the paper's evaluation: every experiment that
+// produces cells is plan → Orchestrator.RunSweep → artifact → report, and
+// stdout is the markdown `lereport` renders from the -json artifact.
 //
 // Usage:
 //
-//	lebench -exp table1            # all Table 1 rows
-//	lebench -exp figures           # pumping-wheel split-brain series
-//	lebench -exp ablations         # X1-X4 design ablations
-//	lebench -exp knowledge         # X4 knowledge ablation only
-//	lebench -exp faults            # F1-F5 fault-injection resilience curves
-//	lebench -exp sweeps            # table1 + knowledge + faults (the artifact cells)
-//	lebench -exp scaling           # n=10^3..10^5 ramps under the estimate regime
-//	lebench -exp epochs            # E1-E3 repeated-election epoch scenarios
-//	lebench -exp all -quick        # everything, reduced sweep
-//	lebench -exp table1 -workers 1 -json BENCH_harness.json   # one goroutine
+//	lebench -exp table1            # Table 1 rows (T1-a..d)
+//	lebench -exp knowledge         # X4 presumed-n ablation
+//	lebench -exp faults            # F1-F5 fault-injection ladders
+//	lebench -exp sweeps            # table1 + knowledge + faults: the gate matrix
+//	lebench -exp epochs            # E1-E3 repeated-election scenarios
+//	lebench -exp scaling           # n=10^3..10^5 ramps, one wall clock per cell
+//	lebench -exp figures           # Figures 1-2 pumping-wheel series (no cells)
+//	lebench -exp ablations         # X1-X3 series (no cells) + knowledge
+//	lebench -exp all -quick        # sweeps + figures + ablations
+//	lebench -exp sweeps -quick -json BENCH_harness.json       # CI's gate sweep
 //	lebench -exp sweeps -quick -procs 2 -json BENCH_dist.json # two worker processes
-//	lebench -exp scaling -quick -json BENCH_scaling.json   # CI smoke + cache demo
 //
-// -exp faults runs the adversary subsystem's resilience sweeps
-// (internal/adversary): fault rate × protocol × graph family for message
-// loss, crash-stop schedules, link churn, and delivery jitter, each as a
-// degradation curve anchored at the fault-free cell. Fault-injected cells
-// carry their adversary descriptor in the artifact, so benchdiff aligns
-// and gates them like any other cell.
-//
-// -exp sweeps runs exactly the sweep-based experiments (Table 1, the X4
-// knowledge ablation, and the fault-injection curves) — every cell that
-// lands in the JSON artifact — and is what CI's bench-gate job executes
-// before diffing the artifact against testdata/BENCH_baseline.json with
-// cmd/benchdiff.
-//
-// -exp epochs runs the repeated-election scenarios (anonlead.RunEpochs
-// through the harness): seed-chained epochs of elect → lead → leader
-// crashes or revokes → re-elect on one persistent topology, swept over an
-// adversary ladder that compares a static crash schedule against the
-// traffic-adaptive adversary targeting the busiest node. Scenario cells
-// carry their epoch descriptor and amortized per-epoch stats in the
-// schema-v6 artifact (conventionally archived as BENCH_epochs.json, a
-// separate artifact from the -exp sweeps matrix).
-//
-// -exp scaling is the estimate-regime counterpart of Table 1: size ramps
-// to n = 10^5, where profiles come from the streaming spectral estimators
-// instead of dense matrices. Cells run sequentially with per-cell wall
-// timing and the rendering reports empirical scaling exponents plus
-// profile-cache hit rates; -quick shrinks the matrix to one 100k-node
-// expander cell run twice (the CI smoke, demonstrating the cache hit).
-//
-// -profile pins the spectral profile regime for every sweep cell: exact
-// (dense matrices, the committed baselines), estimate (streaming, scales
-// past dense sizes), or auto (the default: exact up to n = 256, estimate
-// above). The resolved regime is part of each cell's identity in the
-// artifact, so a regime switch diffs as added/removed cells.
-//
-// The sweep-based experiments (table1, knowledge, faults, epochs) always
-// fan their cells and per-cell trials out over a bounded worker pool
-// (harness.Orchestrator, the one cell runner): -workers sizes it (0 =
-// GOMAXPROCS, 1 = a single goroutine). Per-trial seeds are split
-// deterministically from -seed, so the output does not depend on the pool
-// size. The figures series and the X1-X3 ablations are bespoke trial loops
-// on the calling goroutine. -json records every sweep cell executed during
-// the run in a machine-readable artifact for cross-PR perf trajectory
-// tracking (experiments that run no sweeps contribute no cells).
-//
-// -procs N runs -exp sweeps across N worker processes: the coordinator
-// (internal/sweep) cuts the plan into N contiguous index ranges, re-execs
-// this binary once per range with -cells, reruns a crashed worker once, and
-// merges the partial artifacts with harness.MergeArtifacts into -json.
-// Because per-trial seeds are pure functions of the root seed and the
-// cell, the merged artifact is byte-identical to a single-process
-// -strip-timings sweep (what `make sweep-dist` checks with cmp). No tables
-// are rendered; progress goes to stderr.
-//
-// -cells is the worker side of that: it selects a subset of the -exp
-// sweeps cell matrix by plan index (the order harness.SweepsPlan fixes,
-// e.g. "0:40" or "3,7:12"), runs exactly those cells, and writes a partial
-// artifact whose plan header records the covered indices. -strip-timings
-// zeroes the artifact's wall-clock fields so two deterministic sweeps can
-// be compared with cmp.
-//
-// Observability (see docs/ARCHITECTURE.md "Observability"): -round-profile
-// attaches deterministic per-round message/halt histograms to every sweep
-// cell (the schema-v5 round_profile artifact section); -trace-out FILE
-// writes the run's phase spans as Chrome trace-event JSON for
-// chrome://tracing or Perfetto; -metrics-out FILE dumps the metrics
-// registry as JSON (lereport -phases renders it as a phase-breakdown
-// table); -debug-addr ADDR serves /metrics and /debug/pprof/* while the
-// run executes, plus with -procs the coordinator's per-worker
-// /debug/progress; -cpuprofile FILE records a CPU pprof profile. None of
-// these perturb measurements: spans and metrics are wall-clock side
-// channels, and round profiles are integer-exact and
-// scheduler-independent.
+// README "Running sweeps" walks through the experiments, -workers,
+// -procs/-cells and -profile; docs/ARCHITECTURE.md "Observability" covers
+// -round-profile, -trace-out, -metrics-out, -debug-addr and -cpuprofile.
 package main
 
 import (
@@ -103,7 +31,9 @@ import (
 
 	"anonlead/internal/harness"
 	"anonlead/internal/obs"
+	"anonlead/internal/report"
 	"anonlead/internal/spectral"
+	"anonlead/internal/stats"
 	"anonlead/internal/sweep"
 )
 
@@ -115,7 +45,7 @@ func main() {
 }
 
 // session carries the flag configuration plus the accumulated sweep
-// results destined for the JSON artifact.
+// results destined for the report and the JSON artifact.
 type session struct {
 	quick     bool
 	trials    int
@@ -134,11 +64,31 @@ type session struct {
 	start time.Time
 }
 
+// experiment is one -exp value: the series it prints as it goes, then the
+// plan whose cells it sweeps. Either may be absent. A series may sweep
+// cells of its own (scaling does, to time them one by one).
+type experiment struct {
+	series []func(*session) error
+	plan   func(quick bool, trials int, seed uint64) harness.Plan
+}
+
+var experiments = map[string]experiment{
+	"table1":    {plan: harness.Table1Plan},
+	"knowledge": {plan: harness.KnowledgePlan},
+	"faults":    {plan: harness.FaultsPlan},
+	"sweeps":    {plan: harness.SweepsPlan},
+	"epochs":    {plan: harness.EpochsPlan},
+	"scaling":   {series: []func(*session) error{scaling}},
+	"figures":   {series: []func(*session) error{figures}},
+	"ablations": {series: []func(*session) error{ablations}, plan: harness.KnowledgePlan},
+	"all":       {series: []func(*session) error{figures, ablations}, plan: harness.SweepsPlan},
+}
+
 // sweep runs a batch of cell specs through the orchestrator and records
 // the results for the artifact. The -profile regime is applied here, so one
 // flag threads the canonical mode through every experiment's TrialOpts and
 // into the artifact cell descriptors.
-func (s *session) sweep(specs []harness.CellSpec) ([]harness.Cell, error) {
+func (s *session) sweep(specs []harness.CellSpec) error {
 	for i := range specs {
 		specs[i].Opts.ProfileMode = s.profile
 		if s.roundProf {
@@ -147,16 +97,16 @@ func (s *session) sweep(specs []harness.CellSpec) ([]harness.Cell, error) {
 	}
 	cells, err := s.orch.RunSweep(specs)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.specs = append(s.specs, specs...)
 	s.cells = append(s.cells, cells...)
-	return cells, nil
+	return nil
 }
 
 func run() error {
 	var (
-		exp        = flag.String("exp", "all", "experiment: table1, figures, ablations, knowledge, faults, sweeps, scaling, epochs, all")
+		exp        = flag.String("exp", "all", "experiment: table1, figures, ablations, knowledge, faults, sweeps (table1+knowledge+faults), scaling, epochs, all (sweeps+figures+ablations)")
 		quick      = flag.Bool("quick", false, "reduced sweeps for a fast pass")
 		trials     = flag.Int("trials", 0, "trials per cell (0 = experiment default)")
 		seed       = flag.Uint64("seed", 1, "root random seed")
@@ -230,58 +180,35 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if err := art.WriteFile(*jsonPath); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d cells, merged from %d worker processes)\n", *jsonPath, len(art.Cells), *procs)
-		return nil
+		return emit(art, *jsonPath)
 	}
 	if *cells != "" {
-		// Worker mode: the cell selector is resolved against the sweeps
-		// plan, so it only makes sense for the artifact matrix.
-		if *exp != "sweeps" {
-			return fmt.Errorf("-cells selects from the -exp sweeps plan; pass -exp sweeps (got %q)", *exp)
+		// Worker mode: the selector is resolved against the sweeps plan and
+		// the partial artifact is the only output.
+		if *exp != "sweeps" || *jsonPath == "" {
+			return fmt.Errorf("-cells selects from the -exp sweeps plan and writes a partial artifact: pass -exp sweeps -json FILE (got -exp %q -json %q)", *exp, *jsonPath)
 		}
 		if err := runSelected(s, *cells); err != nil {
 			return err
 		}
-		return writeArtifact(s, *exp)
+		return s.finish(*exp)
 	}
 
-	switch *exp {
-	case "table1":
-		err = table1(s)
-	case "figures":
-		err = figures(s)
-	case "ablations":
-		err = ablations(s)
-	case "knowledge":
-		err = knowledge(s)
-	case "faults":
-		err = faults(s)
-	case "scaling":
-		err = scaling(s)
-	case "epochs":
-		err = epochs(s)
-	case "sweeps":
-		for _, f := range []func(*session) error{table1, knowledge, faults} {
-			if err = f(s); err != nil {
-				break
-			}
-		}
-	case "all":
-		for _, f := range []func(*session) error{table1, figures, ablations, faults} {
-			if err = f(s); err != nil {
-				break
-			}
-		}
-	default:
+	e, ok := experiments[*exp]
+	if !ok {
 		return fmt.Errorf("unknown experiment %q", *exp)
 	}
-	if err != nil {
-		return err
+	for _, f := range e.series {
+		if err := f(s); err != nil {
+			return err
+		}
 	}
-	return writeArtifact(s, *exp)
+	if e.plan != nil {
+		if err := s.sweep(e.plan(s.quick, s.trials, s.seed).Specs()); err != nil {
+			return err
+		}
+	}
+	return s.finish(*exp)
 }
 
 // writeTelemetry flushes the run's telemetry side channels (a no-op when
@@ -304,24 +231,34 @@ func writeTelemetry(traceOut, metricsOut string) {
 	}
 }
 
-// writeArtifact emits the session's accumulated sweep cells as the JSON
-// artifact (a no-op without -json).
-func writeArtifact(s *session, exp string) error {
-	if s.jsonPath == "" {
-		return nil
-	}
-	if len(s.cells) == 0 {
-		fmt.Fprintf(os.Stderr, "lebench: note: -exp %s ran no sweeps, so the artifact has no cells (table1 and knowledge populate it)\n", exp)
+// finish assembles the session's cells into the artifact and emits it.
+func (s *session) finish(exp string) error {
+	if s.jsonPath != "" && len(s.cells) == 0 {
+		fmt.Fprintf(os.Stderr, "lebench: note: -exp %s swept no cells, so the artifact has none (every experiment but figures does)\n", exp)
 	}
 	artifact := harness.NewArtifact(s.orch, s.specs, s.cells, time.Since(s.start))
 	artifact.Plan = s.plan
 	if s.strip {
 		artifact = artifact.StripTimings()
 	}
-	if err := artifact.WriteFile(s.jsonPath); err != nil {
+	return emit(artifact, s.jsonPath)
+}
+
+// emit prints the artifact's report — the markdown lereport renders from
+// the file, since the report reads no wall-clock field — and writes the
+// file when -json names one. A -cells partial is a worker's output for the
+// coordinator to merge, not something to read: it prints no report.
+func emit(a harness.Artifact, jsonPath string) error {
+	if len(a.Cells) > 0 && a.Plan == nil {
+		fmt.Print(report.New(a, report.Options{}).Markdown())
+	}
+	if jsonPath == "" {
+		return nil
+	}
+	if err := a.WriteFile(jsonPath); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d cells)\n", s.jsonPath, len(s.cells))
+	fmt.Printf("wrote %s (%d cells)\n", jsonPath, len(a.Cells))
 	return nil
 }
 
@@ -344,8 +281,8 @@ func checkProcs(procs int, exp, jsonPath string) error {
 
 // runSelected is the distributed-sweep worker path: resolve the -cells
 // selector against the canonical sweeps plan, run exactly the selected
-// cells (no rendering — the coordinator merges and reports), and record
-// the covered plan indices for the artifact's plan header.
+// cells, and record the covered plan indices for the artifact's plan
+// header.
 func runSelected(s *session, selector string) error {
 	sel, err := harness.ParseCellSelector(selector)
 	if err != nil {
@@ -361,7 +298,7 @@ func runSelected(s *session, selector string) error {
 	for j, idx := range idxs {
 		specs[j] = all[idx]
 	}
-	if _, err := s.sweep(specs); err != nil {
+	if err := s.sweep(specs); err != nil {
 		return err
 	}
 	s.plan = &harness.ArtifactPlan{Total: plan.Len(), Indices: idxs}
@@ -374,33 +311,6 @@ func pickTrials(override, def int) int {
 		return override
 	}
 	return def
-}
-
-// table1 regenerates the Table 1 rows: T1-a (IRE), T1-b (Gilbert-class),
-// T1-c (flooding class), T1-d (revocable), plus the diameter-2
-// clique-of-cliques cells motivated by the Chatterjee et al. chasm. The
-// matrix itself lives in harness.Table1Plan — the shared planner the
-// distributed sweep shards by index — so the rendered tables and a
-// worker's -cells subset can never drift apart. All sections are expanded
-// into one spec list so the pool overlaps every cell.
-func table1(s *session) error {
-	sections := harness.Table1Plan(s.quick, s.trials, s.seed)
-	var specs []harness.CellSpec
-	bounds := make([][2]int, len(sections))
-	for i, sec := range sections {
-		lo := len(specs)
-		specs = append(specs, sec.Specs...)
-		bounds[i] = [2]int{lo, len(specs)}
-	}
-	cells, err := s.sweep(specs)
-	if err != nil {
-		return err
-	}
-	for i, sec := range sections {
-		rows := harness.RowsFromCells(cells[bounds[i][0]:bounds[i][1]])
-		fmt.Println(harness.RenderTable1(sec.Title, rows))
-	}
-	return nil
 }
 
 // figures regenerates the Figures 1-2 pumping-wheel series.
@@ -420,7 +330,8 @@ func figures(s *session) error {
 	return nil
 }
 
-// ablations regenerates the X1-X4 design ablations.
+// ablations regenerates the X1-X3 design ablations (X4, the knowledge
+// ablation, is a plan like any other and comes out of the report).
 func ablations(s *session) error {
 	trials := pickTrials(s.trials, 10)
 	if s.quick {
@@ -439,11 +350,11 @@ func ablations(s *session) error {
 	fmt.Println(harness.RenderAblationCautious(w, prof, points))
 
 	factors := []float64{0.25, 0.5, 1, 2, 4}
-	wpoints, prof2, err := harness.AblationWalks(w, factors, trials, s.seed)
+	wpoints, err := harness.AblationWalks(s.orch, w, factors, trials, s.seed)
 	if err != nil {
 		return err
 	}
-	fmt.Println(harness.RenderAblationWalks(w, prof2, wpoints))
+	fmt.Println(harness.RenderAblationWalks(w, wpoints))
 
 	dw := harness.Workload{Family: "cycle", N: 16}
 	dpoints, err := harness.AblationDiffusion(dw, 0.5, 64, s.seed)
@@ -451,93 +362,43 @@ func ablations(s *session) error {
 		return err
 	}
 	fmt.Println(harness.RenderAblationDiffusion(dw, dpoints))
-
-	return knowledge(s)
-}
-
-// faults regenerates the F1-F5 fault-injection resilience curves: each
-// sweep perturbs one protocol on one family with an escalating adversary
-// ladder (message loss, crash-stop, link churn, delivery jitter, and the
-// F5 crash-stop ladder against revocable LE with survivor-judged
-// convergence) and charts success/cost degradation against the
-// fault-free anchor. The quick matrix is part of the artifact cells CI's
-// bench-gate diffs, so resilience regressions gate like any other metric.
-func faults(s *session) error {
-	for _, sec := range harness.FaultsPlan(s.quick, s.trials, s.seed) {
-		cells, err := s.sweep(sec.Specs)
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.RenderFaults(sec.Fault, cells))
-	}
 	return nil
 }
 
-// epochs runs the E1-E3 repeated-election scenarios: seed-chained epoch
-// histories on one persistent topology, each sweep comparing the static
-// and traffic-adaptive adversary rungs against the fault-free anchor. The
-// matrix lives in harness.EpochsPlan — a separate experiment from the
-// -exp sweeps artifact matrix, conventionally archived as
-// BENCH_epochs.json (what `make epochs-smoke` does).
-func epochs(s *session) error {
-	for _, sec := range harness.EpochsPlan(s.quick, s.trials, s.seed).Sections {
-		cells, err := s.sweep(sec.Specs)
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.RenderEpochs(sec.Epoch, cells))
-	}
-	return nil
-}
-
-// scaling runs the estimate-regime size ramps (n = 10^3..10^5) with
-// per-cell wall timing, prints empirical scaling exponents, and reports
-// the profile-cache hit rate — the cache is what makes the second run of
-// a repeated cell collapse to trial cost (the -quick smoke demonstrates
-// exactly that with one 100k-node cell run twice).
+// scaling runs the estimate-regime size ramps (harness.ScalingPlan) one
+// cell at a time on one worker, because the wall clock per cell is the
+// measurement and a pool would smear prepare and trial costs across cells.
+// It prints only what the report never consults: seconds per cell, the
+// wall-time exponent of each ramp, and the profile-cache hit rate — the
+// cache is what makes the second run of a repeated cell collapse to trial
+// cost (the -quick smoke demonstrates exactly that with one 100k-node cell
+// run twice). The cells go to the report and the artifact like any others.
 func scaling(s *session) error {
-	trials := pickTrials(s.trials, 2)
-	if s.quick {
-		trials = pickTrials(s.trials, 1)
-	}
-	opts := harness.TrialOpts{Trials: trials, Seed: s.seed, ProfileMode: s.profile}
-	s.orch.Workers = 1 // what RunScalingSweep times each cell on; the artifact header says so
+	s.orch.Workers = 1 // the artifact header says so
 	hits0, misses0 := harness.ProfileCacheStats()
-	var all []harness.TimedCell
-	for _, sw := range harness.ScalingSweeps(s.quick) {
-		timed, specs, err := harness.RunScalingSweep(sw, opts)
-		if err != nil {
-			return err
+	var all []float64
+	for _, sec := range harness.ScalingPlan(s.quick, s.trials, s.seed).Sections {
+		fmt.Println(sec.Title)
+		var ns, secs []float64
+		for _, spec := range sec.Specs {
+			start := time.Now()
+			if err := s.sweep([]harness.CellSpec{spec}); err != nil {
+				return err
+			}
+			d := time.Since(start).Seconds()
+			fmt.Printf("  %s n=%d: %.2fs\n", spec.Workload.Family, spec.Workload.N, d)
+			ns, secs = append(ns, float64(spec.Workload.N)), append(secs, d)
 		}
-		fmt.Println(harness.RenderScaling(sw.Title, timed))
-		s.specs = append(s.specs, specs...)
-		s.cells = append(s.cells, harness.CellsOfTimed(timed)...)
-		all = append(all, timed...)
+		if slope, r2 := stats.LogLogSlope(ns, secs); r2 > 0 {
+			fmt.Printf("  wall time ~ n^%.2f (R²=%.3f)\n", slope, r2)
+		}
+		all = append(all, secs...)
 	}
 	hits, misses := harness.ProfileCacheStats()
 	fmt.Printf("profile cache: %d hits, %d misses this run\n", hits-hits0, misses-misses0)
-	if s.quick && len(all) == 2 && all[1].PrepSeconds > 0 {
-		fmt.Printf("cache speedup: cell %.2fs -> %.2fs, prepare %.2fs -> %.3fs (%.0fx)\n",
-			all[0].Seconds, all[1].Seconds,
-			all[0].PrepSeconds, all[1].PrepSeconds,
-			all[0].PrepSeconds/all[1].PrepSeconds)
+	if s.quick && len(all) == 2 && all[1] > 0 {
+		fmt.Printf("cache speedup: cell %.2fs -> %.2fs (%.1fx)\n", all[0], all[1], all[0]/all[1])
 	}
 	fmt.Println()
-	return nil
-}
-
-// knowledge regenerates the X4 knowledge ablation (after Dieudonné-Pelc)
-// on an expander and on the diameter-2 clique-of-cliques (the workloads
-// and factors live in harness.KnowledgePlan, shared with the distributed
-// sweep's cell matrix).
-func knowledge(s *session) error {
-	for _, sec := range harness.KnowledgePlan(s.quick, s.trials, s.seed) {
-		cells, err := s.sweep(sec.Specs)
-		if err != nil {
-			return err
-		}
-		points, prof := harness.KnowledgePoints(sec.Factors, sec.Specs, cells)
-		fmt.Println(harness.RenderAblationKnowledge(sec.Workload, prof, points))
-	}
 	return nil
 }

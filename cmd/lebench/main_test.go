@@ -12,8 +12,9 @@ import (
 )
 
 // TestLebench builds the binary once and drives it as a process: the
-// -procs sweep over real worker subprocesses, the pool-size identity, the
-// -cells partial header, and the flag combinations that must be refused.
+// -procs sweep over real worker subprocesses, the pool-size identity,
+// stdout against lereport's render of the artifact, the -cells partial
+// header, and the flag combinations that must be refused.
 func TestLebench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the lebench binary")
@@ -90,7 +91,7 @@ func TestLebench(t *testing.T) {
 		}
 	})
 
-	// The pool size changes neither the cells nor the rendered tables.
+	// The pool size changes neither the cells nor the printed report.
 	t.Run("workers", func(t *testing.T) {
 		one, three := filepath.Join(dir, "w1.json"), filepath.Join(dir, "w3.json")
 		out1, _ := mustRun(t, "-exp", "faults", "-quick", "-trials", "3", "-workers", "1", "-strip-timings", "-json", one)
@@ -103,7 +104,24 @@ func TestLebench(t *testing.T) {
 			t.Fatal("-workers 1 and -workers 3 wrote different cells")
 		}
 		if strings.ReplaceAll(out1, one, "") != strings.ReplaceAll(out3, three, "") {
-			t.Fatalf("-workers 1 and -workers 3 rendered different tables:\n%s\nvs\n%s", out1, out3)
+			t.Fatalf("-workers 1 and -workers 3 printed different reports:\n%s\nvs\n%s", out1, out3)
+		}
+	})
+
+	// Stdout is the report of the artifact: what lereport renders from the
+	// -json file, byte for byte.
+	t.Run("report", func(t *testing.T) {
+		lereport, a := filepath.Join(dir, "lereport"), filepath.Join(dir, "report.json")
+		if out, err := exec.Command("go", "build", "-o", lereport, "../lereport").CombinedOutput(); err != nil {
+			t.Fatalf("go build lereport: %v\n%s", err, out)
+		}
+		stdout, _ := mustRun(t, "-exp", "sweeps", "-quick", "-trials", "1", "-json", a)
+		md, err := exec.Command(lereport, a).Output()
+		if err != nil {
+			t.Fatalf("lereport: %v", err)
+		}
+		if !bytes.Contains(md, []byte("## Table 1")) || !strings.Contains(stdout, string(md)) {
+			t.Fatalf("lebench stdout does not contain lereport's render of its artifact:\n%s\nvs\n%s", stdout, md)
 		}
 	})
 
@@ -131,6 +149,7 @@ func TestLebench(t *testing.T) {
 			{[]string{"-procs", "2", "-exp", "table1", "-json", out}, "-procs"},
 			{[]string{"-procs", "2", "-exp", "sweeps", "-cells", "0:3", "-json", out}, "-cells"},
 			{[]string{"-exp", "sweeps", "-cells", "bogus", "-json", out}, "-cells"},
+			{[]string{"-exp", "sweeps", "-quick", "-cells", "0:2"}, "-json FILE"},
 		} {
 			_, stderr, err := run(t, tc.args...)
 			if err == nil || !strings.Contains(stderr, tc.want) {

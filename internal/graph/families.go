@@ -350,6 +350,11 @@ func GNPConnected(n int, p float64, r *rng.RNG) (*Graph, error) {
 // expander (alias for regular6), diam2 (clique-of-cliques with a hub,
 // k ≈ √(n-1) cliques; alias cliquehub).
 func ByName(name string, n int, r *rng.RNG) (*Graph, error) {
+	// n comes from a flag or a caller's argument here, so a size the
+	// constructor would panic on is an error, not programmer misuse.
+	if minN, ok := byNameMinSize[name]; ok && n < minN {
+		return nil, fmt.Errorf("graph: %s needs n>=%d, got %d", name, minN, n)
+	}
 	switch name {
 	case "cycle":
 		return Cycle(n), nil
@@ -416,6 +421,13 @@ func ByName(name string, n int, r *rng.RNG) (*Graph, error) {
 	default:
 		return nil, fmt.Errorf("graph: unknown family %q", name)
 	}
+}
+
+// byNameMinSize is the smallest n of the families whose constructors take n
+// as is and panic below it (the other families derive their parameters
+// from n and are checked in ByName's switch).
+var byNameMinSize = map[string]int{
+	"cycle": 3, "path": 2, "complete": 2, "star": 2, "grid": 2, "tree": 2, "gnp": 2,
 }
 
 // FamilyNames lists the names accepted by ByName, for CLI help text.

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -233,6 +234,29 @@ func TestByNameAllFamilies(t *testing.T) {
 	}
 	if _, err := ByName("nosuch", 8, rng.New(1)); err == nil {
 		t.Fatal("unknown family accepted")
+	}
+}
+
+// TestByNameSmallSizes: n reaches ByName from flags and public arguments,
+// so a size below a family's minimum is an error naming the family, never
+// the constructor's panic.
+func TestByNameSmallSizes(t *testing.T) {
+	for _, name := range append(FamilyNames(), "regular4", "cliquehub") {
+		for _, n := range []int{-1, 0, 1, 2} {
+			g, err := ByName(name, n, rng.New(3))
+			if err != nil {
+				if !strings.HasPrefix(err.Error(), "graph: ") {
+					t.Errorf("ByName(%q, %d): error %q does not say where it is from", name, n, err)
+				}
+				continue
+			}
+			if err := g.Validate(); err != nil || !g.IsConnected() {
+				t.Errorf("ByName(%q, %d) returned an unusable graph (validate: %v)", name, n, err)
+			}
+		}
+	}
+	if _, err := ByName("cycle", 2, nil); err == nil || err.Error() != "graph: cycle needs n>=3, got 2" {
+		t.Fatalf("ByName(cycle, 2): %v", err)
 	}
 }
 

@@ -26,7 +26,9 @@ type CautiousPoint struct {
 }
 
 // AblationCautious sweeps x and measures cautious-broadcast territories
-// and cost in isolation (experiment X1).
+// and cost in isolation (experiment X1). It drives sim.New itself rather
+// than RunSweep: the territories are per-node IREMachine.Output() values,
+// which a public Run does not expose.
 func AblationCautious(w Workload, xs []int, trials int, seed uint64) ([]CautiousPoint, *spectral.Profile, error) {
 	g, err := w.BuildGraph(seed)
 	if err != nil {
@@ -95,85 +97,78 @@ func RenderAblationCautious(w Workload, prof *spectral.Profile, points []Cautiou
 	return t.String()
 }
 
-// WalkPoint is one point of the Lemma 2 ablation: success rate of the full
-// protocol as the walk count scales away from the paper's x.
+// WalkPoint is one point of the Lemma 2 ablation: the full protocol's cell
+// with the walk count scaled away from the paper's x.
 type WalkPoint struct {
-	Factor    float64
-	X         int
-	Trials    int
-	Successes int
-	Messages  float64
+	Factor float64
+	X      int
+	Cell   Cell
 }
 
-// AblationWalks sweeps the walk-count factor and measures election success
-// (experiment X2): the knee should sit near factor 1 (the paper's x).
-func AblationWalks(w Workload, factors []float64, trials int, seed uint64) ([]WalkPoint, *spectral.Profile, error) {
-	opts := TrialOpts{ProfileMode: spectral.ModeExact}
-	anw, prof, err := prepareCell(w, seed, opts.ProfileMode)
-	if err != nil {
-		return nil, nil, err
-	}
-	points := make([]WalkPoint, 0, len(factors))
-	for _, f := range factors {
-		pc := core.ProtoConfig{XFactor: f}
-		pt := WalkPoint{Factor: f, Trials: trials}
-		for t := 0; t < trials; t++ {
-			trial, err := runTrial(anw, "ire", pc, seed^uint64(math.Float64bits(f))^uint64(t)<<16, opts)
-			if err != nil {
-				return points, prof, err
-			}
-			if trial.Success {
-				pt.Successes++
-			}
-			pt.Messages += float64(trial.Metrics.Messages)
+// walkSpecs expands the X2 sweep into orchestrator cell specs: one IRE cell
+// per walk-count factor, on the exact profile. Trial seeds are shared
+// across factors for a paired comparison.
+func walkSpecs(w Workload, factors []float64, trials int, seed uint64) []CellSpec {
+	specs := make([]CellSpec, len(factors))
+	for i, f := range factors {
+		specs[i] = CellSpec{
+			Protocol: ProtoIRE,
+			Workload: w,
+			Opts: TrialOpts{Trials: trials, Seed: seed, ProfileMode: spectral.ModeExact,
+				Proto: core.ProtoConfig{XFactor: f}},
 		}
-		pt.Messages /= float64(trials)
+	}
+	return specs
+}
+
+// AblationWalks sweeps the walk-count factor through o and measures
+// election success (experiment X2): the knee should sit near factor 1 (the
+// paper's x). The cells stay out of the artifact — the factor is not part
+// of a cell's identity there, so the five would collide on one key.
+func AblationWalks(o Orchestrator, w Workload, factors []float64, trials int, seed uint64) ([]WalkPoint, error) {
+	cells, err := o.RunSweep(walkSpecs(w, factors, trials, seed))
+	if err != nil {
+		return nil, err
+	}
+	points := make([]WalkPoint, len(factors))
+	for i, f := range factors {
 		// Read the resolved walk count off a machine built from the inputs
-		// Run resolved for the trials above.
+		// Run resolved for the cell's trials.
+		prof := cells[i].Profile
 		factory, err := core.NewIREFactory(core.IREConfig{
 			N: w.N, TMix: prof.MixingTime, Phi: prof.Conductance, XFactor: f,
 		})
 		if err != nil {
-			return points, prof, err
+			return nil, err
 		}
-		pt.X, _, _, _, _ = factory(0, 0, nil).(*core.IREMachine).Params()
-		points = append(points, pt)
+		x, _, _, _, _ := factory(0, 0, nil).(*core.IREMachine).Params()
+		points[i] = WalkPoint{Factor: f, X: x, Cell: cells[i]}
 	}
-	return points, prof, nil
+	return points, nil
 }
 
 // RenderAblationWalks renders the X2 series.
-func RenderAblationWalks(w Workload, prof *spectral.Profile, points []WalkPoint) string {
+func RenderAblationWalks(w Workload, points []WalkPoint) string {
 	t := Table{
 		Title: fmt.Sprintf("X2 (Lemma 2): walk-count sweep on %s n=%d (paper x at factor 1)",
 			w.Family, w.N),
 		Header: []string{"factor", "x", "success", "rate", "lo", "hi", "msgs"},
 	}
 	for _, p := range points {
-		lo, hi := stats.Wilson(p.Successes, p.Trials)
-		t.AddRow(F(p.Factor), I(p.X), fmt.Sprintf("%d/%d", p.Successes, p.Trials),
-			F(float64(p.Successes)/float64(p.Trials)), F(lo), F(hi), F(p.Messages))
+		c := p.Cell
+		lo, hi := stats.Wilson(c.Successes, c.Trials)
+		t.AddRow(F(p.Factor), I(p.X), fmt.Sprintf("%d/%d", c.Successes, c.Trials),
+			F(c.SuccessRate()), F(lo), F(hi), F(c.Messages))
 	}
 	return t.String()
 }
 
-// KnowledgePoint is one point of the knowledge ablation (experiment X4):
-// the IRE protocol run with a misreported network size presumed = factor·n,
-// after Dieudonné & Pelc's study of how knowledge of n impacts election
-// time in anonymous networks. The graph (and its true tmix, Φ) stays fixed;
-// only the size the nodes are told changes.
-type KnowledgePoint struct {
-	Factor    float64
-	PresumedN int
-	Trials    int
-	Successes int
-	Messages  float64
-	Rounds    float64
-}
-
-// KnowledgeSpecs expands a presumed-size sweep into orchestrator cell
-// specs: each factor is one workload cell with PresumedN = factor·n
-// (clamped to 2). Trial seeds are shared across factors for a paired
+// KnowledgeSpecs expands a presumed-size sweep (the knowledge ablation,
+// experiment X4) into orchestrator cell specs: IRE run with a misreported
+// network size presumed = factor·n (clamped to 2), after Dieudonné & Pelc's
+// study of how knowledge of n impacts election time in anonymous networks.
+// The graph (and its true tmix, Φ) stays fixed; only the size the nodes are
+// told changes. Trial seeds are shared across factors for a paired
 // comparison.
 func KnowledgeSpecs(w Workload, factors []float64, trials int, seed uint64) []CellSpec {
 	specs := make([]CellSpec, len(factors))
@@ -189,42 +184,6 @@ func KnowledgeSpecs(w Workload, factors []float64, trials int, seed uint64) []Ce
 		}
 	}
 	return specs
-}
-
-// KnowledgePoints pairs the cells of a KnowledgeSpecs sweep with their
-// factors and presumed sizes.
-func KnowledgePoints(factors []float64, specs []CellSpec, cells []Cell) ([]KnowledgePoint, *spectral.Profile) {
-	points := make([]KnowledgePoint, len(cells))
-	for i, c := range cells {
-		points[i] = KnowledgePoint{
-			Factor:    factors[i],
-			PresumedN: specs[i].Opts.PresumedN,
-			Trials:    c.Trials,
-			Successes: c.Successes,
-			Messages:  c.Messages,
-			Rounds:    c.Rounds,
-		}
-	}
-	var prof *spectral.Profile
-	if len(cells) > 0 {
-		prof = cells[0].Profile
-	}
-	return points, prof
-}
-
-// RenderAblationKnowledge renders the X4 series.
-func RenderAblationKnowledge(w Workload, prof *spectral.Profile, points []KnowledgePoint) string {
-	t := Table{
-		Title: fmt.Sprintf("X4 (knowledge, after Dieudonné-Pelc): presumed-n sweep on %s n=%d (truth at factor 1)",
-			w.Family, w.N),
-		Header: []string{"factor", "presumed n", "success", "rate", "lo", "hi", "msgs", "rounds"},
-	}
-	for _, p := range points {
-		lo, hi := stats.Wilson(p.Successes, p.Trials)
-		t.AddRow(F(p.Factor), I(p.PresumedN), fmt.Sprintf("%d/%d", p.Successes, p.Trials),
-			F(float64(p.Successes)/float64(p.Trials)), F(lo), F(hi), F(p.Messages), F(p.Rounds))
-	}
-	return t.String()
 }
 
 // DiffusionPoint is one point of the Lemmas 5-8 ablation: the potential

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"fmt"
-
 	"anonlead/internal/adversary"
 	"anonlead/internal/epoch"
 )
@@ -91,43 +89,7 @@ func EpochsPlan(quick bool, trials int, seed uint64) Plan {
 	es := EpochSweeps(quick)
 	sections := make([]PlanSection, 0, len(es))
 	for _, e := range es {
-		sections = append(sections, PlanSection{
-			Kind:  SectionEpochs,
-			Title: e.Title,
-			Epoch: e,
-			Specs: e.CellSpecs(t, seed),
-		})
+		sections = append(sections, PlanSection{e.Title, e.CellSpecs(t, seed)})
 	}
-	return Plan{Sections: sections}
-}
-
-// RenderEpochs renders one repeated-election sweep: scenario success,
-// amortized per-epoch cost, and recovery time per adversary rung.
-func RenderEpochs(e EpochSweep, cells []Cell) string {
-	t := Table{
-		Title: fmt.Sprintf("%s [%s]", e.Title, e.Epochs.Descriptor()),
-		Header: []string{
-			"adversary", "success", "elected", "amsgs", "arounds", "recover",
-		},
-	}
-	for i, c := range cells {
-		desc := "none"
-		if i < len(e.Specs) {
-			if d := e.Specs[i].Descriptor(); d != "" {
-				desc = d
-			}
-		}
-		elected, amsgs, arounds, recover := "-", "-", "-", "-"
-		if es := c.EpochStats; es != nil {
-			elected = fmt.Sprintf("%.2f", es.ElectedRate)
-			amsgs, arounds = F(es.AmortizedMessages), F(es.AmortizedRounds)
-			recover = F(es.MeanRecover)
-		}
-		t.AddRow(
-			desc,
-			fmt.Sprintf("%d/%d", c.Successes, c.Trials),
-			elected, amsgs, arounds, recover,
-		)
-	}
-	return t.String()
+	return Plan{sections}
 }

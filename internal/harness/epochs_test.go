@@ -121,11 +121,6 @@ func TestEpochArtifactCells(t *testing.T) {
 func TestSweepsPlanHasNoEpochSections(t *testing.T) {
 	for _, quick := range []bool{true, false} {
 		p := SweepsPlan(quick, 0, 1)
-		for _, sec := range p.Sections {
-			if sec.Kind == SectionEpochs {
-				t.Fatalf("SweepsPlan(quick=%v) contains an epochs section %q", quick, sec.Title)
-			}
-		}
 		for i, spec := range p.Specs() {
 			if spec.Opts.Epochs != nil {
 				t.Fatalf("SweepsPlan(quick=%v) spec %d carries an epoch scenario", quick, i)
@@ -137,26 +132,24 @@ func TestSweepsPlanHasNoEpochSections(t *testing.T) {
 // TestEpochsPlanShape: the epochs plan is scenario sections only, every
 // cell carries its sweep's scenario, and the ladders are anchored.
 func TestEpochsPlanShape(t *testing.T) {
-	p := EpochsPlan(true, 0, 1)
-	if len(p.Sections) == 0 {
-		t.Fatal("empty epochs plan")
+	p, sweeps := EpochsPlan(true, 0, 1), EpochSweeps(true)
+	if len(p.Sections) == 0 || len(p.Sections) != len(sweeps) {
+		t.Fatalf("%d sections for %d epoch sweeps", len(p.Sections), len(sweeps))
 	}
-	for _, sec := range p.Sections {
-		if sec.Kind != SectionEpochs {
-			t.Fatalf("section %q kind %q", sec.Title, sec.Kind)
-		}
-		if err := sec.Epoch.Epochs.Validate(); err != nil {
+	for j, sec := range p.Sections {
+		sweep := sweeps[j]
+		if err := sweep.Epochs.Validate(); err != nil {
 			t.Fatalf("section %q scenario invalid: %v", sec.Title, err)
 		}
-		if len(sec.Specs) != len(sec.Epoch.Specs) {
-			t.Fatalf("section %q: %d cells for %d ladder rungs", sec.Title, len(sec.Specs), len(sec.Epoch.Specs))
+		if len(sec.Specs) != len(sweep.Specs) {
+			t.Fatalf("section %q: %d cells for %d ladder rungs", sec.Title, len(sec.Specs), len(sweep.Specs))
 		}
-		if !sec.Epoch.Specs[0].IsZero() {
+		if !sec.Specs[0].Opts.Adversary.IsZero() {
 			t.Fatalf("section %q has no fault-free anchor", sec.Title)
 		}
 		adaptive := false
 		for i, spec := range sec.Specs {
-			if spec.Opts.Epochs == nil || *spec.Opts.Epochs != sec.Epoch.Epochs {
+			if spec.Opts.Epochs == nil || *spec.Opts.Epochs != sweep.Epochs {
 				t.Fatalf("section %q cell %d lost its scenario", sec.Title, i)
 			}
 			if spec.Opts.Adversary.AdaptiveCrash > 0 {
@@ -165,23 +158,6 @@ func TestEpochsPlanShape(t *testing.T) {
 		}
 		if !adaptive {
 			t.Fatalf("section %q ladder has no adaptive rung", sec.Title)
-		}
-	}
-}
-
-// TestRenderEpochs: the rendered sweep carries the scenario descriptor,
-// one row per rung, and the epoch aggregate columns.
-func TestRenderEpochs(t *testing.T) {
-	sweep := epochTestSweep()
-	specs := sweep.CellSpecs(2, 7)
-	cells, err := Orchestrator{Workers: 1}.RunSweep(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := RenderEpochs(sweep, cells)
-	for _, want := range []string{"epochs=3,fault=crash", "none", "adaptive=1@1", "amsgs", "recover"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("rendered epochs table missing %q:\n%s", want, out)
 		}
 	}
 }

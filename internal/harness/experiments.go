@@ -13,17 +13,6 @@ import (
 	"anonlead/internal/stats"
 )
 
-// Table1Row is one measured cell of the Table 1 reproduction, paired with
-// the paper's predicted complexity for the same cell.
-type Table1Row struct {
-	Cell Cell
-	// PredictedMsgs is the paper's message-bound formula evaluated on the
-	// measured graph profile (without its polylog factors and constants).
-	PredictedMsgs float64
-	// PredictedTime is the paper's time-bound formula, same convention.
-	PredictedTime float64
-}
-
 // predictMsgs evaluates the leading message term of each protocol's bound.
 func predictMsgs(p Protocol, prof *spectral.Profile) float64 {
 	n := float64(prof.N)
@@ -65,16 +54,6 @@ func predictTime(p Protocol, prof *spectral.Profile) float64 {
 	}
 }
 
-// MakeTable1Row pairs a measured cell with the paper's predicted
-// complexities for the protocol.
-func MakeTable1Row(p Protocol, cell Cell) Table1Row {
-	return Table1Row{
-		Cell:          cell,
-		PredictedMsgs: predictMsgs(p, cell.Profile),
-		PredictedTime: predictTime(p, cell.Profile),
-	}
-}
-
 // SweepSpecs expands one protocol × family × size sweep into orchestrator
 // cell specs (one per size, all sharing opts).
 func SweepSpecs(p Protocol, family string, sizes []int, opts TrialOpts) []CellSpec {
@@ -83,48 +62,6 @@ func SweepSpecs(p Protocol, family string, sizes []int, opts TrialOpts) []CellSp
 		specs[i] = CellSpec{Protocol: p, Workload: Workload{Family: family, N: n}, Opts: opts}
 	}
 	return specs
-}
-
-// RowsFromCells pairs aggregated cells with the paper's predictions.
-func RowsFromCells(cells []Cell) []Table1Row {
-	rows := make([]Table1Row, len(cells))
-	for i, c := range cells {
-		rows[i] = MakeTable1Row(c.Protocol, c)
-	}
-	return rows
-}
-
-// RenderTable1 renders sweep rows, including measured/predicted ratios and
-// the empirical scaling exponent of messages in n.
-func RenderTable1(title string, rows []Table1Row) string {
-	t := Table{
-		Title: title,
-		Header: []string{
-			"family", "n", "m", "tmix", "phi", "msgs", "pred", "msg/pred",
-			"rounds", "charged", "predT", "success",
-		},
-	}
-	var xs, ys []float64
-	for _, r := range rows {
-		prof := r.Cell.Profile
-		ratio := 0.0
-		if r.PredictedMsgs > 0 {
-			ratio = r.Cell.Messages / r.PredictedMsgs
-		}
-		t.AddRow(
-			r.Cell.Workload.Family, I(prof.N), I(prof.M), I(prof.MixingTime),
-			F(prof.Conductance), F(r.Cell.Messages), F(r.PredictedMsgs), F(ratio),
-			F(r.Cell.Rounds), F(r.Cell.Charged), F(r.PredictedTime),
-			fmt.Sprintf("%d/%d", r.Cell.Successes, r.Cell.Trials),
-		)
-		xs = append(xs, float64(prof.N))
-		ys = append(ys, r.Cell.Messages)
-	}
-	out := t.String()
-	if slope, r2 := stats.LogLogSlope(xs, ys); r2 > 0 {
-		out += fmt.Sprintf("empirical message exponent: msgs ~ n^%.2f (R²=%.3f)\n", slope, r2)
-	}
-	return out
 }
 
 // SplitBrainPoint is one measured point of the Figure 1/2 reproduction.
@@ -141,6 +78,9 @@ type SplitBrainPoint struct {
 // parameterized for a presumed cycle C_n executes on wheels C_N with a
 // growing number of planted witnesses; Theorem 2 predicts the
 // multi-leader probability approaches 1 as witnesses are added.
+//
+// The trial loop stays bespoke: the wheels are NewNetworkFromGraph
+// networks, not Workloads a CellSpec can name.
 func SplitBrainExperiment(presumedN int, witnessCounts []int, trials int, seed uint64) ([]SplitBrainPoint, error) {
 	cycle, err := anonlead.NewNetworkFromGraph(graph.Cycle(presumedN))
 	if err != nil {

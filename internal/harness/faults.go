@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"fmt"
-
 	"anonlead/internal/adversary"
 	"anonlead/internal/core"
 )
@@ -10,8 +8,8 @@ import (
 // FaultSweep is one resilience degradation curve: a protocol on a fixed
 // workload, swept over a family of adversary configurations of increasing
 // severity. The first spec is conventionally the fault-free anchor (a zero
-// Spec), so the rendered curve and the artifact both carry the unperturbed
-// reference point.
+// Spec), so the artifact carries the unperturbed reference point the report
+// anchors the ladder's cost ratios at.
 type FaultSweep struct {
 	Title    string
 	Protocol Protocol
@@ -116,46 +114,4 @@ func FaultSweeps(quick bool) []FaultSweep {
 		{"F5 crash-stop vs Revocable LE on complete graphs", ProtoRevocable,
 			Workload{Family: "complete", N: revocableN}, revocableCrash, revocableOpts},
 	}
-}
-
-// RenderFaults renders one degradation curve: absolute metrics plus the
-// cost ratios against the sweep's fault-free anchor cell.
-func RenderFaults(f FaultSweep, cells []Cell) string {
-	t := Table{
-		Title: f.Title,
-		Header: []string{
-			"adversary", "success", "leaders>1", "leaders=0",
-			"msgs", "xmsgs", "rounds", "xrounds", "dropped", "crashed",
-		},
-	}
-	var anchor *Cell
-	if len(cells) > 0 && f.Specs[0].IsZero() {
-		anchor = &cells[0]
-	}
-	ratio := func(v, base float64) string {
-		if anchor == nil || base == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.2f", v/base)
-	}
-	for i, c := range cells {
-		desc := f.Specs[i].Descriptor()
-		if desc == "" {
-			desc = "none"
-		}
-		var xm, xr string
-		if anchor != nil {
-			xm, xr = ratio(c.Messages, anchor.Messages), ratio(c.Rounds, anchor.Rounds)
-		} else {
-			xm, xr = "-", "-"
-		}
-		t.AddRow(
-			desc,
-			fmt.Sprintf("%d/%d", c.Successes, c.Trials),
-			I(c.MultiLeaders), I(c.ZeroLeaders),
-			F(c.Messages), xm, F(c.Rounds), xr,
-			F(c.Dropped), F(c.CrashedNodes),
-		)
-	}
-	return t.String()
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"anonlead/internal/adversary"
@@ -90,25 +89,6 @@ func TestFaultSweepsMatrix(t *testing.T) {
 					t.Fatalf("%s spec %d: %v", f.Title, i, err)
 				}
 			}
-		}
-	}
-}
-
-func TestRenderFaults(t *testing.T) {
-	f := FaultSweep{
-		Title:    "loss demo",
-		Protocol: ProtoFlood,
-		Workload: Workload{Family: "complete", N: 12},
-		Specs:    lossLadder(0.5),
-	}
-	cells, err := Orchestrator{Workers: 1}.RunSweep(f.CellSpecs(2, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := RenderFaults(f, cells)
-	for _, want := range []string{"loss demo", "none", "loss=0.5", "xmsgs", "dropped"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
 		}
 	}
 }

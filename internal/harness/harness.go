@@ -1,8 +1,9 @@
 // Package harness runs the paper-reproduction experiments: it builds
 // topology cells, executes protocol trials through the public anonlead
 // API (the registry-backed Network.Run session surface), aggregates cost
-// metrics and success rates, and renders the Table 1 rows and figure
-// series.
+// metrics and success rates into cells, and assembles the cells into the
+// artifact internal/report renders. Only the series that produce no cells
+// (Figures 1-2, X1-X3) have text renderers here.
 //
 // Every trial is one anonlead.Run call on the anonlead.NewNetwork the cell
 // names, with the public types themselves (the harness translates

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -84,24 +85,20 @@ func TestRunCellBadFamily(t *testing.T) {
 }
 
 func TestTable1SweepAndRender(t *testing.T) {
-	// The path lebench's table1 takes: SweepSpecs -> RunSweep -> RowsFromCells.
-	cells, err := Orchestrator{}.RunSweep(SweepSpecs(ProtoIRE, "complete", []int{16, 24}, TrialOpts{Trials: 2, Seed: 7}))
+	// The path lebench takes: SweepSpecs -> RunSweep -> NewArtifact, which
+	// internal/report renders (its golden test pins the columns).
+	specs := SweepSpecs(ProtoIRE, "complete", []int{16, 24}, TrialOpts{Trials: 2, Seed: 7})
+	cells, err := Orchestrator{}.RunSweep(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := RowsFromCells(cells)
+	rows := NewArtifact(Orchestrator{}, specs, cells, 0).Cells
 	if len(rows) != 2 {
 		t.Fatalf("rows %d", len(rows))
 	}
 	for _, r := range rows {
 		if r.PredictedMsgs <= 0 || r.PredictedTime <= 0 {
 			t.Fatalf("predictions missing: %+v", r)
-		}
-	}
-	out := RenderTable1("test sweep", rows)
-	for _, want := range []string{"test sweep", "msgs", "success", "exponent"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
 		}
 	}
 }
@@ -174,18 +171,31 @@ func TestAblationCautiousRuns(t *testing.T) {
 
 func TestAblationWalksRuns(t *testing.T) {
 	w := Workload{Family: "complete", N: 24}
-	points, prof, err := AblationWalks(w, []float64{0.5, 2}, 3, 5)
+	factors := []float64{0.5, 1, 2}
+	points, err := AblationWalks(Orchestrator{Workers: 3}, w, factors, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 2 {
+	if len(points) != 3 {
 		t.Fatalf("points %d", len(points))
 	}
-	if points[0].X >= points[1].X {
+	if points[0].X >= points[1].X || points[1].X >= points[2].X {
 		t.Fatalf("x not scaled by factor: %+v", points)
 	}
-	out := RenderAblationWalks(w, prof, points)
-	if !strings.Contains(out, "Lemma 2") {
+	if c := points[1].Cell; c.Successes != c.Trials {
+		t.Fatalf("the paper's x (factor 1) elected %d/%d", c.Successes, c.Trials)
+	}
+	// The series is nothing but a sweep: its cells are the cells of its specs.
+	direct, err := Orchestrator{Workers: 1}.RunSweep(walkSpecs(w, factors, 3, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range points {
+		if !reflect.DeepEqual(p.Cell, direct[i]) {
+			t.Fatalf("factor %v: cell differs from a direct RunSweep:\n%+v\nvs\n%+v", p.Factor, p.Cell, direct[i])
+		}
+	}
+	if out := RenderAblationWalks(w, points); !strings.Contains(out, "Lemma 2") {
 		t.Fatal("render missing title")
 	}
 }

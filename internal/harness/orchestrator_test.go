@@ -38,7 +38,7 @@ func determinismSpecs(seed uint64) []CellSpec {
 // TestParallelHarnessDeterminism is the acceptance gate of the orchestrator:
 // a sweep fanned out over a sharded worker pool must produce output
 // byte-identical to the one-worker run for the same root seed — same
-// cells, same rendered tables, same JSON artifact. (What a cell is held to
+// cells, same JSON artifact. (What a cell is held to
 // independently of the orchestrator is TestHarnessTrialEqualsPublicRun.)
 func TestParallelHarnessDeterminism(t *testing.T) {
 	specs := determinismSpecs(17)
@@ -56,12 +56,8 @@ func TestParallelHarnessDeterminism(t *testing.T) {
 			t.Fatalf("workers=%d: cells differ from one worker:\nseq: %+v\npar: %+v",
 				o.Workers, seq, par)
 		}
-		// Rendered artifacts must match byte for byte.
-		seqTable := RenderTable1("determinism", RowsFromCells(seq))
-		parTable := RenderTable1("determinism", RowsFromCells(par))
-		if seqTable != parTable {
-			t.Fatalf("rendered tables differ:\n%s\nvs\n%s", seqTable, parTable)
-		}
+		// The artifact (what every report renders from) must match byte
+		// for byte.
 		seqJSON, err := NewArtifact(o, specs, seq, 0).StripTimings().JSON()
 		if err != nil {
 			t.Fatal(err)
@@ -288,9 +284,8 @@ func TestArtifactWriteFile(t *testing.T) {
 }
 
 // TestAblationKnowledge checks the X4 sweep the way lebench runs it —
-// KnowledgeSpecs through the pool into KnowledgePoints: truthful n
-// succeeds, presumed sizes scale with the factor, and the renderer names
-// the experiment.
+// KnowledgeSpecs through the pool into the artifact: truthful n succeeds
+// and the presumed sizes scale with the factor and reach the cells.
 func TestAblationKnowledge(t *testing.T) {
 	w := Workload{Family: "complete", N: 24}
 	factors := []float64{0.5, 1, 2}
@@ -299,7 +294,7 @@ func TestAblationKnowledge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, prof := KnowledgePoints(factors, specs, cells)
+	points := NewArtifact(Orchestrator{}, specs, cells, 0).Cells
 	if len(points) != 3 {
 		t.Fatalf("points %d", len(points))
 	}
@@ -308,10 +303,6 @@ func TestAblationKnowledge(t *testing.T) {
 	}
 	if points[1].Successes < 2 {
 		t.Fatalf("truthful-n success %d/3", points[1].Successes)
-	}
-	out := RenderAblationKnowledge(w, prof, points)
-	if !strings.Contains(out, "X4") || !strings.Contains(out, "presumed n") {
-		t.Fatalf("render incomplete:\n%s", out)
 	}
 }
 

@@ -13,46 +13,21 @@ import (
 // partition machinery a distributed sweep uses to shard that list across
 // worker processes.
 //
-// The plan IS the artifact layout: `lebench -exp sweeps` executes the
-// sections in plan order and appends their cells in plan order, so index
-// i of Plan.Specs() is cell i of the emitted artifact. A worker given a
-// cell selector runs exactly the selected specs (per-trial seeds are pure
-// functions of the root seed and the cell, never of which process runs
-// it), records the plan indices it covered in its partial artifact, and
-// MergeArtifacts reassembles the full artifact byte-identically to a
+// The plan IS the artifact layout: `lebench -exp sweeps` runs Plan.Specs()
+// as one sweep, so index i of it is cell i of the emitted artifact. A worker
+// given a cell selector runs exactly the selected specs (per-trial seeds
+// are pure functions of the root seed and the cell, never of which process
+// runs it), records the plan indices it covered in its partial artifact,
+// and MergeArtifacts reassembles the full artifact byte-identically to a
 // single-process sweep.
 
-// SectionKind names the renderer a plan section belongs to.
-type SectionKind string
-
-// The plan section kinds, in the order SweepsPlan emits them. SectionEpochs
-// belongs to the separate epochs experiment (EpochsPlan, `lebench -exp
-// epochs`) and never appears in SweepsPlan's matrix.
-const (
-	SectionTable1    SectionKind = "table1"
-	SectionRevocable SectionKind = "revocable"
-	SectionKnowledge SectionKind = "knowledge"
-	SectionFaults    SectionKind = "faults"
-	SectionEpochs    SectionKind = "epochs"
-)
-
-// PlanSection is one contiguous run of cells sharing a renderer: a Table-1
-// family sweep, the T1-d revocable rows, one knowledge-ablation workload,
-// or one fault ladder. The section carries whatever its renderer needs
-// beyond the cells themselves.
+// PlanSection is one contiguous run of cells that belong together: a
+// Table-1 family sweep, the T1-d revocable rows, one knowledge-ablation
+// workload, one fault ladder or one epoch scenario. The report rebuilds the
+// same grouping from the cells themselves (internal/report), so a section
+// carries nothing for a renderer.
 type PlanSection struct {
-	Kind  SectionKind
 	Title string
-	// Workload and Factors describe a knowledge section: the fixed
-	// workload and the presumed-n factors its specs sweep.
-	Workload Workload
-	Factors  []float64
-	// Fault is the generating sweep of a faults section (the renderer
-	// needs the adversary descriptors and the ladder title).
-	Fault FaultSweep
-	// Epoch is the generating sweep of an epochs section (the renderer
-	// needs the scenario and the adversary ladder).
-	Epoch EpochSweep
 	// Specs are the section's cells in execution (= artifact) order.
 	Specs []CellSpec
 }
@@ -82,7 +57,7 @@ func (p Plan) Len() int {
 	return n
 }
 
-// planPick mirrors lebench's quick/full matrix selection.
+// planPick selects the quick or the full matrix.
 func planPick(quick bool, full, reduced []int) []int {
 	if quick {
 		return reduced
@@ -105,7 +80,7 @@ func planTrials(override, def int) int {
 // experiment defaults: 10 full / 8 quick, 6 for revocable). The quick
 // matrix is CI's regression-gate workload — changing it requires
 // regenerating testdata/BENCH_baseline.json (make baseline).
-func Table1Plan(quick bool, trials int, seed uint64) []PlanSection {
+func Table1Plan(quick bool, trials int, seed uint64) Plan {
 	t := planTrials(trials, 10)
 	if quick {
 		t = planTrials(trials, 8)
@@ -141,11 +116,7 @@ func Table1Plan(quick bool, trials int, seed uint64) []PlanSection {
 	}
 	sections := make([]PlanSection, 0, len(sweeps)+1)
 	for _, sw := range sweeps {
-		sections = append(sections, PlanSection{
-			Kind:  SectionTable1,
-			Title: sw.title,
-			Specs: SweepSpecs(sw.proto, sw.family, sw.sizes, opts),
-		})
+		sections = append(sections, PlanSection{sw.title, SweepSpecs(sw.proto, sw.family, sw.sizes, opts)})
 	}
 
 	// T1-d: the revocable protocol at faithful parameters on tiny complete
@@ -157,17 +128,16 @@ func Table1Plan(quick bool, trials int, seed uint64) []PlanSection {
 	sizes := planPick(quick, []int{3, 4, 6, 8}, []int{3, 4, 6})
 	ropts := TrialOpts{Trials: rt, Seed: seed, RevocableUseProfileIso: true}
 	sections = append(sections, PlanSection{
-		Kind:  SectionRevocable,
-		Title: "T1-d Revocable LE (this work, faithful Theorem 3 schedule) on complete graphs",
-		Specs: SweepSpecs(ProtoRevocable, "complete", sizes, ropts),
+		"T1-d Revocable LE (this work, faithful Theorem 3 schedule) on complete graphs",
+		SweepSpecs(ProtoRevocable, "complete", sizes, ropts),
 	})
-	return sections
+	return Plan{sections}
 }
 
 // KnowledgePlan expands the X4 knowledge ablation (after Dieudonné-Pelc):
 // presumed-n factor sweeps on an expander and on the diameter-2
 // clique-of-cliques, one section per workload.
-func KnowledgePlan(quick bool, trials int, seed uint64) []PlanSection {
+func KnowledgePlan(quick bool, trials int, seed uint64) Plan {
 	t := planTrials(trials, 10)
 	if quick {
 		t = planTrials(trials, 6)
@@ -180,19 +150,16 @@ func KnowledgePlan(quick bool, trials int, seed uint64) []PlanSection {
 	sections := make([]PlanSection, 0, len(workloads))
 	for _, w := range workloads {
 		sections = append(sections, PlanSection{
-			Kind:     SectionKnowledge,
-			Title:    fmt.Sprintf("X4 knowledge ablation on %s n=%d", w.Family, w.N),
-			Workload: w,
-			Factors:  factors,
-			Specs:    KnowledgeSpecs(w, factors, t, seed),
+			fmt.Sprintf("X4 knowledge ablation on %s n=%d", w.Family, w.N),
+			KnowledgeSpecs(w, factors, t, seed),
 		})
 	}
-	return sections
+	return Plan{sections}
 }
 
 // FaultsPlan expands the F1-F5 fault-injection resilience ladders, one
 // section per ladder.
-func FaultsPlan(quick bool, trials int, seed uint64) []PlanSection {
+func FaultsPlan(quick bool, trials int, seed uint64) Plan {
 	t := planTrials(trials, 10)
 	if quick {
 		t = planTrials(trials, 6)
@@ -200,14 +167,9 @@ func FaultsPlan(quick bool, trials int, seed uint64) []PlanSection {
 	fs := FaultSweeps(quick)
 	sections := make([]PlanSection, 0, len(fs))
 	for _, f := range fs {
-		sections = append(sections, PlanSection{
-			Kind:  SectionFaults,
-			Title: f.Title,
-			Fault: f,
-			Specs: f.CellSpecs(t, seed),
-		})
+		sections = append(sections, PlanSection{f.Title, f.CellSpecs(t, seed)})
 	}
-	return sections
+	return Plan{sections}
 }
 
 // SweepsPlan is the canonical artifact cell matrix — exactly what
@@ -217,11 +179,11 @@ func FaultsPlan(quick bool, trials int, seed uint64) []PlanSection {
 // the flattened spec list across workers, and merges the partials back
 // into the same artifact a single process would have written.
 func SweepsPlan(quick bool, trials int, seed uint64) Plan {
-	var sections []PlanSection
-	sections = append(sections, Table1Plan(quick, trials, seed)...)
-	sections = append(sections, KnowledgePlan(quick, trials, seed)...)
-	sections = append(sections, FaultsPlan(quick, trials, seed)...)
-	return Plan{Sections: sections}
+	var p Plan
+	for _, plan := range []func(bool, int, uint64) Plan{Table1Plan, KnowledgePlan, FaultsPlan} {
+		p.Sections = append(p.Sections, plan(quick, trials, seed).Sections...)
+	}
+	return p
 }
 
 // selRange is one half-open [lo, hi) selector term.

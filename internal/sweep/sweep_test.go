@@ -23,7 +23,7 @@ func testPlan(seed uint64) harness.Plan {
 		{Protocol: harness.ProtoIRE, Workload: harness.Workload{Family: "diam2", N: 17},
 			Opts: harness.TrialOpts{Trials: 3, Seed: seed, PresumedN: 34}},
 	}
-	return harness.Plan{Sections: []harness.PlanSection{{Kind: harness.SectionTable1, Specs: specs}}}
+	return harness.Plan{Sections: []harness.PlanSection{{Specs: specs}}}
 }
 
 // engine is the one-worker orchestrator both the reference sweep and the
