@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench loc epochs-smoke scaling-smoke obs-smoke dist-demo bench-artifact benchdiff report baseline sweep-dist series-report lint fmt ci clean
+.PHONY: all build test race bench loc epochs-smoke scaling-smoke obs-smoke dist-demo bench-artifact benchdiff report baseline series-report lint fmt ci clean
 
 all: build
 
@@ -18,12 +18,11 @@ test:
 # Race-detector pass over the concurrent subsystems: simulator schedulers
 # (actors lifecycle and tracing included), the experiment orchestrator, the
 # adversary layer they both drive, the trace recorders, the telemetry
-# registry, the sweep coordinator, the real-transport backend (per-node
-# drivers, port readers, the coordinator, the concurrent TCP handshake) and
-# the epoch engine.
+# registry, the real-transport backend (per-node drivers, port readers, the
+# coordinator, the concurrent TCP handshake) and the epoch engine.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/harness/... ./internal/adversary/... \
-		./internal/trace/... ./internal/obs/... ./internal/sweep/... \
+		./internal/trace/... ./internal/obs/... \
 		./internal/transport/... ./internal/epoch/...
 
 # Bench smoke: every benchmark once — a does-it-run check, not a
@@ -101,17 +100,6 @@ baseline:
 	$(GO) run ./cmd/lereport -title "anonlead reproduction report — baseline" \
 		-out testdata/REPORT_baseline.md testdata/BENCH_baseline.json
 
-# Distributed sweep + byte-identity proof: shard the gate matrix across
-# two lebench worker processes, rerun it single-process with timings
-# stripped, and cmp the two files. Any byte of divergence — seed derivation
-# leaking the worker topology, merge misplacing a cell — fails the target.
-# CI's dist-sweep job runs exactly this.
-sweep-dist:
-	$(GO) run ./cmd/lebench -exp sweeps -quick -procs 2 -json BENCH_dist.json
-	$(GO) run ./cmd/lebench -exp sweeps -quick -strip-timings -json BENCH_local.json
-	cmp BENCH_dist.json BENCH_local.json
-	@echo "distributed sweep is byte-identical to the local sweep"
-
 # Cross-PR trend report: render the newest artifact plus the trajectory
 # section over the archived series (oldest first — zero-padded run-id file
 # names sort chronologically), failing on any net regressing trend. With
@@ -125,11 +113,15 @@ series-report:
 		-fail-on regressing \
 		$(sort $(wildcard $(SERIES_DIR)/*.json)) BENCH_harness.json
 
-# Code size: non-blank lines of non-test Go per package directory — the
-# number ROADMAP item 4 (code diet) and CHANGES.md quote.
+# Code size: non-blank lines of non-test Go per package directory, then the
+# total outside bench/ — the number ROADMAP item 5(b) (code diet) and
+# CHANGES.md quote.
 loc:
-	@for d in $$($(GO) list -f '{{.Dir}}' ./...); do printf '%6d %s\n' \
-		$$(cat $$(ls $$d/*.go | grep -v _test.go) | grep -c '[^[:space:]]') .$${d#$(CURDIR)}; done
+	@total=0; for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		n=$$(cat $$(ls $$d/*.go | grep -v _test.go) | grep -c '[^[:space:]]'); \
+		printf '%6d %s\n' $$n .$${d#$(CURDIR)}; \
+		case $$d in $(CURDIR)/bench) ;; *) total=$$((total + n)) ;; esac; \
+	done; printf '%6d total outside bench/\n' $$total
 
 lint:
 	$(GO) vet ./...
@@ -143,7 +135,7 @@ fmt:
 ci: build lint test race bench
 
 clean:
-	rm -f BENCH_harness.json BENCH_scaling.json BENCH_dist.json BENCH_local.json REPORT.md
+	rm -f BENCH_harness.json BENCH_scaling.json REPORT.md
 	rm -f benchdiff_report.json lereport.md
 	rm -f BENCH_epochs.json
 	rm -f BENCH_obs.json TRACE_lebench.json OBS_metrics.json CPU_lebench.pprof REPORT_obs.md

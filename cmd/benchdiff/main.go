@@ -137,17 +137,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		failed = true
 	}
 	if failRemoved && len(report.Removed) > 0 {
-		if report.HeadPartial {
-			// A partial head is a distributed-sweep worker's artifact:
-			// baseline cells it lacks were never assigned to it, so failing
-			// the removed gate would punish sharding, not a shrunk sweep.
-			fmt.Fprintf(stderr, "benchdiff: %d baseline cell(s) missing from head, but head is a partial artifact — removed gate downgraded to a warning\n",
-				len(report.Removed))
-		} else {
-			fmt.Fprintf(stderr, "benchdiff: %d baseline cell(s) missing from head (refresh the baseline if intentional)\n",
-				len(report.Removed))
-			failed = true
-		}
+		fmt.Fprintf(stderr, "benchdiff: %d baseline cell(s) missing from head (refresh the baseline if intentional)\n",
+			len(report.Removed))
+		failed = true
 	}
 	if failDrift && report.HasDrift() {
 		fmt.Fprintf(stderr, "benchdiff: %d measured/predicted ratio(s) drifted beyond tolerance\n",

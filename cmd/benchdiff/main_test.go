@@ -215,7 +215,7 @@ func TestBenchdiffCSVFormat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("output is not CSV: %v\n%s", err, out.String())
 	}
-	if got := strings.Join(records[0], ","); !strings.HasPrefix(got, "protocol,family,n,presumed_n,adversary,metric") {
+	if got := strings.Join(records[0], ","); !strings.HasPrefix(got, "protocol,family,n,presumed_n,adversary,profile_mode,scenario,metric") {
 		t.Fatalf("header %q", got)
 	}
 	// 2 aligned cells × (4 cost + success + 2 drift ratios) metrics.

@@ -13,16 +13,14 @@
 //	lebench -exp figures           # Figures 1-2 pumping-wheel series (no cells)
 //	lebench -exp ablations         # X1-X3 series (no cells) + knowledge
 //	lebench -exp all -quick        # sweeps + figures + ablations
-//	lebench -exp sweeps -quick -json BENCH_harness.json       # CI's gate sweep
-//	lebench -exp sweeps -quick -procs 2 -json BENCH_dist.json # two worker processes
+//	lebench -exp sweeps -quick -json BENCH_harness.json  # CI's gate sweep
 //
-// README "Running sweeps" walks through the experiments, -workers,
-// -procs/-cells and -profile; docs/ARCHITECTURE.md "Observability" covers
-// -round-profile, -trace-out, -metrics-out, -debug-addr and -cpuprofile.
+// README "Running sweeps" walks through the experiments, -workers and
+// -profile; docs/ARCHITECTURE.md "Observability" covers -round-profile,
+// -trace-out, -metrics-out, -debug-addr and -cpuprofile.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -34,7 +32,6 @@ import (
 	"anonlead/internal/report"
 	"anonlead/internal/spectral"
 	"anonlead/internal/stats"
-	"anonlead/internal/sweep"
 )
 
 func main() {
@@ -58,9 +55,6 @@ type session struct {
 
 	specs []harness.CellSpec
 	cells []harness.Cell
-	// plan is the coverage header of a -cells partial run (nil for full
-	// sweeps).
-	plan  *harness.ArtifactPlan
 	start time.Time
 }
 
@@ -111,15 +105,13 @@ func run() error {
 		trials     = flag.Int("trials", 0, "trials per cell (0 = experiment default)")
 		seed       = flag.Uint64("seed", 1, "root random seed")
 		workers    = flag.Int("workers", 0, "worker pool size for sweep cells and trials (0 = GOMAXPROCS, 1 = one goroutine; output does not depend on it)")
-		procs      = flag.Int("procs", 0, "run -exp sweeps across this many worker processes (each this binary with -cells) and merge their partial artifacts into -json")
 		jsonPath   = flag.String("json", "", "write the machine-readable sweep artifact (e.g. BENCH_harness.json)")
 		profile    = flag.String("profile", "auto", "spectral profile regime for sweep cells: exact, estimate, or auto (exact up to n=256, estimate above)")
-		cells      = flag.String("cells", "", "run only these -exp sweeps plan indices (e.g. \"0:40\" or \"3,7:12\") and write a partial artifact — what a -procs worker process is given")
 		strip      = flag.Bool("strip-timings", false, "zero the artifact's wall-clock fields so deterministic sweeps compare with cmp")
 		roundProf  = flag.Bool("round-profile", false, "attach deterministic per-round message/halt histograms to every sweep cell (schema-v5 round_profile section)")
 		traceOut   = flag.String("trace-out", "", "write the run's phase spans as Chrome trace-event JSON (open in chrome://tracing or Perfetto)")
 		metricsOut = flag.String("metrics-out", "", "write the metrics-registry snapshot as JSON (render with lereport -phases)")
-		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/pprof/* and (with -procs) the /debug/progress live sweep view on this address while the run executes (e.g. localhost:6060)")
+		debugAddr  = flag.String("debug-addr", "", "serve /metrics and /debug/pprof/* on this address while the run executes (e.g. localhost:6060)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU pprof profile of the run")
 	)
 	flag.Parse()
@@ -131,21 +123,8 @@ func run() error {
 	if *traceOut != "" || *metricsOut != "" || *debugAddr != "" {
 		obs.Enable()
 	}
-	var coord *sweep.Coordinator
-	if *procs != 0 {
-		if err := checkProcs(*procs, *exp, *jsonPath); err != nil {
-			return err
-		}
-		coord = sweep.ForSweeps(sweep.Config{
-			Workers: *procs, Quick: *quick, Trials: *trials, Seed: *seed, Profile: mode, Log: os.Stderr,
-		})
-	}
 	if *debugAddr != "" {
-		var progress func() any
-		if coord != nil {
-			progress = func() any { return coord.Progress() }
-		}
-		addr, err := obs.Serve(*debugAddr, progress)
+		addr, err := obs.Serve(*debugAddr)
 		if err != nil {
 			return fmt.Errorf("debug endpoint: %w", err)
 		}
@@ -174,25 +153,6 @@ func run() error {
 		start:     time.Now(),
 	}
 	defer writeTelemetry(*traceOut, *metricsOut)
-
-	if coord != nil {
-		art, err := coord.Run(context.Background())
-		if err != nil {
-			return err
-		}
-		return emit(art, *jsonPath)
-	}
-	if *cells != "" {
-		// Worker mode: the selector is resolved against the sweeps plan and
-		// the partial artifact is the only output.
-		if *exp != "sweeps" || *jsonPath == "" {
-			return fmt.Errorf("-cells selects from the -exp sweeps plan and writes a partial artifact: pass -exp sweeps -json FILE (got -exp %q -json %q)", *exp, *jsonPath)
-		}
-		if err := runSelected(s, *cells); err != nil {
-			return err
-		}
-		return s.finish(*exp)
-	}
 
 	e, ok := experiments[*exp]
 	if !ok {
@@ -231,78 +191,27 @@ func writeTelemetry(traceOut, metricsOut string) {
 	}
 }
 
-// finish assembles the session's cells into the artifact and emits it.
+// finish assembles the session's cells into the artifact, prints its
+// report — the markdown lereport renders from the file, since the report
+// reads no wall-clock field — and writes the file when -json names one.
 func (s *session) finish(exp string) error {
 	if s.jsonPath != "" && len(s.cells) == 0 {
 		fmt.Fprintf(os.Stderr, "lebench: note: -exp %s swept no cells, so the artifact has none (every experiment but figures does)\n", exp)
 	}
-	artifact := harness.NewArtifact(s.orch, s.specs, s.cells, time.Since(s.start))
-	artifact.Plan = s.plan
+	a := harness.NewArtifact(s.orch, s.specs, s.cells, time.Since(s.start))
 	if s.strip {
-		artifact = artifact.StripTimings()
+		a = a.StripTimings()
 	}
-	return emit(artifact, s.jsonPath)
-}
-
-// emit prints the artifact's report — the markdown lereport renders from
-// the file, since the report reads no wall-clock field — and writes the
-// file when -json names one. A -cells partial is a worker's output for the
-// coordinator to merge, not something to read: it prints no report.
-func emit(a harness.Artifact, jsonPath string) error {
-	if len(a.Cells) > 0 && a.Plan == nil {
+	if len(a.Cells) > 0 {
 		fmt.Print(report.New(a, report.Options{}).Markdown())
 	}
-	if jsonPath == "" {
+	if s.jsonPath == "" {
 		return nil
 	}
-	if err := a.WriteFile(jsonPath); err != nil {
+	if err := a.WriteFile(s.jsonPath); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d cells)\n", jsonPath, len(a.Cells))
-	return nil
-}
-
-// checkProcs validates the -procs combination. Worker processes are given
-// the plan parameters and a -cells range, nothing else, so flags that
-// would change what they run are refused rather than silently dropped.
-func checkProcs(procs int, exp, jsonPath string) error {
-	if procs < 0 || exp != "sweeps" || jsonPath == "" {
-		return fmt.Errorf("-procs N (N >= 1) shards the -exp sweeps plan and writes the merged artifact: pass -exp sweeps -json FILE (got -procs %d -exp %q -json %q)", procs, exp, jsonPath)
-	}
-	var clash error
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "cells", "workers", "round-profile":
-			clash = fmt.Errorf("-%s does not combine with -procs (worker processes get their own -cells range and size their own pool)", f.Name)
-		}
-	})
-	return clash
-}
-
-// runSelected is the distributed-sweep worker path: resolve the -cells
-// selector against the canonical sweeps plan, run exactly the selected
-// cells, and record the covered plan indices for the artifact's plan
-// header.
-func runSelected(s *session, selector string) error {
-	sel, err := harness.ParseCellSelector(selector)
-	if err != nil {
-		return fmt.Errorf("-cells: %w", err)
-	}
-	plan := harness.SweepsPlan(s.quick, s.trials, s.seed)
-	idxs, err := sel.Indices(plan.Len())
-	if err != nil {
-		return fmt.Errorf("-cells: %w", err)
-	}
-	all := plan.Specs()
-	specs := make([]harness.CellSpec, len(idxs))
-	for j, idx := range idxs {
-		specs[j] = all[idx]
-	}
-	if err := s.sweep(specs); err != nil {
-		return err
-	}
-	s.plan = &harness.ArtifactPlan{Total: plan.Len(), Indices: idxs}
-	fmt.Printf("ran %d of %d planned sweep cells (-cells %s)\n", len(idxs), plan.Len(), sel)
+	fmt.Printf("wrote %s (%d cells)\n", s.jsonPath, len(a.Cells))
 	return nil
 }
 

@@ -6,15 +6,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 )
 
 // TestLebench builds the binary once and drives it as a process: the
-// -procs sweep over real worker subprocesses, the pool-size identity,
-// stdout against lereport's render of the artifact, the -cells partial
-// header, and the flag combinations that must be refused.
+// pool-size identity over the whole gate plan, stdout against lereport's
+// render of the artifact, and the removed flags that must be refused.
 func TestLebench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the lebench binary")
@@ -44,13 +42,9 @@ func TestLebench(t *testing.T) {
 	// artifact is the part of the file these tests look at; cells stay raw
 	// so "identical" means identical bytes.
 	type artifact struct {
-		Workers int `json:"workers"`
-		Shards  int `json:"shards"`
-		Plan    *struct {
-			Total   int   `json:"total"`
-			Indices []int `json:"indices"`
-		} `json:"plan"`
-		Cells json.RawMessage `json:"cells"`
+		Workers int             `json:"workers"`
+		Shards  int             `json:"shards"`
+		Cells   json.RawMessage `json:"cells"`
 	}
 	readArtifact := func(t *testing.T, path string) artifact {
 		t.Helper()
@@ -65,42 +59,21 @@ func TestLebench(t *testing.T) {
 		return a
 	}
 
-	// The merged artifact of two worker processes is the bytes of the
-	// single-process sweep, and the workers really were processes.
-	t.Run("procs", func(t *testing.T) {
-		dist, local := filepath.Join(dir, "dist.json"), filepath.Join(dir, "local.json")
-		_, log := mustRun(t, "-exp", "sweeps", "-quick", "-trials", "1", "-procs", "2", "-json", dist)
-		mustRun(t, "-exp", "sweeps", "-quick", "-trials", "1", "-strip-timings", "-json", local)
-		a, err := os.ReadFile(dist)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(local)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("-procs 2 artifact differs from the single-process one (%d vs %d bytes)", len(a), len(b))
-		}
-		pids := map[string]bool{}
-		for _, m := range regexp.MustCompile(`worker \d/2: pid (\d+)`).FindAllStringSubmatch(log, -1) {
-			pids[m[1]] = true
-		}
-		if done := strings.Count(log, "/2: done in"); len(pids) != 2 || done != 2 {
-			t.Fatalf("want two worker processes started and finished, got pids %v and %d done:\n%s", pids, done, log)
-		}
-	})
-
-	// The pool size changes neither the cells nor the printed report.
+	// The pool size changes neither the cells nor the printed report, over
+	// every cell of the gate plan.
 	t.Run("workers", func(t *testing.T) {
 		one, three := filepath.Join(dir, "w1.json"), filepath.Join(dir, "w3.json")
-		out1, _ := mustRun(t, "-exp", "faults", "-quick", "-trials", "3", "-workers", "1", "-strip-timings", "-json", one)
-		out3, _ := mustRun(t, "-exp", "faults", "-quick", "-trials", "3", "-workers", "3", "-strip-timings", "-json", three)
+		out1, _ := mustRun(t, "-exp", "sweeps", "-quick", "-trials", "1", "-workers", "1", "-strip-timings", "-json", one)
+		out3, _ := mustRun(t, "-exp", "sweeps", "-quick", "-trials", "1", "-workers", "3", "-strip-timings", "-json", three)
 		a1, a3 := readArtifact(t, one), readArtifact(t, three)
 		if a1.Workers != 1 || a1.Shards != 1 || a3.Workers != 3 || a3.Shards != 3 {
 			t.Fatalf("headers: workers/shards %d/%d and %d/%d, want 1/1 and 3/3", a1.Workers, a1.Shards, a3.Workers, a3.Shards)
 		}
-		if len(a1.Cells) < 100 || !bytes.Equal(a1.Cells, a3.Cells) {
+		var cells []json.RawMessage
+		if err := json.Unmarshal(a1.Cells, &cells); err != nil || len(cells) != 81 {
+			t.Fatalf("-workers 1 wrote %d cells (err %v), want the gate plan's 81", len(cells), err)
+		}
+		if !bytes.Equal(a1.Cells, a3.Cells) {
 			t.Fatal("-workers 1 and -workers 3 wrote different cells")
 		}
 		if strings.ReplaceAll(out1, one, "") != strings.ReplaceAll(out3, three, "") {
@@ -125,19 +98,7 @@ func TestLebench(t *testing.T) {
 		}
 	})
 
-	// A -cells run writes a partial whose plan header names what it covers.
-	t.Run("cells", func(t *testing.T) {
-		part := filepath.Join(dir, "part.json")
-		mustRun(t, "-exp", "sweeps", "-quick", "-trials", "1", "-cells", "0:3", "-json", part)
-		a := readArtifact(t, part)
-		if a.Plan == nil || a.Plan.Total != 81 || len(a.Plan.Indices) != 3 ||
-			a.Plan.Indices[0] != 0 || a.Plan.Indices[1] != 1 || a.Plan.Indices[2] != 2 {
-			t.Fatalf("plan header %+v, want {total: 81, indices: [0 1 2]}", a.Plan)
-		}
-	})
-
-	// Removed flags and combinations that cannot mean anything fail loudly,
-	// naming the flag.
+	// Removed flags fail loudly, naming the flag, and write nothing.
 	t.Run("refused", func(t *testing.T) {
 		out := filepath.Join(dir, "refused.json")
 		for _, tc := range []struct {
@@ -146,10 +107,8 @@ func TestLebench(t *testing.T) {
 		}{
 			{[]string{"-parallel"}, "-parallel"},
 			{[]string{"-shards", "2"}, "-shards"},
-			{[]string{"-procs", "2", "-exp", "table1", "-json", out}, "-procs"},
-			{[]string{"-procs", "2", "-exp", "sweeps", "-cells", "0:3", "-json", out}, "-cells"},
-			{[]string{"-exp", "sweeps", "-cells", "bogus", "-json", out}, "-cells"},
-			{[]string{"-exp", "sweeps", "-quick", "-cells", "0:2"}, "-json FILE"},
+			{[]string{"-exp", "sweeps", "-quick", "-trials", "1", "-procs", "2", "-json", out}, "-procs"},
+			{[]string{"-exp", "sweeps", "-quick", "-trials", "1", "-cells", "0:3", "-json", out}, "-cells"},
 		} {
 			_, stderr, err := run(t, tc.args...)
 			if err == nil || !strings.Contains(stderr, tc.want) {

@@ -87,6 +87,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "lereport: unknown -format %q (want md or csv)\n", *format)
 		return 2
 	}
+	if *format == "csv" && *phases != "" {
+		fmt.Fprintln(stderr, "lereport: -phases appends a markdown table and does not combine with -format csv")
+		return 2
+	}
 	if *failOn != "none" && *failOn != "regressing" {
 		fmt.Fprintf(stderr, "lereport: unknown -fail-on condition %q (want none or regressing)\n", *failOn)
 		return 2

@@ -127,20 +127,26 @@ func TestCLISeriesTrends(t *testing.T) {
 	}
 }
 
-// TestCLIErrors: usage and IO failures exit 2 with a diagnostic.
+// TestCLIErrors: usage and IO failures exit 2 with a diagnostic naming the
+// offending argument.
 func TestCLIErrors(t *testing.T) {
-	cases := [][]string{
-		{},                               // no artifact
-		{"-format", "pdf", baselinePath}, // unknown format
-		{filepath.Join(t.TempDir(), "missing.json")}, // unreadable file
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{nil, "artifact file is required"},                                               // no artifact
+		{[]string{"-format", "pdf", baselinePath}, "-format"},                            // unknown format
+		{[]string{filepath.Join(t.TempDir(), "missing.json")}, "missing.json"},           // unreadable file
+		{[]string{"-format", "csv", "-phases", "/nonexistent", baselinePath}, "-phases"}, // md-only flag on csv
 	}
-	for _, args := range cases {
+	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 2 {
-			t.Fatalf("args %v: exit %d, want 2 (stderr: %s)", args, code, stderr.String())
+		if code := run(tc.args, &stdout, &stderr); code != 2 {
+			t.Fatalf("args %v: exit %d, want 2 (stderr: %s)", tc.args, code, stderr.String())
 		}
-		if stderr.Len() == 0 {
-			t.Fatalf("args %v: no diagnostic", args)
+		if !strings.Contains(stderr.String(), tc.want) || stdout.Len() != 0 {
+			t.Fatalf("args %v: stderr %q, stdout %d bytes; want a diagnostic naming %s and no output",
+				tc.args, stderr.String(), stdout.Len(), tc.want)
 		}
 	}
 }

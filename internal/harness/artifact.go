@@ -133,34 +133,13 @@ type ArtifactCell struct {
 // machine-readable shape, emitted so CI can archive per-PR results and a
 // trajectory tool can diff messages/rounds/throughput across PRs.
 type Artifact struct {
-	Schema   string `json:"schema"`
-	RootSeed uint64 `json:"root_seed"`
-	Workers  int    `json:"workers"`
-	Shards   int    `json:"shards"`
-	// Plan marks a partial artifact: the slice of the planned cell matrix
-	// this file carries (a distributed-sweep worker's output). Absent on
-	// ordinary full artifacts, so adding it changed no existing bytes;
-	// MergeArtifacts consumes it and strips it from the merged result.
-	Plan            *ArtifactPlan  `json:"plan,omitempty"`
+	Schema          string         `json:"schema"`
+	RootSeed        uint64         `json:"root_seed"`
+	Workers         int            `json:"workers"`
+	Shards          int            `json:"shards"`
 	ElapsedSeconds  float64        `json:"elapsed_seconds"`
 	TrialsPerSecond float64        `json:"trials_per_second"`
 	Cells           []ArtifactCell `json:"cells"`
-}
-
-// ArtifactPlan is the coverage header of a partial artifact: which plan
-// indices of a Total-cell matrix its cells are, in cell order
-// (len(Indices) == len(Cells)).
-type ArtifactPlan struct {
-	Total   int   `json:"total"`
-	Indices []int `json:"indices"`
-}
-
-// IsPartial reports whether the artifact is a partial covering less than
-// its full planned matrix. Trajectory tooling uses this to tell "cells a
-// worker was never asked to run" apart from "cells a shrunk sweep
-// deleted" — only the latter should trip a removed-cells gate.
-func (a Artifact) IsPartial() bool {
-	return a.Plan != nil && len(a.Plan.Indices) < a.Plan.Total
 }
 
 // NewArtifact assembles the artifact from a sweep's specs and the cells

@@ -11,8 +11,7 @@ import (
 // input: malformed bytes must come back as errors (never panics), and any
 // accepted artifact must carry a known schema and normalize to a JSON
 // encoding that is a fixed point of another decode/encode pass — the
-// byte-stability every golden test and the distributed-sweep cmp gate
-// lean on.
+// byte-stability every golden test leans on.
 func FuzzReadArtifact(f *testing.F) {
 	// Real artifacts as seeds: the committed regression-gate baseline and
 	// the harness golden (both current-schema, dists and all).
@@ -26,24 +25,15 @@ func FuzzReadArtifact(f *testing.F) {
 		}
 		f.Add(buf)
 	}
-	// A partial artifact (a distributed-sweep worker's output) with its
-	// plan coverage header.
-	dist := &ArtifactDist{StdDev: 1, Min: 1, Max: 3, P50: 2, P90: 3, P99: 3}
-	partial := Artifact{
-		Schema: ArtifactSchemaV5, RootSeed: 7, Workers: 2, Shards: 2,
-		Plan: &ArtifactPlan{Total: 4, Indices: []int{1, 3}},
-		Cells: []ArtifactCell{
-			{Protocol: "ire", Family: "expander", N: 16, Trials: 2, Successes: 2,
-				MessagesDist: dist, BitsDist: dist, RoundsDist: dist, ChargedDist: dist},
-			{Protocol: "flood", Family: "cycle", N: 8, Trials: 2, Successes: 1,
-				MessagesDist: dist, BitsDist: dist, RoundsDist: dist, ChargedDist: dist},
-		},
+	// A v5 file with the `plan` coverage header older binaries wrote on
+	// partial artifacts: an unknown field, so it reads as a plain artifact.
+	oldPartial := []byte(`{"schema":"anonlead/bench-harness/v5","root_seed":7,"workers":2,"shards":2,"plan":{"total":4,"indices":[1,3]},"cells":[` +
+		`{"protocol":"ire","family":"expander","n":16,"trials":2,"successes":2,"messages_dist":{"stddev":1,"min":1,"max":3,"p50":2,"p90":3,"p99":3},"bits_dist":{},"rounds_dist":{},"charged_dist":{}},` +
+		`{"protocol":"flood","family":"cycle","n":8,"trials":2,"successes":1,"messages_dist":{},"bits_dist":{},"rounds_dist":{},"charged_dist":{}}]}`)
+	if a, err := ReadArtifact(oldPartial); err != nil || len(a.Cells) != 2 {
+		f.Fatalf("old partial artifact: err %v, %d cells; want a plain 2-cell artifact", err, len(a.Cells))
 	}
-	if buf, err := partial.JSON(); err != nil {
-		f.Fatal(err)
-	} else {
-		f.Add(buf)
-	}
+	f.Add(oldPartial)
 	// A cell without its distributions, a dropped schema, schema-less JSON,
 	// foreign schemas, truncations.
 	f.Add([]byte(`{"schema":"anonlead/bench-harness/v6","root_seed":1,"cells":[{"protocol":"ire","family":"cycle","n":8,"messages":12}]}`))
@@ -67,7 +57,6 @@ func FuzzReadArtifact(f *testing.F) {
 				t.Fatalf("accepted cell %d without its distributions", i)
 			}
 		}
-		_ = a.IsPartial() // must tolerate any decoded plan header
 
 		// One decode normalizes (unknown fields drop, field order fixes);
 		// after that, decode∘encode must be the identity on the bytes.

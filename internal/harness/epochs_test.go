@@ -12,16 +12,16 @@ import (
 // epochTestSweep is a tiny repeated-election sweep: floodmax on a small
 // complete graph, the fault-free anchor plus the adaptive rung (window 1,
 // short enough to fire inside floodmax's diameter-bounded elections).
-func epochTestSweep() EpochSweep {
-	return EpochSweep{
+func epochTestSweep() FaultSweep {
+	return FaultSweep{
 		Title:    "epoch parity",
 		Protocol: ProtoFlood,
 		Workload: Workload{Family: "complete", N: 8},
-		Epochs:   epoch.Opts{Epochs: 3},
 		Specs: []adversary.Spec{
 			{},
 			{AdaptiveCrash: 1, AdaptiveWindow: 1},
 		},
+		Opts: TrialOpts{Epochs: &epoch.Opts{Epochs: 3}},
 	}
 }
 
@@ -138,7 +138,7 @@ func TestEpochsPlanShape(t *testing.T) {
 	}
 	for j, sec := range p.Sections {
 		sweep := sweeps[j]
-		if err := sweep.Epochs.Validate(); err != nil {
+		if err := sweep.Opts.Epochs.Validate(); err != nil {
 			t.Fatalf("section %q scenario invalid: %v", sec.Title, err)
 		}
 		if len(sec.Specs) != len(sweep.Specs) {
@@ -149,7 +149,7 @@ func TestEpochsPlanShape(t *testing.T) {
 		}
 		adaptive := false
 		for i, spec := range sec.Specs {
-			if spec.Opts.Epochs == nil || *spec.Opts.Epochs != sweep.Epochs {
+			if spec.Opts.Epochs == nil || *spec.Opts.Epochs != *sweep.Opts.Epochs {
 				t.Fatalf("section %q cell %d lost its scenario", sec.Title, i)
 			}
 			if spec.Opts.Adversary.AdaptiveCrash > 0 {

@@ -17,7 +17,8 @@ type FaultSweep struct {
 	Specs    []adversary.Spec
 	// Opts is the trial-option template every cell of the sweep starts
 	// from (protocol tunables like the revocable schedule or a round cap
-	// for runs an adversary can keep from converging). Trials, Seed, and
+	// for runs an adversary can keep from converging; Epochs, the scenario
+	// every cell of a repeated-election ladder runs). Trials, Seed, and
 	// Adversary are overwritten per cell by CellSpecs.
 	Opts TrialOpts
 }

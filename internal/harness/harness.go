@@ -179,8 +179,8 @@ func (c Cell) SuccessRate() float64 {
 
 // TrialSeed derives the seed of trial t of a workload cell from the root
 // seed by rng stream splitting. It is a pure function of (root, cell, t):
-// any pool size and shard order in Orchestrator.RunSweep, and any split of
-// the plan over worker processes, evaluates exactly the same trials, which
+// any pool size and shard order in Orchestrator.RunSweep, and any subset of
+// a plan's cells swept on its own, evaluates exactly the same trials, which
 // is what makes sweep output independent of how it was executed.
 func TrialSeed(root uint64, w Workload, t int) uint64 {
 	return rng.New(root).SplitString("trial:" + w.Family).Split(uint64(w.N)).DeriveSeed(uint64(t))

@@ -38,8 +38,9 @@ func determinismSpecs(seed uint64) []CellSpec {
 // TestParallelHarnessDeterminism is the acceptance gate of the orchestrator:
 // a sweep fanned out over a sharded worker pool must produce output
 // byte-identical to the one-worker run for the same root seed — same
-// cells, same JSON artifact. (What a cell is held to
-// independently of the orchestrator is TestHarnessTrialEqualsPublicRun.)
+// cells, same JSON artifact — and to each cell swept on its own. (What a
+// cell is held to independently of the orchestrator is
+// TestHarnessTrialEqualsPublicRun.)
 func TestParallelHarnessDeterminism(t *testing.T) {
 	specs := determinismSpecs(17)
 	seq, err := Orchestrator{Workers: 1}.RunSweep(specs)
@@ -68,6 +69,18 @@ func TestParallelHarnessDeterminism(t *testing.T) {
 		}
 		if !bytes.Equal(seqJSON, parJSON) {
 			t.Fatalf("JSON artifacts differ:\n%s\nvs\n%s", seqJSON, parJSON)
+		}
+	}
+
+	// A cell's numbers do not depend on which other cells run beside it:
+	// -exp table1 is a subset of -exp sweeps and benchdiff aligns the two.
+	for i := range specs {
+		alone, err := Orchestrator{Workers: 2}.RunSweep(specs[i : i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seq[i], alone[0]) {
+			t.Fatalf("cell %d swept alone differs from the full sweep:\nfull:  %+v\nalone: %+v", i, seq[i], alone[0])
 		}
 	}
 

@@ -1,25 +1,12 @@
 package harness
 
-import (
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
-// This file is the sweep planner: the canonical, deterministic expansion
-// of the artifact cell matrix (Table 1 + the X4 knowledge ablation + the
-// F1-F5 fault ladders) into an ordered spec list, plus the selector and
-// partition machinery a distributed sweep uses to shard that list across
-// worker processes.
-//
-// The plan IS the artifact layout: `lebench -exp sweeps` runs Plan.Specs()
-// as one sweep, so index i of it is cell i of the emitted artifact. A worker
-// given a cell selector runs exactly the selected specs (per-trial seeds
-// are pure functions of the root seed and the cell, never of which process
-// runs it), records the plan indices it covered in its partial artifact,
-// and MergeArtifacts reassembles the full artifact byte-identically to a
-// single-process sweep.
+// This file is the artifact layout, nothing more: the deterministic
+// expansion of each experiment's cell matrix (Table 1, the X4 knowledge
+// ablation, the F1-F5 fault ladders, and their union, the gate sweep) into
+// an ordered spec list. `lebench -exp sweeps` runs Plan.Specs() as one
+// sweep, so index i of it is cell i of the emitted artifact.
 
 // PlanSection is one contiguous run of cells that belong together: a
 // Table-1 family sweep, the T1-d revocable rows, one knowledge-ablation
@@ -38,23 +25,13 @@ type Plan struct {
 }
 
 // Specs flattens the plan into the artifact-ordered spec list. Index i of
-// the result is cell i of the artifact a full sweep emits — the contract
-// every cell selector is resolved against.
+// the result is cell i of the artifact the sweep emits.
 func (p Plan) Specs() []CellSpec {
 	var specs []CellSpec
 	for _, sec := range p.Sections {
 		specs = append(specs, sec.Specs...)
 	}
 	return specs
-}
-
-// Len is the number of cells in the plan.
-func (p Plan) Len() int {
-	n := 0
-	for _, sec := range p.Sections {
-		n += len(sec.Specs)
-	}
-	return n
 }
 
 // planPick selects the quick or the full matrix.
@@ -175,145 +152,11 @@ func FaultsPlan(quick bool, trials int, seed uint64) Plan {
 // SweepsPlan is the canonical artifact cell matrix — exactly what
 // `lebench -exp sweeps` runs and CI's bench gate diffs: Table 1 (with the
 // revocable rows), the knowledge ablation, and the fault ladders, in
-// artifact order. A distributed sweep plans with this function, shards
-// the flattened spec list across workers, and merges the partials back
-// into the same artifact a single process would have written.
+// artifact order.
 func SweepsPlan(quick bool, trials int, seed uint64) Plan {
 	var p Plan
 	for _, plan := range []func(bool, int, uint64) Plan{Table1Plan, KnowledgePlan, FaultsPlan} {
 		p.Sections = append(p.Sections, plan(quick, trials, seed).Sections...)
 	}
 	return p
-}
-
-// selRange is one half-open [lo, hi) selector term.
-type selRange struct{ lo, hi int }
-
-// CellSelector names a subset of plan indices: comma-separated terms,
-// each a single index "i" or a half-open range "lo:hi". Terms must be
-// ascending and non-overlapping, so a selector has exactly one canonical
-// index list and duplicate work cannot be expressed by accident.
-type CellSelector struct {
-	ranges []selRange
-}
-
-// ParseCellSelector parses a selector like "0:5", "7", or "0:5,7,9:12".
-func ParseCellSelector(s string) (CellSelector, error) {
-	if strings.TrimSpace(s) == "" {
-		return CellSelector{}, fmt.Errorf("harness: empty cell selector")
-	}
-	var sel CellSelector
-	last := -1
-	for _, term := range strings.Split(s, ",") {
-		term = strings.TrimSpace(term)
-		lo, hi, err := parseSelTerm(term)
-		if err != nil {
-			return CellSelector{}, err
-		}
-		if lo <= last {
-			return CellSelector{}, fmt.Errorf("harness: cell selector %q: terms must be ascending and non-overlapping", s)
-		}
-		sel.ranges = append(sel.ranges, selRange{lo, hi})
-		last = hi - 1
-	}
-	return sel, nil
-}
-
-// parseSelTerm parses one selector term ("i" or "lo:hi", hi exclusive).
-func parseSelTerm(term string) (lo, hi int, err error) {
-	loStr, hiStr, isRange := strings.Cut(term, ":")
-	lo, err = strconv.Atoi(loStr)
-	if err != nil || lo < 0 {
-		return 0, 0, fmt.Errorf("harness: bad cell selector term %q", term)
-	}
-	if !isRange {
-		return lo, lo + 1, nil
-	}
-	hi, err = strconv.Atoi(hiStr)
-	if err != nil || hi <= lo {
-		return 0, 0, fmt.Errorf("harness: bad cell selector term %q (want lo:hi with hi > lo)", term)
-	}
-	return lo, hi, nil
-}
-
-// SelectorFromIndices builds the canonical selector covering exactly the
-// given plan indices (sorted, deduplicated, merged into ranges).
-func SelectorFromIndices(indices []int) (CellSelector, error) {
-	if len(indices) == 0 {
-		return CellSelector{}, fmt.Errorf("harness: empty cell selector")
-	}
-	sorted := append([]int(nil), indices...)
-	sort.Ints(sorted)
-	var sel CellSelector
-	for _, i := range sorted {
-		if i < 0 {
-			return CellSelector{}, fmt.Errorf("harness: negative cell index %d", i)
-		}
-		if n := len(sel.ranges); n > 0 && sel.ranges[n-1].hi == i {
-			sel.ranges[n-1].hi = i + 1
-			continue
-		}
-		if n := len(sel.ranges); n > 0 && i < sel.ranges[n-1].hi {
-			continue // duplicate
-		}
-		sel.ranges = append(sel.ranges, selRange{i, i + 1})
-	}
-	return sel, nil
-}
-
-// String renders the canonical selector text ("0:5,7,9:12") — what
-// ParseCellSelector accepts and the lebench -cells flag takes.
-func (s CellSelector) String() string {
-	terms := make([]string, len(s.ranges))
-	for i, r := range s.ranges {
-		if r.hi == r.lo+1 {
-			terms[i] = strconv.Itoa(r.lo)
-		} else {
-			terms[i] = fmt.Sprintf("%d:%d", r.lo, r.hi)
-		}
-	}
-	return strings.Join(terms, ",")
-}
-
-// IsZero reports whether the selector selects nothing.
-func (s CellSelector) IsZero() bool { return len(s.ranges) == 0 }
-
-// Indices expands the selector against a plan of the given size,
-// validating every index is in [0, total).
-func (s CellSelector) Indices(total int) ([]int, error) {
-	var idxs []int
-	for _, r := range s.ranges {
-		if r.hi > total {
-			return nil, fmt.Errorf("harness: cell selector %s out of range for a %d-cell plan", s, total)
-		}
-		for i := r.lo; i < r.hi; i++ {
-			idxs = append(idxs, i)
-		}
-	}
-	return idxs, nil
-}
-
-// PartitionPlan cuts a plan of total cells into at most workers contiguous
-// selectors of nearly equal size (the distributed sweep's shard map).
-// Every cell appears in exactly one selector; when workers exceeds total,
-// only total selectors are returned.
-func PartitionPlan(total, workers int) []CellSelector {
-	if total <= 0 || workers <= 0 {
-		return nil
-	}
-	if workers > total {
-		workers = total
-	}
-	sels := make([]CellSelector, 0, workers)
-	per, extra := total/workers, total%workers
-	lo := 0
-	for w := 0; w < workers; w++ {
-		hi := lo + per
-		if w < extra {
-			hi++
-		}
-		sels = append(sels, CellSelector{ranges: []selRange{{lo, hi}}})
-		lo = hi
-	}
-	return sels
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestSweepsPlanDeterministic pins the planner contract a distributed
-// sweep rests on: the same (quick, trials, seed) parameters expand to the
+// TestSweepsPlanDeterministic pins the planner contract the artifact
+// layout rests on: the same (quick, trials, seed) parameters expand to the
 // same spec list every time, and every section's specs land in the
 // flattened list in section order.
 func TestSweepsPlanDeterministic(t *testing.T) {
@@ -15,12 +15,9 @@ func TestSweepsPlanDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("SweepsPlan is not deterministic for equal parameters")
 	}
-	if a.Len() == 0 {
-		t.Fatal("empty plan")
-	}
 	specs := a.Specs()
-	if len(specs) != a.Len() {
-		t.Fatalf("Specs() returned %d specs, Len() says %d", len(specs), a.Len())
+	if len(specs) == 0 {
+		t.Fatal("empty plan")
 	}
 	// Flattening preserves section order: walking sections must replay the
 	// flattened list exactly.
@@ -33,142 +30,14 @@ func TestSweepsPlanDeterministic(t *testing.T) {
 			i++
 		}
 	}
+	if i != len(specs) {
+		t.Fatalf("Specs() returned %d specs, the sections hold %d", len(specs), i)
+	}
 	// Different parameters plan different matrices.
-	if full := SweepsPlan(false, 0, 1); full.Len() <= a.Len() {
-		t.Fatalf("full plan (%d cells) not larger than quick (%d)", full.Len(), a.Len())
+	if full := SweepsPlan(false, 0, 1).Specs(); len(full) <= len(specs) {
+		t.Fatalf("full plan (%d cells) not larger than quick (%d)", len(full), len(specs))
 	}
 	if reseeded := SweepsPlan(true, 0, 2); reflect.DeepEqual(reseeded.Specs(), specs) {
 		t.Fatal("changing the root seed did not change the planned specs")
-	}
-}
-
-// TestCellSelectorParse covers the selector grammar: single indices,
-// half-open ranges, mixed terms, and the rejection cases.
-func TestCellSelectorParse(t *testing.T) {
-	good := []struct {
-		in   string
-		want []int
-	}{
-		{"0", []int{0}},
-		{"3", []int{3}},
-		{"0:3", []int{0, 1, 2}},
-		{"0:5,7,9:12", []int{0, 1, 2, 3, 4, 7, 9, 10, 11}},
-		{" 1 , 3:5 ", []int{1, 3, 4}},
-	}
-	for _, tc := range good {
-		sel, err := ParseCellSelector(tc.in)
-		if err != nil {
-			t.Fatalf("ParseCellSelector(%q): %v", tc.in, err)
-		}
-		got, err := sel.Indices(20)
-		if err != nil {
-			t.Fatalf("Indices(%q): %v", tc.in, err)
-		}
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Fatalf("ParseCellSelector(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-		// String() must render a selector ParseCellSelector round-trips.
-		back, err := ParseCellSelector(sel.String())
-		if err != nil {
-			t.Fatalf("round-trip parse of %q: %v", sel.String(), err)
-		}
-		if !reflect.DeepEqual(back, sel) {
-			t.Fatalf("selector %q does not round-trip through String()=%q", tc.in, sel.String())
-		}
-	}
-	bad := []string{"", "  ", "-1", "a", "3:3", "5:2", "0:3,2", "4,4", "5,3", "1:4,2:6"}
-	for _, in := range bad {
-		if _, err := ParseCellSelector(in); err == nil {
-			t.Fatalf("ParseCellSelector(%q) accepted", in)
-		}
-	}
-	// Out-of-range detection happens at expansion, against the actual plan.
-	sel, err := ParseCellSelector("0:10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sel.Indices(5); err == nil {
-		t.Fatal("Indices accepted a selector past the plan end")
-	}
-}
-
-// TestSelectorFromIndices checks the canonical selector construction:
-// sorted, deduplicated, merged into ranges.
-func TestSelectorFromIndices(t *testing.T) {
-	sel, err := SelectorFromIndices([]int{4, 0, 1, 2, 7, 4, 10, 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sel.String(); got != "0:3,4,7,10:12" {
-		t.Fatalf("selector %q, want 0:3,4,7,10:12", got)
-	}
-	if _, err := SelectorFromIndices(nil); err == nil {
-		t.Fatal("empty index list accepted")
-	}
-	if _, err := SelectorFromIndices([]int{1, -2}); err == nil {
-		t.Fatal("negative index accepted")
-	}
-}
-
-// TestPartitionPlan checks the shard map: every plan index lands in
-// exactly one contiguous selector, shard sizes differ by at most one, and
-// worker counts beyond the plan size clamp.
-func TestPartitionPlan(t *testing.T) {
-	for _, tc := range []struct{ total, workers int }{
-		{10, 2}, {10, 3}, {7, 7}, {7, 20}, {1, 1}, {81, 2}, {81, 5},
-	} {
-		sels := PartitionPlan(tc.total, tc.workers)
-		wantShards := tc.workers
-		if wantShards > tc.total {
-			wantShards = tc.total
-		}
-		if len(sels) != wantShards {
-			t.Fatalf("PartitionPlan(%d,%d): %d shards, want %d", tc.total, tc.workers, len(sels), wantShards)
-		}
-		covered := make([]int, tc.total)
-		minSize, maxSize := tc.total+1, 0
-		for _, sel := range sels {
-			idxs, err := sel.Indices(tc.total)
-			if err != nil {
-				t.Fatalf("PartitionPlan(%d,%d): %v", tc.total, tc.workers, err)
-			}
-			if len(idxs) < minSize {
-				minSize = len(idxs)
-			}
-			if len(idxs) > maxSize {
-				maxSize = len(idxs)
-			}
-			for _, i := range idxs {
-				covered[i]++
-			}
-		}
-		for i, c := range covered {
-			if c != 1 {
-				t.Fatalf("PartitionPlan(%d,%d): index %d covered %d times", tc.total, tc.workers, i, c)
-			}
-		}
-		if maxSize-minSize > 1 {
-			t.Fatalf("PartitionPlan(%d,%d): shard sizes range %d..%d", tc.total, tc.workers, minSize, maxSize)
-		}
-	}
-	if sels := PartitionPlan(0, 4); sels != nil {
-		t.Fatalf("PartitionPlan(0,4) = %v", sels)
-	}
-}
-
-// TestArtifactIsPartial pins the partial/full distinction trajectory
-// tooling keys on.
-func TestArtifactIsPartial(t *testing.T) {
-	full := Artifact{Schema: ArtifactSchema}
-	if full.IsPartial() {
-		t.Fatal("plain artifact reported partial")
-	}
-	full.Plan = &ArtifactPlan{Total: 3, Indices: []int{0, 1, 2}}
-	if full.IsPartial() {
-		t.Fatal("full-coverage plan reported partial")
-	}
-	part := Artifact{Schema: ArtifactSchema, Plan: &ArtifactPlan{Total: 3, Indices: []int{1}}}
-	if !part.IsPartial() {
-		t.Fatal("partial-coverage plan not reported partial")
 	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -12,11 +11,7 @@ import (
 //
 //	/metrics         Prometheus text exposition of the default registry
 //	/debug/pprof/*   the standard pprof endpoints
-//	/debug/progress  live JSON from the progress callback (404 if nil)
-//
-// progress is polled per request; the sweep coordinator supplies its
-// Progress method so a long sweep can be watched without log scraping.
-func Handler(progress func() any) http.Handler {
+func Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -27,23 +22,13 @@ func Handler(progress func() any) http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/debug/progress", func(w http.ResponseWriter, r *http.Request) {
-		if progress == nil {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(progress())
-	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write([]byte("anonlead debug endpoint\n\n/metrics\n/debug/pprof/\n/debug/progress\n"))
+		_, _ = w.Write([]byte("anonlead debug endpoint\n\n/metrics\n/debug/pprof/\n"))
 	})
 	return mux
 }
@@ -52,12 +37,12 @@ func Handler(progress func() any) http.Handler {
 // and returns the bound address (useful with ":0") or an error if the
 // listen fails. The server lives until the process exits; CLIs treat it
 // as a diagnostic side channel, not a managed component.
-func Serve(addr string, progress func() any) (string, error) {
+func Serve(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
-	srv := &http.Server{Handler: Handler(progress), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: Handler(), ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), nil
 }

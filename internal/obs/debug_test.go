@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -83,7 +82,7 @@ func TestMetricsEndpointServesParseablePrometheus(t *testing.T) {
 	Span("trials")()
 	Span("trials")()
 
-	srv := httptest.NewServer(Handler(nil))
+	srv := httptest.NewServer(Handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
@@ -127,43 +126,8 @@ func TestMetricsEndpointServesParseablePrometheus(t *testing.T) {
 	}
 }
 
-func TestDebugProgressEndpoint(t *testing.T) {
-	withEnabled(t)
-	type progress struct {
-		Done  int    `json:"done"`
-		State string `json:"state"`
-	}
-	srv := httptest.NewServer(Handler(func() any { return progress{Done: 7, State: "running"} }))
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/debug/progress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var got progress
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Done != 7 || got.State != "running" {
-		t.Fatalf("progress = %+v", got)
-	}
-
-	// Without a progress source the endpoint 404s rather than serving null.
-	srv2 := httptest.NewServer(Handler(nil))
-	defer srv2.Close()
-	resp2, err := http.Get(srv2.URL + "/debug/progress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Fatalf("nil progress: status %d, want 404", resp2.StatusCode)
-	}
-}
-
 func TestDebugPprofIndexServes(t *testing.T) {
-	srv := httptest.NewServer(Handler(nil))
+	srv := httptest.NewServer(Handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/debug/pprof/")
 	if err != nil {
@@ -181,7 +145,7 @@ func TestDebugPprofIndexServes(t *testing.T) {
 
 func TestServeBindsAndServes(t *testing.T) {
 	withEnabled(t)
-	addr, err := Serve("127.0.0.1:0", nil)
+	addr, err := Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,6 @@ package obs
 
 import "math/bits"
 
-// RoundProfileBuckets is the fixed bucket count for per-round histograms:
-// power-of-two buckets 0, [1,2), [2,4), ... [2^62, 2^63). Fixed bounds
-// (rather than data-dependent ones) are what make profiles mergeable by
-// plain elementwise addition and byte-identical across schedulers.
-const RoundProfileBuckets = 64
-
 // RoundProfile is the deterministic per-cell summary of round-resolved
 // behaviour: how many rounds saw how many messages, when the message peak
 // happened, and how halting progressed. All fields are integers derived
@@ -18,7 +12,10 @@ const RoundProfileBuckets = 64
 // MsgRounds[b] counts rounds whose per-round message total fell in
 // bucket b: bucket 0 is exactly 0 messages, bucket b >= 1 is
 // [2^(b-1), 2^b). HaltRounds counts rounds by newly-halted nodes in the
-// same bucket scheme. Trailing zero buckets are trimmed before export.
+// same bucket scheme. The bounds are fixed powers of two rather than
+// data-dependent ones, which is what makes profiles mergeable by plain
+// elementwise addition and byte-identical across schedulers. Trailing zero
+// buckets are trimmed before export.
 type RoundProfile struct {
 	Rounds     int64   `json:"rounds"`
 	TotalMsgs  int64   `json:"total_msgs"`

@@ -13,7 +13,7 @@ import (
 // facet the Table-1, knowledge, and fault populations without re-deriving
 // the sweep structure.
 var csvHeader = []string{
-	"section", "protocol", "family", "n", "presumed_n", "adversary",
+	"section", "protocol", "family", "n", "presumed_n", "adversary", "profile_mode", "scenario",
 	"metric", "value", "stddev", "predicted", "vs_pred", "x_anchor",
 	"success_lo", "success_hi", "trend",
 }
@@ -121,7 +121,7 @@ func (cr csvRow) fields() []string {
 	}
 	return []string{
 		cr.section, c.Protocol, c.Family,
-		strconv.Itoa(c.N), strconv.Itoa(c.PresumedN), c.Adversary,
+		strconv.Itoa(c.N), strconv.Itoa(c.PresumedN), c.Adversary, c.ProfileMode, c.Scenario,
 		cr.metric, value, stddev, predicted, vsPred, xAnchor, lo, hi, cr.trend,
 	}
 }

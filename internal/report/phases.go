@@ -25,9 +25,8 @@ func PhaseMarkdown(stats []obs.PhaseStat) string {
 	b.WriteString("## Phase breakdown — where the run spent its time\n\n")
 	b.WriteString("Wall-clock totals per instrumented phase span (prepare = graph build,\n" +
 		"profile = spectral profile, trials = protocol runs, reduce = cell\n" +
-		"aggregation, merge = artifact merge, worker = whole sweep shards; worker\n" +
-		"spans contain the others, so shares are of the summed span time, not of\n" +
-		"the run).\n\n")
+		"aggregation). Spans on different pool workers overlap, so shares are of\n" +
+		"the summed span time, not of the run.\n\n")
 	b.WriteString("| phase | spans | total s | mean s | share |\n")
 	b.WriteString("|---|---:|---:|---:|---:|\n")
 	for _, s := range stats {

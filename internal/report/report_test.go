@@ -302,13 +302,17 @@ func TestSeriesCSVDuplicateKeyTrends(t *testing.T) {
 	}
 }
 
-// TestCSVShape: one row per (cell, metric), header first, section tags
-// and derived columns in place.
+// TestCSVShape: one row per (cell, metric), header first, section tags,
+// all identity columns and derived columns in place.
 func TestCSVShape(t *testing.T) {
 	a := harness.Artifact{Schema: harness.ArtifactSchema, Cells: []harness.ArtifactCell{
 		synthCell("ire", "expander", 32, 1000),
 		synthCell("ire", "expander", 32, 1000),                           // ladder anchor
 		synthCell("ire", "expander", 32, 400, withAdversary("loss=0.2")), // ladder step
+		// Twins of the first cell in every column but one: a three-epoch
+		// total and an estimate-regime cell.
+		synthCell("ire", "expander", 32, 3000, withScenario("epochs=3,fault=crash", nil)),
+		synthCell("ire", "expander", 32, 1100, func(c *harness.ArtifactCell) { c.ProfileMode = "estimate" }),
 	}}
 	r := New(a, Options{})
 	out, err := r.CSV()
@@ -316,17 +320,28 @@ func TestCSVShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 1+3*5 { // header + 3 cells × 5 metrics
-		t.Fatalf("%d CSV lines, want 16:\n%s", len(lines), out)
+	if len(lines) != 1+5*5 { // header + 5 cells × 5 metrics
+		t.Fatalf("%d CSV lines, want 26:\n%s", len(lines), out)
 	}
-	if !strings.HasPrefix(lines[0], "section,protocol,family,n,presumed_n,adversary,metric,value") {
+	if !strings.HasPrefix(lines[0], "section,protocol,family,n,presumed_n,adversary,profile_mode,scenario,metric,value") {
 		t.Fatalf("header: %s", lines[0])
 	}
 	if !strings.Contains(out, "table1,ire,expander,32") || !strings.Contains(out, "faults,ire,expander,32,0,loss=0.2") {
 		t.Fatalf("CSV missing section tags:\n%s", out)
 	}
+	// The scenario and estimate cells are told apart from their classic,
+	// exact twin by the identity columns, not just by the value.
+	for _, want := range []string{
+		"table1,ire,expander,32,0,,,,messages,1000,",
+		`epochs,ire,expander,32,0,,,"epochs=3,fault=crash",messages,3000,`,
+		"table1,ire,expander,32,0,,estimate,,messages,1100,",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("CSV missing row %q:\n%s", want, out)
+		}
+	}
 	// The faulted messages row carries its anchor ratio (400/1000).
-	if !strings.Contains(out, "loss=0.2,messages,400,1,200,2,0.4") {
+	if !strings.Contains(out, "loss=0.2,,,messages,400,1,200,2,0.4") {
 		t.Fatalf("faulted messages row wrong:\n%s", out)
 	}
 	// success_rate rows carry Wilson bounds.

@@ -113,11 +113,6 @@ func (r *RNG) Uint64() uint64 {
 	return result
 }
 
-// Int63 returns a uniformly random non-negative int64.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Intn returns a uniformly random int in [0, n). It panics if n <= 0, which
 // always indicates a programming error at the call site (e.g. sampling a
 // neighbor from a node with no ports).
@@ -126,14 +121,6 @@ func (r *RNG) Intn(n int) int {
 		panic("rng: Intn called with non-positive n")
 	}
 	return int(r.Uint64n(uint64(n)))
-}
-
-// Int64n returns a uniformly random int64 in [0, n). It panics if n <= 0.
-func (r *RNG) Int64n(n int64) int64 {
-	if n <= 0 {
-		panic("rng: Int64n called with non-positive n")
-	}
-	return int64(r.Uint64n(uint64(n)))
 }
 
 // Uint64n returns a uniformly random uint64 in [0, n) using Lemire's

@@ -9,7 +9,7 @@ import (
 // csvHeader is the column layout of Report.CSV: one row per (aligned cell,
 // metric), plus one row per added/removed cell with a blank metric.
 var csvHeader = []string{
-	"protocol", "family", "n", "presumed_n", "adversary",
+	"protocol", "family", "n", "presumed_n", "adversary", "profile_mode", "scenario",
 	"metric", "base", "head", "rel_delta", "stderr", "status",
 }
 
@@ -26,7 +26,8 @@ func (r Report) CSV() (string, error) {
 	}
 	num := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	keyCols := func(k Key) []string {
-		return []string{k.Protocol, k.Family, strconv.Itoa(k.N), strconv.Itoa(k.PresumedN), k.Adversary}
+		return []string{k.Protocol, k.Family, strconv.Itoa(k.N), strconv.Itoa(k.PresumedN), k.Adversary,
+			k.ProfileMode, k.Scenario}
 	}
 	for _, cd := range r.Cells {
 		for _, md := range cd.Metrics {

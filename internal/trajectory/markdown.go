@@ -12,12 +12,6 @@ func (r Report) Markdown() string {
 	var b strings.Builder
 	b.WriteString("## benchdiff\n\n")
 	fmt.Fprintf(&b, "base `%s` · head `%s`\n\n", r.BaseSchema, r.HeadSchema)
-	if r.BasePartial || r.HeadPartial {
-		b.WriteString("> ℹ️ partial-coverage comparison: " + partialSides(r) +
-			" a distributed-sweep partial artifact covering less than its planned matrix. " +
-			"Cells missing from a partial were likely never assigned to it, so the " +
-			"removed-cells gate is advisory here.\n\n")
-	}
 	fmt.Fprintf(&b, "**%d regressed · %d improved · %d drifted · %d unchanged** across %d aligned cells",
 		r.Regressed, r.Improved, r.Drifted, r.Unchanged, len(r.Cells))
 	if len(r.Added) > 0 || len(r.Removed) > 0 {
@@ -68,19 +62,6 @@ func (r Report) Markdown() string {
 	fmt.Fprintf(&b, "Thresholds: rel-tol %.3g, sigmas %.3g, drift-tol %.3g.\n",
 		r.Thresholds.RelTol, r.Thresholds.Sigmas, r.Thresholds.DriftTol)
 	return b.String()
-}
-
-// partialSides names which side(s) of the comparison are partial
-// artifacts, for the markdown note.
-func partialSides(r Report) string {
-	switch {
-	case r.BasePartial && r.HeadPartial:
-		return "both sides are"
-	case r.BasePartial:
-		return "the base is"
-	default:
-		return "the head is"
-	}
 }
 
 // fmtVal renders a metric value compactly (counts dominate; rates are

@@ -130,11 +130,6 @@ type SeriesReport struct {
 	// goes has no well-defined trajectory, and hiding it could hide a
 	// regression.
 	Partial []Key `json:"partial,omitempty"`
-	// PartialPoints labels series points that are distributed-sweep partial
-	// artifacts (an ArtifactPlan header covering less than its planned
-	// matrix). Cells absent from those points are usually unassigned, not
-	// removed — the Partial list is read accordingly.
-	PartialPoints []string `json:"partial_points,omitempty"`
 
 	Improving  int `json:"improving"`
 	Flat       int `json:"flat"`
@@ -155,11 +150,8 @@ var seriesMetrics = append(append([]string{}, costMetrics...), "success_rate")
 func (s Series) Trends(th Thresholds) SeriesReport {
 	th = th.withDefaults()
 	r := SeriesReport{Labels: s.Labels, Thresholds: th}
-	for i, a := range s.Artifacts {
+	for _, a := range s.Artifacts {
 		r.Schemas = append(r.Schemas, a.Schema)
-		if a.IsPartial() {
-			r.PartialPoints = append(r.PartialPoints, s.Labels[i])
-		}
 	}
 
 	// Per-artifact occurrence index: key -> cell indices in order.

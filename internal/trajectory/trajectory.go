@@ -146,13 +146,6 @@ type Report struct {
 	// the markdown summary calls them out loudly.
 	Added   []Key `json:"added,omitempty"`
 	Removed []Key `json:"removed,omitempty"`
-	// BasePartial/HeadPartial record that a side is a distributed-sweep
-	// partial (an ArtifactPlan header covering less than its planned
-	// matrix). Cells "removed" against a partial head are usually cells
-	// that worker was never asked to run, not cells a shrunk sweep
-	// deleted — benchdiff downgrades its removed-cells gate accordingly.
-	BasePartial bool `json:"base_partial,omitempty"`
-	HeadPartial bool `json:"head_partial,omitempty"`
 
 	Improved  int `json:"improved"`
 	Unchanged int `json:"unchanged"`
@@ -292,11 +285,9 @@ func classifyDrift(name string, baseMeas, basePred, headMeas, headPred float64, 
 func Diff(base, head harness.Artifact, th Thresholds) Report {
 	th = th.withDefaults()
 	r := Report{
-		BaseSchema:  base.Schema,
-		HeadSchema:  head.Schema,
-		BasePartial: base.IsPartial(),
-		HeadPartial: head.IsPartial(),
-		Thresholds:  th,
+		BaseSchema: base.Schema,
+		HeadSchema: head.Schema,
+		Thresholds: th,
 	}
 
 	headIdx := make(map[Key][]int, len(head.Cells))

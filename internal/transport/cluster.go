@@ -234,9 +234,6 @@ func (c *Cluster) AllHalted() bool { return c.coord.AllHalted() }
 // Metrics implements Runtime.
 func (c *Cluster) Metrics() sim.Metrics { return c.coord.Metrics() }
 
-// Backend names the fabric implementation ("chan", "pipe", "tcp").
-func (c *Cluster) Backend() string { return c.name }
-
 // Close stops every driver and tears the fabric down. Idempotent.
 func (c *Cluster) Close() {
 	if c.closed {
