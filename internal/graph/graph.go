@@ -23,15 +23,21 @@ import (
 // leads to the p-th entry of that order. Graph is immutable after
 // construction and safe for concurrent readers.
 type Graph struct {
-	adj [][]int32 // adj[v][p] = neighbor of v behind port p
-	m   int       // number of undirected edges
+	// adj[v][p] = neighbor of v behind port p. Every adj[v] is a window
+	// into one arena, nodes in id order, so walking all adjacency lists
+	// walks sequential memory; each window's capacity is clipped to its
+	// length, so an append through Adj reallocates instead of writing into
+	// the next node's ports.
+	adj [][]int32
+	m   int // number of undirected edges
 }
 
 // Builder accumulates edges and produces an immutable Graph. The zero value
 // is not usable; construct with NewBuilder.
 type Builder struct {
 	n     int
-	adj   [][]int32
+	deg   []int      // degree of each node so far
+	edges [][2]int32 // in insertion order
 	seen  map[[2]int32]struct{}
 	loops bool
 }
@@ -43,7 +49,7 @@ func NewBuilder(n int) *Builder {
 	}
 	return &Builder{
 		n:    n,
-		adj:  make([][]int32, n),
+		deg:  make([]int, n),
 		seen: make(map[[2]int32]struct{}, n),
 	}
 }
@@ -68,8 +74,9 @@ func (b *Builder) AddEdge(u, v int) {
 		return
 	}
 	b.seen[key] = struct{}{}
-	b.adj[u] = append(b.adj[u], int32(v))
-	b.adj[v] = append(b.adj[v], int32(u))
+	b.edges = append(b.edges, [2]int32{int32(u), int32(v)})
+	b.deg[u]++
+	b.deg[v]++
 }
 
 // HasEdge reports whether {u,v} has already been added.
@@ -84,9 +91,24 @@ func (b *Builder) HasEdge(u, v int) bool {
 
 // Graph finalizes the builder. The per-node port order is the insertion
 // order of edges, which generators exploit to produce canonical labelings;
-// call PermutePorts afterwards for adversarial labelings.
+// call PermutePorts afterwards for adversarial labelings. The graph owns
+// its adjacency: edges added to the builder afterwards do not reach it.
 func (b *Builder) Graph() *Graph {
-	return &Graph{adj: b.adj, m: len(b.seen)}
+	// One arena, node v's window sized to its degree and filled by
+	// replaying the edges: every append lands inside its own window, which
+	// ends full, i.e. with its capacity clipped to its length.
+	arena := make([]int32, 2*len(b.edges))
+	adj := make([][]int32, b.n)
+	off := 0
+	for v, d := range b.deg {
+		adj[v] = arena[off : off : off+d]
+		off += d
+	}
+	for _, e := range b.edges {
+		adj[e[0]] = append(adj[e[0]], e[1])
+		adj[e[1]] = append(adj[e[1]], e[0])
+	}
+	return &Graph{adj: adj, m: len(b.edges)}
 }
 
 // N returns the number of nodes.
@@ -100,6 +122,11 @@ func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
 // Neighbor returns the node behind port p of node v.
 func (g *Graph) Neighbor(v, p int) int { return int(g.adj[v][p]) }
+
+// Adj returns v's neighbor list in port order without copying it: the
+// read-only view for inner loops (spectral kernels) that cannot afford
+// Neighbors' copy or a Neighbor call per edge. Callers must not modify it.
+func (g *Graph) Adj(v int) []int32 { return g.adj[v] }
 
 // Neighbors returns a copy of v's neighbor list in port order. The copy
 // keeps callers from aliasing internal state (copy-at-boundary).
@@ -258,13 +285,15 @@ func (g *Graph) Volume(set []int) int {
 // under this transformation (anonymous networks expose no canonical ports);
 // tests use it as a labeling adversary.
 func (g *Graph) PermutePorts(r *rng.RNG) *Graph {
+	arena := make([]int32, 2*g.m)
 	adj := make([][]int32, len(g.adj))
-	for v := range g.adj {
-		nb := make([]int32, len(g.adj[v]))
-		copy(nb, g.adj[v])
+	off := 0
+	for v := range adj {
+		end := off + copy(arena[off:], g.adj[v])
+		nb := arena[off:end:end]
 		nodeRNG := r.Split(uint64(v))
 		nodeRNG.Shuffle(len(nb), func(i, j int) { nb[i], nb[j] = nb[j], nb[i] })
-		adj[v] = nb
+		adj[v], off = nb, end
 	}
 	return &Graph{adj: adj, m: g.m}
 }

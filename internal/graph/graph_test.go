@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -69,6 +70,55 @@ func TestNeighborsIsCopy(t *testing.T) {
 	nb[0] = 99
 	if g.Neighbor(0, 0) == 99 {
 		t.Fatal("Neighbors leaked internal state")
+	}
+}
+
+// TestGraphOwnsItsAdjacency: Builder.Graph() used to hand the builder's
+// own rows to the graph, so a later AddEdge appended into (or reallocated
+// a row out from under) the "immutable" Graph.
+func TestGraphOwnsItsAdjacency(t *testing.T) {
+	b := NewBuilder(4)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddEdge(2, 3)
+	g := b.Graph()
+	before := g.Edges()
+	b.AddEdge(0, 3)
+	b.AddEdge(1, 3)
+	if !reflect.DeepEqual(g.Edges(), before) || g.M() != 3 || g.Degree(3) != 1 {
+		t.Fatalf("graph changed with its builder: edges %v, was %v", g.Edges(), before)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if b.Graph().M() != 5 {
+		t.Fatal("builder lost the edges added after Graph()")
+	}
+}
+
+// TestAdjWindowsAreClipped: the adjacency windows share one arena, so an
+// append through Adj must reallocate, not write into the next node's ports.
+func TestAdjWindowsAreClipped(t *testing.T) {
+	g, err := RandomRegular(30, 4, rng.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []*Graph{g, g.PermutePorts(rng.New(5)), Star(6)} {
+		for v := 0; v < h.N(); v++ {
+			nb := h.Adj(v)
+			if len(nb) != h.Degree(v) || cap(nb) != len(nb) {
+				t.Fatalf("node %d: Adj len=%d cap=%d, degree %d", v, len(nb), cap(nb), h.Degree(v))
+			}
+			for p, w := range nb {
+				if int(w) != h.Neighbor(v, p) {
+					t.Fatalf("node %d port %d: Adj %d, Neighbor %d", v, p, w, h.Neighbor(v, p))
+				}
+			}
+		}
+		_ = append(h.Adj(0), -1)
+		if err := h.Validate(); err != nil {
+			t.Fatalf("append through Adj reached the graph: %v", err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package spectral
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"anonlead/internal/graph"
@@ -62,14 +63,15 @@ func enumerateCuts(g *graph.Graph) (phi, iso float64) {
 		gray := i ^ (i >> 1)
 		flip := gray ^ prevGray
 		prevGray = gray
-		v := trailingZeros(flip)
+		v := bits.TrailingZeros64(flip)
 
-		deg := g.Degree(v)
+		nb := g.Adj(v)
+		deg := len(nb)
 		inSNow := !inS[v]
 		// Count v's neighbors currently inside S.
 		nbIn := 0
-		for p := 0; p < deg; p++ {
-			if inS[g.Neighbor(v, p)] {
+		for _, w := range nb {
+			if inS[w] {
 				nbIn++
 			}
 		}
@@ -109,15 +111,6 @@ func enumerateCuts(g *graph.Graph) (phi, iso float64) {
 		}
 	}
 	return phi, iso
-}
-
-func trailingZeros(x uint64) int {
-	tz := 0
-	for x&1 == 0 {
-		x >>= 1
-		tz++
-	}
-	return tz
 }
 
 // SweepCut orders vertices by the second eigenvector and scans prefix cuts,

@@ -133,33 +133,30 @@ func mixFromStart(g *graph.Graph, pi []float64, start int, tol float64, budget i
 // stepLazy advances a distribution one step of the lazy walk: y = x·P
 // with P = (I + D⁻¹A)/2, a sparse O(m) product.
 func stepLazy(g *graph.Graph, x, y []float64) {
-	n := g.N()
-	for v := 0; v < n; v++ {
-		y[v] = 0
-	}
-	for v := 0; v < n; v++ {
-		xv := x[v]
+	clear(y)
+	for v, xv := range x {
 		if xv == 0 {
 			continue
 		}
-		deg := g.Degree(v)
-		if deg == 0 {
+		nb := g.Adj(v)
+		if len(nb) == 0 {
 			y[v] += xv
 			continue
 		}
 		y[v] += xv / 2
-		share := xv / (2 * float64(deg))
-		for p := 0; p < deg; p++ {
-			y[g.Neighbor(v, p)] += share
+		share := xv / (2 * float64(len(nb)))
+		for _, w := range nb {
+			y[w] += share
 		}
 	}
 }
 
 // maxNormDist returns max_v |x[v] - pi[v]|.
 func maxNormDist(x, pi []float64) float64 {
+	pi = pi[:len(x)]
 	d := 0.0
-	for v := range x {
-		if diff := math.Abs(x[v] - pi[v]); diff > d {
+	for v, xv := range x {
+		if diff := math.Abs(xv - pi[v]); diff > d {
 			d = diff
 		}
 	}

@@ -1,6 +1,7 @@
 package spectral
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -173,5 +174,26 @@ func BenchmarkEstimateProfileExpander(b *testing.B) {
 		if _, err := ProfileGraphMode(g, ModeEstimate, 1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkProfileExact measures the exact-regime profile on the gate
+// sweep's most expensive graphs (dense tmix powering dominates the first
+// two, the power iteration the cycle).
+func BenchmarkProfileExact(b *testing.B) {
+	for _, c := range []struct {
+		family string
+		n      int
+	}{{"expander", 256}, {"hypercube", 256}, {"diam2", 129}, {"cycle", 96}} {
+		g := mustFamily(b, c.family, c.n, 1)
+		b.Run(fmt.Sprintf("%s-%d", c.family, c.n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ProfileGraphMode(g, ModeExact, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

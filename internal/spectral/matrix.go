@@ -59,26 +59,60 @@ func (m *Dense) Clone() *Dense {
 // Mul returns m · other. It panics on dimension mismatch (programming
 // error).
 func (m *Dense) Mul(other *Dense) *Dense {
-	if m.n != other.n {
-		panic(fmt.Sprintf("spectral: dimension mismatch %d vs %d", m.n, other.n))
+	out := NewDense(m.n)
+	mulInto(out, m, other)
+	return out
+}
+
+// mulInto sets dst = a·b; dst must not alias a or b. Four rows of b per
+// pass with dst[i][j] held in a register across them, rows re-sliced to
+// one length so the inner loop carries no bounds checks.
+//
+// The product is bit-identical to the plain i-k-j loop: every dst[i][j]
+// still receives its terms in ascending k, each multiply and add is
+// rounded separately exactly as there (go.mod's amd64 baseline does not
+// fuse multiply-add; arm64 fuses this form and the plain form alike), and
+// a block is skipped only when all four coefficients are zero — a zero
+// coefficient skipped or not adds +0 to a sum of non-negative terms,
+// which leaves it unchanged. Holds for finite non-negative operands,
+// which is all the mixing-time search feeds it.
+func mulInto(dst, a, b *Dense) {
+	if a.n != b.n || dst.n != a.n {
+		panic(fmt.Sprintf("spectral: dimension mismatch %d vs %d into %d", a.n, b.n, dst.n))
 	}
-	n := m.n
-	out := NewDense(n)
+	n := a.n
 	for i := 0; i < n; i++ {
-		mi := m.Row(i)
-		oi := out.Row(i)
-		for k := 0; k < n; k++ {
-			a := mi[k]
-			if a == 0 {
+		ai := a.Row(i)
+		oi := dst.Row(i)
+		clear(oi)
+		k := 0
+		for ; k+4 <= n; k += 4 {
+			a0, a1, a2, a3 := ai[k], ai[k+1], ai[k+2], ai[k+3]
+			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 				continue
 			}
-			ok := other.Row(k)
-			for j := 0; j < n; j++ {
-				oi[j] += a * ok[j]
+			b0, b1 := b.Row(k)[:len(oi)], b.Row(k + 1)[:len(oi)]
+			b2, b3 := b.Row(k + 2)[:len(oi)], b.Row(k + 3)[:len(oi)]
+			for j := range oi {
+				t := oi[j]
+				t += a0 * b0[j]
+				t += a1 * b1[j]
+				t += a2 * b2[j]
+				t += a3 * b3[j]
+				oi[j] = t
+			}
+		}
+		for ; k < n; k++ {
+			ak := ai[k]
+			if ak == 0 {
+				continue
+			}
+			bk := b.Row(k)[:len(oi)]
+			for j := range oi {
+				oi[j] += ak * bk[j]
 			}
 		}
 	}
-	return out
 }
 
 // MulVecLeft returns the row vector x · m (distribution evolution).

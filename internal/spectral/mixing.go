@@ -28,58 +28,42 @@ func MixingTimeExact(g *graph.Graph, maxT int) (tmix int, capped bool) {
 		return 1, false
 	}
 	pi := Stationary(g)
-	p := LazyWalkMatrix(g)
-	if withinMixingTolerance(p, pi) {
-		return 1, false
-	}
 
-	// Bracket: powers[i] = P^(2^i); find first power that mixes.
-	powers := []*Dense{p}
-	steps := []int{1}
-	cur := p
+	// Bracket: powers[i] = P^(2^i); find the first power that mixes.
+	powers := []*Dense{LazyWalkMatrix(g)}
 	t := 1
-	for !withinMixingTolerance(cur, pi) {
+	for cur := powers[0]; !withinMixingTolerance(cur, pi); {
 		if t >= maxT {
 			return maxT, true
 		}
 		cur = cur.Mul(cur)
 		t *= 2
 		powers = append(powers, cur)
-		steps = append(steps, t)
+	}
+	if t == 1 {
+		return 1, false
 	}
 
-	// Binary search in (t/2, t] by composing saved powers.
-	lo, hi := t/2, t // P^lo not mixed, P^hi mixed
-	base := powers[len(powers)-2]
-	baseSteps := steps[len(steps)-2]
-	acc := base
-	accSteps := baseSteps
-	// Greedily add decreasing powers while staying unmixed.
+	// Binary search in (t/2, t]: acc = P^accSteps is unmixed, P^hi mixed,
+	// and adding the saved powers in decreasing order halves hi − accSteps
+	// each round, from t/2 down to 1. Trial products ping-pong between two
+	// scratch matrices: one may hold acc while the other takes the trial.
+	acc, accSteps, hi := powers[len(powers)-2], t/2, t
+	var scratch [2]*Dense
+	free := 0
 	for i := len(powers) - 3; i >= 0; i-- {
-		trial := acc.Mul(powers[i])
-		trialSteps := accSteps + steps[i]
+		if scratch[free] == nil {
+			scratch[free] = NewDense(n)
+		}
+		trial := scratch[free]
+		mulInto(trial, acc, powers[i])
 		if withinMixingTolerance(trial, pi) {
-			if trialSteps < hi {
-				hi = trialSteps
-			}
+			hi = accSteps + 1<<i
 		} else {
-			acc = trial
-			accSteps = trialSteps
-			if trialSteps > lo {
-				lo = trialSteps
-			}
+			acc, accSteps = trial, accSteps+1<<i
+			free ^= 1
 		}
 	}
-	// acc is the largest unmixed power found; one more single step at a
-	// time closes the gap (the remaining window is at most a few steps).
-	for accSteps+1 < hi {
-		acc = acc.Mul(p)
-		accSteps++
-		if withinMixingTolerance(acc, pi) {
-			return accSteps, false
-		}
-	}
-	_ = lo
 	return hi, false
 }
 
@@ -124,15 +108,19 @@ func Stationary(g *graph.Graph) []float64 {
 // every family in the experiment suite (Θ(n²·log n) on cycles, Θ(log n) on
 // expanders).
 func MixingTimeSpectral(g *graph.Graph) int {
-	n := g.N()
-	if n < 2 {
+	if g.N() < 2 {
 		return 1
 	}
-	gap := SpectralGap(g)
+	return mixingTimeFromGap(g, SpectralGap(g))
+}
+
+// mixingTimeFromGap is MixingTimeSpectral's bound for a caller that
+// already holds the spectral gap of g (n >= 2).
+func mixingTimeFromGap(g *graph.Graph, gap float64) int {
 	if gap <= 0 {
 		return math.MaxInt32
 	}
-	t := math.Log(4*float64(n)*float64(g.M())) / gap
+	t := math.Log(4*float64(g.N())*float64(g.M())) / gap
 	if t < 1 {
 		return 1
 	}
@@ -142,22 +130,17 @@ func MixingTimeSpectral(g *graph.Graph) int {
 	return int(math.Ceil(t))
 }
 
-// MixingTime returns the exact mixing time when n is small enough and the
-// spectral estimate otherwise. See mixingTimeWithCap for the capped flag.
-func MixingTime(g *graph.Graph) int {
-	t, _ := mixingTimeWithCap(g)
-	return t
-}
+// exactMixingBudget caps the exact search generously; cycles need ~n²
+// steps.
+func exactMixingBudget(n int) int { return 8*n*n + 64 }
 
-// mixingTimeWithCap is the exact-regime dispatcher with the capped flag:
-// exact search up to MixingTimeExactLimit (capped when the generous n²
-// budget is exhausted), spectral estimate above (never capped — it is a
-// closed-form bound, not a search).
-func mixingTimeWithCap(g *graph.Graph) (tmix int, capped bool) {
-	if g.N() <= MixingTimeExactLimit {
-		// Cap exact search generously; cycles need ~n² steps.
-		n := g.N()
-		return MixingTimeExact(g, 8*n*n+64)
+// MixingTime returns the exact mixing time when n is small enough (the
+// budget as a lower bound when the search exhausts it) and the spectral
+// estimate otherwise.
+func MixingTime(g *graph.Graph) int {
+	if g.N() > MixingTimeExactLimit {
+		return MixingTimeSpectral(g)
 	}
-	return MixingTimeSpectral(g), false
+	t, _ := MixingTimeExact(g, exactMixingBudget(g.N()))
+	return t
 }

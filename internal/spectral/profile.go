@@ -75,13 +75,24 @@ func exactProfile(g *graph.Graph) (*Profile, error) {
 		MinDegree: g.MinDegree(),
 		MaxDegree: g.MaxDegree(),
 	}
-	p.Lambda2 = SecondEigenvalue(g)
-	p.SpectralGap = 1 - p.Lambda2
+	// One power iteration serves λ₂, the sweep-cut ordering and (above
+	// MixingTimeExactLimit) the spectral tmix bound; each field equals
+	// what the exported single-quantity functions return for g.
+	lambda, vec := secondEigenpair(g)
+	p.Lambda2 = lambda
+	p.SpectralGap = 1 - lambda
 	p.ExactMixing = g.N() <= MixingTimeExactLimit
-	p.MixingTime, p.MixingCapped = mixingTimeWithCap(g)
+	if p.ExactMixing {
+		p.MixingTime, p.MixingCapped = MixingTimeExact(g, exactMixingBudget(g.N()))
+	} else {
+		p.MixingTime = mixingTimeFromGap(g, p.SpectralGap)
+	}
 	p.ExactCuts = g.N() <= ExactCutLimit
-	p.Conductance = Conductance(g)
-	p.Isoperimetric = Isoperimetric(g)
+	if p.ExactCuts {
+		p.Conductance, p.Isoperimetric = enumerateCuts(g)
+	} else {
+		p.Conductance, p.Isoperimetric = sweepCutFrom(g, walkCoords(g, vec))
+	}
 	return p, nil
 }
 
