@@ -36,7 +36,7 @@ bench:
 # recover and revoke histories under the static and traffic-adaptive
 # adversary rungs) end to end through anonlead.RunEpochs, archived as the
 # separate BENCH_epochs.json artifact. CI's bench-smoke job runs this (the
-# fault ladders F1-F5 run there as part of obs-smoke's gate sweep).
+# fault ladders F1-F5 run in bench-gate's gate sweep).
 epochs-smoke:
 	$(GO) run ./cmd/lebench -exp epochs -quick -json BENCH_epochs.json
 
@@ -47,19 +47,15 @@ epochs-smoke:
 scaling-smoke:
 	$(GO) run ./cmd/lebench -exp scaling -quick -json BENCH_scaling.json
 
-# Observability smoke: the quick gate sweep (Table 1 + knowledge + the
-# F1-F5 fault ladders, so also CI's fault-injection smoke) with telemetry
-# fully on — per-round histograms in the artifact, phase spans as a Chrome
-# trace, a CPU profile, and the metrics snapshot rendered into the
-# phase-breakdown table. CI's bench-smoke job runs this and archives the outputs; the
-# files are also the easiest local entry into "where does a sweep spend
-# its time" (open TRACE_lebench.json in Perfetto, `go tool pprof
-# CPU_lebench.pprof`).
-obs-smoke:
-	$(GO) run ./cmd/lebench -exp sweeps -quick -round-profile \
-		-trace-out TRACE_lebench.json -metrics-out OBS_metrics.json \
-		-cpuprofile CPU_lebench.pprof -json BENCH_obs.json
-	$(GO) run ./cmd/lereport -phases OBS_metrics.json -out REPORT_obs.md BENCH_obs.json
+# Observability smoke: the gate sweep plus its metrics snapshot rendered
+# into the phase-breakdown table. CI's bench-gate job runs this as its
+# sweep and archives the side files; they are also the easiest local entry
+# into "where does a sweep spend its time" (open TRACE_lebench.json in
+# Perfetto, `go tool pprof CPU_lebench.pprof`). The per-round histograms of
+# `lebench -round-profile` are not part of it: go test ./cmd/lebench covers
+# that flag.
+obs-smoke: bench-artifact
+	$(GO) run ./cmd/lereport -phases OBS_metrics.json -out REPORT_obs.md BENCH_harness.json
 
 # Distributed-transport smoke: a 16-node election where every node is its
 # own OS process over localhost TCP, plus the in-memory replay of the same
@@ -75,9 +71,14 @@ dist-demo:
 # promoted -quick defaults, written as a BENCH_harness.json artifact
 # (harness.ArtifactSchema). Deterministic for a fixed -seed regardless of
 # worker count, so the same command regenerates the same cells on any
-# machine.
+# machine. Telemetry is on — phase spans as a Chrome trace, the metrics
+# snapshot, a CPU profile — because it is a wall-clock side channel that
+# never enters the artifact (go test ./cmd/lebench compares the bytes), so
+# the one sweep CI runs also says where its time went.
 bench-artifact:
-	$(GO) run ./cmd/lebench -exp sweeps -quick -json BENCH_harness.json
+	$(GO) run ./cmd/lebench -exp sweeps -quick \
+		-trace-out TRACE_lebench.json -metrics-out OBS_metrics.json \
+		-cpuprofile CPU_lebench.pprof -json BENCH_harness.json
 
 # Diff the freshly-swept artifact against the committed baseline and fail
 # on any variance-adjusted regression — or on baseline cells missing from
@@ -87,13 +88,13 @@ benchdiff: bench-artifact
 	$(GO) run ./cmd/benchdiff -base testdata/BENCH_baseline.json -head BENCH_harness.json -fail-on regressed,removed
 
 # Render the paper-style reproduction report from a fresh gate sweep
-# (see README "Reading the results"). REPORT.md is a local artifact; the
+# (see README "lereport"). REPORT.md is a local artifact; the
 # committed reference render lives at testdata/REPORT_baseline.md.
 report: bench-artifact
 	$(GO) run ./cmd/lereport -out REPORT.md BENCH_harness.json
 
 # Refresh the committed baseline after an intentional perf/complexity
-# change (see README "Refreshing the baseline"); commit both files. The
+# change (see README "benchdiff"); commit both files. The
 # report render is regenerated alongside so the golden tests stay in sync.
 baseline:
 	$(GO) run ./cmd/lebench -exp sweeps -quick -json testdata/BENCH_baseline.json
@@ -138,6 +139,6 @@ clean:
 	rm -f BENCH_harness.json BENCH_scaling.json REPORT.md
 	rm -f benchdiff_report.json lereport.md
 	rm -f BENCH_epochs.json
-	rm -f BENCH_obs.json TRACE_lebench.json OBS_metrics.json CPU_lebench.pprof REPORT_obs.md
+	rm -f TRACE_lebench.json OBS_metrics.json CPU_lebench.pprof REPORT_obs.md
 	rm -f DIST_demo.json
 	$(GO) clean -testcache

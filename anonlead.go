@@ -44,7 +44,6 @@ import (
 	"sync"
 
 	"anonlead/internal/graph"
-	"anonlead/internal/rng"
 	"anonlead/internal/spectral"
 )
 
@@ -74,7 +73,7 @@ func Families() []string { return graph.FamilyNames() }
 // graph-sized work: the structural profile is computed lazily when a
 // protocol, Stats or Profile first needs it.
 func NewNetwork(family string, n int, seed uint64) (*Network, error) {
-	g, err := graph.ByName(family, n, rng.New(seed).SplitString("graph:"+family))
+	g, err := graph.Seeded(family, n, seed)
 	if err != nil {
 		return nil, err
 	}

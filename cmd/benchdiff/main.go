@@ -25,9 +25,8 @@
 // "regressed,removed", which is what turns the artifact from write-only
 // telemetry into an enforced perf/complexity contract.
 //
-// Schema handling: the current artifact schema and the previous one (v5,
-// whose cells carry no epoch scenarios and align as classic elections) are
-// accepted; anything older is refused by name.
+// Schema handling: only the current artifact schema is accepted; any
+// other is refused by name.
 package main
 
 import (

@@ -260,14 +260,15 @@ func TestBenchdiffDriftGate(t *testing.T) {
 	}
 }
 
-// TestBenchdiffAlignsV2AgainstV3: a baseline in the previous schema (v5
-// now; the name is from the pair the test was written against) diffs
-// against a current head without error — its cells align with the head's
-// fault-free cells, and the head's fault-injected cells report as added.
+// TestBenchdiffAlignsV2AgainstV3: a baseline of descriptor-less cells only
+// (what an artifact older than the fault sweeps held; the name is from the
+// schema pair the test was written against) diffs against a head with
+// fault-injected cells without error — its cells align with the head's
+// fault-free cells, and the fault-injected ones report as added.
 func TestBenchdiffAlignsV2AgainstV3(t *testing.T) {
 	dir := t.TempDir()
 	v3 := faultySweepArtifact(t)
-	v2 := harness.Artifact{Schema: harness.ArtifactSchemaV5, RootSeed: v3.RootSeed,
+	v2 := harness.Artifact{Schema: harness.ArtifactSchema, RootSeed: v3.RootSeed,
 		Workers: v3.Workers, Shards: v3.Shards}
 	for _, c := range v3.Cells {
 		if c.Adversary == "" {

@@ -15,9 +15,9 @@
 //	lebench -exp all -quick        # sweeps + figures + ablations
 //	lebench -exp sweeps -quick -json BENCH_harness.json  # CI's gate sweep
 //
-// README "Running sweeps" walks through the experiments, -workers and
-// -profile; docs/ARCHITECTURE.md "Observability" covers -round-profile,
-// -trace-out, -metrics-out, -debug-addr and -cpuprofile.
+// README "lebench" lists every flag; docs/ARCHITECTURE.md "Observability"
+// covers -round-profile, -trace-out, -metrics-out, -debug-addr and
+// -cpuprofile.
 package main
 
 import (

@@ -12,7 +12,8 @@ import (
 
 // TestLebench builds the binary once and drives it as a process: the
 // pool-size identity over the whole gate plan, stdout against lereport's
-// render of the artifact, and the removed flags that must be refused.
+// render of the artifact, the telemetry flags that must leave the cells
+// alone, and the removed flags that must be refused.
 func TestLebench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the lebench binary")
@@ -95,6 +96,58 @@ func TestLebench(t *testing.T) {
 		}
 		if !bytes.Contains(md, []byte("## Table 1")) || !strings.Contains(stdout, string(md)) {
 			t.Fatalf("lebench stdout does not contain lereport's render of its artifact:\n%s\nvs\n%s", stdout, md)
+		}
+	})
+
+	// The telemetry side files never enter the artifact, and -round-profile
+	// adds each cell's round_profile and nothing else. CI's gate sweep runs
+	// with the side files on, so this is what keeps its artifact the one a
+	// plain sweep writes.
+	t.Run("telemetry", func(t *testing.T) {
+		sweep := func(name string, extra ...string) string {
+			path := filepath.Join(dir, name)
+			mustRun(t, append([]string{"-exp", "table1", "-quick", "-trials", "1", "-strip-timings", "-json", path}, extra...)...)
+			return path
+		}
+		plain := sweep("plain.json")
+		side := sweep("side.json", "-trace-out", filepath.Join(dir, "trace.json"),
+			"-metrics-out", filepath.Join(dir, "metrics.json"), "-cpuprofile", filepath.Join(dir, "cpu.pprof"))
+		want, err := os.ReadFile(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(side); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("artifact with -trace-out/-metrics-out/-cpuprofile differs from the plain one (err %v)", err)
+		}
+		for _, f := range []string{"trace.json", "metrics.json", "cpu.pprof"} {
+			if fi, err := os.Stat(filepath.Join(dir, f)); err != nil || fi.Size() == 0 {
+				t.Errorf("side file %s not written (err %v)", f, err)
+			}
+		}
+
+		var plainCells, profCells []map[string]json.RawMessage
+		if err := json.Unmarshal(readArtifact(t, plain).Cells, &plainCells); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(readArtifact(t, sweep("prof.json", "-round-profile")).Cells, &profCells); err != nil {
+			t.Fatal(err)
+		}
+		if len(profCells) != len(plainCells) || len(plainCells) == 0 {
+			t.Fatalf("-round-profile wrote %d cells, the plain sweep %d", len(profCells), len(plainCells))
+		}
+		for i, c := range profCells {
+			if _, ok := c["round_profile"]; !ok {
+				t.Fatalf("cell %d has no round_profile under -round-profile", i)
+			}
+			delete(c, "round_profile")
+			if len(c) != len(plainCells[i]) {
+				t.Fatalf("cell %d: -round-profile changed the cell's keys", i)
+			}
+			for k, v := range plainCells[i] {
+				if !bytes.Equal(c[k], v) {
+					t.Fatalf("cell %d: -round-profile changed %s: %s vs %s", i, k, c[k], v)
+				}
+			}
 		}
 	})
 

@@ -38,7 +38,6 @@ import (
 	"anonlead"
 	"anonlead/internal/core"
 	"anonlead/internal/graph"
-	"anonlead/internal/rng"
 	"anonlead/internal/sim"
 	"anonlead/internal/transport"
 )
@@ -92,13 +91,6 @@ type outcomeMsg struct {
 	Leader bool   `json:"leader"`
 	ID     uint64 `json:"id"`
 	Halted bool   `json:"halted"`
-}
-
-// buildGraph is the shared deterministic topology derivation: coordinator
-// and every node process rebuild the same graph from (family, n, seed),
-// exactly as anonlead.NewNetwork does.
-func buildGraph(family string, n int, seed uint64) (*graph.Graph, error) {
-	return graph.ByName(family, n, rng.New(seed).SplitString("graph:"+family))
 }
 
 // ---------------------------------------------------------------------------
@@ -179,25 +171,11 @@ func coordMain(proto, family string, n int, seed uint64, out string, timeout tim
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 
-	g, err := buildGraph(family, n, seed)
+	nw, entry, pc, err := resolveRun(proto, family, n, seed)
 	if err != nil {
 		return err
 	}
-	nw, err := anonlead.NewNetworkFromGraph(g)
-	if err != nil {
-		return err
-	}
-	entry, ok := core.Lookup(proto)
-	if !ok {
-		return fmt.Errorf("unknown protocol %q (registered: %s)", proto, strings.Join(core.Names(), ", "))
-	}
-	if entry.Wire == nil {
-		return fmt.Errorf("protocol %s has no wire codec; it cannot run distributed", entry.Name)
-	}
-
-	// Resolve the protocol config once, coordinator-side, and ship it to
-	// every node: the processes must not profile independently.
-	pc, err := nw.ProtoConfig(proto)
+	g, err := graph.Seeded(family, n, seed)
 	if err != nil {
 		return err
 	}
@@ -264,6 +242,27 @@ func coordMain(proto, family string, n int, seed uint64, out string, timeout tim
 		return fmt.Errorf("election not unique: %d leaders", art.Dist.Leaders)
 	}
 	return nil
+}
+
+// resolveRun resolves the protocol config once, coordinator-side, to ship
+// it to every node: the processes must not profile independently. The
+// network is NewNetwork(family, n, seed) — not a wrapper around an
+// already-built graph, whose estimate-regime profile would sample from seed
+// 0 — so above 256 nodes ledist elects on the same t_mix and Φ as
+// leaderelect and Run do for the same (family, n, seed).
+func resolveRun(proto, family string, n int, seed uint64) (nw *anonlead.Network, entry core.Entry, pc core.ProtoConfig, err error) {
+	entry, ok := core.Lookup(proto)
+	if !ok {
+		return nil, entry, pc, fmt.Errorf("unknown protocol %q (registered: %s)", proto, strings.Join(core.Names(), ", "))
+	}
+	if entry.Wire == nil {
+		return nil, entry, pc, fmt.Errorf("protocol %s has no wire codec; it cannot run distributed", entry.Name)
+	}
+	if nw, err = anonlead.NewNetwork(family, n, seed); err != nil {
+		return nil, entry, pc, err
+	}
+	pc, err = nw.ProtoConfig(proto)
+	return nw, entry, pc, err
 }
 
 // runDistributed spawns the node processes, runs the shared coordinator
@@ -537,7 +536,7 @@ func nodeMain(v int, coord string) error {
 		return fmt.Errorf("node %d: plan: %w", v, err)
 	}
 
-	g, err := buildGraph(plan.Family, plan.N, plan.Seed)
+	g, err := graph.Seeded(plan.Family, plan.N, plan.Seed)
 	if err != nil {
 		return fmt.Errorf("node %d: rebuild graph: %w", v, err)
 	}

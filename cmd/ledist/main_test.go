@@ -6,6 +6,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"testing"
+
+	"anonlead"
 )
 
 // TestLedistMatchesSimulator builds the binary and runs real multi-process
@@ -47,5 +49,31 @@ func TestLedistMatchesSimulator(t *testing.T) {
 				t.Fatalf("%d round stamps for %d rounds", len(art.Dist.RoundSeconds), art.Dist.Rounds)
 			}
 		})
+	}
+}
+
+// TestCoordinatorShipsRunSeedProfile pins the config the coordinator ships
+// to its node processes (no process is spawned): above 256 nodes the
+// profile is a seeded estimate, and it must be the one NewNetwork computes
+// for the run seed — the t_mix and Φ leaderelect and Run elect on. On
+// expander/400 the seed-0 estimate a wrapped graph gets differs (t_mix 25
+// against 28); on expander/300 the two happen to agree.
+func TestCoordinatorShipsRunSeedProfile(t *testing.T) {
+	for _, n := range []int{300, 400} {
+		_, _, pc, err := resolveRun("ire", "expander", n, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw, err := anonlead.NewNetwork("expander", n, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := nw.ProtoConfig("ire")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pc != want {
+			t.Errorf("coordinator ships %+v, NewNetwork(expander, %d, 5) resolves %+v", pc, n, want)
+		}
 	}
 }

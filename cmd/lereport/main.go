@@ -22,8 +22,8 @@
 // one artifact the report has no trend section; with two or more, the
 // report describes the newest artifact and appends the trajectory
 // section (cells must be present at every series point to be classified;
-// the rest are listed as partial). The current artifact schema and the
-// previous one (v5) are accepted.
+// the rest are listed as partial). Only the current artifact schema is
+// accepted.
 //
 // -phases FILE appends a phase-breakdown table (phase | spans | total |
 // mean | share) rendered from an obs metrics snapshot — the -metrics-out

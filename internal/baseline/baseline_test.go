@@ -5,20 +5,39 @@ import (
 	"slices"
 	"testing"
 
+	"anonlead/internal/core"
 	"anonlead/internal/graph"
-
 	"anonlead/internal/sim"
 	"anonlead/internal/spectral"
 )
 
-func runFlood(t *testing.T, g *graph.Graph, cfg FloodConfig, seed uint64) (int, []FloodOutput) {
+// mustBuild builds proto from pc through the registry, as every production
+// caller does.
+func mustBuild(t testing.TB, proto string, pc core.ProtoConfig) core.Runner {
 	t.Helper()
-	factory, err := NewFloodFactory(cfg)
-	if err != nil {
-		t.Fatal(err)
+	e, ok := core.Lookup(proto)
+	if !ok {
+		t.Fatalf("protocol %q not registered", proto)
 	}
-	nw := sim.New(sim.Config{Graph: g, Seed: seed}, factory)
-	nw.Run(cfg.Rounds() + 2)
+	r, err := e.Build(pc)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	return r
+}
+
+// rejects reports whether the registry refuses to build proto from pc.
+func rejects(proto string, pc core.ProtoConfig) bool {
+	e, _ := core.Lookup(proto)
+	_, err := e.Build(pc)
+	return err != nil
+}
+
+func runFlood(t *testing.T, g *graph.Graph, cfg core.ProtoConfig, seed uint64) (int, []FloodOutput) {
+	t.Helper()
+	r := mustBuild(t, "floodmax", cfg)
+	nw := sim.New(sim.Config{Graph: g, Seed: seed}, r.Factory)
+	nw.Run(r.Budget)
 	if !nw.AllHalted() {
 		t.Fatal("flood did not halt")
 	}
@@ -34,10 +53,10 @@ func runFlood(t *testing.T, g *graph.Graph, cfg FloodConfig, seed uint64) (int, 
 }
 
 func TestFloodConfigValidation(t *testing.T) {
-	if _, err := NewFloodFactory(FloodConfig{N: 1, Diam: 3}); err == nil {
+	if !rejects("floodmax", core.ProtoConfig{N: 1, Diam: 3}) {
 		t.Fatal("n=1 accepted")
 	}
-	if _, err := NewFloodFactory(FloodConfig{N: 8, Diam: 0}); err == nil {
+	if !rejects("allflood", core.ProtoConfig{N: 8, Diam: 0}) {
 		t.Fatal("diam=0 accepted")
 	}
 }
@@ -48,7 +67,7 @@ func TestFloodAllNodesAlwaysUnique(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		graph.Cycle(16), graph.Complete(12), graph.Star(9), graph.Grid(4, 4),
 	} {
-		cfg := FloodConfig{N: g.N(), Diam: g.Diameter(), AllNodes: true}
+		cfg := core.ProtoConfig{N: g.N(), Diam: g.Diameter(), AllNodes: true}
 		for s := uint64(0); s < 5; s++ {
 			leaders, outs := runFlood(t, g, cfg, 600+s)
 			if leaders != 1 {
@@ -72,7 +91,7 @@ func TestFloodAllNodesAlwaysUnique(t *testing.T) {
 
 func TestFloodSampledCandidates(t *testing.T) {
 	g := graph.Torus(4, 4)
-	cfg := FloodConfig{N: g.N(), Diam: g.Diameter()}
+	cfg := core.ProtoConfig{N: g.N(), Diam: g.Diameter()}
 	wins, zero := 0, 0
 	const trials = 20
 	for s := uint64(0); s < trials; s++ {
@@ -102,27 +121,20 @@ func TestFloodMessageBound(t *testing.T) {
 	// Send-on-change flooding: each link carries at most #distinct-IDs
 	// messages in each direction.
 	g := graph.Complete(24)
-	cfg := FloodConfig{N: g.N(), Diam: 1, AllNodes: true}
-	factory, err := NewFloodFactory(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw := sim.New(sim.Config{Graph: g, Seed: 4}, factory)
-	nw.Run(cfg.Rounds() + 2)
+	r := mustBuild(t, "allflood", core.ProtoConfig{N: g.N(), Diam: 1})
+	nw := sim.New(sim.Config{Graph: g, Seed: 4}, r.Factory)
+	nw.Run(r.Budget)
 	maxMsgs := int64(2 * g.M() * g.N()) // crude upper bound: n IDs per direction
 	if m := nw.Metrics().Messages; m > maxMsgs {
 		t.Fatalf("messages %d exceed bound %d", m, maxMsgs)
 	}
 }
 
-func runWalkNotify(t *testing.T, g *graph.Graph, cfg WalkNotifyConfig, seed uint64) (int, []WalkNotifyOutput, sim.Metrics) {
+func runWalkNotify(t *testing.T, g *graph.Graph, cfg core.ProtoConfig, seed uint64) (int, []WalkNotifyOutput, sim.Metrics) {
 	t.Helper()
-	factory, err := NewWalkNotifyFactory(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw := sim.New(sim.Config{Graph: g, Seed: seed}, factory)
-	nw.Run(cfg.Rounds() + 2)
+	r := mustBuild(t, "walknotify", cfg)
+	nw := sim.New(sim.Config{Graph: g, Seed: seed}, r.Factory)
+	nw.Run(r.Budget)
 	if !nw.AllHalted() {
 		t.Fatal("walknotify did not halt")
 	}
@@ -138,14 +150,11 @@ func runWalkNotify(t *testing.T, g *graph.Graph, cfg WalkNotifyConfig, seed uint
 }
 
 func TestWalkNotifyConfigValidation(t *testing.T) {
-	if _, err := NewWalkNotifyFactory(WalkNotifyConfig{N: 1, TMix: 3}); err == nil {
+	if !rejects("walknotify", core.ProtoConfig{N: 1, TMix: 3}) {
 		t.Fatal("n=1 accepted")
 	}
-	if _, err := NewWalkNotifyFactory(WalkNotifyConfig{N: 8, TMix: 0}); err == nil {
+	if !rejects("walknotify", core.ProtoConfig{N: 8, TMix: 0}) {
 		t.Fatal("tmix=0 accepted")
-	}
-	if r := (WalkNotifyConfig{N: 1}).Rounds(); r != 0 {
-		t.Fatal("Rounds on invalid config should be 0")
 	}
 }
 
@@ -166,7 +175,7 @@ func TestWalkNotifySuccessAcrossFamilies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := WalkNotifyConfig{N: c.g.N(), TMix: prof.MixingTime}
+			cfg := core.ProtoConfig{N: c.g.N(), TMix: prof.MixingTime}
 			wins := 0
 			for s := uint64(0); s < uint64(c.trials); s++ {
 				leaders, _, _ := runWalkNotify(t, c.g, cfg, 900+s)
@@ -187,7 +196,7 @@ func TestWalkNotifyMaxCandidateNeverEliminated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := WalkNotifyConfig{N: g.N(), TMix: prof.MixingTime}
+	cfg := core.ProtoConfig{N: g.N(), TMix: prof.MixingTime}
 	for s := uint64(0); s < 10; s++ {
 		_, outs, _ := runWalkNotify(t, g, cfg, 300+s)
 		var maxCand uint64
@@ -210,7 +219,7 @@ func TestWalkNotifyLeadersAreNonEliminatedCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := WalkNotifyConfig{N: g.N(), TMix: prof.MixingTime}
+	cfg := core.ProtoConfig{N: g.N(), TMix: prof.MixingTime}
 	for s := uint64(0); s < 5; s++ {
 		_, outs, _ := runWalkNotify(t, g, cfg, 70+s)
 		for v, o := range outs {
@@ -222,7 +231,7 @@ func TestWalkNotifyLeadersAreNonEliminatedCandidates(t *testing.T) {
 }
 
 func TestWalkNotifyBetaDefault(t *testing.T) {
-	p, err := WalkNotifyConfig{N: 64, TMix: 10}.resolve()
+	p, err := resolveWalkNotify(core.ProtoConfig{N: 64, TMix: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +239,7 @@ func TestWalkNotifyBetaDefault(t *testing.T) {
 	if p.beta < 50 || p.beta > 90 {
 		t.Fatalf("beta %d out of expected band", p.beta)
 	}
-	p2, _ := WalkNotifyConfig{N: 64, TMix: 10, Beta: 5}.resolve()
+	p2, _ := resolveWalkNotify(core.ProtoConfig{N: 64, TMix: 10, Beta: 5})
 	if p2.beta != 5 {
 		t.Fatal("beta override ignored")
 	}
@@ -238,7 +247,7 @@ func TestWalkNotifyBetaDefault(t *testing.T) {
 
 func TestWalkNotifyDeterministic(t *testing.T) {
 	g := graph.Complete(16)
-	cfg := WalkNotifyConfig{N: 16, TMix: 4}
+	cfg := core.ProtoConfig{N: 16, TMix: 4}
 	l1, o1, m1 := runWalkNotify(t, g, cfg, 5)
 	l2, o2, m2 := runWalkNotify(t, g, cfg, 5)
 	if l1 != l2 || m1 != m2 {
@@ -335,13 +344,9 @@ func TestWalkNotifyTokenConservationDuringWalkPhase(t *testing.T) {
 	// candidate is conserved (its tokens are never absorbed). Verify the
 	// winner's parked tokens never exceed beta in total.
 	g := graph.Complete(12)
-	cfg := WalkNotifyConfig{N: 12, TMix: 3, Beta: 9}
-	factory, err := NewWalkNotifyFactory(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw := sim.New(sim.Config{Graph: g, Seed: 8}, factory)
-	p, _ := cfg.resolve()
+	cfg := core.ProtoConfig{N: 12, TMix: 3, Beta: 9}
+	nw := sim.New(sim.Config{Graph: g, Seed: 8}, mustBuild(t, "walknotify", cfg).Factory)
+	p, _ := resolveWalkNotify(cfg)
 	var maxCand uint64
 	for v := 0; v < g.N(); v++ {
 		o := nw.Machine(v).(*WalkNotifyMachine).out

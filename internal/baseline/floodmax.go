@@ -2,58 +2,53 @@ package baseline
 
 import (
 	"fmt"
-	"math"
 
 	"anonlead/internal/congest"
+	"anonlead/internal/core"
 	"anonlead/internal/rng"
 	"anonlead/internal/sim"
 )
 
-// FloodConfig parameterizes the flooding baselines.
-type FloodConfig struct {
-	// N is the known network size (ID range n⁴ and candidate rate).
-	N int
-	// Diam is the known diameter bound: the protocol floods for Diam+1
-	// rounds and halts (the Kutten-class row assumes n and D known).
-	Diam int
-	// C scales the candidate rate (C·ln n)/n. Zero selects 2.
-	C float64
-	// AllNodes makes every node a candidate (the naive AllFlood variant).
-	AllNodes bool
+// floodParams holds the resolved parameters of the flooding baselines.
+type floodParams struct {
+	rounds int            // halt round: flood for Diam+1 rounds, +1 slack over the exact eccentricity bound
+	cand   core.Candidacy // every node a candidate under AllNodes
 }
 
-func (cfg FloodConfig) resolve() (floodParams, error) {
-	var p floodParams
-	if cfg.N < 2 {
-		return p, fmt.Errorf("baseline: FloodConfig.N must be >= 2, got %d", cfg.N)
+// resolveFlood validates pc's flooding inputs: the known size N (ID range
+// and candidate rate) and diameter bound Diam (the Kutten-class row assumes
+// n and D known).
+func resolveFlood(pc core.ProtoConfig) (floodParams, error) {
+	if pc.N < 2 {
+		return floodParams{}, fmt.Errorf("N must be >= 2, got %d", pc.N)
 	}
-	if cfg.Diam < 1 {
-		return p, fmt.Errorf("baseline: FloodConfig.Diam must be >= 1, got %d", cfg.Diam)
+	if pc.Diam < 1 {
+		return floodParams{}, fmt.Errorf("Diam must be >= 1, got %d", pc.Diam)
 	}
-	p.n = cfg.N
-	p.rounds = cfg.Diam + 2 // +1 slack over the exact eccentricity bound
-	c := cfg.C
-	if c <= 0 {
-		c = 2
+	p := floodParams{rounds: pc.Diam + 2, cand: core.NewCandidacy(pc.N, pc.C, 0)}
+	if pc.AllNodes {
+		p.cand.Prob = 1
 	}
-	ln := math.Log(float64(p.n))
-	if ln < 1 {
-		ln = 1
-	}
-	p.candProb = c * ln / float64(p.n)
-	if cfg.AllNodes || p.candProb > 1 {
-		p.candProb = 1
-	}
-	nn := uint64(p.n)
-	p.maxID = nn * nn * nn * nn
 	return p, nil
 }
 
-type floodParams struct {
-	n        int
-	rounds   int
-	candProb float64
-	maxID    uint64
+// buildFlood is the registry's floodmax builder (allflood sets
+// pc.AllNodes first). The budget is the halt round's count plus slack and
+// the adversary's jitter bound.
+func buildFlood(pc core.ProtoConfig) (core.Runner, error) {
+	p, err := resolveFlood(pc)
+	if err != nil {
+		return core.Runner{}, err
+	}
+	var arena sim.Arena[FloodMachine]
+	return core.Runner{
+		Factory: func(node, degree int, r *rng.RNG) sim.Machine {
+			m := arena.New()
+			m.p, m.r = p, r
+			return m
+		},
+		Budget: p.rounds + 1 + 2 + pc.MaxDelay,
+	}, nil
 }
 
 // floodMsg carries the largest candidate ID seen.
@@ -81,30 +76,12 @@ type FloodMachine struct {
 	halted bool
 }
 
-// NewFloodFactory returns a sim.Factory for FloodMax.
-func NewFloodFactory(cfg FloodConfig) (sim.Factory, error) {
-	p, err := cfg.resolve()
-	if err != nil {
-		return nil, err
-	}
-	var arena sim.Arena[FloodMachine]
-	return func(node, degree int, r *rng.RNG) sim.Machine {
-		m := arena.New()
-		m.p, m.r = p, r
-		return m
-	}, nil
-}
-
-// Rounds returns the number of rounds the protocol runs before halting.
-func (cfg FloodConfig) Rounds() int { return cfg.Diam + 3 }
-
 // Output returns the node's result; valid after halting.
 func (m *FloodMachine) Output() FloodOutput { return m.out }
 
 // Init implements sim.Machine.
 func (m *FloodMachine) Init(ctx *sim.Context) {
-	m.out.ID = 1 + m.r.Uint64n(m.p.maxID)
-	m.out.Candidate = m.r.Bernoulli(m.p.candProb)
+	m.out.ID, m.out.Candidate = m.p.cand.Draw(m.r)
 	if m.out.Candidate {
 		m.out.MaxSeen = m.out.ID
 	}

@@ -1,9 +1,6 @@
 package baseline
 
-import (
-	"anonlead/internal/core"
-	"anonlead/internal/sim"
-)
+import "anonlead/internal/core"
 
 // The baselines register themselves into the shared protocol registry, so
 // the public anonlead.Run path and the experiment harness execute them
@@ -16,15 +13,18 @@ func init() {
 		Aliases: []string{"flood"},
 		Info:    "FloodMax over sampled candidates, known n and D (Kutten-class baseline)",
 		Needs:   core.NeedDiam,
-		Build:   func(pc core.ProtoConfig) (core.Runner, error) { return buildFlood(pc, false) },
+		Build:   buildFlood,
 		Wire:    wireCodec{},
 	})
 	core.Register(core.Entry{
 		Name:  "allflood",
 		Info:  "naive FloodMax with every node a candidate",
 		Needs: core.NeedDiam,
-		Build: func(pc core.ProtoConfig) (core.Runner, error) { return buildFlood(pc, true) },
-		Wire:  wireCodec{},
+		Build: func(pc core.ProtoConfig) (core.Runner, error) {
+			pc.AllNodes = true
+			return buildFlood(pc)
+		},
+		Wire: wireCodec{},
 	})
 	core.Register(core.Entry{
 		Name:  "walknotify",
@@ -33,60 +33,4 @@ func init() {
 		Build: buildWalkNotify,
 		Wire:  wireCodec{},
 	})
-}
-
-func buildFlood(pc core.ProtoConfig, allNodes bool) (core.Runner, error) {
-	cfg := FloodConfig{N: pc.N, Diam: pc.Diam, C: pc.C, AllNodes: allNodes || pc.AllNodes}
-	factory, err := NewFloodFactory(cfg)
-	if err != nil {
-		return core.Runner{}, err
-	}
-	return core.Runner{
-		Factory: factory,
-		Budget:  cfg.Rounds() + 2 + pc.MaxDelay,
-		Collect: collectFlood,
-	}, nil
-}
-
-func collectFlood(nw sim.View) core.Outcome {
-	out := core.Outcome{AllKnow: true}
-	for v := 0; v < nw.N(); v++ {
-		if nw.Crashed(v) {
-			continue
-		}
-		o := nw.Machine(v).(*FloodMachine).Output()
-		if o.Leader {
-			out.Leaders = append(out.Leaders, v)
-			out.LeaderID = o.ID
-		}
-	}
-	return out
-}
-
-func buildWalkNotify(pc core.ProtoConfig) (core.Runner, error) {
-	cfg := WalkNotifyConfig{N: pc.N, TMix: pc.TMix, C: pc.C, Beta: pc.Beta}
-	factory, err := NewWalkNotifyFactory(cfg)
-	if err != nil {
-		return core.Runner{}, err
-	}
-	return core.Runner{
-		Factory: factory,
-		Budget:  cfg.Rounds() + 2 + pc.MaxDelay,
-		Collect: collectWalkNotify,
-	}, nil
-}
-
-func collectWalkNotify(nw sim.View) core.Outcome {
-	out := core.Outcome{AllKnow: true}
-	for v := 0; v < nw.N(); v++ {
-		if nw.Crashed(v) {
-			continue
-		}
-		o := nw.Machine(v).(*WalkNotifyMachine).Output()
-		if o.Leader {
-			out.Leaders = append(out.Leaders, v)
-			out.LeaderID = o.ID
-		}
-	}
-	return out
 }

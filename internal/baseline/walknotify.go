@@ -6,69 +6,63 @@ import (
 	"slices"
 
 	"anonlead/internal/congest"
+	"anonlead/internal/core"
 	"anonlead/internal/rng"
 	"anonlead/internal/sim"
 )
 
-// WalkNotifyConfig parameterizes the Gilbert-class baseline.
-type WalkNotifyConfig struct {
-	// N is the known network size. Required.
-	N int
-	// TMix is the lazy-walk mixing time (or an upper bound). Required.
-	TMix int
-	// C scales candidate rate and walk length. Zero selects 2.
-	C float64
-	// Beta overrides the tokens per candidate. Zero selects the
-	// Θ(√n·log^{3/2} n) value that reproduces the O(tmix·√n·polylog n)
-	// message bound of Gilbert et al.
-	Beta int
+// wnParams holds the resolved parameters of the Gilbert-class baseline.
+type wnParams struct {
+	cand    core.Candidacy
+	beta    int // tokens per candidate
+	walkLen int
+	total   int // decide round: walk phase + kill drain + decide
 }
 
-func (cfg WalkNotifyConfig) resolve() (wnParams, error) {
-	var p wnParams
-	if cfg.N < 2 {
-		return p, fmt.Errorf("baseline: WalkNotifyConfig.N must be >= 2, got %d", cfg.N)
+// resolveWalkNotify validates pc's inputs — the known size N and the
+// lazy-walk mixing time TMix (or an upper bound) — and derives the rest:
+// pc.C scales candidate rate and walk length, pc.Beta overrides the
+// Θ(√n·log^{3/2} n) tokens per candidate that reproduce the
+// O(tmix·√n·polylog n) message bound of Gilbert et al.
+func resolveWalkNotify(pc core.ProtoConfig) (wnParams, error) {
+	if pc.N < 2 {
+		return wnParams{}, fmt.Errorf("N must be >= 2, got %d", pc.N)
 	}
-	if cfg.TMix < 1 {
-		return p, fmt.Errorf("baseline: WalkNotifyConfig.TMix must be >= 1, got %d", cfg.TMix)
+	if pc.TMix < 1 {
+		return wnParams{}, fmt.Errorf("TMix must be >= 1, got %d", pc.TMix)
 	}
-	p.n = cfg.N
-	c := cfg.C
-	if c <= 0 {
-		c = 2
-	}
-	ln := math.Log(float64(p.n))
-	if ln < 1 {
-		ln = 1
-	}
-	p.candProb = c * ln / float64(p.n)
-	if p.candProb > 1 {
-		p.candProb = 1
-	}
-	p.beta = cfg.Beta
+	c, ln := core.CLogN(pc.N, pc.C)
+	p := wnParams{cand: core.NewCandidacy(pc.N, pc.C, 0), beta: pc.Beta}
 	if p.beta <= 0 {
-		p.beta = int(math.Ceil(math.Sqrt(float64(p.n)) * math.Pow(ln, 1.5)))
+		p.beta = int(math.Ceil(math.Sqrt(float64(pc.N)) * math.Pow(ln, 1.5)))
 	}
 	if p.beta < 1 {
 		p.beta = 1
 	}
-	p.walkLen = int(math.Ceil(c * float64(cfg.TMix) * ln))
+	p.walkLen = int(math.Ceil(c * float64(pc.TMix) * ln))
 	if p.walkLen < 4 {
 		p.walkLen = 4
 	}
-	p.total = 2*p.walkLen + 3 // walk phase + kill drain + decide
-	nn := uint64(p.n)
-	p.maxID = nn * nn * nn * nn
+	p.total = 2*p.walkLen + 3
 	return p, nil
 }
 
-type wnParams struct {
-	n        int
-	candProb float64
-	beta     int
-	walkLen  int
-	total    int
-	maxID    uint64
+// buildWalkNotify is the registry's walknotify builder. The budget is the
+// decide round's count plus slack and the adversary's jitter bound.
+func buildWalkNotify(pc core.ProtoConfig) (core.Runner, error) {
+	p, err := resolveWalkNotify(pc)
+	if err != nil {
+		return core.Runner{}, err
+	}
+	var arena sim.Arena[WalkNotifyMachine]
+	return core.Runner{
+		Factory: func(node, degree int, r *rng.RNG) sim.Machine {
+			m := arena.New()
+			m.p, m.r = p, r
+			return m
+		},
+		Budget: p.total + 1 + 2 + pc.MaxDelay,
+	}, nil
 }
 
 // wnTokenMsg moves count walk tokens of one candidate across a link. It and
@@ -128,36 +122,12 @@ type WalkNotifyMachine struct {
 	kills  sim.Msgs[wnKillMsg]
 }
 
-// NewWalkNotifyFactory returns a sim.Factory for the baseline.
-func NewWalkNotifyFactory(cfg WalkNotifyConfig) (sim.Factory, error) {
-	p, err := cfg.resolve()
-	if err != nil {
-		return nil, err
-	}
-	var arena sim.Arena[WalkNotifyMachine]
-	return func(node, degree int, r *rng.RNG) sim.Machine {
-		m := arena.New()
-		m.p, m.r = p, r
-		return m
-	}, nil
-}
-
-// Rounds returns the total protocol length in rounds.
-func (cfg WalkNotifyConfig) Rounds() int {
-	p, err := cfg.resolve()
-	if err != nil {
-		return 0
-	}
-	return p.total + 1
-}
-
 // Output returns the node's result; valid after halting.
 func (m *WalkNotifyMachine) Output() WalkNotifyOutput { return m.out }
 
 // Init implements sim.Machine.
 func (m *WalkNotifyMachine) Init(ctx *sim.Context) {
-	m.out.ID = 1 + m.r.Uint64n(m.p.maxID)
-	m.out.Candidate = m.r.Bernoulli(m.p.candProb)
+	m.out.ID, m.out.Candidate = m.p.cand.Draw(m.r)
 	if m.out.Candidate {
 		m.maxMark = m.out.ID
 		m.cands.Insert(m.out.ID) // the spray's row; never gets a breadcrumb

@@ -1,19 +1,17 @@
-// Package congest provides bit-level size accounting and encoding for
-// CONGEST-model payloads.
+// Package congest provides the bit-level size accounting of CONGEST-model
+// payloads.
 //
 // The simulator charges every payload its exact bit size (Payload.Bits) and
-// serializes link traffic into O(log n)-bit slots. Protocol packages use
-// the helpers here to declare honest sizes, and their tests round-trip
-// payloads through BitWriter/BitReader to prove the declared sizes are
-// achievable encodings, not wishes.
+// serializes link traffic into O(log n)-bit slots: protocol packages
+// declare a payload's size as the sum of its fields' BitLen, and the
+// simulator turns sizes into slots with Fragments. Nothing here encodes a
+// payload; the bytes a real transport carries come from each protocol's
+// sim.WireCodec.
 //
 // See docs/ARCHITECTURE.md for where this sits in the paper-to-code map.
 package congest
 
-import (
-	"errors"
-	"math/bits"
-)
+import "math/bits"
 
 // BitLen returns the number of bits needed to represent x (0 needs 1 bit).
 func BitLen(x uint64) int {
@@ -21,15 +19,6 @@ func BitLen(x uint64) int {
 		return 1
 	}
 	return bits.Len64(x)
-}
-
-// BitsForRange returns the bits needed to encode any value in [0, n).
-// It panics for n == 0 (empty ranges are caller bugs).
-func BitsForRange(n uint64) int {
-	if n == 0 {
-		panic("congest: BitsForRange with empty range")
-	}
-	return BitLen(n - 1)
 }
 
 // Fragments returns how many budget-sized CONGEST slots a payload of the
@@ -43,88 +32,3 @@ func Fragments(bitSize, budget int) int {
 	}
 	return (bitSize + budget - 1) / budget
 }
-
-// BitWriter appends values bit by bit, most significant bit first within
-// each field. The zero value is ready to use.
-type BitWriter struct {
-	buf  []byte
-	nbit int
-}
-
-// WriteBits appends the width lowest bits of v. Width must be in [0, 64].
-func (w *BitWriter) WriteBits(v uint64, width int) {
-	if width < 0 || width > 64 {
-		panic("congest: invalid width")
-	}
-	for i := width - 1; i >= 0; i-- {
-		bit := byte((v >> uint(i)) & 1)
-		if w.nbit%8 == 0 {
-			w.buf = append(w.buf, 0)
-		}
-		if bit == 1 {
-			w.buf[w.nbit/8] |= 1 << uint(7-w.nbit%8)
-		}
-		w.nbit++
-	}
-}
-
-// WriteBool appends a single bit.
-func (w *BitWriter) WriteBool(b bool) {
-	if b {
-		w.WriteBits(1, 1)
-	} else {
-		w.WriteBits(0, 1)
-	}
-}
-
-// Len returns the number of bits written.
-func (w *BitWriter) Len() int { return w.nbit }
-
-// Bytes returns the written bits packed into bytes (last byte zero-padded).
-func (w *BitWriter) Bytes() []byte {
-	out := make([]byte, len(w.buf))
-	copy(out, w.buf)
-	return out
-}
-
-// ErrShortRead is returned when a BitReader runs out of bits.
-var ErrShortRead = errors.New("congest: short read")
-
-// BitReader consumes bits written by BitWriter.
-type BitReader struct {
-	buf  []byte
-	nbit int
-	pos  int
-}
-
-// NewBitReader reads nbit bits from buf.
-func NewBitReader(buf []byte, nbit int) *BitReader {
-	return &BitReader{buf: buf, nbit: nbit}
-}
-
-// ReadBits consumes width bits and returns them as the low bits of a
-// uint64.
-func (r *BitReader) ReadBits(width int) (uint64, error) {
-	if width < 0 || width > 64 {
-		panic("congest: invalid width")
-	}
-	if r.pos+width > r.nbit {
-		return 0, ErrShortRead
-	}
-	var v uint64
-	for i := 0; i < width; i++ {
-		b := (r.buf[r.pos/8] >> uint(7-r.pos%8)) & 1
-		v = v<<1 | uint64(b)
-		r.pos++
-	}
-	return v, nil
-}
-
-// ReadBool consumes one bit.
-func (r *BitReader) ReadBool() (bool, error) {
-	v, err := r.ReadBits(1)
-	return v == 1, err
-}
-
-// Remaining returns the number of unread bits.
-func (r *BitReader) Remaining() int { return r.nbit - r.pos }

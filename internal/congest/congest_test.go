@@ -1,9 +1,6 @@
 package congest
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestBitLen(t *testing.T) {
 	cases := map[uint64]int{0: 1, 1: 1, 2: 2, 3: 2, 4: 3, 255: 8, 256: 9, 1 << 40: 41}
@@ -12,24 +9,6 @@ func TestBitLen(t *testing.T) {
 			t.Fatalf("BitLen(%d) = %d want %d", x, got, want)
 		}
 	}
-}
-
-func TestBitsForRange(t *testing.T) {
-	cases := map[uint64]int{1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 256: 8, 257: 9}
-	for n, want := range cases {
-		if got := BitsForRange(n); got != want {
-			t.Fatalf("BitsForRange(%d) = %d want %d", n, got, want)
-		}
-	}
-}
-
-func TestBitsForRangePanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	BitsForRange(0)
 }
 
 func TestFragments(t *testing.T) {
@@ -50,82 +29,4 @@ func TestFragmentsPanicsOnBadBudget(t *testing.T) {
 		}
 	}()
 	Fragments(8, 0)
-}
-
-func TestWriterReaderRoundTrip(t *testing.T) {
-	var w BitWriter
-	w.WriteBits(0b1011, 4)
-	w.WriteBool(true)
-	w.WriteBits(0xdeadbeef, 32)
-	w.WriteBool(false)
-	if w.Len() != 4+1+32+1 {
-		t.Fatalf("length %d", w.Len())
-	}
-	r := NewBitReader(w.Bytes(), w.Len())
-	if v, err := r.ReadBits(4); err != nil || v != 0b1011 {
-		t.Fatalf("field1: %v %v", v, err)
-	}
-	if v, err := r.ReadBool(); err != nil || !v {
-		t.Fatalf("field2: %v %v", v, err)
-	}
-	if v, err := r.ReadBits(32); err != nil || v != 0xdeadbeef {
-		t.Fatalf("field3: %x %v", v, err)
-	}
-	if v, err := r.ReadBool(); err != nil || v {
-		t.Fatalf("field4: %v %v", v, err)
-	}
-	if r.Remaining() != 0 {
-		t.Fatalf("remaining %d", r.Remaining())
-	}
-}
-
-func TestReaderShortRead(t *testing.T) {
-	var w BitWriter
-	w.WriteBits(7, 3)
-	r := NewBitReader(w.Bytes(), w.Len())
-	if _, err := r.ReadBits(4); err != ErrShortRead {
-		t.Fatalf("expected ErrShortRead, got %v", err)
-	}
-}
-
-func TestRoundTripProperty(t *testing.T) {
-	if err := quick.Check(func(values []uint64, widthSeed uint8) bool {
-		if len(values) == 0 {
-			return true
-		}
-		widths := make([]int, len(values))
-		var w BitWriter
-		for i, v := range values {
-			width := int(widthSeed%64) + 1
-			widthSeed = widthSeed*31 + 7
-			mask := uint64(1)<<uint(width) - 1
-			if width == 64 {
-				mask = ^uint64(0)
-			}
-			values[i] = v & mask
-			widths[i] = width
-			w.WriteBits(values[i], width)
-		}
-		r := NewBitReader(w.Bytes(), w.Len())
-		for i, want := range values {
-			got, err := r.ReadBits(widths[i])
-			if err != nil || got != want {
-				return false
-			}
-		}
-		return r.Remaining() == 0
-	}, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWriterZeroValueUsable(t *testing.T) {
-	var w BitWriter
-	if w.Len() != 0 {
-		t.Fatal("zero writer not empty")
-	}
-	w.WriteBits(1, 1)
-	if w.Len() != 1 {
-		t.Fatal("write failed on zero value")
-	}
 }

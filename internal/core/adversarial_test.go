@@ -55,14 +55,10 @@ func TestIREWithForcedIDCollisions(t *testing.T) {
 func TestIREPaperExactCongestBudget(t *testing.T) {
 	g := graph.Complete(24)
 	cfg := profiledConfig(t, g)
-	factory, err := NewIREFactory(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustBuild(t, "ire", cfg)
 	run := func(budget int) (int, sim.Metrics) {
-		nw := sim.New(sim.Config{Graph: g, Seed: 5, CongestBits: budget}, factory)
-		_, _, _, _, total := nw.Machine(0).(*IREMachine).Params()
-		nw.Run(total + 4)
+		nw := sim.New(sim.Config{Graph: g, Seed: 5, CongestBits: budget}, r.Factory)
+		nw.Run(r.Budget)
 		leaders := 0
 		for v := 0; v < g.N(); v++ {
 			if nw.Machine(v).(*IREMachine).Output().Leader {
@@ -90,14 +86,10 @@ func TestIREPaperExactCongestBudget(t *testing.T) {
 func TestIRETraceEvents(t *testing.T) {
 	g := graph.Torus(4, 4)
 	cfg := profiledConfig(t, g)
-	factory, err := NewIREFactory(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustBuild(t, "ire", cfg)
 	rec := trace.NewRing(4096)
-	nw := sim.New(sim.Config{Graph: g, Seed: 9, Trace: rec}, factory)
-	_, _, _, _, total := nw.Machine(0).(*IREMachine).Params()
-	nw.Run(total + 4)
+	nw := sim.New(sim.Config{Graph: g, Seed: 9, Trace: rec}, r.Factory)
+	nw.Run(r.Budget)
 	cands, leaders := 0, 0
 	for v := 0; v < g.N(); v++ {
 		o := nw.Machine(v).(*IREMachine).Output()
@@ -116,7 +108,7 @@ func TestIRETraceEvents(t *testing.T) {
 	}
 	// Leader events fire at the decide round.
 	for _, e := range rec.Filter("leader") {
-		if e.Round != total {
+		if total := r.Budget - 4; e.Round != total {
 			t.Fatalf("leader event at round %d want %d", e.Round, total)
 		}
 	}
@@ -126,12 +118,9 @@ func TestIRETraceEvents(t *testing.T) {
 // choose event carrying its final certificate.
 func TestRevocableTraceChooseEvents(t *testing.T) {
 	g := graph.Complete(3)
-	factory, err := NewRevocableFactory(RevocableConfig{Epsilon: 0.5, Isoperimetric: 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustBuild(t, "revocable", ProtoConfig{Epsilon: 0.5, Iso: 1.5})
 	rec := trace.NewRing(64)
-	nw := sim.New(sim.Config{Graph: g, Seed: 4, Trace: rec}, factory)
+	nw := sim.New(sim.Config{Graph: g, Seed: 4, Trace: rec}, r.Factory)
 	nw.RunUntil(40_000_000, func(completed int) bool {
 		return completed%64 == 0 && revConverged(nw, 0.5)
 	})

@@ -146,18 +146,12 @@ func TestCapClampsThreshold(t *testing.T) {
 // cautious broadcast must reach cap territory without exceeding ~2x cap.
 func TestCautiousBroadcastTerritoryBounds(t *testing.T) {
 	g := graph.Star(40)
-	cap := 8
-	cfg := IREConfig{N: g.N(), TMix: 4, Phi: 0.9, X: 2, BroadcastOnly: true, C: 4}
-	factory, err := NewIREFactory(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := ProtoConfig{N: g.N(), TMix: 4, Phi: 0.9, X: 2, BroadcastOnly: true, C: 4}
+	r := mustBuild(t, "ire", cfg)
+	_, cap, _ := ResolveIRE(cfg)
 	for seed := uint64(0); seed < 10; seed++ {
-		nw := sim.New(sim.Config{Graph: g, Seed: seed}, factory)
-		m0 := nw.Machine(0).(*IREMachine)
-		_, _, _, capSize, total := m0.Params()
-		cap = capSize
-		nw.Run(total + 4)
+		nw := sim.New(sim.Config{Graph: g, Seed: seed}, r.Factory)
+		nw.Run(r.Budget)
 		for v := 0; v < g.N(); v++ {
 			out := nw.Machine(v).(*IREMachine).Output()
 			if !out.Candidate {
@@ -177,17 +171,13 @@ func TestCautiousBroadcastTerritoryBounds(t *testing.T) {
 // complete graph where expansion is unconstrained (Lemma 1's Ω(x·tmix·Φ)).
 func TestCautiousBroadcastReachesCap(t *testing.T) {
 	g := graph.Complete(64)
-	cfg := IREConfig{N: g.N(), TMix: 3, Phi: 0.5, X: 8, BroadcastOnly: true, C: 6}
-	factory, err := NewIREFactory(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := ProtoConfig{N: g.N(), TMix: 3, Phi: 0.5, X: 8, BroadcastOnly: true, C: 6}
+	r := mustBuild(t, "ire", cfg)
+	_, capSize, _ := ResolveIRE(cfg)
 	reached, cands := 0, 0
 	for seed := uint64(0); seed < 5; seed++ {
-		nw := sim.New(sim.Config{Graph: g, Seed: 100 + seed}, factory)
-		m0 := nw.Machine(0).(*IREMachine)
-		_, _, _, capSize, total := m0.Params()
-		nw.Run(total + 4)
+		nw := sim.New(sim.Config{Graph: g, Seed: 100 + seed}, r.Factory)
+		nw.Run(r.Budget)
 		for v := 0; v < g.N(); v++ {
 			out := nw.Machine(v).(*IREMachine).Output()
 			if out.Candidate {
@@ -210,15 +200,10 @@ func TestCautiousBroadcastReachesCap(t *testing.T) {
 // count, and non-candidates never report territories.
 func TestTerritoryAccounting(t *testing.T) {
 	g := graph.Complete(32)
-	cfg := IREConfig{N: g.N(), TMix: 2, Phi: 0.5, BroadcastOnly: true}
-	factory, err := NewIREFactory(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw := sim.New(sim.Config{Graph: g, Seed: 3}, factory)
-	m0 := nw.Machine(0).(*IREMachine)
-	_, _, _, _, total := m0.Params()
-	nw.Run(total + 4)
+	cfg := ProtoConfig{N: g.N(), TMix: 2, Phi: 0.5, BroadcastOnly: true}
+	r := mustBuild(t, "ire", cfg)
+	nw := sim.New(sim.Config{Graph: g, Seed: 3}, r.Factory)
+	nw.Run(r.Budget)
 	cands := 0
 	for v := 0; v < g.N(); v++ {
 		if nw.Machine(v).(*IREMachine).Output().Candidate {

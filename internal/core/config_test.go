@@ -5,12 +5,19 @@ import (
 	"testing"
 )
 
+// rejects reports whether the registry refuses to build proto from pc.
+func rejects(proto string, pc ProtoConfig) bool {
+	e, _ := Lookup(proto)
+	_, err := e.Build(pc)
+	return err != nil
+}
+
 func TestIREConfigValidation(t *testing.T) {
-	valid := IREConfig{N: 16, TMix: 10, Phi: 0.5}
-	if _, err := NewIREFactory(valid); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
+	valid := ProtoConfig{N: 16, TMix: 10, Phi: 0.5}
+	if rejects("ire", valid) {
+		t.Fatal("valid config rejected")
 	}
-	bad := []IREConfig{
+	bad := []ProtoConfig{
 		{N: 1, TMix: 10, Phi: 0.5},
 		{N: 16, TMix: 0, Phi: 0.5},
 		{N: 16, TMix: 10, Phi: 0},
@@ -18,30 +25,30 @@ func TestIREConfigValidation(t *testing.T) {
 		{N: 16, TMix: 10, Phi: 1.5},
 	}
 	for i, cfg := range bad {
-		if _, err := NewIREFactory(cfg); err == nil {
+		if !rejects("ire", cfg) {
 			t.Fatalf("bad config %d accepted: %+v", i, cfg)
 		}
 	}
 }
 
 func TestIREResolvedDefaults(t *testing.T) {
-	p, err := IREConfig{N: 64, TMix: 20, Phi: 0.25}.resolve()
+	p, err := resolveIRE(ProtoConfig{N: 64, TMix: 20, Phi: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.c != DefaultIREC {
-		t.Fatalf("default c %v", p.c)
+	wantProb := DefaultC * math.Log(64) / 64
+	if math.Abs(p.cand.Prob-wantProb) > 1e-12 {
+		t.Fatalf("candidate probability %v want %v", p.cand.Prob, wantProb)
 	}
-	wantProb := DefaultIREC * math.Log(64) / 64
-	if math.Abs(p.candProb-wantProb) > 1e-12 {
-		t.Fatalf("candProb %v want %v", p.candProb, wantProb)
-	}
-	if p.maxID != 64*64*64*64 {
-		t.Fatalf("maxID %d want n^4", p.maxID)
+	if p.cand.MaxID != 64*64*64*64 {
+		t.Fatalf("maxID %d want n^4", p.cand.MaxID)
 	}
 	wantX := int(math.Ceil(math.Sqrt(64 * math.Log(64) / (0.25 * 20))))
 	if p.x != wantX {
 		t.Fatalf("x %d want %d", p.x, wantX)
+	}
+	if want := int(math.Ceil(DefaultC * 20 * math.Log(64))); p.walkLen != want {
+		t.Fatalf("walk length %d want c·tmix·ln n = %d under the default c", p.walkLen, want)
 	}
 	if p.capSize < 2 || p.capSize > 64 {
 		t.Fatalf("capSize %d out of [2, n]", p.capSize)
@@ -52,25 +59,25 @@ func TestIREResolvedDefaults(t *testing.T) {
 }
 
 func TestIREResolveOverrides(t *testing.T) {
-	p, err := IREConfig{N: 64, TMix: 20, Phi: 0.25, C: 1, X: 7, MaxID: 1000}.resolve()
+	p, err := resolveIRE(ProtoConfig{N: 64, TMix: 20, Phi: 0.25, C: 1, X: 7, MaxID: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.c != 1 || p.x != 7 || p.maxID != 1000 {
+	if want := int(math.Ceil(20 * math.Log(64))); p.walkLen != want || p.x != 7 || p.cand.MaxID != 1000 {
 		t.Fatalf("overrides ignored: %+v", p)
 	}
 }
 
 func TestIREXFactorScales(t *testing.T) {
-	base, _ := IREConfig{N: 128, TMix: 40, Phi: 0.2}.resolve()
-	doubled, _ := IREConfig{N: 128, TMix: 40, Phi: 0.2, XFactor: 2}.resolve()
+	base, _ := resolveIRE(ProtoConfig{N: 128, TMix: 40, Phi: 0.2})
+	doubled, _ := resolveIRE(ProtoConfig{N: 128, TMix: 40, Phi: 0.2, XFactor: 2})
 	if doubled.x < 2*base.x-1 || doubled.x > 2*base.x+1 {
 		t.Fatalf("XFactor=2 gave x=%d (base %d)", doubled.x, base.x)
 	}
 }
 
 func TestIREBroadcastOnlySchedule(t *testing.T) {
-	p, err := IREConfig{N: 32, TMix: 10, Phi: 0.3, BroadcastOnly: true}.resolve()
+	p, err := resolveIRE(ProtoConfig{N: 32, TMix: 10, Phi: 0.3, BroadcastOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,28 +89,34 @@ func TestIREBroadcastOnlySchedule(t *testing.T) {
 	}
 }
 
-func TestRevocableConfigValidation(t *testing.T) {
-	if _, err := NewRevocableFactory(RevocableConfig{}); err != nil {
-		t.Fatalf("zero config rejected: %v", err)
+func TestExplicitConfigValidation(t *testing.T) {
+	if !rejects("explicit", ProtoConfig{N: 1, TMix: 1, Phi: 0.5}) {
+		t.Fatal("invalid inner config accepted")
 	}
-	bad := []RevocableConfig{
+}
+
+func TestRevocableConfigValidation(t *testing.T) {
+	if rejects("revocable", ProtoConfig{}) {
+		t.Fatal("zero config rejected")
+	}
+	bad := []ProtoConfig{
 		{Epsilon: -0.5},
 		{Epsilon: 1.5},
 		{Xi: 1.5},
 		{Xi: -0.2},
-		{Isoperimetric: -1},
+		{Iso: -1},
 		{FMult: -1},
 		{RMult: -0.5},
 	}
 	for i, cfg := range bad {
-		if _, err := NewRevocableFactory(cfg); err == nil {
+		if !rejects("revocable", cfg) {
 			t.Fatalf("bad config %d accepted: %+v", i, cfg)
 		}
 	}
 }
 
 func TestRevocableScheduleFunctions(t *testing.T) {
-	p, err := RevocableConfig{Epsilon: 0.5}.resolve()
+	p, err := resolveRevocable(ProtoConfig{Epsilon: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +143,8 @@ func TestRevocableScheduleFunctions(t *testing.T) {
 }
 
 func TestRevocableKnownIsoShortensDiffusion(t *testing.T) {
-	blind, _ := RevocableConfig{Epsilon: 0.5}.resolve()
-	iso, _ := RevocableConfig{Epsilon: 0.5, Isoperimetric: 2}.resolve()
+	blind, _ := resolveRevocable(ProtoConfig{Epsilon: 0.5})
+	iso, _ := resolveRevocable(ProtoConfig{Epsilon: 0.5, Iso: 2})
 	for k := uint64(4); k <= 32; k *= 2 {
 		if iso.rOf(k) >= blind.rOf(k) {
 			t.Fatalf("known-iso r(%d)=%d not shorter than blind %d", k, iso.rOf(k), blind.rOf(k))
@@ -140,8 +153,8 @@ func TestRevocableKnownIsoShortensDiffusion(t *testing.T) {
 }
 
 func TestRevocableCalibrationMultipliers(t *testing.T) {
-	full, _ := RevocableConfig{Epsilon: 0.5}.resolve()
-	scaled, _ := RevocableConfig{Epsilon: 0.5, FMult: 0.5, RMult: 0.1}.resolve()
+	full, _ := resolveRevocable(ProtoConfig{Epsilon: 0.5})
+	scaled, _ := resolveRevocable(ProtoConfig{Epsilon: 0.5, FMult: 0.5, RMult: 0.1})
 	k := uint64(16)
 	if scaled.fOf(k) > full.fOf(k)/2+1 {
 		t.Fatalf("FMult not applied: %d vs %d", scaled.fOf(k), full.fOf(k))

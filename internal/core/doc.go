@@ -20,6 +20,15 @@
 // private randomness, and (for the irrevocable protocol) the global inputs
 // n, tmix, Φ.
 //
+// The package also holds the protocol registry the baselines join
+// (registry.go). Each protocol says each thing once: ProtoConfig is the
+// only configuration type, every builder resolves it exactly once (its
+// resolve function is the one place inputs are validated, defaults chosen
+// and lengths derived), Entry.Build is the only way to obtain a machine
+// factory, the paper's candidate sampling is the one Candidacy every
+// sampling protocol draws through, and a protocol whose outcome is only
+// who leads gets the one collectLeaders.
+//
 // # Fidelity notes
 //
 // Two places where the paper's prose and pseudocode diverge are resolved in
@@ -30,7 +39,6 @@
 // bound); (2) convergecast forwards the max walk ID only when it changes
 // (the pseudocode resends every round). Both gated variants send a superset
 // of the information the analysis requires. Protocol constants that the
-// analysis fixes only as "sufficiently large c" are exposed in the config
-// structs with defaults calibrated on the Table 1 sweeps (lebench -exp
-// table1).
+// analysis fixes only as "sufficiently large c" are ProtoConfig fields
+// with defaults calibrated on the Table 1 sweeps (lebench -exp table1).
 package core

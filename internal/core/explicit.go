@@ -6,20 +6,6 @@ import (
 	"anonlead/internal/sim"
 )
 
-// ExplicitConfig parameterizes explicit Irrevocable Leader Election: the
-// Section 4 implicit protocol followed by a leader announcement flood that
-// simultaneously builds a leader-rooted BFS spanning tree. The paper notes
-// (Section 3) that explicit LE, Broadcast and tree construction follow
-// from implicit LE at an extra O(m) messages and O(D) time; this is that
-// extension.
-type ExplicitConfig struct {
-	// IRE configures the underlying implicit election.
-	IRE IREConfig
-	// AnnounceRounds bounds the announcement flood. Zero selects n
-	// (diameter is unknown to anonymous nodes, n always suffices).
-	AnnounceRounds int
-}
-
 // announceMsg floods the elected leader's ID; depth lets receivers record
 // their BFS distance.
 type announceMsg struct {
@@ -60,37 +46,71 @@ type ExplicitMachine struct {
 	halted    bool
 }
 
-// NewExplicitFactory returns a sim.Factory for explicit leader election.
-func NewExplicitFactory(cfg ExplicitConfig) (sim.Factory, error) {
-	p, err := cfg.IRE.resolve()
+// buildExplicit is the registry's explicit builder: the Section 4 implicit
+// protocol followed by a leader announcement flood that simultaneously
+// builds a leader-rooted BFS spanning tree. The paper notes (Section 3)
+// that explicit LE, Broadcast and tree construction follow from implicit
+// LE at an extra O(m) messages and O(D) time; this is that extension. The
+// announcement window is pc.AnnounceRounds, by default n (the diameter is
+// unknown to anonymous nodes; n always suffices).
+func buildExplicit(pc ProtoConfig) (Runner, error) {
+	p, err := resolveIRE(pc)
 	if err != nil {
-		return nil, err
+		return Runner{}, err
 	}
-	announce := cfg.AnnounceRounds
+	announce := pc.AnnounceRounds
 	if announce <= 0 {
 		announce = p.n
 	}
 	var arena sim.Arena[ExplicitMachine]
-	return func(node, degree int, r *rng.RNG) sim.Machine {
-		m := arena.New()
-		m.inner.setup(&p, r, degree)
-		m.inner.chained = true
-		m.announceN = announce
-		m.out.ParentPort = -1
-		return m
+	return Runner{
+		Factory: func(node, degree int, r *rng.RNG) sim.Machine {
+			m := arena.New()
+			m.inner.setup(&p, r, degree)
+			m.inner.chained = true
+			m.announceN = announce
+			m.out.ParentPort = -1
+			return m
+		},
+		Budget:  p.total + announce + 2 + 4 + pc.MaxDelay,
+		Collect: collectExplicit,
 	}, nil
+}
+
+// collectExplicit reads the announcement tree beside the leaders.
+func collectExplicit(nw sim.View) Outcome {
+	n := nw.N()
+	out := Outcome{
+		AllKnow: true,
+		Parents: make([]int, n),
+		Depths:  make([]int, n),
+	}
+	for v := 0; v < n; v++ {
+		o := nw.Machine(v).(*ExplicitMachine).Output()
+		out.Depths[v] = o.Depth
+		if o.ParentPort >= 0 {
+			out.Parents[v] = nw.Graph().Neighbor(v, o.ParentPort)
+		} else {
+			out.Parents[v] = -1
+		}
+		if nw.Crashed(v) {
+			continue // only survivors claim or learn leadership
+		}
+		if o.IRE.Leader {
+			out.Leaders = append(out.Leaders, v)
+			out.LeaderID = o.IRE.ID
+		}
+		if !o.KnowsLeader {
+			out.AllKnow = false
+		}
+	}
+	return out
 }
 
 // Output returns the node's results; valid after halting.
 func (m *ExplicitMachine) Output() ExplicitOutput {
 	m.out.IRE = m.inner.Output()
 	return m.out
-}
-
-// TotalRounds returns the full protocol length (implicit election plus
-// announcement window).
-func (m *ExplicitMachine) TotalRounds() int {
-	return m.inner.p.total + m.announceN + 2
 }
 
 // Init implements sim.Machine.

@@ -8,17 +8,13 @@ import (
 )
 
 // runExplicit executes one explicit election and returns the outputs.
-func runExplicit(t *testing.T, g *graph.Graph, cfg ExplicitConfig, seed uint64) []ExplicitOutput {
+func runExplicit(t *testing.T, g *graph.Graph, cfg ProtoConfig, seed uint64) []ExplicitOutput {
 	t.Helper()
-	factory, err := NewExplicitFactory(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw := sim.New(sim.Config{Graph: g, Seed: seed}, factory)
-	total := nw.Machine(0).(*ExplicitMachine).TotalRounds()
-	nw.Run(total + 4)
+	r := mustBuild(t, "explicit", cfg)
+	nw := sim.New(sim.Config{Graph: g, Seed: seed}, r.Factory)
+	nw.Run(r.Budget)
 	if !nw.AllHalted() {
-		t.Fatalf("explicit election did not halt in %d rounds", total+4)
+		t.Fatalf("explicit election did not halt in %d rounds", r.Budget)
 	}
 	outs := make([]ExplicitOutput, g.N())
 	for v := range outs {
@@ -27,18 +23,13 @@ func runExplicit(t *testing.T, g *graph.Graph, cfg ExplicitConfig, seed uint64) 
 	return outs
 }
 
-func explicitCfg(t *testing.T, g *graph.Graph) ExplicitConfig {
-	t.Helper()
-	return ExplicitConfig{IRE: profiledConfig(t, g)}
-}
-
 func TestExplicitAllNodesLearnLeader(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		graph.Complete(24), graph.Torus(4, 5), graph.Cycle(16), graph.Star(16),
 	} {
 		succ := 0
 		for s := uint64(0); s < 5; s++ {
-			outs := runExplicit(t, g, explicitCfg(t, g), 1000+s)
+			outs := runExplicit(t, g, profiledConfig(t, g), 1000+s)
 			leaders := 0
 			var leaderID uint64
 			for _, o := range outs {
@@ -68,7 +59,7 @@ func TestExplicitAllNodesLearnLeader(t *testing.T) {
 
 func TestExplicitTreeIsLeaderRootedBFS(t *testing.T) {
 	g := graph.Torus(4, 5)
-	outs := runExplicit(t, g, explicitCfg(t, g), 7)
+	outs := runExplicit(t, g, profiledConfig(t, g), 7)
 	leader := -1
 	for v, o := range outs {
 		if o.IRE.Leader {
@@ -103,7 +94,7 @@ func TestExplicitTreeIsLeaderRootedBFS(t *testing.T) {
 
 func TestExplicitTreeReachesRoot(t *testing.T) {
 	g := graph.Grid(5, 5)
-	outs := runExplicit(t, g, explicitCfg(t, g), 3)
+	outs := runExplicit(t, g, profiledConfig(t, g), 3)
 	leader := -1
 	for v, o := range outs {
 		if o.IRE.Leader {
@@ -134,24 +125,14 @@ func TestExplicitAnnouncementCostBounded(t *testing.T) {
 	// The announcement flood costs at most 2m extra messages (each node
 	// broadcasts once).
 	g := graph.Complete(32)
-	ecfg := explicitCfg(t, g)
-	factory, err := NewExplicitFactory(ecfg)
-	if err != nil {
-		t.Fatal(err)
+	cfg := profiledConfig(t, g)
+	run := func(proto string) int64 {
+		r := mustBuild(t, proto, cfg)
+		nw := sim.New(sim.Config{Graph: g, Seed: 11}, r.Factory)
+		nw.Run(r.Budget)
+		return nw.Metrics().Messages
 	}
-	nw := sim.New(sim.Config{Graph: g, Seed: 11}, factory)
-	total := nw.Machine(0).(*ExplicitMachine).TotalRounds()
-	nw.Run(total + 4)
-	explicitMsgs := nw.Metrics().Messages
-
-	ifactory, err := NewIREFactory(ecfg.IRE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inw := sim.New(sim.Config{Graph: g, Seed: 11}, ifactory)
-	_, _, _, _, itotal := inw.Machine(0).(*IREMachine).Params()
-	inw.Run(itotal + 4)
-	implicitMsgs := inw.Metrics().Messages
+	explicitMsgs, implicitMsgs := run("explicit"), run("ire")
 
 	if extra := explicitMsgs - implicitMsgs; extra > int64(2*g.M()) {
 		t.Fatalf("announcement cost %d exceeds 2m=%d", extra, 2*g.M())
@@ -160,8 +141,8 @@ func TestExplicitAnnouncementCostBounded(t *testing.T) {
 
 func TestExplicitNoLeaderNoAnnouncement(t *testing.T) {
 	g := graph.Cycle(12)
-	cfg := explicitCfg(t, g)
-	cfg.IRE.C = 0.01 // almost surely zero candidates
+	cfg := profiledConfig(t, g)
+	cfg.C = 0.01 // almost surely zero candidates
 	for s := uint64(0); s < 6; s++ {
 		outs := runExplicit(t, g, cfg, 40+s)
 		anyCand := false
@@ -181,10 +162,4 @@ func TestExplicitNoLeaderNoAnnouncement(t *testing.T) {
 		return
 	}
 	t.Skip("all seeds drew candidates")
-}
-
-func TestExplicitConfigValidation(t *testing.T) {
-	if _, err := NewExplicitFactory(ExplicitConfig{IRE: IREConfig{N: 1, TMix: 1, Phi: 0.5}}); err == nil {
-		t.Fatal("invalid inner config accepted")
-	}
 }

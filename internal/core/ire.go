@@ -8,112 +8,62 @@ import (
 	"anonlead/internal/sim"
 )
 
-// IREConfig parameterizes the Irrevocable Leader Election protocol
-// (Section 4). N, TMix and Phi are the global inputs the paper assumes
-// known (linear upper bounds suffice, cf. Theorem 1); the remaining fields
-// expose the analysis constants, defaulting to values calibrated on the
-// Table 1 sweeps.
-type IREConfig struct {
-	// N is the (known) network size. Required.
-	N int
-	// TMix is the lazy-walk mixing time of the network (or an upper
-	// bound). Required.
-	TMix int
-	// Phi is the graph conductance Φ(G) (or a lower bound). Required.
-	Phi float64
-	// C scales every "c·log n" length in the protocol: candidate rate
-	// (C·ln n)/n, walk length C·tmix·log n, broadcast length. Zero
-	// selects DefaultIREC.
-	C float64
-	// X overrides the number of random walks per candidate. Zero selects
-	// the paper's x = √(n·log n/(Φ·tmix)), scaled by XFactor.
-	X int
-	// XFactor scales the automatic x (ignored when X > 0). Zero = 1.
-	XFactor float64
-	// MaxID overrides the ID space (default n⁴).
-	MaxID uint64
-	// BroadcastOnly stops after the cautious-broadcast phase (no walks,
-	// no convergecast, no leader). Used by the Lemma 1 ablation to
-	// measure territory sizes and broadcast cost in isolation.
-	BroadcastOnly bool
-}
-
-// DefaultIREC is the default analysis constant c. The paper requires only
-// "sufficiently large" c; this value is calibrated to reach >95%
-// unique-election rates at simulable sizes.
-const DefaultIREC = 2.0
-
-// ireParams holds the resolved, derived protocol parameters.
+// ireParams holds the resolved protocol parameters of Irrevocable Leader
+// Election (Section 4). N, TMix and Phi are the global inputs the paper
+// assumes known (linear upper bounds suffice, cf. Theorem 1); the rest
+// derive from them and the analysis constants, which default to values
+// calibrated on the Table 1 sweeps.
 type ireParams struct {
 	n             int
-	tmix          int
-	phi           float64
-	c             float64
-	x             int     // walks per candidate
-	walkLen       int     // rounds of the random-walk phase
-	bcastLen      int     // rounds of the cautious-broadcast phase
-	ccLen         int     // rounds of the convergecast phase
-	capSize       int     // territory cap x·tmix·Φ (clamped to [2, n])
-	candProb      float64 // candidate probability (c·ln n)/n
-	maxID         uint64  // IDs drawn uniformly from [1, maxID]
-	total         int     // total protocol rounds before halting
+	x             int       // walks per candidate
+	walkLen       int       // rounds of the random-walk phase
+	bcastLen      int       // rounds of the cautious-broadcast phase
+	ccLen         int       // rounds of the convergecast phase
+	capSize       int       // territory cap x·tmix·Φ (clamped to [2, n])
+	cand          Candidacy // ID space and candidate probability (c·ln n)/n
+	total         int       // total protocol rounds before halting
 	walkStart     int
 	ccStart       int
 	broadcastOnly bool
 }
 
-// resolve validates the config and computes derived parameters.
-func (cfg IREConfig) resolve() (ireParams, error) {
+// resolveIRE validates pc's IRE inputs and computes the derived
+// parameters: pc.C scales every "c·log n" length, pc.X overrides the
+// paper's walk count x = √(n·log n/(Φ·tmix)) and pc.XFactor scales it.
+func resolveIRE(pc ProtoConfig) (ireParams, error) {
 	var p ireParams
-	if cfg.N < 2 {
-		return p, fmt.Errorf("core: IREConfig.N must be >= 2, got %d", cfg.N)
+	if pc.N < 2 {
+		return p, fmt.Errorf("N must be >= 2, got %d", pc.N)
 	}
-	if cfg.TMix < 1 {
-		return p, fmt.Errorf("core: IREConfig.TMix must be >= 1, got %d", cfg.TMix)
+	if pc.TMix < 1 {
+		return p, fmt.Errorf("TMix must be >= 1, got %d", pc.TMix)
 	}
-	if !(cfg.Phi > 0) || cfg.Phi > 1 {
-		return p, fmt.Errorf("core: IREConfig.Phi must be in (0,1], got %v", cfg.Phi)
+	if !(pc.Phi > 0) || pc.Phi > 1 {
+		return p, fmt.Errorf("Phi must be in (0,1], got %v", pc.Phi)
 	}
-	p.n = cfg.N
-	p.tmix = cfg.TMix
-	p.phi = cfg.Phi
-	p.c = cfg.C
-	if p.c <= 0 {
-		p.c = DefaultIREC
-	}
-	ln := math.Log(float64(p.n))
-	if ln < 1 {
-		ln = 1
-	}
-	p.candProb = p.c * ln / float64(p.n)
-	if p.candProb > 1 {
-		p.candProb = 1
-	}
-	p.maxID = cfg.MaxID
-	if p.maxID == 0 {
-		nn := uint64(p.n)
-		p.maxID = nn * nn * nn * nn
-	}
-	p.x = cfg.X
+	p.n = pc.N
+	c, ln := CLogN(pc.N, pc.C)
+	p.cand = NewCandidacy(pc.N, pc.C, pc.MaxID)
+	p.x = pc.X
 	if p.x <= 0 {
-		xf := cfg.XFactor
+		xf := pc.XFactor
 		if xf <= 0 {
 			xf = 1
 		}
-		auto := math.Sqrt(float64(p.n) * ln / (p.phi * float64(p.tmix)))
+		auto := math.Sqrt(float64(p.n) * ln / (pc.Phi * float64(pc.TMix)))
 		p.x = int(math.Ceil(xf * auto))
 	}
 	if p.x < 1 {
 		p.x = 1
 	}
-	phaseLen := int(math.Ceil(p.c * float64(p.tmix) * ln))
+	phaseLen := int(math.Ceil(c * float64(pc.TMix) * ln))
 	if phaseLen < 4 {
 		phaseLen = 4
 	}
 	p.bcastLen = phaseLen
 	p.walkLen = phaseLen
 	p.ccLen = phaseLen
-	p.capSize = int(math.Ceil(float64(p.x) * float64(p.tmix) * p.phi))
+	p.capSize = int(math.Ceil(float64(p.x) * float64(pc.TMix) * pc.Phi))
 	if p.capSize < 2 {
 		p.capSize = 2
 	}
@@ -125,13 +75,38 @@ func (cfg IREConfig) resolve() (ireParams, error) {
 	p.walkStart = p.bcastLen + 1
 	p.ccStart = p.walkStart + p.walkLen + 1
 	p.total = p.ccStart + p.ccLen + 1
-	if cfg.BroadcastOnly {
+	if pc.BroadcastOnly {
 		p.broadcastOnly = true
-		p.walkStart = p.bcastLen + 1
 		p.ccStart = p.walkStart
 		p.total = p.bcastLen + 2
 	}
 	return p, nil
+}
+
+// ResolveIRE reports the walk count x and the territory cap x·tmix·Φ an
+// IRE run of pc resolves to: the metadata the Lemma 1 and Lemma 2
+// ablations print beside their measurements.
+func ResolveIRE(pc ProtoConfig) (x, capSize int, err error) {
+	p, err := resolveIRE(pc)
+	return p.x, p.capSize, err
+}
+
+// buildIRE is the registry's ire builder. The budget is the protocol
+// length plus halt slack and the adversary's jitter bound.
+func buildIRE(pc ProtoConfig) (Runner, error) {
+	p, err := resolveIRE(pc)
+	if err != nil {
+		return Runner{}, err
+	}
+	var arena sim.Arena[IREMachine]
+	return Runner{
+		Factory: func(node, degree int, r *rng.RNG) sim.Machine {
+			m := arena.New()
+			m.setup(&p, r, degree)
+			return m
+		},
+		Budget: p.total + 4 + pc.MaxDelay,
+	}, nil
 }
 
 // IREOutput is what one node reports after the protocol halts.
@@ -155,7 +130,6 @@ type IREOutput struct {
 }
 
 // IREMachine is the per-node state machine for Irrevocable Leader Election.
-// Construct with NewIREFactory.
 type IREMachine struct {
 	p       *ireParams // shared by every machine of the factory, read-only
 	r       *rng.RNG
@@ -178,31 +152,9 @@ func (m *IREMachine) setup(p *ireParams, r *rng.RNG, degree int) {
 	m.counts = make([]int, degree)
 }
 
-// NewIREFactory returns a sim.Factory producing IRE machines with the given
-// config. The returned error reports invalid configs before any network is
-// built.
-func NewIREFactory(cfg IREConfig) (sim.Factory, error) {
-	p, err := cfg.resolve()
-	if err != nil {
-		return nil, err
-	}
-	var arena sim.Arena[IREMachine]
-	return func(node, degree int, r *rng.RNG) sim.Machine {
-		m := arena.New()
-		m.setup(&p, r, degree)
-		return m
-	}, nil
-}
-
 // Output returns the node's protocol outputs; valid after the network
 // reports the node halted.
 func (m *IREMachine) Output() IREOutput { return m.out }
-
-// Params exposes resolved parameters for the harness (walk counts, phase
-// lengths); useful when reporting experiment metadata.
-func (m *IREMachine) Params() (x, bcastLen, walkLen, capSize, totalRounds int) {
-	return m.p.x, m.p.bcastLen, m.p.walkLen, m.p.capSize, m.p.total
-}
 
 // Init implements sim.Machine: draw ID and candidacy (Algorithm 1 lines
 // 2-3); candidates seed their broadcast execution.
@@ -212,8 +164,7 @@ func (m *IREMachine) Params() (x, bcastLen, walkLen, capSize, totalRounds int) {
 // IDs beat all candidates and elect nobody, contradicting Lemma 2 and the
 // Theorem 1 correctness argument), so non-candidates start at 0.
 func (m *IREMachine) Init(ctx *sim.Context) {
-	m.out.ID = 1 + m.r.Uint64n(m.p.maxID)
-	m.out.Candidate = m.r.Bernoulli(m.p.candProb)
+	m.out.ID, m.out.Candidate = m.p.cand.Draw(m.r)
 	if m.out.Candidate {
 		m.out.MaxIDSeen = m.out.ID
 		e, _ := m.execs.Insert(m.out.ID)

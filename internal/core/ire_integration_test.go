@@ -10,13 +10,13 @@ import (
 )
 
 // profiledConfig builds the default IRE config from a graph's profile.
-func profiledConfig(t *testing.T, g *graph.Graph) IREConfig {
+func profiledConfig(t *testing.T, g *graph.Graph) ProtoConfig {
 	t.Helper()
 	prof, err := spectral.ProfileGraph(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return IREConfig{N: g.N(), TMix: prof.MixingTime, Phi: prof.Conductance}
+	return ProtoConfig{N: g.N(), TMix: prof.MixingTime, Phi: prof.Conductance}
 }
 
 func TestIREAcrossFamilies(t *testing.T) {
@@ -75,14 +75,10 @@ func TestIREDeterministicInSeed(t *testing.T) {
 func TestIREParallelSchedulerEquivalence(t *testing.T) {
 	g := graph.Torus(4, 4)
 	cfg := profiledConfig(t, g)
-	factory, err := NewIREFactory(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustBuild(t, "ire", cfg)
 	run := func(s sim.Scheduler) ([]IREOutput, sim.Metrics) {
-		nw := sim.New(sim.Config{Graph: g, Seed: 17, Scheduler: s, Workers: 4}, factory)
-		_, _, _, _, total := nw.Machine(0).(*IREMachine).Params()
-		nw.Run(total + 4)
+		nw := sim.New(sim.Config{Graph: g, Seed: 17, Scheduler: s, Workers: 4}, r.Factory)
+		nw.Run(r.Budget)
 		outs := make([]IREOutput, g.N())
 		for v := range outs {
 			outs[v] = nw.Machine(v).(*IREMachine).Output()
@@ -217,12 +213,9 @@ func TestIREZeroCandidatesElectsNobody(t *testing.T) {
 func TestIREHaltsExactlyOnSchedule(t *testing.T) {
 	g := graph.Complete(16)
 	cfg := profiledConfig(t, g)
-	factory, err := NewIREFactory(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw := sim.New(sim.Config{Graph: g, Seed: 5}, factory)
-	_, _, _, _, total := nw.Machine(0).(*IREMachine).Params()
+	r := mustBuild(t, "ire", cfg)
+	nw := sim.New(sim.Config{Graph: g, Seed: 5}, r.Factory)
+	total := r.Budget - 4 // the decide round
 	ran := nw.Run(total + 10)
 	if ran > total+2 {
 		t.Fatalf("ran %d rounds, schedule says %d", ran, total)

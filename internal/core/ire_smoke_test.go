@@ -8,20 +8,30 @@ import (
 	"anonlead/internal/spectral"
 )
 
+// mustBuild builds proto from pc through the registry, as every production
+// caller does.
+func mustBuild(t testing.TB, proto string, pc ProtoConfig) Runner {
+	t.Helper()
+	e, ok := Lookup(proto)
+	if !ok {
+		t.Fatalf("protocol %q not registered", proto)
+	}
+	r, err := e.Build(pc)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	return r
+}
+
 // runIRE executes one IRE election and returns the leader count plus
 // per-node outputs.
-func runIRE(t *testing.T, g *graph.Graph, cfg IREConfig, seed uint64) (int, []IREOutput, sim.Metrics) {
+func runIRE(t *testing.T, g *graph.Graph, cfg ProtoConfig, seed uint64) (int, []IREOutput, sim.Metrics) {
 	t.Helper()
-	factory, err := NewIREFactory(cfg)
-	if err != nil {
-		t.Fatalf("factory: %v", err)
-	}
-	nw := sim.New(sim.Config{Graph: g, Seed: seed}, factory)
-	m0 := nw.Machine(0).(*IREMachine)
-	_, _, _, _, total := m0.Params()
-	nw.Run(total + 4)
+	r := mustBuild(t, "ire", cfg)
+	nw := sim.New(sim.Config{Graph: g, Seed: seed}, r.Factory)
+	nw.Run(r.Budget)
 	if !nw.AllHalted() {
-		t.Fatalf("network did not halt within %d rounds", total+4)
+		t.Fatalf("network did not halt within %d rounds", r.Budget)
 	}
 	outs := make([]IREOutput, g.N())
 	leaders := 0
@@ -40,7 +50,7 @@ func TestIRESmokeCompleteGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := IREConfig{N: g.N(), TMix: prof.MixingTime, Phi: prof.Conductance}
+	cfg := ProtoConfig{N: g.N(), TMix: prof.MixingTime, Phi: prof.Conductance}
 	wins := 0
 	const trials = 20
 	for s := uint64(0); s < trials; s++ {
@@ -67,7 +77,7 @@ func TestIRESmokeCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := IREConfig{N: g.N(), TMix: prof.MixingTime, Phi: prof.Conductance}
+	cfg := ProtoConfig{N: g.N(), TMix: prof.MixingTime, Phi: prof.Conductance}
 	wins := 0
 	const trials = 10
 	for s := uint64(0); s < trials; s++ {

@@ -1,41 +1,45 @@
 package core
 
 import (
-	"math"
+	"fmt"
 
 	"anonlead/internal/sim"
 )
 
-// ProtoConfig is the protocol-agnostic bundle of resolved inputs one
-// election run hands the registry: the union of every registered
-// protocol's tunables, with zero values meaning "protocol default". It is
-// the single configuration currency shared by the public anonlead.Run
-// path and the experiment harness, which is what makes the two surfaces
-// byte-identical — both assemble a ProtoConfig and hand it to the same
-// registered builder.
+// ProtoConfig is the one protocol configuration: the union of every
+// registered protocol's tunables, with zero values meaning "protocol
+// default". The public anonlead.Run path, the experiment harness and
+// cmd/ledist all assemble a ProtoConfig and hand it to a registered
+// builder, which resolves it — validation, defaults, derived lengths —
+// exactly once per Build; no protocol has a config type of its own.
 type ProtoConfig struct {
-	// TrueN is the actual node count of the simulated graph (outcome
-	// judging, revocable stabilization). Always set by the runner.
+	// TrueN is the actual node count of the simulated graph. Always set by
+	// the runner; no builder reads it.
 	TrueN int
-	// N is the network size the protocol is told. It differs from TrueN in
-	// the knowledge ablation (Dieudonné–Pelc misreporting).
+	// N is the network size the protocol is told (required by every
+	// protocol but revocable). It differs from TrueN in the knowledge
+	// ablation (Dieudonné–Pelc misreporting).
 	N int
-	// TMix is the lazy-walk mixing time input (ire, explicit, walknotify).
+	// TMix is the lazy-walk mixing time input, or an upper bound (ire,
+	// explicit, walknotify).
 	TMix int
-	// Phi is the conductance input (ire, explicit).
+	// Phi is the conductance input Φ(G), or a lower bound (ire, explicit).
 	Phi float64
 	// Diam is the diameter bound (floodmax, allflood).
 	Diam int
-	// C scales the analysis constant c (candidate rate, walk and broadcast
-	// lengths) for every protocol that has one.
+	// C scales the analysis constant c — candidate rate (C·ln n)/n, walk
+	// and broadcast lengths C·tmix·ln n — for every protocol that has one.
+	// Zero selects DefaultC.
 	C float64
-	// X overrides the IRE walk count; XFactor scales the automatic one.
+	// X overrides the IRE walk count per candidate; zero selects the
+	// paper's x = √(n·log n/(Φ·tmix)), scaled by XFactor (zero = 1).
 	X       int
 	XFactor float64
-	// MaxID overrides the candidate ID space (default n⁴).
+	// MaxID overrides the IRE candidate ID space (default n⁴).
 	MaxID uint64
-	// BroadcastOnly stops IRE after the cautious-broadcast phase (the
-	// Lemma 1 ablation instrument).
+	// BroadcastOnly stops IRE after the cautious-broadcast phase (no walks,
+	// no convergecast, no leader): the Lemma 1 ablation's instrument for
+	// territory sizes and broadcast cost in isolation.
 	BroadcastOnly bool
 	// AnnounceRounds bounds the explicit announcement flood (default n).
 	AnnounceRounds int
@@ -43,7 +47,8 @@ type ProtoConfig struct {
 	Beta int
 	// AllNodes makes every floodmax node a candidate.
 	AllNodes bool
-	// Epsilon, Xi, Iso, FMult, RMult parameterize revocable election.
+	// Epsilon, Xi, Iso, FMult, RMult parameterize revocable election (see
+	// revParams for ranges and defaults).
 	Epsilon float64
 	Xi      float64
 	Iso     float64
@@ -114,7 +119,9 @@ type Runner struct {
 	// read view instead of the concrete simulator so the same predicate
 	// drives the in-memory and real-transport backends.
 	Converged func(nw sim.View) bool
-	// Collect reads the unified outcome off a finished execution.
+	// Collect reads the unified outcome off a finished execution. A builder
+	// that leaves it nil gets collectLeaders; explicit and revocable set
+	// their own because they also return a tree and a certificate.
 	Collect func(nw sim.View) Outcome
 }
 
@@ -145,7 +152,9 @@ var (
 // Register adds a protocol to the registry. It is called from package
 // init functions only (this package registers the paper's protocols,
 // internal/baseline the promoted baselines), so lookups need no locking.
-// Duplicate names panic: they are programmer errors.
+// Duplicate names panic: they are programmer errors. The registered Build
+// is e.Build behind the checks every protocol shares, with its errors
+// prefixed by the protocol's name and the default collector filled in.
 func Register(e Entry) {
 	if e.Name == "" || e.Build == nil {
 		panic("core: protocol registration requires a name and a builder")
@@ -159,6 +168,20 @@ func Register(e Entry) {
 			panic("core: duplicate protocol alias " + a)
 		}
 		byName[a] = len(registry)
+	}
+	build := e.Build
+	e.Build = func(pc ProtoConfig) (Runner, error) {
+		if pc.MaxDelay < 0 {
+			return Runner{}, fmt.Errorf("core: %s: MaxDelay must be >= 0, got %d", e.Name, pc.MaxDelay)
+		}
+		r, err := build(pc)
+		if err != nil {
+			return Runner{}, fmt.Errorf("core: %s: %w", e.Name, err)
+		}
+		if r.Collect == nil {
+			r.Collect = collectLeaders
+		}
+		return r, nil
 	}
 	registry = append(registry, e)
 }
@@ -205,179 +228,17 @@ func init() {
 	})
 }
 
-// ireConfig maps the shared ProtoConfig onto the IRE tunables.
-func ireConfig(pc ProtoConfig) IREConfig {
-	return IREConfig{
-		N: pc.N, TMix: pc.TMix, Phi: pc.Phi, C: pc.C,
-		X: pc.X, XFactor: pc.XFactor, MaxID: pc.MaxID,
-		BroadcastOnly: pc.BroadcastOnly,
-	}
-}
-
-func buildIRE(pc ProtoConfig) (Runner, error) {
-	cfg := ireConfig(pc)
-	p, err := cfg.resolve()
-	if err != nil {
-		return Runner{}, err
-	}
-	factory, err := NewIREFactory(cfg)
-	if err != nil {
-		return Runner{}, err
-	}
-	return Runner{
-		Factory: factory,
-		Budget:  p.total + 4 + pc.MaxDelay,
-		Collect: collectIRE,
-	}, nil
-}
-
-func collectIRE(nw sim.View) Outcome {
+// collectLeaders is the collector of every protocol whose outcome is only
+// who leads, read through sim.LeaderReporter.
+func collectLeaders(nw sim.View) Outcome {
 	out := Outcome{AllKnow: true}
 	for v := 0; v < nw.N(); v++ {
 		if nw.Crashed(v) {
 			continue
 		}
-		o := nw.Machine(v).(*IREMachine).Output()
-		if o.Leader {
+		if leader, id := nw.Machine(v).(sim.LeaderReporter).LeaderInfo(); leader {
 			out.Leaders = append(out.Leaders, v)
-			out.LeaderID = o.ID
-		}
-	}
-	return out
-}
-
-func buildExplicit(pc ProtoConfig) (Runner, error) {
-	cfg := ExplicitConfig{IRE: ireConfig(pc), AnnounceRounds: pc.AnnounceRounds}
-	p, err := cfg.IRE.resolve()
-	if err != nil {
-		return Runner{}, err
-	}
-	factory, err := NewExplicitFactory(cfg)
-	if err != nil {
-		return Runner{}, err
-	}
-	announce := cfg.AnnounceRounds
-	if announce <= 0 {
-		announce = p.n
-	}
-	return Runner{
-		Factory: factory,
-		Budget:  p.total + announce + 2 + 4 + pc.MaxDelay,
-		Collect: collectExplicit,
-	}, nil
-}
-
-func collectExplicit(nw sim.View) Outcome {
-	n := nw.N()
-	out := Outcome{
-		AllKnow: true,
-		Parents: make([]int, n),
-		Depths:  make([]int, n),
-	}
-	for v := 0; v < n; v++ {
-		o := nw.Machine(v).(*ExplicitMachine).Output()
-		out.Depths[v] = o.Depth
-		if o.ParentPort >= 0 {
-			out.Parents[v] = nw.Graph().Neighbor(v, o.ParentPort)
-		} else {
-			out.Parents[v] = -1
-		}
-		if nw.Crashed(v) {
-			continue // only survivors claim or learn leadership
-		}
-		if o.IRE.Leader {
-			out.Leaders = append(out.Leaders, v)
-			out.LeaderID = o.IRE.ID
-		}
-		if !o.KnowsLeader {
-			out.AllKnow = false
-		}
-	}
-	return out
-}
-
-func buildRevocable(pc ProtoConfig) (Runner, error) {
-	cfg := RevocableConfig{
-		Epsilon: pc.Epsilon, Xi: pc.Xi, Isoperimetric: pc.Iso,
-		FMult: pc.FMult, RMult: pc.RMult,
-	}
-	factory, err := NewRevocableFactory(cfg)
-	if err != nil {
-		return Runner{}, err
-	}
-	eps := cfg.Epsilon
-	if eps == 0 {
-		eps = 0.5
-	}
-	maxRounds := pc.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 200_000_000
-		if pc.Faulted {
-			// Faults can make convergence unreachable (e.g. the would-be
-			// leader crash-stops); the fault-free budget would be an
-			// effective hang, so adversarial runs get a bounded one.
-			maxRounds = 1_000_000
-		}
-	}
-	return Runner{
-		Factory:    factory,
-		CheckEvery: 64,
-		MaxRounds:  maxRounds,
-		Converged:  func(nw sim.View) bool { return revocableConverged(nw, eps) },
-		Collect:    collectRevocable,
-	}, nil
-}
-
-// revocableConverged is the Theorem 3 stabilization predicate, evaluated
-// over surviving nodes (a crashed node can never choose, so including it
-// would run every faulted trial to the round cap). The reference output
-// comes from the lowest-index survivor.
-func revocableConverged(nw sim.View, eps float64) bool {
-	n := nw.N()
-	ref := -1
-	for v := 0; v < n; v++ {
-		if !nw.Crashed(v) {
-			ref = v
-			break
-		}
-	}
-	if ref < 0 {
-		return false // everyone crashed; the run can only time out
-	}
-	first := nw.Machine(ref).(*RevocableMachine).Output()
-	if !first.Chosen || first.LeaderK == 0 {
-		return false
-	}
-	if math.Pow(float64(first.EstimateK), 1+eps) <= 4*float64(n) {
-		return false
-	}
-	for v := ref + 1; v < n; v++ {
-		if nw.Crashed(v) {
-			continue
-		}
-		o := nw.Machine(v).(*RevocableMachine).Output()
-		if !o.Chosen || o.LeaderK != first.LeaderK || o.LeaderID != first.LeaderID {
-			return false
-		}
-	}
-	return true
-}
-
-func collectRevocable(nw sim.View) Outcome {
-	out := Outcome{AllKnow: true}
-	for v := 0; v < nw.N(); v++ {
-		if nw.Crashed(v) {
-			continue
-		}
-		o := nw.Machine(v).(*RevocableMachine).Output()
-		if !out.HasCertificate {
-			out.HasCertificate = true
-			out.CertID, out.CertEstimate = o.LeaderID, o.LeaderK
-			out.FinalEstimate = o.EstimateK
-			out.LeaderID = o.LeaderID
-		}
-		if o.Leader {
-			out.Leaders = append(out.Leaders, v)
+			out.LeaderID = id
 		}
 	}
 	return out

@@ -9,59 +9,43 @@ import (
 	"anonlead/internal/sim"
 )
 
-// RevocableConfig parameterizes Blind Leader Election with Certificates via
-// Diffusion with Thresholds (Section 5.2, Algorithms 6-7). The protocol
-// uses NO network knowledge; the config only fixes the analysis parameters
-// ε and ξ, optionally a known isoperimetric lower bound (Theorem 3 vs
-// Corollary 1), and simulation calibration multipliers.
-type RevocableConfig struct {
-	// Epsilon is the paper's ε ∈ (0, 1]. Zero selects 0.5 (smaller ε
-	// lowers the polynomial degree of every phase length, which is what
-	// makes faithful runs simulable; any value in (0,1] satisfies the
-	// analysis).
-	Epsilon float64
-	// Xi is the paper's error parameter ξ ∈ (0, 1) in f(k). Zero selects
-	// 0.5.
-	Xi float64
-	// Isoperimetric, when positive, is a known lower bound on i(G) and
-	// selects the Theorem 3 diffusion length; zero selects the fully
-	// blind Corollary 1 length (i(G) ≥ 2/k proxy, using only the running
-	// estimate).
-	Isoperimetric float64
-	// FMult and RMult scale f(k) (certification repetitions) and r(k)
+// revParams holds the analysis parameters of Blind Leader Election with
+// Certificates via Diffusion with Thresholds (Section 5.2, Algorithms 6-7).
+// The protocol uses NO network knowledge; the parameters only fix ε and ξ,
+// optionally a known isoperimetric lower bound (Theorem 3 vs Corollary 1),
+// and simulation calibration multipliers.
+type revParams struct {
+	// eps is the paper's ε ∈ (0, 1], 0.5 by default (smaller ε lowers the
+	// polynomial degree of every phase length, which is what makes faithful
+	// runs simulable; any value in (0,1] satisfies the analysis). xi is the
+	// error parameter ξ ∈ (0, 1) in f(k), 0.5 by default.
+	eps, xi float64
+	// iso, when positive, is a known lower bound on i(G) and selects the
+	// Theorem 3 diffusion length; zero selects the fully blind Corollary 1
+	// length (i(G) ≥ 2/k proxy, using only the running estimate).
+	iso float64
+	// fMult and rMult scale f(k) (certification repetitions) and r(k)
 	// (diffusion rounds) for calibrated runs at sizes where the faithful
-	// polynomials are not simulable. 1.0 (the zero-value default) is
-	// faithful.
-	FMult float64
-	RMult float64
-	// MaxK caps the estimate ladder as a simulation safety net (the
-	// protocol itself never stops). Zero means no cap.
-	MaxK uint64
+	// polynomials are not simulable. 1 (the default) is faithful.
+	fMult, rMult float64
 }
 
-func (cfg RevocableConfig) resolve() (revParams, error) {
-	p := revParams{
-		eps:   cfg.Epsilon,
-		xi:    cfg.Xi,
-		iso:   cfg.Isoperimetric,
-		fMult: cfg.FMult,
-		rMult: cfg.RMult,
-		maxK:  cfg.MaxK,
-	}
+func resolveRevocable(pc ProtoConfig) (revParams, error) {
+	p := revParams{eps: pc.Epsilon, xi: pc.Xi, iso: pc.Iso, fMult: pc.FMult, rMult: pc.RMult}
 	if p.eps == 0 {
 		p.eps = 0.5
 	}
-	if p.eps < 0 || p.eps > 1 {
-		return p, fmt.Errorf("core: RevocableConfig.Epsilon must be in (0,1], got %v", cfg.Epsilon)
+	if !(p.eps > 0) || p.eps > 1 {
+		return p, fmt.Errorf("Epsilon must be in (0,1], got %v", pc.Epsilon)
 	}
 	if p.xi == 0 {
 		p.xi = 0.5
 	}
-	if p.xi <= 0 || p.xi >= 1 {
-		return p, fmt.Errorf("core: RevocableConfig.Xi must be in (0,1), got %v", cfg.Xi)
+	if !(p.xi > 0) || p.xi >= 1 {
+		return p, fmt.Errorf("Xi must be in (0,1), got %v", pc.Xi)
 	}
-	if p.iso < 0 {
-		return p, fmt.Errorf("core: RevocableConfig.Isoperimetric must be >= 0, got %v", cfg.Isoperimetric)
+	if !(p.iso >= 0) {
+		return p, fmt.Errorf("Iso must be >= 0, got %v", pc.Iso)
 	}
 	if p.fMult == 0 {
 		p.fMult = 1
@@ -69,17 +53,95 @@ func (cfg RevocableConfig) resolve() (revParams, error) {
 	if p.rMult == 0 {
 		p.rMult = 1
 	}
-	if p.fMult < 0 || p.rMult < 0 {
-		return p, fmt.Errorf("core: multipliers must be positive")
+	if !(p.fMult > 0) || !(p.rMult > 0) {
+		return p, fmt.Errorf("FMult and RMult must be positive, got %v and %v", pc.FMult, pc.RMult)
 	}
 	return p, nil
 }
 
-type revParams struct {
-	eps, xi      float64
-	iso          float64
-	fMult, rMult float64
-	maxK         uint64
+// buildRevocable is the registry's revocable builder. The run is
+// open-ended: Converged is polled every CheckEvery rounds under MaxRounds.
+func buildRevocable(pc ProtoConfig) (Runner, error) {
+	p, err := resolveRevocable(pc)
+	if err != nil {
+		return Runner{}, err
+	}
+	maxRounds := pc.MaxRounds
+	if maxRounds <= 0 {
+		maxRounds = 200_000_000
+		if pc.Faulted {
+			// Faults can make convergence unreachable (e.g. the would-be
+			// leader crash-stops); the fault-free budget would be an
+			// effective hang, so adversarial runs get a bounded one.
+			maxRounds = 1_000_000
+		}
+	}
+	return Runner{
+		Factory: func(node, degree int, r *rng.RNG) sim.Machine {
+			return &RevocableMachine{p: p, r: r}
+		},
+		CheckEvery: 64,
+		MaxRounds:  maxRounds,
+		Converged:  func(nw sim.View) bool { return revocableConverged(nw, p) },
+		Collect:    collectRevocable,
+	}, nil
+}
+
+// revocableConverged is the Theorem 3 stabilization predicate, evaluated
+// over surviving nodes (a crashed node can never choose, so including it
+// would run every faulted trial to the round cap). The reference output
+// comes from the lowest-index survivor.
+func revocableConverged(nw sim.View, p revParams) bool {
+	n := nw.N()
+	ref := -1
+	for v := 0; v < n; v++ {
+		if !nw.Crashed(v) {
+			ref = v
+			break
+		}
+	}
+	if ref < 0 {
+		return false // everyone crashed; the run can only time out
+	}
+	first := nw.Machine(ref).(*RevocableMachine).Output()
+	if !first.Chosen || first.LeaderK == 0 {
+		return false
+	}
+	if p.kPow(first.EstimateK) <= 4*float64(n) {
+		return false
+	}
+	for v := ref + 1; v < n; v++ {
+		if nw.Crashed(v) {
+			continue
+		}
+		o := nw.Machine(v).(*RevocableMachine).Output()
+		if !o.Chosen || o.LeaderK != first.LeaderK || o.LeaderID != first.LeaderID {
+			return false
+		}
+	}
+	return true
+}
+
+// collectRevocable reads the certificate the survivors agree on beside
+// the leaders.
+func collectRevocable(nw sim.View) Outcome {
+	out := Outcome{AllKnow: true}
+	for v := 0; v < nw.N(); v++ {
+		if nw.Crashed(v) {
+			continue
+		}
+		o := nw.Machine(v).(*RevocableMachine).Output()
+		if !out.HasCertificate {
+			out.HasCertificate = true
+			out.CertID, out.CertEstimate = o.LeaderID, o.LeaderK
+			out.FinalEstimate = o.EstimateK
+			out.LeaderID = o.LeaderID
+		}
+		if o.Leader {
+			out.Leaders = append(out.Leaders, v)
+		}
+	}
+	return out
 }
 
 // kPow returns k^{1+ε}.
@@ -275,18 +337,6 @@ type RevocableMachine struct {
 	potBits    int
 	q          bool // probing
 	c          bool // white exists
-	frozen     bool // maxK cap reached: hold state, stop sending
-}
-
-// NewRevocableFactory returns a sim.Factory for the revocable protocol.
-func NewRevocableFactory(cfg RevocableConfig) (sim.Factory, error) {
-	p, err := cfg.resolve()
-	if err != nil {
-		return nil, err
-	}
-	return func(node, degree int, r *rng.RNG) sim.Machine {
-		return &RevocableMachine{p: p, r: r}
-	}, nil
 }
 
 // Output returns the node's current externally visible state. Revocable
@@ -348,9 +398,6 @@ func (m *RevocableMachine) startIteration() {
 
 // Step implements sim.Machine: one synchronous round of the current phase.
 func (m *RevocableMachine) Step(ctx *sim.Context, inbox []sim.Packet) {
-	if m.frozen {
-		return
-	}
 	switch m.phase {
 	case phaseDiffusion:
 		m.stepDiffusion(ctx, inbox)
@@ -454,10 +501,6 @@ func (m *RevocableMachine) finishIteration(ctx *sim.Context) {
 		return
 	}
 	m.decide(ctx)
-	if m.p.maxK > 0 && m.k >= m.p.maxK {
-		m.frozen = true
-		return
-	}
 	m.startEstimate()
 	m.startIteration()
 }

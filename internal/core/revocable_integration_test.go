@@ -9,20 +9,17 @@ import (
 )
 
 // revNet builds a revocable network on g.
-func revNet(t *testing.T, g *graph.Graph, cfg RevocableConfig, seed uint64) *sim.Network {
+func revNet(t *testing.T, g *graph.Graph, cfg ProtoConfig, seed uint64) *sim.Network {
 	t.Helper()
-	factory, err := NewRevocableFactory(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sim.New(sim.Config{Graph: g, Seed: seed}, factory)
+	r := mustBuild(t, "revocable", cfg)
+	return sim.New(sim.Config{Graph: g, Seed: seed}, r.Factory)
 }
 
 func TestRevocableLockstepSchedule(t *testing.T) {
 	// Every phase length is a function of k alone, so all nodes must hold
 	// identical (EstimateK, Iterations) at every round.
 	g := graph.Cycle(5)
-	nw := revNet(t, g, RevocableConfig{Epsilon: 0.5, Isoperimetric: 0.8}, 1)
+	nw := revNet(t, g, ProtoConfig{Epsilon: 0.5, Iso: 0.8}, 1)
 	for step := 0; step < 3000; step++ {
 		if !nw.Step() {
 			t.Fatal("network stopped unexpectedly")
@@ -45,7 +42,7 @@ func TestRevocablePotentialConservation(t *testing.T) {
 	// sampling at exchange boundaries (all nodes fold simultaneously, so
 	// node-sum alone is conserved round to round).
 	g := graph.Complete(4)
-	nw := revNet(t, g, RevocableConfig{Epsilon: 0.5, Isoperimetric: 2}, 3)
+	nw := revNet(t, g, ProtoConfig{Epsilon: 0.5, Iso: 2}, 3)
 	prevSum := -1.0
 	checked := 0
 	for step := 0; step < 4000; step++ {
@@ -99,7 +96,7 @@ func TestRevocableUniqueLeaderAcrossGraphs(t *testing.T) {
 			wins := 0
 			const trials = 3
 			for s := uint64(0); s < trials; s++ {
-				nw := revNet(t, c.g, RevocableConfig{Epsilon: 0.5, Isoperimetric: c.iso}, 9100+s)
+				nw := revNet(t, c.g, ProtoConfig{Epsilon: 0.5, Iso: c.iso}, 9100+s)
 				converged := func() bool { return revConverged(nw, 0.5) }
 				nw.RunUntil(60_000_000, func(completed int) bool {
 					return completed%64 == 0 && converged()
@@ -121,7 +118,7 @@ func TestRevocableUniqueLeaderAcrossGraphs(t *testing.T) {
 func TestRevocableBlindScheduleConverges(t *testing.T) {
 	// Corollary 1: no network knowledge at all. Simulable only at n=2..3.
 	g := graph.Path(2)
-	nw := revNet(t, g, RevocableConfig{Epsilon: 0.5}, 5)
+	nw := revNet(t, g, ProtoConfig{Epsilon: 0.5}, 5)
 	converged := func() bool { return revConverged(nw, 0.5) }
 	nw.RunUntil(80_000_000, func(completed int) bool {
 		return completed%64 == 0 && converged()
@@ -136,7 +133,7 @@ func TestRevocableBlindScheduleConverges(t *testing.T) {
 
 func TestRevocableDeterministicInSeed(t *testing.T) {
 	g := graph.Complete(3)
-	cfg := RevocableConfig{Epsilon: 0.5, Isoperimetric: 1.5}
+	cfg := ProtoConfig{Epsilon: 0.5, Iso: 1.5}
 	run := func() ([]RevocableOutput, sim.Metrics) {
 		nw := revNet(t, g, cfg, 77)
 		nw.Run(50_000)
@@ -162,7 +159,7 @@ func TestRevocableChosenIDsAreFinal(t *testing.T) {
 	// Once a node chooses (id, K), the pair never changes (Algorithm 6
 	// line 14's id=nil guard).
 	g := graph.Complete(4)
-	nw := revNet(t, g, RevocableConfig{Epsilon: 0.5, Isoperimetric: 2}, 11)
+	nw := revNet(t, g, ProtoConfig{Epsilon: 0.5, Iso: 2}, 11)
 	type chosen struct {
 		id, k uint64
 	}
@@ -194,7 +191,7 @@ func TestRevocableLeaderCertificateIsMinOfMaxK(t *testing.T) {
 	// At stabilization, the agreed certificate must be the smallest ID
 	// among nodes holding the maximum chosen K.
 	g := graph.Complete(4)
-	nw := revNet(t, g, RevocableConfig{Epsilon: 0.5, Isoperimetric: 2}, 21)
+	nw := revNet(t, g, ProtoConfig{Epsilon: 0.5, Iso: 2}, 21)
 	converged := func() bool { return revConverged(nw, 0.5) }
 	nw.RunUntil(60_000_000, func(completed int) bool {
 		return completed%64 == 0 && converged()
@@ -222,7 +219,7 @@ func TestRevocableRevocationHappens(t *testing.T) {
 	// final certificate displaces it. Detect at least one flag transition
 	// true->false across the run (whp multiple nodes self-adopt first).
 	g := graph.Complete(4)
-	nw := revNet(t, g, RevocableConfig{Epsilon: 0.5, Isoperimetric: 2}, 2)
+	nw := revNet(t, g, ProtoConfig{Epsilon: 0.5, Iso: 2}, 2)
 	wasLeader := make([]bool, g.N())
 	revoked := false
 	for step := 0; step < 200_000; step++ {
@@ -243,18 +240,6 @@ func TestRevocableRevocationHappens(t *testing.T) {
 	}
 	if !revoked {
 		t.Skip("no revocation observed in this seed (all nodes adopted the final leader immediately)")
-	}
-}
-
-func TestRevocableFrozenAtMaxK(t *testing.T) {
-	g := graph.Path(2)
-	nw := revNet(t, g, RevocableConfig{Epsilon: 0.5, Isoperimetric: 1, MaxK: 4}, 1)
-	nw.Run(3_000_000)
-	for v := 0; v < g.N(); v++ {
-		o := nw.Machine(v).(*RevocableMachine).Output()
-		if o.EstimateK > 4 {
-			t.Fatalf("node %d passed MaxK: %d", v, o.EstimateK)
-		}
 	}
 }
 

@@ -42,15 +42,12 @@ func countRevLeaders(nw *sim.Network) int {
 
 func TestRevocableSmokeComplete(t *testing.T) {
 	g := graph.Complete(4)
-	cfg := RevocableConfig{Epsilon: 0.5, Isoperimetric: 2}
-	factory, err := NewRevocableFactory(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := ProtoConfig{Epsilon: 0.5, Iso: 2}
+	r := mustBuild(t, "revocable", cfg)
 	wins := 0
 	const trials = 5
 	for s := uint64(0); s < trials; s++ {
-		nw := sim.New(sim.Config{Graph: g, Seed: 7000 + s}, factory)
+		nw := sim.New(sim.Config{Graph: g, Seed: 7000 + s}, r.Factory)
 		rounds := nw.RunUntil(40_000_000, func(completed int) bool {
 			return completed%64 == 0 && revConverged(nw, 0.5)
 		})

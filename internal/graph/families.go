@@ -423,6 +423,14 @@ func ByName(name string, n int, r *rng.RNG) (*Graph, error) {
 	}
 }
 
+// Seeded is the one derivation of a named family member from a run seed:
+// ByName on the stream "graph:<family>" split off the seed. The public
+// NewNetwork, the harness workloads and every ledist process build their
+// topology here, so (family, n, seed) names the same graph on all of them.
+func Seeded(family string, n int, seed uint64) (*Graph, error) {
+	return ByName(family, n, rng.New(seed).SplitString("graph:"+family))
+}
+
 // byNameMinSize is the smallest n of the families whose constructors take n
 // as is and panic below it (the other families derive their parameters
 // from n and are checked in ByName's switch).

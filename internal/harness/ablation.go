@@ -38,25 +38,24 @@ func AblationCautious(w Workload, xs []int, trials int, seed uint64) ([]Cautious
 	if err != nil {
 		return nil, nil, err
 	}
+	ire, _ := core.Lookup(string(ProtoIRE))
 	points := make([]CautiousPoint, 0, len(xs))
 	for _, x := range xs {
-		cfg := core.IREConfig{
+		pc := core.ProtoConfig{
 			N: g.N(), TMix: prof.MixingTime, Phi: prof.Conductance,
 			X: x, BroadcastOnly: true,
 		}
-		factory, err := core.NewIREFactory(cfg)
+		runner, err := ire.Build(pc)
 		if err != nil {
 			return points, prof, err
 		}
 		pt := CautiousPoint{X: x}
+		_, pt.CapSize, _ = core.ResolveIRE(pc) // Build accepted pc: no error
 		var territories []float64
 		var msgs, cands float64
 		for t := 0; t < trials; t++ {
-			nw := sim.New(sim.Config{Graph: g, Seed: seed ^ uint64(x)<<24 ^ uint64(t)}, factory)
-			m0 := nw.Machine(0).(*core.IREMachine)
-			_, _, _, capSize, total := m0.Params()
-			pt.CapSize = capSize
-			nw.Run(total + 4)
+			nw := sim.New(sim.Config{Graph: g, Seed: seed ^ uint64(x)<<24 ^ uint64(t)}, runner.Factory)
+			nw.Run(runner.Budget)
 			for v := 0; v < g.N(); v++ {
 				out := nw.Machine(v).(*core.IREMachine).Output()
 				if out.Candidate {
@@ -132,16 +131,14 @@ func AblationWalks(o Orchestrator, w Workload, factors []float64, trials int, se
 	}
 	points := make([]WalkPoint, len(factors))
 	for i, f := range factors {
-		// Read the resolved walk count off a machine built from the inputs
-		// Run resolved for the cell's trials.
+		// The walk count Run resolved for the cell's trials.
 		prof := cells[i].Profile
-		factory, err := core.NewIREFactory(core.IREConfig{
+		x, _, err := core.ResolveIRE(core.ProtoConfig{
 			N: w.N, TMix: prof.MixingTime, Phi: prof.Conductance, XFactor: f,
 		})
 		if err != nil {
 			return nil, err
 		}
-		x, _, _, _, _ := factory(0, 0, nil).(*core.IREMachine).Params()
 		points[i] = WalkPoint{Factor: f, X: x, Cell: cells[i]}
 	}
 	return points, nil

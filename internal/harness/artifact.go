@@ -23,13 +23,6 @@ import (
 // serializes byte-identically to v5 apart from the schema string.
 const ArtifactSchema = "anonlead/bench-harness/v6"
 
-// ArtifactSchemaV5 is the previous format: everything but the epoch
-// scenario fields. Still readable — the series gate compares against
-// artifacts of the last few main runs, which may straddle one schema bump —
-// and its cells align as classic single-election cells. Older formats are
-// rejected.
-const ArtifactSchemaV5 = "anonlead/bench-harness/v5"
-
 // ArtifactDist is the persisted distribution of one per-trial metric: the
 // spread around the mean that the flat per-cell fields already carry. All
 // values are over the cell's trials.
@@ -241,19 +234,17 @@ func (a Artifact) WriteFile(path string) error {
 	return nil
 }
 
-// ReadArtifact decodes a bench artifact of the current schema or the
-// previous one (v5: no epoch scenarios). Unknown and older schemas are
-// rejected, and so is a cell without its four distribution objects, so
-// trajectory tooling fails loudly on foreign or truncated files rather
-// than comparing garbage.
+// ReadArtifact decodes a bench artifact of the current schema. Any other
+// schema is rejected by name, and so is a cell without its four
+// distribution objects, so trajectory tooling fails loudly on foreign or
+// truncated files rather than comparing garbage.
 func ReadArtifact(buf []byte) (Artifact, error) {
 	var a Artifact
 	if err := json.Unmarshal(buf, &a); err != nil {
 		return Artifact{}, fmt.Errorf("harness: decode artifact: %w", err)
 	}
-	if a.Schema != ArtifactSchema && a.Schema != ArtifactSchemaV5 {
-		return Artifact{}, fmt.Errorf("harness: unknown artifact schema %q (want %s or %s)",
-			a.Schema, ArtifactSchema, ArtifactSchemaV5)
+	if a.Schema != ArtifactSchema {
+		return Artifact{}, fmt.Errorf("harness: unknown artifact schema %q (want %s)", a.Schema, ArtifactSchema)
 	}
 	for i, c := range a.Cells {
 		if c.MessagesDist == nil || c.BitsDist == nil || c.RoundsDist == nil || c.ChargedDist == nil {

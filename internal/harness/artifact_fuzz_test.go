@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// FuzzReadArtifact hardens the artifact reader (v6 and v5) against arbitrary
+// FuzzReadArtifact hardens the artifact reader against arbitrary
 // input: malformed bytes must come back as errors (never panics), and any
 // accepted artifact must carry a known schema and normalize to a JSON
 // encoding that is a fixed point of another decode/encode pass — the
@@ -25,19 +26,24 @@ func FuzzReadArtifact(f *testing.F) {
 		}
 		f.Add(buf)
 	}
-	// A v5 file with the `plan` coverage header older binaries wrote on
+	// A file with the `plan` coverage header older binaries wrote on
 	// partial artifacts: an unknown field, so it reads as a plain artifact.
-	oldPartial := []byte(`{"schema":"anonlead/bench-harness/v5","root_seed":7,"workers":2,"shards":2,"plan":{"total":4,"indices":[1,3]},"cells":[` +
+	oldPartial := []byte(`{"schema":"anonlead/bench-harness/v6","root_seed":7,"workers":2,"shards":2,"plan":{"total":4,"indices":[1,3]},"cells":[` +
 		`{"protocol":"ire","family":"expander","n":16,"trials":2,"successes":2,"messages_dist":{"stddev":1,"min":1,"max":3,"p50":2,"p90":3,"p99":3},"bits_dist":{},"rounds_dist":{},"charged_dist":{}},` +
 		`{"protocol":"flood","family":"cycle","n":8,"trials":2,"successes":1,"messages_dist":{},"bits_dist":{},"rounds_dist":{},"charged_dist":{}}]}`)
 	if a, err := ReadArtifact(oldPartial); err != nil || len(a.Cells) != 2 {
 		f.Fatalf("old partial artifact: err %v, %d cells; want a plain 2-cell artifact", err, len(a.Cells))
 	}
 	f.Add(oldPartial)
-	// A cell without its distributions, a dropped schema, schema-less JSON,
-	// foreign schemas, truncations.
+	// The previous schema, refused by name.
+	v5 := []byte(`{"schema":"anonlead/bench-harness/v5","cells":[]}`)
+	if _, err := ReadArtifact(v5); err == nil || !strings.Contains(err.Error(), `"anonlead/bench-harness/v5"`) {
+		f.Fatalf("v5 artifact: err %v; want a refusal naming the schema", err)
+	}
+	f.Add(v5)
+	// A cell without its distributions, schema-less JSON, a foreign
+	// schema, truncations.
 	f.Add([]byte(`{"schema":"anonlead/bench-harness/v6","root_seed":1,"cells":[{"protocol":"ire","family":"cycle","n":8,"messages":12}]}`))
-	f.Add([]byte(`{"schema":"anonlead/bench-harness/v4","cells":[]}`))
 	f.Add([]byte(`{"schema":"anonlead/bench-harness/v9"}`))
 	f.Add([]byte(`{"cells":[]}`))
 	f.Add([]byte(`{"schema":`))
@@ -49,7 +55,7 @@ func FuzzReadArtifact(f *testing.F) {
 		if err != nil {
 			return // rejected input: an error is the contract, a panic is the bug
 		}
-		if a.Schema != ArtifactSchema && a.Schema != ArtifactSchemaV5 {
+		if a.Schema != ArtifactSchema {
 			t.Fatalf("accepted artifact with unknown schema %q", a.Schema)
 		}
 		for i, c := range a.Cells {

@@ -55,8 +55,7 @@ type Workload struct {
 // BuildGraph constructs the workload's graph deterministically from seed
 // (random families draw from a seed-keyed stream).
 func (w Workload) BuildGraph(seed uint64) (*graph.Graph, error) {
-	r := rng.New(seed).SplitString("graph:" + w.Family)
-	return graph.ByName(w.Family, w.N, r)
+	return graph.Seeded(w.Family, w.N, seed)
 }
 
 // Trial is the outcome of one protocol execution. Under fault injection,

@@ -30,7 +30,7 @@ func parsePrometheusText(t *testing.T, text string) map[string]float64 {
 				t.Fatalf("line %d: malformed TYPE comment %q", ln+1, line)
 			}
 			switch parts[3] {
-			case "counter", "gauge", "histogram":
+			case "counter", "histogram":
 			default:
 				t.Fatalf("line %d: unknown metric type %q", ln+1, parts[3])
 			}
@@ -77,7 +77,6 @@ func parsePrometheusText(t *testing.T, text string) map[string]float64 {
 func TestMetricsEndpointServesParseablePrometheus(t *testing.T) {
 	withEnabled(t)
 	defaultRegistry.Counter("anonlead_cells_done", "exp", "sweeps").Add(81)
-	defaultRegistry.Gauge("anonlead_sweep_eta_seconds").Set(12.5)
 	Span("prepare", "cell-0")()
 	Span("trials")()
 	Span("trials")()
@@ -99,9 +98,6 @@ func TestMetricsEndpointServesParseablePrometheus(t *testing.T) {
 	samples := parsePrometheusText(t, string(body))
 	if got := samples[`anonlead_cells_done{exp="sweeps"}`]; got != 81 {
 		t.Fatalf("cells_done = %v, want 81:\n%s", got, body)
-	}
-	if got := samples[`anonlead_sweep_eta_seconds`]; got != 12.5 {
-		t.Fatalf("eta = %v, want 12.5:\n%s", got, body)
 	}
 	if got := samples[`anonlead_phase_seconds_count{phase="trials"}`]; got != 2 {
 		t.Fatalf("trials span count = %v, want 2:\n%s", got, body)

@@ -31,37 +31,6 @@ func (c *Counter) Add(delta int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// A Gauge is a float64 that can go up and down (worker states, queue
-// depths, ETAs). Safe for concurrent use; no-op while disabled.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) {
-	if !enabled.Load() {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adds delta to the gauge value (CAS loop).
-func (g *Gauge) Add(delta float64) {
-	if !enabled.Load() {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // A Histogram counts observations into fixed cumulative-style buckets
 // defined by ascending upper bounds, plus a +Inf overflow bucket. Bounds
 // are fixed at construction, so concurrent observation is lock-free.
@@ -112,7 +81,6 @@ type metricKind int
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindHistogram
 )
 
@@ -121,7 +89,6 @@ type metric struct {
 	labels []string // alternating key, value — canonical (sorted) order
 	kind   metricKind
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 }
 
@@ -198,11 +165,6 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	return r.lookup(name, kindCounter, labels, func(m *metric) { m.c = &Counter{} }).c
 }
 
-// Gauge returns the gauge for (name, labels), creating it on first use.
-func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	return r.lookup(name, kindGauge, labels, func(m *metric) { m.g = &Gauge{} }).g
-}
-
 // Histogram returns the histogram for (name, labels), creating it with the
 // given bucket upper bounds on first use. Later calls for the same
 // (name, labels) ignore bounds and return the existing instance.
@@ -214,11 +176,10 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *H
 type MetricPoint struct {
 	Name   string            `json:"name"`
 	Labels map[string]string `json:"labels,omitempty"`
-	Kind   string            `json:"kind"` // "counter" | "gauge" | "histogram"
+	Kind   string            `json:"kind"` // "counter" | "histogram"
 
-	// Counter / gauge value (Count used for counters to stay integer).
-	Count int64   `json:"count,omitempty"`
-	Value float64 `json:"value,omitempty"`
+	// Counter value, or a histogram's observation count.
+	Count int64 `json:"count,omitempty"`
 
 	// Histogram summary.
 	Sum     float64   `json:"sum,omitempty"`
@@ -253,9 +214,6 @@ func (r *Registry) Snapshot() []MetricPoint {
 		case kindCounter:
 			p.Kind = "counter"
 			p.Count = m.c.Value()
-		case kindGauge:
-			p.Kind = "gauge"
-			p.Value = m.g.Value()
 		case kindHistogram:
 			p.Kind = "histogram"
 			p.Count = m.h.Count()
@@ -292,10 +250,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch p.Kind {
 		case "counter":
 			if _, err := fmt.Fprintf(w, "%s%s %d\n", p.Name, base, p.Count); err != nil {
-				return err
-			}
-		case "gauge":
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", p.Name, base, formatFloat(p.Value)); err != nil {
 				return err
 			}
 		case "histogram":

@@ -22,16 +22,13 @@ func TestDisabledMutatorsAreNoOps(t *testing.T) {
 	Disable()
 	r := NewRegistry()
 	c := r.Counter("c")
-	g := r.Gauge("g")
 	h := r.Histogram("h", []float64{1, 10})
 	c.Inc()
 	c.Add(5)
-	g.Set(3)
-	g.Add(4)
 	h.Observe(2)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Fatalf("disabled mutators recorded: c=%d g=%v h.count=%d h.sum=%v",
-			c.Value(), g.Value(), h.Count(), h.Sum())
+	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+		t.Fatalf("disabled mutators recorded: c=%d h.count=%d h.sum=%v",
+			c.Value(), h.Count(), h.Sum())
 	}
 }
 
@@ -43,12 +40,6 @@ func TestCounterGaugeHistogramRecord(t *testing.T) {
 	c.Add(2)
 	if got := c.Value(); got != 3 {
 		t.Fatalf("counter = %d, want 3", got)
-	}
-	g := r.Gauge("eta_seconds")
-	g.Set(10)
-	g.Add(-4)
-	if got := g.Value(); got != 6 {
-		t.Fatalf("gauge = %v, want 6", got)
 	}
 	h := r.Histogram("dur", []float64{1, 10, 100})
 	for _, v := range []float64{0.5, 1, 5, 50, 500} {
@@ -85,7 +76,7 @@ func TestRegistryIdempotentAndLabelCanonical(t *testing.T) {
 			t.Fatal("re-registering a name as a different kind should panic")
 		}
 	}()
-	r.Gauge("x", "b", "2", "a", "1")
+	r.Histogram("x", nil, "b", "2", "a", "1")
 }
 
 func TestSnapshotStableOrder(t *testing.T) {
@@ -115,7 +106,6 @@ func TestConcurrentMetricUpdates(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for j := 0; j < per; j++ {
 				r.Counter("n").Inc()
-				r.Gauge("g").Add(1)
 				r.Histogram("h", []float64{10, 1000}).Observe(float64(j))
 			}
 		}()
@@ -125,9 +115,6 @@ func TestConcurrentMetricUpdates(t *testing.T) {
 	}
 	if got := r.Counter("n").Value(); got != goroutines*per {
 		t.Fatalf("counter = %d, want %d", got, goroutines*per)
-	}
-	if got := r.Gauge("g").Value(); got != goroutines*per {
-		t.Fatalf("gauge = %v, want %d", got, goroutines*per)
 	}
 	h := r.Histogram("h", nil)
 	if h.Count() != goroutines*per {

@@ -1,5 +1,5 @@
 // Package obs is the run-telemetry subsystem: a process-wide registry of
-// counters, gauges and histograms with snapshot + Prometheus-text
+// counters and histograms with snapshot + Prometheus-text
 // exposition, phase spans exportable as Chrome trace-event JSON, and
 // deterministic per-round message/halt profiles for artifact cells.
 //
@@ -15,7 +15,7 @@
 // anonlead_phase_seconds histogram in the default Registry and accumulate
 // as trace events → WritePrometheus / WriteChromeTrace expose both; the
 // sim Observer hook feeds RoundProfile buckets → the harness merges them
-// per cell and (optionally) embeds them in the schema-v5 artifact.
+// per cell and (optionally) embeds them in the artifact.
 // See docs/ARCHITECTURE.md "Observability".
 package obs
 

@@ -165,32 +165,10 @@ func (r *RNG) Coin() bool {
 	return r.Uint64()&1 == 1
 }
 
-// Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
 // Shuffle performs a Fisher–Yates shuffle over n elements using swap.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Binomial returns a sample from Binomial(n, p) by direct simulation. It is
-// O(n); callers in this repository only use it for modest n (test helpers).
-func (r *RNG) Binomial(n int, p float64) int {
-	count := 0
-	for i := 0; i < n; i++ {
-		if r.Bernoulli(p) {
-			count++
-		}
-	}
-	return count
 }

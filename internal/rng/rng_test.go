@@ -154,24 +154,6 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(9)
-	if err := quick.Check(func(nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := r.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestShuffleCoversArrangements(t *testing.T) {
 	r := New(10)
 	counts := map[[3]int]int{}
@@ -187,22 +169,6 @@ func TestShuffleCoversArrangements(t *testing.T) {
 		if c < 8000 || c > 12000 {
 			t.Fatalf("arrangement %v count %d far from uniform 10000", arr, c)
 		}
-	}
-}
-
-func TestBinomialBounds(t *testing.T) {
-	r := New(11)
-	for i := 0; i < 100; i++ {
-		v := r.Binomial(20, 0.5)
-		if v < 0 || v > 20 {
-			t.Fatalf("binomial out of range: %d", v)
-		}
-	}
-	if r.Binomial(50, 0) != 0 {
-		t.Fatal("Binomial(n, 0) != 0")
-	}
-	if r.Binomial(50, 1) != 50 {
-		t.Fatal("Binomial(n, 1) != n")
 	}
 }
 

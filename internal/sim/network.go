@@ -142,7 +142,7 @@ func New(cfg Config, factory Factory) *Network {
 	off := nw.edgeOff[n]
 	inboxBuf := make([]Packet, off)
 	nextBuf := make([]Packet, off)
-	outBuf := make([]send, off)
+	outBuf := make([]Send, off)
 	for v := 0; v < n; v++ {
 		deg := g.Degree(v)
 		lo, hi := nw.edgeOff[v], nw.edgeOff[v+1]
@@ -358,18 +358,18 @@ func (nw *Network) route(round int) {
 			nw.sent[v] = len(ctx.out)
 		}
 		for _, s := range ctx.out {
-			w := nw.g.Neighbor(v, s.port)
-			e := nw.edgeOff[v] + s.port
+			w := nw.g.Neighbor(v, s.Port)
+			e := nw.edgeOff[v] + s.Port
 			q := nw.revPort[e]
-			bits := s.payload.Bits()
+			bits := s.Payload.Bits()
 			nw.metrics.Messages++
 			nw.metrics.Bits += int64(bits)
 			// Link slots are charged before the adversary acts: a dropped
 			// or delayed packet was still transmitted by its sender.
-			nw.links.Add(int32(e), s.channel, bits)
+			nw.links.Add(int32(e), s.Channel, bits)
 			delay := 0
 			if nw.adv != nil {
-				drop, d := nw.adv.Fate(round, v, s.port, w)
+				drop, d := nw.adv.Fate(round, v, s.Port, w)
 				if drop {
 					nw.metrics.Dropped++
 					continue
@@ -383,11 +383,11 @@ func (nw *Network) route(round int) {
 				nw.metrics.Delayed++
 				slot := (round + 1 + delay) % len(nw.future)
 				nw.future[slot] = append(nw.future[slot],
-					futureDelivery{node: w, pkt: Packet{Port: int(q), Channel: s.channel, Payload: s.payload}})
+					futureDelivery{node: w, pkt: Packet{Port: int(q), Channel: s.Channel, Payload: s.Payload}})
 				nw.pendingFuture++
 				continue
 			}
-			nw.next[w] = append(nw.next[w], Packet{Port: int(q), Channel: s.channel, Payload: s.payload})
+			nw.next[w] = append(nw.next[w], Packet{Port: int(q), Channel: s.Channel, Payload: s.Payload})
 			nw.inflight++
 		}
 		ctx.out = ctx.out[:0]

@@ -72,16 +72,21 @@ type Context struct {
 	degree int
 	round  int
 	rng    *rng.RNG
-	out    []send
+	out    []Send
 	halted bool
 	node   int            // for trace attribution only; never exposed
 	rec    trace.Recorder // nil when tracing is disabled
 }
 
-type send struct {
-	port    int
-	channel uint32
-	payload Payload
+// Send is one outgoing message of a machine step: what Context.Send
+// records, the router consumes and a Stepper hands its driver.
+type Send struct {
+	// Port is the sender's port the payload leaves on.
+	Port int
+	// Channel tags the logical protocol execution (see Packet.Channel).
+	Channel uint32
+	// Payload is the message body.
+	Payload Payload
 }
 
 // Degree returns the number of ports (incident links) of this node.
@@ -103,7 +108,7 @@ func (c *Context) Send(port int, channel uint32, payload Payload) {
 	if payload == nil {
 		panic("sim: send with nil payload")
 	}
-	c.out = append(c.out, send{port: port, channel: channel, payload: payload})
+	c.out = append(c.out, Send{Port: port, Channel: channel, Payload: payload})
 }
 
 // Broadcast sends payload on every port (channel 0 unless specified via

@@ -28,17 +28,6 @@ type View interface {
 
 var _ View = (*Network)(nil)
 
-// Send is one outgoing message produced by a Stepper-driven machine step:
-// the public mirror of the simulator's internal send record.
-type Send struct {
-	// Port is the sender's port the payload leaves on.
-	Port int
-	// Channel tags the logical protocol execution (see Packet.Channel).
-	Channel uint32
-	// Payload is the message body.
-	Payload Payload
-}
-
 // Stepper drives a single protocol machine outside a Network: the
 // real-transport node driver owns one Stepper per node and pumps it with
 // the packets that arrived over the wire. The Stepper reproduces exactly
@@ -51,7 +40,6 @@ type Stepper struct {
 	ctx Context
 	rng rng.RNG
 	m   Machine
-	out []Send
 }
 
 // newMachine seeds r, node v's private stream, from the run's root stream
@@ -76,17 +64,17 @@ func NewStepper(seed uint64, factory Factory, node, degree int, rec trace.Record
 
 // Init runs the machine's Init (round -1) and returns its sends, which the
 // caller must deliver for the start of round 0. The returned slice is
-// reused by the next Init/Step call.
+// valid until the next Init/Step call.
 func (s *Stepper) Init() []Send {
 	s.ctx.reset(-1)
 	s.m.Init(&s.ctx)
-	return s.collect()
+	return s.ctx.out
 }
 
 // Step runs one round with the packets delivered this round. The inbox is
 // sorted in place into the simulator's canonical (port, channel) order, so
 // callers only need to preserve per-link arrival order. A halted machine
-// is not stepped and sends nothing. The returned slice is reused by the
+// is not stepped and sends nothing. The returned slice is valid until the
 // next call.
 func (s *Stepper) Step(round int, inbox []Packet) []Send {
 	s.ctx.reset(round)
@@ -95,16 +83,7 @@ func (s *Stepper) Step(round int, inbox []Packet) []Send {
 	}
 	sortInbox(inbox)
 	s.m.Step(&s.ctx, inbox)
-	return s.collect()
-}
-
-// collect copies the context's sends into the public reuse buffer.
-func (s *Stepper) collect() []Send {
-	s.out = s.out[:0]
-	for _, sd := range s.ctx.out {
-		s.out = append(s.out, Send{Port: sd.port, Channel: sd.channel, Payload: sd.payload})
-	}
-	return s.out
+	return s.ctx.out
 }
 
 // Halted reports whether the machine has called Halt. Halting is final:

@@ -18,9 +18,10 @@ type WireCodec interface {
 
 // LeaderReporter is implemented by protocol machines that can report their
 // node's leadership claim without the caller knowing the concrete machine
-// type. The multi-process launcher uses it to collect election outcomes
-// from node processes that only hold their own machine (the registry's
-// Collect hooks need the whole network and run coordinator-side instead).
+// type. The registry's default collector reads every machine through it,
+// and the multi-process launcher uses it to collect election outcomes from
+// node processes that only hold their own machine (the registry's Collect
+// hooks need the whole network and run coordinator-side instead).
 type LeaderReporter interface {
 	// LeaderInfo reports whether this node claims leadership, and under
 	// which random ID (0 when not a leader).

@@ -215,18 +215,3 @@ func LogLogSlope(xs, ys []float64) (slope, r2 float64) {
 	r := (n*sxy - sx*sy) / math.Sqrt(den*varY)
 	return slope, r * r
 }
-
-// GeoMean returns the geometric mean of positive samples (0 if none).
-func GeoMean(xs []float64) float64 {
-	sum, n := 0.0, 0
-	for _, x := range xs {
-		if x > 0 {
-			sum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}

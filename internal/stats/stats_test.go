@@ -233,15 +233,3 @@ func TestLogLogSlopePanicsOnMismatch(t *testing.T) {
 	}()
 	LogLogSlope([]float64{1}, []float64{1, 2})
 }
-
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{2, 8}); math.Abs(g-4) > 1e-12 {
-		t.Fatalf("geomean %v want 4", g)
-	}
-	if g := GeoMean([]float64{-1, 0}); g != 0 {
-		t.Fatalf("geomean of nonpositives %v", g)
-	}
-	if g := GeoMean(nil); g != 0 {
-		t.Fatalf("empty geomean %v", g)
-	}
-}

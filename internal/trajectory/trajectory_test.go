@@ -295,7 +295,7 @@ func TestAdversaryKeyAlignment(t *testing.T) {
 
 	// A base of descriptor-less cells aligns against the head's fault-free
 	// cell only.
-	v2 := artifact(harness.ArtifactSchemaV5, cell("ire", "expander", 64, 5, 5, 100, 1))
+	v2 := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 5, 5, 100, 1))
 	r = Diff(v2, base, Thresholds{})
 	if len(r.Cells) != 1 || len(r.Added) != 1 || r.Added[0].Adversary != "loss=0.1" {
 		t.Fatalf("descriptor-less alignment wrong: %+v", r)
@@ -336,7 +336,7 @@ func TestProfileModeKeyAlignment(t *testing.T) {
 	}
 
 	// A base of mode-less cells aligns against the head's exact cell.
-	v3 := artifact(harness.ArtifactSchemaV5, exact)
+	v3 := artifact(harness.ArtifactSchema, exact)
 	r = Diff(v3, artifact(harness.ArtifactSchema, exact, est), Thresholds{})
 	if len(r.Cells) != 1 || len(r.Added) != 1 || r.Added[0].ProfileMode != "estimate" {
 		t.Fatalf("mode-less alignment wrong: %+v", r)
