@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench loc epochs-smoke scaling-smoke obs-smoke dist-demo bench-artifact benchdiff report baseline series-report lint fmt ci clean
+.PHONY: all build test race bench loc epochs-smoke scaling-smoke obs-smoke dist-demo bench-artifact benchdiff report baseline lint fmt ci clean
 
 all: build
 
@@ -100,19 +100,6 @@ baseline:
 	$(GO) run ./cmd/lebench -exp sweeps -quick -json testdata/BENCH_baseline.json
 	$(GO) run ./cmd/lereport -title "anonlead reproduction report — baseline" \
 		-out testdata/REPORT_baseline.md testdata/BENCH_baseline.json
-
-# Cross-PR trend report: render the newest artifact plus the trajectory
-# section over the archived series (oldest first — zero-padded run-id file
-# names sort chronologically), failing on any net regressing trend. With
-# fewer than two artifacts there is no trajectory and the gate no-ops.
-# CI's series-gate job downloads prior bench-gate artifacts into
-# $(SERIES_DIR), takes BENCH_harness.json from the same run's bench-gate
-# job, and runs this.
-SERIES_DIR ?= series
-series-report:
-	$(GO) run ./cmd/lereport -title "Reproduction report (cross-PR series)" \
-		-fail-on regressing \
-		$(sort $(wildcard $(SERIES_DIR)/*.json)) BENCH_harness.json
 
 # Code size: non-blank lines of non-test Go per package directory, then the
 # total outside bench/ — the number ROADMAP item 5(b) (code diet) and

@@ -60,9 +60,9 @@ type Network struct {
 	profs map[spectral.Mode]*spectral.Profile // keyed by resolved mode
 }
 
-// Families returns the topology family names accepted by NewNetwork:
-// cycle, path, complete, star, grid, torus, hypercube, tree, barbell,
-// lollipop, regular, regular3, regular6, expander, gnp.
+// Families returns the topology family names accepted by NewNetwork, in
+// the order of internal/graph's family table (where each is declared, with
+// its minimum size; the aliases NewNetwork also accepts are not listed).
 func Families() []string { return graph.FamilyNames() }
 
 // NewNetwork builds a named topology family instance on n nodes. Random

@@ -9,12 +9,10 @@
 //	benchdiff -base old.json -head new.json -fail-on regressed,removed,drift
 //	benchdiff -base old.json -head new.json -json report.json
 //	benchdiff -base old.json -head new.json -rel-tol 0.1 -sigmas 2 -drift-tol 0.5
-//	benchdiff -base old.json -head new.json -format csv > cells.csv
 //
 // The markdown summary goes to stdout (CI tees it into
-// $GITHUB_STEP_SUMMARY); -format csv instead emits one row per (cell,
-// metric) for spreadsheets and dashboards. -json additionally writes the
-// machine-readable report. -fail-on takes a comma-separated list of
+// $GITHUB_STEP_SUMMARY); -json additionally writes the machine-readable
+// report. -fail-on takes a comma-separated list of
 // conditions: with "regressed" the exit status is 1 when any aligned
 // metric regressed, with "removed" when any baseline cell vanished from
 // the head sweep — without that a PR could pass the gate by simply
@@ -50,20 +48,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: benchdiff -base BASE.json -head HEAD.json [flags]\n\n"+
 			"Aligns the sweep cells of two bench artifacts by (protocol, family, n,\n"+
-			"presumed_n, adversary) and classifies every metric improved/unchanged/\n"+
-			"regressed with variance-aware thresholds: an effect must clear both -rel-tol\n"+
-			"and -sigmas Welch standard errors (success rates compare by Wilson-interval\n"+
-			"disjointness). Measured/predicted ratios (msgs_vs_pred, time_vs_pred) gate\n"+
-			"separately: a ratio moving more than -drift-tol relative to its baseline is\n"+
-			"flagged drifted. The markdown summary goes to stdout; -format csv instead\n"+
-			"emits one row per (cell, metric) plus added/removed coverage rows.\n"+
+			"presumed_n, adversary, profile_mode, scenario) and classifies every metric\n"+
+			"improved/unchanged/regressed with variance-aware thresholds: an effect must\n"+
+			"clear both -rel-tol and -sigmas Welch standard errors (success rates compare\n"+
+			"by Wilson-interval disjointness). Measured/predicted ratios (msgs_vs_pred,\n"+
+			"time_vs_pred) gate separately: a ratio moving more than -drift-tol relative to\n"+
+			"its baseline is flagged drifted. The markdown summary goes to stdout.\n"+
 			"-fail-on turns verdicts into exit status 1; CI runs \"regressed,removed\".\n\nFlags:\n")
 		fs.PrintDefaults()
 		fmt.Fprintf(stderr, "\nExamples:\n"+
 			"  benchdiff -base testdata/BENCH_baseline.json -head BENCH_harness.json\n"+
 			"  benchdiff -base old.json -head new.json -fail-on regressed,removed,drift\n"+
-			"  benchdiff -base old.json -head new.json -drift-tol 0.5 -json report.json\n"+
-			"  benchdiff -base old.json -head new.json -format csv > cells.csv\n")
+			"  benchdiff -base old.json -head new.json -drift-tol 0.5 -json report.json\n")
 	}
 	var (
 		base     = fs.String("base", "", "baseline artifact (e.g. testdata/BENCH_baseline.json)")
@@ -73,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		relTol   = fs.Float64("rel-tol", 0, "minimum relative effect to call a change (0 = default 0.05)")
 		sigmas   = fs.Float64("sigmas", 0, "minimum effect in Welch standard errors (0 = default 3)")
 		driftTol = fs.Float64("drift-tol", 0, "minimum relative measured/predicted ratio change to call drift (0 = default 0.25)")
-		format   = fs.String("format", "md", "stdout format: md (markdown summary) or csv (one row per cell metric)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -81,10 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *base == "" || *head == "" {
 		fmt.Fprintln(stderr, "benchdiff: -base and -head are required")
 		fs.Usage()
-		return 2
-	}
-	if *format != "md" && *format != "csv" {
-		fmt.Fprintf(stderr, "benchdiff: unknown -format %q (want md or csv)\n", *format)
 		return 2
 	}
 	failRegressed, failRemoved, failDrift := false, false, false
@@ -109,16 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "benchdiff:", err)
 		return 2
 	}
-	if *format == "csv" {
-		out, err := report.CSV()
-		if err != nil {
-			fmt.Fprintln(stderr, "benchdiff:", err)
-			return 2
-		}
-		fmt.Fprint(stdout, out)
-	} else {
-		fmt.Fprint(stdout, report.Markdown())
-	}
+	fmt.Fprint(stdout, report.Markdown())
 	if *jsonPath != "" {
 		buf, err := report.JSON()
 		if err != nil {

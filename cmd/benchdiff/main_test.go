@@ -2,14 +2,16 @@ package main
 
 import (
 	"bytes"
-	"encoding/csv"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
 	"anonlead/internal/adversary"
 	"anonlead/internal/harness"
+	"anonlead/internal/trajectory"
 )
 
 // writeArtifact materializes an artifact in dir and returns its path.
@@ -180,54 +182,39 @@ func TestBenchdiffUsageErrors(t *testing.T) {
 	if code := run([]string{"-base", "/nonexistent.json", "-head", "/nonexistent.json"}, &out, &errOut); code != 2 {
 		t.Fatalf("missing file accepted (exit %d)", code)
 	}
+	errOut.Reset()
+	if code := run([]string{"-base", "x.json", "-head", "y.json", "-format", "csv"}, &out, &errOut); code != 2 ||
+		!strings.Contains(errOut.String(), "not defined: -format") {
+		t.Fatalf("-format csv: exit %d, stderr %q; want 2 and an unknown-flag diagnostic", code, errOut.String())
+	}
 }
 
-// TestBenchdiffUsageDocumentsGates: -h explains every gate and format so
-// the CLI is self-documenting (not just the README/ROADMAP prose).
+// TestBenchdiffUsageDocumentsGates: -h lists exactly the seven flags and
+// explains every gate and every field cells align by, so the CLI is
+// self-documenting (not just the README/ROADMAP prose).
 func TestBenchdiffUsageDocumentsGates(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-h"}, &out, &errOut); code != 2 {
 		t.Fatalf("-h exit %d", code)
 	}
 	usage := errOut.String()
-	for _, want := range []string{
-		"-fail-on", "regressed", "removed", "drift",
-		"-drift-tol", "msgs_vs_pred", "-format csv", "-rel-tol", "-sigmas",
-		"Wilson", "Welch",
-	} {
-		if !strings.Contains(usage, want) {
-			t.Fatalf("usage missing %q:\n%s", want, usage)
+	var flags []string
+	for _, m := range regexp.MustCompile(`(?m)^  -([a-z-]+)`).FindAllStringSubmatch(usage, -1) {
+		flags = append(flags, m[1])
+	}
+	if got := strings.Join(flags, " "); got != "base drift-tol fail-on head json rel-tol sigmas" {
+		t.Fatalf("flag set %q, want exactly the seven of base, head, json, fail-on, rel-tol, sigmas, drift-tol:\n%s", got, usage)
+	}
+	want := []string{"regressed", "removed", "drift", "msgs_vs_pred", "Wilson", "Welch"}
+	key := reflect.TypeOf(trajectory.Key{})
+	for i := 0; i < key.NumField(); i++ {
+		name, _, _ := strings.Cut(key.Field(i).Tag.Get("json"), ",")
+		want = append(want, name)
+	}
+	for _, w := range want {
+		if !strings.Contains(usage, w) {
+			t.Fatalf("usage missing %q:\n%s", w, usage)
 		}
-	}
-}
-
-// TestBenchdiffCSVFormat: -format csv emits one parseable row per aligned
-// (cell, metric) with the identity columns leading.
-func TestBenchdiffCSVFormat(t *testing.T) {
-	dir := t.TempDir()
-	base := writeArtifact(t, dir, "base.json", sweepArtifact(t, 1))
-	head := writeArtifact(t, dir, "head.json", sweepArtifact(t, 2))
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-base", base, "-head", head, "-format", "csv"}, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d; stderr:\n%s", code, errOut.String())
-	}
-	records, err := csv.NewReader(strings.NewReader(out.String())).ReadAll()
-	if err != nil {
-		t.Fatalf("output is not CSV: %v\n%s", err, out.String())
-	}
-	if got := strings.Join(records[0], ","); !strings.HasPrefix(got, "protocol,family,n,presumed_n,adversary,profile_mode,scenario,metric") {
-		t.Fatalf("header %q", got)
-	}
-	// 2 aligned cells × (4 cost + success + 2 drift ratios) metrics.
-	if want := 1 + 2*7; len(records) != want {
-		t.Fatalf("%d CSV rows, want %d:\n%s", len(records), want, out.String())
-	}
-	if !strings.Contains(out.String(), "regressed") {
-		t.Fatalf("csv missing classified rows:\n%s", out.String())
-	}
-	// Rejects unknown formats.
-	if code := run([]string{"-base", base, "-head", head, "-format", "xml"}, &out, &errOut); code != 2 {
-		t.Fatalf("bad -format accepted (exit %d)", code)
 	}
 }
 

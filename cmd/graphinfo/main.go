@@ -20,9 +20,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"anonlead"
+	"anonlead/internal/graph"
 )
 
 func main() {
@@ -33,7 +33,7 @@ func main() {
 }
 
 func run() error {
-	family := flag.String("graph", "cycle", "topology family: "+strings.Join(anonlead.Families(), ", "))
+	family := flag.String("graph", "cycle", "topology family: "+graph.FamilyHelp())
 	n := flag.Int("n", 32, "number of nodes")
 	seed := flag.Uint64("seed", 1, "seed for random families")
 	profile := flag.String("profile", "auto", "profile regime: exact, estimate, or auto (exact up to n=256)")

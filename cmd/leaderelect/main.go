@@ -1,9 +1,10 @@
 // Command leaderelect runs one (or a batch of) leader elections on a
 // chosen topology and protocol and reports leaders elected plus exact
-// CONGEST cost accounting. It is built entirely on the public anonlead
+// CONGEST cost accounting. Elections run entirely on the public anonlead
 // API: the protocol registry (-proto accepts anything in Protocols()),
 // the Network.Run session surface, scheduler selection, deterministic
-// fault injection, and streaming round observation.
+// fault injection, and streaming round observation. (Only the -graph help
+// reaches inside, for the family table's aliases.)
 //
 // Usage:
 //
@@ -24,6 +25,7 @@ import (
 	"strings"
 
 	"anonlead"
+	"anonlead/internal/graph"
 )
 
 func main() {
@@ -35,7 +37,7 @@ func main() {
 
 func run() error {
 	var (
-		family    = flag.String("graph", "expander", "topology family: "+strings.Join(anonlead.Families(), ", "))
+		family    = flag.String("graph", "expander", "topology family: "+graph.FamilyHelp())
 		n         = flag.Int("n", 64, "number of nodes")
 		proto     = flag.String("proto", "ire", "protocol: "+strings.Join(anonlead.Protocols(), ", "))
 		trials    = flag.Int("trials", 1, "number of independent elections")

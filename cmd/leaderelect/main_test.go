@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"anonlead/internal/graph"
 )
 
 // TestLeaderelectFaultedBatch builds the binary and runs a small faulted
@@ -12,7 +14,7 @@ import (
 // descriptor on the faults line, per-trial means over the three trials.
 // A batch of no trials, which used to print 0/0 and NaN means, is refused,
 // and so are the -parallel knob the library dropped and a graph size the
-// family cannot have.
+// family cannot have; -h lists every family name and alias.
 func TestLeaderelectFaultedBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary")
@@ -40,6 +42,11 @@ func TestLeaderelectFaultedBatch(t *testing.T) {
 		if out, err := exec.Command(bin, args...).CombinedOutput(); err == nil {
 			t.Errorf("leaderelect %v exited 0:\n%s", args, out)
 		}
+	}
+	// -h lists the family table's help line, which internal/graph's
+	// TestByNameSmallSizes holds to every name and alias ByName accepts.
+	if out, _ := exec.Command(bin, "-h").CombinedOutput(); !strings.Contains(string(out), "topology family: "+graph.FamilyHelp()+" (default") {
+		t.Errorf("leaderelect -h does not list the family table (%s):\n%s", graph.FamilyHelp(), out)
 	}
 	// A size below the family's minimum is one line naming it, not the
 	// constructor's panic with a goroutine dump.

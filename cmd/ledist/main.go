@@ -45,7 +45,7 @@ import (
 func main() {
 	var (
 		proto   = flag.String("proto", "floodmax", "protocol: "+strings.Join(core.Names(), ", "))
-		family  = flag.String("graph", "cycle", "topology family (see anonlead.Families)")
+		family  = flag.String("graph", "cycle", "topology family: "+graph.FamilyHelp())
 		n       = flag.Int("n", 16, "number of nodes = number of node processes")
 		seed    = flag.Uint64("seed", 1, "root random seed (also derives the topology)")
 		out     = flag.String("out", "", "write the wall-clock vs simulated-rounds artifact to this JSON file")

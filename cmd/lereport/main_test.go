@@ -2,13 +2,11 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
-
-	"anonlead/internal/harness"
 )
 
 var baselinePath = filepath.Join("..", "..", "testdata", "BENCH_baseline.json")
@@ -46,21 +44,6 @@ func TestCLIDeterministic(t *testing.T) {
 	}
 }
 
-// TestCLICSV: -format csv emits the long-form export.
-func TestCLICSV(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-format", "csv", baselinePath}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr.String())
-	}
-	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
-	if !strings.HasPrefix(lines[0], "section,protocol,family,n") {
-		t.Fatalf("CSV header: %s", lines[0])
-	}
-	if len(lines) < 100 {
-		t.Fatalf("only %d CSV rows from the baseline artifact", len(lines))
-	}
-}
-
 // TestCLIOutFile: -out writes the report to disk and prints the path.
 func TestCLIOutFile(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "report.md")
@@ -80,64 +63,22 @@ func TestCLIOutFile(t *testing.T) {
 	}
 }
 
-// writeArtifact writes a one-cell artifact with the given messages mean.
-func writeArtifact(t *testing.T, dir, name string, msgs float64) string {
-	t.Helper()
-	dist := func(mean float64) *harness.ArtifactDist {
-		return &harness.ArtifactDist{StdDev: 1, Min: mean, Max: mean, P50: mean, P90: mean, P99: mean}
-	}
-	a := harness.Artifact{Schema: harness.ArtifactSchema, Cells: []harness.ArtifactCell{{
-		Protocol: "ire", Family: "expander", N: 64, Trials: 8, Successes: 8,
-		Messages: msgs, Bits: msgs, Rounds: 10, Charged: 10,
-		MessagesDist: dist(msgs), BitsDist: dist(msgs), RoundsDist: dist(10), ChargedDist: dist(10),
-	}}}
-	buf, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := filepath.Join(dir, name)
-	if err := os.WriteFile(p, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-// TestCLISeriesTrends: three artifacts in chronological order produce a
-// trajectory section classifying the improvement.
-func TestCLISeriesTrends(t *testing.T) {
-	dir := t.TempDir()
-	paths := []string{
-		writeArtifact(t, dir, "pr1.json", 1000),
-		writeArtifact(t, dir, "pr2.json", 900),
-		writeArtifact(t, dir, "pr3.json", 500),
-	}
-	var stdout, stderr bytes.Buffer
-	if code := run(paths, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr.String())
-	}
-	out := stdout.String()
-	for _, want := range []string{
-		"## Trajectory — 3 artifacts: pr1.json → pr2.json → pr3.json",
-		"1000 → 900 → 500",
-		"improving",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("series output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // TestCLIErrors: usage and IO failures exit 2 with a diagnostic naming the
-// offending argument.
+// offending argument — among them a second artifact (comparison is
+// benchdiff's job, and the message says so) and the flags of the deleted
+// series and CSV modes.
 func TestCLIErrors(t *testing.T) {
 	cases := []struct {
 		args []string
 		want string
 	}{
-		{nil, "artifact file is required"},                                               // no artifact
-		{[]string{"-format", "pdf", baselinePath}, "-format"},                            // unknown format
-		{[]string{filepath.Join(t.TempDir(), "missing.json")}, "missing.json"},           // unreadable file
-		{[]string{"-format", "csv", "-phases", "/nonexistent", baselinePath}, "-phases"}, // md-only flag on csv
+		{nil, "artifact file is required"},
+		{[]string{baselinePath, baselinePath}, "benchdiff -base OLD -head NEW -fail-on regressed"},
+		{[]string{filepath.Join(t.TempDir(), "missing.json")}, "missing.json"},
+		{[]string{"-phases", filepath.Join(t.TempDir(), "missing-obs.json"), baselinePath}, "missing-obs.json"},
+		{[]string{"-format", "csv", baselinePath}, "not defined: -format"},
+		{[]string{"-fail-on", "regressing", baselinePath}, "not defined: -fail-on"},
+		{[]string{"-rel-tol", "0.1", baselinePath}, "not defined: -rel-tol"},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer
@@ -151,16 +92,22 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
-// TestCLIUsageDocumentsFlags: -h names every flag and the series form.
+// TestCLIUsageDocumentsFlags: -h lists exactly the three flags, and says
+// where comparison lives.
 func TestCLIUsageDocumentsFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-h"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("-h exit %d", code)
 	}
 	usage := stderr.String()
-	for _, want := range []string{"-format", "-out", "-title", "-rel-tol", "-sigmas", "newest.json"} {
-		if !strings.Contains(usage, want) {
-			t.Fatalf("usage missing %q:\n%s", want, usage)
-		}
+	var flags []string
+	for _, m := range regexp.MustCompile(`(?m)^  -([a-z-]+)`).FindAllStringSubmatch(usage, -1) {
+		flags = append(flags, m[1])
+	}
+	if got := strings.Join(flags, " "); got != "out phases title" {
+		t.Fatalf("flag set %q, want exactly out, phases, title:\n%s", got, usage)
+	}
+	if !strings.Contains(usage, "benchdiff -base OLD -head NEW") {
+		t.Fatalf("usage does not point at benchdiff:\n%s", usage)
 	}
 }

@@ -94,7 +94,7 @@ func ExampleNetwork_Run_walknotify() {
 }
 
 // A fault-injected public run: the adversary is declared, deterministic,
-// and its damage lands on the public Result counters.
+// and its damage lands on the public Outcome counters.
 func ExampleNetwork_Run_adversary() {
 	nw, err := anonlead.NewNetwork("expander", 64, 7)
 	if err != nil {

@@ -6,7 +6,7 @@
 // anchored at the fault-free point (a zero AdversarySpec is byte-identical
 // to no adversary at all). Every fault decision is a pure function of the
 // run seed, so the whole chart is reproducible to the byte — and the
-// Dropped/Delayed/Crashed counters land directly on the public Result.
+// Dropped/Delayed/Crashed counters land directly on the public Outcome.
 //
 // Three ladders: message loss vs IRE, crash-stop vs FloodMax, delivery
 // jitter vs walk-and-notify. The last run streams per-round metrics

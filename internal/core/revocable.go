@@ -59,6 +59,21 @@ func resolveRevocable(pc ProtoConfig) (revParams, error) {
 	return p, nil
 }
 
+// ResolveRevocable reports the diffusion schedule a Revocable run of pc
+// follows at estimate k — the white-node probability p(k), the alarm
+// threshold τ(k), the diffusion length r(k) and the share 1/(2k^{1+ε}) of
+// its potential a node sends each neighbour: what the Lemmas 5-8 ablation
+// evolves exactly.
+func ResolveRevocable(pc ProtoConfig) (schedule func(k uint64) (pWhite, tau float64, r int, share float64), err error) {
+	p, err := resolveRevocable(pc)
+	if err != nil {
+		return nil, err
+	}
+	return func(k uint64) (float64, float64, int, float64) {
+		return p.pOf(k), p.tauOf(k), p.rOf(k), p.shareOf(k)
+	}, nil
+}
+
 // buildRevocable is the registry's revocable builder. The run is
 // open-ended: Converged is polled every CheckEvery rounds under MaxRounds.
 func buildRevocable(pc ProtoConfig) (Runner, error) {
@@ -165,6 +180,12 @@ func (p revParams) fOf(k uint64) int {
 // pOf returns p(k) = ln2 / k^{1+ε}, the white-node probability.
 func (p revParams) pOf(k uint64) float64 {
 	return math.Ln2 / p.kPow(k)
+}
+
+// shareOf returns 1/(2k^{1+ε}), the fraction of its potential a node sends
+// each neighbour per diffusion step (Algorithm 7's averaging update).
+func (p revParams) shareOf(k uint64) float64 {
+	return 1 / (2 * p.kPow(k))
 }
 
 // tauOf returns τ(k) = 1 − 1/(k^{1+ε} − 1), the potential alarm threshold.
@@ -372,7 +393,7 @@ func (m *RevocableMachine) startEstimate() {
 	m.rK = m.p.rOf(m.k)
 	m.dissK = m.p.dissOf(m.k)
 	m.tau = m.p.tauOf(m.k)
-	m.share = 1 / (2 * m.p.kPow(m.k))
+	m.share = m.p.shareOf(m.k)
 	m.degCap = m.p.kPow(m.k)
 	m.idRange = m.p.idRangeOf(m.k)
 	m.iter = 0

@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"anonlead/internal/rng"
 )
@@ -343,84 +345,101 @@ func GNPConnected(n int, p float64, r *rng.RNG) (*Graph, error) {
 	return nil, ErrDisconnected
 }
 
-// ByName constructs a family member by name for the CLI tools and the
-// experiment harness. Supported names: cycle, path, complete, star, grid,
-// torus, hypercube (n rounded down to a power of two), tree, barbell,
-// lollipop, regular (degree 4), regular3, regular6, gnp (p = 2 ln n / n),
-// expander (alias for regular6), diam2 (clique-of-cliques with a hub,
-// k ≈ √(n-1) cliques; alias cliquehub).
-func ByName(name string, n int, r *rng.RNG) (*Graph, error) {
-	// n comes from a flag or a caller's argument here, so a size the
-	// constructor would panic on is an error, not programmer misuse.
-	if minN, ok := byNameMinSize[name]; ok && n < minN {
-		return nil, fmt.Errorf("graph: %s needs n>=%d, got %d", name, minN, n)
-	}
-	switch name {
-	case "cycle":
-		return Cycle(n), nil
-	case "path":
-		return Path(n), nil
-	case "complete":
-		return Complete(n), nil
-	case "star":
-		return Star(n), nil
-	case "grid":
+// family is one row of the family table: what ByName, FamilyNames, the
+// size refusals and the CLIs' -graph help know about a named family.
+type family struct {
+	name string
+	// aliases are other spellings ByName accepts; help lists them after
+	// name, FamilyNames does not list them.
+	aliases []string
+	// minN is the smallest n the family has a member for; ByName refuses
+	// anything below it, so build never sees a size its constructor panics
+	// on (n comes from a flag or a caller's argument there: an error, not
+	// programmer misuse).
+	minN int
+	// build maps n >= minN (and the stream, for the random families) to
+	// the constructor's parameters.
+	build func(n int, r *rng.RNG) (*Graph, error)
+}
+
+// regular builds the d-regular random family.
+func regular(d int) func(int, *rng.RNG) (*Graph, error) {
+	return func(n int, r *rng.RNG) (*Graph, error) { return RandomRegular(n, d, r) }
+}
+
+// families is the family table, in FamilyNames order. A family is declared
+// here and nowhere else.
+var families = []family{
+	{name: "cycle", minN: 3, build: func(n int, _ *rng.RNG) (*Graph, error) { return Cycle(n), nil }},
+	{name: "path", minN: 2, build: func(n int, _ *rng.RNG) (*Graph, error) { return Path(n), nil }},
+	{name: "complete", minN: 2, build: func(n int, _ *rng.RNG) (*Graph, error) { return Complete(n), nil }},
+	{name: "star", minN: 2, build: func(n int, _ *rng.RNG) (*Graph, error) { return Star(n), nil }},
+	{name: "grid", minN: 2, build: func(n int, _ *rng.RNG) (*Graph, error) {
 		rows, cols := squareDims(n)
 		return Grid(rows, cols), nil
-	case "torus":
+	}},
+	{name: "torus", minN: 9, build: func(n int, _ *rng.RNG) (*Graph, error) {
 		rows, cols := squareDims(n)
-		if rows < 3 || cols < 3 {
-			return nil, fmt.Errorf("graph: torus needs n>=9, got %d", n)
+		if rows < 3 {
+			return nil, fmt.Errorf("graph: torus needs n = rows x cols with both >= 3, got %d = %d x %d", n, rows, cols)
 		}
 		return Torus(rows, cols), nil
-	case "hypercube":
+	}},
+	// n rounded down to a power of two.
+	{name: "hypercube", minN: 2, build: func(n int, _ *rng.RNG) (*Graph, error) {
 		dim := 0
 		for (1 << (dim + 1)) <= n {
 			dim++
 		}
-		if dim < 1 {
-			return nil, fmt.Errorf("graph: hypercube needs n>=2, got %d", n)
-		}
 		return Hypercube(dim), nil
-	case "tree":
-		return BinaryTree(n), nil
-	case "barbell":
+	}},
+	{name: "tree", minN: 2, build: func(n int, _ *rng.RNG) (*Graph, error) { return BinaryTree(n), nil }},
+	{name: "barbell", minN: 6, build: func(n int, _ *rng.RNG) (*Graph, error) {
 		k := n / 3
-		if k < 2 {
-			return nil, fmt.Errorf("graph: barbell needs n>=6, got %d", n)
-		}
 		return Barbell(k, n-2*k+1), nil
-	case "lollipop":
+	}},
+	{name: "lollipop", minN: 4, build: func(n int, _ *rng.RNG) (*Graph, error) {
 		k := n / 2
-		if k < 2 || n-k < 1 {
-			return nil, fmt.Errorf("graph: lollipop needs n>=5, got %d", n)
-		}
 		return Lollipop(k, n-k), nil
-	case "regular", "regular4":
-		return RandomRegular(n, 4, r)
-	case "regular3":
+	}},
+	{name: "regular", aliases: []string{"regular4"}, minN: 5, build: regular(4)},
+	// Degree 3 where n is even, else 4 (a 3-regular graph needs 3n even).
+	{name: "regular3", minN: 4, build: func(n int, r *rng.RNG) (*Graph, error) {
 		d := 3
 		if (n*d)%2 != 0 {
 			d = 4
 		}
 		return RandomRegular(n, d, r)
-	case "regular6", "expander":
-		return RandomRegular(n, 6, r)
-	case "diam2", "cliquehub":
-		if n < 4 {
-			return nil, fmt.Errorf("graph: diam2 needs n>=4, got %d", n)
-		}
+	}},
+	{name: "regular6", minN: 7, build: regular(6)},
+	{name: "expander", minN: 7, build: regular(6)},
+	// p = 2 ln n / n, conditioned on connectivity.
+	{name: "gnp", minN: 2, build: func(n int, r *rng.RNG) (*Graph, error) {
+		return GNPConnected(n, 2.0*math.Log(float64(n))/float64(n), r)
+	}},
+	// Clique-of-cliques with a hub, k ≈ √(n-1) cliques.
+	{name: "diam2", aliases: []string{"cliquehub"}, minN: 4, build: func(n int, _ *rng.RNG) (*Graph, error) {
 		k := int(math.Sqrt(float64(n - 1)))
 		if k < 2 {
 			k = 2
 		}
 		return CliqueOfCliques(n, k), nil
-	case "gnp":
-		p := 2.0 * math.Log(float64(n)) / float64(n)
-		return GNPConnected(n, p, r)
-	default:
-		return nil, fmt.Errorf("graph: unknown family %q", name)
+	}},
+}
+
+// ByName constructs a family member by name (or alias) for the CLI tools
+// and the experiment harness; FamilyHelp lists what it accepts.
+func ByName(name string, n int, r *rng.RNG) (*Graph, error) {
+	for _, f := range families {
+		if name != f.name && !slices.Contains(f.aliases, name) {
+			continue
+		}
+		if n < f.minN {
+			return nil, fmt.Errorf("graph: %s needs n>=%d, got %d", name, f.minN, n)
+		}
+		return f.build(n, r)
 	}
+	return nil, fmt.Errorf("graph: unknown family %q", name)
 }
 
 // Seeded is the one derivation of a named family member from a run seed:
@@ -431,20 +450,29 @@ func Seeded(family string, n int, seed uint64) (*Graph, error) {
 	return ByName(family, n, rng.New(seed).SplitString("graph:"+family))
 }
 
-// byNameMinSize is the smallest n of the families whose constructors take n
-// as is and panic below it (the other families derive their parameters
-// from n and are checked in ByName's switch).
-var byNameMinSize = map[string]int{
-	"cycle": 3, "path": 2, "complete": 2, "star": 2, "grid": 2, "tree": 2, "gnp": 2,
+// FamilyNames lists the canonical family names, in table order.
+func FamilyNames() []string {
+	names := make([]string, len(families))
+	for i, f := range families {
+		names[i] = f.name
+	}
+	return names
 }
 
-// FamilyNames lists the names accepted by ByName, for CLI help text.
-func FamilyNames() []string {
-	return []string{
-		"cycle", "path", "complete", "star", "grid", "torus", "hypercube",
-		"tree", "barbell", "lollipop", "regular", "regular3", "regular6",
-		"expander", "gnp", "diam2",
+// FamilyHelp is the -graph flag's list of accepted names: every family,
+// each followed by its aliases.
+func FamilyHelp() string {
+	var b strings.Builder
+	for i, f := range families {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(f.name)
+		if len(f.aliases) > 0 {
+			b.WriteString(" (or " + strings.Join(f.aliases, ", ") + ")")
+		}
 	}
+	return b.String()
 }
 
 // squareDims returns the most-square rows x cols factorization of n, i.e.

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -289,19 +290,29 @@ func TestByNameAllFamilies(t *testing.T) {
 
 // TestByNameSmallSizes: n reaches ByName from flags and public arguments,
 // so a size below a family's minimum is an error naming the family, never
-// the constructor's panic.
+// the constructor's panic — for every name the family table accepts,
+// aliases included, each of which the -graph help must list.
 func TestByNameSmallSizes(t *testing.T) {
-	for _, name := range append(FamilyNames(), "regular4", "cliquehub") {
-		for _, n := range []int{-1, 0, 1, 2} {
-			g, err := ByName(name, n, rng.New(3))
-			if err != nil {
-				if !strings.HasPrefix(err.Error(), "graph: ") {
-					t.Errorf("ByName(%q, %d): error %q does not say where it is from", name, n, err)
-				}
-				continue
+	help := " " + strings.NewReplacer(",", " ", "(", " ", ")", " ").Replace(FamilyHelp()) + " "
+	for _, f := range families {
+		for _, name := range append([]string{f.name}, f.aliases...) {
+			if !strings.Contains(help, " "+name+" ") {
+				t.Errorf("ByName accepts %q but the -graph help does not list it: %s", name, FamilyHelp())
 			}
-			if err := g.Validate(); err != nil || !g.IsConnected() {
-				t.Errorf("ByName(%q, %d) returned an unusable graph (validate: %v)", name, n, err)
+			for n := -1; n <= f.minN; n++ {
+				g, err := ByName(name, n, rng.New(3))
+				if (err != nil) != (n < f.minN) {
+					t.Errorf("ByName(%q, %d) with minN %d: err %v", name, n, f.minN, err)
+				}
+				if err != nil {
+					if want := fmt.Sprintf("graph: %s needs n>=%d, got %d", name, f.minN, n); err.Error() != want {
+						t.Errorf("ByName(%q, %d): error %q, want %q", name, n, err, want)
+					}
+					continue
+				}
+				if err := g.Validate(); err != nil || !g.IsConnected() {
+					t.Errorf("ByName(%q, %d) returned an unusable graph (validate: %v)", name, n, err)
+				}
 			}
 		}
 	}

@@ -200,7 +200,10 @@ type DiffusionPoint struct {
 // AblationDiffusion evolves the diffusion phase exactly on the workload
 // graph for doubling estimates and compares the threshold detector against
 // the Lemma 5 guarantee: once k^{1+ε} ≥ 2n+1 and at least one white node
-// exists, no potential exceeds τ(k).
+// exists, no potential exceeds τ(k). The schedule — p(k), τ(k), r(k) and
+// the diffusion share — is the Revocable machine's own, resolved from the
+// same ProtoConfig a run with this ε and the graph's i(G) would get; only
+// the simulation cap on r(k) is X3's.
 func AblationDiffusion(w Workload, eps float64, maxK uint64, seed uint64) ([]DiffusionPoint, error) {
 	g, err := w.BuildGraph(seed)
 	if err != nil {
@@ -210,13 +213,16 @@ func AblationDiffusion(w Workload, eps float64, maxK uint64, seed uint64) ([]Dif
 	if err != nil {
 		return nil, err
 	}
+	schedule, err := core.ResolveRevocable(core.ProtoConfig{Epsilon: eps, Iso: prof.Isoperimetric})
+	if err != nil {
+		return nil, err
+	}
 	n := g.N()
 	r := rng.New(seed).SplitString("diffusion")
 	var points []DiffusionPoint
 	for k := uint64(2); k <= maxK; k *= 2 {
 		kp := math.Pow(float64(k), 1+eps)
-		share := 1 / (2 * kp)
-		pWhite := math.Ln2 / kp
+		pWhite, tau, rounds, share := schedule(k)
 		// Sample colors; force at least one white in the Lemma 5 regime
 		// so the guarantee's precondition (ℓ >= 1) holds.
 		white := make([]bool, n)
@@ -236,17 +242,12 @@ func AblationDiffusion(w Workload, eps float64, maxK uint64, seed uint64) ([]Dif
 		if err != nil {
 			return nil, err
 		}
-		rounds := int(8*kp*kp/(prof.Isoperimetric*prof.Isoperimetric)*math.Log(kp*kp) + kp*math.Log(2*float64(k)))
-		if rounds < 1 {
-			rounds = 1
-		}
 		const roundCap = 2_000_000
 		if rounds > roundCap {
 			rounds = roundCap
 		}
 		proc.Run(rounds)
 		maxPot := proc.Max()
-		tau := 1 - 1/(kp-1)
 		points = append(points, DiffusionPoint{
 			K: k, KPow: kp, Rounds: rounds, Whites: whites,
 			MaxPot: maxPot, Tau: tau,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"anonlead/internal/core"
+	"anonlead/internal/spectral"
 )
 
 func TestWorkloadBuildDeterministic(t *testing.T) {
@@ -215,6 +216,48 @@ func TestAblationDiffusionDetectorRegimes(t *testing.T) {
 	out := RenderAblationDiffusion(w, points)
 	if !strings.Contains(out, "Lemmas 5-8") {
 		t.Fatal("render missing title")
+	}
+}
+
+// TestAblationDiffusionUsesProtocolSchedule: X3 evolves the Revocable
+// machine's own diffusion schedule — r(k) rounds against threshold τ(k) as
+// core resolves them for this ε and the graph's i(G) — for every estimate
+// whose r(k) fits under the simulation cap.
+func TestAblationDiffusionUsesProtocolSchedule(t *testing.T) {
+	w := Workload{Family: "cycle", N: 16}
+	const eps, seed = 0.5, 1
+	points, err := AblationDiffusion(w, eps, 64, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := w.BuildGraph(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := spectral.ProfileGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedule, err := core.ResolveRevocable(core.ProtoConfig{Epsilon: eps, Iso: prof.Isoperimetric})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncapped := 0
+	for _, p := range points {
+		_, tau, r, _ := schedule(p.K)
+		if p.Tau != tau {
+			t.Errorf("k=%d: X3 thresholds at %v, the protocol at τ(k)=%v", p.K, p.Tau, tau)
+		}
+		if r > 2_000_000 {
+			continue
+		}
+		uncapped++
+		if p.Rounds != r {
+			t.Errorf("k=%d: X3 evolved %d rounds, the protocol diffuses r(k)=%d", p.K, p.Rounds, r)
+		}
+	}
+	if uncapped == 0 {
+		t.Fatal("every estimate hit the simulation cap; nothing compared")
 	}
 }
 

@@ -3,14 +3,12 @@ package report
 import (
 	"fmt"
 	"strings"
-
-	"anonlead/internal/trajectory"
 )
 
 // Markdown renders the report as GitHub-flavored markdown, shaped the way
 // the paper presents its evaluation: a Table-1 section per protocol×family
 // with measured-vs-predicted columns, the knowledge ablation, the fault
-// degradation ladders, and (in series mode) the trend section. Output is
+// degradation ladders and the epoch scenario tables. Output is
 // byte-deterministic for a given report.
 func (r Report) Markdown() string {
 	var b strings.Builder
@@ -52,9 +50,6 @@ func (r Report) Markdown() string {
 		for _, et := range r.Epochs {
 			b.WriteString(r.epochMarkdown(et))
 		}
-	}
-	if r.Trends != nil {
-		b.WriteString(r.trendsMarkdown())
 	}
 	return b.String()
 }
@@ -163,67 +158,6 @@ func (r Report) faultMarkdown(ft FaultTable) string {
 		b.WriteString("> no fault-free anchor cell in this ladder; `×` columns unavailable.\n\n")
 	}
 	return b.String()
-}
-
-// trendsMarkdown renders the series trend section.
-func (r Report) trendsMarkdown() string {
-	t := r.Trends
-	var b strings.Builder
-	fmt.Fprintf(&b, "## Trajectory — %d artifacts: %s\n\n", len(t.Labels), strings.Join(t.Labels, " → "))
-	fmt.Fprintf(&b, "**%d improving · %d flat · %d regressing** metric trends across %d tracked cells.\n\n",
-		t.Improving, t.Flat, t.Regressing, len(t.Cells))
-
-	moved := false
-	for _, ct := range t.Cells {
-		for _, mt := range ct.Metrics {
-			if mt.Trend != trajectory.TrendFlat {
-				moved = true
-			}
-		}
-	}
-	if moved {
-		b.WriteString("| cell | metric | trajectory | Δ | trend |\n")
-		b.WriteString("|---|---|---|---:|---|\n")
-		for _, ct := range t.Cells {
-			for _, mt := range ct.Metrics {
-				if mt.Trend == trajectory.TrendFlat {
-					continue
-				}
-				vals := make([]string, len(mt.Values))
-				for i, v := range mt.Values {
-					vals[i] = num(v)
-				}
-				fmt.Fprintf(&b, "| %s | %s | %s | %+.1f%% | %s %s |\n",
-					ct.Key, mt.Metric, strings.Join(vals, " → "),
-					100*mt.RelDelta, trendIcon(mt.Trend), mt.Trend)
-			}
-		}
-		b.WriteString("\n")
-	} else if len(t.Cells) > 0 {
-		b.WriteString("No metric moved beyond the thresholds anywhere in the series.\n\n")
-	}
-
-	if len(t.Partial) > 0 {
-		b.WriteString("**Partial cells** (missing from at least one series point, not classified):\n")
-		for _, k := range t.Partial {
-			fmt.Fprintf(&b, "- %s\n", k)
-		}
-		b.WriteString("\n")
-	}
-	fmt.Fprintf(&b, "Trend thresholds: rel-tol %.3g, sigmas %.3g (endpoint Welch gates; "+
-		"success by Wilson disjointness).\n", t.Thresholds.RelTol, t.Thresholds.Sigmas)
-	return b.String()
-}
-
-func trendIcon(t trajectory.Trend) string {
-	switch t {
-	case trajectory.TrendImproving:
-		return "🟢"
-	case trajectory.TrendRegressing:
-		return "🔴"
-	default:
-		return "⚪"
-	}
 }
 
 // num renders a measured value compactly and deterministically: integers

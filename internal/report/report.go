@@ -2,15 +2,15 @@
 // paper's evaluation section would print: Table-1-shaped measured-vs-
 // predicted tables per protocol×family, the Dieudonné–Pelc knowledge-
 // ablation comparison, fault-degradation ladders anchored at their
-// fault-free cells, Wilson success intervals everywhere, and — when fed
-// an ordered artifact series — per-metric trend classification
-// (improving/flat/regressing) via the trajectory package's Welch
-// machinery.
+// fault-free cells, repeated-election epoch tables, and Wilson success
+// intervals everywhere. It reads one artifact; comparing two is
+// internal/trajectory's question (cmd/benchdiff), and the two packages
+// share nothing but harness.Artifact.
 //
 // Everything is a pure function of the artifact bytes: section order
 // follows artifact cell order, all numbers render with fixed rules, and
 // no wall-clock field is consulted, so the same artifact always produces
-// byte-identical markdown/CSV (pinned by the golden test against
+// byte-identical markdown (pinned by the golden test against
 // testdata/BENCH_baseline.json). cmd/lereport is the CLI; CI renders the
 // head artifact's report into the job summary.
 package report
@@ -21,15 +21,12 @@ import (
 
 	"anonlead/internal/harness"
 	"anonlead/internal/stats"
-	"anonlead/internal/trajectory"
 )
 
 // Options tunes report generation. The zero value is the default report.
 type Options struct {
 	// Title overrides the report heading (default "Reproduction report").
 	Title string
-	// Trend tunes the series trend classifier (zero = trajectory defaults).
-	Trend trajectory.Thresholds
 }
 
 func (o Options) title() string {
@@ -44,11 +41,6 @@ func (o Options) title() string {
 // and — in anchored sections — cost ratios against the anchor).
 type Row struct {
 	Cell harness.ArtifactCell
-	// occurrence is this cell's duplicate-key occurrence index within the
-	// artifact (fault-ladder anchors share a key with their Table-1
-	// sibling); trend lookups match the same occurrence, mirroring how the
-	// trajectory series pairs duplicates.
-	occurrence int
 	// SuccessLo and SuccessHi are the ~95% Wilson bounds of the success
 	// rate, recomputed from successes/trials.
 	SuccessLo, SuccessHi float64
@@ -137,8 +129,7 @@ type EpochTable struct {
 	HasAnchor bool
 }
 
-// Report is the structured reproduction report one artifact (or series)
-// renders to.
+// Report is the structured reproduction report one artifact renders to.
 type Report struct {
 	Title    string
 	Schema   string
@@ -149,13 +140,9 @@ type Report struct {
 	Knowledge []KnowledgeTable
 	Faults    []FaultTable
 	Epochs    []EpochTable
-
-	// Trends is the series trend classification (nil in single-artifact
-	// mode).
-	Trends *trajectory.SeriesReport
 }
 
-// New builds the report of a single artifact.
+// New builds the report of an artifact.
 func New(a harness.Artifact, opts Options) Report {
 	r := Report{
 		Title:    opts.title(),
@@ -164,15 +151,6 @@ func New(a harness.Artifact, opts Options) Report {
 		Cells:    len(a.Cells),
 	}
 	r.section(a.Cells)
-	return r
-}
-
-// NewSeries builds the report of the newest artifact of an ordered
-// series (oldest first), plus the cross-series trend section.
-func NewSeries(s trajectory.Series, opts Options) Report {
-	r := New(s.Artifacts[len(s.Artifacts)-1], opts)
-	trends := s.Trends(opts.Trend)
-	r.Trends = &trends
 	return r
 }
 
@@ -187,15 +165,6 @@ func identityOf(c harness.ArtifactCell) cellIdentity {
 	return cellIdentity{Protocol: c.Protocol, Family: c.Family, N: c.N, PresumedN: c.PresumedN}
 }
 
-// trajKeyOf is the cell's trajectory alignment key (the adversary-,
-// profile-regime- and scenario-aware identity duplicate occurrences are
-// counted under).
-func trajKeyOf(c harness.ArtifactCell) trajectory.Key {
-	return trajectory.Key{Protocol: c.Protocol, Family: c.Family, N: c.N,
-		PresumedN: c.PresumedN, Adversary: c.Adversary,
-		ProfileMode: c.ProfileMode, Scenario: c.Scenario}
-}
-
 // section reconstructs the sweep structure from the flat cell list, in
 // order: fault ladders (a fault-free cell immediately followed by faulted
 // cells of the same identity, or bare faulted runs), knowledge sweeps
@@ -205,18 +174,6 @@ func trajKeyOf(c harness.ArtifactCell) trajectory.Key {
 func (r *Report) section(cells []harness.ArtifactCell) {
 	famIdx := map[[2]string]int{}
 	knowIdx := map[cellIdentity]int{} // keyed by (proto, family, n, 0)
-
-	// Cells are consumed strictly in artifact order, so counting
-	// duplicate-key occurrences here matches the trajectory series'
-	// occurrence pairing.
-	occSeen := map[trajectory.Key]int{}
-	mkRow := func(c harness.ArtifactCell) Row {
-		row := newRow(c)
-		k := trajKeyOf(c)
-		row.occurrence = occSeen[k]
-		occSeen[k]++
-		return row
-	}
 
 	for i := 0; i < len(cells); {
 		c := cells[i]
@@ -235,7 +192,7 @@ func (r *Report) section(cells []harness.ArtifactCell) {
 			}
 			for i < len(cells) && cells[i].Scenario == c.Scenario && identityOf(cells[i]) == id &&
 				(len(et.Rows) == 0 || cells[i].Adversary != "") {
-				row := mkRow(cells[i])
+				row := newRow(cells[i])
 				if &cells[i] != anchor {
 					row.anchorRatios(anchor)
 				}
@@ -255,11 +212,11 @@ func (r *Report) section(cells []harness.ArtifactCell) {
 			if c.Adversary == "" {
 				anchor = &cells[i]
 				ft.HasAnchor = true
-				ft.Rows = append(ft.Rows, mkRow(c))
+				ft.Rows = append(ft.Rows, newRow(c))
 				i++
 			}
 			for i < len(cells) && cells[i].Adversary != "" && identityOf(cells[i]) == id {
-				row := mkRow(cells[i])
+				row := newRow(cells[i])
 				row.anchorRatios(anchor)
 				ft.Rows = append(ft.Rows, row)
 				i++
@@ -283,7 +240,7 @@ func (r *Report) section(cells []harness.ArtifactCell) {
 				})
 				kt = &r.Knowledge[len(r.Knowledge)-1]
 			}
-			kt.Rows = append(kt.Rows, mkRow(c))
+			kt.Rows = append(kt.Rows, newRow(c))
 			i++
 			continue
 		}
@@ -298,7 +255,7 @@ func (r *Report) section(cells []harness.ArtifactCell) {
 			r.Families = append(r.Families, FamilyTable{Protocol: c.Protocol, Family: c.Family})
 			ft = &r.Families[len(r.Families)-1]
 		}
-		ft.Rows = append(ft.Rows, mkRow(c))
+		ft.Rows = append(ft.Rows, newRow(c))
 		i++
 	}
 
@@ -358,39 +315,7 @@ func knowledgeFactor(c harness.ArtifactCell) float64 {
 	return float64(c.PresumedN) / float64(c.N)
 }
 
-// trendFor finds the series trend of one metric of one rendered row (nil
-// when the report has no series, or the row's cell is not tracked across
-// it). Duplicate-key rows match the tracked cell of the same occurrence
-// index — the trajectory series pairs duplicates by occurrence, so a
-// fault-ladder anchor never inherits its Table-1 sibling's verdict.
-func (r Report) trendFor(row Row, metric string) *trajectory.MetricTrend {
-	if r.Trends == nil {
-		return nil
-	}
-	key, occ := trajKeyOf(row.Cell), 0
-	for i := range r.Trends.Cells {
-		if r.Trends.Cells[i].Key != key {
-			continue
-		}
-		if occ != row.occurrence {
-			occ++
-			continue
-		}
-		for j := range r.Trends.Cells[i].Metrics {
-			if r.Trends.Cells[i].Metrics[j].Metric == metric {
-				return &r.Trends.Cells[i].Metrics[j]
-			}
-		}
-		return nil
-	}
-	return nil
-}
-
 // describe renders the one-line artifact summary under the title.
 func (r Report) describe() string {
-	s := fmt.Sprintf("artifact schema `%s` · root seed %d · %d cells", r.Schema, r.RootSeed, r.Cells)
-	if r.Trends != nil {
-		s += fmt.Sprintf(" · series of %d artifacts", len(r.Trends.Labels))
-	}
-	return s
+	return fmt.Sprintf("artifact schema `%s` · root seed %d · %d cells", r.Schema, r.RootSeed, r.Cells)
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"anonlead/internal/harness"
-	"anonlead/internal/trajectory"
 )
 
 // baselinePath is the committed regression-gate artifact the golden
@@ -47,7 +46,7 @@ func TestBaselineReportGolden(t *testing.T) {
 }
 
 // TestBaselineReportDeterministic: two renders of the same artifact are
-// byte-identical, in both formats.
+// byte-identical.
 func TestBaselineReportDeterministic(t *testing.T) {
 	a, err := harness.ReadArtifactFile(baselinePath)
 	if err != nil {
@@ -56,17 +55,6 @@ func TestBaselineReportDeterministic(t *testing.T) {
 	r1, r2 := New(a, Options{}), New(a, Options{})
 	if r1.Markdown() != r2.Markdown() {
 		t.Fatal("markdown render not deterministic")
-	}
-	c1, err := r1.CSV()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := r2.CSV()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 {
-		t.Fatal("CSV render not deterministic")
 	}
 }
 
@@ -217,135 +205,20 @@ func TestSectioning(t *testing.T) {
 			t.Fatalf("markdown missing %q:\n%s", want, md)
 		}
 	}
-}
 
-// TestSeriesReportTrends: the series constructor appends the trajectory
-// section, classifying the synthetic improve/flat/regress correctly.
-func TestSeriesReportTrends(t *testing.T) {
-	mk := func(msgs float64) harness.Artifact {
-		return harness.Artifact{Schema: harness.ArtifactSchema,
-			Cells: []harness.ArtifactCell{synthCell("ire", "expander", 64, msgs)}}
+	// Duplicate keys: a ladder anchor right after the Table-1 cell it
+	// shares every identity field with still anchors the ladder, and the
+	// family table keeps only its own cell.
+	dup := New(harness.Artifact{Schema: harness.ArtifactSchema, Cells: []harness.ArtifactCell{
+		synthCell("ire", "expander", 64, 1000),
+		synthCell("ire", "expander", 64, 2000), // ladder anchor, same key
+		synthCell("ire", "expander", 64, 400, withAdversary("loss=0.2")),
+	}}, Options{})
+	if len(dup.Families) != 1 || len(dup.Families[0].Rows) != 1 || dup.Families[0].Rows[0].Cell.Messages != 1000 {
+		t.Fatalf("duplicate-key family table wrong: %+v", dup.Families)
 	}
-	s, err := trajectory.NewSeries([]harness.Artifact{mk(1000), mk(900), mk(500)},
-		[]string{"pr1", "pr2", "pr3"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewSeries(s, Options{})
-	if r.Trends == nil || r.Trends.Improving == 0 {
-		t.Fatalf("trend section missing or empty: %+v", r.Trends)
-	}
-	md := r.Markdown()
-	for _, want := range []string{
-		"series of 3 artifacts",
-		"## Trajectory — 3 artifacts: pr1 → pr2 → pr3",
-		"improving",
-		"1000 → 900 → 500",
-		"🟢",
-	} {
-		if !strings.Contains(md, want) {
-			t.Fatalf("series markdown missing %q:\n%s", want, md)
-		}
-	}
-
-	// The CSV export tags the tracked metric with its trend.
-	out, err := r.CSV()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, ",improving") {
-		t.Fatalf("CSV missing trend column:\n%s", out)
-	}
-}
-
-// TestSeriesCSVDuplicateKeyTrends: duplicate-key rows (a fault-ladder
-// anchor sharing a key with its Table-1 sibling) carry their OWN
-// occurrence's trend verdict, not the first occurrence's.
-func TestSeriesCSVDuplicateKeyTrends(t *testing.T) {
-	// Occurrence 0 (table1 row) stays flat; occurrence 1 (the ladder
-	// anchor) regresses 2x between the two artifacts.
-	mk := func(anchorMsgs float64) harness.Artifact {
-		return harness.Artifact{Schema: harness.ArtifactSchema, Cells: []harness.ArtifactCell{
-			synthCell("ire", "expander", 64, 1000),
-			synthCell("ire", "expander", 64, anchorMsgs),
-			synthCell("ire", "expander", 64, 400, withAdversary("loss=0.2")),
-		}}
-	}
-	s, err := trajectory.NewSeries([]harness.Artifact{mk(1000), mk(2000)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewSeries(s, Options{})
-	out, err := r.CSV()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var table1, anchor string
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		if !strings.Contains(line, ",messages,") || !strings.Contains(line, ",ire,expander,64,0,,") {
-			continue
-		}
-		if strings.HasPrefix(line, "table1,") {
-			table1 = line
-		} else if strings.HasPrefix(line, "faults,") {
-			anchor = line
-		}
-	}
-	if table1 == "" || anchor == "" {
-		t.Fatalf("duplicate-key messages rows missing:\n%s", out)
-	}
-	if !strings.HasSuffix(table1, ",flat") {
-		t.Fatalf("table1 occurrence should be flat: %s", table1)
-	}
-	if !strings.HasSuffix(anchor, ",regressing") {
-		t.Fatalf("ladder anchor should carry its own regressing verdict: %s", anchor)
-	}
-}
-
-// TestCSVShape: one row per (cell, metric), header first, section tags,
-// all identity columns and derived columns in place.
-func TestCSVShape(t *testing.T) {
-	a := harness.Artifact{Schema: harness.ArtifactSchema, Cells: []harness.ArtifactCell{
-		synthCell("ire", "expander", 32, 1000),
-		synthCell("ire", "expander", 32, 1000),                           // ladder anchor
-		synthCell("ire", "expander", 32, 400, withAdversary("loss=0.2")), // ladder step
-		// Twins of the first cell in every column but one: a three-epoch
-		// total and an estimate-regime cell.
-		synthCell("ire", "expander", 32, 3000, withScenario("epochs=3,fault=crash", nil)),
-		synthCell("ire", "expander", 32, 1100, func(c *harness.ArtifactCell) { c.ProfileMode = "estimate" }),
-	}}
-	r := New(a, Options{})
-	out, err := r.CSV()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 1+5*5 { // header + 5 cells × 5 metrics
-		t.Fatalf("%d CSV lines, want 26:\n%s", len(lines), out)
-	}
-	if !strings.HasPrefix(lines[0], "section,protocol,family,n,presumed_n,adversary,profile_mode,scenario,metric,value") {
-		t.Fatalf("header: %s", lines[0])
-	}
-	if !strings.Contains(out, "table1,ire,expander,32") || !strings.Contains(out, "faults,ire,expander,32,0,loss=0.2") {
-		t.Fatalf("CSV missing section tags:\n%s", out)
-	}
-	// The scenario and estimate cells are told apart from their classic,
-	// exact twin by the identity columns, not just by the value.
-	for _, want := range []string{
-		"table1,ire,expander,32,0,,,,messages,1000,",
-		`epochs,ire,expander,32,0,,,"epochs=3,fault=crash",messages,3000,`,
-		"table1,ire,expander,32,0,,estimate,,messages,1100,",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("CSV missing row %q:\n%s", want, out)
-		}
-	}
-	// The faulted messages row carries its anchor ratio (400/1000).
-	if !strings.Contains(out, "loss=0.2,,,messages,400,1,200,2,0.4") {
-		t.Fatalf("faulted messages row wrong:\n%s", out)
-	}
-	// success_rate rows carry Wilson bounds.
-	if !strings.Contains(out, "success_rate,1,,,,,0.67") {
-		t.Fatalf("success row missing Wilson bounds:\n%s", out)
+	if len(dup.Faults) != 1 || !dup.Faults[0].HasAnchor || len(dup.Faults[0].Rows) != 2 ||
+		dup.Faults[0].Rows[0].Cell.Messages != 2000 || dup.Faults[0].Rows[1].XMsgs != 0.2 {
+		t.Fatalf("duplicate-key ladder wrong: %+v", dup.Faults)
 	}
 }

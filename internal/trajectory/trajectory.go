@@ -1,6 +1,9 @@
-// Package trajectory compares bench artifacts across runs: it aligns the
-// sweep cells of a base and a head BENCH_harness.json by workload identity
-// and classifies each cost metric as improved, unchanged, or regressed.
+// Package trajectory compares two bench artifacts: it aligns the sweep
+// cells of a base and a head BENCH_harness.json by workload identity and
+// classifies each cost metric as improved, unchanged, or regressed.
+// cmd/benchdiff is the CLI. A longer history is a sequence of such pairs
+// (the committed baseline's git log; any two archived artifacts);
+// rendering a single artifact is internal/report's job.
 //
 // The paper's guarantees are probabilistic (w.h.p. message/time bounds),
 // so per-cell measurements carry real trial variance; a useful regression

@@ -398,42 +398,3 @@ func TestDriftClassification(t *testing.T) {
 		}
 	}
 }
-
-// TestCSVRender: the CSV export carries identity columns, one row per
-// metric, and added/removed coverage rows.
-func TestCSVRender(t *testing.T) {
-	classic := cell("ire", "expander", 64, 5, 5, 100, 1)
-	faulted := cell("ire", "expander", 64, 5, 3, 40, 1)
-	faulted.Adversary = "loss=0.1"
-	// Twins of the classic cell in every Key field but one.
-	scenario, estimate := classic, classic
-	scenario.Scenario = "epochs=3,fault=crash"
-	estimate.ProfileMode = "estimate"
-	base := artifact(harness.ArtifactSchema, classic, faulted, scenario, estimate)
-	head := artifact(harness.ArtifactSchema, classic, cell("flood", "cycle", 32, 5, 5, 10, 1), scenario, estimate)
-	out, err := Diff(base, head, Thresholds{}).CSV()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	// header + 5 metrics for each of 3 aligned cells + 1 added + 1 removed.
-	if len(lines) != 18 {
-		t.Fatalf("%d CSV lines, want 18:\n%s", len(lines), out)
-	}
-	if !strings.HasPrefix(lines[0], "protocol,family,n,presumed_n,adversary,profile_mode,scenario,metric") {
-		t.Fatalf("header: %s", lines[0])
-	}
-	// Every Key field is a column, so the twins' rows differ.
-	for _, want := range []string{
-		"ire,expander,64,0,,,,messages,100,100,",
-		`ire,expander,64,0,,,"epochs=3,fault=crash",messages,100,100,`,
-		"ire,expander,64,0,,estimate,,messages,100,100,",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("CSV missing row %q:\n%s", want, out)
-		}
-	}
-	if !strings.Contains(out, "loss=0.1") || !strings.Contains(out, ",removed") || !strings.Contains(out, ",added") {
-		t.Fatalf("CSV missing identity or coverage rows:\n%s", out)
-	}
-}

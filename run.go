@@ -58,7 +58,18 @@ func ProtocolInfo(name string) string {
 // cost accounting shared by every protocol, plus the per-protocol extras
 // (announcement spanning tree, revocable certificate).
 type Outcome struct {
-	Result
+	// Metrics is the run's complete cost accounting. It is embedded, so
+	// out.Rounds, out.Messages, out.ChargedRounds, out.Dropped, … read it
+	// directly; each counter exists once.
+	Metrics
+
+	// Leaders lists the node indices that raised the leader flag. The
+	// indices are simulation-side observability only: the nodes
+	// themselves remain anonymous. Nodes the adversary crashed are
+	// excluded.
+	Leaders []int
+	// Unique reports whether exactly one leader was elected.
+	Unique bool
 
 	// Protocol is the canonical name of the protocol that ran (aliases
 	// resolved).
@@ -92,10 +103,26 @@ type Outcome struct {
 	// the run never forces a profile it did not need). The regime follows
 	// WithProfileMode.
 	Profile *Profile
+}
 
-	// Metrics is the simulator's full cost accounting (the headline
-	// counters are also flattened into the embedded Result).
-	Metrics Metrics
+// LeaderCount returns the number of elected leaders.
+func (o Outcome) LeaderCount() int { return len(o.Leaders) }
+
+// Certificate is a revocable leader certificate: the leader's random ID
+// compounded with the size estimate that was in force when it was chosen.
+// Larger Estimate wins; ties break toward smaller ID.
+type Certificate struct {
+	ID       uint64
+	Estimate uint64
+}
+
+// Less reports whether c loses to other under the paper's certificate
+// order (other is a strictly better leader claim).
+func (c Certificate) Less(other Certificate) bool {
+	if c.Estimate != other.Estimate {
+		return c.Estimate < other.Estimate
+	}
+	return c.ID > other.ID
 }
 
 // Metrics mirrors the simulator's complete cost accounting.
@@ -117,12 +144,16 @@ type Metrics struct {
 	// MaxChannels is the maximum number of distinct logical channels
 	// active on a single link in a single round.
 	MaxChannels int
-	// Dropped counts packets destroyed by the configured adversary.
+	// Dropped counts packets destroyed by a WithAdversary fault policy
+	// (loss or link churn). Dropped packets still count in Messages, Bits
+	// and CONGEST charging: the sender transmitted them. Always 0 on
+	// fault-free runs.
 	Dropped int64
 	// Delayed counts packets the adversary deferred past their normal
-	// next-round delivery.
+	// next-round delivery. Always 0 on fault-free runs.
 	Delayed int64
-	// Crashed counts nodes crash-stopped by the adversary.
+	// Crashed counts nodes crash-stopped by the adversary. Always 0 on
+	// fault-free runs.
 	Crashed int
 }
 
@@ -217,30 +248,28 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 	}
 	defer eng.Close()
 
-	var rounds int
 	var runErr error
 	if runner.Budget > 0 {
-		rounds, runErr = eng.RunContext(ctx, runner.Budget)
+		_, runErr = eng.RunContext(ctx, runner.Budget)
 	} else {
 		every := runner.CheckEvery
 		if every < 1 {
 			every = 1
 		}
-		rounds, runErr = eng.RunUntilContext(ctx, runner.MaxRounds, func(completed int) bool {
+		_, runErr = eng.RunUntilContext(ctx, runner.MaxRounds, func(completed int) bool {
 			return completed%every == 0 && runner.Converged(eng)
 		})
 	}
 
-	out := Outcome{Protocol: entry.Name, Result: Result{Rounds: rounds}}
+	// Metrics.Rounds is the engine's own count of executed rounds — the
+	// value the run call above returns.
+	out := Outcome{Protocol: entry.Name, Metrics: metricsFromSim(eng.Metrics())}
 	if p := nw.cachedProfile(o.profile); p != nil {
 		cp := *p // a copy: callers must not reach into the network's cache
 		out.Profile = &cp
 	}
-	m := eng.Metrics()
-	fillMetrics(&out.Result, m)
-	out.Metrics = metricsFromSim(m)
 	if runErr != nil {
-		return out, fmt.Errorf("anonlead: %s stopped after %d rounds: %w", entry.Name, rounds, runErr)
+		return out, fmt.Errorf("anonlead: %s stopped after %d rounds: %w", entry.Name, out.Rounds, runErr)
 	}
 	if runner.Budget > 0 {
 		if !eng.AllHalted() {
@@ -249,7 +278,7 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 		}
 	} else if !runner.Converged(eng) {
 		return out, fmt.Errorf("anonlead: %s did not stabilize within %d rounds: %w",
-			entry.Name, rounds, ErrNotStabilized)
+			entry.Name, out.Rounds, ErrNotStabilized)
 	}
 
 	co := runner.Collect(eng)

@@ -86,7 +86,7 @@ func TestRunFaultInjectionMatchesInternal(t *testing.T) {
 	if out.Rounds != rounds || out.Messages != m.Messages || out.Bits != m.Bits ||
 		out.Dropped != m.Dropped || out.Crashed != m.Crashes ||
 		out.ChargedRounds != m.ChargedRounds {
-		t.Fatalf("public fault-injected run diverged from internal reference:\npublic  %+v\nrounds=%d metrics=%+v", out.Result, rounds, m)
+		t.Fatalf("public fault-injected run diverged from internal reference:\npublic  %+v\nrounds=%d metrics=%+v", out.Metrics, rounds, m)
 	}
 	var leaders []int
 	for v := 0; v < nw.N(); v++ {
@@ -116,7 +116,7 @@ func TestZeroAdversaryByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(plain, zero) {
-		t.Fatalf("zero adversary perturbed the run:\n%+v\n%+v", plain.Result, zero.Result)
+		t.Fatalf("zero adversary perturbed the run:\n%+v\n%+v", plain.Metrics, zero.Metrics)
 	}
 }
 
@@ -285,6 +285,51 @@ func TestMetricsMirrorParity(t *testing.T) {
 	}
 }
 
+// TestOutcomeRoundsIsExecutedRounds: Outcome carries each counter once, in
+// its embedded Metrics, so out.Rounds must be the number of rounds the
+// engine executed (one observer callback each) on every backend and for
+// every way a run ends: halted within its budget, out of rounds, and
+// cancelled. The out-of-rounds run is revocable's ErrNotStabilized; its
+// fixed-budget twin ErrNotHalted takes the same path through Run but no
+// registered protocol can produce it — every machine halts on a round
+// number its own budget includes.
+func TestOutcomeRoundsIsExecutedRounds(t *testing.T) {
+	nw := mustNetwork(t, "cycle", 8, 0)
+	for _, backend := range []Transport{TransportSim, TransportChan, TransportTCP} {
+		for _, tc := range []struct {
+			name, protocol string
+			opts           []Option
+			cancelAfter    int
+			wantErr        error
+		}{
+			{name: "halts", protocol: ProtoFloodMax},
+			{name: "out-of-rounds", protocol: ProtoRevocable, opts: []Option{WithMaxRounds(10)}, wantErr: ErrNotStabilized},
+			{name: "cancelled", protocol: ProtoFloodMax, cancelAfter: 3, wantErr: context.Canceled},
+		} {
+			t.Run(backend.String()+"/"+tc.name, func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				executed := 0
+				opts := append([]Option{WithSeed(7), WithTransport(backend), WithObserver(func(RoundInfo) {
+					if executed++; executed == tc.cancelAfter {
+						cancel()
+					}
+				})}, tc.opts...)
+				out, err := nw.Run(ctx, tc.protocol, opts...)
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("error %v, want %v", err, tc.wantErr)
+				}
+				if executed == 0 || out.Rounds != executed {
+					t.Fatalf("out.Rounds %d, engine executed %d rounds", out.Rounds, executed)
+				}
+				if tc.cancelAfter > 0 && executed != tc.cancelAfter {
+					t.Fatalf("cancelled after round %d, engine executed %d", tc.cancelAfter, executed)
+				}
+			})
+		}
+	}
+}
+
 // TestRevocableNotStabilized: the sentinel error carries partial metrics.
 func TestRevocableNotStabilized(t *testing.T) {
 	nw, err := NewNetwork("complete", 4, 1)
@@ -296,6 +341,6 @@ func TestRevocableNotStabilized(t *testing.T) {
 		t.Fatalf("expected ErrNotStabilized, got %v", err)
 	}
 	if out.Rounds == 0 || out.Messages == 0 {
-		t.Fatalf("partial outcome missing accounting: %+v", out.Result)
+		t.Fatalf("partial outcome missing accounting: %+v", out.Metrics)
 	}
 }
