@@ -16,12 +16,15 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the concurrent subsystems: simulator schedulers
-# (actors lifecycle and tracing included), the experiment orchestrator, the
-# adversary layer they both drive, the trace recorders, the telemetry
-# registry, the real-transport backend (per-node drivers, port readers, the
-# coordinator, the concurrent TCP handshake) and the epoch engine.
+# (actors lifecycle and tracing included), the protocols run under them
+# (the idle-hint equivalence test steps them on WorkerPool and Actors), the
+# experiment orchestrator, the adversary layer they both drive, the trace
+# recorders, the telemetry registry, the real-transport backend (per-node
+# drivers, port readers, the coordinator, the concurrent TCP handshake) and
+# the epoch engine.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/harness/... ./internal/adversary/... \
+	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/baseline/... \
+		./internal/harness/... ./internal/adversary/... \
 		./internal/trace/... ./internal/obs/... \
 		./internal/transport/... ./internal/epoch/...
 

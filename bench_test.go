@@ -344,23 +344,27 @@ func BenchmarkAblationDiffusion(b *testing.B) {
 
 // electionCells are the protocol-layer speed cells: the three protocols
 // whose Step does real work, each on the topology the host benchmark
-// (bench/) runs it on.
+// (bench/) runs it on, FloodMax on an expander and IRE on the slow-mixing
+// cycle, where most node-rounds have nothing to do.
 var electionCells = []struct {
 	proto     string
+	family    string
 	n         int
 	maxAllocs float64 // allocations per message the guard tolerates
 }{
-	{"ire", 256, 0.5},
-	{"explicit", 256, 0.5},
-	{"walknotify", 64, 1.0},
+	{"ire", "expander", 256, 0.5},
+	{"explicit", "expander", 256, 0.5},
+	{"walknotify", "expander", 64, 1.0},
+	{"floodmax", "expander", 256, 0.5},
+	{"ire", "cycle", 96, 0.5},
 }
 
-// electionSetup resolves a registered protocol on an expander of n nodes
-// into its graph and a builder of Runners. Like the public Run, every
+// electionSetup resolves a registered protocol on a family member of n
+// nodes into its graph and a builder of Runners. Like the public Run, every
 // election builds its own Runner: a factory's arena belongs to one network.
-func electionSetup(tb testing.TB, proto string, n int) (*graph.Graph, func() core.Runner) {
+func electionSetup(tb testing.TB, proto, family string, n int) (*graph.Graph, func() core.Runner) {
 	tb.Helper()
-	g, err := harness.Workload{Family: "expander", N: n}.BuildGraph(1)
+	g, err := harness.Workload{Family: family, N: n}.BuildGraph(1)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -372,7 +376,7 @@ func electionSetup(tb testing.TB, proto string, n int) (*graph.Graph, func() cor
 	if !ok {
 		tb.Fatalf("protocol %q not registered", proto)
 	}
-	pc := core.ProtoConfig{TrueN: n, N: n, TMix: prof.MixingTime, Phi: prof.Conductance}
+	pc := core.ProtoConfig{TrueN: n, N: n, TMix: prof.MixingTime, Phi: prof.Conductance, Diam: prof.Diameter}
 	return g, func() core.Runner {
 		runner, err := entry.Build(pc)
 		if err != nil {
@@ -391,14 +395,38 @@ func runElection(g *graph.Graph, build func() core.Runner, seed uint64) int64 {
 	return nw.Metrics().Messages
 }
 
+// stepCounter counts the Step calls the network makes on a machine.
+type stepCounter struct {
+	sim.Machine
+	steps *int64
+}
+
+func (m stepCounter) Step(ctx *sim.Context, inbox []sim.Packet) {
+	*m.steps++
+	m.Machine.Step(ctx, inbox)
+}
+
+// stepsPerMessage runs one election of seed with every machine wrapped in
+// a stepCounter and returns Step calls per message sent.
+func stepsPerMessage(g *graph.Graph, build func() core.Runner, seed uint64) float64 {
+	runner := build()
+	var steps int64
+	nw := sim.New(sim.Config{Graph: g, Seed: seed}, func(node, degree int, r *rng.RNG) sim.Machine {
+		return stepCounter{Machine: runner.Factory(node, degree, r), steps: &steps}
+	})
+	nw.Run(runner.Budget)
+	return float64(steps) / float64(nw.Metrics().Messages)
+}
+
 // BenchmarkElection is the protocol layer's development loop: whole
-// elections per protocol with the two figures the host benchmark gates on,
-// in seconds (`go test -run '^$' -bench Election -benchtime 20x`) rather
-// than a 16 s pass of `go run ./bench`.
+// elections per protocol with the figures the host benchmark gates on, in
+// seconds (`go test -run '^$' -bench Election -benchtime 20x`) rather than
+// a 16 s pass of `go run ./bench`. steps/message comes from one extra
+// election outside the timed loop, so the timed machines run unwrapped.
 func BenchmarkElection(b *testing.B) {
 	for _, c := range electionCells {
-		b.Run(c.proto, func(b *testing.B) {
-			g, build := electionSetup(b, c.proto, c.n)
+		b.Run(fmt.Sprintf("%s/%s-%d", c.proto, c.family, c.n), func(b *testing.B) {
+			g, build := electionSetup(b, c.proto, c.family, c.n)
 			var before, after runtime.MemStats
 			var msgs int64
 			runtime.ReadMemStats(&before)
@@ -410,6 +438,7 @@ func BenchmarkElection(b *testing.B) {
 			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/message")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(msgs), "allocs/message")
+			b.ReportMetric(stepsPerMessage(g, build, 1), "steps/message")
 		})
 	}
 }
@@ -423,14 +452,14 @@ func BenchmarkElection(b *testing.B) {
 // allocations per message and fails this.
 func TestElectionAllocsPerMessage(t *testing.T) {
 	for _, c := range electionCells {
-		g, build := electionSetup(t, c.proto, c.n)
+		g, build := electionSetup(t, c.proto, c.family, c.n)
 		msgs := runElection(g, build, 1)
 		allocs := testing.AllocsPerRun(3, func() { runElection(g, build, 1) })
 		if got := allocs / float64(msgs); got > c.maxAllocs {
-			t.Errorf("%s on expander-%d: %.2f allocs/message (%.0f allocations, %d messages), want <= %.1f",
-				c.proto, c.n, got, allocs, msgs, c.maxAllocs)
+			t.Errorf("%s on %s-%d: %.2f allocs/message (%.0f allocations, %d messages), want <= %.1f",
+				c.proto, c.family, c.n, got, allocs, msgs, c.maxAllocs)
 		} else {
-			t.Logf("%s on expander-%d: %.3f allocs/message", c.proto, c.n, got)
+			t.Logf("%s on %s-%d: %.3f allocs/message", c.proto, c.family, c.n, got)
 		}
 	}
 }

@@ -107,4 +107,7 @@ func (m *FloodMachine) Step(ctx *sim.Context, inbox []sim.Packet) {
 		m.sent = m.out.MaxSeen
 		ctx.Broadcast(floodMsg{id: m.sent})
 	}
+	// The maximum is forwarded: only a larger one arriving gives this node
+	// work before its halt round.
+	ctx.IdleUntil(m.p.rounds)
 }

@@ -159,7 +159,30 @@ func (m *WalkNotifyMachine) Step(ctx *sim.Context, inbox []sim.Packet) {
 		m.out.Leader = m.out.Candidate && !m.out.Eliminated && m.maxMark == m.out.ID
 		m.halted = true
 		ctx.Halt()
+		return
 	}
+	if m.quiescent(round) {
+		ctx.IdleUntil(m.p.total)
+	}
+}
+
+// quiescent reports whether Steps with empty inboxes would do nothing from
+// the next round until the decide round: no walk round is left, or the
+// spray is done and no token rests here. emitKills has just drained the
+// kill queue, and only arrivals refill it.
+func (m *WalkNotifyMachine) quiescent(round int) bool {
+	if round+1 >= m.p.walkLen {
+		return true
+	}
+	if !m.sprayed {
+		return false
+	}
+	for i := 0; i < m.cands.Len(); i++ {
+		if _, c := m.cands.At(i); c.parked > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // receiveTokens parks arriving tokens, maintains breadcrumbs and marks,

@@ -174,6 +174,32 @@ func (e *bcastExec) recomputeConfirmed() {
 	e.confirmed = c
 }
 
+// quiescent reports whether prepare, with no message handled since its last
+// call, would send nothing, change nothing and draw nothing: stopped with
+// the stop flood sent, or below both threshold and cap and — if active —
+// with no armed invite and no child left to re-activate. (grewThisRound is
+// empty after every prepare.)
+func (e *bcastExec) quiescent() bool {
+	if e.status == statusStopped {
+		return e.stopSent
+	}
+	if e.threshold >= e.cap || e.confirmed >= e.threshold {
+		return false
+	}
+	if e.status != statusActive {
+		return true
+	}
+	if e.credit && len(e.avail) > 0 {
+		return false
+	}
+	for i := range e.children {
+		if !e.children[i].active {
+			return false
+		}
+	}
+	return true
+}
+
 // prepare emits this round's transmissions for the execution (Algorithm 4,
 // with the prose's threshold-gated reporting; see package doc). Messages
 // are allocated from the machine's msgs.

@@ -123,15 +123,21 @@ func (m *ExplicitMachine) Step(ctx *sim.Context, inbox []sim.Packet) {
 	}
 	round := ctx.Round()
 	total := m.inner.p.total
+	haltRound := total + m.announceN + 1
 	if round <= total {
+		// The inner machine's IdleUntil hints all end by total, so they hold
+		// for this machine too.
 		m.inner.Step(ctx, inbox)
-		if round == total && m.inner.out.Leader {
-			// The freshly decided leader opens the announcement flood.
-			m.out.KnowsLeader = true
-			m.out.LeaderID = m.inner.out.ID
-			m.out.Depth = 0
-			ctx.Broadcast(announceMsg{id: m.out.LeaderID, depth: 0})
-			m.forwarded = true
+		if round == total {
+			if m.inner.out.Leader {
+				// The freshly decided leader opens the announcement flood.
+				m.out.KnowsLeader = true
+				m.out.LeaderID = m.inner.out.ID
+				m.out.Depth = 0
+				ctx.Broadcast(announceMsg{id: m.out.LeaderID, depth: 0})
+				m.forwarded = true
+			}
+			ctx.IdleUntil(haltRound)
 		}
 		return
 	}
@@ -154,8 +160,13 @@ func (m *ExplicitMachine) Step(ctx *sim.Context, inbox []sim.Packet) {
 		m.forwarded = true
 		ctx.Broadcast(announceMsg{id: m.out.LeaderID, depth: m.out.Depth})
 	}
-	if round >= total+m.announceN+1 {
+	if round >= haltRound {
 		m.halted = true
 		ctx.Halt()
+		return
 	}
+	// From the decide round on, every announcement this node owes leaves in
+	// the step that learns it: only an arriving one gives it work before it
+	// halts.
+	ctx.IdleUntil(haltRound)
 }

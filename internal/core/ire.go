@@ -211,6 +211,42 @@ func (m *IREMachine) Step(ctx *sim.Context, inbox []sim.Packet) {
 	case round >= m.p.ccStart && round < m.p.ccStart+m.p.ccLen:
 		m.stepConvergecast(ctx)
 	}
+	if m.quiescent(round) {
+		ctx.IdleUntil(m.nextPhase(round))
+	}
+}
+
+// quiescent reports whether, after this round's Step, Steps with empty
+// inboxes would do nothing until the next phase starts. Outside the
+// broadcast and walk phases that always holds: a convergecast step leaves
+// every tree's climb up to date, flush rounds and the broadcast-only tail
+// do nothing, and a halted machine is never stepped again.
+func (m *IREMachine) quiescent(round int) bool {
+	switch {
+	case round < m.p.bcastLen:
+		for i := 0; i < m.execs.Len(); i++ {
+			if _, e := m.execs.At(i); !e.quiescent() {
+				return false
+			}
+		}
+	case round >= m.p.walkStart && round < m.p.walkStart+m.p.walkLen:
+		return m.tokens == 0
+	}
+	return true
+}
+
+// nextPhase returns the first round after round at which a phase starts
+// that may act on an empty inbox: the walk phase, the convergecast, or the
+// decide round (the only one left under broadcastOnly).
+func (m *IREMachine) nextPhase(round int) int {
+	switch {
+	case m.p.broadcastOnly || round >= m.p.ccStart:
+		return m.p.total
+	case round >= m.p.walkStart:
+		return m.p.ccStart
+	default:
+		return m.p.walkStart
+	}
 }
 
 // handleBroadcast routes a cautious-broadcast message to its execution,

@@ -84,7 +84,7 @@ func (nw *Network) applyCrashes(round int) {
 	for v, at := range nw.crashAt {
 		if at >= 0 && at <= round && !nw.crashed[v] {
 			nw.crashed[v] = true
-			nw.halted[v] = true
+			nw.stop(v)
 			nw.metrics.Crashes++
 		}
 	}

@@ -2,37 +2,37 @@ package sim
 
 import "slices"
 
-// arenaChunk is the number of machines per arena slab. Chunking keeps
-// pointers stable (slabs are never reallocated) without requiring the
-// caller to know the node count up front — the harness's presumed n can
-// differ from the true network size, so factories cannot size one slab.
-const arenaChunk = 1024
+// Arena slab sizes, in machines. Slabs keep pointers stable (they are never
+// reallocated) without requiring the caller to know the node count up front
+// — the harness's presumed n can differ from the true network size, so
+// factories cannot size one slab. The first slab is small because most
+// networks a sweep builds are; later ones double up to the maximum, so the
+// slabs of n machines never hold more than 2n+64.
+const (
+	minArenaChunk = 64
+	maxArenaChunk = 1024
+)
 
 // Arena is a chunked slab allocator for per-node machine state. Protocol
 // factories allocate one machine per node; doing that with individual
 // `new` calls costs n heap objects per trial. An Arena hands out pointers
-// into 1024-element slabs instead, so a million-node build does ~1000
-// allocations rather than a million, while every returned pointer stays
-// valid for the arena's lifetime.
+// into slabs of up to 1024 elements instead, so a million-node build does
+// ~1000 allocations rather than a million, while every returned pointer
+// stays valid for as long as its machine is referenced.
 //
 // The zero value is ready to use. Arenas are single-goroutine (the
 // simulator constructs machines sequentially); create one arena per
 // factory, never share one across concurrently-built networks. Elements
 // are zero-initialized and never recycled.
-type Arena[T any] struct {
-	chunks [][]T
-	used   int
-}
+type Arena[T any] struct{ slab []T }
 
 // New returns a pointer to a fresh zero-valued T with a stable address.
 func (a *Arena[T]) New() *T {
-	if len(a.chunks) == 0 || a.used == arenaChunk {
-		a.chunks = append(a.chunks, make([]T, arenaChunk))
-		a.used = 0
+	if len(a.slab) == cap(a.slab) {
+		a.slab = make([]T, 0, min(max(2*cap(a.slab), minArenaChunk), maxArenaChunk))
 	}
-	p := &a.chunks[len(a.chunks)-1][a.used]
-	a.used++
-	return p
+	a.slab = a.slab[:len(a.slab)+1]
+	return &a.slab[len(a.slab)-1]
 }
 
 // Table is a per-node map from a 64-bit source ID (a candidate's random

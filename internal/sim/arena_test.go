@@ -93,6 +93,33 @@ func TestTableMutateWhileIteratingAscending(t *testing.T) {
 	}
 }
 
+// TestArenaSlabsDoubleToTheMaximum: machines keep distinct stable
+// addresses and zero values, a small network gets a small slab, and slabs
+// double up to the maximum.
+func TestArenaSlabsDoubleToTheMaximum(t *testing.T) {
+	var a Arena[[2]int]
+	var got []*[2]int
+	for i := 0; i < 3*maxArenaChunk; i++ {
+		p := a.New()
+		if *p != [2]int{} {
+			t.Fatalf("machine %d starts at %v, want zero", i, *p)
+		}
+		*p = [2]int{i, -i}
+		got = append(got, p)
+		if i == 0 && cap(a.slab) != minArenaChunk {
+			t.Fatalf("first slab holds %d machines, want %d", cap(a.slab), minArenaChunk)
+		}
+		if cap(a.slab) > maxArenaChunk || cap(a.slab) > 2*max(i+1, minArenaChunk) {
+			t.Fatalf("after %d machines the slab holds %d", i+1, cap(a.slab))
+		}
+	}
+	for i, p := range got {
+		if *p != [2]int{i, -i} {
+			t.Fatalf("machine %d reads %v after later builds", i, *p)
+		}
+	}
+}
+
 // TestMsgsStayValidAndDistinct: a message handed out keeps its address and
 // value across later allocations (delayed packets and observers hold the
 // pointer), and chunk growth stops at the maximum.

@@ -60,6 +60,7 @@ type Network struct {
 	machines  []Machine
 	ctxs      []Context
 	halted    []bool
+	stopped   int // nodes with halted set: protocol halts and crash-stops, each once
 	inbox     [][]Packet
 	next      [][]Packet
 	revPort   []int32 // flat: reverse port of (v, port) = revPort[edgeOff[v]+port]
@@ -199,13 +200,14 @@ func (nw *Network) Machine(v int) Machine { return nw.machines[v] }
 func (nw *Network) Halted(v int) bool { return nw.halted[v] }
 
 // AllHalted reports whether every node has halted.
-func (nw *Network) AllHalted() bool {
-	for _, h := range nw.halted {
-		if !h {
-			return false
-		}
+func (nw *Network) AllHalted() bool { return nw.stopped == len(nw.halted) }
+
+// stop marks node v halted, counting it once.
+func (nw *Network) stop(v int) {
+	if !nw.halted[v] {
+		nw.halted[v] = true
+		nw.stopped++
 	}
-	return true
 }
 
 // Metrics returns a snapshot of the accumulated cost accounting.
@@ -229,20 +231,9 @@ func (nw *Network) Step() bool {
 	nw.route(round)
 	nw.closeRound(true)
 	if nw.observer != nil {
-		nw.observer(RoundInfo{Round: round, Halted: nw.haltedCount(), Metrics: nw.metrics})
+		nw.observer(RoundInfo{Round: round, Halted: nw.stopped, Metrics: nw.metrics})
 	}
 	return true
-}
-
-// haltedCount returns the number of stopped nodes (halts and crashes).
-func (nw *Network) haltedCount() int {
-	count := 0
-	for _, h := range nw.halted {
-		if h {
-			count++
-		}
-	}
-	return count
 }
 
 // RunLoop is the round loop of every execution backend: it calls step
@@ -294,14 +285,19 @@ func (nw *Network) RunUntilContext(ctx context.Context, maxRounds int, done func
 }
 
 // stepNode runs one node's step for the round. It touches only node v's
-// state, so any scheduler may invoke it concurrently for distinct nodes.
+// state, so any scheduler may invoke it concurrently for distinct nodes. A
+// node idling under its IdleUntil promise with nothing delivered is skipped
+// outright: the call would be a no-op, and route already emptied ctx.out.
 func (nw *Network) stepNode(v, round int) {
 	ctx := &nw.ctxs[v]
+	box := nw.inbox[v]
+	if len(box) == 0 && round < int(ctx.wake) {
+		return
+	}
 	ctx.reset(round)
 	if nw.halted[v] {
 		return
 	}
-	box := nw.inbox[v]
 	sortInbox(box)
 	nw.machines[v].Step(ctx, box)
 }
@@ -352,7 +348,7 @@ func (nw *Network) route(round int) {
 	for v := range nw.machines {
 		ctx := &nw.ctxs[v]
 		if ctx.halted {
-			nw.halted[v] = true
+			nw.stop(v)
 		}
 		if nw.adaptive != nil {
 			nw.sent[v] = len(ctx.out)

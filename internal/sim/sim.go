@@ -15,13 +15,21 @@
 //     logical channels (parallel protocol executions, cf. the paper's
 //     super-round multiplexing) never sharing a slot.
 //
-// Two schedulers execute the same deterministic semantics: a sequential
-// loop, and a goroutine worker pool that fans node steps out across CPUs
-// and re-merges sends in node order (so results are bit-identical).
+// Three schedulers execute the same deterministic semantics: a sequential
+// loop, a goroutine worker pool that fans node steps out across CPUs, and
+// persistent per-node actors; all route sends in node order afterwards, so
+// results are bit-identical.
+//
+// A machine that knows its next steps would do nothing may say so with
+// Context.IdleUntil: the network then skips its Step while its inbox stays
+// empty, so a round costs work in proportion to the nodes that have
+// something to do. The hint is a promise about the machine, not a change of
+// semantics — every skipped call is one that would have been a no-op.
 package sim
 
 import (
 	"fmt"
+	"math"
 
 	"anonlead/internal/rng"
 	"anonlead/internal/trace"
@@ -56,7 +64,9 @@ type Machine interface {
 	// packets arrive at the start of round 0.
 	Init(ctx *Context)
 	// Step runs once per round with the packets delivered this round
-	// (sent by neighbors in the previous round), in ascending port order.
+	// (sent by neighbors in the previous round), in ascending port order —
+	// except that a round whose inbox is empty may be skipped while an
+	// IdleUntil promise made by the previous call holds.
 	Step(ctx *Context, inbox []Packet)
 }
 
@@ -74,6 +84,7 @@ type Context struct {
 	rng    *rng.RNG
 	out    []Send
 	halted bool
+	wake   int32          // IdleUntil promise; int32 fits the padding after halted
 	node   int            // for trace attribution only; never exposed
 	rec    trace.Recorder // nil when tracing is disabled
 }
@@ -131,6 +142,19 @@ func (c *Context) BroadcastChannel(channel uint32, payload Payload) {
 // "all nodes stop" clause of Irrevocable Leader Election (Definition 1).
 func (c *Context) Halt() { c.halted = true }
 
+// IdleUntil is the machine's promise that, in every round before round, a
+// Step with an empty inbox would do nothing: no send, no state change, no
+// RNG draw, no trace event, no Halt. The network may then skip those
+// calls; a packet arriving in the meantime wakes the machine as usual. The
+// promise lasts until the next Step call, which makes a fresh one or none
+// (the last IdleUntil of a call wins), so a round ≤ Round()+1 promises
+// nothing. Backends that must visit every node each round may ignore it.
+func (c *Context) IdleUntil(round int) {
+	// Clamping only weakens the promise: no Step round is negative, and no
+	// run reaches round 2³¹.
+	c.wake = int32(min(max(round, 0), math.MaxInt32))
+}
+
 // Trace records a protocol event when the network was configured with a
 // trace recorder; otherwise it is a no-op. Tracing is write-only
 // observability: nothing about the network flows back to the machine.
@@ -149,4 +173,5 @@ func (c *Context) Tracing() bool { return c.rec != nil }
 func (c *Context) reset(round int) {
 	c.round = round
 	c.out = c.out[:0]
+	c.wake = 0
 }
