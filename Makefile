@@ -1,9 +1,11 @@
 # Shared entry points for humans and CI (.github/workflows/ci.yml calls
 # exactly these targets, so a green `make ci` locally means a green pipeline).
+# `make fuzz` runs each fuzzer for FUZZTIME (default 10s); plain `go test`
+# only replays their seed corpora.
 
 GO ?= go
 
-.PHONY: all build test race bench loc epochs-smoke scaling-smoke obs-smoke dist-demo bench-artifact benchdiff report baseline lint fmt ci clean
+.PHONY: all build test race fuzz bench loc epochs-smoke scaling-smoke obs-smoke dist-demo bench-artifact benchdiff report baseline lint fmt ci clean
 
 all: build
 
@@ -27,6 +29,15 @@ race:
 		./internal/harness/... ./internal/adversary/... \
 		./internal/trace/... ./internal/obs/... \
 		./internal/transport/... ./internal/epoch/...
+
+# The decoders of bytes from outside the process: the bench artifact
+# reader, the transport frame codec and the core payload codec. One
+# `go test -fuzz` per target, because -fuzz takes a single fuzzer.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadArtifact$$' -fuzztime $(FUZZTIME) ./internal/harness
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # Bench smoke: every benchmark once — a does-it-run check, not a
 # measurement (one iteration times nothing). Speed is measured by

@@ -344,8 +344,10 @@ func BenchmarkAblationDiffusion(b *testing.B) {
 
 // electionCells are the protocol-layer speed cells: the three protocols
 // whose Step does real work, each on the topology the host benchmark
-// (bench/) runs it on, FloodMax on an expander and IRE on the slow-mixing
-// cycle, where most node-rounds have nothing to do.
+// (bench/) runs it on, FloodMax on an expander, IRE on the slow-mixing
+// cycle, where most node-rounds have nothing to do, and Revocable on the
+// smallest complete graph, 793k rounds of 6 messages, where only the
+// message chunks allocate.
 var electionCells = []struct {
 	proto     string
 	family    string
@@ -357,6 +359,7 @@ var electionCells = []struct {
 	{"walknotify", "expander", 64, 1.0},
 	{"floodmax", "expander", 256, 0.5},
 	{"ire", "cycle", 96, 0.5},
+	{"revocable", "complete", 3, 0.05},
 }
 
 // electionSetup resolves a registered protocol on a family member of n
@@ -386,13 +389,28 @@ func electionSetup(tb testing.TB, proto, family string, n int) (*graph.Graph, fu
 	}
 }
 
-// runElection runs one whole election — Build, sim.New, then Network.Run
-// to the protocol's round budget — and returns its message count.
+// runElection runs one whole election — Build, sim.New, then the rounds
+// runPlan says — and returns its message count.
 func runElection(g *graph.Graph, build func() core.Runner, seed uint64) int64 {
 	runner := build()
 	nw := sim.New(sim.Config{Graph: g, Seed: seed}, runner.Factory)
-	nw.Run(runner.Budget)
+	runPlan(nw, nw, runner)
 	return nw.Metrics().Messages
+}
+
+// runPlan runs nw as Network.Run runs a runner: to its round budget, or,
+// for an open-ended runner, until Converged holds on view at a CheckEvery
+// boundary, under MaxRounds. view is what Converged reads the machines
+// through.
+func runPlan(nw *sim.Network, view sim.View, runner core.Runner) {
+	if runner.Budget > 0 {
+		nw.Run(runner.Budget)
+		return
+	}
+	every := max(runner.CheckEvery, 1)
+	nw.RunUntil(runner.MaxRounds, func(completed int) bool {
+		return completed%every == 0 && runner.Converged(view)
+	})
 }
 
 // stepCounter counts the Step calls the network makes on a machine.
@@ -406,6 +424,11 @@ func (m stepCounter) Step(ctx *sim.Context, inbox []sim.Packet) {
 	m.Machine.Step(ctx, inbox)
 }
 
+// countedView shows Converged the machines inside the stepCounters.
+type countedView struct{ *sim.Network }
+
+func (v countedView) Machine(i int) sim.Machine { return v.Network.Machine(i).(stepCounter).Machine }
+
 // stepsPerMessage runs one election of seed with every machine wrapped in
 // a stepCounter and returns Step calls per message sent.
 func stepsPerMessage(g *graph.Graph, build func() core.Runner, seed uint64) float64 {
@@ -414,7 +437,7 @@ func stepsPerMessage(g *graph.Graph, build func() core.Runner, seed uint64) floa
 	nw := sim.New(sim.Config{Graph: g, Seed: seed}, func(node, degree int, r *rng.RNG) sim.Machine {
 		return stepCounter{Machine: runner.Factory(node, degree, r), steps: &steps}
 	})
-	nw.Run(runner.Budget)
+	runPlan(nw, countedView{nw}, runner)
 	return float64(steps) / float64(nw.Metrics().Messages)
 }
 
@@ -456,7 +479,7 @@ func TestElectionAllocsPerMessage(t *testing.T) {
 		msgs := runElection(g, build, 1)
 		allocs := testing.AllocsPerRun(3, func() { runElection(g, build, 1) })
 		if got := allocs / float64(msgs); got > c.maxAllocs {
-			t.Errorf("%s on %s-%d: %.2f allocs/message (%.0f allocations, %d messages), want <= %.1f",
+			t.Errorf("%s on %s-%d: %.2f allocs/message (%.0f allocations, %d messages), want <= %g",
 				c.proto, c.family, c.n, got, allocs, msgs, c.maxAllocs)
 		} else {
 			t.Logf("%s on %s-%d: %.3f allocs/message", c.proto, c.family, c.n, got)

@@ -93,11 +93,11 @@ func buildRevocable(pc ProtoConfig) (Runner, error) {
 	}
 	return Runner{
 		Factory: func(node, degree int, r *rng.RNG) sim.Machine {
-			return &RevocableMachine{p: p, r: r}
+			return &RevocableMachine{p: &p, r: r}
 		},
 		CheckEvery: 64,
 		MaxRounds:  maxRounds,
-		Converged:  func(nw sim.View) bool { return revocableConverged(nw, p) },
+		Converged:  func(nw sim.View) bool { return revocableConverged(nw, &p) },
 		Collect:    collectRevocable,
 	}, nil
 }
@@ -106,7 +106,7 @@ func buildRevocable(pc ProtoConfig) (Runner, error) {
 // over surviving nodes (a crashed node can never choose, so including it
 // would run every faulted trial to the round cap). The reference output
 // comes from the lowest-index survivor.
-func revocableConverged(nw sim.View, p revParams) bool {
+func revocableConverged(nw sim.View, p *revParams) bool {
 	n := nw.N()
 	ref := -1
 	for v := 0; v < n; v++ {
@@ -259,7 +259,9 @@ const (
 // (Algorithm 7 line 6). potBits is the bit length of the potential after
 // the sender's diffusion steps: potentials gain log₂(2k^{1+ε}) bits per
 // averaging step and the paper transmits them bit by bit; the simulator
-// charges the growing size through Bits.
+// charges the growing size through Bits. Like dissMsg it is sent as a
+// pointer into its machine's sim.Msgs chunk and never written after the
+// send.
 type avgMsg struct {
 	phi     float64
 	potBits int
@@ -271,7 +273,7 @@ type avgMsg struct {
 
 // Bits returns the CONGEST size: potential bits + 2 flag bits + leader
 // certificate.
-func (m avgMsg) Bits() int {
+func (m *avgMsg) Bits() int {
 	b := m.potBits + 2
 	if m.kldr > 0 {
 		b += congest.BitLen(m.idldr) + congest.BitLen(m.kldr)
@@ -291,7 +293,7 @@ type dissMsg struct {
 }
 
 // Bits returns the CONGEST size.
-func (m dissMsg) Bits() int {
+func (m *dissMsg) Bits() int {
 	b := 2
 	if m.kldr > 0 {
 		b += congest.BitLen(m.idldr) + congest.BitLen(m.kldr)
@@ -330,34 +332,44 @@ type RevocableOutput struct {
 // All nodes advance the (k, iteration, phase) schedule in lockstep because
 // every phase length is a deterministic function of k alone.
 type RevocableMachine struct {
-	p revParams
+	p *revParams // shared by every machine of the factory, read-only
 	r *rng.RNG
 
 	// Algorithm 6 state.
-	k       uint64
-	id      uint64 // 0 = nil
-	bigK    uint64
-	idldr   uint64
-	kldr    uint64
-	leader  bool
-	status  []bool // status[i]: iteration i stayed probing
-	empty   []bool // empty[i]: no white node detected in iteration i
-	iter    int    // current certification iteration (0-based)
-	fK      int    // f(k) for the current k
-	rK      int    // r(k) for the current k
-	dissK   int    // dissemination length for the current k
-	tau     float64
-	share   float64 // 1/(2k^{1+ε})
-	degCap  float64 // k^{1+ε} degree alarm level
-	idRange uint64
+	k      uint64 // current network-size estimate
+	id     uint64 // chosen ID; 0 = nil (not chosen yet)
+	bigK   uint64 // the estimate certificate the ID was chosen under
+	idldr  uint64 // leader certificate: smallest ID among the largest K seen
+	kldr   uint64
+	leader bool // the revocable leadership flag (Algorithm 6 line 17)
+	iter   int  // certification iterations completed at this k
+	// probing and empty count this k's iterations that ended still probing
+	// (the paper's status[i]) and without a white node (empty[i]); the
+	// decision phase reads nothing else of the two arrays.
+	probing, empty int
+
+	// Per-estimate constants, set by startEstimate: each is a function of
+	// k alone.
+	fK       int     // f(k): certification iterations
+	rK       int     // r(k): diffusion rounds
+	dissK    int     // k^{1+ε}: dissemination rounds
+	growBits int     // ⌈log₂(2k^{1+ε})⌉: potential bits an averaging step adds
+	pWhite   float64 // p(k): white-node probability
+	tau      float64 // τ(k): potential alarm threshold
+	share    float64 // 1/(2k^{1+ε}): potential share sent per neighbour
+	degCap   float64 // k^{1+ε}: degree alarm level
+	idRange  uint64  // ID sample range
 
 	// Algorithm 7 per-iteration state.
 	phase      revPhase
-	phaseRound int
-	phi        float64
-	potBits    int
 	q          bool // probing
 	c          bool // white exists
+	phaseRound int
+	phi        float64
+	potBits    int // bit length of phi
+
+	avgs    sim.Msgs[avgMsg]
+	dissems sim.Msgs[dissMsg]
 }
 
 // Output returns the node's current externally visible state. Revocable
@@ -386,25 +398,27 @@ func (m *RevocableMachine) Init(ctx *sim.Context) {
 }
 
 // startEstimate advances to the next k (Algorithm 6 line 8) and derives
-// the per-k parameters.
+// the per-k parameters. Everything that depends on k alone is computed
+// here, once per estimate, with the expression the per-round code would
+// use, so each round reads it instead of recomputing k^{1+ε}.
 func (m *RevocableMachine) startEstimate() {
 	m.k *= 2
 	m.fK = m.p.fOf(m.k)
 	m.rK = m.p.rOf(m.k)
 	m.dissK = m.p.dissOf(m.k)
+	m.growBits = int(math.Ceil(math.Log2(2 * m.p.kPow(m.k))))
+	m.pWhite = m.p.pOf(m.k)
 	m.tau = m.p.tauOf(m.k)
 	m.share = m.p.shareOf(m.k)
 	m.degCap = m.p.kPow(m.k)
 	m.idRange = m.p.idRangeOf(m.k)
-	m.iter = 0
-	m.status = m.status[:0]
-	m.empty = m.empty[:0]
+	m.iter, m.probing, m.empty = 0, 0, 0
 }
 
 // startIteration begins one certification iteration: sample color, reset
 // potential and flags (Algorithm 6 line 10, Algorithm 7 lines 2-4).
 func (m *RevocableMachine) startIteration() {
-	white := m.r.Bernoulli(m.p.pOf(m.k))
+	white := m.r.Bernoulli(m.pWhite)
 	m.c = white
 	m.q = true
 	if white {
@@ -448,10 +462,10 @@ func (m *RevocableMachine) stepDiffusion(ctx *sim.Context, inbox []sim.Packet) {
 		return
 	}
 	m.phaseRound++
-	ctx.Broadcast(avgMsg{
+	ctx.Broadcast(m.avgs.New(avgMsg{
 		phi: m.phi, potBits: m.potBits, q: m.q, c: m.c,
 		idldr: m.idldr, kldr: m.kldr,
-	})
+	}))
 }
 
 // foldDiffusionInbox applies the averaging update and alarms for one
@@ -463,7 +477,7 @@ func (m *RevocableMachine) foldDiffusionInbox(ctx *sim.Context, inbox []sim.Pack
 	got := 0
 	maxBits := m.potBits
 	for _, pkt := range inbox {
-		msg, ok := pkt.Payload.(avgMsg)
+		msg, ok := pkt.Payload.(*avgMsg)
 		if !ok {
 			continue
 		}
@@ -479,7 +493,7 @@ func (m *RevocableMachine) foldDiffusionInbox(ctx *sim.Context, inbox []sim.Pack
 	}
 	if m.q && float64(deg) <= m.degCap && allProbing && got == deg {
 		m.phi += sum*m.share - float64(deg)*m.phi*m.share
-		m.potBits = maxBits + int(math.Ceil(math.Log2(2*m.p.kPow(m.k))))
+		m.potBits = maxBits + m.growBits
 	} else {
 		m.q = false
 		m.phi = 1
@@ -491,7 +505,7 @@ func (m *RevocableMachine) foldDiffusionInbox(ctx *sim.Context, inbox []sim.Pack
 // 14-21): OR-merge alarms and white flags, merge leader certificates.
 func (m *RevocableMachine) stepDissemination(ctx *sim.Context, inbox []sim.Packet) {
 	for _, pkt := range inbox {
-		msg, ok := pkt.Payload.(dissMsg)
+		msg, ok := pkt.Payload.(*dissMsg)
 		if !ok {
 			continue
 		}
@@ -508,14 +522,18 @@ func (m *RevocableMachine) stepDissemination(ctx *sim.Context, inbox []sim.Packe
 		return
 	}
 	m.phaseRound++
-	ctx.Broadcast(dissMsg{q: m.q, c: m.c, idldr: m.idldr, kldr: m.kldr})
+	ctx.Broadcast(m.dissems.New(dissMsg{q: m.q, c: m.c, idldr: m.idldr, kldr: m.kldr}))
 }
 
 // finishIteration records ⟨q, c⟩ (Algorithm 6 lines 11-13) and either
 // starts the next certification iteration or runs the decision phase.
 func (m *RevocableMachine) finishIteration(ctx *sim.Context) {
-	m.status = append(m.status, m.q)
-	m.empty = append(m.empty, !m.c)
+	if m.q {
+		m.probing++
+	}
+	if !m.c {
+		m.empty++
+	}
 	m.iter++
 	if m.iter < m.fK {
 		m.startIteration()
@@ -528,16 +546,7 @@ func (m *RevocableMachine) finishIteration(ctx *sim.Context) {
 
 // decide is the decision phase (Algorithm 6 lines 14-17).
 func (m *RevocableMachine) decide(ctx *sim.Context) {
-	emptyCount, probing := 0, 0
-	for i := range m.status {
-		if m.empty[i] {
-			emptyCount++
-		}
-		if m.status[i] {
-			probing++
-		}
-	}
-	if m.id == 0 && emptyCount*2 > m.fK && probing > 0 {
+	if m.id == 0 && m.empty*2 > m.fK && m.probing > 0 {
 		m.id = 1 + m.r.Uint64n(m.idRange)
 		m.bigK = m.k
 		// Line 16: adopt self as provisional leader; dissemination in the

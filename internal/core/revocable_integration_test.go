@@ -243,6 +243,25 @@ func TestRevocableRevocationHappens(t *testing.T) {
 	}
 }
 
+// TestRevocableStepAllocatesNothing: once its message chunks have grown to
+// full size, a diffusion round of the revocable-complete-4 workload's
+// network allocates nothing. A chunk of 64 messages is refilled every 64
+// rounds per node, which averages to under one allocation per round; a
+// boxed value payload (one allocation per node per round) or a per-round
+// slice fails this.
+func TestRevocableStepAllocatesNothing(t *testing.T) {
+	nw := revNet(t, graph.Complete(4), ProtoConfig{}, 1)
+	nw.Run(64)
+	for v := 0; v < nw.N(); v++ {
+		if m := nw.Machine(v).(*RevocableMachine); m.k != 2 || m.phase != phaseDiffusion {
+			t.Fatalf("node %d warmed into k=%d phase %d, want the first diffusion phase", v, m.k, m.phase)
+		}
+	}
+	if avg := testing.AllocsPerRun(256, func() { nw.Step() }); avg != 0 {
+		t.Fatalf("a warmed revocable round allocates %v objects, want 0", avg)
+	}
+}
+
 func TestRevocableMsgBitsGrowWithPotential(t *testing.T) {
 	small := avgMsg{phi: 0.5, potBits: 4, q: true, c: false}
 	big := avgMsg{phi: 0.5, potBits: 400, q: true, c: false}

@@ -51,14 +51,14 @@ func (wireCodec) AppendPayload(dst []byte, p sim.Payload) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, m.id)
 		dst = binary.AppendUvarint(dst, uint64(m.depth))
 		return dst, nil
-	case avgMsg:
+	case *avgMsg:
 		dst = append(dst, wireAvg, boolByte(m.q)|boolByte(m.c)<<1)
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(m.phi))
 		dst = binary.AppendUvarint(dst, uint64(m.potBits))
 		dst = binary.AppendUvarint(dst, m.idldr)
 		dst = binary.AppendUvarint(dst, m.kldr)
 		return dst, nil
-	case dissMsg:
+	case *dissMsg:
 		dst = append(dst, wireDiss, boolByte(m.q)|boolByte(m.c)<<1)
 		dst = binary.AppendUvarint(dst, m.idldr)
 		dst = binary.AppendUvarint(dst, m.kldr)
@@ -140,7 +140,7 @@ func (wireCodec) DecodePayload(src []byte) (sim.Payload, error) {
 		if err != nil {
 			return nil, err
 		}
-		return avgMsg{
+		return &avgMsg{
 			phi: phi, potBits: int(potBits),
 			q: flags&1 != 0, c: flags&2 != 0,
 			idldr: idldr, kldr: kldr,
@@ -158,7 +158,7 @@ func (wireCodec) DecodePayload(src []byte) (sim.Payload, error) {
 		if err != nil {
 			return nil, err
 		}
-		return dissMsg{q: flags&1 != 0, c: flags&2 != 0, idldr: idldr, kldr: kldr}, nil
+		return &dissMsg{q: flags&1 != 0, c: flags&2 != 0, idldr: idldr, kldr: kldr}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown payload tag %d", tag)
 	}

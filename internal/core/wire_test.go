@@ -1,29 +1,36 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"anonlead/internal/sim"
 )
 
-// TestWireCodecRoundTrip: every payload the paper's protocols send — all
-// six wire tags — decodes to a value equal to the encoded one. IRE's
-// messages travel as pointers into their machine's chunks, so for them
-// equality is of what the pointers point at; the decoded payload must be a
-// pointer too, or the receiving machine's type switch would drop it.
-func TestWireCodecRoundTrip(t *testing.T) {
-	for _, p := range []sim.Payload{
+// wirePayloads returns one or more payloads of every wire tag.
+func wirePayloads() []sim.Payload {
+	return []sim.Payload{
 		&bcMsg{kind: bcInvite, source: 1 << 40},
 		&bcMsg{kind: bcSize, source: 12345, size: 77},
 		&bcMsg{kind: bcStop, source: 12345},
 		&walkMsg{id: 999, count: 3},
 		&ccMsg{source: 5, id: 1<<63 + 1},
 		announceMsg{id: 424242, depth: 9},
-		avgMsg{phi: 0.3125, potBits: 12, q: true, idldr: 7, kldr: 64},
-		avgMsg{phi: -1.5, c: true},
-		dissMsg{q: true, c: true, idldr: 7, kldr: 64},
-	} {
+		&avgMsg{phi: 0.3125, potBits: 12, q: true, idldr: 7, kldr: 64},
+		&avgMsg{phi: -1.5, c: true},
+		&dissMsg{q: true, c: true, idldr: 7, kldr: 64},
+	}
+}
+
+// TestWireCodecRoundTrip: every payload the paper's protocols send — all
+// six wire tags — decodes to a value equal to the encoded one. IRE's and
+// Revocable's messages travel as pointers into their machine's chunks, so
+// for them equality is of what the pointers point at; the decoded payload
+// must be a pointer too, or the receiving machine's type switch would drop
+// it.
+func TestWireCodecRoundTrip(t *testing.T) {
+	for _, p := range wirePayloads() {
 		body, err := wireCodec{}.AppendPayload(nil, p)
 		if err != nil {
 			t.Fatal(err)
@@ -47,4 +54,55 @@ func TestWireCodecRoundTrip(t *testing.T) {
 			t.Fatalf("malformed payload %v decoded", bad)
 		}
 	}
+}
+
+// FuzzDecodePayload: arbitrary bytes decode to a payload or an error, never
+// a panic, and a decoded payload re-encodes to bytes that decode to an
+// equal pointee costing the same bits.
+func FuzzDecodePayload(f *testing.F) {
+	for _, p := range wirePayloads() {
+		body, err := wireCodec{}.AppendPayload(nil, p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte{wireAvg, 3, 0x7f, 0xf8, 0, 0, 0, 0, 0, 1, 0x80, 0x80, 0, 0, 0}) // NaN potential, overlong varint
+	f.Add([]byte{wireBC, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := wireCodec{}.DecodePayload(data)
+		if err != nil {
+			return
+		}
+		body, err := wireCodec{}.AppendPayload(nil, p)
+		if err != nil {
+			t.Fatalf("decoded %T does not re-encode: %v", p, err)
+		}
+		again, err := wireCodec{}.DecodePayload(body)
+		if err != nil {
+			t.Fatalf("re-encoded %T does not decode: %v", p, err)
+		}
+		if !equalPayloads(again, p) {
+			t.Fatalf("%T: re-decoded %+v, decoded %+v", p, again, p)
+		}
+		if again.Bits() != p.Bits() {
+			t.Fatalf("%T: re-decoded payload costs %d bits, decoded %d", p, again.Bits(), p.Bits())
+		}
+	})
+}
+
+// equalPayloads is reflect.DeepEqual with avgMsg's potential compared by
+// its IEEE bits, so a NaN off the wire equals itself.
+func equalPayloads(a, b sim.Payload) bool {
+	x, ok := a.(*avgMsg)
+	if !ok {
+		return reflect.DeepEqual(a, b)
+	}
+	y, ok := b.(*avgMsg)
+	if !ok || math.Float64bits(x.phi) != math.Float64bits(y.phi) {
+		return false
+	}
+	xs, ys := *x, *y
+	xs.phi, ys.phi = 0, 0
+	return xs == ys
 }
