@@ -1,7 +1,7 @@
 # Shared entry points for humans and CI (.github/workflows/ci.yml calls
 # exactly these targets, so a green `make ci` locally means a green pipeline).
-# `make fuzz` runs each fuzzer for FUZZTIME (default 10s); plain `go test`
-# only replays their seed corpora.
+# `make fuzz` runs each of its five fuzzers for FUZZTIME (default 10s);
+# plain `go test` only replays their seed corpora.
 
 GO ?= go
 
@@ -30,14 +30,18 @@ race:
 		./internal/trace/... ./internal/obs/... \
 		./internal/transport/... ./internal/epoch/...
 
-# The decoders of bytes from outside the process: the bench artifact
-# reader, the transport frame codec and the core payload codec. One
-# `go test -fuzz` per target, because -fuzz takes a single fuzzer.
+# The decoders of bytes from outside the process — the bench artifact
+# reader, the transport frame and report codecs, the core payload codec —
+# and the declarative adversary spec every fault flag and sweep cell
+# builds from. One `go test -fuzz` per target, because -fuzz takes a
+# single fuzzer.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadArtifact$$' -fuzztime $(FUZZTIME) ./internal/harness
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReport$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzSpec$$' -fuzztime $(FUZZTIME) ./internal/adversary
 
 # Bench smoke: every benchmark once — a does-it-run check, not a
 # measurement (one iteration times nothing). Speed is measured by

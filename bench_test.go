@@ -269,18 +269,17 @@ func TestRoundLoopZeroAllocObservabilityDisabled(t *testing.T) {
 }
 
 // TestRoundLoopZeroAllocWithStaticAdversary extends the zero-allocation
-// guard across the fault-injection path: a composed static (non-adaptive)
+// guard across the fault-injection path: a static (non-adaptive)
 // adversary — per-packet loss decisions plus a crash schedule — must not
-// cost the warmed round loop a single allocation. The adversaries' random
+// cost the warmed round loop a single allocation. The adversary's random
 // decisions run on value-typed reseeded RNG chains precisely so this
-// holds; only traffic-adaptive adversaries buy a per-round traffic
-// buffer.
+// holds; the traffic buffer ObserveTraffic reads is one slice per run.
 func TestRoundLoopZeroAllocWithStaticAdversary(t *testing.T) {
 	g := graph.Torus(8, 8)
-	adv := adversary.Compose(
-		adversary.NewLoss(0.2, 7),
-		adversary.NewCrashSchedule(g.N(), map[int]int{4: 3, 12: 9}),
-	)
+	adv, err := adversary.Spec{Loss: 0.2, CrashSchedule: map[int]int{4: 3, 12: 9}}.Build(g, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	nw := sim.New(sim.Config{Graph: g, Adversary: adv}, obsChatterFactory())
 	nw.Run(16) // warm past both scheduled crashes
 	if avg := testing.AllocsPerRun(50, func() { nw.Step() }); avg > 0.5 {

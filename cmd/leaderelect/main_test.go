@@ -13,8 +13,9 @@ import (
 // batch through the public API: exit 0, the adversary's canonical
 // descriptor on the faults line, per-trial means over the three trials.
 // A batch of no trials, which used to print 0/0 and NaN means, is refused,
-// and so are the -parallel knob the library dropped and a graph size the
-// family cannot have; -h lists every family name and alias.
+// and so are a NaN fault rate, the -parallel knob the library dropped and
+// a graph size the family cannot have; -h lists every family name and
+// alias.
 func TestLeaderelectFaultedBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary")
@@ -38,7 +39,7 @@ func TestLeaderelectFaultedBatch(t *testing.T) {
 			t.Errorf("output lacks %q:\n%s", want, out)
 		}
 	}
-	for _, args := range [][]string{{"-trials", "0"}, {"-parallel"}} {
+	for _, args := range [][]string{{"-trials", "0"}, {"-parallel"}, {"-loss", "NaN"}} {
 		if out, err := exec.Command(bin, args...).CombinedOutput(); err == nil {
 			t.Errorf("leaderelect %v exited 0:\n%s", args, out)
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"anonlead/internal/graph"
-	"anonlead/internal/sim"
 )
 
 // TestDecisionValueVariantsMatchHeapChain pins the alloc-free refactor:
@@ -37,7 +36,7 @@ func TestDecisionValueVariantsMatchHeapChain(t *testing.T) {
 // TestAdaptiveCrashPicksBusiest: top-K by accumulated window traffic,
 // ties to the lower index, zero-traffic nodes never picked.
 func TestAdaptiveCrashPicksBusiest(t *testing.T) {
-	a := NewAdaptiveCrash(5, 2, 2, 1)
+	a := mustBuild(t, Spec{AdaptiveCrash: 2, AdaptiveWindow: 2}, graph.Cycle(5), 1)
 	if got := a.ObserveTraffic(-1, []int{9, 9, 9, 9, 9}); got != nil {
 		t.Fatalf("Init round observed: %v", got)
 	}
@@ -60,7 +59,7 @@ func TestAdaptiveCrashPicksBusiest(t *testing.T) {
 // TestAdaptiveCrashTieBreaksLow: equal accumulations resolve to the lower
 // node index (strict > comparison), keeping picks deterministic.
 func TestAdaptiveCrashTieBreaksLow(t *testing.T) {
-	a := NewAdaptiveCrash(4, 1, 1, 1)
+	a := mustBuild(t, Spec{AdaptiveCrash: 1, AdaptiveWindow: 1}, graph.Cycle(4), 1)
 	got := a.ObserveTraffic(0, []int{0, 5, 5, 5})
 	if want := []int{1}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("picks %v, want %v", got, want)
@@ -70,7 +69,7 @@ func TestAdaptiveCrashTieBreaksLow(t *testing.T) {
 // TestAdaptiveCrashSilentWindowKeepsStrike: a window with no traffic at
 // all claims nobody and does not spend a strike.
 func TestAdaptiveCrashSilentWindowKeepsStrike(t *testing.T) {
-	a := NewAdaptiveCrash(3, 1, 1, 1)
+	a := mustBuild(t, Spec{AdaptiveCrash: 1, AdaptiveWindow: 1}, graph.Cycle(3), 1)
 	if got := a.ObserveTraffic(0, []int{0, 0, 0}); got != nil {
 		t.Fatalf("silent window picked %v", got)
 	}
@@ -83,7 +82,7 @@ func TestAdaptiveCrashSilentWindowKeepsStrike(t *testing.T) {
 // TestAdaptiveCrashMultipleStrikes: each window boundary claims its own
 // victims until the strike budget is spent.
 func TestAdaptiveCrashMultipleStrikes(t *testing.T) {
-	a := NewAdaptiveCrash(3, 1, 1, 2)
+	a := mustBuild(t, Spec{AdaptiveCrash: 1, AdaptiveWindow: 1, AdaptiveStrikes: 2}, graph.Cycle(3), 1)
 	if got, want := a.ObserveTraffic(0, []int{5, 1, 0}), []int{0}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("strike 1 picks %v, want %v", got, want)
 	}
@@ -95,48 +94,9 @@ func TestAdaptiveCrashMultipleStrikes(t *testing.T) {
 	}
 }
 
-// TestAdaptiveCrashIsPassiveAdversary: the primitive neither schedules
-// static crashes nor touches packets.
-func TestAdaptiveCrashIsPassiveAdversary(t *testing.T) {
-	a := NewAdaptiveCrash(4, 1, 2, 1)
-	if a.CrashRound(0) != -1 || a.MaxDelay() != 0 {
-		t.Fatal("AdaptiveCrash should have no static schedule and no delay")
-	}
-	if drop, delay := a.Fate(3, 0, 1, 2); drop || delay != 0 {
-		t.Fatal("AdaptiveCrash should never touch packets")
-	}
-}
-
-// TestComposeForwardsAdaptive: a composition containing an adaptive layer
-// is itself adaptive, fans observations out, and concatenates victims in
-// layer order; a composition of only static layers is not adaptive.
-func TestComposeForwardsAdaptive(t *testing.T) {
-	static := Compose(NewLoss(0.5, 1), NewDelay(0.5, 2, 2))
-	if _, ok := static.(sim.TrafficAdaptive); ok {
-		t.Fatal("static composition claims to be adaptive")
-	}
-
-	a1 := NewAdaptiveCrash(3, 1, 1, 1)
-	a2 := NewAdaptiveCrash(3, 1, 1, 1)
-	comp := Compose(NewLoss(0.5, 1), a1, a2)
-	ta, ok := comp.(sim.TrafficAdaptive)
-	if !ok {
-		t.Fatal("composition with adaptive layers is not adaptive")
-	}
-	got := ta.ObserveTraffic(0, []int{1, 5, 2})
-	// Both layers independently pick the busiest node.
-	if want := []int{1, 1}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("composed picks %v, want %v", got, want)
-	}
-	// Single adaptive part: Compose returns it directly, still adaptive.
-	single := Compose(NewAdaptiveCrash(3, 1, 1, 1))
-	if _, ok := single.(sim.TrafficAdaptive); !ok {
-		t.Fatal("single adaptive part lost its adaptivity through Compose")
-	}
-}
-
 // TestSpecAdaptive: the declarative spec's adaptive fields flow into
-// IsZero, Validate, Descriptor, and Build.
+// IsZero, Validate, Descriptor, and Build; a spec without them never
+// names a victim.
 func TestSpecAdaptive(t *testing.T) {
 	if (Spec{AdaptiveCrash: 1}).IsZero() {
 		t.Fatal("adaptive spec reported zero")
@@ -158,18 +118,25 @@ func TestSpecAdaptive(t *testing.T) {
 	}
 
 	g := graph.Cycle(6)
-	adv, err := Spec{AdaptiveCrash: 1, AdaptiveWindow: 2}.Build(g, 7)
-	if err != nil {
-		t.Fatal(err)
+	busy := []int{0, 1, 5, 2, 0, 0}
+	for _, s := range []Spec{{AdaptiveCrash: 1, AdaptiveWindow: 2}, {Loss: 0.1, AdaptiveCrash: 1}} {
+		adv := mustBuild(t, s, g, 7)
+		window, _ := s.adaptiveParams()
+		var got []int
+		for r := 0; r < window; r++ {
+			got = adv.ObserveTraffic(r, busy)
+		}
+		if want := []int{2}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: picks %v after one window, want %v", s.Descriptor(), got, want)
+		}
+		if adv.CrashRound(2) != -1 || adv.MaxDelay() != 0 {
+			t.Fatalf("%s: adaptive crashes scheduled up front or delayed", s.Descriptor())
+		}
 	}
-	if _, ok := adv.(sim.TrafficAdaptive); !ok {
-		t.Fatal("built adaptive spec is not TrafficAdaptive")
-	}
-	adv, err = Spec{Loss: 0.1, AdaptiveCrash: 1}.Build(g, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := adv.(sim.TrafficAdaptive); !ok {
-		t.Fatal("composed adaptive spec is not TrafficAdaptive")
+	static := mustBuild(t, Spec{Loss: 0.1, DelayProb: 0.5, MaxDelay: 2, CrashFraction: 0.5, CrashBy: 3}, g, 7)
+	for r := -1; r < 20; r++ {
+		if got := static.ObserveTraffic(r, busy); got != nil {
+			t.Fatalf("static spec picked %v at round %d", got, r)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package adversary provides deterministic, seed-derived fault injection
-// for the CONGEST simulator: composable perturbation layers interposed
-// between send and delivery via sim.Config.Adversary.
+// for the CONGEST simulator: a declarative Spec builds the one runtime
+// adversary interposed between send and delivery via sim.Config.Adversary.
 //
 // The paper's guarantees (w.h.p. success, O(τ_mix)-time election) are
 // stated for fault-free static synchronous networks. Related work ties
@@ -9,34 +9,23 @@
 // to chart where the guarantees break: controlled perturbations produce
 // degradation curves instead of a single fault-free point.
 //
-// Every decision an adversary makes is a pure function of its seed and the
-// decision's coordinates (round, edge, node) — never of call order or
-// scheduler interleaving — derived through rng.DeriveSeed splitting. Runs
-// are therefore byte-identical across the Sequential, WorkerPool, and
-// Actors schedulers, and a fault sweep is exactly as reproducible as the
-// fault-free sweeps it extends.
+// Every decision is a pure function of the seed and the decision's
+// coordinates (round, edge, node), derived through rng.DeriveSeed
+// splitting, or of the traffic the router observed — never of call order
+// or scheduler interleaving. Runs are therefore byte-identical across the
+// Sequential, WorkerPool, and Actors schedulers.
 //
-// Four primitives are provided, each implementing sim.Adversary, plus
-// Compose to stack them:
-//
-//   - Loss: per-packet Bernoulli drop (independent per round × link).
-//   - Crash: crash-stop node failures, from a fixed schedule or sampled
-//     (fraction of nodes, uniform crash round).
-//   - Churn: per-round undirected edge masking — a down edge drops both
-//     directions that round; optionally a BFS spanning tree is kept up so
-//     the live graph stays connected.
-//   - Delay: bounded delivery jitter — a delayed packet arrives 1..Max
-//     rounds late.
-//
-// The declarative Spec (spec.go) bundles the primitives, names the
-// configuration canonically for artifact cell keys, and builds the
-// composed adversary for one trial.
+// A Spec mixes five fault kinds — Bernoulli packet loss, crash-stop
+// (scheduled and sampled; the earlier round wins), per-round edge churn
+// (optionally keeping a BFS spanning tree up), bounded delivery delay and
+// traffic-adaptive crashes of the busiest nodes — and one type applies
+// them all. spec.go declares, names and validates it; this file is the
+// runtime it builds for one trial.
 package adversary
 
 import (
 	"anonlead/internal/graph"
 	"anonlead/internal/rng"
-	"anonlead/internal/sim"
 )
 
 // decision returns the RNG of one adversarial decision: a pure function of
@@ -78,153 +67,10 @@ func edgeKey(from, to int) uint64 {
 	return uint64(lo)<<32 | uint64(hi)
 }
 
-// dirKey labels a directed (from, port) pair; with round it uniquely names
-// one packet slot (multi-packet sends on one port in one round share a
-// stream, drawn in deterministic send order — see Fate implementations).
+// dirKey labels a directed (from, port) pair; with round and the packet's
+// occurrence index it uniquely names one packet.
 func dirKey(from, port int) uint64 {
 	return uint64(from)<<20 | uint64(port)
-}
-
-// slotSeq numbers the packets of one (round, sender, port) slot in send
-// order, so each packet of a multi-packet send gets its own decision
-// stream. The counter resets when the round advances; within a round,
-// occurrence indices are deterministic because routing consumes sends in
-// a fixed order — and slots queried in any order still agree, because the
-// index depends only on how many packets that slot has routed so far.
-type slotSeq struct {
-	round  int
-	counts map[uint64]int
-}
-
-// next returns the occurrence index of the slot's next packet.
-func (s *slotSeq) next(round int, key uint64) uint64 {
-	if s.counts == nil {
-		s.counts = make(map[uint64]int)
-		s.round = round
-	} else if s.round != round {
-		clear(s.counts)
-		s.round = round
-	}
-	k := s.counts[key]
-	s.counts[key] = k + 1
-	return uint64(k)
-}
-
-// Loss drops each packet independently with probability P, the classic
-// per-link Bernoulli message-loss adversary. Every packet — including the
-// k-th of a multi-packet send on one port in one round — draws from its
-// own (round, sender, port, k) decision stream, so fates never correlate.
-type Loss struct {
-	P    float64
-	seed uint64
-	seq  slotSeq
-}
-
-// NewLoss returns a Bernoulli loss adversary with drop probability p.
-func NewLoss(p float64, seed uint64) *Loss {
-	return &Loss{P: p, seed: seed}
-}
-
-// CrashRound implements sim.Adversary (Loss never crashes nodes).
-func (l *Loss) CrashRound(int) int { return -1 }
-
-// MaxDelay implements sim.Adversary (Loss never delays).
-func (l *Loss) MaxDelay() int { return 0 }
-
-// Fate implements sim.Adversary.
-func (l *Loss) Fate(round, from, port, _ int) (bool, int) {
-	key := dirKey(from, port)
-	k := l.seq.next(round, key)
-	r := decision3(l.seed, uint64(int64(round)), key, k)
-	return r.Bernoulli(l.P), 0
-}
-
-// Crash crash-stops nodes according to a per-node schedule.
-type Crash struct {
-	rounds []int // per node; -1 = never
-}
-
-// NewCrashSchedule builds a fixed-schedule crash adversary for an n-node
-// network: schedule maps node index to crash round. Unlisted nodes never
-// crash.
-func NewCrashSchedule(n int, schedule map[int]int) *Crash {
-	c := &Crash{rounds: make([]int, n)}
-	for v := range c.rounds {
-		c.rounds[v] = -1
-	}
-	for v, r := range schedule {
-		if v >= 0 && v < n && r >= 0 {
-			c.rounds[v] = r
-		}
-	}
-	return c
-}
-
-// NewRandomCrash samples a crash schedule: each node independently crashes
-// with probability fraction, at a round drawn uniformly from [0, by]. The
-// schedule is fixed at construction (a pure function of seed), matching
-// the oblivious-adversary model.
-func NewRandomCrash(n int, fraction float64, by int, seed uint64) *Crash {
-	if by < 0 {
-		by = 0
-	}
-	c := &Crash{rounds: make([]int, n)}
-	for v := 0; v < n; v++ {
-		r := decision(seed, uint64(v))
-		if r.Bernoulli(fraction) {
-			c.rounds[v] = r.Intn(by + 1)
-		} else {
-			c.rounds[v] = -1
-		}
-	}
-	return c
-}
-
-// CrashRound implements sim.Adversary.
-func (c *Crash) CrashRound(v int) int {
-	if v < 0 || v >= len(c.rounds) {
-		return -1
-	}
-	return c.rounds[v]
-}
-
-// MaxDelay implements sim.Adversary.
-func (c *Crash) MaxDelay() int { return 0 }
-
-// Fate implements sim.Adversary (crashes never touch in-flight packets;
-// the simulator drops traffic to crashed nodes itself).
-func (c *Crash) Fate(int, int, int, int) (bool, int) { return false, 0 }
-
-// Churn masks undirected edges per round: an edge that is down in round r
-// drops every packet sent on it in r, in both directions — dynamic-network
-// edge failure rather than independent per-packet loss.
-type Churn struct {
-	// P is the per-edge per-round down probability.
-	P    float64
-	seed uint64
-	// protected marks edges (by edgeKey) that are never masked — the BFS
-	// spanning tree when connectivity preservation is requested.
-	protected map[uint64]bool
-	// down memoizes the round's per-edge decisions: both directions,
-	// every channel, and every packet of a churning link re-ask the same
-	// (round, edge) question, so recomputing the derived stream per
-	// packet would put thousands of redundant RNG constructions on the
-	// routing path. Calls come from the single-threaded router only.
-	downRound int
-	down      map[uint64]bool
-}
-
-// NewChurn returns a churn adversary masking each undirected edge of g
-// independently with probability p each round. With preserveConnectivity,
-// the edges of a BFS spanning tree (rooted at node 0) are never masked, so
-// the live graph stays connected every round; without it, partitions are
-// deliberately possible.
-func NewChurn(g *graph.Graph, p float64, preserveConnectivity bool, seed uint64) *Churn {
-	c := &Churn{P: p, seed: seed}
-	if preserveConnectivity && g != nil && g.N() > 0 {
-		c.protected = spanningTree(g)
-	}
-	return c
 }
 
 // spanningTree returns the edgeKey set of a BFS tree of g rooted at 0.
@@ -249,142 +95,142 @@ func spanningTree(g *graph.Graph) map[uint64]bool {
 	return tree
 }
 
-// CrashRound implements sim.Adversary.
-func (c *Churn) CrashRound(int) int { return -1 }
-
-// MaxDelay implements sim.Adversary.
-func (c *Churn) MaxDelay() int { return 0 }
-
-// Fate implements sim.Adversary: both directions of an edge share the
-// (round, undirected edge) decision, so a down edge silences the link
-// symmetrically.
-func (c *Churn) Fate(round, from, _, to int) (bool, int) {
-	key := edgeKey(from, to)
-	if c.protected != nil && c.protected[key] {
-		return false, 0
-	}
-	if c.down == nil {
-		c.down = make(map[uint64]bool)
-		c.downRound = round
-	} else if c.downRound != round {
-		clear(c.down)
-		c.downRound = round
-	}
-	d, ok := c.down[key]
-	if !ok {
-		r := decision2(c.seed, uint64(int64(round)), key)
-		d = r.Bernoulli(c.P)
-		c.down[key] = d
-	}
-	return d, 0
-}
-
-// Delay jitters delivery: each packet is independently late with
-// probability P, arriving 1..Max rounds after its normal delivery round.
-// Order across packets of one link is not preserved — late packets merge
-// after on-time ones — which is exactly the asynchrony protocols built for
-// the synchronous model are not promised to survive. Like Loss, each
-// packet of a (round, sender, port) slot draws from its own stream.
-type Delay struct {
-	// P is the probability a packet is delayed at all.
-	P float64
-	// Max bounds the extra rounds (delayed packets draw uniform [1, Max]).
-	Max  int
-	seed uint64
-	seq  slotSeq
-}
-
-// NewDelay returns a delivery-jitter adversary.
-func NewDelay(p float64, max int, seed uint64) *Delay {
-	if max < 0 {
-		max = 0
-	}
-	return &Delay{P: p, Max: max, seed: seed}
+// injector is the runtime of one Spec for one trial: every configured
+// fault kind behind the one sim.Adversary. A kind left unconfigured has
+// its rate, map or slice at zero/nil and costs one comparison per call.
+// The simulator calls Fate and ObserveTraffic from its single-threaded
+// router only.
+type injector struct {
+	loss, churn, delayProb         float64
+	maxDelay                       int
+	lossSeed, churnSeed, delaySeed uint64
+	// crashAt is each node's crash round, the earlier of its sampled and
+	// scheduled one (-1 = never). Nil when no crash is configured.
+	crashAt []int
+	// counts numbers the packets of one (round, sender, port) slot in send
+	// order, so each packet of a multi-packet send draws its own loss and
+	// delay streams; within a round the index depends only on how many
+	// packets the slot has routed, so slots queried in any order agree.
+	// Nil unless loss or delay is configured.
+	countRound int
+	counts     map[uint64]int
+	// protected marks the edges churn never masks (the BFS tree under
+	// +conn); down memoizes the round's churn decisions, which both
+	// directions and every packet of a link re-ask — recomputing them would
+	// put thousands of RNG constructions on the routing path. Nil unless
+	// churn is configured.
+	protected map[uint64]bool
+	downRound int
+	down      map[uint64]bool
+	// The adaptive crash: every window rounds the k busiest nodes of the
+	// window crash, until strikes windows have claimed victims (k = 0: off).
+	k, window, strikes int
+	fired              int     // windows that have claimed victims so far
+	rounds             int     // rounds accumulated in the current window
+	acc                []int64 // per-node traffic in the current window
+	picks              []int   // reusable victim buffer handed to the simulator
 }
 
 // CrashRound implements sim.Adversary.
-func (d *Delay) CrashRound(int) int { return -1 }
+func (a *injector) CrashRound(v int) int {
+	if v < 0 || v >= len(a.crashAt) {
+		return -1
+	}
+	return a.crashAt[v]
+}
 
 // MaxDelay implements sim.Adversary.
-func (d *Delay) MaxDelay() int { return d.Max }
+func (a *injector) MaxDelay() int { return a.maxDelay }
 
-// Fate implements sim.Adversary.
-func (d *Delay) Fate(round, from, port, _ int) (bool, int) {
-	if d.Max == 0 {
-		return false, 0
-	}
+// Fate implements sim.Adversary: loss, then churn, then delay. A dropped
+// packet's delay is never drawn — the simulator discards it — and skipping
+// it perturbs nothing, because every draw is a pure function of the
+// packet's coordinates and the slot counter advances on every call.
+func (a *injector) Fate(round, from, port, to int) (bool, int) {
 	key := dirKey(from, port)
-	k := d.seq.next(round, key)
-	r := decision3(d.seed, uint64(int64(round)), key, k)
-	if !r.Bernoulli(d.P) {
-		return false, 0
-	}
-	return false, 1 + r.Intn(d.Max)
-}
-
-// composite stacks adversaries: a packet is dropped if any layer drops it,
-// delays add, and a node crashes at the earliest scheduled layer.
-type composite struct {
-	parts    []sim.Adversary
-	maxDelay int
-}
-
-// Compose stacks several adversaries into one. Nil parts are skipped; an
-// empty composition returns nil (no adversary). If any part is
-// traffic-adaptive (sim.TrafficAdaptive), the composition is too:
-// observations fan out to every adaptive layer and their victim lists
-// concatenate in layer order.
-func Compose(parts ...sim.Adversary) sim.Adversary {
-	kept := make([]sim.Adversary, 0, len(parts))
-	var adaptive []sim.TrafficAdaptive
-	maxDelay := 0
-	for _, p := range parts {
-		if p == nil {
-			continue
+	var k uint64
+	if a.counts != nil {
+		if a.countRound != round {
+			clear(a.counts)
+			a.countRound = round
 		}
-		kept = append(kept, p)
-		maxDelay += p.MaxDelay() // delays add, so bounds add
-		if ta, ok := p.(sim.TrafficAdaptive); ok {
-			adaptive = append(adaptive, ta)
+		k = uint64(a.counts[key])
+		a.counts[key]++
+	}
+	if a.loss > 0 {
+		r := decision3(a.lossSeed, uint64(int64(round)), key, k)
+		if r.Bernoulli(a.loss) {
+			return true, 0
 		}
 	}
-	switch len(kept) {
-	case 0:
+	if a.down != nil && a.churnDown(round, edgeKey(from, to)) {
+		return true, 0
+	}
+	if a.maxDelay > 0 {
+		r := decision3(a.delaySeed, uint64(int64(round)), key, k)
+		if r.Bernoulli(a.delayProb) {
+			return false, 1 + r.Intn(a.maxDelay)
+		}
+	}
+	return false, 0
+}
+
+// churnDown reports whether the undirected edge is down in round: one
+// (round, edge) decision silences the link in both directions.
+func (a *injector) churnDown(round int, edge uint64) bool {
+	if a.protected[edge] {
+		return false
+	}
+	if a.downRound != round {
+		clear(a.down)
+		a.downRound = round
+	}
+	d, ok := a.down[edge]
+	if !ok {
+		r := decision2(a.churnSeed, uint64(int64(round)), edge)
+		d = r.Bernoulli(a.churn)
+		a.down[edge] = d
+	}
+	return d
+}
+
+// ObserveTraffic implements sim.Adversary: it accumulates the send counts
+// over a window of rounds and at its end names the k busiest nodes to
+// crash — a proxy for targeting the emerging leader, the adaptive model
+// the static F1–F5 ladders cannot express. Ties break to the lower index;
+// a node silent all window is never picked, and a window nobody sent in
+// keeps its strike. The Init pseudo-round (round -1) is skipped: every
+// protocol announces on Init, so it carries no targeting signal.
+func (a *injector) ObserveTraffic(round int, sent []int) []int {
+	if a.k == 0 || round < 0 || a.fired >= a.strikes {
 		return nil
-	case 1:
-		return kept[0]
 	}
-	base := composite{parts: kept, maxDelay: maxDelay}
-	if len(adaptive) > 0 {
-		return &adaptiveComposite{composite: base, adaptive: adaptive}
+	for v, s := range sent {
+		a.acc[v] += int64(s)
 	}
-	return &base
-}
-
-// CrashRound implements sim.Adversary (earliest layer wins).
-func (c *composite) CrashRound(v int) int {
-	at := -1
-	for _, p := range c.parts {
-		if r := p.CrashRound(v); r >= 0 && (at < 0 || r < at) {
-			at = r
+	a.rounds++
+	if a.rounds < a.window {
+		return nil
+	}
+	a.rounds = 0
+	a.picks = a.picks[:0]
+	for len(a.picks) < a.k {
+		best, bestAcc := -1, int64(0)
+		for v, t := range a.acc {
+			if t > bestAcc {
+				best, bestAcc = v, t
+			}
 		}
+		if best < 0 {
+			break // nobody (left) sent anything this window
+		}
+		a.acc[best] = 0 // claimed — also excludes it from further picks
+		a.picks = append(a.picks, best)
 	}
-	return at
-}
-
-// MaxDelay implements sim.Adversary.
-func (c *composite) MaxDelay() int { return c.maxDelay }
-
-// Fate implements sim.Adversary. Every layer is consulted even after a
-// drop decision, so each layer's decision streams advance identically no
-// matter what the layers above it did — composition never perturbs a
-// layer's randomness.
-func (c *composite) Fate(round, from, port, to int) (bool, int) {
-	drop, delay := false, 0
-	for _, p := range c.parts {
-		d, dl := p.Fate(round, from, port, to)
-		drop = drop || d
-		delay += dl
+	clear(a.acc)
+	if len(a.picks) == 0 {
+		return nil
 	}
-	return drop, delay
+	a.fired++
+	return a.picks
 }

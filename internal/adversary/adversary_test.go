@@ -1,6 +1,10 @@
 package adversary
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/fnv"
+	"math"
 	"strings"
 	"testing"
 
@@ -8,9 +12,21 @@ import (
 	"anonlead/internal/sim"
 )
 
+// mustBuild builds s for g and fails the test on an error or a nil
+// adversary.
+func mustBuild(t *testing.T, s Spec, g *graph.Graph, seed uint64) sim.Adversary {
+	t.Helper()
+	adv, err := s.Build(g, seed)
+	if err != nil || adv == nil {
+		t.Fatalf("build %+v: %v, %v", s, adv, err)
+	}
+	return adv
+}
+
 func TestLossDeterministicAndRateSensitive(t *testing.T) {
-	a := NewLoss(0.5, 7)
-	b := NewLoss(0.5, 7)
+	g := graph.Path(11)
+	a := mustBuild(t, Spec{Loss: 0.5}, g, 7)
+	b := mustBuild(t, Spec{Loss: 0.5}, g, 7)
 	drops := 0
 	for round := 0; round < 50; round++ {
 		for from := 0; from < 10; from++ {
@@ -30,8 +46,10 @@ func TestLossDeterministicAndRateSensitive(t *testing.T) {
 	if drops < 150 || drops > 350 {
 		t.Fatalf("p=0.5 dropped %d/500, far from expectation", drops)
 	}
-	// Zero and one rates are exact.
-	never, always := NewLoss(0, 1), NewLoss(1, 1)
+	// Zero and one rates are exact (a crash schedule keeps the p=0 spec
+	// from being the zero spec, which builds no adversary at all).
+	never := mustBuild(t, Spec{CrashSchedule: map[int]int{0: 99}}, g, 1)
+	always := mustBuild(t, Spec{Loss: 1}, g, 1)
 	for round := 0; round < 20; round++ {
 		if d, _ := never.Fate(round, 0, 0, 1); d {
 			t.Fatal("p=0 dropped")
@@ -46,7 +64,8 @@ func TestLossDeterministicAndRateSensitive(t *testing.T) {
 // fate of (round, from, port) does not depend on which other slots were
 // queried before it.
 func TestLossCallOrderIndependence(t *testing.T) {
-	forward, backward := NewLoss(0.5, 9), NewLoss(0.5, 9)
+	g := graph.Cycle(5)
+	forward, backward := mustBuild(t, Spec{Loss: 0.5}, g, 9), mustBuild(t, Spec{Loss: 0.5}, g, 9)
 	var f []bool
 	for round := 0; round < 10; round++ {
 		for from := 0; from < 5; from++ {
@@ -54,26 +73,24 @@ func TestLossCallOrderIndependence(t *testing.T) {
 			f = append(f, d)
 		}
 	}
-	i := 0
 	for round := 9; round >= 0; round-- {
 		for from := 4; from >= 0; from-- {
 			d, _ := backward.Fate(round, from, 0, 0)
-			want := f[round*5+from]
-			if d != want {
+			if d != f[round*5+from] {
 				t.Fatalf("slot (r%d,n%d) fate depends on query order", round, from)
 			}
-			i++
 		}
 	}
 }
 
 func TestRandomCrashSchedule(t *testing.T) {
-	n, by := 200, 16
-	c := NewRandomCrash(n, 0.25, by, 3)
+	g, by := graph.Cycle(200), 16
+	s := Spec{CrashFraction: 0.25, CrashBy: by}
+	c, again := mustBuild(t, s, g, 3), mustBuild(t, s, g, 3)
 	crashed := 0
-	for v := 0; v < n; v++ {
+	for v := 0; v < g.N(); v++ {
 		r := c.CrashRound(v)
-		if r != NewRandomCrash(n, 0.25, by, 3).CrashRound(v) {
+		if r != again.CrashRound(v) {
 			t.Fatal("crash schedule not deterministic")
 		}
 		if r >= 0 {
@@ -86,20 +103,20 @@ func TestRandomCrashSchedule(t *testing.T) {
 	if crashed < 25 || crashed > 90 {
 		t.Fatalf("fraction 0.25 crashed %d/200, far from expectation", crashed)
 	}
-	if NewRandomCrash(n, 0, by, 3).CrashRound(0) != -1 {
-		// fraction 0 — spot-check one node, then all.
-		t.Fatal("fraction 0 crashed node 0")
-	}
-	none := NewRandomCrash(n, 0, by, 3)
-	for v := 0; v < n; v++ {
-		if none.CrashRound(v) >= 0 {
-			t.Fatalf("fraction 0 crashed node %d", v)
+	all := mustBuild(t, Spec{CrashFraction: 1, CrashBy: 0}, g, 3)
+	for v := 0; v < g.N(); v++ {
+		if all.CrashRound(v) != 0 {
+			t.Fatalf("fraction 1 by round 0: node %d crashes at %d", v, all.CrashRound(v))
 		}
 	}
 }
 
+// TestCrashScheduleFixed: a schedule crashes exactly the listed nodes,
+// combined with a sampled crash the earlier round wins, and a schedule
+// naming a node the network does not have is an error.
 func TestCrashScheduleFixed(t *testing.T) {
-	c := NewCrashSchedule(8, map[int]int{2: 5, 7: 0, 9: 1, 3: -4})
+	g := graph.Cycle(8)
+	c := mustBuild(t, Spec{CrashSchedule: map[int]int{2: 5, 7: 0}}, g, 1)
 	want := map[int]int{0: -1, 1: -1, 2: 5, 3: -1, 4: -1, 5: -1, 6: -1, 7: 0}
 	for v, w := range want {
 		if got := c.CrashRound(v); got != w {
@@ -109,11 +126,29 @@ func TestCrashScheduleFixed(t *testing.T) {
 	if c.CrashRound(9) != -1 || c.CrashRound(-1) != -1 {
 		t.Fatal("out-of-range node did not report never-crash")
 	}
+
+	sampled := mustBuild(t, Spec{CrashFraction: 1, CrashBy: 40}, g, 5)
+	sched := map[int]int{0: 0, 3: 20, 5: 40}
+	both := mustBuild(t, Spec{CrashFraction: 1, CrashBy: 40, CrashSchedule: sched}, g, 5)
+	for v := 0; v < g.N(); v++ {
+		want := sampled.CrashRound(v)
+		if r, ok := sched[v]; ok && r < want {
+			want = r
+		}
+		if got := both.CrashRound(v); got != want {
+			t.Fatalf("node %d crashes at %d, want the earlier of sample and schedule %d", v, got, want)
+		}
+	}
+
+	if _, err := (Spec{CrashSchedule: map[int]int{9: 1, 12: 0}}).Build(g, 1); !errors.Is(err, ErrCrashNodeOutOfRange) ||
+		!strings.Contains(err.Error(), "node 9 in a 8-node network") {
+		t.Fatalf("out-of-range schedule: %v", err)
+	}
 }
 
 func TestChurnSymmetricAndConnectivityPreserving(t *testing.T) {
 	g := graph.Cycle(12)
-	c := NewChurn(g, 0.5, false, 11)
+	c := mustBuild(t, Spec{Churn: 0.5}, g, 11)
 	downs := 0
 	for round := 0; round < 40; round++ {
 		for v := 0; v < g.N(); v++ {
@@ -134,7 +169,7 @@ func TestChurnSymmetricAndConnectivityPreserving(t *testing.T) {
 
 	// With preservation, the BFS tree stays up: under p=1 every non-tree
 	// edge is down, and the up-edges alone must keep the graph connected.
-	p := NewChurn(g, 1, true, 11)
+	p := mustBuild(t, Spec{Churn: 1, ChurnPreserve: true}, g, 11)
 	b := graph.NewBuilder(g.N())
 	for _, e := range g.Edges() {
 		if drop, _ := p.Fate(0, e[0], g.PortTo(e[0], e[1]), e[1]); !drop {
@@ -151,8 +186,8 @@ func TestChurnSymmetricAndConnectivityPreserving(t *testing.T) {
 }
 
 func TestDelayBoundsAndDeterminism(t *testing.T) {
-	d := NewDelay(1, 3, 5)
-	d2 := NewDelay(1, 3, 5)
+	g := graph.Path(3)
+	d, d2 := mustBuild(t, Spec{DelayProb: 1, MaxDelay: 3}, g, 5), mustBuild(t, Spec{DelayProb: 1, MaxDelay: 3}, g, 5)
 	seen := map[int]int{}
 	for round := 0; round < 60; round++ {
 		drop, dl := d.Fate(round, 1, 0, 2)
@@ -171,48 +206,14 @@ func TestDelayBoundsAndDeterminism(t *testing.T) {
 	if len(seen) < 2 {
 		t.Fatalf("delays not spread over the range: %v", seen)
 	}
-	if _, dl := NewDelay(0, 3, 5).Fate(0, 0, 0, 1); dl != 0 {
-		t.Fatal("p=0 delayed")
-	}
 	if d.MaxDelay() != 3 {
 		t.Fatalf("MaxDelay %d", d.MaxDelay())
 	}
-}
-
-func TestCompose(t *testing.T) {
-	if Compose() != nil || Compose(nil, nil) != nil {
-		t.Fatal("empty composition not nil")
-	}
-	l := NewLoss(1, 1)
-	if Compose(nil, l) != sim.Adversary(l) {
-		t.Fatal("single-part composition not unwrapped")
-	}
-	c := Compose(
-		NewLoss(1, 1),
-		NewCrashSchedule(4, map[int]int{1: 7, 2: 3}),
-		NewDelay(1, 2, 2),
-		NewDelay(1, 3, 4),
-	)
-	if got := c.MaxDelay(); got != 5 {
-		t.Fatalf("composed MaxDelay %d, want 5 (delays add)", got)
-	}
-	if got := c.CrashRound(1); got != 7 {
-		t.Fatalf("crash round %d, want 7", got)
-	}
-	if got := c.CrashRound(0); got != -1 {
-		t.Fatalf("crash round %d, want -1", got)
-	}
-	drop, delay := c.Fate(0, 0, 0, 1)
-	if !drop {
-		t.Fatal("composed loss p=1 did not drop")
-	}
-	if delay < 2 || delay > 5 {
-		t.Fatalf("composed delay %d outside [2,5]", delay)
-	}
-	// Earliest crash wins across layers.
-	c2 := Compose(NewCrashSchedule(4, map[int]int{1: 7}), NewCrashSchedule(4, map[int]int{1: 2}))
-	if got := c2.CrashRound(1); got != 2 {
-		t.Fatalf("earliest crash %d, want 2", got)
+	// A bound without a rate configures no jitter: nothing is late and the
+	// simulator's delay ring is not sized for it.
+	inert := mustBuild(t, Spec{MaxDelay: 3, CrashSchedule: map[int]int{0: 9}}, g, 5)
+	if _, dl := inert.Fate(0, 0, 0, 1); dl != 0 || inert.MaxDelay() != 0 {
+		t.Fatalf("p=0 delayed %d, MaxDelay %d", dl, inert.MaxDelay())
 	}
 }
 
@@ -237,6 +238,7 @@ func TestSpecZeroAndValidate(t *testing.T) {
 			t.Fatalf("zero spec %d descriptor %q", i, s.Descriptor())
 		}
 	}
+	nan := math.NaN()
 	bad := []Spec{
 		{Loss: 1.5},
 		{Loss: -0.1},
@@ -246,6 +248,11 @@ func TestSpecZeroAndValidate(t *testing.T) {
 		{CrashFraction: 0.5, CrashBy: -1},
 		{DelayProb: 0.5, MaxDelay: -2},
 		{CrashSchedule: map[int]int{-1: 4}},
+		{Loss: nan},
+		{Churn: nan},
+		{DelayProb: nan, MaxDelay: 2},
+		{CrashFraction: nan, CrashBy: 3},
+		{Loss: math.Inf(1)},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -275,13 +282,7 @@ func TestSpecDescriptorCanonical(t *testing.T) {
 func TestSpecBuildComposesConfiguredParts(t *testing.T) {
 	g := graph.Torus(4, 8)
 	s := Spec{Loss: 0.2, CrashFraction: 0.3, CrashBy: 8, DelayProb: 0.5, MaxDelay: 2}
-	adv, err := s.Build(g, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adv == nil {
-		t.Fatal("non-zero spec built nil")
-	}
+	adv := mustBuild(t, s, g, 42)
 	if adv.MaxDelay() != 2 {
 		t.Fatalf("MaxDelay %d", adv.MaxDelay())
 	}
@@ -294,8 +295,8 @@ func TestSpecBuildComposesConfiguredParts(t *testing.T) {
 	if crashes == 0 || crashes == g.N() {
 		t.Fatalf("crash fraction 0.3 crashed %d/%d", crashes, g.N())
 	}
-	// Same seed rebuild is identical; different seed differs somewhere.
-	adv2, _ := s.Build(g, 42)
+	// Same seed rebuild is identical.
+	adv2 := mustBuild(t, s, g, 42)
 	for v := 0; v < g.N(); v++ {
 		if adv.CrashRound(v) != adv2.CrashRound(v) {
 			t.Fatal("rebuild changed the crash schedule")
@@ -312,7 +313,7 @@ func TestLossIndependentFatesWithinSlot(t *testing.T) {
 	const rounds, packets = 60, 2
 	type slot struct{ round, port, k int }
 	record := func(interleave bool) map[slot]bool {
-		l := NewLoss(0.5, 13)
+		l := mustBuild(t, Spec{Loss: 0.5}, graph.Path(2), 13)
 		out := map[slot]bool{}
 		for round := 0; round < rounds; round++ {
 			if interleave {
@@ -347,5 +348,86 @@ func TestLossIndependentFatesWithinSlot(t *testing.T) {
 	}
 	if diverged == 0 {
 		t.Fatal("packets of one slot always share a fate (correlated draws)")
+	}
+}
+
+// answers runs a fixed query script against adv on g and folds every
+// answer into one FNV-64 digest: MaxDelay, CrashRound of every node and of
+// one out-of-range index on each side, then for rounds -1..29 every node's
+// multi-packet sends through Fate — an even node's slots interleaved, an
+// odd node's contiguous, every ninth round silent — and the round's send
+// counts through ObserveTraffic. A dropped packet folds as -1 without its
+// delay, which the simulator never reads.
+func answers(adv sim.Adversary, g *graph.Graph) uint64 {
+	h := fnv.New64a()
+	put := func(v int) { h.Write(binary.LittleEndian.AppendUint64(nil, uint64(int64(v)))) }
+	put(adv.MaxDelay())
+	for v := -1; v <= g.N(); v++ {
+		put(adv.CrashRound(v))
+	}
+	sent := make([]int, g.N())
+	for round := -1; round < 30; round++ {
+		for v := 0; v < g.N(); v++ {
+			per := (7*v + 3*round + 5) % 4 // packets per port
+			if round%9 == 4 {
+				per = 0
+			}
+			fate := func(port int) {
+				drop, delay := adv.Fate(round, v, port, g.Neighbor(v, port))
+				if drop {
+					delay = -1
+				}
+				put(delay)
+			}
+			if v%2 == 0 {
+				for k := 0; k < per; k++ {
+					for port := 0; port < g.Degree(v); port++ {
+						fate(port)
+					}
+				}
+			} else {
+				for port := 0; port < g.Degree(v); port++ {
+					for k := 0; k < per; k++ {
+						fate(port)
+					}
+				}
+			}
+			sent[v] = per * g.Degree(v)
+		}
+		picks := adv.ObserveTraffic(round, sent)
+		put(len(picks))
+		for _, p := range picks {
+			put(p)
+		}
+	}
+	return h.Sum64()
+}
+
+// TestAdversaryMatchesParentDigest pins the one adversary type to the
+// answers of the per-kind types and their composition it replaced: the
+// constants were produced by running the same script against the
+// composed adversary the previous Spec.Build returned.
+func TestAdversaryMatchesParentDigest(t *testing.T) {
+	cases := []struct {
+		name string
+		spec Spec
+		want uint64
+	}{
+		{"loss", Spec{Loss: 0.3}, 0x2122407fe2ee4cbd},
+		{"crash", Spec{CrashFraction: 0.4, CrashBy: 6}, 0xa3b8424e9b49ac7e},
+		{"schedule", Spec{CrashSchedule: map[int]int{1: 3, 6: 0, 11: 9}}, 0x3070da51c01be0f7},
+		{"churn", Spec{Churn: 0.35}, 0x2088c7d5d4938fad},
+		{"churn+conn", Spec{Churn: 0.6, ChurnPreserve: true}, 0x7446a4395743cca5},
+		{"delay", Spec{DelayProb: 0.5, MaxDelay: 3}, 0xcbf604fe3eae3877},
+		{"adaptive", Spec{AdaptiveCrash: 2, AdaptiveWindow: 3, AdaptiveStrikes: 2}, 0xbe482ac6853cd273},
+		{"all", Spec{Loss: 0.2, CrashFraction: 0.3, CrashBy: 5, CrashSchedule: map[int]int{2: 1, 7: 8, 12: 0},
+			Churn: 0.25, ChurnPreserve: true, DelayProb: 0.4, MaxDelay: 2,
+			AdaptiveCrash: 1, AdaptiveWindow: 2, AdaptiveStrikes: 3}, 0x869aea9d7e1d5b0b},
+	}
+	g := graph.Torus(4, 4)
+	for _, c := range cases {
+		if got := answers(mustBuild(t, c.spec, g, 2024), g); got != c.want {
+			t.Errorf("%s: digest %#016x, want %#016x", c.name, got, c.want)
+		}
 	}
 }

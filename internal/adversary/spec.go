@@ -17,11 +17,7 @@ import (
 // tooling aligns cells by. The zero value means "no adversary" and builds
 // to nil, so a run with a zero spec is byte-identical to one without an
 // adversary at all and degradation curves can anchor at a genuinely
-// unperturbed cell.
-//
-// Every fault decision is a pure function of (seed, round, edge/node) —
-// never of call order — so fault-injected runs stay bit-identical across
-// all schedulers. Dropped and delayed packets still count in Messages,
+// unperturbed cell. Dropped and delayed packets still count in Messages,
 // Bits and link-slot charging: the sender transmitted them.
 type Spec struct {
 	// Loss is the per-packet Bernoulli drop probability.
@@ -84,52 +80,36 @@ func (s Spec) adaptiveParams() (window, strikes int) {
 }
 
 // IsZero reports whether the spec configures no perturbation at all. Rates
-// of exactly zero disable their primitive, so e.g. Spec{Loss: 0} is zero.
+// of exactly zero disable their fault kind, so e.g. Spec{Loss: 0} is zero.
 func (s Spec) IsZero() bool {
 	return s.Loss == 0 && s.CrashFraction == 0 && len(s.CrashSchedule) == 0 &&
 		s.Churn == 0 && (s.DelayProb == 0 || s.MaxDelay == 0) &&
 		s.AdaptiveCrash == 0
 }
 
-// Validate rejects out-of-range parameters.
+// Validate rejects out-of-range parameters, NaN probabilities included.
 func (s Spec) Validate() error {
-	check := func(name string, p float64) error {
-		if p < 0 || p > 1 {
-			return fmt.Errorf("adversary: %s probability %v outside [0,1]", name, p)
+	for _, c := range []struct {
+		name string
+		p    float64
+	}{{"loss", s.Loss}, {"crash", s.CrashFraction}, {"churn", s.Churn}, {"delay", s.DelayProb}} {
+		if !(c.p >= 0 && c.p <= 1) {
+			return fmt.Errorf("adversary: %s probability %v outside [0,1]", c.name, c.p)
 		}
-		return nil
 	}
-	if err := check("loss", s.Loss); err != nil {
-		return err
-	}
-	if err := check("crash", s.CrashFraction); err != nil {
-		return err
-	}
-	if err := check("churn", s.Churn); err != nil {
-		return err
-	}
-	if err := check("delay", s.DelayProb); err != nil {
-		return err
-	}
-	if s.CrashBy < 0 {
-		return fmt.Errorf("adversary: negative crash-by round %d", s.CrashBy)
-	}
-	if s.MaxDelay < 0 {
-		return fmt.Errorf("adversary: negative max delay %d", s.MaxDelay)
+	for _, c := range []struct {
+		name string
+		v    int
+	}{{"crash-by round", s.CrashBy}, {"max delay", s.MaxDelay}, {"adaptive crash count", s.AdaptiveCrash},
+		{"adaptive window", s.AdaptiveWindow}, {"adaptive strikes", s.AdaptiveStrikes}} {
+		if c.v < 0 {
+			return fmt.Errorf("adversary: negative %s %d", c.name, c.v)
+		}
 	}
 	for v, r := range s.CrashSchedule {
 		if v < 0 || r < 0 {
 			return fmt.Errorf("adversary: invalid crash schedule entry node %d round %d", v, r)
 		}
-	}
-	if s.AdaptiveCrash < 0 {
-		return fmt.Errorf("adversary: negative adaptive crash count %d", s.AdaptiveCrash)
-	}
-	if s.AdaptiveWindow < 0 {
-		return fmt.Errorf("adversary: negative adaptive window %d", s.AdaptiveWindow)
-	}
-	if s.AdaptiveStrikes < 0 {
-		return fmt.Errorf("adversary: negative adaptive strikes %d", s.AdaptiveStrikes)
 	}
 	if s.AdaptiveCrash == 0 && (s.AdaptiveWindow != 0 || s.AdaptiveStrikes != 0) {
 		return fmt.Errorf("adversary: adaptive window/strikes set without adaptive_crash")
@@ -154,7 +134,7 @@ func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // Descriptor canonically names the configuration, e.g.
 // "loss=0.1,crash=0.25@16,churn=0.05+conn,delay=0.5x3". The grammar is a
-// comma-joined list of the active primitives, each rendered with minimal
+// comma-joined list of the active fault kinds, each rendered with minimal
 // decimal probabilities:
 //
 //	loss=<p>              Bernoulli packet loss at rate p
@@ -202,10 +182,10 @@ func (s Spec) Descriptor() string {
 	return strings.Join(parts, ",")
 }
 
-// Build constructs the composed runtime adversary for one trial on g,
-// deriving every primitive's stream from seed by labeled splitting (so the
-// primitives never correlate). A zero spec returns (nil, nil): no
-// adversary, and therefore a run byte-identical to an unperturbed one.
+// Build constructs the runtime adversary for one trial on g, deriving each
+// fault kind's stream from seed by labeled splitting (so the kinds never
+// correlate). A zero spec returns (nil, nil): no adversary, and therefore
+// a run byte-identical to an unperturbed one.
 func (s Spec) Build(g *graph.Graph, seed uint64) (sim.Adversary, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -213,44 +193,71 @@ func (s Spec) Build(g *graph.Graph, seed uint64) (sim.Adversary, error) {
 	if s.IsZero() {
 		return nil, nil
 	}
-	root := rng.New(seed)
-	sub := func(label string) uint64 { return root.SplitString(label).DeriveSeed(0) }
 	n := 0
 	if g != nil {
 		n = g.N()
 	}
-	var parts []sim.Adversary
+	// The descriptor counts every schedule entry: refuse a schedule the
+	// cell identity would misreport. The lowest offender is named, whatever
+	// the map iteration order.
+	bad := -1
+	for v := range s.CrashSchedule {
+		if v >= n && (bad < 0 || v < bad) {
+			bad = v
+		}
+	}
+	if bad >= 0 {
+		return nil, fmt.Errorf("%w: node %d in a %d-node network", ErrCrashNodeOutOfRange, bad, n)
+	}
+	root := rng.New(seed)
+	sub := func(label string) uint64 { return root.SplitString(label).DeriveSeed(0) }
+	a := &injector{}
 	if s.Loss > 0 {
-		parts = append(parts, NewLoss(s.Loss, sub("loss")))
+		a.loss, a.lossSeed = s.Loss, sub("loss")
 	}
-	if s.CrashFraction > 0 {
-		parts = append(parts, NewRandomCrash(n, s.CrashFraction, s.CrashBy, sub("crash")))
-	}
-	if len(s.CrashSchedule) > 0 {
-		// NewCrashSchedule ignores nodes the network does not have, but the
-		// descriptor counts every entry: refuse a schedule the cell identity
-		// would misreport. The lowest offender is named, whatever the map
-		// iteration order.
-		bad := -1
-		for v := range s.CrashSchedule {
-			if v >= n && (bad < 0 || v < bad) {
-				bad = v
-			}
-		}
-		if bad >= 0 {
-			return nil, fmt.Errorf("%w: node %d in a %d-node network", ErrCrashNodeOutOfRange, bad, n)
-		}
-		parts = append(parts, NewCrashSchedule(n, s.CrashSchedule))
+	if s.CrashFraction > 0 || len(s.CrashSchedule) > 0 {
+		a.crashAt = s.crashRounds(n, sub("crash"))
 	}
 	if s.Churn > 0 {
-		parts = append(parts, NewChurn(g, s.Churn, s.ChurnPreserve, sub("churn")))
+		a.churn, a.churnSeed = s.Churn, sub("churn")
+		a.down = make(map[uint64]bool)
+		if s.ChurnPreserve && n > 0 {
+			a.protected = spanningTree(g)
+		}
 	}
 	if s.DelayProb > 0 && s.MaxDelay > 0 {
-		parts = append(parts, NewDelay(s.DelayProb, s.MaxDelay, sub("delay")))
+		a.delayProb, a.maxDelay, a.delaySeed = s.DelayProb, s.MaxDelay, sub("delay")
+	}
+	if a.loss > 0 || a.maxDelay > 0 {
+		a.counts = make(map[uint64]int)
 	}
 	if s.AdaptiveCrash > 0 {
-		window, strikes := s.adaptiveParams()
-		parts = append(parts, NewAdaptiveCrash(n, s.AdaptiveCrash, window, strikes))
+		a.k = s.AdaptiveCrash
+		a.window, a.strikes = s.adaptiveParams()
+		a.acc = make([]int64, n)
 	}
-	return Compose(parts...), nil
+	return a, nil
+}
+
+// crashRounds is each node's crash round (-1 = never): the earlier of its
+// sampled one — with probability CrashFraction, uniform in [0, CrashBy],
+// from the node's own decision stream — and its scheduled one.
+func (s Spec) crashRounds(n int, seed uint64) []int {
+	at := make([]int, n)
+	for v := range at {
+		at[v] = -1
+		if s.CrashFraction > 0 {
+			r := decision(seed, uint64(v))
+			if r.Bernoulli(s.CrashFraction) {
+				// Uint64n, not Intn: CrashBy+1 overflows int at CrashBy = MaxInt.
+				at[v] = int(r.Uint64n(uint64(s.CrashBy) + 1))
+			}
+		}
+	}
+	for v, r := range s.CrashSchedule {
+		if at[v] < 0 || r < at[v] {
+			at[v] = r
+		}
+	}
+	return at
 }

@@ -2,6 +2,7 @@ package epoch
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
@@ -32,6 +33,27 @@ func TestOptsDescriptorAndValidate(t *testing.T) {
 	}
 	if err := (Opts{Epochs: 2, Carry: true}).Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOptsValidateTable: over every combination of a boundary epoch count
+// and the two flags, Validate accepts exactly at least one epoch without
+// carry under revoke, and an accepted scenario is never the zero value and
+// always names itself.
+func TestOptsValidateTable(t *testing.T) {
+	for _, epochs := range []int{math.MinInt, -1, 0, 1, 2, math.MaxInt} {
+		for _, revoke := range []bool{false, true} {
+			for _, carry := range []bool{false, true} {
+				o := Opts{Epochs: epochs, Revoke: revoke, Carry: carry}
+				err := o.Validate()
+				if want := epochs >= 1 && !(revoke && carry); (err == nil) != want {
+					t.Fatalf("%+v: Validate %v, want valid=%v", o, err, want)
+				}
+				if err == nil && (o.IsZero() || o.Descriptor() == "") {
+					t.Fatalf("%+v: valid but zero or unnamed (%q)", o, o.Descriptor())
+				}
+			}
+		}
 	}
 }
 

@@ -150,13 +150,3 @@ func TestAdaptiveOverridesLaterStaticSchedule(t *testing.T) {
 		t.Fatalf("CrashedCount = %d, want 1", nw.CrashedCount())
 	}
 }
-
-// TestNonAdaptiveAdversarySkipsTrafficFeed: a plain adversary never
-// allocates the sent buffer — the adaptive feed is strictly opt-in.
-func TestNonAdaptiveAdversarySkipsTrafficFeed(t *testing.T) {
-	g := graph.Cycle(4)
-	nw := recorderNetAdv(g, 3, Sequential, &testAdv{})
-	if nw.sent != nil || nw.adaptive != nil {
-		t.Fatal("non-adaptive adversary should not enable the traffic feed")
-	}
-}

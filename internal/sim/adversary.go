@@ -6,9 +6,10 @@ package sim
 // calls — but determinism still must not lean on call order: every decision
 // is required to be a pure function of the adversary's own seed material
 // and the call's arguments, so that the Sequential, WorkerPool, and Actors
-// schedulers observe byte-identical faults. internal/adversary provides
-// composable implementations (Bernoulli link loss, crash-stop schedules,
-// link churn, delivery-delay jitter) built on rng seed splitting.
+// schedulers observe byte-identical faults. internal/adversary provides the
+// implementation (Bernoulli link loss, crash-stop schedules, link churn,
+// delivery-delay jitter, traffic-adaptive crashes), one type built from a
+// declarative spec on rng seed splitting.
 //
 // A nil Config.Adversary costs nothing: the fault paths are gated on a
 // single nil check and the steady-state round stays allocation-free.
@@ -26,37 +27,28 @@ type Adversary interface {
 	// MaxDelay bounds the delays Fate may return; it sizes the simulator's
 	// future-delivery ring. 0 means no jitter.
 	MaxDelay() int
-}
-
-// TrafficAdaptive is an optional extension of Adversary for adaptive fault
-// policies. After every routed round the simulator feeds the adversary the
-// per-node send counts of that round and lets it name nodes to crash-stop
-// at the start of the next round — the classic adaptive adversary that
-// targets the busiest node (≈ the emerging leader) instead of committing
-// to a schedule up front.
-//
-// Determinism is preserved without any extra seed material: route() is
-// single-threaded and iterates nodes in index order under every scheduler,
-// so the observed counts — and therefore any pure function of them — are
-// byte-identical across Sequential, WorkerPool, and Actors.
-//
-// Adaptive crashes compose with a static CrashRound schedule: the earlier
-// of the two rounds wins, and already-crashed nodes are skipped.
-type TrafficAdaptive interface {
-	Adversary
 	// ObserveTraffic receives the send counts of the round just routed
 	// (sent[v] = packets node v sent this round; Init is round -1) and
-	// returns the nodes to crash at the start of round+1, or nil. The
+	// returns the nodes to crash at the start of round+1, or nil — the
+	// classic adaptive adversary that targets the busiest node (≈ the
+	// emerging leader) instead of committing to a schedule up front. The
 	// returned slice may be reused by the implementation; the simulator
 	// consumes it before the next call.
+	//
+	// Determinism needs no extra seed material: route() is single-threaded
+	// and iterates nodes in index order under every scheduler, so the
+	// observed counts — and any pure function of them — are byte-identical
+	// across Sequential, WorkerPool, and Actors. Adaptive crashes compose
+	// with the CrashRound schedule: the earlier of the two rounds wins, and
+	// already-crashed nodes are skipped.
 	ObserveTraffic(round int, sent []int) []int
 }
 
-// observeTraffic feeds the round's send counts to the adaptive adversary
-// and schedules the returned victims to crash at the start of the next
-// round. An earlier existing schedule for a node wins.
+// observeTraffic feeds the round's send counts to the adversary and
+// schedules the returned victims to crash at the start of the next round.
+// An earlier existing schedule for a node wins.
 func (nw *Network) observeTraffic(round int) {
-	for _, v := range nw.adaptive.ObserveTraffic(round, nw.sent) {
+	for _, v := range nw.adv.ObserveTraffic(round, nw.sent) {
 		if v < 0 || v >= len(nw.crashAt) || nw.crashed[v] {
 			continue
 		}

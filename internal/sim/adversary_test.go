@@ -32,6 +32,8 @@ func (a *testAdv) Fate(round, from, port, to int) (bool, int) {
 	return a.fate(round, from, port, to)
 }
 
+func (a *testAdv) ObserveTraffic(int, []int) []int { return nil }
+
 func recorderNetAdv(g *graph.Graph, stopRound int, s Scheduler, adv Adversary) *Network {
 	return New(Config{Graph: g, Seed: 1, Scheduler: s, Adversary: adv},
 		func(node, degree int, r *rng.RNG) Machine {

@@ -79,8 +79,7 @@ type Network struct {
 	crashed       []bool             // nodes crash-stopped so far
 	future        [][]futureDelivery // delay ring, indexed by arrival round mod len
 	pendingFuture int                // packets parked in the ring
-	adaptive      TrafficAdaptive    // non-nil when adv observes traffic
-	sent          []int              // per-node send counts of the routed round (adaptive only)
+	sent          []int              // per-node send counts of the routed round, for ObserveTraffic
 }
 
 // DefaultCongestBits returns the default per-link budget for an n-node
@@ -161,12 +160,9 @@ func New(cfg Config, factory Factory) *Network {
 		nw.adv = cfg.Adversary
 		nw.crashAt = make([]int, n)
 		nw.crashed = make([]bool, n)
+		nw.sent = make([]int, n)
 		for v := 0; v < n; v++ {
 			nw.crashAt[v] = nw.adv.CrashRound(v)
-		}
-		if ta, ok := nw.adv.(TrafficAdaptive); ok {
-			nw.adaptive = ta
-			nw.sent = make([]int, n)
 		}
 		// Ring size: while routing round r the live arrival rounds span
 		// [r+1, r+1+MaxDelay] (slot r was drained first) — MaxDelay+2
@@ -350,7 +346,7 @@ func (nw *Network) route(round int) {
 		if ctx.halted {
 			nw.stop(v)
 		}
-		if nw.adaptive != nil {
+		if nw.adv != nil {
 			nw.sent[v] = len(ctx.out)
 		}
 		for _, s := range ctx.out {
@@ -389,7 +385,7 @@ func (nw *Network) route(round int) {
 		ctx.out = ctx.out[:0]
 	}
 	nw.inbox, nw.next = nw.next, nw.inbox
-	if nw.adaptive != nil {
+	if nw.adv != nil {
 		nw.observeTraffic(round)
 	}
 }

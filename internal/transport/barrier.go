@@ -176,8 +176,10 @@ func DecodeReport(b []byte) (Report, error) {
 	if err != nil {
 		return r, err
 	}
-	if ports > 1<<20 {
-		return r, fmt.Errorf("transport: report claims %d ports", ports)
+	// Every count takes at least one byte: refuse a claim the body cannot
+	// hold before allocating for it.
+	if ports > 1<<20 || ports > uint64(len(b)) {
+		return r, fmt.Errorf("transport: report claims %d ports in %d bytes", ports, len(b))
 	}
 	if ports > 0 {
 		r.PerPort = make([]uint32, ports)

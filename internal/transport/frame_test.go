@@ -2,11 +2,13 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -154,6 +156,47 @@ func TestReportRoundTrip(t *testing.T) {
 	if _, err := DecodeReport([]byte{3}); err == nil {
 		t.Error("truncated report decoded without error")
 	}
+	// A 3-byte body claiming 2^20 ports is refused before the slice for
+	// them is made.
+	huge := binary.AppendUvarint([]byte{3, 0}, 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeReport(huge)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("port count beyond the body decoded without error")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<16 {
+		t.Errorf("refusing a %d-byte body claiming 2^20 ports allocated %d bytes", len(huge), got)
+	}
+}
+
+// FuzzDecodeReport: arbitrary bytes decode to a report or an error, never
+// a panic, and a decoded report is a fixed point of AppendReport then
+// DecodeReport.
+func FuzzDecodeReport(f *testing.F) {
+	for _, r := range []Report{
+		{},
+		{Node: 3, Halted: true, PerPort: []uint32{0, 2, 1}, Msgs: 3, Bits: 96, MaxSlots: 2, MaxChannels: 1},
+		{Node: 1000, Fail: "broken pipe"},
+	} {
+		f.Add(AppendReport(nil, r))
+	}
+	f.Add(binary.AppendUvarint([]byte{3, 0}, 1<<20))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeReport(data)
+		if err != nil {
+			return
+		}
+		enc := AppendReport(nil, r)
+		r2, err := DecodeReport(enc)
+		if err != nil {
+			t.Fatalf("re-decode of %+v failed: %v", r, err)
+		}
+		if !reflect.DeepEqual(r, r2) || !bytes.Equal(AppendReport(nil, r2), enc) {
+			t.Fatalf("round-trip mismatch: %+v vs %+v", r, r2)
+		}
+	})
 }
 
 // TestStreamLinkExchange drives two endpoints of a net.Pipe link from
