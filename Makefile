@@ -1,6 +1,6 @@
 # Shared entry points for humans and CI (.github/workflows/ci.yml calls
 # exactly these targets, so a green `make ci` locally means a green pipeline).
-# `make fuzz` runs each of its five fuzzers for FUZZTIME (default 10s);
+# `make fuzz` runs each of its six fuzzers for FUZZTIME (default 10s);
 # plain `go test` only replays their seed corpora.
 
 GO ?= go
@@ -22,25 +22,26 @@ test:
 # (the idle-hint equivalence test steps them on WorkerPool and Actors), the
 # experiment orchestrator, the adversary layer they both drive, the trace
 # recorders, the telemetry registry, the real-transport backend (per-node
-# drivers, port readers, the coordinator, the concurrent TCP handshake) and
-# the epoch engine.
+# drivers, port readers, the coordinator, the concurrent TCP handshake).
+# The harness's epoch sweep tests keep the RunEpochs engine under it too.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/baseline/... \
 		./internal/harness/... ./internal/adversary/... \
 		./internal/trace/... ./internal/obs/... \
-		./internal/transport/... ./internal/epoch/...
+		./internal/transport/...
 
 # The decoders of bytes from outside the process — the bench artifact
-# reader, the transport frame and report codecs, the core payload codec —
-# and the declarative adversary spec every fault flag and sweep cell
-# builds from. One `go test -fuzz` per target, because -fuzz takes a
-# single fuzzer.
+# reader, the transport frame and report codecs, the core and baseline
+# payload codecs — and the declarative adversary spec every fault flag and
+# sweep cell builds from. One `go test -fuzz` per target, because -fuzz
+# takes a single fuzzer.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadArtifact$$' -fuzztime $(FUZZTIME) ./internal/harness
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReport$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime $(FUZZTIME) ./internal/baseline
 	$(GO) test -run '^$$' -fuzz '^FuzzSpec$$' -fuzztime $(FUZZTIME) ./internal/adversary
 
 # Bench smoke: every benchmark once — a does-it-run check, not a
@@ -120,8 +121,8 @@ baseline:
 		-out testdata/REPORT_baseline.md testdata/BENCH_baseline.json
 
 # Code size: non-blank lines of non-test Go per package directory, then the
-# total outside bench/ — the number ROADMAP item 5(b) (code diet) and
-# CHANGES.md quote.
+# total outside bench/ — the number the ROADMAP's design aim (every layer
+# justifies itself, or goes) and CHANGES.md quote.
 loc:
 	@total=0; for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
 		n=$$(cat $$(ls $$d/*.go | grep -v _test.go) | grep -c '[^[:space:]]'); \

@@ -49,8 +49,8 @@ import (
 
 // Network is an anonymous network instance: a connected topology plus its
 // structural profile (diameter, mixing time, conductance, isoperimetric
-// number), computed lazily when a protocol, Stats or Profile needs it and
-// cached per regime. Construct with NewNetwork or NewNetworkFromEdges. A
+// number), computed lazily when a protocol or Profile needs it and cached
+// per regime. Construct with NewNetwork or NewNetworkFromEdges. A
 // Network is immutable and safe for concurrent elections.
 type Network struct {
 	g    *graph.Graph
@@ -71,7 +71,7 @@ func Families() []string { return graph.FamilyNames() }
 // NewNetwork(family, n, seed) is exactly the workload graph behind the
 // corresponding sweep cell in the benchmark artifacts. Construction is
 // graph-sized work: the structural profile is computed lazily when a
-// protocol, Stats or Profile first needs it.
+// protocol or Profile first needs it.
 func NewNetwork(family string, n int, seed uint64) (*Network, error) {
 	g, err := graph.Seeded(family, n, seed)
 	if err != nil {
@@ -109,7 +109,7 @@ func newNetwork(g *graph.Graph, seed uint64) (*Network, error) {
 	}
 	if !g.IsConnected() {
 		// Rejected on every construction path (even though profiling is
-		// lazy) so Stats and the profiled defaults can never observe a
+		// lazy) so Profile and the profiled defaults can never observe a
 		// disconnected graph.
 		return nil, graph.ErrDisconnected
 	}
@@ -153,35 +153,3 @@ func (nw *Network) N() int { return nw.g.N() }
 
 // M returns the number of links.
 func (nw *Network) M() int { return nw.g.M() }
-
-// Stats returns the network's structural profile under the auto regime
-// (exact on small networks, streaming estimate on large ones; zero value
-// only on internal profiling failure — constructors reject disconnected
-// graphs up front). Profile exposes the full profile with regime flags.
-func (nw *Network) Stats() NetworkStats {
-	prof, err := nw.profileMode(spectral.ModeAuto)
-	if err != nil {
-		return NetworkStats{}
-	}
-	return NetworkStats{
-		N:             prof.N,
-		M:             prof.M,
-		Diameter:      prof.Diameter,
-		MixingTime:    prof.MixingTime,
-		Conductance:   prof.Conductance,
-		Isoperimetric: prof.Isoperimetric,
-		SpectralGap:   prof.SpectralGap,
-	}
-}
-
-// NetworkStats summarizes the structural quantities the protocols are
-// parameterized by.
-type NetworkStats struct {
-	N             int
-	M             int
-	Diameter      int
-	MixingTime    int
-	Conductance   float64
-	Isoperimetric float64
-	SpectralGap   float64
-}

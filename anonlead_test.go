@@ -14,9 +14,9 @@ func TestNewNetworkFamilies(t *testing.T) {
 		if nw.N() == 0 || nw.M() == 0 {
 			t.Fatalf("%s: degenerate network", family)
 		}
-		stats := nw.Stats()
-		if stats.MixingTime < 1 || stats.Conductance <= 0 || stats.Isoperimetric <= 0 {
-			t.Fatalf("%s: degenerate stats %+v", family, stats)
+		prof := mustProfile(t, nw)
+		if prof.MixingTime < 1 || prof.Conductance <= 0 || prof.Isoperimetric <= 0 {
+			t.Fatalf("%s: degenerate profile %+v", family, prof)
 		}
 	}
 }
@@ -35,8 +35,8 @@ func TestNewNetworkFromEdges(t *testing.T) {
 	if nw.N() != 4 || nw.M() != 4 {
 		t.Fatalf("n=%d m=%d", nw.N(), nw.M())
 	}
-	if nw.Stats().Diameter != 2 {
-		t.Fatalf("diameter %d", nw.Stats().Diameter)
+	if d := mustProfile(t, nw).Diameter; d != 2 {
+		t.Fatalf("diameter %d", d)
 	}
 }
 
@@ -152,7 +152,7 @@ func TestElectRevocableStabilizes(t *testing.T) {
 	}
 	res, err := nw.Run(context.Background(), ProtoRevocable,
 		WithSeed(2),
-		WithIsoperimetric(nw.Stats().Isoperimetric),
+		WithIsoperimetric(mustProfile(t, nw).Isoperimetric),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestElectRevocableCalibrated(t *testing.T) {
 	}
 	res, err := nw.Run(context.Background(), ProtoRevocable,
 		WithSeed(5),
-		WithIsoperimetric(nw.Stats().Isoperimetric),
+		WithIsoperimetric(mustProfile(t, nw).Isoperimetric),
 		WithCalibration(0.5, 0.05),
 	)
 	if err != nil {
@@ -226,9 +226,9 @@ func TestStatsConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := nw.Stats()
+	s := mustProfile(t, nw)
 	if s.N != 16 || s.M != 32 || s.Diameter != 4 {
-		t.Fatalf("hypercube stats %+v", s)
+		t.Fatalf("hypercube profile %+v", s)
 	}
 	if s.SpectralGap <= 0 || s.SpectralGap >= 1 {
 		t.Fatalf("gap %v", s.SpectralGap)

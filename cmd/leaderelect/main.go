@@ -68,10 +68,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	stats := nw.Stats()
-	fmt.Printf("graph:    %s n=%d m=%d diameter=%d\n", *family, stats.N, stats.M, stats.Diameter)
+	prof, err := nw.Profile(anonlead.ProfileAuto)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("graph:    %s n=%d m=%d diameter=%d\n", *family, prof.N, prof.M, prof.Diameter)
 	fmt.Printf("spectral: tmix=%d phi=%.4f iso=%.4f gap=%.5f\n",
-		stats.MixingTime, stats.Conductance, stats.Isoperimetric, stats.SpectralGap)
+		prof.MixingTime, prof.Conductance, prof.Isoperimetric, prof.SpectralGap)
 
 	adv := anonlead.AdversarySpec{
 		Loss:          *loss,

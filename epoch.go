@@ -8,25 +8,58 @@ import (
 	"anonlead/internal/rng"
 )
 
-// EpochFault selects what ends a leader's reign between RunEpochs epochs.
-type EpochFault int
-
-const (
-	// EpochCrash crash-stops the old leader at the start of the next
+// Scenario declares a repeated-election scenario for RunEpochs: how many
+// chained elections, how the leader is removed between them, and whether
+// knowledge carries across them.
+type Scenario struct {
+	// Epochs is the number of chained elections; at least 1.
+	Epochs int
+	// Revoke ends each reign without killing the node: every epoch
+	// re-elects over the full network, modelling voluntary step-down. The
+	// default (false) crash-stops the old leader at the start of the next
 	// epoch: it is dead for every later epoch (injected as a round-0 crash
 	// schedule entry), and re-elections run among the survivors.
-	EpochCrash EpochFault = iota
-	// EpochRevoke ends the reign without killing the node: every epoch
-	// re-elects over the full network, modelling voluntary step-down.
-	EpochRevoke
-)
+	Revoke bool
+	// Carry tells every re-election after a crash the surviving node count
+	// (as if by WithPresumedN), modelling the Dieudonné–Pelc claim that
+	// knowledge from epoch k makes epoch k+1 cheaper. Without it each epoch
+	// re-elects with the original presumed size. Nobody dies under Revoke,
+	// so the two do not combine.
+	Carry bool
+}
 
-// String names the fault mode ("crash", "revoke").
-func (f EpochFault) String() string {
-	if f == EpochRevoke {
+// Validate rejects a scenario without epochs and carry under revoke.
+func (sc Scenario) Validate() error {
+	if sc.Epochs < 1 {
+		return fmt.Errorf("anonlead: scenario needs at least 1 epoch, got %d", sc.Epochs)
+	}
+	if sc.Revoke && sc.Carry {
+		return fmt.Errorf("anonlead: scenario carry has no effect under revoke (nobody dies)")
+	}
+	return nil
+}
+
+// Fault names the leader-removal mode: "crash" or "revoke".
+func (sc Scenario) Fault() string {
+	if sc.Revoke {
 		return "revoke"
 	}
 	return "crash"
+}
+
+// Descriptor canonically names the scenario, e.g. "epochs=5,fault=crash"
+// or "epochs=3,fault=crash,carry". Like the adversary descriptor it is
+// cell-identity material: bench artifact cells persist it and trajectory
+// alignment keys on it. The zero Scenario yields "".
+func (sc Scenario) Descriptor() string {
+	if sc == (Scenario{}) {
+		return ""
+	}
+	d := fmt.Sprintf("epochs=%d,fault=%s", sc.Epochs, sc.Fault())
+	if sc.Carry {
+		d += ",carry"
+	}
+	return d
 }
 
 // EpochResult records one epoch of a RunEpochs scenario.
@@ -61,14 +94,12 @@ type EpochResult struct {
 type EpochOutcome struct {
 	// Protocol is the canonical protocol name.
 	Protocol string
-	// Fault is the leader-removal mode the scenario ran under.
-	Fault EpochFault
 	// Epochs is the per-epoch history, in order.
 	Epochs []EpochResult
 	// Elected counts the epochs that elected a unique leader.
 	Elected int
-	// Dead lists the nodes crash-stopped as ex-leaders (EpochCrash mode),
-	// in death order.
+	// Dead lists the nodes crash-stopped as ex-leaders (crash mode), in
+	// death order.
 	Dead []int
 	// TotalRounds, TotalCharged, TotalMessages and TotalBits sum the
 	// epochs' costs.
@@ -99,40 +130,39 @@ func chainEpochSeed(prev uint64, out Outcome) uint64 {
 	return r.DeriveSeed(uint64(len(out.Leaders)))
 }
 
-// RunEpochs executes a repeated-election scenario on the network: epochs
-// of (elect → lead → leader crashes or revokes → re-elect), configured by
-// WithEpochs, WithEpochFault and WithEpochCarry on top of the ordinary
-// Run options. One persistent topology hosts the whole history; each
-// epoch is a full election whose run seed derives from the previous
-// epoch's outcome through the deterministic seed chain, so a scenario is
-// reproducible from (network, protocol, seed, options) alone and
-// bit-identical across all schedulers.
+// RunEpochs executes the repeated-election scenario sc on the network:
+// epochs of (elect → lead → leader crashes or revokes → re-elect), each
+// run with the ordinary Run options. One persistent topology hosts the
+// whole history; each epoch is a full election whose run seed derives
+// from the previous epoch's outcome through the deterministic seed chain,
+// so a scenario is reproducible from (network, protocol, scenario, seed,
+// options) alone and bit-identical across all schedulers.
 //
-// In EpochCrash mode every elected leader is dead from the next epoch on
+// In crash mode every elected leader is dead from the next epoch on
 // (injected as a round-0 entry of the adversary's crash schedule, merged
-// with any caller-specified adversary); with WithEpochCarry the
-// re-elections are told the surviving node count. Epochs that fail to
-// elect (ErrNotHalted/ErrNotStabilized, or a non-unique leader set) are
-// recorded as failed and the scenario continues — degradation is data,
-// not an error. Context cancellation and configuration errors abort and
+// with any caller-specified adversary); with sc.Carry the re-elections are
+// told the surviving node count. Epochs that fail to elect
+// (ErrNotHalted/ErrNotStabilized, or a non-unique leader set) are recorded
+// as failed and the scenario continues — degradation is data, not an
+// error. An invalid scenario (see Scenario.Validate) is rejected before
+// anything runs; context cancellation and configuration errors abort and
 // return the partial history alongside the error.
-func (nw *Network) RunEpochs(ctx context.Context, protocol string, opts ...Option) (EpochOutcome, error) {
+func (nw *Network) RunEpochs(ctx context.Context, protocol string, sc Scenario, opts ...Option) (EpochOutcome, error) {
+	if err := sc.Validate(); err != nil {
+		return EpochOutcome{}, err
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	o := buildOptions(opts)
-	k := o.epochs
-	if k <= 0 {
-		k = 1
-	}
-	if o.transport != TransportSim && o.epochFault == EpochCrash {
+	if o.transport != TransportSim && !sc.Revoke {
 		return EpochOutcome{}, fmt.Errorf("anonlead: RunEpochs crash mode requires TransportSim (dead leaders are injected through the simulated adversary)")
 	}
 
-	eo := EpochOutcome{Fault: o.epochFault}
+	var eo EpochOutcome
 	deadSet := make(map[int]bool)
 	seed := o.seed
-	for e := 0; e < k; e++ {
+	for e := 0; e < sc.Epochs; e++ {
 		eopts := append(append([]Option(nil), opts...), WithSeed(seed))
 		if len(eo.Dead) > 0 {
 			var spec AdversarySpec
@@ -148,7 +178,7 @@ func (nw *Network) RunEpochs(ctx context.Context, protocol string, opts ...Optio
 			}
 			spec.CrashSchedule = sched
 			eopts = append(eopts, WithAdversary(spec))
-			if o.epochCarry {
+			if sc.Carry {
 				eopts = append(eopts, WithPresumedN(nw.N()-len(eo.Dead)))
 			}
 		}
@@ -177,7 +207,7 @@ func (nw *Network) RunEpochs(ctx context.Context, protocol string, opts ...Optio
 			eo.Elected++
 		}
 		eo.Epochs = append(eo.Epochs, res)
-		if o.epochFault == EpochCrash {
+		if !sc.Revoke {
 			for _, v := range out.Leaders {
 				if !deadSet[v] {
 					deadSet[v] = true

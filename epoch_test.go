@@ -3,16 +3,85 @@ package anonlead
 import (
 	"context"
 	"encoding/json"
+	"math"
+	"strings"
 	"testing"
 )
 
+func TestOptsDescriptorAndValidate(t *testing.T) {
+	if got, want := (Scenario{}).Descriptor(), ""; got != want {
+		t.Fatalf("zero descriptor %q", got)
+	}
+	if got, want := (Scenario{Epochs: 5}).Descriptor(), "epochs=5,fault=crash"; got != want {
+		t.Fatalf("descriptor %q, want %q", got, want)
+	}
+	if got, want := (Scenario{Epochs: 3, Carry: true}).Descriptor(), "epochs=3,fault=crash,carry"; got != want {
+		t.Fatalf("descriptor %q, want %q", got, want)
+	}
+	if got, want := (Scenario{Epochs: 2, Revoke: true}).Descriptor(), "epochs=2,fault=revoke"; got != want {
+		t.Fatalf("descriptor %q, want %q", got, want)
+	}
+	if err := (Scenario{}).Validate(); err == nil {
+		t.Fatal("zero epochs accepted")
+	}
+	if err := (Scenario{Epochs: 2, Revoke: true, Carry: true}).Validate(); err == nil {
+		t.Fatal("carry under revoke accepted")
+	}
+	if err := (Scenario{Epochs: 2, Carry: true}).Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOptsValidateTable: over every combination of a boundary epoch count
+// and the two flags, Validate accepts exactly at least one epoch without
+// carry under revoke, and an accepted scenario always names itself and
+// its fault mode.
+func TestOptsValidateTable(t *testing.T) {
+	for _, epochs := range []int{math.MinInt, -1, 0, 1, 2, math.MaxInt} {
+		for _, revoke := range []bool{false, true} {
+			for _, carry := range []bool{false, true} {
+				sc := Scenario{Epochs: epochs, Revoke: revoke, Carry: carry}
+				err := sc.Validate()
+				if want := epochs >= 1 && !(revoke && carry); (err == nil) != want {
+					t.Fatalf("%+v: Validate %v, want valid=%v", sc, err, want)
+				}
+				if err == nil && !strings.Contains(sc.Descriptor(), "fault="+sc.Fault()) {
+					t.Fatalf("%+v: valid but descriptor %q does not name fault %q", sc, sc.Descriptor(), sc.Fault())
+				}
+			}
+		}
+	}
+}
+
+// TestRunRejectsInvalid: RunEpochs validates the scenario before running
+// anything, answering with Validate's error, and runs a one-epoch scenario.
+func TestRunRejectsInvalid(t *testing.T) {
+	nw := mustNetwork(t, "complete", 8, 3)
+	for sc, names := range map[Scenario]string{
+		{}:                                     "at least 1 epoch",
+		{Epochs: 2, Revoke: true, Carry: true}: "carry has no effect under revoke",
+	} {
+		eo, err := nw.RunEpochs(context.Background(), ProtoFloodMax, sc)
+		if err == nil || !strings.Contains(err.Error(), names) {
+			t.Fatalf("%+v: got %v, want an error naming %q", sc, err, names)
+		}
+		if len(eo.Epochs) != 0 {
+			t.Fatalf("%+v: invalid scenario ran %d epochs", sc, len(eo.Epochs))
+		}
+	}
+	eo, err := nw.RunEpochs(context.Background(), ProtoFloodMax, Scenario{Epochs: 1})
+	if err != nil || len(eo.Epochs) != 1 {
+		t.Fatalf("one-epoch scenario: %d epochs, %v", len(eo.Epochs), err)
+	}
+}
+
 // runEpochHistory executes one crash-recover epoch scenario and returns
 // its outcome plus the canonical JSON encoding of the whole history.
-func runEpochHistory(t *testing.T, opts ...Option) (EpochOutcome, []byte) {
+func runEpochHistory(t *testing.T, sc Scenario, opts ...Option) (EpochOutcome, []byte) {
 	t.Helper()
 	nw := mustNetwork(t, "complete", 8, 3)
-	eo, err := nw.RunEpochs(context.Background(), ProtoFloodMax,
-		append([]Option{WithSeed(42), WithEpochs(5)}, opts...)...)
+	eo, err := nw.RunEpochs(context.Background(), ProtoFloodMax, sc,
+		append([]Option{WithSeed(42)}, opts...)...)
 	if err != nil {
 		t.Fatalf("RunEpochs: %v", err)
 	}
@@ -29,7 +98,7 @@ func runEpochHistory(t *testing.T, opts ...Option) (EpochOutcome, []byte) {
 // the Sequential, WorkerPool and Actors schedulers (orchestrator parity
 // lives in internal/harness's epoch tests).
 func TestEpochChainDeterminism(t *testing.T) {
-	base, baseRaw := runEpochHistory(t)
+	base, baseRaw := runEpochHistory(t, Scenario{Epochs: 5})
 
 	// The scenario must actually exercise the chain: every epoch elects,
 	// each epoch's leader is fresh (its predecessors are dead), and seeds
@@ -60,13 +129,13 @@ func TestEpochChainDeterminism(t *testing.T) {
 	}
 
 	for _, s := range []Scheduler{WorkerPool, Actors} {
-		_, raw := runEpochHistory(t, WithScheduler(s))
+		_, raw := runEpochHistory(t, Scenario{Epochs: 5}, WithScheduler(s))
 		if string(raw) != string(baseRaw) {
 			t.Errorf("scheduler %v history diverges from sequential:\n%s\nvs\n%s", s, raw, baseRaw)
 		}
 	}
 	// And the chain is reproducible outright.
-	_, again := runEpochHistory(t)
+	_, again := runEpochHistory(t, Scenario{Epochs: 5})
 	if string(again) != string(baseRaw) {
 		t.Error("re-running the same scenario produced a different history")
 	}
@@ -76,7 +145,7 @@ func TestEpochChainDeterminism(t *testing.T) {
 // without killing anyone — no dead set, no crashes, and with the seed
 // chain intact the epochs still differ.
 func TestEpochRevokeKeepsEveryoneAlive(t *testing.T) {
-	eo, _ := runEpochHistory(t, WithEpochFault(EpochRevoke))
+	eo, _ := runEpochHistory(t, Scenario{Epochs: 5, Revoke: true})
 	if len(eo.Dead) != 0 {
 		t.Fatalf("revoke mode killed %v", eo.Dead)
 	}
@@ -100,7 +169,7 @@ func TestEpochCarryChangesReElections(t *testing.T) {
 	run := func(carry bool) EpochOutcome {
 		nw := mustNetwork(t, "complete", 8, 3)
 		eo, err := nw.RunEpochs(context.Background(), ProtoIRE,
-			WithSeed(9), WithEpochs(3), WithEpochCarry(carry))
+			Scenario{Epochs: 3, Carry: carry}, WithSeed(9))
 		if err != nil {
 			t.Fatalf("carry=%v: %v", carry, err)
 		}
@@ -130,8 +199,8 @@ func TestEpochFailedEpochsAreDataNotErrors(t *testing.T) {
 	nw := mustNetwork(t, "complete", 4, 1)
 	// Crash every node at round 0 from epoch 1 on: nobody left to elect.
 	sched := map[int]int{0: 0, 1: 0, 2: 0, 3: 0}
-	eo, err := nw.RunEpochs(context.Background(), ProtoFloodMax,
-		WithSeed(5), WithEpochs(3), WithAdversary(AdversarySpec{CrashSchedule: sched}))
+	eo, err := nw.RunEpochs(context.Background(), ProtoFloodMax, Scenario{Epochs: 3},
+		WithSeed(5), WithAdversary(AdversarySpec{CrashSchedule: sched}))
 	if err != nil {
 		t.Fatalf("dead-network epochs should be recorded, not returned: %v", err)
 	}
@@ -145,7 +214,7 @@ func TestEpochFailedEpochsAreDataNotErrors(t *testing.T) {
 func TestEpochsRejectTransportCrashMode(t *testing.T) {
 	nw := mustNetwork(t, "cycle", 4, 0)
 	if _, err := nw.RunEpochs(context.Background(), ProtoFloodMax,
-		WithEpochs(2), WithTransport(TransportChan)); err == nil {
+		Scenario{Epochs: 2}, WithTransport(TransportChan)); err == nil {
 		t.Fatal("crash-mode epochs over a transport should be rejected")
 	}
 }
@@ -156,7 +225,7 @@ func TestEpochContextCancellation(t *testing.T) {
 	nw := mustNetwork(t, "complete", 8, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	eo, err := nw.RunEpochs(ctx, ProtoFloodMax, WithSeed(1), WithEpochs(5))
+	eo, err := nw.RunEpochs(ctx, ProtoFloodMax, Scenario{Epochs: 5}, WithSeed(1))
 	if err == nil {
 		t.Fatal("cancelled scenario returned no error")
 	}

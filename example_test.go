@@ -52,8 +52,12 @@ func ExampleNetwork_Run_revocable() {
 	if err != nil {
 		panic(err)
 	}
+	prof, err := nw.Profile(anonlead.ProfileAuto)
+	if err != nil {
+		panic(err)
+	}
 	out, err := nw.Run(context.Background(), anonlead.ProtoRevocable,
-		anonlead.WithSeed(2), anonlead.WithIsoperimetric(nw.Stats().Isoperimetric))
+		anonlead.WithSeed(2), anonlead.WithIsoperimetric(prof.Isoperimetric))
 	if err != nil {
 		panic(err)
 	}
@@ -74,7 +78,11 @@ func ExampleNetwork_Run_floodmax() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("unique:", out.Unique, "rounds bounded by diameter+5:", out.Rounds <= nw.Stats().Diameter+5)
+	prof, err := nw.Profile(anonlead.ProfileAuto)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("unique:", out.Unique, "rounds bounded by diameter+5:", out.Rounds <= prof.Diameter+5)
 	// Output:
 	// unique: true rounds bounded by diameter+5: true
 }

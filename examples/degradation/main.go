@@ -31,8 +31,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stats := nw.Stats()
-	fmt.Printf("expander: n=%d m=%d tmix=%d phi=%.3f\n\n", stats.N, stats.M, stats.MixingTime, stats.Conductance)
+	prof, err := nw.Profile(anonlead.ProfileAuto)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("expander: n=%d m=%d tmix=%d phi=%.3f\n\n", prof.N, prof.M, prof.MixingTime, prof.Conductance)
 
 	fmt.Println("F1: message loss vs IRE")
 	curve(ctx, nw, anonlead.ProtoIRE, []anonlead.AdversarySpec{

@@ -28,9 +28,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stats := nw.Stats()
+	prof, err := nw.Profile(anonlead.ProfileAuto)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("mesh: n=%d m=%d diameter=%d i(G)=%.3f\n",
-		stats.N, stats.M, stats.Diameter, stats.Isoperimetric)
+		prof.N, prof.M, prof.Diameter, prof.Isoperimetric)
 
 	// The site survey gives the installers the mesh's isoperimetric
 	// bound, selecting the Theorem 3 diffusion schedule; the calibration
@@ -38,7 +41,7 @@ func main() {
 	// the detector behaviour.
 	res, err := nw.Run(context.Background(), anonlead.ProtoRevocable,
 		anonlead.WithSeed(3),
-		anonlead.WithIsoperimetric(stats.Isoperimetric),
+		anonlead.WithIsoperimetric(prof.Isoperimetric),
 		anonlead.WithEpsilon(0.5),
 		anonlead.WithCalibration(0.5, 0.05),
 	)
@@ -47,7 +50,7 @@ func main() {
 	}
 	fmt.Printf("stabilized leader: node %v (unique=%t)\n", res.Leaders, res.Unique)
 	fmt.Printf("certificate: id=%d chosen at size estimate k=%d (final estimate %d, true n=%d)\n",
-		res.Certificate.ID, res.Certificate.Estimate, res.FinalEstimate, stats.N)
+		res.Certificate.ID, res.Certificate.Estimate, res.FinalEstimate, prof.N)
 	fmt.Printf("cost: %d messages, %d logical rounds, %d CONGEST-charged rounds\n",
 		res.Messages, res.Rounds, res.ChargedRounds)
 	fmt.Println("note: per Theorem 2 the devices can never halt — the harness observed")

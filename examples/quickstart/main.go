@@ -28,9 +28,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stats := nw.Stats()
+	prof, err := nw.Profile(anonlead.ProfileAuto)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("network: n=%d m=%d diameter=%d tmix=%d phi=%.3f\n",
-		stats.N, stats.M, stats.Diameter, stats.MixingTime, stats.Conductance)
+		prof.N, prof.M, prof.Diameter, prof.MixingTime, prof.Conductance)
 
 	out, err := nw.Run(context.Background(), anonlead.ProtoIRE, anonlead.WithSeed(42))
 	if err != nil {

@@ -301,15 +301,20 @@ func TestWalkNotifyLargerMarkKillsParkedTokens(t *testing.T) {
 	}
 }
 
+// wirePayloads returns one payload of every baseline wire tag.
+func wirePayloads() []sim.Payload {
+	return []sim.Payload{
+		floodMsg{id: 1 << 40},
+		&wnTokenMsg{orig: 987654321, count: 17},
+		&wnKillMsg{orig: 987654321},
+	}
+}
+
 // TestWireCodecRoundTrip: every payload the baselines send decodes to a
 // value equal to the encoded one (walknotify's messages travel as
 // pointers, so equality is of what they point at).
 func TestWireCodecRoundTrip(t *testing.T) {
-	for _, p := range []sim.Payload{
-		floodMsg{id: 1 << 40},
-		&wnTokenMsg{orig: 987654321, count: 17},
-		&wnKillMsg{orig: 987654321},
-	} {
+	for _, p := range wirePayloads() {
 		body, err := wireCodec{}.AppendPayload(nil, p)
 		if err != nil {
 			t.Fatal(err)
@@ -325,6 +330,44 @@ func TestWireCodecRoundTrip(t *testing.T) {
 	if _, err := (wireCodec{}).AppendPayload(nil, wnKillMsg{orig: 1}); err == nil {
 		t.Fatal("a walknotify message sent by value must not encode")
 	}
+}
+
+// FuzzDecodePayload: arbitrary bytes decode to a payload or an error, never
+// a panic, and a decoded payload re-encodes to bytes that decode to an
+// equal payload costing the same bits.
+func FuzzDecodePayload(f *testing.F) {
+	for _, p := range wirePayloads() {
+		body, err := wireCodec{}.AppendPayload(nil, p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+		f.Add(body[:len(body)-1]) // truncated
+	}
+	overlong := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}
+	f.Add(append([]byte{wireFlood}, overlong...))
+	f.Add(append([]byte{wireWNToken, 0x07}, overlong...))
+	f.Add([]byte{wireWNToken, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x03})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := wireCodec{}.DecodePayload(data)
+		if err != nil {
+			return
+		}
+		body, err := wireCodec{}.AppendPayload(nil, p)
+		if err != nil {
+			t.Fatalf("decoded %T does not re-encode: %v", p, err)
+		}
+		again, err := wireCodec{}.DecodePayload(body)
+		if err != nil {
+			t.Fatalf("re-encoded %T does not decode: %v", p, err)
+		}
+		if !reflect.DeepEqual(again, p) {
+			t.Fatalf("%T: re-decoded %+v, decoded %+v", p, again, p)
+		}
+		if again.Bits() != p.Bits() {
+			t.Fatalf("%T: re-decoded payload costs %d bits, decoded %d", p, again.Bits(), p.Bits())
+		}
+	})
 }
 
 func TestPayloadBits(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"os"
 	"time"
 
-	"anonlead/internal/epoch"
 	"anonlead/internal/obs"
 	"anonlead/internal/spectral"
 	"anonlead/internal/stats"
@@ -78,7 +77,7 @@ type ArtifactCell struct {
 	// identity for trajectory alignment.
 	ProfileMode string `json:"profile_mode,omitempty"`
 	// Scenario is the epoch scenario descriptor of a repeated-election
-	// cell (epoch.Opts.Descriptor; "" = classic single-election cell).
+	// cell (anonlead.Scenario.Descriptor; "" = classic single-election cell).
 	// Part of the cell's identity for trajectory alignment. Schema v6.
 	Scenario string `json:"scenario,omitempty"`
 
@@ -116,7 +115,7 @@ type ArtifactCell struct {
 	// Epochs carries the repeated-election aggregates of an epoch scenario
 	// cell — amortized per-epoch cost, recovery time, per-epoch profiles
 	// (schema v6; present only on scenario cells).
-	Epochs *epoch.CellStats `json:"epochs,omitempty"`
+	Epochs *EpochStats `json:"epochs,omitempty"`
 
 	PredictedMsgs float64 `json:"predicted_msgs"`
 	PredictedTime float64 `json:"predicted_time"`
@@ -191,8 +190,8 @@ func NewArtifact(o Orchestrator, specs []CellSpec, cells []Cell, elapsed time.Du
 			if adv := specs[i].Opts.Adversary; adv != nil {
 				ac.Adversary = adv.Descriptor() // "" for a zero-rate spec
 			}
-			if eo := specs[i].Opts.Epochs; eo != nil {
-				ac.Scenario = eo.Descriptor()
+			if sc := specs[i].Opts.Epochs; sc != nil {
+				ac.Scenario = sc.Descriptor()
 			}
 		}
 		totalTrials += c.Trials

@@ -1,8 +1,8 @@
 package harness
 
 import (
+	"anonlead"
 	"anonlead/internal/adversary"
-	"anonlead/internal/epoch"
 )
 
 // EpochSweeps returns the repeated-election experiment matrix: epoch
@@ -34,17 +34,17 @@ func EpochSweeps(quick bool) []FaultSweep {
 	return []FaultSweep{
 		{"E1 crash-recover epochs vs IRE on expanders", ProtoIRE,
 			Workload{Family: "expander", N: expander},
-			ladder, TrialOpts{Epochs: &epoch.Opts{Epochs: epochs}}},
+			ladder, TrialOpts{Epochs: &anonlead.Scenario{Epochs: epochs}}},
 		{"E2 crash-recover epochs with knowledge carry vs IRE on complete graphs", ProtoIRE,
 			Workload{Family: "complete", N: complete},
-			ladder, TrialOpts{Epochs: &epoch.Opts{Epochs: epochs, Carry: true}}},
+			ladder, TrialOpts{Epochs: &anonlead.Scenario{Epochs: epochs, Carry: true}}},
 		{"E3 revolving leadership (revoke) vs FloodMax on expanders", ProtoFlood,
 			Workload{Family: "expander", N: expander},
 			// FloodMax halts within the graph diameter, so the adaptive
 			// window must be shorter than the 8-round default to observe
 			// any traffic before the election ends.
 			[]adversary.Spec{{}, {AdaptiveCrash: 1, AdaptiveWindow: 2}},
-			TrialOpts{Epochs: &epoch.Opts{Epochs: epochs, Revoke: true}}},
+			TrialOpts{Epochs: &anonlead.Scenario{Epochs: epochs, Revoke: true}}},
 	}
 }
 

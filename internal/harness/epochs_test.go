@@ -1,12 +1,14 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
+	"anonlead"
 	"anonlead/internal/adversary"
-	"anonlead/internal/epoch"
 )
 
 // epochTestSweep is a tiny repeated-election sweep: floodmax on a small
@@ -21,7 +23,7 @@ func epochTestSweep() FaultSweep {
 			{},
 			{AdaptiveCrash: 1, AdaptiveWindow: 1},
 		},
-		Opts: TrialOpts{Epochs: &epoch.Opts{Epochs: 3}},
+		Opts: TrialOpts{Epochs: &anonlead.Scenario{Epochs: 3}},
 	}
 }
 
@@ -165,13 +167,62 @@ func TestEpochsPlanShape(t *testing.T) {
 // TestEpochCellStatsJSONShape pins the artifact field names of the epoch
 // aggregates (trajectory tooling reads these).
 func TestEpochCellStatsJSONShape(t *testing.T) {
-	raw, err := json.Marshal(epoch.CellStats{Epochs: 2, Fault: "crash", Trials: 1})
+	raw, err := json.Marshal(EpochStats{Epochs: 2, Fault: "crash", Trials: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{`"epochs":2`, `"fault":"crash"`, `"trials":1`} {
 		if !strings.Contains(string(raw), want) {
-			t.Fatalf("CellStats JSON missing %s: %s", want, raw)
+			t.Fatalf("EpochStats JSON missing %s: %s", want, raw)
 		}
+	}
+}
+
+// TestRunAndReduce: RunEpochs histories fold deterministically into sane
+// cell aggregates.
+func TestRunAndReduce(t *testing.T) {
+	sc := anonlead.Scenario{Epochs: 3}
+	var hists []anonlead.EpochOutcome
+	for trial := 0; trial < 2; trial++ {
+		nw, err := anonlead.NewNetwork("complete", 8, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eo, err := nw.RunEpochs(context.Background(), anonlead.ProtoFloodMax, sc,
+			anonlead.WithSeed(uint64(100+trial)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hists = append(hists, eo)
+	}
+	es := reduceEpochs(sc, hists)
+	if es.Trials != 2 || es.Epochs != 3 || es.Fault != "crash" {
+		t.Fatalf("header wrong: %+v", es)
+	}
+	if es.ElectedRate != 1 {
+		t.Fatalf("elected rate %v, want 1 (complete/8 floodmax always elects)", es.ElectedRate)
+	}
+	if len(es.PerEpochMessages) != 3 || len(es.PerEpochRounds) != 3 || len(es.PerEpochElected) != 3 {
+		t.Fatalf("per-epoch profiles wrong length: %+v", es)
+	}
+	if es.AmortizedMessages <= 0 || es.AmortizedRounds <= 0 || es.MeanRecover <= 0 {
+		t.Fatalf("aggregates not measured: %+v", es)
+	}
+	for e, n := range es.PerEpochElected {
+		if n != 2 {
+			t.Fatalf("epoch %d elected %d/2", e, n)
+		}
+	}
+
+	// The fold is deterministic and depends only on the histories.
+	if again := reduceEpochs(sc, hists); !reflect.DeepEqual(again, es) {
+		t.Fatal("reduceEpochs not deterministic")
+	}
+
+	// And the stats serialize stably (artifact material).
+	raw1, _ := json.Marshal(es)
+	raw2, _ := json.Marshal(reduceEpochs(sc, hists))
+	if string(raw1) != string(raw2) {
+		t.Fatal("EpochStats JSON not byte-stable")
 	}
 }

@@ -99,7 +99,7 @@ func SplitBrainExperiment(presumedN int, witnessCounts []int, trials int, seed u
 	if err != nil {
 		return nil, err
 	}
-	tOfN := probe.Rounds
+	tOfN := probe.Metrics.Rounds
 
 	points := make([]SplitBrainPoint, 0, len(witnessCounts))
 	for _, wc := range witnessCounts {

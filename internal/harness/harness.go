@@ -19,7 +19,6 @@ import (
 	"anonlead"
 	"anonlead/internal/adversary"
 	"anonlead/internal/core"
-	"anonlead/internal/epoch"
 	"anonlead/internal/graph"
 	"anonlead/internal/obs"
 	"anonlead/internal/rng"
@@ -68,7 +67,6 @@ type Trial struct {
 	// experiment maps them back onto the wheel's segments).
 	LeaderNodes []int
 	Success     bool // exactly one (surviving) leader
-	Rounds      int
 	// Metrics is the cost accounting Run returned (for an epoch scenario,
 	// the totals over its epochs and the last epoch's crash count).
 	Metrics anonlead.Metrics
@@ -77,7 +75,7 @@ type Trial struct {
 	RoundProf *obs.RoundProfile
 	// EpochHist is the trial's full repeated-election history, present only
 	// when TrialOpts.Epochs made the trial an epoch scenario. The flat
-	// fields above then hold the scenario totals (Rounds/Metrics summed over
+	// fields above then hold the scenario totals (Metrics summed over
 	// epochs; Success = every epoch elected).
 	EpochHist *anonlead.EpochOutcome
 }
@@ -129,7 +127,7 @@ type TrialOpts struct {
 	// scenario totals and the cell additionally aggregates per-epoch stats
 	// (schema-v6 artifact epochs section). Nil keeps the classic
 	// single-election trial byte-identical to earlier schemas.
-	Epochs *epoch.Opts
+	Epochs *anonlead.Scenario
 }
 
 // Cell is the aggregated result of a trial batch on one workload.
@@ -165,7 +163,7 @@ type Cell struct {
 	// EpochStats aggregates the trials' repeated-election histories in
 	// trial-index order (nil unless TrialOpts.Epochs made this an epoch
 	// scenario cell).
-	EpochStats *epoch.CellStats
+	EpochStats *EpochStats
 }
 
 // SuccessRate returns the fraction of trials electing exactly one leader.
@@ -219,9 +217,9 @@ func cellLabel(w Workload) string {
 
 // reduceCell aggregates a batch of trials, always in slice (= trial index)
 // order, so every pool size produces identical cells down to
-// floating-point summation order. eo, when non-nil, is the epoch
+// floating-point summation order. sc, when non-nil, is the epoch
 // scenario the trials ran; their histories fold into Cell.EpochStats.
-func reduceCell(p Protocol, w Workload, prof *spectral.Profile, eo *epoch.Opts, trials []Trial) Cell {
+func reduceCell(p Protocol, w Workload, prof *spectral.Profile, sc *anonlead.Scenario, trials []Trial) Cell {
 	cell := Cell{Protocol: p, Workload: w, Profile: prof}
 	var hists []anonlead.EpochOutcome
 	msgs := make([]float64, 0, len(trials))
@@ -252,7 +250,7 @@ func reduceCell(p Protocol, w Workload, prof *spectral.Profile, eo *epoch.Opts, 
 		}
 		msgs = append(msgs, float64(trial.Metrics.Messages))
 		bits = append(bits, float64(trial.Metrics.Bits))
-		rounds = append(rounds, float64(trial.Rounds))
+		rounds = append(rounds, float64(trial.Metrics.Rounds))
 		charged = append(charged, float64(trial.Metrics.ChargedRounds))
 	}
 	if cell.Trials > 0 {
@@ -267,11 +265,98 @@ func reduceCell(p Protocol, w Workload, prof *spectral.Profile, eo *epoch.Opts, 
 	cell.Bits = cell.BitsDist.Mean
 	cell.Rounds = cell.RoundsDist.Mean
 	cell.Charged = cell.ChargedDist.Mean
-	if eo != nil && len(hists) > 0 {
-		cs := epoch.Reduce(*eo, hists)
-		cell.EpochStats = &cs
+	if sc != nil && len(hists) > 0 {
+		es := reduceEpochs(*sc, hists)
+		cell.EpochStats = &es
 	}
 	return cell
+}
+
+// EpochStats is the per-cell epoch aggregate a bench artifact records
+// (schema v6): amortized per-epoch costs, recovery time, and the
+// per-epoch-index profiles that show whether later epochs get cheaper.
+type EpochStats struct {
+	// Epochs, Fault and Carry restate the scenario (cell identity data,
+	// also rendered into the cell's Scenario descriptor).
+	Epochs int    `json:"epochs"`
+	Fault  string `json:"fault"`
+	Carry  bool   `json:"carry,omitempty"`
+	// Trials is the number of scenario histories aggregated.
+	Trials int `json:"trials"`
+	// ElectedRate is the fraction of epochs (over all trials) that
+	// elected a unique leader.
+	ElectedRate float64 `json:"elected_rate"`
+	// AmortizedMessages and AmortizedRounds are the mean per-epoch costs
+	// over all trials.
+	AmortizedMessages float64 `json:"amortized_messages"`
+	AmortizedRounds   float64 `json:"amortized_rounds"`
+	// MeanRecover is the mean time-to-recover (rounds of successful
+	// re-elections) over trials that recovered at least once.
+	MeanRecover float64 `json:"mean_recover"`
+	// PerEpochMessages, PerEpochRounds and PerEpochElected profile cost
+	// and success by epoch index, averaged (summed for Elected) over
+	// trials — the carried-knowledge claim is visible as a downward trend.
+	PerEpochMessages []float64 `json:"per_epoch_messages"`
+	PerEpochRounds   []float64 `json:"per_epoch_rounds"`
+	PerEpochElected  []int     `json:"per_epoch_elected"`
+}
+
+// reduceEpochs folds per-trial epoch histories into the cell aggregate, in
+// trial order (deterministic regardless of how the trials were
+// scheduled). Histories shorter than sc.Epochs (aborted runs) contribute
+// to the epochs they ran.
+func reduceEpochs(sc anonlead.Scenario, hists []anonlead.EpochOutcome) EpochStats {
+	es := EpochStats{
+		Epochs: sc.Epochs,
+		Fault:  sc.Fault(),
+		Carry:  sc.Carry,
+		Trials: len(hists),
+	}
+	if sc.Epochs > 0 {
+		es.PerEpochMessages = make([]float64, sc.Epochs)
+		es.PerEpochRounds = make([]float64, sc.Epochs)
+		es.PerEpochElected = make([]int, sc.Epochs)
+	}
+	epochs, elected := 0, 0
+	var messages, rounds int64
+	recovered := 0
+	var recoverSum float64
+	for _, h := range hists {
+		for _, r := range h.Epochs {
+			epochs++
+			messages += r.Messages
+			rounds += int64(r.Rounds)
+			if r.Elected {
+				elected++
+			}
+			if r.Epoch < len(es.PerEpochMessages) {
+				es.PerEpochMessages[r.Epoch] += float64(r.Messages)
+				es.PerEpochRounds[r.Epoch] += float64(r.Rounds)
+				if r.Elected {
+					es.PerEpochElected[r.Epoch]++
+				}
+			}
+		}
+		if h.MeanRecover > 0 {
+			recovered++
+			recoverSum += h.MeanRecover
+		}
+	}
+	if epochs > 0 {
+		es.ElectedRate = float64(elected) / float64(epochs)
+	}
+	if n := len(hists); n > 0 {
+		es.AmortizedMessages = float64(messages) / float64(n*sc.Epochs)
+		es.AmortizedRounds = float64(rounds) / float64(n*sc.Epochs)
+		for e := range es.PerEpochMessages {
+			es.PerEpochMessages[e] /= float64(n)
+			es.PerEpochRounds[e] /= float64(n)
+		}
+	}
+	if recovered > 0 {
+		es.MeanRecover = recoverSum / float64(recovered)
+	}
+	return es
 }
 
 // cellTrials returns the effective trial count of a batch (minimum 1).
@@ -332,7 +417,7 @@ func runTrial(anw *anonlead.Network, proto string, pc core.ProtoConfig, seed uin
 		// damage — not a harness error that should abort the sweep. The
 		// partial Outcome still carries the run's cost accounting, and
 		// every executed round was observed.
-		return Trial{Rounds: out.Rounds, Metrics: out.Metrics, RoundProf: rp}, nil
+		return Trial{Metrics: out.Metrics, RoundProf: rp}, nil
 	}
 	if err != nil {
 		return Trial{}, fmt.Errorf("harness: %w", err)
@@ -341,7 +426,6 @@ func runTrial(anw *anonlead.Network, proto string, pc core.ProtoConfig, seed uin
 		Leaders:     len(out.Leaders),
 		LeaderNodes: out.Leaders,
 		Success:     out.Unique && out.AllKnow,
-		Rounds:      out.Rounds,
 		Metrics:     out.Metrics,
 		RoundProf:   rp,
 	}, nil
@@ -350,15 +434,14 @@ func runTrial(anw *anonlead.Network, proto string, pc core.ProtoConfig, seed uin
 // epochTrial executes one repeated-election scenario through the public
 // RunEpochs path and folds the history into a Trial: the flat fields carry
 // the scenario totals (so classic cell aggregation still means
-// something), and the full history rides along for epoch.Reduce.
-func epochTrial(anw *anonlead.Network, proto string, ropts []anonlead.Option, eo epoch.Opts, rp *obs.RoundProfile) (Trial, error) {
-	hist, err := epoch.Run(anw, proto, ropts, eo)
+// something), and the full history rides along for reduceEpochs.
+func epochTrial(anw *anonlead.Network, proto string, ropts []anonlead.Option, sc anonlead.Scenario, rp *obs.RoundProfile) (Trial, error) {
+	hist, err := anw.RunEpochs(context.Background(), proto, sc, ropts...)
 	if err != nil {
 		return Trial{}, fmt.Errorf("harness: %w", err)
 	}
 	trial := Trial{
 		Success: hist.Elected == len(hist.Epochs),
-		Rounds:  hist.TotalRounds,
 		Metrics: anonlead.Metrics{
 			Rounds:        hist.TotalRounds,
 			ChargedRounds: hist.TotalCharged,

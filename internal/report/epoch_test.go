@@ -4,13 +4,12 @@ import (
 	"strings"
 	"testing"
 
-	"anonlead/internal/epoch"
 	"anonlead/internal/harness"
 )
 
 // withScenario marks a synthetic cell as a repeated-election scenario
 // cell: the v6 descriptor plus the amortized epoch aggregates.
-func withScenario(desc string, es *epoch.CellStats) func(*harness.ArtifactCell) {
+func withScenario(desc string, es *harness.EpochStats) func(*harness.ArtifactCell) {
 	return func(c *harness.ArtifactCell) {
 		c.Scenario = desc
 		c.Epochs = es
@@ -22,8 +21,8 @@ func withScenario(desc string, es *epoch.CellStats) func(*harness.ArtifactCell) 
 // branch even though the faulted rungs carry adversary descriptors — and
 // the section renders into the markdown.
 func TestEpochSectioning(t *testing.T) {
-	stats := func(amsgs float64) *epoch.CellStats {
-		return &epoch.CellStats{
+	stats := func(amsgs float64) *harness.EpochStats {
+		return &harness.EpochStats{
 			Epochs: 3, Fault: "crash", Trials: 8,
 			ElectedRate:       1,
 			AmortizedMessages: amsgs, AmortizedRounds: 4,
@@ -85,7 +84,7 @@ func TestEpochSectioning(t *testing.T) {
 func TestEpochSectionWithoutAnchor(t *testing.T) {
 	a := harness.Artifact{Schema: harness.ArtifactSchema, Cells: []harness.ArtifactCell{
 		synthCell("flood", "complete", 8, 500,
-			withScenario("epochs=2,fault=revoke", &epoch.CellStats{Epochs: 2, Fault: "revoke", Trials: 4}),
+			withScenario("epochs=2,fault=revoke", &harness.EpochStats{Epochs: 2, Fault: "revoke", Trials: 4}),
 			withAdversary("adaptive=1@2")),
 	}}
 	r := New(a, Options{})

@@ -45,25 +45,21 @@ func wireEdges(g *graph.Graph, mk func(v, p, w, q int) (Link, Link, error)) (*Fa
 // the framing itself (payloads are still encoded through the protocol's
 // wire codec, so codec bugs surface here too). It is the fastest backend
 // and the default for WithTransport tests.
-type ChanTransport struct {
-	// Buffer is the per-direction frame buffer (default 64). Any value
-	// deadlocks nothing — each port has a dedicated reader goroutine —
-	// it only tunes how early writers park.
-	Buffer int
-}
+type ChanTransport struct{}
+
+// chanBuffer is the per-direction frame buffer of a channel link. Any size
+// deadlocks nothing — each port has a dedicated reader goroutine — it only
+// tunes how early writers park.
+const chanBuffer = 64
 
 // Name implements Transport.
 func (ChanTransport) Name() string { return "chan" }
 
 // Connect implements Transport.
-func (t ChanTransport) Connect(_ context.Context, g *graph.Graph, _ uint64) (*Fabric, error) {
-	buf := t.Buffer
-	if buf <= 0 {
-		buf = 64
-	}
+func (ChanTransport) Connect(_ context.Context, g *graph.Graph, _ uint64) (*Fabric, error) {
 	return wireEdges(g, func(v, p, w, q int) (Link, Link, error) {
-		vw := make(chan Frame, buf)
-		wv := make(chan Frame, buf)
+		vw := make(chan Frame, chanBuffer)
+		wv := make(chan Frame, chanBuffer)
 		done := make(chan struct{})
 		once := new(sync.Once)
 		return &chanLink{out: vw, in: wv, done: done, once: once},

@@ -25,9 +25,11 @@ type TCPTransport struct {
 	// Addr is the listen address; default "127.0.0.1:0" (kernel-assigned
 	// ports on loopback).
 	Addr string
-	// HandshakeTimeout bounds connection establishment (default 10s).
-	HandshakeTimeout time.Duration
 }
+
+// handshakeTimeout bounds connection establishment when the caller gives
+// no timeout of its own.
+const handshakeTimeout = 10 * time.Second
 
 // Name implements Transport.
 func (TCPTransport) Name() string { return "tcp" }
@@ -96,7 +98,7 @@ func (t TCPTransport) Connect(ctx context.Context, g *graph.Graph, seed uint64) 
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	hs := newHandshake(ctx, g, seed, t.HandshakeTimeout)
+	hs := newHandshake(ctx, g, seed, handshakeTimeout)
 	fabric := &Fabric{Links: make([][]Link, g.N())}
 	var wg sync.WaitGroup
 	var once sync.Once
@@ -128,7 +130,7 @@ func (t TCPTransport) Connect(ctx context.Context, g *graph.Graph, seed uint64) 
 // and dials every higher-indexed neighbor at addrOf(w), opening with the
 // edge's token and the acceptor-side port. The returned slice has one Link
 // per port of v; on error every established connection is closed. timeout
-// <= 0 selects 10s. On success ln is left open.
+// <= 0 selects handshakeTimeout (10s). On success ln is left open.
 func ConnectNode(ctx context.Context, g *graph.Graph, v int, seed uint64, ln net.Listener, addrOf func(w int) string, timeout time.Duration) ([]Link, error) {
 	return newHandshake(ctx, g, seed, timeout).connect(ctx, v, ln, addrOf)
 }
@@ -146,7 +148,7 @@ type handshake struct {
 
 func newHandshake(ctx context.Context, g *graph.Graph, seed uint64, timeout time.Duration) *handshake {
 	if timeout <= 0 {
-		timeout = 10 * time.Second
+		timeout = handshakeTimeout
 	}
 	deadline := time.Now().Add(timeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {

@@ -20,11 +20,6 @@ type options struct {
 	tracer    TraceRecorder
 	profile   ProfileMode
 	proto     core.ProtoConfig
-
-	// Epoch options, consumed by RunEpochs only (Run ignores them).
-	epochs     int
-	epochFault EpochFault
-	epochCarry bool
 }
 
 // Option customizes an election. Options are applied in order; later
@@ -118,28 +113,6 @@ func WithTransport(t Transport) Option {
 // untouched and a zero spec is byte-identical to no adversary at all.
 func WithAdversary(spec AdversarySpec) Option {
 	return func(o *options) { o.adversary = &spec }
-}
-
-// WithEpochs sets the number of chained elections a RunEpochs scenario
-// executes (default 1). Run ignores it.
-func WithEpochs(k int) Option {
-	return func(o *options) { o.epochs = k }
-}
-
-// WithEpochFault selects how a leader is removed between RunEpochs epochs:
-// EpochCrash (the default) crash-stops the old leader permanently,
-// EpochRevoke makes it step down but stay alive. Run ignores it.
-func WithEpochFault(f EpochFault) Option {
-	return func(o *options) { o.epochFault = f }
-}
-
-// WithEpochCarry carries knowledge across RunEpochs epochs: every
-// re-election after a crash is told the surviving node count (as if by
-// WithPresumedN), modelling the Dieudonné–Pelc claim that knowledge from
-// epoch k makes epoch k+1 cheaper. Default false: each epoch re-elects
-// with the original presumed size. Run ignores it.
-func WithEpochCarry(carry bool) Option {
-	return func(o *options) { o.epochCarry = carry }
 }
 
 // WithObserver streams per-round cost metrics to fn while the election

@@ -16,7 +16,7 @@ const (
 	// ProfileAuto picks the exact regime for small networks (n ≤ 256) and
 	// the streaming estimate regime above, where the exact algorithms'
 	// dense matrices and all-pairs traversals stop being tractable. This
-	// is the default for Run and Stats.
+	// is the default for Run.
 	ProfileAuto = spectral.ModeAuto
 	// ProfileExact forces the legacy exact regime: exact diameter, dense
 	// matrix-powered mixing time (up to n = 256, spectral bound above),

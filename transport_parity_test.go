@@ -63,7 +63,7 @@ func TestTransportRevocableConvergence(t *testing.T) {
 	}
 	nw := mustNetwork(t, "complete", 4, 1)
 	const seed = 2
-	iso := nw.Stats().Isoperimetric
+	iso := mustProfile(t, nw).Isoperimetric
 	want, err := nw.Run(context.Background(), ProtoRevocable, WithSeed(seed), WithIsoperimetric(iso))
 	if err != nil {
 		t.Fatalf("sim: %v", err)
@@ -105,4 +105,13 @@ func mustNetwork(t *testing.T, family string, n int, seed uint64) *Network {
 		t.Fatal(err)
 	}
 	return nw
+}
+
+func mustProfile(t *testing.T, nw *Network) Profile {
+	t.Helper()
+	prof, err := nw.Profile(ProfileAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prof
 }
