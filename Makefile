@@ -1,6 +1,6 @@
 # Shared entry points for humans and CI (.github/workflows/ci.yml calls
 # exactly these targets, so a green `make ci` locally means a green pipeline).
-# `make fuzz` runs each of its six fuzzers for FUZZTIME (default 10s);
+# `make fuzz` runs each of its seven fuzzers for FUZZTIME (default 10s);
 # plain `go test` only replays their seed corpora.
 
 GO ?= go
@@ -21,7 +21,7 @@ test:
 # (actors lifecycle and tracing included), the protocols run under them
 # (the idle-hint equivalence test steps them on WorkerPool and Actors), the
 # experiment orchestrator, the adversary layer they both drive, the trace
-# recorders, the telemetry registry, the real-transport backend (per-node
+# recorders, the span log, the real-transport backend (per-node
 # drivers, port readers, the coordinator, the concurrent TCP handshake).
 # The harness's epoch sweep tests keep the RunEpochs engine under it too.
 race:
@@ -32,9 +32,10 @@ race:
 
 # The decoders of bytes from outside the process — the bench artifact
 # reader, the transport frame and report codecs, the core and baseline
-# payload codecs — and the declarative adversary spec every fault flag and
-# sweep cell builds from. One `go test -fuzz` per target, because -fuzz
-# takes a single fuzzer.
+# payload codecs, the ledist plan frame a node process builds its run
+# from — and the declarative adversary spec every fault flag and sweep
+# cell builds from. One `go test -fuzz` per target, because -fuzz takes a
+# single fuzzer.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadArtifact$$' -fuzztime $(FUZZTIME) ./internal/harness
@@ -43,6 +44,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime $(FUZZTIME) ./internal/baseline
 	$(GO) test -run '^$$' -fuzz '^FuzzSpec$$' -fuzztime $(FUZZTIME) ./internal/adversary
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePlan$$' -fuzztime $(FUZZTIME) ./cmd/ledist
 
 # Bench smoke: every benchmark once — a does-it-run check, not a
 # measurement (one iteration times nothing). Speed is measured by
@@ -66,15 +68,15 @@ epochs-smoke:
 scaling-smoke:
 	$(GO) run ./cmd/lebench -exp scaling -quick -json BENCH_scaling.json
 
-# Observability smoke: the gate sweep plus its metrics snapshot rendered
-# into the phase-breakdown table. CI's bench-gate job runs this as its
+# Observability smoke: the gate sweep plus its span trace rendered into
+# the phase-breakdown table. CI's bench-gate job runs this as its
 # sweep and archives the side files; they are also the easiest local entry
 # into "where does a sweep spend its time" (open TRACE_lebench.json in
 # Perfetto, `go tool pprof CPU_lebench.pprof`). The per-round histograms of
 # `lebench -round-profile` are not part of it: go test ./cmd/lebench covers
 # that flag.
 obs-smoke: bench-artifact
-	$(GO) run ./cmd/lereport -phases OBS_metrics.json -out REPORT_obs.md BENCH_harness.json
+	$(GO) run ./cmd/lereport -phases TRACE_lebench.json -out REPORT_obs.md BENCH_harness.json
 
 # Distributed-transport smoke: a 16-node election where every node is its
 # own OS process over localhost TCP, plus the in-memory replay of the same
@@ -90,13 +92,13 @@ dist-demo:
 # promoted -quick defaults, written as a BENCH_harness.json artifact
 # (harness.ArtifactSchema). Deterministic for a fixed -seed regardless of
 # worker count, so the same command regenerates the same cells on any
-# machine. Telemetry is on — phase spans as a Chrome trace, the metrics
-# snapshot, a CPU profile — because it is a wall-clock side channel that
-# never enters the artifact (go test ./cmd/lebench compares the bytes), so
-# the one sweep CI runs also says where its time went.
+# machine. Telemetry is on — phase spans as a Chrome trace, a CPU
+# profile — because it is a wall-clock side channel that never enters the
+# artifact (go test ./cmd/lebench compares the bytes), so the one sweep CI
+# runs also says where its time went.
 bench-artifact:
 	$(GO) run ./cmd/lebench -exp sweeps -quick \
-		-trace-out TRACE_lebench.json -metrics-out OBS_metrics.json \
+		-trace-out TRACE_lebench.json \
 		-cpuprofile CPU_lebench.pprof -json BENCH_harness.json
 
 # Diff the freshly-swept artifact against the committed baseline and fail
@@ -145,6 +147,6 @@ clean:
 	rm -f BENCH_harness.json BENCH_scaling.json REPORT.md
 	rm -f benchdiff_report.json lereport.md
 	rm -f BENCH_epochs.json
-	rm -f TRACE_lebench.json OBS_metrics.json CPU_lebench.pprof REPORT_obs.md
+	rm -f TRACE_lebench.json CPU_lebench.pprof REPORT_obs.md
 	rm -f DIST_demo.json
 	$(GO) clean -testcache

@@ -249,11 +249,11 @@ func roundProfileObserver(rp *obs.RoundProfile) func(sim.RoundInfo) {
 	return func(ri sim.RoundInfo) { o(ri.Metrics.Messages, int64(ri.Halted)) }
 }
 
-// TestRoundLoopZeroAllocObservabilityDisabled is the PR-8 regression
-// guard: adding the telemetry subsystem must not cost the round loop its
+// TestRoundLoopZeroAllocObservabilityDisabled is the telemetry regression
+// guard: linking the telemetry subsystem must not cost the round loop its
 // steady-state zero-allocation property when observability is off (the
-// default). It also pins the disabled obs entry points themselves —
-// Span and the counters are what the harness calls around every cell.
+// default). It also pins the disabled obs entry point itself — Span is
+// what the harness calls around every phase of every cell.
 func TestRoundLoopZeroAllocObservabilityDisabled(t *testing.T) {
 	if obs.Enabled() {
 		t.Fatal("observability enabled at test start; guard must measure the default-off path")

@@ -16,8 +16,7 @@
 //	lebench -exp sweeps -quick -json BENCH_harness.json  # CI's gate sweep
 //
 // README "lebench" lists every flag; docs/ARCHITECTURE.md "Observability"
-// covers -round-profile, -trace-out, -metrics-out, -debug-addr and
-// -cpuprofile.
+// covers -round-profile, -trace-out and -cpuprofile.
 package main
 
 import (
@@ -109,9 +108,7 @@ func run() error {
 		profile    = flag.String("profile", "auto", "spectral profile regime for sweep cells: exact, estimate, or auto (exact up to n=256, estimate above)")
 		strip      = flag.Bool("strip-timings", false, "zero the artifact's wall-clock fields so deterministic sweeps compare with cmp")
 		roundProf  = flag.Bool("round-profile", false, "attach deterministic per-round message/halt histograms to every sweep cell (schema-v5 round_profile section)")
-		traceOut   = flag.String("trace-out", "", "write the run's phase spans as Chrome trace-event JSON (open in chrome://tracing or Perfetto)")
-		metricsOut = flag.String("metrics-out", "", "write the metrics-registry snapshot as JSON (render with lereport -phases)")
-		debugAddr  = flag.String("debug-addr", "", "serve /metrics and /debug/pprof/* on this address while the run executes (e.g. localhost:6060)")
+		traceOut   = flag.String("trace-out", "", "write the run's phase spans as Chrome trace-event JSON (open in chrome://tracing or Perfetto; render with lereport -phases)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU pprof profile of the run")
 	)
 	flag.Parse()
@@ -120,15 +117,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *traceOut != "" || *metricsOut != "" || *debugAddr != "" {
+	if *traceOut != "" {
 		obs.Enable()
-	}
-	if *debugAddr != "" {
-		addr, err := obs.Serve(*debugAddr)
-		if err != nil {
-			return fmt.Errorf("debug endpoint: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "lebench: debug endpoint on http://%s\n", addr)
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -152,7 +142,7 @@ func run() error {
 		roundProf: *roundProf,
 		start:     time.Now(),
 	}
-	defer writeTelemetry(*traceOut, *metricsOut)
+	defer writeTrace(*traceOut)
 
 	e, ok := experiments[*exp]
 	if !ok {
@@ -171,23 +161,17 @@ func run() error {
 	return s.finish(*exp)
 }
 
-// writeTelemetry flushes the run's telemetry side channels (a no-op when
-// the flags are empty). Failures are warnings: telemetry must never turn
-// a finished sweep into a failed run.
-func writeTelemetry(traceOut, metricsOut string) {
-	if traceOut != "" {
-		if err := obs.WriteChromeTraceFile(traceOut); err != nil {
-			fmt.Fprintln(os.Stderr, "lebench: trace-out:", err)
-		} else {
-			fmt.Printf("wrote %s (%d spans)\n", traceOut, len(obs.SpanEvents()))
-		}
+// writeTrace flushes the run's span log (a no-op when the flag is empty).
+// Failure is a warning: telemetry must never turn a finished sweep into a
+// failed run.
+func writeTrace(traceOut string) {
+	if traceOut == "" {
+		return
 	}
-	if metricsOut != "" {
-		if err := obs.WriteSnapshotFile(metricsOut); err != nil {
-			fmt.Fprintln(os.Stderr, "lebench: metrics-out:", err)
-		} else {
-			fmt.Printf("wrote %s\n", metricsOut)
-		}
+	if err := obs.WriteChromeTraceFile(traceOut); err != nil {
+		fmt.Fprintln(os.Stderr, "lebench: trace-out:", err)
+	} else {
+		fmt.Printf("wrote %s (%d spans)\n", traceOut, len(obs.SpanEvents()))
 	}
 }
 

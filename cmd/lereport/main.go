@@ -16,10 +16,10 @@
 // -fail-on regressed); a second artifact here is refused.
 //
 // -phases FILE appends a phase-breakdown table (phase | spans | total |
-// mean | share) rendered from an obs metrics snapshot — the -metrics-out
-// file that lebench writes when observability is enabled. Phase
-// timings are wall-clock, so the section is opt-in and never part of the
-// byte-deterministic baseline report.
+// mean | share) summed from the span events of a Chrome trace — the
+// -trace-out file that lebench writes. Phase timings are wall-clock, so
+// the section is opt-in and never part of the byte-deterministic baseline
+// report.
 //
 // Output is byte-deterministic for the same inputs — the committed
 // testdata/REPORT_baseline.md is the golden render of
@@ -50,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		outPath = fs.String("out", "", "write the report here instead of stdout")
 		title   = fs.String("title", "", "report title (default \"Reproduction report\")")
-		phases  = fs.String("phases", "", "append a phase-breakdown table from this obs metrics snapshot (the -metrics-out file of lebench)")
+		phases  = fs.String("phases", "", "append a phase-breakdown table from this Chrome trace (the -trace-out file of lebench)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: lereport [flags] artifact.json\n\n"+
@@ -78,17 +78,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	out := report.New(a, report.Options{Title: *title}).Markdown()
 	if *phases != "" {
-		points, err := obs.ReadSnapshotFile(*phases)
+		events, err := obs.ReadChromeTraceFile(*phases)
 		if err != nil {
 			fmt.Fprintln(stderr, "lereport:", err)
 			return 2
 		}
-		stats := obs.PhaseStats(points)
-		if len(stats) == 0 {
-			fmt.Fprintf(stderr, "lereport: %s has no anonlead_phase_seconds series (run with -trace-out/-metrics-out enabled)\n", *phases)
-			return 2
-		}
-		out += report.PhaseMarkdown(stats)
+		out += report.PhaseMarkdown(obs.PhaseStats(events))
 	}
 	if *outPath != "" {
 		if err := os.WriteFile(*outPath, []byte(out), 0o644); err != nil {

@@ -63,11 +63,44 @@ func TestCLIOutFile(t *testing.T) {
 	}
 }
 
+// writeFile writes body to name under dir and returns the path.
+func writeFile(t *testing.T, dir, name, body string) string {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestCLIPhases: -phases appends the phase table summed from a -trace-out
+// file's span events.
+func TestCLIPhases(t *testing.T) {
+	trace := writeFile(t, t.TempDir(), "trace.json", `{"traceEvents":[`+
+		`{"name":"prepare","ph":"X","ts":0,"dur":500000,"pid":1,"tid":1},`+
+		`{"name":"trials","ph":"X","ts":500000,"dur":1000000,"pid":1,"tid":1,"args":{"detail":"cycle/16"}},`+
+		`{"name":"trials","ph":"X","ts":500000,"dur":500000,"pid":1,"tid":2}]}`)
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-phases", trace, baselinePath}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	for _, row := range []string{"| trials | 2 | 1.500 | 0.7500 | 75.0% |", "| prepare | 1 | 0.500 | 0.5000 | 25.0% |"} {
+		if !strings.Contains(stdout.String(), row) {
+			t.Fatalf("phase table lacks %q:\n%s", row, stdout.String())
+		}
+	}
+}
+
 // TestCLIErrors: usage and IO failures exit 2 with a diagnostic naming the
 // offending argument — among them a second artifact (comparison is
-// benchdiff's job, and the message says so) and the flags of the deleted
-// series and CSV modes.
+// benchdiff's job, and the message says so), the flags of the deleted
+// series and CSV modes, and a -phases file that is the registry snapshot
+// lebench used to write, or a trace without events.
 func TestCLIErrors(t *testing.T) {
+	dir := t.TempDir()
+	snapshot := writeFile(t, dir, "snapshot.json",
+		`[{"name":"anonlead_phase_seconds","labels":{"phase":"trials"},"kind":"histogram","count":2,"sum":0.5}]`)
+	empty := writeFile(t, dir, "empty-trace.json", `{"traceEvents":[]}`)
 	cases := []struct {
 		args []string
 		want string
@@ -76,6 +109,8 @@ func TestCLIErrors(t *testing.T) {
 		{[]string{baselinePath, baselinePath}, "benchdiff -base OLD -head NEW -fail-on regressed"},
 		{[]string{filepath.Join(t.TempDir(), "missing.json")}, "missing.json"},
 		{[]string{"-phases", filepath.Join(t.TempDir(), "missing-obs.json"), baselinePath}, "missing-obs.json"},
+		{[]string{"-phases", snapshot, baselinePath}, snapshot},
+		{[]string{"-phases", empty, baselinePath}, empty},
 		{[]string{"-format", "csv", baselinePath}, "not defined: -format"},
 		{[]string{"-fail-on", "regressing", baselinePath}, "not defined: -fail-on"},
 		{[]string{"-rel-tol", "0.1", baselinePath}, "not defined: -rel-tol"},

@@ -61,9 +61,6 @@ func (o Orchestrator) workers() int {
 // failed task.
 func (o Orchestrator) RunSweep(specs []CellSpec) ([]Cell, error) {
 	workers := o.workers()
-	if obs.Enabled() {
-		obs.Default().Counter("anonlead_cells_total").Add(int64(len(specs)))
-	}
 
 	// Phase 1: build and profile every distinct workload graph in
 	// parallel. Specs sharing (workload, seed) — different protocols on
@@ -145,9 +142,6 @@ func (o Orchestrator) RunSweep(specs []CellSpec) ([]Cell, error) {
 			cell := reduceCell(spec.Protocol, spec.Workload, run.prof, spec.Opts.Epochs, run.trials)
 			endReduce()
 			cells[sh.cell] = cell
-			if obs.Enabled() {
-				obs.Default().Counter("anonlead_cells_done").Inc()
-			}
 			if o.OnCell != nil {
 				cbMu.Lock()
 				o.OnCell(sh.cell, cell)

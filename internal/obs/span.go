@@ -10,13 +10,6 @@ import (
 	"time"
 )
 
-// PhaseSecondsBounds are the bucket upper bounds (seconds) for the
-// anonlead_phase_seconds histogram: log-spaced from 1ms to ~100s, sized
-// for everything from a cached prepareCell hit to a full-matrix sweep.
-var PhaseSecondsBounds = []float64{
-	0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 120,
-}
-
 // SpanEvent is one completed phase span, ready for Chrome trace export.
 type SpanEvent struct {
 	Phase  string
@@ -40,9 +33,8 @@ var noopEnd = func() {}
 //	defer done()
 //
 // While telemetry is disabled this is one atomic load and a shared no-op
-// closure — zero allocations. When enabled, ending the span feeds the
-// anonlead_phase_seconds{phase=...} histogram in the default registry and
-// appends a trace event for WriteChromeTrace.
+// closure — zero allocations. When enabled, ending the span appends it to
+// the span log.
 func Span(phase string, detail ...string) func() {
 	if !enabled.Load() {
 		return noopEnd
@@ -54,9 +46,6 @@ func Span(phase string, detail ...string) func() {
 	start := time.Now()
 	return func() {
 		dur := time.Since(start)
-		defaultRegistry.
-			Histogram("anonlead_phase_seconds", PhaseSecondsBounds, "phase", phase).
-			Observe(dur.Seconds())
 		spanLog.mu.Lock()
 		spanLog.events = append(spanLog.events, SpanEvent{Phase: phase, Detail: d, Start: start, Dur: dur})
 		spanLog.mu.Unlock()
@@ -68,13 +57,6 @@ func SpanEvents() []SpanEvent {
 	spanLog.mu.Lock()
 	defer spanLog.mu.Unlock()
 	return append([]SpanEvent(nil), spanLog.events...)
-}
-
-// ResetSpans clears the span log (tests; long-lived servers between runs).
-func ResetSpans() {
-	spanLog.mu.Lock()
-	spanLog.events = nil
-	spanLog.mu.Unlock()
 }
 
 // chromeEvent is one complete ("ph":"X") event in the Chrome trace-event
@@ -89,6 +71,11 @@ type chromeEvent struct {
 	Args map[string]string `json:"args,omitempty"`
 }
 
+// chromeTrace is the document WriteChromeTrace writes.
+type chromeTrace struct {
+	TraceEvents []chromeEvent `json:"traceEvents"`
+}
+
 // WriteChromeTrace writes every completed span as a Chrome trace-event
 // JSON document. Spans are packed onto tracks greedily (each span takes
 // the lowest-numbered track that is free at its start time) so concurrent
@@ -101,9 +88,7 @@ func WriteChromeTrace(w io.Writer) error {
 		origin = events[0].Start
 	}
 	var trackEnd []time.Time // per-track last occupied instant
-	out := struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}{TraceEvents: make([]chromeEvent, 0, len(events))}
+	out := chromeTrace{TraceEvents: make([]chromeEvent, 0, len(events))}
 	for _, ev := range events {
 		tid := -1
 		for i, end := range trackEnd {
@@ -134,46 +119,6 @@ func WriteChromeTrace(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// PhaseStat is the aggregate view of one phase, as rendered by the
-// lereport phase-breakdown table.
-type PhaseStat struct {
-	Phase string
-	Spans int64
-	Total float64 // seconds
-}
-
-// PhaseStats summarizes a metrics snapshot's anonlead_phase_seconds
-// series into per-phase totals, sorted by descending total time. It
-// accepts a snapshot (rather than reading the live registry) so lereport
-// can consume a -metrics-out file from another process.
-func PhaseStats(points []MetricPoint) []PhaseStat {
-	var out []PhaseStat
-	for _, p := range points {
-		if p.Name != "anonlead_phase_seconds" || p.Kind != "histogram" {
-			continue
-		}
-		out = append(out, PhaseStat{Phase: p.Labels["phase"], Spans: p.Count, Total: p.Sum})
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].Total != out[b].Total {
-			return out[a].Total > out[b].Total
-		}
-		return out[a].Phase < out[b].Phase
-	})
-	return out
-}
-
-// WriteSnapshotJSON writes the default registry's snapshot as indented
-// JSON — the -metrics-out file format that lereport -phases reads.
-func WriteSnapshotJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(defaultRegistry.Snapshot(), "", "  ")
-	if err != nil {
-		return fmt.Errorf("obs: marshal snapshot: %w", err)
-	}
-	_, err = w.Write(append(b, '\n'))
-	return err
-}
-
 // WriteChromeTraceFile writes the span log as Chrome trace-event JSON to
 // path (the CLIs' -trace-out).
 func WriteChromeTraceFile(path string) error {
@@ -188,29 +133,63 @@ func WriteChromeTraceFile(path string) error {
 	return f.Close()
 }
 
-// WriteSnapshotFile writes the registry snapshot JSON to path (the CLIs'
-// -metrics-out).
-func WriteSnapshotFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteSnapshotJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadSnapshotFile reads a -metrics-out snapshot back (lereport -phases).
-func ReadSnapshotFile(path string) ([]MetricPoint, error) {
+// ReadChromeTraceFile reads a -trace-out file back into span events
+// (lereport -phases), inverting WriteChromeTrace to the microsecond. A
+// trace keeps only offsets from its first span, so Starts come back as
+// offsets from the Unix epoch. A file that is not a trace, or holds no
+// events, is an error naming it.
+func ReadChromeTraceFile(path string) ([]SpanEvent, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var points []MetricPoint
-	if err := json.Unmarshal(buf, &points); err != nil {
-		return nil, fmt.Errorf("obs: %s is not a metrics snapshot: %w", path, err)
+	var doc chromeTrace
+	if err := json.Unmarshal(buf, &doc); err != nil {
+		return nil, fmt.Errorf("obs: %s is not a Chrome trace: %w", path, err)
 	}
-	return points, nil
+	if len(doc.TraceEvents) == 0 {
+		return nil, fmt.Errorf("obs: %s holds no trace events (was the run traced with -trace-out?)", path)
+	}
+	origin := time.Unix(0, 0)
+	events := make([]SpanEvent, len(doc.TraceEvents))
+	for i, ce := range doc.TraceEvents {
+		events[i] = SpanEvent{
+			Phase:  ce.Name,
+			Detail: ce.Args["detail"],
+			Start:  origin.Add(time.Duration(ce.Ts) * time.Microsecond),
+			Dur:    time.Duration(ce.Dur) * time.Microsecond,
+		}
+	}
+	return events, nil
+}
+
+// PhaseStat is the aggregate view of one phase, as rendered by the
+// lereport phase-breakdown table.
+type PhaseStat struct {
+	Phase string
+	Spans int64
+	Total float64 // seconds
+}
+
+// PhaseStats sums span events into per-phase totals, sorted by descending
+// total time. It takes the events (rather than reading the live log) so
+// lereport can consume a -trace-out file from another process.
+func PhaseStats(events []SpanEvent) []PhaseStat {
+	spans := make(map[string]int64)
+	totals := make(map[string]time.Duration)
+	for _, ev := range events {
+		spans[ev.Phase]++
+		totals[ev.Phase] += ev.Dur
+	}
+	out := make([]PhaseStat, 0, len(spans))
+	for p, n := range spans {
+		out = append(out, PhaseStat{Phase: p, Spans: n, Total: totals[p].Seconds()})
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Total != out[b].Total {
+			return out[a].Total > out[b].Total
+		}
+		return out[a].Phase < out[b].Phase
+	})
+	return out
 }

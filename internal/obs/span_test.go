@@ -2,10 +2,26 @@ package obs
 
 import (
 	"encoding/json"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
+
+// withEnabled flips telemetry on for one test and restores the disabled
+// default afterwards. Tests share process-wide state (the enabled flag and
+// the span log), so none of them run in parallel.
+func withEnabled(t *testing.T) {
+	t.Helper()
+	Enable()
+	t.Cleanup(func() {
+		Disable()
+		spanLog.mu.Lock()
+		spanLog.events = nil
+		spanLog.mu.Unlock()
+	})
+}
 
 func TestSpanDisabledIsAllocationFree(t *testing.T) {
 	Disable()
@@ -21,6 +37,8 @@ func TestSpanDisabledIsAllocationFree(t *testing.T) {
 	}
 }
 
+// TestSpanFeedsHistogramAndLog: ending a span appends it to the log, and
+// the log's per-phase totals are what the phase table renders.
 func TestSpanFeedsHistogramAndLog(t *testing.T) {
 	withEnabled(t)
 	done := Span("trials", "cell-3")
@@ -38,7 +56,7 @@ func TestSpanFeedsHistogramAndLog(t *testing.T) {
 	if events[0].Dur < time.Millisecond {
 		t.Fatalf("span duration %v, want >= 1ms", events[0].Dur)
 	}
-	stats := PhaseStats(defaultRegistry.Snapshot())
+	stats := PhaseStats(events)
 	if len(stats) != 2 {
 		t.Fatalf("got %d phase stats, want 2: %+v", len(stats), stats)
 	}
@@ -100,19 +118,39 @@ func TestWriteChromeTracePacksTracks(t *testing.T) {
 	}
 }
 
-func TestWriteSnapshotJSONRoundTrips(t *testing.T) {
+// TestChromeTraceRoundTripsPhaseStats: spans written with
+// WriteChromeTraceFile and read back with ReadChromeTraceFile give the
+// phase stats of the live log, every duration cut to the microsecond the
+// trace keeps.
+func TestChromeTraceRoundTripsPhaseStats(t *testing.T) {
 	withEnabled(t)
-	Span("merge")()
-	var sb strings.Builder
-	if err := WriteSnapshotJSON(&sb); err != nil {
+	for i := 0; i < 3; i++ {
+		end := Span("trials", "cell")
+		time.Sleep(100 * time.Microsecond)
+		end()
+	}
+	Span("prepare")()
+	Span("reduce", "cell")()
+
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := WriteChromeTraceFile(path); err != nil {
 		t.Fatal(err)
 	}
-	var points []MetricPoint
-	if err := json.Unmarshal([]byte(sb.String()), &points); err != nil {
-		t.Fatalf("snapshot JSON invalid: %v", err)
+	got, err := ReadChromeTraceFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	stats := PhaseStats(points)
-	if len(stats) != 1 || stats[0].Phase != "merge" || stats[0].Spans != 1 {
-		t.Fatalf("snapshot did not round-trip phase stats: %+v", stats)
+	live := SpanEvents()
+	if len(got) != len(live) {
+		t.Fatalf("read back %d events, wrote %d", len(got), len(live))
+	}
+	for i := range live {
+		live[i].Dur = live[i].Dur.Truncate(time.Microsecond)
+	}
+	if want := PhaseStats(live); !reflect.DeepEqual(PhaseStats(got), want) {
+		t.Fatalf("phase stats from the trace %+v, from the log %+v", PhaseStats(got), want)
+	}
+	if !got[0].Start.Equal(time.Unix(0, 0)) || got[0].Detail != "cell" {
+		t.Fatalf("first event read back as %+v, want the trace origin and its detail", got[0])
 	}
 }

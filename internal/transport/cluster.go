@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"anonlead/internal/graph"
-	"anonlead/internal/obs"
 	"anonlead/internal/sim"
 	"anonlead/internal/trace"
 )
@@ -47,7 +45,6 @@ type Config struct {
 // Close.
 type Cluster struct {
 	g        *graph.Graph
-	name     string
 	fabric   *Fabric
 	coord    *Coordinator
 	drivers  []*driver
@@ -55,8 +52,6 @@ type Cluster struct {
 	observer func(sim.RoundInfo)
 	wg       sync.WaitGroup
 	closed   bool
-
-	roundHist *obs.Histogram
 }
 
 // localPlane is the in-process control plane: one start channel per node
@@ -96,25 +91,6 @@ func (c localControl) Report(r Report) error {
 	return nil
 }
 
-// newWireMetrics resolves the transport counters. When telemetry is off
-// the counters are unregistered zero-value instances whose Add is a no-op,
-// keeping the disabled path free of registry traffic.
-func newWireMetrics(backend string) *wireMetrics {
-	if !obs.Enabled() {
-		return &wireMetrics{
-			framesTx: &obs.Counter{}, framesRx: &obs.Counter{},
-			bytesTx: &obs.Counter{}, bytesRx: &obs.Counter{},
-		}
-	}
-	reg := obs.Default()
-	return &wireMetrics{
-		framesTx: reg.Counter(obs.TransportFramesTx, "backend", backend),
-		framesRx: reg.Counter(obs.TransportFramesRx, "backend", backend),
-		bytesTx:  reg.Counter(obs.TransportBytesTx, "backend", backend),
-		bytesRx:  reg.Counter(obs.TransportBytesRx, "backend", backend),
-	}
-}
-
 // NewCluster connects the fabric, builds one machine per node via factory,
 // runs the Init pseudo-round, and parks every driver at the round-0
 // barrier.
@@ -133,9 +109,7 @@ func NewCluster(ctx context.Context, cfg Config, factory sim.Factory, codec sim.
 	if tr == nil {
 		tr = ChanTransport{}
 	}
-	endConnect := obs.Span("transport_connect", tr.Name())
 	fabric, err := tr.Connect(ctx, g, cfg.Seed)
-	endConnect()
 	if err != nil {
 		return nil, fmt.Errorf("transport: connect %s: %w", tr.Name(), err)
 	}
@@ -143,22 +117,16 @@ func NewCluster(ctx context.Context, cfg Config, factory sim.Factory, codec sim.
 	n := g.N()
 	c := &Cluster{
 		g:        g,
-		name:     tr.Name(),
 		fabric:   fabric,
 		drivers:  make([]*driver, n),
 		plane:    localPlane{starts: make([]chan int, n), reports: make(chan Report, n)},
 		observer: cfg.Observer,
 	}
 	c.coord = NewCoordinator(g, cfg.CongestBits, c.plane)
-	if obs.Enabled() {
-		c.roundHist = obs.Default().Histogram(
-			obs.TransportRoundSeconds, obs.TransportRoundSecondsBounds, "backend", c.name)
-	}
 	budget := c.coord.Metrics().CongestBits
-	met := newWireMetrics(c.name)
 	for v := 0; v < n; v++ {
 		st := sim.NewStepper(cfg.Seed, factory, v, g.Degree(v), cfg.Trace)
-		c.drivers[v] = newDriver(v, st, codec, fabric.Links[v], budget, met)
+		c.drivers[v] = newDriver(v, st, codec, fabric.Links[v], budget)
 		c.plane.starts[v] = make(chan int, 1)
 	}
 	for v, d := range c.drivers {
@@ -177,18 +145,11 @@ func NewCluster(ctx context.Context, cfg Config, factory sim.Factory, codec sim.
 	return c, nil
 }
 
-// step is Coordinator.Step plus the per-round telemetry.
+// step is Coordinator.Step plus the round observer.
 func (c *Cluster) step() (bool, error) {
 	round := c.coord.Round()
-	var began time.Time
-	if c.roundHist != nil {
-		began = time.Now()
-	}
 	if more, err := c.coord.Step(); err != nil || !more {
 		return more, err
-	}
-	if c.roundHist != nil {
-		c.roundHist.Observe(time.Since(began).Seconds())
 	}
 	if c.observer != nil {
 		c.observer(sim.RoundInfo{Round: round, Halted: c.coord.HaltedCount(), Metrics: c.coord.Metrics()})
@@ -207,7 +168,6 @@ func (c *Cluster) RunContext(ctx context.Context, rounds int) (int, error) {
 // when every driver is parked at the barrier, so convergence predicates
 // may read machine state without synchronization.
 func (c *Cluster) RunUntilContext(ctx context.Context, maxRounds int, done func(completed int) bool) (int, error) {
-	defer obs.Span("transport_run", c.name)()
 	return sim.RunLoop(ctx, maxRounds, c.step, done)
 }
 

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"anonlead/internal/obs"
 	"anonlead/internal/sim"
 )
 
@@ -20,16 +19,6 @@ type ControlPlane interface {
 	WaitStart() (round int, stop bool, err error)
 	// Report delivers the node's account of the round just executed.
 	Report(r Report) error
-}
-
-// wireMetrics is the transport's obs instrumentation, shared by every
-// driver of a cluster. All fields may be nil-free no-ops when telemetry is
-// off; Counter.Add is already a no-op while disabled.
-type wireMetrics struct {
-	framesTx *obs.Counter
-	framesRx *obs.Counter
-	bytesTx  *obs.Counter
-	bytesRx  *obs.Counter
 }
 
 // queued is one decoded data frame parked until its delivery round.
@@ -133,7 +122,6 @@ type driver struct {
 	codec  sim.WireCodec
 	links  []Link
 	in     []*portQueue
-	met    *wireMetrics
 
 	// halted is read by the reader goroutines to discard data addressed
 	// to a stopped machine (the simulator drops such packets unread).
@@ -144,14 +132,13 @@ type driver struct {
 	loads  sim.LinkLoads // this round's bit loads, per out-port
 }
 
-func newDriver(node int, st *sim.Stepper, codec sim.WireCodec, links []Link, budget int, met *wireMetrics) *driver {
+func newDriver(node int, st *sim.Stepper, codec sim.WireCodec, links []Link, budget int) *driver {
 	d := &driver{
 		node:   node,
 		stephr: st,
 		codec:  codec,
 		links:  links,
 		in:     make([]*portQueue, len(links)),
-		met:    met,
 		loads:  sim.NewLinkLoads(len(links), budget),
 	}
 	for p := range d.in {
@@ -209,7 +196,7 @@ func (d *driver) run(cp ControlPlane) {
 // teardown). congestBits is the run's slot budget, which the coordinator
 // resolves once for all nodes.
 func RunNode(node int, st *sim.Stepper, codec sim.WireCodec, links []Link, congestBits int, cp ControlPlane) {
-	newDriver(node, st, codec, links, congestBits, newWireMetrics("dist")).run(cp)
+	newDriver(node, st, codec, links, congestBits).run(cp)
 }
 
 // readPort is the per-port reader goroutine: it decodes incoming frames
@@ -226,7 +213,6 @@ func (d *driver) readPort(p int) {
 			q.fail(err)
 			return
 		}
-		d.met.framesRx.Inc()
 		switch f.Type {
 		case FrameData:
 			if d.halted.Load() {
@@ -237,7 +223,6 @@ func (d *driver) readPort(p int) {
 				q.fail(fmt.Errorf("port %d: %w", p, err))
 				return
 			}
-			d.met.bytesRx.Add(int64(len(f.Body)))
 			q.pushData(f.Round, sim.Packet{Port: p, Channel: f.Channel, Payload: pl})
 		case FrameEOR:
 			q.markFlushed(f.Round, false)
@@ -287,8 +272,6 @@ func (d *driver) flush(round int, sends []sim.Send) (Report, error) {
 		if err != nil {
 			return rep, err
 		}
-		d.met.framesTx.Inc()
-		d.met.bytesTx.Add(int64(len(buf)))
 		perPort[s.Port]++
 		rep.Msgs++
 		bits := s.Payload.Bits()
@@ -312,7 +295,6 @@ func (d *driver) flush(round int, sends []sim.Send) (Report, error) {
 		if err := l.Flush(); err != nil {
 			return rep, err
 		}
-		d.met.framesTx.Inc()
 	}
 	return rep, nil
 }

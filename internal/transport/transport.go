@@ -89,7 +89,7 @@ type Transport interface {
 	// reliably and in order per link; the round barrier supplies the
 	// synchrony.
 	Connect(ctx context.Context, g *graph.Graph, seed uint64) (*Fabric, error)
-	// Name identifies the backend in errors and telemetry labels.
+	// Name identifies the backend in errors.
 	Name() string
 }
 
