@@ -1,6 +1,6 @@
 # Shared entry points for humans and CI (.github/workflows/ci.yml calls
 # exactly these targets, so a green `make ci` locally means a green pipeline).
-# `make fuzz` runs each of its seven fuzzers for FUZZTIME (default 10s);
+# `make fuzz` runs each of its eight fuzzers for FUZZTIME (default 10s);
 # plain `go test` only replays their seed corpora.
 
 GO ?= go
@@ -33,9 +33,9 @@ race:
 # The decoders of bytes from outside the process — the bench artifact
 # reader, the transport frame and report codecs, the core and baseline
 # payload codecs, the ledist plan frame a node process builds its run
-# from — and the declarative adversary spec every fault flag and sweep
-# cell builds from. One `go test -fuzz` per target, because -fuzz takes a
-# single fuzzer.
+# from — the declarative adversary spec every fault flag and sweep cell
+# builds from, and the public edge-list constructor. One `go test -fuzz`
+# per target, because -fuzz takes a single fuzzer.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadArtifact$$' -fuzztime $(FUZZTIME) ./internal/harness
@@ -45,6 +45,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime $(FUZZTIME) ./internal/baseline
 	$(GO) test -run '^$$' -fuzz '^FuzzSpec$$' -fuzztime $(FUZZTIME) ./internal/adversary
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePlan$$' -fuzztime $(FUZZTIME) ./cmd/ledist
+	$(GO) test -run '^$$' -fuzz '^FuzzNewNetworkFromEdges$$' -fuzztime $(FUZZTIME) .
 
 # Bench smoke: every benchmark once — a does-it-run check, not a
 # measurement (one iteration times nothing). Speed is measured by

@@ -41,6 +41,7 @@
 package anonlead
 
 import (
+	"fmt"
 	"sync"
 
 	"anonlead/internal/graph"
@@ -81,8 +82,21 @@ func NewNetwork(family string, n int, seed uint64) (*Network, error) {
 }
 
 // NewNetworkFromEdges builds a network from an explicit undirected edge
-// list over nodes 0..n-1. The graph must be connected and simple.
+// list over nodes 0..n-1. The graph must be connected and simple: an edge
+// listed twice (in either orientation) is one edge, while n < 1, an
+// endpoint outside [0,n) or a self-loop is an error naming the edge.
 func NewNetworkFromEdges(n int, edges [][2]int) (*Network, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("%w, got n=%d", errEmptyGraph, n)
+	}
+	for i, e := range edges {
+		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
+			return nil, fmt.Errorf("anonlead: edge %d (%d,%d) out of range [0,%d)", i, e[0], e[1], n)
+		}
+		if e[0] == e[1] {
+			return nil, fmt.Errorf("anonlead: edge %d is a self-loop at node %d", i, e[0])
+		}
+	}
 	b := graph.NewBuilder(n)
 	for _, e := range edges {
 		b.AddEdge(e[0], e[1])

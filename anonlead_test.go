@@ -46,6 +46,31 @@ func TestNewNetworkFromEdgesRejectsDisconnected(t *testing.T) {
 	}
 }
 
+// TestNewNetworkFromEdgesRejectsBadInput: a size or an edge the builder
+// cannot take is an error naming it, not the builder's panic, and a
+// self-loop is refused rather than dropped.
+func TestNewNetworkFromEdgesRejectsBadInput(t *testing.T) {
+	for _, c := range []struct {
+		n     int
+		edges [][2]int
+		want  string
+	}{
+		{0, nil, "anonlead: network requires a non-empty graph, got n=0"},
+		{-2, [][2]int{{0, 1}}, "anonlead: network requires a non-empty graph, got n=-2"},
+		{3, [][2]int{{0, 1}, {1, 5}}, "anonlead: edge 1 (1,5) out of range [0,3)"},
+		{3, [][2]int{{-1, 2}}, "anonlead: edge 0 (-1,2) out of range [0,3)"},
+		{3, [][2]int{{0, 1}, {1, 2}, {2, 2}}, "anonlead: edge 2 is a self-loop at node 2"},
+	} {
+		nw, err := NewNetworkFromEdges(c.n, c.edges)
+		if nw != nil || err == nil || err.Error() != c.want {
+			t.Errorf("NewNetworkFromEdges(%d, %v) = %v, %v; want error %q", c.n, c.edges, nw, err, c.want)
+		}
+	}
+	if _, err := NewNetworkFromEdges(3, [][2]int{{0, 1}, {1, 0}, {1, 2}}); err != nil {
+		t.Fatalf("an edge listed in both orientations: %v", err)
+	}
+}
+
 func TestElectUnique(t *testing.T) {
 	nw, err := NewNetwork("complete", 32, 1)
 	if err != nil {

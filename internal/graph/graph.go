@@ -29,7 +29,9 @@ type Graph struct {
 	// length, so an append through Adj reallocates instead of writing into
 	// the next node's ports.
 	adj [][]int32
-	m   int // number of undirected edges
+	off []int   // off[v] = flat index of (v, port 0); len n+1, off[n] = 2m
+	rev []int32 // rev[off[v]+p] = port of adj[v][p] that leads back to v
+	m   int     // number of undirected edges
 }
 
 // Builder accumulates edges and produces an immutable Graph. The zero value
@@ -39,7 +41,6 @@ type Builder struct {
 	deg   []int      // degree of each node so far
 	edges [][2]int32 // in insertion order
 	seen  map[[2]int32]struct{}
-	loops bool
 }
 
 // NewBuilder returns a Builder for a graph on n nodes (labeled 0..n-1).
@@ -55,14 +56,13 @@ func NewBuilder(n int) *Builder {
 }
 
 // AddEdge adds the undirected edge {u, v}. Duplicate edges are ignored
-// (simple graph); self-loops are rejected. AddEdge panics on out-of-range
-// endpoints, which always indicates a generator bug.
+// (simple graph), and so are self-loops, which generators rely on. AddEdge
+// panics on out-of-range endpoints, which always indicates a generator bug.
 func (b *Builder) AddEdge(u, v int) {
 	if u < 0 || u >= b.n || v < 0 || v >= b.n {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n))
 	}
 	if u == v {
-		b.loops = true
 		return
 	}
 	a, c := int32(u), int32(v)
@@ -96,19 +96,25 @@ func (b *Builder) HasEdge(u, v int) bool {
 func (b *Builder) Graph() *Graph {
 	// One arena, node v's window sized to its degree and filled by
 	// replaying the edges: every append lands inside its own window, which
-	// ends full, i.e. with its capacity clipped to its length.
+	// ends full, i.e. with its capacity clipped to its length. Replaying
+	// edge {u, w} assigns both of its ports, so the reverse-port table is
+	// written in the same pass.
 	arena := make([]int32, 2*len(b.edges))
+	rev := make([]int32, len(arena))
 	adj := make([][]int32, b.n)
-	off := 0
+	off := make([]int, b.n+1)
 	for v, d := range b.deg {
-		adj[v] = arena[off : off : off+d]
-		off += d
+		off[v+1] = off[v] + d
+		adj[v] = arena[off[v]:off[v]:off[v+1]]
 	}
 	for _, e := range b.edges {
-		adj[e[0]] = append(adj[e[0]], e[1])
-		adj[e[1]] = append(adj[e[1]], e[0])
+		u, w := e[0], e[1]
+		pu, pw := len(adj[u]), len(adj[w])
+		adj[u] = append(adj[u], w)
+		adj[w] = append(adj[w], u)
+		rev[off[u]+pu], rev[off[w]+pw] = int32(pw), int32(pu)
 	}
-	return &Graph{adj: adj, m: len(b.edges)}
+	return &Graph{adj: adj, off: off, rev: rev, m: len(b.edges)}
 }
 
 // N returns the number of nodes.
@@ -152,80 +158,17 @@ func (g *Graph) PortTo(u, v int) int {
 // EdgeOffsets returns the prefix sums of node degrees: a slice of length
 // n+1 with off[v+1]-off[v] = deg(v). It is the indexing scheme for flat
 // per-port buffers (the simulator carves all per-edge state out of single
-// backing arrays using these offsets).
-func (g *Graph) EdgeOffsets() []int {
-	off := make([]int, len(g.adj)+1)
-	for v := range g.adj {
-		off[v+1] = off[v] + len(g.adj[v])
-	}
-	return off
-}
+// backing arrays using these offsets). The slice is the graph's own table,
+// built with the ports and shared by every caller: callers must not
+// modify it.
+func (g *Graph) EdgeOffsets() []int { return g.off }
 
 // ReversePorts returns the flat reverse-port table: for the edge behind
 // port p of node v (at flat index EdgeOffsets()[v]+p, leading to w), the
-// entry is the port of w that leads back to v. Built in O(m log n) via a
-// sorted port index, so graph-sized setup never pays the O(deg) PortTo
-// scan per edge (quadratic at hub nodes such as diam2 centers).
-func (g *Graph) ReversePorts() []int32 {
-	off := g.EdgeOffsets()
-	idx := g.portsByNeighbor()
-	rev := make([]int32, off[len(g.adj)])
-	for v := range g.adj {
-		base := off[v]
-		for p, w := range g.adj[v] {
-			rev[base+p] = portIn(g.adj[w], idx[w], int32(v))
-		}
-	}
-	return rev
-}
-
-// portsByNeighbor returns, for every node, its ports ordered by the
-// neighbor id behind them — a binary-searchable neighbor→port index.
-// O(m log n) total; shared by ReversePorts and Validate. The per-node
-// views are windows into one flat backing array and the sorter is reused,
-// so the whole index costs a constant number of allocations.
-func (g *Graph) portsByNeighbor() [][]int32 {
-	off := g.EdgeOffsets()
-	buf := make([]int32, off[len(g.adj)])
-	idx := make([][]int32, len(g.adj))
-	ps := &portSorter{}
-	for v := range g.adj {
-		ports := buf[off[v]:off[v+1]]
-		for p := range ports {
-			ports[p] = int32(p)
-		}
-		ps.nb, ps.ports = g.adj[v], ports
-		sort.Sort(ps)
-		idx[v] = ports
-	}
-	return idx
-}
-
-// portSorter sorts a node's port list by the neighbor id behind each port.
-// It is reused across nodes to keep index construction allocation-free.
-type portSorter struct{ nb, ports []int32 }
-
-func (s *portSorter) Len() int           { return len(s.ports) }
-func (s *portSorter) Less(i, j int) bool { return s.nb[s.ports[i]] < s.nb[s.ports[j]] }
-func (s *portSorter) Swap(i, j int)      { s.ports[i], s.ports[j] = s.ports[j], s.ports[i] }
-
-// portIn binary-searches idx (ports of a node sorted by neighbor id, over
-// adjacency nb) for the port leading to v, returning -1 when absent.
-func portIn(nb []int32, idx []int32, v int32) int32 {
-	lo, hi := 0, len(idx)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if nb[idx[mid]] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(idx) && nb[idx[lo]] == v {
-		return idx[lo]
-	}
-	return -1
-}
+// entry is the port of w that leads back to v. The table is written while
+// the ports are assigned (Builder.Graph, PermutePorts), so reading it
+// costs nothing; the slice is shared and callers must not modify it.
+func (g *Graph) ReversePorts() []int32 { return g.rev }
 
 // Edges returns all undirected edges as (u,v) pairs with u < v, sorted.
 func (g *Graph) Edges() [][2]int {
@@ -283,53 +226,82 @@ func (g *Graph) Volume(set []int) int {
 // PermutePorts returns a copy of g in which every node's port order has been
 // independently shuffled using r. Protocol correctness must be invariant
 // under this transformation (anonymous networks expose no canonical ports);
-// tests use it as a labeling adversary.
+// tests use it as a labeling adversary. The copy's reverse-port table is
+// the parent's mapped through the shuffles, which are tracked alongside.
 func (g *Graph) PermutePorts(r *rng.RNG) *Graph {
 	arena := make([]int32, 2*g.m)
+	rev := make([]int32, 2*g.m)     // first each new port's old port, finally the table
+	newPort := make([]int32, 2*g.m) // each old port's new port
 	adj := make([][]int32, len(g.adj))
-	off := 0
 	for v := range adj {
-		end := off + copy(arena[off:], g.adj[v])
-		nb := arena[off:end:end]
+		lo, hi := g.off[v], g.off[v+1]
+		nb, old := arena[lo:hi:hi], rev[lo:hi]
+		copy(nb, g.adj[v])
+		for p := range old {
+			old[p] = int32(p)
+		}
 		nodeRNG := r.Split(uint64(v))
-		nodeRNG.Shuffle(len(nb), func(i, j int) { nb[i], nb[j] = nb[j], nb[i] })
-		adj[v], off = nb, end
+		nodeRNG.Shuffle(len(nb), func(i, j int) {
+			nb[i], nb[j] = nb[j], nb[i]
+			old[i], old[j] = old[j], old[i]
+		})
+		for p, q := range old {
+			newPort[lo+int(q)] = int32(p)
+		}
+		adj[v] = nb
 	}
-	return &Graph{adj: adj, m: g.m}
+	for v, nb := range adj {
+		lo := g.off[v]
+		for p, w := range nb {
+			rev[lo+p] = newPort[g.off[w]+int(g.rev[lo+int(rev[lo+p])])]
+		}
+	}
+	return &Graph{adj: adj, off: g.off, rev: rev, m: g.m}
 }
 
-// Validate checks structural invariants: symmetry of the adjacency
-// structure, no self-loops, no duplicate ports, and degree/edge-count
-// consistency (handshake lemma). Generators are tested through this. Runs
-// in O(m log n) via the sorted port index — no per-node maps, no linear
-// PortTo scans — so validating a hub-heavy graph stays graph-sized.
+// Validate checks structural invariants: edge offsets matching the
+// degrees, no self-loops, degree/edge-count consistency (handshake lemma),
+// no duplicate ports, and symmetry — every port's reverse-port entry leads
+// back to it. Generators are tested through this. O(m) with one n-sized
+// stamp array: the port tables are checked, not rebuilt.
 func (g *Graph) Validate() error {
-	degSum := 0
-	for u := range g.adj {
-		for _, w := range g.adj[u] {
+	n, degSum := len(g.adj), 0
+	if len(g.off) != n+1 || g.off[0] != 0 {
+		return fmt.Errorf("graph: %d edge offsets for %d nodes", len(g.off), n)
+	}
+	for u, nb := range g.adj {
+		if g.off[u+1]-g.off[u] != len(nb) {
+			return fmt.Errorf("graph: edge offsets give node %d %d ports, want %d", u, g.off[u+1]-g.off[u], len(nb))
+		}
+		for _, w := range nb {
 			if int(w) == u {
 				return fmt.Errorf("graph: self-loop at node %d", u)
 			}
-			if w < 0 || int(w) >= len(g.adj) {
+			if w < 0 || int(w) >= n {
 				return fmt.Errorf("graph: node %d links out of range to %d", u, w)
 			}
 		}
-		degSum += len(g.adj[u])
+		degSum += len(nb)
 	}
 	if degSum != 2*g.m {
 		return fmt.Errorf("graph: handshake violation: degree sum %d != 2m %d", degSum, 2*g.m)
 	}
-	idx := g.portsByNeighbor()
-	for u := range g.adj {
-		nb, order := g.adj[u], idx[u]
-		for i := 1; i < len(order); i++ {
-			if nb[order[i]] == nb[order[i-1]] {
-				return fmt.Errorf("graph: duplicate edge %d-%d", u, nb[order[i]])
+	if len(g.rev) != degSum {
+		return fmt.Errorf("graph: reverse-port table holds %d ports, want %d", len(g.rev), degSum)
+	}
+	seen := make([]int, n) // seen[w] = u+1 once u's ports reached w
+	for u, nb := range g.adj {
+		for p, w := range nb {
+			if seen[w] == u+1 {
+				return fmt.Errorf("graph: duplicate edge %d-%d", u, w)
 			}
-		}
-		for _, w := range nb {
-			if portIn(g.adj[w], idx[w], int32(u)) < 0 {
+			seen[w] = u + 1
+			q := g.rev[g.off[u]+p]
+			if q < 0 || int(q) >= len(g.adj[w]) || int(g.adj[w][q]) != u {
 				return fmt.Errorf("graph: asymmetric edge %d->%d", u, w)
+			}
+			if int(g.rev[g.off[w]+int(q)]) != p {
+				return fmt.Errorf("graph: reverse port of %d->%d does not lead back to port %d", u, w, p)
 			}
 		}
 	}

@@ -514,29 +514,64 @@ func TestCliqueOfCliques(t *testing.T) {
 	}
 }
 
+// TestEdgeOffsetsAndReversePorts: the port tables written with the ports
+// agree with PortTo on every family, as built and through one and two
+// chained PermutePorts, and reading them allocates nothing.
 func TestEdgeOffsetsAndReversePorts(t *testing.T) {
-	g, err := ByName("diam2", 64, rng.New(3).SplitString("graph:diam2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := g.EdgeOffsets()
-	if len(off) != g.N()+1 || off[g.N()] != 2*g.M() {
-		t.Fatalf("offsets shape wrong: len=%d last=%d want %d/%d", len(off), off[g.N()], g.N()+1, 2*g.M())
-	}
-	rev := g.ReversePorts()
-	for v := 0; v < g.N(); v++ {
-		if off[v+1]-off[v] != g.Degree(v) {
-			t.Fatalf("node %d: offset span %d != degree %d", v, off[v+1]-off[v], g.Degree(v))
+	for _, name := range FamilyNames() {
+		g, err := ByName(name, 64, rng.New(3).SplitString("graph:"+name))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for p := 0; p < g.Degree(v); p++ {
-			w := g.Neighbor(v, p)
-			q := rev[off[v]+p]
-			if want := g.PortTo(w, v); int(q) != want {
-				t.Fatalf("edge (%d,%d): reverse port %d != PortTo %d", v, p, q, want)
+		once := g.PermutePorts(rng.New(7))
+		for label, h := range map[string]*Graph{"built": g, "permuted": once, "permuted twice": once.PermutePorts(rng.New(8))} {
+			if err := h.Validate(); err != nil {
+				t.Fatalf("%s %s: %v", name, label, err)
 			}
-			if g.Neighbor(w, int(q)) != v {
-				t.Fatalf("edge (%d,%d): reverse port does not lead back", v, p)
+			off, rev := h.EdgeOffsets(), h.ReversePorts()
+			if len(off) != h.N()+1 || off[h.N()] != 2*h.M() || len(rev) != 2*h.M() {
+				t.Fatalf("%s %s: tables hold %d offsets ending at %d and %d ports, want %d, %d, %d",
+					name, label, len(off), off[len(off)-1], len(rev), h.N()+1, 2*h.M(), 2*h.M())
 			}
+			for v := 0; v < h.N(); v++ {
+				if off[v+1]-off[v] != h.Degree(v) {
+					t.Fatalf("%s %s node %d: offset span %d != degree %d", name, label, v, off[v+1]-off[v], h.Degree(v))
+				}
+				for p := 0; p < h.Degree(v); p++ {
+					if q, want := rev[off[v]+p], h.PortTo(h.Neighbor(v, p), v); int(q) != want {
+						t.Fatalf("%s %s edge (%d,%d): reverse port %d != PortTo %d", name, label, v, p, q, want)
+					}
+				}
+			}
+			if a := testing.AllocsPerRun(10, func() { h.ReversePorts() }); a != 0 {
+				t.Fatalf("%s %s: ReversePorts allocated %v times", name, label, a)
+			}
+			if a := testing.AllocsPerRun(10, func() { h.EdgeOffsets() }); a != 0 {
+				t.Fatalf("%s %s: EdgeOffsets allocated %v times", name, label, a)
+			}
+		}
+	}
+}
+
+// TestValidateRejects: each failure branch of Validate on a hand-built
+// graph whose port tables are otherwise well formed, next to the same
+// path graph built correctly.
+func TestValidateRejects(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    *Graph
+		want string
+	}{
+		{"path", &Graph{adj: [][]int32{{1}, {0, 2}, {1}}, off: []int{0, 1, 3, 4}, rev: []int32{0, 0, 0, 1}, m: 2}, ""},
+		{"self-loop", &Graph{adj: [][]int32{{1, 0}, {0}}, off: []int{0, 2, 3}, rev: []int32{0, 0, 0}, m: 1}, "graph: self-loop at node 0"},
+		{"duplicate port", &Graph{adj: [][]int32{{1, 1}, {0, 0}}, off: []int{0, 2, 4}, rev: []int32{0, 1, 0, 1}, m: 2}, "graph: duplicate edge 0-1"},
+		{"asymmetric edge", &Graph{adj: [][]int32{{1}, {0, 2}, {0}}, off: []int{0, 1, 3, 4}, rev: []int32{0, 0, 0, 0}, m: 2}, "graph: asymmetric edge 1->2"},
+		{"reverse port", &Graph{adj: [][]int32{{1}, {0, 2}, {1}}, off: []int{0, 1, 3, 4}, rev: []int32{0, 0, 0, 0}, m: 2}, "graph: reverse port of 1->2 does not lead back to port 1"},
+		{"offsets", &Graph{adj: [][]int32{{1}, {0, 2}, {1}}, off: []int{0, 2, 3, 4}, rev: []int32{0, 0, 0, 1}, m: 2}, "graph: edge offsets give node 0 2 ports, want 1"},
+	} {
+		err := c.g.Validate()
+		if (err == nil) != (c.want == "") || (err != nil && err.Error() != c.want) {
+			t.Errorf("%s: Validate() = %v, want %q", c.name, err, c.want)
 		}
 	}
 }

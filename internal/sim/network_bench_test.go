@@ -135,9 +135,10 @@ func (m *multiChan) Step(ctx *Context, inbox []Packet) {
 // TestNewAllocationBound pins the struct-of-arrays setup: building a
 // network is a constant number of allocations regardless of node count
 // (plus whatever the factory allocates per machine — zero here, the
-// machine is shared). The generous bound catches a regression back to
-// per-node mailbox/rng/reverse-port allocations, which would scale with n
-// and blow far past it.
+// machine is shared; the port tables are the graph's own and cost
+// nothing). The generous bound catches a regression back to per-node
+// mailbox or rng allocations, which would scale with n and blow far past
+// it.
 func TestNewAllocationBound(t *testing.T) {
 	g := graph.Cycle(4096)
 	shared := &chatter{channels: 1, msg: &testMsg{v: 1, bits: 8}}
