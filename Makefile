@@ -24,11 +24,14 @@ test:
 # recorders, the span log, the real-transport backend (per-node
 # drivers, port readers, the coordinator, the concurrent TCP handshake).
 # The harness's epoch sweep tests keep the RunEpochs engine under it too.
+# The root's TestTransport* runs real protocols over chan, pipe and tcp, so
+# every port reader of a node feeds its one shared queue under the detector.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/baseline/... \
 		./internal/harness/... ./internal/adversary/... \
 		./internal/trace/... ./internal/obs/... \
 		./internal/transport/...
+	$(GO) test -race -run '^TestTransport' .
 
 # The decoders of bytes from outside the process — the bench artifact
 # reader, the transport frame and report codecs, the core and baseline

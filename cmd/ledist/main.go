@@ -23,10 +23,12 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"os/exec"
@@ -168,9 +170,10 @@ type framePlane struct {
 	msgs  <-chan ctlMsg
 }
 
-func (p framePlane) Release(round int) error {
+func (p framePlane) Release(round int, expect []int) error {
 	for v, nc := range p.nodes {
-		if err := writeFrame(nc.link, transport.Frame{Type: transport.FrameStart, Round: round}); err != nil {
+		f := transport.Frame{Type: transport.FrameStart, Round: round, Body: binary.AppendUvarint(nil, uint64(expect[v]))}
+		if err := writeFrame(nc.link, f); err != nil {
 			return fmt.Errorf("start to node %d: %w", v, err)
 		}
 	}
@@ -497,18 +500,31 @@ type remoteControl struct {
 	buf  []byte
 }
 
-func (c *remoteControl) WaitStart() (int, bool, error) {
+// errBadStart is the error for a start frame whose body is not exactly
+// one uvarint frame count.
+var errBadStart = errors.New("malformed start frame")
+
+func (c *remoteControl) WaitStart() (int, int, bool, error) {
 	f, err := c.link.ReadFrame()
 	if err != nil {
-		return 0, false, err
+		return 0, 0, false, err
 	}
 	switch f.Type {
 	case transport.FrameStart:
-		return f.Round, false, nil
+		expect, n := binary.Uvarint(f.Body)
+		switch {
+		case len(f.Body) == 0:
+			return 0, 0, false, fmt.Errorf("%w: empty body", errBadStart)
+		case n == 0:
+			return 0, 0, false, fmt.Errorf("%w: truncated count", errBadStart)
+		case n < 0 || n < len(f.Body) || expect > math.MaxInt32:
+			return 0, 0, false, fmt.Errorf("%w: over-long count in %d bytes", errBadStart, len(f.Body))
+		}
+		return f.Round, int(expect), false, nil
 	case transport.FrameStop:
-		return 0, true, nil
+		return 0, 0, true, nil
 	}
-	return 0, false, fmt.Errorf("unexpected %v frame from coordinator", f.Type)
+	return 0, 0, false, fmt.Errorf("unexpected %v frame from coordinator", f.Type)
 }
 
 func (c *remoteControl) Report(r transport.Report) error {
@@ -591,7 +607,9 @@ func nodeMain(v int, coord string) error {
 	ln.Close()
 
 	st := sim.NewStepper(plan.Seed, runner.Factory, v, g.Degree(v), nil)
-	transport.RunNode(v, st, entry.Wire, links, plan.CongestBits, &remoteControl{link: ctl})
+	if err := transport.RunNode(v, st, entry.Wire, links, plan.CongestBits, &remoteControl{link: ctl}); err != nil {
+		return fmt.Errorf("node %d: control: %w", v, err)
+	}
 
 	o := outcomeMsg{Node: v, Halted: st.Halted()}
 	if lr, ok := st.Machine().(sim.LeaderReporter); ok {

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"anonlead"
+	"anonlead/internal/transport"
 )
 
 // TestLedistMatchesSimulator builds the binary and runs real multi-process
@@ -145,6 +148,43 @@ func TestCoordinatorShipsRunSeedProfile(t *testing.T) {
 		}
 		if pc != want {
 			t.Errorf("coordinator ships %+v, NewNetwork(expander, %d, 5) resolves %+v", pc, n, want)
+		}
+	}
+}
+
+// startLink is a coordinator connection that always delivers one frame.
+type startLink struct {
+	transport.Link
+	f transport.Frame
+}
+
+func (l startLink) ReadFrame() (transport.Frame, error) { return l.f, nil }
+
+// TestWaitStartRefusesBadCount: a start frame's body is exactly one
+// uvarint, the count of frames the node is owed. An empty, truncated or
+// over-long body is refused with errBadStart, never a panic or a guess.
+func TestWaitStartRefusesBadCount(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body []byte
+		want string
+	}{
+		{"valid", []byte{0x96, 0x01}, ""},
+		{"empty", nil, "empty body"},
+		{"truncated", []byte{0x80}, "truncated count"},
+		{"over-long varint", bytes.Repeat([]byte{0xff}, 11), "over-long count"},
+		{"trailing byte", []byte{5, 0}, "over-long count"},
+	} {
+		rc := &remoteControl{link: startLink{f: transport.Frame{Type: transport.FrameStart, Round: 7, Body: tc.body}}}
+		round, expect, stop, err := rc.WaitStart()
+		if tc.want == "" {
+			if err != nil || round != 7 || expect != 150 || stop {
+				t.Errorf("%s: got round %d expect %d stop %v err %v", tc.name, round, expect, stop, err)
+			}
+			continue
+		}
+		if !errors.Is(err, errBadStart) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want errBadStart naming %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -18,8 +18,9 @@ type Report struct {
 	// Halted reports that the node's machine has called Halt (latched:
 	// once true, true in every later report).
 	Halted bool
-	// PerPort counts the packets sent out of each port this round. Nil
-	// when nothing was sent.
+	// PerPort counts the packets sent out of each port this round: the one
+	// ledger for both in-flight and delivery counts. Nil when nothing was
+	// sent.
 	PerPort []uint32
 	// Msgs and Bits are the round's sent-message and sent-bit totals.
 	Msgs int64
@@ -36,7 +37,9 @@ type Report struct {
 // Barrier is the coordinator's fold of node reports into the run's
 // accounting: what sim.Network's router observes centrally — halt
 // latching, in-flight packet counting — recomputed from what each node
-// says it sent, then closed through the same sim.Metrics.CloseRound. Its
+// says it sent, then closed through the same sim.Metrics.CloseRound. The
+// same fold counts the frames addressed to each node, which the next
+// release hands out so no node has to hear from every link. Its
 // transcript over a run is bit-identical to the simulator's for the same
 // seed — including the stop rule's quirks, such as counting a final drain
 // round when the last halters' sends target already-halted peers.
@@ -44,6 +47,7 @@ type Barrier struct {
 	g        *graph.Graph
 	halted   []bool
 	inflight int
+	expect   []int // frames sent to each node in the last folded round
 	metrics  sim.Metrics
 }
 
@@ -53,7 +57,7 @@ func NewBarrier(g *graph.Graph, congestBits int) *Barrier {
 	if congestBits <= 0 {
 		congestBits = sim.DefaultCongestBits(g.N())
 	}
-	b := &Barrier{g: g, halted: make([]bool, g.N())}
+	b := &Barrier{g: g, halted: make([]bool, g.N()), expect: make([]int, g.N())}
 	b.metrics.CongestBits = congestBits
 	return b
 }
@@ -104,6 +108,7 @@ func (b *Barrier) Round() int { return b.metrics.Rounds }
 func (b *Barrier) FinishRound(counted bool, reports []Report) {
 	inflight := 0
 	maxSlots, maxChannels := 0, 0
+	clear(b.expect)
 	for v := range reports {
 		r := &reports[v]
 		if r.Halted {
@@ -113,7 +118,9 @@ func (b *Barrier) FinishRound(counted bool, reports []Report) {
 			if cnt == 0 {
 				continue
 			}
-			if w := b.g.Neighbor(v, p); !b.halted[w] {
+			w := b.g.Neighbor(v, p)
+			b.expect[w] += int(cnt)
+			if !b.halted[w] {
 				inflight += int(cnt)
 			}
 		}

@@ -59,13 +59,17 @@ type Cluster struct {
 // for a report per node so a driver never blocks on a coordinator that
 // gave up on the round.
 type localPlane struct {
-	starts  []chan int
+	starts  []chan release
 	reports chan Report
 }
 
-func (p localPlane) Release(round int) error {
-	for _, start := range p.starts {
-		start <- round
+// release is one node's start message: the round and how many data frames
+// it is owed from the round before.
+type release struct{ round, expect int }
+
+func (p localPlane) Release(round int, expect []int) error {
+	for v, start := range p.starts {
+		start <- release{round, expect[v]}
 	}
 	return nil
 }
@@ -77,13 +81,13 @@ func (p localPlane) Next() (int, Report, error) {
 
 // localControl is node v's end of a localPlane.
 type localControl struct {
-	start   <-chan int
+	start   <-chan release
 	reports chan<- Report
 }
 
-func (c localControl) WaitStart() (int, bool, error) {
-	round, ok := <-c.start
-	return round, !ok, nil
+func (c localControl) WaitStart() (int, int, bool, error) {
+	r, ok := <-c.start
+	return r.round, r.expect, !ok, nil
 }
 
 func (c localControl) Report(r Report) error {
@@ -119,7 +123,7 @@ func NewCluster(ctx context.Context, cfg Config, factory sim.Factory, codec sim.
 		g:        g,
 		fabric:   fabric,
 		drivers:  make([]*driver, n),
-		plane:    localPlane{starts: make([]chan int, n), reports: make(chan Report, n)},
+		plane:    localPlane{starts: make([]chan release, n), reports: make(chan Report, n)},
 		observer: cfg.Observer,
 	}
 	c.coord = NewCoordinator(g, cfg.CongestBits, c.plane)
@@ -127,7 +131,7 @@ func NewCluster(ctx context.Context, cfg Config, factory sim.Factory, codec sim.
 	for v := 0; v < n; v++ {
 		st := sim.NewStepper(cfg.Seed, factory, v, g.Degree(v), cfg.Trace)
 		c.drivers[v] = newDriver(v, st, codec, fabric.Links[v], budget)
-		c.plane.starts[v] = make(chan int, 1)
+		c.plane.starts[v] = make(chan release, 1)
 	}
 	for v, d := range c.drivers {
 		cp := localControl{start: c.plane.starts[v], reports: c.plane.reports}

@@ -11,8 +11,9 @@ import (
 // in-process Cluster implements it with channels, cmd/ledist over its
 // control connections. Used from the coordinator's goroutine only.
 type CoordPlane interface {
-	// Release starts round on every node.
-	Release(round int) error
+	// Release starts round on every node, telling node v that expect[v]
+	// data frames are addressed to it from the previous round.
+	Release(round int, expect []int) error
 	// Next blocks for the next report from any node. node names the
 	// sender even when its control link failed or carried garbage.
 	Next() (node int, r Report, err error)
@@ -53,7 +54,7 @@ func (c *Coordinator) Step() (more bool, err error) {
 	if c.ShouldStop() {
 		return false, nil
 	}
-	if err := c.plane.Release(c.Round()); err != nil {
+	if err := c.plane.Release(c.Round(), c.expect); err != nil {
 		return false, err
 	}
 	return true, c.gather(true)

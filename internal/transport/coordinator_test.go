@@ -29,7 +29,7 @@ type scripted struct {
 	err  error
 }
 
-func (p *scriptedPlane) Release(int) error { return nil }
+func (p *scriptedPlane) Release(int, []int) error { return nil }
 
 func (p *scriptedPlane) Next() (int, transport.Report, error) {
 	if len(p.script) == 0 {

@@ -15,8 +15,9 @@ import (
 // the node's driver goroutine only.
 type ControlPlane interface {
 	// WaitStart blocks until the coordinator releases the next round
-	// (stop=false) or ends the run (stop=true).
-	WaitStart() (round int, stop bool, err error)
+	// (stop=false) or ends the run (stop=true). expect is the number of
+	// data frames the node's neighbors sent it in the previous round.
+	WaitStart() (round, expect int, stop bool, err error)
 	// Report delivers the node's account of the round just executed.
 	Report(r Report) error
 }
@@ -27,131 +28,117 @@ type queued struct {
 	pkt   sim.Packet
 }
 
-// portQueue buffers one port's incoming traffic between the reader
-// goroutine and the driver. flushed tracks the highest round with a
-// received end-of-round marker; per-link FIFO order guarantees that once
-// EOR(t) is visible, every data frame of rounds <= t is already queued.
-type portQueue struct {
+// inbound buffers a node's incoming traffic between its port readers and
+// its driver, in arrival order (FIFO per port, interleaved across ports).
+// A node collecting round t's deliveries can only hold frames sent in
+// rounds t-1 and t: no neighbor sends in t+1 before this node has reported
+// t. So arrivals counted by round parity tell the driver when all of a
+// round's frames are in.
+type inbound struct {
 	mu      sync.Mutex
 	pkts    []queued
-	flushed int
-	closed  bool // peer sent its final PortClosed marker
-	err     error
+	arrived [2]int        // queued frames per sending-round parity
+	err     error         // first reader failure, naming its port
 	wake    chan struct{} // capacity 1: kicks the single waiting driver
 }
 
-func newPortQueue() *portQueue {
-	// flushed starts below the Init pseudo-round's marker EOR(-1).
-	return &portQueue{flushed: -2, wake: make(chan struct{}, 1)}
-}
+func newInbound() *inbound { return &inbound{wake: make(chan struct{}, 1)} }
 
-func (q *portQueue) signal() {
+func (q *inbound) signal() {
 	select {
 	case q.wake <- struct{}{}:
 	default:
 	}
 }
 
-func (q *portQueue) pushData(round int, pkt sim.Packet) {
+func (q *inbound) push(round int, pkt sim.Packet) {
 	q.mu.Lock()
 	q.pkts = append(q.pkts, queued{round: round, pkt: pkt})
-	q.mu.Unlock()
-}
-
-func (q *portQueue) markFlushed(round int, closed bool) {
-	q.mu.Lock()
-	if round > q.flushed {
-		q.flushed = round
-	}
-	q.closed = q.closed || closed
+	q.arrived[round&1]++
 	q.mu.Unlock()
 	q.signal()
 }
 
-func (q *portQueue) fail(err error) {
+func (q *inbound) fail(err error) {
 	q.mu.Lock()
-	if q.err == nil && !q.closed {
+	if q.err == nil {
 		q.err = err
 	}
 	q.mu.Unlock()
 	q.signal()
 }
 
-// await blocks until every data frame of the given round is queued: the
-// peer's marker for that round arrived, or the peer closed the port for
-// good (a halted peer sends nothing further, so nothing is missing).
-func (q *portQueue) await(round int) error {
+// take waits until expect frames sent in round have arrived, then moves
+// exactly those into dst in arrival order and leaves later rounds' frames
+// queued. A reader failure ends the wait.
+func (q *inbound) take(round, expect int, dst []sim.Packet) ([]sim.Packet, error) {
+	par := round & 1
 	for {
 		q.mu.Lock()
-		done := q.flushed >= round || q.closed
-		err := q.err
+		if err := q.err; err != nil {
+			q.mu.Unlock()
+			return dst, err
+		}
+		if q.arrived[par] >= expect {
+			break
+		}
 		q.mu.Unlock()
-		if done {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
 		<-q.wake
 	}
-}
-
-// pop moves the queued packets of the given round into dst. Senders write
-// rounds monotonically, so the round's packets are a queue prefix.
-func (q *portQueue) pop(round int, dst []sim.Packet) []sim.Packet {
-	q.mu.Lock()
-	i := 0
-	for i < len(q.pkts) && q.pkts[i].round == round {
-		dst = append(dst, q.pkts[i].pkt)
-		i++
+	kept := q.pkts[:0]
+	for _, e := range q.pkts {
+		if e.round == round {
+			dst = append(dst, e.pkt)
+		} else {
+			kept = append(kept, e)
+		}
 	}
-	if i > 0 {
-		q.pkts = q.pkts[:copy(q.pkts, q.pkts[i:])]
-	}
+	clear(q.pkts[len(kept):])
+	q.arrived[par] -= len(q.pkts) - len(kept)
+	q.pkts = kept
 	q.mu.Unlock()
-	return dst
+	return dst, nil
 }
 
 // driver owns one node of a cluster: the machine (behind a sim.Stepper),
-// the node's link endpoints, and the per-port receive queues. It runs the
-// synchronizer discipline — step, send, mark every port, report, park —
-// in a single goroutine; one reader goroutine per port feeds the queues.
+// the node's link endpoints, and its receive queue. It runs the round
+// discipline — collect, step, send, report, park — in a single goroutine;
+// one reader goroutine per port feeds the queue.
 type driver struct {
 	node   int
 	stephr *sim.Stepper
 	codec  sim.WireCodec
 	links  []Link
-	in     []*portQueue
+	in     *inbound
 
 	// halted is read by the reader goroutines to discard data addressed
 	// to a stopped machine (the simulator drops such packets unread).
 	halted atomic.Bool
 
-	inbox  []sim.Packet
-	encBuf []byte
-	loads  sim.LinkLoads // this round's bit loads, per out-port
+	inbox   []sim.Packet
+	encBuf  []byte
+	perPort []uint32      // this round's sends per out-port, reused
+	loads   sim.LinkLoads // this round's bit loads, per out-port
 }
 
 func newDriver(node int, st *sim.Stepper, codec sim.WireCodec, links []Link, budget int) *driver {
-	d := &driver{
-		node:   node,
-		stephr: st,
-		codec:  codec,
-		links:  links,
-		in:     make([]*portQueue, len(links)),
-		loads:  sim.NewLinkLoads(len(links), budget),
+	return &driver{
+		node:    node,
+		stephr:  st,
+		codec:   codec,
+		links:   links,
+		in:      newInbound(),
+		perPort: make([]uint32, len(links)),
+		loads:   sim.NewLinkLoads(len(links), budget),
 	}
-	for p := range d.in {
-		d.in[p] = newPortQueue()
-	}
-	return d
 }
 
 // run is the driver goroutine body: Init, then one iteration per
 // coordinator-released round until the stop message. Every released round
 // produces exactly one report, even on failure — the barrier never wedges
-// on a sick node; the coordinator sees the Fail and aborts.
-func (d *driver) run(cp ControlPlane) {
+// on a sick node; the coordinator sees the Fail and aborts. It returns the
+// control-plane error that ended the run early, if any.
+func (d *driver) run(cp ControlPlane) error {
 	for p := range d.links {
 		go d.readPort(p)
 	}
@@ -159,13 +146,13 @@ func (d *driver) run(cp ControlPlane) {
 	if err != nil {
 		rep.Fail = err.Error()
 	}
-	if cp.Report(rep) != nil {
-		return
+	if err := cp.Report(rep); err != nil {
+		return err
 	}
 	for {
-		round, stop, err := cp.WaitStart()
+		round, expect, stop, err := cp.WaitStart()
 		if err != nil || stop {
-			return
+			return err
 		}
 		var rep Report
 		if d.stephr.Halted() {
@@ -173,9 +160,9 @@ func (d *driver) run(cp ControlPlane) {
 			// confirming the (latched) halt at each barrier.
 			rep = Report{Node: d.node, Halted: true}
 		} else {
-			inbox, err := d.collect(round)
+			d.inbox, err = d.in.take(round-1, expect, d.inbox[:0])
 			if err == nil {
-				rep, err = d.flush(round, d.stephr.Step(round, inbox))
+				rep, err = d.flush(round, d.stephr.Step(round, d.inbox))
 			} else {
 				rep = Report{Node: d.node}
 			}
@@ -183,8 +170,8 @@ func (d *driver) run(cp ControlPlane) {
 				rep.Fail = err.Error()
 			}
 		}
-		if cp.Report(rep) != nil {
-			return
+		if err := cp.Report(rep); err != nil {
+			return err
 		}
 	}
 }
@@ -194,23 +181,23 @@ func (d *driver) run(cp ControlPlane) {
 // one round per coordinator release until the stop signal. It blocks
 // until the run ends and leaves the links open (the caller owns
 // teardown). congestBits is the run's slot budget, which the coordinator
-// resolves once for all nodes.
-func RunNode(node int, st *sim.Stepper, codec sim.WireCodec, links []Link, congestBits int, cp ControlPlane) {
-	newDriver(node, st, codec, links, congestBits).run(cp)
+// resolves once for all nodes. The error is a control-plane failure that
+// ended the run before the stop signal.
+func RunNode(node int, st *sim.Stepper, codec sim.WireCodec, links []Link, congestBits int, cp ControlPlane) error {
+	return newDriver(node, st, codec, links, congestBits).run(cp)
 }
 
 // readPort is the per-port reader goroutine: it decodes incoming frames
-// into the port queue until the peer closes the port or the link dies.
+// into the node's queue until the peer closes the port or the link dies.
+// Every failure names the port, since the queue is shared by all of them.
 func (d *driver) readPort(p int) {
-	q := d.in[p]
 	l := d.links[p]
 	for {
 		f, err := l.ReadFrame()
 		if err != nil {
-			// EOF before a PortClosed marker is only legitimate during
-			// teardown; fail records it and await surfaces it if anyone
-			// still depends on this port.
-			q.fail(err)
+			// EOF before a PortClosed frame means the peer died: the
+			// driver surfaces it if it is still collecting.
+			d.in.fail(fmt.Errorf("port %d: %w", p, err))
 			return
 		}
 		switch f.Type {
@@ -220,48 +207,28 @@ func (d *driver) readPort(p int) {
 			}
 			pl, err := d.codec.DecodePayload(f.Body)
 			if err != nil {
-				q.fail(fmt.Errorf("port %d: %w", p, err))
+				d.in.fail(fmt.Errorf("port %d: %w", p, err))
 				return
 			}
-			q.pushData(f.Round, sim.Packet{Port: p, Channel: f.Channel, Payload: pl})
-		case FrameEOR:
-			q.markFlushed(f.Round, false)
+			d.in.push(f.Round, sim.Packet{Port: p, Channel: f.Channel, Payload: pl})
 		case FramePortClosed:
-			q.markFlushed(f.Round, true)
 			return
 		default:
-			q.fail(fmt.Errorf("port %d: unexpected %v frame", p, f.Type))
+			d.in.fail(fmt.Errorf("port %d: unexpected %v frame", p, f.Type))
 			return
 		}
 	}
 }
 
-// collect assembles the inbox for the given round: the sends every live
-// peer routed in round-1. Ports are drained in ascending order, and the
-// stepper re-sorts by (port, channel), reproducing the simulator's
-// canonical delivery order exactly.
-func (d *driver) collect(round int) ([]sim.Packet, error) {
-	d.inbox = d.inbox[:0]
-	for p, q := range d.in {
-		if err := q.await(round - 1); err != nil {
-			return nil, fmt.Errorf("node %d port %d: %w", d.node, p, err)
-		}
-		d.inbox = q.pop(round-1, d.inbox)
-	}
-	return d.inbox, nil
-}
-
-// flush writes the round's sends as data frames, marks every port with
-// EOR (or the final PortClosed when the machine halted this round), and
-// builds the round report: per-port send counts for the barrier's
-// in-flight accounting plus this node's half of the CONGEST cost metering.
+// flush writes the round's sends as data frames — plus, when the machine
+// halted this round, the final PortClosed on every link — flushes each
+// link, and builds the round report: per-port send counts, from which the
+// coordinator derives in-flight and per-node delivery counts, plus this
+// node's half of the CONGEST cost metering.
 func (d *driver) flush(round int, sends []sim.Send) (Report, error) {
 	rep := Report{Node: d.node}
 	d.loads.Reset()
-	var perPort []uint32
-	if len(sends) > 0 {
-		perPort = make([]uint32, len(d.links))
-	}
+	clear(d.perPort)
 	for _, s := range sends {
 		buf, err := d.codec.AppendPayload(d.encBuf[:0], s.Payload)
 		if err != nil {
@@ -270,30 +237,39 @@ func (d *driver) flush(round int, sends []sim.Send) (Report, error) {
 		d.encBuf = buf
 		err = d.links[s.Port].WriteFrame(Frame{Type: FrameData, Round: round, Channel: s.Channel, Body: buf})
 		if err != nil {
-			return rep, err
+			return rep, fmt.Errorf("port %d: %w", s.Port, err)
 		}
-		perPort[s.Port]++
+		d.perPort[s.Port]++
 		rep.Msgs++
 		bits := s.Payload.Bits()
 		rep.Bits += int64(bits)
 		d.loads.Add(int32(s.Port), s.Channel, bits)
 	}
-	rep.PerPort = perPort
+	if len(sends) > 0 {
+		// The coordinator folds every report before it releases the next
+		// round, so the slice is free again by the next flush.
+		rep.PerPort = d.perPort
+	}
 	// Each node owns its outgoing edges, so the coordinator's max over
 	// node reports equals the simulator's max over all directed edges.
 	rep.MaxSlots, rep.MaxChannels = d.loads.Max()
-	marker := FrameEOR
 	if d.stephr.Halted() {
-		marker = FramePortClosed
 		rep.Halted = true
 		d.halted.Store(true)
 	}
-	for _, l := range d.links {
-		if err := l.WriteFrame(Frame{Type: marker, Round: round}); err != nil {
-			return rep, err
+	// A link with nothing buffered flushes without a write. A halting node
+	// ends every link with PortClosed, which lets the peer's reader tell a
+	// finished node from a dead one.
+	for p, l := range d.links {
+		var err error
+		if rep.Halted {
+			err = l.WriteFrame(Frame{Type: FramePortClosed, Round: round})
 		}
-		if err := l.Flush(); err != nil {
-			return rep, err
+		if err == nil {
+			err = l.Flush()
+		}
+		if err != nil {
+			return rep, fmt.Errorf("port %d: %w", p, err)
 		}
 	}
 	return rep, nil

@@ -20,18 +20,17 @@ const (
 	// (-1 for Init), Channel the logical execution, Body the encoded
 	// payload.
 	FrameData
-	// FrameEOR marks the end of the sender's Round on this link: every
-	// data frame of that round has been written before it.
-	FrameEOR
 	// FramePortClosed is the final frame a halting sender ever writes on
-	// this link. It doubles as the end-of-round marker for Round.
+	// this link, after its data frames of Round, so the reader can tell a
+	// finished peer from a dead one.
 	FramePortClosed
 	// FrameJoin enrolls a node process with the coordinator (body: the
 	// node's seed-derived join token).
 	FrameJoin
 	// FramePlan carries the JSON run plan from coordinator to node.
 	FramePlan
-	// FrameStart releases one round (Round is the round to execute).
+	// FrameStart releases one round (Round is the round to execute; body:
+	// the uvarint count of data frames sent to the node the round before).
 	FrameStart
 	// FrameReport carries a node's encoded round Report back.
 	FrameReport
@@ -148,8 +147,6 @@ func (t FrameType) String() string {
 		return "hello"
 	case FrameData:
 		return "data"
-	case FrameEOR:
-		return "eor"
 	case FramePortClosed:
 		return "port-closed"
 	case FrameJoin:

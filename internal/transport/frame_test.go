@@ -16,7 +16,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
 		{Type: FrameData, Round: 0, Channel: 0, Body: []byte{1, 2, 3}},
 		{Type: FrameData, Round: -1, Channel: 7, Body: []byte{0xff}},
-		{Type: FrameEOR, Round: 123456},
+		{Type: FramePortClosed, Round: 123456},
 		{Type: FramePortClosed, Round: -1},
 		{Type: FrameHello, Body: bytes.Repeat([]byte{0xab}, 9)},
 		{Type: FrameData, Round: 1 << 30, Channel: 1<<32 - 1, Body: nil},
@@ -100,7 +100,7 @@ func TestAppendFrameRejectsOversizedBody(t *testing.T) {
 func FuzzDecodeFrame(f *testing.F) {
 	seedFrames := []Frame{
 		{Type: FrameData, Round: 0, Channel: 1, Body: []byte{1, 2, 3}},
-		{Type: FrameEOR, Round: -1},
+		{Type: FrameData, Round: -1},
 		{Type: FramePortClosed, Round: 99},
 		{Type: FrameHello, Body: make([]byte, 12)},
 	}
@@ -200,9 +200,9 @@ func FuzzDecodeReport(f *testing.F) {
 }
 
 // TestStreamLinkExchange drives two endpoints of a net.Pipe link from
-// concurrent goroutines, each writing 10k data frames interleaved with
-// round markers, and checks every frame arrives intact and in order. This
-// is the transport's -race workout.
+// concurrent goroutines, each writing 10k data frames flushed in batches
+// of 100, and checks every frame arrives intact and in order. This is the
+// transport's -race workout.
 func TestStreamLinkExchange(t *testing.T) {
 	const frames = 10000
 	c1, c2 := net.Pipe()
@@ -219,9 +219,6 @@ func TestStreamLinkExchange(t *testing.T) {
 				return fmt.Errorf("frame %d: %w", i, err)
 			}
 			if i%100 == 99 {
-				if err := l.WriteFrame(Frame{Type: FrameEOR, Round: i}); err != nil {
-					return err
-				}
 				if err := l.Flush(); err != nil {
 					return err
 				}
@@ -250,10 +247,6 @@ func TestStreamLinkExchange(t *testing.T) {
 					}
 				}
 				want++
-			case FrameEOR:
-				if f.Round != want-1 {
-					return fmt.Errorf("eor for round %d at frame %d", f.Round, want)
-				}
 			case FramePortClosed:
 				if want != frames {
 					return fmt.Errorf("port closed after %d frames, want %d", want, frames)

@@ -18,8 +18,9 @@ type streamLink struct {
 	conn io.ReadWriteCloser
 	bw   *bufio.Writer
 	br   *bufio.Reader
-	wbuf []byte // encode scratch, one frame at a time
-	rbuf []byte // decode scratch; returned Frame bodies alias it
+	wbuf []byte                // encode scratch, one frame at a time
+	rbuf []byte                // decode scratch; returned Frame bodies alias it
+	hdr  [framePrefixSize]byte // length-prefix scratch, kept off the heap per read
 }
 
 // NewStreamLink wraps an established byte-stream connection as a Link.
@@ -40,11 +41,10 @@ func (l *streamLink) WriteFrame(f Frame) error {
 func (l *streamLink) Flush() error { return l.bw.Flush() }
 
 func (l *streamLink) ReadFrame() (Frame, error) {
-	var hdr [framePrefixSize]byte
-	if _, err := io.ReadFull(l.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(l.br, l.hdr[:]); err != nil {
 		return Frame{}, err
 	}
-	size := int(binary.BigEndian.Uint32(hdr[:]))
+	size := int(binary.BigEndian.Uint32(l.hdr[:]))
 	switch {
 	case size == 0:
 		return Frame{}, ErrEmptyFrame

@@ -23,12 +23,14 @@
 //     over the wire, flushing the machine's sends as framed messages and
 //     metering them in its own sim.LinkLoads.
 //
-// Synchrony is the synchronizer-α discipline: a node's sends for round t
-// are followed by an end-of-round marker on every link, and no node steps
-// round t+1 before it holds the marker (or a final port-close) for round t
-// from every live neighbor. The coordinator starts a round only after all
-// nodes reported the previous one, and stops exactly where the simulator
-// would: when every node has halted and nothing is in flight.
+// Synchrony is counted release: every node reports how many frames it sent
+// out of each port in round t, and the coordinator's release of round t+1
+// tells each node how many of those are addressed to it. No node steps
+// round t+1 before exactly that many round-t frames have arrived, so a
+// link the protocol left silent costs nothing. The coordinator starts a
+// round only after all nodes reported the previous one, and stops exactly
+// where the simulator would: when every node has halted and nothing is in
+// flight.
 package transport
 
 import (
@@ -46,8 +48,9 @@ type Link interface {
 	// WriteFrame sends one frame. Frames arrive at the peer in write
 	// order.
 	WriteFrame(f Frame) error
-	// Flush pushes buffered frames to the peer. Drivers flush once per
-	// round per link, after the end-of-round marker.
+	// Flush pushes buffered frames to the peer. Drivers flush every link
+	// once per round, after its data frames; a link with nothing buffered
+	// must flush without a write.
 	Flush() error
 	// ReadFrame receives the next frame. The returned frame's Body is
 	// only valid until the next ReadFrame call. It returns io.EOF after
