@@ -22,15 +22,17 @@ test:
 # (the idle-hint equivalence test steps them on WorkerPool and Actors), the
 # experiment orchestrator, the adversary layer they both drive, the trace
 # recorders, the span log, the real-transport backend (per-node
-# drivers, port readers, the coordinator, the concurrent TCP handshake).
-# The harness's epoch sweep tests keep the RunEpochs engine under it too.
+# drivers, port readers, the coordinator, the concurrent TCP handshake)
+# and ledist's frame-based control plane, whose reader goroutines feed the
+# coordinator's fold. The harness's epoch sweep tests keep the RunEpochs
+# engine under it too.
 # The root's TestTransport* runs real protocols over chan, pipe and tcp, so
 # every port reader of a node feeds its one shared queue under the detector.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/baseline/... \
 		./internal/harness/... ./internal/adversary/... \
 		./internal/trace/... ./internal/obs/... \
-		./internal/transport/...
+		./internal/transport/... ./cmd/ledist
 	$(GO) test -race -run '^TestTransport' .
 
 # The decoders of bytes from outside the process — the bench artifact

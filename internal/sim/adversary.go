@@ -49,7 +49,7 @@ type Adversary interface {
 // An earlier existing schedule for a node wins.
 func (nw *Network) observeTraffic(round int) {
 	for _, v := range nw.adv.ObserveTraffic(round, nw.sent) {
-		if v < 0 || v >= len(nw.crashAt) || nw.crashed[v] {
+		if v < 0 || v >= len(nw.crashAt) || nw.Crashed(v) {
 			continue
 		}
 		if at := nw.crashAt[v]; at < 0 || at > round+1 {
@@ -66,18 +66,16 @@ type futureDelivery struct {
 }
 
 // applyCrashes crash-stops every node whose schedule has come due at the
-// start of round. Crashing reuses the halt machinery (no further steps,
-// inbound packets dropped), but is tracked separately so the harness can
-// distinguish "stopped by protocol" from "killed by adversary".
+// start of round. The ledger's crash latch reuses the halt (no further
+// steps, inbound packets dropped), but is tracked separately so the harness
+// can distinguish "stopped by protocol" from "killed by adversary".
 func (nw *Network) applyCrashes(round int) {
 	if nw.adv == nil {
 		return
 	}
 	for v, at := range nw.crashAt {
-		if at >= 0 && at <= round && !nw.crashed[v] {
-			nw.crashed[v] = true
-			nw.stop(v)
-			nw.metrics.Crashes++
+		if at >= 0 && at <= round {
+			nw.Crash(v)
 		}
 	}
 }
@@ -94,7 +92,7 @@ func (nw *Network) releaseFutures(round int) {
 	bucket := nw.future[slot]
 	for _, fd := range bucket {
 		nw.pendingFuture--
-		if nw.halted[fd.node] {
+		if nw.Halted(fd.node) {
 			continue
 		}
 		nw.inbox[fd.node] = append(nw.inbox[fd.node], fd.pkt)
@@ -113,15 +111,4 @@ func (nw *Network) dropAllFutures() {
 		nw.future[i] = nw.future[i][:0]
 	}
 	nw.pendingFuture = 0
-}
-
-// Crashed reports whether node v was crash-stopped by the adversary (a
-// crashed node also reports Halted).
-func (nw *Network) Crashed(v int) bool {
-	return nw.crashed != nil && nw.crashed[v]
-}
-
-// CrashedCount returns the number of crash-stopped nodes so far.
-func (nw *Network) CrashedCount() int {
-	return nw.metrics.Crashes
 }

@@ -53,30 +53,27 @@ type RoundInfo struct {
 }
 
 // Network is a running simulation: one Machine per node plus double-buffered
-// mailboxes and cost accounting. Not safe for concurrent use by multiple
+// mailboxes, folded round by round into the embedded Ledger (halts, crashes,
+// in-flight count, cost accounting). Not safe for concurrent use by multiple
 // callers; internally the parallel scheduler partitions work safely.
 type Network struct {
+	Ledger
 	g         *graph.Graph
 	machines  []Machine
 	ctxs      []Context
-	halted    []bool
-	stopped   int // nodes with halted set: protocol halts and crash-stops, each once
 	inbox     [][]Packet
 	next      [][]Packet
 	revPort   []int32 // flat: reverse port of (v, port) = revPort[edgeOff[v]+port]
 	edgeOff   []int   // directed edge id of (v, port) = edgeOff[v] + port
 	rngs      []rng.RNG
-	metrics   Metrics
 	scheduler Scheduler
 	workers   int
-	inflight  int
 	actors    *actorPool
 	observer  func(RoundInfo)
 	links     LinkLoads // this round's bit loads, per directed edge
 	// Fault injection (all nil/empty when adv is nil — the common case).
 	adv           Adversary
 	crashAt       []int              // per-node crash round (-1 = never)
-	crashed       []bool             // nodes crash-stopped so far
 	future        [][]futureDelivery // delay ring, indexed by arrival round mod len
 	pendingFuture int                // packets parked in the ring
 	sent          []int              // per-node send counts of the routed round, for ObserveTraffic
@@ -107,10 +104,6 @@ func New(cfg Config, factory Factory) *Network {
 		panic("sim: config requires a non-empty graph")
 	}
 	n := g.N()
-	budget := cfg.CongestBits
-	if budget <= 0 {
-		budget = DefaultCongestBits(n)
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -123,10 +116,10 @@ func New(cfg Config, factory Factory) *Network {
 	// that overflows its window (multi-packet rounds) falls back to a
 	// normal heap-grown slice with identical semantics.
 	nw := &Network{
+		Ledger:    NewLedger(n, cfg.CongestBits),
 		g:         g,
 		machines:  make([]Machine, n),
 		ctxs:      make([]Context, n),
-		halted:    make([]bool, n),
 		inbox:     make([][]Packet, n),
 		next:      make([][]Packet, n),
 		revPort:   g.ReversePorts(),
@@ -136,7 +129,6 @@ func New(cfg Config, factory Factory) *Network {
 		workers:   workers,
 		observer:  cfg.Observer,
 	}
-	nw.metrics.CongestBits = budget
 
 	root := rng.New(cfg.Seed)
 	off := nw.edgeOff[n]
@@ -154,7 +146,7 @@ func New(cfg Config, factory Factory) *Network {
 		nw.ctxs[v] = Context{degree: deg, rng: &nw.rngs[v], node: v, rec: cfg.Trace, out: outBuf[lo:lo:hi]}
 		nw.machines[v] = newMachine(root, factory, v, deg, &nw.rngs[v])
 	}
-	nw.links = NewLinkLoads(off, budget)
+	nw.links = NewLinkLoads(off, nw.metrics.CongestBits)
 
 	if cfg.Adversary != nil {
 		nw.adv = cfg.Adversary
@@ -192,42 +184,24 @@ func (nw *Network) Graph() *graph.Graph { return nw.g }
 // outputs after a run.
 func (nw *Network) Machine(v int) Machine { return nw.machines[v] }
 
-// Halted reports whether node v has halted.
-func (nw *Network) Halted(v int) bool { return nw.halted[v] }
-
-// AllHalted reports whether every node has halted.
-func (nw *Network) AllHalted() bool { return nw.stopped == len(nw.halted) }
-
-// stop marks node v halted, counting it once.
-func (nw *Network) stop(v int) {
-	if !nw.halted[v] {
-		nw.halted[v] = true
-		nw.stopped++
-	}
-}
-
-// Metrics returns a snapshot of the accumulated cost accounting.
-func (nw *Network) Metrics() Metrics { return nw.metrics }
-
-// Step executes one synchronous round and returns false once every node
-// has halted and no packets remain in flight (releasing any persistent
-// actor goroutines).
+// Step executes one synchronous round and returns false once the ledger's
+// stop rule holds (releasing any persistent actor goroutines).
 func (nw *Network) Step() bool {
-	if nw.AllHalted() && nw.inflight == 0 {
+	if nw.Done() {
 		// Parked delayed packets can only target halted receivers now, so
 		// they are undeliverable — discard instead of spinning drain rounds.
 		nw.dropAllFutures()
 		nw.Close()
 		return false
 	}
-	round := nw.metrics.Rounds
+	round := nw.Round()
 	nw.applyCrashes(round)
 	nw.releaseFutures(round)
 	nw.deliver(round)
 	nw.route(round)
 	nw.closeRound(true)
 	if nw.observer != nil {
-		nw.observer(RoundInfo{Round: round, Halted: nw.stopped, Metrics: nw.metrics})
+		nw.observer(nw.Info(round))
 	}
 	return true
 }
@@ -280,22 +254,19 @@ func (nw *Network) RunUntilContext(ctx context.Context, maxRounds int, done func
 	return RunLoop(ctx, maxRounds, func() (bool, error) { return nw.Step(), nil }, done)
 }
 
-// stepNode runs one node's step for the round. It touches only node v's
-// state, so any scheduler may invoke it concurrently for distinct nodes. A
-// node idling under its IdleUntil promise with nothing delivered is skipped
-// outright: the call would be a no-op, and route already emptied ctx.out.
+// stepNode runs one node's step for the round — the step Stepper.Step
+// runs, stopped if the ledger says so (a halt or a crash). It touches only
+// node v's state, so any scheduler may invoke it concurrently for distinct
+// nodes. A node idling under its IdleUntil promise with nothing delivered
+// is skipped outright: the call would be a no-op, and route already
+// emptied ctx.out.
 func (nw *Network) stepNode(v, round int) {
 	ctx := &nw.ctxs[v]
 	box := nw.inbox[v]
 	if len(box) == 0 && round < int(ctx.wake) {
 		return
 	}
-	ctx.reset(round)
-	if nw.halted[v] {
-		return
-	}
-	sortInbox(box)
-	nw.machines[v].Step(ctx, box)
+	step(ctx, nw.machines[v], round, box, nw.halted[v])
 }
 
 // deliver invokes Step on every live machine with this round's inbox,
@@ -334,17 +305,16 @@ func (nw *Network) deliver(round int) {
 }
 
 // route moves every context's sends into the receivers' next-round
-// mailboxes, in sender order (single-threaded: determinism for every
-// scheduler), applies halts, meters traffic, and — when an adversary is
-// configured — lets it drop or delay each packet. round is the round whose
-// sends are being routed (-1 for Init).
+// mailboxes, folding them into the ledger in sender order (single-threaded:
+// determinism for every scheduler): halts, deliveries, traffic metering,
+// and — when an adversary is configured — its drop or delay of each packet.
+// round is the round whose sends are being routed (-1 for Init).
 func (nw *Network) route(round int) {
-	nw.inflight = 0
 	nw.links.Reset()
 	for v := range nw.machines {
 		ctx := &nw.ctxs[v]
 		if ctx.halted {
-			nw.stop(v)
+			nw.Stop(v)
 		}
 		if nw.adv != nil {
 			nw.sent[v] = len(ctx.out)
@@ -354,8 +324,7 @@ func (nw *Network) route(round int) {
 			e := nw.edgeOff[v] + s.Port
 			q := nw.revPort[e]
 			bits := s.Payload.Bits()
-			nw.metrics.Messages++
-			nw.metrics.Bits += int64(bits)
+			nw.Sent(1, int64(bits))
 			// Link slots are charged before the adversary acts: a dropped
 			// or delayed packet was still transmitted by its sender.
 			nw.links.Add(int32(e), s.Channel, bits)
@@ -368,10 +337,10 @@ func (nw *Network) route(round int) {
 				}
 				delay = d
 			}
-			if nw.halted[w] {
-				continue // receiver stopped: packet dropped
-			}
 			if delay > 0 {
+				if nw.Halted(w) {
+					continue // receiver stopped: packet dropped
+				}
 				nw.metrics.Delayed++
 				slot := (round + 1 + delay) % len(nw.future)
 				nw.future[slot] = append(nw.future[slot],
@@ -379,8 +348,9 @@ func (nw *Network) route(round int) {
 				nw.pendingFuture++
 				continue
 			}
-			nw.next[w] = append(nw.next[w], Packet{Port: int(q), Channel: s.Channel, Payload: s.Payload})
-			nw.inflight++
+			if nw.Deliver(w, 1) {
+				nw.next[w] = append(nw.next[w], Packet{Port: int(q), Channel: s.Channel, Payload: s.Payload})
+			}
 		}
 		ctx.out = ctx.out[:0]
 	}
@@ -394,7 +364,7 @@ func (nw *Network) route(round int) {
 // pseudo-round.
 func (nw *Network) closeRound(counted bool) {
 	maxSlots, maxChannels := nw.links.Max()
-	nw.metrics.CloseRound(counted, maxSlots, maxChannels)
+	nw.CloseRound(counted, maxSlots, maxChannels)
 }
 
 // sortInbox orders packets by (port, channel) with stable order for ties

@@ -30,9 +30,11 @@ var _ View = (*Network)(nil)
 
 // Stepper drives a single protocol machine outside a Network: the
 // real-transport node driver owns one Stepper per node and pumps it with
-// the packets that arrived over the wire. The Stepper reproduces exactly
-// the per-node semantics of Network.stepNode — context reset, inbox
-// ordering, halt latching — so a machine cannot tell whether its packets
+// the packets that arrived over the wire. Network keeps the same per-node
+// state (context, private stream, machine) in parallel arrays, so its
+// per-round scans over the contexts stay dense, and both build a node with
+// newMachine and step it with step — context reset, halt check, inbox
+// ordering, Machine.Step — so a machine cannot tell whether its packets
 // came from the in-memory router or a socket.
 //
 // A Stepper is not safe for concurrent use; drive it from one goroutine.
@@ -77,13 +79,21 @@ func (s *Stepper) Init() []Send {
 // is not stepped and sends nothing. The returned slice is valid until the
 // next call.
 func (s *Stepper) Step(round int, inbox []Packet) []Send {
-	s.ctx.reset(round)
-	if s.ctx.halted {
-		return nil
+	step(&s.ctx, s.m, round, inbox, s.ctx.halted)
+	return s.ctx.out
+}
+
+// step runs one round of m unless stopped, leaving the sends in ctx.out:
+// the per-node step of every backend. Network passes its ledger's halt
+// flag, which also covers crash-stops; Stepper.Step passes the machine's
+// own.
+func step(ctx *Context, m Machine, round int, inbox []Packet, stopped bool) {
+	ctx.reset(round)
+	if stopped {
+		return
 	}
 	sortInbox(inbox)
-	s.m.Step(&s.ctx, inbox)
-	return s.ctx.out
+	m.Step(ctx, inbox)
 }
 
 // Halted reports whether the machine has called Halt. Halting is final:

@@ -39,11 +39,13 @@ type Config struct {
 // registry's Converged/Collect hooks and the public Run path drive it
 // exactly like the simulator.
 //
-// Between Run calls and after a run completes, all drivers are parked at
-// the barrier, so View reads (machine outputs, halt flags) are quiescent
-// and race-free. After a Run call fails the cluster is only good for
-// Close.
+// Halts, crashes and metrics are the coordinator's ledger, embedded by
+// pointer. Between Run calls and after a run completes,
+// all drivers are parked waiting for a release, so View reads (machine
+// outputs, halt flags) are quiescent and race-free. After a Run call fails
+// the cluster is only good for Close.
 type Cluster struct {
+	*sim.Ledger
 	g        *graph.Graph
 	fabric   *Fabric
 	coord    *Coordinator
@@ -127,7 +129,8 @@ func NewCluster(ctx context.Context, cfg Config, factory sim.Factory, codec sim.
 		observer: cfg.Observer,
 	}
 	c.coord = NewCoordinator(g, cfg.CongestBits, c.plane)
-	budget := c.coord.Metrics().CongestBits
+	c.Ledger = &c.coord.Ledger
+	budget := c.Metrics().CongestBits
 	for v := 0; v < n; v++ {
 		st := sim.NewStepper(cfg.Seed, factory, v, g.Degree(v), cfg.Trace)
 		c.drivers[v] = newDriver(v, st, codec, fabric.Links[v], budget)
@@ -151,12 +154,12 @@ func NewCluster(ctx context.Context, cfg Config, factory sim.Factory, codec sim.
 
 // step is Coordinator.Step plus the round observer.
 func (c *Cluster) step() (bool, error) {
-	round := c.coord.Round()
+	round := c.Round()
 	if more, err := c.coord.Step(); err != nil || !more {
 		return more, err
 	}
 	if c.observer != nil {
-		c.observer(sim.RoundInfo{Round: round, Halted: c.coord.HaltedCount(), Metrics: c.coord.Metrics()})
+		c.observer(c.Info(round))
 	}
 	return true, nil
 }
@@ -184,19 +187,6 @@ func (c *Cluster) Graph() *graph.Graph { return c.g }
 // Machine implements sim.View. Valid whenever the cluster is quiescent
 // (between Run calls or after one returns).
 func (c *Cluster) Machine(v int) sim.Machine { return c.drivers[v].stephr.Machine() }
-
-// Halted implements sim.View, reading the coordinator's halt latch.
-func (c *Cluster) Halted(v int) bool { return c.coord.Halted(v) }
-
-// Crashed implements sim.View; the transport backend has no crash
-// adversary.
-func (c *Cluster) Crashed(v int) bool { return false }
-
-// AllHalted implements Runtime.
-func (c *Cluster) AllHalted() bool { return c.coord.AllHalted() }
-
-// Metrics implements Runtime.
-func (c *Cluster) Metrics() sim.Metrics { return c.coord.Metrics() }
 
 // Close stops every driver and tears the fabric down. Idempotent.
 func (c *Cluster) Close() {

@@ -71,7 +71,7 @@ func (m *floodMachine) Step(ctx *sim.Context, inbox []sim.Packet) {
 
 // staggerMachine halts at different rounds on different nodes (derived
 // from each node's private stream), so late senders target already-halted
-// receivers — the exact inflight/drop folding the barrier must replicate.
+// receivers — the in-flight/drop folding the coordinator must share.
 type staggerMachine struct {
 	best      uint64
 	haltRound int
@@ -269,36 +269,52 @@ func TestClusterContextCancel(t *testing.T) {
 	}
 }
 
-// TestClusterObserver checks the observer stream matches the simulator's:
-// same rounds, same cumulative metrics per round.
+// TestClusterObserver checks the observer stream matches the simulator's
+// on every backend: same rounds, same halted count and cumulative metrics
+// per round. Seed 11 of the staggered-halt run ends in a drain round (all
+// nine nodes halted after round 5, round 6 still runs), so that round is
+// pinned too.
 func TestClusterObserver(t *testing.T) {
-	g := graph.Grid(2, 3)
-	const seed = 5
+	cases := []struct {
+		name    string
+		g       *graph.Graph
+		seed    uint64
+		factory sim.Factory
+	}{
+		{"flood/grid2x3", graph.Grid(2, 3), 5, newFloodFactory(6)},
+		{"stagger/cycle9", graph.Cycle(9), 11, newStaggerFactory(5)},
+	}
 	collect := func(run func(obsv func(sim.RoundInfo))) []sim.RoundInfo {
 		var events []sim.RoundInfo
 		run(func(ri sim.RoundInfo) { events = append(events, ri) })
 		return events
 	}
-	simEvents := collect(func(obsv func(sim.RoundInfo)) {
-		net := sim.New(sim.Config{Graph: g, Seed: seed, Observer: obsv}, newFloodFactory(6))
-		if _, err := net.RunContext(context.Background(), 100); err != nil {
-			t.Fatal(err)
+	for _, tc := range cases {
+		simEvents := collect(func(obsv func(sim.RoundInfo)) {
+			net := sim.New(sim.Config{Graph: tc.g, Seed: tc.seed, Observer: obsv}, tc.factory)
+			if _, err := net.RunContext(context.Background(), 100); err != nil {
+				t.Fatal(err)
+			}
+		})
+		for _, tr := range backends() {
+			t.Run(tc.name+"/"+tr.Name(), func(t *testing.T) {
+				cluEvents := collect(func(obsv func(sim.RoundInfo)) {
+					c, err := transport.NewCluster(context.Background(), transport.Config{
+						Graph: tc.g, Seed: tc.seed, Transport: tr, Observer: obsv,
+					}, tc.factory, testCodec{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer c.Close()
+					if _, err := c.RunContext(context.Background(), 100); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if !reflect.DeepEqual(simEvents, cluEvents) {
+					t.Fatalf("observer streams diverge:\n  sim     %+v\n  cluster %+v", simEvents, cluEvents)
+				}
+			})
 		}
-	})
-	cluEvents := collect(func(obsv func(sim.RoundInfo)) {
-		c, err := transport.NewCluster(context.Background(), transport.Config{
-			Graph: g, Seed: seed, Observer: obsv,
-		}, newFloodFactory(6), testCodec{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if _, err := c.RunContext(context.Background(), 100); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if !reflect.DeepEqual(simEvents, cluEvents) {
-		t.Fatalf("observer streams diverge:\n  sim     %+v\n  cluster %+v", simEvents, cluEvents)
 	}
 }
 

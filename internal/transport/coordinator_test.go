@@ -71,6 +71,7 @@ func TestCoordinatorFailureNamesNode(t *testing.T) {
 		{"control-plane EOF", scripted{node: 1, err: io.EOF}, "node 1: control plane", io.EOF},
 		{"misattributed report", scripted{node: 1, rep: transport.Report{Node: 2}}, "node 1: reported as node 2", nil},
 		{"second report", ok(0), "node 0: second report", nil},
+		{"port beyond degree", scripted{node: 2, rep: transport.Report{Node: 2, PerPort: []uint32{0, 0, 0, 0, 1}}}, "transport: node 2: report names port 4 of 2", nil},
 	}
 	for _, tc := range cases {
 		for _, phase := range []string{"init", "round"} {

@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"anonlead/internal/graph"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -171,9 +173,22 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
+// replayPlane hands a coordinator one scripted report per node, in order.
+type replayPlane struct{ reps []Report }
+
+func (p *replayPlane) Release(int, []int) error { return nil }
+
+func (p *replayPlane) Next() (int, Report, error) {
+	r := p.reps[0]
+	p.reps = p.reps[1:]
+	return r.Node, r, nil
+}
+
 // FuzzDecodeReport: arbitrary bytes decode to a report or an error, never
 // a panic, and a decoded report is a fixed point of AppendReport then
-// DecodeReport.
+// DecodeReport. The coordinator then folds it as one node's report of a
+// round on a 4-cycle, beside empty reports from the other nodes: whatever
+// the node claims, the fold returns an error or completes, never panics.
 func FuzzDecodeReport(f *testing.F) {
 	for _, r := range []Report{
 		{},
@@ -196,6 +211,11 @@ func FuzzDecodeReport(f *testing.F) {
 		if !reflect.DeepEqual(r, r2) || !bytes.Equal(AppendReport(nil, r2), enc) {
 			t.Fatalf("round-trip mismatch: %+v vs %+v", r, r2)
 		}
+		reps := []Report{{Node: 0}, {Node: 1}, {Node: 2}, {Node: 3}}
+		r.Node = int(uint64(r.Node) % 4)
+		reps[r.Node] = r
+		// An error is a fine outcome for a lying report; only a panic fails.
+		_ = NewCoordinator(graph.Cycle(4), 0, &replayPlane{reps}).Init()
 	})
 }
 

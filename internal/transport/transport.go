@@ -3,25 +3,25 @@
 // length-prefixed framed messages over per-port links, with a coordinator
 // round barrier enforcing the CONGEST model's global synchrony.
 //
-// The round itself is not re-implemented here. What a round costs and how
-// a run proceeds is the simulator's ledger (sim.LinkLoads,
-// sim.Metrics.CloseRound, sim.RunLoop, sim.NewStepper); this package adds
-// the two layers the in-memory simulator does not need:
+// The round itself is not re-implemented here. How a node steps is
+// sim.Stepper, whose step sim.Network runs for its own nodes; what a round
+// costs and when a run ends is sim.Ledger, the ledger sim.Network folds
+// its router's sends into (with sim.LinkLoads and sim.RunLoop). This
+// package adds the two layers the in-memory simulator does not need:
 //
 //   - The Coordinator decides who may step when: it releases a round over
 //     a control plane, gathers exactly one Report per node, and folds
-//     them into the Barrier — halt latching and in-flight counting in
-//     node order, then the ledger's round close — so a Cluster is
-//     bit-compatible with sim.Network: same seed, same leader, same
-//     round count, same cost metrics. The in-process Cluster and the
-//     multi-process cmd/ledist run the same Coordinator.
+//     them into its sim.Ledger in node order — halts, deliveries, sends,
+//     then the round close — so a Cluster is bit-compatible with
+//     sim.Network: same seed, same leader, same round count, same cost
+//     metrics. The in-process Cluster and the multi-process cmd/ledist
+//     run the same Coordinator.
 //   - A Transport wires a topology into a Fabric of per-port Links
 //     (in-process channels, net.Pipe byte streams, or localhost TCP
 //     sockets established through a seed-derived anonymous handshake),
-//     and a driver owns one node: it pumps a sim.Stepper — the same
-//     machine code the simulator runs — delivering packets that arrived
-//     over the wire, flushing the machine's sends as framed messages and
-//     metering them in its own sim.LinkLoads.
+//     and a driver owns one node: it pumps the node's sim.Stepper with
+//     the packets that arrived over the wire, flushing the machine's sends
+//     as framed messages and metering them in its own sim.LinkLoads.
 //
 // Synchrony is counted release: every node reports how many frames it sent
 // out of each port in round t, and the coordinator's release of round t+1
