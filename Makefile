@@ -18,10 +18,10 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the concurrent subsystems: simulator schedulers
-# (actors lifecycle and tracing included), the protocols run under them
-# (the idle-hint equivalence test steps them on WorkerPool and Actors), the
-# experiment orchestrator, the adversary layer they both drive, the trace
-# recorders, the span log, the real-transport backend (per-node
+# (actors lifecycle and per-node step counts included), the protocols run
+# under them (the idle-hint equivalence test steps them on WorkerPool and
+# Actors), the experiment orchestrator, the adversary layer they both
+# drive, the span log, the real-transport backend (per-node
 # drivers, port readers, the coordinator, the concurrent TCP handshake)
 # and ledist's frame-based control plane, whose reader goroutines feed the
 # coordinator's fold. The harness's epoch sweep tests keep the RunEpochs
@@ -30,8 +30,7 @@ test:
 # every port reader of a node feeds its one shared queue under the detector.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/baseline/... \
-		./internal/harness/... ./internal/adversary/... \
-		./internal/trace/... ./internal/obs/... \
+		./internal/harness/... ./internal/adversary/... ./internal/obs/... \
 		./internal/transport/... ./cmd/ledist
 	$(GO) test -race -run '^TestTransport' .
 

@@ -63,6 +63,9 @@ func run() error {
 	if *trials < 1 {
 		return fmt.Errorf("-trials must be at least 1, got %d", *trials)
 	}
+	if *presumed < 0 {
+		return fmt.Errorf("-presumed must be >= 0 (0 = truth), got %d", *presumed)
+	}
 
 	nw, err := anonlead.NewNetwork(*family, *n, *seed)
 	if err != nil {
@@ -113,9 +116,7 @@ func run() error {
 			anonlead.WithEpsilon(*eps),
 			anonlead.WithIsoperimetric(*iso),
 			anonlead.WithCalibration(*fMult, *rMult),
-		}
-		if *presumed > 0 {
-			opts = append(opts, anonlead.WithPresumedN(*presumed))
+			anonlead.WithPresumedN(*presumed),
 		}
 		if *observe > 0 && t == 0 {
 			every := *observe

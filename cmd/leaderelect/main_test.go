@@ -13,8 +13,9 @@ import (
 // batch through the public API: exit 0, the adversary's canonical
 // descriptor on the faults line, per-trial means over the three trials.
 // A batch of no trials, which used to print 0/0 and NaN means, is refused,
-// and so are a NaN fault rate, the -parallel knob the library dropped and
-// a graph size the family cannot have; -h lists every family name and
+// and so are a NaN fault rate, the -parallel knob the library dropped, a
+// graph size the family cannot have and a negative presumed size, which
+// used to run silently with the true size; -h lists every family name and
 // alias.
 func TestLeaderelectFaultedBatch(t *testing.T) {
 	if testing.Short() {
@@ -54,5 +55,9 @@ func TestLeaderelectFaultedBatch(t *testing.T) {
 	out, err = exec.Command(bin, "-graph", "cycle", "-n", "2").CombinedOutput()
 	if want := "leaderelect: graph: cycle needs n>=3, got 2\n"; err == nil || string(out) != want {
 		t.Errorf("leaderelect -graph cycle -n 2: err %v, output %q; want a failure printing %q", err, out, want)
+	}
+	out, err = exec.Command(bin, "-presumed", "-5").CombinedOutput()
+	if want := "leaderelect: -presumed must be >= 0 (0 = truth), got -5\n"; err == nil || string(out) != want {
+		t.Errorf("leaderelect -presumed -5: err %v, output %q; want a failure printing %q", err, out, want)
 	}
 }

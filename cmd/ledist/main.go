@@ -606,7 +606,7 @@ func nodeMain(v int, coord string) error {
 	}()
 	ln.Close()
 
-	st := sim.NewStepper(plan.Seed, runner.Factory, v, g.Degree(v), nil)
+	st := sim.NewStepper(plan.Seed, runner.Factory, v, g.Degree(v))
 	if err := transport.RunNode(v, st, entry.Wire, links, plan.CongestBits, &remoteControl{link: ctl}); err != nil {
 		return fmt.Errorf("node %d: control: %w", v, err)
 	}

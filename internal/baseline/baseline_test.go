@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -53,11 +54,19 @@ func runFlood(t *testing.T, g *graph.Graph, cfg core.ProtoConfig, seed uint64) (
 }
 
 func TestFloodConfigValidation(t *testing.T) {
-	if !rejects("floodmax", core.ProtoConfig{N: 1, Diam: 3}) {
-		t.Fatal("n=1 accepted")
+	bad := []struct {
+		proto string
+		pc    core.ProtoConfig
+	}{
+		{"floodmax", core.ProtoConfig{N: 1, Diam: 3}},
+		{"allflood", core.ProtoConfig{N: 8, Diam: 0}},
+		{"floodmax", core.ProtoConfig{N: 8, Diam: 3, C: -1}},
+		{"floodmax", core.ProtoConfig{N: 8, Diam: 3, C: math.NaN()}},
 	}
-	if !rejects("allflood", core.ProtoConfig{N: 8, Diam: 0}) {
-		t.Fatal("diam=0 accepted")
+	for _, b := range bad {
+		if !rejects(b.proto, b.pc) {
+			t.Fatalf("%s accepted %+v", b.proto, b.pc)
+		}
 	}
 }
 
@@ -150,11 +159,15 @@ func runWalkNotify(t *testing.T, g *graph.Graph, cfg core.ProtoConfig, seed uint
 }
 
 func TestWalkNotifyConfigValidation(t *testing.T) {
-	if !rejects("walknotify", core.ProtoConfig{N: 1, TMix: 3}) {
-		t.Fatal("n=1 accepted")
-	}
-	if !rejects("walknotify", core.ProtoConfig{N: 8, TMix: 0}) {
-		t.Fatal("tmix=0 accepted")
+	for _, pc := range []core.ProtoConfig{
+		{N: 1, TMix: 3},
+		{N: 8, TMix: 0},
+		{N: 8, TMix: 3, C: -1},
+		{N: 8, TMix: 3, C: math.NaN()},
+	} {
+		if !rejects("walknotify", pc) {
+			t.Fatalf("walknotify accepted %+v", pc)
+		}
 	}
 }
 

@@ -25,6 +25,9 @@ func resolveFlood(pc core.ProtoConfig) (floodParams, error) {
 	if pc.Diam < 1 {
 		return floodParams{}, fmt.Errorf("Diam must be >= 1, got %d", pc.Diam)
 	}
+	if err := core.CheckC(pc.C); err != nil {
+		return floodParams{}, err
+	}
 	p := floodParams{rounds: pc.Diam + 2, cand: core.NewCandidacy(pc.N, pc.C, 0)}
 	if pc.AllNodes {
 		p.cand.Prob = 1

@@ -31,6 +31,9 @@ func resolveWalkNotify(pc core.ProtoConfig) (wnParams, error) {
 	if pc.TMix < 1 {
 		return wnParams{}, fmt.Errorf("TMix must be >= 1, got %d", pc.TMix)
 	}
+	if err := core.CheckC(pc.C); err != nil {
+		return wnParams{}, err
+	}
 	c, ln := core.CLogN(pc.N, pc.C)
 	p := wnParams{cand: core.NewCandidacy(pc.N, pc.C, 0), beta: pc.Beta}
 	if p.beta <= 0 {

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"anonlead/internal/graph"
 	"anonlead/internal/sim"
-	"anonlead/internal/trace"
 )
 
 // TestIREWithForcedIDCollisions shrinks the ID space so candidate ID
@@ -80,68 +78,87 @@ func TestIREPaperExactCongestBudget(t *testing.T) {
 	}
 }
 
-// TestIRETraceEvents cross-checks the trace stream against protocol
-// outputs: candidate and leader events must match the output flags
-// exactly.
-func TestIRETraceEvents(t *testing.T) {
+// TestIREDecideRound reads every node's output after each round: the
+// candidate flags are fixed by Init, no node is leader before the decide
+// round Budget-4, and every leader is a candidate that set its flag in
+// exactly that round.
+func TestIREDecideRound(t *testing.T) {
 	g := graph.Torus(4, 4)
 	cfg := profiledConfig(t, g)
 	r := mustBuild(t, "ire", cfg)
-	rec := trace.NewRing(4096)
-	nw := sim.New(sim.Config{Graph: g, Seed: 9, Trace: rec}, r.Factory)
-	nw.Run(r.Budget)
-	cands, leaders := 0, 0
+	nw := sim.New(sim.Config{Graph: g, Seed: 9}, r.Factory)
+	decide := r.Budget - 4
+	cand := make([]bool, g.N())
+	for v := range cand {
+		cand[v] = nw.Machine(v).(*IREMachine).Output().Candidate
+	}
+	nw.RunUntil(r.Budget, func(completed int) bool {
+		for v := 0; v < g.N(); v++ {
+			o := nw.Machine(v).(*IREMachine).Output()
+			if o.Candidate != cand[v] {
+				t.Fatalf("node %d: candidate flag changed after Init (round %d)", v, completed-1)
+			}
+			if o.Leader && completed-1 < decide {
+				t.Fatalf("node %d: leader after round %d, before the decide round %d", v, completed-1, decide)
+			}
+		}
+		return false
+	})
+	leaders := 0
 	for v := 0; v < g.N(); v++ {
 		o := nw.Machine(v).(*IREMachine).Output()
-		if o.Candidate {
-			cands++
+		if !o.Leader {
+			continue
 		}
-		if o.Leader {
-			leaders++
+		leaders++
+		if !o.Candidate || o.HaltRound != decide {
+			t.Fatalf("node %d: leader with candidate=%v halt round %d, want a candidate deciding at %d", v, o.Candidate, o.HaltRound, decide)
 		}
 	}
-	if got := rec.Count("candidate"); got != int64(cands) {
-		t.Fatalf("candidate events %d want %d", got, cands)
-	}
-	if got := rec.Count("leader"); got != int64(leaders) {
-		t.Fatalf("leader events %d want %d", got, leaders)
-	}
-	// Leader events fire at the decide round.
-	for _, e := range rec.Filter("leader") {
-		if total := r.Budget - 4; e.Round != total {
-			t.Fatalf("leader event at round %d want %d", e.Round, total)
-		}
+	if leaders != 1 {
+		t.Fatalf("%d leaders, want 1", leaders)
 	}
 }
 
-// TestRevocableTraceChooseEvents verifies every node traces exactly one
-// choose event carrying its final certificate.
-func TestRevocableTraceChooseEvents(t *testing.T) {
+// TestRevocableChoiceIsFinal reads every node's output after each round of
+// a run to convergence: once a node has chosen, its (ID, K) never changes;
+// at the end every node has chosen, K is an estimate the node has passed
+// through, and the leader certificate all nodes agree on is one node's
+// own — the largest K, ties to the smallest ID.
+func TestRevocableChoiceIsFinal(t *testing.T) {
 	g := graph.Complete(3)
 	r := mustBuild(t, "revocable", ProtoConfig{Epsilon: 0.5, Iso: 1.5})
-	rec := trace.NewRing(64)
-	nw := sim.New(sim.Config{Graph: g, Seed: 4, Trace: rec}, r.Factory)
+	nw := sim.New(sim.Config{Graph: g, Seed: 4}, r.Factory)
+	first := make([]RevocableOutput, g.N())
 	nw.RunUntil(40_000_000, func(completed int) bool {
+		for v := range first {
+			o := nw.Machine(v).(*RevocableMachine).Output()
+			switch {
+			case !o.Chosen:
+			case !first[v].Chosen:
+				first[v] = o
+			case o.ID != first[v].ID || o.K != first[v].K:
+				t.Fatalf("node %d: chose (id=%d, k=%d), now (id=%d, k=%d) after round %d",
+					v, first[v].ID, first[v].K, o.ID, o.K, completed-1)
+			}
+		}
 		return completed%64 == 0 && revConverged(nw, 0.5)
 	})
 	if !revConverged(nw, 0.5) {
 		t.Fatal("did not converge")
 	}
-	if got := rec.Count("choose"); got != int64(g.N()) {
-		t.Fatalf("choose events %d want %d", got, g.N())
-	}
-	for v := 0; v < g.N(); v++ {
+	var best RevocableOutput
+	for v := range first {
 		o := nw.Machine(v).(*RevocableMachine).Output()
-		want := fmt.Sprintf("id=%d k=%d", o.ID, o.K)
-		found := false
-		for _, e := range rec.Filter("choose") {
-			if e.Node == v && e.Detail == want {
-				found = true
-			}
+		if !o.Chosen || o.ID == 0 || o.K < 2 || o.K > o.EstimateK {
+			t.Fatalf("node %d: final output %+v", v, o)
 		}
-		if !found {
-			t.Fatalf("node %d: no choose event %q", v, want)
+		if o.K > best.K || o.K == best.K && o.ID < best.ID {
+			best = o
 		}
+	}
+	if o := nw.Machine(0).(*RevocableMachine).Output(); o.LeaderID != best.ID || o.LeaderK != best.K {
+		t.Fatalf("agreed leader (id=%d, k=%d), best certificate (id=%d, k=%d)", o.LeaderID, o.LeaderK, best.ID, best.K)
 	}
 }
 

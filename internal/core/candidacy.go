@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"anonlead/internal/rng"
@@ -20,6 +21,16 @@ func CLogN(n int, c float64) (float64, float64) {
 		c = DefaultC
 	}
 	return c, math.Max(math.Log(float64(n)), 1)
+}
+
+// CheckC rejects an analysis constant CLogN would silently replace by the
+// default: a negative c or NaN. Zero is the documented way to ask for
+// DefaultC.
+func CheckC(c float64) error {
+	if c < 0 || math.IsNaN(c) {
+		return fmt.Errorf("C must be >= 0 (0 selects %v), got %v", DefaultC, c)
+	}
+	return nil
 }
 
 // Candidacy is the paper's candidate sampling (Algorithm 1 lines 2-3):

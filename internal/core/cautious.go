@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"anonlead/internal/rng"
 	"anonlead/internal/sim"
 )
@@ -212,9 +210,6 @@ func (e *bcastExec) prepare(ctx *sim.Context, r *rng.RNG, msgs *sim.Msgs[bcMsg])
 	// Territory cap: flood <stop> once through the local tree links.
 	if e.threshold >= e.cap && e.status != statusStopped {
 		e.status = statusStopped
-		if e.isRoot && ctx.Tracing() {
-			ctx.Trace("territory-cap", fmt.Sprintf("source=%d confirmed=%d cap=%d", e.source, e.confirmed, e.cap))
-		}
 	}
 	switch {
 	case e.status == statusStopped:

@@ -23,6 +23,11 @@ func TestIREConfigValidation(t *testing.T) {
 		{N: 16, TMix: 10, Phi: 0},
 		{N: 16, TMix: 10, Phi: -0.1},
 		{N: 16, TMix: 10, Phi: 1.5},
+		{N: 16, TMix: 10, Phi: 0.5, C: -1},
+		{N: 16, TMix: 10, Phi: 0.5, C: math.NaN()},
+		{N: 16, TMix: 10, Phi: 0.5, X: -3},
+		{N: 16, TMix: 10, Phi: 0.5, XFactor: -1},
+		{N: 16, TMix: 10, Phi: 0.5, XFactor: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if !rejects("ire", cfg) {

@@ -41,6 +41,12 @@ func resolveIRE(pc ProtoConfig) (ireParams, error) {
 	if !(pc.Phi > 0) || pc.Phi > 1 {
 		return p, fmt.Errorf("Phi must be in (0,1], got %v", pc.Phi)
 	}
+	if err := CheckC(pc.C); err != nil {
+		return p, err
+	}
+	if pc.X < 0 || pc.XFactor < 0 || math.IsNaN(pc.XFactor) {
+		return p, fmt.Errorf("X and XFactor must be >= 0 (0 selects the default), got %d and %v", pc.X, pc.XFactor)
+	}
 	p.n = pc.N
 	c, ln := CLogN(pc.N, pc.C)
 	p.cand = NewCandidacy(pc.N, pc.C, pc.MaxID)
@@ -169,9 +175,6 @@ func (m *IREMachine) Init(ctx *sim.Context) {
 		m.out.MaxIDSeen = m.out.ID
 		e, _ := m.execs.Insert(m.out.ID)
 		*e = newRootExec(m.out.ID, ctx.Degree(), m.p.capSize)
-		if ctx.Tracing() {
-			ctx.Trace("candidate", fmt.Sprintf("id=%d", m.out.ID))
-		}
 	}
 }
 
@@ -325,9 +328,6 @@ func (m *IREMachine) decide(ctx *sim.Context, round int) {
 		if e := m.execs.Find(m.out.ID); e != nil {
 			m.out.Territory = e.confirmed
 		}
-	}
-	if m.out.Leader && ctx.Tracing() {
-		ctx.Trace("leader", fmt.Sprintf("id=%d territory=%d", m.out.ID, m.out.Territory))
 	}
 	m.out.HaltRound = round
 	if !m.chained {

@@ -518,7 +518,7 @@ func (m *RevocableMachine) stepDissemination(ctx *sim.Context, inbox []sim.Packe
 		m.mergeCert(msg.idldr, msg.kldr)
 	}
 	if m.phaseRound >= m.dissK {
-		m.finishIteration(ctx)
+		m.finishIteration()
 		return
 	}
 	m.phaseRound++
@@ -527,7 +527,7 @@ func (m *RevocableMachine) stepDissemination(ctx *sim.Context, inbox []sim.Packe
 
 // finishIteration records ⟨q, c⟩ (Algorithm 6 lines 11-13) and either
 // starts the next certification iteration or runs the decision phase.
-func (m *RevocableMachine) finishIteration(ctx *sim.Context) {
+func (m *RevocableMachine) finishIteration() {
 	if m.q {
 		m.probing++
 	}
@@ -539,22 +539,19 @@ func (m *RevocableMachine) finishIteration(ctx *sim.Context) {
 		m.startIteration()
 		return
 	}
-	m.decide(ctx)
+	m.decide()
 	m.startEstimate()
 	m.startIteration()
 }
 
 // decide is the decision phase (Algorithm 6 lines 14-17).
-func (m *RevocableMachine) decide(ctx *sim.Context) {
+func (m *RevocableMachine) decide() {
 	if m.id == 0 && m.empty*2 > m.fK && m.probing > 0 {
 		m.id = 1 + m.r.Uint64n(m.idRange)
 		m.bigK = m.k
 		// Line 16: adopt self as provisional leader; dissemination in the
 		// next iterations revokes it if a better certificate exists.
 		m.idldr, m.kldr = m.id, m.bigK
-		if ctx.Tracing() {
-			ctx.Trace("choose", fmt.Sprintf("id=%d k=%d", m.id, m.bigK))
-		}
 	}
 	m.refreshLeader()
 }

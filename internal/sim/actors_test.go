@@ -7,7 +7,6 @@ import (
 
 	"anonlead/internal/graph"
 	"anonlead/internal/rng"
-	"anonlead/internal/trace"
 )
 
 // runGossipScheduler mirrors runGossip with an explicit scheduler choice.
@@ -149,37 +148,33 @@ func TestActorsHaltedNodeParking(t *testing.T) {
 	}
 }
 
-// tracingGossiper emits a trace event every step, so the Actors scheduler
-// records concurrently from every node goroutine (the -race CI pass runs
-// this file and verifies the recorder handoff).
-type tracingGossiper struct {
-	gossiper
-}
-
-func (m *tracingGossiper) Step(ctx *Context, inbox []Packet) {
-	ctx.Trace("step", "")
-	m.gossiper.Step(ctx, inbox)
-}
-
-// TestActorsTracingConcurrentRecord: tracing enabled under the Actors
-// scheduler must record exactly the events the sequential run records.
-func TestActorsTracingConcurrentRecord(t *testing.T) {
+// TestStepCountsMatchSequential: WorkerPool and Actors step every node
+// exactly as often as the sequential loop does. The -race pass runs this
+// test, so it also covers the concurrent step paths.
+func TestStepCountsMatchSequential(t *testing.T) {
 	g := graph.Torus(4, 5)
-	run := func(s Scheduler) *trace.Counting {
-		rec := trace.NewCounting()
-		nw := New(Config{Graph: g, Seed: 9, Scheduler: s, Trace: rec},
-			func(node, degree int, r *rng.RNG) Machine { return &tracingGossiper{} })
+	run := func(s Scheduler) []int {
+		nw := New(Config{Graph: g, Seed: 9, Scheduler: s},
+			func(node, degree int, r *rng.RNG) Machine { return &gossiper{} })
 		defer nw.Close()
 		nw.Run(25)
-		return rec
+		steps := make([]int, g.N())
+		for v := range steps {
+			steps[v] = nw.Machine(v).(*gossiper).rounds
+		}
+		return steps
 	}
-	act := run(Actors)
 	seq := run(Sequential)
-	if act.Count("step") == 0 {
-		t.Fatal("no trace events recorded under actors")
+	if seq[0] != 25 {
+		t.Fatalf("sequential node 0 stepped %d rounds, want 25", seq[0])
 	}
-	if act.Count("step") != seq.Count("step") {
-		t.Fatalf("actors recorded %d step events, sequential %d", act.Count("step"), seq.Count("step"))
+	for _, s := range []Scheduler{WorkerPool, Actors} {
+		got := run(s)
+		for v := range seq {
+			if got[v] != seq[v] {
+				t.Fatalf("scheduler %v: node %d stepped %d rounds, sequential %d", s, v, got[v], seq[v])
+			}
+		}
 	}
 }
 

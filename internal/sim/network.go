@@ -7,7 +7,6 @@ import (
 
 	"anonlead/internal/graph"
 	"anonlead/internal/rng"
-	"anonlead/internal/trace"
 )
 
 // Config configures a Network.
@@ -25,10 +24,6 @@ type Config struct {
 	Scheduler Scheduler
 	// Workers sets the pool size for WorkerPool (0 = GOMAXPROCS).
 	Workers int
-	// Trace, when non-nil, receives protocol events emitted through
-	// Context.Trace. Must be safe for concurrent Record calls when a
-	// concurrent scheduler is selected.
-	Trace trace.Recorder
 	// Adversary, when non-nil, perturbs delivery (drops, delays, crashes).
 	// Nil costs nothing on the hot path. See the Adversary interface and
 	// internal/adversary for deterministic, seed-derived implementations.
@@ -143,7 +138,7 @@ func New(cfg Config, factory Factory) *Network {
 		// them without growth.
 		nw.inbox[v] = inboxBuf[lo:lo:hi]
 		nw.next[v] = nextBuf[lo:lo:hi]
-		nw.ctxs[v] = Context{degree: deg, rng: &nw.rngs[v], node: v, rec: cfg.Trace, out: outBuf[lo:lo:hi]}
+		nw.ctxs[v] = Context{degree: deg, rng: &nw.rngs[v], out: outBuf[lo:lo:hi]}
 		nw.machines[v] = newMachine(root, factory, v, deg, &nw.rngs[v])
 	}
 	nw.links = NewLinkLoads(off, nw.metrics.CongestBits)

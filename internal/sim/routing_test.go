@@ -6,7 +6,6 @@ import (
 
 	"anonlead/internal/graph"
 	"anonlead/internal/rng"
-	"anonlead/internal/trace"
 )
 
 // scatter sends one uniquely tagged payload on a random port each round
@@ -84,54 +83,59 @@ func TestRoutingProperty(t *testing.T) {
 	}
 }
 
-// tracer emits one event per round.
-type tracer struct{}
+// counter logs the round of every Init and Step call it gets and halts
+// once it has stepped round haltAt.
+type counter struct {
+	haltAt int
+	inits  []int
+	steps  []int
+}
 
-func (m *tracer) Init(ctx *Context) { ctx.Trace("init", "") }
-func (m *tracer) Step(ctx *Context, inbox []Packet) {
-	ctx.Trace("step", "")
-	if ctx.Round() >= 2 {
+func (m *counter) Init(ctx *Context) { m.inits = append(m.inits, ctx.Round()) }
+func (m *counter) Step(ctx *Context, inbox []Packet) {
+	m.steps = append(m.steps, ctx.Round())
+	if ctx.Round() >= m.haltAt {
 		ctx.Halt()
 	}
 }
 
-func TestContextTraceRecording(t *testing.T) {
-	g := graph.Cycle(4)
-	rec := trace.NewRing(64)
-	nw := New(Config{Graph: g, Seed: 1, Trace: rec},
-		func(node, degree int, r *rng.RNG) Machine { return &tracer{} })
-	nw.Run(10)
-	if rec.Count("init") != 4 {
-		t.Fatalf("init events %d want 4", rec.Count("init"))
-	}
-	if rec.Count("step") != 12 { // rounds 0,1,2 for 4 nodes
-		t.Fatalf("step events %d want 12", rec.Count("step"))
-	}
-	// Init events carry round -1.
-	for _, e := range rec.Filter("init") {
-		if e.Round != -1 {
-			t.Fatalf("init event round %d", e.Round)
-		}
-	}
-}
-
-func TestContextTraceDisabledIsNoop(t *testing.T) {
-	g := graph.Cycle(4)
-	nw := New(Config{Graph: g, Seed: 1},
-		func(node, degree int, r *rng.RNG) Machine { return &tracer{} })
-	nw.Run(10) // must not panic with nil recorder
-}
-
-func TestContextTraceConcurrentSchedulers(t *testing.T) {
+// checkContextRounds runs the counting machine on a 4×4 torus under
+// scheduler s and checks the trace of Context rounds each node saw: Init
+// once per node at round -1, and Step on exactly rounds 0…haltAt and never
+// after Halt, while the nodes that halt later keep the network running.
+func checkContextRounds(t *testing.T, s Scheduler) {
+	t.Helper()
 	g := graph.Torus(4, 4)
-	for _, s := range []Scheduler{WorkerPool, Actors} {
-		rec := trace.NewCounting()
-		nw := New(Config{Graph: g, Seed: 1, Scheduler: s, Trace: rec},
-			func(node, degree int, r *rng.RNG) Machine { return &tracer{} })
-		nw.Run(10)
-		nw.Close()
-		if rec.Count("init") != int64(g.N()) {
-			t.Fatalf("scheduler %v: init events %d", s, rec.Count("init"))
+	nw := New(Config{Graph: g, Seed: 1, Scheduler: s},
+		func(node, degree int, r *rng.RNG) Machine { return &counter{haltAt: node % 5} })
+	if got := nw.Run(10); got != 5 {
+		t.Fatalf("scheduler %v: ran %d rounds, want 5", s, got)
+	}
+	nw.Close()
+	for v := 0; v < g.N(); v++ {
+		m := nw.Machine(v).(*counter)
+		if len(m.inits) != 1 || m.inits[0] != -1 {
+			t.Fatalf("scheduler %v: node %d Init rounds %v, want [-1]", s, v, m.inits)
 		}
+		if len(m.steps) != m.haltAt+1 {
+			t.Fatalf("scheduler %v: node %d Step rounds %v, want 0…%d", s, v, m.steps, m.haltAt)
+		}
+		for i, r := range m.steps {
+			if r != i {
+				t.Fatalf("scheduler %v: node %d Step rounds %v, want 0…%d", s, v, m.steps, m.haltAt)
+			}
+		}
+	}
+}
+
+// TestContextTraceRecording checks the Context rounds each node sees under
+// the Sequential scheduler.
+func TestContextTraceRecording(t *testing.T) { checkContextRounds(t, Sequential) }
+
+// TestContextTraceConcurrentSchedulers checks the same rounds under the
+// WorkerPool and Actors schedulers.
+func TestContextTraceConcurrentSchedulers(t *testing.T) {
+	for _, s := range []Scheduler{WorkerPool, Actors} {
+		checkContextRounds(t, s)
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"math"
 
 	"anonlead/internal/rng"
-	"anonlead/internal/trace"
 )
 
 // Payload is a protocol-defined message body. Bits reports the exact
@@ -84,9 +83,7 @@ type Context struct {
 	rng    *rng.RNG
 	out    []Send
 	halted bool
-	wake   int32          // IdleUntil promise; int32 fits the padding after halted
-	node   int            // for trace attribution only; never exposed
-	rec    trace.Recorder // nil when tracing is disabled
+	wake   int32 // IdleUntil promise; int32 fits the padding after halted
 }
 
 // Send is one outgoing message of a machine step: what Context.Send
@@ -144,30 +141,16 @@ func (c *Context) Halt() { c.halted = true }
 
 // IdleUntil is the machine's promise that, in every round before round, a
 // Step with an empty inbox would do nothing: no send, no state change, no
-// RNG draw, no trace event, no Halt. The network may then skip those
-// calls; a packet arriving in the meantime wakes the machine as usual. The
-// promise lasts until the next Step call, which makes a fresh one or none
-// (the last IdleUntil of a call wins), so a round ≤ Round()+1 promises
-// nothing. Backends that must visit every node each round may ignore it.
+// RNG draw, no Halt. The network may then skip those calls; a packet
+// arriving in the meantime wakes the machine as usual. The promise lasts
+// until the next Step call, which makes a fresh one or none (the last
+// IdleUntil of a call wins), so a round ≤ Round()+1 promises nothing.
+// Backends that must visit every node each round may ignore it.
 func (c *Context) IdleUntil(round int) {
 	// Clamping only weakens the promise: no Step round is negative, and no
 	// run reaches round 2³¹.
 	c.wake = int32(min(max(round, 0), math.MaxInt32))
 }
-
-// Trace records a protocol event when the network was configured with a
-// trace recorder; otherwise it is a no-op. Tracing is write-only
-// observability: nothing about the network flows back to the machine.
-func (c *Context) Trace(kind, detail string) {
-	if c.rec == nil {
-		return
-	}
-	c.rec.Record(trace.Event{Round: c.round, Node: c.node, Kind: kind, Detail: detail})
-}
-
-// Tracing reports whether Trace records anything, so callers can skip
-// formatting an event detail nobody will read.
-func (c *Context) Tracing() bool { return c.rec != nil }
 
 // reset prepares the context for the next call.
 func (c *Context) reset(round int) {

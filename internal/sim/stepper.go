@@ -3,7 +3,6 @@ package sim
 import (
 	"anonlead/internal/graph"
 	"anonlead/internal/rng"
-	"anonlead/internal/trace"
 )
 
 // View is the read-only surface a protocol's convergence predicate and
@@ -54,12 +53,11 @@ func newMachine(root *rng.RNG, factory Factory, v, degree int, r *rng.RNG) Machi
 }
 
 // NewStepper builds node node's machine for a run of the given root seed,
-// exactly as New builds it, and wraps it in a stepper. node is otherwise
-// used for trace attribution only (never exposed to the machine, matching
-// the anonymity contract of Factory); rec may be nil to disable tracing.
-func NewStepper(seed uint64, factory Factory, node, degree int, rec trace.Recorder) *Stepper {
+// exactly as New builds it, and wraps it in a stepper. The machine never
+// sees node, matching the anonymity contract of Factory.
+func NewStepper(seed uint64, factory Factory, node, degree int) *Stepper {
 	s := &Stepper{}
-	s.ctx = Context{degree: degree, rng: &s.rng, node: node, rec: rec}
+	s.ctx = Context{degree: degree, rng: &s.rng}
 	s.m = newMachine(rng.New(seed), factory, node, degree, &s.rng)
 	return s
 }

@@ -8,7 +8,6 @@ import (
 
 	"anonlead/internal/graph"
 	"anonlead/internal/sim"
-	"anonlead/internal/trace"
 )
 
 // Config parameterizes an in-process cluster. Semantics mirror sim.Config
@@ -25,8 +24,6 @@ type Config struct {
 	CongestBits int
 	// Transport selects the fabric backend (default ChanTransport{}).
 	Transport Transport
-	// Trace receives per-node protocol trace events (may be nil).
-	Trace trace.Recorder
 	// Observer, when non-nil, is invoked after every counted round with
 	// the same RoundInfo the simulator emits.
 	Observer func(sim.RoundInfo)
@@ -132,7 +129,7 @@ func NewCluster(ctx context.Context, cfg Config, factory sim.Factory, codec sim.
 	c.Ledger = &c.coord.Ledger
 	budget := c.Metrics().CongestBits
 	for v := 0; v < n; v++ {
-		st := sim.NewStepper(cfg.Seed, factory, v, g.Degree(v), cfg.Trace)
+		st := sim.NewStepper(cfg.Seed, factory, v, g.Degree(v))
 		c.drivers[v] = newDriver(v, st, codec, fabric.Links[v], budget)
 		c.plane.starts[v] = make(chan release, 1)
 	}

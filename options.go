@@ -17,7 +17,6 @@ type options struct {
 	transport Transport
 	adversary *AdversarySpec
 	observer  func(RoundInfo)
-	tracer    TraceRecorder
 	profile   ProfileMode
 	proto     core.ProtoConfig
 }
@@ -122,17 +121,6 @@ func WithAdversary(spec AdversarySpec) Option {
 // does flows back into the election.
 func WithObserver(fn func(RoundInfo)) Option {
 	return func(o *options) { o.observer = fn }
-}
-
-// WithTrace streams protocol trace events to rec while the election
-// runs: protocols annotate their decision points (candidate draws, leader
-// declarations, revocable choices) through the simulator's tracing hook,
-// and rec receives each as a TraceEvent. rec must be safe for concurrent
-// calls under the parallel schedulers — TraceFunc wrappers around a
-// mutex-guarded collector are the easy way. Tracing is read-only and
-// opt-in; without this option the protocol-side trace calls are no-ops.
-func WithTrace(rec TraceRecorder) Option {
-	return func(o *options) { o.tracer = rec }
 }
 
 // WithProfileMode selects the regime used to compute any profiled

@@ -112,7 +112,7 @@ func initNode(t *testing.T, proto string, pc core.ProtoConfig, node int) sim.Mac
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := sim.NewStepper(99, r.Factory, node, 3, nil)
+	st := sim.NewStepper(99, r.Factory, node, 3)
 	st.Init()
 	return st.Machine()
 }
@@ -160,9 +160,10 @@ func TestCandidacyIsOneDraw(t *testing.T) {
 
 // TestBuildRejectsBadInputs: for every protocol, Build on zero, negative
 // and out-of-range inputs returns an error naming the protocol and the
-// field and never panics; tunables whose zero or negative value means
-// "default" still build; and a size whose n⁴ wraps to an empty ID space
-// still initialises.
+// field and never panics; the analysis constant and the walk tunables,
+// whose zero means "default", refuse a negative or NaN value; the
+// tunables whose zero or negative value means "default" still build; and
+// a size whose n⁴ wraps to an empty ID space still initialises.
 func TestBuildRejectsBadInputs(t *testing.T) {
 	nan := math.NaN()
 	const sized = "ire explicit floodmax allflood walknotify"
@@ -180,6 +181,11 @@ func TestBuildRejectsBadInputs(t *testing.T) {
 		{"Phi", "ire explicit", func(pc *core.ProtoConfig) { pc.Phi = -0.1 }},
 		{"Phi", "ire explicit", func(pc *core.ProtoConfig) { pc.Phi = 1.5 }},
 		{"Phi", "ire explicit", func(pc *core.ProtoConfig) { pc.Phi = nan }},
+		{"C", sized, func(pc *core.ProtoConfig) { pc.C = -1 }},
+		{"C", sized, func(pc *core.ProtoConfig) { pc.C = nan }},
+		{"X", "ire explicit", func(pc *core.ProtoConfig) { pc.X = -1 }},
+		{"XFactor", "ire explicit", func(pc *core.ProtoConfig) { pc.XFactor = -1 }},
+		{"XFactor", "ire explicit", func(pc *core.ProtoConfig) { pc.XFactor = nan }},
 		{"Diam", "floodmax allflood", func(pc *core.ProtoConfig) { pc.Diam = 0 }},
 		{"Diam", "floodmax allflood", func(pc *core.ProtoConfig) { pc.Diam = -1 }},
 		{"Epsilon", "revocable", func(pc *core.ProtoConfig) { pc.Epsilon = -0.5 }},
@@ -222,8 +228,7 @@ func TestBuildRejectsBadInputs(t *testing.T) {
 			}
 		}
 		defaults := valid
-		defaults.C, defaults.X, defaults.XFactor, defaults.Beta = -1, -1, -1, -1
-		defaults.AnnounceRounds, defaults.MaxRounds = -1, -1
+		defaults.Beta, defaults.AnnounceRounds, defaults.MaxRounds = -1, -1, -1
 		if _, err := build(proto, defaults); err != nil {
 			t.Errorf("%s: negative default-selecting tunables rejected: %v", proto, err)
 		}

@@ -224,7 +224,6 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 			Scheduler: o.scheduler,
 			Adversary: adv,
 			Observer:  observer,
-			Trace:     o.tracer,
 		}, runner.Factory)
 		eng = net
 	} else {
@@ -238,7 +237,6 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 			Graph:     nw.g,
 			Seed:      o.seed,
 			Transport: backend,
-			Trace:     o.tracer,
 			Observer:  observer,
 		}, runner.Factory, entry.Wire)
 		if err != nil {
