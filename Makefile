@@ -1,6 +1,6 @@
 # Shared entry points for humans and CI (.github/workflows/ci.yml calls
 # exactly these targets, so a green `make ci` locally means a green pipeline).
-# `make fuzz` runs each of its eight fuzzers for FUZZTIME (default 10s);
+# `make fuzz` runs each of its nine fuzzers for FUZZTIME (default 10s);
 # plain `go test` only replays their seed corpora.
 
 GO ?= go
@@ -35,16 +35,18 @@ race:
 	$(GO) test -race -run '^TestTransport' .
 
 # The decoders of bytes from outside the process — the bench artifact
-# reader, the transport frame and report codecs, the core and baseline
-# payload codecs, the ledist plan frame a node process builds its run
-# from — the declarative adversary spec every fault flag and sweep cell
-# builds from, and the public edge-list constructor. One `go test -fuzz`
+# reader, the transport frame and report codecs, the TCP Hello body an
+# unauthenticated peer sends first, the core and baseline payload codecs,
+# the ledist plan frame a node process builds its run from — the
+# declarative adversary spec every fault flag and sweep cell builds from,
+# and the public edge-list constructor. One `go test -fuzz`
 # per target, because -fuzz takes a single fuzzer.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadArtifact$$' -fuzztime $(FUZZTIME) ./internal/harness
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReport$$' -fuzztime $(FUZZTIME) ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzParseHello$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime $(FUZZTIME) ./internal/baseline
 	$(GO) test -run '^$$' -fuzz '^FuzzSpec$$' -fuzztime $(FUZZTIME) ./internal/adversary

@@ -511,13 +511,14 @@ func (c *remoteControl) WaitStart() (int, int, bool, error) {
 	}
 	switch f.Type {
 	case transport.FrameStart:
-		expect, n := binary.Uvarint(f.Body)
-		switch {
+		r := sim.NewWireReader(f.Body)
+		expect := r.Uvarint()
+		switch err := r.Err(); {
 		case len(f.Body) == 0:
 			return 0, 0, false, fmt.Errorf("%w: empty body", errBadStart)
-		case n == 0:
+		case errors.Is(err, sim.ErrWireTruncated):
 			return 0, 0, false, fmt.Errorf("%w: truncated count", errBadStart)
-		case n < 0 || n < len(f.Body) || expect > math.MaxInt32:
+		case err != nil || expect > math.MaxInt32:
 			return 0, 0, false, fmt.Errorf("%w: over-long count in %d bytes", errBadStart, len(f.Body))
 		}
 		return f.Round, int(expect), false, nil

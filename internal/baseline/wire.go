@@ -35,45 +35,27 @@ func (wireCodec) AppendPayload(dst []byte, p sim.Payload) ([]byte, error) {
 	}
 }
 
+// DecodePayload accepts exactly the bytes AppendPayload writes. Fields
+// are read in composite-literal order, which Go evaluates left to right.
 func (wireCodec) DecodePayload(src []byte) (sim.Payload, error) {
-	if len(src) == 0 {
-		return nil, fmt.Errorf("baseline: empty payload")
-	}
-	tag, body := src[0], src[1:]
-	switch tag {
+	r := sim.NewWireReader(src)
+	var p sim.Payload
+	switch tag := r.Byte(); tag {
 	case wireFlood:
-		id, _, err := wireUvarint(body)
-		if err != nil {
-			return nil, err
-		}
-		return floodMsg{id: id}, nil
+		p = floodMsg{id: r.Uvarint()}
 	case wireWNToken:
-		orig, body, err := wireUvarint(body)
-		if err != nil {
-			return nil, err
-		}
-		count, _, err := wireUvarint(body)
-		if err != nil {
-			return nil, err
-		}
-		return &wnTokenMsg{orig: orig, count: int(count)}, nil
+		p = &wnTokenMsg{orig: r.Uvarint(), count: int(r.Uvarint())}
 	case wireWNKill:
-		orig, _, err := wireUvarint(body)
-		if err != nil {
-			return nil, err
-		}
-		return &wnKillMsg{orig: orig}, nil
+		p = &wnKillMsg{orig: r.Uvarint()}
 	default:
-		return nil, fmt.Errorf("baseline: unknown payload tag %d", tag)
+		if len(src) > 0 {
+			return nil, fmt.Errorf("baseline: unknown payload tag %d", tag)
+		}
 	}
-}
-
-func wireUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("baseline: bad varint in payload")
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("baseline: payload: %w", err)
 	}
-	return v, b[n:], nil
+	return p, nil
 }
 
 // LeaderInfo implements sim.LeaderReporter.

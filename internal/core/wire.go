@@ -68,100 +68,39 @@ func (wireCodec) AppendPayload(dst []byte, p sim.Payload) ([]byte, error) {
 	}
 }
 
+// DecodePayload accepts exactly the bytes AppendPayload writes. Fields
+// are read in composite-literal order, which Go evaluates left to right.
 func (wireCodec) DecodePayload(src []byte) (sim.Payload, error) {
-	if len(src) == 0 {
-		return nil, fmt.Errorf("core: empty payload")
-	}
-	tag, body := src[0], src[1:]
-	switch tag {
+	r := sim.NewWireReader(src)
+	var p sim.Payload
+	switch tag := r.Byte(); tag {
 	case wireBC:
-		kind, body, err := wireByte(body)
-		if err != nil {
-			return nil, err
-		}
-		source, body, err := wireUvarint(body)
-		if err != nil {
-			return nil, err
-		}
-		size, _, err := wireUvarint(body)
-		if err != nil {
-			return nil, err
-		}
-		return &bcMsg{kind: bcKind(kind), source: source, size: int(size)}, nil
+		p = &bcMsg{kind: bcKind(r.Byte()), source: r.Uvarint(), size: int(r.Uvarint())}
 	case wireWalk:
-		id, body, err := wireUvarint(body)
-		if err != nil {
-			return nil, err
-		}
-		count, _, err := wireUvarint(body)
-		if err != nil {
-			return nil, err
-		}
-		return &walkMsg{id: id, count: int(count)}, nil
+		p = &walkMsg{id: r.Uvarint(), count: int(r.Uvarint())}
 	case wireCC:
-		source, body, err := wireUvarint(body)
-		if err != nil {
-			return nil, err
-		}
-		id, _, err := wireUvarint(body)
-		if err != nil {
-			return nil, err
-		}
-		return &ccMsg{source: source, id: id}, nil
+		p = &ccMsg{source: r.Uvarint(), id: r.Uvarint()}
 	case wireAnnounce:
-		id, body, err := wireUvarint(body)
-		if err != nil {
-			return nil, err
-		}
-		depth, _, err := wireUvarint(body)
-		if err != nil {
-			return nil, err
-		}
-		return announceMsg{id: id, depth: int(depth)}, nil
+		p = announceMsg{id: r.Uvarint(), depth: int(r.Uvarint())}
 	case wireAvg:
-		flags, body, err := wireByte(body)
-		if err != nil {
-			return nil, err
-		}
-		if len(body) < 8 {
-			return nil, fmt.Errorf("core: truncated avgMsg")
-		}
-		phi := math.Float64frombits(binary.BigEndian.Uint64(body))
-		body = body[8:]
-		potBits, body, err := wireUvarint(body)
-		if err != nil {
-			return nil, err
-		}
-		idldr, body, err := wireUvarint(body)
-		if err != nil {
-			return nil, err
-		}
-		kldr, _, err := wireUvarint(body)
-		if err != nil {
-			return nil, err
-		}
-		return &avgMsg{
-			phi: phi, potBits: int(potBits),
+		flags := r.Flags(3)
+		p = &avgMsg{
 			q: flags&1 != 0, c: flags&2 != 0,
-			idldr: idldr, kldr: kldr,
-		}, nil
+			phi: math.Float64frombits(r.Uint64()), potBits: int(r.Uvarint()),
+			idldr: r.Uvarint(), kldr: r.Uvarint(),
+		}
 	case wireDiss:
-		flags, body, err := wireByte(body)
-		if err != nil {
-			return nil, err
-		}
-		idldr, body, err := wireUvarint(body)
-		if err != nil {
-			return nil, err
-		}
-		kldr, _, err := wireUvarint(body)
-		if err != nil {
-			return nil, err
-		}
-		return &dissMsg{q: flags&1 != 0, c: flags&2 != 0, idldr: idldr, kldr: kldr}, nil
+		flags := r.Flags(3)
+		p = &dissMsg{q: flags&1 != 0, c: flags&2 != 0, idldr: r.Uvarint(), kldr: r.Uvarint()}
 	default:
-		return nil, fmt.Errorf("core: unknown payload tag %d", tag)
+		if len(src) > 0 {
+			return nil, fmt.Errorf("core: unknown payload tag %d", tag)
+		}
 	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("core: payload: %w", err)
+	}
+	return p, nil
 }
 
 func boolByte(b bool) uint8 {
@@ -169,21 +108,6 @@ func boolByte(b bool) uint8 {
 		return 1
 	}
 	return 0
-}
-
-func wireByte(b []byte) (uint8, []byte, error) {
-	if len(b) == 0 {
-		return 0, nil, fmt.Errorf("core: truncated payload")
-	}
-	return b[0], b[1:], nil
-}
-
-func wireUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("core: bad varint in payload")
-	}
-	return v, b[n:], nil
 }
 
 // LeaderInfo implements sim.LeaderReporter.

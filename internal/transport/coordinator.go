@@ -97,12 +97,14 @@ func (c *Coordinator) gather(counted bool) error {
 		if r.Halted {
 			c.Stop(v)
 		}
+		var msgs int64
 		for p, cnt := range r.PerPort {
 			w := c.g.Neighbor(v, p)
 			c.expect[w] += int(cnt)
 			c.Deliver(w, int(cnt))
+			msgs += int64(cnt)
 		}
-		c.Sent(r.Msgs, r.Bits)
+		c.Sent(msgs, r.Bits)
 		maxSlots = max(maxSlots, r.MaxSlots)
 		maxChannels = max(maxChannels, r.MaxChannels)
 	}

@@ -99,6 +99,24 @@ func TestCoordinatorFailureNamesNode(t *testing.T) {
 	}
 }
 
+// TestCoordinatorCountsMessagesFromPerPort: a report's messages are its
+// per-port counts, the same counts that drive delivery, so a fold can
+// never deliver packets it did not count as sent.
+func TestCoordinatorCountsMessagesFromPerPort(t *testing.T) {
+	plane := &scriptedPlane{script: []scripted{
+		{node: 0, rep: transport.Report{Node: 0, PerPort: []uint32{3}, Bits: 24}},
+		{node: 1, rep: transport.Report{Node: 1}},
+		{node: 2, rep: transport.Report{Node: 2}},
+	}}
+	coord := transport.NewCoordinator(graph.Cycle(3), 0, plane)
+	if err := coord.Init(); err != nil {
+		t.Fatal(err)
+	}
+	if m := coord.Metrics(); m.Messages != 3 || m.Bits != 24 {
+		t.Fatalf("folded %d messages and %d bits, want 3 and 24", m.Messages, m.Bits)
+	}
+}
+
 // poisonMachine chats on every port; node 0 sends one payload in round 2
 // that poisonCodec refuses to decode.
 type poisonMachine struct{ node int }

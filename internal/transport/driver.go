@@ -240,7 +240,6 @@ func (d *driver) flush(round int, sends []sim.Send) (Report, error) {
 			return rep, fmt.Errorf("port %d: %w", s.Port, err)
 		}
 		d.perPort[s.Port]++
-		rep.Msgs++
 		bits := s.Payload.Bits()
 		rep.Bits += int64(bits)
 		d.loads.Add(int32(s.Port), s.Channel, bits)

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"anonlead/internal/sim"
 )
 
 // FrameType discriminates the wire frames. Data-plane frames flow between
@@ -116,27 +118,15 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 // buffer decoder above and the stream reader, which has already consumed
 // the length prefix). b must be the exact frame contents.
 func parseFrameBody(b []byte) (Frame, error) {
-	var f Frame
-	f.Type = FrameType(b[0])
+	r := sim.NewWireReader(b)
+	f := Frame{Type: FrameType(r.Byte())}
 	if f.Type < FrameHello || f.Type > FrameOutcome {
-		return Frame{}, fmt.Errorf("transport: unknown frame type %d", b[0])
+		return Frame{}, fmt.Errorf("transport: unknown frame type %d", f.Type)
 	}
-	rest := b[1:]
-	round, n := binary.Varint(rest)
-	if n <= 0 {
-		return Frame{}, fmt.Errorf("transport: bad round varint in %v frame", f.Type)
+	f.Round, f.Channel, f.Body = int(r.Varint()), r.Uint32(), r.Rest()
+	if err := r.Err(); err != nil {
+		return Frame{}, fmt.Errorf("transport: %v frame header: %w", f.Type, err)
 	}
-	rest = rest[n:]
-	channel, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return Frame{}, fmt.Errorf("transport: bad channel varint in %v frame", f.Type)
-	}
-	if channel > 1<<32-1 {
-		return Frame{}, fmt.Errorf("transport: channel %d overflows uint32", channel)
-	}
-	f.Round = int(round)
-	f.Channel = uint32(channel)
-	f.Body = rest[n:]
 	return f, nil
 }
 

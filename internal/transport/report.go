@@ -3,6 +3,8 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
+
+	"anonlead/internal/sim"
 )
 
 // Report is one node's account of one executed round, delivered to the
@@ -17,11 +19,10 @@ type Report struct {
 	// once true, true in every later report).
 	Halted bool
 	// PerPort counts the packets sent out of each port this round: the one
-	// source of both in-flight and delivery counts. Nil when nothing was
-	// sent.
+	// source of the message, in-flight and delivery counts. Nil when
+	// nothing was sent.
 	PerPort []uint32
-	// Msgs and Bits are the round's sent-message and sent-bit totals.
-	Msgs int64
+	// Bits is the round's sent-bit total.
 	Bits int64
 	// MaxSlots and MaxChannels are the node's maxima over its outgoing
 	// links of the round's CONGEST slot charge and distinct channel count.
@@ -45,7 +46,6 @@ func AppendReport(dst []byte, r Report) []byte {
 	for _, c := range r.PerPort {
 		dst = binary.AppendUvarint(dst, uint64(c))
 	}
-	dst = binary.AppendUvarint(dst, uint64(r.Msgs))
 	dst = binary.AppendUvarint(dst, uint64(r.Bits))
 	dst = binary.AppendUvarint(dst, uint64(r.MaxSlots))
 	dst = binary.AppendUvarint(dst, uint64(r.MaxChannels))
@@ -53,71 +53,27 @@ func AppendReport(dst []byte, r Report) []byte {
 	return append(dst, r.Fail...)
 }
 
-// DecodeReport decodes a FrameReport body.
+// DecodeReport decodes a FrameReport body, accepting exactly the bytes
+// AppendReport writes.
 func DecodeReport(b []byte) (Report, error) {
-	var r Report
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(b)
-		if n <= 0 {
-			return 0, fmt.Errorf("transport: truncated report")
-		}
-		b = b[n:]
-		return v, nil
-	}
-	node, err := next()
-	if err != nil {
-		return r, err
-	}
-	r.Node = int(node)
-	if len(b) == 0 {
-		return r, fmt.Errorf("transport: truncated report")
-	}
-	r.Halted = b[0]&1 != 0
-	b = b[1:]
-	ports, err := next()
-	if err != nil {
-		return r, err
-	}
+	rd := sim.NewWireReader(b)
+	r := Report{Node: int(rd.Uvarint()), Halted: rd.Flags(1) != 0}
 	// Every count takes at least one byte: refuse a claim the body cannot
 	// hold before allocating for it.
-	if ports > 1<<20 || ports > uint64(len(b)) {
-		return r, fmt.Errorf("transport: report claims %d ports in %d bytes", ports, len(b))
+	ports := rd.Uvarint()
+	if ports > 1<<20 || ports > uint64(rd.Len()) {
+		return Report{}, fmt.Errorf("transport: report claims %d ports in %d bytes", ports, rd.Len())
 	}
 	if ports > 0 {
 		r.PerPort = make([]uint32, ports)
 		for i := range r.PerPort {
-			c, err := next()
-			if err != nil {
-				return r, err
-			}
-			r.PerPort[i] = uint32(c)
+			r.PerPort[i] = rd.Uint32()
 		}
 	}
-	msgs, err := next()
-	if err != nil {
-		return r, err
+	r.Bits, r.MaxSlots, r.MaxChannels = int64(rd.Uvarint()), int(rd.Uvarint()), int(rd.Uvarint())
+	r.Fail = string(rd.Bytes())
+	if err := rd.Err(); err != nil {
+		return Report{}, fmt.Errorf("transport: report: %w", err)
 	}
-	bits, err := next()
-	if err != nil {
-		return r, err
-	}
-	slots, err := next()
-	if err != nil {
-		return r, err
-	}
-	channels, err := next()
-	if err != nil {
-		return r, err
-	}
-	failLen, err := next()
-	if err != nil {
-		return r, err
-	}
-	if failLen > uint64(len(b)) {
-		return r, fmt.Errorf("transport: truncated report")
-	}
-	r.Msgs, r.Bits = int64(msgs), int64(bits)
-	r.MaxSlots, r.MaxChannels = int(slots), int(channels)
-	r.Fail = string(b[:failLen])
 	return r, nil
 }

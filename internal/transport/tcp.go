@@ -10,6 +10,7 @@ import (
 
 	"anonlead/internal/graph"
 	"anonlead/internal/rng"
+	"anonlead/internal/sim"
 )
 
 // TCPTransport wires the topology with real TCP connections, one per
@@ -265,9 +266,8 @@ func (h *handshake) dial(ctx context.Context, v int, addrOf func(w int) string, 
 		conn.SetDeadline(h.deadline)
 		l := NewStreamLink(conn)
 		var body [8 + binary.MaxVarintLen32]byte
-		binary.BigEndian.PutUint64(body[:8], h.token(v, p))
-		nb := binary.PutUvarint(body[8:], uint64(h.revPort[h.off[v]+p]))
-		err = l.WriteFrame(Frame{Type: FrameHello, Body: body[:8+nb]})
+		hello := appendHello(body[:0], h.token(v, p), int(h.revPort[h.off[v]+p]))
+		err = l.WriteFrame(Frame{Type: FrameHello, Body: hello})
 		if err == nil {
 			err = l.Flush()
 		}
@@ -281,18 +281,23 @@ func (h *handshake) dial(ctx context.Context, v int, addrOf func(w int) string, 
 	return nil
 }
 
-// parseHello extracts (acceptor port, token) from a Hello frame body.
+// appendHello appends a Hello body to dst: the edge's token as a
+// big-endian 64-bit word, then the acceptor-side port as a uvarint.
+func appendHello(dst []byte, token uint64, port int) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, token)
+	return binary.AppendUvarint(dst, uint64(port))
+}
+
+// parseHello extracts (acceptor port, token) from a Hello frame, accepting
+// exactly the body appendHello writes.
 func parseHello(f Frame) (int, uint64, error) {
 	if f.Type != FrameHello {
 		return 0, 0, fmt.Errorf("transport: expected hello, got %v", f.Type)
 	}
-	if len(f.Body) < 9 {
-		return 0, 0, fmt.Errorf("transport: short hello body")
-	}
-	token := binary.BigEndian.Uint64(f.Body[:8])
-	port, n := binary.Uvarint(f.Body[8:])
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("transport: bad hello port varint")
+	r := sim.NewWireReader(f.Body)
+	token, port := r.Uint64(), r.Uint32()
+	if err := r.Err(); err != nil {
+		return 0, 0, fmt.Errorf("transport: hello: %w", err)
 	}
 	return int(port), token, nil
 }
