@@ -52,7 +52,6 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "root random seed (also derives the topology)")
 		out     = flag.String("out", "", "write the wall-clock vs simulated-rounds artifact to this JSON file")
 		timeout = flag.Duration("timeout", 2*time.Minute, "overall run deadline")
-		withSim = flag.Bool("sim", true, "replay the election on the in-memory simulator for correlation")
 		nodeIdx = flag.Int("node", -1, "internal: run as node process with this index")
 		coordTo = flag.String("coord", "", "internal: coordinator control address (node mode)")
 	)
@@ -62,7 +61,7 @@ func main() {
 	if *nodeIdx >= 0 {
 		err = nodeMain(*nodeIdx, *coordTo)
 	} else {
-		err = coordMain(*proto, *family, *n, *seed, *out, *timeout, *withSim)
+		err = coordMain(*proto, *family, *n, *seed, *out, *timeout)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ledist:", err)
@@ -192,7 +191,7 @@ func (p framePlane) Next() (int, transport.Report, error) {
 	return m.node, r, err
 }
 
-func coordMain(proto, family string, n int, seed uint64, out string, timeout time.Duration, withSim bool) error {
+func coordMain(proto, family string, n int, seed uint64, out string, timeout time.Duration) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	ctx, cancel := context.WithTimeout(ctx, timeout)
@@ -213,10 +212,10 @@ func coordMain(proto, family string, n int, seed uint64, out string, timeout tim
 	if runner.Budget <= 0 {
 		return fmt.Errorf("protocol %s is open-ended (convergence-checked); ledist runs halting protocols", entry.Name)
 	}
-	budget := sim.DefaultCongestBits(n)
-
-	art := &artifact{Proto: entry.Name, Family: family, N: n, Seed: seed, CongestBits: budget}
-	distErr := runDistributed(ctx, g, entry, pc, seed, budget, runner.Budget, art)
+	// Some families round n (hypercube to a power of two): the artifact
+	// describes the graph that was built.
+	art := &artifact{Proto: entry.Name, Family: family, N: g.N(), Seed: seed}
+	distErr := runDistributed(ctx, g, entry, pc, seed, runner.Budget, art)
 	if distErr != nil {
 		art.Error = distErr.Error()
 	}
@@ -224,7 +223,7 @@ func coordMain(proto, family string, n int, seed uint64, out string, timeout tim
 		art.Interrupted = true
 	}
 
-	if withSim && art.Dist != nil {
+	if art.Dist != nil {
 		began := time.Now()
 		outSim, err := nw.Run(context.Background(), proto,
 			anonlead.WithSeed(seed), anonlead.WithProtoConfig(pc))
@@ -294,9 +293,15 @@ func resolveRun(proto, family string, n int, seed uint64) (nw *anonlead.Network,
 
 // runDistributed spawns the node processes, runs the shared coordinator
 // over their control connections, and fills art.Dist with whatever
-// completed (even on interrupt or node failure).
-func runDistributed(ctx context.Context, g *graph.Graph, entry core.Entry, pc core.ProtoConfig, seed uint64, congestBits, roundBudget int, art *artifact) error {
+// completed (even on interrupt or node failure). The slot budget is the
+// coordinator ledger's default for g, recorded in art.CongestBits and
+// shipped to every node.
+func runDistributed(ctx context.Context, g *graph.Graph, entry core.Entry, pc core.ProtoConfig, seed uint64, roundBudget int, art *artifact) error {
 	n := g.N()
+	nodes := make([]nodeConn, n)
+	msgs := make(chan ctlMsg, n)
+	coord := transport.NewCoordinator(g, 0, framePlane{nodes: nodes, msgs: msgs}, nil)
+	art.CongestBits = coord.Metrics().CongestBits
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
@@ -307,7 +312,6 @@ func runDistributed(ctx context.Context, g *graph.Graph, entry core.Entry, pc co
 	if err != nil {
 		return err
 	}
-	nodes := make([]nodeConn, n)
 	defer func() {
 		for _, nc := range nodes {
 			if nc.link != nil {
@@ -360,7 +364,7 @@ func runDistributed(ctx context.Context, g *graph.Graph, entry core.Entry, pc co
 
 	// Plan phase: ship the resolved run description; the nodes wire their
 	// data fabric among themselves and run the Init pseudo-round.
-	plan := planMsg{Family: art.Family, N: n, Seed: seed, Proto: entry.Name, PC: pc, CongestBits: congestBits, Peers: peers}
+	plan := planMsg{Family: art.Family, N: n, Seed: seed, Proto: entry.Name, PC: pc, CongestBits: art.CongestBits, Peers: peers}
 	planBody, err := json.Marshal(plan)
 	if err != nil {
 		return err
@@ -371,7 +375,6 @@ func runDistributed(ctx context.Context, g *graph.Graph, entry core.Entry, pc co
 		}
 	}
 
-	msgs := make(chan ctlMsg, n)
 	for v := 0; v < n; v++ {
 		go func(v int, l transport.Link) {
 			for {
@@ -384,7 +387,6 @@ func runDistributed(ctx context.Context, g *graph.Graph, entry core.Entry, pc co
 		}(v, nodes[v].link)
 	}
 
-	coord := transport.NewCoordinator(g, congestBits, framePlane{nodes: nodes, msgs: msgs})
 	began := time.Now()
 	if err := coord.Init(); err != nil {
 		return err

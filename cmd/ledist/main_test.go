@@ -8,17 +8,21 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"anonlead"
+	"anonlead/internal/sim"
 	"anonlead/internal/transport"
 )
 
 // TestLedistMatchesSimulator builds the binary and runs real multi-process
 // elections: every node its own OS process over localhost TCP. Each must
 // exit 0 and record match: true — same leader, rounds and CONGEST charge
-// as the simulator replay of the same seed.
+// as the simulator replay of the same seed — and label the artifact with
+// the size of the graph built and its slot budget, not the requested -n
+// (the hypercube rounds 20 down to 16).
 func TestLedistMatchesSimulator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns node processes")
@@ -28,13 +32,17 @@ func TestLedistMatchesSimulator(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	for _, tc := range []struct{ proto, graph string }{
-		{"floodmax", "cycle"},
-		{"walknotify", "expander"},
+	for _, tc := range []struct {
+		proto, graph string
+		n, built     int
+	}{
+		{"floodmax", "cycle", 8, 8},
+		{"walknotify", "expander", 8, 8},
+		{"ire", "hypercube", 20, 16},
 	} {
 		t.Run(tc.proto, func(t *testing.T) {
 			path := filepath.Join(dir, tc.proto+".json")
-			out, err := exec.Command(bin, "-proto", tc.proto, "-graph", tc.graph, "-n", "8",
+			out, err := exec.Command(bin, "-proto", tc.proto, "-graph", tc.graph, "-n", strconv.Itoa(tc.n),
 				"-timeout", "1m", "-out", path).CombinedOutput()
 			if err != nil {
 				t.Fatalf("ledist: %v\n%s", err, out)
@@ -49,6 +57,10 @@ func TestLedistMatchesSimulator(t *testing.T) {
 			}
 			if art.Match == nil || !*art.Match {
 				t.Fatalf("artifact does not record match: true\n%s", buf)
+			}
+			if art.N != tc.built || art.CongestBits != sim.DefaultCongestBits(tc.built) {
+				t.Fatalf("artifact labels n=%d congest_bits=%d, want the built graph's %d and %d",
+					art.N, art.CongestBits, tc.built, sim.DefaultCongestBits(tc.built))
 			}
 			if art.Dist.Rounds == 0 || len(art.Dist.RoundSeconds) != art.Dist.Rounds {
 				t.Fatalf("%d round stamps for %d rounds", len(art.Dist.RoundSeconds), art.Dist.Rounds)

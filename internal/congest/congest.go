@@ -22,12 +22,13 @@ func BitLen(x uint64) int {
 }
 
 // Fragments returns how many budget-sized CONGEST slots a payload of the
-// given bit size occupies (minimum 1).
+// given bit size occupies (minimum 1). A payload within the budget, the
+// common case on the router's per-send path, costs no division.
 func Fragments(bitSize, budget int) int {
 	if budget <= 0 {
 		panic("congest: non-positive budget")
 	}
-	if bitSize <= 0 {
+	if bitSize <= budget {
 		return 1
 	}
 	return (bitSize + budget - 1) / budget

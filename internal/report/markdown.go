@@ -69,12 +69,12 @@ func (r Report) epochMarkdown(et EpochTable) string {
 		elected, amsgs, arounds, recover := "-", "-", "-", "-"
 		if es := c.Epochs; es != nil {
 			elected = fmt.Sprintf("%.2f", es.ElectedRate)
-			amsgs, arounds = num(es.AmortizedMessages), num(es.AmortizedRounds)
-			recover = num(es.MeanRecover)
+			amsgs, arounds = Num(es.AmortizedMessages), Num(es.AmortizedRounds)
+			recover = Num(es.MeanRecover)
 		}
 		fmt.Fprintf(&b, "| `%s` | %s | %s | %s | %s | %s | %s | %d/%d | %s |\n",
 			desc, elected, amsgs, arounds, recover,
-			num(c.Messages), ratio(row.XMsgs), c.Successes, c.Trials, wilson(row))
+			Num(c.Messages), ratio(row.XMsgs), c.Successes, c.Trials, wilson(row))
 	}
 	b.WriteString("\n")
 	if !et.HasAnchor {
@@ -100,9 +100,9 @@ func (r Report) familyMarkdown(ft FamilyTable) string {
 			estimated = true
 		}
 		fmt.Fprintf(&b, "| %d | %d | %d | %s | %s | %s | %s | %s | %s | %s | %s | %d/%d | %s |\n",
-			c.N, c.M, c.Diameter, tmix, num(c.Conductance),
-			num(c.Messages), num(c.PredictedMsgs), ratio(row.MsgsVsPred),
-			num(c.Rounds), num(c.PredictedTime), ratio(row.TimeVsPred),
+			c.N, c.M, c.Diameter, tmix, Num(c.Conductance),
+			Num(c.Messages), Num(c.PredictedMsgs), ratio(row.MsgsVsPred),
+			Num(c.Rounds), Num(c.PredictedTime), ratio(row.TimeVsPred),
 			c.Successes, c.Trials, wilson(row))
 	}
 	b.WriteString("\n")
@@ -125,9 +125,9 @@ func (r Report) knowledgeMarkdown(kt KnowledgeTable) string {
 	for _, row := range kt.Rows {
 		c := row.Cell
 		fmt.Fprintf(&b, "| %d | %s | %s | %s | %s | %s | %d/%d | %s |\n",
-			c.PresumedN, num(knowledgeFactor(c)),
-			num(c.Messages), ratio(row.XMsgs),
-			num(c.Rounds), ratio(row.XRounds),
+			c.PresumedN, Num(knowledgeFactor(c)),
+			Num(c.Messages), ratio(row.XMsgs),
+			Num(c.Rounds), ratio(row.XRounds),
 			c.Successes, c.Trials, wilson(row))
 	}
 	b.WriteString("\n")
@@ -150,8 +150,8 @@ func (r Report) faultMarkdown(ft FaultTable) string {
 			desc = "none"
 		}
 		fmt.Fprintf(&b, "| `%s` | %s | %s | %s | %s | %s | %s | %d/%d | %s |\n",
-			desc, num(c.Messages), ratio(row.XMsgs), num(c.Rounds), ratio(row.XRounds),
-			num(c.Dropped), num(c.CrashedNodes), c.Successes, c.Trials, wilson(row))
+			desc, Num(c.Messages), ratio(row.XMsgs), Num(c.Rounds), ratio(row.XRounds),
+			Num(c.Dropped), Num(c.CrashedNodes), c.Successes, c.Trials, wilson(row))
 	}
 	b.WriteString("\n")
 	if !ft.HasAnchor {
@@ -160,10 +160,11 @@ func (r Report) faultMarkdown(ft FaultTable) string {
 	return b.String()
 }
 
-// num renders a measured value compactly and deterministically: integers
+// Num renders a measured value compactly and deterministically: integers
 // bare, large/small values in scientific form, everything else with four
-// significant digits.
-func num(v float64) string {
+// significant digits. internal/trajectory renders its deltas' values with
+// it too.
+func Num(v float64) string {
 	switch {
 	case v == 0:
 		return "0"

@@ -5,7 +5,7 @@
 // fault-free cells, repeated-election epoch tables, and Wilson success
 // intervals everywhere. It reads one artifact; comparing two is
 // internal/trajectory's question (cmd/benchdiff), and the two packages
-// share nothing but harness.Artifact.
+// share nothing but harness.Artifact and the value formatter Num.
 //
 // Everything is a pure function of the artifact bytes: section order
 // follows artifact cell order, all numbers render with fixed rules, and

@@ -2,86 +2,88 @@ package sim
 
 import "anonlead/internal/congest"
 
-// LinkLoads is the per-link bit-load table of one round, the input of the
-// CONGEST slot charge. Whoever transmits feeds it: the simulator's router
-// over all directed edges, a real-transport node driver over its own
-// ports. Each link holds a chain of per-channel loads (valid only when
-// epoch[link] == cur, so a new round clears nothing per link); loads and
-// touched are truncated and refilled each round, so the table is
-// allocation-free once its buffers have warmed up.
-type LinkLoads struct {
-	budget  int
-	head    []int32
-	epoch   []uint64
-	cur     uint64
-	loads   []chanLoad
-	touched []int32
+// Charge is one sender's share of one round's cost accounting: what it
+// transmitted, and the CONGEST slot charge and distinct channel count of
+// its busiest outgoing link. A link is owned by its sender, so the round's
+// maxima over links are the maxima over these per-sender charges.
+type Charge struct {
+	Messages, Bits  int64
+	Slots, Channels int
 }
 
-// chanLoad is the bit load of one (link, channel) pair within one round.
-// Loads of the same link are chained through next (-1 terminates).
+// LinkLoads meters one sender's round, port by port: the simulator's
+// router charges each node that sent through one table sized for the
+// largest degree, a real-transport node driver charges its own sends
+// through a table sized for its degree. Each port holds a chain of
+// per-channel loads. The table is idle between calls, and allocation-free
+// once its load buffer has warmed up.
+type LinkLoads struct {
+	budget int
+	ports  []portLoad
+	loads  []chanLoad
+}
+
+// portLoad is one port's running charge. head is the index+1 of its first
+// chanLoad, so the zero value is an idle port.
+type portLoad struct {
+	head            int32
+	slots, channels int32
+}
+
+// chanLoad is the bit load of one (port, channel) pair within one round.
+// Loads of the same port are chained through next (-1 terminates).
 type chanLoad struct {
 	channel uint32
 	next    int32
 	bits    int
 }
 
-// NewLinkLoads builds a table for links links charged in slots of budget
-// bits.
-func NewLinkLoads(links, budget int) LinkLoads {
-	return LinkLoads{budget: budget, head: make([]int32, links), epoch: make([]uint64, links), cur: 1}
+// NewLinkLoads builds a table for a sender of up to ports ports, charged in
+// slots of budget bits.
+func NewLinkLoads(ports, budget int) LinkLoads {
+	return LinkLoads{budget: budget, ports: make([]portLoad, ports)}
 }
 
-// Reset starts the next round with every link idle.
-func (t *LinkLoads) Reset() {
-	t.cur++
+// Charge meters one sender's sends of one round. A link's slot charge is
+// the sum over its channels of ⌈bits/budget⌉ (at least 1): distinct
+// channels never share a slot. Channel counts per port are small, so the
+// chain walk beats hashing, and the maxima are kept as the loads grow, in
+// the same pass; the ports the sends touched are idled before it returns.
+func (t *LinkLoads) Charge(sends []Send) Charge {
+	if len(sends) == 1 {
+		// A lone payload is its link's only load: a walk step, the most
+		// common send, needs no table.
+		bits := sends[0].Payload.Bits()
+		return Charge{Messages: 1, Bits: int64(bits), Slots: congest.Fragments(bits, t.budget), Channels: 1}
+	}
 	t.loads = t.loads[:0]
-	t.touched = t.touched[:0]
-}
-
-// Add accumulates bits on (link, channel). Channel counts per link per
-// round are small, so the chain walk beats hashing.
-func (t *LinkLoads) Add(link int32, channel uint32, bits int) {
-	if t.epoch[link] != t.cur {
-		t.epoch[link] = t.cur
-		t.head[link] = int32(len(t.loads))
-		t.loads = append(t.loads, chanLoad{channel: channel, bits: bits, next: -1})
-		t.touched = append(t.touched, link)
-		return
+	c := Charge{Messages: int64(len(sends))}
+	for _, s := range sends {
+		bits := s.Payload.Bits()
+		c.Bits += int64(bits)
+		port := &t.ports[s.Port]
+		i := port.head - 1
+		for i >= 0 && t.loads[i].channel != s.Channel {
+			i = t.loads[i].next
+		}
+		before := 0
+		if i < 0 {
+			// The channel's first payload on this port: a new load heads
+			// the port's chain.
+			i = int32(len(t.loads))
+			t.loads = append(t.loads, chanLoad{channel: s.Channel, next: port.head - 1})
+			port.head = i + 1
+			port.channels++
+		} else {
+			before = congest.Fragments(t.loads[i].bits, t.budget)
+		}
+		t.loads[i].bits += bits
+		port.slots += int32(congest.Fragments(t.loads[i].bits, t.budget) - before)
+		c.Slots = max(c.Slots, int(port.slots))
+		c.Channels = max(c.Channels, int(port.channels))
 	}
-	idx := t.head[link]
-	for {
-		if t.loads[idx].channel == channel {
-			t.loads[idx].bits += bits
-			return
-		}
-		next := t.loads[idx].next
-		if next < 0 {
-			t.loads[idx].next = int32(len(t.loads))
-			t.loads = append(t.loads, chanLoad{channel: channel, bits: bits, next: -1})
-			return
-		}
-		idx = next
+	for _, s := range sends {
+		t.ports[s.Port] = portLoad{}
 	}
-}
-
-// Max returns the round's maxima over links of the slot charge and of the
-// distinct channel count. A link's charge is the sum over its channels of
-// ⌈bits/budget⌉ (at least 1): distinct channels never share a slot.
-func (t *LinkLoads) Max() (maxSlots, maxChannels int) {
-	budget := t.budget
-	for _, link := range t.touched {
-		slots, channels := 0, 0
-		for idx := t.head[link]; idx >= 0; idx = t.loads[idx].next {
-			slots += congest.Fragments(t.loads[idx].bits, budget)
-			channels++
-		}
-		if slots > maxSlots {
-			maxSlots = slots
-		}
-		if channels > maxChannels {
-			maxChannels = channels
-		}
-	}
-	return maxSlots, maxChannels
+	return c
 }

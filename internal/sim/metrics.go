@@ -47,20 +47,23 @@ func (m Metrics) String() string {
 }
 
 // Ledger is the round ledger every backend closes its rounds through: the
-// cost accounting plus the run state the stop rule reads. sim.Network folds
-// its router's sends into it, the transport coordinator its node reports,
-// so the two agree on when a run ends because they share these rules, not
-// because two copies of them do.
+// cost accounting, the run state the stop rule reads, and the round
+// observer. sim.Network folds its router's sends into it, the transport
+// coordinator its node reports, so the two agree on what a run costs and
+// when it ends because they share these rules, not because two copies of
+// them do. Both meter a sender's round with LinkLoads.Charge — the router
+// centrally, a node driver over its own ports — and hand it to Sent.
 //
 // A round is folded sender by sender in ascending node order: Stop(v) when
-// v reports itself halted, then Deliver for each of v's sends, then
-// CloseRound. The order matters because a packet counts as in flight only
-// if its receiver has not stopped by the time its sender is folded: node
-// v's sends see the halts of every w <= v from this round, but not those of
-// w > v. One quirk follows, and every backend must keep it: when the last
-// nodes halt in the round they send in, a packet to a higher-numbered node
-// halting in that same round still counts as in flight, so the run closes
-// one more (drain) round, in which nobody steps, before Done reports true.
+// v reports itself halted, Sent with v's Charge and Deliver for each of v's
+// sends, then CloseRound. The order matters because a packet counts as in
+// flight only if its receiver has not stopped by the time its sender is
+// folded: node v's sends see the halts of every w <= v from this round, but
+// not those of w > v. One quirk follows, and every backend must keep it:
+// when the last nodes halt in the round they send in, a packet to a
+// higher-numbered node halting in that same round still counts as in
+// flight, so the run closes one more (drain) round, in which nobody steps,
+// before Done reports true.
 type Ledger struct {
 	metrics  Metrics
 	halted   []bool
@@ -68,15 +71,19 @@ type Ledger struct {
 	crashed  []bool // adversary crash-stops; nil without an adversary
 	pending  int    // packets delivered so far in the round being folded
 	inflight int    // packets delivered in the last closed round
+	slots    int    // the round's maxima over its senders' charges
+	channels int
+	observer func(RoundInfo)
 }
 
 // NewLedger returns the ledger of an n-node run. congestBits <= 0 selects
-// DefaultCongestBits(n).
-func NewLedger(n, congestBits int) Ledger {
+// DefaultCongestBits(n). observer, when non-nil, is called after every
+// counted round (see Config.Observer).
+func NewLedger(n, congestBits int, observer func(RoundInfo)) Ledger {
 	if congestBits <= 0 {
 		congestBits = DefaultCongestBits(n)
 	}
-	return Ledger{metrics: Metrics{CongestBits: congestBits}, halted: make([]bool, n)}
+	return Ledger{metrics: Metrics{CongestBits: congestBits}, halted: make([]bool, n), observer: observer}
 }
 
 // Stop marks node v halted, counting it once.
@@ -97,11 +104,13 @@ func (l *Ledger) Deliver(w, cnt int) bool {
 	return true
 }
 
-// Sent counts msgs payloads of bits bits in total as transmitted, whatever
-// their fate.
-func (l *Ledger) Sent(msgs, bits int64) {
-	l.metrics.Messages += msgs
-	l.metrics.Bits += bits
+// Sent counts one sender's round as transmitted, whatever the fate of its
+// payloads, and folds its link charge into the round's maxima.
+func (l *Ledger) Sent(c Charge) {
+	l.metrics.Messages += c.Messages
+	l.metrics.Bits += c.Bits
+	l.slots = max(l.slots, c.Slots)
+	l.channels = max(l.channels, c.Channels)
 }
 
 // Crash crash-stops node v (once): it is stopped like a halt and counted in
@@ -114,22 +123,26 @@ func (l *Ledger) Crash(v int) {
 	}
 }
 
-// CloseRound charges the round just folded given its maxima over links of
-// the slot charge and distinct channel count (LinkLoads.Max, or the max
-// over node reports of it), and makes its deliveries the in-flight count
-// Done reads. counted=false is the Init pseudo-round, which charges its
-// slots but neither a round nor the one-slot minimum.
-func (l *Ledger) CloseRound(counted bool, maxSlots, maxChannels int) {
+// CloseRound charges the round just folded with its senders' worst link,
+// makes its deliveries the in-flight count Done reads, and hands a counted
+// round to the observer. counted=false is the Init pseudo-round, which
+// charges its slots but neither a round nor the one-slot minimum, and is
+// not observed.
+func (l *Ledger) CloseRound(counted bool) {
 	m := &l.metrics
-	m.MaxLinkSlots = max(m.MaxLinkSlots, maxSlots)
-	m.MaxChannels = max(m.MaxChannels, maxChannels)
-	charge := int64(maxSlots)
+	m.MaxLinkSlots = max(m.MaxLinkSlots, l.slots)
+	m.MaxChannels = max(m.MaxChannels, l.channels)
+	charge := int64(l.slots)
 	if counted {
 		m.Rounds++
 		charge = max(charge, 1)
 	}
 	m.ChargedRounds += charge
 	l.inflight, l.pending = l.pending, 0
+	l.slots, l.channels = 0, 0
+	if counted && l.observer != nil {
+		l.observer(RoundInfo{Round: m.Rounds - 1, Halted: l.stopped, Metrics: *m})
+	}
 }
 
 // Done is the stop rule: every node has halted and nothing is in flight.
@@ -154,8 +167,3 @@ func (l *Ledger) Metrics() Metrics { return l.metrics }
 // Round returns the next round to execute: the count of counted rounds so
 // far.
 func (l *Ledger) Round() int { return l.metrics.Rounds }
-
-// Info is the observer's snapshot after round.
-func (l *Ledger) Info(round int) RoundInfo {
-	return RoundInfo{Round: round, Halted: l.stopped, Metrics: l.metrics}
-}

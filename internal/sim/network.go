@@ -64,8 +64,7 @@ type Network struct {
 	scheduler Scheduler
 	workers   int
 	actors    *actorPool
-	observer  func(RoundInfo)
-	links     LinkLoads // this round's bit loads, per directed edge
+	loads     LinkLoads // one sender's bit loads, per port
 	// Fault injection (all nil/empty when adv is nil — the common case).
 	adv           Adversary
 	crashAt       []int              // per-node crash round (-1 = never)
@@ -111,7 +110,7 @@ func New(cfg Config, factory Factory) *Network {
 	// that overflows its window (multi-packet rounds) falls back to a
 	// normal heap-grown slice with identical semantics.
 	nw := &Network{
-		Ledger:    NewLedger(n, cfg.CongestBits),
+		Ledger:    NewLedger(n, cfg.CongestBits, cfg.Observer),
 		g:         g,
 		machines:  make([]Machine, n),
 		ctxs:      make([]Context, n),
@@ -122,7 +121,6 @@ func New(cfg Config, factory Factory) *Network {
 		rngs:      make([]rng.RNG, n),
 		scheduler: cfg.Scheduler,
 		workers:   workers,
-		observer:  cfg.Observer,
 	}
 
 	root := rng.New(cfg.Seed)
@@ -141,7 +139,7 @@ func New(cfg Config, factory Factory) *Network {
 		nw.ctxs[v] = Context{degree: deg, rng: &nw.rngs[v], out: outBuf[lo:lo:hi]}
 		nw.machines[v] = newMachine(root, factory, v, deg, &nw.rngs[v])
 	}
-	nw.links = NewLinkLoads(off, nw.metrics.CongestBits)
+	nw.loads = NewLinkLoads(g.MaxDegree(), nw.metrics.CongestBits)
 
 	if cfg.Adversary != nil {
 		nw.adv = cfg.Adversary
@@ -165,7 +163,7 @@ func New(cfg Config, factory Factory) *Network {
 		nw.machines[v].Init(ctx)
 	}
 	nw.route(-1)
-	nw.closeRound(false)
+	nw.CloseRound(false)
 	return nw
 }
 
@@ -194,10 +192,7 @@ func (nw *Network) Step() bool {
 	nw.releaseFutures(round)
 	nw.deliver(round)
 	nw.route(round)
-	nw.closeRound(true)
-	if nw.observer != nil {
-		nw.observer(nw.Info(round))
-	}
+	nw.CloseRound(true)
 	return true
 }
 
@@ -305,7 +300,6 @@ func (nw *Network) deliver(round int) {
 // and — when an adversary is configured — its drop or delay of each packet.
 // round is the round whose sends are being routed (-1 for Init).
 func (nw *Network) route(round int) {
-	nw.links.Reset()
 	for v := range nw.machines {
 		ctx := &nw.ctxs[v]
 		if ctx.halted {
@@ -314,15 +308,14 @@ func (nw *Network) route(round int) {
 		if nw.adv != nil {
 			nw.sent[v] = len(ctx.out)
 		}
+		// Link slots are charged before the adversary acts: a dropped or
+		// delayed packet was still transmitted by its sender.
+		if len(ctx.out) > 0 {
+			nw.Sent(nw.loads.Charge(ctx.out))
+		}
 		for _, s := range ctx.out {
 			w := nw.g.Neighbor(v, s.Port)
-			e := nw.edgeOff[v] + s.Port
-			q := nw.revPort[e]
-			bits := s.Payload.Bits()
-			nw.Sent(1, int64(bits))
-			// Link slots are charged before the adversary acts: a dropped
-			// or delayed packet was still transmitted by its sender.
-			nw.links.Add(int32(e), s.Channel, bits)
+			q := nw.revPort[nw.edgeOff[v]+s.Port]
 			delay := 0
 			if nw.adv != nil {
 				drop, d := nw.adv.Fate(round, v, s.Port, w)
@@ -353,13 +346,6 @@ func (nw *Network) route(round int) {
 	if nw.adv != nil {
 		nw.observeTraffic(round)
 	}
-}
-
-// closeRound charges the round just routed. counted=false is the Init
-// pseudo-round.
-func (nw *Network) closeRound(counted bool) {
-	maxSlots, maxChannels := nw.links.Max()
-	nw.CloseRound(counted, maxSlots, maxChannels)
 }
 
 // sortInbox orders packets by (port, channel) with stable order for ties

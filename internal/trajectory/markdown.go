@@ -2,7 +2,10 @@ package trajectory
 
 import (
 	"fmt"
+	"math"
 	"strings"
+
+	"anonlead/internal/report"
 )
 
 // Markdown renders the report as a GitHub-flavored summary: headline
@@ -36,7 +39,7 @@ func (r Report) Markdown() string {
 					continue
 				}
 				fmt.Fprintf(&b, "| %s | %s | %s | %s | %s | %s | %s %s |\n",
-					cd.Key, md.Metric, fmtVal(md.Base), fmtVal(md.Head),
+					cd.Key, md.Metric, report.Num(md.Base), report.Num(md.Head),
 					fmtDelta(md), fmtEffect(md), statusIcon(md.Status), md.Status)
 			}
 		}
@@ -64,21 +67,6 @@ func (r Report) Markdown() string {
 	return b.String()
 }
 
-// fmtVal renders a metric value compactly (counts dominate; rates are
-// small and keep their precision).
-func fmtVal(v float64) string {
-	switch {
-	case v != 0 && (v >= 1e7 || v < 1e-2):
-		return fmt.Sprintf("%.3g", v)
-	case v == float64(int64(v)):
-		return fmt.Sprintf("%d", int64(v))
-	case v >= 100:
-		return fmt.Sprintf("%.1f", v)
-	default:
-		return fmt.Sprintf("%.4g", v)
-	}
-}
-
 // fmtDelta renders the relative change. A metric appearing from a zero
 // base has no finite relative delta (RelDelta stays 0 in the report);
 // rendering that as "+0.0%" would contradict the flagged status.
@@ -100,14 +88,7 @@ func fmtEffect(md MetricDiff) string {
 	if md.StdErr == 0 {
 		return "—" // zero-spread samples
 	}
-	return fmt.Sprintf("%.1fσ", abs(md.Head-md.Base)/md.StdErr)
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
+	return fmt.Sprintf("%.1fσ", math.Abs(md.Head-md.Base)/md.StdErr)
 }
 
 func statusIcon(s Status) string {

@@ -43,14 +43,13 @@ type Config struct {
 // the cluster is only good for Close.
 type Cluster struct {
 	*sim.Ledger
-	g        *graph.Graph
-	fabric   *Fabric
-	coord    *Coordinator
-	drivers  []*driver
-	plane    localPlane
-	observer func(sim.RoundInfo)
-	wg       sync.WaitGroup
-	closed   bool
+	g       *graph.Graph
+	fabric  *Fabric
+	coord   *Coordinator
+	drivers []*driver
+	plane   localPlane
+	wg      sync.WaitGroup
+	closed  bool
 }
 
 // localPlane is the in-process control plane: one start channel per node
@@ -119,13 +118,12 @@ func NewCluster(ctx context.Context, cfg Config, factory sim.Factory, codec sim.
 
 	n := g.N()
 	c := &Cluster{
-		g:        g,
-		fabric:   fabric,
-		drivers:  make([]*driver, n),
-		plane:    localPlane{starts: make([]chan release, n), reports: make(chan Report, n)},
-		observer: cfg.Observer,
+		g:       g,
+		fabric:  fabric,
+		drivers: make([]*driver, n),
+		plane:   localPlane{starts: make([]chan release, n), reports: make(chan Report, n)},
 	}
-	c.coord = NewCoordinator(g, cfg.CongestBits, c.plane)
+	c.coord = NewCoordinator(g, cfg.CongestBits, c.plane, cfg.Observer)
 	c.Ledger = &c.coord.Ledger
 	budget := c.Metrics().CongestBits
 	for v := 0; v < n; v++ {
@@ -149,18 +147,6 @@ func NewCluster(ctx context.Context, cfg Config, factory sim.Factory, codec sim.
 	return c, nil
 }
 
-// step is Coordinator.Step plus the round observer.
-func (c *Cluster) step() (bool, error) {
-	round := c.Round()
-	if more, err := c.coord.Step(); err != nil || !more {
-		return more, err
-	}
-	if c.observer != nil {
-		c.observer(c.Info(round))
-	}
-	return true, nil
-}
-
 // RunContext implements Runtime: up to rounds rounds, stopping early on
 // global halt, context cancellation, or a transport failure (which, unlike
 // the simulator, this backend can experience).
@@ -172,7 +158,7 @@ func (c *Cluster) RunContext(ctx context.Context, rounds int) (int, error) {
 // when every driver is parked at the barrier, so convergence predicates
 // may read machine state without synchronization.
 func (c *Cluster) RunUntilContext(ctx context.Context, maxRounds int, done func(completed int) bool) (int, error) {
-	return sim.RunLoop(ctx, maxRounds, c.step, done)
+	return sim.RunLoop(ctx, maxRounds, c.coord.Step, done)
 }
 
 // N implements sim.View.

@@ -40,11 +40,12 @@ type Coordinator struct {
 }
 
 // NewCoordinator builds the coordinator of a run on g over plane.
-// congestBits <= 0 selects the simulator's default budget for g's size.
-func NewCoordinator(g *graph.Graph, congestBits int, plane CoordPlane) *Coordinator {
+// congestBits <= 0 selects the simulator's default budget for g's size;
+// observer, when non-nil, sees every counted round (sim.NewLedger).
+func NewCoordinator(g *graph.Graph, congestBits int, plane CoordPlane, observer func(sim.RoundInfo)) *Coordinator {
 	n := g.N()
 	return &Coordinator{
-		Ledger: sim.NewLedger(n, congestBits),
+		Ledger: sim.NewLedger(n, congestBits, observer),
 		g:      g,
 		expect: make([]int, n),
 		plane:  plane,
@@ -90,24 +91,21 @@ func (c *Coordinator) gather(counted bool) error {
 		c.seen[node] = true
 		c.reps[node] = r
 	}
-	maxSlots, maxChannels := 0, 0
 	clear(c.expect)
 	for v := range c.reps {
 		r := &c.reps[v]
 		if r.Halted {
 			c.Stop(v)
 		}
-		var msgs int64
+		charge := sim.Charge{Bits: r.Bits, Slots: r.MaxSlots, Channels: r.MaxChannels}
 		for p, cnt := range r.PerPort {
 			w := c.g.Neighbor(v, p)
 			c.expect[w] += int(cnt)
 			c.Deliver(w, int(cnt))
-			msgs += int64(cnt)
+			charge.Messages += int64(cnt)
 		}
-		c.Sent(msgs, r.Bits)
-		maxSlots = max(maxSlots, r.MaxSlots)
-		maxChannels = max(maxChannels, r.MaxChannels)
+		c.Sent(charge)
 	}
-	c.CloseRound(counted, maxSlots, maxChannels)
+	c.CloseRound(counted)
 	return nil
 }

@@ -223,11 +223,11 @@ func (d *driver) readPort(p int) {
 // flush writes the round's sends as data frames — plus, when the machine
 // halted this round, the final PortClosed on every link — flushes each
 // link, and builds the round report: per-port send counts, from which the
-// coordinator derives in-flight and per-node delivery counts, plus this
-// node's half of the CONGEST cost metering.
+// coordinator derives in-flight and per-node delivery counts, plus the
+// node's sim.Charge, metered exactly as the simulator's router meters it.
 func (d *driver) flush(round int, sends []sim.Send) (Report, error) {
-	rep := Report{Node: d.node}
-	d.loads.Reset()
+	c := d.loads.Charge(sends)
+	rep := Report{Node: d.node, Bits: c.Bits, MaxSlots: c.Slots, MaxChannels: c.Channels}
 	clear(d.perPort)
 	for _, s := range sends {
 		buf, err := d.codec.AppendPayload(d.encBuf[:0], s.Payload)
@@ -240,18 +240,12 @@ func (d *driver) flush(round int, sends []sim.Send) (Report, error) {
 			return rep, fmt.Errorf("port %d: %w", s.Port, err)
 		}
 		d.perPort[s.Port]++
-		bits := s.Payload.Bits()
-		rep.Bits += int64(bits)
-		d.loads.Add(int32(s.Port), s.Channel, bits)
 	}
 	if len(sends) > 0 {
 		// The coordinator folds every report before it releases the next
 		// round, so the slice is free again by the next flush.
 		rep.PerPort = d.perPort
 	}
-	// Each node owns its outgoing edges, so the coordinator's max over
-	// node reports equals the simulator's max over all directed edges.
-	rep.MaxSlots, rep.MaxChannels = d.loads.Max()
 	if d.stephr.Halted() {
 		rep.Halted = true
 		d.halted.Store(true)

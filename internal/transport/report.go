@@ -22,10 +22,11 @@ type Report struct {
 	// source of the message, in-flight and delivery counts. Nil when
 	// nothing was sent.
 	PerPort []uint32
-	// Bits is the round's sent-bit total.
-	Bits int64
-	// MaxSlots and MaxChannels are the node's maxima over its outgoing
-	// links of the round's CONGEST slot charge and distinct channel count.
+	// Bits, MaxSlots and MaxChannels are the node's sim.Charge for the
+	// round (its Messages are the sum of PerPort): the sent-bit total, and
+	// the maxima over its outgoing links of the CONGEST slot charge and
+	// distinct channel count.
+	Bits        int64
 	MaxSlots    int
 	MaxChannels int
 	// Fail carries a transport-level error; a failing node still reports

@@ -4,10 +4,12 @@
 // round barrier enforcing the CONGEST model's global synchrony.
 //
 // The round itself is not re-implemented here. How a node steps is
-// sim.Stepper, whose step sim.Network runs for its own nodes; what a round
-// costs and when a run ends is sim.Ledger, the ledger sim.Network folds
-// its router's sends into (with sim.LinkLoads and sim.RunLoop). This
-// package adds the two layers the in-memory simulator does not need:
+// sim.Stepper, whose step sim.Network runs for its own nodes; what a
+// sender's round costs is sim.LinkLoads.Charge, which sim.Network's router
+// calls for each node that sent; what a round costs and when a run ends is
+// sim.Ledger, the ledger sim.Network folds those charges into (with
+// sim.RunLoop). This package adds the two layers the in-memory simulator
+// does not need:
 //
 //   - The Coordinator decides who may step when: it releases a round over
 //     a control plane, gathers exactly one Report per node, and folds
@@ -21,7 +23,8 @@
 //     sockets established through a seed-derived anonymous handshake),
 //     and a driver owns one node: it pumps the node's sim.Stepper with
 //     the packets that arrived over the wire, flushing the machine's sends
-//     as framed messages and metering them in its own sim.LinkLoads.
+//     as framed messages and reporting their sim.Charge, metered by a
+//     sim.LinkLoads sized for the node's ports.
 //
 // Synchrony is counted release: every node reports how many frames it sent
 // out of each port in round t, and the coordinator's release of round t+1

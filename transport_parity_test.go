@@ -7,11 +7,12 @@ import (
 	"testing"
 )
 
-// TestTransportParity is the PR's acceptance criterion: for the same seed,
-// every real backend — including TCP sockets over localhost — must elect
-// the same leader in the same number of rounds with the same cost metrics
-// as the in-memory simulator, for a baseline (floodmax) and both
-// round-bounded paper protocols (ire, walknotify).
+// TestTransportParity: for the same seed, every real backend — including
+// TCP sockets over localhost — must elect the same leader in the same
+// number of rounds with the same cost metrics as the in-memory simulator,
+// for the baselines (floodmax, allflood) and the round-bounded paper
+// protocols (ire, walknotify, explicit). Explicit must also build the same
+// announcement tree: who learned the leader, parents and depths.
 func TestTransportParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins up full TCP clusters")
@@ -21,7 +22,7 @@ func TestTransportParity(t *testing.T) {
 		"rr16d4":  func(t *testing.T) *Network { return mustNetwork(t, "regular4", 16, 7) },
 	}
 	for nname, mk := range nets {
-		for _, protocol := range []string{ProtoFloodMax, ProtoIRE, ProtoWalkNotify} {
+		for _, protocol := range []string{ProtoFloodMax, ProtoIRE, ProtoWalkNotify, ProtoExplicit, ProtoAllFlood} {
 			nw := mk(t)
 			const seed = 12345
 			want, err := nw.Run(context.Background(), protocol, WithSeed(seed))
@@ -46,6 +47,11 @@ func TestTransportParity(t *testing.T) {
 					}
 					if !reflect.DeepEqual(got.Metrics, want.Metrics) {
 						t.Errorf("metrics diverge:\n  %s: %+v\n  sim: %+v", backend, got.Metrics, want.Metrics)
+					}
+					if got.AllKnow != want.AllKnow || !reflect.DeepEqual(got.Parents, want.Parents) ||
+						!reflect.DeepEqual(got.Depths, want.Depths) {
+						t.Errorf("announcement tree: %s (all know %v, parents %v, depths %v), sim (%v, %v, %v)",
+							backend, got.AllKnow, got.Parents, got.Depths, want.AllKnow, want.Parents, want.Depths)
 					}
 				})
 			}
