@@ -131,13 +131,15 @@ baseline:
 
 # Code size: non-blank lines of non-test Go per package directory, then the
 # total outside bench/ — the number the ROADMAP's design aim (every layer
-# justifies itself, or goes) and CHANGES.md quote.
+# justifies itself, or goes) and CHANGES.md quote — and last the non-blank
+# lines of *_test.go outside bench/.
 loc:
-	@total=0; for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
+	@total=0; tests=0; for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
 		n=$$(cat $$(ls $$d/*.go | grep -v _test.go) | grep -c '[^[:space:]]'); \
 		printf '%6d %s\n' $$n .$${d#$(CURDIR)}; \
-		case $$d in $(CURDIR)/bench) ;; *) total=$$((total + n)) ;; esac; \
-	done; printf '%6d total outside bench/\n' $$total
+		case $$d in $(CURDIR)/bench) ;; *) total=$$((total + n)); \
+			tests=$$((tests + $$(cat /dev/null $$d/*_test.go 2>/dev/null | grep -c '[^[:space:]]'))) ;; esac; \
+	done; printf '%6d total outside bench/\n' $$total; printf '%6d test lines outside bench/\n' $$tests
 
 lint:
 	$(GO) vet ./...

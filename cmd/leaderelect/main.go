@@ -75,9 +75,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("graph:    %s n=%d m=%d diameter=%d\n", *family, prof.N, prof.M, prof.Diameter)
-	fmt.Printf("spectral: tmix=%d phi=%.4f iso=%.4f gap=%.5f\n",
-		prof.MixingTime, prof.Conductance, prof.Isoperimetric, prof.SpectralGap)
+	fmt.Printf("family=%s\n%s\n", *family, prof)
 
 	adv := anonlead.AdversarySpec{
 		Loss:          *loss,

@@ -10,7 +10,8 @@ import (
 )
 
 // TestLeaderelectFaultedBatch builds the binary and runs a small faulted
-// batch through the public API: exit 0, the adversary's canonical
+// batch through the public API: exit 0, the profile block graphinfo also
+// prints (each number labelled with its method), the adversary's canonical
 // descriptor on the faults line, per-trial means over the three trials.
 // A batch of no trials, which used to print 0/0 and NaN means, is refused,
 // and so are a NaN fault rate, the -parallel knob the library dropped, a
@@ -31,7 +32,8 @@ func TestLeaderelectFaultedBatch(t *testing.T) {
 		t.Fatalf("leaderelect: %v\n%s", err, out)
 	}
 	for _, want := range []string{
-		"graph:    cycle n=16 m=16 diameter=8\n",
+		"family=cycle\nn=16 m=16 diameter=8 degree=[2,2]\n",
+		"tmix=37 (exact)\nconductance=0.125000 isoperimetric=0.250000 (exact)\nprotocol: ",
 		"protocol: floodmax trials=3 scheduler=sequential\n",
 		"faults:   loss=0.1 (dropped=",
 		"/3 unique leader",

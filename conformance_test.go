@@ -1,9 +1,15 @@
-package anonlead
+// The paper's claims as tests on the public path. This is an external test
+// package (anonlead_test) so the revocable band can take its trial seeds
+// from the experiment harness, which itself runs on the public API.
+package anonlead_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
+	"anonlead"
+	"anonlead/internal/harness"
 	"anonlead/internal/stats"
 )
 
@@ -16,15 +22,15 @@ func TestConformanceWHP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 64 elections on expander-256")
 	}
-	nw, err := NewNetwork("expander", 256, 1)
+	nw, err := anonlead.NewNetwork("expander", 256, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const first, trials = 100, 16
-	for _, proto := range []string{ProtoIRE, ProtoExplicit, ProtoWalkNotify, ProtoFloodMax} {
+	for _, proto := range []string{anonlead.ProtoIRE, anonlead.ProtoExplicit, anonlead.ProtoWalkNotify, anonlead.ProtoFloodMax} {
 		unique := 0
 		for s := uint64(first); s < first+trials; s++ {
-			out, err := nw.Run(context.Background(), proto, WithSeed(s))
+			out, err := nw.Run(context.Background(), proto, anonlead.WithSeed(s))
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", proto, s, err)
 			}
@@ -35,6 +41,50 @@ func TestConformanceWHP(t *testing.T) {
 		t.Logf("%s: %d/%d unique leaders", proto, unique, trials)
 		if lo, _ := stats.Wilson(unique, trials); lo < 0.7 {
 			t.Errorf("%s: %d/%d unique leaders, Wilson lower bound %.3f < 0.7", proto, unique, trials, lo)
+		}
+	}
+}
+
+// TestConformanceRevocable asserts Theorem 3's Revocable LE without
+// knowledge of n: on complete graphs of 3, 4 and 6 nodes, told only the
+// profiled isoperimetric number, every one of the six trial seeds of the
+// gate's T1-d cells stabilizes on exactly one leader holding the agreed
+// certificate. The protocol estimates n itself, so at n = 4 a presumed
+// size of 40 leaves each outcome unchanged.
+func TestConformanceRevocable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 24 revocable elections, about 4 s")
+	}
+	for _, n := range []int{3, 4, 6} {
+		nw, err := anonlead.NewNetwork("complete", n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, err := nw.Profile(anonlead.ProfileAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 6; trial++ {
+			seed := harness.TrialSeed(1, harness.Workload{Family: "complete", N: n}, trial)
+			opts := []anonlead.Option{anonlead.WithSeed(seed), anonlead.WithIsoperimetric(prof.Isoperimetric)}
+			out, err := nw.Run(context.Background(), anonlead.ProtoRevocable, opts...)
+			if err != nil {
+				t.Fatalf("n=%d trial %d: %v", n, trial, err)
+			}
+			if !out.Unique || out.Certificate == nil || out.Certificate.ID != out.LeaderID {
+				t.Errorf("n=%d trial %d: unique %t, leaders %v, certificate %+v, leader ID %d",
+					n, trial, out.Unique, out.Leaders, out.Certificate, out.LeaderID)
+			}
+			if n != 4 {
+				continue
+			}
+			told, err := nw.Run(context.Background(), anonlead.ProtoRevocable, append(opts, anonlead.WithPresumedN(40))...)
+			if err != nil {
+				t.Fatalf("n=4 trial %d presumed 40: %v", trial, err)
+			}
+			if !reflect.DeepEqual(told, out) {
+				t.Errorf("n=4 trial %d: presumed n=40 changed the outcome:\n%+v\nwant\n%+v", trial, told, out)
+			}
 		}
 	}
 }

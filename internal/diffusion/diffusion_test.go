@@ -113,6 +113,20 @@ func TestRunUntilSpread(t *testing.T) {
 	}
 }
 
+// exactIsoperimetric returns i(G) from g's exact profile, failing the test
+// unless the profile enumerated the cuts.
+func exactIsoperimetric(t *testing.T, g *graph.Graph) float64 {
+	t.Helper()
+	p, err := spectral.ProfileGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.ExactCuts {
+		t.Fatalf("n=%d: profile cuts are not exact", g.N())
+	}
+	return p.Isoperimetric
+}
+
 func TestConvergenceBoundSufficient(t *testing.T) {
 	// Lemma 4's bound must actually achieve the requested accuracy: run
 	// the process for the bound and verify every node is within γ
@@ -127,7 +141,7 @@ func TestConvergenceBoundSufficient(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.g
-			iso := spectral.IsoperimetricExact(g)
+			iso := exactIsoperimetric(t, g)
 			share := 0.5 / float64(g.MaxDegree())
 			gamma := 0.01
 			bound := ConvergenceBound(g, share, iso, gamma)
@@ -184,7 +198,7 @@ func TestLemma5ThresholdRegime(t *testing.T) {
 	k := 8.0 // k^{1.5} = 22.6 >= 2n+1 = 13
 	kp := math.Pow(k, 1+eps)
 	share := 1 / (2 * kp)
-	iso := spectral.IsoperimetricExact(g)
+	iso := exactIsoperimetric(t, g)
 	white := make([]bool, n)
 	white[2] = true
 	p, err := New(g, share, BlackInit(white))

@@ -13,36 +13,10 @@ import (
 // all 2^n subsets, O(2^n) with O(1) amortized update per step).
 const ExactCutLimit = 20
 
-// CutEdges returns |∂S|: the number of edges with exactly one endpoint in S
-// (S given as a membership mask).
-func CutEdges(g *graph.Graph, inS []bool) int {
-	cut := 0
-	for _, e := range g.Edges() {
-		if inS[e[0]] != inS[e[1]] {
-			cut++
-		}
-	}
-	return cut
-}
-
-// ConductanceExact computes Φ(G) = min_S |∂S| / min(Vol(S), Vol(S̄)) by
-// exhaustive enumeration. Only valid for connected g with n <= ExactCutLimit
-// (panics otherwise: the caller chose the wrong tool).
-func ConductanceExact(g *graph.Graph) float64 {
-	phi, _ := enumerateCuts(g)
-	return phi
-}
-
-// IsoperimetricExact computes i(G) = min_{|S| <= n/2} |∂S| / |S| by
-// exhaustive enumeration. Same size restriction as ConductanceExact.
-func IsoperimetricExact(g *graph.Graph) float64 {
-	_, iso := enumerateCuts(g)
-	return iso
-}
-
 // enumerateCuts walks all nonempty proper subsets in Gray-code order,
 // maintaining |∂S|, Vol(S) and |S| incrementally, and returns the exact
-// conductance and isoperimetric number.
+// conductance and isoperimetric number. Only valid for n <= ExactCutLimit
+// (panics otherwise: the caller chose the wrong tool).
 func enumerateCuts(g *graph.Graph) (phi, iso float64) {
 	n := g.N()
 	if n > ExactCutLimit {
@@ -113,20 +87,11 @@ func enumerateCuts(g *graph.Graph) (phi, iso float64) {
 	return phi, iso
 }
 
-// SweepCut orders vertices by the second eigenvector and scans prefix cuts,
-// returning upper bounds on Φ(G) and i(G). By Cheeger-type results the
-// conductance bound is within a quadratic factor of optimal; on all the
-// symmetric families in the experiment suite it is exact or near-exact.
-func SweepCut(g *graph.Graph) (phi, iso float64) {
-	if g.N() < 2 {
-		return 0, 0
-	}
-	return sweepCutFrom(g, SecondEigenvector(g))
-}
-
-// sweepCutFrom is SweepCut with the ordering vector supplied by the
-// caller, so a profile that already power-iterated can reuse the
-// eigenvector instead of recomputing it.
+// sweepCutFrom orders vertices by vec (the profile's second eigenvector in
+// walk coordinates) and scans prefix cuts, returning upper bounds on Φ(G)
+// and i(G). By Cheeger-type results the conductance bound is within a
+// quadratic factor of optimal; on all the symmetric families in the
+// experiment suite it is exact or near-exact.
 func sweepCutFrom(g *graph.Graph, vec []float64) (phi, iso float64) {
 	n := g.N()
 	if n < 2 {
@@ -174,41 +139,4 @@ func sweepCutFrom(g *graph.Graph, vec []float64) (phi, iso float64) {
 		}
 	}
 	return phi, iso
-}
-
-// Conductance returns Φ(G): exact for n <= ExactCutLimit, sweep-cut upper
-// bound otherwise.
-func Conductance(g *graph.Graph) float64 {
-	if g.N() <= ExactCutLimit {
-		return ConductanceExact(g)
-	}
-	phi, _ := SweepCut(g)
-	return phi
-}
-
-// Isoperimetric returns i(G): exact for n <= ExactCutLimit, sweep-cut upper
-// bound otherwise.
-func Isoperimetric(g *graph.Graph) float64 {
-	if g.N() <= ExactCutLimit {
-		return IsoperimetricExact(g)
-	}
-	_, iso := SweepCut(g)
-	return iso
-}
-
-// CheegerBounds returns the interval [gap/2, sqrt(2·gap)] that must contain
-// the chain conductance φ(P) of the lazy walk, from the standard Cheeger
-// inequalities φ²/2 <= gap <= 2φ. Tests cross-check sweep estimates
-// against it.
-func CheegerBounds(g *graph.Graph) (lo, hi float64) {
-	gap := SpectralGap(g)
-	return gap / 2, math.Sqrt(2 * gap)
-}
-
-// ChainConductance returns the conductance φ(P) of the lazy-walk Markov
-// chain per the paper's Section 2 definition (edge measure over stationary
-// measure). For the lazy walk, Q(S, S̄) = |∂S|/(4m) and π(S) = Vol(S)/(2m),
-// so φ(P) = Φ(G)/2.
-func ChainConductance(g *graph.Graph) float64 {
-	return Conductance(g) / 2
 }

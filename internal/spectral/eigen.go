@@ -38,23 +38,6 @@ func estimateEigenBudget(g *graph.Graph) int {
 	return iters
 }
 
-// SecondEigenvalue returns λ₂ of the lazy random-walk matrix of g, the
-// quantity controlling mixing (relaxation) time. Because the walk is lazy,
-// the spectrum is non-negative, so λ₂ is also the second-largest eigenvalue
-// magnitude.
-func SecondEigenvalue(g *graph.Graph) float64 {
-	lambda, _ := secondEigenpair(g)
-	return lambda
-}
-
-// SecondEigenvector returns (a numerical approximation of) the eigenvector
-// for λ₂ of the lazy walk, mapped back from the symmetrized space to the
-// walk's right-eigenvector coordinates. Sweep cuts order vertices by it.
-func SecondEigenvector(g *graph.Graph) []float64 {
-	_, vec := secondEigenpair(g)
-	return walkCoords(g, vec)
-}
-
 // walkCoords maps a symmetric-space vector y to the walk's right
 // eigenvector x = D^{-1/2} y so that orderings reflect the diffusion
 // geometry of the walk.
@@ -71,21 +54,13 @@ func walkCoords(g *graph.Graph, vec []float64) []float64 {
 	return out
 }
 
-// SpectralGap returns 1 − λ₂ of the lazy walk on g.
-func SpectralGap(g *graph.Graph) float64 { return 1 - SecondEigenvalue(g) }
-
 // secondEigenpair power-iterates the symmetric matrix N = D^{1/2}·P·D^{-1/2}
 // (same spectrum as the lazy walk P, reversible with π_v ∝ deg v) while
-// deflating the known top eigenvector √deg. Matrix-free, O(m) per
-// iteration.
-func secondEigenpair(g *graph.Graph) (float64, []float64) {
-	return secondEigenpairBudget(g, eigenIterations, eigenTol)
-}
-
-// secondEigenpairBudget is secondEigenpair with an explicit iteration
-// budget and stopping tolerance (the estimate regime trades accuracy for
-// a flop bound; the exact regime keeps the full budget).
-func secondEigenpairBudget(g *graph.Graph, maxIter int, tol float64) (float64, []float64) {
+// deflating the known top eigenvector √deg, for at most maxIter iterations
+// or until λ changes by at most tol relative. Matrix-free, O(m) per
+// iteration. Each regime calls it once per profile: the exact one with
+// eigenIterations and eigenTol, the estimate one with its flop budget.
+func secondEigenpair(g *graph.Graph, maxIter int, tol float64) (float64, []float64) {
 	n := g.N()
 	if n < 2 {
 		return 0, make([]float64, n)

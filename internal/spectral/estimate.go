@@ -28,31 +28,31 @@ func estimateTmixBudget(n int) int {
 	return b
 }
 
-// MixingTimeSampled estimates the paper's tmix(G) by evolving exact
+// mixingTimeSampled estimates the paper's tmix(G) by evolving exact
 // lazy-walk distributions from sampled point-mass starts: x_{t+1} = x_t·P
 // is a sparse O(m) product, so no n×n matrix is ever built. Each start
 // stops at the first t with max-norm distance to the stationary
 // distribution at most 1/(2n) (the paper's tolerance); a start that
 // exhausts its step budget is extrapolated along its measured geometric
-// decay rate, falling back to the spectral bound when no decay is
-// measurable. The returned capped flag reports that at least one start
-// was extrapolated, i.e. the value is an estimate beyond the walked
-// horizon rather than a measured crossing.
+// decay rate, falling back to the spectral bound of gap (the profile's
+// own spectral gap) when no decay is measurable. The returned capped flag
+// reports that at least one start was extrapolated, i.e. the value is an
+// estimate beyond the walked horizon rather than a measured crossing.
 //
 // Start selection is deterministic via the rng seed chain, so estimated
 // profiles are byte-identical across schedulers and cache hits.
-func MixingTimeSampled(g *graph.Graph, seed uint64) (tmix int, capped bool) {
+func mixingTimeSampled(g *graph.Graph, seed uint64, gap float64) (tmix int, capped bool) {
 	n := g.N()
 	if n < 2 {
 		return 1, false
 	}
-	pi := Stationary(g)
+	pi := stationary(g)
 	tol := 1 / (2 * float64(n))
 	budget := estimateTmixBudget(n)
 
 	tmix = 1
 	for _, start := range sampleStarts(g, seed) {
-		t, c := mixFromStart(g, pi, start, tol, budget)
+		t, c := mixFromStart(g, pi, start, tol, budget, gap)
 		if t > tmix {
 			tmix = t
 		}
@@ -84,8 +84,9 @@ func sampleStarts(g *graph.Graph, seed uint64) []int {
 
 // mixFromStart evolves one point-mass distribution under the lazy walk
 // until it is within tol of stationarity in max norm, or the budget runs
-// out and the crossing is extrapolated from the measured decay.
-func mixFromStart(g *graph.Graph, pi []float64, start int, tol float64, budget int) (int, bool) {
+// out and the crossing is extrapolated from the measured decay (or, when
+// none is measurable, taken from the spectral bound of gap).
+func mixFromStart(g *graph.Graph, pi []float64, start int, tol float64, budget int, gap float64) (int, bool) {
 	n := g.N()
 	x := make([]float64, n)
 	y := make([]float64, n)
@@ -123,7 +124,7 @@ func mixFromStart(g *graph.Graph, pi []float64, start int, tol float64, budget i
 	}
 	// No measurable decay (flat or numerically degenerate): fall back to
 	// the spectral bound, never reporting less than the walked budget.
-	t := MixingTimeSpectral(g)
+	t := mixingTimeFromGap(g, gap)
 	if t < budget {
 		t = budget
 	}
@@ -174,10 +175,10 @@ func estimateProfile(g *graph.Graph, seed uint64) (*Profile, error) {
 		MaxDegree: g.MaxDegree(),
 		Estimated: true,
 	}
-	lambda, vec := secondEigenpairBudget(g, estimateEigenBudget(g), estimateEigenTol)
+	lambda, vec := secondEigenpair(g, estimateEigenBudget(g), estimateEigenTol)
 	p.Lambda2 = lambda
 	p.SpectralGap = 1 - lambda
-	p.MixingTime, p.MixingCapped = MixingTimeSampled(g, seed)
+	p.MixingTime, p.MixingCapped = mixingTimeSampled(g, seed, p.SpectralGap)
 	p.Conductance, p.Isoperimetric = sweepCutFrom(g, walkCoords(g, vec))
 	return p, nil
 }

@@ -28,11 +28,15 @@ func TestMixingTimeSampledMatchesExactOnTransitive(t *testing.T) {
 		{"hypercube16", graph.Hypercube(4)},
 	}
 	for _, c := range cases {
-		exact, exactCapped := MixingTimeExact(c.g, 1_000_000)
+		exact, exactCapped := mixingTimeExact(c.g, 1_000_000)
 		if exactCapped {
 			t.Fatalf("%s: exact reference capped", c.name)
 		}
-		got, capped := MixingTimeSampled(c.g, 7)
+		p, err := ProfileGraphMode(c.g, ModeEstimate, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, capped := p.MixingTime, p.MixingCapped
 		if capped {
 			t.Fatalf("%s: sampled estimator capped at n=%d (budget too small)", c.name, c.g.N())
 		}
@@ -75,14 +79,31 @@ func TestEstimateLambda2ClosedForm(t *testing.T) {
 // raised.
 func TestEstimateExtrapolationTracksExact(t *testing.T) {
 	g := graph.Cycle(96)
-	exact, _ := MixingTimeExact(g, 1_000_000)
-	got, capped := MixingTimeSampled(g, 3)
+	exact, _ := mixingTimeExact(g, 1_000_000)
+	p, err := ProfileGraphMode(g, ModeEstimate, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, capped := p.MixingTime, p.MixingCapped
 	if !capped {
 		t.Skip("budget covered the cycle; extrapolation not exercised")
 	}
 	lo, hi := exact/2, exact*2
 	if got < lo || got > hi {
 		t.Fatalf("extrapolated tmix %d outside [%d,%d] around exact %d", got, lo, hi, exact)
+	}
+}
+
+// TestEstimateFallbackUsesProfileGap drives the one branch of the sampled
+// walk no profile in the corpus reaches: with a budget of 1 step the
+// halfway checkpoint is step 0, no decay is measured, and the start falls
+// back to the spectral bound of the gap its own profile computed.
+func TestEstimateFallbackUsesProfileGap(t *testing.T) {
+	g := graph.Cycle(64)
+	p := mustProfile(t, g, ModeEstimate)
+	got, capped := mixFromStart(g, stationary(g), 0, 1/(2*float64(g.N())), 1, p.SpectralGap)
+	if want := max(1, mixingTimeFromGap(g, p.SpectralGap)); got != want || !capped {
+		t.Fatalf("fallback returned (%d, %t), want (%d, true)", got, capped, want)
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 
 // mulReference is the plain i-k-j product: terms in ascending k, nothing
 // skipped, one rounding per multiply and per add.
-func mulReference(a, b *Dense) *Dense {
-	n := a.N()
-	out := NewDense(n)
+func mulReference(a, b *dense) *dense {
+	n := a.n
+	out := newDense(n)
 	for i := 0; i < n; i++ {
 		for k := 0; k < n; k++ {
 			for j := 0; j < n; j++ {
@@ -64,8 +64,8 @@ func mustFamily(t testing.TB, family string, n int, seed uint64) *graph.Graph {
 // TestDenseMulBitIdentical: the register-blocked product equals the plain
 // triple loop bit for bit on the matrices the mixing-time search feeds it
 // — the first six powers of the lazy walk, sparse and dense left operands,
-// every n mod 4 (the block edge) — through both Mul and mulInto with a
-// dirty destination.
+// every n mod 4 (the block edge) — into a fresh and into a dirty
+// destination.
 func TestDenseMulBitIdentical(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 7, 33, 65, 129} {
 		graphs := map[string]*graph.Graph{}
@@ -78,14 +78,14 @@ func TestDenseMulBitIdentical(t *testing.T) {
 			graphs["single"] = graph.NewBuilder(1).Graph()
 		}
 		for name, g := range graphs {
-			p := LazyWalkMatrix(g)
+			p := lazyWalkMatrix(g)
 			pow := p
-			dirty := NewDense(p.N())
+			dirty := newDense(p.n)
 			for e := 2; e <= 6; e++ {
 				want := mulReference(pow, p)
-				got := pow.Mul(p)
+				got := product(pow, p)
 				if i := sameBits(got.data, want.data); i >= 0 {
-					t.Fatalf("%s n=%d: P^%d entry %d: Mul %x, reference %x", name, n, e, i,
+					t.Fatalf("%s n=%d: P^%d entry %d: mulInto %x, reference %x", name, n, e, i,
 						math.Float64bits(got.data[i]), math.Float64bits(want.data[i]))
 				}
 				for i := range dirty.data {
@@ -122,30 +122,6 @@ func TestApplyLazySymBitIdentical(t *testing.T) {
 					math.Float64bits(y[i]), math.Float64bits(yr[i]))
 			}
 			x, y, xr, yr = y, x, yr, xr
-		}
-	}
-}
-
-// TestExactProfileEqualsSingleQuantityFunctions: the profile shares one
-// eigenpair (and one cut enumeration) across its fields; each must equal
-// what the exported single-quantity function computes on its own, in all
-// three size classes (enumerated cuts, sweep cuts, spectral tmix).
-func TestExactProfileEqualsSingleQuantityFunctions(t *testing.T) {
-	for _, g := range []*graph.Graph{
-		graph.Lollipop(6, 6), mustFamily(t, "gnp", 48, 3), mustFamily(t, "expander", MixingTimeExactLimit+4, 3),
-	} {
-		p, err := ProfileGraphMode(g, ModeExact, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Lambda2 != SecondEigenvalue(g) || p.SpectralGap != SpectralGap(g) {
-			t.Errorf("n=%d: lambda2 %v gap %v, functions %v %v", g.N(), p.Lambda2, p.SpectralGap, SecondEigenvalue(g), SpectralGap(g))
-		}
-		if p.MixingTime != MixingTime(g) {
-			t.Errorf("n=%d: tmix %d, MixingTime %d", g.N(), p.MixingTime, MixingTime(g))
-		}
-		if p.Conductance != Conductance(g) || p.Isoperimetric != Isoperimetric(g) {
-			t.Errorf("n=%d: cuts %v %v, functions %v %v", g.N(), p.Conductance, p.Isoperimetric, Conductance(g), Isoperimetric(g))
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // the common experiment sizes keeps protocol parameterizations honest.
 const MixingTimeExactLimit = 256
 
-// MixingTimeExact computes the paper's tmix(G) exactly: the minimum t such
+// mixingTimeExact computes the paper's tmix(G) exactly: the minimum t such
 // that every row of Pᵗ is within 1/(2n) of the stationary distribution in
 // the max norm (point-mass starts are the worst case, so checking rows
 // suffices; arbitrary π0 are convex combinations of rows). It brackets t by
@@ -22,21 +22,23 @@ const MixingTimeExactLimit = 256
 // the search; when tmix exceeds it, the result is (maxT, true): an explicit
 // capped flag instead of a sentinel the caller must know, so "at least
 // this much" is never silently mistaken for a measured crossing.
-func MixingTimeExact(g *graph.Graph, maxT int) (tmix int, capped bool) {
+func mixingTimeExact(g *graph.Graph, maxT int) (tmix int, capped bool) {
 	n := g.N()
 	if n < 2 {
 		return 1, false
 	}
-	pi := Stationary(g)
+	pi := stationary(g)
 
 	// Bracket: powers[i] = P^(2^i); find the first power that mixes.
-	powers := []*Dense{LazyWalkMatrix(g)}
+	powers := []*dense{lazyWalkMatrix(g)}
 	t := 1
 	for cur := powers[0]; !withinMixingTolerance(cur, pi); {
 		if t >= maxT {
 			return maxT, true
 		}
-		cur = cur.Mul(cur)
+		next := newDense(n)
+		mulInto(next, cur, cur)
+		cur = next
 		t *= 2
 		powers = append(powers, cur)
 	}
@@ -49,11 +51,11 @@ func MixingTimeExact(g *graph.Graph, maxT int) (tmix int, capped bool) {
 	// each round, from t/2 down to 1. Trial products ping-pong between two
 	// scratch matrices: one may hold acc while the other takes the trial.
 	acc, accSteps, hi := powers[len(powers)-2], t/2, t
-	var scratch [2]*Dense
+	var scratch [2]*dense
 	free := 0
 	for i := len(powers) - 3; i >= 0; i-- {
 		if scratch[free] == nil {
-			scratch[free] = NewDense(n)
+			scratch[free] = newDense(n)
 		}
 		trial := scratch[free]
 		mulInto(trial, acc, powers[i])
@@ -69,11 +71,11 @@ func MixingTimeExact(g *graph.Graph, maxT int) (tmix int, capped bool) {
 
 // withinMixingTolerance reports whether every row of p is within 1/(2n) of
 // the stationary distribution in max norm.
-func withinMixingTolerance(p *Dense, pi []float64) bool {
-	n := p.N()
+func withinMixingTolerance(p *dense, pi []float64) bool {
+	n := p.n
 	tol := 1 / (2 * float64(n))
 	for i := 0; i < n; i++ {
-		row := p.Row(i)
+		row := p.row(i)
 		for j, v := range row {
 			if abs(v-pi[j]) > tol {
 				return false
@@ -83,9 +85,9 @@ func withinMixingTolerance(p *Dense, pi []float64) bool {
 	return true
 }
 
-// Stationary returns the stationary distribution of the lazy walk on g:
+// stationary returns the stationary distribution of the lazy walk on g:
 // π_v = deg(v) / (2m).
-func Stationary(g *graph.Graph) []float64 {
+func stationary(g *graph.Graph) []float64 {
 	n := g.N()
 	pi := make([]float64, n)
 	total := float64(2 * g.M())
@@ -101,21 +103,12 @@ func Stationary(g *graph.Graph) []float64 {
 	return pi
 }
 
-// MixingTimeSpectral estimates tmix from the spectral gap via the standard
+// mixingTimeFromGap is the spectral t_mix bound: the standard
 // relaxation-time bound tmix ≤ ln(2n / π_min) / (1 − λ₂), which for the
-// paper's 1/(2n) tolerance and π_min ≥ 1/(2m) gives ln(4nm)/gap. The
-// estimate is an upper bound up to constants and has the right growth on
-// every family in the experiment suite (Θ(n²·log n) on cycles, Θ(log n) on
-// expanders).
-func MixingTimeSpectral(g *graph.Graph) int {
-	if g.N() < 2 {
-		return 1
-	}
-	return mixingTimeFromGap(g, SpectralGap(g))
-}
-
-// mixingTimeFromGap is MixingTimeSpectral's bound for a caller that
-// already holds the spectral gap of g (n >= 2).
+// paper's 1/(2n) tolerance and π_min ≥ 1/(2m) gives ln(4nm)/gap. It is an
+// upper bound up to constants with the right growth on every family in the
+// experiment suite (Θ(n²·log n) on cycles, Θ(log n) on expanders). g must
+// have n >= 2; gap is the profile's own spectral gap.
 func mixingTimeFromGap(g *graph.Graph, gap float64) int {
 	if gap <= 0 {
 		return math.MaxInt32
@@ -133,14 +126,3 @@ func mixingTimeFromGap(g *graph.Graph, gap float64) int {
 // exactMixingBudget caps the exact search generously; cycles need ~n²
 // steps.
 func exactMixingBudget(n int) int { return 8*n*n + 64 }
-
-// MixingTime returns the exact mixing time when n is small enough (the
-// budget as a lower bound when the search exhausts it) and the spectral
-// estimate otherwise.
-func MixingTime(g *graph.Graph) int {
-	if g.N() > MixingTimeExactLimit {
-		return MixingTimeSpectral(g)
-	}
-	t, _ := MixingTimeExact(g, exactMixingBudget(g.N()))
-	return t
-}

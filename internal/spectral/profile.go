@@ -76,14 +76,13 @@ func exactProfile(g *graph.Graph) (*Profile, error) {
 		MaxDegree: g.MaxDegree(),
 	}
 	// One power iteration serves λ₂, the sweep-cut ordering and (above
-	// MixingTimeExactLimit) the spectral tmix bound; each field equals
-	// what the exported single-quantity functions return for g.
-	lambda, vec := secondEigenpair(g)
+	// MixingTimeExactLimit) the spectral tmix bound.
+	lambda, vec := secondEigenpair(g, eigenIterations, eigenTol)
 	p.Lambda2 = lambda
 	p.SpectralGap = 1 - lambda
 	p.ExactMixing = g.N() <= MixingTimeExactLimit
 	if p.ExactMixing {
-		p.MixingTime, p.MixingCapped = MixingTimeExact(g, exactMixingBudget(g.N()))
+		p.MixingTime, p.MixingCapped = mixingTimeExact(g, exactMixingBudget(g.N()))
 	} else {
 		p.MixingTime = mixingTimeFromGap(g, p.SpectralGap)
 	}
@@ -114,12 +113,20 @@ func (p Profile) String() string {
 	}
 	fmt.Fprintf(&b, "n=%d m=%d %s degree=[%d,%d]\n", p.N, p.M, diam, p.MinDegree, p.MaxDegree)
 	fmt.Fprintf(&b, "lambda2=%.6f gap=%.6f\n", p.Lambda2, p.SpectralGap)
-	exact := map[bool]string{true: "exact", false: "estimate"}
-	capped := ""
-	if p.MixingCapped {
-		capped = ", capped"
+	tmix := "spectral bound"
+	if p.ExactMixing {
+		tmix = "exact"
+	} else if p.Estimated {
+		tmix = "sampled"
 	}
-	fmt.Fprintf(&b, "tmix=%d (%s%s)\n", p.MixingTime, exact[p.ExactMixing], capped)
-	fmt.Fprintf(&b, "conductance=%.6f isoperimetric=%.6f (%s)", p.Conductance, p.Isoperimetric, exact[p.ExactCuts])
+	if p.MixingCapped {
+		tmix += ", capped"
+	}
+	cuts := "sweep cut"
+	if p.ExactCuts {
+		cuts = "exact"
+	}
+	fmt.Fprintf(&b, "tmix=%d (%s)\n", p.MixingTime, tmix)
+	fmt.Fprintf(&b, "conductance=%.6f isoperimetric=%.6f (%s)", p.Conductance, p.Isoperimetric, cuts)
 	return b.String()
 }

@@ -18,7 +18,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/profiles.golden 
 const goldenPath = "testdata/profiles.golden"
 
 // goldenSizes crosses ExactCutLimit (20|21) and every residue of the
-// four-row block of Dense.Mul; 256 is added for the families the gate
+// four-row block of mulInto; 256 is added for the families the gate
 // sweep profiles at the exact-regime limit.
 var goldenSizes = []int{2, 3, 4, 5, 8, 9, 16, 17, 20, 21, 32, 33, 64, 65, 96, 128, 129}
 

@@ -2,6 +2,7 @@ package spectral
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -11,48 +12,81 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// mustProfile profiles g in the given regime (seed 1), failing the test on
+// error.
+func mustProfile(t testing.TB, g *graph.Graph, mode Mode) *Profile {
+	t.Helper()
+	p, err := ProfileGraphMode(g, mode, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// product returns a·b in a fresh matrix.
+func product(a, b *dense) *dense {
+	out := newDense(a.n)
+	mulInto(out, a, b)
+	return out
+}
+
+// identity returns the n x n identity matrix.
+func identity(n int) *dense {
+	m := newDense(n)
+	for i := 0; i < n; i++ {
+		m.row(i)[i] = 1
+	}
+	return m
+}
+
 func TestLazyWalkMatrixIsStochastic(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		graph.Cycle(9), graph.Complete(6), graph.Star(7), graph.Path(5),
 	} {
-		m := LazyWalkMatrix(g)
-		if err := m.RowStochasticError(); err > 1e-12 {
-			t.Fatalf("row sums off by %v", err)
-		}
+		m := lazyWalkMatrix(g)
 		for v := 0; v < g.N(); v++ {
-			if m.At(v, v) < 0.5-1e-12 {
-				t.Fatalf("laziness violated at %d: %v", v, m.At(v, v))
+			sum := 0.0
+			for _, x := range m.row(v) {
+				sum += x
+			}
+			if !almostEqual(sum, 1, 1e-12) {
+				t.Fatalf("row %d sums to %v", v, sum)
+			}
+			if m.row(v)[v] < 0.5-1e-12 {
+				t.Fatalf("laziness violated at %d: %v", v, m.row(v)[v])
 			}
 		}
 	}
 }
 
 func TestDenseMulIdentity(t *testing.T) {
-	g := graph.Cycle(6)
-	p := LazyWalkMatrix(g)
-	id := Identity(6)
-	q := p.Mul(id)
+	p := lazyWalkMatrix(graph.Cycle(6))
+	q := product(p, identity(6))
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 6; j++ {
-			if !almostEqual(p.At(i, j), q.At(i, j), 1e-15) {
+			if !almostEqual(p.row(i)[j], q.row(i)[j], 1e-15) {
 				t.Fatalf("P*I != P at (%d,%d)", i, j)
 			}
 		}
 	}
 }
 
-func TestDenseMulVecLeftPreservesMass(t *testing.T) {
-	g := graph.Complete(5)
-	p := LazyWalkMatrix(g)
-	x := []float64{1, 0, 0, 0, 0}
-	for step := 0; step < 10; step++ {
-		x = p.MulVecLeft(x)
-		sum := 0.0
-		for _, v := range x {
-			sum += v
-		}
-		if !almostEqual(sum, 1, 1e-12) {
-			t.Fatalf("mass leaked at step %d: %v", step, sum)
+// TestStepLazyPreservesMass: the estimate regime's sparse distribution
+// step keeps a point mass a probability distribution.
+func TestStepLazyPreservesMass(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.Complete(5), graph.Star(7), graph.Path(6)} {
+		x, y := make([]float64, g.N()), make([]float64, g.N())
+		x[0] = 1
+		for step := 0; step < 10; step++ {
+			stepLazy(g, x, y)
+			x, y = y, x
+			sum := 0.0
+			for _, v := range x {
+				sum += v
+			}
+			if !almostEqual(sum, 1, 1e-12) {
+				t.Fatalf("n=%d: mass leaked at step %d: %v", g.N(), step, sum)
+			}
 		}
 	}
 }
@@ -63,14 +97,14 @@ func TestDenseMulDimensionPanic(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewDense(3).Mul(NewDense(4))
+	mulInto(newDense(3), newDense(3), newDense(4))
 }
 
 func TestSecondEigenvalueCycleClosedForm(t *testing.T) {
 	// Lazy walk on C_n: eigenvalues 1/2 + cos(2πk/n)/2; λ₂ at k=1.
 	for _, n := range []int{8, 16, 32} {
 		want := 0.5 + 0.5*math.Cos(2*math.Pi/float64(n))
-		got := SecondEigenvalue(graph.Cycle(n))
+		got := mustProfile(t, graph.Cycle(n), ModeExact).Lambda2
 		if !almostEqual(got, want, 1e-6) {
 			t.Fatalf("C_%d lambda2 = %v want %v", n, got, want)
 		}
@@ -81,7 +115,7 @@ func TestSecondEigenvalueCompleteClosedForm(t *testing.T) {
 	// Lazy walk on K_n: non-top eigenvalues all 1/2 - 1/(2(n-1)).
 	for _, n := range []int{5, 10, 20} {
 		want := 0.5 - 0.5/float64(n-1)
-		got := SecondEigenvalue(graph.Complete(n))
+		got := mustProfile(t, graph.Complete(n), ModeExact).Lambda2
 		if !almostEqual(got, want, 1e-6) {
 			t.Fatalf("K_%d lambda2 = %v want %v", n, got, want)
 		}
@@ -95,7 +129,7 @@ func TestSecondEigenvalueInUnitInterval(t *testing.T) {
 		if err != nil {
 			return true // skip rare disconnected draws
 		}
-		l := SecondEigenvalue(g)
+		l := mustProfile(t, g, ModeExact).Lambda2
 		return l > 0 && l < 1
 	}, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -104,7 +138,7 @@ func TestSecondEigenvalueInUnitInterval(t *testing.T) {
 
 func TestStationaryDistribution(t *testing.T) {
 	g := graph.Star(6)
-	pi := Stationary(g)
+	pi := stationary(g)
 	sum := 0.0
 	for _, p := range pi {
 		sum += p
@@ -117,8 +151,8 @@ func TestStationaryDistribution(t *testing.T) {
 		t.Fatalf("hub mass %v want 0.5", pi[0])
 	}
 	// Stationarity: pi P = pi.
-	p := LazyWalkMatrix(g)
-	next := p.MulVecLeft(pi)
+	next := make([]float64, len(pi))
+	stepLazy(g, pi, next)
 	for i := range pi {
 		if !almostEqual(next[i], pi[i], 1e-12) {
 			t.Fatalf("pi not stationary at %d", i)
@@ -127,7 +161,7 @@ func TestStationaryDistribution(t *testing.T) {
 }
 
 func TestMixingTimeCompleteIsSmall(t *testing.T) {
-	tm, capped := MixingTimeExact(graph.Complete(8), 1000)
+	tm, capped := mixingTimeExact(graph.Complete(8), 1000)
 	if capped {
 		t.Fatal("K8 search unexpectedly capped")
 	}
@@ -137,9 +171,9 @@ func TestMixingTimeCompleteIsSmall(t *testing.T) {
 }
 
 func TestMixingTimeMonotoneInCycleSize(t *testing.T) {
-	t8, _ := MixingTimeExact(graph.Cycle(8), 100000)
-	t16, _ := MixingTimeExact(graph.Cycle(16), 100000)
-	t32, _ := MixingTimeExact(graph.Cycle(32), 100000)
+	t8, _ := mixingTimeExact(graph.Cycle(8), 100000)
+	t16, _ := mixingTimeExact(graph.Cycle(16), 100000)
+	t32, _ := mixingTimeExact(graph.Cycle(32), 100000)
 	if !(t8 < t16 && t16 < t32) {
 		t.Fatalf("cycle mixing times not increasing: %d %d %d", t8, t16, t32)
 	}
@@ -152,34 +186,37 @@ func TestMixingTimeMonotoneInCycleSize(t *testing.T) {
 
 func TestMixingTimeExactMatchesDefinition(t *testing.T) {
 	g := graph.Cycle(8)
-	tm, _ := MixingTimeExact(g, 10000)
-	pi := Stationary(g)
-	p := LazyWalkMatrix(g)
+	tm, _ := mixingTimeExact(g, 10000)
+	pi := stationary(g)
+	p := lazyWalkMatrix(g)
 	// P^(tm) mixes, P^(tm-1) does not.
-	pow := Identity(g.N())
+	pow := identity(g.N())
 	for i := 0; i < tm-1; i++ {
-		pow = pow.Mul(p)
+		pow = product(pow, p)
 	}
 	if withinMixingTolerance(pow, pi) {
 		t.Fatal("P^(tmix-1) already mixed")
 	}
-	pow = pow.Mul(p)
+	pow = product(pow, p)
 	if !withinMixingTolerance(pow, pi) {
 		t.Fatal("P^tmix not mixed")
 	}
 }
 
 func TestMixingTimeExactHonorsCap(t *testing.T) {
-	got, capped := MixingTimeExact(graph.Cycle(64), 10)
+	got, capped := mixingTimeExact(graph.Cycle(64), 10)
 	if got != 10 || !capped {
 		t.Fatalf("cap ignored: got %d capped=%v", got, capped)
 	}
 }
 
+// TestMixingTimeSpectralUpperBoundsExact: the spectral bound the exact
+// regime prints above MixingTimeExactLimit, taken from the profile's own
+// gap, bounds the exact mixing time from above and not too loosely.
 func TestMixingTimeSpectralUpperBoundsExact(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.Cycle(16), graph.Complete(12), graph.Hypercube(4)} {
-		exact, _ := MixingTimeExact(g, 1000000)
-		spec := MixingTimeSpectral(g)
+		exact, _ := mixingTimeExact(g, 1000000)
+		spec := mixingTimeFromGap(g, mustProfile(t, g, ModeExact).SpectralGap)
 		if spec < exact {
 			t.Fatalf("spectral estimate %d below exact %d", spec, exact)
 		}
@@ -190,36 +227,33 @@ func TestMixingTimeSpectralUpperBoundsExact(t *testing.T) {
 }
 
 func TestConductanceCycleClosedForm(t *testing.T) {
-	// Φ(C_n) = 2 / (2·floor(n/2)·... volume of half = n for even n): 2/n.
-	g := graph.Cycle(10)
-	want := 2.0 / 10.0
-	if got := ConductanceExact(g); !almostEqual(got, want, 1e-12) {
-		t.Fatalf("cycle conductance %v want %v", got, want)
+	// Φ(C_n) for even n: the half cut has 2 edges over volume n, so 2/n.
+	if got, _ := enumerateCuts(graph.Cycle(10)); !almostEqual(got, 2.0/10.0, 1e-12) {
+		t.Fatalf("cycle conductance %v want %v", got, 2.0/10.0)
 	}
 }
 
 func TestConductanceCompleteClosedForm(t *testing.T) {
 	// K_n even n: cut n/2: edges (n/2)² over vol (n/2)(n-1).
 	n := 8
-	g := graph.Complete(n)
 	want := float64(n*n/4) / float64(n/2*(n-1))
-	if got := ConductanceExact(g); !almostEqual(got, want, 1e-12) {
+	if got, _ := enumerateCuts(graph.Complete(n)); !almostEqual(got, want, 1e-12) {
 		t.Fatalf("K%d conductance %v want %v", n, got, want)
 	}
 }
 
 func TestIsoperimetricClosedForms(t *testing.T) {
-	// i(C_n) for even n: 2/(n/2) = 4/n.
-	if got := IsoperimetricExact(graph.Cycle(12)); !almostEqual(got, 4.0/12.0, 1e-12) {
-		t.Fatalf("cycle isoperimetric %v want %v", got, 4.0/12.0)
-	}
-	// i(K_n) = ceil(n/2): cut n/2 gives (n/2)²/(n/2) = n/2.
-	if got := IsoperimetricExact(graph.Complete(8)); !almostEqual(got, 4, 1e-12) {
-		t.Fatalf("K8 isoperimetric %v want 4", got)
-	}
-	// i(Star_n): singleton leaf cut = 1.
-	if got := IsoperimetricExact(graph.Star(8)); !almostEqual(got, 1, 1e-12) {
-		t.Fatalf("star isoperimetric %v want 1", got)
+	for _, c := range []struct {
+		g    *graph.Graph
+		want float64
+	}{
+		{graph.Cycle(12), 4.0 / 12.0}, // i(C_n) for even n: 2/(n/2) = 4/n
+		{graph.Complete(8), 4},        // i(K_n): the n/2 cut, (n/2)²/(n/2)
+		{graph.Star(8), 1},            // i(Star_n): a singleton leaf
+	} {
+		if _, got := enumerateCuts(c.g); !almostEqual(got, c.want, 1e-12) {
+			t.Fatalf("n=%d isoperimetric %v want %v", c.g.N(), got, c.want)
+		}
 	}
 }
 
@@ -231,51 +265,52 @@ func TestIsoperimetricLowerBound(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if got := IsoperimetricExact(g); got < 2.0/float64(g.N())-1e-12 {
+		if _, got := enumerateCuts(g); got < 2.0/float64(g.N())-1e-12 {
 			t.Fatalf("isoperimetric %v below 2/n", got)
 		}
 	}
 }
 
+// TestSweepCutUpperBoundsExact: the sweep cut the estimate regime runs
+// measures real cuts, so it never reports less than the enumerated optimum.
 func TestSweepCutUpperBoundsExact(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		graph.Cycle(14), graph.Complete(10), graph.Barbell(5, 3), graph.Star(10),
 	} {
-		exactPhi := ConductanceExact(g)
-		exactIso := IsoperimetricExact(g)
-		sweepPhi, sweepIso := SweepCut(g)
-		if sweepPhi < exactPhi-1e-9 {
-			t.Fatalf("sweep conductance %v below exact %v", sweepPhi, exactPhi)
+		exactPhi, exactIso := enumerateCuts(g)
+		p := mustProfile(t, g, ModeEstimate)
+		if p.ExactCuts {
+			t.Fatalf("n=%d: estimate profile claims exact cuts", g.N())
 		}
-		if sweepIso < exactIso-1e-9 {
-			t.Fatalf("sweep isoperimetric %v below exact %v", sweepIso, exactIso)
+		if p.Conductance < exactPhi-1e-9 {
+			t.Fatalf("sweep conductance %v below exact %v", p.Conductance, exactPhi)
+		}
+		if p.Isoperimetric < exactIso-1e-9 {
+			t.Fatalf("sweep isoperimetric %v below exact %v", p.Isoperimetric, exactIso)
 		}
 	}
 }
 
 func TestSweepCutTightOnSymmetricFamilies(t *testing.T) {
-	// On cycles and barbells the Fiedler sweep finds the optimal cut.
-	g := graph.Cycle(16)
-	sweepPhi, _ := SweepCut(g)
-	if !almostEqual(sweepPhi, ConductanceExact(g), 1e-9) {
-		t.Fatalf("sweep not tight on cycle: %v vs %v", sweepPhi, ConductanceExact(g))
-	}
-	bb := graph.Barbell(6, 4)
-	if bb.N() > ExactCutLimit {
-		t.Fatalf("test graph too large for exact check")
-	}
-	sweepPhiB, _ := SweepCut(bb)
-	exactB := ConductanceExact(bb)
-	if sweepPhiB > exactB*1.5+1e-9 {
-		t.Fatalf("sweep loose on barbell: %v vs %v", sweepPhiB, exactB)
+	// On the cycle the Fiedler sweep finds the optimal cut; on the barbell
+	// one within a factor 1.5.
+	for _, c := range []struct {
+		g     *graph.Graph
+		slack float64
+	}{{graph.Cycle(16), 1}, {graph.Barbell(6, 4), 1.5}} {
+		exact, _ := enumerateCuts(c.g)
+		if sweep := mustProfile(t, c.g, ModeEstimate).Conductance; sweep > exact*c.slack+1e-9 {
+			t.Fatalf("n=%d: sweep conductance %v, exact %v", c.g.N(), sweep, exact)
+		}
 	}
 }
 
 func TestCheegerBoundsHold(t *testing.T) {
-	// gap/2 <= φ(P) <= sqrt(2·gap) for the lazy chain, φ(P) = Φ/2.
+	// gap/2 <= φ(P) <= sqrt(2·gap) for the lazy chain, whose conductance
+	// (edge measure over stationary measure) is φ(P) = Φ/2.
 	for _, g := range []*graph.Graph{graph.Cycle(12), graph.Complete(8), graph.Hypercube(3)} {
-		lo, hi := CheegerBounds(g)
-		phi := ChainConductance(g)
+		p := mustProfile(t, g, ModeExact)
+		lo, hi, phi := p.SpectralGap/2, math.Sqrt(2*p.SpectralGap), p.Conductance/2
 		if phi < lo-1e-9 || phi > hi+1e-9 {
 			t.Fatalf("chain conductance %v outside Cheeger [%v, %v]", phi, lo, hi)
 		}
@@ -288,15 +323,7 @@ func TestEnumerateCutsPanicsBeyondLimit(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	ConductanceExact(graph.Cycle(ExactCutLimit + 2))
-}
-
-func TestCutEdges(t *testing.T) {
-	g := graph.Cycle(6)
-	inS := []bool{true, true, true, false, false, false}
-	if got := CutEdges(g, inS); got != 2 {
-		t.Fatalf("cycle half cut %d want 2", got)
-	}
+	enumerateCuts(graph.Cycle(ExactCutLimit + 2))
 }
 
 func TestProfileGraph(t *testing.T) {
@@ -319,6 +346,26 @@ func TestProfileGraph(t *testing.T) {
 	}
 }
 
+// TestProfileStringLabelsSources: each printed number names the method
+// that produced it, and a capped mixing time says so.
+func TestProfileStringLabelsSources(t *testing.T) {
+	for _, c := range []struct {
+		p          Profile
+		tmix, cuts string
+	}{
+		{Profile{ExactMixing: true, ExactCuts: true}, "(exact)", "(exact)"},
+		{Profile{ExactMixing: true, MixingCapped: true}, "(exact, capped)", "(sweep cut)"},
+		{Profile{}, "(spectral bound)", "(sweep cut)"},
+		{Profile{Estimated: true}, "(sampled)", "(sweep cut)"},
+		{Profile{Estimated: true, MixingCapped: true}, "(sampled, capped)", "(sweep cut)"},
+	} {
+		lines := strings.Split(c.p.String(), "\n")
+		if len(lines) != 4 || !strings.HasSuffix(lines[2], c.tmix) || !strings.HasSuffix(lines[3], c.cuts) {
+			t.Errorf("%+v: got %q, want tmix %s and cuts %s", c.p, lines, c.tmix, c.cuts)
+		}
+	}
+}
+
 func TestProfileRejectsDisconnected(t *testing.T) {
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1)
@@ -330,19 +377,11 @@ func TestProfileRejectsDisconnected(t *testing.T) {
 
 func TestSpectralGapOrdersFamilies(t *testing.T) {
 	// Expander-like families mix faster than cycles of the same size.
-	cyc := SpectralGap(graph.Cycle(16))
-	hyp := SpectralGap(graph.Hypercube(4))
-	kom := SpectralGap(graph.Complete(16))
+	cyc := mustProfile(t, graph.Cycle(16), ModeExact).SpectralGap
+	hyp := mustProfile(t, graph.Hypercube(4), ModeExact).SpectralGap
+	kom := mustProfile(t, graph.Complete(16), ModeExact).SpectralGap
 	if !(cyc < hyp && hyp < kom) {
 		t.Fatalf("gap ordering violated: cycle=%v hypercube=%v complete=%v", cyc, hyp, kom)
-	}
-}
-
-func BenchmarkSecondEigenvalue(b *testing.B) {
-	g := graph.Cycle(256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = SecondEigenvalue(g)
 	}
 }
 
@@ -350,15 +389,15 @@ func BenchmarkMixingTimeExact(b *testing.B) {
 	g := graph.Cycle(32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = MixingTimeExact(g, 1<<20)
+		_, _ = mixingTimeExact(g, 1<<20)
 	}
 }
 
-func BenchmarkConductanceExact(b *testing.B) {
+func BenchmarkEnumerateCuts(b *testing.B) {
 	g := graph.Cycle(16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ConductanceExact(g)
+		_, _ = enumerateCuts(g)
 	}
 }
 
@@ -371,8 +410,8 @@ func TestSweepCutCheegerConsistency(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		sweepPhi, _ := SweepCut(g)
-		return sweepPhi >= SpectralGap(g)-1e-9
+		p := mustProfile(t, g, ModeEstimate)
+		return p.Conductance >= p.SpectralGap-1e-9
 	}, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +425,7 @@ func TestMixingTimeInvariantUnderPortPermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	perm := g.PermutePorts(r.Split(5))
-	if a, b := MixingTime(g), MixingTime(perm); a != b {
+	if a, b := mustProfile(t, g, ModeExact).MixingTime, mustProfile(t, perm, ModeExact).MixingTime; a != b {
 		t.Fatalf("mixing time changed under port permutation: %d vs %d", a, b)
 	}
 }
