@@ -14,33 +14,47 @@ import (
 )
 
 // TestConformanceWHP asserts the paper's "with high probability" on the
-// public path: on a 256-node expander, each protocol elects exactly one
-// leader in enough of 16 fixed trial seeds that the Wilson lower bound on
-// its unique-leader rate is at least 0.7. That bound admits at most one
-// failure in 16.
+// public path: on each fault-free family of the gate sweep, at its largest
+// gate size and graph seed 1, every protocol the gate runs there elects
+// exactly one leader in enough of 16 fixed trial seeds that the Wilson
+// lower bound on its unique-leader rate is at least 0.7. That bound admits
+// at most one failure in 16.
 func TestConformanceWHP(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs 64 elections on expander-256")
-	}
-	nw, err := anonlead.NewNetwork("expander", 256, 1)
-	if err != nil {
-		t.Fatal(err)
+		t.Skip("runs 176 elections on the gate's largest fault-free cells")
 	}
 	const first, trials = 100, 16
-	for _, proto := range []string{anonlead.ProtoIRE, anonlead.ProtoExplicit, anonlead.ProtoWalkNotify, anonlead.ProtoFloodMax} {
-		unique := 0
-		for s := uint64(first); s < first+trials; s++ {
-			out, err := nw.Run(context.Background(), proto, anonlead.WithSeed(s))
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", proto, s, err)
-			}
-			if out.Unique {
-				unique++
-			}
+	for _, cell := range []struct {
+		family string
+		n      int
+		protos []string
+	}{
+		{"expander", 256, []string{anonlead.ProtoIRE, anonlead.ProtoExplicit, anonlead.ProtoWalkNotify, anonlead.ProtoFloodMax}},
+		{"hypercube", 256, []string{anonlead.ProtoIRE}},
+		{"cycle", 96, []string{anonlead.ProtoIRE, anonlead.ProtoWalkNotify}},
+		{"complete", 128, []string{anonlead.ProtoIRE, anonlead.ProtoFloodMax}},
+		{"diam2", 129, []string{anonlead.ProtoIRE, anonlead.ProtoFloodMax}},
+	} {
+		nw, err := anonlead.NewNetwork(cell.family, cell.n, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Logf("%s: %d/%d unique leaders", proto, unique, trials)
-		if lo, _ := stats.Wilson(unique, trials); lo < 0.7 {
-			t.Errorf("%s: %d/%d unique leaders, Wilson lower bound %.3f < 0.7", proto, unique, trials, lo)
+		for _, proto := range cell.protos {
+			unique := 0
+			for s := uint64(first); s < first+trials; s++ {
+				out, err := nw.Run(context.Background(), proto, anonlead.WithSeed(s))
+				if err != nil {
+					t.Fatalf("%s-%d %s seed %d: %v", cell.family, cell.n, proto, s, err)
+				}
+				if out.Unique {
+					unique++
+				}
+			}
+			t.Logf("%s-%d %s: %d/%d unique leaders", cell.family, cell.n, proto, unique, trials)
+			if lo, _ := stats.Wilson(unique, trials); lo < 0.7 {
+				t.Errorf("%s-%d %s: %d/%d unique leaders, Wilson lower bound %.3f < 0.7",
+					cell.family, cell.n, proto, unique, trials, lo)
+			}
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Scheduler selects how node steps are executed each round. All schedulers
 // produce bit-identical results: randomness is pre-split per node and
@@ -67,17 +70,20 @@ func (nw *Network) startActors() {
 	nw.actors = p
 }
 
-// deliverActors dispatches one round to the persistent goroutines and
-// waits for all of them.
+// deliverActors dispatches one round to the goroutines of the visit set's
+// nodes and waits for all of them.
 func (nw *Network) deliverActors(round int) {
 	if nw.actors == nil {
 		nw.startActors()
 	}
-	n := len(nw.machines)
-	for v := 0; v < n; v++ {
-		nw.actors.cmds[v] <- round
+	busy := 0
+	for i, word := range nw.visit {
+		for ; word != 0; word &= word - 1 {
+			nw.actors.cmds[i<<6|bits.TrailingZeros64(word)] <- round
+			busy++
+		}
 	}
-	for i := 0; i < n; i++ {
+	for ; busy > 0; busy-- {
 		<-nw.actors.done
 	}
 }

@@ -150,3 +150,23 @@ func TestAdaptiveOverridesLaterStaticSchedule(t *testing.T) {
 		t.Fatalf("CrashedCount = %d, want 1", nw.CrashedCount())
 	}
 }
+
+// TestObserveTrafficCountsOnlyTheRound: the adversary observes the routed
+// round's own send counts, so a node that sent and then sleeps under its
+// IdleUntil promise counts zero in the rounds it is not stepped.
+func TestObserveTrafficCountsOnlyTheRound(t *testing.T) {
+	const rounds = 10
+	adv := &testAdaptive{fireRound: rounds}
+	nw := New(Config{Graph: graph.Path(2), Seed: 1, Adversary: adv}, func(node, degree int, r *rng.RNG) Machine {
+		if node == 0 {
+			return &scripted{idle: map[int]int{0: 1 << 30}}
+		}
+		return &scripted{sendAt: map[int]bool{2: true}, idle: map[int]int{2: 8}}
+	})
+	nw.Run(rounds)
+	for r := 0; r < rounds; r++ {
+		if got, want := adv.observed[r+1], []int{0, btoi(r == 2)}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d traffic observation: got %v, want %v", r, got, want)
+		}
+	}
+}

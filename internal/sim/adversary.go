@@ -1,5 +1,7 @@
 package sim
 
+import "math/bits"
+
 // Adversary is a deterministic fault-injection policy interposed between
 // send and delivery. The simulator consults it from the single-threaded
 // routing/coordination path only, so implementations never see concurrent
@@ -46,7 +48,9 @@ type Adversary interface {
 
 // observeTraffic feeds the round's send counts to the adversary and
 // schedules the returned victims to crash at the start of the next round.
-// An earlier existing schedule for a node wins.
+// An earlier existing schedule for a node wins. Only the round's visited
+// nodes can have sent, so zeroing their counts afterwards leaves sent all
+// zero for the next round.
 func (nw *Network) observeTraffic(round int) {
 	for _, v := range nw.adv.ObserveTraffic(round, nw.sent) {
 		if v < 0 || v >= len(nw.crashAt) || nw.Crashed(v) {
@@ -54,6 +58,11 @@ func (nw *Network) observeTraffic(round int) {
 		}
 		if at := nw.crashAt[v]; at < 0 || at > round+1 {
 			nw.crashAt[v] = round + 1
+		}
+	}
+	for i, word := range nw.visit {
+		for ; word != 0; word &= word - 1 {
+			nw.sent[i<<6|bits.TrailingZeros64(word)] = 0
 		}
 	}
 }
@@ -82,8 +91,9 @@ func (nw *Network) applyCrashes(round int) {
 
 // releaseFutures merges the delayed packets arriving this round into their
 // receivers' inboxes (after the on-time packets routed last round, so
-// arrival order is deterministic for every scheduler). Packets for halted
-// or crashed receivers are dropped, mirroring normal delivery.
+// arrival order is deterministic for every scheduler) and adds the
+// receivers to the round's visit set. Packets for halted or crashed
+// receivers are dropped, mirroring normal delivery.
 func (nw *Network) releaseFutures(round int) {
 	if nw.adv == nil || nw.pendingFuture == 0 {
 		return
@@ -96,6 +106,7 @@ func (nw *Network) releaseFutures(round int) {
 			continue
 		}
 		nw.inbox[fd.node] = append(nw.inbox[fd.node], fd.pkt)
+		nw.visit.add(fd.node)
 	}
 	nw.future[slot] = bucket[:0]
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -9,15 +10,16 @@ import (
 )
 
 // scripted logs the rounds it is stepped in, broadcasts in the rounds of
-// sendAt and, after a Step in round r, promises IdleUntil(idle[r]) when r
-// is a key of idle.
+// sendAt, promises IdleUntil(init) in Init and, after a Step in round r,
+// promises IdleUntil(idle[r]) when r is a key of idle.
 type scripted struct {
+	init    int
 	idle    map[int]int
 	sendAt  map[int]bool
 	stepped []int
 }
 
-func (m *scripted) Init(ctx *Context) {}
+func (m *scripted) Init(ctx *Context) { ctx.IdleUntil(m.init) }
 
 func (m *scripted) Step(ctx *Context, inbox []Packet) {
 	m.stepped = append(m.stepped, ctx.Round())
@@ -43,7 +45,11 @@ func span(lo, hi int) []int {
 // the sleeper is stepped in: never on an empty inbox before its wake
 // round, always when a packet — on time or released late by the
 // adversary's ring — arrives, every round again once a step does not renew
-// the promise, and never after a crash-stop that lands while it idles.
+// the promise, and never after a crash-stop that lands while it idles. Then
+// it runs several sleepers at once and pins that each keeps its own
+// promise: sleepers promising different rounds wake each in its own round,
+// a packet that wakes one early lets its renewed promise outlive the old
+// wake round, and a promise made in Init holds from round 0.
 func TestIdleUntilContract(t *testing.T) {
 	const rounds = 12
 	cases := []struct {
@@ -114,6 +120,79 @@ func TestIdleUntilContract(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+
+	// Four sleepers around a scripted sender, the hub of a star, each
+	// keeping its own promise; every case runs on time and under a delay
+	// adversary, the hub sending early enough that its broadcast arrives in
+	// round arrive either way (0: it never sends).
+	const sleeperRounds = 14
+	sleepers := []struct {
+		name   string
+		init   []int         // each sleeper's Init promise
+		sleep  []map[int]int // each sleeper's promises after a step
+		arrive int
+		want   [][]int // each sleeper's stepped rounds
+	}{
+		{name: "each wakes in its own round",
+			sleep: []map[int]int{{0: 3}, {0: 7}, {0: 7}, {0: 12}},
+			want: [][]int{
+				append([]int{0}, span(3, sleeperRounds)...),
+				append([]int{0}, span(7, sleeperRounds)...),
+				append([]int{0}, span(7, sleeperRounds)...),
+				{0, 12, 13},
+			}},
+		{name: "a packet wakes them early and renewed promises pass the old wake rounds",
+			sleep:  []map[int]int{{0: 7, 6: 10}, {0: 7}, {0: 3, 3: 12, 6: 9}, {0: 12}},
+			arrive: 6,
+			want: [][]int{
+				{0, 6, 10, 11, 12, 13},
+				append([]int{0}, span(6, sleeperRounds)...),
+				{0, 3, 6, 9, 10, 11, 12, 13},
+				append([]int{0}, span(6, sleeperRounds)...),
+			}},
+		{name: "a promise made in Init",
+			init:  []int{5, 1, 0, 9},
+			sleep: []map[int]int{nil, nil, nil, {9: 12}},
+			want:  [][]int{span(5, sleeperRounds), span(1, sleeperRounds), span(0, sleeperRounds), {9, 12, 13}}},
+	}
+	for _, tc := range sleepers {
+		for _, delay := range []int{0, 3} {
+			for _, s := range []Scheduler{Sequential, WorkerPool, Actors} {
+				t.Run(fmt.Sprintf("several sleepers/%s/delay=%d/%s", tc.name, delay, s), func(t *testing.T) {
+					cfg := Config{Graph: graph.Star(5), Seed: 1, Scheduler: s, Workers: 2}
+					if delay > 0 {
+						cfg.Adversary = &testAdv{maxDelay: delay, fate: func(round, from, port, to int) (bool, int) {
+							return false, delay
+						}}
+					}
+					sendAt := map[int]bool{}
+					if tc.arrive > 0 {
+						sendAt[tc.arrive-1-delay] = true
+					}
+					nw := New(cfg, func(node, degree int, r *rng.RNG) Machine {
+						if node == 0 {
+							return &scripted{sendAt: sendAt}
+						}
+						m := &scripted{idle: tc.sleep[node-1]}
+						if tc.init != nil {
+							m.init = tc.init[node-1]
+						}
+						return m
+					})
+					defer nw.Close()
+					nw.Run(sleeperRounds)
+					if got := nw.Machine(0).(*scripted).stepped; !reflect.DeepEqual(got, span(0, sleeperRounds)) {
+						t.Fatalf("sender stepped in rounds %v, want every round", got)
+					}
+					for v := 1; v <= 4; v++ {
+						if got := nw.Machine(v).(*scripted).stepped; !reflect.DeepEqual(got, tc.want[v-1]) {
+							t.Errorf("sleeper %d stepped in rounds %v, want %v", v, got, tc.want[v-1])
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -51,6 +53,14 @@ type RoundInfo struct {
 // mailboxes, folded round by round into the embedded Ledger (halts, crashes,
 // in-flight count, cost accounting). Not safe for concurrent use by multiple
 // callers; internally the parallel scheduler partitions work safely.
+//
+// A round visits only the nodes with something to do. route builds next
+// round's visit set as it folds this one: every receiver it hands a packet,
+// every visited node whose step left no IdleUntil promise, and every
+// sleeper whose promised round has come. The schedulers step exactly the
+// nodes of the set and route folds exactly their sends, in ascending node
+// order, so a round costs its traffic plus one pass over the set's n/64
+// words.
 type Network struct {
 	Ledger
 	g         *graph.Graph
@@ -65,6 +75,10 @@ type Network struct {
 	workers   int
 	actors    *actorPool
 	loads     LinkLoads // one sender's bit loads, per port
+	visit     nodeSet   // the nodes stepped and folded this round
+	due       nodeSet   // next round's visit set, built by route
+	sleeping  nodeSet   // live nodes idling under an IdleUntil promise
+	wakeAt    int       // earliest promised round over sleeping (MaxInt: none)
 	// Fault injection (all nil/empty when adv is nil — the common case).
 	adv           Adversary
 	crashAt       []int              // per-node crash round (-1 = never)
@@ -121,7 +135,11 @@ func New(cfg Config, factory Factory) *Network {
 		rngs:      make([]rng.RNG, n),
 		scheduler: cfg.Scheduler,
 		workers:   workers,
+		wakeAt:    math.MaxInt,
 	}
+	words := (n + 63) / 64
+	sets := make(nodeSet, 3*words)
+	nw.visit, nw.due, nw.sleeping = sets[:words:words], sets[words:2*words:2*words], sets[2*words:]
 
 	root := rng.New(cfg.Seed)
 	off := nw.edgeOff[n]
@@ -161,6 +179,7 @@ func New(cfg Config, factory Factory) *Network {
 		ctx := &nw.ctxs[v]
 		ctx.reset(-1)
 		nw.machines[v].Init(ctx)
+		nw.visit.add(v)
 	}
 	nw.route(-1)
 	nw.CloseRound(false)
@@ -245,108 +264,155 @@ func (nw *Network) RunUntilContext(ctx context.Context, maxRounds int, done func
 }
 
 // stepNode runs one node's step for the round — the step Stepper.Step
-// runs, stopped if the ledger says so (a halt or a crash). It touches only
-// node v's state, so any scheduler may invoke it concurrently for distinct
-// nodes. A node idling under its IdleUntil promise with nothing delivered
-// is skipped outright: the call would be a no-op, and route already
-// emptied ctx.out.
+// runs, stopped if the ledger says so (a halt or a crash) — and empties its
+// mailbox for reuse as a "next" buffer. It touches only node v's state, so
+// any scheduler may invoke it concurrently for distinct nodes.
 func (nw *Network) stepNode(v, round int) {
-	ctx := &nw.ctxs[v]
-	box := nw.inbox[v]
-	if len(box) == 0 && round < int(ctx.wake) {
-		return
-	}
-	step(ctx, nw.machines[v], round, box, nw.halted[v])
+	step(&nw.ctxs[v], nw.machines[v], round, nw.inbox[v], nw.halted[v])
+	nw.inbox[v] = nw.inbox[v][:0]
 }
 
-// deliver invokes Step on every live machine with this round's inbox,
-// using the configured scheduler.
+// stepSet steps, in ascending order, the nodes of set: the visit set's
+// words from word first on.
+func (nw *Network) stepSet(set nodeSet, first, round int) {
+	for i, word := range set {
+		for ; word != 0; word &= word - 1 {
+			nw.stepNode((first+i)<<6|bits.TrailingZeros64(word), round)
+		}
+	}
+}
+
+// deliver steps every node of the round's visit set with its inbox, using
+// the configured scheduler. A node outside the set has an empty inbox and
+// an IdleUntil promise covering the round (or has stopped), so its step
+// would do nothing.
 func (nw *Network) deliver(round int) {
-	n := len(nw.machines)
 	switch {
 	case nw.scheduler == Actors:
 		nw.deliverActors(round)
-	case nw.scheduler == WorkerPool && n >= 2*nw.workers:
+	case nw.scheduler == WorkerPool && len(nw.machines) >= 2*nw.workers:
 		var wg sync.WaitGroup
-		chunk := (n + nw.workers - 1) / nw.workers
-		for start := 0; start < n; start += chunk {
-			end := start + chunk
-			if end > n {
-				end = n
-			}
+		words := len(nw.visit)
+		chunk := (words + nw.workers - 1) / nw.workers
+		for lo := 0; lo < words; lo += chunk {
+			hi := min(lo+chunk, words)
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
-				for v := lo; v < hi; v++ {
-					nw.stepNode(v, round)
-				}
-			}(start, end)
+				nw.stepSet(nw.visit[lo:hi], lo, round)
+			}(lo, hi)
 		}
 		wg.Wait()
 	default:
-		for v := 0; v < n; v++ {
-			nw.stepNode(v, round)
-		}
-	}
-	// Clear delivered mailboxes for reuse as the next "next" buffers.
-	for v := range nw.inbox {
-		nw.inbox[v] = nw.inbox[v][:0]
+		nw.stepSet(nw.visit, 0, round)
 	}
 }
 
-// route moves every context's sends into the receivers' next-round
+// route moves the visited nodes' sends into the receivers' next-round
 // mailboxes, folding them into the ledger in sender order (single-threaded:
 // determinism for every scheduler): halts, deliveries, traffic metering,
 // and — when an adversary is configured — its drop or delay of each packet.
-// round is the round whose sends are being routed (-1 for Init).
+// It builds next round's visit set on the way: each receiver of a packet,
+// each visited node left without a promise, and, once the earliest
+// promised round comes, the sleepers it wakes. round is the round whose
+// sends are being routed (-1 for Init).
 func (nw *Network) route(round int) {
-	for v := range nw.machines {
-		ctx := &nw.ctxs[v]
-		if ctx.halted {
-			nw.Stop(v)
+	for i, word := range nw.visit {
+		for ; word != 0; word &= word - 1 {
+			v := i<<6 | bits.TrailingZeros64(word)
+			nw.routeNode(v, round)
 		}
-		if nw.adv != nil {
-			nw.sent[v] = len(ctx.out)
-		}
-		// Link slots are charged before the adversary acts: a dropped or
-		// delayed packet was still transmitted by its sender.
-		if len(ctx.out) > 0 {
-			nw.Sent(nw.loads.Charge(ctx.out))
-		}
-		for _, s := range ctx.out {
-			w := nw.g.Neighbor(v, s.Port)
-			q := nw.revPort[nw.edgeOff[v]+s.Port]
-			delay := 0
-			if nw.adv != nil {
-				drop, d := nw.adv.Fate(round, v, s.Port, w)
-				if drop {
-					nw.metrics.Dropped++
-					continue
-				}
-				delay = d
-			}
-			if delay > 0 {
-				if nw.Halted(w) {
-					continue // receiver stopped: packet dropped
-				}
-				nw.metrics.Delayed++
-				slot := (round + 1 + delay) % len(nw.future)
-				nw.future[slot] = append(nw.future[slot],
-					futureDelivery{node: w, pkt: Packet{Port: int(q), Channel: s.Channel, Payload: s.Payload}})
-				nw.pendingFuture++
-				continue
-			}
-			if nw.Deliver(w, 1) {
-				nw.next[w] = append(nw.next[w], Packet{Port: int(q), Channel: s.Channel, Payload: s.Payload})
-			}
-		}
-		ctx.out = ctx.out[:0]
 	}
 	nw.inbox, nw.next = nw.next, nw.inbox
 	if nw.adv != nil {
 		nw.observeTraffic(round)
 	}
+	nw.visit, nw.due = nw.due, nw.visit
+	clear(nw.due)
+	if round+1 >= nw.wakeAt {
+		nw.wakeSleepers(round + 1)
+	}
 }
+
+// routeNode folds visited node v's round and files v in next round's visit
+// set or among the sleepers.
+func (nw *Network) routeNode(v, round int) {
+	ctx := &nw.ctxs[v]
+	if ctx.halted {
+		nw.Stop(v)
+	}
+	if nw.adv != nil {
+		nw.sent[v] = len(ctx.out)
+	}
+	// Link slots are charged before the adversary acts: a dropped or
+	// delayed packet was still transmitted by its sender.
+	if len(ctx.out) > 0 {
+		nw.Sent(nw.loads.Charge(ctx.out))
+	}
+	for _, s := range ctx.out {
+		w := nw.g.Neighbor(v, s.Port)
+		q := nw.revPort[nw.edgeOff[v]+s.Port]
+		delay := 0
+		if nw.adv != nil {
+			drop, d := nw.adv.Fate(round, v, s.Port, w)
+			if drop {
+				nw.metrics.Dropped++
+				continue
+			}
+			delay = d
+		}
+		if delay > 0 {
+			if nw.Halted(w) {
+				continue // receiver stopped: packet dropped
+			}
+			nw.metrics.Delayed++
+			slot := (round + 1 + delay) % len(nw.future)
+			nw.future[slot] = append(nw.future[slot],
+				futureDelivery{node: w, pkt: Packet{Port: int(q), Channel: s.Channel, Payload: s.Payload}})
+			nw.pendingFuture++
+			continue
+		}
+		if nw.Deliver(w, 1) {
+			nw.next[w] = append(nw.next[w], Packet{Port: int(q), Channel: s.Channel, Payload: s.Payload})
+			nw.due.add(w)
+		}
+	}
+	ctx.out = ctx.out[:0]
+	switch wake := int(ctx.wake); {
+	case nw.Halted(v):
+		nw.sleeping.remove(v)
+	case wake > round+1:
+		nw.sleeping.add(v)
+		nw.wakeAt = min(nw.wakeAt, wake)
+	default:
+		nw.sleeping.remove(v)
+		nw.due.add(v)
+	}
+}
+
+// wakeSleepers moves every sleeper whose promised round has come by round
+// into the visit set, and sets wakeAt to the earliest promise of those
+// left.
+func (nw *Network) wakeSleepers(round int) {
+	nw.wakeAt = math.MaxInt
+	for i, word := range nw.sleeping {
+		for ; word != 0; word &= word - 1 {
+			v := i<<6 | bits.TrailingZeros64(word)
+			if wake := int(nw.ctxs[v].wake); wake > round {
+				nw.wakeAt = min(nw.wakeAt, wake)
+				continue
+			}
+			nw.sleeping.remove(v)
+			nw.visit.add(v)
+		}
+	}
+}
+
+// nodeSet is a set of node indices, one bit per node.
+type nodeSet []uint64
+
+func (s nodeSet) add(v int)    { s[v>>6] |= 1 << (v & 63) }
+func (s nodeSet) remove(v int) { s[v>>6] &^= 1 << (v & 63) }
 
 // sortInbox orders packets by (port, channel) with stable order for ties
 // (a single neighbor's multi-packet sends keep their send order). Insertion

@@ -78,6 +78,51 @@ func BenchmarkNetworkRoundParallel(b *testing.B) {
 	}
 }
 
+// relay bounces one token over one link while every other node sleeps:
+// node 0 sends it on its port 0 in Init, a node that receives it sends it
+// straight back, and every call ends with the promise IdleUntil(1<<30).
+type relay struct{ token Payload }
+
+func (m *relay) Init(ctx *Context) {
+	if m.token != nil {
+		ctx.Send(0, 0, m.token)
+	}
+	ctx.IdleUntil(1 << 30)
+}
+
+func (m *relay) Step(ctx *Context, inbox []Packet) {
+	for _, p := range inbox {
+		ctx.Send(p.Port, p.Channel, p.Payload)
+	}
+	ctx.IdleUntil(1 << 30)
+}
+
+// BenchmarkSparseRound measures a round in which one packet crosses one
+// link and every other node sleeps under its IdleUntil promise, at two
+// sizes: what a round costs beyond its traffic. A round visits only the
+// nodes with something to do, so it grows with the visit set's n/64
+// words, not with n.
+func BenchmarkSparseRound(b *testing.B) {
+	for _, side := range []int{8, 256} {
+		g := graph.Torus(side, side)
+		b.Run(fmt.Sprintf("torus/n=%d", g.N()), func(b *testing.B) {
+			token := &testMsg{v: 1, bits: 8}
+			nw := New(Config{Graph: g, Seed: 1}, func(node, degree int, r *rng.RNG) Machine {
+				if node == 0 {
+					return &relay{token: token}
+				}
+				return &relay{}
+			})
+			nw.Run(4)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				nw.Step()
+			}
+		})
+	}
+}
+
 // TestStepAllocationFree pins the hot-path property the flattening PR
 // bought: once buffers are warm, a steady-state broadcast round allocates
 // nothing — no map for link accounting, no sort scratch, no mailbox growth.

@@ -22,9 +22,11 @@
 //
 // A machine that knows its next steps would do nothing may say so with
 // Context.IdleUntil: the network then skips its Step while its inbox stays
-// empty, so a round costs work in proportion to the nodes that have
-// something to do. The hint is a promise about the machine, not a change of
-// semantics — every skipped call is one that would have been a no-op.
+// empty. A round visits only the nodes with mail, without a promise, or
+// whose promised round has come, so it costs work in proportion to the
+// nodes that have something to do, plus one pass over an n-bit set. The
+// hint is a promise about the machine, not a change of semantics — every
+// skipped call is one that would have been a no-op.
 package sim
 
 import (

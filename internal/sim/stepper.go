@@ -30,8 +30,8 @@ var _ View = (*Network)(nil)
 // Stepper drives a single protocol machine outside a Network: the
 // real-transport node driver owns one Stepper per node and pumps it with
 // the packets that arrived over the wire. Network keeps the same per-node
-// state (context, private stream, machine) in parallel arrays, so its
-// per-round scans over the contexts stay dense, and both build a node with
+// state (context, private stream, machine) in parallel arrays indexed by
+// node, which its per-round visit set addresses, and both build a node with
 // newMachine and step it with step — context reset, halt check, inbox
 // ordering, Machine.Step — so a machine cannot tell whether its packets
 // came from the in-memory router or a socket.
