@@ -1,6 +1,6 @@
 # Shared entry points for humans and CI (.github/workflows/ci.yml calls
 # exactly these targets, so a green `make ci` locally means a green pipeline).
-# `make fuzz` runs each of its nine fuzzers for FUZZTIME (default 10s);
+# `make fuzz` runs each of its ten fuzzers for FUZZTIME (default 10s);
 # plain `go test` only replays their seed corpora.
 
 GO ?= go
@@ -37,7 +37,8 @@ race:
 # The decoders of bytes from outside the process — the bench artifact
 # reader, the transport frame and report codecs, the TCP Hello body an
 # unauthenticated peer sends first, the core and baseline payload codecs,
-# the ledist plan frame a node process builds its run from — the
+# the ledist plan frame a node process builds its run from and the outcome
+# frame it ends its run with — the
 # declarative adversary spec every fault flag and sweep cell builds from,
 # and the public edge-list constructor. One `go test -fuzz`
 # per target, because -fuzz takes a single fuzzer.
@@ -51,6 +52,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime $(FUZZTIME) ./internal/baseline
 	$(GO) test -run '^$$' -fuzz '^FuzzSpec$$' -fuzztime $(FUZZTIME) ./internal/adversary
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePlan$$' -fuzztime $(FUZZTIME) ./cmd/ledist
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeOutcome$$' -fuzztime $(FUZZTIME) ./cmd/ledist
 	$(GO) test -run '^$$' -fuzz '^FuzzNewNetworkFromEdges$$' -fuzztime $(FUZZTIME) .
 
 # Bench smoke: every benchmark once — a does-it-run check, not a

@@ -3,6 +3,8 @@ package anonlead
 import (
 	"context"
 	"testing"
+
+	"anonlead/internal/core"
 )
 
 func TestNewNetworkFamilies(t *testing.T) {
@@ -216,7 +218,7 @@ func TestElectRevocableMaxRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.Run(context.Background(), ProtoRevocable, WithSeed(1), WithMaxRounds(10)); err == nil {
+	if _, err := nw.Run(context.Background(), ProtoRevocable, WithSeed(1), WithProtoConfig(core.ProtoConfig{MaxRounds: 10})); err == nil {
 		t.Fatal("expected stabilization failure with tiny round budget")
 	}
 }

@@ -181,7 +181,7 @@ func BenchmarkAblationWalks(b *testing.B) {
 		b.Run(fmt.Sprintf("factor=%g", factor), func(b *testing.B) {
 			benchElections(b, anonlead.ProtoIRE, []benchCell{{"expander", 128}},
 				func(anonlead.Profile) []anonlead.Option {
-					return []anonlead.Option{anonlead.WithWalkFactor(factor)}
+					return []anonlead.Option{anonlead.WithProtoConfig(core.ProtoConfig{XFactor: factor})}
 				})
 		})
 	}

@@ -8,7 +8,6 @@
 //	benchdiff -base old.json -head new.json -fail-on regressed
 //	benchdiff -base old.json -head new.json -fail-on regressed,removed,drift
 //	benchdiff -base old.json -head new.json -json report.json
-//	benchdiff -base old.json -head new.json -rel-tol 0.1 -sigmas 2 -drift-tol 0.5
 //
 // The markdown summary goes to stdout (CI tees it into
 // $GITHUB_STEP_SUMMARY); -json additionally writes the machine-readable
@@ -19,7 +18,9 @@
 // deleting the cells where a regression lives — and with "drift" when any
 // cell's measured/predicted ratio (messages against the paper's message
 // bound, rounds against its time bound, both persisted per cell) moved by
-// more than -drift-tol relative to the baseline ratio. CI runs
+// more than 25 % relative to the baseline ratio. A metric changes only if
+// the effect clears both 5 % and 3 Welch standard errors; the thresholds
+// are fixed (trajectory.Thresholds' defaults). CI runs
 // "regressed,removed", which is what turns the artifact from write-only
 // telemetry into an enforced perf/complexity contract.
 //
@@ -50,25 +51,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 			"Aligns the sweep cells of two bench artifacts by (protocol, family, n,\n"+
 			"presumed_n, adversary, profile_mode, scenario) and classifies every metric\n"+
 			"improved/unchanged/regressed with variance-aware thresholds: an effect must\n"+
-			"clear both -rel-tol and -sigmas Welch standard errors (success rates compare\n"+
+			"clear both 5%% relative and 3 Welch standard errors (success rates compare\n"+
 			"by Wilson-interval disjointness). Measured/predicted ratios (msgs_vs_pred,\n"+
-			"time_vs_pred) gate separately: a ratio moving more than -drift-tol relative to\n"+
+			"time_vs_pred) gate separately: a ratio moving more than 25%% relative to\n"+
 			"its baseline is flagged drifted. The markdown summary goes to stdout.\n"+
 			"-fail-on turns verdicts into exit status 1; CI runs \"regressed,removed\".\n\nFlags:\n")
 		fs.PrintDefaults()
 		fmt.Fprintf(stderr, "\nExamples:\n"+
 			"  benchdiff -base testdata/BENCH_baseline.json -head BENCH_harness.json\n"+
 			"  benchdiff -base old.json -head new.json -fail-on regressed,removed,drift\n"+
-			"  benchdiff -base old.json -head new.json -drift-tol 0.5 -json report.json\n")
+			"  benchdiff -base old.json -head new.json -json report.json\n")
 	}
 	var (
 		base     = fs.String("base", "", "baseline artifact (e.g. testdata/BENCH_baseline.json)")
 		head     = fs.String("head", "", "candidate artifact (e.g. BENCH_harness.json)")
 		jsonPath = fs.String("json", "", "also write the machine-readable report here")
 		failOn   = fs.String("fail-on", "none", "comma-separated exit-1 conditions: none, regressed, removed, drift")
-		relTol   = fs.Float64("rel-tol", 0, "minimum relative effect to call a change (0 = default 0.05)")
-		sigmas   = fs.Float64("sigmas", 0, "minimum effect in Welch standard errors (0 = default 3)")
-		driftTol = fs.Float64("drift-tol", 0, "minimum relative measured/predicted ratio change to call drift (0 = default 0.25)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -94,8 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	report, err := trajectory.DiffFiles(*base, *head,
-		trajectory.Thresholds{RelTol: *relTol, Sigmas: *sigmas, DriftTol: *driftTol})
+	report, err := trajectory.DiffFiles(*base, *head)
 	if err != nil {
 		fmt.Fprintln(stderr, "benchdiff:", err)
 		return 2

@@ -78,13 +78,12 @@ type joinMsg struct {
 }
 
 type planMsg struct {
-	Family      string           `json:"family"`
-	N           int              `json:"n"`
-	Seed        uint64           `json:"seed"`
-	Proto       string           `json:"proto"`
-	PC          core.ProtoConfig `json:"pc"`
-	CongestBits int              `json:"congest_bits"`
-	Peers       []string         `json:"peers"` // data addresses by node index
+	Family string           `json:"family"`
+	N      int              `json:"n"`
+	Seed   uint64           `json:"seed"`
+	Proto  string           `json:"proto"`
+	PC     core.ProtoConfig `json:"pc"`
+	Peers  []string         `json:"peers"` // data addresses by node index
 }
 
 // decodePlan parses a plan frame body and validates it for node.
@@ -97,25 +96,37 @@ func decodePlan(body []byte, node int) (planMsg, error) {
 }
 
 // validate checks what a node indexes by before it builds anything from
-// the plan: a node outside the graph, fewer peer addresses than nodes, or
-// a non-positive slot budget would otherwise panic mid-run.
+// the plan: a node outside the graph or fewer peer addresses than nodes
+// would otherwise panic mid-run.
 func (p planMsg) validate(node int) error {
 	switch {
 	case node < 0 || node >= p.N:
 		return fmt.Errorf("plan: node %d outside the %d-node graph", node, p.N)
 	case len(p.Peers) != p.N:
 		return fmt.Errorf("plan: %d peer addresses for %d nodes", len(p.Peers), p.N)
-	case p.CongestBits <= 0:
-		return fmt.Errorf("plan: congest_bits %d, want a positive slot budget", p.CongestBits)
 	}
 	return nil
 }
 
+// outcomeMsg is a node's last word: its leadership claim.
 type outcomeMsg struct {
 	Node   int    `json:"node"`
 	Leader bool   `json:"leader"`
 	ID     uint64 `json:"id"`
-	Halted bool   `json:"halted"`
+}
+
+// decodeOutcome parses the outcome frame body that node's control
+// connection carried. Bad JSON, or an outcome naming another node, is an
+// error: counting it as "no leader" would hide it.
+func decodeOutcome(body []byte, node int) (outcomeMsg, error) {
+	var o outcomeMsg
+	if err := json.Unmarshal(body, &o); err != nil {
+		return o, fmt.Errorf("outcome: %w", err)
+	}
+	if o.Node != node {
+		return o, fmt.Errorf("outcome: names node %d", o.Node)
+	}
+	return o, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -131,8 +142,8 @@ type artifact struct {
 	Error       string  `json:"error,omitempty"`
 	Sim         *runRes `json:"sim,omitempty"`
 	Dist        *runRes `json:"dist,omitempty"`
-	// Match: the distributed run elected the same leader in the same
-	// number of rounds with the same CONGEST charge as the simulator.
+	// Match: the distributed run and the simulator agree on every cost
+	// and outcome field (runRes.matches).
 	Match *bool `json:"match,omitempty"`
 }
 
@@ -147,6 +158,15 @@ type runRes struct {
 	ConnectSeconds  float64   `json:"connect_seconds,omitempty"`
 	SecondsPerRound float64   `json:"seconds_per_round,omitempty"`
 	RoundSeconds    []float64 `json:"round_seconds,omitempty"`
+}
+
+// matches reports whether r and o describe the same election: rounds,
+// CONGEST charge, messages, bits, leader count and leader ID. The
+// wall-clock fields are not compared.
+func (r runRes) matches(o runRes) bool {
+	return r.Rounds == o.Rounds && r.ChargedRounds == o.ChargedRounds &&
+		r.Messages == o.Messages && r.Bits == o.Bits &&
+		r.Leaders == o.Leaders && r.LeaderID == o.LeaderID
 }
 
 // ctlMsg is one frame read off a node's control connection.
@@ -240,9 +260,7 @@ func coordMain(proto, family string, n int, seed uint64, out string, timeout tim
 			ElapsedSeconds: time.Since(began).Seconds(),
 		}
 		if distErr == nil {
-			m := art.Dist.Rounds == art.Sim.Rounds &&
-				art.Dist.LeaderID == art.Sim.LeaderID &&
-				art.Dist.ChargedRounds == art.Sim.ChargedRounds
+			m := art.Dist.matches(*art.Sim)
 			art.Match = &m
 		}
 	}
@@ -294,13 +312,13 @@ func resolveRun(proto, family string, n int, seed uint64) (nw *anonlead.Network,
 // runDistributed spawns the node processes, runs the shared coordinator
 // over their control connections, and fills art.Dist with whatever
 // completed (even on interrupt or node failure). The slot budget is the
-// coordinator ledger's default for g, recorded in art.CongestBits and
-// shipped to every node.
+// coordinator ledger's default for g, recorded in art.CongestBits; every
+// node derives the same one from the graph it rebuilds.
 func runDistributed(ctx context.Context, g *graph.Graph, entry core.Entry, pc core.ProtoConfig, seed uint64, roundBudget int, art *artifact) error {
 	n := g.N()
 	nodes := make([]nodeConn, n)
 	msgs := make(chan ctlMsg, n)
-	coord := transport.NewCoordinator(g, 0, framePlane{nodes: nodes, msgs: msgs}, nil)
+	coord := transport.NewCoordinator(g, framePlane{nodes: nodes, msgs: msgs}, nil)
 	art.CongestBits = coord.Metrics().CongestBits
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -364,7 +382,7 @@ func runDistributed(ctx context.Context, g *graph.Graph, entry core.Entry, pc co
 
 	// Plan phase: ship the resolved run description; the nodes wire their
 	// data fabric among themselves and run the Init pseudo-round.
-	plan := planMsg{Family: art.Family, N: n, Seed: seed, Proto: entry.Name, PC: pc, CongestBits: art.CongestBits, Peers: peers}
+	plan := planMsg{Family: art.Family, N: n, Seed: seed, Proto: entry.Name, PC: pc, Peers: peers}
 	planBody, err := json.Marshal(plan)
 	if err != nil {
 		return err
@@ -431,12 +449,13 @@ func runDistributed(ctx context.Context, g *graph.Graph, entry core.Entry, pc co
 			if m.f.Type != transport.FrameOutcome {
 				continue
 			}
-			var o outcomeMsg
-			if err := json.Unmarshal(m.f.Body, &o); err == nil {
-				if o.Leader {
-					leaders++
-					leaderID = o.ID
-				}
+			o, err := decodeOutcome(m.f.Body, m.node)
+			if err != nil && runErr == nil {
+				runErr = fmt.Errorf("node %d: %w", m.node, err)
+			}
+			if err == nil && o.Leader {
+				leaders++
+				leaderID = o.ID
 			}
 			done[m.node] = true
 			got++
@@ -610,11 +629,11 @@ func nodeMain(v int, coord string) error {
 	ln.Close()
 
 	st := sim.NewStepper(plan.Seed, runner.Factory, v, g.Degree(v))
-	if err := transport.RunNode(v, st, entry.Wire, links, plan.CongestBits, &remoteControl{link: ctl}); err != nil {
+	if err := transport.RunNode(v, st, entry.Wire, links, sim.DefaultCongestBits(g.N()), &remoteControl{link: ctl}); err != nil {
 		return fmt.Errorf("node %d: control: %w", v, err)
 	}
 
-	o := outcomeMsg{Node: v, Halted: st.Halted()}
+	o := outcomeMsg{Node: v}
 	if lr, ok := st.Machine().(sim.LeaderReporter); ok {
 		o.Leader, o.ID = lr.LeaderInfo()
 	}

@@ -19,8 +19,9 @@ import (
 
 // TestLedistMatchesSimulator builds the binary and runs real multi-process
 // elections: every node its own OS process over localhost TCP. Each must
-// exit 0 and record match: true — same leader, rounds and CONGEST charge
-// as the simulator replay of the same seed — and label the artifact with
+// exit 0 and record match: true — same rounds, CONGEST charge, messages,
+// bits, leader count and leader as the simulator replay of the same seed —
+// and label the artifact with
 // the size of the graph built and its slot budget, not the requested -n
 // (the hypercube rounds 20 down to 16).
 func TestLedistMatchesSimulator(t *testing.T) {
@@ -71,13 +72,13 @@ func TestLedistMatchesSimulator(t *testing.T) {
 
 // validPlan is a plan the coordinator could ship for a 4-node cycle.
 func validPlan() planMsg {
-	return planMsg{Family: "cycle", N: 4, Seed: 1, Proto: "floodmax", CongestBits: 16,
+	return planMsg{Family: "cycle", N: 4, Seed: 1, Proto: "floodmax",
 		Peers: []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3", "127.0.0.1:4"}}
 }
 
 // TestPlanValidate: a plan frame that would make a node panic — index a
-// missing peer, meter against a non-positive slot budget, or step a node
-// outside the graph — is refused with an error naming the fault.
+// missing peer or step a node outside the graph — is refused with an error
+// naming the fault.
 func TestPlanValidate(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -88,8 +89,6 @@ func TestPlanValidate(t *testing.T) {
 		{"valid", func(*planMsg) {}, 3, ""},
 		{"short peers", func(p *planMsg) { p.Peers = p.Peers[:3] }, 0, "3 peer addresses for 4 nodes"},
 		{"no peers", func(p *planMsg) { p.Peers = nil }, 0, "0 peer addresses for 4 nodes"},
-		{"zero budget", func(p *planMsg) { p.CongestBits = 0 }, 0, "congest_bits 0"},
-		{"negative budget", func(p *planMsg) { p.CongestBits = -8 }, 0, "congest_bits -8"},
 		{"node past n", func(*planMsg) {}, 4, "node 4 outside the 4-node graph"},
 		{"negative node", func(*planMsg) {}, -1, "node -1 outside"},
 		{"empty graph", func(p *planMsg) { p.N, p.Peers = 0, nil }, 0, "node 0 outside the 0-node graph"},
@@ -119,8 +118,8 @@ func FuzzDecodePlan(f *testing.F) {
 	}
 	f.Add(valid, 0)
 	f.Add(valid, 4)
-	f.Add([]byte(`{"family":"cycle","n":4,"congest_bits":0,"peers":["a","b","c","d"]}`), 1)
-	f.Add([]byte(`{"n":3,"congest_bits":8,"peers":["a"]}`), 2)
+	f.Add([]byte(`{"family":"cycle","n":4,"peers":["a","b","c","d"]}`), 1)
+	f.Add([]byte(`{"n":3,"peers":["a"]}`), 2)
 	f.Add([]byte(`[]`), 0)
 	f.Fuzz(func(t *testing.T, body []byte, node int) {
 		p, err := decodePlan(body, node)
@@ -136,6 +135,81 @@ func FuzzDecodePlan(f *testing.F) {
 			t.Fatalf("plan %+v re-decodes as %+v (err %v)", p, q, err)
 		}
 	})
+}
+
+// TestDecodeOutcome: an outcome frame body decodes only if it is JSON and
+// names the node whose connection carried it; the error says which.
+func TestDecodeOutcome(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body string
+		node int
+		want string
+	}{
+		{"leader", `{"node":3,"leader":true,"id":42}`, 3, ""},
+		{"not leader", `{"node":0,"leader":false,"id":0}`, 0, ""},
+		{"other node", `{"node":2,"leader":true,"id":42}`, 3, "names node 2"},
+		{"truncated", `{"node":3,"leader":tr`, 3, "outcome: "},
+		{"empty", ``, 3, "outcome: "},
+		{"wrong type", `{"node":"3"}`, 3, "outcome: "},
+		{"not an object", `[]`, 3, "outcome: "},
+	} {
+		o, err := decodeOutcome([]byte(tc.body), tc.node)
+		if tc.want == "" {
+			if err != nil || o.Node != tc.node {
+				t.Errorf("%s: got %+v err %v", tc.name, o, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// FuzzDecodeOutcome: arbitrary outcome bodies decode to an error or to an
+// outcome that names its sender, never a panic.
+func FuzzDecodeOutcome(f *testing.F) {
+	f.Add([]byte(`{"node":3,"leader":true,"id":42}`), 3)
+	f.Add([]byte(`{"node":2,"leader":true,"id":42}`), 3)
+	f.Add([]byte(`{"node":0}`), 0)
+	f.Add([]byte(`null`), 0)
+	f.Add([]byte(`{"node":1,"leader":tr`), 1)
+	f.Fuzz(func(t *testing.T, body []byte, node int) {
+		o, err := decodeOutcome(body, node)
+		if err == nil && o.Node != node {
+			t.Fatalf("outcome %+v accepted from node %d", o, node)
+		}
+	})
+}
+
+// TestRunResMatches: match is every cost and outcome field, so any one of
+// them differing alone is a mismatch, and the wall-clock fields are not
+// compared.
+func TestRunResMatches(t *testing.T) {
+	base := runRes{Rounds: 12, ChargedRounds: 14, Messages: 96, Bits: 480, Leaders: 1, LeaderID: 7}
+	timed := base
+	timed.ElapsedSeconds, timed.ConnectSeconds, timed.SecondsPerRound, timed.RoundSeconds = 1, 2, 3, []float64{4}
+	if !base.matches(timed) {
+		t.Fatal("runs differing only in wall-clock fields do not match")
+	}
+	for _, tc := range []struct {
+		field string
+		edit  func(*runRes)
+	}{
+		{"rounds", func(r *runRes) { r.Rounds++ }},
+		{"charged_rounds", func(r *runRes) { r.ChargedRounds++ }},
+		{"messages", func(r *runRes) { r.Messages++ }},
+		{"bits", func(r *runRes) { r.Bits++ }},
+		{"leaders", func(r *runRes) { r.Leaders++ }},
+		{"leader_id", func(r *runRes) { r.LeaderID++ }},
+	} {
+		other := base
+		tc.edit(&other)
+		if base.matches(other) || other.matches(base) {
+			t.Errorf("runs differing only in %s match", tc.field)
+		}
+	}
 }
 
 // TestCoordinatorShipsRunSeedProfile pins the config the coordinator ships

@@ -102,3 +102,42 @@ func TestConformanceRevocable(t *testing.T) {
 		}
 	}
 }
+
+// TestConformanceImpossibility asserts Theorem 2, that irrevocable
+// election needs n, on the pumping wheel of Figures 1-2: IRE, told it runs
+// on a 12-node cycle, runs on wheels with 1, 2 and 4 planted witnesses of
+// that cycle (8 trials each, seed 1, the -quick series of lebench -exp
+// figures). At every point the Wilson lower bound of the multi-leader
+// rate exceeds ½; the rate never falls as witnesses are added, and the
+// mean leader count rises strictly.
+func TestConformanceImpossibility(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 24 elections on pumping wheels, about 6 s")
+	}
+	const trials = 8
+	points, err := harness.SplitBrainExperiment(12, []int{1, 2, 4}, trials, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pt := range points {
+		lo, _ := stats.Wilson(pt.MultiLeader, trials)
+		t.Logf("%d witnesses: %d/%d multi-leader (Wilson lower bound %.3f), mean leaders %.2f",
+			pt.Layout.Witnesses, pt.MultiLeader, trials, lo, pt.MeanLeaders)
+		if lo <= 0.5 {
+			t.Errorf("%d witnesses: %d/%d multi-leader, Wilson lower bound %.3f <= 0.5",
+				pt.Layout.Witnesses, pt.MultiLeader, trials, lo)
+		}
+		if i == 0 {
+			continue
+		}
+		prev := points[i-1]
+		if pt.MultiLeader < prev.MultiLeader {
+			t.Errorf("multi-leader rate fell from %d/%d to %d/%d as witnesses went %d -> %d",
+				prev.MultiLeader, trials, pt.MultiLeader, trials, prev.Layout.Witnesses, pt.Layout.Witnesses)
+		}
+		if pt.MeanLeaders <= prev.MeanLeaders {
+			t.Errorf("mean leaders %.2f -> %.2f as witnesses went %d -> %d, want a strict rise",
+				prev.MeanLeaders, pt.MeanLeaders, prev.Layout.Witnesses, pt.Layout.Witnesses)
+		}
+	}
+}

@@ -249,13 +249,9 @@ func TestWalkNotifyBetaDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// beta = ceil(sqrt(n) * ln(n)^{3/2}) = ceil(8 * 4.159^1.5) ~ 68.
-	if p.beta < 50 || p.beta > 90 {
-		t.Fatalf("beta %d out of expected band", p.beta)
-	}
-	p2, _ := resolveWalkNotify(core.ProtoConfig{N: 64, TMix: 10, Beta: 5})
-	if p2.beta != 5 {
-		t.Fatal("beta override ignored")
+	// beta = ceil(sqrt(n) * ln(n)^{3/2}) = ceil(8 * 4.159^1.5) = ceil(67.85).
+	if p.beta != 68 {
+		t.Fatalf("beta %d, want 68", p.beta)
 	}
 }
 
@@ -393,7 +389,7 @@ func TestWalkNotifyTokenConservationDuringWalkPhase(t *testing.T) {
 	// candidate is conserved (its tokens are never absorbed). Verify the
 	// winner's parked tokens never exceed beta in total.
 	g := graph.Complete(12)
-	cfg := core.ProtoConfig{N: 12, TMix: 3, Beta: 9}
+	cfg := core.ProtoConfig{N: 12, TMix: 3}
 	nw := sim.New(sim.Config{Graph: g, Seed: 8}, mustBuild(t, "walknotify", cfg).Factory)
 	p, _ := resolveWalkNotify(cfg)
 	var maxCand uint64

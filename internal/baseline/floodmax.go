@@ -28,7 +28,7 @@ func resolveFlood(pc core.ProtoConfig) (floodParams, error) {
 	if err := core.CheckC(pc.C); err != nil {
 		return floodParams{}, err
 	}
-	p := floodParams{rounds: pc.Diam + 2, cand: core.NewCandidacy(pc.N, pc.C, 0)}
+	p := floodParams{rounds: pc.Diam + 2, cand: core.NewCandidacy(pc.N, pc.C)}
 	if pc.AllNodes {
 		p.cand.Prob = 1
 	}

@@ -21,9 +21,10 @@ type wnParams struct {
 
 // resolveWalkNotify validates pc's inputs — the known size N and the
 // lazy-walk mixing time TMix (or an upper bound) — and derives the rest:
-// pc.C scales candidate rate and walk length, pc.Beta overrides the
-// Θ(√n·log^{3/2} n) tokens per candidate that reproduce the
-// O(tmix·√n·polylog n) message bound of Gilbert et al.
+// pc.C scales candidate rate and walk length. Every candidate sends
+// β = ⌈√n·ln^{3/2} n⌉ tokens (at least 2, since ln n is taken as at least
+// 1), the Θ(√n·log^{3/2} n) that reproduces the O(tmix·√n·polylog n)
+// message bound of Gilbert et al.
 func resolveWalkNotify(pc core.ProtoConfig) (wnParams, error) {
 	if pc.N < 2 {
 		return wnParams{}, fmt.Errorf("N must be >= 2, got %d", pc.N)
@@ -35,12 +36,9 @@ func resolveWalkNotify(pc core.ProtoConfig) (wnParams, error) {
 		return wnParams{}, err
 	}
 	c, ln := core.CLogN(pc.N, pc.C)
-	p := wnParams{cand: core.NewCandidacy(pc.N, pc.C, 0), beta: pc.Beta}
-	if p.beta <= 0 {
-		p.beta = int(math.Ceil(math.Sqrt(float64(pc.N)) * math.Pow(ln, 1.5)))
-	}
-	if p.beta < 1 {
-		p.beta = 1
+	p := wnParams{
+		cand: core.NewCandidacy(pc.N, pc.C),
+		beta: int(math.Ceil(math.Sqrt(float64(pc.N)) * math.Pow(ln, 1.5))),
 	}
 	p.walkLen = int(math.Ceil(c * float64(pc.TMix) * ln))
 	if p.walkLen < 4 {

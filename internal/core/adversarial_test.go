@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"anonlead/internal/graph"
+	"anonlead/internal/rng"
 	"anonlead/internal/sim"
 )
 
@@ -11,13 +12,33 @@ import (
 // collisions are common. The protocol's whp-uniqueness argument breaks by
 // design (two max-ID candidates both win), but execution must stay safe:
 // halt on schedule, never elect a non-candidate, and still elect the max.
+// The ID space is always [1, n⁴] in production, so the machines are built
+// here from resolveIRE's params with the space cut to {1..4}.
 func TestIREWithForcedIDCollisions(t *testing.T) {
 	g := graph.Complete(32)
-	cfg := profiledConfig(t, g)
-	cfg.MaxID = 4 // IDs from {1..4}: collisions guaranteed among ~7 candidates
+	p, err := resolveIRE(profiledConfig(t, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.cand.MaxID = 4 // collisions guaranteed among ~7 candidates
 	multi, unique := 0, 0
 	for s := uint64(0); s < 10; s++ {
-		leaders, outs, _ := runIRE(t, g, cfg, 4200+s)
+		nw := sim.New(sim.Config{Graph: g, Seed: 4200 + s}, func(node, degree int, r *rng.RNG) sim.Machine {
+			m := new(IREMachine)
+			m.setup(&p, r, degree)
+			return m
+		})
+		nw.Run(p.total + 4)
+		if !nw.AllHalted() {
+			t.Fatalf("seed %d: network did not halt within %d rounds", s, p.total+4)
+		}
+		outs := make([]IREOutput, g.N())
+		leaders := 0
+		for v := range outs {
+			if outs[v] = nw.Machine(v).(*IREMachine).Output(); outs[v].Leader {
+				leaders++
+			}
+		}
 		var maxCand uint64
 		for _, o := range outs {
 			if o.Candidate && o.ID > maxCand {

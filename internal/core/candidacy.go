@@ -45,17 +45,17 @@ type Candidacy struct {
 
 // NewCandidacy derives the sampling from the size n the nodes are told and
 // the analysis constant c (see CLogN): Prob = (c·ln n)/n, at most 1, and
-// IDs from [1, maxID] — [1, n⁴] when maxID is 0. n⁴ is computed modulo 2⁶⁴
-// and wraps above n = 65535 (the recorded 100k-node cells draw from the
-// wrapped range); a product that wraps to exactly 0 selects the whole
-// uint64 range instead of an empty one.
-func NewCandidacy(n int, c float64, maxID uint64) Candidacy {
+// IDs from [1, n⁴], which makes a collision among the candidates unlikely
+// by the paper's birthday argument. n⁴ is computed modulo 2⁶⁴ and wraps
+// above n = 65535 (the recorded 100k-node cells draw from the wrapped
+// range); a product that wraps to exactly 0 selects the whole uint64 range
+// instead of an empty one.
+func NewCandidacy(n int, c float64) Candidacy {
 	c, ln := CLogN(n, c)
+	nn := uint64(n)
+	maxID := nn * nn * nn * nn
 	if maxID == 0 {
-		nn := uint64(n)
-		if maxID = nn * nn * nn * nn; maxID == 0 {
-			maxID = math.MaxUint64
-		}
+		maxID = math.MaxUint64
 	}
 	return Candidacy{Prob: math.Min(c*ln/float64(n), 1), MaxID: maxID}
 }

@@ -64,11 +64,11 @@ func TestIREResolvedDefaults(t *testing.T) {
 }
 
 func TestIREResolveOverrides(t *testing.T) {
-	p, err := resolveIRE(ProtoConfig{N: 64, TMix: 20, Phi: 0.25, C: 1, X: 7, MaxID: 1000})
+	p, err := resolveIRE(ProtoConfig{N: 64, TMix: 20, Phi: 0.25, C: 1, X: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int(math.Ceil(20 * math.Log(64))); p.walkLen != want || p.x != 7 || p.cand.MaxID != 1000 {
+	if want := int(math.Ceil(20 * math.Log(64))); p.walkLen != want || p.x != 7 {
 		t.Fatalf("overrides ignored: %+v", p)
 	}
 }
@@ -107,8 +107,6 @@ func TestRevocableConfigValidation(t *testing.T) {
 	bad := []ProtoConfig{
 		{Epsilon: -0.5},
 		{Epsilon: 1.5},
-		{Xi: 1.5},
-		{Xi: -0.2},
 		{Iso: -1},
 		{FMult: -1},
 		{RMult: -0.5},

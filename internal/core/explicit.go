@@ -51,16 +51,12 @@ type ExplicitMachine struct {
 // builds a leader-rooted BFS spanning tree. The paper notes (Section 3)
 // that explicit LE, Broadcast and tree construction follow from implicit
 // LE at an extra O(m) messages and O(D) time; this is that extension. The
-// announcement window is pc.AnnounceRounds, by default n (the diameter is
-// unknown to anonymous nodes; n always suffices).
+// announcement window is n rounds (the diameter is unknown to anonymous
+// nodes; n always suffices).
 func buildExplicit(pc ProtoConfig) (Runner, error) {
 	p, err := resolveIRE(pc)
 	if err != nil {
 		return Runner{}, err
-	}
-	announce := pc.AnnounceRounds
-	if announce <= 0 {
-		announce = p.n
 	}
 	var arena sim.Arena[ExplicitMachine]
 	return Runner{
@@ -68,11 +64,11 @@ func buildExplicit(pc ProtoConfig) (Runner, error) {
 			m := arena.New()
 			m.inner.setup(&p, r, degree)
 			m.inner.chained = true
-			m.announceN = announce
+			m.announceN = p.n
 			m.out.ParentPort = -1
 			return m
 		},
-		Budget:  p.total + announce + 2 + 4 + pc.MaxDelay,
+		Budget:  p.total + p.n + 2 + 4 + pc.MaxDelay,
 		Collect: collectExplicit,
 	}, nil
 }

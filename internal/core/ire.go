@@ -49,7 +49,7 @@ func resolveIRE(pc ProtoConfig) (ireParams, error) {
 	}
 	p.n = pc.N
 	c, ln := CLogN(pc.N, pc.C)
-	p.cand = NewCandidacy(pc.N, pc.C, pc.MaxID)
+	p.cand = NewCandidacy(pc.N, pc.C)
 	p.x = pc.X
 	if p.x <= 0 {
 		xf := pc.XFactor

@@ -35,22 +35,15 @@ type ProtoConfig struct {
 	// paper's x = √(n·log n/(Φ·tmix)), scaled by XFactor (zero = 1).
 	X       int
 	XFactor float64
-	// MaxID overrides the IRE candidate ID space (default n⁴).
-	MaxID uint64
 	// BroadcastOnly stops IRE after the cautious-broadcast phase (no walks,
 	// no convergecast, no leader): the Lemma 1 ablation's instrument for
 	// territory sizes and broadcast cost in isolation.
 	BroadcastOnly bool
-	// AnnounceRounds bounds the explicit announcement flood (default n).
-	AnnounceRounds int
-	// Beta overrides the walknotify tokens per candidate.
-	Beta int
 	// AllNodes makes every floodmax node a candidate.
 	AllNodes bool
-	// Epsilon, Xi, Iso, FMult, RMult parameterize revocable election (see
+	// Epsilon, Iso, FMult, RMult parameterize revocable election (see
 	// revParams for ranges and defaults).
 	Epsilon float64
-	Xi      float64
 	Iso     float64
 	FMult   float64
 	RMult   float64

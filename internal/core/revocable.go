@@ -11,15 +11,15 @@ import (
 
 // revParams holds the analysis parameters of Blind Leader Election with
 // Certificates via Diffusion with Thresholds (Section 5.2, Algorithms 6-7).
-// The protocol uses NO network knowledge; the parameters only fix ε and ξ,
+// The protocol uses NO network knowledge; the parameters only fix ε,
 // optionally a known isoperimetric lower bound (Theorem 3 vs Corollary 1),
-// and simulation calibration multipliers.
+// and simulation calibration multipliers. The error parameter ξ of f(k) is
+// the constant xi.
 type revParams struct {
 	// eps is the paper's ε ∈ (0, 1], 0.5 by default (smaller ε lowers the
 	// polynomial degree of every phase length, which is what makes faithful
-	// runs simulable; any value in (0,1] satisfies the analysis). xi is the
-	// error parameter ξ ∈ (0, 1) in f(k), 0.5 by default.
-	eps, xi float64
+	// runs simulable; any value in (0,1] satisfies the analysis).
+	eps float64
 	// iso, when positive, is a known lower bound on i(G) and selects the
 	// Theorem 3 diffusion length; zero selects the fully blind Corollary 1
 	// length (i(G) ≥ 2/k proxy, using only the running estimate).
@@ -30,19 +30,16 @@ type revParams struct {
 	fMult, rMult float64
 }
 
+// xi is the paper's error parameter ξ ∈ (0, 1) in f(k).
+const xi = 0.5
+
 func resolveRevocable(pc ProtoConfig) (revParams, error) {
-	p := revParams{eps: pc.Epsilon, xi: pc.Xi, iso: pc.Iso, fMult: pc.FMult, rMult: pc.RMult}
+	p := revParams{eps: pc.Epsilon, iso: pc.Iso, fMult: pc.FMult, rMult: pc.RMult}
 	if p.eps == 0 {
 		p.eps = 0.5
 	}
 	if !(p.eps > 0) || p.eps > 1 {
 		return p, fmt.Errorf("Epsilon must be in (0,1], got %v", pc.Epsilon)
-	}
-	if p.xi == 0 {
-		p.xi = 0.5
-	}
-	if !(p.xi > 0) || p.xi >= 1 {
-		return p, fmt.Errorf("Xi must be in (0,1), got %v", pc.Xi)
 	}
 	if !(p.iso >= 0) {
 		return p, fmt.Errorf("Iso must be >= 0, got %v", pc.Iso)
@@ -169,7 +166,7 @@ func (p revParams) kPow(k uint64) float64 {
 func (p revParams) fOf(k uint64) int {
 	const lead = 4 * math.Sqrt2 // 4√2
 	denom := (math.Sqrt2 - 1) * (math.Sqrt2 - 1)
-	f := (lead / denom) * math.Log(p.kPow(k)/p.xi)
+	f := (lead / denom) * math.Log(p.kPow(k)/xi)
 	f *= p.fMult
 	if f < 1 {
 		return 1

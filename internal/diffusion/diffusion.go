@@ -31,7 +31,6 @@ type Process struct {
 	share float64
 	pot   []float64
 	buf   []float64
-	steps int
 }
 
 // New creates a process with the given sharing fraction and initial
@@ -68,9 +67,6 @@ func BlackInit(white []bool) []float64 {
 	}
 	return pot
 }
-
-// Steps returns the number of steps executed so far.
-func (p *Process) Steps() int { return p.steps }
 
 // Potential returns node v's current potential.
 func (p *Process) Potential(v int) float64 { return p.pot[v] }
@@ -126,7 +122,6 @@ func (p *Process) Step() {
 		p.buf[v] = acc
 	}
 	p.pot, p.buf = p.buf, p.pot
-	p.steps++
 }
 
 // Run advances steps exchanges.

@@ -79,16 +79,6 @@ func (b *Builder) AddEdge(u, v int) {
 	b.deg[v]++
 }
 
-// HasEdge reports whether {u,v} has already been added.
-func (b *Builder) HasEdge(u, v int) bool {
-	a, c := int32(u), int32(v)
-	if a > c {
-		a, c = c, a
-	}
-	_, ok := b.seen[[2]int32{a, c}]
-	return ok
-}
-
 // Graph finalizes the builder. The per-node port order is the insertion
 // order of edges, which generators exploit to produce canonical labelings;
 // call PermutePorts afterwards for adversarial labelings. The graph owns
@@ -130,19 +120,9 @@ func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 func (g *Graph) Neighbor(v, p int) int { return int(g.adj[v][p]) }
 
 // Adj returns v's neighbor list in port order without copying it: the
-// read-only view for inner loops (spectral kernels) that cannot afford
-// Neighbors' copy or a Neighbor call per edge. Callers must not modify it.
+// read-only view for inner loops (spectral kernels) that cannot afford a
+// Neighbor call per edge. Callers must not modify it.
 func (g *Graph) Adj(v int) []int32 { return g.adj[v] }
-
-// Neighbors returns a copy of v's neighbor list in port order. The copy
-// keeps callers from aliasing internal state (copy-at-boundary).
-func (g *Graph) Neighbors(v int) []int {
-	out := make([]int, len(g.adj[v]))
-	for i, w := range g.adj[v] {
-		out[i] = int(w)
-	}
-	return out
-}
 
 // PortTo returns the port of u that leads to v, or -1 if they are not
 // adjacent.
@@ -212,15 +192,6 @@ func (g *Graph) MinDegree() int {
 		}
 	}
 	return min
-}
-
-// Volume returns the sum of degrees of the given node set (2m for all nodes).
-func (g *Graph) Volume(set []int) int {
-	vol := 0
-	for _, v := range set {
-		vol += len(g.adj[v])
-	}
-	return vol
 }
 
 // PermutePorts returns a copy of g in which every node's port order has been

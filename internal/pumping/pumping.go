@@ -86,9 +86,6 @@ func (l Layout) Segments(w int) (left, right [2]int) {
 	return left, right
 }
 
-// SeparationLen returns the filler length between consecutive witnesses.
-func (l Layout) SeparationLen() int { return 2 * l.T }
-
 // WitnessOf returns the witness index containing node v, or -1 if v lies
 // in a separation run.
 func (l Layout) WitnessOf(v int) int {

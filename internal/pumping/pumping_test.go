@@ -19,8 +19,8 @@ func TestLayoutArithmetic(t *testing.T) {
 	if l.WitnessLen() != 2*50+2*10 {
 		t.Fatalf("witness len %d", l.WitnessLen())
 	}
-	if l.SeparationLen() != 100 {
-		t.Fatalf("separation %d", l.SeparationLen())
+	if sep := l.BlockLen - l.WitnessLen(); sep != 100 {
+		t.Fatalf("separation %d", sep)
 	}
 }
 

@@ -146,8 +146,8 @@ func TestAdaptiveOverridesLaterStaticSchedule(t *testing.T) {
 	if got := nw.Machine(victim).(*chatty).rounds; got != 1 {
 		t.Fatalf("victim stepped %d rounds, want 1 (adaptive round-1 crash should win)", got)
 	}
-	if nw.CrashedCount() != 1 {
-		t.Fatalf("CrashedCount = %d, want 1", nw.CrashedCount())
+	if got := nw.Metrics().Crashes; got != 1 {
+		t.Fatalf("Metrics().Crashes = %d, want 1", got)
 	}
 }
 

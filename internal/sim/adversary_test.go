@@ -95,8 +95,8 @@ func TestCrashStopsNode(t *testing.T) {
 	}}
 	nw := recorderNetAdv(g, 8, Sequential, adv)
 	nw.Run(100)
-	if !nw.Crashed(2) || nw.CrashedCount() != 1 {
-		t.Fatalf("crash accounting wrong: crashed(2)=%v count=%d", nw.Crashed(2), nw.CrashedCount())
+	if !nw.Crashed(2) || nw.Metrics().Crashes != 1 {
+		t.Fatalf("crash accounting wrong: crashed(2)=%v count=%d", nw.Crashed(2), nw.Metrics().Crashes)
 	}
 	if nw.Crashed(1) {
 		t.Fatal("wrong node crashed")

@@ -236,8 +236,8 @@ func TestHaltedCountCountsEachNodeOnce(t *testing.T) {
 			return &recorder{stopRound: stop, sendBits: 4}
 		})
 	nw.Run(4)
-	if last.Halted != 1 || nw.CrashedCount() != 1 || nw.AllHalted() {
-		t.Fatalf("after round 3: Halted=%d crashed=%d all=%v, want 1, 1, false", last.Halted, nw.CrashedCount(), nw.AllHalted())
+	if last.Halted != 1 || nw.Metrics().Crashes != 1 || nw.AllHalted() {
+		t.Fatalf("after round 3: Halted=%d crashed=%d all=%v, want 1, 1, false", last.Halted, nw.Metrics().Crashes, nw.AllHalted())
 	}
 	nw.Run(100)
 	if last.Halted != g.N() || !nw.AllHalted() {

@@ -158,9 +158,6 @@ func (l *Ledger) AllHalted() bool { return l.stopped == len(l.halted) }
 // crashed node also reports Halted).
 func (l *Ledger) Crashed(v int) bool { return l.crashed != nil && l.crashed[v] }
 
-// CrashedCount returns the number of crash-stopped nodes so far.
-func (l *Ledger) CrashedCount() int { return l.metrics.Crashes }
-
 // Metrics returns a snapshot of the accumulated cost accounting.
 func (l *Ledger) Metrics() Metrics { return l.metrics }
 

@@ -22,7 +22,9 @@ func (m *chatter) Init(ctx *Context) {}
 
 func (m *chatter) Step(ctx *Context, inbox []Packet) {
 	for c := uint32(0); c < m.channels; c++ {
-		ctx.BroadcastChannel(c, m.msg)
+		for p := 0; p < ctx.Degree(); p++ {
+			ctx.Send(p, c, m.msg)
+		}
 	}
 }
 

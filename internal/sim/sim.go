@@ -121,18 +121,10 @@ func (c *Context) Send(port int, channel uint32, payload Payload) {
 	c.out = append(c.out, Send{Port: port, Channel: channel, Payload: payload})
 }
 
-// Broadcast sends payload on every port (channel 0 unless specified via
-// BroadcastChannel).
+// Broadcast sends payload on every port, on channel 0.
 func (c *Context) Broadcast(payload Payload) {
 	for p := 0; p < c.degree; p++ {
 		c.Send(p, 0, payload)
-	}
-}
-
-// BroadcastChannel sends payload on every port, tagged with channel.
-func (c *Context) BroadcastChannel(channel uint32, payload Payload) {
-	for p := 0; p < c.degree; p++ {
-		c.Send(p, channel, payload)
 	}
 }
 

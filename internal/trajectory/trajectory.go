@@ -347,8 +347,9 @@ func Diff(base, head harness.Artifact, th Thresholds) Report {
 	return r
 }
 
-// DiffFiles loads two artifact files and diffs them.
-func DiffFiles(basePath, headPath string, th Thresholds) (Report, error) {
+// DiffFiles loads two artifact files and diffs them under the default
+// thresholds.
+func DiffFiles(basePath, headPath string) (Report, error) {
 	base, err := harness.ReadArtifactFile(basePath)
 	if err != nil {
 		return Report{}, err
@@ -357,5 +358,5 @@ func DiffFiles(basePath, headPath string, th Thresholds) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	return Diff(base, head, th), nil
+	return Diff(base, head, Thresholds{}), nil
 }

@@ -19,9 +19,6 @@ type Config struct {
 	// Seed is the run's root seed; machines are built from it exactly as
 	// sim.New builds them (sim.NewStepper).
 	Seed uint64
-	// CongestBits overrides the per-link slot budget (default: the
-	// simulator's 8·⌈log₂ n⌉).
-	CongestBits int
 	// Transport selects the fabric backend (default ChanTransport{}).
 	Transport Transport
 	// Observer, when non-nil, is invoked after every counted round with
@@ -123,7 +120,7 @@ func NewCluster(ctx context.Context, cfg Config, factory sim.Factory, codec sim.
 		drivers: make([]*driver, n),
 		plane:   localPlane{starts: make([]chan release, n), reports: make(chan Report, n)},
 	}
-	c.coord = NewCoordinator(g, cfg.CongestBits, c.plane, cfg.Observer)
+	c.coord = NewCoordinator(g, c.plane, cfg.Observer)
 	c.Ledger = &c.coord.Ledger
 	budget := c.Metrics().CongestBits
 	for v := 0; v < n; v++ {

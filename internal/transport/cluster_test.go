@@ -63,7 +63,9 @@ func (m *floodMachine) Step(ctx *sim.Context, inbox []sim.Packet) {
 			m.best = v
 		}
 	}
-	ctx.BroadcastChannel(uint32(ctx.Round()%3), testMsg(m.best))
+	for p := 0; p < ctx.Degree(); p++ {
+		ctx.Send(p, uint32(ctx.Round()%3), testMsg(m.best))
+	}
 	if ctx.Round() >= m.haltRound {
 		ctx.Halt()
 	}

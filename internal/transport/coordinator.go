@@ -39,13 +39,14 @@ type Coordinator struct {
 	seen   []bool
 }
 
-// NewCoordinator builds the coordinator of a run on g over plane.
-// congestBits <= 0 selects the simulator's default budget for g's size;
-// observer, when non-nil, sees every counted round (sim.NewLedger).
-func NewCoordinator(g *graph.Graph, congestBits int, plane CoordPlane, observer func(sim.RoundInfo)) *Coordinator {
+// NewCoordinator builds the coordinator of a run on g over plane. Its
+// ledger charges the simulator's default budget for g's size,
+// sim.DefaultCongestBits; observer, when non-nil, sees every counted round
+// (sim.NewLedger).
+func NewCoordinator(g *graph.Graph, plane CoordPlane, observer func(sim.RoundInfo)) *Coordinator {
 	n := g.N()
 	return &Coordinator{
-		Ledger: sim.NewLedger(n, congestBits, observer),
+		Ledger: sim.NewLedger(n, sim.DefaultCongestBits(n), observer),
 		g:      g,
 		expect: make([]int, n),
 		plane:  plane,

@@ -81,7 +81,7 @@ func TestCoordinatorFailureNamesNode(t *testing.T) {
 					plane.script = []scripted{ok(0), ok(1), ok(2)}
 				}
 				plane.script = append(plane.script, ok(0), tc.bad)
-				coord := transport.NewCoordinator(graph.Cycle(3), 0, plane, nil)
+				coord := transport.NewCoordinator(graph.Cycle(3), plane, nil)
 				var err error
 				within(t, "coordinator", func() {
 					if err = coord.Init(); err == nil && phase == "round" {
@@ -108,7 +108,7 @@ func TestCoordinatorCountsMessagesFromPerPort(t *testing.T) {
 		{node: 1, rep: transport.Report{Node: 1}},
 		{node: 2, rep: transport.Report{Node: 2}},
 	}}
-	coord := transport.NewCoordinator(graph.Cycle(3), 0, plane, nil)
+	coord := transport.NewCoordinator(graph.Cycle(3), plane, nil)
 	if err := coord.Init(); err != nil {
 		t.Fatal(err)
 	}

@@ -225,7 +225,7 @@ func FuzzDecodeReport(f *testing.F) {
 		r.Node = int(uint64(r.Node) % 4)
 		reps[r.Node] = r
 		// An error is a fine outcome for a lying report; only a panic fails.
-		_ = NewCoordinator(graph.Cycle(4), 0, &replayPlane{reps}, nil).Init()
+		_ = NewCoordinator(graph.Cycle(4), &replayPlane{reps}, nil).Init()
 	})
 }
 

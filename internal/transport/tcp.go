@@ -22,11 +22,8 @@ import (
 // without either side revealing a global identity — so the handshake adds
 // no knowledge the protocol machines could exploit, and determinism holds:
 // the same seed elects the same leader in the same round as the simulator.
-type TCPTransport struct {
-	// Addr is the listen address; default "127.0.0.1:0" (kernel-assigned
-	// ports on loopback).
-	Addr string
-}
+// Every node listens on loopback at a kernel-assigned port.
+type TCPTransport struct{}
 
 // handshakeTimeout bounds connection establishment when the caller gives
 // no timeout of its own.
@@ -75,11 +72,7 @@ func edgeIndices(g *graph.Graph) []int {
 // Connect implements Transport: one loopback listener per node, then every
 // node wires its own ports exactly as a cmd/ledist node process does
 // (ConnectNode), all under one context that the first failure cancels.
-func (t TCPTransport) Connect(ctx context.Context, g *graph.Graph, seed uint64) (*Fabric, error) {
-	addr := t.Addr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
+func (TCPTransport) Connect(ctx context.Context, g *graph.Graph, seed uint64) (*Fabric, error) {
 	listeners := make([]net.Listener, g.N())
 	defer func() {
 		for _, ln := range listeners {
@@ -89,7 +82,7 @@ func (t TCPTransport) Connect(ctx context.Context, g *graph.Graph, seed uint64) 
 		}
 	}()
 	for v := range listeners {
-		ln, err := net.Listen("tcp", addr)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, fmt.Errorf("transport: listen: %w", err)
 		}

@@ -158,12 +158,6 @@ func WithWalks(x int) Option {
 	return func(o *options) { o.proto.X = x }
 }
 
-// WithWalkFactor scales the automatic walk count (ignored after
-// WithWalks). Default 1.
-func WithWalkFactor(f float64) Option {
-	return func(o *options) { o.proto.XFactor = f }
-}
-
 // WithMixingTime overrides the mixing-time input of the ire, explicit and
 // walknotify protocols (the paper needs only a linear upper bound).
 // Default: the network's profiled tmix.
@@ -183,23 +177,10 @@ func WithDiameter(d int) Option {
 	return func(o *options) { o.proto.Diam = d }
 }
 
-// WithIDSpace overrides the candidate ID space: IDs are drawn uniformly
-// from [1, maxID]. Default n⁴ (collision probability ≤ 1/n² by the
-// paper's birthday argument).
-func WithIDSpace(maxID uint64) Option {
-	return func(o *options) { o.proto.MaxID = maxID }
-}
-
 // WithEpsilon sets the paper's ε ∈ (0,1] for the revocable protocol.
 // Default 0.5.
 func WithEpsilon(eps float64) Option {
 	return func(o *options) { o.proto.Epsilon = eps }
-}
-
-// WithXi sets the paper's error parameter ξ ∈ (0,1) in f(k) for the
-// revocable protocol. Default 0.5.
-func WithXi(xi float64) Option {
-	return func(o *options) { o.proto.Xi = xi }
 }
 
 // WithIsoperimetric provides a known lower bound on i(G) to the revocable
@@ -214,13 +195,6 @@ func WithIsoperimetric(iso float64) Option {
 // keep success rates while making larger networks simulable.
 func WithCalibration(fMult, rMult float64) Option {
 	return func(o *options) { o.proto.FMult, o.proto.RMult = fMult, rMult }
-}
-
-// WithMaxRounds caps the rounds an open-ended (revocable) election will
-// simulate before reporting ErrNotStabilized. Default 2e8 fault-free,
-// 1e6 under an adversary (faults can make convergence unreachable).
-func WithMaxRounds(rounds int) Option {
-	return func(o *options) { o.proto.MaxRounds = rounds }
 }
 
 // WithProtoConfig overlays a protocol configuration wholesale, replacing

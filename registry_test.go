@@ -191,8 +191,6 @@ func TestBuildRejectsBadInputs(t *testing.T) {
 		{"Epsilon", "revocable", func(pc *core.ProtoConfig) { pc.Epsilon = -0.5 }},
 		{"Epsilon", "revocable", func(pc *core.ProtoConfig) { pc.Epsilon = 1.5 }},
 		{"Epsilon", "revocable", func(pc *core.ProtoConfig) { pc.Epsilon = nan }},
-		{"Xi", "revocable", func(pc *core.ProtoConfig) { pc.Xi = -0.2 }},
-		{"Xi", "revocable", func(pc *core.ProtoConfig) { pc.Xi = 1 }},
 		{"Iso", "revocable", func(pc *core.ProtoConfig) { pc.Iso = -1 }},
 		{"FMult", "revocable", func(pc *core.ProtoConfig) { pc.FMult = -1 }},
 		{"RMult", "revocable", func(pc *core.ProtoConfig) { pc.RMult = -0.5 }},
@@ -228,9 +226,9 @@ func TestBuildRejectsBadInputs(t *testing.T) {
 			}
 		}
 		defaults := valid
-		defaults.Beta, defaults.AnnounceRounds, defaults.MaxRounds = -1, -1, -1
+		defaults.MaxRounds = -1
 		if _, err := build(proto, defaults); err != nil {
-			t.Errorf("%s: negative default-selecting tunables rejected: %v", proto, err)
+			t.Errorf("%s: a negative MaxRounds, which selects the default, rejected: %v", proto, err)
 		}
 		if proto != ProtoRevocable {
 			wrapped := valid

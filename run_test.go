@@ -303,7 +303,7 @@ func TestOutcomeRoundsIsExecutedRounds(t *testing.T) {
 			wantErr        error
 		}{
 			{name: "halts", protocol: ProtoFloodMax},
-			{name: "out-of-rounds", protocol: ProtoRevocable, opts: []Option{WithMaxRounds(10)}, wantErr: ErrNotStabilized},
+			{name: "out-of-rounds", protocol: ProtoRevocable, opts: []Option{WithProtoConfig(core.ProtoConfig{MaxRounds: 10})}, wantErr: ErrNotStabilized},
 			{name: "cancelled", protocol: ProtoFloodMax, cancelAfter: 3, wantErr: context.Canceled},
 		} {
 			t.Run(backend.String()+"/"+tc.name, func(t *testing.T) {
@@ -336,7 +336,7 @@ func TestRevocableNotStabilized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := nw.Run(context.Background(), ProtoRevocable, WithSeed(1), WithMaxRounds(10))
+	out, err := nw.Run(context.Background(), ProtoRevocable, WithSeed(1), WithProtoConfig(core.ProtoConfig{MaxRounds: 10}))
 	if !errors.Is(err, ErrNotStabilized) {
 		t.Fatalf("expected ErrNotStabilized, got %v", err)
 	}
