@@ -27,7 +27,9 @@ test:
 # coordinator's fold. The harness's epoch sweep tests keep the RunEpochs
 # engine under it too.
 # The root's TestTransport* runs real protocols over chan, pipe and tcp, so
-# every port reader of a node feeds its one shared queue under the detector.
+# every port reader of a node feeds its one shared queue under the detector,
+# and TestTransportStepsWhatSimSteps counts the steps of nodes released only
+# in their visit-set rounds, from their concurrent drivers.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/baseline/... \
 		./internal/harness/... ./internal/adversary/... ./internal/obs/... \

@@ -189,10 +189,10 @@ type framePlane struct {
 	msgs  <-chan ctlMsg
 }
 
-func (p framePlane) Release(round int, expect []int) error {
-	for v, nc := range p.nodes {
+func (p framePlane) Release(round int, nodes, expect []int) error {
+	for _, v := range nodes {
 		f := transport.Frame{Type: transport.FrameStart, Round: round, Body: binary.AppendUvarint(nil, uint64(expect[v]))}
-		if err := writeFrame(nc.link, f); err != nil {
+		if err := writeFrame(p.nodes[v].link, f); err != nil {
 			return fmt.Errorf("start to node %d: %w", v, err)
 		}
 	}

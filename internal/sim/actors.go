@@ -77,7 +77,7 @@ func (nw *Network) deliverActors(round int) {
 		nw.startActors()
 	}
 	busy := 0
-	for i, word := range nw.visit {
+	for i, word := range nw.visits.visit {
 		for ; word != 0; word &= word - 1 {
 			nw.actors.cmds[i<<6|bits.TrailingZeros64(word)] <- round
 			busy++

@@ -60,7 +60,7 @@ func (nw *Network) observeTraffic(round int) {
 			nw.crashAt[v] = round + 1
 		}
 	}
-	for i, word := range nw.visit {
+	for i, word := range nw.visits.visit {
 		for ; word != 0; word &= word - 1 {
 			nw.sent[i<<6|bits.TrailingZeros64(word)] = 0
 		}
@@ -106,7 +106,7 @@ func (nw *Network) releaseFutures(round int) {
 			continue
 		}
 		nw.inbox[fd.node] = append(nw.inbox[fd.node], fd.pkt)
-		nw.visit.add(fd.node)
+		nw.visits.visit.add(fd.node)
 	}
 	nw.future[slot] = bucket[:0]
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"math"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -54,10 +53,9 @@ type RoundInfo struct {
 // in-flight count, cost accounting). Not safe for concurrent use by multiple
 // callers; internally the parallel scheduler partitions work safely.
 //
-// A round visits only the nodes with something to do. route builds next
-// round's visit set as it folds this one: every receiver it hands a packet,
-// every visited node whose step left no IdleUntil promise, and every
-// sleeper whose promised round has come. The schedulers step exactly the
+// A round visits only the nodes with something to do (VisitSet). route
+// builds next round's set as it folds this one, filing each visited node
+// with the IdleUntil promise its step left. The schedulers step exactly the
 // nodes of the set and route folds exactly their sends, in ascending node
 // order, so a round costs its traffic plus one pass over the set's n/64
 // words.
@@ -75,10 +73,7 @@ type Network struct {
 	workers   int
 	actors    *actorPool
 	loads     LinkLoads // one sender's bit loads, per port
-	visit     nodeSet   // the nodes stepped and folded this round
-	due       nodeSet   // next round's visit set, built by route
-	sleeping  nodeSet   // live nodes idling under an IdleUntil promise
-	wakeAt    int       // earliest promised round over sleeping (MaxInt: none)
+	visits    VisitSet  // the nodes stepped and folded this round, and next round's
 	// Fault injection (all nil/empty when adv is nil — the common case).
 	adv           Adversary
 	crashAt       []int              // per-node crash round (-1 = never)
@@ -135,11 +130,8 @@ func New(cfg Config, factory Factory) *Network {
 		rngs:      make([]rng.RNG, n),
 		scheduler: cfg.Scheduler,
 		workers:   workers,
-		wakeAt:    math.MaxInt,
+		visits:    NewVisitSet(n),
 	}
-	words := (n + 63) / 64
-	sets := make(nodeSet, 3*words)
-	nw.visit, nw.due, nw.sleeping = sets[:words:words], sets[words:2*words:2*words], sets[2*words:]
 
 	root := rng.New(cfg.Seed)
 	off := nw.edgeOff[n]
@@ -179,7 +171,6 @@ func New(cfg Config, factory Factory) *Network {
 		ctx := &nw.ctxs[v]
 		ctx.reset(-1)
 		nw.machines[v].Init(ctx)
-		nw.visit.add(v)
 	}
 	nw.route(-1)
 	nw.CloseRound(false)
@@ -292,19 +283,19 @@ func (nw *Network) deliver(round int) {
 		nw.deliverActors(round)
 	case nw.scheduler == WorkerPool && len(nw.machines) >= 2*nw.workers:
 		var wg sync.WaitGroup
-		words := len(nw.visit)
+		words := len(nw.visits.visit)
 		chunk := (words + nw.workers - 1) / nw.workers
 		for lo := 0; lo < words; lo += chunk {
 			hi := min(lo+chunk, words)
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
-				nw.stepSet(nw.visit[lo:hi], lo, round)
+				nw.stepSet(nw.visits.visit[lo:hi], lo, round)
 			}(lo, hi)
 		}
 		wg.Wait()
 	default:
-		nw.stepSet(nw.visit, 0, round)
+		nw.stepSet(nw.visits.visit, 0, round)
 	}
 }
 
@@ -312,12 +303,10 @@ func (nw *Network) deliver(round int) {
 // mailboxes, folding them into the ledger in sender order (single-threaded:
 // determinism for every scheduler): halts, deliveries, traffic metering,
 // and — when an adversary is configured — its drop or delay of each packet.
-// It builds next round's visit set on the way: each receiver of a packet,
-// each visited node left without a promise, and, once the earliest
-// promised round comes, the sleepers it wakes. round is the round whose
+// It builds next round's visit set on the way. round is the round whose
 // sends are being routed (-1 for Init).
 func (nw *Network) route(round int) {
-	for i, word := range nw.visit {
+	for i, word := range nw.visits.visit {
 		for ; word != 0; word &= word - 1 {
 			v := i<<6 | bits.TrailingZeros64(word)
 			nw.routeNode(v, round)
@@ -327,15 +316,10 @@ func (nw *Network) route(round int) {
 	if nw.adv != nil {
 		nw.observeTraffic(round)
 	}
-	nw.visit, nw.due = nw.due, nw.visit
-	clear(nw.due)
-	if round+1 >= nw.wakeAt {
-		nw.wakeSleepers(round + 1)
-	}
+	nw.visits.Advance(round)
 }
 
-// routeNode folds visited node v's round and files v in next round's visit
-// set or among the sleepers.
+// routeNode folds visited node v's round and files v in the visit set.
 func (nw *Network) routeNode(v, round int) {
 	ctx := &nw.ctxs[v]
 	if ctx.halted {
@@ -374,45 +358,12 @@ func (nw *Network) routeNode(v, round int) {
 		}
 		if nw.Deliver(w, 1) {
 			nw.next[w] = append(nw.next[w], Packet{Port: int(q), Channel: s.Channel, Payload: s.Payload})
-			nw.due.add(w)
+			nw.visits.Mail(w)
 		}
 	}
 	ctx.out = ctx.out[:0]
-	switch wake := int(ctx.wake); {
-	case nw.Halted(v):
-		nw.sleeping.remove(v)
-	case wake > round+1:
-		nw.sleeping.add(v)
-		nw.wakeAt = min(nw.wakeAt, wake)
-	default:
-		nw.sleeping.remove(v)
-		nw.due.add(v)
-	}
+	nw.visits.File(v, round, int(ctx.wake), nw.Halted(v))
 }
-
-// wakeSleepers moves every sleeper whose promised round has come by round
-// into the visit set, and sets wakeAt to the earliest promise of those
-// left.
-func (nw *Network) wakeSleepers(round int) {
-	nw.wakeAt = math.MaxInt
-	for i, word := range nw.sleeping {
-		for ; word != 0; word &= word - 1 {
-			v := i<<6 | bits.TrailingZeros64(word)
-			if wake := int(nw.ctxs[v].wake); wake > round {
-				nw.wakeAt = min(nw.wakeAt, wake)
-				continue
-			}
-			nw.sleeping.remove(v)
-			nw.visit.add(v)
-		}
-	}
-}
-
-// nodeSet is a set of node indices, one bit per node.
-type nodeSet []uint64
-
-func (s nodeSet) add(v int)    { s[v>>6] |= 1 << (v & 63) }
-func (s nodeSet) remove(v int) { s[v>>6] &^= 1 << (v & 63) }
 
 // sortInbox orders packets by (port, channel) with stable order for ties
 // (a single neighbor's multi-packet sends keep their send order). Insertion

@@ -98,5 +98,11 @@ func step(ctx *Context, m Machine, round int, inbox []Packet, stopped bool) {
 // further Step calls are no-ops.
 func (s *Stepper) Halted() bool { return s.ctx.halted }
 
+// Wake returns the IdleUntil promise of the last Init or Step call: the
+// round before which the machine needs no step while its inbox stays
+// empty, or 0 for none. The coordinator files the node by it, as route
+// files a node of a Network.
+func (s *Stepper) Wake() int { return int(s.ctx.wake) }
+
 // Machine returns the driven machine, for outcome collection after a run.
 func (s *Stepper) Machine() Machine { return s.m }

@@ -62,8 +62,8 @@ func (r Report) Markdown() string {
 		}
 		b.WriteString("\n")
 	}
-	fmt.Fprintf(&b, "Thresholds: rel-tol %.3g, sigmas %.3g, drift-tol %.3g.\n",
-		r.Thresholds.RelTol, r.Thresholds.Sigmas, r.Thresholds.DriftTol)
+	fmt.Fprintf(&b, "Thresholds (fixed): %.3g %% relative, %.3gσ, %.3g %% drift.\n",
+		100*r.Thresholds.RelTol, r.Thresholds.Sigmas, 100*r.Thresholds.DriftTol)
 	return b.String()
 }
 

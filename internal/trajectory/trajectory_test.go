@@ -212,7 +212,7 @@ func TestMarkdownRendersChanges(t *testing.T) {
 	for _, want := range []string{
 		"## benchdiff", "regressed", "improved",
 		"ire expander/64", "flood complete/32", "🔴", "🟢",
-		"rel-tol 0.05", "sigmas 3",
+		"Thresholds (fixed): 5 % relative, 3σ, 25 % drift.",
 	} {
 		if !strings.Contains(md, want) {
 			t.Fatalf("markdown missing %q:\n%s", want, md)

@@ -62,9 +62,9 @@ type localPlane struct {
 // it is owed from the round before.
 type release struct{ round, expect int }
 
-func (p localPlane) Release(round int, expect []int) error {
-	for v, start := range p.starts {
-		start <- release{round, expect[v]}
+func (p localPlane) Release(round int, nodes, expect []int) error {
+	for _, v := range nodes {
+		p.starts[v] <- release{round, expect[v]}
 	}
 	return nil
 }

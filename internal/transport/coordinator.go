@@ -12,29 +12,35 @@ import (
 // in-process Cluster implements it with channels, cmd/ledist over its
 // control connections. Used from the coordinator's goroutine only.
 type CoordPlane interface {
-	// Release starts round on every node, telling node v that expect[v]
-	// data frames are addressed to it from the previous round.
-	Release(round int, expect []int) error
+	// Release starts round on each of nodes (ascending, never empty),
+	// telling node v that expect[v] data frames are addressed to it from
+	// the previous round. Every other node stays parked.
+	Release(round int, nodes, expect []int) error
 	// Next blocks for the next report from any node. node names the
 	// sender even when its control link failed or carried garbage.
 	Next() (node int, r Report, err error)
 }
 
-// Coordinator runs the round discipline over a control plane: release a
-// round, gather exactly one report per node, fold them into the embedded
-// sim.Ledger — the one the simulator's router folds its sends into — and
-// apply its stop rule. Beyond the ledger it keeps only what the wire needs:
-// the graph, to turn a sender's port into its receiver, and how many
-// frames each node is owed, which the next release hands out so no node
-// has to hear from every link. A node's Fail report, a report naming a
-// port the node does not have, or a failed control link ends the run with
-// an error naming the node; the owner of the nodes then tears them down
-// (closing the fabric unblocks any node still inside the failed round).
+// Coordinator runs the round discipline over a control plane: release the
+// round's visit set, gather exactly one report per released node, fold
+// them into the embedded sim.Ledger — the one the simulator's router folds
+// its sends into — and file each node in the sim.VisitSet the simulator
+// steps by. A round whose set is empty closes without touching the plane.
+// Beyond the ledger and the set it keeps only what the wire needs: the
+// graph, to turn a sender's port into its receiver, and how many frames
+// each node is owed, which the next release hands out so no node has to
+// hear from every link. A node's Fail report, a report from a node not
+// released, a report naming a port the node does not have, or a failed
+// control link ends the run with an error naming the node; the owner of
+// the nodes then tears them down (closing the fabric unblocks any node
+// still inside the failed round).
 type Coordinator struct {
 	sim.Ledger
+	visits sim.VisitSet
 	g      *graph.Graph
 	expect []int // frames sent to each node in the last folded round
 	plane  CoordPlane
+	nodes  []int // the nodes released this round, ascending
 	reps   []Report
 	seen   []bool
 }
@@ -47,6 +53,7 @@ func NewCoordinator(g *graph.Graph, plane CoordPlane, observer func(sim.RoundInf
 	n := g.N()
 	return &Coordinator{
 		Ledger: sim.NewLedger(n, sim.DefaultCongestBits(n), observer),
+		visits: sim.NewVisitSet(n),
 		g:      g,
 		expect: make([]int, n),
 		plane:  plane,
@@ -58,7 +65,10 @@ func NewCoordinator(g *graph.Graph, plane CoordPlane, observer func(sim.RoundInf
 // Init folds the Init pseudo-round, which every node reports unprompted
 // once its fabric is wired: slots charged, no base round — what sim.New
 // does before round 0.
-func (c *Coordinator) Init() error { return c.gather(false) }
+func (c *Coordinator) Init() error {
+	c.nodes = c.visits.AppendNodes(c.nodes[:0])
+	return c.gather(-1)
+}
 
 // Step executes one round, the wire's sim.Network.Step: it returns false
 // once the ledger's stop rule holds.
@@ -66,16 +76,25 @@ func (c *Coordinator) Step() (more bool, err error) {
 	if c.Done() {
 		return false, nil
 	}
-	if err := c.plane.Release(c.Round(), c.expect); err != nil {
+	round := c.Round()
+	c.nodes = c.visits.AppendNodes(c.nodes[:0])
+	if len(c.nodes) == 0 {
+		// Nobody has mail or a due promise: the round passes unreleased.
+		c.visits.Advance(round)
+		c.CloseRound(true)
+		return true, nil
+	}
+	if err := c.plane.Release(round, c.nodes, c.expect); err != nil {
 		return false, err
 	}
-	return true, c.gather(true)
+	return true, c.gather(round)
 }
 
-// gather collects one report per node, then folds them in node order.
-func (c *Coordinator) gather(counted bool) error {
+// gather collects one report per released node, then folds them in node
+// order. round is the round they ran (-1 for Init).
+func (c *Coordinator) gather(round int) error {
 	clear(c.seen)
-	for range c.reps {
+	for range c.nodes {
 		node, r, err := c.plane.Next()
 		switch {
 		case err != nil:
@@ -84,8 +103,10 @@ func (c *Coordinator) gather(counted bool) error {
 			return fmt.Errorf("transport: node %d: %s", node, r.Fail)
 		case r.Node != node:
 			return fmt.Errorf("transport: node %d: reported as node %d", node, r.Node)
+		case !c.visits.Has(node):
+			return fmt.Errorf("transport: node %d: report for round %d, which did not release it", node, round)
 		case c.seen[node]:
-			return fmt.Errorf("transport: node %d: second report for round %d", node, c.Round())
+			return fmt.Errorf("transport: node %d: second report for round %d", node, round)
 		case len(r.PerPort) > c.g.Degree(node):
 			return fmt.Errorf("transport: node %d: report names port %d of %d", node, len(r.PerPort)-1, c.g.Degree(node))
 		}
@@ -93,20 +114,27 @@ func (c *Coordinator) gather(counted bool) error {
 		c.reps[node] = r
 	}
 	clear(c.expect)
-	for v := range c.reps {
+	for _, v := range c.nodes {
 		r := &c.reps[v]
 		if r.Halted {
 			c.Stop(v)
 		}
 		charge := sim.Charge{Bits: r.Bits, Slots: r.MaxSlots, Channels: r.MaxChannels}
 		for p, cnt := range r.PerPort {
+			if cnt == 0 {
+				continue
+			}
 			w := c.g.Neighbor(v, p)
 			c.expect[w] += int(cnt)
-			c.Deliver(w, int(cnt))
+			if c.Deliver(w, int(cnt)) {
+				c.visits.Mail(w)
+			}
 			charge.Messages += int64(cnt)
 		}
 		c.Sent(charge)
+		c.visits.File(v, round, r.Wake, c.Halted(v))
 	}
-	c.CloseRound(counted)
+	c.visits.Advance(round)
+	c.CloseRound(round >= 0)
 	return nil
 }

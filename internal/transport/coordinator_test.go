@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -18,9 +19,11 @@ import (
 
 // scriptedPlane is a control plane whose nodes answer from a script. Once
 // the script runs out Next blocks for good, like a node that went silent:
-// a coordinator that kept gathering after a failure would hang on it.
+// a coordinator that kept gathering after a failure would hang on it. It
+// records every release, by round.
 type scriptedPlane struct {
-	script []scripted
+	script   []scripted
+	releases map[int][]int
 }
 
 type scripted struct {
@@ -29,7 +32,13 @@ type scripted struct {
 	err  error
 }
 
-func (p *scriptedPlane) Release(int, []int) error { return nil }
+func (p *scriptedPlane) Release(round int, nodes, _ []int) error {
+	if p.releases == nil {
+		p.releases = map[int][]int{}
+	}
+	p.releases[round] = append([]int(nil), nodes...)
+	return nil
+}
 
 func (p *scriptedPlane) Next() (int, transport.Report, error) {
 	if len(p.script) == 0 {
@@ -72,13 +81,21 @@ func TestCoordinatorFailureNamesNode(t *testing.T) {
 		{"misattributed report", scripted{node: 1, rep: transport.Report{Node: 2}}, "node 1: reported as node 2", nil},
 		{"second report", ok(0), "node 0: second report", nil},
 		{"port beyond degree", scripted{node: 2, rep: transport.Report{Node: 2, PerPort: []uint32{0, 0, 0, 0, 1}}}, "transport: node 2: report names port 4 of 2", nil},
+		// Node 2 promised to idle, so round 0 released only nodes 0 and 1.
+		{"not released", scripted{node: 2, rep: transport.Report{Node: 2}}, "transport: node 2: report for round 0, which did not release it", nil},
 	}
 	for _, tc := range cases {
 		for _, phase := range []string{"init", "round"} {
+			if tc.name == "not released" && phase == "init" {
+				continue // Init hears from every node
+			}
 			t.Run(tc.name+"/"+phase, func(t *testing.T) {
 				plane := &scriptedPlane{}
 				if phase == "round" {
 					plane.script = []scripted{ok(0), ok(1), ok(2)}
+					if tc.name == "not released" {
+						plane.script[2].rep.Wake = 9
+					}
 				}
 				plane.script = append(plane.script, ok(0), tc.bad)
 				coord := transport.NewCoordinator(graph.Cycle(3), plane, nil)
@@ -114,6 +131,62 @@ func TestCoordinatorCountsMessagesFromPerPort(t *testing.T) {
 	}
 	if m := coord.Metrics(); m.Messages != 3 || m.Bits != 24 {
 		t.Fatalf("folded %d messages and %d bits, want 3 and 24", m.Messages, m.Bits)
+	}
+}
+
+// TestCoordinatorReleasesTheVisitSet: a round releases exactly the nodes
+// with mail, without a promise or with a due wake round. A round whose set
+// is empty closes without a release yet is observed once, and a node that
+// halted is never released again, even with mail sent to it in the round
+// it halted in.
+func TestCoordinatorReleasesTheVisitSet(t *testing.T) {
+	rep := func(v int, r transport.Report) scripted {
+		r.Node = v
+		return scripted{node: v, rep: r}
+	}
+	// One message out of one port: node 2's port 0 leads to node 1, node
+	// 1's port 1 to node 2 on the cycle 0-1-2.
+	send := func(port int, r transport.Report) transport.Report {
+		r.PerPort = make([]uint32, port+1)
+		r.PerPort[port] = 1
+		r.Bits, r.MaxSlots, r.MaxChannels = 8, 1, 1
+		return r
+	}
+	plane := &scriptedPlane{script: []scripted{
+		// Init: node 0 halts, node 1 sleeps until round 3, node 2 sends to
+		// node 1 and sleeps until round 2.
+		rep(0, transport.Report{Halted: true}),
+		rep(1, transport.Report{Wake: 3}),
+		rep(2, send(0, transport.Report{Wake: 2})),
+		// Round 0 releases node 1 for its mail; it sleeps until round 2.
+		rep(1, transport.Report{Wake: 2}),
+		// Round 1 releases nobody. Round 2 releases nodes 1 and 2: node 1
+		// sends to node 2, and both halt, so round 3 drains the packet
+		// in flight to node 2 without a release.
+		rep(1, send(1, transport.Report{Halted: true})),
+		rep(2, transport.Report{Halted: true}),
+	}}
+	var observed []int
+	coord := transport.NewCoordinator(graph.Cycle(3), plane, func(ri sim.RoundInfo) { observed = append(observed, ri.Round) })
+	var rounds int
+	var err error
+	within(t, "coordinator", func() {
+		if err = coord.Init(); err == nil {
+			rounds, err = sim.RunLoop(context.Background(), 10, coord.Step, nil)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int][]int{0: {1}, 2: {1, 2}}
+	if !reflect.DeepEqual(plane.releases, want) {
+		t.Errorf("releases by round %v, want %v", plane.releases, want)
+	}
+	if rounds != 4 || !reflect.DeepEqual(observed, []int{0, 1, 2, 3}) {
+		t.Errorf("ran %d rounds observed as %v, want 4 observed as [0 1 2 3]", rounds, observed)
+	}
+	if m := coord.Metrics(); m.Rounds != 4 || m.ChargedRounds != 5 || m.Messages != 2 {
+		t.Errorf("metrics %+v, want 4 rounds, 5 charged (Init's slot), 2 messages", m)
 	}
 }
 

@@ -32,8 +32,10 @@ type queued struct {
 // its driver, in arrival order (FIFO per port, interleaved across ports).
 // A node collecting round t's deliveries can only hold frames sent in
 // rounds t-1 and t: no neighbor sends in t+1 before this node has reported
-// t. So arrivals counted by round parity tell the driver when all of a
-// round's frames are in.
+// t, and the rounds the node is not released in leave nothing behind,
+// since a frame sent to it in round s files it into the visit set of
+// s+1, where it takes that frame. So arrivals counted by round parity tell
+// the driver when all of a round's frames are in.
 type inbound struct {
 	mu      sync.Mutex
 	pkts    []queued
@@ -133,10 +135,12 @@ func newDriver(node int, st *sim.Stepper, codec sim.WireCodec, links []Link, bud
 	}
 }
 
-// run is the driver goroutine body: Init, then one iteration per
-// coordinator-released round until the stop message. Every released round
-// produces exactly one report, even on failure — the barrier never wedges
-// on a sick node; the coordinator sees the Fail and aborts. It returns the
+// run is the driver goroutine body: Init, then one iteration per round
+// the coordinator releases this node in, until the stop message. The node
+// is released only in rounds of its visit set, so every step it takes is
+// one the simulator takes too, and never after it halted. Every released
+// round produces exactly one report, even on failure — the coordinator
+// never wedges on a sick node; it sees the Fail and aborts. It returns the
 // control-plane error that ended the run early, if any.
 func (d *driver) run(cp ControlPlane) error {
 	for p := range d.links {
@@ -154,21 +158,13 @@ func (d *driver) run(cp ControlPlane) error {
 		if err != nil || stop {
 			return err
 		}
-		var rep Report
-		if d.stephr.Halted() {
-			// The machine is done and the ports are closed; keep
-			// confirming the (latched) halt at each barrier.
-			rep = Report{Node: d.node, Halted: true}
-		} else {
-			d.inbox, err = d.in.take(round-1, expect, d.inbox[:0])
-			if err == nil {
-				rep, err = d.flush(round, d.stephr.Step(round, d.inbox))
-			} else {
-				rep = Report{Node: d.node}
-			}
-			if err != nil {
-				rep.Fail = err.Error()
-			}
+		rep := Report{Node: d.node}
+		d.inbox, err = d.in.take(round-1, expect, d.inbox[:0])
+		if err == nil {
+			rep, err = d.flush(round, d.stephr.Step(round, d.inbox))
+		}
+		if err != nil {
+			rep.Fail = err.Error()
 		}
 		if err := cp.Report(rep); err != nil {
 			return err
@@ -223,11 +219,12 @@ func (d *driver) readPort(p int) {
 // flush writes the round's sends as data frames — plus, when the machine
 // halted this round, the final PortClosed on every link — flushes each
 // link, and builds the round report: per-port send counts, from which the
-// coordinator derives in-flight and per-node delivery counts, plus the
-// node's sim.Charge, metered exactly as the simulator's router meters it.
+// coordinator derives in-flight and per-node delivery counts, the node's
+// sim.Charge, metered exactly as the simulator's router meters it, and its
+// IdleUntil promise.
 func (d *driver) flush(round int, sends []sim.Send) (Report, error) {
 	c := d.loads.Charge(sends)
-	rep := Report{Node: d.node, Bits: c.Bits, MaxSlots: c.Slots, MaxChannels: c.Channels}
+	rep := Report{Node: d.node, Bits: c.Bits, MaxSlots: c.Slots, MaxChannels: c.Channels, Wake: d.stephr.Wake()}
 	clear(d.perPort)
 	for _, s := range sends {
 		buf, err := d.codec.AppendPayload(d.encBuf[:0], s.Payload)

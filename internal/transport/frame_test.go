@@ -159,6 +159,7 @@ func TestReportRoundTrip(t *testing.T) {
 	reports := []Report{
 		{},
 		{Node: 3, Halted: true, PerPort: []uint32{0, 2, 1}, Bits: 96, MaxSlots: 2, MaxChannels: 1},
+		{Node: 5, PerPort: []uint32{1}, Bits: 12, MaxSlots: 1, MaxChannels: 1, Wake: 1<<31 - 1},
 		{Node: 1000, Fail: "broken pipe"},
 	}
 	for i, want := range reports {
@@ -191,7 +192,7 @@ func TestReportRoundTrip(t *testing.T) {
 // replayPlane hands a coordinator one scripted report per node, in order.
 type replayPlane struct{ reps []Report }
 
-func (p *replayPlane) Release(int, []int) error { return nil }
+func (p *replayPlane) Release(int, []int, []int) error { return nil }
 
 func (p *replayPlane) Next() (int, Report, error) {
 	r := p.reps[0]
@@ -208,6 +209,7 @@ func FuzzDecodeReport(f *testing.F) {
 	for _, r := range []Report{
 		{},
 		{Node: 3, Halted: true, PerPort: []uint32{0, 2, 1}, Bits: 96, MaxSlots: 2, MaxChannels: 1},
+		{Node: 2, PerPort: []uint32{1}, Bits: 12, MaxSlots: 1, MaxChannels: 1, Wake: 40},
 		{Node: 1000, Fail: "broken pipe"},
 	} {
 		f.Add(AppendReport(nil, r))
@@ -227,6 +229,84 @@ func FuzzDecodeReport(f *testing.F) {
 		// An error is a fine outcome for a lying report; only a panic fails.
 		_ = NewCoordinator(graph.Cycle(4), &replayPlane{reps}, nil).Init()
 	})
+}
+
+// TestStreamLinkBeyondBuffer: a frame larger than a link's buffer, and a
+// round whose frames together overflow it, arrive intact and in order over
+// net.Pipe and over loopback TCP.
+func TestStreamLinkBeyondBuffer(t *testing.T) {
+	tcp := func() (net.Conn, net.Conn, error) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, nil, err
+		}
+		defer ln.Close()
+		accepted := make(chan net.Conn, 1)
+		go func() {
+			c, _ := ln.Accept()
+			accepted <- c
+		}()
+		a, err := net.Dial("tcp", ln.Addr().String())
+		b := <-accepted
+		if err == nil && b == nil {
+			err = errors.New("accept failed")
+		}
+		return a, b, err
+	}
+	pipe := func() (net.Conn, net.Conn, error) {
+		a, b := net.Pipe()
+		return a, b, nil
+	}
+	// One frame of three buffers, then one round of 64 small frames
+	// (≈ 1.9 KiB), each flushed once.
+	rounds := [][]Frame{{{Type: FrameData, Round: 1, Channel: 2, Body: bytes.Repeat([]byte{0xab}, 3*streamBuffer)}}}
+	var burst []Frame
+	for i := 0; i < 64; i++ {
+		burst = append(burst, Frame{Type: FrameData, Round: 2, Channel: uint32(i), Body: bytes.Repeat([]byte{byte(i)}, 24)})
+	}
+	rounds = append(rounds, burst)
+	for name, dial := range map[string]func() (net.Conn, net.Conn, error){"pipe": pipe, "tcp": tcp} {
+		t.Run(name, func(t *testing.T) {
+			ca, cb, err := dial()
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := NewStreamLink(ca), NewStreamLink(cb)
+			defer a.Close()
+			defer b.Close()
+			sent := make(chan error, 1)
+			go func() {
+				for _, round := range rounds {
+					for _, f := range round {
+						if err := a.WriteFrame(f); err != nil {
+							sent <- err
+							return
+						}
+					}
+					if err := a.Flush(); err != nil {
+						sent <- err
+						return
+					}
+				}
+				sent <- nil
+			}()
+			for _, round := range rounds {
+				for _, want := range round {
+					got, err := b.ReadFrame()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Type != want.Type || got.Round != want.Round || got.Channel != want.Channel || !bytes.Equal(got.Body, want.Body) {
+						t.Fatalf("got round %d channel %d with %d bytes, want round %d channel %d with %d bytes",
+							got.Round, got.Channel, len(got.Body), want.Round, want.Channel, len(want.Body))
+					}
+				}
+			}
+			if err := <-sent; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 // TestStreamLinkExchange drives two endpoints of a net.Pipe link from

@@ -3,15 +3,17 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"anonlead/internal/sim"
 )
 
 // Report is one node's account of one executed round, delivered to the
-// coordinator, which folds it into its sim.Ledger. It carries exactly the
-// facts the simulator's router observes centrally: whether the node is
-// (now) halted, how many packets it sent out of each port, and its side of
-// the cost accounting.
+// coordinator, which folds it into its sim.Ledger and files the node in its
+// sim.VisitSet. It carries exactly the facts the simulator's router
+// observes centrally: whether the node is (now) halted, how many packets it
+// sent out of each port, its side of the cost accounting, and its
+// IdleUntil promise.
 type Report struct {
 	// Node is the reporting node's index.
 	Node int
@@ -29,6 +31,9 @@ type Report struct {
 	Bits        int64
 	MaxSlots    int
 	MaxChannels int
+	// Wake is the node's IdleUntil promise for the rounds after this one
+	// (sim.Stepper.Wake; 0 for none).
+	Wake int
 	// Fail carries a transport-level error; a failing node still reports
 	// so the coordinator's gather never wedges, and it aborts the run.
 	Fail string
@@ -50,6 +55,7 @@ func AppendReport(dst []byte, r Report) []byte {
 	dst = binary.AppendUvarint(dst, uint64(r.Bits))
 	dst = binary.AppendUvarint(dst, uint64(r.MaxSlots))
 	dst = binary.AppendUvarint(dst, uint64(r.MaxChannels))
+	dst = binary.AppendUvarint(dst, uint64(r.Wake))
 	dst = binary.AppendUvarint(dst, uint64(len(r.Fail)))
 	return append(dst, r.Fail...)
 }
@@ -72,9 +78,15 @@ func DecodeReport(b []byte) (Report, error) {
 		}
 	}
 	r.Bits, r.MaxSlots, r.MaxChannels = int64(rd.Uvarint()), int(rd.Uvarint()), int(rd.Uvarint())
+	wake := rd.Uint32()
 	r.Fail = string(rd.Bytes())
 	if err := rd.Err(); err != nil {
 		return Report{}, fmt.Errorf("transport: report: %w", err)
 	}
+	// A promise is a Step round, and no run reaches round 2³¹.
+	if wake > math.MaxInt32 {
+		return Report{}, fmt.Errorf("transport: report: wake round %d: %w", wake, sim.ErrWireOverflow)
+	}
+	r.Wake = int(wake)
 	return r, nil
 }

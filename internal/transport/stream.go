@@ -23,9 +23,19 @@ type streamLink struct {
 	hdr  [framePrefixSize]byte // length-prefix scratch, kept off the heap per read
 }
 
+// streamBuffer sizes each endpoint's read and write buffer. A driver
+// flushes every link once per round, so a buffer only ever holds one
+// link's round: at most 184 B, in frames of at most 26 B, over ire,
+// explicit, walknotify, floodmax and allflood on expander-64/256,
+// cycle-48, hypercube-64, complete-16 and regular4-16, and revocable on
+// complete-3/4/6. bufio's 4 KiB default made these buffers most of a wire
+// election's allocated bytes (2m endpoints per run); a frame or round
+// beyond 512 B still goes through, in more than one write or read.
+const streamBuffer = 512
+
 // NewStreamLink wraps an established byte-stream connection as a Link.
 func NewStreamLink(conn io.ReadWriteCloser) Link {
-	return &streamLink{conn: conn, bw: bufio.NewWriter(conn), br: bufio.NewReader(conn)}
+	return &streamLink{conn: conn, bw: bufio.NewWriterSize(conn, streamBuffer), br: bufio.NewReaderSize(conn, streamBuffer)}
 }
 
 func (l *streamLink) WriteFrame(f Frame) error {

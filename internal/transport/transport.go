@@ -11,13 +11,16 @@
 // sim.RunLoop). This package adds the two layers the in-memory simulator
 // does not need:
 //
-//   - The Coordinator decides who may step when: it releases a round over
-//     a control plane, gathers exactly one Report per node, and folds
-//     them into its sim.Ledger in node order — halts, deliveries, sends,
-//     then the round close — so a Cluster is bit-compatible with
-//     sim.Network: same seed, same leader, same round count, same cost
-//     metrics. The in-process Cluster and the multi-process cmd/ledist
-//     run the same Coordinator.
+//   - The Coordinator decides who may step when: it releases a round's
+//     sim.VisitSet over a control plane, gathers exactly one Report per
+//     released node, and folds them into its sim.Ledger in node order —
+//     halts, deliveries, sends, then the round close — filing each node in
+//     the visit set by its IdleUntil promise, so a Cluster steps the
+//     machines sim.Network steps and is bit-compatible with it: same seed,
+//     same leader, same round count, same cost metrics. A round whose
+//     visit set is empty closes without touching the control plane. The
+//     in-process Cluster and the multi-process cmd/ledist run the same
+//     Coordinator.
 //   - A Transport wires a topology into a Fabric of per-port Links
 //     (in-process channels, net.Pipe byte streams, or localhost TCP
 //     sockets established through a seed-derived anonymous handshake),
@@ -31,9 +34,9 @@
 // tells each node how many of those are addressed to it. No node steps
 // round t+1 before exactly that many round-t frames have arrived, so a
 // link the protocol left silent costs nothing. The coordinator starts a
-// round only after all nodes reported the previous one, and stops exactly
-// where the simulator would: when every node has halted and nothing is in
-// flight.
+// round only after every released node reported the previous one, and
+// stops exactly where the simulator would: when every node has halted and
+// nothing is in flight.
 package transport
 
 import (

@@ -2,9 +2,16 @@ package anonlead
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"anonlead/internal/core"
+	"anonlead/internal/rng"
+	"anonlead/internal/sim"
+	"anonlead/internal/transport"
 )
 
 // TestTransportParity: for the same seed, every real backend — including
@@ -90,6 +97,115 @@ func TestTransportRevocableConvergence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTransportStepsWhatSimSteps: a wire backend steps a machine in
+// exactly the rounds the simulator steps it. The coordinator releases only
+// the simulator's visit set — nodes with mail, without an IdleUntil
+// promise, or whose promised round has come — so the number of Machine.Step
+// calls in every round must be the simulator's, on chan and on tcp, for
+// the hinting protocols (ire, explicit, walknotify), for floodmax, and for
+// revocable under a round cap.
+func TestTransportStepsWhatSimSteps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spins up full TCP clusters")
+	}
+	type cell struct {
+		proto, family string
+		n, cap        int // cap: the rounds an open-ended protocol runs
+	}
+	var cells []cell
+	for _, fam := range []struct {
+		name string
+		n    int
+	}{{"expander", 64}, {"cycle", 48}} {
+		for _, proto := range []string{ProtoIRE, ProtoExplicit, ProtoWalkNotify, ProtoFloodMax} {
+			cells = append(cells, cell{proto: proto, family: fam.name, n: fam.n})
+		}
+	}
+	cells = append(cells, cell{proto: ProtoRevocable, family: "complete", n: 4, cap: 400})
+	for _, c := range cells {
+		nw := mustNetwork(t, c.family, c.n, 1)
+		var opts []Option
+		if c.proto == ProtoRevocable {
+			opts = append(opts, WithIsoperimetric(mustProfile(t, nw).Isoperimetric))
+		}
+		pc, err := nw.ProtoConfig(c.proto, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entry, _ := core.Lookup(c.proto)
+		for seed := uint64(1); seed <= 2; seed++ {
+			// steps runs one election on backend (nil: the simulator) and
+			// returns its Step calls per round.
+			steps := func(t *testing.T, backend transport.Transport) []int {
+				runner, err := entry.Build(pc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rounds := runner.Budget
+				if rounds == 0 {
+					rounds = c.cap
+				}
+				counts := &roundSteps{}
+				factory := func(node, degree int, r *rng.RNG) sim.Machine {
+					return roundStepper{runner.Factory(node, degree, r), counts}
+				}
+				if backend == nil {
+					sim.New(sim.Config{Graph: nw.g, Seed: seed}, factory).Run(rounds)
+					return counts.perRound
+				}
+				cl, err := transport.NewCluster(context.Background(), transport.Config{Graph: nw.g, Seed: seed, Transport: backend}, factory, entry.Wire)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cl.Close()
+				if _, err := cl.RunContext(context.Background(), rounds); err != nil {
+					t.Fatal(err)
+				}
+				return counts.perRound
+			}
+			name := fmt.Sprintf("%s/%s-%d/seed%d", c.proto, c.family, c.n, seed)
+			want := steps(t, nil)
+			for _, backend := range []transport.Transport{transport.ChanTransport{}, transport.TCPTransport{}} {
+				t.Run(name+"/"+backend.Name(), func(t *testing.T) {
+					got := steps(t, backend)
+					if !reflect.DeepEqual(got, want) {
+						r := 0
+						for r < min(len(got), len(want)) && got[r] == want[r] {
+							r++
+						}
+						t.Fatalf("from round %d on, %s stepped %v machines, the simulator %v",
+							r, backend.Name(), got[r:min(r+5, len(got))], want[r:min(r+5, len(want))])
+					}
+				})
+			}
+		}
+	}
+}
+
+// roundSteps counts Machine.Step calls per round over all nodes of one run;
+// a wire backend steps its nodes on concurrent goroutines.
+type roundSteps struct {
+	mu       sync.Mutex
+	perRound []int
+}
+
+// roundStepper wraps a machine, counting its steps in a roundSteps.
+type roundStepper struct {
+	sim.Machine
+	counts *roundSteps
+}
+
+func (m roundStepper) Step(ctx *sim.Context, inbox []sim.Packet) {
+	c := m.counts
+	c.mu.Lock()
+	for len(c.perRound) <= ctx.Round() {
+		c.perRound = append(c.perRound, 0)
+	}
+	c.perRound[ctx.Round()]++
+	c.mu.Unlock()
+	m.Machine.Step(ctx, inbox)
 }
 
 // TestTransportRejectsAdversary pins the guard: transport-level runs have
