@@ -1,5 +1,11 @@
-# Shared entry points for humans and CI (.github/workflows/ci.yml calls
-# exactly these targets, so a green `make ci` locally means a green pipeline).
+# Shared entry points for humans and CI. `make ci` runs build, lint, test,
+# race and bench. .github/workflows/ci.yml runs those and more, so a green
+# `make ci` is not yet a green pipeline. The pipeline also runs `make fuzz`,
+# `make loc`, `make epochs-smoke`, `make scaling-smoke`, `make dist-demo` and
+# `make obs-smoke`; it calls `go build ./examples/...`, `go run
+# ./cmd/benchdiff` (the gate `make benchdiff` runs, plus a JSON verdict) and
+# `go run ./cmd/lereport` directly; and it builds and tests on Go 1.21 as
+# well as 1.22.
 # `make fuzz` runs each of its ten fuzzers for FUZZTIME (default 10s);
 # plain `go test` only replays their seed corpora.
 

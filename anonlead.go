@@ -27,17 +27,19 @@
 //   - allflood: naive FloodMax with every node a candidate.
 //   - walknotify: the Gilbert-class random-walk baseline (known n, tmix).
 //
-// Run composes with options: WithScheduler selects the execution engine
-// (all engines are bit-identical), WithAdversary injects deterministic
-// faults (message loss, crash-stop, churn, delivery jitter) described by
-// an AdversarySpec, WithObserver streams per-round cost metrics, and
+// Run composes with options: WithTransport moves the nodes onto real
+// message-passing links, WithAdversary injects deterministic faults
+// (message loss, crash-stop, churn, delivery jitter) described by an
+// AdversarySpec, WithObserver streams per-round cost metrics, and
 // WithPresumedN misreports the network size for knowledge ablations
 // (after Dieudonné & Pelc). The context cancels long runs cooperatively.
 //
 // Topologies come from NewNetwork (named families) or NewNetworkFromEdges
-// (custom edge lists). Every election is deterministic in the provided
-// seed: same network, protocol, seed and options — byte-identical outcome,
-// regardless of scheduler.
+// (custom edge lists). Run feeds the protocols the network's size and its
+// profiled mixing time, conductance and diameter; Network.Profile is the
+// one way to read that profile. Every election is deterministic in the
+// provided seed: same network, protocol, seed and options — byte-identical
+// outcome.
 package anonlead
 
 import (
@@ -60,11 +62,6 @@ type Network struct {
 	mu    sync.Mutex
 	profs map[spectral.Mode]*spectral.Profile // keyed by resolved mode
 }
-
-// Families returns the topology family names accepted by NewNetwork, in
-// the order of internal/graph's family table (where each is declared, with
-// its minimum size; the aliases NewNetwork also accepts are not listed).
-func Families() []string { return graph.FamilyNames() }
 
 // NewNetwork builds a named topology family instance on n nodes. Random
 // families (regular, gnp, expander) are drawn deterministically from seed
@@ -152,18 +149,5 @@ func (nw *Network) profileMode(mode spectral.Mode) (*spectral.Profile, error) {
 	return p, nil
 }
 
-// cachedProfile returns the already-computed profile for the resolved
-// mode, or nil — it never forces a computation. Run uses it to attach a
-// profile to the Outcome exactly when one was needed.
-func (nw *Network) cachedProfile(mode spectral.Mode) *spectral.Profile {
-	resolved := mode.Resolve(nw.g.N())
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	return nw.profs[resolved]
-}
-
 // N returns the number of nodes.
 func (nw *Network) N() int { return nw.g.N() }
-
-// M returns the number of links.
-func (nw *Network) M() int { return nw.g.M() }

@@ -5,15 +5,16 @@ import (
 	"testing"
 
 	"anonlead/internal/core"
+	"anonlead/internal/graph"
 )
 
 func TestNewNetworkFamilies(t *testing.T) {
-	for _, family := range Families() {
+	for _, family := range graph.FamilyNames() {
 		nw, err := NewNetwork(family, 16, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", family, err)
 		}
-		if nw.N() == 0 || nw.M() == 0 {
+		if nw.N() == 0 || nw.g.M() == 0 {
 			t.Fatalf("%s: degenerate network", family)
 		}
 		prof := mustProfile(t, nw)
@@ -34,8 +35,8 @@ func TestNewNetworkFromEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nw.N() != 4 || nw.M() != 4 {
-		t.Fatalf("n=%d m=%d", nw.N(), nw.M())
+	if nw.N() != 4 || nw.g.M() != 4 {
+		t.Fatalf("n=%d m=%d", nw.N(), nw.g.M())
 	}
 	if d := mustProfile(t, nw).Diameter; d != 2 {
 		t.Fatalf("diameter %d", d)
@@ -87,8 +88,8 @@ func TestElectUnique(t *testing.T) {
 		}
 		if res.Unique {
 			wins++
-			if res.LeaderCount() != 1 {
-				t.Fatal("Unique true but LeaderCount != 1")
+			if len(res.Leaders) != 1 {
+				t.Fatalf("Unique true but %d leaders", len(res.Leaders))
 			}
 		}
 		if res.Messages <= 0 || res.Rounds <= 0 || res.ChargedRounds <= 0 || res.Bits <= 0 {
@@ -163,11 +164,11 @@ func TestElectOptionOverrides(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Manual tmix/phi inputs (linear upper bounds are allowed).
-	if _, err := nw.Run(context.Background(), ProtoIRE, WithSeed(3), WithMixingTime(8), WithConductance(0.4)); err != nil {
+	if _, err := nw.Run(context.Background(), ProtoIRE, WithSeed(3), WithProtoConfig(core.ProtoConfig{TMix: 8, Phi: 0.4})); err != nil {
 		t.Fatal(err)
 	}
 	// Invalid conductance must surface as an error.
-	if _, err := nw.Run(context.Background(), ProtoIRE, WithSeed(3), WithConductance(2)); err == nil {
+	if _, err := nw.Run(context.Background(), ProtoIRE, WithSeed(3), WithProtoConfig(core.ProtoConfig{Phi: 2})); err == nil {
 		t.Fatal("invalid conductance accepted")
 	}
 }
@@ -230,21 +231,6 @@ func TestElectRevocableInvalidEpsilon(t *testing.T) {
 	}
 	if _, err := nw.Run(context.Background(), ProtoRevocable, WithSeed(1), WithEpsilon(2)); err == nil {
 		t.Fatal("invalid epsilon accepted")
-	}
-}
-
-func TestCertificateOrdering(t *testing.T) {
-	a := Certificate{ID: 5, Estimate: 8}
-	b := Certificate{ID: 3, Estimate: 8}
-	c := Certificate{ID: 100, Estimate: 16}
-	if !a.Less(b) {
-		t.Fatal("same estimate: smaller ID should win")
-	}
-	if b.Less(a) {
-		t.Fatal("ordering not antisymmetric")
-	}
-	if !a.Less(c) || !b.Less(c) {
-		t.Fatal("larger estimate should win")
 	}
 }
 

@@ -2,15 +2,15 @@
 // chosen topology and protocol and reports leaders elected plus exact
 // CONGEST cost accounting. Elections run entirely on the public anonlead
 // API: the protocol registry (-proto accepts anything in Protocols()),
-// the Network.Run session surface, scheduler selection, deterministic
-// fault injection, and streaming round observation. (Only the -graph help
+// the Network.Run session surface, deterministic fault injection, and
+// streaming round observation. (Only the -graph help
 // reaches inside, for the family table's aliases.)
 //
 // Usage:
 //
 //	leaderelect -graph expander -n 256 -proto ire -trials 10
 //	leaderelect -graph complete -n 4 -proto revocable -iso 2
-//	leaderelect -graph torus -n 64 -proto walknotify -scheduler actors
+//	leaderelect -graph torus -n 64 -proto walknotify -trials 5
 //	leaderelect -graph expander -n 64 -proto floodmax -loss 0.1 -trials 20
 //	leaderelect -graph expander -n 128 -proto ire -observe 32
 package main
@@ -42,7 +42,6 @@ func run() error {
 		proto     = flag.String("proto", "ire", "protocol: "+strings.Join(anonlead.Protocols(), ", "))
 		trials    = flag.Int("trials", 1, "number of independent elections")
 		seed      = flag.Uint64("seed", 1, "root random seed (trial t runs at seed+t)")
-		scheduler = flag.String("scheduler", "sequential", "execution engine: sequential, workerpool, actors (all bit-identical)")
 		presumed  = flag.Int("presumed", 0, "misreported network size for the knowledge ablation (0 = truth)")
 		c         = flag.Float64("c", 0, "analysis constant c override (0 = default)")
 		walks     = flag.Int("x", 0, "IRE: walk-count override (0 = paper formula)")
@@ -89,10 +88,6 @@ func run() error {
 	if err := adv.Validate(); err != nil {
 		return err
 	}
-	sched, err := parseScheduler(*scheduler)
-	if err != nil {
-		return err
-	}
 
 	// ^C cancels the run cooperatively between simulated rounds.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -107,7 +102,6 @@ func run() error {
 	for t := 0; t < *trials; t++ {
 		opts := []anonlead.Option{
 			anonlead.WithSeed(*seed + uint64(t)),
-			anonlead.WithScheduler(sched),
 			anonlead.WithAdversary(adv),
 			anonlead.WithConstant(*c),
 			anonlead.WithWalks(*walks),
@@ -149,7 +143,7 @@ func run() error {
 	}
 
 	ft := float64(*trials)
-	fmt.Printf("protocol: %s trials=%d scheduler=%s\n", *proto, *trials, sched)
+	fmt.Printf("protocol: %s trials=%d\n", *proto, *trials)
 	if desc := adv.Descriptor(); desc != "" {
 		fmt.Printf("faults:   %s (dropped=%.1f delayed=%.1f crashed=%.1f per trial)\n",
 			desc, dropped/ft, delayed/ft, crashed/ft)
@@ -169,17 +163,4 @@ func accumulate(msgs, bits, rounds, charged, dropped, delayed, crashed *float64,
 	*dropped += float64(out.Dropped)
 	*delayed += float64(out.Delayed)
 	*crashed += float64(out.Crashed)
-}
-
-func parseScheduler(name string) (anonlead.Scheduler, error) {
-	switch strings.ToLower(name) {
-	case "", "sequential", "seq":
-		return anonlead.Sequential, nil
-	case "workerpool", "pool", "parallel":
-		return anonlead.WorkerPool, nil
-	case "actors":
-		return anonlead.Actors, nil
-	default:
-		return anonlead.Sequential, fmt.Errorf("unknown scheduler %q (sequential, workerpool, actors)", name)
-	}
 }

@@ -14,10 +14,10 @@ import (
 // prints (each number labelled with its method), the adversary's canonical
 // descriptor on the faults line, per-trial means over the three trials.
 // A batch of no trials, which used to print 0/0 and NaN means, is refused,
-// and so are a NaN fault rate, the -parallel knob the library dropped, a
-// graph size the family cannot have and a negative presumed size, which
-// used to run silently with the true size; -h lists every family name and
-// alias.
+// and so are a NaN fault rate, a graph size the family cannot have and a
+// negative presumed size, which used to run silently with the true size;
+// -parallel and -scheduler are undefined flags, since every election runs
+// on the sequential simulator; -h lists every family name and alias.
 func TestLeaderelectFaultedBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary")
@@ -34,7 +34,7 @@ func TestLeaderelectFaultedBatch(t *testing.T) {
 	for _, want := range []string{
 		"family=cycle\nn=16 m=16 diameter=8 degree=[2,2]\n",
 		"tmix=37 (exact)\nconductance=0.125000 isoperimetric=0.250000 (exact)\nprotocol: ",
-		"protocol: floodmax trials=3 scheduler=sequential\n",
+		"protocol: floodmax trials=3\n",
 		"faults:   loss=0.1 (dropped=",
 		"/3 unique leader",
 	} {
@@ -42,9 +42,15 @@ func TestLeaderelectFaultedBatch(t *testing.T) {
 			t.Errorf("output lacks %q:\n%s", want, out)
 		}
 	}
-	for _, args := range [][]string{{"-trials", "0"}, {"-parallel"}, {"-loss", "NaN"}} {
+	for _, args := range [][]string{{"-trials", "0"}, {"-loss", "NaN"}} {
 		if out, err := exec.Command(bin, args...).CombinedOutput(); err == nil {
 			t.Errorf("leaderelect %v exited 0:\n%s", args, out)
+		}
+	}
+	for _, args := range [][]string{{"-parallel"}, {"-scheduler", "actors"}} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if want := "flag provided but not defined: " + args[0] + "\n"; err == nil || !strings.HasPrefix(string(out), want) {
+			t.Errorf("leaderelect %v: err %v, output %q; want a failure starting %q", args, err, out, want)
 		}
 	}
 	// -h lists the family table's help line, which internal/graph's

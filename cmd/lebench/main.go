@@ -112,6 +112,12 @@ func run() error {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU pprof profile of the run")
 	)
 	flag.Parse()
+	if *trials < 0 {
+		return fmt.Errorf("-trials must be >= 0 (0 = experiment default), got %d", *trials)
+	}
+	if *workers < 0 {
+		return fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", *workers)
+	}
 
 	mode, err := spectral.ParseMode(*profile)
 	if err != nil {

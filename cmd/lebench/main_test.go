@@ -15,7 +15,7 @@ import (
 // TestLebench builds the binary once and drives it as a process: the
 // pool-size identity over the whole gate plan, stdout against lereport's
 // render of the artifact, the telemetry flags that must leave the cells
-// alone, and the removed flags that must be refused.
+// alone, and the removed flags and negative counts that must be refused.
 func TestLebench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the lebench binary")
@@ -176,6 +176,8 @@ func TestLebench(t *testing.T) {
 			{[]string{"-exp", "sweeps", "-quick", "-trials", "1", "-cells", "0:3", "-json", out}, "-cells"},
 			{[]string{"-exp", "table1", "-quick", "-trials", "1", metricsFlag, filepath.Join(dir, "m.json"), "-json", out}, metricsFlag},
 			{[]string{"-exp", "table1", "-quick", "-trials", "1", debugFlag, "localhost:0", "-json", out}, debugFlag},
+			{[]string{"-exp", "table1", "-quick", "-trials", "-3", "-json", out}, "-trials must be >= 0"},
+			{[]string{"-exp", "table1", "-quick", "-trials", "1", "-workers", "-2", "-json", out}, "-workers must be >= 0"},
 		} {
 			_, stderr, err := run(t, tc.args...)
 			if err == nil || !strings.Contains(stderr, tc.want) {

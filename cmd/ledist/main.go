@@ -299,9 +299,6 @@ func resolveRun(proto, family string, n int, seed uint64) (nw *anonlead.Network,
 	if !ok {
 		return nil, entry, pc, fmt.Errorf("unknown protocol %q (registered: %s)", proto, strings.Join(core.Names(), ", "))
 	}
-	if entry.Wire == nil {
-		return nil, entry, pc, fmt.Errorf("protocol %s has no wire codec; it cannot run distributed", entry.Name)
-	}
 	if nw, err = anonlead.NewNetwork(family, n, seed); err != nil {
 		return nil, entry, pc, err
 	}
@@ -607,8 +604,8 @@ func nodeMain(v int, coord string) error {
 		return fmt.Errorf("node %d: plan: %s with n=%d builds %d nodes", v, plan.Family, plan.N, g.N())
 	}
 	entry, ok := core.Lookup(plan.Proto)
-	if !ok || entry.Wire == nil {
-		return fmt.Errorf("node %d: protocol %q not runnable here", v, plan.Proto)
+	if !ok {
+		return fmt.Errorf("node %d: unknown protocol %q", v, plan.Proto)
 	}
 	runner, err := entry.Build(plan.PC)
 	if err != nil {

@@ -18,7 +18,7 @@ func ExampleNetwork_Run() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("unique:", out.Unique, "leaders:", out.LeaderCount())
+	fmt.Println("unique:", out.Unique, "leaders:", len(out.Leaders))
 	fmt.Println("positive costs:", out.Messages > 0 && out.Bits > 0 && out.ChargedRounds > 0)
 	// Output:
 	// unique: true leaders: 1

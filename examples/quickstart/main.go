@@ -45,13 +45,10 @@ func main() {
 
 	// Elections are deterministic in the seed and independent across
 	// seeds; rerun a few to see the high-probability guarantee at work.
-	// The WorkerPool scheduler fans node steps over all CPUs with
-	// bit-identical output.
 	unique := 0
 	const trials = 10
 	for seed := uint64(100); seed < 100+trials; seed++ {
-		r, err := nw.Run(context.Background(), anonlead.ProtoIRE,
-			anonlead.WithSeed(seed), anonlead.WithScheduler(anonlead.WorkerPool))
+		r, err := nw.Run(context.Background(), anonlead.ProtoIRE, anonlead.WithSeed(seed))
 		if err != nil {
 			log.Fatal(err)
 		}

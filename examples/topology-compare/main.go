@@ -63,8 +63,7 @@ func main() {
 			for _, proto := range protos {
 				var msgs, rounds, charged, wins float64
 				for t := 0; t < trials; t++ {
-					out, err := nw.Run(ctx, proto,
-						anonlead.WithSeed(11+uint64(t)), anonlead.WithScheduler(anonlead.WorkerPool))
+					out, err := nw.Run(ctx, proto, anonlead.WithSeed(11+uint64(t)))
 					if err != nil {
 						log.Fatal(err)
 					}

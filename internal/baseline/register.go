@@ -11,14 +11,12 @@ func init() {
 	core.Register(core.Entry{
 		Name:    "floodmax",
 		Aliases: []string{"flood"},
-		Info:    "FloodMax over sampled candidates, known n and D (Kutten-class baseline)",
 		Needs:   core.NeedDiam,
 		Build:   buildFlood,
 		Wire:    wireCodec{},
 	})
 	core.Register(core.Entry{
 		Name:  "allflood",
-		Info:  "naive FloodMax with every node a candidate",
 		Needs: core.NeedDiam,
 		Build: func(pc core.ProtoConfig) (core.Runner, error) {
 			pc.AllNodes = true
@@ -28,7 +26,6 @@ func init() {
 	})
 	core.Register(core.Entry{
 		Name:  "walknotify",
-		Info:  "random-walk tokens with kill notifications (Gilbert-class baseline)",
 		Needs: core.NeedTMix,
 		Build: buildWalkNotify,
 		Wire:  wireCodec{},

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -10,6 +11,25 @@ func rejects(proto string, pc ProtoConfig) bool {
 	e, _ := Lookup(proto)
 	_, err := e.Build(pc)
 	return err != nil
+}
+
+// TestRegisterRefusesNilWire: an entry without a wire codec panics before
+// its name or aliases reach the registry, so every registered protocol runs
+// on every backend.
+func TestRegisterRefusesNilWire(t *testing.T) {
+	names, aliases := Names(), len(byName)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Register accepted an entry with a nil Wire")
+			}
+		}()
+		Register(Entry{Name: "nowire", Aliases: []string{"nowire-alias"}, Build: buildIRE})
+	}()
+	if _, ok := Lookup("nowire"); ok || !reflect.DeepEqual(Names(), names) || len(byName) != aliases {
+		t.Fatalf("refused registration changed the registry: names %v, %d lookups (want %v, %d)",
+			Names(), len(byName), names, aliases)
+	}
 }
 
 func TestIREConfigValidation(t *testing.T) {

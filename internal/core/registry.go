@@ -119,21 +119,19 @@ type Runner struct {
 }
 
 // Entry is one protocol's registration: its canonical name, optional
-// aliases, the profiled inputs it consumes, and its builder.
+// aliases, the profiled inputs it consumes, its builder and its wire codec.
 type Entry struct {
 	// Name is the canonical protocol name (the cell identity experiments
 	// and artifacts key on).
 	Name string
 	// Aliases name the same protocol under legacy spellings.
 	Aliases []string
-	// Info is a one-line human description.
-	Info string
 	// Needs declares the profiled inputs the builder consumes.
 	Needs Needs
 	// Build resolves the config into an executable Runner.
 	Build func(pc ProtoConfig) (Runner, error)
 	// Wire serializes the protocol's payloads for the real-transport
-	// backend (nil: the protocol can only run on the in-memory simulator).
+	// backends; every protocol runs on every backend.
 	Wire sim.WireCodec
 }
 
@@ -145,12 +143,13 @@ var (
 // Register adds a protocol to the registry. It is called from package
 // init functions only (this package registers the paper's protocols,
 // internal/baseline the promoted baselines), so lookups need no locking.
-// Duplicate names panic: they are programmer errors. The registered Build
-// is e.Build behind the checks every protocol shares, with its errors
-// prefixed by the protocol's name and the default collector filled in.
+// A missing name, builder or wire codec and duplicate names panic: they
+// are programmer errors. The registered Build is e.Build behind the checks
+// every protocol shares, with its errors prefixed by the protocol's name
+// and the default collector filled in.
 func Register(e Entry) {
-	if e.Name == "" || e.Build == nil {
-		panic("core: protocol registration requires a name and a builder")
+	if e.Name == "" || e.Build == nil || e.Wire == nil {
+		panic("core: protocol registration requires a name, a builder and a wire codec")
 	}
 	if _, dup := byName[e.Name]; dup {
 		panic("core: duplicate protocol registration " + e.Name)
@@ -201,21 +200,18 @@ func Names() []string {
 func init() {
 	Register(Entry{
 		Name:  "ire",
-		Info:  "Irrevocable Leader Election, known n (paper Section 4)",
 		Needs: NeedTMix | NeedPhi,
 		Build: buildIRE,
 		Wire:  wireCodec{},
 	})
 	Register(Entry{
 		Name:  "explicit",
-		Info:  "explicit IRE: Section 4 election + announcement flood and BFS tree (Section 3)",
 		Needs: NeedTMix | NeedPhi,
 		Build: buildExplicit,
 		Wire:  wireCodec{},
 	})
 	Register(Entry{
 		Name:  "revocable",
-		Info:  "Blind Leader Election with Certificates, unknown n (paper Section 5.2)",
 		Build: buildRevocable,
 		Wire:  wireCodec{},
 	})

@@ -8,7 +8,6 @@ import (
 	"anonlead/internal/core"
 	"anonlead/internal/graph"
 	"anonlead/internal/pumping"
-	"anonlead/internal/sim"
 	"anonlead/internal/spectral"
 	"anonlead/internal/stats"
 )
@@ -115,7 +114,7 @@ func SplitBrainExperiment(presumedN int, witnessCounts []int, trials int, seed u
 		sumLeaders := 0
 		for tr := 0; tr < trials; tr++ {
 			trialSeed := seed ^ uint64(wc)<<40 ^ uint64(tr)<<8 ^ 0x5bd1
-			trial, err := runTrial(wheel, "ire", pc, trialSeed, TrialOpts{Scheduler: sim.WorkerPool})
+			trial, err := runTrial(wheel, "ire", pc, trialSeed, TrialOpts{})
 			if err != nil {
 				return points, err
 			}

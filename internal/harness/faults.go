@@ -95,7 +95,7 @@ func FaultSweeps(quick bool) []FaultSweep {
 	if !quick {
 		revocableN, revocableCap = 6, 450_000
 	}
-	revocableOpts := TrialOpts{RevocableUseProfileIso: true, Proto: core.ProtoConfig{MaxRounds: revocableCap}}
+	revocableOpts := TrialOpts{Proto: core.ProtoConfig{MaxRounds: revocableCap}}
 
 	return []FaultSweep{
 		{"F1-a message loss vs IRE on expanders", ProtoIRE,

@@ -6,7 +6,6 @@ import (
 
 	"anonlead/internal/adversary"
 	"anonlead/internal/core"
-	"anonlead/internal/sim"
 )
 
 // TestFaultSweepAnchorsMatchFaultFree: the zero-spec anchor cell of a
@@ -94,10 +93,9 @@ func TestFaultSweepsMatrix(t *testing.T) {
 }
 
 // TestRevocableCrashSweepDeterminism pins the F5 cells (revocable LE
-// under crash-stop): the sweep template carries the Theorem 3 schedule
-// knobs through CellSpecs, crashes actually land, and the cells are
-// byte-identical between one worker and three
-// under every scheduler.
+// under crash-stop): the sweep template carries the round cap through
+// CellSpecs, crashes actually land, and the cells are byte-identical
+// between one worker and three.
 func TestRevocableCrashSweepDeterminism(t *testing.T) {
 	sweeps := FaultSweeps(true)
 	var f5 *FaultSweep
@@ -111,8 +109,8 @@ func TestRevocableCrashSweepDeterminism(t *testing.T) {
 	}
 	specs := f5.CellSpecs(2, 9)
 	for _, s := range specs {
-		if !s.Opts.RevocableUseProfileIso || s.Opts.Proto.MaxRounds == 0 {
-			t.Fatalf("sweep template lost the revocable knobs: %+v", s.Opts)
+		if s.Opts.Proto.MaxRounds == 0 {
+			t.Fatalf("sweep template lost the revocable round cap: %+v", s.Opts)
 		}
 	}
 	ref, err := Orchestrator{Workers: 1}.RunSweep(specs)
@@ -131,18 +129,12 @@ func TestRevocableCrashSweepDeterminism(t *testing.T) {
 	if !crashed {
 		t.Fatalf("crash ladder crashed nobody: %+v", ref)
 	}
-	for _, sched := range []sim.Scheduler{sim.Sequential, sim.WorkerPool, sim.Actors} {
-		s2 := f5.CellSpecs(2, 9)
-		for i := range s2 {
-			s2[i].Opts.Scheduler = sched
-		}
-		got, err := (Orchestrator{Workers: 3}).RunSweep(s2)
-		if err != nil {
-			t.Fatalf("scheduler %v: %v", sched, err)
-		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("scheduler %v: three-worker F5 cells differ from one worker", sched)
-		}
+	got, err := (Orchestrator{Workers: 3}).RunSweep(f5.CellSpecs(2, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, ref) {
+		t.Fatal("three-worker F5 cells differ from one worker")
 	}
 }
 
@@ -151,7 +143,7 @@ func TestRevocableCrashSweepDeterminism(t *testing.T) {
 // trial, not a sweep-aborting error.
 func TestRevocableUnderFaultsFailsSoftly(t *testing.T) {
 	cell, err := RunCell(ProtoRevocable, Workload{Family: "complete", N: 4},
-		TrialOpts{Trials: 2, Seed: 5, RevocableUseProfileIso: true, Proto: core.ProtoConfig{MaxRounds: 50_000},
+		TrialOpts{Trials: 2, Seed: 5, Proto: core.ProtoConfig{MaxRounds: 50_000},
 			Adversary: &adversary.Spec{CrashFraction: 1, CrashBy: 0}})
 	if err != nil {
 		t.Fatalf("all-crash revocable cell errored: %v", err)

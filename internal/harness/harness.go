@@ -22,7 +22,6 @@ import (
 	"anonlead/internal/graph"
 	"anonlead/internal/obs"
 	"anonlead/internal/rng"
-	"anonlead/internal/sim"
 	"anonlead/internal/spectral"
 	"anonlead/internal/stats"
 )
@@ -84,10 +83,6 @@ type Trial struct {
 type TrialOpts struct {
 	Trials int
 	Seed   uint64
-	// Scheduler selects the simulator engine for every trial (zero =
-	// Sequential). All engines are bit-identical; the knob exists so
-	// determinism tests can sweep them.
-	Scheduler sim.Scheduler
 	// Adversary, when non-nil and non-zero, fault-injects every trial of
 	// the batch. The adversary's streams are split from the trial seed
 	// under a dedicated label, so machine randomness is untouched and a
@@ -109,13 +104,9 @@ type TrialOpts struct {
 	// Proto overlays protocol tunables onto every trial (zero values =
 	// protocol defaults; e.g. C, XFactor, Epsilon, or MaxRounds to cap a
 	// revocable run an adversary can keep from converging). Run fills the
-	// profiled inputs (TMix, Phi, Diam) left at zero.
+	// profiled inputs (TMix, Phi, Diam) left at zero; a revocable cell that
+	// leaves Iso at zero runs on the profiled i(G).
 	Proto core.ProtoConfig
-	// RevocableUseProfileIso feeds the profiled isoperimetric number into
-	// the revocable protocol (the Theorem 3 known-i(G) schedule) instead
-	// of the blind Corollary 1 schedule. i(G) is not a profiled default of
-	// Run — blind is the protocol's point — so the cell opts in here.
-	RevocableUseProfileIso bool
 	// RoundProfile, when true, attaches a deterministic per-round
 	// message/halt histogram to every trial (merged per cell and persisted
 	// in the schema-v5 artifact's round_profile section). Off by default:
@@ -368,8 +359,8 @@ func cellTrials(opts TrialOpts) int {
 }
 
 // runOne executes trial `seed` of protocol p on the prepared network: the
-// batch's protocol overlay plus the two knobs that are cell identity
-// rather than protocol tunables.
+// batch's protocol overlay plus the presumed size and, for revocable, the
+// profiled i(G), which are cell identity rather than protocol tunables.
 func runOne(p Protocol, anw *anonlead.Network, prof *spectral.Profile, opts TrialOpts, seed uint64) (Trial, error) {
 	pc := opts.Proto
 	if opts.PresumedN > 0 {
@@ -377,7 +368,8 @@ func runOne(p Protocol, anw *anonlead.Network, prof *spectral.Profile, opts Tria
 		// its profiled parameters stay truthful.
 		pc.N = opts.PresumedN
 	}
-	if opts.RevocableUseProfileIso && pc.Iso == 0 {
+	if p == ProtoRevocable && pc.Iso == 0 {
+		// Theorem 3's known-i(G) schedule; Run's default stays blind.
 		pc.Iso = prof.Isoperimetric
 	}
 	return runTrial(anw, string(p), pc, seed, opts)
@@ -390,7 +382,6 @@ func runOne(p Protocol, anw *anonlead.Network, prof *spectral.Profile, opts Tria
 func runTrial(anw *anonlead.Network, proto string, pc core.ProtoConfig, seed uint64, opts TrialOpts) (Trial, error) {
 	ropts := []anonlead.Option{
 		anonlead.WithSeed(seed),
-		anonlead.WithScheduler(opts.Scheduler),
 		anonlead.WithProfileMode(opts.ProfileMode),
 		anonlead.WithProtoConfig(pc),
 	}

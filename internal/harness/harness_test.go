@@ -63,7 +63,7 @@ func TestRunCellBaselines(t *testing.T) {
 
 func TestRunCellRevocable(t *testing.T) {
 	cell, err := RunCell(ProtoRevocable, Workload{Family: "complete", N: 3}, TrialOpts{
-		Trials: 2, Seed: 3, RevocableUseProfileIso: true,
+		Trials: 2, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,13 +11,12 @@ import (
 	"time"
 
 	"anonlead/internal/adversary"
-	"anonlead/internal/sim"
 )
 
 // determinismSpecs is a small cross-protocol, cross-family sweep matrix
 // used by the bit-identity tests, including fault-injected cells: the
-// adversary layer must be exactly as scheduler-independent as the
-// protocols underneath it.
+// adversary layer must be exactly as independent of the worker count as
+// the protocols underneath it.
 func determinismSpecs(seed uint64) []CellSpec {
 	opts := TrialOpts{Trials: 4, Seed: seed}
 	faulty := TrialOpts{Trials: 4, Seed: seed, Adversary: &adversary.Spec{
@@ -81,23 +80,6 @@ func TestParallelHarnessDeterminism(t *testing.T) {
 		}
 		if !reflect.DeepEqual(seq[i], alone[0]) {
 			t.Fatalf("cell %d swept alone differs from the full sweep:\nfull:  %+v\nalone: %+v", i, seq[i], alone[0])
-		}
-	}
-
-	// The same sweep — fault-injected cells included — must be
-	// bit-identical under every simulator scheduler, not just every
-	// orchestrator shape.
-	for _, s := range []sim.Scheduler{sim.WorkerPool, sim.Actors} {
-		scheduled := determinismSpecs(17)
-		for i := range scheduled {
-			scheduled[i].Opts.Scheduler = s
-		}
-		got, err := Orchestrator{Workers: 1}.RunSweep(scheduled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seq, got) {
-			t.Fatalf("scheduler %v: cells differ from the sequential scheduler", s)
 		}
 	}
 }

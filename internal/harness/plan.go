@@ -103,7 +103,7 @@ func Table1Plan(quick bool, trials int, seed uint64) Plan {
 	// vacuous on these cells.
 	rt := planTrials(trials, 6)
 	sizes := planPick(quick, []int{3, 4, 6, 8}, []int{3, 4, 6})
-	ropts := TrialOpts{Trials: rt, Seed: seed, RevocableUseProfileIso: true}
+	ropts := TrialOpts{Trials: rt, Seed: seed}
 	sections = append(sections, PlanSection{
 		"T1-d Revocable LE (this work, faithful Theorem 3 schedule) on complete graphs",
 		SweepSpecs(ProtoRevocable, "complete", sizes, ropts),

@@ -2,39 +2,11 @@ package harness
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 	"time"
 
-	"anonlead/internal/sim"
 	"anonlead/internal/spectral"
 )
-
-// TestEstimatedCellsSchedulerInvariant: estimate-regime cells are
-// byte-identical across all three simulator engines, exactly like exact
-// ones — the estimators read only the graph and the seed chain, never the
-// execution schedule.
-func TestEstimatedCellsSchedulerInvariant(t *testing.T) {
-	w := Workload{Family: "expander", N: 96}
-	var cells []Cell
-	for _, sched := range []sim.Scheduler{sim.Sequential, sim.WorkerPool, sim.Actors} {
-		opts := TrialOpts{Trials: 4, Seed: 11, Scheduler: sched,
-			ProfileMode: spectral.ModeEstimate}
-		c, err := RunCell(ProtoIRE, w, opts)
-		if err != nil {
-			t.Fatalf("scheduler %v: %v", sched, err)
-		}
-		if !c.Profile.Estimated {
-			t.Fatalf("scheduler %v: cell not in estimate regime: %+v", sched, c.Profile)
-		}
-		cells = append(cells, c)
-	}
-	for i := 1; i < len(cells); i++ {
-		if !reflect.DeepEqual(cells[0], cells[i]) {
-			t.Fatalf("scheduler %d diverged:\n%+v\n%+v", i, cells[0], cells[i])
-		}
-	}
-}
 
 // TestProfileCacheColdWarmByteIdentical: a warm-cache sweep serializes
 // byte-identically to the cold run that populated the cache, and a fresh

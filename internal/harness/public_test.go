@@ -12,9 +12,10 @@ import (
 // TestHarnessTrialEqualsPublicRun pins the one trial path from the
 // outside: a one-trial cell equals what a library user gets from
 // anonlead.NewNetwork(family, n, seed).Run(protocol, WithSeed(TrialSeed))
-// on a fresh network, with no profiled input supplied by either side — the
-// same graph, the same profile (estimate-regime sampling seed included),
-// the same defaults, the same accounting.
+// on a fresh network, with no profiled input supplied by either side but
+// the i(G) every revocable cell runs on — the same graph, the same profile
+// (estimate-regime sampling seed included), the same defaults, the same
+// accounting.
 func TestHarnessTrialEqualsPublicRun(t *testing.T) {
 	const root = 9
 	all := Protocols()
@@ -48,6 +49,9 @@ func TestHarnessTrialEqualsPublicRun(t *testing.T) {
 			if tc.adv != nil {
 				opts = append(opts, anonlead.WithAdversary(*tc.adv))
 			}
+			if p == ProtoRevocable {
+				opts = append(opts, anonlead.WithIsoperimetric(cell.Profile.Isoperimetric))
+			}
 			out, err := nw.Run(context.Background(), string(p), opts...)
 			if err != nil {
 				t.Fatalf("%s on %v: public run: %v", p, tc.w, err)
@@ -75,8 +79,8 @@ func TestHarnessTrialEqualsPublicRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if *cell.Profile != prof || (out.Profile != nil && *out.Profile != prof) {
-				t.Errorf("%s on %v: profiles diverged:\ncell %+v\nnet  %+v\nrun  %+v", p, tc.w, cell.Profile, prof, out.Profile)
+			if *cell.Profile != prof {
+				t.Errorf("%s on %v: profiles diverged:\ncell %+v\nnet  %+v", p, tc.w, cell.Profile, prof)
 			}
 			if tc.adv != nil && out.Dropped == 0 {
 				t.Errorf("%s on %v: loss adversary dropped nothing", p, tc.w)

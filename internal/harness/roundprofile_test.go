@@ -4,42 +4,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
-
-	"anonlead/internal/obs"
-	"anonlead/internal/sim"
 )
-
-// TestRoundProfileDeterministicAcrossSchedulers pins the round-profile
-// guarantee the schema-v5 artifact section depends on: the per-round
-// message/halt histograms are pure functions of (graph, protocol, seed),
-// byte-identical across the Sequential, WorkerPool and Actors engines.
-func TestRoundProfileDeterministicAcrossSchedulers(t *testing.T) {
-	w := Workload{Family: "expander", N: 24}
-	profiles := make(map[sim.Scheduler]*obs.RoundProfile)
-	for _, s := range []sim.Scheduler{sim.Sequential, sim.WorkerPool, sim.Actors} {
-		cell, err := RunCell(ProtoIRE, w, TrialOpts{
-			Trials: 3, Seed: 7, Scheduler: s, RoundProfile: true,
-		})
-		if err != nil {
-			t.Fatalf("scheduler %v: %v", s, err)
-		}
-		if cell.RoundProf == nil {
-			t.Fatalf("scheduler %v: no round profile despite RoundProfile opt", s)
-		}
-		profiles[s] = cell.RoundProf
-	}
-	ref := profiles[sim.Sequential]
-	if ref.Rounds == 0 || ref.TotalMsgs == 0 || len(ref.MsgRounds) == 0 {
-		t.Fatalf("degenerate reference profile: %+v", ref)
-	}
-	for _, s := range []sim.Scheduler{sim.WorkerPool, sim.Actors} {
-		a, _ := json.Marshal(ref)
-		b, _ := json.Marshal(profiles[s])
-		if string(a) != string(b) {
-			t.Errorf("scheduler %v profile diverges:\nsequential: %s\n%v: %s", s, a, s, b)
-		}
-	}
-}
 
 // TestRoundProfileMatchesCellTotals cross-checks the profile against the
 // cell's own aggregates: summed per-round messages must equal the trials'

@@ -10,7 +10,7 @@ import (
 // Profile is the structural profile of a network: the quantities the
 // paper's protocols are parameterized by, plus the regime flags saying how
 // each one was obtained. The root package aliases this type as
-// anonlead.Profile (Outcome.Profile and Network.Profile expose it), and
+// anonlead.Profile (Network.Profile exposes it), and
 // the harness records one per sweep cell.
 type Profile struct {
 	N         int // nodes

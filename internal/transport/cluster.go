@@ -101,9 +101,6 @@ func NewCluster(ctx context.Context, cfg Config, factory sim.Factory, codec sim.
 	if factory == nil {
 		return nil, errors.New("transport: config requires a machine factory")
 	}
-	if codec == nil {
-		return nil, errors.New("transport: protocol has no wire codec")
-	}
 	tr := cfg.Transport
 	if tr == nil {
 		tr = ChanTransport{}

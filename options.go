@@ -97,10 +97,9 @@ func (t Transport) String() string {
 // length-prefixed framed messages over per-port links, with a coordinator
 // barrier enforcing CONGEST synchrony. Execution is bit-compatible across
 // backends: the same seed elects the same leader in the same number of
-// rounds with the same cost metrics. Non-simulator backends require the
-// protocol to have a registered wire codec (all built-in protocols do)
-// and cannot be combined with WithAdversary: faults are injected by the
-// simulator's router.
+// rounds with the same cost metrics. Non-simulator backends cannot be
+// combined with WithAdversary: faults are injected by the simulator's
+// router.
 func WithTransport(t Transport) Option {
 	return func(o *options) { o.transport = t }
 }
@@ -123,12 +122,11 @@ func WithObserver(fn func(RoundInfo)) Option {
 	return func(o *options) { o.observer = fn }
 }
 
-// WithProfileMode selects the regime used to compute any profiled
-// protocol inputs (mixing time, conductance, diameter) the caller did not
-// supply explicitly: ProfileExact is the legacy dense path, byte-identical
-// to pre-mode releases; ProfileEstimate is the streaming path that scales
-// to millions of nodes; ProfileAuto (the default) picks exact for n ≤ 256
-// and estimate above. Profiles are cached per resolved regime on the
+// WithProfileMode selects the regime used to compute the profiled
+// protocol inputs (mixing time, conductance, diameter): ProfileExact is
+// the legacy dense path, byte-identical to pre-mode releases;
+// ProfileEstimate is the streaming path that scales to millions of nodes;
+// ProfileAuto (the default) picks exact for n ≤ 256 and estimate above. Profiles are cached per resolved regime on the
 // Network, so repeated runs share one computation. The resolved mode is
 // recorded in bench artifact cell descriptors.
 func WithProfileMode(mode ProfileMode) Option {
@@ -156,25 +154,6 @@ func WithConstant(c float64) Option {
 // ire/explicit protocols. Default: the paper's x = √(n·log n/(Φ·tmix)).
 func WithWalks(x int) Option {
 	return func(o *options) { o.proto.X = x }
-}
-
-// WithMixingTime overrides the mixing-time input of the ire, explicit and
-// walknotify protocols (the paper needs only a linear upper bound).
-// Default: the network's profiled tmix.
-func WithMixingTime(t int) Option {
-	return func(o *options) { o.proto.TMix = t }
-}
-
-// WithConductance overrides the conductance input of the ire and explicit
-// protocols. Default: the network's profiled Φ.
-func WithConductance(phi float64) Option {
-	return func(o *options) { o.proto.Phi = phi }
-}
-
-// WithDiameter overrides the diameter bound the floodmax baselines flood
-// for. Default: the network's profiled exact diameter.
-func WithDiameter(d int) Option {
-	return func(o *options) { o.proto.Diam = d }
 }
 
 // WithEpsilon sets the paper's ε ∈ (0,1] for the revocable protocol.

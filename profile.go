@@ -48,8 +48,9 @@ type Profile = spectral.Profile
 
 // Profile returns the network's structural profile under the given mode,
 // computing it on first use and caching per resolved regime (auto shares
-// the cache entry of whatever regime it resolves to). Concurrent callers
-// are safe; repeated calls are free.
+// the cache entry of whatever regime it resolves to). It is the one way to
+// read the profile a Run under the same WithProfileMode was parameterized
+// by. Concurrent callers are safe; repeated calls are free.
 func (nw *Network) Profile(mode ProfileMode) (Profile, error) {
 	p, err := nw.profileMode(mode)
 	if err != nil {

@@ -3,6 +3,8 @@ package anonlead
 import (
 	"strings"
 	"testing"
+
+	"anonlead/internal/core"
 )
 
 // TestNetworkProfileModes pins the public accessor: exact and estimate
@@ -42,35 +44,26 @@ func TestNetworkProfileModes(t *testing.T) {
 	}
 }
 
-// TestOutcomeProfileAttachment pins when Run attaches a profile: present
-// when the protocol consumed profiled defaults, absent when every input
-// was supplied explicitly.
-func TestOutcomeProfileAttachment(t *testing.T) {
+// TestRunProfilesLazily pins when Run computes a profile: never when
+// every profiled input the protocol needs was supplied, and exactly once,
+// under the resolved regime, when it consumed profiled defaults.
+func TestRunProfilesLazily(t *testing.T) {
 	nw, err := NewNetwork("cycle", 24, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := nw.Run(nil, ProtoFloodMax, WithSeed(2))
-	if err != nil {
+	if _, err := nw.Run(nil, ProtoFloodMax, WithSeed(2), WithProtoConfig(core.ProtoConfig{Diam: 12})); err != nil {
 		t.Fatal(err)
 	}
-	if out.Profile == nil {
-		t.Fatal("floodmax with profiled diameter returned no Outcome.Profile")
+	if len(nw.profs) != 0 {
+		t.Fatalf("explicit-diameter run computed a profile: %v", nw.profs)
 	}
-	if out.Profile.Estimated {
-		t.Fatalf("small-n auto profile flagged estimated: %+v", out.Profile)
-	}
-
-	fresh, err := NewNetwork("cycle", 24, 1)
-	if err != nil {
+	if _, err := nw.Run(nil, ProtoFloodMax, WithSeed(2)); err != nil {
 		t.Fatal(err)
 	}
-	out2, err := fresh.Run(nil, ProtoFloodMax, WithSeed(2), WithDiameter(12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out2.Profile != nil {
-		t.Fatalf("explicit-diameter run forced a profile: %+v", out2.Profile)
+	p, ok := nw.profs[ProfileExact]
+	if len(nw.profs) != 1 || !ok || p.Estimated {
+		t.Fatalf("default floodmax run left profiles %v, want one exact profile", nw.profs)
 	}
 }
 

@@ -45,15 +45,6 @@ var errEmptyGraph = errors.New("anonlead: network requires a non-empty graph")
 // is accepted by Run.
 func Protocols() []string { return core.Names() }
 
-// ProtocolInfo returns a one-line description of a registered protocol
-// ("" for unknown names).
-func ProtocolInfo(name string) string {
-	if e, ok := core.Lookup(name); ok {
-		return e.Info
-	}
-	return ""
-}
-
 // Outcome is the unified result of Run: the election outcome and CONGEST
 // cost accounting shared by every protocol, plus the per-protocol extras
 // (announcement spanning tree, revocable certificate).
@@ -96,17 +87,7 @@ type Outcome struct {
 	Certificate *Certificate
 	// FinalEstimate is the revocable size estimate at stabilization.
 	FinalEstimate uint64
-
-	// Profile is the structural profile the run was parameterized by, when
-	// one was computed (nil when every profiled input was supplied
-	// explicitly, e.g. via WithMixingTime/WithConductance/WithDiameter —
-	// the run never forces a profile it did not need). The regime follows
-	// WithProfileMode.
-	Profile *Profile
 }
-
-// LeaderCount returns the number of elected leaders.
-func (o Outcome) LeaderCount() int { return len(o.Leaders) }
 
 // Certificate is a revocable leader certificate: the leader's random ID
 // compounded with the size estimate that was in force when it was chosen.
@@ -114,15 +95,6 @@ func (o Outcome) LeaderCount() int { return len(o.Leaders) }
 type Certificate struct {
 	ID       uint64
 	Estimate uint64
-}
-
-// Less reports whether c loses to other under the paper's certificate
-// order (other is a strictly better leader claim).
-func (c Certificate) Less(other Certificate) bool {
-	if c.Estimate != other.Estimate {
-		return c.Estimate < other.Estimate
-	}
-	return c.ID > other.ID
 }
 
 // Metrics mirrors the simulator's complete cost accounting.
@@ -227,9 +199,6 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 		}, runner.Factory)
 		eng = net
 	} else {
-		if entry.Wire == nil {
-			return Outcome{}, fmt.Errorf("anonlead: protocol %s has no wire codec; it runs only on TransportSim", entry.Name)
-		}
 		if adv != nil {
 			return Outcome{}, fmt.Errorf("anonlead: WithAdversary requires TransportSim")
 		}
@@ -262,10 +231,6 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 	// Metrics.Rounds is the engine's own count of executed rounds — the
 	// value the run call above returns.
 	out := Outcome{Protocol: entry.Name, Metrics: metricsFromSim(eng.Metrics())}
-	if p := nw.cachedProfile(o.profile); p != nil {
-		cp := *p // a copy: callers must not reach into the network's cache
-		out.Profile = &cp
-	}
 	if runErr != nil {
 		return out, fmt.Errorf("anonlead: %s stopped after %d rounds: %w", entry.Name, out.Rounds, runErr)
 	}
