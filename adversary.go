@@ -1,25 +1,6 @@
 package anonlead
 
-import (
-	"anonlead/internal/adversary"
-	"anonlead/internal/sim"
-)
-
-// Scheduler selects how node steps are executed each round. All schedulers
-// produce bit-identical results: randomness is pre-split per node and
-// routing is always performed in node order, so the choice is purely a
-// throughput knob.
-type Scheduler = sim.Scheduler
-
-const (
-	// Sequential runs node steps in index order on the calling goroutine.
-	Sequential = sim.Sequential
-	// WorkerPool fans node steps out over a bounded goroutine pool.
-	WorkerPool = sim.WorkerPool
-	// Actors runs every node as a persistent goroutine for the lifetime
-	// of the run — message-passing all the way down.
-	Actors = sim.Actors
-)
+import "anonlead/internal/adversary"
 
 // AdversarySpec declares a deterministic fault-injection adversary (message
 // loss, crash-stop, link churn, delivery jitter, traffic-adaptive crashes)

@@ -124,24 +124,6 @@ func TestElectDeterministic(t *testing.T) {
 	}
 }
 
-func TestElectParallelMatchesSequential(t *testing.T) {
-	nw, err := NewNetwork("torus", 16, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := nw.Run(context.Background(), ProtoIRE, WithSeed(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := nw.Run(context.Background(), ProtoIRE, WithSeed(4), WithScheduler(WorkerPool))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Messages != par.Messages || len(seq.Leaders) != len(par.Leaders) {
-		t.Fatalf("schedulers diverged: %+v vs %+v", seq, par)
-	}
-}
-
 func TestElectOptionOverrides(t *testing.T) {
 	nw, err := NewNetwork("complete", 24, 1)
 	if err != nil {

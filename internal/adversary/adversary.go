@@ -11,9 +11,8 @@
 //
 // Every decision is a pure function of the seed and the decision's
 // coordinates (round, edge, node), derived through rng.DeriveSeed
-// splitting, or of the traffic the router observed — never of call order
-// or scheduler interleaving. Runs are therefore byte-identical across the
-// Sequential, WorkerPool, and Actors schedulers.
+// splitting, or of the traffic the router observed — never of call order.
+// A faulted run is therefore a function of its seed alone.
 //
 // A Spec mixes five fault kinds — Bernoulli packet loss, crash-stop
 // (scheduled and sampled; the earlier round wins), per-round edge churn

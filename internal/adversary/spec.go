@@ -47,8 +47,8 @@ type Spec struct {
 	// AdaptiveWindow rounds the AdaptiveCrash busiest nodes of that window
 	// crash-stop — targeting the busiest node approximates targeting the
 	// emerging leader. Victims are a pure function of the observed traffic
-	// (no extra randomness), so adaptive runs stay deterministic per seed
-	// and bit-identical across schedulers. 0 disables.
+	// (no extra randomness), so adaptive runs stay deterministic per seed.
+	// 0 disables.
 	AdaptiveCrash int `json:"adaptive_crash,omitempty"`
 	// AdaptiveWindow is the observation window in rounds (0 = default 8).
 	AdaptiveWindow int `json:"adaptive_window,omitempty"`

@@ -45,21 +45,19 @@ type hintRun struct {
 	steps   int64
 }
 
-// runCounted runs one election of proto under spec's adversary on
-// scheduler s, every machine wrapped in counted; cancel withdraws every
-// idle hint.
-func runCounted(t *testing.T, proto string, g *graph.Graph, pc core.ProtoConfig, spec adversary.Spec, seed uint64, s sim.Scheduler, cancel bool) hintRun {
+// runCounted runs one election of proto under spec's adversary, every
+// machine wrapped in counted; cancel withdraws every idle hint.
+func runCounted(t *testing.T, proto string, g *graph.Graph, pc core.ProtoConfig, spec adversary.Spec, seed uint64, cancel bool) hintRun {
 	t.Helper()
 	runner := mustBuild(t, proto, pc)
 	adv, err := spec.Build(g, adversary.DeriveRunSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw := sim.New(sim.Config{Graph: g, Seed: seed, Scheduler: s, Workers: 2, Adversary: adv},
+	nw := sim.New(sim.Config{Graph: g, Seed: seed, Adversary: adv},
 		func(node, degree int, r *rng.RNG) sim.Machine {
 			return &counted{Machine: runner.Factory(node, degree, r), cancel: cancel}
 		})
-	defer nw.Close()
 	nw.Run(runner.Budget)
 	if !nw.AllHalted() {
 		t.Fatalf("did not halt within %d rounds", runner.Budget)
@@ -109,9 +107,9 @@ func sameElection(t *testing.T, hinted, plain hintRun) {
 }
 
 // TestIdleHintsChangeNothing runs every protocol that gives IdleUntil hints
-// with and without them — across graph families, seeds, adversaries and the
-// three schedulers — and requires the same leaders, the same sim.Metrics
-// and the same output at every node: a skipped Step is a no-op.
+// with and without them — across graph families, seeds and adversaries —
+// and requires the same leaders, the same sim.Metrics and the same output
+// at every node: a skipped Step is a no-op.
 func TestIdleHintsChangeNothing(t *testing.T) {
 	families := []struct {
 		name string
@@ -123,18 +121,17 @@ func TestIdleHintsChangeNothing(t *testing.T) {
 		{CrashFraction: 0.2, CrashBy: 40},
 		{DelayProb: 0.3, MaxDelay: 2},
 	}
-	schedulers := []sim.Scheduler{sim.Sequential, sim.WorkerPool, sim.Actors}
 	for _, f := range families {
 		g, pc := profiled(t, f.name, f.n)
 		for _, spec := range advs {
 			pc.MaxDelay, pc.Faulted = spec.MaxDelay, !spec.IsZero()
 			for _, proto := range []string{"ire", "explicit", "walknotify", "floodmax", "allflood"} {
-				for i, seed := range []uint64{1, 2, 3} {
+				for _, seed := range []uint64{1, 2, 3} {
 					name := fmt.Sprintf("%s/%s-%d/%s/seed=%d", proto, f.name, g.N(), spec.Descriptor(), seed)
 					t.Run(name, func(t *testing.T) {
 						sameElection(t,
-							runCounted(t, proto, g, pc, spec, seed, schedulers[i], false),
-							runCounted(t, proto, g, pc, spec, seed, sim.Sequential, true))
+							runCounted(t, proto, g, pc, spec, seed, false),
+							runCounted(t, proto, g, pc, spec, seed, true))
 					})
 				}
 			}
@@ -151,8 +148,8 @@ func TestIdleHintsSkipMostOfIREOnCycle(t *testing.T) {
 	g, pc := profiled(t, "cycle", 96)
 	var hintedSteps, nodeRounds int64
 	for _, seed := range []uint64{1, 2, 3} {
-		hinted := runCounted(t, "ire", g, pc, adversary.Spec{}, seed, sim.Sequential, false)
-		plain := runCounted(t, "ire", g, pc, adversary.Spec{}, seed, sim.Sequential, true)
+		hinted := runCounted(t, "ire", g, pc, adversary.Spec{}, seed, false)
+		plain := runCounted(t, "ire", g, pc, adversary.Spec{}, seed, true)
 		sameElection(t, hinted, plain)
 		rounds := int64(plain.metrics.Rounds) * int64(g.N())
 		if plain.steps != rounds {

@@ -72,31 +72,6 @@ func TestIREDeterministicInSeed(t *testing.T) {
 	}
 }
 
-func TestIREParallelSchedulerEquivalence(t *testing.T) {
-	g := graph.Torus(4, 4)
-	cfg := profiledConfig(t, g)
-	r := mustBuild(t, "ire", cfg)
-	run := func(s sim.Scheduler) ([]IREOutput, sim.Metrics) {
-		nw := sim.New(sim.Config{Graph: g, Seed: 17, Scheduler: s, Workers: 4}, r.Factory)
-		nw.Run(r.Budget)
-		outs := make([]IREOutput, g.N())
-		for v := range outs {
-			outs[v] = nw.Machine(v).(*IREMachine).Output()
-		}
-		return outs, nw.Metrics()
-	}
-	seqOut, seqMet := run(sim.Sequential)
-	parOut, parMet := run(sim.WorkerPool)
-	if seqMet != parMet {
-		t.Fatalf("metrics differ: %v vs %v", seqMet, parMet)
-	}
-	for v := range seqOut {
-		if seqOut[v] != parOut[v] {
-			t.Fatalf("node %d differs across schedulers", v)
-		}
-	}
-}
-
 func TestIREInvariantUnderPortPermutation(t *testing.T) {
 	// Protocol correctness must not depend on the port labeling
 	// (anonymous networks expose no canonical ports). Success rates on a

@@ -385,8 +385,11 @@ var families = []family{
 		}
 		return Torus(rows, cols), nil
 	}},
-	// n rounded down to a power of two.
+	// n rounded down to a power of two, at most 2^30 (Hypercube's limit).
 	{name: "hypercube", minN: 2, build: func(n int, _ *rng.RNG) (*Graph, error) {
+		if n >= 1<<31 {
+			return nil, fmt.Errorf("graph: hypercube needs n < 2^31 (dimension at most 30), got %d", n)
+		}
 		dim := 0
 		for (1 << (dim + 1)) <= n {
 			dim++

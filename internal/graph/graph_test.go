@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -265,6 +266,16 @@ func TestByNameAllFamilies(t *testing.T) {
 	}
 	if _, err := ByName("nosuch", 8, rng.New(1)); err == nil {
 		t.Fatal("unknown family accepted")
+	}
+}
+
+// TestByNameHypercubeTooLarge: a hypercube size whose dimension passes
+// Hypercube's limit of 30 is an error naming the family, not a panic.
+func TestByNameHypercubeTooLarge(t *testing.T) {
+	for _, n := range []int{1 << 31, 1<<31 + 5, 1 << 62, math.MaxInt} {
+		if _, err := ByName("hypercube", n, nil); err == nil || !strings.Contains(err.Error(), "hypercube") {
+			t.Errorf("ByName(hypercube, %d): err %v, want one naming the family", n, err)
+		}
 	}
 }
 

@@ -68,8 +68,7 @@ func AblationCautious(w Workload, xs []int, trials int, seed uint64) ([]Cautious
 			}
 			msgs += float64(nw.Metrics().Messages)
 		}
-		sum := stats.Summarize(territories)
-		pt.MeanTerritory = sum.Mean
+		pt.MeanTerritory = stats.DistOf(territories).Mean
 		pt.Messages = msgs / float64(trials)
 		pt.Candidates = cands / float64(trials)
 		pt.PredictedMsgs = float64(x) * float64(prof.MixingTime) * pt.Candidates

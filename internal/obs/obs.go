@@ -8,8 +8,8 @@
 // path and the byte-identity of committed artifacts are untouched by
 // merely linking this package. Spans are a wall-clock side channel and
 // never enter artifacts; the one deterministic product — the per-cell
-// RoundProfile — is integer-only and scheduler-independent, and is opt-in
-// per trial.
+// RoundProfile — is integer-only and independent of the worker count, and
+// is opt-in per trial.
 //
 // Dataflow: harness/sweep call sites wrap phases in Span() → the span log
 // → WriteChromeTraceFile (lebench -trace-out) → ReadChromeTraceFile →

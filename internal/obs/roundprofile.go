@@ -6,15 +6,15 @@ import "math/bits"
 // behaviour: how many rounds saw how many messages, when the message peak
 // happened, and how halting progressed. All fields are integers derived
 // from the simulator's cumulative Metrics deltas, so a profile is a pure
-// function of (graph, protocol, seed) — identical across the Sequential,
-// WorkerPool and Actors schedulers — and two profiles merge by addition.
+// function of (graph, protocol, seed) and two profiles merge by addition.
 //
 // MsgRounds[b] counts rounds whose per-round message total fell in
 // bucket b: bucket 0 is exactly 0 messages, bucket b >= 1 is
 // [2^(b-1), 2^b). HaltRounds counts rounds by newly-halted nodes in the
 // same bucket scheme. The bounds are fixed powers of two rather than
 // data-dependent ones, which is what makes profiles mergeable by plain
-// elementwise addition and byte-identical across schedulers. Trailing zero
+// elementwise addition and byte-identical however a sweep splits its
+// trials across workers. Trailing zero
 // buckets are trimmed before export.
 type RoundProfile struct {
 	Rounds     int64   `json:"rounds"`

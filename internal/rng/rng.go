@@ -6,8 +6,8 @@
 // stream observed by one node must not depend on the scheduling order of
 // other nodes. To that end the package exposes a splittable generator: a
 // parent stream can derive independent child streams keyed by stable labels
-// (node index, phase number, channel id), so sequential and parallel
-// schedulers observe identical randomness.
+// (node index, phase number, channel id), so a node observes the same
+// randomness whichever backend steps it, and in whatever order.
 //
 // The core generator is splitmix64 (Steele, Lea, Flood; JSSC 2014) chained
 // into an xoshiro256** state. Both are well-studied, pass BigCrush, and are

@@ -55,8 +55,8 @@ func (m *chatty) Step(ctx *Context, inbox []Packet) {
 	}
 }
 
-func chattyNet(g *graph.Graph, busy, stopRound int, s Scheduler, adv Adversary) *Network {
-	return New(Config{Graph: g, Seed: 1, Scheduler: s, Adversary: adv},
+func chattyNet(g *graph.Graph, busy, stopRound int, adv Adversary) *Network {
+	return New(Config{Graph: g, Seed: 1, Adversary: adv},
 		func(node, degree int, r *rng.RNG) Machine {
 			return &chatty{recorder: recorder{stopRound: stopRound, sendBits: 4}, busy: node == busy}
 		})
@@ -69,7 +69,7 @@ func TestAdaptiveCrashTargetsBusiestNode(t *testing.T) {
 	g := graph.Cycle(8)
 	const busy = 3
 	adv := &testAdaptive{fireRound: 1}
-	nw := chattyNet(g, busy, 10, Sequential, adv)
+	nw := chattyNet(g, busy, 10, adv)
 	nw.Run(20)
 
 	// Round 0 observation (observed[1]): every node broadcast once on its
@@ -93,35 +93,6 @@ func TestAdaptiveCrashTargetsBusiestNode(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSchedulerIdentity: adaptive crashes are a pure function of
-// the observed traffic, which route() produces identically under every
-// scheduler — so the whole run is identical too.
-func TestAdaptiveSchedulerIdentity(t *testing.T) {
-	g := graph.Torus(4, 4)
-	type result struct {
-		obs     [][]int
-		crashed []bool
-		met     Metrics
-	}
-	run := func(s Scheduler) result {
-		adv := &testAdaptive{fireRound: 2}
-		nw := chattyNet(g, 5, 8, s, adv)
-		nw.Run(20)
-		crashed := make([]bool, g.N())
-		for v := range crashed {
-			crashed[v] = nw.Crashed(v)
-		}
-		return result{obs: adv.observed, crashed: crashed, met: nw.Metrics()}
-	}
-	base := run(Sequential)
-	for _, s := range []Scheduler{WorkerPool, Actors} {
-		got := run(s)
-		if !reflect.DeepEqual(got, base) {
-			t.Fatalf("scheduler %v diverges from sequential:\n%+v\nvs\n%+v", s, got, base)
-		}
-	}
-}
-
 // TestAdaptiveOverridesLaterStaticSchedule: a node scheduled to crash at
 // round 4 statically but picked by the adaptive adversary after round 0
 // dies at round 1 — the earlier of the two rounds wins, and the crash is
@@ -136,7 +107,7 @@ func TestAdaptiveOverridesLaterStaticSchedule(t *testing.T) {
 		}
 		return -1
 	}
-	nw := chattyNet(g, victim, 10, Sequential, adv)
+	nw := chattyNet(g, victim, 10, adv)
 	nw.Run(20)
 	if !nw.Crashed(victim) {
 		t.Fatal("victim not crashed")

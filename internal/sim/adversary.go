@@ -3,12 +3,12 @@ package sim
 import "math/bits"
 
 // Adversary is a deterministic fault-injection policy interposed between
-// send and delivery. The simulator consults it from the single-threaded
-// routing/coordination path only, so implementations never see concurrent
-// calls — but determinism still must not lean on call order: every decision
-// is required to be a pure function of the adversary's own seed material
-// and the call's arguments, so that the Sequential, WorkerPool, and Actors
-// schedulers observe byte-identical faults. internal/adversary provides the
+// send and delivery. The simulator consults it from its round loop only, so
+// implementations never see concurrent calls — but determinism still must
+// not lean on call order: every decision is required to be a pure function
+// of the adversary's own seed material and the call's arguments, so that a
+// fault does not depend on which packets were asked about before it.
+// internal/adversary provides the
 // implementation (Bernoulli link loss, crash-stop schedules, link churn,
 // delivery-delay jitter, traffic-adaptive crashes), one type built from a
 // declarative spec on rng seed splitting.
@@ -37,10 +37,9 @@ type Adversary interface {
 	// returned slice may be reused by the implementation; the simulator
 	// consumes it before the next call.
 	//
-	// Determinism needs no extra seed material: route() is single-threaded
-	// and iterates nodes in index order under every scheduler, so the
-	// observed counts — and any pure function of them — are byte-identical
-	// across Sequential, WorkerPool, and Actors. Adaptive crashes compose
+	// Determinism needs no extra seed material: route() iterates nodes in
+	// index order, so the observed counts — and any pure function of them —
+	// are a function of the run's seed. Adaptive crashes compose
 	// with the CrashRound schedule: the earlier of the two rounds wins, and
 	// already-crashed nodes are skipped.
 	ObserveTraffic(round int, sent []int) []int
@@ -91,7 +90,7 @@ func (nw *Network) applyCrashes(round int) {
 
 // releaseFutures merges the delayed packets arriving this round into their
 // receivers' inboxes (after the on-time packets routed last round, so
-// arrival order is deterministic for every scheduler) and adds the
+// arrival order is deterministic) and adds the
 // receivers to the round's visit set. Packets for halted or crashed
 // receivers are dropped, mirroring normal delivery.
 func (nw *Network) releaseFutures(round int) {

@@ -34,8 +34,8 @@ func (a *testAdv) Fate(round, from, port, to int) (bool, int) {
 
 func (a *testAdv) ObserveTraffic(int, []int) []int { return nil }
 
-func recorderNetAdv(g *graph.Graph, stopRound int, s Scheduler, adv Adversary) *Network {
-	return New(Config{Graph: g, Seed: 1, Scheduler: s, Adversary: adv},
+func recorderNetAdv(g *graph.Graph, stopRound int, adv Adversary) *Network {
+	return New(Config{Graph: g, Seed: 1, Adversary: adv},
 		func(node, degree int, r *rng.RNG) Machine {
 			return &recorder{stopRound: stopRound, sendBits: 4}
 		})
@@ -47,7 +47,7 @@ func recorderNetAdv(g *graph.Graph, stopRound int, s Scheduler, adv Adversary) *
 func TestZeroRateAdversaryIsByteIdentical(t *testing.T) {
 	g := graph.Torus(4, 5)
 	run := func(adv Adversary) ([][][3]int, Metrics) {
-		nw := recorderNetAdv(g, 6, Sequential, adv)
+		nw := recorderNetAdv(g, 6, adv)
 		nw.Run(50)
 		obs := make([][][3]int, g.N())
 		for v := 0; v < g.N(); v++ {
@@ -70,7 +70,7 @@ func TestZeroRateAdversaryIsByteIdentical(t *testing.T) {
 func TestDropAllSilencesNetwork(t *testing.T) {
 	g := graph.Cycle(6)
 	adv := &testAdv{fate: func(int, int, int, int) (bool, int) { return true, 0 }}
-	nw := recorderNetAdv(g, 4, Sequential, adv)
+	nw := recorderNetAdv(g, 4, adv)
 	nw.Run(50)
 	for v := 0; v < g.N(); v++ {
 		if rec := nw.Machine(v).(*recorder); len(rec.received) != 0 {
@@ -93,7 +93,7 @@ func TestCrashStopsNode(t *testing.T) {
 		}
 		return -1
 	}}
-	nw := recorderNetAdv(g, 8, Sequential, adv)
+	nw := recorderNetAdv(g, 8, adv)
 	nw.Run(100)
 	if !nw.Crashed(2) || nw.Metrics().Crashes != 1 {
 		t.Fatalf("crash accounting wrong: crashed(2)=%v count=%d", nw.Crashed(2), nw.Metrics().Crashes)
@@ -132,7 +132,7 @@ func TestDelayShiftsDelivery(t *testing.T) {
 		maxDelay: 1,
 		fate:     func(int, int, int, int) (bool, int) { return false, 1 },
 	}
-	nw := recorderNetAdv(g, 5, Sequential, adv)
+	nw := recorderNetAdv(g, 5, adv)
 	nw.Run(50)
 	rec := nw.Machine(1).(*recorder)
 	// Undelayed schedule is {0,-1},{1,0},{2,1},... — with +1 delay, the
@@ -159,67 +159,13 @@ func TestDelayedPacketsToHaltedNodesDiscarded(t *testing.T) {
 		maxDelay: 8,
 		fate:     func(round, from, port, to int) (bool, int) { return false, 8 },
 	}
-	nw := recorderNetAdv(g, 2, Sequential, adv)
+	nw := recorderNetAdv(g, 2, adv)
 	ran := nw.Run(100)
 	if !nw.AllHalted() {
 		t.Fatal("network did not halt")
 	}
 	if ran > 12 {
 		t.Fatalf("ran %d rounds draining undeliverable futures", ran)
-	}
-}
-
-// TestAdversarySchedulerIdentity: fault-injected runs are bit-identical
-// across Sequential, WorkerPool, and Actors schedulers.
-func TestAdversarySchedulerIdentity(t *testing.T) {
-	g := graph.Torus(4, 6)
-	mkAdv := func() Adversary {
-		return &testAdv{
-			maxDelay: 2,
-			crash: func(v int) int {
-				if v%7 == 3 {
-					return v % 5
-				}
-				return -1
-			},
-			fate: func(round, from, port, to int) (bool, int) {
-				// Deterministic pseudo-random mix of drops and delays, a
-				// pure function of the coordinates.
-				h := uint64(round*1009+from*131+port*17+to) * 0x9e3779b97f4a7c15
-				switch h >> 61 {
-				case 0:
-					return true, 0
-				case 1:
-					return false, 1 + int(h>>59&1)
-				}
-				return false, 0
-			},
-		}
-	}
-	type result struct {
-		obs [][][3]int
-		met Metrics
-	}
-	run := func(s Scheduler) result {
-		nw := recorderNetAdv(g, 10, s, mkAdv())
-		defer nw.Close()
-		nw.Run(60)
-		r := result{obs: make([][][3]int, g.N())}
-		for v := 0; v < g.N(); v++ {
-			r.obs[v] = nw.Machine(v).(*recorder).received
-		}
-		r.met = nw.Metrics()
-		return r
-	}
-	ref := run(Sequential)
-	if ref.met.Dropped == 0 || ref.met.Delayed == 0 || ref.met.Crashes == 0 {
-		t.Fatalf("test adversary inert: %+v", ref.met)
-	}
-	for _, s := range []Scheduler{WorkerPool, Actors} {
-		got := run(s)
-		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("scheduler %v diverged under faults:\nseq: %+v\ngot: %+v", s, ref.met, got.met)
-		}
 	}
 }
 
@@ -234,7 +180,7 @@ func TestInitRoundFate(t *testing.T) {
 		}
 		return round == -1, 0
 	}}
-	nw := recorderNetAdv(g, 3, Sequential, adv)
+	nw := recorderNetAdv(g, 3, adv)
 	nw.Run(20)
 	if !sawInit {
 		t.Fatal("Fate never consulted for Init sends")

@@ -39,7 +39,7 @@ func (a *Arena[T]) New() *T {
 // ID) to per-execution state, kept sorted by ID on insert. The paper
 // multiplexes at most 4c·log n executions into a super-round, so a table
 // holds O(log n) entries: a linear scan beats hashing, and ascending
-// iteration — the super-round slot order every scheduler and backend must
+// iteration — the super-round slot order every backend must
 // agree on — needs no per-round sort. The zero value is an empty table.
 type Table[V any] struct {
 	ids  []uint64

@@ -41,15 +41,15 @@ func span(lo, hi int) []int {
 }
 
 // TestIdleUntilContract runs a sleeper (node 0) beside a scripted sender
-// (node 1) on a path under every scheduler and pins exactly which rounds
-// the sleeper is stepped in: never on an empty inbox before its wake
-// round, always when a packet — on time or released late by the
-// adversary's ring — arrives, every round again once a step does not renew
-// the promise, and never after a crash-stop that lands while it idles. Then
-// it runs several sleepers at once and pins that each keeps its own
-// promise: sleepers promising different rounds wake each in its own round,
-// a packet that wakes one early lets its renewed promise outlive the old
-// wake round, and a promise made in Init holds from round 0.
+// (node 1) on a path and pins exactly which rounds the sleeper is stepped
+// in: never on an empty inbox before its wake round, always when a packet
+// — on time or released late by the adversary's ring — arrives, every
+// round again once a step does not renew the promise, and never after a
+// crash-stop that lands while it idles. Then it runs several sleepers at
+// once and pins that each keeps its own promise: sleepers promising
+// different rounds wake each in its own round, a packet that wakes one
+// early lets its renewed promise outlive the old wake round, and a promise
+// made in Init holds from round 0.
 func TestIdleUntilContract(t *testing.T) {
 	const rounds = 12
 	cases := []struct {
@@ -88,39 +88,36 @@ func TestIdleUntilContract(t *testing.T) {
 			want: []int{0}},
 	}
 	for _, tc := range cases {
-		for _, s := range []Scheduler{Sequential, WorkerPool, Actors} {
-			t.Run(tc.name+"/"+s.String(), func(t *testing.T) {
-				cfg := Config{Graph: graph.Path(2), Seed: 1, Scheduler: s, Workers: 1}
-				if tc.adv != nil {
-					cfg.Adversary = tc.adv
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Graph: graph.Path(2), Seed: 1}
+			if tc.adv != nil {
+				cfg.Adversary = tc.adv
+			}
+			var halted []int
+			cfg.Observer = func(ri RoundInfo) { halted = append(halted, ri.Halted) }
+			nw := New(cfg, func(node, degree int, r *rng.RNG) Machine {
+				if node == 0 {
+					return &scripted{idle: tc.sleep}
 				}
-				var halted []int
-				cfg.Observer = func(ri RoundInfo) { halted = append(halted, ri.Halted) }
-				nw := New(cfg, func(node, degree int, r *rng.RNG) Machine {
-					if node == 0 {
-						return &scripted{idle: tc.sleep}
-					}
-					return &scripted{sendAt: tc.sendAt}
-				})
-				defer nw.Close()
-				nw.Run(rounds)
-				if got := nw.Machine(0).(*scripted).stepped; !reflect.DeepEqual(got, tc.want) {
-					t.Fatalf("sleeper stepped in rounds %v, want %v", got, tc.want)
-				}
-				if got := nw.Machine(1).(*scripted).stepped; !reflect.DeepEqual(got, span(0, rounds)) {
-					t.Fatalf("sender stepped in rounds %v, want every round", got)
-				}
-				crashed := tc.adv != nil && tc.adv.crash != nil
-				if nw.Halted(0) != crashed || nw.Crashed(0) != crashed {
-					t.Fatalf("sleeper halted=%v crashed=%v, want %v", nw.Halted(0), nw.Crashed(0), crashed)
-				}
-				for r, h := range halted {
-					if want := btoi(crashed && r >= 5); h != want {
-						t.Fatalf("RoundInfo.Halted in round %d = %d, want %d", r, h, want)
-					}
-				}
+				return &scripted{sendAt: tc.sendAt}
 			})
-		}
+			nw.Run(rounds)
+			if got := nw.Machine(0).(*scripted).stepped; !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("sleeper stepped in rounds %v, want %v", got, tc.want)
+			}
+			if got := nw.Machine(1).(*scripted).stepped; !reflect.DeepEqual(got, span(0, rounds)) {
+				t.Fatalf("sender stepped in rounds %v, want every round", got)
+			}
+			crashed := tc.adv != nil && tc.adv.crash != nil
+			if nw.Halted(0) != crashed || nw.Crashed(0) != crashed {
+				t.Fatalf("sleeper halted=%v crashed=%v, want %v", nw.Halted(0), nw.Crashed(0), crashed)
+			}
+			for r, h := range halted {
+				if want := btoi(crashed && r >= 5); h != want {
+					t.Fatalf("RoundInfo.Halted in round %d = %d, want %d", r, h, want)
+				}
+			}
+		})
 	}
 
 	// Four sleepers around a scripted sender, the hub of a star, each
@@ -159,40 +156,37 @@ func TestIdleUntilContract(t *testing.T) {
 	}
 	for _, tc := range sleepers {
 		for _, delay := range []int{0, 3} {
-			for _, s := range []Scheduler{Sequential, WorkerPool, Actors} {
-				t.Run(fmt.Sprintf("several sleepers/%s/delay=%d/%s", tc.name, delay, s), func(t *testing.T) {
-					cfg := Config{Graph: graph.Star(5), Seed: 1, Scheduler: s, Workers: 2}
-					if delay > 0 {
-						cfg.Adversary = &testAdv{maxDelay: delay, fate: func(round, from, port, to int) (bool, int) {
-							return false, delay
-						}}
+			t.Run(fmt.Sprintf("several sleepers/%s/delay=%d", tc.name, delay), func(t *testing.T) {
+				cfg := Config{Graph: graph.Star(5), Seed: 1}
+				if delay > 0 {
+					cfg.Adversary = &testAdv{maxDelay: delay, fate: func(round, from, port, to int) (bool, int) {
+						return false, delay
+					}}
+				}
+				sendAt := map[int]bool{}
+				if tc.arrive > 0 {
+					sendAt[tc.arrive-1-delay] = true
+				}
+				nw := New(cfg, func(node, degree int, r *rng.RNG) Machine {
+					if node == 0 {
+						return &scripted{sendAt: sendAt}
 					}
-					sendAt := map[int]bool{}
-					if tc.arrive > 0 {
-						sendAt[tc.arrive-1-delay] = true
+					m := &scripted{idle: tc.sleep[node-1]}
+					if tc.init != nil {
+						m.init = tc.init[node-1]
 					}
-					nw := New(cfg, func(node, degree int, r *rng.RNG) Machine {
-						if node == 0 {
-							return &scripted{sendAt: sendAt}
-						}
-						m := &scripted{idle: tc.sleep[node-1]}
-						if tc.init != nil {
-							m.init = tc.init[node-1]
-						}
-						return m
-					})
-					defer nw.Close()
-					nw.Run(sleeperRounds)
-					if got := nw.Machine(0).(*scripted).stepped; !reflect.DeepEqual(got, span(0, sleeperRounds)) {
-						t.Fatalf("sender stepped in rounds %v, want every round", got)
-					}
-					for v := 1; v <= 4; v++ {
-						if got := nw.Machine(v).(*scripted).stepped; !reflect.DeepEqual(got, tc.want[v-1]) {
-							t.Errorf("sleeper %d stepped in rounds %v, want %v", v, got, tc.want[v-1])
-						}
-					}
+					return m
 				})
-			}
+				nw.Run(sleeperRounds)
+				if got := nw.Machine(0).(*scripted).stepped; !reflect.DeepEqual(got, span(0, sleeperRounds)) {
+					t.Fatalf("sender stepped in rounds %v, want every round", got)
+				}
+				for v := 1; v <= 4; v++ {
+					if got := nw.Machine(v).(*scripted).stepped; !reflect.DeepEqual(got, tc.want[v-1]) {
+						t.Errorf("sleeper %d stepped in rounds %v, want %v", v, got, tc.want[v-1])
+					}
+				}
+			})
 		}
 	}
 }

@@ -3,8 +3,6 @@ package sim
 import (
 	"context"
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"anonlead/internal/graph"
 	"anonlead/internal/rng"
@@ -15,24 +13,19 @@ type Config struct {
 	// Graph is the topology (required, connected graphs expected).
 	Graph *graph.Graph
 	// Seed is the root seed; per-node streams are split from it, so runs
-	// are reproducible and scheduler-independent.
+	// are reproducible.
 	Seed uint64
 	// CongestBits is the per-link per-round bit budget B. Zero selects the
 	// default 8·⌈log₂ n⌉, a concrete constant for the paper's O(log n).
 	CongestBits int
-	// Scheduler selects the execution engine; all engines are
-	// bit-identical. The zero value is Sequential.
-	Scheduler Scheduler
-	// Workers sets the pool size for WorkerPool (0 = GOMAXPROCS).
-	Workers int
 	// Adversary, when non-nil, perturbs delivery (drops, delays, crashes).
 	// Nil costs nothing on the hot path. See the Adversary interface and
 	// internal/adversary for deterministic, seed-derived implementations.
 	Adversary Adversary
-	// Observer, when non-nil, is invoked from the single-threaded
-	// coordination path after every executed round with a snapshot of the
-	// accumulated cost accounting. Nil costs nothing. Observers are
-	// read-only taps: nothing they do flows back into the simulation.
+	// Observer, when non-nil, is invoked after every executed round with a
+	// snapshot of the accumulated cost accounting. Nil costs nothing.
+	// Observers are read-only taps: nothing they do flows back into the
+	// simulation.
 	Observer func(RoundInfo)
 }
 
@@ -50,30 +43,26 @@ type RoundInfo struct {
 
 // Network is a running simulation: one Machine per node plus double-buffered
 // mailboxes, folded round by round into the embedded Ledger (halts, crashes,
-// in-flight count, cost accounting). Not safe for concurrent use by multiple
-// callers; internally the parallel scheduler partitions work safely.
+// in-flight count, cost accounting). Every round runs on the calling
+// goroutine; a Network is not safe for concurrent use.
 //
 // A round visits only the nodes with something to do (VisitSet). route
 // builds next round's set as it folds this one, filing each visited node
-// with the IdleUntil promise its step left. The schedulers step exactly the
-// nodes of the set and route folds exactly their sends, in ascending node
-// order, so a round costs its traffic plus one pass over the set's n/64
-// words.
+// with the IdleUntil promise its step left. deliver steps exactly the nodes
+// of the set and route folds exactly their sends, in ascending node order,
+// so a round costs its traffic plus one pass over the set's n/64 words.
 type Network struct {
 	Ledger
-	g         *graph.Graph
-	machines  []Machine
-	ctxs      []Context
-	inbox     [][]Packet
-	next      [][]Packet
-	revPort   []int32 // flat: reverse port of (v, port) = revPort[edgeOff[v]+port]
-	edgeOff   []int   // directed edge id of (v, port) = edgeOff[v] + port
-	rngs      []rng.RNG
-	scheduler Scheduler
-	workers   int
-	actors    *actorPool
-	loads     LinkLoads // one sender's bit loads, per port
-	visits    VisitSet  // the nodes stepped and folded this round, and next round's
+	g        *graph.Graph
+	machines []Machine
+	ctxs     []Context
+	inbox    [][]Packet
+	next     [][]Packet
+	revPort  []int32 // flat: reverse port of (v, port) = revPort[edgeOff[v]+port]
+	edgeOff  []int   // directed edge id of (v, port) = edgeOff[v] + port
+	rngs     []rng.RNG
+	loads    LinkLoads // one sender's bit loads, per port
+	visits   VisitSet  // the nodes stepped and folded this round, and next round's
 	// Fault injection (all nil/empty when adv is nil — the common case).
 	adv           Adversary
 	crashAt       []int              // per-node crash round (-1 = never)
@@ -107,10 +96,6 @@ func New(cfg Config, factory Factory) *Network {
 		panic("sim: config requires a non-empty graph")
 	}
 	n := g.N()
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	// Struct-of-arrays state: every per-node and per-edge buffer is carved
 	// out of one flat allocation, so building a network is O(m) work with
 	// O(1) allocations per *network*, not per node. The per-node slice
@@ -119,18 +104,16 @@ func New(cfg Config, factory Factory) *Network {
 	// that overflows its window (multi-packet rounds) falls back to a
 	// normal heap-grown slice with identical semantics.
 	nw := &Network{
-		Ledger:    NewLedger(n, cfg.CongestBits, cfg.Observer),
-		g:         g,
-		machines:  make([]Machine, n),
-		ctxs:      make([]Context, n),
-		inbox:     make([][]Packet, n),
-		next:      make([][]Packet, n),
-		revPort:   g.ReversePorts(),
-		edgeOff:   g.EdgeOffsets(),
-		rngs:      make([]rng.RNG, n),
-		scheduler: cfg.Scheduler,
-		workers:   workers,
-		visits:    NewVisitSet(n),
+		Ledger:   NewLedger(n, cfg.CongestBits, cfg.Observer),
+		g:        g,
+		machines: make([]Machine, n),
+		ctxs:     make([]Context, n),
+		inbox:    make([][]Packet, n),
+		next:     make([][]Packet, n),
+		revPort:  g.ReversePorts(),
+		edgeOff:  g.EdgeOffsets(),
+		rngs:     make([]rng.RNG, n),
+		visits:   NewVisitSet(n),
 	}
 
 	root := rng.New(cfg.Seed)
@@ -187,14 +170,18 @@ func (nw *Network) Graph() *graph.Graph { return nw.g }
 // outputs after a run.
 func (nw *Network) Machine(v int) Machine { return nw.machines[v] }
 
+// Close is a no-op: a Network holds nothing but memory. It is there
+// because Network is a transport.Runtime, whose Cluster backend does hold
+// goroutines and links to release.
+func (nw *Network) Close() {}
+
 // Step executes one synchronous round and returns false once the ledger's
-// stop rule holds (releasing any persistent actor goroutines).
+// stop rule holds.
 func (nw *Network) Step() bool {
 	if nw.Done() {
 		// Parked delayed packets can only target halted receivers now, so
 		// they are undeliverable — discard instead of spinning drain rounds.
 		nw.dropAllFutures()
-		nw.Close()
 		return false
 	}
 	round := nw.Round()
@@ -254,55 +241,26 @@ func (nw *Network) RunUntilContext(ctx context.Context, maxRounds int, done func
 	return RunLoop(ctx, maxRounds, func() (bool, error) { return nw.Step(), nil }, done)
 }
 
-// stepNode runs one node's step for the round — the step Stepper.Step
-// runs, stopped if the ledger says so (a halt or a crash) — and empties its
-// mailbox for reuse as a "next" buffer. It touches only node v's state, so
-// any scheduler may invoke it concurrently for distinct nodes.
-func (nw *Network) stepNode(v, round int) {
-	step(&nw.ctxs[v], nw.machines[v], round, nw.inbox[v], nw.halted[v])
-	nw.inbox[v] = nw.inbox[v][:0]
-}
-
-// stepSet steps, in ascending order, the nodes of set: the visit set's
-// words from word first on.
-func (nw *Network) stepSet(set nodeSet, first, round int) {
-	for i, word := range set {
-		for ; word != 0; word &= word - 1 {
-			nw.stepNode((first+i)<<6|bits.TrailingZeros64(word), round)
-		}
-	}
-}
-
-// deliver steps every node of the round's visit set with its inbox, using
-// the configured scheduler. A node outside the set has an empty inbox and
-// an IdleUntil promise covering the round (or has stopped), so its step
-// would do nothing.
+// deliver steps every node of the round's visit set, in ascending order,
+// with its inbox — the step Stepper.Step runs, stopped if the ledger says
+// so (a halt or a crash) — and empties the inbox for reuse as a "next"
+// buffer. A node outside the set has an empty inbox and an IdleUntil
+// promise covering the round (or has stopped), so its step would do
+// nothing.
 func (nw *Network) deliver(round int) {
-	switch {
-	case nw.scheduler == Actors:
-		nw.deliverActors(round)
-	case nw.scheduler == WorkerPool && len(nw.machines) >= 2*nw.workers:
-		var wg sync.WaitGroup
-		words := len(nw.visits.visit)
-		chunk := (words + nw.workers - 1) / nw.workers
-		for lo := 0; lo < words; lo += chunk {
-			hi := min(lo+chunk, words)
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				nw.stepSet(nw.visits.visit[lo:hi], lo, round)
-			}(lo, hi)
+	for i, word := range nw.visits.visit {
+		for ; word != 0; word &= word - 1 {
+			v := i<<6 | bits.TrailingZeros64(word)
+			step(&nw.ctxs[v], nw.machines[v], round, nw.inbox[v], nw.halted[v])
+			nw.inbox[v] = nw.inbox[v][:0]
 		}
-		wg.Wait()
-	default:
-		nw.stepSet(nw.visits.visit, 0, round)
 	}
 }
 
 // route moves the visited nodes' sends into the receivers' next-round
-// mailboxes, folding them into the ledger in sender order (single-threaded:
-// determinism for every scheduler): halts, deliveries, traffic metering,
-// and — when an adversary is configured — its drop or delay of each packet.
+// mailboxes, folding them into the ledger in sender order: halts,
+// deliveries, traffic metering, and — when an adversary is configured — its
+// drop or delay of each packet.
 // It builds next round's visit set on the way. round is the round whose
 // sends are being routed (-1 for Init).
 func (nw *Network) route(round int) {

@@ -66,20 +66,6 @@ func BenchmarkNetworkRound(b *testing.B) {
 	}
 }
 
-// BenchmarkNetworkRoundParallel measures the same hot path under the
-// WorkerPool scheduler (goroutine fan-out dominates allocs here; routing
-// stays single-threaded and allocation-free).
-func BenchmarkNetworkRoundParallel(b *testing.B) {
-	g := graph.Torus(16, 16)
-	nw := New(Config{Graph: g, Seed: 1, Scheduler: WorkerPool}, chatterFactory(1))
-	nw.Run(4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nw.Step()
-	}
-}
-
 // relay bounces one token over one link while every other node sleeps:
 // node 0 sends it on its port 0 in Init, a node that receives it sends it
 // straight back, and every call ends with the promise IdleUntil(1<<30).

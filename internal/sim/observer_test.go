@@ -9,49 +9,31 @@ import (
 )
 
 // TestObserverStreamsRounds: the observer fires once per executed round,
-// in order, with cumulative metrics matching the final accounting, and is
-// identical across schedulers.
+// in order, with cumulative metrics matching the final accounting.
 func TestObserverStreamsRounds(t *testing.T) {
-	type obs struct {
-		rounds []int
-		halted []int
-		last   Metrics
+	var rounds, halted []int
+	var last Metrics
+	nw := New(Config{Graph: graph.Cycle(8), Seed: 1, Observer: func(ri RoundInfo) {
+		rounds = append(rounds, ri.Round)
+		halted = append(halted, ri.Halted)
+		last = ri.Metrics
+	}}, func(node, degree int, r *rng.RNG) Machine {
+		return &recorder{stopRound: 5, sendBits: 4}
+	})
+	nw.Run(100)
+	if len(rounds) != nw.Metrics().Rounds {
+		t.Fatalf("observed %d rounds, executed %d", len(rounds), nw.Metrics().Rounds)
 	}
-	run := func(s Scheduler) (*Network, *obs) {
-		o := &obs{}
-		g := graph.Cycle(8)
-		nw := New(Config{Graph: g, Seed: 1, Scheduler: s, Observer: func(ri RoundInfo) {
-			o.rounds = append(o.rounds, ri.Round)
-			o.halted = append(o.halted, ri.Halted)
-			o.last = ri.Metrics
-		}}, func(node, degree int, r *rng.RNG) Machine {
-			return &recorder{stopRound: 5, sendBits: 4}
-		})
-		nw.Run(100)
-		return nw, o
-	}
-
-	ref, seq := run(Sequential)
-	if len(seq.rounds) != ref.Metrics().Rounds {
-		t.Fatalf("observed %d rounds, executed %d", len(seq.rounds), ref.Metrics().Rounds)
-	}
-	for i, r := range seq.rounds {
+	for i, r := range rounds {
 		if r != i {
-			t.Fatalf("round order broken: %v", seq.rounds)
+			t.Fatalf("round order broken: %v", rounds)
 		}
 	}
-	if seq.last != ref.Metrics() {
-		t.Fatalf("final observation %+v != metrics %+v", seq.last, ref.Metrics())
+	if last != nw.Metrics() {
+		t.Fatalf("final observation %+v != metrics %+v", last, nw.Metrics())
 	}
-	if seq.halted[len(seq.halted)-1] != 8 {
-		t.Fatalf("final halted count %d, want 8", seq.halted[len(seq.halted)-1])
-	}
-	for _, s := range []Scheduler{WorkerPool, Actors} {
-		nw, got := run(s)
-		nw.Close()
-		if len(got.rounds) != len(seq.rounds) || got.last != seq.last {
-			t.Fatalf("scheduler %v observer diverged", s)
-		}
+	if halted[len(halted)-1] != 8 {
+		t.Fatalf("final halted count %d, want 8", halted[len(halted)-1])
 	}
 }
 

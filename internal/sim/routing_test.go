@@ -99,43 +99,29 @@ func (m *counter) Step(ctx *Context, inbox []Packet) {
 	}
 }
 
-// checkContextRounds runs the counting machine on a 4×4 torus under
-// scheduler s and checks the trace of Context rounds each node saw: Init
-// once per node at round -1, and Step on exactly rounds 0…haltAt and never
-// after Halt, while the nodes that halt later keep the network running.
-func checkContextRounds(t *testing.T, s Scheduler) {
-	t.Helper()
+// TestContextTraceRecording runs the counting machine on a 4×4 torus and
+// checks the trace of Context rounds each node saw: Init once per node at
+// round -1, and Step on exactly rounds 0…haltAt and never after Halt,
+// while the nodes that halt later keep the network running.
+func TestContextTraceRecording(t *testing.T) {
 	g := graph.Torus(4, 4)
-	nw := New(Config{Graph: g, Seed: 1, Scheduler: s},
+	nw := New(Config{Graph: g, Seed: 1},
 		func(node, degree int, r *rng.RNG) Machine { return &counter{haltAt: node % 5} })
 	if got := nw.Run(10); got != 5 {
-		t.Fatalf("scheduler %v: ran %d rounds, want 5", s, got)
+		t.Fatalf("ran %d rounds, want 5", got)
 	}
-	nw.Close()
 	for v := 0; v < g.N(); v++ {
 		m := nw.Machine(v).(*counter)
 		if len(m.inits) != 1 || m.inits[0] != -1 {
-			t.Fatalf("scheduler %v: node %d Init rounds %v, want [-1]", s, v, m.inits)
+			t.Fatalf("node %d Init rounds %v, want [-1]", v, m.inits)
 		}
 		if len(m.steps) != m.haltAt+1 {
-			t.Fatalf("scheduler %v: node %d Step rounds %v, want 0…%d", s, v, m.steps, m.haltAt)
+			t.Fatalf("node %d Step rounds %v, want 0…%d", v, m.steps, m.haltAt)
 		}
 		for i, r := range m.steps {
 			if r != i {
-				t.Fatalf("scheduler %v: node %d Step rounds %v, want 0…%d", s, v, m.steps, m.haltAt)
+				t.Fatalf("node %d Step rounds %v, want 0…%d", v, m.steps, m.haltAt)
 			}
 		}
-	}
-}
-
-// TestContextTraceRecording checks the Context rounds each node sees under
-// the Sequential scheduler.
-func TestContextTraceRecording(t *testing.T) { checkContextRounds(t, Sequential) }
-
-// TestContextTraceConcurrentSchedulers checks the same rounds under the
-// WorkerPool and Actors schedulers.
-func TestContextTraceConcurrentSchedulers(t *testing.T) {
-	for _, s := range []Scheduler{WorkerPool, Actors} {
-		checkContextRounds(t, s)
 	}
 }

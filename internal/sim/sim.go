@@ -15,10 +15,11 @@
 //     logical channels (parallel protocol executions, cf. the paper's
 //     super-round multiplexing) never sharing a slot.
 //
-// Three schedulers execute the same deterministic semantics: a sequential
-// loop, a goroutine worker pool that fans node steps out across CPUs, and
-// persistent per-node actors; all route sends in node order afterwards, so
-// results are bit-identical.
+// Every round runs on the calling goroutine: the visited nodes step in
+// ascending order, and their sends are routed in that order afterwards, so
+// a run is a function of its graph, seed, machines and adversary alone.
+// What steps machines concurrently is internal/transport's chan backend,
+// one goroutine per node, folded through the same Ledger.
 //
 // A machine that knows its next steps would do nothing may say so with
 // Context.IdleUntil: the network then skips its Step while its inbox stays
@@ -58,8 +59,9 @@ type Packet struct {
 
 // Machine is a per-node protocol state machine. Implementations must not
 // retain or share state across machines other than through messages: the
-// simulator relies on Step(v) touching only machine v's state so the
-// parallel scheduler is race-free.
+// transport backends (internal/transport's chan backend first) step every
+// node on its own goroutine, which is race-free only if Step(v) touches
+// machine v's state alone.
 type Machine interface {
 	// Init runs once before round 0. Machines may send from Init; those
 	// packets arrive at the start of round 0.

@@ -244,9 +244,9 @@ func (m *gossiper) Step(ctx *Context, inbox []Packet) {
 	}
 }
 
-func runGossip(s Scheduler, workers int) ([]uint64, Metrics) {
+func runGossip() ([]uint64, Metrics) {
 	g := graph.Torus(4, 5)
-	nw := New(Config{Graph: g, Seed: 7, Scheduler: s, Workers: workers},
+	nw := New(Config{Graph: g, Seed: 7},
 		func(node, degree int, r *rng.RNG) Machine { return &gossiper{} })
 	nw.Run(50)
 	vals := make([]uint64, g.N())
@@ -256,23 +256,8 @@ func runGossip(s Scheduler, workers int) ([]uint64, Metrics) {
 	return vals, nw.Metrics()
 }
 
-func TestSchedulerDeterminism(t *testing.T) {
-	seqVals, seqMet := runGossip(Sequential, 0)
-	for _, workers := range []int{2, 4, 8} {
-		parVals, parMet := runGossip(WorkerPool, workers)
-		for i := range seqVals {
-			if seqVals[i] != parVals[i] {
-				t.Fatalf("workers=%d: node %d state differs: %d vs %d", workers, i, seqVals[i], parVals[i])
-			}
-		}
-		if seqMet != parMet {
-			t.Fatalf("workers=%d: metrics differ:\nseq %+v\npar %+v", workers, seqMet, parMet)
-		}
-	}
-}
-
 func TestGossipConverges(t *testing.T) {
-	vals, _ := runGossip(Sequential, 0)
+	vals, _ := runGossip()
 	for i := 1; i < len(vals); i++ {
 		if vals[i] != vals[0] {
 			t.Fatalf("gossip did not converge: node %d has %d, node 0 has %d", i, vals[i], vals[0])

@@ -40,7 +40,7 @@ func estimateTmixBudget(n int) int {
 // estimate beyond the walked horizon rather than a measured crossing.
 //
 // Start selection is deterministic via the rng seed chain, so estimated
-// profiles are byte-identical across schedulers and cache hits.
+// profiles are byte-identical across sweep workers and cache hits.
 func mixingTimeSampled(g *graph.Graph, seed uint64, gap float64) (tmix int, capped bool) {
 	n := g.N()
 	if n < 2 {

@@ -21,22 +21,6 @@ import (
 	"sort"
 )
 
-// Summary holds basic descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes summary statistics; an empty sample yields zeros.
-func Summarize(xs []float64) Summary {
-	d := DistOf(xs)
-	return Summary{N: d.N, Mean: d.Mean, StdDev: d.StdDev, Min: d.Min, Max: d.Max, Median: d.P50}
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) by linear interpolation of
 // the sorted sample. An empty sample yields 0.
 func Quantile(xs []float64, q float64) float64 {

@@ -6,30 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestSummarizeKnownValues(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Fatalf("summary %+v", s)
-	}
-	if math.Abs(s.StdDev-math.Sqrt(2.5)) > 1e-12 {
-		t.Fatalf("stddev %v", s.StdDev)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 || s.Mean != 0 || s.StdDev != 0 {
-		t.Fatalf("empty summary %+v", s)
-	}
-}
-
-func TestSummarizeSingle(t *testing.T) {
-	s := Summarize([]float64{7})
-	if s.N != 1 || s.Mean != 7 || s.StdDev != 0 || s.Median != 7 {
-		t.Fatalf("single summary %+v", s)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{4, 1, 3, 2}
 	if q := Quantile(xs, 0); q != 1 {

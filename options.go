@@ -13,7 +13,6 @@ import (
 // path every protocol goes through.
 type options struct {
 	seed      uint64
-	scheduler Scheduler
 	transport Transport
 	adversary *AdversarySpec
 	observer  func(RoundInfo)
@@ -39,11 +38,46 @@ func WithSeed(seed uint64) Option {
 	return func(o *options) { o.seed = seed }
 }
 
-// WithScheduler selects the execution engine (Sequential, WorkerPool or
-// Actors). All engines produce bit-identical results; the choice is a
-// throughput knob. Default Sequential.
-func WithScheduler(s Scheduler) Option {
-	return func(o *options) { o.scheduler = s }
+// Scheduler chooses nothing: every run steps a round's nodes in ascending
+// order on the calling goroutine.
+//
+// Deprecated: every run steps on the calling goroutine. ROADMAP item 3
+// removes the last caller, bench/.
+type Scheduler int
+
+const (
+	// Deprecated: every run steps on the calling goroutine. ROADMAP item 3
+	// removes the last caller, bench/.
+	Sequential Scheduler = iota
+	// Deprecated: every run steps on the calling goroutine. ROADMAP item 3
+	// removes the last caller, bench/.
+	WorkerPool
+	// Deprecated: every run steps on the calling goroutine. ROADMAP item 3
+	// removes the last caller, bench/.
+	Actors
+)
+
+// String names the scheduler ("sequential", "workerpool", "actors").
+//
+// Deprecated: every run steps on the calling goroutine. ROADMAP item 3
+// removes the last caller, bench/.
+func (s Scheduler) String() string {
+	switch s {
+	case WorkerPool:
+		return "workerpool"
+	case Actors:
+		return "actors"
+	default:
+		return "sequential"
+	}
+}
+
+// WithScheduler ignores its argument.
+//
+// Deprecated: every run steps on the calling goroutine. ROADMAP item 3
+// removes the last caller, bench/.
+func WithScheduler(Scheduler) Option {
+	return func(*options) {}
 }
 
 // Transport selects the execution substrate of a Run.
@@ -52,7 +86,7 @@ type Transport int
 const (
 	// TransportSim runs on the in-memory simulator: one process-local
 	// router, no per-node goroutines. The default, and the only backend
-	// that supports WithAdversary and the parallel schedulers.
+	// that supports WithAdversary.
 	TransportSim Transport = iota
 	// TransportChan runs every node as a real message-passing goroutine;
 	// links are in-process channels carrying framed messages.

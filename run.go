@@ -160,8 +160,7 @@ type RoundInfo struct {
 // legacy alias "flood"). A nil ctx means context.Background(); a
 // cancelled context stops the simulation between rounds and returns the
 // context's error alongside an Outcome holding the cost accounting so
-// far. Runs are deterministic in (network, protocol, seed, options) and
-// bit-identical across every scheduler.
+// far. Runs are deterministic in (network, protocol, seed, options).
 func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -193,7 +192,6 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 		net := sim.New(sim.Config{
 			Graph:     nw.g,
 			Seed:      o.seed,
-			Scheduler: o.scheduler,
 			Adversary: adv,
 			Observer:  observer,
 		}, runner.Factory)

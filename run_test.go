@@ -115,28 +115,6 @@ func TestZeroAdversaryByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunSchedulersByteIdentical sweeps all three public schedulers.
-func TestRunSchedulersByteIdentical(t *testing.T) {
-	nw, err := NewNetwork("torus", 16, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	ref, err := nw.Run(ctx, ProtoIRE, WithSeed(4), WithScheduler(Sequential))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []Scheduler{WorkerPool, Actors} {
-		got, err := nw.Run(ctx, ProtoIRE, WithSeed(4), WithScheduler(s))
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("scheduler %v diverged from sequential", s)
-		}
-	}
-}
-
 // TestRunObserver checks that the observer sees every executed round with
 // monotone cumulative metrics ending at the final accounting.
 func TestRunObserver(t *testing.T) {
