@@ -110,7 +110,7 @@ dist-demo:
 # worker count, so the same command regenerates the same cells on any
 # machine. Telemetry is on — phase spans as a Chrome trace, a CPU
 # profile — because it is a wall-clock side channel that never enters the
-# artifact (go test ./cmd/lebench compares the bytes), so the one sweep CI
+# artifact (go test ./cmd/lebench compares the cells), so the one sweep CI
 # runs also says where its time went.
 bench-artifact:
 	$(GO) run ./cmd/lebench -exp sweeps -quick \
@@ -118,11 +118,11 @@ bench-artifact:
 		-cpuprofile CPU_lebench.pprof -json BENCH_harness.json
 
 # Diff the freshly-swept artifact against the committed baseline and fail
-# on any variance-adjusted regression — or on baseline cells missing from
-# the head sweep, so shrinking the sweep can't hide one (what CI's
-# bench-gate job runs).
+# on any cell that changed in any field, or was added or removed: the sweep
+# is a pure function of its plan and seed, so equal means equal (what CI's
+# bench-gate job runs; `make baseline` accepts an intended change).
 benchdiff: bench-artifact
-	$(GO) run ./cmd/benchdiff -base testdata/BENCH_baseline.json -head BENCH_harness.json -fail-on regressed,removed
+	$(GO) run ./cmd/benchdiff -base testdata/BENCH_baseline.json -head BENCH_harness.json
 
 # Render the paper-style reproduction report from a fresh gate sweep
 # (see README "lereport"). REPORT.md is a local artifact; the

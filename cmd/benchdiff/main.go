@@ -1,28 +1,27 @@
-// Command benchdiff compares two BENCH_harness.json artifacts and
-// classifies every aligned sweep cell's metrics as improved, unchanged, or
-// regressed — the cross-PR regression gate the CI bench-gate job enforces.
+// Command benchdiff compares two BENCH_harness.json artifacts and fails
+// when any sweep cell changed — the cross-PR model gate the CI bench-gate
+// job enforces.
 //
 // Usage:
 //
 //	benchdiff -base testdata/BENCH_baseline.json -head BENCH_harness.json
-//	benchdiff -base old.json -head new.json -fail-on regressed
-//	benchdiff -base old.json -head new.json -fail-on regressed,removed,drift
 //	benchdiff -base old.json -head new.json -json report.json
 //
+// A sweep is a pure function of its plan and root seed, so two runs of one
+// plan agree cell for cell. benchdiff aligns the cells of the two
+// artifacts by identity and exits 0 only when every aligned cell encodes
+// to the same JSON and no cell was added or removed; the artifact header
+// (workers, wall clock) is never compared. Otherwise it exits 1, printing
+// the changed, added and removed counts; `make baseline` accepts an
+// intended change. It exits 2 on a usage or read error, as cmp does.
+//
 // The markdown summary goes to stdout (CI tees it into
-// $GITHUB_STEP_SUMMARY); -json additionally writes the machine-readable
-// report. -fail-on takes a comma-separated list of
-// conditions: with "regressed" the exit status is 1 when any aligned
-// metric regressed, with "removed" when any baseline cell vanished from
-// the head sweep — without that a PR could pass the gate by simply
-// deleting the cells where a regression lives — and with "drift" when any
-// cell's measured/predicted ratio (messages against the paper's message
-// bound, rounds against its time bound, both persisted per cell) moved by
-// more than 25 % relative to the baseline ratio. A metric changes only if
-// the effect clears both 5 % and 3 Welch standard errors; the thresholds
-// are fixed (trajectory.Thresholds' defaults). CI runs
-// "regressed,removed", which is what turns the artifact from write-only
-// telemetry into an enforced perf/complexity contract.
+// $GITHUB_STEP_SUMMARY) and explains a change metric by metric: a mean
+// cost that rose is regressed and one that fell improved (the success rate
+// reads the other way), and a measured/predicted ratio (messages against
+// the paper's message bound, rounds against its time bound) that moved
+// more than 25 % is drifted. -json additionally writes the
+// machine-readable report.
 //
 // Schema handling: only the current artifact schema is accepted; any
 // other is refused by name.
@@ -33,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"anonlead/internal/trajectory"
 )
@@ -47,26 +45,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: benchdiff -base BASE.json -head HEAD.json [flags]\n\n"+
+		fmt.Fprintf(stderr, "usage: benchdiff -base BASE.json -head HEAD.json [-json REPORT.json]\n\n"+
 			"Aligns the sweep cells of two bench artifacts by (protocol, family, n,\n"+
-			"presumed_n, adversary, profile_mode, scenario) and classifies every metric\n"+
-			"improved/unchanged/regressed with variance-aware thresholds: an effect must\n"+
-			"clear both 5%% relative and 3 Welch standard errors (success rates compare\n"+
-			"by Wilson-interval disjointness). Measured/predicted ratios (msgs_vs_pred,\n"+
-			"time_vs_pred) gate separately: a ratio moving more than 25%% relative to\n"+
-			"its baseline is flagged drifted. The markdown summary goes to stdout.\n"+
-			"-fail-on turns verdicts into exit status 1; CI runs \"regressed,removed\".\n\nFlags:\n")
+			"presumed_n, adversary, profile_mode, scenario) and exits 1 if any aligned\n"+
+			"cell differs in any field, or a cell was added or removed; make baseline\n"+
+			"accepts an intended change. Exit 0 means the sweeps are equal; 2 is a\n"+
+			"usage or read error. The markdown summary on stdout explains a change per\n"+
+			"metric: a cost up is regressed, down improved (success_rate the other way),\n"+
+			"and a measured/predicted ratio (msgs_vs_pred, time_vs_pred) moving more\n"+
+			"than 25%% relative to its baseline is drifted.\n\nFlags:\n")
 		fs.PrintDefaults()
 		fmt.Fprintf(stderr, "\nExamples:\n"+
 			"  benchdiff -base testdata/BENCH_baseline.json -head BENCH_harness.json\n"+
-			"  benchdiff -base old.json -head new.json -fail-on regressed,removed,drift\n"+
 			"  benchdiff -base old.json -head new.json -json report.json\n")
 	}
 	var (
 		base     = fs.String("base", "", "baseline artifact (e.g. testdata/BENCH_baseline.json)")
 		head     = fs.String("head", "", "candidate artifact (e.g. BENCH_harness.json)")
 		jsonPath = fs.String("json", "", "also write the machine-readable report here")
-		failOn   = fs.String("fail-on", "none", "comma-separated exit-1 conditions: none, regressed, removed, drift")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -76,22 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	failRegressed, failRemoved, failDrift := false, false, false
-	for _, cond := range strings.Split(*failOn, ",") {
-		switch strings.TrimSpace(cond) {
-		case "none", "":
-		case "regressed":
-			failRegressed = true
-		case "removed":
-			failRemoved = true
-		case "drift":
-			failDrift = true
-		default:
-			fmt.Fprintf(stderr, "benchdiff: unknown -fail-on condition %q (want none, regressed, removed, drift)\n", cond)
-			return 2
-		}
-	}
-
 	report, err := trajectory.DiffFiles(*base, *head)
 	if err != nil {
 		fmt.Fprintln(stderr, "benchdiff:", err)
@@ -109,22 +89,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	failed := false
-	if failRegressed && report.HasRegressions() {
-		fmt.Fprintf(stderr, "benchdiff: %d metric(s) regressed\n", report.Regressed)
-		failed = true
-	}
-	if failRemoved && len(report.Removed) > 0 {
-		fmt.Fprintf(stderr, "benchdiff: %d baseline cell(s) missing from head (refresh the baseline if intentional)\n",
-			len(report.Removed))
-		failed = true
-	}
-	if failDrift && report.HasDrift() {
-		fmt.Fprintf(stderr, "benchdiff: %d measured/predicted ratio(s) drifted beyond tolerance\n",
-			report.Drifted)
-		failed = true
-	}
-	if failed {
+	if !report.Clean() {
+		fmt.Fprintf(stderr, "benchdiff: %d changed, %d added, %d removed cell(s); make baseline accepts an intended change\n",
+			len(report.Changed), len(report.Added), len(report.Removed))
 		return 1
 	}
 	return 0

@@ -66,33 +66,48 @@ func TestBenchdiffIdenticalArtifactsExitZero(t *testing.T) {
 	dir := t.TempDir()
 	a := sweepArtifact(t, 1)
 	base := writeArtifact(t, dir, "base.json", a)
+	a.Workers, a.ElapsedSeconds, a.TrialsPerSecond = 7, 3.5, 12 // the header is not compared
 	head := writeArtifact(t, dir, "head.json", a)
 	var out, errOut bytes.Buffer
-	code := run([]string{"-base", base, "-head", head, "-fail-on", "regressed"}, &out, &errOut)
+	code := run([]string{"-base", base, "-head", head}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d on identical artifacts; stderr:\n%s", code, errOut.String())
 	}
-	if !strings.Contains(out.String(), "0 regressed") {
+	if !strings.Contains(out.String(), "**0 changed of 2 aligned cells** · 0 added · 0 removed") {
 		t.Fatalf("summary missing clean verdict:\n%s", out.String())
 	}
 }
 
+// TestBenchdiffRegressedArtifactExitNonZero: one more message in one
+// trial of one floodmax cell of the committed gate sweep — a 1/trials
+// change to that cell's mean — fails the gate and names that cell alone.
 func TestBenchdiffRegressedArtifactExitNonZero(t *testing.T) {
 	dir := t.TempDir()
-	base := writeArtifact(t, dir, "base.json", sweepArtifact(t, 1))
-	head := writeArtifact(t, dir, "head.json", sweepArtifact(t, 2)) // every cost doubled
+	baseline := filepath.Join("..", "..", "testdata", "BENCH_baseline.json")
+	a, err := harness.ReadArtifactFile(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for a.Cells[i].Protocol != string(harness.ProtoFlood) {
+		i++
+	}
+	c := &a.Cells[i]
+	c.Messages += 1 / float64(c.Trials)
+	head := writeArtifact(t, dir, "head.json", a)
 	var out, errOut bytes.Buffer
-	code := run([]string{"-base", base, "-head", head, "-fail-on", "regressed"}, &out, &errOut)
-	if code != 1 {
-		t.Fatalf("exit %d on regressed artifact, want 1; stdout:\n%s", code, out.String())
+	if code := run([]string{"-base", baseline, "-head", head}, &out, &errOut); code != 1 {
+		t.Fatalf("exit %d on a one-message change, want 1; stdout:\n%s", code, out.String())
 	}
-	if !strings.Contains(out.String(), "🔴") {
-		t.Fatalf("summary missing regression rows:\n%s", out.String())
+	if !strings.Contains(errOut.String(), "1 changed, 0 added, 0 removed cell(s); make baseline accepts an intended change") {
+		t.Fatalf("stderr missing the verdict:\n%s", errOut.String())
 	}
-	// Without the gate the same diff reports but exits zero.
-	code = run([]string{"-base", base, "-head", head}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit %d without -fail-on, want 0", code)
+	k := trajectory.Key{Protocol: c.Protocol, Family: c.Family, N: c.N, PresumedN: c.PresumedN,
+		Adversary: c.Adversary, ProfileMode: c.ProfileMode, Scenario: c.Scenario}
+	md := out.String()
+	if !strings.Contains(md, "**Changed cells** (some field differs from the base):\n- "+k.String()+"\n\n") ||
+		!strings.Contains(md, "| "+k.String()+" | messages |") || !strings.Contains(md, "**1 changed of 81 aligned cells**") {
+		t.Fatalf("summary does not name %s alone:\n%s", k, md)
 	}
 }
 
@@ -102,14 +117,14 @@ func TestBenchdiffWritesJSONReport(t *testing.T) {
 	head := writeArtifact(t, dir, "head.json", sweepArtifact(t, 2))
 	reportPath := filepath.Join(dir, "report.json")
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-base", base, "-head", head, "-json", reportPath}, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d; stderr:\n%s", code, errOut.String())
+	if code := run([]string{"-base", base, "-head", head, "-json", reportPath}, &out, &errOut); code != 1 {
+		t.Fatalf("exit %d, want 1; stderr:\n%s", code, errOut.String())
 	}
 	buf, err := os.ReadFile(reportPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"regressed"`, `"cells"`, `"base_schema"`} {
+	for _, want := range []string{`"changed": [`, `"regressed"`, `"cells"`, `"base_schema"`} {
 		if !strings.Contains(string(buf), want) {
 			t.Fatalf("report missing %s:\n%s", want, buf)
 		}
@@ -148,26 +163,27 @@ func TestBenchdiffRefusesOldSchemas(t *testing.T) {
 	}
 }
 
-// TestBenchdiffRemovedCellsGate: with -fail-on removed, a head sweep
-// missing baseline cells fails instead of silently passing with reduced
-// coverage.
+// TestBenchdiffRemovedCellsGate: a head sweep missing baseline cells fails
+// instead of passing with reduced coverage, and so does one with cells the
+// baseline lacks.
 func TestBenchdiffRemovedCellsGate(t *testing.T) {
 	dir := t.TempDir()
 	full := sweepArtifact(t, 1)
 	shrunk := full
 	shrunk.Cells = full.Cells[:1]
-	base := writeArtifact(t, dir, "base.json", full)
-	head := writeArtifact(t, dir, "head.json", shrunk)
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-base", base, "-head", head, "-fail-on", "regressed,removed"}, &out, &errOut); code != 1 {
-		t.Fatalf("shrunk sweep passed the gate (exit %d)", code)
-	}
-	if !strings.Contains(errOut.String(), "missing from head") {
-		t.Fatalf("stderr missing removed-cell verdict:\n%s", errOut.String())
-	}
-	// Without the removed condition the same diff still exits zero.
-	if code := run([]string{"-base", base, "-head", head, "-fail-on", "regressed"}, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d with -fail-on regressed only, want 0", code)
+	fullPath := writeArtifact(t, dir, "full.json", full)
+	shrunkPath := writeArtifact(t, dir, "shrunk.json", shrunk)
+	for _, tc := range []struct{ base, head, want string }{
+		{fullPath, shrunkPath, "0 changed, 0 added, 1 removed cell(s)"},
+		{shrunkPath, fullPath, "0 changed, 1 added, 0 removed cell(s)"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run([]string{"-base", tc.base, "-head", tc.head}, &out, &errOut); code != 1 {
+			t.Fatalf("%s vs %s passed the gate (exit %d)", tc.base, tc.head, code)
+		}
+		if !strings.Contains(errOut.String(), tc.want) {
+			t.Fatalf("stderr missing %q:\n%s", tc.want, errOut.String())
+		}
 	}
 }
 
@@ -176,8 +192,9 @@ func TestBenchdiffUsageErrors(t *testing.T) {
 	if code := run([]string{"-base", "x.json"}, &out, &errOut); code != 2 {
 		t.Fatalf("missing -head accepted (exit %d)", code)
 	}
-	if code := run([]string{"-base", "x.json", "-head", "y.json", "-fail-on", "sometimes"}, &out, &errOut); code != 2 {
-		t.Fatalf("bad -fail-on accepted (exit %d)", code)
+	if code := run([]string{"-base", "x.json", "-head", "y.json", "-fail-on", "regressed"}, &out, &errOut); code != 2 ||
+		!strings.Contains(errOut.String(), "not defined: -fail-on") {
+		t.Fatalf("-fail-on: exit %d, stderr %q; want 2 and an unknown-flag diagnostic", code, errOut.String())
 	}
 	if code := run([]string{"-base", "/nonexistent.json", "-head", "/nonexistent.json"}, &out, &errOut); code != 2 {
 		t.Fatalf("missing file accepted (exit %d)", code)
@@ -189,9 +206,9 @@ func TestBenchdiffUsageErrors(t *testing.T) {
 	}
 }
 
-// TestBenchdiffUsageDocumentsGates: -h lists exactly the four flags and
-// explains every gate and every field cells align by, so the CLI is
-// self-documenting (not just the README/ROADMAP prose).
+// TestBenchdiffUsageDocumentsGates: -h lists exactly the three flags and
+// explains the gate, the per-metric explanation and every field cells
+// align by, so the CLI is self-documenting (not just the README prose).
 func TestBenchdiffUsageDocumentsGates(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-h"}, &out, &errOut); code != 2 {
@@ -202,10 +219,11 @@ func TestBenchdiffUsageDocumentsGates(t *testing.T) {
 	for _, m := range regexp.MustCompile(`(?m)^  -([a-z-]+)`).FindAllStringSubmatch(usage, -1) {
 		flags = append(flags, m[1])
 	}
-	if got := strings.Join(flags, " "); got != "base fail-on head json" {
-		t.Fatalf("flag set %q, want exactly the four of base, head, json, fail-on:\n%s", got, usage)
+	if got := strings.Join(flags, " "); got != "base head json" {
+		t.Fatalf("flag set %q, want exactly the three of base, head, json:\n%s", got, usage)
 	}
-	want := []string{"regressed", "removed", "drift", "msgs_vs_pred", "Wilson", "Welch", "5% relative", "3 Welch", "25% relative"}
+	want := []string{"exits 1", "any field", "added or removed", "make baseline", "Exit 0", "2 is a",
+		"regressed", "improved", "success_rate", "drifted", "msgs_vs_pred", "25% relative"}
 	key := reflect.TypeOf(trajectory.Key{})
 	for i := 0; i < key.NumField(); i++ {
 		name, _, _ := strings.Cut(key.Field(i).Tag.Get("json"), ",")
@@ -219,34 +237,34 @@ func TestBenchdiffUsageDocumentsGates(t *testing.T) {
 }
 
 // TestBenchdiffDriftGate: scaling measured costs away from the persisted
-// predictions trips -fail-on drift at the fixed 25 % tolerance.
+// predictions fails the gate, and the summary explains the change with
+// drifted measured/predicted rows at the fixed 25 % tolerance.
 func TestBenchdiffDriftGate(t *testing.T) {
 	dir := t.TempDir()
 	base := writeArtifact(t, dir, "base.json", sweepArtifact(t, 1))
 	head := writeArtifact(t, dir, "head.json", sweepArtifact(t, 2)) // ratio doubles
 	var out, errOut bytes.Buffer
-	code := run([]string{"-base", base, "-head", head, "-fail-on", "drift"}, &out, &errOut)
+	code := run([]string{"-base", base, "-head", head}, &out, &errOut)
 	if code != 1 {
 		t.Fatalf("exit %d on drifted ratios, want 1; stdout:\n%s", code, out.String())
 	}
-	if !strings.Contains(errOut.String(), "drifted beyond tolerance") {
-		t.Fatalf("stderr missing drift verdict:\n%s", errOut.String())
-	}
-	if !strings.Contains(out.String(), "msgs_vs_pred") {
+	if !strings.Contains(out.String(), "| msgs_vs_pred |") || !strings.Contains(out.String(), "🟠 drifted") {
 		t.Fatalf("summary missing drift rows:\n%s", out.String())
 	}
 	// Identical artifacts never drift.
+	out.Reset()
 	same := writeArtifact(t, dir, "same.json", sweepArtifact(t, 1))
-	if code := run([]string{"-base", base, "-head", same, "-fail-on", "drift"}, &out, &errOut); code != 0 {
-		t.Fatalf("identical artifacts drifted (exit %d)", code)
+	if code := run([]string{"-base", base, "-head", same}, &out, &errOut); code != 0 || strings.Contains(out.String(), "drifted |") {
+		t.Fatalf("identical artifacts drifted (exit %d):\n%s", code, out.String())
 	}
 }
 
 // TestBenchdiffAlignsV2AgainstV3: a baseline of descriptor-less cells only
 // (what an artifact older than the fault sweeps held; the name is from the
 // schema pair the test was written against) diffs against a head with
-// fault-injected cells without error — its cells align with the head's
-// fault-free cells, and the fault-injected ones report as added.
+// fault-injected cells without a read error — its cells align with the
+// head's fault-free cells, and the fault-injected ones report as added,
+// which fails the gate.
 func TestBenchdiffAlignsV2AgainstV3(t *testing.T) {
 	dir := t.TempDir()
 	v3 := faultySweepArtifact(t)
@@ -263,19 +281,20 @@ func TestBenchdiffAlignsV2AgainstV3(t *testing.T) {
 	base := writeArtifact(t, dir, "base_v2.json", v2)
 	head := writeArtifact(t, dir, "head_v3.json", v3)
 	var out, errOut bytes.Buffer
-	code := run([]string{"-base", base, "-head", head, "-fail-on", "regressed,removed"}, &out, &errOut)
-	if code != 0 {
+	code := run([]string{"-base", base, "-head", head}, &out, &errOut)
+	if code != 1 || !strings.Contains(errOut.String(), "0 changed, 1 added, 0 removed") {
 		t.Fatalf("v2 base vs v3 head exited %d:\n%s\n%s", code, out.String(), errOut.String())
 	}
-	if !strings.Contains(out.String(), "added") {
+	if !strings.Contains(out.String(), "**Added cells**") {
 		t.Fatalf("faulted head cells not reported as added:\n%s", out.String())
 	}
 	// And v3 against v3 aligns the faulted cells by descriptor.
+	out.Reset()
 	head2 := writeArtifact(t, dir, "head2_v3.json", v3)
-	if code := run([]string{"-base", head, "-head", head2, "-fail-on", "regressed,removed"}, &out, &errOut); code != 0 {
+	if code := run([]string{"-base", head, "-head", head2}, &out, &errOut); code != 0 {
 		t.Fatalf("v3 self-diff exited %d:\n%s", code, errOut.String())
 	}
-	if !strings.Contains(out.String(), "0 regressed") {
+	if !strings.Contains(out.String(), "**0 changed of 2 aligned cells**") {
 		t.Fatalf("v3 self-diff not clean:\n%s", out.String())
 	}
 }
@@ -299,8 +318,7 @@ func faultySweepArtifact(t *testing.T) harness.Artifact {
 
 // TestBenchdiffCheckedInBaseline sanity-checks the committed baseline
 // artifact: it must parse as the current schema (which ReadArtifact only
-// grants to cells carrying their distributions, so the CI gate runs the
-// variance-aware path).
+// grants to cells carrying their distributions).
 func TestBenchdiffCheckedInBaseline(t *testing.T) {
 	path := filepath.Join("..", "..", "testdata", "BENCH_baseline.json")
 	a, err := harness.ReadArtifactFile(path)

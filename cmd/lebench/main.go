@@ -49,7 +49,6 @@ type session struct {
 	profile   spectral.Mode
 	orch      harness.Orchestrator
 	jsonPath  string
-	strip     bool
 	roundProf bool
 
 	specs []harness.CellSpec
@@ -106,7 +105,6 @@ func run() error {
 		workers    = flag.Int("workers", 0, "worker pool size for sweep cells and trials (0 = GOMAXPROCS, 1 = one goroutine; output does not depend on it)")
 		jsonPath   = flag.String("json", "", "write the machine-readable sweep artifact (e.g. BENCH_harness.json)")
 		profile    = flag.String("profile", "auto", "spectral profile regime for sweep cells: exact, estimate, or auto (exact up to n=256, estimate above)")
-		strip      = flag.Bool("strip-timings", false, "zero the artifact's wall-clock fields so deterministic sweeps compare with cmp")
 		roundProf  = flag.Bool("round-profile", false, "attach deterministic per-round message/halt histograms to every sweep cell (schema-v5 round_profile section)")
 		traceOut   = flag.String("trace-out", "", "write the run's phase spans as Chrome trace-event JSON (open in chrome://tracing or Perfetto; render with lereport -phases)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU pprof profile of the run")
@@ -144,7 +142,6 @@ func run() error {
 		profile:   mode,
 		orch:      harness.Orchestrator{Workers: *workers},
 		jsonPath:  *jsonPath,
-		strip:     *strip,
 		roundProf: *roundProf,
 		start:     time.Now(),
 	}
@@ -189,9 +186,6 @@ func (s *session) finish(exp string) error {
 		fmt.Fprintf(os.Stderr, "lebench: note: -exp %s swept no cells, so the artifact has none (every experiment but figures does)\n", exp)
 	}
 	a := harness.NewArtifact(s.orch, s.specs, s.cells, time.Since(s.start))
-	if s.strip {
-		a = a.StripTimings()
-	}
 	if len(a.Cells) > 0 {
 		fmt.Print(report.New(a, report.Options{}).Markdown())
 	}

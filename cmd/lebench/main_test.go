@@ -10,12 +10,14 @@ import (
 	"testing"
 
 	"anonlead/internal/obs"
+	"anonlead/internal/trajectory"
 )
 
 // TestLebench builds the binary once and drives it as a process: the
-// pool-size identity over the whole gate plan, stdout against lereport's
-// render of the artifact, the telemetry flags that must leave the cells
-// alone, and the removed flags and negative counts that must be refused.
+// pool-size identity over the whole gate plan, the gate sweep against the
+// committed baseline, stdout against lereport's render of the artifact,
+// the telemetry flags that must leave the cells alone, and the removed
+// flags and negative counts that must be refused.
 func TestLebench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the lebench binary")
@@ -66,8 +68,8 @@ func TestLebench(t *testing.T) {
 	// every cell of the gate plan.
 	t.Run("workers", func(t *testing.T) {
 		one, three := filepath.Join(dir, "w1.json"), filepath.Join(dir, "w3.json")
-		out1, _ := mustRun(t, "-exp", "sweeps", "-quick", "-trials", "1", "-workers", "1", "-strip-timings", "-json", one)
-		out3, _ := mustRun(t, "-exp", "sweeps", "-quick", "-trials", "1", "-workers", "3", "-strip-timings", "-json", three)
+		out1, _ := mustRun(t, "-exp", "sweeps", "-quick", "-trials", "1", "-workers", "1", "-json", one)
+		out3, _ := mustRun(t, "-exp", "sweeps", "-quick", "-trials", "1", "-workers", "3", "-json", three)
 		a1, a3 := readArtifact(t, one), readArtifact(t, three)
 		if a1.Workers != 1 || a1.Shards != 1 || a3.Workers != 3 || a3.Shards != 3 {
 			t.Fatalf("headers: workers/shards %d/%d and %d/%d, want 1/1 and 3/3", a1.Workers, a1.Shards, a3.Workers, a3.Shards)
@@ -84,14 +86,38 @@ func TestLebench(t *testing.T) {
 		}
 	})
 
+	// gateSweep runs the sweep CI's gate runs, once for the subtests that
+	// read it, and returns its stdout and artifact path.
+	gatePath, gateOut := filepath.Join(dir, "gate.json"), ""
+	gateSweep := func(t *testing.T) (string, string) {
+		t.Helper()
+		if gateOut == "" {
+			gateOut, _ = mustRun(t, "-exp", "sweeps", "-quick", "-json", gatePath)
+		}
+		return gateOut, gatePath
+	}
+
+	// The gate sweep equals the committed baseline cell for cell, so
+	// go test sees what make benchdiff sees.
+	t.Run("gate", func(t *testing.T) {
+		_, path := gateSweep(t)
+		r, err := trajectory.DiffFiles(filepath.Join("..", "..", "testdata", "BENCH_baseline.json"), path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Clean() {
+			t.Fatalf("the gate sweep differs from testdata/BENCH_baseline.json (make baseline accepts an intended change):\n%s", r.Markdown())
+		}
+	})
+
 	// Stdout is the report of the artifact: what lereport renders from the
 	// -json file, byte for byte.
 	t.Run("report", func(t *testing.T) {
-		lereport, a := filepath.Join(dir, "lereport"), filepath.Join(dir, "report.json")
+		lereport := filepath.Join(dir, "lereport")
 		if out, err := exec.Command("go", "build", "-o", lereport, "../lereport").CombinedOutput(); err != nil {
 			t.Fatalf("go build lereport: %v\n%s", err, out)
 		}
-		stdout, _ := mustRun(t, "-exp", "sweeps", "-quick", "-trials", "1", "-json", a)
+		stdout, a := gateSweep(t)
 		md, err := exec.Command(lereport, a).Output()
 		if err != nil {
 			t.Fatalf("lereport: %v", err)
@@ -108,18 +134,14 @@ func TestLebench(t *testing.T) {
 	t.Run("telemetry", func(t *testing.T) {
 		sweep := func(name string, extra ...string) string {
 			path := filepath.Join(dir, name)
-			mustRun(t, append([]string{"-exp", "table1", "-quick", "-trials", "1", "-strip-timings", "-json", path}, extra...)...)
+			mustRun(t, append([]string{"-exp", "table1", "-quick", "-trials", "1", "-json", path}, extra...)...)
 			return path
 		}
 		plain := sweep("plain.json")
 		side := sweep("side.json", "-trace-out", filepath.Join(dir, "trace.json"),
 			"-cpuprofile", filepath.Join(dir, "cpu.pprof"))
-		want, err := os.ReadFile(plain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := os.ReadFile(side); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("artifact with -trace-out/-cpuprofile differs from the plain one (err %v)", err)
+		if !bytes.Equal(readArtifact(t, side).Cells, readArtifact(t, plain).Cells) {
+			t.Fatal("cells with -trace-out/-cpuprofile differ from the plain ones")
 		}
 		for _, f := range []string{"trace.json", "cpu.pprof"} {
 			if fi, err := os.Stat(filepath.Join(dir, f)); err != nil || fi.Size() == 0 {
@@ -171,6 +193,7 @@ func TestLebench(t *testing.T) {
 			want string
 		}{
 			{[]string{"-parallel"}, "-parallel"},
+			{[]string{"-exp", "table1", "-quick", "-trials", "1", "-strip" + "-timings", "-json", out}, "-strip" + "-timings"},
 			{[]string{"-shards", "2"}, "-shards"},
 			{[]string{"-exp", "sweeps", "-quick", "-trials", "1", "-procs", "2", "-json", out}, "-procs"},
 			{[]string{"-exp", "sweeps", "-quick", "-trials", "1", "-cells", "0:3", "-json", out}, "-cells"},

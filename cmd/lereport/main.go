@@ -12,8 +12,8 @@
 //	lereport -title "PR 20" BENCH_harness.json       # custom heading
 //
 // The one argument is an artifact file of the current schema. Comparing
-// two artifacts is benchdiff's job (benchdiff -base OLD -head NEW
-// -fail-on regressed); a second artifact here is refused.
+// two artifacts is benchdiff's job (benchdiff -base OLD -head NEW); a
+// second artifact here is refused.
 //
 // -phases FILE appends a phase-breakdown table (phase | spans | total |
 // mean | share) summed from the span events of a Chrome trace — the
@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if fs.NArg() > 1 {
 		fmt.Fprintln(stderr, "lereport: renders exactly one artifact; to compare two run "+
-			"benchdiff -base OLD -head NEW -fail-on regressed")
+			"benchdiff -base OLD -head NEW")
 		return 2
 	}
 	a, err := harness.ReadArtifactFile(fs.Arg(0))

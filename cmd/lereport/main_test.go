@@ -106,7 +106,7 @@ func TestCLIErrors(t *testing.T) {
 		want string
 	}{
 		{nil, "artifact file is required"},
-		{[]string{baselinePath, baselinePath}, "benchdiff -base OLD -head NEW -fail-on regressed"},
+		{[]string{baselinePath, baselinePath}, "to compare two run benchdiff -base OLD -head NEW"},
 		{[]string{filepath.Join(t.TempDir(), "missing.json")}, "missing.json"},
 		{[]string{"-phases", filepath.Join(t.TempDir(), "missing-obs.json"), baselinePath}, "missing-obs.json"},
 		{[]string{"-phases", snapshot, baselinePath}, snapshot},

@@ -24,7 +24,8 @@ const ArtifactSchema = "anonlead/bench-harness/v6"
 
 // ArtifactDist is the persisted distribution of one per-trial metric: the
 // spread around the mean that the flat per-cell fields already carry. All
-// values are over the cell's trials.
+// values are over the cell's trials; benchdiff compares them like every
+// other field of the cell.
 type ArtifactDist struct {
 	StdDev float64 `json:"stddev"`
 	Min    float64 `json:"min"`
@@ -40,18 +41,6 @@ func newArtifactDist(d stats.Dist) *ArtifactDist {
 	return &ArtifactDist{
 		StdDev: d.StdDev, Min: d.Min, Max: d.Max,
 		P50: d.P50, P90: d.P90, P99: d.P99,
-	}
-}
-
-// Dist converts back to the stats shape, rehydrating N and Mean from the
-// cell's flat fields (what benchdiff feeds into variance-aware thresholds).
-func (d *ArtifactDist) Dist(trials int, mean float64) stats.Dist {
-	if d == nil {
-		return stats.Dist{N: trials, Mean: mean}
-	}
-	return stats.Dist{
-		N: trials, Mean: mean, StdDev: d.StdDev,
-		Min: d.Min, Max: d.Max, P50: d.P50, P90: d.P90, P99: d.P99,
 	}
 }
 
@@ -200,14 +189,6 @@ func NewArtifact(o Orchestrator, specs []CellSpec, cells []Cell, elapsed time.Du
 	if a.ElapsedSeconds > 0 {
 		a.TrialsPerSecond = float64(totalTrials) / a.ElapsedSeconds
 	}
-	return a
-}
-
-// StripTimings returns a copy with the wall-clock fields zeroed, leaving
-// only the deterministic content (what golden tests compare).
-func (a Artifact) StripTimings() Artifact {
-	a.ElapsedSeconds = 0
-	a.TrialsPerSecond = 0
 	return a
 }
 

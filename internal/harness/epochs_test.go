@@ -43,11 +43,11 @@ func TestEpochSweepParallelMatchesSequential(t *testing.T) {
 		t.Fatalf("parallel: %v", err)
 	}
 	engine := Orchestrator{Workers: 1}
-	rawSeq, err := NewArtifact(engine, specs, seq, 0).StripTimings().JSON()
+	rawSeq, err := NewArtifact(engine, specs, seq, 0).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rawPar, err := NewArtifact(engine, specs, par, 0).StripTimings().JSON()
+	rawPar, err := NewArtifact(engine, specs, par, 0).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}

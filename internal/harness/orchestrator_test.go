@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"anonlead/internal/adversary"
+	"anonlead/internal/obs"
 )
 
 // determinismSpecs is a small cross-protocol, cross-family sweep matrix
@@ -58,11 +59,11 @@ func TestParallelHarnessDeterminism(t *testing.T) {
 		}
 		// The artifact (what every report renders from) must match byte
 		// for byte.
-		seqJSON, err := NewArtifact(o, specs, seq, 0).StripTimings().JSON()
+		seqJSON, err := NewArtifact(o, specs, seq, 0).JSON()
 		if err != nil {
 			t.Fatal(err)
 		}
-		parJSON, err := NewArtifact(o, specs, par, 0).StripTimings().JSON()
+		parJSON, err := NewArtifact(o, specs, par, 0).JSON()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,11 +104,11 @@ func TestZeroRateAdversaryArtifactByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseJSON, err := NewArtifact(o, plain, baseCells, 0).StripTimings().JSON()
+	baseJSON, err := NewArtifact(o, plain, baseCells, 0).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	zeroJSON, err := NewArtifact(o, zeroed, zeroCells, 0).StripTimings().JSON()
+	zeroJSON, err := NewArtifact(o, zeroed, zeroCells, 0).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +203,8 @@ func TestOrchestratorStreamsCells(t *testing.T) {
 }
 
 // TestArtifactGolden pins the BENCH_harness.json format: a fixed-seed sweep
-// must serialize to exactly the committed golden bytes (timings stripped —
-// they are the only nondeterministic fields).
+// must serialize to exactly the committed golden bytes (elapsed 0, since
+// the wall-clock fields are the only nondeterministic ones).
 func TestArtifactGolden(t *testing.T) {
 	opts := TrialOpts{Trials: 2, Seed: 5}
 	specs := []CellSpec{
@@ -220,7 +221,7 @@ func TestArtifactGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewArtifact(o, specs, cells, 1500*time.Millisecond).StripTimings().JSON()
+	got, err := NewArtifact(o, specs, cells, 0).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,9 +257,6 @@ func TestArtifactTimings(t *testing.T) {
 	}
 	if a.RootSeed != 5 {
 		t.Fatalf("root seed %v", a.RootSeed)
-	}
-	if s := a.StripTimings(); s.ElapsedSeconds != 0 || s.TrialsPerSecond != 0 {
-		t.Fatalf("StripTimings left %+v", s)
 	}
 }
 
@@ -316,5 +314,36 @@ func TestPresumedNChangesProtocolBehavior(t *testing.T) {
 	}
 	if inflated.Rounds <= truth.Rounds {
 		t.Fatalf("presumed n=64 rounds %v not above truthful %v", inflated.Rounds, truth.Rounds)
+	}
+}
+
+// TestSweepSpansUnderTelemetry runs a two-worker sweep with telemetry on —
+// the span log's only concurrent writers, which make race runs — and
+// counts its spans: one prepare and one profile per distinct workload, one
+// trials span per shard and one reduce per cell.
+func TestSweepSpansUnderTelemetry(t *testing.T) {
+	obs.Enable()
+	t.Cleanup(obs.Disable)
+	specs := []CellSpec{
+		{Protocol: ProtoIRE, Workload: Workload{Family: "complete", N: 16}, Opts: TrialOpts{Trials: 4, Seed: 9}},
+		{Protocol: ProtoFlood, Workload: Workload{Family: "complete", N: 16}, Opts: TrialOpts{Trials: 4, Seed: 9}},
+		{Protocol: ProtoFlood, Workload: Workload{Family: "cycle", N: 12}, Opts: TrialOpts{Trials: 3, Seed: 9}},
+	}
+	before := len(obs.SpanEvents())
+	if _, err := (Orchestrator{Workers: 2}).RunSweep(specs); err != nil {
+		t.Fatal(err)
+	}
+	events := obs.SpanEvents()[before:]
+	count := map[string]int{}
+	for _, e := range events {
+		count[e.Phase]++
+		if e.Detail != "complete/16" && e.Detail != "cycle/12" {
+			t.Fatalf("span %+v names no cell of the sweep", e)
+		}
+	}
+	// Two workloads; each cell's trials cut into two shards.
+	want := map[string]int{"prepare": 2, "profile": 2, "trials": 6, "reduce": 3}
+	if !reflect.DeepEqual(count, want) || len(events) != 13 {
+		t.Fatalf("span counts %v (%d events), want %v", count, len(events), want)
 	}
 }

@@ -5,10 +5,7 @@
 //   - Dist/DistOf and Quantiles summarize per-trial metric samples
 //     (the distributions schema-v2+ bench artifacts persist per cell);
 //   - Wilson gives the success-rate confidence interval every rendered
-//     table and every benchdiff success verdict uses;
-//   - StdErr/WelchStdErr feed the variance-aware effect gates in
-//     internal/trajectory (a change must beat both a relative tolerance
-//     and k Welch standard errors before it is called);
+//     table and the conformance tests' w.h.p. checks use;
 //   - LogLogSlope fits the empirical scaling exponents the Table 1
 //     sections report next to the paper's predicted bounds.
 //
@@ -68,8 +65,8 @@ func quantileSorted(sorted []float64, q float64) float64 {
 }
 
 // Dist is a compact description of a sample's distribution: the moments
-// and tail quantiles the bench artifact persists per metric so regression
-// tooling can reason about variance, not just point estimates.
+// and tail quantiles the bench artifact persists per metric, so a reader
+// of the artifact sees a cell's spread, not just its point estimates.
 type Dist struct {
 	N      int
 	Mean   float64
@@ -112,28 +109,6 @@ func DistOf(xs []float64) Dist {
 	q := Quantiles(xs, 0.5, 0.9, 0.99)
 	d.P50, d.P90, d.P99 = q[0], q[1], q[2]
 	return d
-}
-
-// StdErr returns the standard error of the sample mean (0 for fewer than
-// two observations).
-func (d Dist) StdErr() float64 {
-	if d.N < 2 {
-		return 0
-	}
-	return d.StdDev / math.Sqrt(float64(d.N))
-}
-
-// WelchStdErr combines two sample means' uncertainty into the standard
-// error of their difference (Welch's form: no equal-variance assumption).
-func WelchStdErr(a, b Dist) float64 {
-	var v float64
-	if a.N > 1 {
-		v += a.StdDev * a.StdDev / float64(a.N)
-	}
-	if b.N > 1 {
-		v += b.StdDev * b.StdDev / float64(b.N)
-	}
-	return math.Sqrt(v)
 }
 
 // Wilson returns the Wilson-score confidence interval for a binomial

@@ -83,18 +83,12 @@ func TestDistOfKnownValues(t *testing.T) {
 	if d.P90 < d.P50 || d.P99 < d.P90 || d.P99 > d.Max {
 		t.Fatalf("tail quantiles disordered: %+v", d)
 	}
-	if se := d.StdErr(); math.Abs(se-d.StdDev/math.Sqrt(5)) > 1e-12 {
-		t.Fatalf("stderr %v", se)
-	}
 }
 
 func TestDistOfEmpty(t *testing.T) {
 	d := DistOf(nil)
 	if d != (Dist{}) {
 		t.Fatalf("empty dist %+v", d)
-	}
-	if d.StdErr() != 0 {
-		t.Fatal("empty stderr")
 	}
 }
 
@@ -106,31 +100,12 @@ func TestDistOfSingleTrial(t *testing.T) {
 	if d.P50 != 7 || d.P90 != 7 || d.P99 != 7 {
 		t.Fatalf("single quantiles %+v", d)
 	}
-	if d.StdErr() != 0 {
-		t.Fatal("single-trial stderr should be 0")
-	}
 }
 
 func TestDistOfAllEqual(t *testing.T) {
 	d := DistOf([]float64{4, 4, 4, 4})
 	if d.StdDev != 0 || d.Min != 4 || d.Max != 4 || d.P50 != 4 || d.P99 != 4 {
 		t.Fatalf("all-equal dist %+v", d)
-	}
-	if d.StdErr() != 0 {
-		t.Fatal("all-equal stderr should be 0")
-	}
-}
-
-func TestWelchStdErr(t *testing.T) {
-	a := DistOf([]float64{1, 2, 3, 4})
-	b := DistOf([]float64{10, 20, 30, 40})
-	want := math.Sqrt(a.StdDev*a.StdDev/4 + b.StdDev*b.StdDev/4)
-	if got := WelchStdErr(a, b); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("welch %v want %v", got, want)
-	}
-	// Degenerate inputs contribute nothing rather than NaN.
-	if got := WelchStdErr(Dist{}, Dist{N: 1}); got != 0 {
-		t.Fatalf("degenerate welch %v", got)
 	}
 }
 

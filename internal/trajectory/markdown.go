@@ -2,68 +2,62 @@ package trajectory
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"anonlead/internal/report"
 )
 
-// Markdown renders the report as a GitHub-flavored summary: headline
-// counts, a table of every changed metric, and the added/removed cell lists. CI
-// appends it to $GITHUB_STEP_SUMMARY; it is also benchdiff's stdout.
+// Markdown renders the report as a GitHub-flavored summary: the verdict
+// counts, a table of every metric that moved, and the changed, removed and
+// added cell lists. CI appends it to $GITHUB_STEP_SUMMARY; it is also
+// benchdiff's stdout.
 func (r Report) Markdown() string {
 	var b strings.Builder
 	b.WriteString("## benchdiff\n\n")
 	fmt.Fprintf(&b, "base `%s` · head `%s`\n\n", r.BaseSchema, r.HeadSchema)
-	fmt.Fprintf(&b, "**%d regressed · %d improved · %d drifted · %d unchanged** across %d aligned cells",
-		r.Regressed, r.Improved, r.Drifted, r.Unchanged, len(r.Cells))
-	if len(r.Added) > 0 || len(r.Removed) > 0 {
-		fmt.Fprintf(&b, " (+%d added, −%d removed)", len(r.Added), len(r.Removed))
-	}
-	b.WriteString("\n\n")
+	fmt.Fprintf(&b, "**%d changed of %d aligned cells** · %d added · %d removed\n\n",
+		len(r.Changed), len(r.Cells), len(r.Added), len(r.Removed))
+	fmt.Fprintf(&b, "Per metric: %d regressed · %d improved · %d drifted · %d unchanged.\n\n",
+		r.Regressed, r.Improved, r.Drifted, r.Unchanged)
 
-	changed := false
-	for _, cd := range r.Cells {
-		for _, md := range cd.Metrics {
-			if md.Status != Unchanged {
-				changed = true
-			}
-		}
-	}
-	if changed {
-		b.WriteString("| cell | metric | base | head | Δ | effect | status |\n")
-		b.WriteString("|---|---|---:|---:|---:|---:|---|\n")
+	if r.Regressed+r.Improved+r.Drifted > 0 {
+		b.WriteString("| cell | metric | base | head | Δ | status |\n")
+		b.WriteString("|---|---|---:|---:|---:|---|\n")
 		for _, cd := range r.Cells {
 			for _, md := range cd.Metrics {
 				if md.Status == Unchanged {
 					continue
 				}
-				fmt.Fprintf(&b, "| %s | %s | %s | %s | %s | %s | %s %s |\n",
+				fmt.Fprintf(&b, "| %s | %s | %s | %s | %s | %s %s |\n",
 					cd.Key, md.Metric, report.Num(md.Base), report.Num(md.Head),
-					fmtDelta(md), fmtEffect(md), statusIcon(md.Status), md.Status)
+					fmtDelta(md), statusIcon(md.Status), md.Status)
 			}
 		}
 		b.WriteString("\n")
-	} else if len(r.Cells) > 0 {
-		b.WriteString("All aligned metrics within thresholds.\n\n")
 	}
 
-	if len(r.Removed) > 0 {
-		b.WriteString("**Removed cells** (in base only — a shrunk sweep can hide regressions):\n")
-		for _, k := range r.Removed {
+	for _, l := range []struct {
+		title string
+		keys  []Key
+	}{
+		{"**Changed cells** (some field differs from the base):", r.Changed},
+		{"**Removed cells** (in base only — a shrunk sweep can hide a change):", r.Removed},
+		{"**Added cells** (in head only, no baseline to compare):", r.Added},
+	} {
+		if len(l.keys) == 0 {
+			continue
+		}
+		b.WriteString(l.title + "\n")
+		for _, k := range l.keys {
 			fmt.Fprintf(&b, "- %s\n", k)
 		}
 		b.WriteString("\n")
 	}
-	if len(r.Added) > 0 {
-		b.WriteString("**Added cells** (in head only, no baseline to compare):\n")
-		for _, k := range r.Added {
-			fmt.Fprintf(&b, "- %s\n", k)
-		}
-		b.WriteString("\n")
+	if r.Clean() {
+		b.WriteString("Every aligned cell is identical.\n")
+	} else {
+		b.WriteString("`make baseline` accepts an intended change.\n")
 	}
-	fmt.Fprintf(&b, "Thresholds (fixed): %.3g %% relative, %.3gσ, %.3g %% drift.\n",
-		100*r.Thresholds.RelTol, r.Thresholds.Sigmas, 100*r.Thresholds.DriftTol)
 	return b.String()
 }
 
@@ -74,21 +68,7 @@ func fmtDelta(md MetricDiff) string {
 	if md.Base == 0 && md.Head != 0 {
 		return "new"
 	}
-	return fmt.Sprintf("%+.1f%%", 100*md.RelDelta)
-}
-
-// fmtEffect renders the effect size in standard errors.
-func fmtEffect(md MetricDiff) string {
-	if md.Metric == "success_rate" {
-		return "Wilson"
-	}
-	if md.Metric == "msgs_vs_pred" || md.Metric == "time_vs_pred" {
-		return "ratio" // measured/predicted, not a raw mean
-	}
-	if md.StdErr == 0 {
-		return "—" // zero-spread samples
-	}
-	return fmt.Sprintf("%.1fσ", math.Abs(md.Head-md.Base)/md.StdErr)
+	return fmt.Sprintf("%+.3g%%", 100*md.RelDelta)
 }
 
 func statusIcon(s Status) string {

@@ -1,30 +1,32 @@
 // Package trajectory compares two bench artifacts: it aligns the sweep
 // cells of a base and a head BENCH_harness.json by workload identity and
-// classifies each cost metric as improved, unchanged, or regressed.
+// marks every aligned cell whose content differs in any field as changed.
 // cmd/benchdiff is the CLI. A longer history is a sequence of such pairs
 // (the committed baseline's git log; any two archived artifacts);
 // rendering a single artifact is internal/report's job.
 //
-// The paper's guarantees are probabilistic (w.h.p. message/time bounds),
-// so per-cell measurements carry real trial variance; a useful regression
-// gate must separate effects from noise. The classifier therefore demands
-// an effect exceed BOTH a relative tolerance and a multiple of the Welch
-// standard error of the difference of means, computed from the per-trial
-// distributions every artifact cell carries.
+// The paper's guarantees are w.h.p. statements over seeds, but a sweep is
+// a pure function of its plan and root seed: two runs of one plan agree
+// cell for cell, so a comparison of two runs needs no noise model, and
+// any difference is a change. Trial variance belongs to the conformance
+// bands, not here. Each aligned cell also gets a per-metric comparison —
+// cost up is regressed, down improved, and a measured/predicted ratio that
+// moved more than 25 % drifted — which explains a change but is not the
+// verdict.
 package trajectory
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 
 	"anonlead/internal/harness"
-	"anonlead/internal/stats"
 )
 
 // Key identifies a sweep cell across artifacts: the workload coordinates
 // that make two cells comparable. Everything else (graph profile, trial
-// counts, measurements) may legitimately differ between runs.
+// counts, measurements) is what the comparison compares.
 type Key struct {
 	Protocol  string `json:"protocol"`
 	Family    string `json:"family"`
@@ -85,37 +87,18 @@ const (
 	Drifted   Status = "drifted"
 )
 
-// Thresholds tunes the classifier. The zero value selects the defaults.
-type Thresholds struct {
-	// RelTol is the minimum relative effect |head-base|/|base| to call a
-	// change (default 0.05). Guards against flagging tiny absolute drifts
-	// on metrics with near-zero variance.
-	RelTol float64 `json:"rel_tol"`
-	// Sigmas is the minimum effect in units of the Welch standard error
-	// of the difference of means (default 3). Guards against flagging
-	// trial noise. Only applies when both artifacts carry distributions.
-	Sigmas float64 `json:"sigmas"`
-	// DriftTol is the minimum relative change of a measured/predicted
-	// ratio between base and head to flag predicted-vs-measured drift
-	// (default 0.25). Both artifacts persist the paper-bound predictions
-	// per cell, so this gate catches a cell walking away from its
-	// complexity bound even when raw costs moved "legitimately".
-	DriftTol float64 `json:"drift_tol"`
-}
+// Thresholds is an inert shim: a cell that changed at all is a change,
+// so there is nothing left to tune.
+//
+// Deprecated: Diff ignores its Thresholds argument. The last caller is
+// bench/, and ROADMAP item 3 removes it.
+type Thresholds struct{}
 
-// withDefaults resolves zero fields to the default thresholds.
-func (t Thresholds) withDefaults() Thresholds {
-	if t.RelTol <= 0 {
-		t.RelTol = 0.05
-	}
-	if t.Sigmas <= 0 {
-		t.Sigmas = 3
-	}
-	if t.DriftTol <= 0 {
-		t.DriftTol = 0.25
-	}
-	return t
-}
+// driftTol is the relative change of a measured/predicted ratio between
+// base and head that marks the ratio Drifted. Both artifacts persist the
+// paper-bound predictions per cell, so the explanation can say a cell
+// walked away from its complexity bound, not just that its cost moved.
+const driftTol = 0.25
 
 // MetricDiff is the comparison of one metric on one aligned cell.
 type MetricDiff struct {
@@ -126,10 +109,7 @@ type MetricDiff struct {
 	// RelDelta is (head-base)/|base|. When base is 0 it stays 0 (JSON has
 	// no Inf) and Status alone carries the verdict.
 	RelDelta float64 `json:"rel_delta"`
-	// StdErr is the Welch standard error of head-base (0 when either side
-	// lacks distributions or has fewer than two trials).
-	StdErr float64 `json:"stderr"`
-	Status Status  `json:"status"`
+	Status   Status  `json:"status"`
 }
 
 // CellDiff is one aligned cell's comparison across all metrics.
@@ -142,28 +122,31 @@ type CellDiff struct {
 type Report struct {
 	BaseSchema string     `json:"base_schema"`
 	HeadSchema string     `json:"head_schema"`
-	Thresholds Thresholds `json:"thresholds"`
 	Cells      []CellDiff `json:"cells"`
-	// Added and Removed list cells present in only one artifact. They are
-	// reported, not classified — a shrunk sweep can hide a regression, so
-	// the markdown summary calls them out loudly.
+	// Changed lists the aligned cells whose JSON encoding differs between
+	// base and head in any field. The gate sweep is a pure function of
+	// (plan, root seed), so any entry here — or in Added or Removed — is a
+	// change to what the model measured.
+	Changed []Key `json:"changed,omitempty"`
+	// Added and Removed list cells present in only one artifact. A shrunk
+	// sweep can hide a change, so both count against Clean.
 	Added   []Key `json:"added,omitempty"`
 	Removed []Key `json:"removed,omitempty"`
 
+	// The per-metric counts explain a change; Clean is the verdict.
 	Improved  int `json:"improved"`
 	Unchanged int `json:"unchanged"`
 	Regressed int `json:"regressed"`
 	// Drifted counts predicted-vs-measured ratio metrics that moved
-	// beyond DriftTol between base and head (gated by -fail-on drift,
-	// independently of the cost-regression gate).
+	// beyond 25 % between base and head.
 	Drifted int `json:"drifted"`
 }
 
-// HasRegressions reports whether any aligned metric regressed.
-func (r Report) HasRegressions() bool { return r.Regressed > 0 }
-
-// HasDrift reports whether any measured/predicted ratio drifted.
-func (r Report) HasDrift() bool { return r.Drifted > 0 }
+// Clean reports whether every aligned cell is identical and no cell was
+// added or removed.
+func (r Report) Clean() bool {
+	return len(r.Changed)+len(r.Added)+len(r.Removed) == 0
+}
 
 // JSON renders the report machine-readably.
 func (r Report) JSON() ([]byte, error) {
@@ -174,69 +157,31 @@ func (r Report) JSON() ([]byte, error) {
 	return append(buf, '\n'), nil
 }
 
-// costMetrics names the lower-is-better metrics, in report order.
-var costMetrics = []string{"messages", "bits", "rounds", "charged"}
-
-// cellDist extracts the named cost metric's distribution from a cell,
-// rehydrating trials and mean.
-func cellDist(c harness.ArtifactCell, metric string) stats.Dist {
-	switch metric {
-	case "messages":
-		return c.MessagesDist.Dist(c.Trials, c.Messages)
-	case "bits":
-		return c.BitsDist.Dist(c.Trials, c.Bits)
-	case "rounds":
-		return c.RoundsDist.Dist(c.Trials, c.Rounds)
-	case "charged":
-		return c.ChargedDist.Dist(c.Trials, c.Charged)
-	default:
-		panic("trajectory: unknown metric " + metric)
-	}
+// costMetrics pairs each lower-is-better metric with its per-trial mean,
+// in report order.
+var costMetrics = []struct {
+	name string
+	mean func(harness.ArtifactCell) float64
+}{
+	{"messages", func(c harness.ArtifactCell) float64 { return c.Messages }},
+	{"bits", func(c harness.ArtifactCell) float64 { return c.Bits }},
+	{"rounds", func(c harness.ArtifactCell) float64 { return c.Rounds }},
+	{"charged", func(c harness.ArtifactCell) float64 { return c.Charged }},
 }
 
-// classifyCost compares one lower-is-better metric. A change is called
-// only when the effect clears the relative tolerance AND Sigmas standard
-// errors of the difference.
-func classifyCost(metric string, base, head stats.Dist, th Thresholds) MetricDiff {
-	d := MetricDiff{Metric: metric, Base: base.Mean, Head: head.Mean, Status: Unchanged}
-	delta := head.Mean - base.Mean
-	if base.Mean != 0 {
-		d.RelDelta = delta / math.Abs(base.Mean)
+// compare classifies one metric exactly: any move is a change. For a
+// lower-is-better metric a rise is Regressed; for the success rate
+// (higherBetter) it is Improved.
+func compare(metric string, base, head float64, higherBetter bool) MetricDiff {
+	d := MetricDiff{Metric: metric, Base: base, Head: head, Status: Unchanged}
+	if base != 0 {
+		d.RelDelta = (head - base) / math.Abs(base)
 	}
-	d.StdErr = stats.WelchStdErr(base, head)
-	if delta == 0 {
-		return d
-	}
-	// Relative gate; a metric appearing from zero is always a change.
-	if base.Mean != 0 && math.Abs(delta) <= th.RelTol*math.Abs(base.Mean) {
-		return d
-	}
-	// Variance gate (vacuous for zero-variance samples).
-	if math.Abs(delta) <= th.Sigmas*d.StdErr {
-		return d
-	}
-	if delta > 0 {
-		d.Status = Regressed
-	} else {
-		d.Status = Improved
-	}
-	return d
-}
-
-// classifySuccess compares the success rate (higher is better) by Wilson
-// interval disjointness.
-func classifySuccess(base, head harness.ArtifactCell) MetricDiff {
-	baseRate, headRate := rate(base), rate(head)
-	d := MetricDiff{Metric: "success_rate", Base: baseRate, Head: headRate, Status: Unchanged}
-	if baseRate != 0 {
-		d.RelDelta = (headRate - baseRate) / baseRate
-	}
-	baseLo, baseHi := stats.Wilson(base.Successes, base.Trials)
-	headLo, headHi := stats.Wilson(head.Successes, head.Trials)
 	switch {
-	case headHi < baseLo:
+	case head == base:
+	case (head > base) != higherBetter:
 		d.Status = Regressed
-	case headLo > baseHi:
+	default:
 		d.Status = Improved
 	}
 	return d
@@ -264,34 +209,40 @@ var driftMetrics = []struct {
 }
 
 // classifyDrift compares one measured/predicted ratio between base and
-// head. A cell whose ratio moves by more than DriftTol relative to its
+// head. A cell whose ratio moves by more than driftTol relative to its
 // baseline ratio is Drifted — the measurement walked away from (or
 // toward) the paper's bound, a different signal than a raw cost change.
 // Returns ok=false when either side lacks a usable prediction (ratio
 // undefined), in which case no metric is emitted.
-func classifyDrift(name string, baseMeas, basePred, headMeas, headPred float64, th Thresholds) (MetricDiff, bool) {
+func classifyDrift(name string, baseMeas, basePred, headMeas, headPred float64) (MetricDiff, bool) {
 	if basePred <= 0 || headPred <= 0 || baseMeas <= 0 || headMeas <= 0 {
 		return MetricDiff{}, false
 	}
 	baseRatio, headRatio := baseMeas/basePred, headMeas/headPred
 	d := MetricDiff{Metric: name, Base: baseRatio, Head: headRatio, Status: Unchanged}
 	d.RelDelta = (headRatio - baseRatio) / baseRatio
-	if math.Abs(d.RelDelta) > th.DriftTol {
+	if math.Abs(d.RelDelta) > driftTol {
 		d.Status = Drifted
 	}
 	return d, true
 }
 
-// Diff aligns the cells of two artifacts by Key and classifies every
-// metric. Aligned cells keep base order; duplicates of a key pair up by
-// occurrence index, with unpaired occurrences reported as added/removed.
-func Diff(base, head harness.Artifact, th Thresholds) Report {
-	th = th.withDefaults()
-	r := Report{
-		BaseSchema: base.Schema,
-		HeadSchema: head.Schema,
-		Thresholds: th,
-	}
+// sameCell reports whether two cells encode to the same JSON. Comparing
+// encodings rather than values makes an in-memory cell equal to its
+// decoded copy, where a nil slice may come back empty.
+func sameCell(a, b harness.ArtifactCell) bool {
+	ea, errA := json.Marshal(a)
+	eb, errB := json.Marshal(b)
+	return errA == nil && errB == nil && bytes.Equal(ea, eb)
+}
+
+// Diff aligns the cells of two artifacts by Key, marks every aligned cell
+// whose encoding differs as changed, and compares every metric. Aligned
+// cells keep base order; duplicates of a key pair up by occurrence index,
+// with unpaired occurrences reported as added/removed. The Thresholds
+// argument is ignored.
+func Diff(base, head harness.Artifact, _ Thresholds) Report {
+	r := Report{BaseSchema: base.Schema, HeadSchema: head.Schema}
 
 	headIdx := make(map[Key][]int, len(head.Cells))
 	for i, c := range head.Cells {
@@ -312,16 +263,18 @@ func Diff(base, head harness.Artifact, th Thresholds) Report {
 		matchedHead[idxs[taken[k]]] = true
 		taken[k]++
 
+		if !sameCell(bc, hc) {
+			r.Changed = append(r.Changed, k)
+		}
 		cd := CellDiff{Key: k}
 		for _, m := range costMetrics {
-			cd.Metrics = append(cd.Metrics,
-				classifyCost(m, cellDist(bc, m), cellDist(hc, m), th))
+			cd.Metrics = append(cd.Metrics, compare(m.name, m.mean(bc), m.mean(hc), false))
 		}
-		cd.Metrics = append(cd.Metrics, classifySuccess(bc, hc))
+		cd.Metrics = append(cd.Metrics, compare("success_rate", rate(bc), rate(hc), true))
 		for _, dm := range driftMetrics {
 			if md, ok := classifyDrift(dm.name,
 				dm.measured(bc), dm.predicted(bc),
-				dm.measured(hc), dm.predicted(hc), th); ok {
+				dm.measured(hc), dm.predicted(hc)); ok {
 				cd.Metrics = append(cd.Metrics, md)
 			}
 		}
@@ -347,8 +300,7 @@ func Diff(base, head harness.Artifact, th Thresholds) Report {
 	return r
 }
 
-// DiffFiles loads two artifact files and diffs them under the default
-// thresholds.
+// DiffFiles loads two artifact files and diffs them.
 func DiffFiles(basePath, headPath string) (Report, error) {
 	base, err := harness.ReadArtifactFile(basePath)
 	if err != nil {

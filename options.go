@@ -128,8 +128,9 @@ func (t Transport) String() string {
 // WithTransport selects the execution backend. With the default
 // TransportSim the election runs on the in-memory simulator; the other
 // backends run each node as an actual concurrent entity exchanging
-// length-prefixed framed messages over per-port links, with a coordinator
-// barrier enforcing CONGEST synchrony. Execution is bit-compatible across
+// length-prefixed framed messages over per-port links, while a coordinator
+// releases each round and closes it with the simulator's round-ledger
+// code, enforcing CONGEST synchrony. Execution is bit-compatible across
 // backends: the same seed elects the same leader in the same number of
 // rounds with the same cost metrics. Non-simulator backends cannot be
 // combined with WithAdversary: faults are injected by the simulator's
