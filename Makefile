@@ -152,7 +152,11 @@ loc:
 
 # Besides vet and gofmt: the deprecated scheduler names (every run steps
 # on the calling goroutine) may appear only in bench/, their declaration in
-# options.go and its test, until ROADMAP item 3 removes them.
+# options.go and its test, and the deprecated profile-mode names (a
+# network's size picks its profile regime) only in bench/, profile.go and
+# its test, until ROADMAP item 3 removes them. The profile fence matches
+# the qualified anonlead.ProfileMode, because artifact and trajectory cells
+# have unrelated ProfileMode fields.
 lint:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -162,6 +166,12 @@ lint:
 		grep -v -e '^./bench/' -e '^./options.go$$' -e '^./options_test.go$$'); \
 	if [ -n "$$out" ]; then \
 		echo "deprecated scheduler names (WorkerPool, Actors, WithScheduler) outside bench/ and options.go:"; \
+		echo "$$out"; exit 1; \
+	fi
+	@out=$$(grep -rl --include='*.go' -e ProfileAuto -e 'anonlead\.ProfileMode' . | \
+		grep -v -e '^./bench/' -e '^./profile.go$$' -e '^./profile_test.go$$'); \
+	if [ -n "$$out" ]; then \
+		echo "deprecated profile names (ProfileAuto, anonlead.ProfileMode) outside bench/ and profile.go:"; \
 		echo "$$out"; exit 1; \
 	fi
 

@@ -52,15 +52,15 @@ import (
 
 // Network is an anonymous network instance: a connected topology plus its
 // structural profile (diameter, mixing time, conductance, isoperimetric
-// number), computed lazily when a protocol or Profile needs it and cached
-// per regime. Construct with NewNetwork or NewNetworkFromEdges. A
-// Network is immutable and safe for concurrent elections.
+// number), computed lazily when a protocol or Profile first needs it and
+// cached. Construct with NewNetwork or NewNetworkFromEdges. A Network is
+// immutable and safe for concurrent elections.
 type Network struct {
 	g    *graph.Graph
 	seed uint64 // construction seed; feeds the estimate regime's sampling
 
-	mu    sync.Mutex
-	profs map[spectral.Mode]*spectral.Profile // keyed by resolved mode
+	mu   sync.Mutex
+	prof *spectral.Profile // nil until first computed
 }
 
 // NewNetwork builds a named topology family instance on n nodes. Random
@@ -125,28 +125,6 @@ func newNetwork(g *graph.Graph, seed uint64) (*Network, error) {
 		return nil, graph.ErrDisconnected
 	}
 	return &Network{g: g, seed: seed}, nil
-}
-
-// profileMode returns the network's structural profile under the given
-// regime, computing it on first use and caching per resolved mode (the
-// graph is connected by construction, so profiling cannot fail on the
-// topology).
-func (nw *Network) profileMode(mode spectral.Mode) (*spectral.Profile, error) {
-	resolved := mode.Resolve(nw.g.N())
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	if p, ok := nw.profs[resolved]; ok {
-		return p, nil
-	}
-	p, err := spectral.ProfileGraphMode(nw.g, resolved, nw.seed)
-	if err != nil {
-		return nil, err
-	}
-	if nw.profs == nil {
-		nw.profs = make(map[spectral.Mode]*spectral.Profile, 2)
-	}
-	nw.profs[resolved] = p
-	return p, nil
 }
 
 // N returns the number of nodes.

@@ -47,7 +47,7 @@ func benchElections(b *testing.B, proto string, cells []benchCell, opts func(ano
 			if err != nil {
 				b.Fatal(err)
 			}
-			prof, err := nw.Profile(anonlead.ProfileAuto)
+			prof, err := nw.Profile()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -370,7 +370,7 @@ func electionSetup(tb testing.TB, proto, family string, n int) (*graph.Graph, fu
 	if err != nil {
 		tb.Fatal(err)
 	}
-	prof, err := spectral.ProfileGraph(g)
+	prof, err := spectral.ProfileGraph(g, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -80,7 +81,8 @@ func TestBenchdiffIdenticalArtifactsExitZero(t *testing.T) {
 
 // TestBenchdiffRegressedArtifactExitNonZero: one more message in one
 // trial of one floodmax cell of the committed gate sweep — a 1/trials
-// change to that cell's mean — fails the gate and names that cell alone.
+// change to that cell's mean — fails the gate and names that cell alone,
+// with the one field that moved and both its values.
 func TestBenchdiffRegressedArtifactExitNonZero(t *testing.T) {
 	dir := t.TempDir()
 	baseline := filepath.Join("..", "..", "testdata", "BENCH_baseline.json")
@@ -93,7 +95,9 @@ func TestBenchdiffRegressedArtifactExitNonZero(t *testing.T) {
 		i++
 	}
 	c := &a.Cells[i]
+	before, _ := json.Marshal(c.Messages)
 	c.Messages += 1 / float64(c.Trials)
+	after, _ := json.Marshal(c.Messages)
 	head := writeArtifact(t, dir, "head.json", a)
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-base", baseline, "-head", head}, &out, &errOut); code != 1 {
@@ -105,7 +109,8 @@ func TestBenchdiffRegressedArtifactExitNonZero(t *testing.T) {
 	k := trajectory.Key{Protocol: c.Protocol, Family: c.Family, N: c.N, PresumedN: c.PresumedN,
 		Adversary: c.Adversary, ProfileMode: c.ProfileMode, Scenario: c.Scenario}
 	md := out.String()
-	if !strings.Contains(md, "**Changed cells** (some field differs from the base):\n- "+k.String()+"\n\n") ||
+	moved := "  - messages: " + string(before) + " → " + string(after) + "\n"
+	if !strings.Contains(md, "**Changed cells** (some field differs from the base):\n- "+k.String()+"\n"+moved+"\n") ||
 		!strings.Contains(md, "| "+k.String()+" | messages |") || !strings.Contains(md, "**1 changed of 81 aligned cells**") {
 		t.Fatalf("summary does not name %s alone:\n%s", k, md)
 	}

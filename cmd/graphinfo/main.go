@@ -4,16 +4,16 @@
 // protocols are parameterized by.
 //
 // The profile comes from the public anonlead API (NewNetwork +
-// Network.Profile), so -profile selects the same exact/estimate/auto
-// regimes library users get: exact inverts dense matrices and is limited
-// to small n, estimate streams random walks and sweep cuts and scales to
-// hundreds of thousands of nodes.
+// Network.Profile), so the network's size picks the regime exactly as it
+// does for library users: exact up to n = 256 (dense matrix powering),
+// the streaming estimate above (random walks and sweep cuts, which scale
+// to hundreds of thousands of nodes).
 //
 // Usage:
 //
 //	graphinfo -graph cycle -n 64
 //	graphinfo -graph expander -n 256 -seed 7
-//	graphinfo -graph expander -n 100000 -profile estimate
+//	graphinfo -graph expander -n 100000
 package main
 
 import (
@@ -36,18 +36,13 @@ func run() error {
 	family := flag.String("graph", "cycle", "topology family: "+graph.FamilyHelp())
 	n := flag.Int("n", 32, "number of nodes")
 	seed := flag.Uint64("seed", 1, "seed for random families")
-	profile := flag.String("profile", "auto", "profile regime: exact, estimate, or auto (exact up to n=256)")
 	flag.Parse()
 
-	mode, err := anonlead.ParseProfileMode(*profile)
-	if err != nil {
-		return err
-	}
 	nw, err := anonlead.NewNetwork(*family, *n, *seed)
 	if err != nil {
 		return err
 	}
-	prof, err := nw.Profile(mode)
+	prof, err := nw.Profile()
 	if err != nil {
 		return err
 	}

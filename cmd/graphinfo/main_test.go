@@ -10,8 +10,8 @@ import (
 // output on closed-form cells: the family line, then the profile's aligned
 // block — which is Profile.String on a value, the receiver the public
 // alias needs for fmt to find it. Each number names the method behind it:
-// above n = 256 the exact regime prints the spectral t_mix bound and a
-// sweep cut, not an exact value.
+// above n = 256 the size picks the estimate regime, which prints a
+// diameter lower bound, a sampled t_mix and a sweep cut.
 func TestGraphinfoPrintsAlignedProfile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary")
@@ -30,10 +30,10 @@ lambda2=0.961940 gap=0.038060
 tmix=37 (exact)
 conductance=0.125000 isoperimetric=0.250000 (exact)
 `},
-		{[]string{"-graph", "cycle", "-n", "300", "-profile", "exact"}, `family=cycle
-n=300 m=300 diameter=150 degree=[2,2]
+		{[]string{"-graph", "cycle", "-n", "300"}, `family=cycle
+n=300 m=300 diameter>=150 degree=[2,2]
 lambda2=0.999890 gap=0.000110
-tmix=116181 (spectral bound)
+tmix=6558 (sampled, capped)
 conductance=0.006667 isoperimetric=0.013333 (sweep cut)
 `},
 	} {

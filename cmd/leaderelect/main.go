@@ -70,7 +70,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	prof, err := nw.Profile(anonlead.ProfileAuto)
+	prof, err := nw.Profile()
 	if err != nil {
 		return err
 	}

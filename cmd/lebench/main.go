@@ -29,7 +29,6 @@ import (
 	"anonlead/internal/harness"
 	"anonlead/internal/obs"
 	"anonlead/internal/report"
-	"anonlead/internal/spectral"
 	"anonlead/internal/stats"
 )
 
@@ -46,7 +45,6 @@ type session struct {
 	quick     bool
 	trials    int
 	seed      uint64
-	profile   spectral.Mode
 	orch      harness.Orchestrator
 	jsonPath  string
 	roundProf bool
@@ -77,13 +75,11 @@ var experiments = map[string]experiment{
 }
 
 // sweep runs a batch of cell specs through the orchestrator and records
-// the results for the artifact. The -profile regime is applied here, so one
-// flag threads the canonical mode through every experiment's TrialOpts and
-// into the artifact cell descriptors.
+// the results for the artifact. -round-profile is applied here, so one flag
+// reaches every experiment's TrialOpts.
 func (s *session) sweep(specs []harness.CellSpec) error {
-	for i := range specs {
-		specs[i].Opts.ProfileMode = s.profile
-		if s.roundProf {
+	if s.roundProf {
+		for i := range specs {
 			specs[i].Opts.RoundProfile = true
 		}
 	}
@@ -104,7 +100,6 @@ func run() error {
 		seed       = flag.Uint64("seed", 1, "root random seed")
 		workers    = flag.Int("workers", 0, "worker pool size for sweep cells and trials (0 = GOMAXPROCS, 1 = one goroutine; output does not depend on it)")
 		jsonPath   = flag.String("json", "", "write the machine-readable sweep artifact (e.g. BENCH_harness.json)")
-		profile    = flag.String("profile", "auto", "spectral profile regime for sweep cells: exact, estimate, or auto (exact up to n=256, estimate above)")
 		roundProf  = flag.Bool("round-profile", false, "attach deterministic per-round message/halt histograms to every sweep cell (schema-v5 round_profile section)")
 		traceOut   = flag.String("trace-out", "", "write the run's phase spans as Chrome trace-event JSON (open in chrome://tracing or Perfetto; render with lereport -phases)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU pprof profile of the run")
@@ -117,10 +112,6 @@ func run() error {
 		return fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", *workers)
 	}
 
-	mode, err := spectral.ParseMode(*profile)
-	if err != nil {
-		return err
-	}
 	if *traceOut != "" {
 		obs.Enable()
 	}
@@ -139,7 +130,6 @@ func run() error {
 		quick:     *quick,
 		trials:    *trials,
 		seed:      *seed,
-		profile:   mode,
 		orch:      harness.Orchestrator{Workers: *workers},
 		jsonPath:  *jsonPath,
 		roundProf: *roundProf,

@@ -74,7 +74,7 @@ func TestConformanceRevocable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prof, err := nw.Profile(anonlead.ProfileAuto)
+		prof, err := nw.Profile()
 		if err != nil {
 			t.Fatal(err)
 		}

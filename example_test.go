@@ -52,7 +52,7 @@ func ExampleNetwork_Run_revocable() {
 	if err != nil {
 		panic(err)
 	}
-	prof, err := nw.Profile(anonlead.ProfileAuto)
+	prof, err := nw.Profile()
 	if err != nil {
 		panic(err)
 	}
@@ -78,7 +78,7 @@ func ExampleNetwork_Run_floodmax() {
 	if err != nil {
 		panic(err)
 	}
-	prof, err := nw.Profile(anonlead.ProfileAuto)
+	prof, err := nw.Profile()
 	if err != nil {
 		panic(err)
 	}

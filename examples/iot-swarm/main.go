@@ -28,7 +28,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof, err := nw.Profile(anonlead.ProfileAuto)
+	prof, err := nw.Profile()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,10 +13,10 @@
 // protocol is a registry name handed to the same Network.Run call, so
 // swapping protocols is a string, not a method — and each network's
 // structural profile (diameter, mixing time, conductance) comes from
-// Network.Profile, the same exact/estimate regime surface the protocols'
-// defaults are filled from. (For large fanned-out sweeps with
-// distribution artifacts, see cmd/lebench; for n beyond a few hundred,
-// anonlead.ProfileEstimate keeps profiling cheap.)
+// Network.Profile, the same profile the protocols' defaults are filled
+// from. (For large fanned-out sweeps with distribution artifacts, see
+// cmd/lebench; beyond n = 256 the network's size switches profiling to
+// the streaming estimate regime, which keeps it cheap.)
 //
 //	go run ./examples/topology-compare
 package main
@@ -54,7 +54,7 @@ func main() {
 			// The structural quantities the protocols are parameterized
 			// by, from the public profile surface (auto: exact here,
 			// estimate past n=256).
-			prof, err := nw.Profile(anonlead.ProfileAuto)
+			prof, err := nw.Profile()
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -185,7 +185,7 @@ func TestWalkNotifySuccessAcrossFamilies(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			prof, err := spectral.ProfileGraph(c.g)
+			prof, err := spectral.ProfileGraph(c.g, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,7 +206,7 @@ func TestWalkNotifySuccessAcrossFamilies(t *testing.T) {
 
 func TestWalkNotifyMaxCandidateNeverEliminated(t *testing.T) {
 	g := graph.Complete(24)
-	prof, err := spectral.ProfileGraph(g)
+	prof, err := spectral.ProfileGraph(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestWalkNotifyMaxCandidateNeverEliminated(t *testing.T) {
 
 func TestWalkNotifyLeadersAreNonEliminatedCandidates(t *testing.T) {
 	g := graph.Torus(4, 4)
-	prof, err := spectral.ProfileGraph(g)
+	prof, err := spectral.ProfileGraph(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

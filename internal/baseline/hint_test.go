@@ -79,7 +79,7 @@ func profiled(t *testing.T, family string, n int) (*graph.Graph, core.ProtoConfi
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := spectral.ProfileGraph(g)
+	prof, err := spectral.ProfileGraph(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // profiledConfig builds the default IRE config from a graph's profile.
 func profiledConfig(t *testing.T, g *graph.Graph) ProtoConfig {
 	t.Helper()
-	prof, err := spectral.ProfileGraph(g)
+	prof, err := spectral.ProfileGraph(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func runIRE(t *testing.T, g *graph.Graph, cfg ProtoConfig, seed uint64) (int, []
 
 func TestIRESmokeCompleteGraph(t *testing.T) {
 	g := graph.Complete(32)
-	prof, err := spectral.ProfileGraph(g)
+	prof, err := spectral.ProfileGraph(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestIRESmokeCompleteGraph(t *testing.T) {
 
 func TestIRESmokeCycle(t *testing.T) {
 	g := graph.Cycle(24)
-	prof, err := spectral.ProfileGraph(g)
+	prof, err := spectral.ProfileGraph(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

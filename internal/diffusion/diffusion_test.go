@@ -117,7 +117,7 @@ func TestRunUntilSpread(t *testing.T) {
 // unless the profile enumerated the cuts.
 func exactIsoperimetric(t *testing.T, g *graph.Graph) float64 {
 	t.Helper()
-	p, err := spectral.ProfileGraph(g)
+	p, err := spectral.ProfileGraph(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -345,12 +345,11 @@ func GNPConnected(n int, p float64, r *rng.RNG) (*Graph, error) {
 	return nil, ErrDisconnected
 }
 
-// family is one row of the family table: what ByName, FamilyNames, the
-// size refusals and the CLIs' -graph help know about a named family.
+// family is one row of the family table: what ByName, the size refusals
+// and the CLIs' -graph help know about a named family.
 type family struct {
 	name string
-	// aliases are other spellings ByName accepts; help lists them after
-	// name, FamilyNames does not list them.
+	// aliases are other spellings ByName accepts; help lists them after name.
 	aliases []string
 	// minN is the smallest n the family has a member for; ByName refuses
 	// anything below it, so build never sees a size its constructor panics
@@ -367,8 +366,8 @@ func regular(d int) func(int, *rng.RNG) (*Graph, error) {
 	return func(n int, r *rng.RNG) (*Graph, error) { return RandomRegular(n, d, r) }
 }
 
-// families is the family table, in FamilyNames order. A family is declared
-// here and nowhere else.
+// families is the family table, in help order. A family is declared here
+// and nowhere else.
 var families = []family{
 	{name: "cycle", minN: 3, build: func(n int, _ *rng.RNG) (*Graph, error) { return Cycle(n), nil }},
 	{name: "path", minN: 2, build: func(n int, _ *rng.RNG) (*Graph, error) { return Path(n), nil }},
@@ -451,15 +450,6 @@ func ByName(name string, n int, r *rng.RNG) (*Graph, error) {
 // topology here, so (family, n, seed) names the same graph on all of them.
 func Seeded(family string, n int, seed uint64) (*Graph, error) {
 	return ByName(family, n, rng.New(seed).SplitString("graph:"+family))
-}
-
-// FamilyNames lists the canonical family names, in table order.
-func FamilyNames() []string {
-	names := make([]string, len(families))
-	for i, f := range families {
-		names[i] = f.name
-	}
-	return names
 }
 
 // FamilyHelp is the -graph flag's list of accepted names: every family,

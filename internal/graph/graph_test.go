@@ -246,7 +246,8 @@ func TestGNPConnected(t *testing.T) {
 }
 
 func TestByNameAllFamilies(t *testing.T) {
-	for _, name := range FamilyNames() {
+	for _, f := range families {
+		name := f.name
 		t.Run(name, func(t *testing.T) {
 			r := rng.New(3)
 			g, err := ByName(name, 16, r)
@@ -498,7 +499,8 @@ func TestCliqueOfCliques(t *testing.T) {
 // agree with PortTo on every family, as built and through one and two
 // chained PermutePorts, and reading them allocates nothing.
 func TestEdgeOffsetsAndReversePorts(t *testing.T) {
-	for _, name := range FamilyNames() {
+	for _, f := range families {
+		name := f.name
 		g, err := ByName(name, 64, rng.New(3).SplitString("graph:"+name))
 		if err != nil {
 			t.Fatal(err)

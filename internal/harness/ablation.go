@@ -34,7 +34,7 @@ func AblationCautious(w Workload, xs []int, trials int, seed uint64) ([]Cautious
 	if err != nil {
 		return nil, nil, err
 	}
-	prof, err := spectral.ProfileGraph(g)
+	prof, err := spectral.ProfileGraph(g, seed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -104,16 +104,15 @@ type WalkPoint struct {
 }
 
 // walkSpecs expands the X2 sweep into orchestrator cell specs: one IRE cell
-// per walk-count factor, on the exact profile. Trial seeds are shared
-// across factors for a paired comparison.
+// per walk-count factor. Trial seeds are shared across factors for a
+// paired comparison.
 func walkSpecs(w Workload, factors []float64, trials int, seed uint64) []CellSpec {
 	specs := make([]CellSpec, len(factors))
 	for i, f := range factors {
 		specs[i] = CellSpec{
 			Protocol: ProtoIRE,
 			Workload: w,
-			Opts: TrialOpts{Trials: trials, Seed: seed, ProfileMode: spectral.ModeExact,
-				Proto: core.ProtoConfig{XFactor: f}},
+			Opts:     TrialOpts{Trials: trials, Seed: seed, Proto: core.ProtoConfig{XFactor: f}},
 		}
 	}
 	return specs
@@ -208,7 +207,7 @@ func AblationDiffusion(w Workload, eps float64, maxK uint64, seed uint64) ([]Dif
 	if err != nil {
 		return nil, err
 	}
-	prof, err := spectral.ProfileGraph(g)
+	prof, err := spectral.ProfileGraph(g, seed)
 	if err != nil {
 		return nil, err
 	}

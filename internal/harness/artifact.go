@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"anonlead/internal/obs"
-	"anonlead/internal/spectral"
 	"anonlead/internal/stats"
 )
 
@@ -60,10 +59,10 @@ type ArtifactCell struct {
 	// (adversary.Spec.Descriptor; "" = fault-free). Part of the cell's
 	// identity for trajectory alignment.
 	Adversary string `json:"adversary,omitempty"`
-	// ProfileMode is the resolved profile regime behind the cell's
-	// tmix/Φ/diameter columns: "estimate" for the streaming estimators,
-	// "" (omitted) for the legacy exact regime. Part of the cell's
-	// identity for trajectory alignment.
+	// ProfileMode is the profile regime behind the cell's tmix/Φ/diameter
+	// columns, which the cell's size picks: "estimate" for the streaming
+	// estimators (n > 256), "" (omitted) for the exact regime. Part of the
+	// cell's identity for trajectory alignment.
 	ProfileMode string `json:"profile_mode,omitempty"`
 	// Scenario is the epoch scenario descriptor of a repeated-election
 	// cell (anonlead.Scenario.Descriptor; "" = classic single-election cell).
@@ -171,7 +170,7 @@ func NewArtifact(o Orchestrator, specs []CellSpec, cells []Cell, elapsed time.Du
 			ac.PredictedMsgs = predictMsgs(c.Protocol, prof)
 			ac.PredictedTime = predictTime(c.Protocol, prof)
 			if prof.Estimated {
-				ac.ProfileMode = spectral.ModeEstimate.String()
+				ac.ProfileMode = "estimate"
 			}
 		}
 		if i < len(specs) {

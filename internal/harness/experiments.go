@@ -88,7 +88,7 @@ func SplitBrainExperiment(presumedN int, witnessCounts []int, trials int, seed u
 	// Every node, on the cycle and on the wheels, is told it lives on C_n:
 	// its size and its profile, not the wheel's — the one misreport Run
 	// cannot default.
-	presumed, err := cycle.Profile(spectral.ModeExact)
+	presumed, err := cycle.Profile()
 	if err != nil {
 		return nil, err
 	}

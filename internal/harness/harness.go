@@ -88,13 +88,6 @@ type TrialOpts struct {
 	// under a dedicated label, so machine randomness is untouched and a
 	// zero-rate spec is byte-identical to no adversary at all.
 	Adversary *adversary.Spec
-	// ProfileMode selects the regime for the cell's spectral profile (the
-	// protocols' tmix/Φ/diameter inputs): exact (legacy, the committed
-	// baselines), estimate (streaming, scales past dense-matrix sizes) or
-	// auto (exact up to n = 256, estimate above; the zero value). The
-	// resolved mode is part of the cell's identity: the network caches one
-	// profile per resolved mode and artifact cells record it.
-	ProfileMode spectral.Mode
 	// PresumedN, when positive, misreports the network size to the
 	// protocol (the knowledge ablation after Dieudonné–Pelc: how does
 	// election degrade when nodes' knowledge of n is wrong?). The graph
@@ -175,21 +168,20 @@ func TrialSeed(root uint64, w Workload, t int) uint64 {
 }
 
 // prepareCell returns the cell's network — anonlead.NewNetwork(family, n,
-// seed), shared process-wide through the cell cache — and its profile
-// under mode, which the network computes once per resolved regime and
-// every trial's Run then reads its defaults from. Repeated cells (across
-// protocols, ablation factors, or whole sweeps) cost one build, one
-// structural validation and one profile.
-func prepareCell(w Workload, seed uint64, mode spectral.Mode) (*anonlead.Network, *spectral.Profile, error) {
+// seed), shared process-wide through the cell cache — and its profile,
+// which every trial's Run reads. Repeated cells (across protocols,
+// ablation factors, or whole sweeps) cost one build, one structural
+// validation and one profile.
+func prepareCell(w Workload, seed uint64) (*anonlead.Network, *spectral.Profile, error) {
 	label := cellLabel(w)
 	endPrep := obs.Span("prepare", label)
-	anw, err := cachedNetwork(w, seed, mode)
+	anw, err := cachedNetwork(w, seed)
 	endPrep()
 	if err != nil {
 		return nil, nil, fmt.Errorf("harness: build %s/%d: %w", w.Family, w.N, err)
 	}
 	endProf := obs.Span("profile", label)
-	prof, err := anw.Profile(mode)
+	prof, err := anw.Profile()
 	endProf()
 	if err != nil {
 		return nil, nil, fmt.Errorf("harness: profile %s/%d: %w", w.Family, w.N, err)
@@ -382,7 +374,6 @@ func runOne(p Protocol, anw *anonlead.Network, prof *spectral.Profile, opts Tria
 func runTrial(anw *anonlead.Network, proto string, pc core.ProtoConfig, seed uint64, opts TrialOpts) (Trial, error) {
 	ropts := []anonlead.Option{
 		anonlead.WithSeed(seed),
-		anonlead.WithProfileMode(opts.ProfileMode),
 		anonlead.WithProtoConfig(pc),
 	}
 	if opts.Adversary != nil {

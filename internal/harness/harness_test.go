@@ -234,7 +234,7 @@ func TestAblationDiffusionUsesProtocolSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := spectral.ProfileGraph(g)
+	prof, err := spectral.ProfileGraph(g, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,13 +70,11 @@ func (o Orchestrator) RunSweep(specs []CellSpec) ([]Cell, error) {
 		family string
 		n      int
 		seed   uint64
-		mode   spectral.Mode // resolved profile regime
 	}
 	order := make([]prepKey, 0, len(specs))
 	groups := make(map[prepKey][]int, len(specs))
 	for i, spec := range specs {
-		k := prepKey{spec.Workload.Family, spec.Workload.N, spec.Opts.Seed,
-			spec.Opts.ProfileMode.Resolve(spec.Workload.N)}
+		k := prepKey{spec.Workload.Family, spec.Workload.N, spec.Opts.Seed}
 		if _, seen := groups[k]; !seen {
 			order = append(order, k)
 		}
@@ -86,7 +84,7 @@ func (o Orchestrator) RunSweep(specs []CellSpec) ([]Cell, error) {
 	err := forEach(workers, len(order), func(j int) error {
 		idxs := groups[order[j]]
 		spec := specs[idxs[0]]
-		anw, prof, err := prepareCell(spec.Workload, spec.Opts.Seed, spec.Opts.ProfileMode)
+		anw, prof, err := prepareCell(spec.Workload, spec.Opts.Seed)
 		if err != nil {
 			return fmt.Errorf("spec %d: %w", idxs[0], err)
 		}

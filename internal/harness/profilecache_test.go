@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"testing"
 	"time"
-
-	"anonlead/internal/spectral"
 )
 
 // TestProfileCacheColdWarmByteIdentical: a warm-cache sweep serializes
@@ -16,8 +14,8 @@ func TestProfileCacheColdWarmByteIdentical(t *testing.T) {
 	ResetProfileCache()
 	defer ResetProfileCache()
 
-	// n=300 forces the estimate regime under auto; two protocols on one
-	// workload share a single prepare, so one sweep is one cache lookup.
+	// n=300 is in the estimate regime; two protocols on one workload share
+	// a single prepare, so one sweep is one cache lookup.
 	opts := TrialOpts{Trials: 3, Seed: 7}
 	specs := []CellSpec{
 		{Protocol: ProtoFlood, Workload: Workload{Family: "expander", N: 300}, Opts: opts},
@@ -34,7 +32,7 @@ func TestProfileCacheColdWarmByteIdentical(t *testing.T) {
 		t.Fatalf("cold sweep counters: hits=%d misses=%d, want 0/1 (one shared prepare)", hits, misses)
 	}
 	if !cold[0].Profile.Estimated {
-		t.Fatalf("n=300 cell not in estimate regime under auto: %+v", cold[0].Profile)
+		t.Fatalf("n=300 cell not in estimate regime: %+v", cold[0].Profile)
 	}
 
 	warm, err := Orchestrator{Workers: 1}.RunSweep(specs)
@@ -68,8 +66,8 @@ func TestProfileCacheColdWarmByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEstimateArtifactRecordsMode: estimate-regime cells carry the
-// canonical mode string in the v4 artifact; exact ones omit it.
+// TestEstimateArtifactRecordsMode: estimate-regime cells carry
+// "estimate" as their profile_mode in the artifact; exact ones omit it.
 func TestEstimateArtifactRecordsMode(t *testing.T) {
 	ResetProfileCache()
 	defer ResetProfileCache()
@@ -90,8 +88,8 @@ func TestEstimateArtifactRecordsMode(t *testing.T) {
 	if got := a.Cells[0].ProfileMode; got != "" {
 		t.Fatalf("exact cell recorded mode %q, want omitted", got)
 	}
-	if got := a.Cells[1].ProfileMode; got != spectral.ModeEstimate.String() {
-		t.Fatalf("estimate cell recorded mode %q, want %q", got, spectral.ModeEstimate)
+	if got := a.Cells[1].ProfileMode; got != "estimate" {
+		t.Fatalf("estimate cell recorded mode %q, want \"estimate\"", got)
 	}
 }
 
@@ -110,7 +108,7 @@ func TestProfileCacheHitSpeedup(t *testing.T) {
 
 	w := Workload{Family: "expander", N: 4000}
 	start := time.Now()
-	_, prof, err := prepareCell(w, 3, spectral.ModeAuto)
+	_, prof, err := prepareCell(w, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +118,7 @@ func TestProfileCacheHitSpeedup(t *testing.T) {
 	}
 
 	start = time.Now()
-	_, prof2, err := prepareCell(w, 3, spectral.ModeAuto)
+	_, prof2, err := prepareCell(w, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"anonlead"
 	"anonlead/internal/adversary"
-	"anonlead/internal/spectral"
 )
 
 // TestHarnessTrialEqualsPublicRun pins the one trial path from the
@@ -22,18 +21,17 @@ func TestHarnessTrialEqualsPublicRun(t *testing.T) {
 	noRevocable := all[:len(all)-1] // its schedules are simulable on tiny graphs only
 	for _, tc := range []struct {
 		w      Workload
-		mode   spectral.Mode
 		protos []Protocol
 		adv    *adversary.Spec
 	}{
-		{Workload{"complete", 4}, spectral.ModeAuto, all, nil},
-		{Workload{"gnp", 48}, spectral.ModeExact, noRevocable, nil},
-		{Workload{"expander", 300}, spectral.ModeAuto, noRevocable, nil}, // auto resolves to estimate
-		{Workload{"expander", 64}, spectral.ModeEstimate, noRevocable, &adversary.Spec{Loss: 0.1}},
+		{Workload{"complete", 4}, all, nil},
+		{Workload{"gnp", 48}, noRevocable, nil},
+		{Workload{"expander", 300}, noRevocable, nil}, // estimate regime
+		{Workload{"expander", 64}, noRevocable, &adversary.Spec{Loss: 0.1}},
 	} {
 		for _, p := range tc.protos {
 			ResetProfileCache()
-			cell, err := RunCell(p, tc.w, TrialOpts{Trials: 1, Seed: root, ProfileMode: tc.mode, Adversary: tc.adv})
+			cell, err := RunCell(p, tc.w, TrialOpts{Trials: 1, Seed: root, Adversary: tc.adv})
 			if err != nil {
 				t.Fatalf("%s on %v: %v", p, tc.w, err)
 			}
@@ -44,7 +42,6 @@ func TestHarnessTrialEqualsPublicRun(t *testing.T) {
 			}
 			opts := []anonlead.Option{
 				anonlead.WithSeed(TrialSeed(root, tc.w, 0)),
-				anonlead.WithProfileMode(tc.mode),
 			}
 			if tc.adv != nil {
 				opts = append(opts, anonlead.WithAdversary(*tc.adv))
@@ -75,7 +72,7 @@ func TestHarnessTrialEqualsPublicRun(t *testing.T) {
 				t.Errorf("%s on %v: harness cell diverged from the public run:\ncell %+v\nrun  %+v leaders %v",
 					p, tc.w, cell, out.Metrics, out.Leaders)
 			}
-			prof, err := nw.Profile(tc.mode)
+			prof, err := nw.Profile()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -166,7 +166,7 @@ func maxNormDist(x, pi []float64) float64 {
 
 // estimateProfile computes the streaming-regime profile: every quantity
 // from O(m)-per-step passes, no dense matrix, no all-pairs BFS.
-func estimateProfile(g *graph.Graph, seed uint64) (*Profile, error) {
+func estimateProfile(g *graph.Graph, seed uint64) *Profile {
 	p := &Profile{
 		N:         g.N(),
 		M:         g.M(),
@@ -180,5 +180,5 @@ func estimateProfile(g *graph.Graph, seed uint64) (*Profile, error) {
 	p.SpectralGap = 1 - lambda
 	p.MixingTime, p.MixingCapped = mixingTimeSampled(g, seed, p.SpectralGap)
 	p.Conductance, p.Isoperimetric = sweepCutFrom(g, walkCoords(g, vec))
-	return p, nil
+	return p
 }

@@ -32,10 +32,7 @@ func TestMixingTimeSampledMatchesExactOnTransitive(t *testing.T) {
 		if exactCapped {
 			t.Fatalf("%s: exact reference capped", c.name)
 		}
-		p, err := ProfileGraphMode(c.g, ModeEstimate, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := estimateProfile(c.g, 7)
 		got, capped := p.MixingTime, p.MixingCapped
 		if capped {
 			t.Fatalf("%s: sampled estimator capped at n=%d (budget too small)", c.name, c.g.N())
@@ -53,20 +50,14 @@ func TestMixingTimeSampledMatchesExactOnTransitive(t *testing.T) {
 func TestEstimateLambda2ClosedForm(t *testing.T) {
 	for _, n := range []int{16, 64} {
 		g := graph.Cycle(n)
-		p, err := ProfileGraphMode(g, ModeEstimate, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := estimateProfile(g, 1)
 		want := (1 + math.Cos(2*math.Pi/float64(n))) / 2
 		if math.Abs(p.Lambda2-want) > 1e-6 {
 			t.Fatalf("cycle%d: lambda2 %v want %v", n, p.Lambda2, want)
 		}
 	}
 	g := graph.Complete(32)
-	p, err := ProfileGraphMode(g, ModeEstimate, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := estimateProfile(g, 1)
 	want := (1 - 1/float64(31)) / 2
 	if math.Abs(p.Lambda2-want) > 1e-6 {
 		t.Fatalf("K32: lambda2 %v want %v", p.Lambda2, want)
@@ -80,10 +71,7 @@ func TestEstimateLambda2ClosedForm(t *testing.T) {
 func TestEstimateExtrapolationTracksExact(t *testing.T) {
 	g := graph.Cycle(96)
 	exact, _ := mixingTimeExact(g, 1_000_000)
-	p, err := ProfileGraphMode(g, ModeEstimate, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := estimateProfile(g, 3)
 	got, capped := p.MixingTime, p.MixingCapped
 	if !capped {
 		t.Skip("budget covered the cycle; extrapolation not exercised")
@@ -100,7 +88,7 @@ func TestEstimateExtrapolationTracksExact(t *testing.T) {
 // back to the spectral bound of the gap its own profile computed.
 func TestEstimateFallbackUsesProfileGap(t *testing.T) {
 	g := graph.Cycle(64)
-	p := mustProfile(t, g, ModeEstimate)
+	p := estimateProfile(g, 1)
 	got, capped := mixFromStart(g, stationary(g), 0, 1/(2*float64(g.N())), 1, p.SpectralGap)
 	if want := max(1, mixingTimeFromGap(g, p.SpectralGap)); got != want || !capped {
 		t.Fatalf("fallback returned (%d, %t), want (%d, true)", got, capped, want)
@@ -118,68 +106,41 @@ func TestEstimateProfileDeterministic(t *testing.T) {
 		}
 		return g
 	}
-	a, err := ProfileGraphMode(build(), ModeEstimate, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ProfileGraphMode(build(), ModeEstimate, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := estimateProfile(build(), 11)
+	b := estimateProfile(build(), 11)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("estimated profiles diverged:\n%+v\n%+v", a, b)
 	}
-	if !a.Estimated || a.ExactMixing || a.ExactCuts {
+	if !a.Estimated || a.ExactCuts {
 		t.Fatalf("estimate regime flags wrong: %+v", a)
 	}
 }
 
-// TestProfileGraphModeAutoResolution pins the auto split: exact regime
-// (byte-identical to ProfileGraph) at n <= EstimateThreshold, estimate
-// regime above.
-func TestProfileGraphModeAutoResolution(t *testing.T) {
-	small, err := graph.ByName("expander", EstimateThreshold, rng.New(2).SplitString("graph:expander"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	auto, err := ProfileGraphMode(small, ModeAuto, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := ProfileGraph(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(auto, exact) {
-		t.Fatalf("auto at threshold diverged from exact:\n%+v\n%+v", auto, exact)
-	}
-
-	big, err := graph.ByName("expander", EstimateThreshold+44, rng.New(2).SplitString("graph:expander"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := ProfileGraphMode(big, ModeAuto, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Estimated {
-		t.Fatalf("auto above threshold stayed exact: %+v", p)
-	}
-}
-
-// TestParseModeRoundTrips pins the canonical mode strings.
-func TestParseModeRoundTrips(t *testing.T) {
-	for _, m := range []Mode{ModeAuto, ModeExact, ModeEstimate} {
-		got, err := ParseMode(m.String())
-		if err != nil || got != m {
-			t.Fatalf("mode %v: parse(%q) = %v, %v", m, m.String(), got, err)
+// TestProfileGraphPicksRegimeBySize pins the size split: the exact
+// regime up to MixingTimeExactLimit, the estimate regime above, each
+// bit-identical to its algorithm called directly.
+func TestProfileGraphPicksRegimeBySize(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		want func(*graph.Graph) *Profile
+	}{
+		{MixingTimeExactLimit, exactProfile},
+		{MixingTimeExactLimit + 1, func(g *graph.Graph) *Profile { return estimateProfile(g, 9) }},
+	} {
+		g, err := graph.ByName("expander", c.n, rng.New(2).SplitString("graph:expander"))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Fatal("bogus mode accepted")
-	}
-	if m, err := ParseMode(""); err != nil || m != ModeAuto {
-		t.Fatalf("empty mode: %v, %v", m, err)
+		got, err := ProfileGraph(g, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := c.want(g); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: ProfileGraph diverged from its regime:\n%+v\n%+v", c.n, got, want)
+		}
+		if got.Estimated != (c.n > MixingTimeExactLimit) {
+			t.Fatalf("n=%d: Estimated=%t", c.n, got.Estimated)
+		}
 	}
 }
 
@@ -192,16 +153,16 @@ func BenchmarkEstimateProfileExpander(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ProfileGraphMode(g, ModeEstimate, 1); err != nil {
+		if _, err := ProfileGraph(g, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkProfileExact measures the exact-regime profile on the gate
+// BenchmarkExactRegimeProfile measures the exact-regime profile on the gate
 // sweep's most expensive graphs (dense tmix powering dominates the first
 // two, the power iteration the cycle).
-func BenchmarkProfileExact(b *testing.B) {
+func BenchmarkExactRegimeProfile(b *testing.B) {
 	for _, c := range []struct {
 		family string
 		n      int
@@ -211,7 +172,7 @@ func BenchmarkProfileExact(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ProfileGraphMode(g, ModeExact, 1); err != nil {
+				if _, err := ProfileGraph(g, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

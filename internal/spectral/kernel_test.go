@@ -135,20 +135,19 @@ func TestProfileAllocBound(t *testing.T) {
 	for _, c := range []struct {
 		family string
 		n      int
-		mode   Mode
 		bound  float64
 	}{
-		{"expander", 256, ModeExact, 546},
-		{"expander", 2000, ModeEstimate, 28},
+		{"expander", 256, 546},
+		{"expander", 2000, 28},
 	} {
 		g := mustFamily(t, c.family, c.n, 1)
 		got := testing.AllocsPerRun(1, func() {
-			if _, err := ProfileGraphMode(g, c.mode, 1); err != nil {
+			if _, err := ProfileGraph(g, 1); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if got > c.bound {
-			t.Errorf("%s/%d %s profile: %.0f allocations, bound %.0f", c.family, c.n, c.mode, got, c.bound)
+			t.Errorf("%s/%d profile: %.0f allocations, bound %.0f", c.family, c.n, got, c.bound)
 		}
 	}
 }

@@ -1,11 +1,11 @@
 // Package spectral computes the graph quantities the paper's protocols and
 // analysis are parameterized by, as one Profile: the second eigenvalue of
 // the lazy random walk, the mixing time tmix (exact by matrix powering at
-// small sizes, a spectral bound or sampled walks otherwise), the graph
-// conductance Φ and the isoperimetric number i(G) (exact by cut
-// enumeration at small sizes, sweep-cut upper bounds otherwise).
-// ProfileGraphMode is the only way in: every quantity of a profile comes
-// from one eigenpair and one size dispatch.
+// small sizes, sampled walks otherwise), the graph conductance Φ and the
+// isoperimetric number i(G) (exact by cut enumeration at small sizes,
+// sweep-cut upper bounds otherwise). ProfileGraph is the only way in:
+// every quantity of a profile comes from one eigenpair and one size
+// dispatch.
 //
 // Definitions follow Section 2 of the paper:
 //

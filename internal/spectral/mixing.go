@@ -6,12 +6,11 @@ import (
 	"anonlead/internal/graph"
 )
 
-// MixingTimeExactLimit is the largest n for which ProfileGraph computes the
-// exact mixing time by matrix powering; beyond it the spectral estimate is
-// used. Exact powering costs O(n³·log tmix) — about a second at the limit.
-// The spectral estimate can overshoot fast-mixing graphs by ~10x (it pays
-// the full log(4nm) even when the true tmix is O(1)), so exactness up to
-// the common experiment sizes keeps protocol parameterizations honest.
+// MixingTimeExactLimit is the largest n ProfileGraph profiles in the exact
+// regime; the estimate regime takes over above it. Exact powering costs
+// O(n³·log tmix) and the exact diameter O(n·m), so exactness up to the
+// common experiment sizes keeps protocol parameterizations honest while
+// larger graphs stay profilable.
 const MixingTimeExactLimit = 256
 
 // mixingTimeExact computes the paper's tmix(G) exactly: the minimum t such

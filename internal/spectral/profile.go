@@ -22,8 +22,7 @@ type Profile struct {
 	Lambda2     float64 // second eigenvalue of the lazy walk
 	SpectralGap float64 // 1 − Lambda2
 
-	MixingTime  int  // paper tmix(G): exact at small n, sampled/spectral estimate otherwise
-	ExactMixing bool // whether MixingTime is exact
+	MixingTime int // paper tmix(G): exact unless Estimated, else from sampled walks
 	// MixingCapped reports that the mixing-time search hit its step
 	// budget: the exact regime returns the cap as a lower bound, the
 	// estimate regime extrapolates the measured TV decay past its walked
@@ -36,38 +35,29 @@ type Profile struct {
 	ExactCuts     bool    // whether Conductance/Isoperimetric are exact
 
 	// Estimated reports that the streaming estimate regime produced this
-	// profile (ModeEstimate, or ModeAuto above EstimateThreshold):
-	// diameter is a lower bound, tmix comes from sampled walks, cuts from
-	// a sweep cut over a budgeted eigenvector.
+	// profile (n > MixingTimeExactLimit): diameter is a lower bound, tmix
+	// from sampled walks, cuts from a sweep over a budgeted eigenvector.
 	Estimated bool
 }
 
-// ProfileGraph computes the exact-regime Profile for g — the legacy
-// reference path, byte-identical to every profile computed before modes
-// existed. g must be connected; profiling a disconnected graph returns an
-// error because every quantity is degenerate there (tmix = ∞, Φ = 0).
-func ProfileGraph(g *graph.Graph) (*Profile, error) {
-	return ProfileGraphMode(g, ModeExact, 0)
-}
-
-// ProfileGraphMode computes a Profile for g under the given regime. seed
-// feeds the estimate regime's deterministic walk-start sampling (the
-// exact regime ignores it); same (graph, resolved mode, seed) — same
-// profile, bit for bit. The estimate regime never materializes an n×n
-// matrix: every pass is O(m) per step.
-func ProfileGraphMode(g *graph.Graph, mode Mode, seed uint64) (*Profile, error) {
+// ProfileGraph computes the Profile of g in the regime its size picks:
+// exact for n <= MixingTimeExactLimit, the streaming estimate regime (O(m)
+// per pass, no n×n matrix) above. seed feeds the estimate regime's walk
+// starts; same (graph, seed) — same profile, bit for bit. A disconnected
+// g is an error: every quantity is degenerate there (tmix = ∞, Φ = 0).
+func ProfileGraph(g *graph.Graph, seed uint64) (*Profile, error) {
 	if !g.IsConnected() {
 		return nil, fmt.Errorf("spectral: profile requires a connected graph (components=%d)", g.ComponentCount())
 	}
-	if mode.Resolve(g.N()) == ModeEstimate {
-		return estimateProfile(g, seed)
+	if g.N() > MixingTimeExactLimit {
+		return estimateProfile(g, seed), nil
 	}
-	return exactProfile(g)
+	return exactProfile(g), nil
 }
 
-// exactProfile is the legacy exact regime (dense tmix powering at small
-// n, all-pairs BFS diameter, enumerated cuts at tiny n).
-func exactProfile(g *graph.Graph) (*Profile, error) {
+// exactProfile is the exact regime: all-pairs BFS diameter, dense
+// matrix-powered tmix, enumerated cuts up to ExactCutLimit (sweep above).
+func exactProfile(g *graph.Graph) *Profile {
 	p := &Profile{
 		N:         g.N(),
 		M:         g.M(),
@@ -75,33 +65,18 @@ func exactProfile(g *graph.Graph) (*Profile, error) {
 		MinDegree: g.MinDegree(),
 		MaxDegree: g.MaxDegree(),
 	}
-	// One power iteration serves λ₂, the sweep-cut ordering and (above
-	// MixingTimeExactLimit) the spectral tmix bound.
+	// One power iteration serves λ₂ and the sweep-cut ordering.
 	lambda, vec := secondEigenpair(g, eigenIterations, eigenTol)
 	p.Lambda2 = lambda
 	p.SpectralGap = 1 - lambda
-	p.ExactMixing = g.N() <= MixingTimeExactLimit
-	if p.ExactMixing {
-		p.MixingTime, p.MixingCapped = mixingTimeExact(g, exactMixingBudget(g.N()))
-	} else {
-		p.MixingTime = mixingTimeFromGap(g, p.SpectralGap)
-	}
+	p.MixingTime, p.MixingCapped = mixingTimeExact(g, exactMixingBudget(g.N()))
 	p.ExactCuts = g.N() <= ExactCutLimit
 	if p.ExactCuts {
 		p.Conductance, p.Isoperimetric = enumerateCuts(g)
 	} else {
 		p.Conductance, p.Isoperimetric = sweepCutFrom(g, walkCoords(g, vec))
 	}
-	return p, nil
-}
-
-// Mode returns the resolved regime that produced the profile: ModeEstimate
-// when Estimated, ModeExact otherwise.
-func (p Profile) Mode() Mode {
-	if p.Estimated {
-		return ModeEstimate
-	}
-	return ModeExact
+	return p
 }
 
 // String renders the profile as the aligned block the CLIs print.
@@ -113,10 +88,8 @@ func (p Profile) String() string {
 	}
 	fmt.Fprintf(&b, "n=%d m=%d %s degree=[%d,%d]\n", p.N, p.M, diam, p.MinDegree, p.MaxDegree)
 	fmt.Fprintf(&b, "lambda2=%.6f gap=%.6f\n", p.Lambda2, p.SpectralGap)
-	tmix := "spectral bound"
-	if p.ExactMixing {
-		tmix = "exact"
-	} else if p.Estimated {
+	tmix := "exact"
+	if p.Estimated {
 		tmix = "sampled"
 	}
 	if p.MixingCapped {

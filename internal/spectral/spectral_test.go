@@ -12,17 +12,6 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-// mustProfile profiles g in the given regime (seed 1), failing the test on
-// error.
-func mustProfile(t testing.TB, g *graph.Graph, mode Mode) *Profile {
-	t.Helper()
-	p, err := ProfileGraphMode(g, mode, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
 // product returns a·b in a fresh matrix.
 func product(a, b *dense) *dense {
 	out := newDense(a.n)
@@ -104,7 +93,7 @@ func TestSecondEigenvalueCycleClosedForm(t *testing.T) {
 	// Lazy walk on C_n: eigenvalues 1/2 + cos(2πk/n)/2; λ₂ at k=1.
 	for _, n := range []int{8, 16, 32} {
 		want := 0.5 + 0.5*math.Cos(2*math.Pi/float64(n))
-		got := mustProfile(t, graph.Cycle(n), ModeExact).Lambda2
+		got := exactProfile(graph.Cycle(n)).Lambda2
 		if !almostEqual(got, want, 1e-6) {
 			t.Fatalf("C_%d lambda2 = %v want %v", n, got, want)
 		}
@@ -115,7 +104,7 @@ func TestSecondEigenvalueCompleteClosedForm(t *testing.T) {
 	// Lazy walk on K_n: non-top eigenvalues all 1/2 - 1/(2(n-1)).
 	for _, n := range []int{5, 10, 20} {
 		want := 0.5 - 0.5/float64(n-1)
-		got := mustProfile(t, graph.Complete(n), ModeExact).Lambda2
+		got := exactProfile(graph.Complete(n)).Lambda2
 		if !almostEqual(got, want, 1e-6) {
 			t.Fatalf("K_%d lambda2 = %v want %v", n, got, want)
 		}
@@ -129,7 +118,7 @@ func TestSecondEigenvalueInUnitInterval(t *testing.T) {
 		if err != nil {
 			return true // skip rare disconnected draws
 		}
-		l := mustProfile(t, g, ModeExact).Lambda2
+		l := exactProfile(g).Lambda2
 		return l > 0 && l < 1
 	}, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -210,13 +199,13 @@ func TestMixingTimeExactHonorsCap(t *testing.T) {
 	}
 }
 
-// TestMixingTimeSpectralUpperBoundsExact: the spectral bound the exact
-// regime prints above MixingTimeExactLimit, taken from the profile's own
-// gap, bounds the exact mixing time from above and not too loosely.
+// TestMixingTimeSpectralUpperBoundsExact: the spectral bound the sampled
+// estimator falls back to, taken from the profile's own gap, bounds the
+// exact mixing time from above and not too loosely.
 func TestMixingTimeSpectralUpperBoundsExact(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.Cycle(16), graph.Complete(12), graph.Hypercube(4)} {
 		exact, _ := mixingTimeExact(g, 1000000)
-		spec := mixingTimeFromGap(g, mustProfile(t, g, ModeExact).SpectralGap)
+		spec := mixingTimeFromGap(g, exactProfile(g).SpectralGap)
 		if spec < exact {
 			t.Fatalf("spectral estimate %d below exact %d", spec, exact)
 		}
@@ -278,7 +267,7 @@ func TestSweepCutUpperBoundsExact(t *testing.T) {
 		graph.Cycle(14), graph.Complete(10), graph.Barbell(5, 3), graph.Star(10),
 	} {
 		exactPhi, exactIso := enumerateCuts(g)
-		p := mustProfile(t, g, ModeEstimate)
+		p := estimateProfile(g, 1)
 		if p.ExactCuts {
 			t.Fatalf("n=%d: estimate profile claims exact cuts", g.N())
 		}
@@ -299,7 +288,7 @@ func TestSweepCutTightOnSymmetricFamilies(t *testing.T) {
 		slack float64
 	}{{graph.Cycle(16), 1}, {graph.Barbell(6, 4), 1.5}} {
 		exact, _ := enumerateCuts(c.g)
-		if sweep := mustProfile(t, c.g, ModeEstimate).Conductance; sweep > exact*c.slack+1e-9 {
+		if sweep := estimateProfile(c.g, 1).Conductance; sweep > exact*c.slack+1e-9 {
 			t.Fatalf("n=%d: sweep conductance %v, exact %v", c.g.N(), sweep, exact)
 		}
 	}
@@ -309,7 +298,7 @@ func TestCheegerBoundsHold(t *testing.T) {
 	// gap/2 <= φ(P) <= sqrt(2·gap) for the lazy chain, whose conductance
 	// (edge measure over stationary measure) is φ(P) = Φ/2.
 	for _, g := range []*graph.Graph{graph.Cycle(12), graph.Complete(8), graph.Hypercube(3)} {
-		p := mustProfile(t, g, ModeExact)
+		p := exactProfile(g)
 		lo, hi, phi := p.SpectralGap/2, math.Sqrt(2*p.SpectralGap), p.Conductance/2
 		if phi < lo-1e-9 || phi > hi+1e-9 {
 			t.Fatalf("chain conductance %v outside Cheeger [%v, %v]", phi, lo, hi)
@@ -328,14 +317,14 @@ func TestEnumerateCutsPanicsBeyondLimit(t *testing.T) {
 
 func TestProfileGraph(t *testing.T) {
 	g := graph.Cycle(12)
-	p, err := ProfileGraph(g)
+	p, err := ProfileGraph(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.N != 12 || p.M != 12 || p.Diameter != 6 {
 		t.Fatalf("profile basics wrong: %+v", p)
 	}
-	if !p.ExactMixing || !p.ExactCuts {
+	if p.Estimated || !p.ExactCuts {
 		t.Fatal("small graph should get exact quantities")
 	}
 	if !almostEqual(p.Conductance, 2.0/12, 1e-12) {
@@ -353,9 +342,8 @@ func TestProfileStringLabelsSources(t *testing.T) {
 		p          Profile
 		tmix, cuts string
 	}{
-		{Profile{ExactMixing: true, ExactCuts: true}, "(exact)", "(exact)"},
-		{Profile{ExactMixing: true, MixingCapped: true}, "(exact, capped)", "(sweep cut)"},
-		{Profile{}, "(spectral bound)", "(sweep cut)"},
+		{Profile{ExactCuts: true}, "(exact)", "(exact)"},
+		{Profile{MixingCapped: true}, "(exact, capped)", "(sweep cut)"},
 		{Profile{Estimated: true}, "(sampled)", "(sweep cut)"},
 		{Profile{Estimated: true, MixingCapped: true}, "(sampled, capped)", "(sweep cut)"},
 	} {
@@ -370,16 +358,16 @@ func TestProfileRejectsDisconnected(t *testing.T) {
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
-	if _, err := ProfileGraph(b.Graph()); err == nil {
+	if _, err := ProfileGraph(b.Graph(), 1); err == nil {
 		t.Fatal("expected error for disconnected graph")
 	}
 }
 
 func TestSpectralGapOrdersFamilies(t *testing.T) {
 	// Expander-like families mix faster than cycles of the same size.
-	cyc := mustProfile(t, graph.Cycle(16), ModeExact).SpectralGap
-	hyp := mustProfile(t, graph.Hypercube(4), ModeExact).SpectralGap
-	kom := mustProfile(t, graph.Complete(16), ModeExact).SpectralGap
+	cyc := exactProfile(graph.Cycle(16)).SpectralGap
+	hyp := exactProfile(graph.Hypercube(4)).SpectralGap
+	kom := exactProfile(graph.Complete(16)).SpectralGap
 	if !(cyc < hyp && hyp < kom) {
 		t.Fatalf("gap ordering violated: cycle=%v hypercube=%v complete=%v", cyc, hyp, kom)
 	}
@@ -410,7 +398,7 @@ func TestSweepCutCheegerConsistency(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		p := mustProfile(t, g, ModeEstimate)
+		p := estimateProfile(g, 1)
 		return p.Conductance >= p.SpectralGap-1e-9
 	}, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -425,7 +413,7 @@ func TestMixingTimeInvariantUnderPortPermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	perm := g.PermutePorts(r.Split(5))
-	if a, b := mustProfile(t, g, ModeExact).MixingTime, mustProfile(t, perm, ModeExact).MixingTime; a != b {
+	if a, b := exactProfile(g).MixingTime, exactProfile(perm).MixingTime; a != b {
 		t.Fatalf("mixing time changed under port permutation: %d vs %d", a, b)
 	}
 }

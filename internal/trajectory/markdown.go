@@ -8,9 +8,9 @@ import (
 )
 
 // Markdown renders the report as a GitHub-flavored summary: the verdict
-// counts, a table of every metric that moved, and the changed, removed and
-// added cell lists. CI appends it to $GITHUB_STEP_SUMMARY; it is also
-// benchdiff's stdout.
+// counts, a table of every metric that moved, the changed cells with their
+// differing fields, and the removed and added cell lists. CI appends it to
+// $GITHUB_STEP_SUMMARY; it is also benchdiff's stdout.
 func (r Report) Markdown() string {
 	var b strings.Builder
 	b.WriteString("## benchdiff\n\n")
@@ -36,11 +36,20 @@ func (r Report) Markdown() string {
 		b.WriteString("\n")
 	}
 
+	if len(r.Changed) > 0 {
+		b.WriteString("**Changed cells** (some field differs from the base):\n")
+		for _, c := range r.Changed {
+			fmt.Fprintf(&b, "- %s\n", c.Key)
+			for _, f := range c.Fields {
+				fmt.Fprintf(&b, "  - %s: %s → %s\n", f.Path, f.Base, f.Head)
+			}
+		}
+		b.WriteString("\n")
+	}
 	for _, l := range []struct {
 		title string
 		keys  []Key
 	}{
-		{"**Changed cells** (some field differs from the base):", r.Changed},
 		{"**Removed cells** (in base only — a shrunk sweep can hide a change):", r.Removed},
 		{"**Added cells** (in head only, no baseline to compare):", r.Added},
 	} {

@@ -1,6 +1,7 @@
 // Package trajectory compares two bench artifacts: it aligns the sweep
 // cells of a base and a head BENCH_harness.json by workload identity and
 // marks every aligned cell whose content differs in any field as changed.
+// Each changed cell names the fields that differ, with both values.
 // cmd/benchdiff is the CLI. A longer history is a sequence of such pairs
 // (the committed baseline's git log; any two archived artifacts);
 // rendering a single artifact is internal/report's job.
@@ -20,6 +21,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
+	"strings"
 
 	"anonlead/internal/harness"
 )
@@ -118,16 +122,31 @@ type CellDiff struct {
 	Metrics []MetricDiff `json:"metrics"`
 }
 
+// CellChange is a changed cell and the leaves of its encoding that differ.
+type CellChange struct {
+	Key    Key         `json:"key"`
+	Fields []FieldDiff `json:"fields"`
+}
+
+// FieldDiff is one differing leaf: its dotted path (array elements by
+// index, e.g. "messages_dist.p90") and its JSON text in base and head, or
+// "absent" on the side that lacks it.
+type FieldDiff struct {
+	Path string `json:"path"`
+	Base string `json:"base"`
+	Head string `json:"head"`
+}
+
 // Report is the full artifact comparison.
 type Report struct {
 	BaseSchema string     `json:"base_schema"`
 	HeadSchema string     `json:"head_schema"`
 	Cells      []CellDiff `json:"cells"`
 	// Changed lists the aligned cells whose JSON encoding differs between
-	// base and head in any field. The gate sweep is a pure function of
-	// (plan, root seed), so any entry here — or in Added or Removed — is a
-	// change to what the model measured.
-	Changed []Key `json:"changed,omitempty"`
+	// base and head in any field, with those fields. The gate sweep is a
+	// pure function of (plan, root seed), so any entry here — or in Added
+	// or Removed — is a change to what the model measured.
+	Changed []CellChange `json:"changed,omitempty"`
 	// Added and Removed list cells present in only one artifact. A shrunk
 	// sweep can hide a change, so both count against Clean.
 	Added   []Key `json:"added,omitempty"`
@@ -227,13 +246,62 @@ func classifyDrift(name string, baseMeas, basePred, headMeas, headPred float64) 
 	return d, true
 }
 
-// sameCell reports whether two cells encode to the same JSON. Comparing
-// encodings rather than values makes an in-memory cell equal to its
-// decoded copy, where a nil slice may come back empty.
-func sameCell(a, b harness.ArtifactCell) bool {
-	ea, errA := json.Marshal(a)
-	eb, errB := json.Marshal(b)
-	return errA == nil && errB == nil && bytes.Equal(ea, eb)
+// cellChange compares two cells' JSON encodings, so an in-memory cell
+// equals its decoded copy (a nil slice may come back empty). Only a changed
+// cell is decoded again, to name its differing leaves.
+func cellChange(base, head harness.ArtifactCell) (fields []FieldDiff, changed bool) {
+	eb, errB := json.Marshal(base)
+	eh, errH := json.Marshal(head)
+	if errB != nil || errH != nil {
+		return nil, true
+	}
+	if bytes.Equal(eb, eh) {
+		return nil, false
+	}
+	b, h := leaves(eb), leaves(eh)
+	for p, hv := range h {
+		if bv, ok := b[p]; !ok {
+			fields = append(fields, FieldDiff{p, "absent", hv})
+		} else if bv != hv {
+			fields = append(fields, FieldDiff{p, bv, hv})
+		}
+	}
+	for p, bv := range b {
+		if _, ok := h[p]; !ok {
+			fields = append(fields, FieldDiff{p, bv, "absent"})
+		}
+	}
+	slices.SortFunc(fields, func(x, y FieldDiff) int { return strings.Compare(x.Path, y.Path) })
+	return fields, true
+}
+
+// leaves maps each leaf of an encoded cell to its JSON text by dotted path.
+func leaves(buf []byte) map[string]string {
+	d := json.NewDecoder(bytes.NewReader(buf))
+	d.UseNumber() // numbers keep their encoded text
+	var tree any
+	if err := d.Decode(&tree); err != nil {
+		return nil // unreachable: buf is json.Marshal's output
+	}
+	out := map[string]string{}
+	var walk func(path string, v any)
+	walk = func(path string, v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, e := range v {
+				walk(path+"."+k, e)
+			}
+		case []any:
+			for i, e := range v {
+				walk(path+"."+strconv.Itoa(i), e)
+			}
+		default:
+			text, _ := json.Marshal(v)
+			out[path[1:]] = string(text) // a cell is an object: path is never empty
+		}
+	}
+	walk("", tree)
+	return out
 }
 
 // Diff aligns the cells of two artifacts by Key, marks every aligned cell
@@ -263,8 +331,8 @@ func Diff(base, head harness.Artifact, _ Thresholds) Report {
 		matchedHead[idxs[taken[k]]] = true
 		taken[k]++
 
-		if !sameCell(bc, hc) {
-			r.Changed = append(r.Changed, k)
+		if fields, changed := cellChange(bc, hc); changed {
+			r.Changed = append(r.Changed, CellChange{Key: k, Fields: fields})
 		}
 		cd := CellDiff{Key: k}
 		for _, m := range costMetrics {

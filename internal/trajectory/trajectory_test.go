@@ -1,6 +1,7 @@
 package trajectory
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestDiffFlagsLargeRegression(t *testing.T) {
 	base := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 1000, 50))
 	head := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 2000, 50))
 	r := Diff(base, head, Thresholds{})
-	if r.Clean() || len(r.Changed) != 1 || r.Changed[0] != (Key{Protocol: "ire", Family: "expander", N: 64}) {
+	if r.Clean() || len(r.Changed) != 1 || r.Changed[0].Key != (Key{Protocol: "ire", Family: "expander", N: 64}) {
 		t.Fatalf("2x cost increase not a changed cell: %+v", r)
 	}
 	// All four cost metrics doubled; success rate unchanged.
@@ -74,7 +75,8 @@ func TestDiffFlagsImprovement(t *testing.T) {
 // TestDiffAnyChangeIsChanged pins the gate's rule: a sweep is a pure
 // function of its plan and seed, so a cell that moved at all is changed —
 // a 1 % effect deep inside the trial spread, and a field the per-metric
-// table does not show, alike.
+// table does not show, alike. A changed cell names every field that moved,
+// with both values, in the JSON report and in the markdown.
 func TestDiffAnyChangeIsChanged(t *testing.T) {
 	base := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 4, 4, 1000, 400))
 	head := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 4, 4, 1010, 400))
@@ -88,11 +90,31 @@ func TestDiffAnyChangeIsChanged(t *testing.T) {
 	if len(r.Changed) != 1 || r.Regressed+r.Improved+r.Drifted != 0 {
 		t.Fatalf("a change outside the metric table: %+v", r)
 	}
+	want := []FieldDiff{{Path: "messages_dist.p90", Base: "1400", Head: "1401"}, {Path: "phi", Base: "0", Head: "0.5"}}
+	if got := r.Changed[0].Fields; !reflect.DeepEqual(got, want) {
+		t.Fatalf("changed fields %+v, want %+v", got, want)
+	}
+	md := r.Markdown()
+	for _, line := range []string{"  - messages_dist.p90: 1400 → 1401\n", "  - phi: 0 → 0.5\n"} {
+		if !strings.Contains(md, line) {
+			t.Fatalf("markdown does not name %q:\n%s", line, md)
+		}
+	}
 	// The header is not part of any cell.
 	head = artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 4, 4, 1000, 400))
 	head.Workers, head.ElapsedSeconds, head.TrialsPerSecond = 3, 1.5, 8
 	if r := Diff(base, head, Thresholds{}); !r.Clean() {
 		t.Fatalf("header fields changed a cell: %+v", r)
+	}
+}
+
+// TestLeavesNamesEveryLeafByPath: nested objects and array elements get
+// dotted paths, and each leaf keeps its JSON text.
+func TestLeavesNamesEveryLeafByPath(t *testing.T) {
+	got := leaves([]byte(`{"a":1.50,"l":[2,"x"],"s":{"t":true,"u":{"v":null}}}`))
+	want := map[string]string{"a": "1.50", "l.0": "2", "l.1": `"x"`, "s.t": "true", "s.u.v": "null"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("leaves %v, want %v", got, want)
 	}
 }
 

@@ -16,7 +16,6 @@ type options struct {
 	transport Transport
 	adversary *AdversarySpec
 	observer  func(RoundInfo)
-	profile   ProfileMode
 	proto     core.ProtoConfig
 }
 
@@ -155,17 +154,6 @@ func WithAdversary(spec AdversarySpec) Option {
 // does flows back into the election.
 func WithObserver(fn func(RoundInfo)) Option {
 	return func(o *options) { o.observer = fn }
-}
-
-// WithProfileMode selects the regime used to compute the profiled
-// protocol inputs (mixing time, conductance, diameter): ProfileExact is
-// the legacy dense path, byte-identical to pre-mode releases;
-// ProfileEstimate is the streaming path that scales to millions of nodes;
-// ProfileAuto (the default) picks exact for n ≤ 256 and estimate above. Profiles are cached per resolved regime on the
-// Network, so repeated runs share one computation. The resolved mode is
-// recorded in bench artifact cell descriptors.
-func WithProfileMode(mode ProfileMode) Option {
-	return func(o *options) { o.profile = mode }
 }
 
 // WithPresumedN misreports the network size to the protocol: the topology

@@ -1,44 +1,14 @@
 package anonlead
 
-import (
-	"fmt"
+import "anonlead/internal/spectral"
 
-	"anonlead/internal/spectral"
-)
+// ProfileMode chooses nothing: a network's size picks its profile regime.
+//
+// Deprecated: Network.Profile ignores it; bench/ is the last caller.
+type ProfileMode int
 
-// ProfileMode selects how a network's structural profile (diameter, λ₂,
-// mixing time, conductance) is computed. The zero value is ProfileAuto.
-// String returns the canonical name ("auto", "exact", "estimate") — the
-// same strings CLI flags accept and bench artifact descriptors record.
-type ProfileMode = spectral.Mode
-
-const (
-	// ProfileAuto picks the exact regime for small networks (n ≤ 256) and
-	// the streaming estimate regime above, where the exact algorithms'
-	// dense matrices and all-pairs traversals stop being tractable. This
-	// is the default for Run.
-	ProfileAuto = spectral.ModeAuto
-	// ProfileExact forces the legacy exact regime: exact diameter, dense
-	// matrix-powered mixing time (up to n = 256, spectral bound above),
-	// enumerated cuts at tiny n. Byte-identical to every profile computed
-	// before modes existed.
-	ProfileExact = spectral.ModeExact
-	// ProfileEstimate forces the streaming regime: double-sweep diameter
-	// lower bound, budgeted power iteration, sampled-walk mixing time and
-	// sweep cuts. Never materializes an n×n matrix — every pass is O(m) —
-	// so it scales to millions of nodes.
-	ProfileEstimate = spectral.ModeEstimate
-)
-
-// ParseProfileMode parses a canonical mode name ("" parses as auto, the
-// convention bench artifacts use for the default regime).
-func ParseProfileMode(s string) (ProfileMode, error) {
-	m, err := spectral.ParseMode(s)
-	if err != nil {
-		return ProfileAuto, fmt.Errorf("anonlead: %w", err)
-	}
-	return m, nil
-}
+// Deprecated: Network.Profile ignores it; bench/ is the last caller.
+const ProfileAuto ProfileMode = 0
 
 // Profile is the structural profile of a network: the quantities the
 // paper's protocols are parameterized by (diameter, mixing time,
@@ -46,15 +16,21 @@ func ParseProfileMode(s string) (ProfileMode, error) {
 // each one was obtained. String renders the aligned block the CLIs print.
 type Profile = spectral.Profile
 
-// Profile returns the network's structural profile under the given mode,
-// computing it on first use and caching per resolved regime (auto shares
-// the cache entry of whatever regime it resolves to). It is the one way to
-// read the profile a Run under the same WithProfileMode was parameterized
-// by. Concurrent callers are safe; repeated calls are free.
-func (nw *Network) Profile(mode ProfileMode) (Profile, error) {
-	p, err := nw.profileMode(mode)
-	if err != nil {
-		return Profile{}, err
+// Profile returns the network's structural profile, computed on first use
+// and cached: the profile every Run reads its profiled defaults from. The
+// network's size picks the regime, exact for n ≤ 256 and the streaming
+// estimate above (diameter lower bound, sampled-walk mixing time, sweep
+// cuts; O(m) per pass). Concurrent callers are safe; repeated calls are
+// free. Any argument is ignored.
+func (nw *Network) Profile(...ProfileMode) (Profile, error) {
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	if nw.prof == nil {
+		p, err := spectral.ProfileGraph(nw.g, nw.seed) // connected by construction
+		if err != nil {
+			return Profile{}, err
+		}
+		nw.prof = p
 	}
-	return *p, nil
+	return *nw.prof, nil
 }

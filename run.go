@@ -10,7 +10,6 @@ import (
 	_ "anonlead/internal/baseline" // registers floodmax/allflood/walknotify
 	"anonlead/internal/core"
 	"anonlead/internal/sim"
-	"anonlead/internal/spectral"
 	"anonlead/internal/transport"
 )
 
@@ -282,7 +281,7 @@ func (nw *Network) resolve(protocol string, o options) (core.Entry, core.ProtoCo
 		pc.MaxDelay = adv.MaxDelay()
 		pc.Faulted = true
 	}
-	err := nw.fillProfiled(&pc, entry.Needs, o.profile)
+	err := nw.fillProfiled(&pc, entry.Needs)
 	return entry, pc, adv, err
 }
 
@@ -298,17 +297,16 @@ func (nw *Network) ProtoConfig(protocol string, opts ...Option) (core.ProtoConfi
 
 // fillProfiled fills the profiled graph quantities the protocol declared
 // it needs and the caller did not supply, computing the spectral profile
-// lazily on first use under the run's profile mode. It is the only place a
-// profile becomes protocol inputs: the harness and the CLIs get their
-// defaults here too.
-func (nw *Network) fillProfiled(pc *core.ProtoConfig, needs core.Needs, mode spectral.Mode) error {
+// lazily on first use. It is the only place a profile becomes protocol
+// inputs: the harness and the CLIs get their defaults here too.
+func (nw *Network) fillProfiled(pc *core.ProtoConfig, needs core.Needs) error {
 	tmix := needs&core.NeedTMix != 0 && pc.TMix == 0
 	phi := needs&core.NeedPhi != 0 && pc.Phi == 0
 	diam := needs&core.NeedDiam != 0 && pc.Diam == 0
 	if !tmix && !phi && !diam {
 		return nil
 	}
-	prof, err := nw.profileMode(mode)
+	prof, err := nw.Profile()
 	if err != nil {
 		return err
 	}

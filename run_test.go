@@ -11,7 +11,6 @@ import (
 	"anonlead/internal/baseline"
 	"anonlead/internal/core"
 	"anonlead/internal/sim"
-	"anonlead/internal/spectral"
 )
 
 func TestProtocolsRegistry(t *testing.T) {
@@ -59,7 +58,7 @@ func TestRunFaultInjectionMatchesInternal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := nw.profileMode(spectral.ModeAuto)
+	prof, err := nw.Profile()
 	if err != nil {
 		t.Fatal(err)
 	}

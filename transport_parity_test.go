@@ -231,7 +231,7 @@ func mustNetwork(t *testing.T, family string, n int, seed uint64) *Network {
 
 func mustProfile(t *testing.T, nw *Network) Profile {
 	t.Helper()
-	prof, err := nw.Profile(ProfileAuto)
+	prof, err := nw.Profile()
 	if err != nil {
 		t.Fatal(err)
 	}
