@@ -345,20 +345,20 @@ func BenchmarkAblationDiffusion(b *testing.B) {
 // whose Step does real work, each on the topology the host benchmark
 // (bench/) runs it on, FloodMax on an expander, IRE on the slow-mixing
 // cycle, where most node-rounds have nothing to do, and Revocable on the
-// smallest complete graph, 793k rounds of 6 messages, where only the
-// message chunks allocate.
+// smallest complete graph, 793k rounds of 6 messages, where only set-up
+// and the first rounds' message rings allocate.
 var electionCells = []struct {
 	proto     string
 	family    string
 	n         int
-	maxAllocs float64 // allocations per message the guard tolerates
+	maxAllocs float64 // allocations per message the guard tolerates: about 1.5× the measurement
 }{
-	{"ire", "expander", 256, 0.5},
-	{"explicit", "expander", 256, 0.5},
-	{"walknotify", "expander", 64, 1.0},
-	{"floodmax", "expander", 256, 0.5},
-	{"ire", "cycle", 96, 0.5},
-	{"revocable", "complete", 3, 0.05},
+	{"ire", "expander", 256, 0.11},
+	{"explicit", "expander", 256, 0.11},
+	{"walknotify", "expander", 64, 0.18},
+	{"floodmax", "expander", 256, 0.26},
+	{"ire", "cycle", 96, 0.006},
+	{"revocable", "complete", 3, 8e-6},
 }
 
 // electionSetup resolves a registered protocol on a family member of n
@@ -469,19 +469,20 @@ func BenchmarkElection(b *testing.B) {
 // the counterpart of the TestRoundLoopZeroAlloc* guards on the simulator:
 // a whole election, set-up included, must stay under a fraction of an
 // allocation per message. Per-node tables are sorted slices, Step scratch
-// is machine-owned and messages come out of per-machine chunks; a map, a
-// per-round slice or a boxed value payload on the Step path costs whole
-// allocations per message and fails this.
+// is machine-owned, execution state is carved from per-machine pools and
+// messages come out of per-machine rings; a map, a per-round slice, a
+// boxed value payload or a message memory that is never reused on the
+// Step path fails this.
 func TestElectionAllocsPerMessage(t *testing.T) {
 	for _, c := range electionCells {
 		g, build := electionSetup(t, c.proto, c.family, c.n)
 		msgs := runElection(g, build, 1)
 		allocs := testing.AllocsPerRun(3, func() { runElection(g, build, 1) })
 		if got := allocs / float64(msgs); got > c.maxAllocs {
-			t.Errorf("%s on %s-%d: %.2f allocs/message (%.0f allocations, %d messages), want <= %g",
+			t.Errorf("%s on %s-%d: %.3g allocs/message (%.0f allocations, %d messages), want <= %g",
 				c.proto, c.family, c.n, got, allocs, msgs, c.maxAllocs)
 		} else {
-			t.Logf("%s on %s-%d: %.3f allocs/message", c.proto, c.family, c.n, got)
+			t.Logf("%s on %s-%d: %.3g allocs/message (%.0f allocations, %d messages)", c.proto, c.family, c.n, got, allocs, msgs)
 		}
 	}
 }

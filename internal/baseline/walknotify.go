@@ -67,7 +67,7 @@ func buildWalkNotify(pc core.ProtoConfig) (core.Runner, error) {
 }
 
 // wnTokenMsg moves count walk tokens of one candidate across a link. It and
-// wnKillMsg are sent as pointers into their machine's sim.Msgs chunks.
+// wnKillMsg are sent as pointers into their machine's sim.Msgs rings.
 type wnTokenMsg struct {
 	orig  uint64
 	count int
@@ -250,7 +250,7 @@ func (m *WalkNotifyMachine) emitKills(ctx *sim.Context) {
 	slices.Sort(m.killQueue)
 	for _, orig := range m.killQueue {
 		if back := m.cands.Find(orig).back; back > 0 {
-			ctx.Send(back-1, 0, m.kills.New(wnKillMsg{orig: orig}))
+			ctx.Send(back-1, 0, m.kills.New(ctx, wnKillMsg{orig: orig}))
 		}
 	}
 	m.killQueue = m.killQueue[:0]
@@ -294,7 +294,7 @@ func (m *WalkNotifyMachine) moveTokens(ctx *sim.Context) {
 		cand.parked = kept
 		for p, c := range row {
 			if c > 0 {
-				ctx.Send(p, 0, m.tokens.New(wnTokenMsg{orig: orig, count: c}))
+				ctx.Send(p, 0, m.tokens.New(ctx, wnTokenMsg{orig: orig, count: c}))
 				row[p] = 0
 			}
 		}

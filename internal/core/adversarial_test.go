@@ -25,7 +25,7 @@ func TestIREWithForcedIDCollisions(t *testing.T) {
 	for s := uint64(0); s < 10; s++ {
 		nw := sim.New(sim.Config{Graph: g, Seed: 4200 + s}, func(node, degree int, r *rng.RNG) sim.Machine {
 			m := new(IREMachine)
-			m.setup(&p, r, degree)
+			m.setup(&p, make([]int, degree))
 			return m
 		})
 		nw.Run(p.total + 4)

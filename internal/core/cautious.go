@@ -1,9 +1,6 @@
 package core
 
-import (
-	"anonlead/internal/rng"
-	"anonlead/internal/sim"
-)
+import "anonlead/internal/sim"
 
 // execStatus is a node's searching status within one cautious-broadcast
 // execution.
@@ -25,17 +22,24 @@ const (
 // ancestors that absorbed the growth without crossing their own thresholds.
 // A node whose threshold reaches the territory cap floods <stop>.
 type bcastExec struct {
-	source    uint64 // candidate ID identifying the execution
-	isRoot    bool
-	status    execStatus
-	parent    int     // port toward parent; -1 at the root
-	children  []child // confirmed children, in join order
-	avail     []int   // ports not yet used in this execution (invite pool)
-	threshold int     // next reporting/doubling threshold
-	cap       int     // territory cap x·tmix·Φ (>= 2)
-	confirmed int     // 1 + sum of child reports
-	reported  int     // last size sent to the parent
-	stopSent  bool
+	source uint64 // candidate ID identifying the execution
+	parent int    // port toward parent; -1 at the root
+	// children are the confirmed children, in join order, grown in the
+	// machine's child pool; avail holds the ports not yet used in this
+	// execution (the invite pool), carved exact-size from its port pool.
+	children  []child
+	avail     []int
+	threshold int // next reporting/doubling threshold
+	cap       int // territory cap x·tmix·Φ (>= 2)
+	confirmed int // 1 + sum of child reports
+	reported  int // last size sent to the parent
+	// ccLast and ccSent record the convergecast phase's send-on-change
+	// state: which ID has climbed toward the parent, and whether any has.
+	ccLast   uint64
+	ccSent   bool
+	isRoot   bool
+	status   execStatus
+	stopSent bool
 	// credit arms one invite. Credits are granted only by discrete
 	// protocol events — joining/starting, an activate prompt, or a child
 	// report absorbed while active — so the number of invites a node
@@ -45,13 +49,6 @@ type bcastExec struct {
 	// nodes"); inviting every active round instead would recruit Θ(n)
 	// nodes on dense graphs and void the Õ(x·tmix) message bound.
 	credit bool
-	// grewThisRound marks children whose size report arrived this round,
-	// for the prose's targeted re-activation rule.
-	grewThisRound []int
-	// ccSent and ccLast record the convergecast phase's send-on-change
-	// state: whether an ID has climbed toward the parent, and which.
-	ccSent bool
-	ccLast uint64
 }
 
 // child is one confirmed child of a node in one execution.
@@ -59,10 +56,14 @@ type child struct {
 	port   int
 	size   int  // last reported subtree size
 	active bool // activated since its last report
+	// grew marks a size report that arrived this round, for the prose's
+	// targeted re-activation rule; prepare clears it.
+	grew bool
 }
 
-// newRootExec returns the execution state for the initiating candidate.
-func newRootExec(source uint64, degree, cap int) bcastExec {
+// newRootExec returns the execution state for the initiating candidate,
+// its port list carved from ports.
+func newRootExec(source uint64, degree, cap int, ports *pool[int]) bcastExec {
 	e := bcastExec{
 		source:    source,
 		isRoot:    true,
@@ -73,7 +74,7 @@ func newRootExec(source uint64, degree, cap int) bcastExec {
 		confirmed: 1,
 		credit:    true,
 	}
-	e.avail = make([]int, degree)
+	e.avail = ports.carve(degree)
 	for p := range e.avail {
 		e.avail[p] = p
 	}
@@ -81,8 +82,8 @@ func newRootExec(source uint64, degree, cap int) bcastExec {
 }
 
 // newChildExec returns the execution state for a node that accepted an
-// invite arriving on parentPort.
-func newChildExec(source uint64, degree, parentPort, cap int) bcastExec {
+// invite arriving on parentPort, its port list carved from ports.
+func newChildExec(source uint64, degree, parentPort, cap int, ports *pool[int]) bcastExec {
 	e := bcastExec{
 		source:    source,
 		status:    statusActive,
@@ -92,7 +93,7 @@ func newChildExec(source uint64, degree, parentPort, cap int) bcastExec {
 		confirmed: 1,
 		credit:    true,
 	}
-	e.avail = make([]int, 0, degree-1)
+	e.avail = ports.carve(degree - 1)[:0]
 	for p := 0; p < degree; p++ {
 		if p != parentPort {
 			e.avail = append(e.avail, p)
@@ -123,8 +124,9 @@ func (e *bcastExec) childIndex(port int) int {
 	return -1
 }
 
-// handle processes one received message of this execution (Algorithm 3).
-func (e *bcastExec) handle(port int, m bcMsg) {
+// handle processes one received message of this execution (Algorithm 3),
+// growing the child list in kids.
+func (e *bcastExec) handle(port int, m bcMsg, kids *pool[child]) {
 	if e.status == statusStopped && m.kind != bcStop {
 		return
 	}
@@ -144,13 +146,12 @@ func (e *bcastExec) handle(port int, m bcMsg) {
 	case bcSize:
 		i := e.childIndex(port)
 		if i < 0 {
-			e.children = append(e.children, child{port: port})
+			e.children = kids.append(e.children, child{port: port})
 			i = len(e.children) - 1
 		}
 		// A reporting child passivated itself (prose rule); remember that
 		// so the re-activation paths below actually fire.
-		e.children[i].size, e.children[i].active = m.size, false
-		e.grewThisRound = append(e.grewThisRound, i)
+		e.children[i].size, e.children[i].active, e.children[i].grew = m.size, false, true
 		e.recomputeConfirmed()
 		// Absorbed growth re-arms one invite (keeps the expansion pump
 		// running while staying within the per-link message accounting).
@@ -175,8 +176,8 @@ func (e *bcastExec) recomputeConfirmed() {
 // quiescent reports whether prepare, with no message handled since its last
 // call, would send nothing, change nothing and draw nothing: stopped with
 // the stop flood sent, or below both threshold and cap and — if active —
-// with no armed invite and no child left to re-activate. (grewThisRound is
-// empty after every prepare.)
+// with no armed invite and no child left to re-activate. (No child's grew
+// flag is set after a prepare.)
 func (e *bcastExec) quiescent() bool {
 	if e.status == statusStopped {
 		return e.stopSent
@@ -201,10 +202,10 @@ func (e *bcastExec) quiescent() bool {
 // prepare emits this round's transmissions for the execution (Algorithm 4,
 // with the prose's threshold-gated reporting; see package doc). Messages
 // are allocated from the machine's msgs.
-func (e *bcastExec) prepare(ctx *sim.Context, r *rng.RNG, msgs *sim.Msgs[bcMsg]) {
+func (e *bcastExec) prepare(ctx *sim.Context, msgs *sim.Msgs[bcMsg]) {
 	ch := chanOf(e.source)
 	send := func(port int, kind bcKind, size int) {
-		ctx.Send(port, ch, msgs.New(bcMsg{kind: kind, source: e.source, size: size}))
+		ctx.Send(port, ch, msgs.New(ctx, bcMsg{kind: kind, source: e.source, size: size}))
 	}
 
 	// Territory cap: flood <stop> once through the local tree links.
@@ -246,8 +247,8 @@ func (e *bcastExec) prepare(ctx *sim.Context, r *rng.RNG, msgs *sim.Msgs[bcMsg])
 	case e.status != statusActive:
 		// Passive below threshold: re-activate children whose fresh growth
 		// we absorbed without crossing (prose rule), but do not expand.
-		for _, i := range e.grewThisRound {
-			if c := &e.children[i]; !c.active {
+		for i := range e.children {
+			if c := &e.children[i]; c.grew && !c.active {
 				send(c.port, bcActivate, 0)
 				c.active = true
 			}
@@ -264,12 +265,14 @@ func (e *bcastExec) prepare(ctx *sim.Context, r *rng.RNG, msgs *sim.Msgs[bcMsg])
 		}
 		if e.credit && len(e.avail) > 0 {
 			e.credit = false
-			i := r.Intn(len(e.avail))
+			i := ctx.RNG().Intn(len(e.avail))
 			p := e.avail[i]
 			e.avail[i] = e.avail[len(e.avail)-1]
 			e.avail = e.avail[:len(e.avail)-1]
 			send(p, bcInvite, 0)
 		}
 	}
-	e.grewThisRound = e.grewThisRound[:0]
+	for i := range e.children {
+		e.children[i].grew = false
+	}
 }

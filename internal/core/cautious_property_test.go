@@ -22,6 +22,10 @@ import (
 // covers stray and duplicated messages.
 func TestBcastExecInvariantsUnderRandomTraffic(t *testing.T) {
 	root := rng.New(2024)
+	// One machine's pools serve every execution, so carved port lists and
+	// grown child lists must never overlap.
+	var ports pool[int]
+	var kids pool[child]
 	check := func(seed uint64) bool {
 		r := root.Split(seed)
 		degree := 2 + r.Intn(6)
@@ -29,10 +33,10 @@ func TestBcastExecInvariantsUnderRandomTraffic(t *testing.T) {
 		var e bcastExec
 		parentPort := -1
 		if r.Coin() {
-			e = newRootExec(7, degree, cap)
+			e = newRootExec(7, degree, cap, &ports)
 		} else {
 			parentPort = r.Intn(degree)
-			e = newChildExec(7, degree, parentPort, cap)
+			e = newChildExec(7, degree, parentPort, cap, &ports)
 		}
 		wasStopped := false
 		for step := 0; step < 60; step++ {
@@ -50,7 +54,7 @@ func TestBcastExecInvariantsUnderRandomTraffic(t *testing.T) {
 			default:
 				msg = bcMsg{kind: bcStop, source: 7}
 			}
-			e.handle(port, msg)
+			e.handle(port, msg, &kids)
 
 			if wasStopped && e.status != statusStopped {
 				return false
@@ -98,10 +102,10 @@ func TestBcastExecAvailShrinksMonotonically(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		r := root.Split(seed)
 		degree := 3 + r.Intn(5)
-		e := newRootExec(1, degree, 16)
+		e := newRootExec(1, degree, 16, new(pool[int]))
 		prev := len(e.avail)
 		for i := 0; i < 30; i++ {
-			e.handle(r.Intn(degree), bcMsg{kind: bcKind(1 + r.Intn(5)), source: 1, size: 1})
+			e.handle(r.Intn(degree), bcMsg{kind: bcKind(1 + r.Intn(5)), source: 1, size: 1}, new(pool[child]))
 			if len(e.avail) > prev {
 				return false
 			}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestNewRootExecState(t *testing.T) {
-	e := newRootExec(42, 3, 10)
+	e := newRootExec(42, 3, 10, new(pool[int]))
 	if !e.isRoot || e.status != statusActive || e.parent != -1 {
 		t.Fatalf("root state wrong: %+v", e)
 	}
@@ -21,7 +21,7 @@ func TestNewRootExecState(t *testing.T) {
 }
 
 func TestNewChildExecState(t *testing.T) {
-	e := newChildExec(42, 4, 2, 10)
+	e := newChildExec(42, 4, 2, 10, new(pool[int]))
 	if e.isRoot || e.parent != 2 {
 		t.Fatalf("child state wrong: %+v", e)
 	}
@@ -40,7 +40,7 @@ func TestNewChildExecState(t *testing.T) {
 }
 
 func TestUsedPortRemoves(t *testing.T) {
-	e := newRootExec(1, 4, 10)
+	e := newRootExec(1, 4, 10, new(pool[int]))
 	e.usedPort(2)
 	if len(e.avail) != 3 {
 		t.Fatalf("avail %v", e.avail)
@@ -52,8 +52,8 @@ func TestUsedPortRemoves(t *testing.T) {
 }
 
 func TestHandleSizeAddsChildAndDeactivates(t *testing.T) {
-	e := newRootExec(1, 4, 100)
-	e.handle(0, bcMsg{kind: bcSize, source: 1, size: 3})
+	e := newRootExec(1, 4, 100, new(pool[int]))
+	e.handle(0, bcMsg{kind: bcSize, source: 1, size: 3}, new(pool[child]))
 	if len(e.children) != 1 || e.children[0].port != 0 {
 		t.Fatalf("children %v", e.children)
 	}
@@ -72,39 +72,39 @@ func TestHandleSizeAddsChildAndDeactivates(t *testing.T) {
 }
 
 func TestHandleStopFreezes(t *testing.T) {
-	e := newChildExec(1, 3, 0, 100)
-	e.handle(0, bcMsg{kind: bcStop, source: 1})
+	e := newChildExec(1, 3, 0, 100, new(pool[int]))
+	e.handle(0, bcMsg{kind: bcStop, source: 1}, new(pool[child]))
 	if e.status != statusStopped {
 		t.Fatal("stop not applied")
 	}
 	// Further activate from parent must not resurrect.
-	e.handle(0, bcMsg{kind: bcActivate, source: 1})
+	e.handle(0, bcMsg{kind: bcActivate, source: 1}, new(pool[child]))
 	if e.status != statusStopped {
 		t.Fatal("stopped exec reactivated")
 	}
 }
 
 func TestHandleActivateDeactivateOnlyFromParent(t *testing.T) {
-	e := newChildExec(1, 3, 0, 100)
+	e := newChildExec(1, 3, 0, 100, new(pool[int]))
 	e.status = statusPassive
-	e.handle(1, bcMsg{kind: bcActivate, source: 1}) // not the parent port
+	e.handle(1, bcMsg{kind: bcActivate, source: 1}, new(pool[child])) // not the parent port
 	if e.status != statusPassive {
 		t.Fatal("activate from non-parent applied")
 	}
-	e.handle(0, bcMsg{kind: bcActivate, source: 1})
+	e.handle(0, bcMsg{kind: bcActivate, source: 1}, new(pool[child]))
 	if e.status != statusActive {
 		t.Fatal("activate from parent ignored")
 	}
-	e.handle(0, bcMsg{kind: bcDeactivate, source: 1})
+	e.handle(0, bcMsg{kind: bcDeactivate, source: 1}, new(pool[child]))
 	if e.status != statusPassive {
 		t.Fatal("deactivate from parent ignored")
 	}
 }
 
 func TestDuplicateInviteConsumesPort(t *testing.T) {
-	e := newChildExec(1, 3, 0, 100)
+	e := newChildExec(1, 3, 0, 100, new(pool[int]))
 	avail := len(e.avail)
-	e.handle(1, bcMsg{kind: bcInvite, source: 1})
+	e.handle(1, bcMsg{kind: bcInvite, source: 1}, new(pool[child]))
 	if len(e.avail) != avail-1 {
 		t.Fatal("duplicate invite did not consume the port")
 	}
@@ -114,7 +114,7 @@ func TestDuplicateInviteConsumesPort(t *testing.T) {
 }
 
 func TestThresholdDoublingArithmetic(t *testing.T) {
-	e := newRootExec(1, 8, 1000)
+	e := newRootExec(1, 8, 1000, new(pool[int]))
 	// Crossing with confirmed=5 must double threshold past 5.
 	e.children = []child{{port: 0, size: 4, active: true}}
 	e.recomputeConfirmed()
@@ -131,7 +131,7 @@ func TestThresholdDoublingArithmetic(t *testing.T) {
 }
 
 func TestCapClampsThreshold(t *testing.T) {
-	e := newRootExec(1, 2, 16)
+	e := newRootExec(1, 2, 16, new(pool[int]))
 	e.confirmed = 100
 	for e.threshold <= e.confirmed && e.threshold < e.cap {
 		e.threshold *= 2

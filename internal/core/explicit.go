@@ -58,12 +58,13 @@ func buildExplicit(pc ProtoConfig) (Runner, error) {
 	if err != nil {
 		return Runner{}, err
 	}
+	p.chained = true
 	var arena sim.Arena[ExplicitMachine]
+	var counts pool[int]
 	return Runner{
 		Factory: func(node, degree int, r *rng.RNG) sim.Machine {
 			m := arena.New()
-			m.inner.setup(&p, r, degree)
-			m.inner.chained = true
+			m.inner.setup(&p, counts.carve(degree))
 			m.announceN = p.n
 			m.out.ParentPort = -1
 			return m

@@ -25,6 +25,7 @@ type ireParams struct {
 	walkStart     int
 	ccStart       int
 	broadcastOnly bool
+	chained       bool // suppress ctx.Halt: a wrapper protocol continues after decide
 }
 
 // resolveIRE validates pc's IRE inputs and computes the derived
@@ -105,10 +106,11 @@ func buildIRE(pc ProtoConfig) (Runner, error) {
 		return Runner{}, err
 	}
 	var arena sim.Arena[IREMachine]
+	var counts pool[int]
 	return Runner{
 		Factory: func(node, degree int, r *rng.RNG) sim.Machine {
 			m := arena.New()
-			m.setup(&p, r, degree)
+			m.setup(&p, counts.carve(degree))
 			return m
 		},
 		Budget: p.total + 4 + pc.MaxDelay,
@@ -136,26 +138,28 @@ type IREOutput struct {
 }
 
 // IREMachine is the per-node state machine for Irrevocable Leader Election.
+// Its random stream is the context's (Context.RNG).
 type IREMachine struct {
-	p       *ireParams // shared by every machine of the factory, read-only
-	r       *rng.RNG
-	out     IREOutput
-	execs   sim.Table[bcastExec] // cautious-broadcast executions by source
-	tokens  int                  // walk tokens currently held
-	walked  bool                 // initial token spray done
-	counts  []int                // stepWalks scratch: tokens leaving per port, zero between rounds
-	halted  bool
-	chained bool // suppress ctx.Halt: a wrapper protocol continues after decide
+	p      *ireParams // shared by every machine of the factory, read-only
+	out    IREOutput
+	execs  sim.Table[bcastExec] // cautious-broadcast executions by source
+	tokens int                  // walk tokens currently held
+	counts []int                // stepWalks scratch: tokens leaving per port, zero between rounds
+
+	// ports and kids hold the executions' port lists and child lists. They
+	// are the machine's own: Step runs concurrently on the chan and tcp
+	// backends, so nothing a step grows may be shared.
+	ports pool[int]
+	kids  pool[child]
 
 	bcs   sim.Msgs[bcMsg]
 	walks sim.Msgs[walkMsg]
 	ccs   sim.Msgs[ccMsg]
 }
 
-// setup readies a zero machine for a node of the given degree.
-func (m *IREMachine) setup(p *ireParams, r *rng.RNG, degree int) {
-	m.p, m.r = p, r
-	m.counts = make([]int, degree)
+// setup readies a zero machine with its walk counts, one per port.
+func (m *IREMachine) setup(p *ireParams, counts []int) {
+	m.p, m.counts = p, counts
 }
 
 // Output returns the node's protocol outputs; valid after the network
@@ -170,11 +174,11 @@ func (m *IREMachine) Output() IREOutput { return m.out }
 // IDs beat all candidates and elect nobody, contradicting Lemma 2 and the
 // Theorem 1 correctness argument), so non-candidates start at 0.
 func (m *IREMachine) Init(ctx *sim.Context) {
-	m.out.ID, m.out.Candidate = m.p.cand.Draw(m.r)
+	m.out.ID, m.out.Candidate = m.p.cand.Draw(ctx.RNG())
 	if m.out.Candidate {
 		m.out.MaxIDSeen = m.out.ID
 		e, _ := m.execs.Insert(m.out.ID)
-		*e = newRootExec(m.out.ID, ctx.Degree(), m.p.capSize)
+		*e = newRootExec(m.out.ID, ctx.Degree(), m.p.capSize, &m.ports)
 	}
 }
 
@@ -203,7 +207,7 @@ func (m *IREMachine) Step(ctx *sim.Context, inbox []sim.Packet) {
 	case round < m.p.bcastLen:
 		for i := 0; i < m.execs.Len(); i++ {
 			_, e := m.execs.At(i)
-			e.prepare(ctx, m.r, &m.bcs)
+			e.prepare(ctx, &m.bcs)
 		}
 	case round >= m.p.total:
 		m.decide(ctx, round)
@@ -261,44 +265,42 @@ func (m *IREMachine) handleBroadcast(ctx *sim.Context, port int, msg bcMsg) {
 			return // straggler for an execution we never joined
 		}
 		e, _ = m.execs.Insert(msg.source)
-		*e = newChildExec(msg.source, ctx.Degree(), port, m.p.capSize)
+		*e = newChildExec(msg.source, ctx.Degree(), port, m.p.capSize, &m.ports)
 		m.out.JoinedTerritories++
 		return
 	}
-	e.handle(port, msg)
+	e.handle(port, msg, &m.kids)
 }
 
 // stepWalks advances the random-walk phase (Algorithm 5 random-walk): the
-// first walk round sprays the candidate's x tokens; every round each held
-// token stays with probability 1/2 or moves to a uniform port, and moving
-// tokens are batched per port into one (IDmax, count) message.
+// first walk round, in which every live machine steps since its IdleUntil
+// promises end there, sprays the candidate's x tokens; every round each
+// held token stays with probability 1/2 or moves to a uniform port, and
+// moving tokens are batched per port into one (IDmax, count) message.
 func (m *IREMachine) stepWalks(ctx *sim.Context) {
-	deg, counts := ctx.Degree(), m.counts
+	deg, counts, r := ctx.Degree(), m.counts, ctx.RNG()
 	if deg == 0 {
 		return
 	}
-	if !m.walked {
-		m.walked = true
-		if m.out.Candidate {
-			for i := 0; i < m.p.x; i++ {
-				counts[m.r.Intn(deg)]++
-			}
+	if ctx.Round() == m.p.walkStart && m.out.Candidate {
+		for i := 0; i < m.p.x; i++ {
+			counts[r.Intn(deg)]++
 		}
 	}
 	if m.tokens > 0 {
 		kept := 0
 		for i := 0; i < m.tokens; i++ {
-			if m.r.Coin() {
+			if r.Coin() {
 				kept++
 				continue
 			}
-			counts[m.r.Intn(deg)]++
+			counts[r.Intn(deg)]++
 		}
 		m.tokens = kept
 	}
 	for p, c := range counts {
 		if c > 0 {
-			ctx.Send(p, walkChannel, m.walks.New(walkMsg{id: m.out.MaxIDSeen, count: c}))
+			ctx.Send(p, walkChannel, m.walks.New(ctx, walkMsg{id: m.out.MaxIDSeen, count: c}))
 			counts[p] = 0
 		}
 	}
@@ -313,16 +315,16 @@ func (m *IREMachine) stepConvergecast(ctx *sim.Context) {
 			continue
 		}
 		e.ccSent, e.ccLast = true, m.out.MaxIDSeen
-		ctx.Send(e.parent, chanOf(e.source), m.ccs.New(ccMsg{source: e.source, id: m.out.MaxIDSeen}))
+		ctx.Send(e.parent, chanOf(e.source), m.ccs.New(ctx, ccMsg{source: e.source, id: m.out.MaxIDSeen}))
 	}
 }
 
-// decide sets the leader flag (Algorithm 1 line 7) and halts.
+// decide sets the leader flag (Algorithm 1 line 7) and halts, once: a
+// decided machine has a positive HaltRound, since total is.
 func (m *IREMachine) decide(ctx *sim.Context, round int) {
-	if m.halted {
+	if m.out.HaltRound > 0 {
 		return
 	}
-	m.halted = true
 	m.out.Leader = !m.p.broadcastOnly && m.out.Candidate && m.out.MaxIDSeen == m.out.ID
 	if m.out.Candidate {
 		if e := m.execs.Find(m.out.ID); e != nil {
@@ -330,7 +332,7 @@ func (m *IREMachine) decide(ctx *sim.Context, round int) {
 		}
 	}
 	m.out.HaltRound = round
-	if !m.chained {
+	if !m.p.chained {
 		ctx.Halt()
 	}
 }

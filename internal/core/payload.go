@@ -23,11 +23,12 @@ const (
 const bcKindBits = 3
 
 // bcMsg is a cautious-broadcast message. Like walkMsg and ccMsg it is sent
-// as a pointer into its machine's sim.Msgs chunk (boxing a pointer into
-// sim.Payload allocates nothing) and never written after the send. Source identifies the execution
-// (the initiating candidate's random ID); in the paper the execution is
-// identified positionally by the super-round slot, so only invites pay for
-// the full ID while the rest pay the slot tag. Bits reflects that.
+// as a pointer into its machine's sim.Msgs ring (boxing a pointer into
+// sim.Payload allocates nothing), so receivers copy what they keep. Source
+// identifies the execution (the initiating candidate's random ID); in the
+// paper the execution is identified positionally by the super-round slot,
+// so only invites pay for the full ID while the rest pay the slot tag.
+// Bits reflects that.
 type bcMsg struct {
 	kind   bcKind
 	source uint64 // execution tag: candidate ID

@@ -257,8 +257,8 @@ const (
 // the sender's diffusion steps: potentials gain log₂(2k^{1+ε}) bits per
 // averaging step and the paper transmits them bit by bit; the simulator
 // charges the growing size through Bits. Like dissMsg it is sent as a
-// pointer into its machine's sim.Msgs chunk and never written after the
-// send.
+// pointer into its machine's sim.Msgs ring, which refills its memory once
+// no delivery can read it.
 type avgMsg struct {
 	phi     float64
 	potBits int
@@ -459,7 +459,7 @@ func (m *RevocableMachine) stepDiffusion(ctx *sim.Context, inbox []sim.Packet) {
 		return
 	}
 	m.phaseRound++
-	ctx.Broadcast(m.avgs.New(avgMsg{
+	ctx.Broadcast(m.avgs.New(ctx, avgMsg{
 		phi: m.phi, potBits: m.potBits, q: m.q, c: m.c,
 		idldr: m.idldr, kldr: m.kldr,
 	}))
@@ -519,7 +519,7 @@ func (m *RevocableMachine) stepDissemination(ctx *sim.Context, inbox []sim.Packe
 		return
 	}
 	m.phaseRound++
-	ctx.Broadcast(m.dissems.New(dissMsg{q: m.q, c: m.c, idldr: m.idldr, kldr: m.kldr}))
+	ctx.Broadcast(m.dissems.New(ctx, dissMsg{q: m.q, c: m.c, idldr: m.idldr, kldr: m.kldr}))
 }
 
 // finishIteration records ⟨q, c⟩ (Algorithm 6 lines 11-13) and either

@@ -243,12 +243,13 @@ func TestRevocableRevocationHappens(t *testing.T) {
 	}
 }
 
-// TestRevocableStepAllocatesNothing: once its message chunks have grown to
-// full size, a diffusion round of the revocable-complete-4 workload's
-// network allocates nothing. A chunk of 64 messages is refilled every 64
-// rounds per node, which averages to under one allocation per round; a
-// boxed value payload (one allocation per node per round) or a per-round
-// slice fails this.
+// TestRevocableStepAllocatesNothing: once its message rings are warm, the
+// rounds of the revocable-complete-4 workload's network allocate nothing.
+// testing.AllocsPerRun truncates its average to an integer, so each run
+// steps 256 rounds: one allocation anywhere in them shows. The warm-up run
+// covers the first diffusion phase and a dissemination phase, so both
+// rings exist. A message chunk that is never recycled, a boxed value
+// payload or a per-round slice fails this.
 func TestRevocableStepAllocatesNothing(t *testing.T) {
 	nw := revNet(t, graph.Complete(4), ProtoConfig{}, 1)
 	nw.Run(64)
@@ -257,8 +258,8 @@ func TestRevocableStepAllocatesNothing(t *testing.T) {
 			t.Fatalf("node %d warmed into k=%d phase %d, want the first diffusion phase", v, m.k, m.phase)
 		}
 	}
-	if avg := testing.AllocsPerRun(256, func() { nw.Step() }); avg != 0 {
-		t.Fatalf("a warmed revocable round allocates %v objects, want 0", avg)
+	if avg := testing.AllocsPerRun(8, func() { nw.Run(256) }); avg != 0 {
+		t.Fatalf("256 warmed revocable rounds allocate %v objects, want 0", avg)
 	}
 }
 

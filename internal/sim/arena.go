@@ -40,22 +40,30 @@ func (a *Arena[T]) New() *T {
 // multiplexes at most 4c·log n executions into a super-round, so a table
 // holds O(log n) entries: a linear scan beats hashing, and ascending
 // iteration — the super-round slot order every backend must
-// agree on — needs no per-round sort. The zero value is an empty table.
-type Table[V any] struct {
-	ids  []uint64
-	vals []V
+// agree on — needs no per-round sort. One slice holds each ID beside its
+// value, so growth is one allocation, and the first holds minTable entries
+// since a node in an election learns of several sources. The zero value is
+// an empty table.
+type Table[V any] struct{ entries []tableEntry[V] }
+
+// minTable is the capacity of a table's first allocation.
+const minTable = 4
+
+type tableEntry[V any] struct {
+	id  uint64
+	val V
 }
 
 // Len returns the number of entries.
-func (t *Table[V]) Len() int { return len(t.ids) }
+func (t *Table[V]) Len() int { return len(t.entries) }
 
 // At returns the i-th smallest ID and its value.
-func (t *Table[V]) At(i int) (uint64, *V) { return t.ids[i], &t.vals[i] }
+func (t *Table[V]) At(i int) (uint64, *V) { return t.entries[i].id, &t.entries[i].val }
 
 // Index returns the position of id in ascending order, or -1.
 func (t *Table[V]) Index(id uint64) int {
-	for i, k := range t.ids {
-		if k == id {
+	for i := range t.entries {
+		if t.entries[i].id == id {
 			return i
 		}
 	}
@@ -65,7 +73,7 @@ func (t *Table[V]) Index(id uint64) int {
 // Find returns the value stored under id, or nil.
 func (t *Table[V]) Find(id uint64) *V {
 	if i := t.Index(id); i >= 0 {
-		return &t.vals[i]
+		return &t.entries[i].val
 	}
 	return nil
 }
@@ -75,38 +83,69 @@ func (t *Table[V]) Find(id uint64) *V {
 // the entries above it, so pointers from earlier calls die with it.
 func (t *Table[V]) Insert(id uint64) (v *V, added bool) {
 	i := 0
-	for i < len(t.ids) && t.ids[i] < id {
+	for i < len(t.entries) && t.entries[i].id < id {
 		i++
 	}
-	if i == len(t.ids) || t.ids[i] != id {
-		var zero V
-		t.ids = slices.Insert(t.ids, i, id)
-		t.vals = slices.Insert(t.vals, i, zero)
+	if i == len(t.entries) || t.entries[i].id != id {
+		if t.entries == nil {
+			t.entries = make([]tableEntry[V], 0, minTable)
+		}
+		t.entries = slices.Insert(t.entries, i, tableEntry[V]{id: id})
 		added = true
 	}
-	return &t.vals[i], added
+	return &t.entries[i].val, added
 }
 
-// Message chunk sizes: a machine's first chunk is small because most nodes
-// send a handful of messages, later ones double up to the maximum.
-const (
-	minMsgChunk = 8
-	maxMsgChunk = 64
-)
+// msgInline is how many messages a ring slot holds in place: enough for
+// the few sends of one type a node makes in most rounds, so a warmed ring
+// is usually its one allocation.
+const msgInline = 8
 
-// Msgs allocates a machine's outgoing messages of one payload type out of
-// append-only chunks, so Context.Send boxes a pointer (free) rather than a
-// value (one heap object per message). Chunks are never recycled: a sent
-// message stays valid and immutable for as long as anything — a delayed
-// packet, an observer, a trace — still points at it, and the garbage
-// collector frees a chunk once nothing does. The zero value is ready.
-type Msgs[T any] struct{ chunk []T }
+// Msgs allocates a machine's outgoing messages of one payload type, so
+// Context.Send boxes a pointer (free) rather than a value (one heap object
+// per message). Messages live on a ring of Context.life per-round slots: a
+// message sent in round r stays valid until the receiver's step in the last
+// round a delay can hold it to, and its slot is refilled by the sends of
+// round r+life. A slot that outgrows its room moves to a heap chunk of
+// twice the size, which it keeps, so a warmed ring allocates nothing. With
+// life 0 (a delay bound too long for a ring) each message is its own heap
+// object, which the garbage collector frees once no packet points to it.
+//
+// Only the network and its receivers hold a sent message, and receivers
+// copy what they keep past their step (see Payload). A pointer kept longer
+// — the benchmark samples payloads for its frame codec — still reads a
+// valid message of its type, a later one. The zero value is ready; a Msgs
+// belongs to one machine.
+type Msgs[T any] struct{ ring []msgSlot[T] }
 
-// New returns a pointer to a copy of v with a stable address.
-func (m *Msgs[T]) New(v T) *T {
-	if len(m.chunk) == cap(m.chunk) {
-		m.chunk = make([]T, 0, min(max(2*cap(m.chunk), minMsgChunk), maxMsgChunk))
+// msgSlot holds the messages of one send round.
+type msgSlot[T any] struct {
+	round int
+	buf   []T // the round's messages: a prefix of first, or a heap chunk
+	first [msgInline]T
+}
+
+// New returns a pointer to a copy of v, valid as the Msgs doc says. ctx is
+// the sending machine's context of the current call.
+func (m *Msgs[T]) New(ctx *Context, v T) *T {
+	if ctx.life == 0 {
+		p := new(T)
+		*p = v
+		return p
 	}
-	m.chunk = append(m.chunk, v)
-	return &m.chunk[len(m.chunk)-1]
+	if m.ring == nil {
+		m.ring = make([]msgSlot[T], ctx.life)
+	}
+	s := &m.ring[(ctx.round+1)%len(m.ring)]
+	if s.round != ctx.round {
+		s.round, s.buf = ctx.round, s.buf[:0]
+	}
+	switch {
+	case s.buf == nil:
+		s.buf = s.first[:0]
+	case len(s.buf) == cap(s.buf):
+		s.buf = make([]T, 0, 2*cap(s.buf))
+	}
+	s.buf = append(s.buf, v)
+	return &s.buf[len(s.buf)-1]
 }

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
+	"anonlead/internal/graph"
 	"anonlead/internal/rng"
 )
 
@@ -120,33 +122,147 @@ func TestArenaSlabsDoubleToTheMaximum(t *testing.T) {
 	}
 }
 
-// TestMsgsStayValidAndDistinct: a message handed out keeps its address and
-// value across later allocations (delayed packets and observers hold the
-// pointer), and chunk growth stops at the maximum.
-func TestMsgsStayValidAndDistinct(t *testing.T) {
-	var m Msgs[[2]int]
-	var got []*[2]int
-	for i := 0; i < 5*maxMsgChunk; i++ {
-		got = append(got, m.New([2]int{i, -i}))
-		if cap(m.chunk) > maxMsgChunk {
-			t.Fatalf("chunk of %d entries, max %d", cap(m.chunk), maxMsgChunk)
+// TestMsgsRingKeepsEachRoundForLife: a message stays valid and distinct
+// from every other message of the last life rounds, however many a round
+// sends (the in-place room and heap chunks alike), and a warmed ring
+// refills its slots without allocating. With life 0 every message is its
+// own object.
+func TestMsgsRingKeepsEachRoundForLife(t *testing.T) {
+	for _, life := range []uint8{0, 2, 3, 6} {
+		ctx := &Context{life: life}
+		var m Msgs[[2]int]
+		type sent struct {
+			p     *[2]int
+			round int
+			want  [2]int
+		}
+		var live []sent
+		for round := -1; round < 40; round++ {
+			ctx.round = round
+			for i := 0; i < 1+(round+7)%9; i++ { // 0..8 sends beyond the first, crossing msgInline
+				v := [2]int{round, i}
+				live = append(live, sent{m.New(ctx, v), round, v})
+			}
+			seen := map[*[2]int]bool{}
+			for _, s := range live {
+				if life > 0 && s.round <= round-int(life) {
+					continue // its slot may be refilled now
+				}
+				if *s.p != s.want {
+					t.Fatalf("life %d: message %v of round %d reads %v in round %d", life, s.want, s.round, *s.p, round)
+				}
+				if seen[s.p] {
+					t.Fatalf("life %d: message %v of round %d shares an address in round %d", life, s.want, s.round, round)
+				}
+				seen[s.p] = true
+			}
+		}
+		if life == 0 {
+			continue
+		}
+		round := 40
+		if allocs := testing.AllocsPerRun(10, func() {
+			for end := round + int(life); round < end; round++ {
+				ctx.round = round
+				for i := 0; i < 9; i++ {
+					m.New(ctx, [2]int{round, i})
+				}
+			}
+		}); allocs != 0 {
+			t.Fatalf("life %d: a warmed ring allocates %v objects per %d rounds, want 0", life, allocs, life)
 		}
 	}
-	seen := map[*[2]int]bool{}
-	for i, p := range got {
-		if *p != [2]int{i, -i} {
-			t.Fatalf("message %d reads %v after later sends", i, *p)
+}
+
+// stampMsg is a payload that names its send round and sender, with a
+// checksum over both.
+type stampMsg struct {
+	round, from int
+	sum         uint64
+}
+
+func (m *stampMsg) Bits() int { return 8 }
+
+func stampSum(round, from int) uint64 {
+	return (uint64(round)+0x9e3779b97f4a7c15)*0xbf58476d1ce4e5b9 ^ uint64(from)<<20
+}
+
+// stamper sends a ring-allocated stampMsg on every port in every round,
+// on a channel that carries the send round again, and checks that what
+// it receives is exactly what its neighbour sent no more than maxDelay
+// rounds of lateness ago.
+type stamper struct {
+	t        *testing.T
+	g        *graph.Graph
+	node     int
+	maxDelay int
+	msgs     Msgs[stampMsg]
+	got      int
+}
+
+func (m *stamper) Init(ctx *Context) { m.send(ctx) }
+
+func (m *stamper) Step(ctx *Context, inbox []Packet) {
+	round := ctx.Round()
+	for _, pkt := range inbox {
+		msg := pkt.Payload.(*stampMsg)
+		switch {
+		case msg.round < round-1-m.maxDelay || msg.round > round-1:
+			m.t.Errorf("node %d round %d: stamp %d outside [%d, %d]", m.node, round, msg.round, round-1-m.maxDelay, round-1)
+		case msg.sum != stampSum(msg.round, msg.from):
+			m.t.Errorf("node %d round %d: checksum of %+v does not hold", m.node, round, *msg)
+		case msg.round != int(pkt.Channel)-1 || msg.from != m.g.Neighbor(m.node, pkt.Port):
+			m.t.Errorf("node %d round %d: port %d channel %d delivered %+v", m.node, round, pkt.Port, pkt.Channel, *msg)
 		}
-		if seen[p] {
-			t.Fatalf("message %d shares an address", i)
-		}
-		seen[p] = true
+		m.got++
 	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		for i := 0; i < maxMsgChunk; i++ {
-			m.New([2]int{})
+	m.send(ctx)
+}
+
+func (m *stamper) send(ctx *Context) {
+	round := ctx.Round()
+	for p := 0; p < ctx.Degree(); p++ {
+		msg := m.msgs.New(ctx, stampMsg{round: round, from: m.node, sum: stampSum(round, m.node)})
+		ctx.Send(p, uint32(round+1), msg)
+	}
+}
+
+// TestMsgsOutliveDelivery: a ring-allocated payload is intact when it is
+// delivered, on time or held back by every delay the adversary may choose,
+// however the senders and receivers are ordered in a round. A ring shorter
+// than MaxDelay+2 rounds refills a slot before a late packet arrives, and
+// this fails.
+func TestMsgsOutliveDelivery(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.Complete(8), graph.Cycle(12)} {
+		for _, maxDelay := range []int{0, 1, 2, 4, maxMsgLife} {
+			t.Run(fmt.Sprintf("n=%d/maxdelay=%d", g.N(), maxDelay), func(t *testing.T) {
+				var adv Adversary
+				if maxDelay > 0 {
+					adv = &testAdv{maxDelay: maxDelay, fate: func(round, from, port, to int) (bool, int) {
+						h := stampSum(round, from*64+port)
+						if h>>63 == 0 { // DelayProb 0.5
+							return false, 0
+						}
+						return false, 1 + int(h>>32)%maxDelay
+					}}
+				}
+				nodes := make([]*stamper, g.N())
+				nw := New(Config{Graph: g, Seed: 3, Adversary: adv}, func(node, degree int, r *rng.RNG) Machine {
+					nodes[node] = &stamper{t: t, g: g, node: node, maxDelay: maxDelay}
+					return nodes[node]
+				})
+				nw.Run(60)
+				if t.Failed() {
+					t.Fatalf("life %d", nw.ctxs[0].life)
+				}
+				got := 0
+				for _, m := range nodes {
+					got += m.got
+				}
+				if m := nw.Metrics(); got == 0 || (maxDelay > 0 && m.Delayed == 0) {
+					t.Fatalf("%d deliveries, %d delayed", got, m.Delayed)
+				}
+			})
 		}
-	}); allocs > 1 {
-		t.Fatalf("%v allocations per %d messages, want 1", allocs, maxMsgChunk)
 	}
 }

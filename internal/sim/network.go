@@ -116,6 +116,10 @@ func New(cfg Config, factory Factory) *Network {
 		visits:   NewVisitSet(n),
 	}
 
+	life := msgLife(0)
+	if cfg.Adversary != nil {
+		life = msgLife(cfg.Adversary.MaxDelay())
+	}
 	root := rng.New(cfg.Seed)
 	off := nw.edgeOff[n]
 	inboxBuf := make([]Packet, off)
@@ -129,7 +133,7 @@ func New(cfg Config, factory Factory) *Network {
 		// them without growth.
 		nw.inbox[v] = inboxBuf[lo:lo:hi]
 		nw.next[v] = nextBuf[lo:lo:hi]
-		nw.ctxs[v] = Context{degree: deg, rng: &nw.rngs[v], out: outBuf[lo:lo:hi]}
+		nw.ctxs[v] = Context{degree: deg, rng: &nw.rngs[v], out: outBuf[lo:lo:hi], life: life}
 		nw.machines[v] = newMachine(root, factory, v, deg, &nw.rngs[v])
 	}
 	nw.loads = NewLinkLoads(g.MaxDegree(), nw.metrics.CongestBits)

@@ -39,8 +39,10 @@ import (
 
 // Payload is a protocol-defined message body. Bits reports the exact
 // CONGEST size of the encoded payload; the simulator uses it for bit
-// accounting and slot serialization. Implementations must be immutable
-// after send (payloads are delivered by reference).
+// accounting and slot serialization. Payloads are delivered by reference:
+// one sent in round r must stay unchanged until every step that can
+// receive it has run, which is the first life rounds after the send (see
+// Msgs), and a receiver copies out what it keeps past its step.
 type Payload interface {
 	Bits() int
 }
@@ -61,7 +63,9 @@ type Packet struct {
 // retain or share state across machines other than through messages: the
 // transport backends (internal/transport's chan backend first) step every
 // node on its own goroutine, which is race-free only if Step(v) touches
-// machine v's state alone.
+// machine v's state alone. A received payload is valid during the Step
+// that receives it; a machine copies the fields it needs later, since the
+// sender may reuse the payload's memory (Msgs).
 type Machine interface {
 	// Init runs once before round 0. Machines may send from Init; those
 	// packets arrive at the start of round 0.
@@ -87,7 +91,25 @@ type Context struct {
 	rng    *rng.RNG
 	out    []Send
 	halted bool
+	life   uint8 // rounds a sent payload stays valid; 0 for no ring (see msgLife)
 	wake   int32 // IdleUntil promise; int32 fits the padding after halted
+}
+
+// maxMsgLife bounds the rounds a Msgs ring spans. A delay bound beyond it
+// gives life 0, and each message is its own heap object: a ring that long
+// would hold more than a machine sends over the rounds it covers.
+const maxMsgLife = 16
+
+// msgLife returns how many rounds a payload stays valid after its send
+// when delivery can lag maxDelay extra rounds: it is delivered by round
+// r+1+maxDelay, so the sends of round r+maxDelay+2 may reuse its memory —
+// the bound of the network's delay ring. A wire Stepper encodes its sends
+// before the next step and uses msgLife(0).
+func msgLife(maxDelay int) uint8 {
+	if maxDelay+2 > maxMsgLife {
+		return 0
+	}
+	return uint8(maxDelay + 2)
 }
 
 // Send is one outgoing message of a machine step: what Context.Send

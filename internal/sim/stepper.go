@@ -57,7 +57,7 @@ func newMachine(root *rng.RNG, factory Factory, v, degree int, r *rng.RNG) Machi
 // sees node, matching the anonymity contract of Factory.
 func NewStepper(seed uint64, factory Factory, node, degree int) *Stepper {
 	s := &Stepper{}
-	s.ctx = Context{degree: degree, rng: &s.rng}
+	s.ctx = Context{degree: degree, rng: &s.rng, life: msgLife(0)}
 	s.m = newMachine(rng.New(seed), factory, node, degree, &s.rng)
 	return s
 }

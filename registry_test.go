@@ -240,7 +240,9 @@ func TestBuildRejectsBadInputs(t *testing.T) {
 
 // TestMachineSizes keeps every per-node machine no larger than it was
 // before the protocol layer lost its mirror configs (100 000 FloodMachines
-// are what the floodmax-expander-100k workload's bytes per message sees).
+// are what the floodmax-expander-100k workload's bytes per message sees),
+// and the per-node sim.Context no larger than when it gained the message
+// life: one more word there moved that workload's bytes per message.
 func TestMachineSizes(t *testing.T) {
 	for _, m := range []struct {
 		name      string
@@ -251,6 +253,7 @@ func TestMachineSizes(t *testing.T) {
 		{"RevocableMachine", unsafe.Sizeof(core.RevocableMachine{}), 256},
 		{"FloodMachine", unsafe.Sizeof(baseline.FloodMachine{}), 88},
 		{"WalkNotifyMachine", unsafe.Sizeof(baseline.WalkNotifyMachine{}), 256},
+		{"sim.Context", unsafe.Sizeof(sim.Context{}), 56},
 	} {
 		if m.got > m.most {
 			t.Errorf("%s is %d bytes, was %d", m.name, m.got, m.most)
