@@ -110,7 +110,7 @@ dist-demo:
 # worker count, so the same command regenerates the same cells on any
 # machine. Telemetry is on — phase spans as a Chrome trace, a CPU
 # profile — because it is a wall-clock side channel that never enters the
-# artifact (go test ./cmd/lebench compares the cells), so the one sweep CI
+# artifact (go test ./cmd/lebench compares the files), so the one sweep CI
 # runs also says where its time went.
 bench-artifact:
 	$(GO) run ./cmd/lebench -exp sweeps -quick \
@@ -154,9 +154,7 @@ loc:
 # on the calling goroutine) may appear only in bench/, their declaration in
 # options.go and its test, and the deprecated profile-mode names (a
 # network's size picks its profile regime) only in bench/, profile.go and
-# its test, until ROADMAP item 3 removes them. The profile fence matches
-# the qualified anonlead.ProfileMode, because artifact and trajectory cells
-# have unrelated ProfileMode fields.
+# its test, until ROADMAP item 3 removes them.
 lint:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -168,10 +166,10 @@ lint:
 		echo "deprecated scheduler names (WorkerPool, Actors, WithScheduler) outside bench/ and options.go:"; \
 		echo "$$out"; exit 1; \
 	fi
-	@out=$$(grep -rl --include='*.go' -e ProfileAuto -e 'anonlead\.ProfileMode' . | \
+	@out=$$(grep -rl --include='*.go' -e ProfileAuto -e ProfileMode . | \
 		grep -v -e '^./bench/' -e '^./profile.go$$' -e '^./profile_test.go$$'); \
 	if [ -n "$$out" ]; then \
-		echo "deprecated profile names (ProfileAuto, anonlead.ProfileMode) outside bench/ and profile.go:"; \
+		echo "deprecated profile names (ProfileAuto, ProfileMode) outside bench/ and profile.go:"; \
 		echo "$$out"; exit 1; \
 	fi
 

@@ -10,10 +10,10 @@
 // A sweep is a pure function of its plan and root seed, so two runs of one
 // plan agree cell for cell. benchdiff aligns the cells of the two
 // artifacts by identity and exits 0 only when every aligned cell encodes
-// to the same JSON and no cell was added or removed; the artifact header
-// (workers, wall clock) is never compared. Otherwise it exits 1, printing
-// the changed, added and removed counts; `make baseline` accepts an
-// intended change. It exits 2 on a usage or read error, as cmp does.
+// to the same JSON and no cell was added or removed (the header is only
+// schema and root seed). Otherwise it exits 1, printing the changed, added
+// and removed counts; `make baseline` accepts an intended change. It exits
+// 2 on a usage or read error, as cmp does.
 //
 // The markdown summary goes to stdout (CI tees it into
 // $GITHUB_STEP_SUMMARY) and explains a change metric by metric: a mean
@@ -47,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: benchdiff -base BASE.json -head HEAD.json [-json REPORT.json]\n\n"+
 			"Aligns the sweep cells of two bench artifacts by (protocol, family, n,\n"+
-			"presumed_n, adversary, profile_mode, scenario) and exits 1 if any aligned\n"+
+			"presumed_n, adversary, scenario) and exits 1 if any aligned\n"+
 			"cell differs in any field, or a cell was added or removed; make baseline\n"+
 			"accepts an intended change. Exit 0 means the sweeps are equal; 2 is a\n"+
 			"usage or read error. The markdown summary on stdout explains a change per\n"+

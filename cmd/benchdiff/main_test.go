@@ -67,7 +67,6 @@ func TestBenchdiffIdenticalArtifactsExitZero(t *testing.T) {
 	dir := t.TempDir()
 	a := sweepArtifact(t, 1)
 	base := writeArtifact(t, dir, "base.json", a)
-	a.Workers, a.ElapsedSeconds, a.TrialsPerSecond = 7, 3.5, 12 // the header is not compared
 	head := writeArtifact(t, dir, "head.json", a)
 	var out, errOut bytes.Buffer
 	code := run([]string{"-base", base, "-head", head}, &out, &errOut)
@@ -107,7 +106,7 @@ func TestBenchdiffRegressedArtifactExitNonZero(t *testing.T) {
 		t.Fatalf("stderr missing the verdict:\n%s", errOut.String())
 	}
 	k := trajectory.Key{Protocol: c.Protocol, Family: c.Family, N: c.N, PresumedN: c.PresumedN,
-		Adversary: c.Adversary, ProfileMode: c.ProfileMode, Scenario: c.Scenario}
+		Adversary: c.Adversary, Scenario: c.Scenario}
 	md := out.String()
 	moved := "  - messages: " + string(before) + " → " + string(after) + "\n"
 	if !strings.Contains(md, "**Changed cells** (some field differs from the base):\n- "+k.String()+"\n"+moved+"\n") ||
@@ -273,8 +272,7 @@ func TestBenchdiffDriftGate(t *testing.T) {
 func TestBenchdiffAlignsV2AgainstV3(t *testing.T) {
 	dir := t.TempDir()
 	v3 := faultySweepArtifact(t)
-	v2 := harness.Artifact{Schema: harness.ArtifactSchema, RootSeed: v3.RootSeed,
-		Workers: v3.Workers, Shards: v3.Shards}
+	v2 := harness.Artifact{Schema: harness.ArtifactSchema, RootSeed: v3.RootSeed}
 	for _, c := range v3.Cells {
 		if c.Adversary == "" {
 			v2.Cells = append(v2.Cells, c)

@@ -169,23 +169,30 @@ func writeTrace(traceOut string) {
 }
 
 // finish assembles the session's cells into the artifact, prints its
-// report — the markdown lereport renders from the file, since the report
-// reads no wall-clock field — and writes the file when -json names one.
+// report — the markdown lereport renders from the file, since the artifact
+// holds no wall-clock field — writes the file when -json names one, and
+// ends with the run's size and speed on stderr, which no file records.
 func (s *session) finish(exp string) error {
 	if s.jsonPath != "" && len(s.cells) == 0 {
 		fmt.Fprintf(os.Stderr, "lebench: note: -exp %s swept no cells, so the artifact has none (every experiment but figures does)\n", exp)
 	}
-	a := harness.NewArtifact(s.orch, s.specs, s.cells, time.Since(s.start))
+	elapsed := time.Since(s.start)
+	a := harness.NewArtifact(s.orch, s.specs, s.cells, elapsed)
 	if len(a.Cells) > 0 {
 		fmt.Print(report.New(a, report.Options{}).Markdown())
 	}
-	if s.jsonPath == "" {
-		return nil
+	if s.jsonPath != "" {
+		if err := a.WriteFile(s.jsonPath); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s (%d cells)\n", s.jsonPath, len(a.Cells))
 	}
-	if err := a.WriteFile(s.jsonPath); err != nil {
-		return err
+	trials := 0
+	for _, c := range s.cells {
+		trials += c.Trials
 	}
-	fmt.Printf("wrote %s (%d cells)\n", s.jsonPath, len(a.Cells))
+	fmt.Fprintf(os.Stderr, "lebench: %d cells, %d trials in %.2fs (%.1f trials/s)\n",
+		len(s.cells), trials, elapsed.Seconds(), float64(trials)/elapsed.Seconds())
 	return nil
 }
 
@@ -257,7 +264,7 @@ func ablations(s *session) error {
 // cost (the -quick smoke demonstrates exactly that with one 100k-node cell
 // run twice). The cells go to the report and the artifact like any others.
 func scaling(s *session) error {
-	s.orch.Workers = 1 // the artifact header says so
+	s.orch.Workers = 1
 	hits0, misses0 := harness.ProfileCacheStats()
 	var all []float64
 	for _, sec := range harness.ScalingPlan(s.quick, s.trials, s.seed).Sections {

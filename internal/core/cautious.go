@@ -22,8 +22,7 @@ const (
 // ancestors that absorbed the growth without crossing their own thresholds.
 // A node whose threshold reaches the territory cap floods <stop>.
 type bcastExec struct {
-	source uint64 // candidate ID identifying the execution
-	parent int    // port toward parent; -1 at the root
+	parent int // port toward parent; -1 at the root
 	// children are the confirmed children, in join order, grown in the
 	// machine's child pool; avail holds the ports not yet used in this
 	// execution (the invite pool), carved exact-size from its port pool.
@@ -37,7 +36,6 @@ type bcastExec struct {
 	// state: which ID has climbed toward the parent, and whether any has.
 	ccLast   uint64
 	ccSent   bool
-	isRoot   bool
 	status   execStatus
 	stopSent bool
 	// credit arms one invite. Credits are granted only by discrete
@@ -63,10 +61,8 @@ type child struct {
 
 // newRootExec returns the execution state for the initiating candidate,
 // its port list carved from ports.
-func newRootExec(source uint64, degree, cap int, ports *pool[int]) bcastExec {
+func newRootExec(degree, cap int, ports *pool[int]) bcastExec {
 	e := bcastExec{
-		source:    source,
-		isRoot:    true,
 		status:    statusActive,
 		parent:    -1,
 		threshold: 2, // a lone root trivially has confirmed=1; start above it
@@ -83,9 +79,8 @@ func newRootExec(source uint64, degree, cap int, ports *pool[int]) bcastExec {
 
 // newChildExec returns the execution state for a node that accepted an
 // invite arriving on parentPort, its port list carved from ports.
-func newChildExec(source uint64, degree, parentPort, cap int, ports *pool[int]) bcastExec {
+func newChildExec(degree, parentPort, cap int, ports *pool[int]) bcastExec {
 	e := bcastExec{
-		source:    source,
 		status:    statusActive,
 		parent:    parentPort,
 		threshold: 1, // confirmed=1 >= 1 triggers the immediate join report
@@ -200,12 +195,12 @@ func (e *bcastExec) quiescent() bool {
 }
 
 // prepare emits this round's transmissions for the execution (Algorithm 4,
-// with the prose's threshold-gated reporting; see package doc). Messages
-// are allocated from the machine's msgs.
-func (e *bcastExec) prepare(ctx *sim.Context, msgs *sim.Msgs[bcMsg]) {
-	ch := chanOf(e.source)
+// with the prose's threshold-gated reporting; see package doc) for the
+// candidate source. Messages are allocated from the machine's msgs.
+func (e *bcastExec) prepare(ctx *sim.Context, source uint64, msgs *sim.Msgs[bcMsg]) {
+	ch := chanOf(source)
 	send := func(port int, kind bcKind, size int) {
-		ctx.Send(port, ch, msgs.New(ctx, bcMsg{kind: kind, source: e.source, size: size}))
+		ctx.Send(port, ch, msgs.New(ctx, bcMsg{kind: kind, source: source, size: size}))
 	}
 
 	// Territory cap: flood <stop> once through the local tree links.
@@ -219,7 +214,7 @@ func (e *bcastExec) prepare(ctx *sim.Context, msgs *sim.Msgs[bcMsg]) {
 			for i := range e.children {
 				send(e.children[i].port, bcStop, 0)
 			}
-			if !e.isRoot && e.parent >= 0 {
+			if e.parent >= 0 {
 				send(e.parent, bcStop, 0)
 			}
 		}
@@ -227,7 +222,7 @@ func (e *bcastExec) prepare(ctx *sim.Context, msgs *sim.Msgs[bcMsg]) {
 	case e.confirmed >= e.threshold:
 		// Threshold crossed: report upward (non-roots), double past the
 		// confirmed count, passivate children (the legitimacy wave).
-		if !e.isRoot && e.confirmed > e.reported {
+		if e.parent >= 0 && e.confirmed > e.reported {
 			send(e.parent, bcSize, e.confirmed)
 			e.reported = e.confirmed
 		}
@@ -240,7 +235,7 @@ func (e *bcastExec) prepare(ctx *sim.Context, msgs *sim.Msgs[bcMsg]) {
 				c.active = false
 			}
 		}
-		if !e.isRoot {
+		if e.parent >= 0 {
 			e.status = statusPassive // wait for the parent's re-activation
 		}
 

@@ -33,10 +33,10 @@ func TestBcastExecInvariantsUnderRandomTraffic(t *testing.T) {
 		var e bcastExec
 		parentPort := -1
 		if r.Coin() {
-			e = newRootExec(7, degree, cap, &ports)
+			e = newRootExec(degree, cap, &ports)
 		} else {
 			parentPort = r.Intn(degree)
-			e = newChildExec(7, degree, parentPort, cap, &ports)
+			e = newChildExec(degree, parentPort, cap, &ports)
 		}
 		wasStopped := false
 		for step := 0; step < 60; step++ {
@@ -83,7 +83,7 @@ func TestBcastExecInvariantsUnderRandomTraffic(t *testing.T) {
 				if seen[a] {
 					return false
 				}
-				if !e.isRoot && a == parentPort {
+				if a == parentPort {
 					return false
 				}
 			}
@@ -102,7 +102,7 @@ func TestBcastExecAvailShrinksMonotonically(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		r := root.Split(seed)
 		degree := 3 + r.Intn(5)
-		e := newRootExec(1, degree, 16, new(pool[int]))
+		e := newRootExec(degree, 16, new(pool[int]))
 		prev := len(e.avail)
 		for i := 0; i < 30; i++ {
 			e.handle(r.Intn(degree), bcMsg{kind: bcKind(1 + r.Intn(5)), source: 1, size: 1}, new(pool[child]))

@@ -8,8 +8,8 @@ import (
 )
 
 func TestNewRootExecState(t *testing.T) {
-	e := newRootExec(42, 3, 10, new(pool[int]))
-	if !e.isRoot || e.status != statusActive || e.parent != -1 {
+	e := newRootExec(3, 10, new(pool[int]))
+	if e.status != statusActive || e.parent != -1 {
 		t.Fatalf("root state wrong: %+v", e)
 	}
 	if len(e.avail) != 3 {
@@ -21,8 +21,8 @@ func TestNewRootExecState(t *testing.T) {
 }
 
 func TestNewChildExecState(t *testing.T) {
-	e := newChildExec(42, 4, 2, 10, new(pool[int]))
-	if e.isRoot || e.parent != 2 {
+	e := newChildExec(4, 2, 10, new(pool[int]))
+	if e.parent != 2 {
 		t.Fatalf("child state wrong: %+v", e)
 	}
 	if len(e.avail) != 3 {
@@ -40,7 +40,7 @@ func TestNewChildExecState(t *testing.T) {
 }
 
 func TestUsedPortRemoves(t *testing.T) {
-	e := newRootExec(1, 4, 10, new(pool[int]))
+	e := newRootExec(4, 10, new(pool[int]))
 	e.usedPort(2)
 	if len(e.avail) != 3 {
 		t.Fatalf("avail %v", e.avail)
@@ -52,7 +52,7 @@ func TestUsedPortRemoves(t *testing.T) {
 }
 
 func TestHandleSizeAddsChildAndDeactivates(t *testing.T) {
-	e := newRootExec(1, 4, 100, new(pool[int]))
+	e := newRootExec(4, 100, new(pool[int]))
 	e.handle(0, bcMsg{kind: bcSize, source: 1, size: 3}, new(pool[child]))
 	if len(e.children) != 1 || e.children[0].port != 0 {
 		t.Fatalf("children %v", e.children)
@@ -72,7 +72,7 @@ func TestHandleSizeAddsChildAndDeactivates(t *testing.T) {
 }
 
 func TestHandleStopFreezes(t *testing.T) {
-	e := newChildExec(1, 3, 0, 100, new(pool[int]))
+	e := newChildExec(3, 0, 100, new(pool[int]))
 	e.handle(0, bcMsg{kind: bcStop, source: 1}, new(pool[child]))
 	if e.status != statusStopped {
 		t.Fatal("stop not applied")
@@ -85,7 +85,7 @@ func TestHandleStopFreezes(t *testing.T) {
 }
 
 func TestHandleActivateDeactivateOnlyFromParent(t *testing.T) {
-	e := newChildExec(1, 3, 0, 100, new(pool[int]))
+	e := newChildExec(3, 0, 100, new(pool[int]))
 	e.status = statusPassive
 	e.handle(1, bcMsg{kind: bcActivate, source: 1}, new(pool[child])) // not the parent port
 	if e.status != statusPassive {
@@ -102,7 +102,7 @@ func TestHandleActivateDeactivateOnlyFromParent(t *testing.T) {
 }
 
 func TestDuplicateInviteConsumesPort(t *testing.T) {
-	e := newChildExec(1, 3, 0, 100, new(pool[int]))
+	e := newChildExec(3, 0, 100, new(pool[int]))
 	avail := len(e.avail)
 	e.handle(1, bcMsg{kind: bcInvite, source: 1}, new(pool[child]))
 	if len(e.avail) != avail-1 {
@@ -114,7 +114,7 @@ func TestDuplicateInviteConsumesPort(t *testing.T) {
 }
 
 func TestThresholdDoublingArithmetic(t *testing.T) {
-	e := newRootExec(1, 8, 1000, new(pool[int]))
+	e := newRootExec(8, 1000, new(pool[int]))
 	// Crossing with confirmed=5 must double threshold past 5.
 	e.children = []child{{port: 0, size: 4, active: true}}
 	e.recomputeConfirmed()
@@ -131,7 +131,7 @@ func TestThresholdDoublingArithmetic(t *testing.T) {
 }
 
 func TestCapClampsThreshold(t *testing.T) {
-	e := newRootExec(1, 2, 16, new(pool[int]))
+	e := newRootExec(2, 16, new(pool[int]))
 	e.confirmed = 100
 	for e.threshold <= e.confirmed && e.threshold < e.cap {
 		e.threshold *= 2

@@ -178,7 +178,7 @@ func (m *IREMachine) Init(ctx *sim.Context) {
 	if m.out.Candidate {
 		m.out.MaxIDSeen = m.out.ID
 		e, _ := m.execs.Insert(m.out.ID)
-		*e = newRootExec(m.out.ID, ctx.Degree(), m.p.capSize, &m.ports)
+		*e = newRootExec(ctx.Degree(), m.p.capSize, &m.ports)
 	}
 }
 
@@ -206,8 +206,8 @@ func (m *IREMachine) Step(ctx *sim.Context, inbox []sim.Packet) {
 	switch {
 	case round < m.p.bcastLen:
 		for i := 0; i < m.execs.Len(); i++ {
-			_, e := m.execs.At(i)
-			e.prepare(ctx, &m.bcs)
+			source, e := m.execs.At(i)
+			e.prepare(ctx, source, &m.bcs)
 		}
 	case round >= m.p.total:
 		m.decide(ctx, round)
@@ -265,7 +265,7 @@ func (m *IREMachine) handleBroadcast(ctx *sim.Context, port int, msg bcMsg) {
 			return // straggler for an execution we never joined
 		}
 		e, _ = m.execs.Insert(msg.source)
-		*e = newChildExec(msg.source, ctx.Degree(), port, m.p.capSize, &m.ports)
+		*e = newChildExec(ctx.Degree(), port, m.p.capSize, &m.ports)
 		m.out.JoinedTerritories++
 		return
 	}
@@ -310,12 +310,12 @@ func (m *IREMachine) stepWalks(ctx *sim.Context) {
 // ID, sending only on change (see package doc fidelity note).
 func (m *IREMachine) stepConvergecast(ctx *sim.Context) {
 	for i := 0; i < m.execs.Len(); i++ {
-		_, e := m.execs.At(i)
-		if e.isRoot || e.parent < 0 || (e.ccSent && e.ccLast >= m.out.MaxIDSeen) {
+		source, e := m.execs.At(i)
+		if e.parent < 0 || (e.ccSent && e.ccLast >= m.out.MaxIDSeen) {
 			continue
 		}
 		e.ccSent, e.ccLast = true, m.out.MaxIDSeen
-		ctx.Send(e.parent, chanOf(e.source), m.ccs.New(ctx, ccMsg{source: e.source, id: m.out.MaxIDSeen}))
+		ctx.Send(e.parent, chanOf(source), m.ccs.New(ctx, ccMsg{source: source, id: m.out.MaxIDSeen}))
 	}
 }
 

@@ -13,13 +13,19 @@ import (
 // ArtifactSchema identifies the BENCH_harness.json format version. Bump it
 // when the cell layout changes so trajectory tooling can tell formats apart.
 //
-// v6 keeps every v5 field and adds the optional per-cell epoch scenario
-// identity and aggregates: the scenario descriptor ("epochs=5,fault=crash")
-// joins the cell's trajectory identity, and an epochs object carries the
-// amortized per-epoch stats of a repeated-election sweep. Both are omitted
-// on classic single-election cells, so a sweep without epoch scenarios
-// serializes byte-identically to v5 apart from the schema string.
-const ArtifactSchema = "anonlead/bench-harness/v6"
+// v6 added a repeated-election cell's scenario descriptor, part of its
+// identity, and its epochs aggregates; single-election cells omit both.
+//
+// v7 keeps only what the sweep measured, each fact once, so a file is a
+// pure function of (plan, root seed) and any pool size writes the same
+// bytes. The header loses the pool size (workers and shards) and the wall
+// clock (elapsed seconds and trials per second): how the sweep ran, not
+// what it measured, and lebench prints them to stderr instead. A cell
+// loses its profile regime, which its n picks, and its success rate with
+// the rate's Wilson interval, which successes and trials give. Its epochs
+// object loses the epoch count, fault mode, carry flag and trial count,
+// which the scenario descriptor and the cell's trials already say.
+const ArtifactSchema = "anonlead/bench-harness/v7"
 
 // ArtifactDist is the persisted distribution of one per-trial metric: the
 // spread around the mean that the flat per-cell fields already carry. All
@@ -59,11 +65,6 @@ type ArtifactCell struct {
 	// (adversary.Spec.Descriptor; "" = fault-free). Part of the cell's
 	// identity for trajectory alignment.
 	Adversary string `json:"adversary,omitempty"`
-	// ProfileMode is the profile regime behind the cell's tmix/Φ/diameter
-	// columns, which the cell's size picks: "estimate" for the streaming
-	// estimators (n > 256), "" (omitted) for the exact regime. Part of the
-	// cell's identity for trajectory alignment.
-	ProfileMode string `json:"profile_mode,omitempty"`
 	// Scenario is the epoch scenario descriptor of a repeated-election
 	// cell (anonlead.Scenario.Descriptor; "" = classic single-election cell).
 	// Part of the cell's identity for trajectory alignment. Schema v6.
@@ -81,11 +82,6 @@ type ArtifactCell struct {
 	// (absent on fault-free cells).
 	Dropped      float64 `json:"dropped,omitempty"`
 	CrashedNodes float64 `json:"crashed_nodes,omitempty"`
-
-	// Success rate with its ~95% Wilson-score interval.
-	SuccessRate float64 `json:"success_rate"`
-	SuccessLo   float64 `json:"success_lo"`
-	SuccessHi   float64 `json:"success_hi"`
 
 	// Per-trial metric distributions; ReadArtifact refuses a cell without
 	// them.
@@ -111,34 +107,24 @@ type ArtifactCell struct {
 
 // Artifact is the BENCH_harness.json payload: one orchestrated sweep in a
 // machine-readable shape, emitted so CI can archive per-PR results and a
-// trajectory tool can diff messages/rounds/throughput across PRs.
+// trajectory tool can diff the cells across PRs. Every field is a function
+// of the plan and root seed: no pool size and no wall clock.
 type Artifact struct {
-	Schema          string         `json:"schema"`
-	RootSeed        uint64         `json:"root_seed"`
-	Workers         int            `json:"workers"`
-	Shards          int            `json:"shards"`
-	ElapsedSeconds  float64        `json:"elapsed_seconds"`
-	TrialsPerSecond float64        `json:"trials_per_second"`
-	Cells           []ArtifactCell `json:"cells"`
+	Schema   string         `json:"schema"`
+	RootSeed uint64         `json:"root_seed"`
+	Cells    []ArtifactCell `json:"cells"`
 }
 
 // NewArtifact assembles the artifact from a sweep's specs and the cells
-// they produced. Everything except the wall-clock fields is a deterministic
-// function of the specs and root seed.
-func NewArtifact(o Orchestrator, specs []CellSpec, cells []Cell, elapsed time.Duration) Artifact {
-	a := Artifact{
-		Schema:         ArtifactSchema,
-		Workers:        o.workers(),
-		Shards:         o.workers(), // one trial shard per worker
-		ElapsedSeconds: elapsed.Seconds(),
-		Cells:          make([]ArtifactCell, 0, len(cells)),
-	}
+// they produced: a deterministic function of the specs and root seed. The
+// Orchestrator and the duration are ignored; they remain only so existing
+// callers compile.
+func NewArtifact(_ Orchestrator, specs []CellSpec, cells []Cell, _ time.Duration) Artifact {
+	a := Artifact{Schema: ArtifactSchema, Cells: make([]ArtifactCell, 0, len(cells))}
 	if len(specs) > 0 {
 		a.RootSeed = specs[0].Opts.Seed
 	}
-	totalTrials := 0
 	for i, c := range cells {
-		prof := c.Profile
 		ac := ArtifactCell{
 			Protocol:     string(c.Protocol),
 			Family:       c.Workload.Family,
@@ -153,7 +139,6 @@ func NewArtifact(o Orchestrator, specs []CellSpec, cells []Cell, elapsed time.Du
 			Charged:      c.Charged,
 			Dropped:      c.Dropped,
 			CrashedNodes: c.CrashedNodes,
-			SuccessRate:  c.SuccessRate(),
 			MessagesDist: newArtifactDist(c.MessagesDist),
 			BitsDist:     newArtifactDist(c.BitsDist),
 			RoundsDist:   newArtifactDist(c.RoundsDist),
@@ -161,17 +146,13 @@ func NewArtifact(o Orchestrator, specs []CellSpec, cells []Cell, elapsed time.Du
 			RoundProfile: c.RoundProf.Clone(),
 			Epochs:       c.EpochStats,
 		}
-		ac.SuccessLo, ac.SuccessHi = stats.Wilson(c.Successes, c.Trials)
-		if prof != nil {
+		if prof := c.Profile; prof != nil {
 			ac.M = prof.M
 			ac.Diameter = prof.Diameter
 			ac.MixingTime = prof.MixingTime
 			ac.Conductance = prof.Conductance
 			ac.PredictedMsgs = predictMsgs(c.Protocol, prof)
 			ac.PredictedTime = predictTime(c.Protocol, prof)
-			if prof.Estimated {
-				ac.ProfileMode = "estimate"
-			}
 		}
 		if i < len(specs) {
 			ac.PresumedN = specs[i].Opts.PresumedN
@@ -182,11 +163,7 @@ func NewArtifact(o Orchestrator, specs []CellSpec, cells []Cell, elapsed time.Du
 				ac.Scenario = sc.Descriptor()
 			}
 		}
-		totalTrials += c.Trials
 		a.Cells = append(a.Cells, ac)
-	}
-	if a.ElapsedSeconds > 0 {
-		a.TrialsPerSecond = float64(totalTrials) / a.ElapsedSeconds
 	}
 	return a
 }

@@ -26,9 +26,10 @@ func FuzzReadArtifact(f *testing.F) {
 		}
 		f.Add(buf)
 	}
-	// A file with the `plan` coverage header older binaries wrote on
-	// partial artifacts: an unknown field, so it reads as a plain artifact.
-	oldPartial := []byte(`{"schema":"anonlead/bench-harness/v6","root_seed":7,"workers":2,"shards":2,"plan":{"total":4,"indices":[1,3]},"cells":[` +
+	// A file with header fields older binaries wrote (the pool size, and
+	// the `plan` coverage of partial artifacts): unknown fields, so it
+	// reads as a plain artifact.
+	oldPartial := []byte(`{"schema":"anonlead/bench-harness/v7","root_seed":7,"workers":2,"shards":2,"plan":{"total":4,"indices":[1,3]},"cells":[` +
 		`{"protocol":"ire","family":"expander","n":16,"trials":2,"successes":2,"messages_dist":{"stddev":1,"min":1,"max":3,"p50":2,"p90":3,"p99":3},"bits_dist":{},"rounds_dist":{},"charged_dist":{}},` +
 		`{"protocol":"flood","family":"cycle","n":8,"trials":2,"successes":1,"messages_dist":{},"bits_dist":{},"rounds_dist":{},"charged_dist":{}}]}`)
 	if a, err := ReadArtifact(oldPartial); err != nil || len(a.Cells) != 2 {
@@ -36,19 +37,19 @@ func FuzzReadArtifact(f *testing.F) {
 	}
 	f.Add(oldPartial)
 	// The previous schema, refused by name.
-	v5 := []byte(`{"schema":"anonlead/bench-harness/v5","cells":[]}`)
-	if _, err := ReadArtifact(v5); err == nil || !strings.Contains(err.Error(), `"anonlead/bench-harness/v5"`) {
-		f.Fatalf("v5 artifact: err %v; want a refusal naming the schema", err)
+	v6 := []byte(`{"schema":"anonlead/bench-harness/v6","root_seed":1,"cells":[]}`)
+	if _, err := ReadArtifact(v6); err == nil || !strings.Contains(err.Error(), `"anonlead/bench-harness/v6"`) {
+		f.Fatalf("v6 artifact: err %v; want a refusal naming the schema", err)
 	}
-	f.Add(v5)
+	f.Add(v6)
 	// A cell without its distributions, schema-less JSON, a foreign
 	// schema, truncations.
-	f.Add([]byte(`{"schema":"anonlead/bench-harness/v6","root_seed":1,"cells":[{"protocol":"ire","family":"cycle","n":8,"messages":12}]}`))
+	f.Add([]byte(`{"schema":"anonlead/bench-harness/v7","root_seed":1,"cells":[{"protocol":"ire","family":"cycle","n":8,"messages":12}]}`))
 	f.Add([]byte(`{"schema":"anonlead/bench-harness/v9"}`))
 	f.Add([]byte(`{"cells":[]}`))
 	f.Add([]byte(`{"schema":`))
 	f.Add([]byte(`[]`))
-	f.Add([]byte(`{"schema":"anonlead/bench-harness/v6","cells":[{"messages_dist":{},"bits_dist":{},"rounds_dist":{},"charged_dist":{},"epochs":{"per_epoch_messages":[1e308,1e308]}}]}`))
+	f.Add([]byte(`{"schema":"anonlead/bench-harness/v7","cells":[{"messages_dist":{},"bits_dist":{},"rounds_dist":{},"charged_dist":{},"epochs":{"per_epoch_messages":[1e308,1e308]}}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := ReadArtifact(data)

@@ -255,17 +255,12 @@ func reduceCell(p Protocol, w Workload, prof *spectral.Profile, sc *anonlead.Sce
 	return cell
 }
 
-// EpochStats is the per-cell epoch aggregate a bench artifact records
-// (schema v6): amortized per-epoch costs, recovery time, and the
-// per-epoch-index profiles that show whether later epochs get cheaper.
+// EpochStats is the per-cell epoch aggregate a bench artifact records:
+// amortized per-epoch costs, recovery time, and the per-epoch-index
+// profiles that show whether later epochs get cheaper. The scenario itself
+// is the cell's Scenario descriptor, and its histories are the cell's
+// trials.
 type EpochStats struct {
-	// Epochs, Fault and Carry restate the scenario (cell identity data,
-	// also rendered into the cell's Scenario descriptor).
-	Epochs int    `json:"epochs"`
-	Fault  string `json:"fault"`
-	Carry  bool   `json:"carry,omitempty"`
-	// Trials is the number of scenario histories aggregated.
-	Trials int `json:"trials"`
 	// ElectedRate is the fraction of epochs (over all trials) that
 	// elected a unique leader.
 	ElectedRate float64 `json:"elected_rate"`
@@ -289,12 +284,7 @@ type EpochStats struct {
 // scheduled). Histories shorter than sc.Epochs (aborted runs) contribute
 // to the epochs they ran.
 func reduceEpochs(sc anonlead.Scenario, hists []anonlead.EpochOutcome) EpochStats {
-	es := EpochStats{
-		Epochs: sc.Epochs,
-		Fault:  sc.Fault(),
-		Carry:  sc.Carry,
-		Trials: len(hists),
-	}
+	var es EpochStats
 	if sc.Epochs > 0 {
 		es.PerEpochMessages = make([]float64, sc.Epochs)
 		es.PerEpochRounds = make([]float64, sc.Epochs)

@@ -46,8 +46,7 @@ type cellRun struct {
 }
 
 // workers returns the pool size a sweep actually runs with, resolving the
-// zero-value default (artifacts record this, not the raw configuration, so
-// cross-machine throughput stays comparable).
+// zero-value default to GOMAXPROCS.
 func (o Orchestrator) workers() int {
 	if o.Workers <= 0 {
 		return runtime.GOMAXPROCS(0)

@@ -203,8 +203,7 @@ func TestOrchestratorStreamsCells(t *testing.T) {
 }
 
 // TestArtifactGolden pins the BENCH_harness.json format: a fixed-seed sweep
-// must serialize to exactly the committed golden bytes (elapsed 0, since
-// the wall-clock fields are the only nondeterministic ones).
+// must serialize to exactly the committed golden bytes.
 func TestArtifactGolden(t *testing.T) {
 	opts := TrialOpts{Trials: 2, Seed: 5}
 	specs := []CellSpec{
@@ -240,7 +239,9 @@ func TestArtifactGolden(t *testing.T) {
 	}
 }
 
-// TestArtifactTimings checks the wall-clock derived fields.
+// TestArtifactTimings checks that neither the wall clock nor the pool size
+// reaches the artifact: NewArtifact ignores both, so any run of a sweep
+// writes the same bytes.
 func TestArtifactTimings(t *testing.T) {
 	opts := TrialOpts{Trials: 3, Seed: 5}
 	specs := []CellSpec{{Protocol: ProtoIRE, Workload: Workload{Family: "cycle", N: 8}, Opts: opts}}
@@ -248,12 +249,17 @@ func TestArtifactTimings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewArtifact(Orchestrator{}, specs, cells, 2*time.Second)
-	if a.ElapsedSeconds != 2 {
-		t.Fatalf("elapsed %v", a.ElapsedSeconds)
+	a := NewArtifact(Orchestrator{}, specs, cells, 0)
+	fast, err := a.JSON()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.TrialsPerSecond != 1.5 {
-		t.Fatalf("trials/sec %v, want 1.5", a.TrialsPerSecond)
+	slow, err := NewArtifact(Orchestrator{Workers: 3}, specs, cells, 2*time.Second).JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fast, slow) {
+		t.Fatalf("pool size or elapsed time changed the artifact:\n%s\nvs\n%s", fast, slow)
 	}
 	if a.RootSeed != 5 {
 		t.Fatalf("root seed %v", a.RootSeed)

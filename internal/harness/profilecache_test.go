@@ -66,33 +66,6 @@ func TestProfileCacheColdWarmByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEstimateArtifactRecordsMode: estimate-regime cells carry
-// "estimate" as their profile_mode in the artifact; exact ones omit it.
-func TestEstimateArtifactRecordsMode(t *testing.T) {
-	ResetProfileCache()
-	defer ResetProfileCache()
-
-	opts := TrialOpts{Trials: 2, Seed: 5}
-	specs := []CellSpec{
-		{Protocol: ProtoFlood, Workload: Workload{Family: "cycle", N: 24}, Opts: opts},
-		{Protocol: ProtoFlood, Workload: Workload{Family: "expander", N: 300}, Opts: opts},
-	}
-	cells, err := Orchestrator{Workers: 1}.RunSweep(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewArtifact(Orchestrator{Workers: 1}, specs, cells, 0)
-	if a.Schema != ArtifactSchema {
-		t.Fatalf("schema %q", a.Schema)
-	}
-	if got := a.Cells[0].ProfileMode; got != "" {
-		t.Fatalf("exact cell recorded mode %q, want omitted", got)
-	}
-	if got := a.Cells[1].ProfileMode; got != "estimate" {
-		t.Fatalf("estimate cell recorded mode %q, want \"estimate\"", got)
-	}
-}
-
 // TestProfileCacheHitSpeedup: preparing the same cell twice must make the
 // second preparation at least 10x cheaper — the acceptance bar for the
 // scaling sweeps, where repeated cells reduce to trial cost. The cold

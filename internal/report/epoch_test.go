@@ -8,7 +8,7 @@ import (
 )
 
 // withScenario marks a synthetic cell as a repeated-election scenario
-// cell: the v6 descriptor plus the amortized epoch aggregates.
+// cell: the scenario descriptor plus the amortized epoch aggregates.
 func withScenario(desc string, es *harness.EpochStats) func(*harness.ArtifactCell) {
 	return func(c *harness.ArtifactCell) {
 		c.Scenario = desc
@@ -23,7 +23,6 @@ func withScenario(desc string, es *harness.EpochStats) func(*harness.ArtifactCel
 func TestEpochSectioning(t *testing.T) {
 	stats := func(amsgs float64) *harness.EpochStats {
 		return &harness.EpochStats{
-			Epochs: 3, Fault: "crash", Trials: 8,
 			ElectedRate:       1,
 			AmortizedMessages: amsgs, AmortizedRounds: 4,
 			MeanRecover:      4,
@@ -84,7 +83,7 @@ func TestEpochSectioning(t *testing.T) {
 func TestEpochSectionWithoutAnchor(t *testing.T) {
 	a := harness.Artifact{Schema: harness.ArtifactSchema, Cells: []harness.ArtifactCell{
 		synthCell("flood", "complete", 8, 500,
-			withScenario("epochs=2,fault=revoke", &harness.EpochStats{Epochs: 2, Fault: "revoke", Trials: 4}),
+			withScenario("epochs=2,fault=revoke", &harness.EpochStats{}),
 			withAdversary("adaptive=1@2")),
 	}}
 	r := New(a, Options{})

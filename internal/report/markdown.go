@@ -3,6 +3,8 @@ package report
 import (
 	"fmt"
 	"strings"
+
+	"anonlead/internal/spectral"
 )
 
 // Markdown renders the report as GitHub-flavored markdown, shaped the way
@@ -93,9 +95,9 @@ func (r Report) familyMarkdown(ft FamilyTable) string {
 	for _, row := range ft.Rows {
 		c := row.Cell
 		tmix := fmt.Sprintf("%d", c.MixingTime)
-		if c.ProfileMode != "" {
-			// Estimate-regime cell: tmix/Φ/D came from the streaming
-			// estimators (schema v4). Exact cells render unchanged.
+		if c.N > spectral.MixingTimeExactLimit {
+			// Estimate-regime cell: its size made ProfileGraph use the
+			// streaming estimators for tmix/Φ/D.
 			tmix += "\\*"
 			estimated = true
 		}

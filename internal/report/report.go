@@ -7,9 +7,9 @@
 // internal/trajectory's question (cmd/benchdiff), and the two packages
 // share nothing but harness.Artifact and the value formatter Num.
 //
-// Everything is a pure function of the artifact bytes: section order
-// follows artifact cell order, all numbers render with fixed rules, and
-// no wall-clock field is consulted, so the same artifact always produces
+// Everything is a pure function of the artifact bytes, which hold no
+// wall-clock field: section order follows artifact cell order and all
+// numbers render with fixed rules, so the same artifact always produces
 // byte-identical markdown (pinned by the golden test against
 // testdata/BENCH_baseline.json). cmd/lereport is the CLI; CI renders the
 // head artifact's report into the job summary.

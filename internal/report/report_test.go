@@ -118,7 +118,7 @@ func TestBaselineReportSections(t *testing.T) {
 	}
 }
 
-// synthCell builds a minimal v3 cell.
+// synthCell builds a minimal cell.
 func synthCell(proto, family string, n int, msgs float64, opts ...func(*harness.ArtifactCell)) harness.ArtifactCell {
 	dist := func(mean float64) *harness.ArtifactDist {
 		return &harness.ArtifactDist{StdDev: 1, Min: mean, Max: mean, P50: mean, P90: mean, P99: mean}
@@ -220,5 +220,23 @@ func TestSectioning(t *testing.T) {
 	if len(dup.Faults) != 1 || !dup.Faults[0].HasAnchor || len(dup.Faults[0].Rows) != 2 ||
 		dup.Faults[0].Rows[0].Cell.Messages != 2000 || dup.Faults[0].Rows[1].XMsgs != 0.2 {
 		t.Fatalf("duplicate-key ladder wrong: %+v", dup.Faults)
+	}
+}
+
+// TestEstimateMarker: a cell's size alone marks its tmix as an estimate —
+// the same n > spectral.MixingTimeExactLimit rule ProfileGraph branches
+// on — and the footnote explaining the marker appears once.
+func TestEstimateMarker(t *testing.T) {
+	md := New(harness.Artifact{Schema: harness.ArtifactSchema, Cells: []harness.ArtifactCell{
+		synthCell("flood", "expander", 256, 1000),
+		synthCell("flood", "expander", 257, 1000),
+	}}, Options{}).Markdown()
+	for _, want := range []string{"| 256 | 256 | 2 | 4 | ", "| 257 | 257 | 2 | 4\\* | "} {
+		if !strings.Contains(md, want) {
+			t.Fatalf("markdown missing row %q:\n%s", want, md)
+		}
+	}
+	if got := strings.Count(md, "\\* estimate-regime profile"); got != 1 {
+		t.Fatalf("estimate footnote appears %d times, want once:\n%s", got, md)
 	}
 }

@@ -38,24 +38,16 @@ type Key struct {
 	PresumedN int    `json:"presumed_n,omitempty"`
 	// Adversary is the fault-injection descriptor ("" = fault-free).
 	Adversary string `json:"adversary,omitempty"`
-	// ProfileMode is the resolved profile regime behind the cell's
-	// tmix/Φ/diameter columns ("" = exact). An exact cell and an estimate cell of the same workload
-	// measure against different predicted bounds, so a regime switch
-	// reports as added/removed rather than a false cost regression.
-	// Schema v4.
-	ProfileMode string `json:"profile_mode,omitempty"`
 	// Scenario is the epoch scenario descriptor of a repeated-election
-	// cell ("" = classic single election, which is what every v1-v5 cell
-	// aligns as). A scenario cell's metrics are multi-epoch totals, so a
-	// scenario switch reports as added/removed rather than a false cost
-	// regression. Schema v6.
+	// cell ("" = classic single election). A scenario cell's metrics are
+	// multi-epoch totals, so a scenario switch reports as added/removed
+	// rather than a false cost regression.
 	Scenario string `json:"scenario,omitempty"`
 }
 
 func keyOf(c harness.ArtifactCell) Key {
 	return Key{Protocol: c.Protocol, Family: c.Family, N: c.N,
-		PresumedN: c.PresumedN, Adversary: c.Adversary,
-		ProfileMode: c.ProfileMode, Scenario: c.Scenario}
+		PresumedN: c.PresumedN, Adversary: c.Adversary, Scenario: c.Scenario}
 }
 
 // String renders the key the way the rendered tables name cells.
@@ -66,9 +58,6 @@ func (k Key) String() string {
 	}
 	if k.Adversary != "" {
 		s += fmt.Sprintf(" [%s]", k.Adversary)
-	}
-	if k.ProfileMode != "" {
-		s += fmt.Sprintf(" {%s}", k.ProfileMode)
 	}
 	if k.Scenario != "" {
 		s += fmt.Sprintf(" <%s>", k.Scenario)

@@ -100,12 +100,6 @@ func TestDiffAnyChangeIsChanged(t *testing.T) {
 			t.Fatalf("markdown does not name %q:\n%s", line, md)
 		}
 	}
-	// The header is not part of any cell.
-	head = artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 4, 4, 1000, 400))
-	head.Workers, head.ElapsedSeconds, head.TrialsPerSecond = 3, 1.5, 8
-	if r := Diff(base, head, Thresholds{}); !r.Clean() {
-		t.Fatalf("header fields changed a cell: %+v", r)
-	}
 }
 
 // TestLeavesNamesEveryLeafByPath: nested objects and array elements get
@@ -322,47 +316,6 @@ func TestAdversaryKeyAlignment(t *testing.T) {
 	r = Diff(v2, base, Thresholds{})
 	if len(r.Cells) != 1 || len(r.Added) != 1 || r.Added[0].Adversary != "loss=0.1" {
 		t.Fatalf("descriptor-less alignment wrong: %+v", r)
-	}
-}
-
-// TestProfileModeKeyAlignment: a cell whose profile regime switched between
-// base and head (exact → estimate, e.g. a sweep crossing the auto threshold)
-// reports as removed+added, never as a cost regression against the
-// other-regime sibling.
-func TestProfileModeKeyAlignment(t *testing.T) {
-	exact := cell("ire", "expander", 300, 5, 5, 100, 1)
-	est := cell("ire", "expander", 300, 5, 5, 180, 1)
-	est.ProfileMode = "estimate"
-
-	// Same workload, different regime: no pairing, no regression.
-	r := Diff(artifact(harness.ArtifactSchema, exact), artifact(harness.ArtifactSchema, est), Thresholds{})
-	if len(r.Cells) != 0 || r.Regressed != 0 {
-		t.Fatalf("regime switch falsely aligned: %+v", r)
-	}
-	if len(r.Removed) != 1 || r.Removed[0].ProfileMode != "" {
-		t.Fatalf("exact cell not reported removed: %+v", r.Removed)
-	}
-	if len(r.Added) != 1 || r.Added[0].ProfileMode != "estimate" {
-		t.Fatalf("estimate cell not reported added: %+v", r.Added)
-	}
-	if !strings.Contains(r.Added[0].String(), "{estimate}") {
-		t.Fatalf("key render missing profile mode: %s", r.Added[0])
-	}
-
-	// Same regime on both sides still aligns cleanly, keeping the mode.
-	r = Diff(artifact(harness.ArtifactSchema, est), artifact(harness.ArtifactSchema, est), Thresholds{})
-	if len(r.Cells) != 1 || len(r.Added)+len(r.Removed) != 0 {
-		t.Fatalf("estimate self-alignment wrong: %+v", r)
-	}
-	if r.Cells[0].Key.ProfileMode != "estimate" {
-		t.Fatalf("aligned key lost its mode: %+v", r.Cells[0].Key)
-	}
-
-	// A base of mode-less cells aligns against the head's exact cell.
-	v3 := artifact(harness.ArtifactSchema, exact)
-	r = Diff(v3, artifact(harness.ArtifactSchema, exact, est), Thresholds{})
-	if len(r.Cells) != 1 || len(r.Added) != 1 || r.Added[0].ProfileMode != "estimate" {
-		t.Fatalf("mode-less alignment wrong: %+v", r)
 	}
 }
 
