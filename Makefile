@@ -33,13 +33,15 @@ test:
 # tcp, so every port reader of a node feeds its one shared queue under the
 # detector, and TestTransportStepsWhatSimSteps counts the steps of nodes
 # released only in their visit-set rounds, from their concurrent drivers.
+# The root's TestRunReuses* hand a Network's kept simulator from run to
+# run, from four goroutines at once in TestRunReusesNetworkConcurrently.
 # The simulator steps every round on the calling goroutine, and
 # internal/sim, core, baseline, adversary and obs start no goroutine and
 # drive neither transport nor harness, so their own tests have nothing for
 # the detector to find.
 race:
 	$(GO) test -race ./internal/harness/... ./internal/transport/... ./cmd/ledist
-	$(GO) test -race -run '^TestTransport' .
+	$(GO) test -race -run '^TestTransport|^TestRunReuses' .
 
 # The decoders of bytes from outside the process — the bench artifact
 # reader, the transport frame and report codecs, the TCP Hello body an

@@ -353,12 +353,12 @@ var electionCells = []struct {
 	n         int
 	maxAllocs float64 // allocations per message the guard tolerates: about 1.5× the measurement
 }{
-	{"ire", "expander", 256, 0.11},
-	{"explicit", "expander", 256, 0.11},
-	{"walknotify", "expander", 64, 0.18},
-	{"floodmax", "expander", 256, 0.26},
-	{"ire", "cycle", 96, 0.006},
-	{"revocable", "complete", 3, 8e-6},
+	{"ire", "expander", 256, 0.08},
+	{"explicit", "expander", 256, 0.085},
+	{"walknotify", "expander", 64, 0.17},
+	{"floodmax", "expander", 256, 0.25},
+	{"ire", "cycle", 96, 0.0037},
+	{"revocable", "complete", 3, 3.8e-6},
 }
 
 // electionSetup resolves a registered protocol on a family member of n
@@ -388,13 +388,27 @@ func electionSetup(tb testing.TB, proto, family string, n int) (*graph.Graph, fu
 	}
 }
 
-// runElection runs one whole election — Build, sim.New, then the rounds
-// runPlan says — and returns its message count.
-func runElection(g *graph.Graph, build func() core.Runner, seed uint64) int64 {
-	runner := build()
-	nw := sim.New(sim.Config{Graph: g, Seed: seed}, runner.Factory)
-	runPlan(nw, nw, runner)
-	return nw.Metrics().Messages
+// cellElections runs a cell's whole elections on one sim.Network, reset
+// for each, as Network.Run resets the simulator it keeps.
+type cellElections struct {
+	g     *graph.Graph
+	build func() core.Runner
+	nw    *sim.Network // nil until the first election
+}
+
+// run runs one whole election — Build, Reset (sim.New the first time),
+// the rounds runPlan says, Close — and returns its message count.
+func (c *cellElections) run(seed uint64) int64 {
+	runner := c.build()
+	cfg := sim.Config{Graph: c.g, Seed: seed}
+	if c.nw == nil {
+		c.nw = sim.New(cfg, runner.Factory)
+	} else {
+		c.nw.Reset(cfg, runner.Factory)
+	}
+	defer c.nw.Close()
+	runPlan(c.nw, c.nw, runner)
+	return c.nw.Metrics().Messages
 }
 
 // runPlan runs nw as Network.Run runs a runner: to its round budget, or,
@@ -449,12 +463,13 @@ func BenchmarkElection(b *testing.B) {
 	for _, c := range electionCells {
 		b.Run(fmt.Sprintf("%s/%s-%d", c.proto, c.family, c.n), func(b *testing.B) {
 			g, build := electionSetup(b, c.proto, c.family, c.n)
+			cell := cellElections{g: g, build: build}
 			var before, after runtime.MemStats
 			var msgs int64
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				msgs += runElection(g, build, uint64(i)+1)
+				msgs += cell.run(uint64(i) + 1)
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
@@ -468,7 +483,8 @@ func BenchmarkElection(b *testing.B) {
 // TestElectionAllocsPerMessage is the protocol layer's allocation guard,
 // the counterpart of the TestRoundLoopZeroAlloc* guards on the simulator:
 // a whole election, set-up included, must stay under a fraction of an
-// allocation per message. Per-node tables are sorted slices, Step scratch
+// allocation per message. Its elections reset one simulator, as
+// Network.Run does, so what they allocate is the protocol's. Per-node tables are sorted slices, Step scratch
 // is machine-owned, execution state is carved from per-machine pools and
 // messages come out of per-machine rings; a map, a per-round slice, a
 // boxed value payload or a message memory that is never reused on the
@@ -476,8 +492,9 @@ func BenchmarkElection(b *testing.B) {
 func TestElectionAllocsPerMessage(t *testing.T) {
 	for _, c := range electionCells {
 		g, build := electionSetup(t, c.proto, c.family, c.n)
-		msgs := runElection(g, build, 1)
-		allocs := testing.AllocsPerRun(3, func() { runElection(g, build, 1) })
+		cell := cellElections{g: g, build: build}
+		msgs := cell.run(1)
+		allocs := testing.AllocsPerRun(3, func() { cell.run(1) })
 		if got := allocs / float64(msgs); got > c.maxAllocs {
 			t.Errorf("%s on %s-%d: %.3g allocs/message (%.0f allocations, %d messages), want <= %g",
 				c.proto, c.family, c.n, got, allocs, msgs, c.maxAllocs)

@@ -144,7 +144,7 @@ func (m *WalkNotifyMachine) Step(ctx *sim.Context, inbox []sim.Packet) {
 	for _, pkt := range inbox {
 		switch msg := pkt.Payload.(type) {
 		case *wnTokenMsg:
-			m.receiveTokens(pkt.Port, *msg)
+			m.receiveTokens(int(pkt.Port), *msg)
 		case *wnKillMsg:
 			m.receiveKill(msg.orig)
 		}

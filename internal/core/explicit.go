@@ -148,7 +148,7 @@ func (m *ExplicitMachine) Step(ctx *sim.Context, inbox []sim.Packet) {
 			// failure): adopt, record the tree parent, re-forward.
 			m.out.KnowsLeader = true
 			m.out.LeaderID = msg.id
-			m.out.ParentPort = pkt.Port
+			m.out.ParentPort = int(pkt.Port)
 			m.out.Depth = msg.depth + 1
 			m.forwarded = false
 		}

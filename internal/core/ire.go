@@ -190,7 +190,7 @@ func (m *IREMachine) Step(ctx *sim.Context, inbox []sim.Packet) {
 	for _, pkt := range inbox {
 		switch msg := pkt.Payload.(type) {
 		case *bcMsg:
-			m.handleBroadcast(ctx, pkt.Port, *msg)
+			m.handleBroadcast(ctx, int(pkt.Port), *msg)
 		case *walkMsg:
 			m.tokens += msg.count
 			if msg.id > m.out.MaxIDSeen {

@@ -26,9 +26,10 @@ type CautiousPoint struct {
 }
 
 // AblationCautious sweeps x and measures cautious-broadcast territories
-// and cost in isolation (experiment X1). It drives sim.New itself rather
-// than RunSweep: the territories are per-node IREMachine.Output() values,
-// which a public Run does not expose.
+// and cost in isolation (experiment X1). It drives the simulator itself
+// rather than RunSweep, one network reset for every (x, trial): the
+// territories are per-node IREMachine.Output() values, which a public Run
+// does not expose.
 func AblationCautious(w Workload, xs []int, trials int, seed uint64) ([]CautiousPoint, *spectral.Profile, error) {
 	g, err := w.BuildGraph(seed)
 	if err != nil {
@@ -40,6 +41,7 @@ func AblationCautious(w Workload, xs []int, trials int, seed uint64) ([]Cautious
 	}
 	ire, _ := core.Lookup(string(ProtoIRE))
 	points := make([]CautiousPoint, 0, len(xs))
+	var nw *sim.Network
 	for _, x := range xs {
 		pc := core.ProtoConfig{
 			N: g.N(), TMix: prof.MixingTime, Phi: prof.Conductance,
@@ -54,7 +56,12 @@ func AblationCautious(w Workload, xs []int, trials int, seed uint64) ([]Cautious
 		var territories []float64
 		var msgs, cands float64
 		for t := 0; t < trials; t++ {
-			nw := sim.New(sim.Config{Graph: g, Seed: seed ^ uint64(x)<<24 ^ uint64(t)}, runner.Factory)
+			cfg := sim.Config{Graph: g, Seed: seed ^ uint64(x)<<24 ^ uint64(t)}
+			if nw == nil {
+				nw = sim.New(cfg, runner.Factory)
+			} else {
+				nw.Reset(cfg, runner.Factory)
+			}
 			nw.Run(runner.Budget)
 			for v := 0; v < g.N(); v++ {
 				out := nw.Machine(v).(*core.IREMachine).Output()

@@ -211,7 +211,7 @@ func (m *stamper) Step(ctx *Context, inbox []Packet) {
 			m.t.Errorf("node %d round %d: stamp %d outside [%d, %d]", m.node, round, msg.round, round-1-m.maxDelay, round-1)
 		case msg.sum != stampSum(msg.round, msg.from):
 			m.t.Errorf("node %d round %d: checksum of %+v does not hold", m.node, round, *msg)
-		case msg.round != int(pkt.Channel)-1 || msg.from != m.g.Neighbor(m.node, pkt.Port):
+		case msg.round != int(pkt.Channel)-1 || msg.from != m.g.Neighbor(m.node, int(pkt.Port)):
 			m.t.Errorf("node %d round %d: port %d channel %d delivered %+v", m.node, round, pkt.Port, pkt.Channel, *msg)
 		}
 		m.got++

@@ -68,7 +68,7 @@ type Ledger struct {
 	metrics  Metrics
 	halted   []bool
 	stopped  int    // nodes with halted set, each counted once
-	crashed  []bool // adversary crash-stops; nil without an adversary
+	crashed  []bool // adversary crash-stops; nil until a run has an adversary
 	pending  int    // packets delivered so far in the round being folded
 	inflight int    // packets delivered in the last closed round
 	slots    int    // the round's maxima over its senders' charges
@@ -80,10 +80,20 @@ type Ledger struct {
 // DefaultCongestBits(n). observer, when non-nil, is called after every
 // counted round (see Config.Observer).
 func NewLedger(n, congestBits int, observer func(RoundInfo)) Ledger {
+	l := Ledger{halted: make([]bool, n)}
+	l.reset(congestBits, observer)
+	return l
+}
+
+// reset clears the ledger for a new run over the same nodes, keeping its
+// memory.
+func (l *Ledger) reset(congestBits int, observer func(RoundInfo)) {
 	if congestBits <= 0 {
-		congestBits = DefaultCongestBits(n)
+		congestBits = DefaultCongestBits(len(l.halted))
 	}
-	return Ledger{metrics: Metrics{CongestBits: congestBits}, halted: make([]bool, n), observer: observer}
+	clear(l.halted)
+	clear(l.crashed)
+	*l = Ledger{metrics: Metrics{CongestBits: congestBits}, halted: l.halted, crashed: l.crashed, observer: observer}
 }
 
 // Stop marks node v halted, counting it once.

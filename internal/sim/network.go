@@ -46,11 +46,14 @@ type RoundInfo struct {
 // in-flight count, cost accounting). Every round runs on the calling
 // goroutine; a Network is not safe for concurrent use.
 //
-// A round visits only the nodes with something to do (VisitSet). route
-// builds next round's set as it folds this one, filing each visited node
-// with the IdleUntil promise its step left. deliver steps exactly the nodes
-// of the set and route folds exactly their sends, in ascending node order,
-// so a round costs its traffic plus one pass over the set's n/64 words.
+// A round visits only the nodes with something to do (VisitSet), in
+// ascending order: it steps node v, then folds v's sends at once, filing v
+// in next round's set with the IdleUntil promise its step left. So a round
+// costs its traffic plus one pass over the set's n/64 words, and every node
+// sends through one shared buffer.
+//
+// A network outlives its runs: Close drops what a run left in it, and
+// Reset starts another run on the same graph in the memory of the last.
 type Network struct {
 	Ledger
 	g        *graph.Graph
@@ -58,17 +61,20 @@ type Network struct {
 	ctxs     []Context
 	inbox    [][]Packet
 	next     [][]Packet
-	revPort  []int32 // flat: reverse port of (v, port) = revPort[edgeOff[v]+port]
-	edgeOff  []int   // directed edge id of (v, port) = edgeOff[v] + port
+	boxes    []Packet // backing array of the mailbox windows: the inbox ones, then the next ones
+	sends    []Send   // the stepping node's sends, until its fold
+	revPort  []int32  // flat: reverse port of (v, port) = revPort[edgeOff[v]+port]
+	edgeOff  []int    // directed edge id of (v, port) = edgeOff[v] + port
 	rngs     []rng.RNG
 	loads    LinkLoads // one sender's bit loads, per port
 	visits   VisitSet  // the nodes stepped and folded this round, and next round's
-	// Fault injection (all nil/empty when adv is nil — the common case).
+	// Fault injection (adv is nil, and the rest unused, without an
+	// adversary — the common case).
 	adv           Adversary
 	crashAt       []int              // per-node crash round (-1 = never)
 	future        [][]futureDelivery // delay ring, indexed by arrival round mod len
 	pendingFuture int                // packets parked in the ring
-	sent          []int              // per-node send counts of the routed round, for ObserveTraffic
+	sent          []int              // per-node send counts of the folded round, for ObserveTraffic
 }
 
 // DefaultCongestBits returns the default per-link budget for an n-node
@@ -88,8 +94,8 @@ func DefaultCongestBits(n int) int {
 	return 8 * bits
 }
 
-// New builds a network, constructs one machine per node via factory, and
-// runs every machine's Init (whose sends arrive at the start of round 0).
+// New builds a network for cfg.Graph and starts its first run: Reset
+// with cfg and factory.
 func New(cfg Config, factory Factory) *Network {
 	g := cfg.Graph
 	if g == nil || g.N() == 0 {
@@ -98,13 +104,13 @@ func New(cfg Config, factory Factory) *Network {
 	n := g.N()
 	// Struct-of-arrays state: every per-node and per-edge buffer is carved
 	// out of one flat allocation, so building a network is O(m) work with
-	// O(1) allocations per *network*, not per node. The per-node slice
-	// headers keep len 0 / cap deg windows into shared backing arrays;
-	// append within capacity writes into the arena, and the rare protocol
-	// that overflows its window (multi-packet rounds) falls back to a
-	// normal heap-grown slice with identical semantics.
+	// O(1) allocations per *network*, not per node. The mailboxes are
+	// len 0 / cap deg windows into one backing array, sized for one packet
+	// per incident link, the common protocol shape; the rare protocol that
+	// overflows a window (multi-packet rounds) falls back to a normal
+	// heap-grown slice with identical semantics, which later runs keep.
 	nw := &Network{
-		Ledger:   NewLedger(n, cfg.CongestBits, cfg.Observer),
+		Ledger:   Ledger{halted: make([]bool, n)},
 		g:        g,
 		machines: make([]Machine, n),
 		ctxs:     make([]Context, n),
@@ -114,54 +120,104 @@ func New(cfg Config, factory Factory) *Network {
 		edgeOff:  g.EdgeOffsets(),
 		rngs:     make([]rng.RNG, n),
 		visits:   NewVisitSet(n),
+		sends:    make([]Send, 0, max(g.MaxDegree(), 1)),
+		loads:    NewLinkLoads(g.MaxDegree(), 0),
 	}
-
-	life := msgLife(0)
-	if cfg.Adversary != nil {
-		life = msgLife(cfg.Adversary.MaxDelay())
-	}
-	root := rng.New(cfg.Seed)
 	off := nw.edgeOff[n]
-	inboxBuf := make([]Packet, off)
-	nextBuf := make([]Packet, off)
-	outBuf := make([]Send, off)
+	nw.boxes = make([]Packet, 2*off)
 	for v := 0; v < n; v++ {
-		deg := g.Degree(v)
 		lo, hi := nw.edgeOff[v], nw.edgeOff[v+1]
-		// Mailboxes and send buffers are sized for one packet per incident
-		// link, the common protocol shape, so steady-state rounds reuse
-		// them without growth.
-		nw.inbox[v] = inboxBuf[lo:lo:hi]
-		nw.next[v] = nextBuf[lo:lo:hi]
-		nw.ctxs[v] = Context{degree: deg, rng: &nw.rngs[v], out: outBuf[lo:lo:hi], life: life}
-		nw.machines[v] = newMachine(root, factory, v, deg, &nw.rngs[v])
+		nw.inbox[v] = nw.boxes[lo:lo:hi]
+		nw.next[v] = nw.boxes[off+lo : off+lo : off+hi]
 	}
-	nw.loads = NewLinkLoads(g.MaxDegree(), nw.metrics.CongestBits)
+	nw.Reset(cfg, factory)
+	return nw
+}
 
-	if cfg.Adversary != nil {
-		nw.adv = cfg.Adversary
-		nw.crashAt = make([]int, n)
-		nw.crashed = make([]bool, n)
-		nw.sent = make([]int, n)
-		for v := 0; v < n; v++ {
+// Reset starts a new run on the network: it re-seeds the node streams from
+// cfg.Seed, builds one machine per node via factory, clears the ledger,
+// visit set, link loads, mailboxes and adversary state in place, and runs
+// every machine's Init (whose sends arrive at the start of round 0). A
+// reset network runs exactly as New(cfg, factory) would. cfg.Graph must be
+// the graph the network was built for.
+func (nw *Network) Reset(cfg Config, factory Factory) {
+	if cfg.Graph != nw.g {
+		panic("sim: Reset with a graph other than the network's")
+	}
+	n := nw.N()
+	nw.Ledger.reset(cfg.CongestBits, cfg.Observer)
+	nw.loads.budget = nw.metrics.CongestBits
+	nw.visits.reset()
+	for v := range nw.inbox {
+		nw.inbox[v] = nw.inbox[v][:0]
+		nw.next[v] = nw.next[v][:0]
+	}
+
+	nw.adv = cfg.Adversary
+	life := msgLife(0)
+	if nw.adv != nil {
+		life = msgLife(nw.adv.MaxDelay())
+		if nw.crashAt == nil {
+			nw.crashAt = make([]int, n)
+			nw.crashed = make([]bool, n)
+			nw.sent = make([]int, n) // the Init round's fold writes every count
+		}
+		for v := range nw.crashAt {
 			nw.crashAt[v] = nw.adv.CrashRound(v)
 		}
-		// Ring size: while routing round r the live arrival rounds span
+		// Ring size: while folding round r the live arrival rounds span
 		// [r+1, r+1+MaxDelay] (slot r was drained first) — MaxDelay+2
 		// slots never collide.
-		nw.future = make([][]futureDelivery, nw.adv.MaxDelay()+2)
+		if ring := nw.adv.MaxDelay() + 2; len(nw.future) != ring {
+			nw.future = make([][]futureDelivery, ring)
+		}
+		for i := range nw.future {
+			nw.future[i] = nw.future[i][:0]
+		}
+		nw.pendingFuture = 0
 	}
 
-	// Init phase (round -1): run Init on every machine, deliver sends to
-	// round 0 mailboxes.
+	root := rng.New(cfg.Seed)
 	for v := 0; v < n; v++ {
-		ctx := &nw.ctxs[v]
-		ctx.reset(-1)
-		nw.machines[v].Init(ctx)
+		deg := nw.edgeOff[v+1] - nw.edgeOff[v]
+		nw.ctxs[v] = Context{degree: deg, rng: &nw.rngs[v], life: life}
+		nw.machines[v] = newMachine(root, factory, v, deg, &nw.rngs[v])
 	}
-	nw.route(-1)
+
+	// Init phase (round -1): every node is in the visit set.
+	nw.stepRound(-1)
 	nw.CloseRound(false)
-	return nw
+}
+
+// Close ends the run: the network drops every reference it holds into it —
+// machines, the payloads left in mailboxes, the send buffers and the delay
+// ring, the observer and the adversary — so a network kept for another run
+// pins none of this one's memory. Metrics, Halted and Crashed still read
+// the run; Machine returns nil. Reset starts the next run. Close is also
+// what makes Network a transport.Runtime, whose Cluster backend releases
+// goroutines and links there.
+func (nw *Network) Close() {
+	clear(nw.machines)
+	clear(nw.boxes)
+	for v := range nw.inbox {
+		// A window that overflowed moved to the heap, where it is kept.
+		deg := nw.edgeOff[v+1] - nw.edgeOff[v]
+		for _, box := range [2][]Packet{nw.inbox[v], nw.next[v]} {
+			if cap(box) > deg {
+				clear(box[:cap(box)])
+			}
+		}
+	}
+	clear(nw.sends[:cap(nw.sends)])
+	for v := range nw.ctxs {
+		// A node that last stepped before the send buffer grew still
+		// holds the smaller one.
+		nw.ctxs[v].out = nil
+	}
+	for _, slot := range nw.future {
+		clear(slot[:cap(slot)])
+	}
+	nw.observer, nw.adv = nil, nil
 }
 
 // N returns the node count.
@@ -173,11 +229,6 @@ func (nw *Network) Graph() *graph.Graph { return nw.g }
 // Machine returns node v's machine so the harness can read protocol
 // outputs after a run.
 func (nw *Network) Machine(v int) Machine { return nw.machines[v] }
-
-// Close is a no-op: a Network holds nothing but memory. It is there
-// because Network is a transport.Runtime, whose Cluster backend does hold
-// goroutines and links to release.
-func (nw *Network) Close() {}
 
 // Step executes one synchronous round and returns false once the ledger's
 // stop rule holds.
@@ -191,8 +242,7 @@ func (nw *Network) Step() bool {
 	round := nw.Round()
 	nw.applyCrashes(round)
 	nw.releaseFutures(round)
-	nw.deliver(round)
-	nw.route(round)
+	nw.stepRound(round)
 	nw.CloseRound(true)
 	return true
 }
@@ -245,33 +295,30 @@ func (nw *Network) RunUntilContext(ctx context.Context, maxRounds int, done func
 	return RunLoop(ctx, maxRounds, func() (bool, error) { return nw.Step(), nil }, done)
 }
 
-// deliver steps every node of the round's visit set, in ascending order,
-// with its inbox — the step Stepper.Step runs, stopped if the ledger says
-// so (a halt or a crash) — and empties the inbox for reuse as a "next"
-// buffer. A node outside the set has an empty inbox and an IdleUntil
-// promise covering the round (or has stopped), so its step would do
-// nothing.
-func (nw *Network) deliver(round int) {
+// stepRound runs round over the round's visit set, in ascending node order:
+// it steps node v with its inbox — the step Stepper.Step runs, stopped if
+// the ledger says so (a halt or a crash), or Init in round -1 — empties
+// the inbox for reuse as a "next" buffer, and folds v's sends before the
+// next node steps. A node outside the set has an empty inbox and an
+// IdleUntil promise covering the round (or has stopped), so its step would
+// do nothing. Folding as it goes folds in the order a separate pass would:
+// the fold of v reads the ledger's halts of nodes up to v, which no later
+// step changes.
+func (nw *Network) stepRound(round int) {
 	for i, word := range nw.visits.visit {
 		for ; word != 0; word &= word - 1 {
 			v := i<<6 | bits.TrailingZeros64(word)
-			step(&nw.ctxs[v], nw.machines[v], round, nw.inbox[v], nw.halted[v])
-			nw.inbox[v] = nw.inbox[v][:0]
-		}
-	}
-}
-
-// route moves the visited nodes' sends into the receivers' next-round
-// mailboxes, folding them into the ledger in sender order: halts,
-// deliveries, traffic metering, and — when an adversary is configured — its
-// drop or delay of each packet.
-// It builds next round's visit set on the way. round is the round whose
-// sends are being routed (-1 for Init).
-func (nw *Network) route(round int) {
-	for i, word := range nw.visits.visit {
-		for ; word != 0; word &= word - 1 {
-			v := i<<6 | bits.TrailingZeros64(word)
-			nw.routeNode(v, round)
+			ctx := &nw.ctxs[v]
+			ctx.out = nw.sends
+			if round < 0 {
+				ctx.reset(round)
+				nw.machines[v].Init(ctx)
+			} else {
+				step(ctx, nw.machines[v], round, nw.inbox[v], nw.halted[v])
+				nw.inbox[v] = nw.inbox[v][:0]
+			}
+			nw.fold(v, round)
+			nw.sends = ctx.out[:0]
 		}
 	}
 	nw.inbox, nw.next = nw.next, nw.inbox
@@ -281,8 +328,12 @@ func (nw *Network) route(round int) {
 	nw.visits.Advance(round)
 }
 
-// routeNode folds visited node v's round and files v in the visit set.
-func (nw *Network) routeNode(v, round int) {
+// fold moves visited node v's sends into the receivers' next-round
+// mailboxes and folds v's round into the ledger: its halt, its deliveries,
+// its traffic metering, and — when an adversary is configured — its drop
+// or delay of each packet. Then it files v in the visit set. round is the
+// round whose sends are being folded (-1 for Init).
+func (nw *Network) fold(v, round int) {
 	ctx := &nw.ctxs[v]
 	if ctx.halted {
 		nw.Stop(v)
@@ -297,7 +348,7 @@ func (nw *Network) routeNode(v, round int) {
 	}
 	for _, s := range ctx.out {
 		w := nw.g.Neighbor(v, s.Port)
-		q := nw.revPort[nw.edgeOff[v]+s.Port]
+		pkt := Packet{Port: nw.revPort[nw.edgeOff[v]+s.Port], Channel: s.Channel, Payload: s.Payload}
 		delay := 0
 		if nw.adv != nil {
 			drop, d := nw.adv.Fate(round, v, s.Port, w)
@@ -313,17 +364,15 @@ func (nw *Network) routeNode(v, round int) {
 			}
 			nw.metrics.Delayed++
 			slot := (round + 1 + delay) % len(nw.future)
-			nw.future[slot] = append(nw.future[slot],
-				futureDelivery{node: w, pkt: Packet{Port: int(q), Channel: s.Channel, Payload: s.Payload}})
+			nw.future[slot] = append(nw.future[slot], futureDelivery{node: w, pkt: pkt})
 			nw.pendingFuture++
 			continue
 		}
 		if nw.Deliver(w, 1) {
-			nw.next[w] = append(nw.next[w], Packet{Port: int(q), Channel: s.Channel, Payload: s.Payload})
+			nw.next[w] = append(nw.next[w], pkt)
 			nw.visits.Mail(w)
 		}
 	}
-	ctx.out = ctx.out[:0]
 	nw.visits.File(v, round, int(ctx.wake), nw.Halted(v))
 }
 

@@ -80,7 +80,7 @@ func (m *relay) Init(ctx *Context) {
 
 func (m *relay) Step(ctx *Context, inbox []Packet) {
 	for _, p := range inbox {
-		ctx.Send(p.Port, p.Channel, p.Payload)
+		ctx.Send(int(p.Port), p.Channel, p.Payload)
 	}
 	ctx.IdleUntil(1 << 30)
 }

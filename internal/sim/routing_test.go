@@ -22,7 +22,7 @@ func (m *scatter) Init(ctx *Context) {}
 
 func (m *scatter) Step(ctx *Context, inbox []Packet) {
 	for _, pkt := range inbox {
-		m.received = append(m.received, [3]int{ctx.Round(), pkt.Port, pkt.Payload.(testMsg).v})
+		m.received = append(m.received, [3]int{ctx.Round(), int(pkt.Port), pkt.Payload.(testMsg).v})
 	}
 	if ctx.Round() >= m.rounds {
 		ctx.Halt()

@@ -16,8 +16,8 @@
 //     super-round multiplexing) never sharing a slot.
 //
 // Every round runs on the calling goroutine: the visited nodes step in
-// ascending order, and their sends are routed in that order afterwards, so
-// a run is a function of its graph, seed, machines and adversary alone.
+// ascending order, and each node's sends are routed right after its step,
+// so a run is a function of its graph, seed, machines and adversary alone.
 // What steps machines concurrently is internal/transport's chan backend,
 // one goroutine per node, folded through the same Ledger.
 //
@@ -49,8 +49,10 @@ type Payload interface {
 
 // Packet is a delivered message.
 type Packet struct {
-	// Port is the receiving node's port on which the packet arrived.
-	Port int
+	// Port is the receiving node's port on which the packet arrived. It is
+	// 32 bits wide so that a packet is 24 bytes: mailboxes hold one per
+	// directed edge.
+	Port int32
 	// Channel tags the logical protocol execution (paper super-round slot)
 	// the packet belongs to. Traffic on distinct channels never shares a
 	// CONGEST slot.

@@ -34,7 +34,7 @@ func (m *recorder) Init(ctx *Context) {
 func (m *recorder) Step(ctx *Context, inbox []Packet) {
 	m.rounds++
 	for _, pkt := range inbox {
-		m.received = append(m.received, [3]int{ctx.Round(), pkt.Port, pkt.Payload.(testMsg).v})
+		m.received = append(m.received, [3]int{ctx.Round(), int(pkt.Port), pkt.Payload.(testMsg).v})
 	}
 	if ctx.Round() >= m.stopRound {
 		ctx.Halt()

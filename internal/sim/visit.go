@@ -34,12 +34,20 @@ func NewVisitSet(n int) VisitSet {
 		due:      sets[words : 2*words : 2*words],
 		sleeping: sets[2*words:],
 		wake:     make([]int32, n),
-		wakeAt:   math.MaxInt,
 	}
-	for v := 0; v < n; v++ {
+	s.reset()
+	return s
+}
+
+// reset returns the set to the Init pseudo-round of a new run. What it
+// keeps of sleeping and wake is rewritten when the Init round files every
+// node.
+func (s *VisitSet) reset() {
+	clear(s.due)
+	s.wakeAt = math.MaxInt
+	for v := range s.wake {
 		s.visit.add(v)
 	}
-	return s
 }
 
 // Mail puts node w, which was just handed a packet, into next round's set.

@@ -206,7 +206,7 @@ func (d *driver) readPort(p int) {
 				d.in.fail(fmt.Errorf("port %d: %w", p, err))
 				return
 			}
-			d.in.push(f.Round, sim.Packet{Port: p, Channel: f.Channel, Payload: pl})
+			d.in.push(f.Round, sim.Packet{Port: int32(p), Channel: f.Channel, Payload: pl})
 		case FramePortClosed:
 			return
 		default:

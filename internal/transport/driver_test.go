@@ -14,7 +14,7 @@ import (
 // frames in per-port arrival order, blocks until the coordinator's count
 // is in, and ends the wait on a reader failure.
 func TestInboundTakesOneRound(t *testing.T) {
-	pkt := func(port int, ch uint32) sim.Packet { return sim.Packet{Port: port, Channel: ch} }
+	pkt := func(port int32, ch uint32) sim.Packet { return sim.Packet{Port: port, Channel: ch} }
 	q := newInbound()
 	q.push(4, pkt(0, 40))
 	q.push(3, pkt(1, 30))

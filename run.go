@@ -188,12 +188,17 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 	// outcome collection — is backend-agnostic.
 	var eng transport.Runtime
 	if backend := o.transport.internal(); backend == nil {
-		net := sim.New(sim.Config{
-			Graph:     nw.g,
-			Seed:      o.seed,
-			Adversary: adv,
-			Observer:  observer,
-		}, runner.Factory)
+		cfg := sim.Config{Graph: nw.g, Seed: o.seed, Adversary: adv, Observer: observer}
+		// Take the kept simulator, or build one when another run holds
+		// it. Either way this run's is kept afterwards: the Store below
+		// runs after the deferred Close, which drops the run from it.
+		net := nw.idle.Swap(nil)
+		if net == nil {
+			net = sim.New(cfg, runner.Factory)
+		} else {
+			net.Reset(cfg, runner.Factory)
+		}
+		defer nw.idle.Store(net)
 		eng = net
 	} else {
 		if adv != nil {
