@@ -12,6 +12,7 @@ import (
 
 	"anonlead/internal/adversary"
 	"anonlead/internal/harness"
+	"anonlead/internal/stats"
 	"anonlead/internal/trajectory"
 )
 
@@ -49,7 +50,7 @@ func sweepArtifact(t *testing.T, factor float64) harness.Artifact {
 			c.Bits *= factor
 			c.Rounds *= factor
 			c.Charged *= factor
-			for _, d := range []*harness.ArtifactDist{
+			for _, d := range []*stats.Dist{
 				c.MessagesDist, c.BitsDist, c.RoundsDist, c.ChargedDist,
 			} {
 				d.Min *= factor
@@ -90,7 +91,7 @@ func TestBenchdiffRegressedArtifactExitNonZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	i := 0
-	for a.Cells[i].Protocol != string(harness.ProtoFlood) {
+	for a.Cells[i].Protocol != harness.ProtoFlood {
 		i++
 	}
 	c := &a.Cells[i]
@@ -105,7 +106,7 @@ func TestBenchdiffRegressedArtifactExitNonZero(t *testing.T) {
 	if !strings.Contains(errOut.String(), "1 changed, 0 added, 0 removed cell(s); make baseline accepts an intended change") {
 		t.Fatalf("stderr missing the verdict:\n%s", errOut.String())
 	}
-	k := trajectory.Key{Protocol: c.Protocol, Family: c.Family, N: c.N, PresumedN: c.PresumedN,
+	k := trajectory.Key{Protocol: string(c.Protocol), Family: c.Family, N: c.N, PresumedN: c.PresumedN,
 		Adversary: c.Adversary, Scenario: c.Scenario}
 	md := out.String()
 	moved := "  - messages: " + string(before) + " → " + string(after) + "\n"
@@ -143,8 +144,8 @@ func TestBenchdiffRefusesOldSchemas(t *testing.T) {
 	dir := t.TempDir()
 	bare := harness.Artifact{
 		Schema: "anonlead/bench-harness/v1",
-		Cells: []harness.ArtifactCell{{
-			Protocol: "ire", Family: "expander", N: 64,
+		Cells: []harness.Cell{{
+			Protocol: "ire", Workload: harness.Workload{Family: "expander", N: 64},
 			Trials: 5, Successes: 5,
 			Messages: 1000, Bits: 2000, Rounds: 100, Charged: 120,
 		}},

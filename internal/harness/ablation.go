@@ -137,9 +137,8 @@ func AblationWalks(o Orchestrator, w Workload, factors []float64, trials int, se
 	points := make([]WalkPoint, len(factors))
 	for i, f := range factors {
 		// The walk count Run resolved for the cell's trials.
-		prof := cells[i].Profile
 		x, _, err := core.ResolveIRE(core.ProtoConfig{
-			N: w.N, TMix: prof.MixingTime, Phi: prof.Conductance, XFactor: f,
+			N: w.N, TMix: cells[i].MixingTime, Phi: cells[i].Conductance, XFactor: f,
 		})
 		if err != nil {
 			return nil, err

@@ -75,9 +75,9 @@ func TestEpochSweepParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestEpochArtifactCells: scenario cells round-trip through the
+// TestEpochCellsRoundTrip: scenario cells round-trip through the
 // artifact with their descriptor and epoch aggregates intact.
-func TestEpochArtifactCells(t *testing.T) {
+func TestEpochCellsRoundTrip(t *testing.T) {
 	specs := epochTestSweep().CellSpecs(2, 7)
 	cells, err := Orchestrator{Workers: 1}.RunSweep(specs)
 	if err != nil {
@@ -99,8 +99,8 @@ func TestEpochArtifactCells(t *testing.T) {
 		if c.Scenario != "epochs=3,fault=crash" {
 			t.Fatalf("cell %d scenario %q", i, c.Scenario)
 		}
-		if c.Epochs == nil || len(c.Epochs.PerEpochMessages) != 3 {
-			t.Fatalf("cell %d epoch aggregates lost in the round trip: %+v", i, c.Epochs)
+		if c.EpochStats == nil || len(c.EpochStats.PerEpochMessages) != 3 {
+			t.Fatalf("cell %d epoch aggregates lost in the round trip: %+v", i, c.EpochStats)
 		}
 	}
 	if back.Cells[0].Adversary != "" || back.Cells[1].Adversary != "adaptive=1@1" {

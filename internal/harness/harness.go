@@ -46,8 +46,8 @@ func Protocols() []Protocol {
 
 // Workload identifies a topology cell.
 type Workload struct {
-	Family string
-	N      int
+	Family string `json:"family"`
+	N      int    `json:"n"`
 }
 
 // BuildGraph constructs the workload's graph deterministically from seed
@@ -102,52 +102,75 @@ type TrialOpts struct {
 	Proto core.ProtoConfig
 	// RoundProfile, when true, attaches a deterministic per-round
 	// message/halt histogram to every trial (merged per cell and persisted
-	// in the schema-v5 artifact's round_profile section). Off by default:
+	// in the artifact's round_profile section). Off by default:
 	// an unprofiled sweep serializes byte-identically to one that never
 	// heard of round profiles.
 	RoundProfile bool
 	// Epochs, when non-nil, turns every trial into a repeated-election
 	// epoch scenario (anonlead.RunEpochs): the trial's flat metrics become
 	// scenario totals and the cell additionally aggregates per-epoch stats
-	// (schema-v6 artifact epochs section). Nil keeps the classic
-	// single-election trial byte-identical to earlier schemas.
+	// (the artifact's epochs section). Nil keeps the classic
+	// single-election trial.
 	Epochs *anonlead.Scenario
 }
 
-// Cell is the aggregated result of a trial batch on one workload.
+// Cell is the aggregated result of a trial batch on one workload, and the
+// artifact's record of it: its JSON encoding is one cell of
+// BENCH_harness.json, which benchdiff aligns and the report renders. It
+// holds the cell's identity, the graph profile's persisted figures, the
+// measured aggregates and the paper's predicted complexities.
 type Cell struct {
-	Protocol Protocol
-	Workload Workload
-	Profile  *spectral.Profile
+	Protocol Protocol `json:"protocol"`
+	Workload
+	// The graph profile: edge count, diameter, mixing time and conductance.
+	M           int     `json:"m"`
+	Diameter    int     `json:"diameter"`
+	MixingTime  int     `json:"tmix"`
+	Conductance float64 `json:"phi"`
+	PresumedN   int     `json:"presumed_n,omitempty"`
+	// Adversary is the canonical fault-injection descriptor of the cell
+	// (adversary.Spec.Descriptor; "" = fault-free). Part of the cell's
+	// identity for trajectory alignment.
+	Adversary string `json:"adversary,omitempty"`
+	// Scenario is the epoch scenario descriptor of a repeated-election
+	// cell (anonlead.Scenario.Descriptor; "" = classic single-election
+	// cell). Part of the cell's identity for trajectory alignment.
+	Scenario string `json:"scenario,omitempty"`
 
-	Trials    int
-	Successes int
-	// Means over trials.
-	Messages float64
-	Bits     float64
-	Rounds   float64
-	Charged  float64
-	// Per-trial distributions of the same metrics (stddev, min/max, tail
-	// quantiles) — what the schema-v2 artifact persists so regression
-	// tooling can separate real effects from trial variance.
-	MessagesDist stats.Dist
-	BitsDist     stats.Dist
-	RoundsDist   stats.Dist
-	ChargedDist  stats.Dist
+	Trials    int `json:"trials"`
+	Successes int `json:"successes"`
 	// MultiLeaders counts trials with more than one leader (vs zero).
-	MultiLeaders int
-	ZeroLeaders  int
-	// Fault-injection aggregates (all zero on fault-free cells): mean
+	MultiLeaders int `json:"multi_leaders"`
+	ZeroLeaders  int `json:"zero_leaders"`
+	// Means over trials.
+	Messages float64 `json:"messages"`
+	Bits     float64 `json:"bits"`
+	Rounds   float64 `json:"rounds"`
+	Charged  float64 `json:"charged"`
+	// Fault-injection aggregates (absent on fault-free cells): mean
 	// adversary-dropped packets and mean crash-stopped nodes per trial.
-	Dropped      float64
-	CrashedNodes float64
+	Dropped      float64 `json:"dropped,omitempty"`
+	CrashedNodes float64 `json:"crashed_nodes,omitempty"`
+
+	// Per-trial distributions of the same metrics (stddev, min/max, tail
+	// quantiles); ReadArtifact refuses a cell without them.
+	MessagesDist *stats.Dist `json:"messages_dist,omitempty"`
+	BitsDist     *stats.Dist `json:"bits_dist,omitempty"`
+	RoundsDist   *stats.Dist `json:"rounds_dist,omitempty"`
+	ChargedDist  *stats.Dist `json:"charged_dist,omitempty"`
+
 	// RoundProf is the elementwise sum of the trials' round histograms,
 	// merged in trial-index order (nil unless TrialOpts.RoundProfile).
-	RoundProf *obs.RoundProfile
+	RoundProf *obs.RoundProfile `json:"round_profile,omitempty"`
 	// EpochStats aggregates the trials' repeated-election histories in
 	// trial-index order (nil unless TrialOpts.Epochs made this an epoch
 	// scenario cell).
-	EpochStats *EpochStats
+	EpochStats *EpochStats `json:"epochs,omitempty"`
+
+	// The leading terms of the paper's message and time bounds, evaluated
+	// on the graph profile.
+	PredictedMsgs float64 `json:"predicted_msgs"`
+	PredictedTime float64 `json:"predicted_time"`
 }
 
 // SuccessRate returns the fraction of trials electing exactly one leader.
@@ -156,6 +179,21 @@ func (c Cell) SuccessRate() float64 {
 		return 0
 	}
 	return float64(c.Successes) / float64(c.Trials)
+}
+
+// MsgsVsPred returns mean messages over the predicted message bound (0
+// when either is not positive: the ratio is undefined).
+func (c Cell) MsgsVsPred() float64 { return vsPred(c.Messages, c.PredictedMsgs) }
+
+// TimeVsPred returns mean rounds over the predicted time bound (0 when
+// either is not positive).
+func (c Cell) TimeVsPred() float64 { return vsPred(c.Rounds, c.PredictedTime) }
+
+func vsPred(measured, predicted float64) float64 {
+	if measured <= 0 || predicted <= 0 {
+		return 0
+	}
+	return measured / predicted
 }
 
 // TrialSeed derives the seed of trial t of a workload cell from the root
@@ -198,12 +236,26 @@ func cellLabel(w Workload) string {
 	return fmt.Sprintf("%s/%d", w.Family, w.N)
 }
 
-// reduceCell aggregates a batch of trials, always in slice (= trial index)
-// order, so every pool size produces identical cells down to
-// floating-point summation order. sc, when non-nil, is the epoch
-// scenario the trials ran; their histories fold into Cell.EpochStats.
-func reduceCell(p Protocol, w Workload, prof *spectral.Profile, sc *anonlead.Scenario, trials []Trial) Cell {
-	cell := Cell{Protocol: p, Workload: w, Profile: prof}
+// reduceCell aggregates the trials of spec on a graph with profile prof,
+// always in slice (= trial index) order, so every pool size produces
+// identical cells down to floating-point summation order. When the spec
+// names an epoch scenario, the trials' histories fold into
+// Cell.EpochStats.
+func reduceCell(spec CellSpec, prof *spectral.Profile, trials []Trial) Cell {
+	p, opts := spec.Protocol, spec.Opts
+	cell := Cell{
+		Protocol: p, Workload: spec.Workload,
+		M: prof.M, Diameter: prof.Diameter, MixingTime: prof.MixingTime, Conductance: prof.Conductance,
+		PresumedN:     opts.PresumedN,
+		PredictedMsgs: predictMsgs(p, prof),
+		PredictedTime: predictTime(p, prof),
+	}
+	if opts.Adversary != nil {
+		cell.Adversary = opts.Adversary.Descriptor() // "" for a zero-rate spec
+	}
+	if opts.Epochs != nil {
+		cell.Scenario = opts.Epochs.Descriptor()
+	}
 	var hists []anonlead.EpochOutcome
 	msgs := make([]float64, 0, len(trials))
 	bits := make([]float64, 0, len(trials))
@@ -240,19 +292,21 @@ func reduceCell(p Protocol, w Workload, prof *spectral.Profile, sc *anonlead.Sce
 		cell.Dropped /= float64(cell.Trials)
 		cell.CrashedNodes /= float64(cell.Trials)
 	}
-	cell.MessagesDist = stats.DistOf(msgs)
-	cell.BitsDist = stats.DistOf(bits)
-	cell.RoundsDist = stats.DistOf(rounds)
-	cell.ChargedDist = stats.DistOf(charged)
-	cell.Messages = cell.MessagesDist.Mean
-	cell.Bits = cell.BitsDist.Mean
-	cell.Rounds = cell.RoundsDist.Mean
-	cell.Charged = cell.ChargedDist.Mean
-	if sc != nil && len(hists) > 0 {
-		es := reduceEpochs(*sc, hists)
+	cell.MessagesDist, cell.Messages = distMean(msgs)
+	cell.BitsDist, cell.Bits = distMean(bits)
+	cell.RoundsDist, cell.Rounds = distMean(rounds)
+	cell.ChargedDist, cell.Charged = distMean(charged)
+	if opts.Epochs != nil && len(hists) > 0 {
+		es := reduceEpochs(*opts.Epochs, hists)
 		cell.EpochStats = &es
 	}
 	return cell
+}
+
+// distMean returns the distribution of a per-trial sample and its mean.
+func distMean(xs []float64) (*stats.Dist, float64) {
+	d := stats.DistOf(xs)
+	return &d, d.Mean
 }
 
 // EpochStats is the per-cell epoch aggregate a bench artifact records:

@@ -105,11 +105,10 @@ func TestTable1SweepAndRender(t *testing.T) {
 }
 
 func TestPredictionFormulas(t *testing.T) {
-	cell, err := RunCell(ProtoIRE, Workload{Family: "cycle", N: 16}, TrialOpts{Trials: 1, Seed: 1})
+	_, prof, err := prepareCell(Workload{Family: "cycle", N: 16}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := cell.Profile
 	for _, p := range Protocols() {
 		if m := predictMsgs(p, prof); m <= 0 {
 			t.Fatalf("%s message prediction %v", p, m)

@@ -136,7 +136,7 @@ func (o Orchestrator) RunSweep(specs []CellSpec) ([]Cell, error) {
 		endTrials()
 		if run.remaining.Add(-1) == 0 {
 			endReduce := obs.Span("reduce", cellLabel(spec.Workload))
-			cell := reduceCell(spec.Protocol, spec.Workload, run.prof, spec.Opts.Epochs, run.trials)
+			cell := reduceCell(spec, run.prof, run.trials)
 			endReduce()
 			cells[sh.cell] = cell
 			if o.OnCell != nil {

@@ -31,9 +31,6 @@ func TestProfileCacheColdWarmByteIdentical(t *testing.T) {
 	if misses != 1 || hits != 0 {
 		t.Fatalf("cold sweep counters: hits=%d misses=%d, want 0/1 (one shared prepare)", hits, misses)
 	}
-	if !cold[0].Profile.Estimated {
-		t.Fatalf("n=300 cell not in estimate regime: %+v", cold[0].Profile)
-	}
 
 	warm, err := Orchestrator{Workers: 1}.RunSweep(specs)
 	if err != nil {
@@ -42,6 +39,14 @@ func TestProfileCacheColdWarmByteIdentical(t *testing.T) {
 	hits, misses = ProfileCacheStats()
 	if misses != 1 || hits != 1 {
 		t.Fatalf("warm sweep counters: hits=%d misses=%d, want 1/1", hits, misses)
+	}
+
+	_, prof, err := prepareCell(specs[0].Workload, opts.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !prof.Estimated {
+		t.Fatalf("n=300 cell not in estimate regime: %+v", prof)
 	}
 
 	ResetProfileCache()

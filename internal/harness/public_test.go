@@ -40,6 +40,10 @@ func TestHarnessTrialEqualsPublicRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			prof, err := nw.Profile()
+			if err != nil {
+				t.Fatal(err)
+			}
 			opts := []anonlead.Option{
 				anonlead.WithSeed(TrialSeed(root, tc.w, 0)),
 			}
@@ -47,7 +51,7 @@ func TestHarnessTrialEqualsPublicRun(t *testing.T) {
 				opts = append(opts, anonlead.WithAdversary(*tc.adv))
 			}
 			if p == ProtoRevocable {
-				opts = append(opts, anonlead.WithIsoperimetric(cell.Profile.Isoperimetric))
+				opts = append(opts, anonlead.WithIsoperimetric(prof.Isoperimetric))
 			}
 			out, err := nw.Run(context.Background(), string(p), opts...)
 			if err != nil {
@@ -72,12 +76,12 @@ func TestHarnessTrialEqualsPublicRun(t *testing.T) {
 				t.Errorf("%s on %v: harness cell diverged from the public run:\ncell %+v\nrun  %+v leaders %v",
 					p, tc.w, cell, out.Metrics, out.Leaders)
 			}
-			prof, err := nw.Profile()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if *cell.Profile != prof {
-				t.Errorf("%s on %v: profiles diverged:\ncell %+v\nnet  %+v", p, tc.w, cell.Profile, prof)
+			// The cell persists m, D, tmix and Φ, and its predictions read
+			// the rest (revocable's read i(G)).
+			if cell.M != prof.M || cell.Diameter != prof.Diameter || cell.MixingTime != prof.MixingTime ||
+				cell.Conductance != prof.Conductance ||
+				cell.PredictedMsgs != predictMsgs(p, &prof) || cell.PredictedTime != predictTime(p, &prof) {
+				t.Errorf("%s on %v: profiles diverged:\ncell %+v\nnet  %+v", p, tc.w, cell, prof)
 			}
 			if tc.adv != nil && out.Dropped == 0 {
 				t.Errorf("%s on %v: loss adversary dropped nothing", p, tc.w)

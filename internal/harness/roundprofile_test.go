@@ -89,7 +89,7 @@ func TestRoundProfileParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestArtifactRoundProfileRoundTrips pins the v5 wire format: a profiled
+// TestArtifactRoundProfileRoundTrips pins the round_profile section: a profiled
 // cell's round_profile survives NewArtifact → JSON → ReadArtifact.
 func TestArtifactRoundProfileRoundTrips(t *testing.T) {
 	spec := CellSpec{Protocol: ProtoFlood, Workload: Workload{Family: "cycle", N: 8},
@@ -110,8 +110,8 @@ func TestArtifactRoundProfileRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back.Cells[0].RoundProfile, cell.RoundProf) {
+	if !reflect.DeepEqual(back.Cells[0].RoundProf, cell.RoundProf) {
 		t.Fatalf("round profile did not round-trip:\nwrote %+v\nread  %+v",
-			cell.RoundProf, back.Cells[0].RoundProfile)
+			cell.RoundProf, back.Cells[0].RoundProf)
 	}
 }

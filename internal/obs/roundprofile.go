@@ -84,17 +84,6 @@ func (p *RoundProfile) Merge(q *RoundProfile) {
 	}
 }
 
-// Clone returns a deep copy (nil-safe).
-func (p *RoundProfile) Clone() *RoundProfile {
-	if p == nil {
-		return nil
-	}
-	q := *p
-	q.MsgRounds = append([]int64(nil), p.MsgRounds...)
-	q.HaltRounds = append([]int64(nil), p.HaltRounds...)
-	return &q
-}
-
 // RoundObserver adapts the simulator's cumulative per-round observer feed
 // (total messages and total halted nodes so far) into per-round deltas on
 // a RoundProfile. The returned function is the body of an

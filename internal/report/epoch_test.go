@@ -9,10 +9,10 @@ import (
 
 // withScenario marks a synthetic cell as a repeated-election scenario
 // cell: the scenario descriptor plus the amortized epoch aggregates.
-func withScenario(desc string, es *harness.EpochStats) func(*harness.ArtifactCell) {
-	return func(c *harness.ArtifactCell) {
+func withScenario(desc string, es *harness.EpochStats) func(*harness.Cell) {
+	return func(c *harness.Cell) {
 		c.Scenario = desc
-		c.Epochs = es
+		c.EpochStats = es
 	}
 }
 
@@ -32,7 +32,7 @@ func TestEpochSectioning(t *testing.T) {
 		}
 	}
 	const scenario = "epochs=3,fault=crash"
-	a := harness.Artifact{Schema: harness.ArtifactSchema, Cells: []harness.ArtifactCell{
+	a := harness.Artifact{Schema: harness.ArtifactSchema, Cells: []harness.Cell{
 		synthCell("ire", "expander", 32, 1200, withScenario(scenario, stats(400))), // anchor
 		synthCell("ire", "expander", 32, 600, withScenario(scenario, stats(200)),
 			withAdversary("crash=0.1@8")),
@@ -81,7 +81,7 @@ func TestEpochSectioning(t *testing.T) {
 // TestEpochSectionWithoutAnchor: a scenario sweep whose fault-free rung
 // was filtered out still sections (no anchor ratios, noted in markdown).
 func TestEpochSectionWithoutAnchor(t *testing.T) {
-	a := harness.Artifact{Schema: harness.ArtifactSchema, Cells: []harness.ArtifactCell{
+	a := harness.Artifact{Schema: harness.ArtifactSchema, Cells: []harness.Cell{
 		synthCell("flood", "complete", 8, 500,
 			withScenario("epochs=2,fault=revoke", &harness.EpochStats{}),
 			withAdversary("adaptive=1@2")),

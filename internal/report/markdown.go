@@ -69,7 +69,7 @@ func (r Report) epochMarkdown(et EpochTable) string {
 			desc = "none"
 		}
 		elected, amsgs, arounds, recover := "-", "-", "-", "-"
-		if es := c.Epochs; es != nil {
+		if es := c.EpochStats; es != nil {
 			elected = fmt.Sprintf("%.2f", es.ElectedRate)
 			amsgs, arounds = Num(es.AmortizedMessages), Num(es.AmortizedRounds)
 			recover = Num(es.MeanRecover)
@@ -103,8 +103,8 @@ func (r Report) familyMarkdown(ft FamilyTable) string {
 		}
 		fmt.Fprintf(&b, "| %d | %d | %d | %s | %s | %s | %s | %s | %s | %s | %s | %d/%d | %s |\n",
 			c.N, c.M, c.Diameter, tmix, Num(c.Conductance),
-			Num(c.Messages), Num(c.PredictedMsgs), ratio(row.MsgsVsPred),
-			Num(c.Rounds), Num(c.PredictedTime), ratio(row.TimeVsPred),
+			Num(c.Messages), Num(c.PredictedMsgs), ratio(c.MsgsVsPred()),
+			Num(c.Rounds), Num(c.PredictedTime), ratio(c.TimeVsPred()),
 			c.Successes, c.Trials, wilson(row))
 	}
 	b.WriteString("\n")

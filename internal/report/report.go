@@ -37,36 +37,28 @@ func (o Options) title() string {
 }
 
 // Row is one rendered cell: the artifact cell plus the derived columns
-// every section shares (Wilson interval, predicted-vs-measured ratios,
-// and — in anchored sections — cost ratios against the anchor).
+// every section shares (Wilson interval and — in anchored sections — cost
+// ratios against the anchor; the predicted-vs-measured ratios are the
+// cell's own).
 type Row struct {
-	Cell harness.ArtifactCell
+	Cell harness.Cell
 	// SuccessLo and SuccessHi are the ~95% Wilson bounds of the success
 	// rate, recomputed from successes/trials.
 	SuccessLo, SuccessHi float64
-	// MsgsVsPred and TimeVsPred are measured/predicted ratios (0 when the
-	// cell carries no usable prediction).
-	MsgsVsPred, TimeVsPred float64
 	// XMsgs and XRounds are cost ratios against the section anchor (0 when
 	// the section has no anchor or the anchor cost is 0).
 	XMsgs, XRounds float64
 }
 
 // newRow derives the shared columns of a cell.
-func newRow(c harness.ArtifactCell) Row {
+func newRow(c harness.Cell) Row {
 	r := Row{Cell: c}
 	r.SuccessLo, r.SuccessHi = stats.Wilson(c.Successes, c.Trials)
-	if c.PredictedMsgs > 0 && c.Messages > 0 {
-		r.MsgsVsPred = c.Messages / c.PredictedMsgs
-	}
-	if c.PredictedTime > 0 && c.Rounds > 0 {
-		r.TimeVsPred = c.Rounds / c.PredictedTime
-	}
 	return r
 }
 
 // anchorRatios fills the against-anchor columns of a row.
-func (r *Row) anchorRatios(anchor *harness.ArtifactCell) {
+func (r *Row) anchorRatios(anchor *harness.Cell) {
 	if anchor == nil {
 		return
 	}
@@ -161,8 +153,8 @@ type cellIdentity struct {
 	N, PresumedN     int
 }
 
-func identityOf(c harness.ArtifactCell) cellIdentity {
-	return cellIdentity{Protocol: c.Protocol, Family: c.Family, N: c.N, PresumedN: c.PresumedN}
+func identityOf(c harness.Cell) cellIdentity {
+	return cellIdentity{Protocol: string(c.Protocol), Family: c.Family, N: c.N, PresumedN: c.PresumedN}
 }
 
 // section reconstructs the sweep structure from the flat cell list, in
@@ -171,7 +163,7 @@ func identityOf(c harness.ArtifactCell) cellIdentity {
 // (consecutive presumed-n cells on one workload), and everything else as
 // Table-1 family rows grouped by protocol×family in first-appearance
 // order.
-func (r *Report) section(cells []harness.ArtifactCell) {
+func (r *Report) section(cells []harness.Cell) {
 	famIdx := map[[2]string]int{}
 	knowIdx := map[cellIdentity]int{} // keyed by (proto, family, n, 0)
 
@@ -185,7 +177,7 @@ func (r *Report) section(cells []harness.ArtifactCell) {
 		// descriptors too, but belong to the repeated-election section.
 		if c.Scenario != "" {
 			et := EpochTable{Protocol: id.Protocol, Family: id.Family, N: id.N, Scenario: c.Scenario}
-			var anchor *harness.ArtifactCell
+			var anchor *harness.Cell
 			if c.Adversary == "" {
 				anchor = &cells[i]
 				et.HasAnchor = true
@@ -208,7 +200,7 @@ func (r *Report) section(cells []harness.ArtifactCell) {
 			(i+1 < len(cells) && cells[i+1].Adversary != "" && identityOf(cells[i+1]) == id)
 		if isLadderStart {
 			ft := FaultTable{Protocol: id.Protocol, Family: id.Family, N: id.N, PresumedN: id.PresumedN}
-			var anchor *harness.ArtifactCell
+			var anchor *harness.Cell
 			if c.Adversary == "" {
 				anchor = &cells[i]
 				ft.HasAnchor = true
@@ -229,7 +221,7 @@ func (r *Report) section(cells []harness.ArtifactCell) {
 		// A knowledge sweep: consecutive cells on one workload with a
 		// presumed size (the truthful factor-1 cell also carries one).
 		if c.PresumedN > 0 {
-			key := cellIdentity{Protocol: c.Protocol, Family: c.Family, N: c.N}
+			key := cellIdentity{Protocol: string(c.Protocol), Family: c.Family, N: c.N}
 			var kt *KnowledgeTable
 			if j, ok := knowIdx[key]; ok {
 				kt = &r.Knowledge[j]
@@ -246,13 +238,13 @@ func (r *Report) section(cells []harness.ArtifactCell) {
 		}
 
 		// A Table-1 row.
-		key := [2]string{c.Protocol, c.Family}
+		key := [2]string{string(c.Protocol), c.Family}
 		var ft *FamilyTable
 		if j, ok := famIdx[key]; ok {
 			ft = &r.Families[j]
 		} else {
 			famIdx[key] = len(r.Families)
-			r.Families = append(r.Families, FamilyTable{Protocol: c.Protocol, Family: c.Family})
+			r.Families = append(r.Families, FamilyTable{Protocol: string(c.Protocol), Family: c.Family})
 			ft = &r.Families[len(r.Families)-1]
 		}
 		ft.Rows = append(ft.Rows, newRow(c))
@@ -262,7 +254,7 @@ func (r *Report) section(cells []harness.ArtifactCell) {
 	// Knowledge anchors: the truthful presumed n = n cell, when present.
 	for j := range r.Knowledge {
 		kt := &r.Knowledge[j]
-		var anchor *harness.ArtifactCell
+		var anchor *harness.Cell
 		for k := range kt.Rows {
 			if kt.Rows[k].Cell.PresumedN == kt.N {
 				anchor = &kt.Rows[k].Cell
@@ -308,7 +300,7 @@ func ladderKinds(rows []Row) string {
 }
 
 // knowledgeFactor is the presumed/true size ratio of a knowledge row.
-func knowledgeFactor(c harness.ArtifactCell) float64 {
+func knowledgeFactor(c harness.Cell) float64 {
 	if c.N == 0 {
 		return 0
 	}

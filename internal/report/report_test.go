@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"anonlead/internal/harness"
+	"anonlead/internal/stats"
 )
 
 // baselinePath is the committed regression-gate artifact the golden
@@ -119,12 +120,12 @@ func TestBaselineReportSections(t *testing.T) {
 }
 
 // synthCell builds a minimal cell.
-func synthCell(proto, family string, n int, msgs float64, opts ...func(*harness.ArtifactCell)) harness.ArtifactCell {
-	dist := func(mean float64) *harness.ArtifactDist {
-		return &harness.ArtifactDist{StdDev: 1, Min: mean, Max: mean, P50: mean, P90: mean, P99: mean}
+func synthCell(proto, family string, n int, msgs float64, opts ...func(*harness.Cell)) harness.Cell {
+	dist := func(mean float64) *stats.Dist {
+		return &stats.Dist{StdDev: 1, Min: mean, Max: mean, P50: mean, P90: mean, P99: mean}
 	}
-	c := harness.ArtifactCell{
-		Protocol: proto, Family: family, N: n, M: n, Diameter: 2, MixingTime: 4,
+	c := harness.Cell{
+		Protocol: harness.Protocol(proto), Workload: harness.Workload{Family: family, N: n}, M: n, Diameter: 2, MixingTime: 4,
 		Conductance: 0.5, Trials: 8, Successes: 8,
 		Messages: msgs, Bits: 2 * msgs, Rounds: 10, Charged: 12,
 		MessagesDist: dist(msgs), BitsDist: dist(2 * msgs),
@@ -137,19 +138,19 @@ func synthCell(proto, family string, n int, msgs float64, opts ...func(*harness.
 	return c
 }
 
-func withAdversary(desc string) func(*harness.ArtifactCell) {
-	return func(c *harness.ArtifactCell) { c.Adversary = desc }
+func withAdversary(desc string) func(*harness.Cell) {
+	return func(c *harness.Cell) { c.Adversary = desc }
 }
 
-func withPresumed(p int) func(*harness.ArtifactCell) {
-	return func(c *harness.ArtifactCell) { c.PresumedN = p }
+func withPresumed(p int) func(*harness.Cell) {
+	return func(c *harness.Cell) { c.PresumedN = p }
 }
 
 // TestSectioning covers the reconstruction rules on a synthetic artifact:
 // family grouping, a knowledge sweep, an anchored ladder, and a bare
 // (anchorless) faulted cell.
 func TestSectioning(t *testing.T) {
-	a := harness.Artifact{Schema: harness.ArtifactSchema, Cells: []harness.ArtifactCell{
+	a := harness.Artifact{Schema: harness.ArtifactSchema, Cells: []harness.Cell{
 		synthCell("ire", "expander", 32, 1000),
 		synthCell("ire", "expander", 64, 2000),
 		synthCell("ire", "expander", 64, 1800, withPresumed(32)),
@@ -209,7 +210,7 @@ func TestSectioning(t *testing.T) {
 	// Duplicate keys: a ladder anchor right after the Table-1 cell it
 	// shares every identity field with still anchors the ladder, and the
 	// family table keeps only its own cell.
-	dup := New(harness.Artifact{Schema: harness.ArtifactSchema, Cells: []harness.ArtifactCell{
+	dup := New(harness.Artifact{Schema: harness.ArtifactSchema, Cells: []harness.Cell{
 		synthCell("ire", "expander", 64, 1000),
 		synthCell("ire", "expander", 64, 2000), // ladder anchor, same key
 		synthCell("ire", "expander", 64, 400, withAdversary("loss=0.2")),
@@ -227,7 +228,7 @@ func TestSectioning(t *testing.T) {
 // the same n > spectral.MixingTimeExactLimit rule ProfileGraph branches
 // on — and the footnote explaining the marker appears once.
 func TestEstimateMarker(t *testing.T) {
-	md := New(harness.Artifact{Schema: harness.ArtifactSchema, Cells: []harness.ArtifactCell{
+	md := New(harness.Artifact{Schema: harness.ArtifactSchema, Cells: []harness.Cell{
 		synthCell("flood", "expander", 256, 1000),
 		synthCell("flood", "expander", 257, 1000),
 	}}, Options{}).Markdown()

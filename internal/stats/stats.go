@@ -3,7 +3,7 @@
 // validating them across runs needs spread, not just point estimates:
 //
 //   - Dist/DistOf and Quantiles summarize per-trial metric samples
-//     (the distributions schema-v2+ bench artifacts persist per cell);
+//     (the distributions the bench artifact persists per cell);
 //   - Wilson gives the success-rate confidence interval every rendered
 //     table and the conformance tests' w.h.p. checks use;
 //   - LogLogSlope fits the empirical scaling exponents the Table 1
@@ -66,16 +66,18 @@ func quantileSorted(sorted []float64, q float64) float64 {
 
 // Dist is a compact description of a sample's distribution: the moments
 // and tail quantiles the bench artifact persists per metric, so a reader
-// of the artifact sees a cell's spread, not just its point estimates.
+// of the artifact sees a cell's spread, not just its point estimates. The
+// artifact keeps N and Mean elsewhere in the cell (its trials and the flat
+// per-metric mean), so they are not encoded here.
 type Dist struct {
-	N      int
-	Mean   float64
-	StdDev float64 // sample standard deviation (Bessel-corrected)
-	Min    float64
-	Max    float64
-	P50    float64
-	P90    float64
-	P99    float64
+	N      int     `json:"-"`
+	Mean   float64 `json:"-"`
+	StdDev float64 `json:"stddev"` // sample standard deviation (Bessel-corrected)
+	Min    float64 `json:"min"`
+	Max    float64 `json:"max"`
+	P50    float64 `json:"p50"`
+	P90    float64 `json:"p90"`
+	P99    float64 `json:"p99"`
 }
 
 // DistOf computes the distribution of a sample. An empty sample yields the

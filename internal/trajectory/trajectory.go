@@ -45,8 +45,8 @@ type Key struct {
 	Scenario string `json:"scenario,omitempty"`
 }
 
-func keyOf(c harness.ArtifactCell) Key {
-	return Key{Protocol: c.Protocol, Family: c.Family, N: c.N,
+func keyOf(c harness.Cell) Key {
+	return Key{Protocol: string(c.Protocol), Family: c.Family, N: c.N,
 		PresumedN: c.PresumedN, Adversary: c.Adversary, Scenario: c.Scenario}
 }
 
@@ -169,12 +169,12 @@ func (r Report) JSON() ([]byte, error) {
 // in report order.
 var costMetrics = []struct {
 	name string
-	mean func(harness.ArtifactCell) float64
+	mean func(harness.Cell) float64
 }{
-	{"messages", func(c harness.ArtifactCell) float64 { return c.Messages }},
-	{"bits", func(c harness.ArtifactCell) float64 { return c.Bits }},
-	{"rounds", func(c harness.ArtifactCell) float64 { return c.Rounds }},
-	{"charged", func(c harness.ArtifactCell) float64 { return c.Charged }},
+	{"messages", func(c harness.Cell) float64 { return c.Messages }},
+	{"bits", func(c harness.Cell) float64 { return c.Bits }},
+	{"rounds", func(c harness.Cell) float64 { return c.Rounds }},
+	{"charged", func(c harness.Cell) float64 { return c.Charged }},
 }
 
 // compare classifies one metric exactly: any move is a change. For a
@@ -195,38 +195,26 @@ func compare(metric string, base, head float64, higherBetter bool) MetricDiff {
 	return d
 }
 
-func rate(c harness.ArtifactCell) float64 {
-	if c.Trials == 0 {
-		return 0
-	}
-	return float64(c.Successes) / float64(c.Trials)
-}
-
-// driftMetrics pairs each persisted prediction with the measurement it
-// bounds: the paper's message bound against mean messages, its time bound
-// against mean rounds.
+// driftMetrics names each measured/predicted ratio of a cell: the paper's
+// message bound against mean messages, its time bound against mean rounds.
 var driftMetrics = []struct {
-	name      string
-	measured  func(harness.ArtifactCell) float64
-	predicted func(harness.ArtifactCell) float64
+	name  string
+	ratio func(harness.Cell) float64
 }{
-	{"msgs_vs_pred", func(c harness.ArtifactCell) float64 { return c.Messages },
-		func(c harness.ArtifactCell) float64 { return c.PredictedMsgs }},
-	{"time_vs_pred", func(c harness.ArtifactCell) float64 { return c.Rounds },
-		func(c harness.ArtifactCell) float64 { return c.PredictedTime }},
+	{"msgs_vs_pred", harness.Cell.MsgsVsPred},
+	{"time_vs_pred", harness.Cell.TimeVsPred},
 }
 
 // classifyDrift compares one measured/predicted ratio between base and
 // head. A cell whose ratio moves by more than driftTol relative to its
 // baseline ratio is Drifted — the measurement walked away from (or
 // toward) the paper's bound, a different signal than a raw cost change.
-// Returns ok=false when either side lacks a usable prediction (ratio
-// undefined), in which case no metric is emitted.
-func classifyDrift(name string, baseMeas, basePred, headMeas, headPred float64) (MetricDiff, bool) {
-	if basePred <= 0 || headPred <= 0 || baseMeas <= 0 || headMeas <= 0 {
+// Returns ok=false when either ratio is 0 (undefined: no usable
+// prediction or measurement), in which case no metric is emitted.
+func classifyDrift(name string, baseRatio, headRatio float64) (MetricDiff, bool) {
+	if baseRatio <= 0 || headRatio <= 0 {
 		return MetricDiff{}, false
 	}
-	baseRatio, headRatio := baseMeas/basePred, headMeas/headPred
 	d := MetricDiff{Metric: name, Base: baseRatio, Head: headRatio, Status: Unchanged}
 	d.RelDelta = (headRatio - baseRatio) / baseRatio
 	if math.Abs(d.RelDelta) > driftTol {
@@ -238,7 +226,7 @@ func classifyDrift(name string, baseMeas, basePred, headMeas, headPred float64) 
 // cellChange compares two cells' JSON encodings, so an in-memory cell
 // equals its decoded copy (a nil slice may come back empty). Only a changed
 // cell is decoded again, to name its differing leaves.
-func cellChange(base, head harness.ArtifactCell) (fields []FieldDiff, changed bool) {
+func cellChange(base, head harness.Cell) (fields []FieldDiff, changed bool) {
 	eb, errB := json.Marshal(base)
 	eh, errH := json.Marshal(head)
 	if errB != nil || errH != nil {
@@ -327,11 +315,9 @@ func Diff(base, head harness.Artifact, _ Thresholds) Report {
 		for _, m := range costMetrics {
 			cd.Metrics = append(cd.Metrics, compare(m.name, m.mean(bc), m.mean(hc), false))
 		}
-		cd.Metrics = append(cd.Metrics, compare("success_rate", rate(bc), rate(hc), true))
+		cd.Metrics = append(cd.Metrics, compare("success_rate", bc.SuccessRate(), hc.SuccessRate(), true))
 		for _, dm := range driftMetrics {
-			if md, ok := classifyDrift(dm.name,
-				dm.measured(bc), dm.predicted(bc),
-				dm.measured(hc), dm.predicted(hc)); ok {
+			if md, ok := classifyDrift(dm.name, dm.ratio(bc), dm.ratio(hc)); ok {
 				cd.Metrics = append(cd.Metrics, md)
 			}
 		}

@@ -7,26 +7,27 @@ import (
 
 	"anonlead"
 	"anonlead/internal/harness"
+	"anonlead/internal/stats"
 )
 
 // cell builds an artifact cell with a given mean/stddev on every cost
 // metric and a success count.
-func cell(proto, family string, n, trials, successes int, mean, stddev float64) harness.ArtifactCell {
-	dist := func() *harness.ArtifactDist {
-		return &harness.ArtifactDist{
+func cell(proto, family string, n, trials, successes int, mean, stddev float64) harness.Cell {
+	dist := func() *stats.Dist {
+		return &stats.Dist{
 			StdDev: stddev, Min: mean - stddev, Max: mean + stddev,
 			P50: mean, P90: mean + stddev, P99: mean + stddev,
 		}
 	}
-	return harness.ArtifactCell{
-		Protocol: proto, Family: family, N: n,
+	return harness.Cell{
+		Protocol: harness.Protocol(proto), Workload: harness.Workload{Family: family, N: n},
 		Trials: trials, Successes: successes,
 		Messages: mean, Bits: mean, Rounds: mean, Charged: mean,
 		MessagesDist: dist(), BitsDist: dist(), RoundsDist: dist(), ChargedDist: dist(),
 	}
 }
 
-func artifact(schema string, cells ...harness.ArtifactCell) harness.Artifact {
+func artifact(schema string, cells ...harness.Cell) harness.Artifact {
 	return harness.Artifact{Schema: schema, Cells: cells}
 }
 
@@ -204,7 +205,7 @@ func TestMarkdownRendersChanges(t *testing.T) {
 	base := artifact(harness.ArtifactSchema,
 		cell("ire", "expander", 64, 10, 10, 1000, 1),
 		cell("flood", "complete", 32, 10, 10, 400, 1))
-	headCells := []harness.ArtifactCell{
+	headCells := []harness.Cell{
 		cell("ire", "expander", 64, 10, 10, 2000, 1),
 		cell("flood", "complete", 32, 10, 10, 200, 1),
 	}
@@ -262,7 +263,7 @@ func TestDiffRealArtifactsSelf(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := harness.NewArtifact(o, specs, cells, 0)
-	if a.Cells[1].RoundProfile == nil || a.Cells[2].Epochs == nil {
+	if a.Cells[1].RoundProf == nil || a.Cells[2].EpochStats == nil {
 		t.Fatal("sweep lacks its round-profile or epoch-scenario cell")
 	}
 	buf, err := a.JSON()
@@ -320,7 +321,7 @@ func TestAdversaryKeyAlignment(t *testing.T) {
 }
 
 // predCell attaches predictions to a cell so the drift classifier engages.
-func predCell(mean, predMsgs, predTime float64) harness.ArtifactCell {
+func predCell(mean, predMsgs, predTime float64) harness.Cell {
 	c := cell("ire", "expander", 64, 5, 5, mean, 1)
 	c.PredictedMsgs, c.PredictedTime = predMsgs, predTime
 	return c
