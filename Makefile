@@ -33,8 +33,10 @@ test:
 # tcp, so every port reader of a node feeds its one shared queue under the
 # detector, and TestTransportStepsWhatSimSteps counts the steps of nodes
 # released only in their visit-set rounds, from their concurrent drivers.
-# The root's TestRunReuses* hand a Network's kept simulator from run to
-# run, from four goroutines at once in TestRunReusesNetworkConcurrently.
+# The root's TestRunReuses* hand a Network's kept simulator and its kept
+# wire cluster from run to run, the cluster parked by one run's goroutines
+# and reset by the next run's, on chan, pipe and tcp, and from four
+# goroutines at once in TestRunReusesNetworkConcurrently.
 # The simulator steps every round on the calling goroutine, and
 # internal/sim, core, baseline, adversary and obs start no goroutine and
 # drive neither transport nor harness, so their own tests have nothing for

@@ -50,6 +50,7 @@ import (
 	"anonlead/internal/graph"
 	"anonlead/internal/sim"
 	"anonlead/internal/spectral"
+	"anonlead/internal/transport"
 )
 
 // Network is an anonymous network instance: a connected topology plus its
@@ -65,6 +66,17 @@ import (
 // expander — and holds none of the finished run's machines, payloads,
 // observer or adversary. Concurrent elections each get a simulator of
 // their own, and one of them is kept.
+//
+// Likewise a Network keeps the wired cluster of its last run over a real
+// transport that halted everywhere, and resets it for the next run over
+// the same transport instead of connecting every link again. The kept
+// cluster holds its links — over TCP, 2m connected loopback sockets — and
+// the drivers' buffers, but no goroutine and none of the finished run's
+// machines. A failed, cancelled or unhalted run (revocable never halts)
+// closes its cluster and leaves none kept, and a run over another
+// transport closes the kept one. A Network dropped with a cluster kept
+// leaves its sockets to the runtime, which closes them when it collects
+// them.
 type Network struct {
 	g    *graph.Graph
 	seed uint64 // construction seed; feeds the estimate regime's sampling
@@ -72,7 +84,15 @@ type Network struct {
 	mu   sync.Mutex
 	prof *spectral.Profile // nil until first computed
 
-	idle atomic.Pointer[sim.Network] // the last simulated run's, closed; nil while a run holds it
+	idle     atomic.Pointer[sim.Network] // the last simulated run's, closed; nil while a run holds it
+	idleWire atomic.Pointer[keptCluster] // the last wire run's that halted everywhere, parked; nil while a run holds it
+}
+
+// keptCluster is a parked cluster and the backend its fabric is wired
+// over.
+type keptCluster struct {
+	cluster *transport.Cluster
+	backend Transport
 }
 
 // NewNetwork builds a named topology family instance on n nodes. Random

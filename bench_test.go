@@ -361,6 +361,37 @@ var electionCells = []struct {
 	{"revocable", "complete", 3, 3.8e-6},
 }
 
+// TestWireRunAllocsPerMessage is the wire backend's allocation guard, the
+// counterpart of TestElectionAllocsPerMessage: warmed walknotify elections
+// on expander-64 over tcp through Network.Run, each of which resets the
+// cluster the warm-up connected. Its bound is about 1.5× the measured
+// 1.31; a run that connects its own cluster, dialling and handshaking
+// every edge and allocating every driver again, reads 3.96 and fails it.
+func TestWireRunAllocsPerMessage(t *testing.T) {
+	const maxAllocs = 2.0
+	nw, err := anonlead.NewNetwork("expander", 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msgs int64
+	run := func() {
+		out, err := nw.Run(context.Background(), anonlead.ProtoWalkNotify,
+			anonlead.WithSeed(1), anonlead.WithTransport(anonlead.TransportTCP))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs = out.Messages
+	}
+	run()
+	allocs := testing.AllocsPerRun(5, run)
+	if got := allocs / float64(msgs); got > maxAllocs {
+		t.Errorf("walknotify on expander-64 over tcp: %.3g allocs/message (%.0f allocations, %d messages), want <= %g",
+			got, allocs, msgs, maxAllocs)
+	} else {
+		t.Logf("walknotify on expander-64 over tcp: %.3g allocs/message (%.0f allocations, %d messages)", got, allocs, msgs)
+	}
+}
+
 // electionSetup resolves a registered protocol on a family member of n
 // nodes into its graph and a builder of Runners. Like the public Run, every
 // election builds its own Runner: a factory's arena belongs to one network.

@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"anonlead/internal/graph"
 	"anonlead/internal/rng"
@@ -315,6 +318,159 @@ func TestClusterObserver(t *testing.T) {
 				if !reflect.DeepEqual(simEvents, cluEvents) {
 					t.Fatalf("observer streams diverge:\n  sim     %+v\n  cluster %+v", simEvents, cluEvents)
 				}
+			})
+		}
+	}
+}
+
+// settleGoroutines waits until the process runs no more goroutines than
+// base, the count before the cluster under test existed.
+func settleGoroutines(t *testing.T, base int, after string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, %d before the cluster", after, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestClusterParkAndReset: a cluster whose run halted everywhere parks,
+// holding no goroutine, and each Reset on the kept fabric runs as a fresh
+// cluster would, whatever ran on it before: flood, then staggered halts,
+// whose last frames reach halted nodes, then the first flood again. Close
+// ends a parked cluster, and Reset refuses another graph and a closed
+// cluster.
+func TestClusterParkAndReset(t *testing.T) {
+	g := graph.Cycle(9)
+	runs := []struct {
+		seed    uint64
+		factory sim.Factory
+	}{
+		{1, newFloodFactory(9)},
+		{11, newStaggerFactory(5)},
+		{1, newFloodFactory(9)},
+	}
+	for _, tr := range backends() {
+		t.Run(tr.Name(), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			var c *transport.Cluster
+			for i, r := range runs {
+				want := runSim(t, g, r.seed, r.factory, 100)
+				cfg := transport.Config{Graph: g, Seed: r.seed, Transport: tr}
+				var err error
+				if c == nil {
+					c, err = transport.NewCluster(context.Background(), cfg, r.factory, testCodec{})
+				} else {
+					err = c.Reset(cfg, r.factory, testCodec{})
+				}
+				if err != nil {
+					t.Fatalf("run %d: %v", i, err)
+				}
+				rounds, err := c.RunContext(context.Background(), 100)
+				if err != nil {
+					t.Fatalf("run %d: %v", i, err)
+				}
+				requireSnapshotsEqual(t, want, snap(c, rounds))
+				if !c.Park() {
+					t.Fatalf("run %d halted everywhere but did not park", i)
+				}
+				settleGoroutines(t, base, fmt.Sprintf("run %d parked", i))
+			}
+			if err := c.Reset(transport.Config{Graph: graph.Cycle(9)}, newFloodFactory(9), testCodec{}); err == nil {
+				t.Fatal("reset on another graph succeeded")
+			}
+			c.Close()
+			settleGoroutines(t, base, "parked cluster closed")
+			if err := c.Reset(transport.Config{Graph: g}, newFloodFactory(9), testCodec{}); err == nil {
+				t.Fatal("reset of a closed cluster succeeded")
+			}
+		})
+	}
+}
+
+// haltingMachine halts in Init, so its node ends every link with
+// PortClosed before round 0 and never reads a frame.
+type haltingMachine struct{}
+
+func (haltingMachine) Init(ctx *sim.Context)           { ctx.Halt() }
+func (haltingMachine) Step(*sim.Context, []sim.Packet) {}
+
+// scriptedTransport replaces the PortClosed frame that ends each link with
+// a dead peer: io.EOF, or, when hang is set, a read that waits until the
+// fabric closes.
+type scriptedTransport struct {
+	transport.Transport
+	hang bool
+}
+
+func (s scriptedTransport) Connect(ctx context.Context, g *graph.Graph, seed uint64) (*transport.Fabric, error) {
+	f, err := s.Transport.Connect(ctx, g, seed)
+	if err != nil {
+		return nil, err
+	}
+	for _, ports := range f.Links {
+		for p, l := range ports {
+			ports[p] = scriptedLink{Link: l, hang: s.hang}
+		}
+	}
+	return f, nil
+}
+
+type scriptedLink struct {
+	transport.Link
+	hang bool
+}
+
+func (l scriptedLink) ReadFrame() (transport.Frame, error) {
+	for {
+		f, err := l.Link.ReadFrame()
+		if err != nil || f.Type != transport.FramePortClosed {
+			return f, err
+		}
+		if !l.hang {
+			return transport.Frame{}, io.EOF
+		}
+	}
+}
+
+// TestClusterParkRefusals: a cluster parks only when its next run cannot
+// read a frame of this one. A run stopped before every node halted, a port
+// that failed instead of delivering PortClosed, and a port that delivers
+// nothing within Park's bound each leave a cluster that Park refuses, and
+// Close, or Park itself for the port that never ends, leaves no goroutine
+// behind.
+func TestClusterParkRefusals(t *testing.T) {
+	g := graph.Cycle(8)
+	haltNow := func(int, int, *rng.RNG) sim.Machine { return haltingMachine{} }
+	for _, tr := range backends() {
+		cases := []struct {
+			name    string
+			tr      transport.Transport
+			factory sim.Factory
+		}{
+			{"unhalted", tr, newFloodFactory(1 << 30)},
+			{"reader-eof", scriptedTransport{Transport: tr}, haltNow},
+			{"reader-hang", scriptedTransport{Transport: tr, hang: true}, haltNow},
+		}
+		for _, tc := range cases {
+			t.Run(tr.Name()+"/"+tc.name, func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				c, err := transport.NewCluster(context.Background(), transport.Config{Graph: g, Seed: 1, Transport: tc.tr},
+					tc.factory, testCodec{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				transport.SetParkWait(c, 50*time.Millisecond)
+				if _, err := c.RunContext(context.Background(), 5); err != nil {
+					t.Fatal(err)
+				}
+				if c.Park() {
+					t.Fatal("parked")
+				}
+				c.Close()
+				settleGoroutines(t, base, "closed")
 			})
 		}
 	}

@@ -70,6 +70,19 @@ func (q *inbound) fail(err error) {
 	q.signal()
 }
 
+// reset empties the queue of a node whose readers have all returned: the
+// frames that reached it after it halted, unread, and the wake-up they
+// left behind.
+func (q *inbound) reset() {
+	clear(q.pkts)
+	q.pkts = q.pkts[:0]
+	q.arrived = [2]int{}
+	select {
+	case <-q.wake:
+	default:
+	}
+}
+
 // take waits until expect frames sent in round have arrived, then moves
 // exactly those into dst in arrival order and leaves later rounds' frames
 // queued. A reader failure ends the wait.
@@ -113,6 +126,9 @@ type driver struct {
 	links  []Link
 	in     *inbound
 
+	// readers counts the port readers still running.
+	readers sync.WaitGroup
+
 	// halted is read by the reader goroutines to discard data addressed
 	// to a stopped machine (the simulator drops such packets unread).
 	halted atomic.Bool
@@ -143,6 +159,7 @@ func newDriver(node int, st *sim.Stepper, codec sim.WireCodec, links []Link, bud
 // never wedges on a sick node; it sees the Fail and aborts. It returns the
 // control-plane error that ended the run early, if any.
 func (d *driver) run(cp ControlPlane) error {
+	d.readers.Add(len(d.links))
 	for p := range d.links {
 		go d.readPort(p)
 	}
@@ -172,6 +189,17 @@ func (d *driver) run(cp ControlPlane) error {
 	}
 }
 
+// park drops what a finished run left in a driver whose goroutine and
+// readers have all returned: its machine, its codec, the frames queued
+// after it halted and its halt flag. The buffers and links stay for the
+// next run, which sets stephr and codec anew.
+func (d *driver) park() {
+	d.stephr, d.codec = nil, nil
+	d.halted.Store(false)
+	d.in.reset()
+	clear(d.inbox[:cap(d.inbox)])
+}
+
 // RunNode runs one node of a multi-process election (cmd/ledist) to
 // completion on the driver every Cluster node runs: the Init flush, then
 // one round per coordinator release until the stop signal. It blocks
@@ -187,6 +215,7 @@ func RunNode(node int, st *sim.Stepper, codec sim.WireCodec, links []Link, conge
 // into the node's queue until the peer closes the port or the link dies.
 // Every failure names the port, since the queue is shared by all of them.
 func (d *driver) readPort(p int) {
+	defer d.readers.Done()
 	l := d.links[p]
 	for {
 		f, err := l.ReadFrame()

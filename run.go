@@ -187,6 +187,7 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 	// the construction branch — the run loop, halt checks, metric and
 	// outcome collection — is backend-agnostic.
 	var eng transport.Runtime
+	var wire *transport.Cluster // nil on the simulator
 	if backend := o.transport.internal(); backend == nil {
 		cfg := sim.Config{Graph: nw.g, Seed: o.seed, Adversary: adv, Observer: observer}
 		// Take the kept simulator, or build one when another run holds
@@ -199,12 +200,13 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 			net.Reset(cfg, runner.Factory)
 		}
 		defer nw.idle.Store(net)
+		defer net.Close()
 		eng = net
 	} else {
 		if adv != nil {
 			return Outcome{}, fmt.Errorf("anonlead: WithAdversary requires TransportSim")
 		}
-		cluster, err := transport.NewCluster(ctx, transport.Config{
+		wire, err = nw.cluster(ctx, o.transport, transport.Config{
 			Graph:     nw.g,
 			Seed:      o.seed,
 			Transport: backend,
@@ -213,9 +215,15 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 		if err != nil {
 			return Outcome{}, fmt.Errorf("anonlead: %w", err)
 		}
-		eng = cluster
+		// Every return but the one after Collect, which hands the cluster
+		// to keep, closes it.
+		defer func() {
+			if wire != nil {
+				wire.Close()
+			}
+		}()
+		eng = wire
 	}
-	defer eng.Close()
 
 	var runErr error
 	if runner.Budget > 0 {
@@ -247,6 +255,10 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 	}
 
 	co := runner.Collect(eng)
+	if wire != nil {
+		nw.keep(wire, o.transport)
+		wire = nil
+	}
 	out.Leaders = co.Leaders
 	out.Unique = len(co.Leaders) == 1
 	out.LeaderID = co.LeaderID
@@ -258,6 +270,34 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 		out.FinalEstimate = co.FinalEstimate
 	}
 	return out, nil
+}
+
+// cluster returns a cluster ready to run cfg: the kept one reset, when it
+// is wired over backend, else a newly connected one. A kept cluster of
+// another backend is closed, and so is one whose Reset failed (a link that
+// died while it was parked fails the Init pseudo-round); the run then
+// connects afresh.
+func (nw *Network) cluster(ctx context.Context, backend Transport, cfg transport.Config, factory sim.Factory, codec sim.WireCodec) (*transport.Cluster, error) {
+	if kept := nw.idleWire.Swap(nil); kept != nil {
+		if kept.backend == backend && kept.cluster.Reset(cfg, factory, codec) == nil {
+			return kept.cluster, nil
+		}
+		kept.cluster.Close()
+	}
+	return transport.NewCluster(ctx, cfg, factory, codec)
+}
+
+// keep parks a cluster whose run halted everywhere and keeps it for the
+// network's next run over backend, closing the one it displaces (another
+// run's, finished concurrently). A cluster that cannot park is closed.
+func (nw *Network) keep(c *transport.Cluster, backend Transport) {
+	if !c.Park() {
+		c.Close()
+		return
+	}
+	if old := nw.idleWire.Swap(&keptCluster{cluster: c, backend: backend}); old != nil {
+		old.cluster.Close()
+	}
 }
 
 // resolve is the one config-assembly path: look the protocol up, build the
