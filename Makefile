@@ -154,13 +154,18 @@ loc:
 			tests=$$((tests + $$(cat /dev/null $$d/*_test.go 2>/dev/null | grep -c '[^[:space:]]'))) ;; esac; \
 	done; printf '%6d total outside bench/\n' $$total; printf '%6d test lines outside bench/\n' $$tests
 
-# Besides vet and gofmt: the deprecated scheduler names (every run steps
+# Besides vet and gofmt: an arm64 build, because internal/spectral's
+# vector kernel is amd64 assembly and the other architectures compile its
+# fallback file instead (vet checks the assembly's frame offsets on
+# amd64, but a declaration left without a body off amd64 fails only a
+# build); the deprecated scheduler names (every run steps
 # on the calling goroutine) may appear only in bench/, their declaration in
 # options.go and its test, and the deprecated profile-mode names (a
 # network's size picks its profile regime) only in bench/, profile.go and
 # its test, until ROADMAP item 3 removes them.
 lint:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi

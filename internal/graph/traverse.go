@@ -4,15 +4,20 @@ package graph
 // hops) from src to every node; unreachable nodes get -1.
 func (g *Graph) BFS(src int) []int {
 	dist := make([]int, g.N())
+	g.bfsInto(src, dist, make([]int32, 0, g.N()))
+	return dist
+}
+
+// bfsInto is BFS writing into dist, with queue (capacity N) as scratch,
+// so that repeated searches allocate nothing.
+func (g *Graph) bfsInto(src int, dist []int, queue []int32) {
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := make([]int32, 0, g.N())
-	queue = append(queue, int32(src))
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue = append(queue[:0], int32(src))
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		for _, w := range g.adj[u] {
 			if dist[w] < 0 {
 				dist[w] = dist[u] + 1
@@ -20,7 +25,6 @@ func (g *Graph) BFS(src int) []int {
 			}
 		}
 	}
-	return dist
 }
 
 // IsConnected reports whether the graph is connected.
@@ -38,9 +42,12 @@ func (g *Graph) IsConnected() bool {
 
 // Eccentricity returns the maximum BFS distance from src, or -1 if some
 // node is unreachable.
-func (g *Graph) Eccentricity(src int) int {
+func (g *Graph) Eccentricity(src int) int { return maxDistance(g.BFS(src)) }
+
+// maxDistance returns the largest of a BFS's distances, or -1 if one is.
+func maxDistance(dist []int) int {
 	ecc := 0
-	for _, d := range g.BFS(src) {
+	for _, d := range dist {
 		if d < 0 {
 			return -1
 		}
@@ -51,13 +58,16 @@ func (g *Graph) Eccentricity(src int) int {
 	return ecc
 }
 
-// Diameter returns the exact diameter by running a BFS from every node.
-// It returns -1 for disconnected graphs. Cost is O(n·m); the experiment
-// harness only calls it at simulable sizes.
+// Diameter returns the exact diameter by running a BFS from every node,
+// all into one distance slice and one queue. It returns -1 for
+// disconnected graphs. Cost is O(n·m); the experiment harness only calls
+// it at simulable sizes.
 func (g *Graph) Diameter() int {
+	dist, queue := make([]int, g.N()), make([]int32, 0, g.N())
 	diam := 0
 	for v := 0; v < g.N(); v++ {
-		ecc := g.Eccentricity(v)
+		g.bfsInto(v, dist, queue)
+		ecc := maxDistance(dist)
 		if ecc < 0 {
 			return -1
 		}

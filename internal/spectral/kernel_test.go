@@ -65,37 +65,61 @@ func mustFamily(t testing.TB, family string, n int, seed uint64) *graph.Graph {
 // triple loop bit for bit on the matrices the mixing-time search feeds it
 // — the first six powers of the lazy walk, sparse and dense left operands,
 // every n mod 4 (the block edge) — into a fresh and into a dirty
-// destination.
+// destination, and on dense non-negative operands as large as the exact
+// regime takes. Every case runs through the Go loop and, where the CPU has
+// AVX, through the vector kernel.
 func TestDenseMulBitIdentical(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 7, 33, 65, 129} {
-		graphs := map[string]*graph.Graph{}
-		for _, family := range []string{"cycle", "complete", "star", "expander", "diam2"} {
-			if g, err := graph.ByName(family, n, rng.New(3).SplitString("graph:"+family)); err == nil {
-				graphs[family] = g
+	hasAVX := useAVX
+	defer func() { useAVX = hasAVX }()
+	for _, vector := range []bool{false, true} {
+		if vector && !hasAVX {
+			t.Log("no AVX on this CPU: the vector kernel is not tested")
+			continue
+		}
+		useAVX = vector
+		for _, n := range []int{1, 2, 3, 5, 7, 33, 65, 129} {
+			graphs := map[string]*graph.Graph{}
+			for _, family := range []string{"cycle", "complete", "star", "expander", "diam2"} {
+				if g, err := graph.ByName(family, n, rng.New(3).SplitString("graph:"+family)); err == nil {
+					graphs[family] = g
+				}
+			}
+			if n == 1 {
+				graphs["single"] = graph.NewBuilder(1).Graph()
+			}
+			for name, g := range graphs {
+				p := lazyWalkMatrix(g)
+				pow := p
+				dirty := newDense(p.n)
+				for e := 2; e <= 6; e++ {
+					want := mulReference(pow, p)
+					got := product(pow, p)
+					if i := sameBits(got.data, want.data); i >= 0 {
+						t.Fatalf("vector=%v %s n=%d: P^%d entry %d: mulInto %x, reference %x", vector, name, n, e, i,
+							math.Float64bits(got.data[i]), math.Float64bits(want.data[i]))
+					}
+					for i := range dirty.data {
+						dirty.data[i] = -1
+					}
+					mulInto(dirty, p, pow) // sparse left operand
+					if i := sameBits(dirty.data, mulReference(p, pow).data); i >= 0 {
+						t.Fatalf("vector=%v %s n=%d: P·P^%d entry %d differs from reference", vector, name, n, e-1, i)
+					}
+					pow = got
+				}
 			}
 		}
-		if n == 1 {
-			graphs["single"] = graph.NewBuilder(1).Graph()
-		}
-		for name, g := range graphs {
-			p := lazyWalkMatrix(g)
-			pow := p
-			dirty := newDense(p.n)
-			for e := 2; e <= 6; e++ {
-				want := mulReference(pow, p)
-				got := product(pow, p)
-				if i := sameBits(got.data, want.data); i >= 0 {
-					t.Fatalf("%s n=%d: P^%d entry %d: mulInto %x, reference %x", name, n, e, i,
-						math.Float64bits(got.data[i]), math.Float64bits(want.data[i]))
-				}
-				for i := range dirty.data {
-					dirty.data[i] = -1
-				}
-				mulInto(dirty, p, pow) // sparse left operand
-				if i := sameBits(dirty.data, mulReference(p, pow).data); i >= 0 {
-					t.Fatalf("%s n=%d: P·P^%d entry %d differs from reference", name, n, e-1, i)
-				}
-				pow = got
+		for _, n := range []int{255, 256} {
+			r := rng.New(uint64(n))
+			a, b, dirty := newDense(n), newDense(n), newDense(n)
+			for i := range a.data {
+				a.data[i], b.data[i], dirty.data[i] = r.Float64(), r.Float64(), -1
+			}
+			mulInto(dirty, a, b)
+			want := mulReference(a, b)
+			if i := sameBits(dirty.data, want.data); i >= 0 {
+				t.Fatalf("vector=%v dense n=%d: entry %d: mulInto %x, reference %x", vector, n, i,
+					math.Float64bits(dirty.data[i]), math.Float64bits(want.data[i]))
 			}
 		}
 	}
@@ -127,17 +151,17 @@ func TestApplyLazySymBitIdentical(t *testing.T) {
 }
 
 // TestProfileAllocBound pins the allocation count of both regimes on the
-// benchmark's kind of set-up graph. Counts are exact (545 or 546, and 28,
-// measured), so the bound is the measured figure: two slices per BFS of
-// the all-pairs diameter plus a constant in the exact regime, a constant
-// in the estimate regime.
+// benchmark's kind of set-up graph. Counts are exact (35 or 36, and 28,
+// measured), so the bound is the measured figure: a constant in either
+// regime, the all-pairs diameter's n searches sharing one distance slice
+// and one queue.
 func TestProfileAllocBound(t *testing.T) {
 	for _, c := range []struct {
 		family string
 		n      int
 		bound  float64
 	}{
-		{"expander", 256, 546},
+		{"expander", 256, 36},
 		{"expander", 2000, 28},
 	} {
 		g := mustFamily(t, c.family, c.n, 1)
