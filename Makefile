@@ -4,8 +4,8 @@
 # `make loc`, `make epochs-smoke`, `make scaling-smoke`, `make dist-demo` and
 # `make obs-smoke`; it calls `go build ./examples/...`, `go run
 # ./cmd/benchdiff` (the gate `make benchdiff` runs, plus a JSON verdict) and
-# `go run ./cmd/lereport` directly; and it builds and tests on Go 1.21 as
-# well as 1.22.
+# `go run ./cmd/lereport` directly; it builds on Go 1.21 and 1.22, and tests
+# on 1.21, 1.22 and 1.24 (the last runs the go1.24-only weak-pointer test).
 # `make fuzz` runs each of its ten fuzzers for FUZZTIME (default 10s);
 # plain `go test` only replays their seed corpora.
 

@@ -13,7 +13,6 @@ import (
 	"anonlead/internal/adversary"
 	"anonlead/internal/harness"
 	"anonlead/internal/stats"
-	"anonlead/internal/trajectory"
 )
 
 // writeArtifact materializes an artifact in dir and returns its path.
@@ -106,8 +105,7 @@ func TestBenchdiffRegressedArtifactExitNonZero(t *testing.T) {
 	if !strings.Contains(errOut.String(), "1 changed, 0 added, 0 removed cell(s); make baseline accepts an intended change") {
 		t.Fatalf("stderr missing the verdict:\n%s", errOut.String())
 	}
-	k := trajectory.Key{Protocol: string(c.Protocol), Family: c.Family, N: c.N, PresumedN: c.PresumedN,
-		Adversary: c.Adversary, Scenario: c.Scenario}
+	k := c.Key()
 	md := out.String()
 	moved := "  - messages: " + string(before) + " → " + string(after) + "\n"
 	if !strings.Contains(md, "**Changed cells** (some field differs from the base):\n- "+k.String()+"\n"+moved+"\n") ||
@@ -229,7 +227,7 @@ func TestBenchdiffUsageDocumentsGates(t *testing.T) {
 	}
 	want := []string{"exits 1", "any field", "added or removed", "make baseline", "Exit 0", "2 is a",
 		"regressed", "improved", "success_rate", "drifted", "msgs_vs_pred", "25% relative"}
-	key := reflect.TypeOf(trajectory.Key{})
+	key := reflect.TypeOf(harness.CellKey{})
 	for i := 0; i < key.NumField(); i++ {
 		name, _, _ := strings.Cut(key.Field(i).Tag.Get("json"), ",")
 		want = append(want, name)

@@ -64,6 +64,11 @@ func (sc Scenario) Descriptor() string {
 
 // EpochResult records one epoch of a RunEpochs scenario.
 type EpochResult struct {
+	// Metrics is this epoch's election's cost accounting, as Run returned
+	// it. Rounds is, for epochs after a leader loss, exactly the
+	// time-to-recover; Crashed counts the accumulated dead leaders plus
+	// any adversary crashes.
+	Metrics
 	// Epoch is the 0-based epoch index.
 	Epoch int
 	// Seed is the run seed this epoch's election used. Epoch 0 runs on
@@ -76,16 +81,6 @@ type EpochResult struct {
 	Leader int
 	// LeaderID is the elected leader's random ID (0 when !Elected).
 	LeaderID uint64
-	// Rounds is the rounds this epoch's election ran. For epochs after a
-	// leader loss this is exactly the time-to-recover.
-	Rounds int
-	// ChargedRounds, Messages and Bits are this epoch's CONGEST cost.
-	ChargedRounds int64
-	Messages      int64
-	Bits          int64
-	// Crashed is the number of crash-stopped nodes during this epoch
-	// (accumulated dead leaders plus any adversary crashes).
-	Crashed int
 }
 
 // EpochOutcome is the result of a RunEpochs scenario: the per-epoch
@@ -185,16 +180,7 @@ func (nw *Network) RunEpochs(ctx context.Context, protocol string, sc Scenario, 
 
 		out, err := nw.Run(ctx, protocol, eopts...)
 		eo.Protocol = out.Protocol
-		res := EpochResult{
-			Epoch:         e,
-			Seed:          seed,
-			Leader:        -1,
-			Rounds:        out.Rounds,
-			ChargedRounds: out.ChargedRounds,
-			Messages:      out.Messages,
-			Bits:          out.Bits,
-			Crashed:       out.Metrics.Crashed,
-		}
+		res := EpochResult{Metrics: out.Metrics, Epoch: e, Seed: seed, Leader: -1}
 		if err != nil && !errors.Is(err, ErrNotHalted) && !errors.Is(err, ErrNotStabilized) {
 			eo.Epochs = append(eo.Epochs, res)
 			eo.finish()

@@ -183,6 +183,26 @@ func TestEpochCarryChangesReElections(t *testing.T) {
 	}
 }
 
+// TestEpochCarriesItsRunsMetrics: an epoch records its election's whole
+// cost accounting, so under a loss adversary epoch 0 (which runs on the
+// caller's seed and options) reads exactly what a plain Run does,
+// dropped packets included.
+func TestEpochCarriesItsRunsMetrics(t *testing.T) {
+	nw := mustNetwork(t, "expander", 32, 2)
+	opts := []Option{WithSeed(7), WithAdversary(AdversarySpec{Loss: 0.1})}
+	eo, err := nw.RunEpochs(context.Background(), ProtoFloodMax, Scenario{Epochs: 2}, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := nw.Run(context.Background(), ProtoFloodMax, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := eo.Epochs[0].Metrics; got != out.Metrics || got.Dropped == 0 {
+		t.Fatalf("epoch 0 metrics %+v, want a plain run's %+v with packets dropped", got, out.Metrics)
+	}
+}
+
 // TestEpochFailedEpochsAreDataNotErrors: a scenario whose later epochs
 // cannot elect (everyone dead after the caller's adversary crashes the
 // survivors) still returns the full history with the failures recorded.

@@ -78,21 +78,33 @@ const (
 // node cannot claim or learn a leadership it will never act on.
 type Outcome struct {
 	// Leaders lists surviving node indices that raised the leader flag.
+	// The indices are simulation-side observability only: the nodes
+	// themselves remain anonymous.
 	Leaders []int
-	// LeaderID is the elected leader's random ID (0 if none).
+	// LeaderID is the elected leader's random ID (0 if none). For
+	// revocable elections it is the agreed certificate's ID.
 	LeaderID uint64
 	// AllKnow reports whether every surviving node learned the leader.
 	// Vacuously true for protocols without an announcement phase.
 	AllKnow bool
-	// Parents/Depths describe the announcement BFS tree (explicit only).
+	// Parents[v] is v's parent node in the leader-rooted announcement BFS
+	// tree, -1 at the leader and at unreached nodes, and Depths[v] its hop
+	// distance from the leader (explicit only; nil otherwise).
 	Parents []int
 	Depths  []int
-	// HasCertificate and the certificate fields carry the revocable
-	// leader certificate agreed by the surviving nodes.
-	HasCertificate bool
-	CertID         uint64
-	CertEstimate   uint64
-	FinalEstimate  uint64
+	// Certificate is the revocable leader certificate the surviving nodes
+	// agree on (revocable only; nil otherwise).
+	Certificate *Certificate
+	// FinalEstimate is the revocable size estimate at stabilization.
+	FinalEstimate uint64
+}
+
+// Certificate is a revocable leader certificate: the leader's random ID
+// compounded with the size estimate that was in force when it was chosen.
+// Larger Estimate wins; ties break toward smaller ID.
+type Certificate struct {
+	ID       uint64
+	Estimate uint64
 }
 
 // Runner is a built, ready-to-execute protocol: the machine factory plus

@@ -143,9 +143,8 @@ func collectRevocable(nw sim.View) Outcome {
 			continue
 		}
 		o := nw.Machine(v).(*RevocableMachine).Output()
-		if !out.HasCertificate {
-			out.HasCertificate = true
-			out.CertID, out.CertEstimate = o.LeaderID, o.LeaderK
+		if out.Certificate == nil {
+			out.Certificate = &Certificate{ID: o.LeaderID, Estimate: o.LeaderK}
 			out.FinalEstimate = o.EstimateK
 			out.LeaderID = o.LeaderID
 		}

@@ -118,7 +118,7 @@ func SplitBrainExperiment(presumedN int, witnessCounts []int, trials int, seed u
 			if err != nil {
 				return points, err
 			}
-			res := pumping.Analyze(layout, trial.LeaderNodes)
+			res := pumping.Analyze(layout, trial.Leaders)
 			sumLeaders += res.NLeaders()
 			if res.MultiLeader() {
 				pt.MultiLeader++

@@ -61,21 +61,18 @@ func (w Workload) BuildGraph(seed uint64) (*graph.Graph, error) {
 // over surviving nodes only: a crash-stopped node cannot claim or learn a
 // leadership it will never act on.
 type Trial struct {
-	Leaders int
-	// LeaderNodes lists the elected node indices (the pumping-wheel
-	// experiment maps them back onto the wheel's segments).
-	LeaderNodes []int
-	Success     bool // exactly one (surviving) leader
-	// Metrics is the cost accounting Run returned (for an epoch scenario,
-	// the totals over its epochs and the last epoch's crash count).
-	Metrics anonlead.Metrics
+	// Outcome is what Run returned: its cost accounting and its leaders
+	// (the pumping-wheel experiment maps them back onto the wheel's
+	// segments). For an epoch scenario it holds the totals over the
+	// epochs, the last epoch's crash count and, when that epoch elected,
+	// its leader.
+	anonlead.Outcome
+	Success bool // exactly one (surviving) leader; every epoch elected
 	// RoundProf is the trial's deterministic round-resolved histogram,
 	// present only when TrialOpts.RoundProfile asked for one.
 	RoundProf *obs.RoundProfile
 	// EpochHist is the trial's full repeated-election history, present only
-	// when TrialOpts.Epochs made the trial an epoch scenario. The flat
-	// fields above then hold the scenario totals (Metrics summed over
-	// epochs; Success = every epoch elected).
+	// when TrialOpts.Epochs made the trial an epoch scenario.
 	EpochHist *anonlead.EpochOutcome
 }
 
@@ -129,12 +126,11 @@ type Cell struct {
 	Conductance float64 `json:"phi"`
 	PresumedN   int     `json:"presumed_n,omitempty"`
 	// Adversary is the canonical fault-injection descriptor of the cell
-	// (adversary.Spec.Descriptor; "" = fault-free). Part of the cell's
-	// identity for trajectory alignment.
+	// (adversary.Spec.Descriptor; "" = fault-free). Part of its Key.
 	Adversary string `json:"adversary,omitempty"`
 	// Scenario is the epoch scenario descriptor of a repeated-election
 	// cell (anonlead.Scenario.Descriptor; "" = classic single-election
-	// cell). Part of the cell's identity for trajectory alignment.
+	// cell). Part of its Key.
 	Scenario string `json:"scenario,omitempty"`
 
 	Trials    int `json:"trials"`
@@ -171,6 +167,42 @@ type Cell struct {
 	// on the graph profile.
 	PredictedMsgs float64 `json:"predicted_msgs"`
 	PredictedTime float64 `json:"predicted_time"`
+}
+
+// CellKey is a sweep cell's identity: the coordinates that make two cells
+// comparable across artifacts. Everything else in a Cell (graph profile,
+// trial counts, measurements) is what a comparison compares.
+type CellKey struct {
+	Protocol  Protocol `json:"protocol"`
+	Family    string   `json:"family"`
+	N         int      `json:"n"`
+	PresumedN int      `json:"presumed_n,omitempty"`
+	Adversary string   `json:"adversary,omitempty"`
+	// Scenario is keyed because a scenario cell's metrics are multi-epoch
+	// totals: a scenario switch reads as a cell added and one removed, not
+	// as a false cost regression.
+	Scenario string `json:"scenario,omitempty"`
+}
+
+// Key returns the cell's identity.
+func (c Cell) Key() CellKey {
+	return CellKey{Protocol: c.Protocol, Family: c.Family, N: c.N,
+		PresumedN: c.PresumedN, Adversary: c.Adversary, Scenario: c.Scenario}
+}
+
+// String renders the key the way the rendered tables name cells.
+func (k CellKey) String() string {
+	s := fmt.Sprintf("%s %s/%d", k.Protocol, k.Family, k.N)
+	if k.PresumedN > 0 && k.PresumedN != k.N {
+		s += fmt.Sprintf(" (presumed n=%d)", k.PresumedN)
+	}
+	if k.Adversary != "" {
+		s += fmt.Sprintf(" [%s]", k.Adversary)
+	}
+	if k.Scenario != "" {
+		s += fmt.Sprintf(" <%s>", k.Scenario)
+	}
+	return s
 }
 
 // SuccessRate returns the fraction of trials electing exactly one leader.
@@ -266,10 +298,10 @@ func reduceCell(spec CellSpec, prof *spectral.Profile, trials []Trial) Cell {
 		if trial.Success {
 			cell.Successes++
 		}
-		if trial.Leaders > 1 {
+		if len(trial.Leaders) > 1 {
 			cell.MultiLeaders++
 		}
-		if trial.Leaders == 0 {
+		if len(trial.Leaders) == 0 {
 			cell.ZeroLeaders++
 		}
 		cell.Dropped += float64(trial.Metrics.Dropped)
@@ -443,22 +475,16 @@ func runTrial(anw *anonlead.Network, proto string, pc core.ProtoConfig, seed uin
 		// damage — not a harness error that should abort the sweep. The
 		// partial Outcome still carries the run's cost accounting, and
 		// every executed round was observed.
-		return Trial{Metrics: out.Metrics, RoundProf: rp}, nil
+		return Trial{Outcome: out, RoundProf: rp}, nil
 	}
 	if err != nil {
 		return Trial{}, fmt.Errorf("harness: %w", err)
 	}
-	return Trial{
-		Leaders:     len(out.Leaders),
-		LeaderNodes: out.Leaders,
-		Success:     out.Unique && out.AllKnow,
-		Metrics:     out.Metrics,
-		RoundProf:   rp,
-	}, nil
+	return Trial{Outcome: out, Success: out.Unique && out.AllKnow, RoundProf: rp}, nil
 }
 
 // epochTrial executes one repeated-election scenario through the public
-// RunEpochs path and folds the history into a Trial: the flat fields carry
+// RunEpochs path and folds the history into a Trial: its outcome carries
 // the scenario totals (so classic cell aggregation still means
 // something), and the full history rides along for reduceEpochs.
 func epochTrial(anw *anonlead.Network, proto string, ropts []anonlead.Option, sc anonlead.Scenario, rp *obs.RoundProfile) (Trial, error) {
@@ -466,22 +492,18 @@ func epochTrial(anw *anonlead.Network, proto string, ropts []anonlead.Option, sc
 	if err != nil {
 		return Trial{}, fmt.Errorf("harness: %w", err)
 	}
-	trial := Trial{
-		Success: hist.Elected == len(hist.Epochs),
-		Metrics: anonlead.Metrics{
-			Rounds:        hist.TotalRounds,
-			ChargedRounds: hist.TotalCharged,
-			Messages:      hist.TotalMessages,
-			Bits:          hist.TotalBits,
-		},
-		RoundProf: rp,
-		EpochHist: &hist,
+	trial := Trial{Success: hist.Elected == len(hist.Epochs), RoundProf: rp, EpochHist: &hist}
+	trial.Metrics = anonlead.Metrics{
+		Rounds:        hist.TotalRounds,
+		ChargedRounds: hist.TotalCharged,
+		Messages:      hist.TotalMessages,
+		Bits:          hist.TotalBits,
 	}
 	if n := len(hist.Epochs); n > 0 {
 		last := hist.Epochs[n-1]
-		trial.Metrics.Crashed = last.Crashed
+		trial.Crashed = last.Crashed
 		if last.Elected {
-			trial.Leaders = 1
+			trial.Leaders, trial.LeaderID, trial.Unique = []int{last.Leader}, last.LeaderID, true
 		}
 	}
 	return trial, nil

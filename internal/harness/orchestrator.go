@@ -62,18 +62,14 @@ func (o Orchestrator) RunSweep(specs []CellSpec) ([]Cell, error) {
 	workers := o.workers()
 
 	// Phase 1: build and profile every distinct workload graph in
-	// parallel. Specs sharing (workload, seed) — different protocols on
-	// one cell, or a knowledge sweep's factors — share a single build and
-	// spectral profile, the dominant setup cost at larger n.
-	type prepKey struct {
-		family string
-		n      int
-		seed   uint64
-	}
-	order := make([]prepKey, 0, len(specs))
-	groups := make(map[prepKey][]int, len(specs))
+	// parallel. Specs sharing the cell cache's key (workload, seed) —
+	// different protocols on one cell, or a knowledge sweep's factors —
+	// share a single build and spectral profile, the dominant setup cost
+	// at larger n.
+	order := make([]cellKey, 0, len(specs))
+	groups := make(map[cellKey][]int, len(specs))
 	for i, spec := range specs {
-		k := prepKey{spec.Workload.Family, spec.Workload.N, spec.Opts.Seed}
+		k := cellKey{spec.Workload, spec.Opts.Seed}
 		if _, seen := groups[k]; !seen {
 			order = append(order, k)
 		}

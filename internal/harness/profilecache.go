@@ -23,9 +23,8 @@ var cellCache = struct {
 }{nets: make(map[cellKey]*cellEntry)}
 
 type cellKey struct {
-	family string
-	n      int
-	seed   uint64
+	Workload
+	seed uint64
 }
 
 type cellEntry struct {
@@ -37,7 +36,7 @@ type cellEntry struct {
 // cachedNetwork builds (or reuses) the network of cell (w, seed) and counts
 // the lookup of its profile: a hit when the cell was looked up before.
 func cachedNetwork(w Workload, seed uint64) (*anonlead.Network, error) {
-	k := cellKey{w.Family, w.N, seed}
+	k := cellKey{w, seed}
 	cellCache.Lock()
 	e, ok := cellCache.nets[k]
 	if ok {

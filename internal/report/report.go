@@ -146,15 +146,12 @@ func New(a harness.Artifact, opts Options) Report {
 	return r
 }
 
-// cellIdentity keys the anchored sections: everything that identifies a
-// sweep position except the adversary severity.
-type cellIdentity struct {
-	Protocol, Family string
-	N, PresumedN     int
-}
-
-func identityOf(c harness.Cell) cellIdentity {
-	return cellIdentity{Protocol: string(c.Protocol), Family: c.Family, N: c.N, PresumedN: c.PresumedN}
+// anchorKey keys the anchored sections: the cell's Key without the
+// adversary severity and the scenario.
+func anchorKey(c harness.Cell) harness.CellKey {
+	k := c.Key()
+	k.Adversary, k.Scenario = "", ""
+	return k
 }
 
 // section reconstructs the sweep structure from the flat cell list, in
@@ -165,24 +162,24 @@ func identityOf(c harness.Cell) cellIdentity {
 // order.
 func (r *Report) section(cells []harness.Cell) {
 	famIdx := map[[2]string]int{}
-	knowIdx := map[cellIdentity]int{} // keyed by (proto, family, n, 0)
+	knowIdx := map[harness.CellKey]int{} // keyed with PresumedN 0
 
 	for i := 0; i < len(cells); {
 		c := cells[i]
-		id := identityOf(c)
+		id := anchorKey(c)
 
 		// An epoch scenario sweep: consecutive cells sharing identity and
 		// scenario descriptor, anchored at the fault-free rung. Checked
 		// before the fault-ladder branch — scenario cells carry adversary
 		// descriptors too, but belong to the repeated-election section.
 		if c.Scenario != "" {
-			et := EpochTable{Protocol: id.Protocol, Family: id.Family, N: id.N, Scenario: c.Scenario}
+			et := EpochTable{Protocol: string(id.Protocol), Family: id.Family, N: id.N, Scenario: c.Scenario}
 			var anchor *harness.Cell
 			if c.Adversary == "" {
 				anchor = &cells[i]
 				et.HasAnchor = true
 			}
-			for i < len(cells) && cells[i].Scenario == c.Scenario && identityOf(cells[i]) == id &&
+			for i < len(cells) && cells[i].Scenario == c.Scenario && anchorKey(cells[i]) == id &&
 				(len(et.Rows) == 0 || cells[i].Adversary != "") {
 				row := newRow(cells[i])
 				if &cells[i] != anchor {
@@ -197,9 +194,9 @@ func (r *Report) section(cells []harness.Cell) {
 
 		// A fault ladder: [anchor?] faulted+ with one identity.
 		isLadderStart := c.Adversary != "" ||
-			(i+1 < len(cells) && cells[i+1].Adversary != "" && identityOf(cells[i+1]) == id)
+			(i+1 < len(cells) && cells[i+1].Adversary != "" && anchorKey(cells[i+1]) == id)
 		if isLadderStart {
-			ft := FaultTable{Protocol: id.Protocol, Family: id.Family, N: id.N, PresumedN: id.PresumedN}
+			ft := FaultTable{Protocol: string(id.Protocol), Family: id.Family, N: id.N, PresumedN: id.PresumedN}
 			var anchor *harness.Cell
 			if c.Adversary == "" {
 				anchor = &cells[i]
@@ -207,7 +204,7 @@ func (r *Report) section(cells []harness.Cell) {
 				ft.Rows = append(ft.Rows, newRow(c))
 				i++
 			}
-			for i < len(cells) && cells[i].Adversary != "" && identityOf(cells[i]) == id {
+			for i < len(cells) && cells[i].Adversary != "" && anchorKey(cells[i]) == id {
 				row := newRow(cells[i])
 				row.anchorRatios(anchor)
 				ft.Rows = append(ft.Rows, row)
@@ -221,14 +218,15 @@ func (r *Report) section(cells []harness.Cell) {
 		// A knowledge sweep: consecutive cells on one workload with a
 		// presumed size (the truthful factor-1 cell also carries one).
 		if c.PresumedN > 0 {
-			key := cellIdentity{Protocol: string(c.Protocol), Family: c.Family, N: c.N}
+			key := anchorKey(c)
+			key.PresumedN = 0
 			var kt *KnowledgeTable
 			if j, ok := knowIdx[key]; ok {
 				kt = &r.Knowledge[j]
 			} else {
 				knowIdx[key] = len(r.Knowledge)
 				r.Knowledge = append(r.Knowledge, KnowledgeTable{
-					Protocol: key.Protocol, Family: key.Family, N: key.N,
+					Protocol: string(key.Protocol), Family: key.Family, N: key.N,
 				})
 				kt = &r.Knowledge[len(r.Knowledge)-1]
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"anonlead/internal/harness"
 	"anonlead/internal/report"
 )
 
@@ -48,7 +49,7 @@ func (r Report) Markdown() string {
 	}
 	for _, l := range []struct {
 		title string
-		keys  []Key
+		keys  []harness.CellKey
 	}{
 		{"**Removed cells** (in base only — a shrunk sweep can hide a change):", r.Removed},
 		{"**Added cells** (in head only, no baseline to compare):", r.Added},

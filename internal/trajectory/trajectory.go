@@ -28,43 +28,6 @@ import (
 	"anonlead/internal/harness"
 )
 
-// Key identifies a sweep cell across artifacts: the workload coordinates
-// that make two cells comparable. Everything else (graph profile, trial
-// counts, measurements) is what the comparison compares.
-type Key struct {
-	Protocol  string `json:"protocol"`
-	Family    string `json:"family"`
-	N         int    `json:"n"`
-	PresumedN int    `json:"presumed_n,omitempty"`
-	// Adversary is the fault-injection descriptor ("" = fault-free).
-	Adversary string `json:"adversary,omitempty"`
-	// Scenario is the epoch scenario descriptor of a repeated-election
-	// cell ("" = classic single election). A scenario cell's metrics are
-	// multi-epoch totals, so a scenario switch reports as added/removed
-	// rather than a false cost regression.
-	Scenario string `json:"scenario,omitempty"`
-}
-
-func keyOf(c harness.Cell) Key {
-	return Key{Protocol: string(c.Protocol), Family: c.Family, N: c.N,
-		PresumedN: c.PresumedN, Adversary: c.Adversary, Scenario: c.Scenario}
-}
-
-// String renders the key the way the rendered tables name cells.
-func (k Key) String() string {
-	s := fmt.Sprintf("%s %s/%d", k.Protocol, k.Family, k.N)
-	if k.PresumedN > 0 && k.PresumedN != k.N {
-		s += fmt.Sprintf(" (presumed n=%d)", k.PresumedN)
-	}
-	if k.Adversary != "" {
-		s += fmt.Sprintf(" [%s]", k.Adversary)
-	}
-	if k.Scenario != "" {
-		s += fmt.Sprintf(" <%s>", k.Scenario)
-	}
-	return s
-}
-
 // Status classifies one metric of one aligned cell.
 type Status string
 
@@ -107,14 +70,14 @@ type MetricDiff struct {
 
 // CellDiff is one aligned cell's comparison across all metrics.
 type CellDiff struct {
-	Key     Key          `json:"key"`
-	Metrics []MetricDiff `json:"metrics"`
+	Key     harness.CellKey `json:"key"`
+	Metrics []MetricDiff    `json:"metrics"`
 }
 
 // CellChange is a changed cell and the leaves of its encoding that differ.
 type CellChange struct {
-	Key    Key         `json:"key"`
-	Fields []FieldDiff `json:"fields"`
+	Key    harness.CellKey `json:"key"`
+	Fields []FieldDiff     `json:"fields"`
 }
 
 // FieldDiff is one differing leaf: its dotted path (array elements by
@@ -138,8 +101,8 @@ type Report struct {
 	Changed []CellChange `json:"changed,omitempty"`
 	// Added and Removed list cells present in only one artifact. A shrunk
 	// sweep can hide a change, so both count against Clean.
-	Added   []Key `json:"added,omitempty"`
-	Removed []Key `json:"removed,omitempty"`
+	Added   []harness.CellKey `json:"added,omitempty"`
+	Removed []harness.CellKey `json:"removed,omitempty"`
 
 	// The per-metric counts explain a change; Clean is the verdict.
 	Improved  int `json:"improved"`
@@ -281,24 +244,24 @@ func leaves(buf []byte) map[string]string {
 	return out
 }
 
-// Diff aligns the cells of two artifacts by Key, marks every aligned cell
-// whose encoding differs as changed, and compares every metric. Aligned
-// cells keep base order; duplicates of a key pair up by occurrence index,
+// Diff aligns the cells of two artifacts by their Key, marks every aligned
+// cell whose encoding differs as changed, and compares every metric.
+// Aligned cells keep base order; duplicates of a key pair up by occurrence index,
 // with unpaired occurrences reported as added/removed. The Thresholds
 // argument is ignored.
 func Diff(base, head harness.Artifact, _ Thresholds) Report {
 	r := Report{BaseSchema: base.Schema, HeadSchema: head.Schema}
 
-	headIdx := make(map[Key][]int, len(head.Cells))
+	headIdx := make(map[harness.CellKey][]int, len(head.Cells))
 	for i, c := range head.Cells {
-		k := keyOf(c)
+		k := c.Key()
 		headIdx[k] = append(headIdx[k], i)
 	}
 	matchedHead := make([]bool, len(head.Cells))
-	taken := make(map[Key]int, len(headIdx))
+	taken := make(map[harness.CellKey]int, len(headIdx))
 
 	for _, bc := range base.Cells {
-		k := keyOf(bc)
+		k := bc.Key()
 		idxs := headIdx[k]
 		if taken[k] >= len(idxs) {
 			r.Removed = append(r.Removed, k)
@@ -337,7 +300,7 @@ func Diff(base, head harness.Artifact, _ Thresholds) Report {
 	}
 	for i, hc := range head.Cells {
 		if !matchedHead[i] {
-			r.Added = append(r.Added, keyOf(hc))
+			r.Added = append(r.Added, hc.Key())
 		}
 	}
 	return r

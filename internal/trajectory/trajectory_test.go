@@ -51,7 +51,7 @@ func TestDiffFlagsLargeRegression(t *testing.T) {
 	base := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 1000, 50))
 	head := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 2000, 50))
 	r := Diff(base, head, Thresholds{})
-	if r.Clean() || len(r.Changed) != 1 || r.Changed[0].Key != (Key{Protocol: "ire", Family: "expander", N: 64}) {
+	if r.Clean() || len(r.Changed) != 1 || r.Changed[0].Key != (harness.CellKey{Protocol: "ire", Family: "expander", N: 64}) {
 		t.Fatalf("2x cost increase not a changed cell: %+v", r)
 	}
 	// All four cost metrics doubled; success rate unchanged.
@@ -173,10 +173,10 @@ func TestDiffCellAlignment(t *testing.T) {
 	if len(r.Cells) != 2 {
 		t.Fatalf("aligned cells %d, want 2", len(r.Cells))
 	}
-	if len(r.Removed) != 1 || r.Removed[0] != (Key{Protocol: "flood", Family: "complete", N: 32}) {
+	if len(r.Removed) != 1 || r.Removed[0] != (harness.CellKey{Protocol: "flood", Family: "complete", N: 32}) {
 		t.Fatalf("removed %+v", r.Removed)
 	}
-	if len(r.Added) != 1 || r.Added[0] != (Key{Protocol: "ire", Family: "cycle", N: 16}) {
+	if len(r.Added) != 1 || r.Added[0] != (harness.CellKey{Protocol: "ire", Family: "cycle", N: 16}) {
 		t.Fatalf("added %+v", r.Added)
 	}
 	if r.Cells[1].Key.PresumedN != 128 {

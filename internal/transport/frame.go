@@ -27,7 +27,7 @@ const (
 	// finished peer from a dead one.
 	FramePortClosed
 	// FrameJoin enrolls a node process with the coordinator (body: the
-	// node's seed-derived join token).
+	// JSON object {"node": index, "addr": data-plane listen address}).
 	FrameJoin
 	// FramePlan carries the JSON run plan from coordinator to node.
 	FramePlan

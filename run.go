@@ -44,57 +44,35 @@ var errEmptyGraph = errors.New("anonlead: network requires a non-empty graph")
 // is accepted by Run.
 func Protocols() []string { return core.Names() }
 
-// Outcome is the unified result of Run: the election outcome and CONGEST
-// cost accounting shared by every protocol, plus the per-protocol extras
-// (announcement spanning tree, revocable certificate).
+// Outcome is the unified result of Run: the CONGEST cost accounting
+// shared by every protocol, and the record of what the election produced
+// as the protocol's collector read it off the finished network.
 type Outcome struct {
 	// Metrics is the run's complete cost accounting. It is embedded, so
 	// out.Rounds, out.Messages, out.ChargedRounds, out.Dropped, … read it
 	// directly; each counter exists once.
 	Metrics
 
-	// Leaders lists the node indices that raised the leader flag. The
-	// indices are simulation-side observability only: the nodes
-	// themselves remain anonymous. Nodes the adversary crashed are
-	// excluded.
-	Leaders []int
+	// Outcome is the collector's record, embedded the same way:
+	// out.Leaders (surviving node indices; crashed nodes are excluded),
+	// out.LeaderID, out.AllKnow (vacuously true but for explicit),
+	// explicit's announcement tree out.Parents and out.Depths, and
+	// revocable's agreed out.Certificate and out.FinalEstimate (nil and 0
+	// otherwise).
+	core.Outcome
+
 	// Unique reports whether exactly one leader was elected.
 	Unique bool
 
 	// Protocol is the canonical name of the protocol that ran (aliases
 	// resolved).
 	Protocol string
-
-	// LeaderID is the elected leader's random ID (0 if no leader). For
-	// revocable elections it is the agreed certificate ID.
-	LeaderID uint64
-
-	// AllKnow reports whether every surviving node learned the leader.
-	// Only the explicit protocol has an announcement phase; for the other
-	// protocols AllKnow is vacuously true.
-	AllKnow bool
-
-	// Parents[v] is v's parent node in the leader-rooted announcement BFS
-	// tree, -1 at the leader and at unreached nodes (explicit only; nil
-	// otherwise).
-	Parents []int
-	// Depths[v] is v's hop distance from the leader in that tree.
-	Depths []int
-
-	// Certificate is the network-wide agreed revocable leader certificate
-	// (revocable only; nil otherwise).
-	Certificate *Certificate
-	// FinalEstimate is the revocable size estimate at stabilization.
-	FinalEstimate uint64
 }
 
 // Certificate is a revocable leader certificate: the leader's random ID
 // compounded with the size estimate that was in force when it was chosen.
 // Larger Estimate wins; ties break toward smaller ID.
-type Certificate struct {
-	ID       uint64
-	Estimate uint64
-}
+type Certificate = core.Certificate
 
 // Metrics mirrors the simulator's complete cost accounting.
 type Metrics struct {
@@ -254,20 +232,11 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 			entry.Name, out.Rounds, ErrNotStabilized)
 	}
 
-	co := runner.Collect(eng)
+	out.Outcome = runner.Collect(eng)
+	out.Unique = len(out.Leaders) == 1
 	if wire != nil {
 		nw.keep(wire, o.transport)
 		wire = nil
-	}
-	out.Leaders = co.Leaders
-	out.Unique = len(co.Leaders) == 1
-	out.LeaderID = co.LeaderID
-	out.AllKnow = co.AllKnow
-	out.Parents = co.Parents
-	out.Depths = co.Depths
-	if co.HasCertificate {
-		out.Certificate = &Certificate{ID: co.CertID, Estimate: co.CertEstimate}
-		out.FinalEstimate = co.FinalEstimate
 	}
 	return out, nil
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"anonlead/internal/adversary"
-	"anonlead/internal/baseline"
 	"anonlead/internal/core"
 	"anonlead/internal/sim"
 )
@@ -82,14 +81,8 @@ func TestRunFaultInjectionMatchesInternal(t *testing.T) {
 		out.ChargedRounds != m.ChargedRounds {
 		t.Fatalf("public fault-injected run diverged from internal reference:\npublic  %+v\nrounds=%d metrics=%+v", out.Metrics, rounds, m)
 	}
-	var leaders []int
-	for v := 0; v < nw.N(); v++ {
-		if !ref.Crashed(v) && ref.Machine(v).(*baseline.FloodMachine).Output().Leader {
-			leaders = append(leaders, v)
-		}
-	}
-	if !reflect.DeepEqual(out.Leaders, leaders) {
-		t.Fatalf("leader sets diverged: public %v, internal %v", out.Leaders, leaders)
+	if co := runner.Collect(ref); !reflect.DeepEqual(out.Outcome, co) {
+		t.Fatalf("outcomes diverged: public %+v, internal %+v", out.Outcome, co)
 	}
 }
 
