@@ -2,9 +2,9 @@
 # race and bench. .github/workflows/ci.yml runs those and more, so a green
 # `make ci` is not yet a green pipeline. The pipeline also runs `make fuzz`,
 # `make loc`, `make epochs-smoke`, `make scaling-smoke`, `make dist-demo` and
-# `make obs-smoke`; it calls `go build ./examples/...`, `go run
-# ./cmd/benchdiff` (the gate `make benchdiff` runs, plus a JSON verdict) and
-# `go run ./cmd/lereport` directly; it builds on Go 1.21 and 1.22, and tests
+# `make obs-smoke`; it calls `go run ./cmd/benchdiff` (the gate `make
+# benchdiff` runs, plus a JSON verdict) and `go run ./cmd/lereport`
+# directly; it builds on Go 1.21 and 1.22, and tests
 # on 1.21, 1.22 and 1.24 (the last runs the go1.24-only weak-pointer test).
 # `make fuzz` runs each of its ten fuzzers for FUZZTIME (default 10s);
 # plain `go test` only replays their seed corpora.
@@ -15,8 +15,7 @@ GO ?= go
 
 all: build
 
-# ./... covers the library, cmds and examples; CI's build job additionally
-# runs `go build ./examples/...` as an explicit guard.
+# ./... covers the library, cmds and examples.
 build:
 	$(GO) build ./...
 

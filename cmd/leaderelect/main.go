@@ -95,9 +95,7 @@ func run() error {
 
 	var (
 		success, multi, zero, unstable int
-		msgs, bits, rounds, charged    float64
-		dropped, delayed               float64
-		crashed                        float64
+		sum                            anonlead.Metrics // independent trials: Crashed adds too
 	)
 	for t := 0; t < *trials; t++ {
 		opts := []anonlead.Option{
@@ -125,7 +123,7 @@ func run() error {
 				// A faulted revocable election that never stabilizes is a
 				// measured outcome, not a CLI failure.
 				unstable++
-				accumulate(&msgs, &bits, &rounds, &charged, &dropped, &delayed, &crashed, out)
+				sum.Add(out.Metrics)
 				continue
 			}
 			return err
@@ -139,28 +137,18 @@ func run() error {
 		if len(out.Leaders) == 0 {
 			zero++
 		}
-		accumulate(&msgs, &bits, &rounds, &charged, &dropped, &delayed, &crashed, out)
+		sum.Add(out.Metrics)
 	}
 
-	ft := float64(*trials)
+	mean := func(v int64) float64 { return float64(v) / float64(*trials) }
 	fmt.Printf("protocol: %s trials=%d\n", *proto, *trials)
 	if desc := adv.Descriptor(); desc != "" {
 		fmt.Printf("faults:   %s (dropped=%.1f delayed=%.1f crashed=%.1f per trial)\n",
-			desc, dropped/ft, delayed/ft, crashed/ft)
+			desc, mean(sum.Dropped), mean(sum.Delayed), mean(int64(sum.Crashed)))
 	}
 	fmt.Printf("success:  %d/%d unique leader (multi=%d zero=%d unstable=%d)\n",
 		success, *trials, multi, zero, unstable)
 	fmt.Printf("cost:     msgs=%.0f bits=%.0f rounds=%.0f charged=%.0f (per-trial means)\n",
-		msgs/ft, bits/ft, rounds/ft, charged/ft)
+		mean(sum.Messages), mean(sum.Bits), mean(int64(sum.Rounds)), mean(sum.ChargedRounds))
 	return nil
-}
-
-func accumulate(msgs, bits, rounds, charged, dropped, delayed, crashed *float64, out anonlead.Outcome) {
-	*msgs += float64(out.Messages)
-	*bits += float64(out.Bits)
-	*rounds += float64(out.Rounds)
-	*charged += float64(out.ChargedRounds)
-	*dropped += float64(out.Dropped)
-	*delayed += float64(out.Delayed)
-	*crashed += float64(out.Crashed)
 }

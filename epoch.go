@@ -84,9 +84,14 @@ type EpochResult struct {
 }
 
 // EpochOutcome is the result of a RunEpochs scenario: the per-epoch
-// history plus the amortized totals the repeated-election literature
-// cares about.
+// history plus the totals the repeated-election literature cares about.
 type EpochOutcome struct {
+	// Metrics is the scenario's record: its epochs' Metrics summed by
+	// Metrics.Add, except Crashed, which is the last epoch's count (each
+	// epoch's count already includes every earlier dead leader, so a sum
+	// would count them again). Messages and Rounds over len(Epochs) are
+	// the amortized per-epoch costs.
+	Metrics
 	// Protocol is the canonical protocol name.
 	Protocol string
 	// Epochs is the per-epoch history, in order.
@@ -96,16 +101,6 @@ type EpochOutcome struct {
 	// Dead lists the nodes crash-stopped as ex-leaders (crash mode), in
 	// death order.
 	Dead []int
-	// TotalRounds, TotalCharged, TotalMessages and TotalBits sum the
-	// epochs' costs.
-	TotalRounds   int
-	TotalCharged  int64
-	TotalMessages int64
-	TotalBits     int64
-	// AmortizedMessages and AmortizedRounds are the per-epoch averages —
-	// the steady-state cost of keeping a leader over time.
-	AmortizedMessages float64
-	AmortizedRounds   float64
 	// MeanRecover is the mean rounds of the successful re-elections
 	// (epochs after the first), i.e. the mean time-to-recover from a
 	// leader loss; 0 when no re-election succeeded.
@@ -211,18 +206,14 @@ func (nw *Network) RunEpochs(ctx context.Context, protocol string, sc Scenario, 
 func (eo *EpochOutcome) finish() {
 	recovered, recoverRounds := 0, 0
 	for _, r := range eo.Epochs {
-		eo.TotalRounds += r.Rounds
-		eo.TotalCharged += r.ChargedRounds
-		eo.TotalMessages += r.Messages
-		eo.TotalBits += r.Bits
+		eo.Add(r.Metrics)
 		if r.Epoch > 0 && r.Elected {
 			recovered++
 			recoverRounds += r.Rounds
 		}
 	}
 	if n := len(eo.Epochs); n > 0 {
-		eo.AmortizedMessages = float64(eo.TotalMessages) / float64(n)
-		eo.AmortizedRounds = float64(eo.TotalRounds) / float64(n)
+		eo.Crashed = eo.Epochs[n-1].Crashed
 	}
 	if recovered > 0 {
 		eo.MeanRecover = float64(recoverRounds) / float64(recovered)

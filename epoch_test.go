@@ -186,11 +186,13 @@ func TestEpochCarryChangesReElections(t *testing.T) {
 // TestEpochCarriesItsRunsMetrics: an epoch records its election's whole
 // cost accounting, so under a loss adversary epoch 0 (which runs on the
 // caller's seed and options) reads exactly what a plain Run does,
-// dropped packets included.
+// dropped packets included; and the scenario's Metrics is the epochs'
+// sum: counters add, maxima take the max, and Crashed is the last
+// epoch's count of dead leaders.
 func TestEpochCarriesItsRunsMetrics(t *testing.T) {
 	nw := mustNetwork(t, "expander", 32, 2)
 	opts := []Option{WithSeed(7), WithAdversary(AdversarySpec{Loss: 0.1})}
-	eo, err := nw.RunEpochs(context.Background(), ProtoFloodMax, Scenario{Epochs: 2}, opts...)
+	eo, err := nw.RunEpochs(context.Background(), ProtoFloodMax, Scenario{Epochs: 3}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +202,23 @@ func TestEpochCarriesItsRunsMetrics(t *testing.T) {
 	}
 	if got := eo.Epochs[0].Metrics; got != out.Metrics || got.Dropped == 0 {
 		t.Fatalf("epoch 0 metrics %+v, want a plain run's %+v with packets dropped", got, out.Metrics)
+	}
+
+	var want Metrics
+	for _, r := range eo.Epochs {
+		want.Rounds += r.Rounds
+		want.ChargedRounds += r.ChargedRounds
+		want.Messages += r.Messages
+		want.Bits += r.Bits
+		want.Dropped += r.Dropped
+		want.Delayed += r.Delayed
+		want.CongestBits = max(want.CongestBits, r.CongestBits)
+		want.MaxLinkSlots = max(want.MaxLinkSlots, r.MaxLinkSlots)
+		want.MaxChannels = max(want.MaxChannels, r.MaxChannels)
+	}
+	want.Crashed = eo.Epochs[2].Crashed
+	if eo.Metrics != want || want.Crashed != 2 {
+		t.Fatalf("scenario metrics %+v, want the epochs' sum %+v with two dead leaders", eo.Metrics, want)
 	}
 }
 

@@ -224,3 +224,35 @@ func TestRunAndReduce(t *testing.T) {
 		t.Fatal("EpochStats JSON not byte-stable")
 	}
 }
+
+// TestEpochCellCountsDroppedPackets: an epoch cell's flat metrics are its
+// scenarios' summed Metrics, so a lossy scenario's dropped packets reach
+// the cell: its Dropped is the per-trial mean of what the epochs of the
+// same RunEpochs calls dropped.
+func TestEpochCellCountsDroppedPackets(t *testing.T) {
+	const root, trials = 7, 2
+	w, adv := Workload{"expander", 32}, adversary.Spec{Loss: 0.1}
+	sc := anonlead.Scenario{Epochs: 2, Revoke: true}
+	cell, err := RunCell(ProtoFlood, w, TrialOpts{Trials: trials, Seed: root, Adversary: &adv, Epochs: &sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dropped int64
+	for i := 0; i < trials; i++ {
+		nw, err := anonlead.NewNetwork(w.Family, w.N, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eo, err := nw.RunEpochs(context.Background(), string(ProtoFlood), sc,
+			anonlead.WithSeed(TrialSeed(root, w, i)), anonlead.WithAdversary(adv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range eo.Epochs {
+			dropped += r.Dropped
+		}
+	}
+	if want := float64(dropped) / trials; cell.Dropped <= 0 || cell.Dropped != want {
+		t.Fatalf("epoch cell dropped %v, want the epochs' per-trial mean %v (> 0)", cell.Dropped, want)
+	}
+}

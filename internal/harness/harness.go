@@ -63,9 +63,9 @@ func (w Workload) BuildGraph(seed uint64) (*graph.Graph, error) {
 type Trial struct {
 	// Outcome is what Run returned: its cost accounting and its leaders
 	// (the pumping-wheel experiment maps them back onto the wheel's
-	// segments). For an epoch scenario it holds the totals over the
-	// epochs, the last epoch's crash count and, when that epoch elected,
-	// its leader.
+	// segments). For an epoch scenario its Metrics is the scenario's one
+	// summed record (EpochOutcome.Metrics) and, when the last epoch
+	// elected, its leader is that epoch's.
 	anonlead.Outcome
 	Success bool // exactly one (surviving) leader; every epoch elected
 	// RoundProf is the trial's deterministic round-resolved histogram,
@@ -104,10 +104,10 @@ type TrialOpts struct {
 	// heard of round profiles.
 	RoundProfile bool
 	// Epochs, when non-nil, turns every trial into a repeated-election
-	// epoch scenario (anonlead.RunEpochs): the trial's flat metrics become
-	// scenario totals and the cell additionally aggregates per-epoch stats
-	// (the artifact's epochs section). Nil keeps the classic
-	// single-election trial.
+	// epoch scenario (anonlead.RunEpochs): the trial's Metrics is the
+	// scenario's one summed record (EpochOutcome.Metrics), and the cell
+	// additionally aggregates per-epoch stats (the artifact's epochs
+	// section). Nil keeps the classic single-election trial.
 	Epochs *anonlead.Scenario
 }
 
@@ -381,13 +381,11 @@ func reduceEpochs(sc anonlead.Scenario, hists []anonlead.EpochOutcome) EpochStat
 	recovered := 0
 	var recoverSum float64
 	for _, h := range hists {
+		epochs += len(h.Epochs)
+		elected += h.Elected
+		messages += h.Messages
+		rounds += int64(h.Rounds)
 		for _, r := range h.Epochs {
-			epochs++
-			messages += r.Messages
-			rounds += int64(r.Rounds)
-			if r.Elected {
-				elected++
-			}
 			if r.Epoch < len(es.PerEpochMessages) {
 				es.PerEpochMessages[r.Epoch] += float64(r.Messages)
 				es.PerEpochRounds[r.Epoch] += float64(r.Rounds)
@@ -485,7 +483,7 @@ func runTrial(anw *anonlead.Network, proto string, pc core.ProtoConfig, seed uin
 
 // epochTrial executes one repeated-election scenario through the public
 // RunEpochs path and folds the history into a Trial: its outcome carries
-// the scenario totals (so classic cell aggregation still means
+// the scenario's summed Metrics (so classic cell aggregation still means
 // something), and the full history rides along for reduceEpochs.
 func epochTrial(anw *anonlead.Network, proto string, ropts []anonlead.Option, sc anonlead.Scenario, rp *obs.RoundProfile) (Trial, error) {
 	hist, err := anw.RunEpochs(context.Background(), proto, sc, ropts...)
@@ -493,18 +491,10 @@ func epochTrial(anw *anonlead.Network, proto string, ropts []anonlead.Option, sc
 		return Trial{}, fmt.Errorf("harness: %w", err)
 	}
 	trial := Trial{Success: hist.Elected == len(hist.Epochs), RoundProf: rp, EpochHist: &hist}
-	trial.Metrics = anonlead.Metrics{
-		Rounds:        hist.TotalRounds,
-		ChargedRounds: hist.TotalCharged,
-		Messages:      hist.TotalMessages,
-		Bits:          hist.TotalBits,
-	}
-	if n := len(hist.Epochs); n > 0 {
+	trial.Metrics = hist.Metrics
+	if n := len(hist.Epochs); n > 0 && hist.Epochs[n-1].Elected {
 		last := hist.Epochs[n-1]
-		trial.Crashed = last.Crashed
-		if last.Elected {
-			trial.Leaders, trial.LeaderID, trial.Unique = []int{last.Leader}, last.LeaderID, true
-		}
+		trial.Leaders, trial.LeaderID, trial.Unique = []int{last.Leader}, last.LeaderID, true
 	}
 	return trial, nil
 }

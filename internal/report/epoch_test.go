@@ -46,10 +46,10 @@ func TestEpochSectioning(t *testing.T) {
 		t.Fatalf("epoch tables: %+v", r.Epochs)
 	}
 	et := r.Epochs[0]
-	if !et.HasAnchor || len(et.Rows) != 3 || et.Scenario != scenario {
+	if !et.HasAnchor || len(et.Rows) != 3 || et.Key.Scenario != scenario {
 		t.Fatalf("epoch table wrong: %+v", et)
 	}
-	if et.Protocol != "ire" || et.Family != "expander" || et.N != 32 {
+	if et.Key.Protocol != "ire" || et.Key.Family != "expander" || et.Key.N != 32 {
 		t.Fatalf("epoch table identity wrong: %+v", et)
 	}
 	// Anchor ratios are against the scenario anchor, not any fault anchor.
@@ -79,9 +79,12 @@ func TestEpochSectioning(t *testing.T) {
 }
 
 // TestEpochSectionWithoutAnchor: a scenario sweep whose fault-free rung
-// was filtered out still sections (no anchor ratios, noted in markdown).
+// was filtered out still sections (no anchor ratios, noted in markdown),
+// and the classic cell of the same workload before it does not anchor it
+// as a fault ladder: the scenario is part of a section's key.
 func TestEpochSectionWithoutAnchor(t *testing.T) {
 	a := harness.Artifact{Schema: harness.ArtifactSchema, Cells: []harness.Cell{
+		synthCell("flood", "complete", 8, 100),
 		synthCell("flood", "complete", 8, 500,
 			withScenario("epochs=2,fault=revoke", &harness.EpochStats{}),
 			withAdversary("adaptive=1@2")),
@@ -90,7 +93,7 @@ func TestEpochSectionWithoutAnchor(t *testing.T) {
 	if len(r.Epochs) != 1 || r.Epochs[0].HasAnchor || len(r.Epochs[0].Rows) != 1 {
 		t.Fatalf("anchorless epoch table wrong: %+v", r.Epochs)
 	}
-	if len(r.Faults) != 0 {
+	if len(r.Faults) != 0 || len(r.Families) != 1 {
 		t.Fatalf("anchorless scenario cell sectioned as a fault ladder: %+v", r.Faults)
 	}
 	if r.Epochs[0].Rows[0].XMsgs != 0 {

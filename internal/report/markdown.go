@@ -59,7 +59,7 @@ func (r Report) Markdown() string {
 // epochMarkdown renders one repeated-election sweep.
 func (r Report) epochMarkdown(et EpochTable) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "### `%s` on %s, n = %d — `%s`\n\n", et.Protocol, et.Family, et.N, et.Scenario)
+	fmt.Fprintf(&b, "### `%s` on %s, n = %d — `%s`\n\n", et.Key.Protocol, et.Key.Family, et.Key.N, et.Key.Scenario)
 	b.WriteString("| adversary | elected | amsgs | arounds | recover | messages | ×msgs | success | 95% CI |\n")
 	b.WriteString("|---|---:|---:|---:|---:|---:|---:|---:|---|\n")
 	for _, row := range et.Rows {
@@ -88,7 +88,7 @@ func (r Report) epochMarkdown(et EpochTable) string {
 // familyMarkdown renders one Table-1 section.
 func (r Report) familyMarkdown(ft FamilyTable) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "### `%s` on %s\n\n", ft.Protocol, ft.Family)
+	fmt.Fprintf(&b, "### `%s` on %s\n\n", ft.Key.Protocol, ft.Key.Family)
 	b.WriteString("| n | m | D | tmix | Φ | messages | pred msgs | msg/pred | rounds | pred time | time/pred | success | 95% CI |\n")
 	b.WriteString("|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---|\n")
 	estimated := false
@@ -121,7 +121,7 @@ func (r Report) familyMarkdown(ft FamilyTable) string {
 // knowledgeMarkdown renders one knowledge-ablation section.
 func (r Report) knowledgeMarkdown(kt KnowledgeTable) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "### `%s` on %s, n = %d\n\n", kt.Protocol, kt.Family, kt.N)
+	fmt.Fprintf(&b, "### `%s` on %s, n = %d\n\n", kt.Key.Protocol, kt.Key.Family, kt.Key.N)
 	b.WriteString("| presumed n | ×n | messages | ×msgs | rounds | ×rounds | success | 95% CI |\n")
 	b.WriteString("|---:|---:|---:|---:|---:|---:|---:|---|\n")
 	for _, row := range kt.Rows {
@@ -142,7 +142,7 @@ func (r Report) knowledgeMarkdown(kt KnowledgeTable) string {
 // faultMarkdown renders one fault-degradation ladder.
 func (r Report) faultMarkdown(ft FaultTable) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "### `%s` on %s, n = %d — %s ladder\n\n", ft.Protocol, ft.Family, ft.N, ft.Kinds)
+	fmt.Fprintf(&b, "### `%s` on %s, n = %d — %s ladder\n\n", ft.Key.Protocol, ft.Key.Family, ft.Key.N, ft.Kinds)
 	b.WriteString("| adversary | messages | ×msgs | rounds | ×rounds | dropped | crashed | success | 95% CI |\n")
 	b.WriteString("|---|---:|---:|---:|---:|---:|---:|---:|---|\n")
 	for _, row := range ft.Rows {

@@ -74,8 +74,9 @@ func (r *Row) anchorRatios(anchor *harness.Cell) {
 // family, one row per size, with the empirical message-scaling exponent
 // fitted over the rows (the paper's log-log slope).
 type FamilyTable struct {
-	Protocol, Family string
-	Rows             []Row
+	// Key names the section: its Protocol and Family, nothing else.
+	Key  harness.CellKey
+	Rows []Row
 	// MsgExponent is the fitted exponent of messages in n with its R²
 	// (both 0 when fewer than two usable points).
 	MsgExponent, MsgExponentR2 float64
@@ -85,9 +86,9 @@ type FamilyTable struct {
 // swept over presumed network sizes, anchored at the truthful cell
 // (presumed n = n).
 type KnowledgeTable struct {
-	Protocol, Family string
-	N                int
-	Rows             []Row
+	// Key is the workload's identity without a presumed size.
+	Key  harness.CellKey
+	Rows []Row
 	// HasAnchor reports whether the truthful presumed n = n cell was
 	// present to anchor the ratio columns.
 	HasAnchor bool
@@ -96,9 +97,8 @@ type KnowledgeTable struct {
 // FaultTable is one fault-degradation ladder: a fixed protocol×workload
 // swept over adversary severities, anchored at the fault-free cell.
 type FaultTable struct {
-	Protocol, Family string
-	N                int
-	PresumedN        int
+	// Key is the ladder's identity without an adversary.
+	Key harness.CellKey
 	// Kinds names the adversary primitives the ladder sweeps ("loss",
 	// "crash", "churn+delay", …), so several ladders on one workload stay
 	// distinguishable in the rendered headings.
@@ -112,11 +112,9 @@ type FaultTable struct {
 // fault-free cell. Cell metrics are scenario totals; the epochs object
 // carries the amortized per-epoch stats.
 type EpochTable struct {
-	Protocol, Family string
-	N                int
-	// Scenario is the epoch descriptor shared by every row
-	// ("epochs=5,fault=crash").
-	Scenario  string
+	// Key is the sweep's identity without an adversary; its Scenario is
+	// the epoch descriptor every row shares ("epochs=5,fault=crash").
+	Key       harness.CellKey
 	Rows      []Row // Rows[0] is the fault-free anchor when HasAnchor
 	HasAnchor bool
 }
@@ -147,10 +145,10 @@ func New(a harness.Artifact, opts Options) Report {
 }
 
 // anchorKey keys the anchored sections: the cell's Key without the
-// adversary severity and the scenario.
+// adversary severity.
 func anchorKey(c harness.Cell) harness.CellKey {
 	k := c.Key()
-	k.Adversary, k.Scenario = "", ""
+	k.Adversary = ""
 	return k
 }
 
@@ -161,7 +159,7 @@ func anchorKey(c harness.Cell) harness.CellKey {
 // Table-1 family rows grouped by protocol×family in first-appearance
 // order.
 func (r *Report) section(cells []harness.Cell) {
-	famIdx := map[[2]string]int{}
+	famIdx := map[harness.CellKey]int{}  // keyed with Protocol and Family only
 	knowIdx := map[harness.CellKey]int{} // keyed with PresumedN 0
 
 	for i := 0; i < len(cells); {
@@ -173,13 +171,13 @@ func (r *Report) section(cells []harness.Cell) {
 		// before the fault-ladder branch — scenario cells carry adversary
 		// descriptors too, but belong to the repeated-election section.
 		if c.Scenario != "" {
-			et := EpochTable{Protocol: string(id.Protocol), Family: id.Family, N: id.N, Scenario: c.Scenario}
+			et := EpochTable{Key: id}
 			var anchor *harness.Cell
 			if c.Adversary == "" {
 				anchor = &cells[i]
 				et.HasAnchor = true
 			}
-			for i < len(cells) && cells[i].Scenario == c.Scenario && anchorKey(cells[i]) == id &&
+			for i < len(cells) && anchorKey(cells[i]) == id &&
 				(len(et.Rows) == 0 || cells[i].Adversary != "") {
 				row := newRow(cells[i])
 				if &cells[i] != anchor {
@@ -196,7 +194,7 @@ func (r *Report) section(cells []harness.Cell) {
 		isLadderStart := c.Adversary != "" ||
 			(i+1 < len(cells) && cells[i+1].Adversary != "" && anchorKey(cells[i+1]) == id)
 		if isLadderStart {
-			ft := FaultTable{Protocol: string(id.Protocol), Family: id.Family, N: id.N, PresumedN: id.PresumedN}
+			ft := FaultTable{Key: id}
 			var anchor *harness.Cell
 			if c.Adversary == "" {
 				anchor = &cells[i]
@@ -218,16 +216,14 @@ func (r *Report) section(cells []harness.Cell) {
 		// A knowledge sweep: consecutive cells on one workload with a
 		// presumed size (the truthful factor-1 cell also carries one).
 		if c.PresumedN > 0 {
-			key := anchorKey(c)
+			key := id
 			key.PresumedN = 0
 			var kt *KnowledgeTable
 			if j, ok := knowIdx[key]; ok {
 				kt = &r.Knowledge[j]
 			} else {
 				knowIdx[key] = len(r.Knowledge)
-				r.Knowledge = append(r.Knowledge, KnowledgeTable{
-					Protocol: string(key.Protocol), Family: key.Family, N: key.N,
-				})
+				r.Knowledge = append(r.Knowledge, KnowledgeTable{Key: key})
 				kt = &r.Knowledge[len(r.Knowledge)-1]
 			}
 			kt.Rows = append(kt.Rows, newRow(c))
@@ -236,13 +232,13 @@ func (r *Report) section(cells []harness.Cell) {
 		}
 
 		// A Table-1 row.
-		key := [2]string{string(c.Protocol), c.Family}
+		key := harness.CellKey{Protocol: c.Protocol, Family: c.Family}
 		var ft *FamilyTable
 		if j, ok := famIdx[key]; ok {
 			ft = &r.Families[j]
 		} else {
 			famIdx[key] = len(r.Families)
-			r.Families = append(r.Families, FamilyTable{Protocol: string(c.Protocol), Family: c.Family})
+			r.Families = append(r.Families, FamilyTable{Key: key})
 			ft = &r.Families[len(r.Families)-1]
 		}
 		ft.Rows = append(ft.Rows, newRow(c))
@@ -254,7 +250,7 @@ func (r *Report) section(cells []harness.Cell) {
 		kt := &r.Knowledge[j]
 		var anchor *harness.Cell
 		for k := range kt.Rows {
-			if kt.Rows[k].Cell.PresumedN == kt.N {
+			if kt.Rows[k].Cell.PresumedN == kt.Key.N {
 				anchor = &kt.Rows[k].Cell
 				kt.HasAnchor = true
 				break

@@ -73,7 +73,7 @@ func TestBaselineReportSections(t *testing.T) {
 	}
 	protos := map[string]bool{}
 	for _, ft := range r.Families {
-		protos[ft.Protocol] = true
+		protos[string(ft.Key.Protocol)] = true
 	}
 	for _, p := range []string{"ire", "walknotify", "flood", "revocable"} {
 		if !protos[p] {
@@ -85,7 +85,7 @@ func TestBaselineReportSections(t *testing.T) {
 	}
 	for _, kt := range r.Knowledge {
 		if !kt.HasAnchor {
-			t.Fatalf("knowledge sweep %s/%d lost its truthful anchor", kt.Family, kt.N)
+			t.Fatalf("knowledge sweep %s/%d lost its truthful anchor", kt.Key.Family, kt.Key.N)
 		}
 	}
 	if len(r.Faults) != 8 {
@@ -96,7 +96,7 @@ func TestBaselineReportSections(t *testing.T) {
 		if !r.Faults[i].HasAnchor {
 			t.Fatalf("fault ladder %+v lost its anchor", r.Faults[i])
 		}
-		if r.Faults[i].Protocol == "revocable" {
+		if r.Faults[i].Key.Protocol == "revocable" {
 			revocable = &r.Faults[i]
 		}
 	}

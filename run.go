@@ -106,6 +106,22 @@ type Metrics struct {
 	Crashed int
 }
 
+// Add folds o into m, the one sum rule of runs: the counters (Rounds,
+// ChargedRounds, Messages, Bits, Dropped, Delayed, Crashed) add, and
+// MaxLinkSlots, MaxChannels and CongestBits take the larger value.
+func (m *Metrics) Add(o Metrics) {
+	m.Rounds += o.Rounds
+	m.ChargedRounds += o.ChargedRounds
+	m.Messages += o.Messages
+	m.Bits += o.Bits
+	m.Dropped += o.Dropped
+	m.Delayed += o.Delayed
+	m.Crashed += o.Crashed
+	m.MaxLinkSlots = max(m.MaxLinkSlots, o.MaxLinkSlots)
+	m.MaxChannels = max(m.MaxChannels, o.MaxChannels)
+	m.CongestBits = max(m.CongestBits, o.CongestBits)
+}
+
 func metricsFromSim(m sim.Metrics) Metrics {
 	return Metrics{
 		Rounds:        m.Rounds,
