@@ -1,11 +1,12 @@
 # Shared entry points for humans and CI. `make ci` runs build, lint, test,
-# race and bench. .github/workflows/ci.yml runs those and more, so a green
-# `make ci` is not yet a green pipeline. The pipeline also runs `make fuzz`,
+# race and bench. .github/workflows/ci.yml runs those but build, and more,
+# so a green `make ci` is not yet a green pipeline. The pipeline also runs `make fuzz`,
 # `make loc`, `make epochs-smoke`, `make scaling-smoke`, `make dist-demo` and
 # `make obs-smoke`; it calls `go run ./cmd/benchdiff` (the gate `make
 # benchdiff` runs, plus a JSON verdict) and `go run ./cmd/lereport`
-# directly; it builds on Go 1.21 and 1.22, and tests
-# on 1.21, 1.22 and 1.24 (the last runs the go1.24-only weak-pointer test).
+# directly; it tests on Go 1.21, 1.22 and 1.24 (the last runs the
+# go1.24-only weak-pointer test), which compiles every package, since each
+# has a test file: `make build` is a local target CI does not call.
 # `make fuzz` runs each of its ten fuzzers for FUZZTIME (default 10s);
 # plain `go test` only replays their seed corpora.
 
@@ -15,7 +16,7 @@ GO ?= go
 
 all: build
 
-# ./... covers the library, cmds and examples.
+# ./... covers the library and cmds.
 build:
 	$(GO) build ./...
 

@@ -65,6 +65,9 @@ func run() error {
 	if *presumed < 0 {
 		return fmt.Errorf("-presumed must be >= 0 (0 = truth), got %d", *presumed)
 	}
+	if *observe < 0 {
+		return fmt.Errorf("-observe must be >= 0 (0 = off), got %d", *observe)
+	}
 
 	nw, err := anonlead.NewNetwork(*family, *n, *seed)
 	if err != nil {

@@ -15,7 +15,8 @@ import (
 // descriptor on the faults line, per-trial means over the three trials.
 // A batch of no trials, which used to print 0/0 and NaN means, is refused,
 // and so are a NaN fault rate, a graph size the family cannot have and a
-// negative presumed size, which used to run silently with the true size;
+// negative presumed size or observe period, which used to run silently
+// with the true size or no observer;
 // -parallel and -scheduler are undefined flags, since every election runs
 // on the sequential simulator; -h lists every family name and alias.
 func TestLeaderelectFaultedBatch(t *testing.T) {
@@ -64,8 +65,13 @@ func TestLeaderelectFaultedBatch(t *testing.T) {
 	if want := "leaderelect: graph: cycle needs n>=3, got 2\n"; err == nil || string(out) != want {
 		t.Errorf("leaderelect -graph cycle -n 2: err %v, output %q; want a failure printing %q", err, out, want)
 	}
-	out, err = exec.Command(bin, "-presumed", "-5").CombinedOutput()
-	if want := "leaderelect: -presumed must be >= 0 (0 = truth), got -5\n"; err == nil || string(out) != want {
-		t.Errorf("leaderelect -presumed -5: err %v, output %q; want a failure printing %q", err, out, want)
+	for _, c := range []struct{ flag, value, want string }{
+		{"-presumed", "-5", "leaderelect: -presumed must be >= 0 (0 = truth), got -5\n"},
+		{"-observe", "-1", "leaderelect: -observe must be >= 0 (0 = off), got -1\n"},
+	} {
+		out, err = exec.Command(bin, c.flag, c.value).CombinedOutput()
+		if err == nil || string(out) != c.want {
+			t.Errorf("leaderelect %s %s: err %v, output %q; want a failure printing %q", c.flag, c.value, err, out, c.want)
+		}
 	}
 }
