@@ -397,7 +397,7 @@ func TestWireRunAllocsPerMessage(t *testing.T) {
 // election builds its own Runner: a factory's arena belongs to one network.
 func electionSetup(tb testing.TB, proto, family string, n int) (*graph.Graph, func() core.Runner) {
 	tb.Helper()
-	g, err := harness.Workload{Family: family, N: n}.BuildGraph(1)
+	g, err := graph.Seeded(family, n, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}

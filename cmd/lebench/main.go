@@ -1,6 +1,8 @@
 // Command lebench regenerates the paper's evaluation: every experiment that
 // produces cells is plan → Orchestrator.RunSweep → artifact → report, and
-// stdout is the markdown `lereport` renders from the -json artifact.
+// stdout is the markdown `lereport` renders from the -json artifact. The
+// series that produce no cells (Figures 1-2, X1-X3) print internal/report's
+// markdown series tables before it.
 //
 // Usage:
 //
@@ -216,7 +218,7 @@ func figures(s *session) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(harness.RenderSplitBrain(presumed, points))
+	fmt.Print(report.SplitBrainMarkdown(presumed, points))
 	return nil
 }
 
@@ -237,21 +239,21 @@ func ablations(s *session) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(harness.RenderAblationCautious(w, prof, points))
+	fmt.Print(report.CautiousMarkdown(w, prof, points))
 
 	factors := []float64{0.25, 0.5, 1, 2, 4}
 	wpoints, err := harness.AblationWalks(s.orch, w, factors, trials, s.seed)
 	if err != nil {
 		return err
 	}
-	fmt.Println(harness.RenderAblationWalks(w, wpoints))
+	fmt.Print(report.WalksMarkdown(w, wpoints))
 
 	dw := harness.Workload{Family: "cycle", N: 16}
 	dpoints, err := harness.AblationDiffusion(dw, 0.5, 64, s.seed)
 	if err != nil {
 		return err
 	}
-	fmt.Println(harness.RenderAblationDiffusion(dw, dpoints))
+	fmt.Print(report.DiffusionMarkdown(dw, dpoints))
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,8 +17,9 @@ import (
 // TestLebench builds the binary once and drives it as a process: the
 // pool-size identity over the whole gate plan, the gate sweep against the
 // committed baseline, stdout against lereport's render of the artifact,
-// the telemetry flags that must leave the cells alone, and the removed
-// flags and negative counts that must be refused.
+// the telemetry flags that must leave the cells alone, the series tables
+// of figures and ablations, and the removed flags and negative counts that
+// must be refused.
 func TestLebench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the lebench binary")
@@ -167,6 +169,43 @@ func TestLebench(t *testing.T) {
 			for k, v := range plainCells[i] {
 				if !bytes.Equal(c[k], v) {
 					t.Fatalf("cell %d: -round-profile changed %s: %s vs %s", i, k, c[k], v)
+				}
+			}
+		}
+	})
+
+	// The series that produce no cells print markdown tables through
+	// internal/report: each heading is followed by a table whose rows have
+	// the header's column count, and ablations goes on to the knowledge
+	// ablation's cell report.
+	t.Run("series", func(t *testing.T) {
+		cols := func(line string) int { return strings.Count(strings.TrimSpace(line), "|") - 1 }
+		for exp, headings := range map[string][]string{
+			"figures":   {"## Figures 1–2"},
+			"ablations": {"## X1 (Lemma 1)", "## X2 (Lemma 2)", "## X3 (Lemmas 5–8)", "## Knowledge ablation"},
+		} {
+			stdout, _ := mustRun(t, "-exp", exp, "-quick", "-trials", "1")
+			lines := strings.Split(stdout, "\n")
+			for _, h := range headings {
+				at := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, h) })
+				if at < 0 {
+					t.Fatalf("-exp %s prints no %q:\n%s", exp, h, stdout)
+				}
+				table := lines[at+1:]
+				for len(table) > 0 && !strings.HasPrefix(table[0], "|") {
+					table = table[1:]
+				}
+				rows := 0
+				for rows < len(table) && strings.HasPrefix(table[rows], "|") {
+					rows++
+				}
+				if rows < 3 {
+					t.Fatalf("-exp %s: %q has no markdown table with rows:\n%s", exp, h, stdout)
+				}
+				for _, row := range table[1:rows] {
+					if cols(row) != cols(table[0]) {
+						t.Fatalf("-exp %s: %q row %q has %d columns, its header %d", exp, h, row, cols(row), cols(table[0]))
+					}
 				}
 			}
 		}

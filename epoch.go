@@ -99,7 +99,8 @@ type EpochOutcome struct {
 	// Elected counts the epochs that elected a unique leader.
 	Elected int
 	// Dead lists the nodes crash-stopped as ex-leaders (crash mode), in
-	// death order.
+	// death order. The last epoch's leaders are not on it: no later
+	// epoch crash-stops them.
 	Dead []int
 	// MeanRecover is the mean rounds of the successful re-elections
 	// (epochs after the first), i.e. the mean time-to-recover from a
@@ -188,7 +189,7 @@ func (nw *Network) RunEpochs(ctx context.Context, protocol string, sc Scenario, 
 			eo.Elected++
 		}
 		eo.Epochs = append(eo.Epochs, res)
-		if !sc.Revoke {
+		if !sc.Revoke && e+1 < sc.Epochs {
 			for _, v := range out.Leaders {
 				if !deadSet[v] {
 					deadSet[v] = true

@@ -101,7 +101,7 @@ func TestEpochChainDeterminism(t *testing.T) {
 	// The scenario must actually exercise the chain: every epoch elects,
 	// each epoch's leader is fresh (its predecessors are dead), and seeds
 	// genuinely change across epochs.
-	if base.Elected != 5 || len(base.Dead) != 5 {
+	if base.Elected != 5 || len(base.Dead) != 4 {
 		t.Fatalf("history did not crash-recover 5 times: %+v", base)
 	}
 	seen := map[int]bool{}
@@ -188,7 +188,8 @@ func TestEpochCarryChangesReElections(t *testing.T) {
 // caller's seed and options) reads exactly what a plain Run does,
 // dropped packets included; and the scenario's Metrics is the epochs'
 // sum: counters add, maxima take the max, and Crashed is the last
-// epoch's count of dead leaders.
+// epoch's count of dead leaders, who are exactly Dead: the last epoch's
+// leader, whom no later epoch crash-stops, is not on it.
 func TestEpochCarriesItsRunsMetrics(t *testing.T) {
 	nw := mustNetwork(t, "expander", 32, 2)
 	opts := []Option{WithSeed(7), WithAdversary(AdversarySpec{Loss: 0.1})}
@@ -219,6 +220,9 @@ func TestEpochCarriesItsRunsMetrics(t *testing.T) {
 	want.Crashed = eo.Epochs[2].Crashed
 	if eo.Metrics != want || want.Crashed != 2 {
 		t.Fatalf("scenario metrics %+v, want the epochs' sum %+v with two dead leaders", eo.Metrics, want)
+	}
+	if len(eo.Dead) != eo.Crashed {
+		t.Fatalf("dead %v, want the %d ex-leaders the last epoch ran crashed", eo.Dead, eo.Crashed)
 	}
 }
 

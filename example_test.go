@@ -6,6 +6,7 @@ import (
 
 	"anonlead"
 	"anonlead/internal/harness"
+	"anonlead/internal/report"
 )
 
 // Elect a leader in an anonymous network of known size: the paper's
@@ -405,19 +406,23 @@ func Example_impossibility() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Print(harness.RenderSplitBrain(presumedN, points))
-	fmt.Println()
+	fmt.Print(report.SplitBrainMarkdown(presumedN, points))
 	fmt.Println("reading: every wheel elects many leaders; E[leaders] grows linearly in")
 	fmt.Println("the number of planted witnesses because 2T(n)-separated regions run")
 	fmt.Println("independent executions (the Figure 2 invariant). An irrevocable")
 	fmt.Println("election that must stop by T(n) cannot ever be safe without knowing n.")
 	// Output:
-	// == Figures 1-2: pumping wheel, IRE presuming n=10 on C_N ==
-	// witnesses     N  T(n)  P(multi)     lo  hi  E[leaders]  splitcores  zero
-	// ---------  ----  ----  --------  -----  --  ----------  ----------  ----
-	//         1   816   199         1  0.722   1         4.7           0     0
-	//         2  1632   199         1  0.722   1         9.1           0     0
-	//         4  3264   199         1  0.722   1          19           0     0
+	// ## Figures 1–2 — pumping wheel, IRE presuming n = 10 on C_N
+	//
+	// `P(multi)` is the share of trials electing more than one leader; `split cores`
+	// counts trials with a witness split-brained in both segments, `zero` trials
+	// electing nobody.
+	//
+	// | witnesses | N | T(n) | P(multi) | 95% CI | E[leaders] | split cores | zero |
+	// |---:|---:|---:|---:|---|---:|---:|---:|
+	// | 1 | 816 | 199 | 1 | [0.722, 1.000] | 4.7 | 0 | 0 |
+	// | 2 | 1632 | 199 | 1 | [0.722, 1.000] | 9.1 | 0 | 0 |
+	// | 4 | 3264 | 199 | 1 | [0.722, 1.000] | 19 | 0 | 0 |
 	//
 	// reading: every wheel elects many leaders; E[leaders] grows linearly in
 	// the number of planted witnesses because 2T(n)-separated regions run

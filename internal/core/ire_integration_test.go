@@ -245,3 +245,35 @@ func TestIREPayloadBitsPositive(t *testing.T) {
 		t.Fatal("invite should cost more than control messages")
 	}
 }
+
+// TestIRESlotTagCoversExecutions: a cautious-broadcast message's slot tag
+// is slotTagBits wide, so the CONGEST charge is honest only while no node
+// multiplexes more than 1<<slotTagBits executions. Every node's execution
+// table holds each execution it ever joined (nothing is removed), so its
+// final length is the node's peak.
+func TestIRESlotTagCoversExecutions(t *testing.T) {
+	for _, c := range []struct {
+		family string
+		n      int
+	}{{"expander", 256}, {"gnp", 1000}, {"complete", 256}, {"cycle", 96}} {
+		peak := 0
+		for seed := uint64(1); seed <= 4; seed++ {
+			g, err := graph.Seeded(c.family, c.n, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := mustBuild(t, "ire", profiledConfig(t, g))
+			nw := sim.New(sim.Config{Graph: g, Seed: seed}, r.Factory)
+			nw.Run(r.Budget)
+			for v := 0; v < g.N(); v++ {
+				k := nw.Machine(v).(*IREMachine).execs.Len()
+				if k > 1<<slotTagBits {
+					t.Fatalf("%s-%d seed %d: node %d joined %d executions, the %d-bit slot tag names %d",
+						c.family, c.n, seed, v, k, slotTagBits, 1<<slotTagBits)
+				}
+				peak = max(peak, k)
+			}
+		}
+		t.Logf("%s-%d: at most %d executions at a node (tag room %d)", c.family, c.n, peak, 1<<slotTagBits)
+	}
+}

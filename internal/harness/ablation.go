@@ -1,11 +1,11 @@
 package harness
 
 import (
-	"fmt"
 	"math"
 
 	"anonlead/internal/core"
 	"anonlead/internal/diffusion"
+	"anonlead/internal/graph"
 	"anonlead/internal/rng"
 	"anonlead/internal/sim"
 	"anonlead/internal/spectral"
@@ -31,7 +31,7 @@ type CautiousPoint struct {
 // territories are per-node IREMachine.Output() values, which a public Run
 // does not expose.
 func AblationCautious(w Workload, xs []int, trials int, seed uint64) ([]CautiousPoint, *spectral.Profile, error) {
-	g, err := w.BuildGraph(seed)
+	g, err := graph.Seeded(w.Family, w.N, seed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -84,24 +84,6 @@ func AblationCautious(w Workload, xs []int, trials int, seed uint64) ([]Cautious
 	return points, prof, nil
 }
 
-// RenderAblationCautious renders the X1 series.
-func RenderAblationCautious(w Workload, prof *spectral.Profile, points []CautiousPoint) string {
-	t := Table{
-		Title: fmt.Sprintf("X1 (Lemma 1): cautious broadcast on %s n=%d (tmix=%d, phi=%.4f)",
-			w.Family, w.N, prof.MixingTime, prof.Conductance),
-		Header: []string{"x", "cap=x*tmix*phi", "mean territory", "max", "cands", "msgs", "x*tmix*cands", "msgs/pred"},
-	}
-	for _, p := range points {
-		ratio := 0.0
-		if p.PredictedMsgs > 0 {
-			ratio = p.Messages / p.PredictedMsgs
-		}
-		t.AddRow(I(p.X), I(p.CapSize), F(p.MeanTerritory), I(p.MaxTerritory),
-			F(p.Candidates), F(p.Messages), F(p.PredictedMsgs), F(ratio))
-	}
-	return t.String()
-}
-
 // WalkPoint is one point of the Lemma 2 ablation: the full protocol's cell
 // with the walk count scaled away from the paper's x.
 type WalkPoint struct {
@@ -146,22 +128,6 @@ func AblationWalks(o Orchestrator, w Workload, factors []float64, trials int, se
 		points[i] = WalkPoint{Factor: f, X: x, Cell: cells[i]}
 	}
 	return points, nil
-}
-
-// RenderAblationWalks renders the X2 series.
-func RenderAblationWalks(w Workload, points []WalkPoint) string {
-	t := Table{
-		Title: fmt.Sprintf("X2 (Lemma 2): walk-count sweep on %s n=%d (paper x at factor 1)",
-			w.Family, w.N),
-		Header: []string{"factor", "x", "success", "rate", "lo", "hi", "msgs"},
-	}
-	for _, p := range points {
-		c := p.Cell
-		lo, hi := stats.Wilson(c.Successes, c.Trials)
-		t.AddRow(F(p.Factor), I(p.X), fmt.Sprintf("%d/%d", c.Successes, c.Trials),
-			F(c.SuccessRate()), F(lo), F(hi), F(c.Messages))
-	}
-	return t.String()
 }
 
 // KnowledgeSpecs expands a presumed-size sweep (the knowledge ablation,
@@ -209,7 +175,7 @@ type DiffusionPoint struct {
 // same ProtoConfig a run with this ε and the graph's i(G) would get; only
 // the simulation cap on r(k) is X3's.
 func AblationDiffusion(w Workload, eps float64, maxK uint64, seed uint64) ([]DiffusionPoint, error) {
-	g, err := w.BuildGraph(seed)
+	g, err := graph.Seeded(w.Family, w.N, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -260,17 +226,4 @@ func AblationDiffusion(w Workload, eps float64, maxK uint64, seed uint64) ([]Dif
 		})
 	}
 	return points, nil
-}
-
-// RenderAblationDiffusion renders the X3 series.
-func RenderAblationDiffusion(w Workload, points []DiffusionPoint) string {
-	t := Table{
-		Title:  fmt.Sprintf("X3 (Lemmas 5-8): diffusion threshold detector on %s n=%d", w.Family, w.N),
-		Header: []string{"k", "k^(1+e)", "r(k)", "whites", "maxPot", "tau(k)", "alarm", "low-k regime"},
-	}
-	for _, p := range points {
-		t.AddRow(fmt.Sprintf("%d", p.K), F(p.KPow), I(p.Rounds), I(p.Whites),
-			F(p.MaxPot), F(p.Tau), fmt.Sprintf("%t", p.AlarmFired), fmt.Sprintf("%t", p.TheoryLow))
-	}
-	return t.String()
 }

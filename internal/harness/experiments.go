@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"math"
 
 	"anonlead"
@@ -9,7 +8,6 @@ import (
 	"anonlead/internal/graph"
 	"anonlead/internal/pumping"
 	"anonlead/internal/spectral"
-	"anonlead/internal/stats"
 )
 
 // predictMsgs evaluates the leading message term of each protocol's bound.
@@ -134,23 +132,4 @@ func SplitBrainExperiment(presumedN int, witnessCounts []int, trials int, seed u
 		points = append(points, pt)
 	}
 	return points, nil
-}
-
-// RenderSplitBrain renders the Figure 1/2 series.
-func RenderSplitBrain(presumedN int, points []SplitBrainPoint) string {
-	t := Table{
-		Title: fmt.Sprintf("Figures 1-2: pumping wheel, IRE presuming n=%d on C_N", presumedN),
-		Header: []string{
-			"witnesses", "N", "T(n)", "P(multi)", "lo", "hi", "E[leaders]", "splitcores", "zero",
-		},
-	}
-	for _, pt := range points {
-		lo, hi := stats.Wilson(pt.MultiLeader, pt.Trials)
-		t.AddRow(
-			I(pt.Layout.Witnesses), I(pt.Layout.WheelN), I(pt.Layout.T),
-			F(float64(pt.MultiLeader)/float64(pt.Trials)), F(lo), F(hi),
-			F(pt.MeanLeaders), I(pt.SplitCores), I(pt.ZeroLeader),
-		)
-	}
-	return t.String()
 }

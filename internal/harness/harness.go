@@ -2,8 +2,9 @@
 // topology cells, executes protocol trials through the public anonlead
 // API (the registry-backed Network.Run session surface), aggregates cost
 // metrics and success rates into cells, and assembles the cells into the
-// artifact internal/report renders. Only the series that produce no cells
-// (Figures 1-2, X1-X3) have text renderers here.
+// artifact internal/report renders. The harness renders nothing: the
+// series that produce no cells (Figures 1-2, X1-X3) return their points,
+// and internal/report renders those too.
 //
 // Every trial is one anonlead.Run call on the anonlead.NewNetwork the cell
 // names, with the public types themselves (the harness translates
@@ -19,7 +20,6 @@ import (
 	"anonlead"
 	"anonlead/internal/adversary"
 	"anonlead/internal/core"
-	"anonlead/internal/graph"
 	"anonlead/internal/obs"
 	"anonlead/internal/rng"
 	"anonlead/internal/spectral"
@@ -48,12 +48,6 @@ func Protocols() []Protocol {
 type Workload struct {
 	Family string `json:"family"`
 	N      int    `json:"n"`
-}
-
-// BuildGraph constructs the workload's graph deterministically from seed
-// (random families draw from a seed-keyed stream).
-func (w Workload) BuildGraph(seed uint64) (*graph.Graph, error) {
-	return graph.Seeded(w.Family, w.N, seed)
 }
 
 // Trial is the outcome of one protocol execution. Under fault injection,

@@ -2,20 +2,20 @@ package harness
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"anonlead/internal/core"
+	"anonlead/internal/graph"
 	"anonlead/internal/spectral"
 )
 
 func TestWorkloadBuildDeterministic(t *testing.T) {
 	w := Workload{Family: "expander", N: 32}
-	g1, err := w.BuildGraph(5)
+	g1, err := graph.Seeded(w.Family, w.N, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := w.BuildGraph(5)
+	g2, err := graph.Seeded(w.Family, w.N, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,15 +141,11 @@ func TestSplitBrainExperimentSmall(t *testing.T) {
 	if pt.MeanLeaders < 1 {
 		t.Fatalf("mean leaders %v: the wheel should elect plenty", pt.MeanLeaders)
 	}
-	out := RenderSplitBrain(8, points)
-	if !strings.Contains(out, "pumping wheel") || !strings.Contains(out, "P(multi)") {
-		t.Fatalf("render incomplete:\n%s", out)
-	}
 }
 
 func TestAblationCautiousRuns(t *testing.T) {
 	w := Workload{Family: "complete", N: 32}
-	points, prof, err := AblationCautious(w, []int{2, 8}, 2, 5)
+	points, _, err := AblationCautious(w, []int{2, 8}, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +158,6 @@ func TestAblationCautiousRuns(t *testing.T) {
 	}
 	if points[1].MeanTerritory < points[0].MeanTerritory/2 {
 		t.Fatalf("territory collapsed at larger x: %+v", points)
-	}
-	out := RenderAblationCautious(w, prof, points)
-	if !strings.Contains(out, "Lemma 1") {
-		t.Fatal("render missing title")
 	}
 }
 
@@ -195,9 +187,6 @@ func TestAblationWalksRuns(t *testing.T) {
 			t.Fatalf("factor %v: cell differs from a direct RunSweep:\n%+v\nvs\n%+v", p.Factor, p.Cell, direct[i])
 		}
 	}
-	if out := RenderAblationWalks(w, points); !strings.Contains(out, "Lemma 2") {
-		t.Fatal("render missing title")
-	}
 }
 
 func TestAblationDiffusionDetectorRegimes(t *testing.T) {
@@ -212,10 +201,6 @@ func TestAblationDiffusionDetectorRegimes(t *testing.T) {
 			t.Fatalf("alarm fired in the safe regime: %+v", p)
 		}
 	}
-	out := RenderAblationDiffusion(w, points)
-	if !strings.Contains(out, "Lemmas 5-8") {
-		t.Fatal("render missing title")
-	}
 }
 
 // TestAblationDiffusionUsesProtocolSchedule: X3 evolves the Revocable
@@ -229,7 +214,7 @@ func TestAblationDiffusionUsesProtocolSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := w.BuildGraph(seed)
+	g, err := graph.Seeded(w.Family, w.N, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,32 +242,6 @@ func TestAblationDiffusionUsesProtocolSchedule(t *testing.T) {
 	}
 	if uncapped == 0 {
 		t.Fatal("every estimate hit the simulation cap; nothing compared")
-	}
-}
-
-func TestTableRenderAlignment(t *testing.T) {
-	tab := Table{Title: "x", Header: []string{"a", "bb"}}
-	tab.AddRow("1")
-	tab.AddRow("22", "333")
-	out := tab.String()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 5 { // title, header, rule, 2 rows
-		t.Fatalf("lines %d:\n%s", len(lines), out)
-	}
-	if len(lines[3]) != len(lines[4]) {
-		t.Fatalf("rows unaligned:\n%s", out)
-	}
-}
-
-func TestFormatHelpers(t *testing.T) {
-	if F(0) != "0" {
-		t.Fatal("F(0)")
-	}
-	if F(123456789) != "1.23e+08" {
-		t.Fatalf("F large: %s", F(123456789))
-	}
-	if I(42) != "42" {
-		t.Fatal("I")
 	}
 }
 

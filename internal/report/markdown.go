@@ -190,6 +190,7 @@ func ratio(v float64) string {
 }
 
 // wilson renders a row's Wilson success interval.
-func wilson(r Row) string {
-	return fmt.Sprintf("[%.3f, %.3f]", r.SuccessLo, r.SuccessHi)
-}
+func wilson(r Row) string { return interval(r.SuccessLo, r.SuccessHi) }
+
+// interval renders a ~95% interval as the "95% CI" columns print it.
+func interval(lo, hi float64) string { return fmt.Sprintf("[%.3f, %.3f]", lo, hi) }

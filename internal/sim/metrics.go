@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // Metrics aggregates the cost accounting for a run. All counters are totals
 // since network construction.
 type Metrics struct {
@@ -38,12 +36,6 @@ type Metrics struct {
 	Delayed int64
 	// Crashes counts nodes crash-stopped by the adversary.
 	Crashes int
-}
-
-// String renders the metrics compactly for logs and CLI output.
-func (m Metrics) String() string {
-	return fmt.Sprintf("rounds=%d charged=%d msgs=%d bits=%d maxSlots=%d budget=%db",
-		m.Rounds, m.ChargedRounds, m.Messages, m.Bits, m.MaxLinkSlots, m.CongestBits)
 }
 
 // Ledger is the round ledger every backend closes its rounds through: the

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 
 	"anonlead/internal/graph"
@@ -331,14 +330,5 @@ func TestAnonymityOfContext(t *testing.T) {
 	}
 	if d := nw.Machine(1).(*recorder).initDeg; d != 1 {
 		t.Fatalf("leaf degree %d want 1", d)
-	}
-}
-
-func TestMetricsString(t *testing.T) {
-	m := Metrics{Rounds: 3, ChargedRounds: 5, Messages: 7, Bits: 90, CongestBits: 16, MaxLinkSlots: 2}
-	if s := m.String(); s == "" {
-		t.Fatal("empty metrics string")
-	} else {
-		_ = fmt.Sprintf("%s", s)
 	}
 }
