@@ -158,29 +158,33 @@ loc:
 # vector kernel is amd64 assembly and the other architectures compile its
 # fallback file instead (vet checks the assembly's frame offsets on
 # amd64, but a declaration left without a body off amd64 fails only a
-# build); the deprecated scheduler names (every run steps
-# on the calling goroutine) may appear only in bench/, their declaration in
-# options.go and its test, and the deprecated profile-mode names (a
-# network's size picks its profile regime) only in bench/, profile.go and
-# its test, until ROADMAP item 3 removes them.
+# build); and one fence over the deprecated names kept only for bench/,
+# until ROADMAP item 3 removes them. Each DEPRECATED entry is an extended
+# regexp and then the files outside bench/ that may still spell it (the
+# declaration and its test): the scheduler names (every run steps on the
+# calling goroutine), the profile-mode names (a network's size picks its
+# profile regime), the diff thresholds and per-metric counts (a changed
+# leaf is the verdict) and the runner's node count (no builder reads it).
+DEPRECATED = \
+	'WorkerPool|Actors|WithScheduler options.go options_test.go' \
+	'ProfileAuto|ProfileMode profile.go profile_test.go' \
+	'trajectory\.Thresholds|\.Improved\b|\.Regressed\b|\.Drifted\b internal/trajectory/trajectory.go internal/trajectory/trajectory_test.go' \
+	'\bTrueN\b internal/core/registry.go'
+
 lint:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
-	@out=$$(grep -rl --include='*.go' -e WorkerPool -e Actors -e WithScheduler . | \
-		grep -v -e '^./bench/' -e '^./options.go$$' -e '^./options_test.go$$'); \
-	if [ -n "$$out" ]; then \
-		echo "deprecated scheduler names (WorkerPool, Actors, WithScheduler) outside bench/ and options.go:"; \
-		echo "$$out"; exit 1; \
-	fi
-	@out=$$(grep -rl --include='*.go' -e ProfileAuto -e ProfileMode . | \
-		grep -v -e '^./bench/' -e '^./profile.go$$' -e '^./profile_test.go$$'); \
-	if [ -n "$$out" ]; then \
-		echo "deprecated profile names (ProfileAuto, ProfileMode) outside bench/ and profile.go:"; \
-		echo "$$out"; exit 1; \
-	fi
+	@fail=0; for fence in $(DEPRECATED); do \
+		set -- $$fence; pat=$$1; shift; \
+		out=$$(grep -rlE --include='*.go' -e "$$pat" . | grep -v '^./bench/' | \
+			grep -vxF $$(printf ' -e ./%s' "$$@")); \
+		if [ -n "$$out" ]; then \
+			printf 'deprecated names (%s) outside bench/ and %s:\n%s\n' "$$pat" "$$*" "$$out"; fail=1; \
+		fi; \
+	done; exit $$fail
 
 fmt:
 	gofmt -w .

@@ -409,7 +409,7 @@ func electionSetup(tb testing.TB, proto, family string, n int) (*graph.Graph, fu
 	if !ok {
 		tb.Fatalf("protocol %q not registered", proto)
 	}
-	pc := core.ProtoConfig{TrueN: n, N: n, TMix: prof.MixingTime, Phi: prof.Conductance, Diam: prof.Diameter}
+	pc := core.ProtoConfig{N: n, TMix: prof.MixingTime, Phi: prof.Conductance, Diam: prof.Diameter}
 	return g, func() core.Runner {
 		runner, err := entry.Build(pc)
 		if err != nil {

@@ -16,12 +16,12 @@
 // 2 on a usage or read error, as cmp does.
 //
 // The markdown summary goes to stdout (CI tees it into
-// $GITHUB_STEP_SUMMARY) and explains a change metric by metric: a mean
-// cost that rose is regressed and one that fell improved (the success rate
-// reads the other way), and a measured/predicted ratio (messages against
-// the paper's message bound, rounds against its time bound) that moved
-// more than 25 % is drifted. -json additionally writes the
-// machine-readable report.
+// $GITHUB_STEP_SUMMARY). Under each changed cell it lists every leaf of
+// the cell's encoding that differs, by dotted path with both values (e.g.
+// "messages_dist.p90: 131 → 140"), then the removed and added cells.
+// -json additionally writes the machine-readable report: the aligned
+// count and the changed cells with those fields, and the added and
+// removed keys.
 //
 // Schema handling: only the current artifact schema is accepted; any
 // other is refused by name.
@@ -50,10 +50,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			"presumed_n, adversary, scenario) and exits 1 if any aligned\n"+
 			"cell differs in any field, or a cell was added or removed; make baseline\n"+
 			"accepts an intended change. Exit 0 means the sweeps are equal; 2 is a\n"+
-			"usage or read error. The markdown summary on stdout explains a change per\n"+
-			"metric: a cost up is regressed, down improved (success_rate the other way),\n"+
-			"and a measured/predicted ratio (msgs_vs_pred, time_vs_pred) moving more\n"+
-			"than 25%% relative to its baseline is drifted.\n\nFlags:\n")
+			"usage or read error. The markdown summary on stdout lists under each\n"+
+			"changed cell every field that differs, by dotted path with its base and\n"+
+			"head values (e.g. messages_dist.p90: 131 → 140), then the removed and\n"+
+			"added cells.\n\nFlags:\n")
 		fs.PrintDefaults()
 		fmt.Fprintf(stderr, "\nExamples:\n"+
 			"  benchdiff -base testdata/BENCH_baseline.json -head BENCH_harness.json\n"+

@@ -48,7 +48,7 @@ func main() {
 	var (
 		proto   = flag.String("proto", "floodmax", "protocol: "+strings.Join(core.Names(), ", "))
 		family  = flag.String("graph", "cycle", "topology family: "+graph.FamilyHelp())
-		n       = flag.Int("n", 16, "number of nodes = number of node processes")
+		n       = flag.Int("n", 16, fmt.Sprintf("number of nodes = number of node processes (at most %d)", maxNodes))
 		seed    = flag.Uint64("seed", 1, "root random seed (also derives the topology)")
 		out     = flag.String("out", "", "write the wall-clock vs simulated-rounds artifact to this JSON file")
 		timeout = flag.Duration("timeout", 2*time.Minute, "overall run deadline")
@@ -211,7 +211,36 @@ func (p framePlane) Next() (int, transport.Report, error) {
 	return m.node, r, err
 }
 
+// maxNodes caps -n. Every node is its own OS process with a socket per
+// neighbour, and the coordinator holds one control connection per node.
+// The repository's own runs use n ≤ 20 (make dist-demo runs 16); 64 leaves
+// room for a larger demo while the process count, and on the complete
+// graph the n(n−1)/2 = 2,016 localhost sockets, stay well inside default
+// per-user process and file-descriptor limits.
+const maxNodes = 64
+
+var (
+	errDeadline = errors.New("-timeout must be positive")
+	errTooMany  = fmt.Errorf("-n must be at most %d (one OS process per node)", maxNodes)
+)
+
+// checkFlags refuses, before anything is resolved or spawned, a run that
+// would start more than maxNodes processes or start them under a deadline
+// that has already passed.
+func checkFlags(n int, timeout time.Duration) error {
+	switch {
+	case timeout <= 0:
+		return fmt.Errorf("%w, got %v", errDeadline, timeout)
+	case n > maxNodes:
+		return fmt.Errorf("%w, got %d", errTooMany, n)
+	}
+	return nil
+}
+
 func coordMain(proto, family string, n int, seed uint64, out string, timeout time.Duration) error {
+	if err := checkFlags(n, timeout); err != nil {
+		return err
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	ctx, cancel := context.WithTimeout(ctx, timeout)

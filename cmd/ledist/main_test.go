@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"anonlead"
 	"anonlead/internal/sim"
@@ -234,6 +235,26 @@ func TestCoordinatorShipsRunSeedProfile(t *testing.T) {
 		}
 		if pc != want {
 			t.Errorf("coordinator ships %+v, NewNetwork(expander, %d, 5) resolves %+v", pc, n, want)
+		}
+	}
+}
+
+// TestCheckFlagsRefusesUnboundedRuns: a run over maxNodes processes, or
+// under a deadline that has already passed, is refused with a named error
+// before anything is spawned. Only the pure check runs here.
+func TestCheckFlagsRefusesUnboundedRuns(t *testing.T) {
+	for _, tc := range []struct {
+		n       int
+		timeout time.Duration
+		want    error
+	}{
+		{maxNodes, time.Minute, nil},
+		{maxNodes + 1, time.Minute, errTooMany},
+		{8, 0, errDeadline},
+		{8, -time.Second, errDeadline},
+	} {
+		if err := checkFlags(tc.n, tc.timeout); !errors.Is(err, tc.want) {
+			t.Errorf("checkFlags(%d, %v) = %v, want %v", tc.n, tc.timeout, err, tc.want)
 		}
 	}
 }

@@ -83,7 +83,7 @@ func profiled(t *testing.T, family string, n int) (*graph.Graph, core.ProtoConfi
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g, core.ProtoConfig{TrueN: g.N(), N: g.N(), TMix: prof.MixingTime, Phi: prof.Conductance, Diam: prof.Diameter}
+	return g, core.ProtoConfig{N: g.N(), TMix: prof.MixingTime, Phi: prof.Conductance, Diam: prof.Diameter}
 }
 
 // sameElection fails unless the hinted run shows exactly what the plain run

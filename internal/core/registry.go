@@ -13,12 +13,12 @@ import (
 // builder, which resolves it — validation, defaults, derived lengths —
 // exactly once per Build; no protocol has a config type of its own.
 type ProtoConfig struct {
-	// TrueN is the actual node count of the simulated graph. Always set by
-	// the runner; no builder reads it.
+	// Deprecated: TrueN is read by no builder and written by no runner.
+	// bench/election.go:173 is its last writer; ROADMAP item 3 removes it.
 	TrueN int
 	// N is the network size the protocol is told (required by every
-	// protocol but revocable). It differs from TrueN in the knowledge
-	// ablation (Dieudonné–Pelc misreporting).
+	// protocol but revocable). It differs from the graph's node count in
+	// the knowledge ablation (Dieudonné–Pelc misreporting).
 	N int
 	// TMix is the lazy-walk mixing time input, or an upper bound (ire,
 	// explicit, walknotify).

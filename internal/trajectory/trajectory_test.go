@@ -1,7 +1,10 @@
 package trajectory
 
 import (
+	"encoding/json"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -31,16 +34,25 @@ func artifact(schema string, cells ...harness.Cell) harness.Artifact {
 	return harness.Artifact{Schema: schema, Cells: cells}
 }
 
+// onlyChange returns the one changed cell of r, failing unless there is
+// exactly one and it is key.
+func onlyChange(t *testing.T, r Report, key harness.CellKey) CellChange {
+	t.Helper()
+	if r.Clean() || len(r.Changed) != 1 || r.Changed[0].Key != key {
+		t.Fatalf("want exactly %s changed: %+v", key, r)
+	}
+	return r.Changed[0]
+}
+
+var ireExpander64 = harness.CellKey{Protocol: "ire", Family: "expander", N: 64}
+
 func TestDiffIdenticalArtifactsUnchanged(t *testing.T) {
 	a := artifact(harness.ArtifactSchema,
 		cell("ire", "expander", 64, 10, 10, 1000, 50),
 		cell("flood", "complete", 32, 10, 10, 400, 0))
-	r := Diff(a, a, Thresholds{})
-	if r.Regressed != 0 || r.Improved != 0 {
-		t.Fatalf("identical artifacts classified as changed: %+v", r)
-	}
-	if r.Unchanged != 2*5 { // 4 cost metrics + success per cell
-		t.Fatalf("unchanged count %d", r.Unchanged)
+	r := Diff(a, a)
+	if r.Aligned != 2 {
+		t.Fatalf("aligned %d, want 2", r.Aligned)
 	}
 	if len(r.Added) != 0 || len(r.Removed) != 0 || len(r.Changed) != 0 || !r.Clean() {
 		t.Fatalf("phantom changed/added/removed: %+v", r)
@@ -50,46 +62,51 @@ func TestDiffIdenticalArtifactsUnchanged(t *testing.T) {
 func TestDiffFlagsLargeRegression(t *testing.T) {
 	base := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 1000, 50))
 	head := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 2000, 50))
-	r := Diff(base, head, Thresholds{})
-	if r.Clean() || len(r.Changed) != 1 || r.Changed[0].Key != (harness.CellKey{Protocol: "ire", Family: "expander", N: 64}) {
-		t.Fatalf("2x cost increase not a changed cell: %+v", r)
+	c := onlyChange(t, Diff(base, head), ireExpander64)
+	// The four means and every quantile of their distributions doubled;
+	// the spread and the success count did not move.
+	var want []string
+	for _, m := range []string{"bits", "charged", "messages", "rounds"} {
+		want = append(want, m)
+		for _, q := range []string{"max", "min", "p50", "p90", "p99"} {
+			want = append(want, m+"_dist."+q)
+		}
 	}
-	// All four cost metrics doubled; success rate unchanged.
-	if r.Regressed != 4 {
-		t.Fatalf("regressed count %d, want 4", r.Regressed)
+	var got []string
+	for _, f := range c.Fields {
+		got = append(got, f.Path)
 	}
-	md := r.Cells[0].Metrics[0]
-	if md.Metric != "messages" || md.Status != Regressed || md.RelDelta != 1 {
-		t.Fatalf("messages diff %+v", md)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("changed paths %v, want %v", got, want)
 	}
-}
-
-func TestDiffFlagsImprovement(t *testing.T) {
-	base := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 1000, 10))
-	head := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 500, 10))
-	r := Diff(base, head, Thresholds{})
-	if r.Improved != 4 || r.Regressed != 0 {
-		t.Fatalf("halved cost not improved: %+v", r)
+	if !slices.Contains(c.Fields, FieldDiff{Path: "messages", Base: "1000", Head: "2000"}) {
+		t.Fatalf("messages not 1000 → 2000: %+v", c.Fields)
 	}
 }
 
 // TestDiffAnyChangeIsChanged pins the gate's rule: a sweep is a pure
 // function of its plan and seed, so a cell that moved at all is changed —
-// a 1 % effect deep inside the trial spread, and a field the per-metric
-// table does not show, alike. A changed cell names every field that moved,
-// with both values, in the JSON report and in the markdown.
+// a 1 % effect deep inside the trial spread, and a quantile or profile
+// field alike. A changed cell names every field that moved, with both
+// values, in the JSON report and in the markdown.
 func TestDiffAnyChangeIsChanged(t *testing.T) {
 	base := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 4, 4, 1000, 400))
 	head := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 4, 4, 1010, 400))
-	if r := Diff(base, head, Thresholds{}); len(r.Changed) != 1 || r.Regressed != 4 {
-		t.Fatalf("1%% effect inside the noise not changed: %+v", r)
+	if c := onlyChange(t, Diff(base, head), ireExpander64); !slices.Contains(c.Fields, FieldDiff{Path: "messages", Base: "1000", Head: "1010"}) {
+		t.Fatalf("1%% effect inside the noise not named: %+v", c.Fields)
 	}
 	head = artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 4, 4, 1000, 400))
 	head.Cells[0].MessagesDist.P90++
 	head.Cells[0].Conductance = 0.5
-	r := Diff(base, head, Thresholds{})
-	if len(r.Changed) != 1 || r.Regressed+r.Improved+r.Drifted != 0 {
-		t.Fatalf("a change outside the metric table: %+v", r)
+	r := Diff(base, head)
+	if len(r.Changed) != 1 {
+		t.Fatalf("a change outside the means not changed: %+v", r)
+	}
+	// bench/ sums the deprecated counts to check its self-diff; Regressed
+	// counts the changed cells, so that sum is non-zero exactly when the
+	// report is not clean.
+	if r.Regressed != len(r.Changed) {
+		t.Fatalf("deprecated Regressed %d, want len(Changed) = %d", r.Regressed, len(r.Changed))
 	}
 	want := []FieldDiff{{Path: "messages_dist.p90", Base: "1400", Head: "1401"}, {Path: "phi", Base: "0", Head: "0.5"}}
 	if got := r.Changed[0].Fields; !reflect.DeepEqual(got, want) {
@@ -113,48 +130,40 @@ func TestLeavesNamesEveryLeafByPath(t *testing.T) {
 	}
 }
 
-// TestDiffSuccessRateWilson: the success rate compares exactly, higher
-// being better. One lost trial of ten is a regression although the two
-// Wilson intervals overlap, and a gained one is an improvement.
+// TestDiffSuccessRateWilson: the success count compares exactly. One lost
+// trial of ten is a change although the two Wilson intervals overlap, and
+// so is a gained one.
 func TestDiffSuccessRateWilson(t *testing.T) {
 	base := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 100, 1))
 	head := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 9, 100, 1))
-	r := Diff(base, head, Thresholds{})
-	if r.Regressed != 1 || len(r.Changed) != 1 {
-		t.Fatalf("one lost trial not flagged: %+v", r)
-	}
-	got := r.Cells[0].Metrics[len(r.Cells[0].Metrics)-1]
-	if got.Metric != "success_rate" || got.Status != Regressed {
-		t.Fatalf("success metric diff %+v", got)
-	}
-	if r = Diff(head, base, Thresholds{}); r.Improved != 1 || r.Regressed != 0 {
-		t.Fatalf("one gained trial not improved: %+v", r)
+	for _, tc := range []struct {
+		base, head harness.Artifact
+		want       FieldDiff
+	}{
+		{base, head, FieldDiff{Path: "successes", Base: "10", Head: "9"}},
+		{head, base, FieldDiff{Path: "successes", Base: "9", Head: "10"}},
+	} {
+		c := onlyChange(t, Diff(tc.base, tc.head), ireExpander64)
+		if !reflect.DeepEqual(c.Fields, []FieldDiff{tc.want}) {
+			t.Fatalf("changed fields %+v, want %+v", c.Fields, tc.want)
+		}
 	}
 }
 
 // TestDiffSuccessCollapseAtGateTrialCounts: at every trial count the
 // quick sweeps actually use (6 for revocable, 8 for table1), a total
-// success collapse k/k -> 0/k is one regressed metric on a changed cell.
+// success collapse k/k -> 0/k is a changed cell whose one changed field
+// is its success count.
 func TestDiffSuccessCollapseAtGateTrialCounts(t *testing.T) {
+	key := harness.CellKey{Protocol: "revocable", Family: "complete", N: 6}
 	for _, trials := range []int{6, 8} {
 		base := artifact(harness.ArtifactSchema, cell("revocable", "complete", 6, trials, trials, 100, 1))
 		head := artifact(harness.ArtifactSchema, cell("revocable", "complete", 6, trials, 0, 100, 1))
-		if r := Diff(base, head, Thresholds{}); r.Regressed != 1 || len(r.Changed) != 1 {
-			t.Fatalf("total collapse at %d trials not flagged: %+v", trials, r)
+		c := onlyChange(t, Diff(base, head), key)
+		want := []FieldDiff{{Path: "successes", Base: strconv.Itoa(trials), Head: "0"}}
+		if !reflect.DeepEqual(c.Fields, want) {
+			t.Fatalf("total collapse at %d trials: changed fields %+v, want %+v", trials, c.Fields, want)
 		}
-	}
-}
-
-func TestMarkdownZeroBaseRendersNew(t *testing.T) {
-	base := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 0, 0))
-	head := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 50, 0))
-	r := Diff(base, head, Thresholds{})
-	if r.Regressed != 4 {
-		t.Fatalf("metric appearing from zero not flagged: %+v", r)
-	}
-	md := r.Markdown()
-	if strings.Contains(md, "+0.0%") || !strings.Contains(md, "| new |") {
-		t.Fatalf("zero-base delta rendered misleadingly:\n%s", md)
 	}
 }
 
@@ -167,11 +176,17 @@ func TestDiffCellAlignment(t *testing.T) {
 	presumed := cell("ire", "expander", 64, 5, 5, 900, 1)
 	presumed.PresumedN = 128 // distinct key from kept despite same (proto, family, n)
 
+	if k := presumed.Key(); k == kept.Key() || k.PresumedN != 128 {
+		t.Fatalf("presumed key lost presumed_n: %s", k)
+	}
+
+	// Head lists presumed before kept: were presumed_n not in the key,
+	// occurrence pairing would pair base's kept with head's presumed.
 	base := artifact(harness.ArtifactSchema, kept, removed, presumed)
-	head := artifact(harness.ArtifactSchema, kept, added, presumed)
-	r := Diff(base, head, Thresholds{})
-	if len(r.Cells) != 2 {
-		t.Fatalf("aligned cells %d, want 2", len(r.Cells))
+	head := artifact(harness.ArtifactSchema, presumed, added, kept)
+	r := Diff(base, head)
+	if r.Aligned != 2 {
+		t.Fatalf("aligned cells %d, want 2", r.Aligned)
 	}
 	if len(r.Removed) != 1 || r.Removed[0] != (harness.CellKey{Protocol: "flood", Family: "complete", N: 32}) {
 		t.Fatalf("removed %+v", r.Removed)
@@ -179,11 +194,8 @@ func TestDiffCellAlignment(t *testing.T) {
 	if len(r.Added) != 1 || r.Added[0] != (harness.CellKey{Protocol: "ire", Family: "cycle", N: 16}) {
 		t.Fatalf("added %+v", r.Added)
 	}
-	if r.Cells[1].Key.PresumedN != 128 {
-		t.Fatalf("presumed cell misaligned: %+v", r.Cells[1].Key)
-	}
-	if r.Regressed != 0 {
-		t.Fatalf("alignment produced spurious regressions: %+v", r)
+	if len(r.Changed) != 0 {
+		t.Fatalf("presumed cell misaligned: %+v", r.Changed)
 	}
 }
 
@@ -192,8 +204,8 @@ func TestDiffDuplicateKeysPairByOccurrence(t *testing.T) {
 	b := cell("ire", "cycle", 16, 5, 5, 200, 1)
 	base := artifact(harness.ArtifactSchema, a, b)
 	head := artifact(harness.ArtifactSchema, a, b, b)
-	r := Diff(base, head, Thresholds{})
-	if len(r.Cells) != 2 || r.Regressed != 0 {
+	r := Diff(base, head)
+	if r.Aligned != 2 || len(r.Changed) != 0 {
 		t.Fatalf("duplicate keys misaligned: %+v", r)
 	}
 	if len(r.Added) != 1 {
@@ -210,11 +222,12 @@ func TestMarkdownRendersChanges(t *testing.T) {
 		cell("flood", "complete", 32, 10, 10, 200, 1),
 	}
 	head := artifact(harness.ArtifactSchema, headCells...)
-	md := Diff(base, head, Thresholds{}).Markdown()
+	md := Diff(base, head).Markdown()
 	for _, want := range []string{
 		"## benchdiff", "**2 changed of 2 aligned cells** · 0 added · 0 removed",
-		"4 regressed · 4 improved", "| ire expander/64 | messages | 1000 | 2000 | +100% | 🔴 regressed |",
-		"flood complete/32", "🟢", "**Changed cells**", "`make baseline` accepts an intended change.",
+		"**Changed cells** (some field differs from the base):\n- ire expander/64\n  - bits: 1000 → 2000\n",
+		"- flood complete/32\n  - bits: 400 → 200\n", "  - messages: 400 → 200\n",
+		"`make baseline` accepts an intended change.",
 	} {
 		if !strings.Contains(md, want) {
 			t.Fatalf("markdown missing %q:\n%s", want, md)
@@ -224,7 +237,7 @@ func TestMarkdownRendersChanges(t *testing.T) {
 
 func TestMarkdownAllUnchanged(t *testing.T) {
 	a := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 1000, 1))
-	md := Diff(a, a, Thresholds{}).Markdown()
+	md := Diff(a, a).Markdown()
 	if !strings.Contains(md, "**0 changed of 1 aligned cells**") || !strings.Contains(md, "Every aligned cell is identical.") {
 		t.Fatalf("markdown missing all-clear:\n%s", md)
 	}
@@ -233,14 +246,17 @@ func TestMarkdownAllUnchanged(t *testing.T) {
 func TestReportJSONRoundTrips(t *testing.T) {
 	base := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 1000, 1))
 	head := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 2000, 1))
-	buf, err := Diff(base, head, Thresholds{}).JSON()
+	r := Diff(base, head)
+	buf, err := r.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"regressed": 4`, `"base_schema"`, `"changed": [`} {
-		if !strings.Contains(string(buf), want) {
-			t.Fatalf("report JSON missing %s:\n%s", want, buf)
-		}
+	var back Report
+	if err := json.Unmarshal(buf, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Aligned != 1 || !reflect.DeepEqual(back.Changed, r.Changed) || back.BaseSchema != harness.ArtifactSchema {
+		t.Fatalf("report JSON does not round-trip:\n%s", buf)
 	}
 }
 
@@ -275,8 +291,8 @@ func TestDiffRealArtifactsSelf(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, head := range []harness.Artifact{a, back} {
-		r := Diff(a, head, Thresholds{})
-		if !r.Clean() || r.Regressed+r.Improved+r.Drifted != 0 || len(r.Cells) != len(specs) {
+		r := Diff(a, head)
+		if !r.Clean() || r.Aligned != len(specs) {
 			t.Fatalf("self-diff not clean: %+v", r)
 		}
 	}
@@ -292,86 +308,27 @@ func TestAdversaryKeyAlignment(t *testing.T) {
 	base := artifact(harness.ArtifactSchema, plain, faulted)
 
 	// Head with the same two cells: both align by key, nothing added.
-	r := Diff(base, base, Thresholds{})
-	if len(r.Cells) != 2 || len(r.Added)+len(r.Removed) != 0 {
+	r := Diff(base, base)
+	if r.Aligned != 2 || !r.Clean() {
 		t.Fatalf("v3 self-alignment wrong: %+v", r)
 	}
-	if r.Cells[1].Key.Adversary != "loss=0.1" {
-		t.Fatalf("faulted key lost its adversary: %+v", r.Cells[1].Key)
-	}
-	if !strings.Contains(r.Cells[1].Key.String(), "[loss=0.1]") {
-		t.Fatalf("key render missing adversary: %s", r.Cells[1].Key)
+	if k := faulted.Key(); k.Adversary != "loss=0.1" || !strings.Contains(k.String(), "[loss=0.1]") {
+		t.Fatalf("faulted key lost its adversary: %s", k)
 	}
 
 	// Dropping the faulted cell from head reports it removed, not merged
 	// into the fault-free cell.
 	head := artifact(harness.ArtifactSchema, plain)
-	r = Diff(base, head, Thresholds{})
-	if len(r.Cells) != 1 || len(r.Removed) != 1 || r.Removed[0].Adversary != "loss=0.1" {
+	r = Diff(base, head)
+	if r.Aligned != 1 || len(r.Removed) != 1 || r.Removed[0].Adversary != "loss=0.1" {
 		t.Fatalf("faulted cell not tracked separately: %+v", r)
 	}
 
 	// A base of descriptor-less cells aligns against the head's fault-free
 	// cell only.
 	v2 := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 5, 5, 100, 1))
-	r = Diff(v2, base, Thresholds{})
-	if len(r.Cells) != 1 || len(r.Added) != 1 || r.Added[0].Adversary != "loss=0.1" {
+	r = Diff(v2, base)
+	if r.Aligned != 1 || len(r.Added) != 1 || r.Added[0].Adversary != "loss=0.1" {
 		t.Fatalf("descriptor-less alignment wrong: %+v", r)
-	}
-}
-
-// predCell attaches predictions to a cell so the drift classifier engages.
-func predCell(mean, predMsgs, predTime float64) harness.Cell {
-	c := cell("ire", "expander", 64, 5, 5, mean, 1)
-	c.PredictedMsgs, c.PredictedTime = predMsgs, predTime
-	return c
-}
-
-// TestDriftClassification: the measured/predicted ratio drifts at its own
-// fixed tolerance, in both directions, independently of the cost metrics.
-func TestDriftClassification(t *testing.T) {
-	base := artifact(harness.ArtifactSchema, predCell(100, 50, 50))
-	// Same measurement, same predictions: no drift.
-	r := Diff(base, base, Thresholds{})
-	if r.Drifted != 0 {
-		t.Fatalf("self-diff drifted: %+v", r)
-	}
-	found := 0
-	for _, md := range r.Cells[0].Metrics {
-		if md.Metric == "msgs_vs_pred" || md.Metric == "time_vs_pred" {
-			found++
-			if md.Base != 2 || md.Head != 2 || md.Status != Unchanged {
-				t.Fatalf("drift metric wrong: %+v", md)
-			}
-		}
-	}
-	if found != 2 {
-		t.Fatalf("drift metrics missing (%d found)", found)
-	}
-
-	// Head ratio moves 2x (measured doubled, predictions fixed): drift in
-	// the away-from-bound direction.
-	head := artifact(harness.ArtifactSchema, predCell(200, 50, 50))
-	r = Diff(base, head, Thresholds{})
-	if r.Drifted != 2 {
-		t.Fatalf("2x ratio change not flagged: %+v", r)
-	}
-	// Toward-the-bound movement drifts too (the ratio is a calibration,
-	// not a cost).
-	headDown := artifact(harness.ArtifactSchema, predCell(40, 50, 50))
-	if r = Diff(base, headDown, Thresholds{}); r.Drifted != 2 {
-		t.Fatalf("toward-bound drift not flagged: %+v", r)
-	}
-	// A 20 % move stays inside the fixed 25 % tolerance.
-	if r = Diff(base, artifact(harness.ArtifactSchema, predCell(120, 50, 50)), Thresholds{}); r.Drifted != 0 {
-		t.Fatalf("20%% ratio move drifted: %+v", r)
-	}
-	// Cells without predictions emit no drift metrics at all.
-	noPred := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 5, 5, 100, 1))
-	r = Diff(noPred, noPred, Thresholds{})
-	for _, md := range r.Cells[0].Metrics {
-		if md.Metric == "msgs_vs_pred" || md.Metric == "time_vs_pred" {
-			t.Fatalf("drift metric emitted without predictions: %+v", md)
-		}
 	}
 }

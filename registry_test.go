@@ -207,7 +207,7 @@ func TestBuildRejectsBadInputs(t *testing.T) {
 		return entry.Build(pc)
 	}
 	for _, proto := range Protocols() {
-		valid := core.ProtoConfig{TrueN: 16, N: 16, TMix: 10, Phi: 0.5, Diam: 4}
+		valid := core.ProtoConfig{N: 16, TMix: 10, Phi: 0.5, Diam: 4}
 		if _, err := build(proto, valid); err != nil {
 			t.Fatalf("%s: valid config rejected: %v", proto, err)
 		}

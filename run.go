@@ -295,7 +295,6 @@ func (nw *Network) resolve(protocol string, o options) (core.Entry, core.ProtoCo
 			protocol, strings.Join(Protocols(), ", "))
 	}
 	pc := o.proto
-	pc.TrueN = nw.N()
 	if pc.N == 0 {
 		pc.N = nw.N()
 	}

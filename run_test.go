@@ -63,7 +63,7 @@ func TestRunFaultInjectionMatchesInternal(t *testing.T) {
 	}
 	entry, _ := core.Lookup(ProtoFloodMax)
 	runner, err := entry.Build(core.ProtoConfig{
-		TrueN: nw.N(), N: nw.N(), Diam: prof.Diameter,
+		N: nw.N(), Diam: prof.Diameter,
 		MaxDelay: adv.MaxDelay(), Faulted: true,
 	})
 	if err != nil {
