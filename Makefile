@@ -81,10 +81,9 @@ bench:
 epochs-smoke:
 	$(GO) run ./cmd/lebench -exp epochs -quick -json BENCH_epochs.json
 
-# Scaling smoke: one 100k-node expander cell under the streaming estimate
-# regime, run twice so the second run demonstrates the profile-cache hit
-# (cold cell budget: well under a minute; the repeat collapses to trial
-# cost). CI's bench-smoke job runs this and archives BENCH_scaling.json.
+# Scaling smoke: one cold 100k-node expander cell under the streaming
+# estimate regime (budget: well under a minute). CI's bench-smoke job runs
+# this and archives BENCH_scaling.json.
 scaling-smoke:
 	$(GO) run ./cmd/lebench -exp scaling -quick -json BENCH_scaling.json
 
@@ -164,12 +163,14 @@ loc:
 # declaration and its test): the scheduler names (every run steps on the
 # calling goroutine), the profile-mode names (a network's size picks its
 # profile regime), the diff thresholds and per-metric counts (a changed
-# leaf is the verdict) and the runner's node count (no builder reads it).
+# leaf is the verdict), the runner's node count (no builder reads it) and
+# the profile-cache counters (a sweep shares builds only within itself).
 DEPRECATED = \
 	'WorkerPool|Actors|WithScheduler options.go options_test.go' \
 	'ProfileAuto|ProfileMode profile.go profile_test.go' \
 	'trajectory\.Thresholds|\.Improved\b|\.Regressed\b|\.Drifted\b internal/trajectory/trajectory.go internal/trajectory/trajectory_test.go' \
-	'\bTrueN\b internal/core/registry.go'
+	'\bTrueN\b internal/core/registry.go' \
+	'ResetProfileCache|ProfileCacheStats internal/harness/buildcount.go'
 
 lint:
 	$(GO) vet ./...

@@ -260,15 +260,13 @@ func ablations(s *session) error {
 // scaling runs the estimate-regime size ramps (harness.ScalingPlan) one
 // cell at a time on one worker, because the wall clock per cell is the
 // measurement and a pool would smear prepare and trial costs across cells.
-// It prints only what the report never consults: seconds per cell, the
-// wall-time exponent of each ramp, and the profile-cache hit rate — the
-// cache is what makes the second run of a repeated cell collapse to trial
-// cost (the -quick smoke demonstrates exactly that with one 100k-node cell
-// run twice). The cells go to the report and the artifact like any others.
+// It prints only what the report never consults: seconds per cell and the
+// wall-time exponent of each ramp. Every cell is its own sweep, so its
+// seconds cover its graph build and profile as well as its trials, in
+// every ramp alike (the -quick smoke is one cold 100k-node cell). The
+// cells go to the report and the artifact like any others.
 func scaling(s *session) error {
 	s.orch.Workers = 1
-	hits0, misses0 := harness.ProfileCacheStats()
-	var all []float64
 	for _, sec := range harness.ScalingPlan(s.quick, s.trials, s.seed).Sections {
 		fmt.Println(sec.Title)
 		var ns, secs []float64
@@ -284,12 +282,6 @@ func scaling(s *session) error {
 		if slope, r2 := stats.LogLogSlope(ns, secs); r2 > 0 {
 			fmt.Printf("  wall time ~ n^%.2f (R²=%.3f)\n", slope, r2)
 		}
-		all = append(all, secs...)
-	}
-	hits, misses := harness.ProfileCacheStats()
-	fmt.Printf("profile cache: %d hits, %d misses this run\n", hits-hits0, misses-misses0)
-	if s.quick && len(all) == 2 && all[1] > 0 {
-		fmt.Printf("cache speedup: cell %.2fs -> %.2fs (%.1fx)\n", all[0], all[1], all[0]/all[1])
 	}
 	fmt.Println()
 	return nil

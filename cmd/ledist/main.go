@@ -392,10 +392,10 @@ func runDistributed(ctx context.Context, g *graph.Graph, entry core.Entry, pc co
 			return fmt.Errorf("waiting for node joins (%d/%d): %w", i, n, err)
 		}
 		l := transport.NewStreamLink(conn)
-		f, err := l.ReadFrame()
-		if err != nil || f.Type != transport.FrameJoin {
+		f, err := readFrameOf(l, transport.FrameJoin)
+		if err != nil {
 			conn.Close()
-			return fmt.Errorf("bad join handshake: %v", err)
+			return fmt.Errorf("bad join handshake: %w", err)
 		}
 		var j joinMsg
 		if err := json.Unmarshal(f.Body, &j); err != nil || j.Node < 0 || j.Node >= n || nodes[j.Node].link != nil {
@@ -516,6 +516,15 @@ func writeFrame(l transport.Link, f transport.Frame) error {
 	return l.Flush()
 }
 
+// readFrameOf reads one frame and refuses it unless it is of type want.
+func readFrameOf(l transport.Link, want transport.FrameType) (transport.Frame, error) {
+	f, err := l.ReadFrame()
+	if err == nil && f.Type != want {
+		err = fmt.Errorf("unexpected %v frame (want %v)", f.Type, want)
+	}
+	return f, err
+}
+
 func printSummary(art *artifact) {
 	if art.Dist == nil {
 		return
@@ -615,9 +624,9 @@ func nodeMain(v int, coord string) error {
 		return fmt.Errorf("node %d: join: %w", v, err)
 	}
 
-	f, err := ctl.ReadFrame()
-	if err != nil || f.Type != transport.FramePlan {
-		return fmt.Errorf("node %d: waiting for plan: %v", v, err)
+	f, err := readFrameOf(ctl, transport.FramePlan)
+	if err != nil {
+		return fmt.Errorf("node %d: waiting for plan: %w", v, err)
 	}
 	plan, err := decodePlan(f.Body, v)
 	if err != nil {

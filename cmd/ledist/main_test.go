@@ -295,3 +295,19 @@ func TestWaitStartRefusesBadCount(t *testing.T) {
 		}
 	}
 }
+
+// TestHandshakeNamesUnexpectedFrame: the coordinator's join read and the
+// node's plan read refuse a frame of another type with an error naming
+// both types, never a nil error printed as "<nil>".
+func TestHandshakeNamesUnexpectedFrame(t *testing.T) {
+	for _, want := range []transport.FrameType{transport.FrameJoin, transport.FramePlan} {
+		_, err := readFrameOf(startLink{f: transport.Frame{Type: transport.FrameData}}, want)
+		if msg := "unexpected data frame (want " + want.String() + ")"; err == nil || err.Error() != msg {
+			t.Errorf("data frame where %v is expected: err %v, want %q", want, err, msg)
+		}
+		f, err := readFrameOf(startLink{f: transport.Frame{Type: want, Body: []byte("x")}}, want)
+		if err != nil || string(f.Body) != "x" {
+			t.Errorf("%v frame where %v is expected: %+v, %v", want, want, f, err)
+		}
+	}
+}

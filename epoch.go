@@ -146,6 +146,9 @@ func (nw *Network) RunEpochs(ctx context.Context, protocol string, sc Scenario, 
 		ctx = context.Background()
 	}
 	o := buildOptions(opts)
+	if err := o.transport.check(); err != nil {
+		return EpochOutcome{}, err
+	}
 	if o.transport != TransportSim && !sc.Revoke {
 		return EpochOutcome{}, fmt.Errorf("anonlead: RunEpochs crash mode requires TransportSim (dead leaders are injected through the simulated adversary)")
 	}

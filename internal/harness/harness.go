@@ -231,15 +231,15 @@ func TrialSeed(root uint64, w Workload, t int) uint64 {
 	return rng.New(root).SplitString("trial:" + w.Family).Split(uint64(w.N)).DeriveSeed(uint64(t))
 }
 
-// prepareCell returns the cell's network — anonlead.NewNetwork(family, n,
-// seed), shared process-wide through the cell cache — and its profile,
-// which every trial's Run reads. Repeated cells (across protocols,
-// ablation factors, or whole sweeps) cost one build, one structural
-// validation and one profile.
+// prepareCell builds the cell's network, anonlead.NewNetwork(family, n,
+// seed), and computes its profile, which every trial's Run reads. Each
+// call is one build, one structural validation and one profile; RunSweep
+// calls it once per distinct (workload, seed) of a sweep.
 func prepareCell(w Workload, seed uint64) (*anonlead.Network, *spectral.Profile, error) {
 	label := cellLabel(w)
 	endPrep := obs.Span("prepare", label)
-	anw, err := cachedNetwork(w, seed)
+	builds.Add(1)
+	anw, err := anonlead.NewNetwork(w.Family, w.N, seed)
 	endPrep()
 	if err != nil {
 		return nil, nil, fmt.Errorf("harness: build %s/%d: %w", w.Family, w.N, err)

@@ -45,6 +45,12 @@ type cellRun struct {
 	remaining atomic.Int32
 }
 
+// cellKey names a cell's network, a pure function of (family, n, seed).
+type cellKey struct {
+	Workload
+	seed uint64
+}
+
 // workers returns the pool size a sweep actually runs with, resolving the
 // zero-value default to GOMAXPROCS.
 func (o Orchestrator) workers() int {
@@ -62,10 +68,11 @@ func (o Orchestrator) RunSweep(specs []CellSpec) ([]Cell, error) {
 	workers := o.workers()
 
 	// Phase 1: build and profile every distinct workload graph in
-	// parallel. Specs sharing the cell cache's key (workload, seed) —
-	// different protocols on one cell, or a knowledge sweep's factors —
-	// share a single build and spectral profile, the dominant setup cost
-	// at larger n.
+	// parallel. Specs sharing a cellKey — different protocols on one
+	// cell, or a knowledge sweep's factors — share a single build and
+	// spectral profile, the dominant setup cost at larger n. This is the
+	// only place builds are shared: the networks, and the simulators they
+	// keep, are garbage once RunSweep returns.
 	order := make([]cellKey, 0, len(specs))
 	groups := make(map[cellKey][]int, len(specs))
 	for i, spec := range specs {

@@ -17,7 +17,9 @@ import (
 // determinismSpecs is a small cross-protocol, cross-family sweep matrix
 // used by the bit-identity tests, including fault-injected cells: the
 // adversary layer must be exactly as independent of the worker count as
-// the protocols underneath it.
+// the protocols underneath it. The expander-300 pair is in the estimate
+// regime, so every sweep of it builds and samples a fresh profile that
+// must come out the same.
 func determinismSpecs(seed uint64) []CellSpec {
 	opts := TrialOpts{Trials: 4, Seed: seed}
 	faulty := TrialOpts{Trials: 4, Seed: seed, Adversary: &adversary.Spec{
@@ -32,6 +34,8 @@ func determinismSpecs(seed uint64) []CellSpec {
 		{Protocol: ProtoWalkNotify, Workload: Workload{Family: "torus", N: 16}, Opts: opts},
 		{Protocol: ProtoIRE, Workload: Workload{Family: "expander", N: 32}, Opts: faulty},
 		{Protocol: ProtoFlood, Workload: Workload{Family: "complete", N: 16}, Opts: churny},
+		{Protocol: ProtoFlood, Workload: Workload{Family: "expander", N: 300}, Opts: opts},
+		{Protocol: ProtoWalkNotify, Workload: Workload{Family: "expander", N: 300}, Opts: opts},
 	}
 }
 
@@ -325,8 +329,9 @@ func TestPresumedNChangesProtocolBehavior(t *testing.T) {
 
 // TestSweepSpansUnderTelemetry runs a two-worker sweep with telemetry on —
 // the span log's only concurrent writers, which make race runs — and
-// counts its spans: one prepare and one profile per distinct workload, one
-// trials span per shard and one reduce per cell.
+// counts its spans: one prepare and one profile per distinct workload
+// (expander-300 is in the estimate regime), one trials span per shard and
+// one reduce per cell.
 func TestSweepSpansUnderTelemetry(t *testing.T) {
 	obs.Enable()
 	t.Cleanup(obs.Disable)
@@ -334,6 +339,8 @@ func TestSweepSpansUnderTelemetry(t *testing.T) {
 		{Protocol: ProtoIRE, Workload: Workload{Family: "complete", N: 16}, Opts: TrialOpts{Trials: 4, Seed: 9}},
 		{Protocol: ProtoFlood, Workload: Workload{Family: "complete", N: 16}, Opts: TrialOpts{Trials: 4, Seed: 9}},
 		{Protocol: ProtoFlood, Workload: Workload{Family: "cycle", N: 12}, Opts: TrialOpts{Trials: 3, Seed: 9}},
+		{Protocol: ProtoFlood, Workload: Workload{Family: "expander", N: 300}, Opts: TrialOpts{Trials: 2, Seed: 9}},
+		{Protocol: ProtoWalkNotify, Workload: Workload{Family: "expander", N: 300}, Opts: TrialOpts{Trials: 2, Seed: 9}},
 	}
 	before := len(obs.SpanEvents())
 	if _, err := (Orchestrator{Workers: 2}).RunSweep(specs); err != nil {
@@ -343,13 +350,16 @@ func TestSweepSpansUnderTelemetry(t *testing.T) {
 	count := map[string]int{}
 	for _, e := range events {
 		count[e.Phase]++
-		if e.Detail != "complete/16" && e.Detail != "cycle/12" {
+		if e.Detail != "complete/16" && e.Detail != "cycle/12" && e.Detail != "expander/300" {
 			t.Fatalf("span %+v names no cell of the sweep", e)
 		}
 	}
-	// Two workloads; each cell's trials cut into two shards.
-	want := map[string]int{"prepare": 2, "profile": 2, "trials": 6, "reduce": 3}
-	if !reflect.DeepEqual(count, want) || len(events) != 13 {
+	// Three workloads; each cell's trials cut into two shards.
+	want := map[string]int{"prepare": 3, "profile": 3, "trials": 10, "reduce": 5}
+	if !reflect.DeepEqual(count, want) || len(events) != 21 {
 		t.Fatalf("span counts %v (%d events), want %v", count, len(events), want)
+	}
+	if _, prof, err := prepareCell(specs[3].Workload, 9); err != nil || !prof.Estimated {
+		t.Fatalf("expander/300 is not profiled in the estimate regime (err %v)", err)
 	}
 }

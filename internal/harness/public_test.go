@@ -30,7 +30,6 @@ func TestHarnessTrialEqualsPublicRun(t *testing.T) {
 		{Workload{"expander", 64}, noRevocable, &adversary.Spec{Loss: 0.1}},
 	} {
 		for _, p := range tc.protos {
-			ResetProfileCache()
 			cell, err := RunCell(p, tc.w, TrialOpts{Trials: 1, Seed: root, Adversary: tc.adv})
 			if err != nil {
 				t.Fatalf("%s on %v: %v", p, tc.w, err)
@@ -88,5 +87,4 @@ func TestHarnessTrialEqualsPublicRun(t *testing.T) {
 			}
 		}
 	}
-	ResetProfileCache()
 }

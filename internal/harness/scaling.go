@@ -7,9 +7,8 @@ package harness
 // The full matrix ramps n = 10³…10⁵ on expanders (FloodMax to 10⁵; the
 // walk-based protocols to 10⁴, where their tmix-long executions stay
 // affordable) plus cycle and diameter-2 ramps that pin the two extreme
-// mixing regimes. The quick matrix is the CI smoke: one 10⁵-node expander
-// cell run twice, so the second run demonstrates the profile-cache hit end
-// to end. trials is an override (0 = 2 full / 1 quick). lebench runs the
+// mixing regimes. The quick matrix is the CI smoke: one cold 10⁵-node
+// expander cell. trials is an override (0 = 2 full / 1 quick). lebench runs the
 // cells one at a time to put a wall clock on each.
 func ScalingPlan(quick bool, trials int, seed uint64) Plan {
 	t := planTrials(trials, 2)
@@ -23,7 +22,6 @@ func ScalingPlan(quick bool, trials int, seed uint64) Plan {
 	if quick {
 		return Plan{[]PlanSection{
 			section("Scaling smoke: FloodMax on a 100k-node expander (cold)", ProtoFlood, "expander", 100_000),
-			section("Scaling smoke: FloodMax on a 100k-node expander (cached)", ProtoFlood, "expander", 100_000),
 		}}
 	}
 	return Plan{[]PlanSection{

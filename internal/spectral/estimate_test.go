@@ -96,7 +96,7 @@ func TestEstimateFallbackUsesProfileGap(t *testing.T) {
 }
 
 // TestEstimateProfileDeterministic pins byte-identical estimated profiles
-// for identical (graph, seed) inputs — the property the profile cache and
+// for identical (graph, seed) inputs — the property repeated sweeps and
 // the cross-scheduler determinism tests build on.
 func TestEstimateProfileDeterministic(t *testing.T) {
 	build := func() *graph.Graph {

@@ -1,6 +1,8 @@
 package anonlead
 
 import (
+	"fmt"
+
 	"anonlead/internal/core"
 	"anonlead/internal/transport"
 )
@@ -98,30 +100,31 @@ const (
 	TransportTCP
 )
 
-// internal maps the public selector onto a transport backend (nil for the
-// simulator).
-func (t Transport) internal() transport.Transport {
-	switch t {
-	case TransportChan:
-		return transport.ChanTransport{}
-	case TransportPipe:
-		return transport.PipeTransport{}
-	case TransportTCP:
-		return transport.TCPTransport{}
-	default:
-		return nil
+// backends maps each Transport onto its backend, nil for TransportSim.
+var backends = [...]transport.Transport{
+	TransportChan: transport.ChanTransport{},
+	TransportPipe: transport.PipeTransport{},
+	TransportTCP:  transport.TCPTransport{},
+}
+
+// check refuses a Transport outside backends, which Run indexes. Run,
+// ProtoConfig and RunEpochs call it before anything runs.
+func (t Transport) check() error {
+	if t < 0 || int(t) >= len(backends) {
+		return fmt.Errorf("anonlead: unknown transport %d", int(t))
 	}
+	return nil
 }
 
 // String names the backend ("sim", "chan", "pipe", "tcp").
 func (t Transport) String() string {
-	if t == TransportSim {
+	switch {
+	case t == TransportSim:
 		return "sim"
+	case t.check() != nil:
+		return "transport(?)"
 	}
-	if tr := t.internal(); tr != nil {
-		return tr.Name()
-	}
-	return "transport(?)"
+	return backends[t].Name()
 }
 
 // WithTransport selects the execution backend. With the default

@@ -182,7 +182,7 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 	// outcome collection — is backend-agnostic.
 	var eng transport.Runtime
 	var wire *transport.Cluster // nil on the simulator
-	if backend := o.transport.internal(); backend == nil {
+	if backend := backends[o.transport]; backend == nil {
 		cfg := sim.Config{Graph: nw.g, Seed: o.seed, Adversary: adv, Observer: observer}
 		// Take the kept simulator, or build one when another run holds
 		// it. Either way this run's is kept afterwards: the Store below
@@ -285,10 +285,13 @@ func (nw *Network) keep(c *transport.Cluster, backend Transport) {
 	}
 }
 
-// resolve is the one config-assembly path: look the protocol up, build the
-// run's adversary, and overlay the network's truth, the adversary's bounds
-// and the profiled defaults onto the options' protocol tunables.
+// resolve is the one config-assembly path: check the transport, look the
+// protocol up, build the run's adversary, and overlay the network's truth,
+// adversary bounds and profiled defaults onto the protocol tunables.
 func (nw *Network) resolve(protocol string, o options) (core.Entry, core.ProtoConfig, sim.Adversary, error) {
+	if err := o.transport.check(); err != nil {
+		return core.Entry{}, core.ProtoConfig{}, nil, err
+	}
 	entry, ok := core.Lookup(protocol)
 	if !ok {
 		return entry, core.ProtoConfig{}, nil, fmt.Errorf("anonlead: unknown protocol %q (registered: %s)",

@@ -220,6 +220,35 @@ func TestTransportRejectsAdversary(t *testing.T) {
 	}
 }
 
+// TestUnknownTransportRefused: a Transport outside the four backends is a
+// named configuration error before anything runs, never a silent run on
+// the simulator, whether it reaches Run, ProtoConfig or RunEpochs.
+func TestUnknownTransportRefused(t *testing.T) {
+	nw := mustNetwork(t, "cycle", 8, 0)
+	ctx := context.Background()
+	for _, tr := range []Transport{9, -1} {
+		want := fmt.Sprintf("unknown transport %d", int(tr))
+		opt := WithTransport(tr)
+		out, err := nw.Run(ctx, ProtoFloodMax, opt)
+		_, advErr := nw.Run(ctx, ProtoFloodMax, opt, WithAdversary(AdversarySpec{Loss: 0.1}))
+		_, pcErr := nw.ProtoConfig(ProtoFloodMax, opt)
+		crash, crashErr := nw.RunEpochs(ctx, ProtoFloodMax, Scenario{Epochs: 2}, opt)
+		revoke, revokeErr := nw.RunEpochs(ctx, ProtoFloodMax, Scenario{Epochs: 2, Revoke: true}, opt)
+		for name, err := range map[string]error{
+			"Run": err, "Run+adversary": advErr, "ProtoConfig": pcErr,
+			"RunEpochs crash": crashErr, "RunEpochs revoke": revokeErr,
+		} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("Transport(%d) through %s: got %v, want an error naming %q", int(tr), name, err, want)
+			}
+		}
+		if out.Rounds != 0 || len(crash.Epochs) != 0 || len(revoke.Epochs) != 0 {
+			t.Errorf("Transport(%d) ran: %d rounds, %d crash epochs, %d revoke epochs",
+				int(tr), out.Rounds, len(crash.Epochs), len(revoke.Epochs))
+		}
+	}
+}
+
 func mustNetwork(t *testing.T, family string, n int, seed uint64) *Network {
 	t.Helper()
 	nw, err := NewNetwork(family, n, seed)
